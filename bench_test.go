@@ -182,14 +182,9 @@ func BenchmarkTrainingStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad, err := nn.SoftmaxCrossEntropy(logits, labels)
-		if err != nil {
+		if _, err := net.TrainStep(opt, x, labels); err != nil {
 			b.Fatal(err)
 		}
-		net.Backward(grad)
-		opt.Step(net.Params())
 	}
 }
 

@@ -55,6 +55,13 @@ go vet ./...
 gate "go build"
 go build ./...
 
+gate "bench module"
+# bench/ is a module of its own, so the root ./... patterns above and
+# below never reach it; it compiles against internal/nn, tensor, trial
+# and workload, and its tiny smoke run checks the golden digests.
+go -C bench vet ./...
+go -C bench test ./...
+
 gate "go test -race"
 go test -race ./...
 

@@ -58,12 +58,7 @@ func collectProfile(opts Options, reg *obs.Registry) []prof.Probe {
 			}
 			if opt, err := nn.NewSGD(0.01, 0.9, 0); err == nil {
 				add(prof.Measure("nn.minibatch-step", runs, func() {
-					net.ZeroGrad()
-					logits := net.Forward(x, true)
-					if _, grad, err := nn.SoftmaxCrossEntropy(logits, labels); err == nil {
-						net.Backward(grad)
-					}
-					opt.Step(net.Params())
+					_, _ = net.TrainStep(opt, x, labels) // labels are in range by construction
 				}))
 			}
 		}

@@ -68,16 +68,12 @@ func (d *Dataset) PaperSamples() float64 {
 	return float64(d.Len()) * d.Meta.Scale
 }
 
-// Subset returns a dataset containing the first ceil(frac·n) samples.
-// Generators pre-shuffle samples, so a prefix is an unbiased subsample;
-// using a deterministic prefix keeps budget growth monotone: a larger
-// budget strictly contains a smaller one, as in the paper's
-// dataset-fraction budgets.
-func (d *Dataset) Subset(frac float64) (*Dataset, error) {
+// SubsetLen is the number of samples Subset(frac) keeps of n:
+// ceil(frac·n), at least one.
+func SubsetLen(n int, frac float64) (int, error) {
 	if frac <= 0 || frac > 1 {
-		return nil, fmt.Errorf("dataset: fraction %v out of (0,1]", frac)
+		return 0, fmt.Errorf("dataset: fraction %v out of (0,1]", frac)
 	}
-	n := d.Len()
 	k := int(frac*float64(n) + 0.999999)
 	if k < 1 {
 		k = 1
@@ -85,15 +81,27 @@ func (d *Dataset) Subset(frac float64) (*Dataset, error) {
 	if k > n {
 		k = n
 	}
+	return k, nil
+}
+
+// Subset returns a dataset containing the first ceil(frac·n) samples.
+// Generators pre-shuffle samples, so a prefix is an unbiased subsample;
+// using a deterministic prefix keeps budget growth monotone: a larger
+// budget strictly contains a smaller one, as in the paper's
+// dataset-fraction budgets. The subset is a view: it shares d's
+// storage, which training only ever reads.
+func (d *Dataset) Subset(frac float64) (*Dataset, error) {
+	k, err := SubsetLen(d.Len(), frac)
+	if err != nil {
+		return nil, err
+	}
 	sub := &Dataset{
 		Meta:    d.Meta,
 		Classes: d.Classes,
 		Vocab:   d.Vocab,
 		Labels:  d.Labels[:k],
+		X:       d.X.RowSlice(0, k),
 	}
-	m := tensor.New(k, d.X.Cols)
-	copy(m.Data, d.X.Data[:k*d.X.Cols])
-	sub.X = m
 	if d.Tokens != nil {
 		sub.Tokens = d.Tokens[:k]
 	}

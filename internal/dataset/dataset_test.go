@@ -128,6 +128,13 @@ func TestSubset(t *testing.T) {
 		if sub.Len() != tt.want {
 			t.Errorf("Subset(%v) len = %d, want %d", tt.frac, sub.Len(), tt.want)
 		}
+		if k, err := SubsetLen(d.Len(), tt.frac); err != nil || k != tt.want {
+			t.Errorf("SubsetLen(%d, %v) = %d, %v, want %d", d.Len(), tt.frac, k, err, tt.want)
+		}
+		// A view, not a copy: the prefix shares the parent's storage.
+		if &sub.X.Data[0] != &d.X.Data[0] || len(sub.X.Data) != sub.Len()*d.X.Cols {
+			t.Errorf("Subset(%v) copied its features", tt.frac)
+		}
 		// Prefix property: features must match the parent's prefix.
 		for i := 0; i < sub.Len()*sub.X.Cols; i++ {
 			if sub.X.Data[i] != d.X.Data[i] {

@@ -62,29 +62,20 @@ func BenchmarkNNMiniBatch() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		step := func() (float64, error) {
-			net.ZeroGrad()
-			logits := net.Forward(x, true)
-			loss, grad, err := nn.SoftmaxCrossEntropy(logits, labels)
-			if err != nil {
-				return 0, err
-			}
-			net.Backward(grad)
-			opt.Step(net.Params())
-			return loss, nil
-		}
 		// Deterministic rows first: the loss trajectory is a fixed
 		// function of the seed. The alloc probe runs after and its
 		// extra steps never feed back into the rows.
 		const steps = 24
 		var loss float64
 		for i := 0; i < steps; i++ {
-			if loss, err = step(); err != nil {
+			if loss, err = net.TrainStep(opt, x, labels); err != nil {
 				return Table{}, err
 			}
 		}
 		t.Rows = append(t.Rows, []string{"18", "32", fmt.Sprint(steps), f3(loss)})
-		p := prof.Measure("nn.minibatch-step", probeRuns, func() { step() })
+		p := prof.Measure("nn.minibatch-step", probeRuns, func() {
+			_, _ = net.TrainStep(opt, x, labels) // the same batch just stepped cleanly above
+		})
 		t.stampProbe(p.Runs, p.AllocsPerOp, p.BytesPerOp)
 		t.Notes = []string{"alloc probe covers zero-grad + forward + loss + backward + SGD step"}
 		return t, nil

@@ -8,35 +8,36 @@ import (
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask *tensor.Matrix // 1 where input > 0
+	out, dx tensor.Matrix // out doubles as the backward mask: > 0 where the input was
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies max(0, x).
-func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x.Clone()
-	if train {
-		r.mask = tensor.New(x.Rows, x.Cols)
-	}
-	for i, v := range out.Data {
+func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
+	r.out.Resize(x.Rows, x.Cols)
+	for i, v := range x.Data {
 		if v > 0 {
-			if train {
-				r.mask.Data[i] = 1
-			}
+			r.out.Data[i] = v
 		} else {
-			out.Data[i] = 0
+			r.out.Data[i] = 0
 		}
 	}
-	return out
+	return &r.out
 }
 
 // Backward zeroes gradients where the input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	out := grad.Clone()
-	out.Hadamard(r.mask)
-	return out
+	r.dx.Resize(grad.Rows, grad.Cols)
+	for i, g := range grad.Data {
+		if r.out.Data[i] > 0 {
+			r.dx.Data[i] = g
+		} else {
+			r.dx.Data[i] = g * 0 // a product, as ever: keeps the zero's sign
+		}
+	}
+	return &r.dx
 }
 
 // Params returns nil: activations are parameter-free.
@@ -51,29 +52,28 @@ func (r *ReLU) OutDim(inDim int) int { return inDim }
 // Tanh is the hyperbolic tangent activation, used by the recurrent
 // workload family.
 type Tanh struct {
-	lastOut *tensor.Matrix
+	out, dx tensor.Matrix // out is also what Backward differentiates through
 }
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x.Clone()
-	out.Apply(math.Tanh)
-	if train {
-		t.lastOut = out
+func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
+	t.out.Resize(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		t.out.Data[i] = math.Tanh(v)
 	}
-	return out
+	return &t.out
 }
 
 // Backward multiplies by 1 - tanh².
 func (t *Tanh) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	out := grad.Clone()
-	for i, y := range t.lastOut.Data {
-		out.Data[i] *= 1 - y*y
+	t.dx.Resize(grad.Rows, grad.Cols)
+	for i, y := range t.out.Data {
+		t.dx.Data[i] = grad.Data[i] * (1 - y*y)
 	}
-	return out
+	return &t.dx
 }
 
 // Params returns nil: activations are parameter-free.

@@ -26,18 +26,12 @@ func BenchmarkMiniBatchStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := net.Params()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad, err := SoftmaxCrossEntropy(logits, labels)
-		if err != nil {
+		if _, err := net.TrainStep(opt, x, labels); err != nil {
 			b.Fatal(err)
 		}
-		net.Backward(grad)
-		opt.Step(params)
 	}
 }

@@ -11,8 +11,13 @@ import (
 type Dense struct {
 	in, out int
 	w, b    *Param
+	// skipInputGrad is set by NewNetwork on the first layer, whose input
+	// gradient nobody reads.
+	skipInputGrad bool
 
 	lastInput *tensor.Matrix // cached for backward
+	y, dx, dw tensor.Matrix  // owned output and gradient buffers
+	db        []float64
 }
 
 // NewDense creates a dense layer with He-normal initialised weights.
@@ -23,6 +28,7 @@ func NewDense(in, out int, rng *sim.RNG) *Dense {
 		out: out,
 		w:   newParam(tensor.Randn(in, out, std, rng)),
 		b:   newParam(tensor.New(1, out)),
+		db:  make([]float64, out),
 	}
 }
 
@@ -31,21 +37,23 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		d.lastInput = x
 	}
-	y := tensor.MatMul(x, d.w.W)
-	y.AddRowVec(d.b.W.Data)
-	return y
+	tensor.MatMulInto(&d.y, x, d.w.W)
+	d.y.AddRowVec(d.b.W.Data)
+	return &d.y
 }
 
 // Backward accumulates dW = xᵀ grad and db = colsum(grad), returning
-// grad W ᵀ for the upstream layer.
+// grad W ᵀ for the upstream layer. dW and db are summed on their own
+// before being added, so a non-zero Grad sees the same rounding as ever.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	dw := tensor.MatMulAT(d.lastInput, grad)
-	d.w.Grad.Add(dw)
-	db := grad.ColSums()
-	for i, v := range db {
+	d.w.Grad.Add(tensor.MatMulATInto(&d.dw, d.lastInput, grad))
+	for i, v := range grad.ColSumsInto(d.db) {
 		d.b.Grad.Data[i] += v
 	}
-	return tensor.MatMulBT(grad, d.w.W)
+	if d.skipInputGrad {
+		return nil
+	}
+	return tensor.MatMulBTInto(&d.dx, grad, d.w.W)
 }
 
 // Params returns the weight and bias parameters.

@@ -14,7 +14,8 @@ import (
 type Dropout struct {
 	rate float64
 	rng  *sim.RNG
-	mask *tensor.Matrix
+
+	mask, out, dx tensor.Matrix
 }
 
 // NewDropout creates a dropout layer. Rate must be in [0, 1).
@@ -31,27 +32,30 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		return x
 	}
 	keep := 1 - d.rate
-	d.mask = tensor.New(x.Rows, x.Cols)
-	out := x.Clone()
-	for i := range out.Data {
+	d.mask.Resize(x.Rows, x.Cols)
+	d.out.Resize(x.Rows, x.Cols)
+	for i, v := range x.Data {
 		if d.rng.Float64() < keep {
 			d.mask.Data[i] = 1 / keep
-			out.Data[i] *= 1 / keep
+			d.out.Data[i] = v * (1 / keep)
 		} else {
-			out.Data[i] = 0
+			d.mask.Data[i] = 0
+			d.out.Data[i] = 0
 		}
 	}
-	return out
+	return &d.out
 }
 
 // Backward passes gradients through the same mask.
 func (d *Dropout) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
+	if d.mask.Data == nil {
 		return grad
 	}
-	out := grad.Clone()
-	out.Hadamard(d.mask)
-	return out
+	d.dx.Resize(grad.Rows, grad.Cols)
+	for i, g := range grad.Data {
+		d.dx.Data[i] = g * d.mask.Data[i]
+	}
+	return &d.dx
 }
 
 // Params returns nil: dropout is parameter-free.

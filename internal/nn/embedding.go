@@ -18,6 +18,7 @@ type Embedding struct {
 	table      *Param
 
 	lastTokens *tensor.Matrix
+	out        tensor.Matrix
 }
 
 // NewEmbedding creates an embedding table of vocab rows and dim columns.
@@ -39,10 +40,13 @@ func (e *Embedding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		e.lastTokens = x
 	}
-	out := tensor.New(x.Rows, e.dim)
+	out := e.out.Resize(x.Rows, e.dim)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		outRow := out.Row(i)
+		for j := range outRow {
+			outRow[j] = 0
+		}
 		count := 0
 		for _, tok := range row {
 			id := int(tok)
@@ -66,6 +70,7 @@ func (e *Embedding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward scatters the pooled gradient back to the used table rows.
+// Token IDs are not differentiable, so there is no input gradient.
 func (e *Embedding) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	for i := 0; i < grad.Rows; i++ {
 		tokens := e.lastTokens.Row(i)
@@ -91,9 +96,7 @@ func (e *Embedding) Backward(grad *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	// Token IDs are not differentiable; return a zero gradient of the
-	// input shape so upstream layers (if any) see a well-formed tensor.
-	return tensor.New(e.lastTokens.Rows, e.lastTokens.Cols)
+	return nil
 }
 
 // Params returns the embedding table.
@@ -116,7 +119,10 @@ type SimpleRNN struct {
 	bias          *Param // 1 x hidden
 
 	lastTokens *tensor.Matrix
-	states     []*tensor.Matrix // h_0 .. h_T (post-tanh)
+	states     []tensor.Matrix // h_0 .. h_T (post-tanh), reused across batches
+
+	dh, dpre, dwh tensor.Matrix // backward buffers
+	db            []float64
 }
 
 // NewSimpleRNN creates a recurrent layer over a vocab with the given
@@ -131,20 +137,22 @@ func NewSimpleRNN(vocab, hidden int, rng *sim.RNG) (*SimpleRNN, error) {
 		embed:  newParam(tensor.Randn(vocab, hidden, 1/math.Sqrt(float64(hidden)), rng)),
 		wh:     newParam(tensor.Randn(hidden, hidden, 0.5/math.Sqrt(float64(hidden)), rng)),
 		bias:   newParam(tensor.New(1, hidden)),
+		db:     make([]float64, hidden),
 	}, nil
 }
 
 // Forward unrolls the cell over the sequence columns.
 func (r *SimpleRNN) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	n, steps := x.Rows, x.Cols
-	h := tensor.New(n, r.hidden)
 	if train {
 		r.lastTokens = x
-		r.states = make([]*tensor.Matrix, 0, steps+1)
-		r.states = append(r.states, h.Clone())
 	}
+	if len(r.states) < steps+1 {
+		r.states = append(r.states, make([]tensor.Matrix, steps+1-len(r.states))...)
+	}
+	h := r.states[0].Resize(n, r.hidden) // h_0 = 0: nothing ever writes this one
 	for t := 0; t < steps; t++ {
-		next := tensor.MatMul(h, r.wh.W)
+		next := tensor.MatMulInto(&r.states[t+1], h, r.wh.W)
 		next.AddRowVec(r.bias.W.Data)
 		for i := 0; i < n; i++ {
 			id := int(x.At(i, t))
@@ -159,9 +167,6 @@ func (r *SimpleRNN) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		}
 		next.Apply(math.Tanh)
 		h = next
-		if train {
-			r.states = append(r.states, h.Clone())
-		}
 	}
 	return h
 }
@@ -170,16 +175,15 @@ func (r *SimpleRNN) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 func (r *SimpleRNN) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	n := grad.Rows
 	steps := r.lastTokens.Cols
-	dh := grad.Clone()
+	dh := grad
 	for t := steps - 1; t >= 0; t-- {
-		hT := r.states[t+1]
 		// Through tanh: dpre = dh * (1 - h²).
-		dpre := dh.Clone()
-		for i, v := range hT.Data {
-			dpre.Data[i] *= 1 - v*v
+		dpre := r.dpre.Resize(n, r.hidden)
+		for i, v := range r.states[t+1].Data {
+			dpre.Data[i] = dh.Data[i] * (1 - v*v)
 		}
 		// Bias and embedding gradients.
-		for j, v := range dpre.ColSums() {
+		for j, v := range dpre.ColSumsInto(r.db) {
 			r.bias.Grad.Data[j] += v
 		}
 		for i := 0; i < n; i++ {
@@ -192,12 +196,14 @@ func (r *SimpleRNN) Backward(grad *tensor.Matrix) *tensor.Matrix {
 				eg[j] += g
 			}
 		}
-		// Recurrence: dWh += h_{t-1}ᵀ dpre; dh_{t-1} = dpre Whᵀ.
-		hPrev := r.states[t]
-		r.wh.Grad.Add(tensor.MatMulAT(hPrev, dpre))
-		dh = tensor.MatMulBT(dpre, r.wh.W)
+		// Recurrence: dWh += h_{t-1}ᵀ dpre; dh_{t-1} = dpre Whᵀ, which
+		// nobody reads at t = 0.
+		r.wh.Grad.Add(tensor.MatMulATInto(&r.dwh, &r.states[t], dpre))
+		if t > 0 {
+			dh = tensor.MatMulBTInto(&r.dh, dpre, r.wh.W)
+		}
 	}
-	return tensor.New(n, steps)
+	return nil
 }
 
 // Params returns the embedding table, recurrence matrix, and bias.

@@ -36,6 +36,13 @@ func (p *Param) Count() int { return len(p.W.Data) }
 // and returns the gradient w.r.t. its input, accumulating parameter
 // gradients along the way. Backward must be called after Forward with
 // train=true on the same batch.
+//
+// A layer owns the matrices it returns and reuses them: a result is
+// valid until the layer's next Forward (or Backward), and what Backward
+// needs is cached by reference, so a layer never writes to its input
+// and a Forward in between invalidates the pending Backward. Backward
+// returns nil where no input gradient exists (token IDs) or nobody
+// reads it (see NewNetwork).
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix

@@ -18,8 +18,11 @@ type LayerNorm struct {
 	beta  *Param
 
 	// cached forward state for backward
-	normed *tensor.Matrix
+	normed tensor.Matrix
 	invStd []float64
+
+	out, dx tensor.Matrix
+	dxhat   []float64
 }
 
 // NewLayerNorm creates a layer-normalisation layer of width dim.
@@ -32,6 +35,7 @@ func NewLayerNorm(dim int) *LayerNorm {
 		dim:   dim,
 		gamma: newParam(gamma),
 		beta:  newParam(tensor.New(1, dim)),
+		dxhat: make([]float64, dim),
 	}
 }
 
@@ -39,10 +43,13 @@ const lnEps = 1e-5
 
 // Forward normalises each row and applies γ·x̂ + β.
 func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
+	out := l.out.Resize(x.Rows, x.Cols)
 	if train {
-		l.normed = tensor.New(x.Rows, x.Cols)
-		l.invStd = make([]float64, x.Rows)
+		l.normed.Resize(x.Rows, x.Cols)
+		if cap(l.invStd) < x.Rows {
+			l.invStd = make([]float64, x.Rows)
+		}
+		l.invStd = l.invStd[:x.Rows]
 	}
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
@@ -77,13 +84,13 @@ func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // Backward propagates through the normalisation (full Jacobian) and
 // accumulates γ/β gradients.
 func (l *LayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(grad.Rows, grad.Cols)
+	out := l.dx.Resize(grad.Rows, grad.Cols)
 	n := float64(l.dim)
+	dxhat := l.dxhat
 	for i := 0; i < grad.Rows; i++ {
 		gRow := grad.Row(i)
 		nRow := l.normed.Row(i)
 		// dL/dx̂ = dL/dy · γ, plus γ/β gradient accumulation.
-		dxhat := make([]float64, l.dim)
 		var sumDxhat, sumDxhatN float64
 		for j, g := range gRow {
 			l.gamma.Grad.Data[j] += g * nRow[j]

@@ -8,21 +8,40 @@ import (
 
 // Network is a sequential stack of layers with a softmax classification
 // head. The zero value is not usable; construct with NewNetwork.
+//
+// A Network is single-goroutine: its layers own the activation and
+// gradient buffers they return and reuse them on every call, so the
+// logits Forward returns are valid only until the next Forward.
 type Network struct {
 	layers []Layer
+	params []*Param // every layer's parameters, collected once
+
+	lossGrad tensor.Matrix // TrainStep's loss-gradient buffer
+	// trained records that the latest Forward was a training one, i.e.
+	// that the activations the layers cached for Backward are intact.
+	trained bool
 }
 
 // NewNetwork builds a sequential network from layers. At least one layer
-// is required.
+// is required. A Dense first layer is told to skip its input gradient:
+// Backward discards it, and it is the widest product of the step.
 func NewNetwork(layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("nn: network needs at least one layer")
 	}
-	return &Network{layers: layers}, nil
+	if d, ok := layers[0].(*Dense); ok {
+		d.skipInputGrad = true
+	}
+	n := &Network{layers: layers}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+	}
+	return n, nil
 }
 
 // Forward runs the full stack and returns the logits.
 func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	n.trained = train
 	h := x
 	for _, l := range n.layers {
 		h = l.Forward(h, train)
@@ -30,26 +49,41 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return h
 }
 
-// Backward runs the stack in reverse from the loss gradient.
+// Backward runs the stack in reverse from the loss gradient. It panics
+// unless the latest Forward was a training one: an inference Forward in
+// between (Predict, Accuracy) has overwritten the cached activations.
 func (n *Network) Backward(grad *tensor.Matrix) {
+	if !n.trained {
+		panic("nn: Backward without a training Forward directly before it")
+	}
 	g := grad
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		g = n.layers[i].Backward(g)
 	}
 }
 
-// Params returns every trainable parameter in the network.
-func (n *Network) Params() []*Param {
-	var ps []*Param
-	for _, l := range n.layers {
-		ps = append(ps, l.Params()...)
+// TrainStep runs one optimiser step on the batch (x, labels) — zero the
+// gradients, forward, softmax cross-entropy, backward, update — and
+// returns the batch loss. It is the step Train loops over, and allocates
+// nothing once the buffers have grown to the batch's size.
+func (n *Network) TrainStep(opt *SGD, x *tensor.Matrix, labels []int) (float64, error) {
+	n.ZeroGrad()
+	loss, err := softmaxCrossEntropyInto(&n.lossGrad, n.Forward(x, true), labels)
+	if err != nil {
+		return 0, err
 	}
-	return ps
+	n.Backward(&n.lossGrad)
+	opt.Step(n.params)
+	return loss, nil
 }
+
+// Params returns every trainable parameter in the network. The slice is
+// the network's own; callers must not modify it.
+func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad clears all parameter gradients.
 func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
+	for _, p := range n.params {
 		p.ZeroGrad()
 	}
 }
@@ -58,7 +92,7 @@ func (n *Network) ZeroGrad() {
 // performance model for memory accounting.
 func (n *Network) ParamCount() int {
 	var c int
-	for _, p := range n.Params() {
+	for _, p := range n.params {
 		c += p.Count()
 	}
 	return c
@@ -74,9 +108,20 @@ func (n *Network) FLOPsPerSample() float64 {
 	return f
 }
 
+// evalChunk is how many rows Predict forwards at a time: the smallest
+// training batch the tuner uses (§5.1), so evaluating a whole test set
+// never grows the layers' buffers beyond what training needed. Rows are
+// independent, so chunking changes no logit.
+const evalChunk = 32
+
 // Predict returns the class index with the highest logit for each row.
 func (n *Network) Predict(x *tensor.Matrix) []int {
-	return n.Forward(x, false).ArgmaxRows()
+	pred := make([]int, 0, x.Rows)
+	for lo := 0; lo < x.Rows; lo += evalChunk {
+		hi := min(lo+evalChunk, x.Rows)
+		pred = append(pred, n.Forward(x.RowSlice(lo, hi), false).ArgmaxRows()...)
+	}
+	return pred
 }
 
 // Accuracy evaluates classification accuracy on (x, labels).

@@ -57,6 +57,8 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 		order[i] = i
 	}
 
+	var bx tensor.Matrix // the gathered batch, reused across steps
+	var by []int
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle && rng != nil {
 			order = rng.Perm(n)
@@ -73,16 +75,11 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 			if end > n {
 				end = n
 			}
-			bx, by := gatherBatch(x, labels, order[start:end])
-
-			net.ZeroGrad()
-			logits := net.Forward(bx, true)
-			loss, grad, err := SoftmaxCrossEntropy(logits, by)
+			by = gatherBatch(&bx, by[:0], x, labels, order[start:end])
+			loss, err := net.TrainStep(opt, &bx, by)
 			if err != nil {
 				return stats, err
 			}
-			net.Backward(grad)
-			opt.Step(net.Params())
 
 			epochLoss += loss
 			batches++
@@ -97,13 +94,13 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 	return stats, nil
 }
 
-// gatherBatch copies the selected rows into a contiguous batch.
-func gatherBatch(x *tensor.Matrix, labels []int, idx []int) (*tensor.Matrix, []int) {
-	bx := tensor.New(len(idx), x.Cols)
-	by := make([]int, len(idx))
+// gatherBatch copies the selected rows into the contiguous batch bx,
+// resizing it, and appends their labels to by.
+func gatherBatch(bx *tensor.Matrix, by []int, x *tensor.Matrix, labels []int, idx []int) []int {
+	bx.Resize(len(idx), x.Cols)
 	for i, src := range idx {
 		copy(bx.Row(i), x.Row(src))
-		by[i] = labels[src]
+		by = append(by, labels[src])
 	}
-	return bx, by
+	return by
 }

@@ -66,12 +66,50 @@ func (m *Matrix) Clone() *Matrix {
 // Row returns a view of row r (shared storage).
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
+// Resize reshapes m to rows x cols in place, reusing its storage when
+// the capacity allows, and returns m. The contents afterwards are
+// unspecified: kernels that accumulate clear the matrix themselves.
+func (m *Matrix) Resize(rows, cols int) *Matrix {
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
+}
+
+// RowSlice returns a view of rows [lo, hi) sharing m's storage.
+func (m *Matrix) RowSlice(lo, hi int) *Matrix {
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
+// zeroed resizes out and clears it, for the kernels that accumulate.
+func zeroed(out *Matrix, rows, cols int) *Matrix {
+	out.Resize(rows, cols)
+	for i := range out.Data {
+		out.Data[i] = 0
+	}
+	return out
+}
+
 // MatMul computes a @ b into a new matrix. Shapes must agree.
-func MatMul(a, b *Matrix) *Matrix {
+func MatMul(a, b *Matrix) *Matrix { return MatMulInto(New(a.Rows, b.Cols), a, b) }
+
+// MatMulAT computes aᵀ @ b (a transposed) into a new matrix.
+func MatMulAT(a, b *Matrix) *Matrix { return MatMulATInto(New(a.Cols, b.Cols), a, b) }
+
+// MatMulBT computes a @ bᵀ (b transposed) into a new matrix.
+func MatMulBT(a, b *Matrix) *Matrix { return MatMulBTInto(New(a.Rows, b.Rows), a, b) }
+
+// MatMulInto computes a @ b into out, resizing it, and returns out. As
+// for every …Into kernel, out must not alias an operand, and each
+// output element accumulates its products in increasing k order — the
+// order recommendation digests depend on.
+func MatMulInto(out, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
+	zeroed(out, a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
@@ -88,12 +126,12 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulAT computes aᵀ @ b (a transposed).
-func MatMulAT(a, b *Matrix) *Matrix {
+// MatMulATInto computes aᵀ @ b into out; see MatMulInto.
+func MatMulATInto(out, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulAT shape mismatch %dx%d / %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
+	zeroed(out, a.Cols, b.Cols)
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
@@ -110,12 +148,12 @@ func MatMulAT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulBT computes a @ bᵀ (b transposed).
-func MatMulBT(a, b *Matrix) *Matrix {
+// MatMulBTInto computes a @ bᵀ into out; see MatMulInto.
+func MatMulBTInto(out, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulBT shape mismatch %dx%d / %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+	out.Resize(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
@@ -179,8 +217,17 @@ func (m *Matrix) Hadamard(other *Matrix) {
 }
 
 // ColSums returns the per-column sums (length Cols).
-func (m *Matrix) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
+func (m *Matrix) ColSums() []float64 { return m.ColSumsInto(make([]float64, m.Cols)) }
+
+// ColSumsInto writes the per-column sums into sums (length Cols) and
+// returns it.
+func (m *Matrix) ColSumsInto(sums []float64) []float64 {
+	if len(sums) != m.Cols {
+		panic(fmt.Sprintf("tensor: ColSumsInto length %d != cols %d", len(sums), m.Cols))
+	}
+	for j := range sums {
+		sums[j] = 0
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {

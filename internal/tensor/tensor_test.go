@@ -225,3 +225,139 @@ func BenchmarkMatMul64(b *testing.B) {
 		MatMul(x, y)
 	}
 }
+
+// The three reference kernels below are the allocating loops as they
+// stood before the …Into forms existed; TestIntoKernelsBitEqual holds
+// the new kernels to them element for element.
+func refMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.At(i, k)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += av * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulAT(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	for k := 0; k < a.Rows; k++ {
+		for i := 0; i < a.Cols; i++ {
+			av := a.At(k, i)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += av * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulBT(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// sparseRandn is Randn with about a third of the entries exactly zero,
+// so the kernels' skip-zero branch is exercised.
+func sparseRandn(rows, cols int, rng *sim.RNG) *Matrix {
+	m := Randn(rows, cols, 1, rng)
+	for i := range m.Data {
+		if rng.Intn(3) == 0 {
+			m.Data[i] = 0
+		}
+	}
+	return m
+}
+
+func bitEqual(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if v != b.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIntoKernelsBitEqual: over random shapes with zero entries, every
+// …Into kernel — writing into one reused output that is dirty and of
+// the wrong shape from the previous round — and its allocating wrapper
+// equal the pre-change loops with ==, not within a tolerance.
+func TestIntoKernelsBitEqual(t *testing.T) {
+	rng := sim.NewRNG(99)
+	out := Randn(3, 3, 1, rng)
+	for round := 0; round < 200; round++ {
+		m, k, n := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(9)
+		a, b := sparseRandn(m, k, rng), sparseRandn(k, n, rng)
+		at, bt := sparseRandn(k, m, rng), sparseRandn(n, k, rng)
+		cases := []struct {
+			name       string
+			want       *Matrix
+			into, wrap func() *Matrix
+		}{
+			{"MatMul", refMatMul(a, b), func() *Matrix { return MatMulInto(out, a, b) }, func() *Matrix { return MatMul(a, b) }},
+			{"MatMulAT", refMatMulAT(at, b), func() *Matrix { return MatMulATInto(out, at, b) }, func() *Matrix { return MatMulAT(at, b) }},
+			{"MatMulBT", refMatMulBT(a, bt), func() *Matrix { return MatMulBTInto(out, a, bt) }, func() *Matrix { return MatMulBT(a, bt) }},
+		}
+		for _, c := range cases {
+			if got := c.into(); got != out || !bitEqual(got, c.want) {
+				t.Fatalf("round %d: %sInto(%dx%dx%d) differs from the reference loop", round, c.name, m, k, n)
+			}
+			if !bitEqual(c.wrap(), c.want) {
+				t.Fatalf("round %d: %s(%dx%dx%d) differs from the reference loop", round, c.name, m, k, n)
+			}
+		}
+	}
+}
+
+func TestResizeReusesStorage(t *testing.T) {
+	m := New(4, 6)
+	data := &m.Data[0]
+	if m.Resize(2, 3); m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 || &m.Data[0] != data {
+		t.Errorf("shrinking Resize gave %dx%d len %d, or moved the storage", m.Rows, m.Cols, len(m.Data))
+	}
+	if m.Resize(6, 4); len(m.Data) != 24 || &m.Data[0] != data {
+		t.Error("growing back within capacity moved the storage")
+	}
+	if m.Resize(5, 5); len(m.Data) != 25 {
+		t.Errorf("growing past capacity gave len %d, want 25", len(m.Data))
+	}
+}
+
+func TestRowSliceIsAView(t *testing.T) {
+	m, _ := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
+	v := m.RowSlice(1, 3)
+	if v.Rows != 2 || v.Cols != 2 || v.At(0, 0) != 3 || v.At(1, 1) != 6 {
+		t.Fatalf("RowSlice(1,3) = %dx%d %v", v.Rows, v.Cols, v.Data)
+	}
+	if v.Set(0, 0, 9); m.At(1, 0) != 9 {
+		t.Error("RowSlice copied instead of sharing storage")
+	}
+}
+
+func TestColSumsIntoOverwrites(t *testing.T) {
+	m, _ := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	if got := m.ColSumsInto([]float64{7, 7}); got[0] != 4 || got[1] != 6 {
+		t.Errorf("ColSumsInto over a dirty slice = %v, want [4 6]", got)
+	}
+}

@@ -8,9 +8,11 @@ package trial
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"edgetune/internal/budget"
+	"edgetune/internal/dataset"
 	"edgetune/internal/fault"
 	"edgetune/internal/nn"
 	"edgetune/internal/obs"
@@ -31,6 +33,13 @@ type Runner struct {
 	// injector optionally injects crash/NaN/straggler faults (nil =
 	// none).
 	injector *fault.Injector
+
+	// splits memoises Workload.Data per stride for the runner's life:
+	// the NLP workload re-featurises its whole corpus per call, strides
+	// are the integers 1-32 (0 stands for the workloads without one),
+	// and datasets are read-only once handed out.
+	mu     sync.Mutex
+	splits map[int]dataset.Split
 }
 
 // NewRunner creates a trial runner. The GPU profile defaults to the
@@ -42,7 +51,22 @@ func NewRunner(w *workload.Workload, gpu perfmodel.GPUProfile, seed uint64) (*Ru
 	if gpu.FlopsPerSec == 0 {
 		gpu = perfmodel.TitanRTX()
 	}
-	return &Runner{workload: w, gpu: gpu, seed: seed, lr: 0.018, momentum: 0.9}, nil
+	return &Runner{workload: w, gpu: gpu, seed: seed, lr: 0.018, momentum: 0.9,
+		splits: make(map[int]dataset.Split)}, nil
+}
+
+// data is Workload.Data through the per-stride memo.
+func (r *Runner) data(cfg search.Config) (train, test *dataset.Dataset, err error) {
+	stride := int(cfg[workload.ParamStride])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s, ok := r.splits[stride]; ok {
+		return s.Train, s.Test, nil
+	}
+	if train, test, err = r.workload.Data(cfg); err == nil {
+		r.splits[stride] = dataset.Split{Train: train, Test: test}
+	}
+	return train, test, err
 }
 
 // SetFaultInjector arms the runner with a fault injector; trials then
@@ -157,7 +181,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	train, test, err := r.workload.Data(req.Config)
+	train, test, err := r.data(req.Config)
 	if err != nil {
 		return res, err
 	}
@@ -277,20 +301,18 @@ func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerE
 }
 
 // projectedCost is the full simulated cost this request would have
-// charged, used to bill partial work for crashed attempts.
+// charged, used to bill partial work for crashed attempts. It needs only
+// the subset's length, which no featurisation changes.
 func (r *Runner) projectedCost(flops, params float64, req Request, batch, gpus int) (perfmodel.Cost, error) {
-	train, _, err := r.workload.Data(req.Config)
-	if err != nil {
-		return perfmodel.Cost{}, err
-	}
-	sub, err := train.Subset(req.Alloc.DataFraction)
+	train := r.workload.Split.Train
+	k, err := dataset.SubsetLen(train.Len(), req.Alloc.DataFraction)
 	if err != nil {
 		return perfmodel.Cost{}, err
 	}
 	return perfmodel.TrainingCost(perfmodel.TrainSpec{
 		FLOPsPerSample: flops,
 		Params:         params,
-		Samples:        sub.PaperSamples(),
+		Samples:        float64(k) * train.Meta.Scale,
 		Epochs:         req.Alloc.Epochs,
 		BatchSize:      batch,
 		GPUs:           gpus,

@@ -321,3 +321,76 @@ func TestAllWorkloadsRunnable(t *testing.T) {
 		})
 	}
 }
+
+// TestTrainingNeverWritesThroughData: a trial's subset is a view of the
+// workload's dataset and the runner hands the same featurised split to
+// every trial of a stride, so a trial must leave both untouched.
+func TestTrainingNeverWritesThroughData(t *testing.T) {
+	for _, tt := range []struct {
+		id  string
+		cfg search.Config
+	}{
+		{"IC", icConfig()},
+		{"NLP", search.Config{workload.ParamStride: 3, workload.ParamTrainBatch: 64}},
+	} {
+		w := workload.MustNew(tt.id, 1)
+		r, err := NewRunner(w, perfmodel.GPUProfile{}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, test, err := r.data(tt.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := [][]float64{
+			append([]float64(nil), train.X.Data...), append([]float64(nil), test.X.Data...),
+			append([]float64(nil), w.Split.Train.X.Data...),
+		}
+		if _, err := r.Run(context.Background(), Request{Config: tt.cfg, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.4}}); err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := r.data(tt.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != train {
+			t.Errorf("%s: the runner featurised the same stride twice", tt.id)
+		}
+		for i, now := range [][]float64{train.X.Data, test.X.Data, w.Split.Train.X.Data} {
+			for j, v := range now {
+				if v != before[i][j] {
+					t.Fatalf("%s: the trial wrote to dataset %d at %d", tt.id, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestProjectedCostMatchesSubset: the crash bill is computed from the
+// subset's length alone and must equal the cost the finished trial
+// charges from the real subset, on the workload that re-featurises too.
+func TestProjectedCostMatchesSubset(t *testing.T) {
+	cfg := search.Config{workload.ParamStride: 5, workload.ParamTrainBatch: 64, workload.ParamGPUs: 2}
+	r, err := NewRunner(workload.MustNew("NLP", 1), perfmodel.GPUProfile{}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{0.013, 0.5, 1} {
+		req := Request{Config: cfg, Alloc: budget.Allocation{Epochs: 1, DataFraction: frac}}
+		res, err := r.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flops, params, err := r.workload.PaperCost(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.projectedCost(flops, params, req, 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != res.Cost {
+			t.Errorf("fraction %v: projected cost %+v, trial charged %+v", frac, got, res.Cost)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"edgetune/internal/nn"
 	"edgetune/internal/search"
 	"edgetune/internal/sim"
+	"edgetune/internal/tensor"
 )
 
 func TestNewValidIDs(t *testing.T) {
@@ -257,6 +258,80 @@ func TestTargetAccuracyInRange(t *testing.T) {
 		w := MustNew(id, 1)
 		if tgt := w.TargetAccuracy(); tgt <= 0 || tgt >= 1 {
 			t.Errorf("%s: target accuracy %v out of (0,1)", id, tgt)
+		}
+	}
+}
+
+// shippedConfigs is one model configuration per workload.
+var shippedConfigs = []struct {
+	id  string
+	cfg search.Config
+}{
+	{"IC", search.Config{ParamLayers: 18}},
+	{"SR", search.Config{ParamEmbedDim: 64}},
+	{"NLP", search.Config{ParamStride: 2}},
+	{"OD", search.Config{ParamDropout: 0.3}},
+}
+
+// TestTrainStepAllocsOnShippedModels pins the steady-state mini-batch
+// step on the models the tuner really trains: with the buffers grown to
+// the full batch, a full batch, a ragged last batch, and a batch that
+// shrinks then grows back allocate nothing between them (the ledger's
+// bound for the outside-in probe, which allocates its own loss
+// gradient, is 8).
+func TestTrainStepAllocsOnShippedModels(t *testing.T) {
+	for _, tt := range shippedConfigs {
+		w := MustNew(tt.id, 1)
+		net, err := w.BuildModel(tt.cfg, sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, _, err := w.Data(tt.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := nn.NewSGD(0.018, 0.9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := []*tensor.Matrix{train.X.RowSlice(0, 64), train.X.RowSlice(0, 17), train.X.RowSlice(0, 40), train.X.RowSlice(0, 64)}
+		steps := func() {
+			for _, x := range batches {
+				if _, err := net.TrainStep(opt, x, train.Labels[:x.Rows]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		steps()
+		if allocs := testing.AllocsPerRun(5, steps); allocs != 0 {
+			t.Errorf("%s: four steady-state steps allocate %.0f times, want 0", tt.id, allocs)
+		}
+	}
+}
+
+// TestChunkedAccuracyMatchesWholeMatrix: Accuracy evaluates in row
+// chunks through the training buffers; on every workload's test split
+// it equals scoring one whole-matrix Forward.
+func TestChunkedAccuracyMatchesWholeMatrix(t *testing.T) {
+	for _, tt := range shippedConfigs {
+		w := MustNew(tt.id, 1)
+		net, err := w.BuildModel(tt.cfg, sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, test, err := w.Data(tt.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		correct := 0
+		for i, class := range net.Forward(test.X, false).ArgmaxRows() {
+			if class == test.Labels[i] {
+				correct++
+			}
+		}
+		want := float64(correct) / float64(test.Len())
+		if got := net.Accuracy(test.X, test.Labels); got != want {
+			t.Errorf("%s: chunked accuracy %v, whole-matrix %v", tt.id, got, want)
 		}
 	}
 }
