@@ -57,8 +57,9 @@ go build ./...
 
 gate "bench module"
 # bench/ is a module of its own, so the root ./... patterns above and
-# below never reach it; it compiles against internal/nn, tensor, trial
-# and workload, and its tiny smoke run checks the golden digests.
+# below never reach it; it compiles against internal/nn, tensor, trial,
+# workload and search (its probes drive a TPESampler directly), and its
+# tiny smoke run checks the golden digests.
 go -C bench vet ./...
 go -C bench test ./...
 
@@ -297,8 +298,12 @@ gate "chaos-fuzz gate"
 # to one event, and its repro must replay to the same failure — through
 # tracetool and through the chaos example binary, whose exit codes now
 # propagate), and finally a fresh seeded exploration budget in both
-# modes that must find nothing new.
+# modes that must find nothing new. The search package rides along: its
+# property test holds the incremental TPE model to the proposal stream
+# every recorded digest was produced with, so it is race-doubled like
+# the other determinism proofs.
 go test -race -count=2 ./internal/chaosfuzz
+go test -race -count=2 ./internal/search/
 go build -o "$tracedir/tracetool" ./cmd/tracetool
 for repro in fuzz/corpus/*.json; do
     "$tracedir/tracetool" fuzz replay "$repro" > "$tracedir/fuzz-replay.out" || {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,39 @@ func TestInferenceServerCoalescesConcurrentDuplicates(t *testing.T) {
 	wg.Wait()
 	if uncached != 1 {
 		t.Errorf("%d uncached tuning runs for identical requests, want exactly 1", uncached)
+	}
+}
+
+// TestInferenceServerSearchesEachSignatureOnce repeats the burst above
+// over many signatures on one server. A submission whose store look-up
+// ran before the leader's entry was written, and whose in-flight check
+// ran after the leader was delivered, finds neither — it must look
+// again, not search again. One burst rarely lands in that window; a few
+// hundred reliably do.
+func TestInferenceServerSearchesEachSignatureOnce(t *testing.T) {
+	srv := infServer(t, store.New(), 12)
+	ctx := context.Background()
+	const bursts, n = 300, 16
+	for b := 0; b < bursts; b++ {
+		req := icRequest()
+		req.Signature = fmt.Sprintf("IC/layers=%d", b)
+		outs := make([]<-chan InferOutcome, n)
+		for i := range outs {
+			outs[i] = srv.Submit(ctx, req)
+		}
+		uncached := 0
+		for _, ch := range outs {
+			o := <-ch
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+			if !o.Cached {
+				uncached++
+			}
+		}
+		if uncached != 1 {
+			t.Fatalf("burst %d: %d uncached tuning runs for identical requests, want exactly 1", b, uncached)
+		}
 	}
 }
 

@@ -107,8 +107,12 @@ type route struct {
 type devicePool struct {
 	mu   sync.Mutex
 	devs []*poolDevice
-	rec  *counters.Resilience
-	seq  int64
+	// devNames[i] is devs[i].name. Devices only ever join (a retired one
+	// stays listed), so the slice is append-only and a reader may keep
+	// the header it got from names() without copying.
+	devNames []string
+	rec      *counters.Resilience
+	seq      int64
 
 	// Breaker parameters, kept so autoscaled replicas get breakers
 	// configured like the seed pool's.
@@ -124,15 +128,15 @@ type devicePool struct {
 func newDevicePool(devs []device.Device, threshold, cooldown int, rec *counters.Resilience) *devicePool {
 	p := &devicePool{rec: rec, threshold: threshold, cooldown: cooldown}
 	for _, d := range devs {
-		p.devs = append(p.devs, p.newPoolDevice(d, 0))
+		p.join(d, 0)
 	}
 	return p
 }
 
-// newPoolDevice builds a routed device entry with its breaker and
-// registry instruments; callers hold p.mu (or are still single-owner
+// join adds a routed device entry with its breaker and registry
+// instruments to the pool; callers hold p.mu (or are still single-owner
 // in newDevicePool).
-func (p *devicePool) newPoolDevice(d device.Device, readyAt time.Duration) *poolDevice {
+func (p *devicePool) join(d device.Device, readyAt time.Duration) {
 	pd := &poolDevice{
 		dev:     d,
 		name:    d.Profile.Name,
@@ -140,6 +144,8 @@ func (p *devicePool) newPoolDevice(d device.Device, readyAt time.Duration) *pool
 		score:   1,
 		readyAt: readyAt,
 	}
+	p.devs = append(p.devs, pd)
+	p.devNames = append(p.devNames, pd.name)
 	if reg := p.rec.Registry(); reg != nil {
 		prefix := "serving.device." + pd.name
 		pd.mRequests = reg.Counter(prefix + ".requests")
@@ -148,7 +154,6 @@ func (p *devicePool) newPoolDevice(d device.Device, readyAt time.Duration) *pool
 		pd.mHealth = reg.Gauge(prefix + ".health")
 		pd.mHealth.Set(pd.score)
 	}
-	return pd
 }
 
 // addReplica joins a cloned device to the pool; it becomes routable at
@@ -156,7 +161,7 @@ func (p *devicePool) newPoolDevice(d device.Device, readyAt time.Duration) *pool
 func (p *devicePool) addReplica(d device.Device, readyAt time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.devs = append(p.devs, p.newPoolDevice(d, readyAt))
+	p.join(d, readyAt)
 }
 
 // retireNewest removes the most recently added, still-active device
@@ -220,11 +225,7 @@ func (p *devicePool) counts(at time.Duration) (active, healthy int) {
 func (p *devicePool) names() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, len(p.devs))
-	for i, d := range p.devs {
-		out[i] = d.name
-	}
-	return out
+	return p.devNames
 }
 
 // pick returns the next device for a fresh submission at simulated

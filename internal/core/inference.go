@@ -241,6 +241,7 @@ type InferenceServer struct {
 	mu        sync.Mutex
 	pending   map[string]*call // in-flight coalescing per signature
 	seq       int              // submission sequence, for fault sites
+	delivered int              // calls delivered so far; see Submit's second look-up
 	inflightC map[*inferJob]context.CancelFunc
 
 	adm    *admission
@@ -509,6 +510,7 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 	s.mu.Lock()
 	seq := s.seq
 	s.seq++
+	delivered := s.delivered
 	s.mu.Unlock()
 
 	// Tick the autoscaler before anything can short-circuit the
@@ -536,29 +538,44 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 	// need no device. The reply itself can still be dropped in
 	// flight: the site is per-request, so a resubmission rolls a
 	// fresh decision.
-	if e, err := s.LookupStored(req.Signature); err == nil {
-		if ferr := s.opts.Fault.Fail(fault.DroppedReply, fmt.Sprintf("%s#%d", req.Signature, seq), 0); ferr != nil {
+	//
+	// The loop is for the submission that falls between a concurrent
+	// leader's two steps: its look-up ran before the leader's entry was
+	// written, and its in-flight check below would run after the leader
+	// was delivered and left pending. Finding neither, it would search
+	// what was just searched; so if any call was delivered since the
+	// look-up, look again. A caller that awaits each request never
+	// takes a second turn. The loop exits holding s.mu.
+	for {
+		if e, err := s.LookupStored(req.Signature); err == nil {
+			if ferr := s.failAt(fault.DroppedReply, "", req.Signature, seq); ferr != nil {
+				if reqSp != nil {
+					reqSp.Set(obs.Str("outcome", "dropped-reply"))
+				}
+				reqSp.End(req.SubmitTime)
+				s.recordSLO(req.SubmitTime, InferOutcome{Err: ferr})
+				out <- InferOutcome{Err: ferr}
+				return out
+			}
+			s.m.cacheHits.Add(1)
 			if reqSp != nil {
-				reqSp.Set(obs.Str("outcome", "dropped-reply"))
+				reqSp.Set(obs.Str("outcome", "cached"), obs.Str("device", e.Device))
 			}
 			reqSp.End(req.SubmitTime)
-			s.recordSLO(req.SubmitTime, InferOutcome{Err: ferr})
-			out <- InferOutcome{Err: ferr}
+			s.recordSLO(req.SubmitTime, InferOutcome{})
+			out <- InferOutcome{Entry: e, Cached: true, Device: e.Device}
 			return out
 		}
-		s.m.cacheHits.Add(1)
-		if reqSp != nil {
-			reqSp.Set(obs.Str("outcome", "cached"), obs.Str("device", e.Device))
+		s.mu.Lock()
+		if s.delivered == delivered {
+			break
 		}
-		reqSp.End(req.SubmitTime)
-		s.recordSLO(req.SubmitTime, InferOutcome{})
-		out <- InferOutcome{Entry: e, Cached: true, Device: e.Device}
-		return out
+		delivered = s.delivered
+		s.mu.Unlock()
 	}
 
 	// Coalesce with an in-flight request for the same signature: later
 	// submitters wait for the single tuning run already under way.
-	s.mu.Lock()
 	if c, inflight := s.pending[req.Signature]; inflight && !c.delivered {
 		c.outs = append(c.outs, out)
 		s.mu.Unlock()
@@ -589,7 +606,7 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 
 	// Injected overload burst: a synthetic traffic spike sheds this
 	// submission at the gate.
-	if ferr := s.opts.Fault.Fail(fault.OverloadBurst, fmt.Sprintf("admit/%s#%d", req.Client, seq), 0); ferr != nil {
+	if ferr := s.failAt(fault.OverloadBurst, "admit/", req.Client, seq); ferr != nil {
 		s.opts.Recorder.AddShed()
 		s.admissionSpan(c, "shed-burst", "", -1)
 		s.deliver(c, InferOutcome{Err: fmt.Errorf("%w: %w", ErrOverloaded, ferr)})
@@ -653,6 +670,18 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 	return out
 }
 
+// failAt consults the injector at the per-submission site
+// "<prefix><name>#<seq>". The string exists only to name the decision
+// point, so it is built only when there is an injector to read it — on
+// nil alone: an injector with every probability zero must still see
+// each site (the chaos fuzzer's discovery pass enumerates them).
+func (s *InferenceServer) failAt(class fault.Class, prefix, name string, seq int) error {
+	if s.opts.Fault == nil {
+		return nil
+	}
+	return s.opts.Fault.Fail(class, fmt.Sprintf("%s%s#%d", prefix, name, seq), 0)
+}
+
 // deliver fans res out to the call's leader and waiters exactly once.
 // Waiters share the result as a cache hit without re-charging the
 // tuning cost.
@@ -663,6 +692,7 @@ func (s *InferenceServer) deliver(c *call, res InferOutcome) {
 		return
 	}
 	c.delivered = true
+	s.delivered++
 	if s.pending[c.sig] == c {
 		delete(s.pending, c.sig)
 	}
@@ -884,7 +914,10 @@ func (s *InferenceServer) putEntry(req InferRequest, entry store.Entry, attempt 
 // The third return is the raw pre-brownout duration — the fault-free
 // perfmodel expectation the hedge deadline derives from.
 func (s *InferenceServer) tuneOn(ctx context.Context, req InferRequest, pd *poolDevice, attempt int) (store.Entry, perfmodel.Cost, time.Duration, error) {
-	site := pd.name + "/" + req.Signature
+	var site string
+	if s.opts.Fault != nil { // a nil injector reads no site: build none
+		site = pd.name + "/" + req.Signature
+	}
 	if ferr := s.opts.Fault.Fail(fault.DeviceFlap, site, attempt); ferr != nil {
 		return store.Entry{}, perfmodel.Cost{}, 0, ferr
 	}
@@ -951,7 +984,7 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 			best = store.Entry{
 				Signature:        req.Signature,
 				Device:           pd.name,
-				Config:           cfg.Clone(),
+				Config:           cfg, // ours: Sample hands over a fresh map
 				Throughput:       r.Throughput,
 				EnergyPerSampleJ: r.EnergyPerSampleJ,
 				LatencySeconds:   r.BatchLatency.Seconds(),

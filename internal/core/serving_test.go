@@ -474,3 +474,47 @@ func TestPoolSlowSuccessesQuarantine(t *testing.T) {
 		t.Error("breaker tripped on successes")
 	}
 }
+
+// TestFaultSitesNamedOnlyForAnInjector pins both halves of the
+// fault-site contract. An injector with every probability zero still
+// sees each per-submission decision point by name — the chaos fuzzer's
+// discovery pass enumerates the failure space that way. And with no
+// injector at all the names are not built: a cache hit then allocates
+// strictly less.
+func TestFaultSitesNamedOnlyForAnInjector(t *testing.T) {
+	seen := map[string]bool{}
+	inj, err := fault.NewInjector(fault.Config{Observe: func(c fault.Class, site string, _ int, _ bool) {
+		seen[string(c)+" "+site] = true
+	}}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	hitAllocs := func(inj *fault.Injector) float64 {
+		srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) { o.Fault = inj })
+		if out := mustOutcome(t, srv.Submit(ctx, sigRequest(0))); out.Err != nil { // submission 0: the miss
+			t.Fatal(out.Err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if out := <-srv.Submit(ctx, sigRequest(0)); !out.Cached {
+				t.Fatalf("repeat not served from the store: %+v", out)
+			}
+		})
+	}
+	withInj, without := hitAllocs(inj), hitAllocs(nil)
+
+	dev := device.I7().Profile.Name
+	for _, want := range []string{
+		string(fault.OverloadBurst) + " admit/test-client#0",
+		string(fault.DeviceFlap) + " " + dev + "/IC/layers=18",
+		string(fault.DeviceBrownout) + " " + dev + "/IC/layers=18",
+		string(fault.DroppedReply) + " IC/layers=18#1",
+	} {
+		if !seen[want] {
+			t.Errorf("zero-probability injector never consulted %q; saw %v", want, seen)
+		}
+	}
+	if without >= withInj {
+		t.Errorf("a cache hit allocates %.0f times without an injector, %.0f with one: site names are still built for nobody", without, withInj)
+	}
+}

@@ -114,6 +114,7 @@ func All() []Experiment {
 		{ID: "BenchmarkNNMiniBatch", Run: BenchmarkNNMiniBatch},
 		{ID: "BenchmarkPerfmodelEval", Run: BenchmarkPerfmodelEval},
 		{ID: "BenchmarkAdmissionServe", Run: BenchmarkAdmissionServe},
+		{ID: "BenchmarkTPESearch", Run: BenchmarkTPESearch},
 		{ID: "BenchmarkTraceEmit", Run: BenchmarkTraceEmit},
 		{ID: "BenchmarkWALAppend", Run: BenchmarkWALAppend},
 		{ID: "BenchmarkClusterDispatch", Run: BenchmarkClusterDispatch},

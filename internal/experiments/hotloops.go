@@ -2,11 +2,12 @@ package experiments
 
 // Hot-loop benchmarks: one experiment per loop the ROADMAP's
 // zero-alloc work targets — the nn mini-batch step, perfmodel
-// evaluation, the admission/serve path, trace emission, WAL append,
-// and cluster dispatch. Each runs the loop enough times for benchtab's
-// wall-clock to be meaningful, reports deterministic rows, and stamps
-// Table.AllocsPerOp/BytesPerOp from a prof.Measure probe so `tracetool
-// check-bench` can gate allocation regressions per stage.
+// evaluation, the admission/serve path, the inference search, trace
+// emission, WAL append, and cluster dispatch. Each runs the loop enough
+// times for benchtab's wall-clock to be meaningful, reports
+// deterministic rows, and stamps Table.AllocsPerOp/BytesPerOp from a
+// prof.Measure probe so `tracetool check-bench` can gate allocation
+// regressions per stage.
 
 import (
 	"context"
@@ -20,6 +21,7 @@ import (
 	"edgetune/internal/nn"
 	"edgetune/internal/obs"
 	"edgetune/internal/obs/prof"
+	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
 	"edgetune/internal/sim"
 	"edgetune/internal/store"
@@ -165,6 +167,69 @@ func BenchmarkAdmissionServe() (Table, error) {
 			<-srv.Submit(ctx, req)
 		})
 		t.stampProbe(p.Runs, p.AllocsPerOp, p.BytesPerOp)
+		return t, nil
+	})
+}
+
+var tpeSearchMemo memo[Table]
+
+// BenchmarkTPESearch measures one whole inference parameter search as
+// the server runs it on a cache miss: a fresh BOHB sampler, then 24 ×
+// (Sample, Estimate on the emulated device, Observe). The sampler owns
+// its model state (DESIGN.md §4.16), so what the search allocates is
+// the sampler itself and one Config per proposal.
+func BenchmarkTPESearch() (Table, error) {
+	return tpeSearchMemo.do(func() (Table, error) {
+		t := Table{
+			ID:     "BenchmarkTPESearch",
+			Title:  "24-trial BOHB inference search (i7, runtime objective)",
+			Header: []string{"trials", "best-batch", "best-cores", "best-GHz", "best-score"},
+		}
+		dev := device.I7()
+		w, err := workload.New("IC", 3)
+		if err != nil {
+			return Table{}, err
+		}
+		space, err := w.InferenceSpace(dev)
+		if err != nil {
+			return Table{}, err
+		}
+		obj := core.Objective{Metric: core.MetricRuntime}
+		const trials = 24
+		searchOnce := func() (best search.Config, bestScore float64, err error) {
+			sampler := search.NewTPESampler(space, 3, search.TPEOptions{})
+			for i := 0; i < trials; i++ {
+				cfg := sampler.Sample()
+				r, err := dev.Estimate(perfmodel.InferSpec{
+					FLOPsPerSample: 5.6e8,
+					Params:         11e6,
+					BatchSize:      int(cfg[workload.ParamInferBatch]),
+					Cores:          int(cfg[workload.ParamCores]),
+					FreqGHz:        cfg[workload.ParamFreq],
+				})
+				if err != nil {
+					return nil, 0, err
+				}
+				score := obj.InferScore(r)
+				sampler.Observe(search.Observation{Config: cfg, Score: score, Budget: 1})
+				if best == nil || score < bestScore {
+					best, bestScore = cfg, score
+				}
+			}
+			return best, bestScore, nil
+		}
+		best, score, err := searchOnce()
+		if err != nil {
+			return Table{}, err
+		}
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(trials),
+			fmt.Sprint(best[workload.ParamInferBatch]), fmt.Sprint(best[workload.ParamCores]),
+			f3(best[workload.ParamFreq]), fmt.Sprintf("%.6g", score),
+		})
+		p := prof.Measure("search.tpe-search", probeRuns, func() { _, _, _ = searchOnce() })
+		t.stampProbe(p.Runs, p.AllocsPerOp, p.BytesPerOp)
+		t.Notes = []string{"alloc probe covers a fresh sampler plus 24 × (Sample, Estimate, Observe)"}
 		return t, nil
 	})
 }

@@ -23,9 +23,11 @@ type Observation struct {
 type Sampler interface {
 	// Name identifies the strategy ("random", "grid", "bohb").
 	Name() string
-	// Sample proposes one configuration.
+	// Sample proposes one configuration. The map is the caller's: no
+	// sampler keeps or reuses it.
 	Sample() Config
-	// Observe feeds back a completed trial result.
+	// Observe feeds back a completed trial result. The sampler does not
+	// retain obs.Config.
 	Observe(obs Observation)
 }
 
@@ -177,16 +179,25 @@ func (g *GridSampler) Size() int { return len(g.grid) }
 // the unit hypercube, and candidates maximising l(x)/g(x) are proposed.
 // Until minObservations results exist it falls back to random sampling,
 // exactly as BOHB does.
+//
+// The model is incremental and owns its buffers (DESIGN.md §4.16):
+// Observe encodes a configuration to its unit point once, into a flat
+// arena, and a warm Sample allocates nothing but the Config it returns.
 type TPESampler struct {
 	mu    sync.Mutex
 	space *Space
 	rng   *sim.RNG
 
-	gamma        float64 // quantile separating good from bad
-	nCandidates  int     // candidates scored per proposal
-	minObs       int     // observations required before modelling
-	bandwidth    float64 // KDE kernel bandwidth in unit space
-	observations []Observation
+	gamma       float64 // quantile separating good from bad
+	nCandidates int     // candidates scored per proposal
+	minObs      int     // observations required before modelling
+	bandwidth   float64 // KDE kernel bandwidth in unit space
+
+	// Observation i, in arrival order, is the unit point
+	// units[i*dim:(i+1)*dim] with scores[i] and budgets[i].
+	units, scores, budgets []float64
+	order                  []int     // split scratch: pool indices, sorted by score
+	cand, best             []float64 // Sample scratch: current and best candidate
 }
 
 // TPEOptions tunes the TPE sampler; zero values select defaults.
@@ -211,6 +222,10 @@ func NewTPESampler(space *Space, seed uint64, opts TPEOptions) *TPESampler {
 	if opts.Bandwidth <= 0 {
 		opts.Bandwidth = 0.12
 	}
+	// Room for a few warm-ups' worth of observations up front (a 24-trial
+	// inference search never regrows); append takes over beyond that.
+	dim, hint := space.Dim(), 4*opts.MinObservations
+	scratch := make([]float64, 2*dim)
 	return &TPESampler{
 		space:       space,
 		rng:         sim.NewRNG(seed),
@@ -218,23 +233,30 @@ func NewTPESampler(space *Space, seed uint64, opts TPEOptions) *TPESampler {
 		nCandidates: opts.NumCandidates,
 		minObs:      opts.MinObservations,
 		bandwidth:   opts.Bandwidth,
+		units:       make([]float64, 0, hint*dim),
+		scores:      make([]float64, 0, hint),
+		budgets:     make([]float64, 0, hint),
+		order:       make([]int, 0, hint),
+		cand:        scratch[:dim],
+		best:        scratch[dim:],
 	}
 }
 
 // Name returns "bohb".
 func (t *TPESampler) Name() string { return "bohb" }
 
-// Observe records a completed trial.
+// Observe records a completed trial. The configuration is encoded here,
+// once; the caller's map is not retained.
 func (t *TPESampler) Observe(obs Observation) {
 	if math.IsNaN(obs.Score) || math.IsInf(obs.Score, 0) {
 		return // discard broken trials rather than poisoning the model
 	}
 	t.mu.Lock()
-	t.observations = append(t.observations, Observation{
-		Config: obs.Config.Clone(),
-		Score:  obs.Score,
-		Budget: obs.Budget,
-	})
+	for _, p := range t.space.params {
+		t.units = append(t.units, p.Unit(obs.Config[p.Name]))
+	}
+	t.scores = append(t.scores, obs.Score)
+	t.budgets = append(t.budgets, obs.Budget)
 	t.mu.Unlock()
 }
 
@@ -258,110 +280,120 @@ func (t *TPESampler) RestoreSamplerState(s SamplerState) {
 func (t *TPESampler) ObservationCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.observations)
+	return len(t.scores)
 }
 
 // Sample proposes the next configuration: random until warm, then the
 // best of nCandidates draws from the good-density l(x) scored by
-// l(x)/g(x).
+// l(x)/g(x). Only the winner is decoded: FromUnit is pure and draws no
+// randomness, so deferring it leaves the RNG stream untouched.
 func (t *TPESampler) Sample() Config {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.observations) < t.minObs {
+	if len(t.scores) < t.minObs {
 		return t.space.Sample(t.rng)
 	}
 	good, bad := t.split()
 	if len(good) == 0 || len(bad) == 0 {
 		return t.space.Sample(t.rng)
 	}
-	var (
-		bestCfg   Config
-		bestRatio = math.Inf(-1)
-	)
+	bestRatio := math.Inf(-1)
 	for i := 0; i < t.nCandidates; i++ {
-		u := t.sampleFromKDE(good)
-		lg := t.kdeLogDensity(good, u)
-		gd := t.kdeLogDensity(bad, u)
-		if ratio := lg - gd; ratio > bestRatio {
-			cfg, err := t.space.FromUnit(u)
-			if err != nil {
-				continue
-			}
-			bestRatio, bestCfg = ratio, cfg
+		t.sampleFromKDE(good, t.cand)
+		if ratio := t.kdeLogDensity(good, t.cand) - t.kdeLogDensity(bad, t.cand); ratio > bestRatio {
+			bestRatio = ratio
+			copy(t.best, t.cand)
 		}
 	}
-	if bestCfg == nil {
+	if math.IsInf(bestRatio, -1) { // no candidate had a usable density ratio
 		return t.space.Sample(t.rng)
 	}
-	return bestCfg
+	cfg, _ := t.space.FromUnit(t.best) // len(best) == Dim by construction
+	return cfg
 }
 
-// split partitions observations (at the highest budget tier with enough
-// data, per BOHB) into good/bad unit points at the γ quantile of score.
-func (t *TPESampler) split() (good, bad [][]float64) {
-	// Prefer the largest budget with >= minObs observations so the model
-	// learns from the most faithful evaluations available.
-	byBudget := make(map[float64][]Observation)
-	for _, o := range t.observations {
-		byBudget[o.Budget] = append(byBudget[o.Budget], o)
+// tier returns the largest budget with at least minObs observations, so
+// the model learns from the most faithful evaluations available (per
+// BOHB). It walks the distinct budgets downwards, counting each — tiers
+// are few. A NaN budget equals nothing, itself included, so it never
+// forms one.
+func (t *TPESampler) tier() (budget float64, ok bool) {
+	below, bounded := 0.0, false // only budgets < below are still candidates
+	for {
+		n := 0
+		for _, b := range t.budgets {
+			switch {
+			case b != b || bounded && b >= below:
+			case n == 0 || b > budget:
+				budget, n = b, 1
+			case b == budget:
+				n++
+			}
+		}
+		if n == 0 || n >= t.minObs {
+			return budget, n > 0
+		}
+		below, bounded = budget, true
 	}
-	budgets := make([]float64, 0, len(byBudget))
-	for b := range byBudget {
-		budgets = append(budgets, b)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(budgets)))
-	pool := t.observations
-	for _, b := range budgets {
-		if len(byBudget[b]) >= t.minObs {
-			pool = byBudget[b]
-			break
+}
+
+// split partitions observations (those of tier, or all of them when no
+// tier is big enough) into good/bad observation indices at the γ
+// quantile of score. Both halves alias the order scratch.
+func (t *TPESampler) split() (good, bad []int) {
+	tier, tiered := t.tier()
+	t.order = t.order[:0]
+	for i, b := range t.budgets {
+		if !tiered || b == tier {
+			t.order = append(t.order, i)
 		}
 	}
-
-	sorted := make([]Observation, len(pool))
-	copy(sorted, pool)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Score < sorted[j].Score })
-	nGood := int(t.gamma * float64(len(sorted)))
+	sort.Sort((*byScore)(t))
+	nGood := int(t.gamma * float64(len(t.order)))
 	if nGood < 1 {
 		nGood = 1
 	}
-	if nGood >= len(sorted) {
-		nGood = len(sorted) - 1
+	if nGood >= len(t.order) {
+		nGood = len(t.order) - 1
 	}
-	for i, o := range sorted {
-		u := t.space.ToUnit(o.Config)
-		if i < nGood {
-			good = append(good, u)
-		} else {
-			bad = append(bad, u)
-		}
-	}
-	return good, bad
+	return t.order[:nGood], t.order[nGood:]
+}
+
+// byScore sorts a sampler's order scratch by ascending score, as a view
+// of the sampler so that sort.Sort allocates nothing. Which of two equal
+// scores lands on the good side of the cut is decided by what pdqsort's
+// Less/Swap sequence does to the pool in arrival order, and every
+// recorded digest depends on it: keep sort.Sort (not sort.Stable) over
+// a pool filled in arrival order.
+type byScore TPESampler
+
+func (b *byScore) Len() int           { return len(b.order) }
+func (b *byScore) Less(i, j int) bool { return b.scores[b.order[i]] < b.scores[b.order[j]] }
+func (b *byScore) Swap(i, j int)      { b.order[i], b.order[j] = b.order[j], b.order[i] }
+
+// unit returns observation i's point in the arena.
+func (t *TPESampler) unit(i int) []float64 {
+	d := len(t.space.params)
+	return t.units[i*d : (i+1)*d]
 }
 
 // sampleFromKDE draws a point from the mixture of Gaussians centred on
-// points, truncated to the unit cube.
-func (t *TPESampler) sampleFromKDE(points [][]float64) []float64 {
-	center := points[t.rng.Intn(len(points))]
-	u := make([]float64, len(center))
-	for i, c := range center {
-		v := c + t.rng.NormFloat64()*t.bandwidth
-		u[i] = clamp(v, 0, 1)
+// the observations in points, truncated to the unit cube, into u.
+func (t *TPESampler) sampleFromKDE(points []int, u []float64) {
+	for i, c := range t.unit(points[t.rng.Intn(len(points))]) {
+		u[i] = clamp(c+t.rng.NormFloat64()*t.bandwidth, 0, 1)
 	}
-	return u
 }
 
-// kdeLogDensity evaluates the log of the Gaussian KDE at u.
-func (t *TPESampler) kdeLogDensity(points [][]float64, u []float64) float64 {
-	if len(points) == 0 {
-		return math.Inf(-1)
-	}
+// kdeLogDensity evaluates the log of the Gaussian KDE over the
+// observations in points at u.
+func (t *TPESampler) kdeLogDensity(points []int, u []float64) float64 {
 	inv2h2 := 1 / (2 * t.bandwidth * t.bandwidth)
 	var sum float64
-	for _, p := range points {
+	for _, pi := range points {
 		var d2 float64
-		for i := range u {
-			diff := u[i] - p[i]
+		for i, c := range t.unit(pi) {
+			diff := u[i] - c
 			d2 += diff * diff
 		}
 		sum += math.Exp(-d2 * inv2h2)

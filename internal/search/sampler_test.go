@@ -307,17 +307,20 @@ func TestSamplerStateResumes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			orig := mk()
 			// Warm the TPE model past minObs so Sample consumes RNG in
-			// the modelled path, not just the random fallback.
+			// the modelled path, not just the random fallback. The test
+			// keeps the replay log itself, as a checkpointing caller does.
+			var log []Observation
 			for i := 0; i < 20; i++ {
-				cfg := orig.Sample()
-				orig.Observe(Observation{Config: cfg, Score: float64(i), Budget: 1})
+				o := Observation{Config: orig.Sample(), Score: float64(i), Budget: 1}
+				orig.Observe(o)
+				log = append(log, o)
 			}
 			snap := orig.(Resumable).SamplerState()
 
 			resumed := mk()
 			// Replay the observations (as checkpoint resume does), then
 			// restore the stream position.
-			for _, o := range observationsOf(orig) {
+			for _, o := range log {
 				resumed.Observe(o)
 			}
 			resumed.(Resumable).RestoreSamplerState(snap)
@@ -347,17 +350,6 @@ func TestSamplerStateResumes(t *testing.T) {
 	if !sameConfig(g.Sample(), g2.Sample()) {
 		t.Error("grid cursor not restored")
 	}
-}
-
-// observationsOf extracts the TPE model's replay log; stateless
-// samplers have nothing to replay.
-func observationsOf(s Sampler) []Observation {
-	if tpe, ok := s.(*TPESampler); ok {
-		tpe.mu.Lock()
-		defer tpe.mu.Unlock()
-		return append([]Observation(nil), tpe.observations...)
-	}
-	return nil
 }
 
 func sameConfig(a, b Config) bool {

@@ -34,6 +34,15 @@ type WriteBehind struct {
 	closed  bool
 	lastErr error // most recent flush failure; cleared by a clean Flush
 
+	// flushing holds the entries the running Flush took out of pending,
+	// each until its store Put has returned, so that an accepted entry is
+	// at every instant in pending, in flushing or in the store: Get never
+	// finds it in none of them. flushed wakes the Gets waiting on one.
+	// flushMu admits one Flush at a time; flushing belongs to it.
+	flushMu  sync.Mutex
+	flushing map[string]Entry
+	flushed  sync.Cond // L is &mu
+
 	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
@@ -49,6 +58,12 @@ type WriteBehind struct {
 // NewWriteBehind wraps st with a write-behind buffer and starts its
 // background flusher.
 func NewWriteBehind(st *Store) *WriteBehind {
+	w := newWriteBehind(st)
+	go w.flusher()
+	return w
+}
+
+func newWriteBehind(st *Store) *WriteBehind {
 	w := &WriteBehind{
 		st:      st,
 		pending: make(map[string]Entry),
@@ -56,7 +71,7 @@ func NewWriteBehind(st *Store) *WriteBehind {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go w.flusher()
+	w.flushed.L = &w.mu
 	return w
 }
 
@@ -69,14 +84,8 @@ func NewWriteBehind(st *Store) *WriteBehind {
 // flushes changes. The chaos fuzzer's determinism invariant depends on
 // this mode.
 func NewSyncWriteBehind(st *Store) *WriteBehind {
-	w := &WriteBehind{
-		st:       st,
-		syncMode: true,
-		pending:  make(map[string]Entry),
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	w := newWriteBehind(st)
+	w.syncMode = true
 	close(w.done) // no flusher for Close to wait on
 	return w
 }
@@ -136,10 +145,14 @@ func (w *WriteBehind) Put(e Entry) error {
 }
 
 // Get reads through the buffer: a pending entry is promoted into the
-// store first so hit/miss accounting matches a flushed store exactly.
+// store first so hit/miss accounting matches a flushed store exactly,
+// and one a running Flush is writing is waited for rather than missed.
 func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 	key := signature + "@" + dev
 	w.mu.Lock()
+	for _, inFlight := w.flushing[key]; inFlight; _, inFlight = w.flushing[key] {
+		w.flushed.Wait() // written, or re-queued into pending by a failed flush
+	}
 	if e, ok := w.pending[key]; ok {
 		if err := w.st.Put(e); err != nil {
 			w.mu.Unlock()
@@ -170,7 +183,14 @@ func (w *WriteBehind) Pending() int {
 // and everything after it are re-queued (unless a newer Put for the
 // same key raced in), the failure is counted, and the error returned —
 // so a later Flush, or the one Close runs, retries them.
+//
+// The entries being written stay readable: Flush moves them to flushing,
+// and each leaves it only when its Put has returned. Without that, an
+// entry would for a moment be in neither buffer nor store, and a repeat
+// request landing there would be searched a second time.
 func (w *WriteBehind) Flush() error {
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	w.mu.Lock()
 	keys := w.order
 	entries := make([]Entry, 0, len(keys))
@@ -178,7 +198,7 @@ func (w *WriteBehind) Flush() error {
 		entries = append(entries, w.pending[k])
 	}
 	w.order = nil
-	w.pending = make(map[string]Entry)
+	w.flushing, w.pending = w.pending, make(map[string]Entry)
 	w.mPending.Set(0)
 	w.mu.Unlock()
 	for i, e := range entries {
@@ -186,6 +206,10 @@ func (w *WriteBehind) Flush() error {
 			w.requeue(entries[i:], err)
 			return err
 		}
+		w.mu.Lock()
+		delete(w.flushing, keys[i])
+		w.flushed.Broadcast()
+		w.mu.Unlock()
 	}
 	w.mu.Lock()
 	w.lastErr = nil
@@ -224,6 +248,8 @@ func (w *WriteBehind) requeue(entries []Entry, err error) {
 	}
 	w.order = append(order, w.order...)
 	w.mPending.Set(float64(len(w.pending)))
+	w.flushing = nil // back in pending, where a waiting Get promotes them
+	w.flushed.Broadcast()
 }
 
 // Close stops the flusher and drains whatever is still buffered. It is

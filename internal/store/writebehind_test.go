@@ -281,7 +281,9 @@ func TestWriteBehindFlushErrorSurfaced(t *testing.T) {
 // value.
 func TestWriteBehindRequeuePreservesOrderAndNewerWrites(t *testing.T) {
 	st := New()
-	wb := NewWriteBehind(st)
+	// No background flusher: the test plays its part, so that it cannot
+	// drain the newer Put before the re-queue it is meant to race.
+	wb := newWriteBehind(st)
 	old := wbEntry("sig-a", "i7")
 	old.Throughput = 1
 	fresh := wbEntry("sig-a", "i7")
@@ -308,7 +310,127 @@ func TestWriteBehindRequeuePreservesOrderAndNewerWrites(t *testing.T) {
 	if wb.LastFlushErr() != nil {
 		t.Error("clean Flush did not clear LastFlushErr")
 	}
-	if err := wb.Close(); err != nil {
+}
+
+// parkShipper parks the store Put that ships the first WAL frame — mid
+// write, with the store's mutex held — until release is closed.
+type parkShipper struct {
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkShipper) Ship(int64, []byte) {
+	p.once.Do(func() {
+		close(p.parked)
+		<-p.release
+	})
+}
+
+// TestWriteBehindFlushKeepsEntriesReadable is the regression test for
+// the Flush blind window: Flush used to empty the buffer before the
+// store Puts ran, so an entry of the batch being written was for a
+// moment in neither, and a repeat request landing there was searched
+// again. With a Put parked mid-flush, the written entry and the one
+// queued behind it must both still be held by the buffer, and Gets
+// issued meanwhile must come back as store hits — never a miss, never a
+// second Put of the same entry.
+func TestWriteBehindFlushKeepsEntriesReadable(t *testing.T) {
+	park := &parkShipper{parked: make(chan struct{}), release: make(chan struct{})}
+	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json"), Shipper: park})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer d.Close()
+	st := d.Store()
+	wb := newWriteBehind(st) // no background flusher: this test owns the one Flush
+	for _, sig := range []string{"sig-a", "sig-b"} {
+		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushErr := make(chan error, 1)
+	go func() { flushErr <- wb.Flush() }()
+	<-park.parked // sig-a's Put is in the store, not yet returned; sig-b's has not begun
+
+	wb.mu.Lock()
+	for _, key := range []string{"sig-a@i7", "sig-b@i7"} {
+		if _, held := wb.flushing[key]; !held {
+			t.Errorf("%s is in neither buffer nor store while its flush runs", key)
+		}
+	}
+	wb.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for _, sig := range []string{"sig-a", "sig-b", "sig-b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e, err := wb.Get(sig, "i7"); err != nil || e.Signature != sig {
+				t.Errorf("Get(%s) during the flush = %+v, %v; want a hit", sig, e, err)
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the Gets reach the buffer
+	close(park.release)
+	wg.Wait()
+	if err := <-flushErr; err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := st.Stats(); hits != 3 || misses != 0 {
+		t.Errorf("store saw %d hits, %d misses; want 3, 0", hits, misses)
+	}
+	if d.appendSeq != 2 {
+		t.Errorf("%d WAL appends for two entries: a Get wrote one a second time", d.appendSeq)
+	}
+	wb.mu.Lock()
+	if len(wb.flushing) != 0 || len(wb.pending) != 0 {
+		t.Errorf("after the flush: %d flushing, %d pending, want none", len(wb.flushing), len(wb.pending))
+	}
+	wb.mu.Unlock()
+}
+
+// TestWriteBehindFailedFlushWakesWaitingGet: a Get waiting on an entry
+// whose flush then fails must not hang — the entry is re-queued and the
+// Get goes on to promote it itself, surfacing the store's error.
+func TestWriteBehindFailedFlushWakesWaitingGet(t *testing.T) {
+	park := &parkShipper{parked: make(chan struct{}), release: make(chan struct{})}
+	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json"), Shipper: park})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb := newWriteBehind(d.Store())
+	for _, sig := range []string{"sig-a", "sig-b"} {
+		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushErr := make(chan error, 1)
+	go func() { flushErr <- wb.Flush() }()
+	<-park.parked
+	getErr := make(chan error, 1)
+	go func() {
+		_, err := wb.Get("sig-b", "i7")
+		getErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the Get start waiting on sig-b
+	// Closing the store from inside the parked Put is not possible (it
+	// holds the store's mutex); mark it closed directly so sig-b's Put,
+	// the next one, fails.
+	d.closed = true
+	close(park.release)
+	if err := <-flushErr; !errors.Is(err, ErrDurableClosed) {
+		t.Fatalf("Flush error = %v, want ErrDurableClosed", err)
+	}
+	select {
+	case err := <-getErr:
+		if !errors.Is(err, ErrDurableClosed) {
+			t.Errorf("waiting Get returned %v, want ErrDurableClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get still waiting on an entry whose flush failed")
+	}
+	if wb.Pending() != 1 {
+		t.Errorf("Pending = %d, want sig-b re-queued", wb.Pending())
 	}
 }
