@@ -171,39 +171,20 @@ func writeBench(t *testing.T, path, body string) {
 	}
 }
 
+// TestCheckBench: wall time is a recorded column, not a gate — a run
+// five times slower than the baseline is printed and passes.
 func TestCheckBench(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
 	writeBench(t, base, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":2.0}],"totalSeconds":2.0}`)
-
-	// Identical run: clean exit.
-	same := filepath.Join(dir, "same.json")
-	writeBench(t, same, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":2.0}],"totalSeconds":2.0}`)
-	var out bytes.Buffer
-	if err := run([]string{"check-bench", "-baseline", base, same}, &out); err != nil {
-		t.Fatalf("identical bench must pass: %v\n%s", err, out.String())
-	}
-
-	// Injected 5× regression above the floor: gate failure.
 	slow := filepath.Join(dir, "slow.json")
 	writeBench(t, slow, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":10.0}],"totalSeconds":10.0}`)
-	out.Reset()
-	if err := run([]string{"check-bench", "-baseline", base, slow}, &out); !errors.Is(err, errGate) {
-		t.Fatalf("regression err = %v, want gate failure\n%s", err, out.String())
+	var out bytes.Buffer
+	if err := run([]string{"check-bench", "-baseline", base, slow}, &out); err != nil {
+		t.Fatalf("wall time must not gate: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "FAIL Table 2") {
-		t.Errorf("regression output must name the experiment:\n%s", out.String())
-	}
-
-	// The same 5× growth below the absolute floor is noise, not a
-	// regression (microsecond-scale baselines).
-	tinyBase := filepath.Join(dir, "tiny-base.json")
-	writeBench(t, tinyBase, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":0.000002}],"totalSeconds":0.000002}`)
-	tinySlow := filepath.Join(dir, "tiny-slow.json")
-	writeBench(t, tinySlow, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":0.00001}],"totalSeconds":0.00001}`)
-	out.Reset()
-	if err := run([]string{"check-bench", "-baseline", tinyBase, tinySlow}, &out); err != nil {
-		t.Fatalf("sub-floor growth must pass: %v\n%s", err, out.String())
+	if !strings.Contains(out.String(), "2.000000s -> 10.000000s wall (not gated)") {
+		t.Errorf("output must still record the wall time:\n%s", out.String())
 	}
 }
 

@@ -4,7 +4,9 @@
 // critical-over-background priority, hedged requests racing a degraded
 // device against its healthy twin, health-based quarantine, and a
 // graceful drain that flushes every accepted result to the store.
-// Everything is deterministic: re-running prints the same counters.
+// Standard output is deterministic: re-running prints the same bytes.
+// The one thing that is not — how a simultaneous burst splits between
+// served and shed — goes to standard error.
 //
 // Unlike the other examples this one drives the serving layer
 // (internal/core) directly — the knobs it demonstrates sit below the
@@ -16,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"edgetune/internal/autoscale"
@@ -68,50 +71,55 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Blast the server with more work than it admits: 8 background
-	// prefetches first (so later critical arrivals preempt them at the
-	// full queue), then 24 critical requests from distinct clients, and
-	// one chatty client hammering the same architecture.
+	// Steady traffic first, on the simulated clock: 24 critical requests
+	// from distinct clients, then one chatty client hammering its own
+	// architectures. Each request is awaited before the next is
+	// submitted, so every decision below — which submissions the
+	// injected bursts shed, when the chatty client's bucket runs dry,
+	// which brown-outs hedge — is the same on every run.
 	ctx := context.Background()
-	var outs []<-chan core.InferOutcome
-	for i := 0; i < 8; i++ {
-		outs = append(outs, srv.Submit(ctx, core.InferRequest{
-			Signature:      fmt.Sprintf("IC/layers=%d", 50+i),
-			FLOPsPerSample: 2.4e9,
-			Params:         24e6,
-			Priority:       core.PriorityBackground,
-		}))
-	}
-	for i := 0; i < 24; i++ {
-		outs = append(outs, srv.Submit(ctx, core.InferRequest{
+	var steady tally
+	for i := 0; i < 30; i++ {
+		req := core.InferRequest{
 			Signature:      fmt.Sprintf("IC/layers=%d", 18+i),
 			FLOPsPerSample: 1.8e9,
 			Params:         11e6,
-		}))
-	}
-	for i := 0; i < 6; i++ {
-		outs = append(outs, srv.Submit(ctx, core.InferRequest{
-			Signature:      fmt.Sprintf("IC/layers=%d", 100+i),
-			FLOPsPerSample: 1.8e9,
-			Params:         11e6,
-			Client:         "chatty-dashboard",
-		}))
-	}
-
-	var ok, shed, limited, hedged int
-	for _, ch := range outs {
-		out := <-ch
-		switch {
-		case out.Err == nil:
-			ok++
-			if out.Hedged {
-				hedged++
-			}
-		case errors.Is(out.Err, core.ErrRateLimited):
-			limited++
-		default:
-			shed++
+			SubmitTime:     time.Duration(i) * 10 * time.Second,
 		}
+		if i >= 24 {
+			req.Client = "chatty-dashboard"
+		}
+		steady.add(<-srv.Submit(ctx, req))
+	}
+	fmt.Printf("steady: %d requests, one at a time:\n", steady.total())
+	fmt.Printf("  served %d (%d hedged), rate-limited %d, shed %d\n",
+		steady.ok, steady.hedged, steady.limited, steady.shed)
+	s := rec.Snapshot()
+	fmt.Printf("  hedges (won)  %d (%d)\n", s.Hedges, s.HedgeWins)
+	fmt.Printf("  quarantines   %d\n", s.Quarantines)
+	fmt.Printf("  probes        %d\n", s.Probes)
+
+	// Then blast it with more work than it admits: 8 background
+	// prefetches first (so later critical arrivals preempt them at the
+	// full queue), then 24 critical requests, all at once. How many the
+	// two workers retire before the queue fills is up to the scheduler,
+	// so the split goes to stderr; what holds on every run is printed.
+	var outs []<-chan core.InferOutcome
+	for i := 0; i < 32; i++ {
+		req := core.InferRequest{
+			Signature:      fmt.Sprintf("IC/layers=%d", 100+i),
+			FLOPsPerSample: 2.4e9,
+			Params:         24e6,
+			SubmitTime:     300 * time.Second,
+		}
+		if i < 8 {
+			req.Priority = core.PriorityBackground
+		}
+		outs = append(outs, srv.Submit(ctx, req))
+	}
+	var burst tally
+	for _, ch := range outs {
+		burst.add(<-ch)
 	}
 
 	// Orderly shutdown: reject new work, finish what was admitted,
@@ -119,25 +127,33 @@ func main() {
 	if err := srv.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("submitted %d requests past a queue limit of 6:\n", len(outs))
-	fmt.Printf("  served %d (%d hedged), rate-limited %d, shed/preempted %d\n",
-		ok, hedged, limited, shed)
-
-	s := rec.Snapshot()
-	fmt.Printf("\nserving counters (deterministic for seed 42):\n")
-	fmt.Printf("  shed          %d\n", s.Shed)
-	fmt.Printf("  rate limited  %d\n", s.RateLimited)
-	fmt.Printf("  preempted     %d\n", s.Preempted)
-	fmt.Printf("  hedges (won)  %d (%d)\n", s.Hedges, s.HedgeWins)
-	fmt.Printf("  quarantines   %d\n", s.Quarantines)
-	fmt.Printf("  probes        %d\n", s.Probes)
-	fmt.Printf("  drained       %d\n", s.Drained)
-	fmt.Printf("\nhistorical store holds %d tuned entries; pending writes: %d\n",
-		st.Len(), srv.PendingWrites())
+	fmt.Printf("\nburst: %d requests at once past a queue limit of 6, each answered with a result or a typed rejection\n", burst.total())
+	fmt.Fprintf(os.Stderr, "  this run: served %d, shed/preempted %d (%d preempted)\n",
+		burst.ok, burst.shed+burst.limited, rec.Snapshot().Preempted)
+	fmt.Printf("historical store holds every served entry: %t; pending writes: %d\n",
+		st.Len() == steady.ok+burst.ok, srv.PendingWrites())
 
 	ladderDemo(w)
 }
+
+// tally counts request outcomes by kind.
+type tally struct{ ok, hedged, limited, shed int }
+
+func (t *tally) add(out core.InferOutcome) {
+	switch {
+	case out.Err == nil:
+		t.ok++
+		if out.Hedged {
+			t.hedged++
+		}
+	case errors.Is(out.Err, core.ErrRateLimited):
+		t.limited++
+	default:
+		t.shed++
+	}
+}
+
+func (t *tally) total() int { return t.ok + t.limited + t.shed }
 
 // ladderDemo is phase two: the autoscaler's graceful-degradation
 // ladder riding out a mass device failure. The whole pool is

@@ -11,6 +11,13 @@ import (
 // device's circuit breaker is rejecting requests.
 var ErrCircuitOpen = errors.New("core: inference circuit breaker open")
 
+// The server's breakers open after breakerThreshold consecutive request
+// failures and start at a cooldown of breakerCooldown rejected requests.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 2
+)
+
 // breakerState enumerates the classic three breaker states.
 type breakerState int
 

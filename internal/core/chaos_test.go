@@ -407,6 +407,34 @@ func TestTuneCheckpointIgnoredForDifferentJob(t *testing.T) {
 	}
 }
 
+// TestTuneCheckpointIsPerTenant: two tenants submitting the same job
+// shape with the same seed to one shared store each run their own job;
+// the second must not resume the first one's completion checkpoint.
+func TestTuneCheckpointIsPerTenant(t *testing.T) {
+	st := store.New()
+	run := func(tenant string) Result {
+		opts := smallOptions("IC")
+		opts.Store = st
+		opts.Checkpoint = true
+		opts.Tenant = tenant
+		res, err := Tune(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run("tenant-a"), run("tenant-b")
+	if b.Resilience.ResumedRungs != 0 {
+		t.Errorf("tenant-b resumed %d rungs of tenant-a's job", b.Resilience.ResumedRungs)
+	}
+	if b.TrialsRun != a.TrialsRun {
+		t.Errorf("tenant-b ran %d trials, tenant-a %d", b.TrialsRun, a.TrialsRun)
+	}
+	if keys := st.CheckpointKeys(); len(keys) != 2 {
+		t.Errorf("checkpoint keys = %v, want one per tenant", keys)
+	}
+}
+
 // TestTuneChaosWithCheckpointDeterministic: checkpointing plus faults
 // plus a kill/resume still yields deterministic resilience accounting
 // for the resumed portion.

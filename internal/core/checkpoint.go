@@ -3,10 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"edgetune/internal/counters"
 	"edgetune/internal/search"
-	"edgetune/internal/store"
 )
 
 // checkpointVersion guards the serialized layout; a mismatch discards
@@ -15,40 +15,47 @@ import (
 // depends on — version-1 checkpoints are not resumed.
 const checkpointVersion = 2
 
-// cpMember is one surviving population member at a checkpoint.
-type cpMember struct {
+// member is one configuration of the bracket's population with its
+// score at the last rung it was evaluated on.
+type member struct {
 	Config search.Config `json:"config"`
 	Score  float64       `json:"score"`
 }
 
-// tuneCheckpoint captures everything needed to resume a Tune call
-// after the last completed rung: the surviving population, the
-// accumulated result, the incumbent, and the resilience counters. It
-// is serialized into the historical store (and through it to disk when
-// the store is persisted), so a killed job resumes without re-running
-// finished trials.
-type tuneCheckpoint struct {
+// tuneProgress is a tuning job's live state and, marshalled as it
+// stands, its checkpoint: the next unit of work, the surviving
+// population, the accumulated result and the incumbent. The loop works
+// on these fields directly (tuneJob embeds the struct). The JSON tags
+// and the field order are the stored format. It is serialized into the
+// historical store (and through it to disk when the store is persisted),
+// so a killed job resumes without re-running finished trials.
+type tuneProgress struct {
 	Version int    `json:"version"`
 	Key     string `json:"key"`
 	// Bracket/NextRung locate the next unit of work. A bracket
 	// boundary is encoded as (bracket+1, 0) with a nil population.
-	Bracket  int        `json:"bracket"`
-	NextRung int        `json:"nextRung"`
-	Pop      []cpMember `json:"population,omitempty"`
+	Bracket  int      `json:"bracket"`
+	NextRung int      `json:"nextRung"`
+	Pop      []member `json:"population,omitempty"`
 
-	Trials         []TrialRecord `json:"trials"`
-	TrialsRun      int           `json:"trialsRun"`
-	TuningNanos    int64         `json:"tuningNanos"`
+	Trials    []TrialRecord `json:"trials"`
+	TrialsRun int           `json:"trialsRun"`
+	// Tuning is the simulated time charged so far, and so the start of
+	// the next trial on the tuner's timeline.
+	Tuning         time.Duration `json:"tuningNanos"`
 	TuningEnergyKJ float64       `json:"tuningEnergyKJ"`
 	MaxAccuracy    float64       `json:"maxAccuracy"`
 	ReachedTarget  bool          `json:"reachedTarget"`
 
+	// The incumbent; the Best fields mean nothing until HasBest.
 	HasBest      bool          `json:"hasBest"`
 	BestScore    float64       `json:"bestScore"`
 	BestConfig   search.Config `json:"bestConfig,omitempty"`
 	BestAccuracy float64       `json:"bestAccuracy"`
 	BestMeets    bool          `json:"bestMeets"`
 
+	// Resilience and Sampler live in the registry and the sampler while
+	// the job runs; checkpoint captures them, restore hands them back.
 	Resilience counters.ResilienceSnapshot `json:"resilience"`
 
 	// Sampler is the proposal stream's position (RNG state or sequence
@@ -59,47 +66,76 @@ type tuneCheckpoint struct {
 }
 
 // checkpointKey identifies a job's checkpoint slot: resuming is only
-// valid when the job shape that produced the checkpoint matches.
+// valid when the job shape that produced the checkpoint matches and, on
+// a store tenants share, the tenant does. A job without a tenant keeps
+// the key earlier builds wrote.
 func checkpointKey(o Options) string {
-	return fmt.Sprintf("tune/%s/%s/%s/%s/%s/eta%d/c%d/r%d/b%d/seed%d/sys%t/inf%t/acc%t",
+	key := fmt.Sprintf("tune/%s/%s/%s/%s/%s/eta%d/c%d/r%d/b%d/seed%d/sys%t/inf%t/acc%t",
 		o.Workload.ID, o.Device.Profile.Name, o.Metric, o.BudgetKind, o.ModelAlgo,
 		o.Eta, o.InitialConfigs, o.Rungs, o.MaxBrackets, o.Seed,
 		o.SystemParams, o.InferenceAware, o.AccuracyOnly)
+	if o.Tenant != "" {
+		key += "/tenant=" + o.Tenant
+	}
+	return key
 }
 
-// saveCheckpoint serializes the in-progress state into the store and,
-// when a path is configured, flushes the store to disk so the
-// checkpoint survives a process kill.
-func saveCheckpoint(st *store.Store, path string, cp tuneCheckpoint) error {
-	cp.Version = checkpointVersion
-	data, err := json.Marshal(cp)
+// checkpoint stores the job's progress and, when a path is configured,
+// flushes the store to disk so the checkpoint survives a process kill.
+func (j *tuneJob) checkpoint() error {
+	j.Resilience = j.recd.Snapshot()
+	if rs, ok := j.sampler.(search.Resumable); ok {
+		state := rs.SamplerState()
+		j.Sampler = &state
+	}
+	if j.srv != nil {
+		// The checkpoint must capture every completed inference result,
+		// not leave some in the server's write-behind buffer.
+		if err := j.srv.FlushWrites(); err != nil {
+			return err
+		}
+	}
+	data, err := json.Marshal(&j.tuneProgress)
 	if err != nil {
 		return fmt.Errorf("core: marshal checkpoint: %w", err)
 	}
-	if err := st.SaveCheckpoint(cp.Key, data); err != nil {
+	if err := j.opts.Store.SaveCheckpoint(j.Key, data); err != nil {
 		return err
 	}
-	if path != "" {
-		if err := st.Save(path); err != nil {
+	if path := j.opts.CheckpointPath; path != "" {
+		if err := j.opts.Store.Save(path); err != nil {
 			return fmt.Errorf("core: flush checkpoint: %w", err)
 		}
 	}
 	return nil
 }
 
-// loadCheckpoint returns the stored checkpoint for key, if one exists
-// and is compatible.
-func loadCheckpoint(st *store.Store, key string) (tuneCheckpoint, bool) {
-	var cp tuneCheckpoint
-	data, ok := st.LoadCheckpoint(key)
-	if !ok {
-		return cp, false
+// restore resumes from the job's stored checkpoint, if there is one and
+// it is compatible: the loop then skips the rungs a previous run already
+// completed.
+func (j *tuneJob) restore() {
+	if !j.opts.Checkpoint {
+		return
 	}
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return tuneCheckpoint{}, false
+	var p tuneProgress
+	data, ok := j.opts.Store.LoadCheckpoint(j.Key)
+	if !ok || json.Unmarshal(data, &p) != nil || p.Version != checkpointVersion || p.Key != j.Key {
+		return
 	}
-	if cp.Version != checkpointVersion || cp.Key != key {
-		return tuneCheckpoint{}, false
+	j.tuneProgress = p
+	// Rebuild the sampler's model from the completed trials so the
+	// resumed search continues informed.
+	for _, tr := range j.Trials {
+		if tr.Outcome != OutcomeFailed {
+			j.sampler.Observe(search.Observation{Config: tr.Config, Score: tr.Score, Budget: tr.Alloc.Cost()})
+		}
 	}
-	return cp, true
+	j.recd.Restore(j.Resilience)
+	j.recd.AddResumedRungs(int64(j.Bracket*j.opts.Rungs + j.NextRung))
+	// Restore the proposal stream AFTER replaying observations: the
+	// resumed sampler must draw exactly what the uninterrupted run would
+	// have drawn next.
+	if rs, ok := j.sampler.(search.Resumable); ok && j.Sampler != nil {
+		rs.RestoreSamplerState(*j.Sampler)
+	}
 }

@@ -303,6 +303,22 @@ func TestTuneEndToEnd(t *testing.T) {
 	if len(res.Trials) != res.TrialsRun {
 		t.Error("trial records inconsistent with TrialsRun")
 	}
+	// Successive halving at eta 2: each bracket trains 4, 2, 1, 1
+	// configurations, and no rung's budget is below the previous one's.
+	perRung := map[[2]int]int{}
+	for i, tr := range res.Trials {
+		perRung[[2]int{tr.Bracket, tr.Rung}]++
+		if i > 0 && tr.Bracket == res.Trials[i-1].Bracket && tr.Alloc.Cost() < res.Trials[i-1].Alloc.Cost() {
+			t.Errorf("trial %d: budget fell from %v to %v within a bracket", i, res.Trials[i-1].Alloc, tr.Alloc)
+		}
+	}
+	for bracket := 0; bracket < 2; bracket++ {
+		for rung, want := range []int{4, 2, 1, 1} {
+			if got := perRung[[2]int{bracket, rung}]; got != want {
+				t.Errorf("bracket %d rung %d trained %d configurations, want %d", bracket, rung, got, want)
+			}
+		}
+	}
 }
 
 func TestTuneDeterministic(t *testing.T) {

@@ -40,12 +40,7 @@ func TuneHierarchical(ctx context.Context, opts Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	// Full budget: iterate the strategy to saturation.
-	it := 1
-	for !strat.Saturated(it) && it < 64 {
-		it++
-	}
-	alloc := strat.At(it)
+	alloc := saturatedAlloc(strat) // full budget
 
 	obj := Objective{Metric: opts.Metric, TargetAccuracy: opts.TargetAccuracy}
 	bestScore := math.Inf(1)

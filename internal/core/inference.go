@@ -98,16 +98,6 @@ type InferenceServerOptions struct {
 	// MaxAttempts bounds the per-request tuning attempts when injected
 	// faults make the device flap or the store write fail (default 3).
 	MaxAttempts int
-	// BreakerThreshold is the number of consecutive request failures
-	// that opens a device's circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is the number of fast-failed requests an open
-	// breaker rejects before half-opening a probe (default 2; doubles
-	// after each failed probe).
-	BreakerCooldown int
-	// RequestTimeout bounds one request's serving wall time
-	// (default 30s).
-	RequestTimeout time.Duration
 	// QueueLimit bounds queued plus in-flight requests; submissions
 	// beyond it are shed with ErrOverloaded (default 64).
 	QueueLimit int
@@ -130,10 +120,6 @@ type InferenceServerOptions struct {
 	// accounting). The server registers a serve-latency objective and an
 	// admission-rejection objective on it.
 	SLO *slo.Evaluator
-	// SLOServeLatency is the latency objective's threshold on the
-	// simulated clock: a served request is "good" when its effective
-	// serving time is at or below it (default 60s).
-	SLOServeLatency time.Duration
 	// Autoscale enables the SLO-driven device-pool autoscaler and its
 	// graceful-degradation ladder (nil = static pool). Zero fields in
 	// the config select the documented defaults.
@@ -164,6 +150,15 @@ type InferenceServerOptions struct {
 	ProfLabels []string
 }
 
+const (
+	// requestTimeout bounds one request's serving wall time, and how
+	// long the tuner waits for the reply it pipelined behind a trial.
+	requestTimeout = 30 * time.Second
+	// sloServeLatency is the latency objective's threshold: a served
+	// request is "good" when its simulated serving time is within it.
+	sloServeLatency = 60 * time.Second
+)
+
 func (o *InferenceServerOptions) normalise() error {
 	if o.Space == nil {
 		return errors.New("core: inference server needs a space")
@@ -189,15 +184,6 @@ func (o *InferenceServerOptions) normalise() error {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
 	if len(o.Pool) == 0 {
 		o.Pool = []device.Device{o.Device}
 	}
@@ -212,9 +198,6 @@ func (o *InferenceServerOptions) normalise() error {
 	}
 	if o.HedgeFactor <= 0 {
 		o.HedgeFactor = 2
-	}
-	if o.SLOServeLatency <= 0 {
-		o.SLOServeLatency = 60 * time.Second
 	}
 	return nil
 }
@@ -289,9 +272,12 @@ type call struct {
 	delivered bool
 
 	// sp is the leader's request span (nil when tracing is off); start
-	// is its submit time, so deliver can end it at start+latency.
-	sp    *obs.Span
-	start time.Duration
+	// is its submit time, so deliver can end it at start+latency. admSp
+	// is its "admission" child, opened with the call — before a worker
+	// can open the "serve" child — so the two children's ordinals, and
+	// with them their span IDs, never depend on who ran first.
+	sp, admSp *obs.Span
+	start     time.Duration
 }
 
 type inferJob struct {
@@ -325,7 +311,7 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 		pending:   make(map[string]*call),
 		inflightC: make(map[*inferJob]context.CancelFunc),
 		adm:       newAdmission(opts.QueueLimit, opts.RateLimit, opts.RateBurst),
-		pool:      newDevicePool(opts.Pool, opts.BreakerThreshold, opts.BreakerCooldown, opts.Recorder),
+		pool:      newDevicePool(opts.Pool, breakerThreshold, breakerCooldown, opts.Recorder),
 		writes:    writes,
 		closedCh:  make(chan struct{}),
 	}
@@ -353,7 +339,7 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 	if opts.SLO != nil {
 		s.sloLatency = opts.SLO.Register(slo.Spec{
 			Name:        "serving/latency",
-			Description: fmt.Sprintf("99%% of served requests finish within %v on the simulated clock", opts.SLOServeLatency),
+			Description: fmt.Sprintf("99%% of served requests finish within %v on the simulated clock", sloServeLatency),
 			Target:      0.99,
 		})
 		s.sloRejects = opts.SLO.Register(slo.Spec{
@@ -586,7 +572,8 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 		reqSp.End(req.SubmitTime)
 		return out
 	}
-	c := &call{sig: req.Signature, outs: []chan InferOutcome{out}, done: make(chan struct{}), sp: reqSp, start: req.SubmitTime}
+	c := &call{sig: req.Signature, outs: []chan InferOutcome{out}, done: make(chan struct{}),
+		sp: reqSp, admSp: reqSp.Child("admission", req.SubmitTime), start: req.SubmitTime}
 	s.pending[req.Signature] = c
 	s.mu.Unlock()
 
@@ -728,7 +715,7 @@ func (s *InferenceServer) recordSLO(at time.Duration, res InferOutcome) {
 	s.sloRejects.Record(at, !errors.Is(res.Err, ErrOverloaded))
 	s.sloTenantRejects.Record(at, !errors.Is(res.Err, ErrRateLimited))
 	if res.Err == nil {
-		s.sloLatency.Record(at, res.Latency <= s.opts.SLOServeLatency)
+		s.sloLatency.Record(at, res.Latency <= sloServeLatency)
 	}
 }
 
@@ -754,21 +741,19 @@ func (s *InferenceServer) worker() {
 		s.inflightC[job] = cancel
 		s.mu.Unlock()
 
-		var out InferOutcome
+		var labels []string
 		if s.opts.Profile {
 			// Labels do not cross the Submit→worker goroutine hop;
 			// re-apply the serving taxonomy from the job itself. The
 			// store write inside serve happens on this goroutine, so it
 			// inherits the same labels.
-			prof.Do(jctx, func(ctx context.Context) {
-				out = s.serve(ctx, job)
-			}, append([]string{
+			labels = append([]string{
 				prof.KeyTenant, tenantLabel(job.req.Client),
 				prof.KeyPriority, priorityLabel(job.req.Priority),
-			}, s.opts.ProfLabels...)...)
-		} else {
-			out = s.serve(jctx, job)
+			}, s.opts.ProfLabels...)
 		}
+		var out InferOutcome
+		prof.Do(jctx, func(ctx context.Context) { out = s.serve(ctx, job) }, labels...)
 
 		s.mu.Lock()
 		delete(s.inflightC, job)
@@ -793,7 +778,7 @@ func (s *InferenceServer) worker() {
 // retried up to MaxAttempts, with every attempt's simulated cost
 // charged to the request.
 func (s *InferenceServer) serve(ctx context.Context, job *inferJob) InferOutcome {
-	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req := job.req
 
@@ -1016,7 +1001,7 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 	if verdict != "admitted" {
 		s.opts.Flight.Record(c.start, flight.KindAdmission, verdict, c.sig, int64(queuedAhead), 0)
 	}
-	if c.sp == nil {
+	if c.admSp == nil {
 		return
 	}
 	attrs := []obs.Attr{obs.Str("verdict", verdict)}
@@ -1026,8 +1011,8 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 	if queuedAhead >= 0 {
 		attrs = append(attrs, obs.Int("queuedAhead", int64(queuedAhead)))
 	}
-	sp := c.sp.Child("admission", c.start, attrs...)
-	sp.End(c.start)
+	c.admSp.Set(attrs...)
+	c.admSp.End(c.start)
 }
 
 // outcomeLabel classifies a serving error for span attributes. The

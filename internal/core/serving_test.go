@@ -373,13 +373,13 @@ func TestNoHealthyDeviceTyped(t *testing.T) {
 	srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) {
 		o.Fault = inj
 		o.MaxAttempts = 1
-		o.BreakerThreshold = 1
-		o.BreakerCooldown = 2
 	})
-	if out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(0))); out.Err == nil {
-		t.Fatal("permanently flapping device served a request")
+	for i := 0; i < breakerThreshold; i++ {
+		if out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(i))); out.Err == nil {
+			t.Fatal("permanently flapping device served a request")
+		}
 	}
-	out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(1)))
+	out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(breakerThreshold)))
 	if !errors.Is(out.Err, ErrNoHealthyDevice) || !errors.Is(out.Err, ErrCircuitOpen) {
 		t.Errorf("err = %v, want ErrNoHealthyDevice wrapping ErrCircuitOpen", out.Err)
 	}

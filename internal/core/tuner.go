@@ -76,8 +76,6 @@ type Options struct {
 	// InferTrials is the number of configurations the inference server
 	// evaluates per architecture (default 24).
 	InferTrials int
-	// InferWorkers is the inference server's pipelining width.
-	InferWorkers int
 	// Store is the shared historical database; one is created if nil.
 	Store *store.Store
 	// Seed drives all randomised components.
@@ -90,14 +88,6 @@ type Options struct {
 	// faults (default 3); it also bounds the inference server's
 	// per-request retries.
 	MaxAttempts int
-	// RetryBaseDelay is the simulated backoff base between trial
-	// attempts (default 5s); attempt n waits base·2ⁿ·(1+jitter), and
-	// the wait is charged to the tuning budget like any other cost.
-	RetryBaseDelay time.Duration
-	// BreakerThreshold and BreakerCooldown configure the inference
-	// server's per-device circuit breaker (defaults 3 and 2).
-	BreakerThreshold int
-	BreakerCooldown  int
 	// SyncStoreWrites makes the inference server persist results
 	// synchronously on its put path instead of through the write-behind
 	// flusher goroutine — same semantics, deterministic store-operation
@@ -219,9 +209,6 @@ func (o *Options) normalise() error {
 	if o.InferTrials == 0 {
 		o.InferTrials = 24
 	}
-	if o.InferWorkers == 0 {
-		o.InferWorkers = 2
-	}
 	if o.Store == nil {
 		o.Store = store.New()
 	}
@@ -233,12 +220,6 @@ func (o *Options) normalise() error {
 	}
 	if o.MaxAttempts < 1 {
 		return fmt.Errorf("core: max attempts %d must be >= 1", o.MaxAttempts)
-	}
-	if o.RetryBaseDelay == 0 {
-		o.RetryBaseDelay = 5 * time.Second
-	}
-	if o.RetryBaseDelay < 0 {
-		return fmt.Errorf("core: negative retry base delay %v", o.RetryBaseDelay)
 	}
 	return nil
 }
@@ -369,6 +350,46 @@ type Result struct {
 	Incidents []flight.Dossier
 }
 
+// retryBaseDelay is the simulated backoff base between trial attempts:
+// attempt n waits base·2ⁿ·(1+jitter), and the wait is charged to the
+// tuning budget like any other cost.
+const retryBaseDelay = 5 * time.Second
+
+// tuneJob is one Tune call: its progress (embedded, and the only part
+// that is persisted), what the loop runs on, and what observes it.
+type tuneJob struct {
+	tuneProgress
+
+	opts    Options
+	res     *Result
+	runner  *trial.Runner
+	sampler search.Sampler
+	strat   budget.Strategy
+	// satAlloc is the saturated allocation: scores use each
+	// configuration's projected full-budget training cost so that trials
+	// from different rungs are comparable (a cheap low-fidelity trial
+	// must not win on cost it never paid; its penalty is its lower
+	// accuracy).
+	satAlloc budget.Allocation
+	obj      Objective
+	srv      *InferenceServer // nil unless Options.InferenceAware
+	inj      *fault.Injector
+	recd     *counters.Resilience
+	reg      *obs.Registry
+
+	sloOverrun   *slo.Objective
+	mTrials      *obs.Counter
+	mTrialDur    *obs.Histogram
+	mTrialEnergy *obs.Histogram
+
+	// The open tune, bracket and rung spans (nil when tracing is off).
+	tuneSp, brSp, rgSp *obs.Span
+
+	// Hit/miss counters persist across restarts with a durable store,
+	// so the result reports this run's delta, not lifetime totals.
+	startHits, startMisses int
+}
+
 // Tune runs the EdgeTune onefold tuning loop (Algorithm 1): brackets of
 // successive halving over the joint space, with asynchronous inference
 // tuning folded into each trial's objective. Under fault injection the
@@ -376,438 +397,330 @@ type Result struct {
 // budget), degrades to historical or estimated inference data when the
 // inference server is unavailable, and — with Checkpoint set —
 // serializes completed rungs so a killed job resumes where it stopped.
-func Tune(ctx context.Context, opts Options) (res Result, retErr error) {
+func Tune(ctx context.Context, opts Options) (res Result, err error) {
 	if err := opts.normalise(); err != nil {
 		return res, err
 	}
-	w := opts.Workload
-	res.Workload = w.ID
-	res.Device = opts.Device.Profile.Name
-	res.Metric = opts.Metric
-
-	// Hit/miss counters persist across restarts with a durable store,
-	// so the result reports this run's delta, not lifetime totals.
-	startHits, startMisses := opts.Store.Stats()
-
 	recd := counters.NewResilienceOn(opts.Metrics)
-	reg := recd.Registry()
-	defer func() {
-		res.Resilience = recd.Snapshot()
-		res.Metrics = reg.Snapshot()
-		// Defer LIFO: the server's Close ran first, so every serving SLO
-		// event is already recorded.
-		res.SLO = opts.SLO.Snapshot()
-		if opts.Flight != nil {
-			// Dossiers are built here, after the pipeline quiesced, so
-			// their event timelines and embedded snapshots are the
-			// deterministic final ones.
-			res.Incidents = opts.Flight.Dossiers(flight.Sources{
-				Metrics: res.Metrics,
-				SLO:     res.SLO,
-				Trace:   opts.Trace,
-			})
-		}
-	}()
-	if opts.Profile {
-		// Probes run before the loop so even an aborted job reports
-		// them; they publish to reg, and the deferred snapshot above
-		// folds the gauges into Result.Metrics.
-		res.Profile = collectProfile(opts, reg)
-	}
-	sloOverrun := opts.SLO.Register(slo.Spec{
-		Name:        "tuning/trial-overrun",
-		Description: "90% of trials complete without retry cost or failure",
-		Target:      0.90,
-	})
-	mTrials := reg.Counter("tune.trials")
-	mTrialDur := reg.Histogram("tune.trial.duration.s", obs.SecondsBuckets)
-	mTrialEnergy := reg.Histogram("tune.trial.energy.kj", obs.EnergyBucketsKJ)
-
-	var tuneSp *obs.Span
-	if opts.Trace != nil {
-		tuneSp = opts.Trace.Root(obs.TrackTuner, "tune", opts.Seed, 0,
-			obs.Str("workload", w.ID),
-			obs.Str("device", res.Device),
-			obs.Str("metric", string(opts.Metric)),
-			obs.Str("budget", opts.BudgetKind))
-	}
-	defer func() {
-		if tuneSp != nil {
-			tuneSp.Set(obs.Int("trials", int64(res.TrialsRun)))
-			tuneSp.End(res.TuningDuration)
-		}
-	}()
-
-	inj, err := fault.NewInjector(opts.Fault, opts.Seed, recd)
-	if err != nil {
+	j := &tuneJob{opts: opts, res: &res, recd: recd, reg: recd.Registry()}
+	defer j.finish()
+	if err := j.setUp(); err != nil {
 		return res, err
 	}
-
-	space, err := w.TrainSpace(opts.SystemParams)
-	if err != nil {
-		return res, err
-	}
-	sampler, err := search.NewSampler(opts.ModelAlgo, space, opts.Seed)
-	if err != nil {
-		return res, err
-	}
-	strat, err := budget.New(opts.BudgetKind)
-	if err != nil {
-		return res, err
-	}
-	runner, err := trial.NewRunner(w, opts.GPU, opts.Seed)
-	if err != nil {
-		return res, err
-	}
-	runner.SetFaultInjector(inj)
-
-	var infSrv *InferenceServer
-	if opts.InferenceAware {
-		infSpace, err := w.InferenceSpace(opts.Device)
-		if err != nil {
-			return res, err
-		}
-		infSrv, err = NewInferenceServer(InferenceServerOptions{
-			Device:           opts.Device,
-			Space:            infSpace,
-			Algo:             opts.InferAlgo,
-			Metric:           opts.Metric,
-			Trials:           opts.InferTrials,
-			Workers:          opts.InferWorkers,
-			Store:            opts.Store,
-			Seed:             opts.Seed,
-			Fault:            inj,
-			Recorder:         recd,
-			MaxAttempts:      opts.MaxAttempts,
-			BreakerThreshold: opts.BreakerThreshold,
-			BreakerCooldown:  opts.BreakerCooldown,
-			SyncWrites:       opts.SyncStoreWrites,
-			Trace:            opts.Trace,
-			SLO:              opts.SLO,
-			Flight:           opts.Flight,
-			Autoscale:        opts.Autoscale,
-			Profile:          opts.Profile,
-			ProfLabels:       opts.ProfLabels,
-		})
-		if err != nil {
-			return res, err
-		}
-		defer infSrv.Close()
-		// Defer LIFO: snapshot the autoscaler before Close tears the
-		// server down, and charge the replicas' warm-up time and energy
-		// to the job's budget totals.
-		defer func() {
-			if rep := infSrv.AutoscaleReport(); rep != nil {
-				res.Autoscale = rep
-				res.TuningDuration += rep.WarmupTime
-				res.TuningEnergyKJ += rep.WarmupEnergyJ / 1000
-			}
-		}()
-	}
-
-	// Saturated allocation: scores use each configuration's projected
-	// full-budget training cost so that trials from different rungs are
-	// comparable (a cheap low-fidelity trial must not win on cost it
-	// never paid; its penalty is its lower accuracy).
-	satIt := 1
-	for !strat.Saturated(satIt) && satIt < 64 {
-		satIt++
-	}
-	satAlloc := strat.At(satIt)
-
-	obj := Objective{Metric: opts.Metric, TargetAccuracy: opts.TargetAccuracy}
-	// Winner selection is lexicographic: a trial that meets the target
-	// accuracy always beats one that does not (the user asked for that
-	// accuracy, §2.3); among equals the minimised objective decides.
-	best := struct {
-		score float64
-		cfg   search.Config
-		acc   float64
-		meets bool
-	}{score: math.Inf(1)}
-	better := func(score, acc float64) bool {
-		meets := acc >= opts.TargetAccuracy
-		if meets != best.meets {
-			return meets
-		}
-		return score < best.score
-	}
-
-	type member struct {
-		cfg   search.Config
-		score float64
-	}
-
-	// Checkpoint resume: restore the accumulated state and skip the
-	// rungs a previous run already completed.
-	cpKey := checkpointKey(opts)
-	startBracket, startRung := 0, 0
-	var resumedPop []member
-	if opts.Checkpoint {
-		if cp, ok := loadCheckpoint(opts.Store, cpKey); ok {
-			startBracket, startRung = cp.Bracket, cp.NextRung
-			for _, m := range cp.Pop {
-				resumedPop = append(resumedPop, member{cfg: m.Config, score: m.Score})
-			}
-			res.Trials = cp.Trials
-			res.TrialsRun = cp.TrialsRun
-			res.TuningDuration = time.Duration(cp.TuningNanos)
-			res.TuningEnergyKJ = cp.TuningEnergyKJ
-			res.MaxAccuracy = cp.MaxAccuracy
-			res.ReachedTarget = cp.ReachedTarget
-			if cp.HasBest {
-				best.score = cp.BestScore
-				best.cfg = cp.BestConfig
-				best.acc = cp.BestAccuracy
-				best.meets = cp.BestMeets
-			}
-			// Rebuild the sampler's model from the completed trials so
-			// the resumed search continues informed.
-			for _, tr := range cp.Trials {
-				if tr.Outcome == OutcomeFailed {
-					continue
-				}
-				sampler.Observe(search.Observation{
-					Config: tr.Config,
-					Score:  tr.Score,
-					Budget: tr.Alloc.Cost(),
-				})
-			}
-			recd.Restore(cp.Resilience)
-			recd.AddResumedRungs(int64(cp.Bracket*opts.Rungs + cp.NextRung))
-			// Restore the proposal stream AFTER replaying observations:
-			// the resumed sampler must draw exactly what the
-			// uninterrupted run would have drawn next.
-			if cp.Sampler != nil {
-				if rs, ok := sampler.(search.Resumable); ok {
-					rs.RestoreSamplerState(*cp.Sampler)
-				}
-			}
-		}
-	}
-
-	for bracket := startBracket; bracket < opts.MaxBrackets; bracket++ {
-		if opts.StopAtTarget && res.ReachedTarget {
-			break
-		}
-		var brSp *obs.Span
-		if tuneSp != nil {
-			brSp = tuneSp.Child("bracket", res.TuningDuration, obs.Int("bracket", int64(bracket)))
-		}
-		var population []member
-		rung0 := 0
-		if bracket == startBracket && resumedPop != nil {
-			population = resumedPop
-			rung0 = startRung
-		} else {
-			population = make([]member, 0, opts.InitialConfigs)
-			for i := 0; i < opts.InitialConfigs; i++ {
-				population = append(population, member{cfg: sampler.Sample()})
-			}
-		}
-		for rung := rung0; rung < opts.Rungs && len(population) > 0; rung++ {
-			alloc := strat.At(rung + 1)
-			if rung == opts.Rungs-1 {
-				// The final rung always confirms survivors at the
-				// strategy's saturated budget, so every bracket ends
-				// with fully-trained evaluations.
-				alloc = satAlloc
-			}
-			var rgSp *obs.Span
-			if brSp != nil {
-				rgSp = brSp.Child("rung", res.TuningDuration,
-					obs.Int("rung", int64(rung)),
-					obs.Int("population", int64(len(population))),
-					obs.Int("epochs", int64(alloc.Epochs)),
-					obs.Float("fraction", alloc.DataFraction))
-			}
-			for i := range population {
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
-				var rec TrialRecord
-				var err error
-				if opts.Profile {
-					// The trial (and its synchronous mini-batch loop)
-					// runs on this goroutine, so the labels cover every
-					// training-side sample; inference work hops to the
-					// server's workers, which re-apply their own.
-					prof.Do(ctx, func(ctx context.Context) {
-						rec, err = runResilientTrial(ctx, runner, infSrv, obj, opts, recd, inj, population[i].cfg, alloc, satAlloc, rgSp, res.TuningDuration)
-					}, append([]string{
-						prof.KeyTenant, tenantLabel(opts.Tenant),
-						prof.KeyBracket, fmt.Sprint(bracket),
-						prof.KeyRung, fmt.Sprint(rung),
-					}, opts.ProfLabels...)...)
-				} else {
-					rec, err = runResilientTrial(ctx, runner, infSrv, obj, opts, recd, inj, population[i].cfg, alloc, satAlloc, rgSp, res.TuningDuration)
-				}
-				if err != nil {
-					return res, err
-				}
-				rec.Bracket = bracket
-				rec.Rung = rung
-				population[i].score = rec.Score
-
-				res.Trials = append(res.Trials, rec)
-				res.TrialsRun++
-				res.TuningDuration += rec.TrainCost.Duration + rec.RetryCost.Duration
-				sloOverrun.Record(res.TuningDuration, rec.RetryCost.Duration == 0 && rec.Outcome != OutcomeFailed)
-				// Inference tuning is pipelined: it adds energy but no
-				// wall time (§3.3). Failed attempts and backoff waits
-				// are charged like any other cost.
-				res.TuningEnergyKJ += (rec.TrainCost.EnergyJ + rec.InferTuning.EnergyJ + rec.RetryCost.EnergyJ) / 1000
-
-				mTrials.Inc()
-				reg.Counter("tune.outcome." + rec.Outcome).Inc()
-				mTrialDur.Observe((rec.TrainCost.Duration + rec.RetryCost.Duration).Seconds())
-				mTrialEnergy.Observe((rec.TrainCost.EnergyJ + rec.InferTuning.EnergyJ + rec.RetryCost.EnergyJ) / 1000)
-
-				if rec.Outcome == OutcomeFailed {
-					// The trial is out of the bracket; nothing to learn
-					// from a score that measures the injector, not the
-					// configuration.
-					continue
-				}
-				sampler.Observe(search.Observation{
-					Config: population[i].cfg,
-					Score:  rec.Score,
-					Budget: alloc.Cost(),
-				})
-				if better(rec.Score, rec.Accuracy) {
-					best.score = rec.Score
-					best.cfg = population[i].cfg.Clone()
-					best.acc = rec.Accuracy
-					best.meets = rec.Accuracy >= opts.TargetAccuracy
-				}
-				if rec.Accuracy > res.MaxAccuracy {
-					res.MaxAccuracy = rec.Accuracy
-				}
-				if rec.Accuracy >= opts.TargetAccuracy {
-					res.ReachedTarget = true
-				}
-			}
-			sort.Slice(population, func(a, b int) bool { return population[a].score < population[b].score })
-			keep := len(population) / opts.Eta
-			if keep < 1 {
-				keep = 1
-			}
-			population = population[:keep]
-			if rgSp != nil {
-				rgSp.Set(obs.Int("survivors", int64(keep)))
-				rgSp.End(res.TuningDuration)
-			}
-			if opts.Flight != nil {
-				// Rung boundaries are the deterministic poll points for
-				// SLO alert edges: every worker has drained the rung's
-				// trials, so the snapshot (and any rising edge it
-				// reveals) lands at the same simulated time every run.
-				opts.Flight.ObserveSLO(res.TuningDuration, opts.SLO.Snapshot())
-			}
-
-			if opts.Checkpoint {
-				cp := tuneCheckpoint{
-					Key:            cpKey,
-					Bracket:        bracket,
-					NextRung:       rung + 1,
-					Trials:         res.Trials,
-					TrialsRun:      res.TrialsRun,
-					TuningNanos:    int64(res.TuningDuration),
-					TuningEnergyKJ: res.TuningEnergyKJ,
-					MaxAccuracy:    res.MaxAccuracy,
-					ReachedTarget:  res.ReachedTarget,
-					Resilience:     recd.Snapshot(),
-				}
-				if rung+1 >= opts.Rungs {
-					// Bracket boundary: the next unit of work is a
-					// fresh population.
-					cp.Bracket = bracket + 1
-					cp.NextRung = 0
-				} else {
-					for _, m := range population {
-						cp.Pop = append(cp.Pop, cpMember{Config: m.cfg, Score: m.score})
-					}
-				}
-				if !math.IsInf(best.score, 1) {
-					cp.HasBest = true
-					cp.BestScore = best.score
-					cp.BestConfig = best.cfg
-					cp.BestAccuracy = best.acc
-					cp.BestMeets = best.meets
-				}
-				if rs, ok := sampler.(search.Resumable); ok {
-					state := rs.SamplerState()
-					cp.Sampler = &state
-				}
-				if infSrv != nil {
-					// The checkpoint must capture every completed
-					// inference result, not leave some in the server's
-					// write-behind buffer.
-					if err := infSrv.FlushWrites(); err != nil {
-						return res, err
-					}
-				}
-				if err := saveCheckpoint(opts.Store, opts.CheckpointPath, cp); err != nil {
-					return res, err
-				}
-			}
-			if opts.AfterRung != nil {
-				if err := opts.AfterRung(bracket, rung); err != nil {
-					return res, err
-				}
-			}
-		}
-		brSp.End(res.TuningDuration)
+	j.restore()
+	for bracket := j.Bracket; bracket < opts.MaxBrackets; bracket++ {
 		// StopAtTarget ends tuning at bracket granularity: the bracket
 		// that first reaches the target accuracy completes its halving
 		// schedule (confirming the winner at higher fidelity) and no
 		// further bracket starts.
-	}
-
-	if math.IsInf(best.score, 1) {
-		return res, errors.New("core: no successful trials")
-	}
-	res.BestConfig = best.cfg
-	res.BestAccuracy = best.acc
-	res.BestScore = best.score
-
-	// Final inference recommendation for the winning architecture.
-	if opts.InferenceAware {
-		flops, params, err := w.PaperCost(best.cfg)
-		if err != nil {
-			return res, err
+		if opts.StopAtTarget && j.ReachedTarget {
+			break
 		}
-		sig := w.Signature(best.cfg)
-		out := <-infSrv.Submit(ctx, InferRequest{
-			Signature:      sig,
-			FLOPsPerSample: flops,
-			Params:         params,
-			SubmitTime:     res.TuningDuration,
-			Client:         opts.Tenant,
+		j.openBracket(bracket)
+		for rung := j.NextRung; rung < opts.Rungs; rung++ {
+			if err := j.runRung(ctx, bracket, rung); err != nil {
+				return res, err
+			}
+		}
+		j.brSp.End(j.Tuning)
+	}
+	err = j.recommend(ctx)
+	return res, err
+}
+
+// setUp builds what the loop runs on. The order is observable: the
+// trial-overrun objective registers before the inference server's, and
+// the tune span opens before anything that can fail.
+func (j *tuneJob) setUp() error {
+	opts, w := j.opts, j.opts.Workload
+	j.res.Workload, j.res.Device, j.res.Metric = w.ID, opts.Device.Profile.Name, opts.Metric
+	j.Version, j.Key = checkpointVersion, checkpointKey(opts)
+	j.startHits, j.startMisses = opts.Store.Stats()
+	if opts.Profile {
+		// Probes run before the loop so even an aborted job reports
+		// them; they publish to reg, and finish's snapshot folds the
+		// gauges into Result.Metrics.
+		j.res.Profile = collectProfile(opts, j.reg)
+	}
+	j.sloOverrun = opts.SLO.Register(slo.Spec{
+		Name:        "tuning/trial-overrun",
+		Description: "90% of trials complete without retry cost or failure",
+		Target:      0.90,
+	})
+	j.mTrials = j.reg.Counter("tune.trials")
+	j.mTrialDur = j.reg.Histogram("tune.trial.duration.s", obs.SecondsBuckets)
+	j.mTrialEnergy = j.reg.Histogram("tune.trial.energy.kj", obs.EnergyBucketsKJ)
+	if opts.Trace != nil {
+		j.tuneSp = opts.Trace.Root(obs.TrackTuner, "tune", opts.Seed, 0,
+			obs.Str("workload", w.ID),
+			obs.Str("device", j.res.Device),
+			obs.Str("metric", string(opts.Metric)),
+			obs.Str("budget", opts.BudgetKind))
+	}
+
+	var err error
+	if j.inj, err = fault.NewInjector(opts.Fault, opts.Seed, j.recd); err != nil {
+		return err
+	}
+	space, err := w.TrainSpace(opts.SystemParams)
+	if err != nil {
+		return err
+	}
+	if j.sampler, err = search.NewSampler(opts.ModelAlgo, space, opts.Seed); err != nil {
+		return err
+	}
+	if j.strat, err = budget.New(opts.BudgetKind); err != nil {
+		return err
+	}
+	if j.runner, err = trial.NewRunner(w, opts.GPU, opts.Seed); err != nil {
+		return err
+	}
+	j.runner.SetFaultInjector(j.inj)
+	j.satAlloc = saturatedAlloc(j.strat)
+	j.obj = Objective{Metric: opts.Metric, TargetAccuracy: opts.TargetAccuracy}
+	if !opts.InferenceAware {
+		return nil
+	}
+	infSpace, err := w.InferenceSpace(opts.Device)
+	if err != nil {
+		return err
+	}
+	j.srv, err = NewInferenceServer(InferenceServerOptions{
+		Device:      opts.Device,
+		Space:       infSpace,
+		Algo:        opts.InferAlgo,
+		Metric:      opts.Metric,
+		Trials:      opts.InferTrials,
+		Store:       opts.Store,
+		Seed:        opts.Seed,
+		Fault:       j.inj,
+		Recorder:    j.recd,
+		MaxAttempts: opts.MaxAttempts,
+		SyncWrites:  opts.SyncStoreWrites,
+		Trace:       opts.Trace,
+		SLO:         opts.SLO,
+		Flight:      opts.Flight,
+		Autoscale:   opts.Autoscale,
+		Profile:     opts.Profile,
+		ProfLabels:  opts.ProfLabels,
+	})
+	return err
+}
+
+// saturatedAlloc is the allocation a strategy levels off at.
+func saturatedAlloc(strat budget.Strategy) budget.Allocation {
+	it := 1
+	for !strat.Saturated(it) && it < 64 {
+		it++
+	}
+	return strat.At(it)
+}
+
+// finish assembles the Result on every exit path. The order matters: the
+// autoscaler is read before Close tears the server down (its replicas'
+// warm-up is charged to the job), Close drains the serving SLO events,
+// and the snapshots and dossiers come last, once the pipeline quiesced.
+func (j *tuneJob) finish() {
+	res := j.res
+	res.Trials, res.TrialsRun = j.Trials, j.TrialsRun
+	res.TuningDuration, res.TuningEnergyKJ = j.Tuning, j.TuningEnergyKJ
+	res.MaxAccuracy, res.ReachedTarget = j.MaxAccuracy, j.ReachedTarget
+	if j.srv != nil {
+		if rep := j.srv.AutoscaleReport(); rep != nil {
+			res.Autoscale = rep
+			res.TuningDuration += rep.WarmupTime
+			res.TuningEnergyKJ += rep.WarmupEnergyJ / 1000
+		}
+		j.srv.Close()
+	}
+	if j.tuneSp != nil {
+		j.tuneSp.Set(obs.Int("trials", int64(res.TrialsRun)))
+		j.tuneSp.End(res.TuningDuration)
+	}
+	res.Resilience = j.recd.Snapshot()
+	res.Metrics = j.reg.Snapshot()
+	res.SLO = j.opts.SLO.Snapshot()
+	if j.opts.Flight != nil {
+		res.Incidents = j.opts.Flight.Dossiers(flight.Sources{
+			Metrics: res.Metrics,
+			SLO:     res.SLO,
+			Trace:   j.opts.Trace,
 		})
+	}
+}
+
+// openBracket samples the bracket's population, unless a checkpoint
+// resumed the job inside this bracket with its survivors already in Pop.
+func (j *tuneJob) openBracket(bracket int) {
+	if j.tuneSp != nil {
+		j.brSp = j.tuneSp.Child("bracket", j.Tuning, obs.Int("bracket", int64(bracket)))
+	}
+	if j.Pop != nil {
+		return
+	}
+	j.Pop = make([]member, 0, j.opts.InitialConfigs)
+	for i := 0; i < j.opts.InitialConfigs; i++ {
+		j.Pop = append(j.Pop, member{Config: j.sampler.Sample()})
+	}
+}
+
+// runRung trains the population under this rung's allocation, keeps the
+// best 1/η, and advances the progress, which the checkpoint then stores.
+func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
+	alloc := j.strat.At(rung + 1)
+	if rung == j.opts.Rungs-1 {
+		// The final rung always confirms survivors at the strategy's
+		// saturated budget, so every bracket ends with fully-trained
+		// evaluations.
+		alloc = j.satAlloc
+	}
+	if j.brSp != nil {
+		j.rgSp = j.brSp.Child("rung", j.Tuning,
+			obs.Int("rung", int64(rung)),
+			obs.Int("population", int64(len(j.Pop))),
+			obs.Int("epochs", int64(alloc.Epochs)),
+			obs.Float("fraction", alloc.DataFraction))
+	}
+	var labels []string
+	if j.opts.Profile {
+		// The trial (and its synchronous mini-batch loop) runs on this
+		// goroutine, so the labels cover every training-side sample;
+		// inference work hops to the server's workers, which re-apply
+		// their own.
+		labels = append([]string{
+			prof.KeyTenant, tenantLabel(j.opts.Tenant),
+			prof.KeyBracket, fmt.Sprint(bracket),
+			prof.KeyRung, fmt.Sprint(rung),
+		}, j.opts.ProfLabels...)
+	}
+	for i := range j.Pop {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var rec TrialRecord
+		var err error
+		prof.Do(ctx, func(ctx context.Context) {
+			rec, err = j.runResilientTrial(ctx, j.Pop[i].Config, alloc)
+		}, labels...)
+		if err != nil {
+			return err
+		}
+		rec.Bracket, rec.Rung = bracket, rung
+		j.fold(i, rec)
+	}
+	sort.Slice(j.Pop, func(a, b int) bool { return j.Pop[a].Score < j.Pop[b].Score })
+	keep := len(j.Pop) / j.opts.Eta
+	if keep < 1 {
+		keep = 1
+	}
+	j.Pop = j.Pop[:keep]
+	if j.rgSp != nil {
+		j.rgSp.Set(obs.Int("survivors", int64(keep)))
+		j.rgSp.End(j.Tuning)
+	}
+	if j.opts.Flight != nil {
+		// Rung boundaries are the deterministic poll points for SLO
+		// alert edges: every worker has drained the rung's trials, so
+		// the snapshot (and any rising edge it reveals) lands at the
+		// same simulated time every run.
+		j.opts.Flight.ObserveSLO(j.Tuning, j.opts.SLO.Snapshot())
+	}
+
+	j.NextRung = rung + 1
+	if j.NextRung >= j.opts.Rungs {
+		// Bracket boundary: the next unit of work is a fresh population.
+		j.Bracket, j.NextRung, j.Pop = bracket+1, 0, nil
+	}
+	if j.opts.Checkpoint {
+		if err := j.checkpoint(); err != nil {
+			return err
+		}
+	}
+	if j.opts.AfterRung != nil {
+		return j.opts.AfterRung(bracket, rung)
+	}
+	return nil
+}
+
+// fold applies member i's trial record to the totals, the sampler and
+// the incumbent. It is the loop's one sequential point: records arrive
+// in config-index order, because the sampler learns from the stream and
+// the running total is the next trial's start time.
+func (j *tuneJob) fold(i int, rec TrialRecord) {
+	j.Pop[i].Score = rec.Score
+	j.Trials = append(j.Trials, rec)
+	j.TrialsRun++
+	// Inference tuning is pipelined: it adds energy but no wall time
+	// (§3.3). Failed attempts and backoff waits are charged like any
+	// other cost.
+	dur := rec.TrainCost.Duration + rec.RetryCost.Duration
+	energyKJ := (rec.TrainCost.EnergyJ + rec.InferTuning.EnergyJ + rec.RetryCost.EnergyJ) / 1000
+	j.Tuning += dur
+	j.TuningEnergyKJ += energyKJ
+	j.sloOverrun.Record(j.Tuning, rec.RetryCost.Duration == 0 && rec.Outcome != OutcomeFailed)
+
+	j.mTrials.Inc()
+	j.reg.Counter("tune.outcome." + rec.Outcome).Inc()
+	j.mTrialDur.Observe(dur.Seconds())
+	j.mTrialEnergy.Observe(energyKJ)
+
+	if rec.Outcome == OutcomeFailed {
+		// The trial is out of the bracket; nothing to learn from a
+		// score that measures the injector, not the configuration.
+		return
+	}
+	cfg := j.Pop[i].Config
+	j.sampler.Observe(search.Observation{Config: cfg, Score: rec.Score, Budget: rec.Alloc.Cost()})
+	// Winner selection is lexicographic: a trial that meets the target
+	// accuracy always beats one that does not (the user asked for that
+	// accuracy, §2.3); among equals the minimised objective decides.
+	meets := rec.Accuracy >= j.opts.TargetAccuracy
+	if !j.HasBest || meets && !j.BestMeets || meets == j.BestMeets && rec.Score < j.BestScore {
+		j.HasBest, j.BestMeets = true, meets
+		j.BestScore, j.BestConfig, j.BestAccuracy = rec.Score, cfg.Clone(), rec.Accuracy
+	}
+	if rec.Accuracy > j.MaxAccuracy {
+		j.MaxAccuracy = rec.Accuracy
+	}
+	if meets {
+		j.ReachedTarget = true
+	}
+}
+
+// recommend reports the incumbent and, for an inference-aware job, the
+// inference configuration the server recommends for its architecture.
+func (j *tuneJob) recommend(ctx context.Context) error {
+	if !j.HasBest {
+		return errors.New("core: no successful trials")
+	}
+	res := j.res
+	res.BestConfig, res.BestAccuracy, res.BestScore = j.BestConfig, j.BestAccuracy, j.BestScore
+	if j.srv != nil {
+		a, err := j.archOf(j.BestConfig)
+		if err != nil {
+			return err
+		}
+		out := <-j.submit(ctx, a, j.Tuning)
 		switch {
 		case out.Err == nil:
 			res.Recommendation = out.Entry
 		case ctx.Err() != nil:
-			return res, ctx.Err()
+			return ctx.Err()
 		case transientInferError(out.Err):
-			entry, derr := fallbackEntry(infSrv, opts, sig, flops, params)
+			entry, derr := j.fallbackEntry(a)
 			if derr != nil {
-				return res, fmt.Errorf("core: recommendation unavailable: %w (fallback: %v)", out.Err, derr)
+				return fmt.Errorf("core: recommendation unavailable: %w (fallback: %v)", out.Err, derr)
 			}
-			recd.AddDegraded()
+			j.recd.AddDegraded()
 			res.Recommendation = entry
 			res.RecommendationDegraded = true
 		default:
-			return res, out.Err
+			return out.Err
 		}
-	}
-
-	if infSrv != nil {
 		// Zero dropped writes on the happy path: everything the server
 		// completed reaches the store before it is saved or measured.
-		if err := infSrv.FlushWrites(); err != nil {
-			return res, err
+		if err := j.srv.FlushWrites(); err != nil {
+			return err
 		}
 	}
 
@@ -819,17 +732,44 @@ func Tune(ctx context.Context, opts Options) (res Result, retErr error) {
 	// killed between the clear and its exit leaves no resume state and
 	// repeats the entire run; a deterministic crash loop (same kill
 	// point every restart) then never terminates.
-	if opts.Checkpoint && opts.CheckpointPath != "" {
-		if err := opts.Store.Save(opts.CheckpointPath); err != nil {
-			return res, err
+	if j.opts.Checkpoint && j.opts.CheckpointPath != "" {
+		if err := j.opts.Store.Save(j.opts.CheckpointPath); err != nil {
+			return err
 		}
 	}
 
-	hits, misses := opts.Store.Stats()
-	res.CacheHits = hits - startHits
-	res.CacheMisses = misses - startMisses
-	res.InferTuningDuration, res.ContainmentViolations = containment(res.Trials)
-	return res, nil
+	hits, misses := j.opts.Store.Stats()
+	res.CacheHits = hits - j.startHits
+	res.CacheMisses = misses - j.startMisses
+	res.InferTuningDuration, res.ContainmentViolations = containment(j.Trials)
+	return nil
+}
+
+// arch is one architecture as the inference server sees it.
+type arch struct {
+	sig           string
+	flops, params float64
+}
+
+func (j *tuneJob) archOf(cfg search.Config) (arch, error) {
+	flops, params, err := j.opts.Workload.PaperCost(cfg)
+	return arch{sig: j.opts.Workload.Signature(cfg), flops: flops, params: params}, err
+}
+
+// submit fires the job's inference request for a at simulated time at.
+func (j *tuneJob) submit(ctx context.Context, a arch, at time.Duration) <-chan InferOutcome {
+	return j.srv.Submit(ctx, InferRequest{
+		Signature:      a.sig,
+		FLOPsPerSample: a.flops,
+		Params:         a.params,
+		SubmitTime:     at,
+		Client:         j.opts.Tenant,
+	})
+}
+
+// inferTerm is the part of an entry the model objective reads.
+func inferTerm(e store.Entry) perfmodel.InferResult {
+	return perfmodel.InferResult{Throughput: e.Throughput, EnergyPerSampleJ: e.EnergyPerSampleJ}
 }
 
 // runResilientTrial wraps runTrial with the retry policy: injected
@@ -837,20 +777,24 @@ func Tune(ctx context.Context, opts Options) (res Result, retErr error) {
 // jitter up to MaxAttempts, every failed attempt and backoff wait is
 // charged to the record's RetryCost, and an exhausted trial is marked
 // OutcomeFailed rather than killing the whole job. The trial and each
-// attempt become spans under parent, placed at start on the simulated
-// timeline; failed attempts and backoff waits push the next attempt
-// later, exactly as they are charged.
-func runResilientTrial(ctx context.Context, runner *trial.Runner, infSrv *InferenceServer, obj Objective, opts Options, recd *counters.Resilience, inj *fault.Injector, cfg search.Config, alloc, satAlloc budget.Allocation, parent *obs.Span, start time.Duration) (TrialRecord, error) {
+// attempt become spans under the open rung span, placed on the simulated
+// timeline from the job's running total; failed attempts and backoff
+// waits push the next attempt later, exactly as they are charged.
+func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, alloc budget.Allocation) (TrialRecord, error) {
+	start := j.Tuning
 	var wasted perfmodel.Cost
 	site := fmt.Sprintf("%s|e%d|f%g", cfg.Key(), alloc.Epochs, alloc.DataFraction)
 	var trSp *obs.Span
-	if parent != nil {
-		trSp = parent.Child("trial", start,
+	if j.rgSp != nil {
+		trSp = j.rgSp.Child("trial", start,
 			obs.Str("config", cfg.Key()),
 			obs.Int("epochs", int64(alloc.Epochs)),
 			obs.Float("fraction", alloc.DataFraction))
 	}
-	var lastClass fault.Class
+	// Retry attempts carry the class of the fault that killed the
+	// previous one as a pprof label, so a profile shows what the
+	// injector's turbulence actually costs, per class.
+	var retryLabels []string
 	for attempt := 0; ; attempt++ {
 		attStart := start + wasted.Duration
 		var attSp *obs.Span
@@ -859,16 +803,9 @@ func runResilientTrial(ctx context.Context, runner *trial.Runner, infSrv *Infere
 		}
 		var rec TrialRecord
 		var err error
-		if opts.Profile && lastClass != "" {
-			// Retry attempts carry the class of the fault that killed
-			// the previous one, so a profile shows what the injector's
-			// turbulence actually costs, per class.
-			prof.Do(ctx, func(ctx context.Context) {
-				rec, err = runTrial(ctx, runner, infSrv, obj, opts, recd, cfg, alloc, satAlloc, attempt, attSp, attStart)
-			}, prof.KeyFaultClass, string(lastClass))
-		} else {
-			rec, err = runTrial(ctx, runner, infSrv, obj, opts, recd, cfg, alloc, satAlloc, attempt, attSp, attStart)
-		}
+		prof.Do(ctx, func(ctx context.Context) {
+			rec, err = j.runTrial(ctx, trial.Request{Config: cfg, Alloc: alloc, Attempt: attempt, Span: attSp, Start: attStart})
+		}, retryLabels...)
 		if err == nil {
 			rec.Attempts = attempt + 1
 			rec.RetryCost = wasted
@@ -907,13 +844,15 @@ func runResilientTrial(ctx context.Context, runner *trial.Runner, infSrv *Infere
 			trSp.End(attStart + rec.TrainCost.Duration)
 			return rec, err
 		}
-		lastClass = fault.ClassOf(err)
+		if j.opts.Profile {
+			retryLabels = []string{prof.KeyFaultClass, string(fault.ClassOf(err))}
+		}
 		// Charge what the failed attempt consumed before dying. The
 		// inference tuning it sheltered is pipelined, so only its
 		// energy counts (as for successful trials).
 		wasted.Duration += rec.TrainCost.Duration
 		wasted.EnergyJ += rec.TrainCost.EnergyJ + rec.InferTuning.EnergyJ
-		if attempt+1 >= opts.MaxAttempts {
+		if attempt+1 >= j.opts.MaxAttempts {
 			if trSp != nil {
 				trSp.Set(obs.Str("outcome", OutcomeFailed), obs.Float("energyJ", wasted.EnergyJ))
 				trSp.End(start + wasted.Duration)
@@ -927,17 +866,17 @@ func runResilientTrial(ctx context.Context, runner *trial.Runner, infSrv *Infere
 				Score:     failedTrialScore,
 			}, nil
 		}
-		recd.AddRetry()
+		j.recd.AddRetry()
 		// Exponential backoff with deterministic jitter, on simulated
 		// time: the cluster isn't hammered and the budget pays for the
 		// wait.
-		backoff := opts.RetryBaseDelay << uint(attempt)
-		jitter := inj.Uniform("backoff/"+site, attempt)
-		wasted.Duration += backoff + time.Duration(jitter*float64(opts.RetryBaseDelay))
+		backoff := retryBaseDelay << uint(attempt)
+		jitter := j.inj.Uniform("backoff/"+site, attempt)
+		wasted.Duration += backoff + time.Duration(jitter*float64(retryBaseDelay))
 	}
 }
 
-// runTrial executes one trial with the pipelined inference request of
+// runTrial executes one attempt with the pipelined inference request of
 // Algorithm 1: the request is fired before training starts, and the
 // result is awaited before the trial's objective is computed. When the
 // inference path is unavailable (breaker open, retries exhausted,
@@ -945,35 +884,28 @@ func runResilientTrial(ctx context.Context, runner *trial.Runner, infSrv *Infere
 // performance-model estimate instead of failing — the outcome is
 // marked OutcomeDegraded so reports distinguish measured from
 // estimated scores.
-func runTrial(ctx context.Context, runner *trial.Runner, infSrv *InferenceServer, obj Objective, opts Options, recd *counters.Resilience, cfg search.Config, alloc, satAlloc budget.Allocation, attempt int, sp *obs.Span, start time.Duration) (TrialRecord, error) {
-	rec := TrialRecord{Config: cfg.Clone(), Alloc: alloc}
-	w := opts.Workload
+func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord, error) {
+	rec := TrialRecord{Config: req.Config.Clone(), Alloc: req.Alloc}
 	if _, ok := rec.Config[workload.ParamGPUs]; !ok {
 		// Inference-unaware baselines fix the system configuration.
-		gpus := opts.FixedGPUs
+		gpus := j.opts.FixedGPUs
 		if gpus < 1 {
 			gpus = 1
 		}
 		rec.Config[workload.ParamGPUs] = float64(gpus)
 	}
 
-	flops, params, err := w.PaperCost(cfg)
+	a, err := j.archOf(req.Config)
 	if err != nil {
 		return rec, err
 	}
-	sig := w.Signature(cfg)
 	var infCh <-chan InferOutcome
-	if infSrv != nil {
-		infCh = infSrv.Submit(ctx, InferRequest{
-			Signature:      sig,
-			FLOPsPerSample: flops,
-			Params:         params,
-			SubmitTime:     start,
-			Client:         opts.Tenant,
-		})
+	if j.srv != nil {
+		infCh = j.submit(ctx, a, req.Start)
 	}
 
-	trialRes, err := runner.Run(ctx, trial.Request{Config: rec.Config, Alloc: alloc, Attempt: attempt, Span: sp, Start: start})
+	req.Config = rec.Config
+	trialRes, err := j.runner.Run(ctx, req)
 	if err != nil {
 		// Surface the partial cost so the retry loop can charge it, and
 		// drain the pipelined inference request: its tuning energy is
@@ -981,7 +913,7 @@ func runTrial(ctx context.Context, runner *trial.Runner, infSrv *InferenceServer
 		// let a retry race against its completion.
 		rec.TrainCost = trialRes.Cost
 		if infCh != nil {
-			if out, aerr := awaitOutcome(ctx, infCh, 30*time.Second); aerr == nil || out.TuningCost.Duration > 0 {
+			if out, aerr := awaitOutcome(ctx, infCh, requestTimeout); aerr == nil || out.TuningCost.Duration > 0 {
 				rec.InferTuning = out.TuningCost
 			}
 		}
@@ -993,74 +925,59 @@ func runTrial(ctx context.Context, runner *trial.Runner, infSrv *InferenceServer
 	// Projected cost of training this configuration at the saturated
 	// budget, used for cross-rung comparable scoring.
 	fullCost, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
-		FLOPsPerSample: flops,
-		Params:         params,
-		Samples:        w.Split.Train.PaperSamples() * satAlloc.DataFraction,
-		Epochs:         satAlloc.Epochs,
+		FLOPsPerSample: a.flops,
+		Params:         a.params,
+		Samples:        j.opts.Workload.Split.Train.PaperSamples() * j.satAlloc.DataFraction,
+		Epochs:         j.satAlloc.Epochs,
 		BatchSize:      int(rec.Config[workload.ParamTrainBatch]),
 		GPUs:           int(rec.Config[workload.ParamGPUs]),
-	}, opts.GPU)
+	}, j.opts.GPU)
 	if err != nil {
 		return rec, err
 	}
 
 	var inf perfmodel.InferResult
-	if infSrv != nil {
-		out, err := awaitOutcome(ctx, infCh, 30*time.Second)
+	if j.srv != nil {
+		out, err := awaitOutcome(ctx, infCh, requestTimeout)
 		switch {
 		case err == nil:
 			rec.InferCached = out.Cached
 			rec.InferTuning = out.TuningCost
-			inf = perfmodel.InferResult{
-				Throughput:       out.Entry.Throughput,
-				EnergyPerSampleJ: out.Entry.EnergyPerSampleJ,
-			}
+			inf = inferTerm(out.Entry)
 		case ctx.Err() != nil:
 			return rec, ctx.Err()
 		case transientInferError(err):
 			rec.InferTuning = out.TuningCost
 			// One cheap resubmit first: a dropped reply whose result
 			// reached the store resolves instantly from the fast path.
-			recd.AddRetry()
-			retry := <-infSrv.Submit(ctx, InferRequest{
-				Signature:      sig,
-				FLOPsPerSample: flops,
-				Params:         params,
-				SubmitTime:     start,
-				Client:         opts.Tenant,
-			})
+			j.recd.AddRetry()
+			retry := <-j.submit(ctx, a, req.Start)
 			if retry.Err == nil {
 				rec.InferCached = retry.Cached
 				rec.InferTuning = rec.InferTuning.Add(retry.TuningCost)
-				inf = perfmodel.InferResult{
-					Throughput:       retry.Entry.Throughput,
-					EnergyPerSampleJ: retry.Entry.EnergyPerSampleJ,
-				}
+				inf = inferTerm(retry.Entry)
 				break
 			}
 			// Graceful degradation: historical entry, else estimate.
-			entry, derr := fallbackEntry(infSrv, opts, sig, flops, params)
+			entry, derr := j.fallbackEntry(a)
 			if derr != nil {
 				return rec, fmt.Errorf("core: inference unavailable: %w (fallback: %v)", err, derr)
 			}
-			recd.AddDegraded()
+			j.recd.AddDegraded()
 			rec.Outcome = OutcomeDegraded
-			inf = perfmodel.InferResult{
-				Throughput:       entry.Throughput,
-				EnergyPerSampleJ: entry.EnergyPerSampleJ,
-			}
+			inf = inferTerm(entry)
 		default:
 			return rec, err
 		}
 	}
 
 	switch {
-	case opts.AccuracyOnly:
+	case j.opts.AccuracyOnly:
 		rec.Score = 1 - trialRes.Accuracy
-	case infSrv != nil:
-		rec.Score = obj.ModelScore(fullCost, inf, trialRes.Accuracy)
+	case j.srv != nil:
+		rec.Score = j.obj.ModelScore(fullCost, inf, trialRes.Accuracy)
 	default:
-		rec.Score = obj.TrainOnlyScore(fullCost, trialRes.Accuracy)
+		rec.Score = j.obj.TrainOnlyScore(fullCost, trialRes.Accuracy)
 	}
 	return rec, nil
 }
@@ -1070,22 +987,19 @@ func runTrial(ctx context.Context, runner *trial.Runner, infSrv *InferenceServer
 // exists (read through the server's write-behind buffer, so freshly
 // tuned but unflushed results still count), otherwise the performance
 // model's estimate of the device's untuned default configuration.
-func fallbackEntry(infSrv *InferenceServer, opts Options, sig string, flops, params float64) (store.Entry, error) {
-	if infSrv != nil {
-		if e, err := infSrv.LookupStored(sig); err == nil {
-			return e, nil
-		}
-	} else if e, err := opts.Store.Get(sig, opts.Device.Profile.Name); err == nil {
+func (j *tuneJob) fallbackEntry(a arch) (store.Entry, error) {
+	if e, err := j.srv.LookupStored(a.sig); err == nil {
 		return e, nil
 	}
-	spec := opts.Device.DefaultSpec(flops, params)
-	r, err := opts.Device.Estimate(spec)
+	dev := j.opts.Device
+	spec := dev.DefaultSpec(a.flops, a.params)
+	r, err := dev.Estimate(spec)
 	if err != nil {
 		return store.Entry{}, err
 	}
 	return store.Entry{
-		Signature: sig,
-		Device:    opts.Device.Profile.Name,
+		Signature: a.sig,
+		Device:    dev.Profile.Name,
 		Config: search.Config{
 			workload.ParamInferBatch: float64(spec.BatchSize),
 			workload.ParamCores:      float64(spec.Cores),

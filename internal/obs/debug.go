@@ -37,14 +37,10 @@ type DebugOptions struct {
 	Handlers map[string]http.Handler
 }
 
-// StartDebugServer listens on addr (e.g. "localhost:6060"; ":0" picks a
-// free port) and serves introspection endpoints rendered from reg until
-// Close. It never blocks the pipeline: failures to serve are dropped.
-func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
-	return StartDebugServerOpts(addr, DebugOptions{Registry: reg})
-}
-
-// StartDebugServerOpts is StartDebugServer with extra endpoints.
+// StartDebugServerOpts listens on addr (e.g. "localhost:6060"; ":0"
+// picks a free port) and serves introspection endpoints rendered from
+// opts.Registry, plus opts.Handlers, until Close. It never blocks the
+// pipeline: failures to serve are dropped.
 func StartDebugServerOpts(addr string, opts DebugOptions) (*DebugServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {

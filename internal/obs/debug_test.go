@@ -13,7 +13,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg.Counter("serving.requests").Add(7)
 	reg.Histogram("serving.latency.ms", LatencyBucketsMS).Observe(12)
 
-	srv, err := StartDebugServer("127.0.0.1:0", reg)
+	srv, err := StartDebugServerOpts("127.0.0.1:0", DebugOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestWritePrometheusEmptyHistogramEmitsSumCount(t *testing.T) {
 func TestWritePrometheusEmptyHistogramOverHTTP(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram("tune.rung-ms", []float64{5})
-	d, err := StartDebugServer("localhost:0", reg)
+	d, err := StartDebugServerOpts("localhost:0", DebugOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

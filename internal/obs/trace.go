@@ -74,9 +74,6 @@ func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 
-// DurAttr builds a duration attribute, recorded as integer nanoseconds.
-func DurAttr(k string, v time.Duration) Attr { return Attr{Key: k, Value: int64(v)} }
-
 // maxSpans bounds the in-memory buffer; a runaway instrumentation site
 // drops spans (counted) instead of exhausting memory.
 const maxSpans = 4 << 20

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"math"
 	"sync"
 	"testing"
@@ -176,119 +175,6 @@ func TestNewSamplerRegistry(t *testing.T) {
 	}
 	if _, err := NewSampler("annealing", s, 1); err == nil {
 		t.Error("unknown algorithm did not error")
-	}
-}
-
-func TestSuccessiveHalvingFindsOptimum(t *testing.T) {
-	s := twoDSpace(t)
-	obj := quadratic(s, []float64{0.3, 0.7})
-	eval := func(_ context.Context, cfg Config, _ int, budget float64) (float64, error) {
-		// Higher budget = less noise, mimicking fidelity.
-		return obj(cfg) * (1 + 0.1/budget), nil
-	}
-	res, err := SuccessiveHalving(context.Background(), NewTPESampler(s, 3, TPEOptions{}), eval, HalvingOptions{
-		Eta: 2, InitialConfigs: 16, Rungs: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.Score > 0.2 {
-		t.Errorf("best score %v too far from optimum", res.Best.Score)
-	}
-	// 16 + 8 + 4 + 2 evaluations.
-	if res.TrialsRun != 30 {
-		t.Errorf("TrialsRun = %d, want 30", res.TrialsRun)
-	}
-}
-
-func TestSuccessiveHalvingBudgetsIncrease(t *testing.T) {
-	s := twoDSpace(t)
-	var budgets []float64
-	eval := func(_ context.Context, _ Config, _ int, budget float64) (float64, error) {
-		budgets = append(budgets, budget)
-		return 1, nil
-	}
-	if _, err := SuccessiveHalving(context.Background(), NewRandomSampler(s, 1), eval, HalvingOptions{
-		Eta: 2, InitialConfigs: 4, Rungs: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Rungs: 4 at b0, 2 at b1, 1 at b2 with b0 < b1 < b2 = 1.
-	if len(budgets) != 7 {
-		t.Fatalf("ran %d evals, want 7", len(budgets))
-	}
-	if budgets[0] >= budgets[4] || budgets[4] >= budgets[6] {
-		t.Errorf("budgets not increasing across rungs: %v", budgets)
-	}
-	if budgets[6] != 1 {
-		t.Errorf("final rung budget = %v, want 1", budgets[6])
-	}
-}
-
-func TestSuccessiveHalvingValidation(t *testing.T) {
-	s := twoDSpace(t)
-	eval := func(context.Context, Config, int, float64) (float64, error) { return 0, nil }
-	bad := []HalvingOptions{
-		{Eta: 1, InitialConfigs: 4, Rungs: 2},
-		{Eta: 2, InitialConfigs: 0, Rungs: 2},
-		{Eta: 2, InitialConfigs: 4, Rungs: 0},
-	}
-	for i, opts := range bad {
-		if _, err := SuccessiveHalving(context.Background(), NewRandomSampler(s, 1), eval, opts); err == nil {
-			t.Errorf("case %d: invalid options did not error", i)
-		}
-	}
-}
-
-func TestSuccessiveHalvingContextCancel(t *testing.T) {
-	s := twoDSpace(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	eval := func(context.Context, Config, int, float64) (float64, error) {
-		calls++
-		if calls == 3 {
-			cancel()
-		}
-		return 1, nil
-	}
-	_, err := SuccessiveHalving(ctx, NewRandomSampler(s, 1), eval, HalvingOptions{
-		Eta: 2, InitialConfigs: 8, Rungs: 3,
-	})
-	if err == nil {
-		t.Error("cancelled context did not error")
-	}
-	if calls > 4 {
-		t.Errorf("ran %d evals after cancellation", calls)
-	}
-}
-
-func TestHyperBandRunsBrackets(t *testing.T) {
-	s := twoDSpace(t)
-	obj := quadratic(s, []float64{0.5, 0.5})
-	eval := func(_ context.Context, cfg Config, _ int, _ float64) (float64, error) {
-		return obj(cfg), nil
-	}
-	res, err := HyperBand(context.Background(), NewRandomSampler(s, 5), eval, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Brackets: 9 cfg x 3 rungs (9+3+1), 3 cfg x 2 rungs (3+1), 1 cfg x 1.
-	if res.TrialsRun != 13+4+1 {
-		t.Errorf("TrialsRun = %d, want 18", res.TrialsRun)
-	}
-	if res.Best.Score > 0.5 {
-		t.Errorf("best %v unexpectedly poor", res.Best.Score)
-	}
-}
-
-func TestHyperBandValidation(t *testing.T) {
-	s := twoDSpace(t)
-	eval := func(context.Context, Config, int, float64) (float64, error) { return 0, nil }
-	if _, err := HyperBand(context.Background(), NewRandomSampler(s, 1), eval, 1, 2); err == nil {
-		t.Error("eta=1 did not error")
-	}
-	if _, err := HyperBand(context.Background(), NewRandomSampler(s, 1), eval, 2, 0); err == nil {
-		t.Error("maxRungs=0 did not error")
 	}
 }
 
