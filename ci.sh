@@ -64,7 +64,10 @@ go -C bench vet ./...
 go -C bench test ./...
 
 gate "go test -race"
-go test -race ./...
+# internal/core alone takes 545–590 s under the race detector on two
+# cores (ROADMAP item 1 is to shard it): the default 10-minute timeout
+# turns a slow minute of the machine into a red gate.
+go test -race -timeout 20m ./...
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...
@@ -86,6 +89,19 @@ go run ./cmd/tracetool analyze "$tracedir/b.jsonl" > "$tracedir/b.analysis"
 cmp "$tracedir/a.analysis" "$tracedir/b.analysis"
 grep -q "critical paths" "$tracedir/a.analysis"
 go run ./cmd/tracetool diff "$tracedir/a.jsonl" "$tracedir/b.jsonl" >/dev/null
+
+gate "parallel determinism"
+# GOMAXPROCS decides how many helpers train a rung's registered trials
+# side by side (DESIGN.md §4.17) and nothing else: a seeded job's report
+# and trace are byte-identical on one core — no helper, the sequential
+# loop — and on four. Then the package that owns the helper budget and
+# the scratch free list, twice under the race detector.
+go build -o "$tracedir/edgetune" ./cmd/edgetune
+GOMAXPROCS=1 "$tracedir/edgetune" -workload IC -seed 42 -trace "$tracedir/p1.jsonl" > "$tracedir/p1.out"
+GOMAXPROCS=4 "$tracedir/edgetune" -workload IC -seed 42 -trace "$tracedir/p4.jsonl" > "$tracedir/p4.out"
+cmp "$tracedir/p1.out" "$tracedir/p4.out"
+cmp "$tracedir/p1.jsonl" "$tracedir/p4.jsonl"
+go test -race -count=2 ./internal/trial/
 
 gate "tracing no-op overhead"
 # Smoke-run the disabled-tracing benchmark so a regression that breaks

@@ -19,14 +19,14 @@ func TestRunList(t *testing.T) {
 		"Figure 1", "Figure 17", "Table 1", "Table 2",
 		"BenchmarkAutoscaleDecision", "BenchmarkNNMiniBatch",
 		"BenchmarkWALAppend", "BenchmarkClusterDispatch",
-		"BenchmarkFlightRecord", "BenchmarkTPESearch",
+		"BenchmarkFlightRecord", "BenchmarkTPESearch", "BenchmarkTrialRun",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("list missing %q", want)
 		}
 	}
-	if lines := strings.Count(got, "\n"); lines != 27 {
-		t.Errorf("list has %d lines, want 27 experiments", lines)
+	if lines := strings.Count(got, "\n"); lines != 28 {
+		t.Errorf("list has %d lines, want 28 experiments", lines)
 	}
 }
 

@@ -385,6 +385,10 @@ type tuneJob struct {
 	// The open tune, bracket and rung spans (nil when tracing is off).
 	tuneSp, brSp, rgSp *obs.Span
 
+	// tailPlanned records that the open bracket is down to one survivor
+	// and its remaining rungs are registered with the runner (see plan).
+	tailPlanned bool
+
 	// Hit/miss counters persist across restarts with a durable store,
 	// so the result reports this run's delta, not lifetime totals.
 	startHits, startMisses int
@@ -458,9 +462,15 @@ func (j *tuneJob) setUp() error {
 			obs.Str("budget", opts.BudgetKind))
 	}
 
-	var err error
-	if j.inj, err = fault.NewInjector(opts.Fault, opts.Seed, j.recd); err != nil {
+	inj, err := fault.NewInjector(opts.Fault, opts.Seed, j.recd)
+	if err != nil {
 		return err
+	}
+	if opts.Fault.Enabled() || opts.Fault.Observe != nil {
+		// Otherwise the injector stays nil, which decides the same
+		// (nothing ever fires) without a site string being built per
+		// decision point for nobody to read.
+		j.inj = inj
 	}
 	space, err := w.TrainSpace(opts.SystemParams)
 	if err != nil {
@@ -521,6 +531,10 @@ func saturatedAlloc(strat budget.Strategy) budget.Allocation {
 // warm-up is charged to the job), Close drains the serving SLO events,
 // and the snapshots and dossiers come last, once the pipeline quiesced.
 func (j *tuneJob) finish() {
+	// Whatever path led here, trainings may be registered that no trial
+	// will read; their helpers stop before anything they could still
+	// touch is torn down, and before Tune returns.
+	j.runner.Drain()
 	res := j.res
 	res.Trials, res.TrialsRun = j.Trials, j.TrialsRun
 	res.TuningDuration, res.TuningEnergyKJ = j.Tuning, j.TuningEnergyKJ
@@ -552,6 +566,7 @@ func (j *tuneJob) finish() {
 // openBracket samples the bracket's population, unless a checkpoint
 // resumed the job inside this bracket with its survivors already in Pop.
 func (j *tuneJob) openBracket(bracket int) {
+	j.tailPlanned = false
 	if j.tuneSp != nil {
 		j.brSp = j.tuneSp.Child("bracket", j.Tuning, obs.Int("bracket", int64(bracket)))
 	}
@@ -567,13 +582,8 @@ func (j *tuneJob) openBracket(bracket int) {
 // runRung trains the population under this rung's allocation, keeps the
 // best 1/η, and advances the progress, which the checkpoint then stores.
 func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
-	alloc := j.strat.At(rung + 1)
-	if rung == j.opts.Rungs-1 {
-		// The final rung always confirms survivors at the strategy's
-		// saturated budget, so every bracket ends with fully-trained
-		// evaluations.
-		alloc = j.satAlloc
-	}
+	alloc := j.allocAt(rung)
+	j.plan(bracket, rung)
 	if j.brSp != nil {
 		j.rgSp = j.brSp.Child("rung", j.Tuning,
 			obs.Int("rung", int64(rung)),
@@ -581,18 +591,11 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 			obs.Int("epochs", int64(alloc.Epochs)),
 			obs.Float("fraction", alloc.DataFraction))
 	}
-	var labels []string
-	if j.opts.Profile {
-		// The trial (and its synchronous mini-batch loop) runs on this
-		// goroutine, so the labels cover every training-side sample;
-		// inference work hops to the server's workers, which re-apply
-		// their own.
-		labels = append([]string{
-			prof.KeyTenant, tenantLabel(j.opts.Tenant),
-			prof.KeyBracket, fmt.Sprint(bracket),
-			prof.KeyRung, fmt.Sprint(rung),
-		}, j.opts.ProfLabels...)
-	}
+	// The trial's sequential part, and its mini-batch loop unless a
+	// helper ran it under these same labels (see plan), run on this
+	// goroutine; inference work hops to the server's workers, which
+	// re-apply their own.
+	labels := j.rungLabels(bracket, rung)
 	for i := range j.Pop {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -640,6 +643,66 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 		return j.opts.AfterRung(bracket, rung)
 	}
 	return nil
+}
+
+// allocAt is the allocation a rung trains under. The final rung always
+// confirms survivors at the strategy's saturated budget, so every
+// bracket ends with fully-trained evaluations.
+func (j *tuneJob) allocAt(rung int) budget.Allocation {
+	if rung == j.opts.Rungs-1 {
+		return j.satAlloc
+	}
+	return j.strat.At(rung + 1)
+}
+
+// rungLabels is the pprof label set of a rung's training-side work
+// (nil, and free, unless Options.Profile).
+func (j *tuneJob) rungLabels(bracket, rung int) []string {
+	if !j.opts.Profile {
+		return nil
+	}
+	return append([]string{
+		prof.KeyTenant, tenantLabel(j.opts.Tenant),
+		prof.KeyBracket, fmt.Sprint(bracket),
+		prof.KeyRung, fmt.Sprint(rung),
+	}, j.opts.ProfLabels...)
+}
+
+// plan registers with the runner, as a rung opens, every training whose
+// inputs are decided by then: attempt 0 of each population member under
+// this rung's allocation, and — once the bracket is down to one
+// survivor, which every remaining rung will train again under
+// allocations the strategy already fixes — attempt 0 of that survivor at
+// each remaining rung, labelled as the rung it belongs to. The loop
+// below does not change: it still runs every trial in config-index
+// order on this goroutine, and only finds some trainings already done.
+func (j *tuneJob) plan(bracket, rung int) {
+	if j.tailPlanned {
+		return
+	}
+	reqs, alloc := make([]trial.Request, len(j.Pop)), j.allocAt(rung)
+	for i := range j.Pop {
+		reqs[i] = trial.Request{Config: j.trialConfig(j.Pop[i].Config), Alloc: alloc}
+	}
+	j.runner.Register(j.rungLabels(bracket, rung), reqs...)
+	if len(j.Pop) > 1 {
+		return
+	}
+	j.tailPlanned = true
+	for later := rung + 1; later < j.opts.Rungs; later++ {
+		j.runner.Register(j.rungLabels(bracket, later), trial.Request{Config: reqs[0].Config, Alloc: j.allocAt(later)})
+	}
+}
+
+// trialConfig is the configuration a trial of cfg trains and records: a
+// copy, with the fixed system configuration filled in for the
+// inference-unaware baselines, whose space has no GPU count.
+func (j *tuneJob) trialConfig(cfg search.Config) search.Config {
+	cfg = cfg.Clone()
+	if _, ok := cfg[workload.ParamGPUs]; !ok {
+		cfg[workload.ParamGPUs] = float64(max(j.opts.FixedGPUs, 1))
+	}
+	return cfg
 }
 
 // fold applies member i's trial record to the totals, the sampler and
@@ -783,7 +846,6 @@ func inferTerm(e store.Entry) perfmodel.InferResult {
 func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, alloc budget.Allocation) (TrialRecord, error) {
 	start := j.Tuning
 	var wasted perfmodel.Cost
-	site := fmt.Sprintf("%s|e%d|f%g", cfg.Key(), alloc.Epochs, alloc.DataFraction)
 	var trSp *obs.Span
 	if j.rgSp != nil {
 		trSp = j.rgSp.Child("trial", start,
@@ -871,7 +933,8 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 		// time: the cluster isn't hammered and the budget pays for the
 		// wait.
 		backoff := retryBaseDelay << uint(attempt)
-		jitter := j.inj.Uniform("backoff/"+site, attempt)
+		site := fmt.Sprintf("backoff/%s|e%d|f%g", cfg.Key(), alloc.Epochs, alloc.DataFraction)
+		jitter := j.inj.Uniform(site, attempt)
 		wasted.Duration += backoff + time.Duration(jitter*float64(retryBaseDelay))
 	}
 }
@@ -885,15 +948,7 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 // marked OutcomeDegraded so reports distinguish measured from
 // estimated scores.
 func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord, error) {
-	rec := TrialRecord{Config: req.Config.Clone(), Alloc: req.Alloc}
-	if _, ok := rec.Config[workload.ParamGPUs]; !ok {
-		// Inference-unaware baselines fix the system configuration.
-		gpus := j.opts.FixedGPUs
-		if gpus < 1 {
-			gpus = 1
-		}
-		rec.Config[workload.ParamGPUs] = float64(gpus)
-	}
+	rec := TrialRecord{Config: j.trialConfig(req.Config), Alloc: req.Alloc}
 
 	a, err := j.archOf(req.Config)
 	if err != nil {

@@ -43,6 +43,9 @@ const (
 // embedding dim) real influence on tuning outcomes.
 type teacher struct {
 	w1, w2 *tensor.Matrix
+	// labelMargin's row view and products, kept across the thousands of
+	// candidate rows one generator call labels.
+	x, h, logits tensor.Matrix
 }
 
 func newTeacher(in, hidden, classes int, rng *sim.RNG) *teacher {
@@ -62,10 +65,10 @@ func (t *teacher) label(x *tensor.Matrix) []int {
 // labelMargin returns the label and the logit margin (top minus
 // runner-up) for a single feature row.
 func (t *teacher) labelMargin(row []float64) (int, float64) {
-	x, _ := tensor.FromSlice(1, len(row), row)
-	h := tensor.MatMul(x, t.w1)
+	t.x.Rows, t.x.Cols, t.x.Data = 1, len(row), row
+	h := tensor.MatMulInto(&t.h, &t.x, t.w1)
 	h.Apply(math.Tanh)
-	logits := tensor.MatMul(h, t.w2)
+	logits := tensor.MatMulInto(&t.logits, h, t.w2)
 	best, second, bestIdx := math.Inf(-1), math.Inf(-1), 0
 	for j, v := range logits.Row(0) {
 		if v > best {

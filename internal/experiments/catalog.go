@@ -115,6 +115,7 @@ func All() []Experiment {
 		{ID: "BenchmarkPerfmodelEval", Run: BenchmarkPerfmodelEval},
 		{ID: "BenchmarkAdmissionServe", Run: BenchmarkAdmissionServe},
 		{ID: "BenchmarkTPESearch", Run: BenchmarkTPESearch},
+		{ID: "BenchmarkTrialRun", Run: BenchmarkTrialRun},
 		{ID: "BenchmarkTraceEmit", Run: BenchmarkTraceEmit},
 		{ID: "BenchmarkWALAppend", Run: BenchmarkWALAppend},
 		{ID: "BenchmarkClusterDispatch", Run: BenchmarkClusterDispatch},

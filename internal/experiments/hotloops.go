@@ -2,12 +2,12 @@ package experiments
 
 // Hot-loop benchmarks: one experiment per loop the ROADMAP's
 // zero-alloc work targets — the nn mini-batch step, perfmodel
-// evaluation, the admission/serve path, the inference search, trace
-// emission, WAL append, and cluster dispatch. Each runs the loop enough
-// times for benchtab's wall-clock to be meaningful, reports
-// deterministic rows, and stamps Table.AllocsPerOp/BytesPerOp from a
-// prof.Measure probe so `tracetool check-bench` can gate allocation
-// regressions per stage.
+// evaluation, the admission/serve path, the inference search, a whole
+// training trial, trace emission, WAL append, and cluster dispatch.
+// Each runs the loop enough times for benchtab's wall-clock to be
+// meaningful, reports deterministic rows, and stamps
+// Table.AllocsPerOp/BytesPerOp from a prof.Measure probe so `tracetool
+// check-bench` can gate allocation regressions per stage.
 
 import (
 	"context"
@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"edgetune/internal/budget"
 	"edgetune/internal/cluster"
 	"edgetune/internal/core"
 	"edgetune/internal/device"
@@ -26,6 +27,7 @@ import (
 	"edgetune/internal/sim"
 	"edgetune/internal/store"
 	"edgetune/internal/tensor"
+	"edgetune/internal/trial"
 	"edgetune/internal/workload"
 )
 
@@ -230,6 +232,58 @@ func BenchmarkTPESearch() (Table, error) {
 		p := prof.Measure("search.tpe-search", probeRuns, func() { _, _, _ = searchOnce() })
 		t.stampProbe(p.Runs, p.AllocsPerOp, p.BytesPerOp)
 		t.Notes = []string{"alloc probe covers a fresh sampler plus 24 × (Sample, Estimate, Observe)"}
+		return t, nil
+	})
+}
+
+var trialRunMemo memo[Table]
+
+// BenchmarkTrialRun measures whole training trials as a rung runs them
+// — build the network, take the subset, train, evaluate — on a scratch
+// the trial before warmed (DESIGN.md §4.15): one IC and one NLP trial
+// per operation. What a trial leaves to the collector is the few dozen
+// small objects a network is made of, not the storage under them.
+func BenchmarkTrialRun() (Table, error) {
+	return trialRunMemo.do(func() (Table, error) {
+		t := Table{
+			ID:     "BenchmarkTrialRun",
+			Title:  "training trial on a warm scratch (one IC + one NLP trial)",
+			Header: []string{"workload", "config", "epochs", "fraction", "steps", "accuracy"},
+		}
+		alloc := budget.Allocation{Epochs: 2, DataFraction: 0.3}
+		var trials []func() (trial.Result, error)
+		for _, c := range []struct {
+			id  string
+			cfg search.Config
+		}{
+			{"IC", search.Config{workload.ParamLayers: 34, workload.ParamTrainBatch: 128, workload.ParamGPUs: 1}},
+			{"NLP", search.Config{workload.ParamStride: 4, workload.ParamTrainBatch: 64, workload.ParamGPUs: 1}},
+		} {
+			w, err := workload.New(c.id, 7)
+			if err != nil {
+				return Table{}, err
+			}
+			r, err := trial.NewRunner(w, perfmodel.GPUProfile{}, 7)
+			if err != nil {
+				return Table{}, err
+			}
+			req := trial.Request{Config: c.cfg, Alloc: alloc}
+			run := func() (trial.Result, error) { return r.Run(context.Background(), req) }
+			res, err := run() // featurises the stride once and sizes the scratch
+			if err != nil {
+				return Table{}, err
+			}
+			t.Rows = append(t.Rows, []string{c.id, c.cfg.Key(), fmt.Sprint(alloc.Epochs), f3(alloc.DataFraction),
+				fmt.Sprint(res.Steps), f3(res.Accuracy)})
+			trials = append(trials, run)
+		}
+		p := prof.Measure("trial.run", probeRuns, func() {
+			for _, run := range trials {
+				_, _ = run() // the same requests just ran cleanly above
+			}
+		})
+		t.stampProbe(p.Runs, p.AllocsPerOp, p.BytesPerOp)
+		t.Notes = []string{"alloc probe covers model build + subset + train + evaluate + simulated cost, for both trials"}
 		return t, nil
 	})
 }

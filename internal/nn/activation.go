@@ -12,7 +12,10 @@ type ReLU struct {
 }
 
 // NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
+func NewReLU() *ReLU { return NewReLUIn(nil) }
+
+// NewReLUIn is NewReLU with the layer's buffers taken from a.
+func NewReLUIn(a *tensor.Arena) *ReLU { return &ReLU{out: a.Buffer(), dx: a.Buffer()} }
 
 // Forward applies max(0, x).
 func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
@@ -56,7 +59,10 @@ type Tanh struct {
 }
 
 // NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
+func NewTanh() *Tanh { return NewTanhIn(nil) }
+
+// NewTanhIn is NewTanh with the layer's buffers taken from a.
+func NewTanhIn(a *tensor.Arena) *Tanh { return &Tanh{out: a.Buffer(), dx: a.Buffer()} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {

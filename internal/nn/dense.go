@@ -21,14 +21,20 @@ type Dense struct {
 }
 
 // NewDense creates a dense layer with He-normal initialised weights.
-func NewDense(in, out int, rng *sim.RNG) *Dense {
+func NewDense(in, out int, rng *sim.RNG) *Dense { return NewDenseIn(nil, in, out, rng) }
+
+// NewDenseIn is NewDense with the layer's storage taken from a.
+func NewDenseIn(a *tensor.Arena, in, out int, rng *sim.RNG) *Dense {
 	std := math.Sqrt(2 / float64(in))
 	return &Dense{
 		in:  in,
 		out: out,
-		w:   newParam(tensor.Randn(in, out, std, rng)),
-		b:   newParam(tensor.New(1, out)),
-		db:  make([]float64, out),
+		w:   newParam(a, a.Randn(in, out, std, rng)),
+		b:   newParam(a, a.New(1, out)),
+		y:   a.Buffer(),
+		dx:  a.Buffer(),
+		dw:  a.Buffer(),
+		db:  a.Floats(out),
 	}
 }
 

@@ -19,11 +19,14 @@ type Dropout struct {
 }
 
 // NewDropout creates a dropout layer. Rate must be in [0, 1).
-func NewDropout(rate float64, rng *sim.RNG) (*Dropout, error) {
+func NewDropout(rate float64, rng *sim.RNG) (*Dropout, error) { return NewDropoutIn(nil, rate, rng) }
+
+// NewDropoutIn is NewDropout with the layer's buffers taken from a.
+func NewDropoutIn(a *tensor.Arena, rate float64, rng *sim.RNG) (*Dropout, error) {
 	if rate < 0 || rate >= 1 {
 		return nil, fmt.Errorf("nn: dropout rate %v out of [0,1)", rate)
 	}
-	return &Dropout{rate: rate, rng: rng}, nil
+	return &Dropout{rate: rate, rng: rng, mask: a.Buffer(), out: a.Buffer(), dx: a.Buffer()}, nil
 }
 
 // Forward applies the mask when training; it is the identity at inference.

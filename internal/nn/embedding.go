@@ -30,7 +30,7 @@ func NewEmbedding(vocab, dim int, rng *sim.RNG) (*Embedding, error) {
 	return &Embedding{
 		vocab: vocab,
 		dim:   dim,
-		table: newParam(tensor.Randn(vocab, dim, std, rng)),
+		table: newParam(nil, tensor.Randn(vocab, dim, std, rng)),
 	}, nil
 }
 
@@ -134,9 +134,9 @@ func NewSimpleRNN(vocab, hidden int, rng *sim.RNG) (*SimpleRNN, error) {
 	return &SimpleRNN{
 		vocab:  vocab,
 		hidden: hidden,
-		embed:  newParam(tensor.Randn(vocab, hidden, 1/math.Sqrt(float64(hidden)), rng)),
-		wh:     newParam(tensor.Randn(hidden, hidden, 0.5/math.Sqrt(float64(hidden)), rng)),
-		bias:   newParam(tensor.New(1, hidden)),
+		embed:  newParam(nil, tensor.Randn(vocab, hidden, 1/math.Sqrt(float64(hidden)), rng)),
+		wh:     newParam(nil, tensor.Randn(hidden, hidden, 0.5/math.Sqrt(float64(hidden)), rng)),
+		bias:   newParam(nil, tensor.New(1, hidden)),
 		db:     make([]float64, hidden),
 	}, nil
 }

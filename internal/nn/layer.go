@@ -14,9 +14,10 @@ type Param struct {
 	Grad *tensor.Matrix
 }
 
-// newParam wraps a weight matrix with a zeroed gradient of the same shape.
-func newParam(w *tensor.Matrix) *Param {
-	return &Param{W: w, Grad: tensor.New(w.Rows, w.Cols)}
+// newParam wraps a weight matrix with a zeroed gradient of the same
+// shape from a (nil = the heap).
+func newParam(a *tensor.Arena, w *tensor.Matrix) *Param {
+	return &Param{W: w, Grad: a.New(w.Rows, w.Cols)}
 }
 
 // ZeroGrad clears the accumulated gradient.
@@ -43,6 +44,11 @@ func (p *Param) Count() int { return len(p.W.Data) }
 // and a Forward in between invalidates the pending Backward. Backward
 // returns nil where no input gradient exists (token IDs) or nobody
 // reads it (see NewNetwork).
+//
+// The constructors named …In build the layer out of a tensor.Arena —
+// weights, gradients and the owned buffers alike — and the layer is
+// then valid until that arena's next Reset; the ones without the
+// suffix are the same constructors on the heap (a nil arena).
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix

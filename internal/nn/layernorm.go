@@ -33,8 +33,8 @@ func NewLayerNorm(dim int) *LayerNorm {
 	}
 	return &LayerNorm{
 		dim:   dim,
-		gamma: newParam(gamma),
-		beta:  newParam(tensor.New(1, dim)),
+		gamma: newParam(nil, gamma),
+		beta:  newParam(nil, tensor.New(1, dim)),
 		dxhat: make([]float64, dim),
 	}
 }

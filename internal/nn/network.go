@@ -11,12 +11,19 @@ import (
 //
 // A Network is single-goroutine: its layers own the activation and
 // gradient buffers they return and reuse them on every call, so the
-// logits Forward returns are valid only until the next Forward.
+// logits Forward returns are valid only until the next Forward. One
+// built with NewNetworkIn is, like its layers, valid until the arena's
+// next Reset.
 type Network struct {
 	layers []Layer
 	params []*Param // every layer's parameters, collected once
+	// arena is where the network's own buffers, and what Train needs
+	// around it, come from; nil is the heap.
+	arena *tensor.Arena
 
 	lossGrad tensor.Matrix // TrainStep's loss-gradient buffer
+	pred     []int         // Predict's result
+	chunk    tensor.Matrix // Predict's view of the rows it is forwarding
 	// trained records that the latest Forward was a training one, i.e.
 	// that the activations the layers cached for Backward are intact.
 	trained bool
@@ -25,14 +32,19 @@ type Network struct {
 // NewNetwork builds a sequential network from layers. At least one layer
 // is required. A Dense first layer is told to skip its input gradient:
 // Backward discards it, and it is the widest product of the step.
-func NewNetwork(layers ...Layer) (*Network, error) {
+func NewNetwork(layers ...Layer) (*Network, error) { return NewNetworkIn(nil, layers...) }
+
+// NewNetworkIn is NewNetwork with the network's buffers, and the
+// optimiser state, batch and sample order of a Train on it, taken from
+// a — the arena its layers were built in.
+func NewNetworkIn(a *tensor.Arena, layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("nn: network needs at least one layer")
 	}
 	if d, ok := layers[0].(*Dense); ok {
 		d.skipInputGrad = true
 	}
-	n := &Network{layers: layers}
+	n := &Network{layers: layers, arena: a, lossGrad: a.Buffer()}
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 	}
@@ -115,11 +127,16 @@ func (n *Network) FLOPsPerSample() float64 {
 const evalChunk = 32
 
 // Predict returns the class index with the highest logit for each row.
+// The slice is the network's own and valid until the next Predict.
 func (n *Network) Predict(x *tensor.Matrix) []int {
-	pred := make([]int, 0, x.Rows)
+	if cap(n.pred) < x.Rows {
+		n.pred = n.arena.Ints(x.Rows)
+	}
+	pred := n.pred[:x.Rows]
 	for lo := 0; lo < x.Rows; lo += evalChunk {
 		hi := min(lo+evalChunk, x.Rows)
-		pred = append(pred, n.Forward(x.RowSlice(lo, hi), false).ArgmaxRows()...)
+		n.chunk.Rows, n.chunk.Cols, n.chunk.Data = hi-lo, x.Cols, x.Data[lo*x.Cols:hi*x.Cols]
+		n.Forward(&n.chunk, false).ArgmaxRowsInto(pred[lo:hi])
 	}
 	return pred
 }

@@ -19,14 +19,17 @@ type Residual struct {
 // NewResidual creates a residual block of width dim. The second dense
 // layer is initialised near zero (the "zero-gamma" trick) so that deep
 // stacks start close to the identity and train stably.
-func NewResidual(dim int, rng *sim.RNG) *Residual {
-	d2 := NewDense(dim, dim, rng)
+func NewResidual(dim int, rng *sim.RNG) *Residual { return NewResidualIn(nil, dim, rng) }
+
+// NewResidualIn is NewResidual with the block's storage taken from a.
+func NewResidualIn(a *tensor.Arena, dim int, rng *sim.RNG) *Residual {
+	d2 := NewDenseIn(a, dim, dim, rng)
 	d2.w.W.Scale(0.1)
 	return &Residual{
 		dim:  dim,
-		d1:   NewDense(dim, dim, rng),
+		d1:   NewDenseIn(a, dim, dim, rng),
 		d2:   d2,
-		relu: NewReLU(),
+		relu: NewReLUIn(a),
 	}
 }
 

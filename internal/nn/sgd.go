@@ -14,11 +14,17 @@ type SGD struct {
 	momentum    float64
 	weightDecay float64
 	velocity    map[*Param]*tensor.Matrix
+	arena       *tensor.Arena // where velocities come from; nil is the heap
 }
 
 // NewSGD creates an optimiser. lr must be positive; momentum and
 // weightDecay must be non-negative, momentum < 1.
 func NewSGD(lr, momentum, weightDecay float64) (*SGD, error) {
+	return newSGD(nil, lr, momentum, weightDecay)
+}
+
+// newSGD is NewSGD with the velocities taken from a.
+func newSGD(a *tensor.Arena, lr, momentum, weightDecay float64) (*SGD, error) {
 	if lr <= 0 {
 		return nil, fmt.Errorf("nn: learning rate %v must be positive", lr)
 	}
@@ -33,6 +39,7 @@ func NewSGD(lr, momentum, weightDecay float64) (*SGD, error) {
 		momentum:    momentum,
 		weightDecay: weightDecay,
 		velocity:    make(map[*Param]*tensor.Matrix),
+		arena:       a,
 	}, nil
 }
 
@@ -42,7 +49,7 @@ func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		v, ok := s.velocity[p]
 		if !ok {
-			v = tensor.New(p.W.Rows, p.W.Cols)
+			v = s.arena.New(p.W.Rows, p.W.Cols)
 			s.velocity[p] = v
 		}
 		for i := range p.W.Data {

@@ -46,22 +46,22 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 	if cfg.BatchSize <= 0 {
 		return stats, fmt.Errorf("nn: batch size %d must be positive", cfg.BatchSize)
 	}
-	opt, err := NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	opt, err := newSGD(net.arena, cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	if err != nil {
 		return stats, err
 	}
 
 	n := x.Rows
-	order := make([]int, n)
+	order := net.arena.Ints(n) // one sample order, re-permuted per epoch
 	for i := range order {
 		order[i] = i
 	}
 
-	var bx tensor.Matrix // the gathered batch, reused across steps
-	var by []int
+	bx := net.arena.Buffer() // the gathered batch, reused across steps
+	by := net.arena.Ints(min(cfg.BatchSize, n))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle && rng != nil {
-			order = rng.Perm(n)
+			rng.PermInto(order)
 		}
 		var epochLoss float64
 		var batches int

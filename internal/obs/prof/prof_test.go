@@ -186,4 +186,16 @@ func TestCPUProfileCarriesLabels(t *testing.T) {
 	if m := MissingStrings(table, []string{KeyTenant, "prof-test-tenant", KeyRung}); len(m) != 0 {
 		t.Fatalf("captured profile missing label strings %q (table has %d strings)", m, len(table))
 	}
+	// And sample by sample: everything the burn loop's samples say about
+	// the rung is "7".
+	counts, err := LabelValues(buf.Bytes(), "TestCPUProfileCarriesLabels", KeyRung)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != 1 || counts["7"] < 10 {
+		t.Errorf("burn-loop samples by rung label: %v, want a few dozen, all \"7\"", counts)
+	}
+	if other, err := LabelValues(buf.Bytes(), "no such function", KeyRung); err != nil || len(other) != 0 {
+		t.Errorf("samples through a function nobody ran: %v, %v", other, err)
+	}
 }

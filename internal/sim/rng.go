@@ -81,16 +81,20 @@ func (r *RNG) ExpFloat64(lambda float64) float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto overwrites dst with a pseudo-random permutation of
+// [0, len(dst)) and returns it, drawing exactly what Perm(len(dst))
+// draws.
+func (r *RNG) PermInto(dst []int) []int {
+	for i := range dst {
+		dst[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(dst) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
+		dst[i], dst[j] = dst[j], dst[i]
 	}
-	return p
+	return dst
 }
 
 // Split derives an independent generator from the current one. The child

@@ -134,6 +134,49 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// refPerm is Perm as it was before PermInto existed: its own slice,
+// the same Fisher-Yates walk.
+func refPerm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// TestPermIntoDrawsWhatPermDrew: over a dirty destination PermInto (and
+// Perm, now its wrapper) must produce the old Perm's permutation and
+// leave the stream at the same position.
+func TestPermIntoDrawsWhatPermDrew(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 97, 4096} {
+		dst := make([]int, n)
+		for seed := uint64(0); seed < 1000; seed++ {
+			ref, into, wrapped := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+			want := refPerm(ref, n)
+			for i := range dst {
+				dst[i] = -1 - i // whatever the last use left behind
+			}
+			got := into.PermInto(dst)
+			if len(got) != n || (n > 0 && &got[0] != &dst[0]) {
+				t.Fatalf("PermInto(len %d) returned a slice of length %d that is not dst", n, len(got))
+			}
+			viaPerm := wrapped.Perm(n)
+			for i := range want {
+				if got[i] != want[i] || viaPerm[i] != want[i] {
+					t.Fatalf("seed %d n %d: element %d: PermInto %d, Perm %d, reference %d", seed, n, i, got[i], viaPerm[i], want[i])
+				}
+			}
+			if next := ref.Uint64(); into.Uint64() != next || wrapped.Uint64() != next {
+				t.Fatalf("seed %d n %d: the stream is at a different position afterwards", seed, n)
+			}
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(23)
 	child := parent.Split()

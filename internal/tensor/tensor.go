@@ -19,16 +19,15 @@ import (
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
+	// arena is where Resize takes storage from when Data is too small;
+	// nil is the heap.
+	arena *Arena
 }
 
-// New returns a zero matrix of the given shape. It panics on non-positive
-// dimensions, which always indicate a programming error in the caller.
-func New(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
+// New returns a zero matrix of the given shape on the heap. It panics on
+// non-positive dimensions, which always indicate a programming error in
+// the caller.
+func New(rows, cols int) *Matrix { return (*Arena)(nil).New(rows, cols) }
 
 // FromSlice wraps data (length rows*cols) without copying.
 func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
@@ -41,13 +40,10 @@ func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
 }
 
-// Randn fills a new matrix with normal(0, std) values drawn from rng.
+// Randn fills a new heap matrix with normal(0, std) values drawn from
+// rng.
 func Randn(rows, cols int, std float64, rng *sim.RNG) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * std
-	}
-	return m
+	return (*Arena)(nil).Randn(rows, cols, std, rng)
 }
 
 // At returns the element at (r, c).
@@ -72,7 +68,7 @@ func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 func (m *Matrix) Resize(rows, cols int) *Matrix {
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		m.Data = m.arena.resizeStorage(n)
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
@@ -238,8 +234,14 @@ func (m *Matrix) ColSumsInto(sums []float64) []float64 {
 }
 
 // ArgmaxRows returns the index of the maximum element of each row.
-func (m *Matrix) ArgmaxRows() []int {
-	out := make([]int, m.Rows)
+func (m *Matrix) ArgmaxRows() []int { return m.ArgmaxRowsInto(make([]int, m.Rows)) }
+
+// ArgmaxRowsInto writes the index of the maximum element of each row
+// into out (length Rows) and returns it.
+func (m *Matrix) ArgmaxRowsInto(out []int) []int {
+	if len(out) != m.Rows {
+		panic(fmt.Sprintf("tensor: ArgmaxRowsInto length %d != rows %d", len(out), m.Rows))
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		best, bestIdx := math.Inf(-1), 0

@@ -1,0 +1,365 @@
+package trial
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"edgetune/internal/budget"
+	"edgetune/internal/fault"
+	"edgetune/internal/perfmodel"
+	"edgetune/internal/search"
+	"edgetune/internal/tensor"
+	"edgetune/internal/testutil"
+	"edgetune/internal/workload"
+)
+
+func runnerFor(t *testing.T, id string) *Runner {
+	t.Helper()
+	r, err := NewRunner(workload.MustNew(id, 1), perfmodel.GPUProfile{}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// withProcs runs the test at the given GOMAXPROCS, so at procs − 1
+// helpers, and checks on the way out that every helper is gone and the
+// process-wide budget whole again.
+func withProcs(t *testing.T, procs int) {
+	t.Helper()
+	testutil.CheckGoroutineLeak(t, 0)
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() {
+		if idle := IdleHelpers(); idle != procs-1 {
+			t.Errorf("%d helpers idle at GOMAXPROCS %d: the budget was not given back", idle, procs)
+		}
+		runtime.GOMAXPROCS(prev)
+	})
+}
+
+// trainedOn is trainOn with the final weights copied out before the
+// scratch can be reset.
+func trainedOn(t *testing.T, r *Runner, a *tensor.Arena, req Request) (training, []float64) {
+	t.Helper()
+	out, net := r.trainOn(a, req.Config, req.Alloc, req.Attempt, func() error { return nil })
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	var weights []float64
+	for _, p := range net.Params() {
+		weights = append(weights, p.W.Data...)
+	}
+	return out, weights
+}
+
+// TestDirtyScratchIsInvisible: on all four workloads, a training on a
+// scratch that a larger trial of another depth (or width, stride, rate)
+// and batch size has just used, and on one filled with NaNs since,
+// returns the accuracy, steps, final loss and final weights — bit for
+// bit — of the same request on a scratch nobody has touched, and Run
+// reports the same accuracy and steps.
+func TestDirtyScratchIsInvisible(t *testing.T) {
+	for _, tt := range []struct {
+		id          string
+		req, before Request
+	}{
+		{"IC",
+			Request{Config: search.Config{workload.ParamLayers: 18, workload.ParamTrainBatch: 64, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.2}},
+			Request{Config: search.Config{workload.ParamLayers: 50, workload.ParamTrainBatch: 300, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.5}}},
+		{"SR",
+			Request{Config: search.Config{workload.ParamEmbedDim: 32, workload.ParamTrainBatch: 48, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.2}, Attempt: 1},
+			Request{Config: search.Config{workload.ParamEmbedDim: 128, workload.ParamTrainBatch: 256, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.4}}},
+		{"NLP",
+			Request{Config: search.Config{workload.ParamStride: 7, workload.ParamTrainBatch: 40, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.15}},
+			Request{Config: search.Config{workload.ParamStride: 2, workload.ParamTrainBatch: 200, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.5}}},
+		{"OD",
+			Request{Config: search.Config{workload.ParamDropout: 0.3, workload.ParamTrainBatch: 33, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 3, DataFraction: 0.2}},
+			Request{Config: search.Config{workload.ParamDropout: 0.1, workload.ParamTrainBatch: 512, workload.ParamGPUs: 1}, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.5}}},
+	} {
+		t.Run(tt.id, func(t *testing.T) {
+			want, wantW := trainedOn(t, runnerFor(t, tt.id), new(tensor.Arena), tt.req)
+			r, a := runnerFor(t, tt.id), new(tensor.Arena)
+			for _, dirty := range []string{"used by a larger trial", "filled with NaNs"} {
+				if dirty == "filled with NaNs" {
+					a.Reset()
+					floats, ints := a.New(1, 1<<18).Data, a.Ints(1<<14)
+					for i := range floats {
+						floats[i] = math.NaN()
+					}
+					for i := range ints {
+						ints[i] = -1
+					}
+				} else {
+					trainedOn(t, r, a, tt.before)
+				}
+				got, gotW := trainedOn(t, r, a, tt.req)
+				if got != want {
+					t.Errorf("scratch %s: training %+v, on an untouched scratch %+v", dirty, got, want)
+				}
+				if len(gotW) != len(wantW) {
+					t.Fatalf("scratch %s: %d weights, want %d", dirty, len(gotW), len(wantW))
+				}
+				for i := range wantW {
+					if gotW[i] != wantW[i] {
+						t.Fatalf("scratch %s: weight %d is %v, on an untouched scratch %v", dirty, i, gotW[i], wantW[i])
+					}
+				}
+			}
+			// Through Run the scratch is whatever the free list holds:
+			// here, the ones the subtests before this one left behind.
+			res, err := r.Run(context.Background(), tt.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Accuracy != want.accuracy || res.Steps != want.steps {
+				t.Errorf("Run reports accuracy %v in %d steps, the training %v in %d", res.Accuracy, res.Steps, want.accuracy, want.steps)
+			}
+		})
+	}
+}
+
+// rungRequests is a population as a rung registers it: different
+// depths and batch sizes at one allocation, with one configuration in
+// it twice.
+func rungRequests() []Request {
+	alloc := budget.Allocation{Epochs: 1, DataFraction: 0.2}
+	var reqs []Request
+	for _, c := range [][2]float64{{18, 64}, {50, 128}, {34, 32}, {18, 64}, {34, 400}, {50, 77}} {
+		reqs = append(reqs, Request{Alloc: alloc,
+			Config: search.Config{workload.ParamLayers: c[0], workload.ParamTrainBatch: c[1], workload.ParamGPUs: 1}})
+	}
+	return reqs
+}
+
+// runAll is what a rung does: one Run per request, in order.
+func runAll(t *testing.T, r *Runner, reqs []Request) []Result {
+	t.Helper()
+	out := make([]Result, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if out[i], err = r.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestRegisteredTrainingsAreInvisible: a rung's Runs return the same
+// results whether nothing was registered, everything was registered and
+// no helper exists (GOMAXPROCS 1: the caller claims each task as its Run
+// reaches it), or helpers train from the back of the list meanwhile —
+// and a configuration registered twice is two trainings read by two
+// Runs, not one read twice.
+func TestRegisteredTrainingsAreInvisible(t *testing.T) {
+	reqs := rungRequests()
+	want := runAll(t, icRunner(t), reqs)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint("procs=", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			r := icRunner(t)
+			r.Register(nil, reqs...)
+			for i, req := range reqs {
+				res, err := r.Run(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != want[i] {
+					t.Errorf("request %d: %+v with the rung registered, %+v without", i, res, want[i])
+				}
+				r.plan.mu.Lock()
+				left := len(r.plan.tasks)
+				r.plan.mu.Unlock()
+				if left != len(reqs)-1-i {
+					t.Fatalf("after Run %d the plan holds %d tasks, want %d: a Run takes exactly one", i, left, len(reqs)-1-i)
+				}
+			}
+			// Nothing is registered any more: this one trains inline.
+			if res, err := r.Run(context.Background(), reqs[1]); err != nil || res != want[1] {
+				t.Errorf("unregistered repeat: %+v, %v; want %+v", res, err, want[1])
+			}
+			r.Drain()
+		})
+	}
+}
+
+// TestDrainGivesUpWhatNobodyReads: with a rung and a bracket's tail
+// registered and a helper in the middle of the largest training, Drain
+// returns without that training having finished, leaves no helper alive
+// and the budget whole; a Run afterwards trains inline as if nothing had
+// been registered.
+func TestDrainGivesUpWhatNobodyReads(t *testing.T) {
+	withProcs(t, 2)
+	r := icRunner(t)
+	big := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 400, DataFraction: 1}} // minutes, if it ran
+	small := trialReq()
+	r.Register(nil, small, big, big)
+	if _, err := r.Run(context.Background(), small); err != nil { // starts the helper, on the last task
+		t.Fatal(err)
+	}
+	if IdleHelpers() != 0 {
+		t.Fatal("no helper was started for two unclaimed trainings")
+	}
+	start := time.Now()
+	r.Drain()
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("Drain took %v: the helper finished its training instead of giving it up", d)
+	}
+	want, err := icRunner(t).Run(context.Background(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Run(context.Background(), small); err != nil || got != want {
+		t.Errorf("Run after Drain: %+v, %v; want %+v", got, err, want)
+	}
+	r.Drain() // idempotent, and a no-op on a runner with no plan
+	(*Runner)(nil).Drain()
+}
+
+// TestCancelledWaitGivesTheTrainingUp: a Run that is waiting for a
+// helper's training when its context ends returns the context's error
+// and stops the helper.
+func TestCancelledWaitGivesTheTrainingUp(t *testing.T) {
+	withProcs(t, 2)
+	r := icRunner(t)
+	big := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 400, DataFraction: 1}}
+	bigger := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 401, DataFraction: 1}}
+	r.Register(nil, trialReq(), big, bigger)
+	if _, err := r.Run(context.Background(), trialReq()); err != nil { // the helper takes `bigger`
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := r.Run(ctx, bigger); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Run waiting on a helper returned %v, want the context's error", err)
+	}
+	r.Drain()
+}
+
+// TestInjectedCrashDiscardsTheRegisteredTraining: attempt 0 dies before
+// training, so its registered result is never read; the crash path
+// takes it out of the plan and the retry trains inline.
+func TestInjectedCrashDiscardsTheRegisteredTraining(t *testing.T) {
+	withProcs(t, 1)
+	r := icRunner(t)
+	plan, err := fault.NewPlan([]fault.Event{{Class: fault.TrialCrash, Site: trialReq().site(), Attempt: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := fault.NewInjector(fault.Config{Plan: plan}, 11, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetFaultInjector(in)
+	r.Register(nil, trialReq())
+	if _, err := r.Run(context.Background(), trialReq()); fault.ClassOf(err) != fault.TrialCrash {
+		t.Fatalf("err = %v, want the planned crash", err)
+	}
+	if len(r.plan.tasks) != 0 {
+		t.Errorf("the crashed attempt left %d registered trainings behind", len(r.plan.tasks))
+	}
+	retry := trialReq()
+	retry.Attempt = 1
+	if _, err := r.Run(context.Background(), retry); err != nil {
+		t.Errorf("retry: %v", err)
+	}
+}
+
+// TestHelperBudgetIsProcessWide: two runners side by side share one
+// budget of GOMAXPROCS − 1 helpers; the second gets none while the
+// first's is busy, and trains everything itself.
+func TestHelperBudgetIsProcessWide(t *testing.T) {
+	withProcs(t, 2)
+	big := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 400, DataFraction: 1}}
+	a, b := icRunner(t), icRunner(t)
+	a.Register(nil, trialReq(), big, big)
+	b.Register(nil, trialReq(), trialReq(), trialReq())
+	if _, err := a.Run(context.Background(), trialReq()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Run(context.Background(), trialReq()); err != nil {
+			t.Fatal(err)
+		}
+		if b.plan.running != 0 || IdleHelpers() != 0 {
+			t.Fatalf("runner b has %d helpers, %d idle in the process: the budget is one, and a holds it", b.plan.running, IdleHelpers())
+		}
+	}
+	a.Drain()
+	b.Drain()
+}
+
+// TestRunConcurrentlyFromFourGoroutines: Run stays safe to call from
+// several goroutines at once — scratches are acquired and released
+// around each training, never owned by the Runner — with and without
+// registered trainings, and every caller gets the result a lone caller
+// gets.
+func TestRunConcurrentlyFromFourGoroutines(t *testing.T) {
+	withProcs(t, 4)
+	reqs := rungRequests()
+	want := runAll(t, icRunner(t), reqs)
+	r := icRunner(t)
+	r.Register(nil, reqs[:3]...)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range reqs {
+				i = (i + g) % len(reqs)
+				res, err := r.Run(context.Background(), reqs[i])
+				if err != nil {
+					t.Error(err)
+				} else if res != want[i] {
+					t.Errorf("goroutine %d, request %d: %+v, want %+v", g, i, res, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	r.Drain()
+}
+
+// TestTrainingFaultSitesNamedOnlyForAnInjector is the training twin of
+// core's TestFaultSitesNamedOnlyForAnInjector: an injector with every
+// probability zero is still consulted at the three training-side
+// decision points by the same site name, and a runner without one does
+// not build the name — a trial then allocates strictly less.
+func TestTrainingFaultSitesNamedOnlyForAnInjector(t *testing.T) {
+	var seen []string
+	inj, err := fault.NewInjector(fault.Config{Observe: func(c fault.Class, site string, attempt int, _ bool) {
+		seen = append(seen, fmt.Sprintf("%s %s #%d", c, site, attempt))
+	}}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := trialReq()
+	req.Attempt = 2
+	allocs := func(inj *fault.Injector) float64 {
+		r := icRunner(t)
+		r.SetFaultInjector(inj)
+		run := func() {
+			if _, err := r.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // settle the scratch
+		seen = nil
+		return testing.AllocsPerRun(5, run)
+	}
+	without, with := allocs(nil), allocs(inj)
+	const site = "gpus=1;layers=18;train_batch=128;|e2|f0.3"
+	want := []string{"trial-crash " + site + " #2", "trial-nan " + site + " #2", "straggler " + site + " #2"}
+	if len(seen) < 3 || seen[0] != want[0] || seen[1] != want[1] || seen[2] != want[2] {
+		t.Errorf("a zero-probability injector was consulted at %q, want %q per trial", seen, want)
+	}
+	if without >= with {
+		t.Errorf("a trial allocates %.0f times without an injector, %.0f with one: the site name is still built for nobody", without, with)
+	}
+}

@@ -14,11 +14,9 @@ import (
 	"edgetune/internal/budget"
 	"edgetune/internal/dataset"
 	"edgetune/internal/fault"
-	"edgetune/internal/nn"
 	"edgetune/internal/obs"
 	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
-	"edgetune/internal/sim"
 	"edgetune/internal/workload"
 )
 
@@ -40,6 +38,9 @@ type Runner struct {
 	// and datasets are read-only once handed out.
 	mu     sync.Mutex
 	splits map[int]dataset.Split
+
+	// plan is the trainings registered ahead of the Run that reads them.
+	plan plan
 }
 
 // NewRunner creates a trial runner. The GPU profile defaults to the
@@ -129,6 +130,12 @@ func (r *Runner) GPUProfile() perfmodel.GPUProfile { return r.gpu }
 // seed and the request (config + allocation + attempt). Cancellation is
 // honoured between mini-batches, not only at entry, so an abandoned
 // bracket stops paying for its in-flight trial promptly.
+//
+// Run is the trial's sequential part — fault decisions, simulated cost,
+// spans — around its pure part, the training itself (train.go). Where
+// the training was registered ahead of time (plan.go) Run takes that
+// result instead of computing it; which of the two happened is not
+// observable in anything Run returns or emits.
 func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	var res Result
 	if err := ctx.Err(); err != nil {
@@ -157,10 +164,15 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	// Injected crash: the trial dies a deterministic fraction of the
 	// way through. The dead attempt still charges that fraction of its
 	// projected cost (preempted workers bill for the time they held),
-	// and the actual SGD run is skipped.
-	site := req.site()
+	// and the actual SGD run is skipped — or, when it was registered
+	// ahead of time, thrown away.
+	var site string
+	if r.injector != nil { // a nil injector reads no site: build none
+		site = req.site()
+	}
 	if ferr := r.injector.Fail(fault.TrialCrash, site, req.Attempt); ferr != nil {
-		cost, cerr := r.projectedCost(flops, params, req, batch, gpus)
+		r.discard(req)
+		cost, _, cerr := r.projectedCost(flops, params, req, batch, gpus)
 		if cerr != nil {
 			return res, cerr
 		}
@@ -173,60 +185,15 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 		return res, ferr
 	}
 
-	// XOR-folding the attempt into the seed keeps attempt 0 identical
-	// to the pre-resilience behaviour while giving retries fresh
-	// initialisation and shuffling.
-	rng := sim.NewRNG(r.seed ^ hashString(req.Config.Key()) ^ (uint64(req.Attempt) * 0xa5a5b5b5c5c5d5d5))
-	net, err := r.workload.BuildModel(req.Config, rng)
-	if err != nil {
-		return res, err
-	}
-	train, test, err := r.data(req.Config)
-	if err != nil {
-		return res, err
-	}
-	sub, err := train.Subset(req.Alloc.DataFraction)
-	if err != nil {
-		return res, err
-	}
-
-	// The synthetic dataset is downscaled but trials keep the paper's
-	// mini-batch size, so each epoch takes proportionally fewer
-	// optimiser steps. That scarcity is what gives the paper's budget
-	// dimensions their distinct roles: a single epoch (the dataset
-	// budget's regime) cannot converge regardless of the data fraction,
-	// while added epochs buy real accuracy.
-	simBatch := batch
-	if simBatch > sub.Len() {
-		simBatch = sub.Len()
-	}
-	// A fixed step size across the paper's 32-512 batch sweep: larger
-	// batches take fewer (not larger) steps per epoch, which is what
-	// makes the batch-size hyperparameter matter to the tuner.
-	lr := r.lr
-	stats, err := nn.Train(net, sub.X, sub.Labels, nn.TrainConfig{
-		Epochs:    req.Alloc.Epochs,
-		BatchSize: simBatch,
-		LR:        lr,
-		Momentum:  r.momentum,
-		Shuffle:   true,
-		Check:     ctx.Err,
-	}, rng)
-	if err != nil {
-		return res, err
+	trained := r.training(ctx, req)
+	if trained.err != nil {
+		return res, trained.err
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 
-	cost, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
-		FLOPsPerSample: flops,
-		Params:         params,
-		Samples:        sub.PaperSamples(),
-		Epochs:         req.Alloc.Epochs,
-		BatchSize:      batch,
-		GPUs:           gpus,
-	}, r.gpu)
+	cost, subLen, err := r.projectedCost(flops, params, req, batch, gpus)
 	if err != nil {
 		return res, err
 	}
@@ -236,7 +203,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	if ferr := r.injector.Fail(fault.TrialNaN, site, req.Attempt); ferr != nil {
 		res.Cost = cost
 		res.Alloc = req.Alloc
-		res.Steps = stats.Steps
+		res.Steps = trained.steps
 		return res, ferr
 	}
 
@@ -249,11 +216,12 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 		res.Straggled = true
 	}
 
-	res.Accuracy = net.Accuracy(test.X, test.Labels)
+	res.Accuracy = trained.accuracy
 	res.Cost = cost
-	res.Steps = stats.Steps
+	res.Steps = trained.steps
 	res.Alloc = req.Alloc
-	stepsPerEpoch := (sub.Len() + simBatch - 1) / simBatch
+	simBatch := min(batch, subLen)
+	stepsPerEpoch := (subLen + simBatch - 1) / simBatch
 	emitTrainingSpans(req.Span, req.Start, cost.Duration, req.Alloc.Epochs, stepsPerEpoch)
 	return res, nil
 }
@@ -300,16 +268,18 @@ func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerE
 	}
 }
 
-// projectedCost is the full simulated cost this request would have
-// charged, used to bill partial work for crashed attempts. It needs only
-// the subset's length, which no featurisation changes.
-func (r *Runner) projectedCost(flops, params float64, req Request, batch, gpus int) (perfmodel.Cost, error) {
+// projectedCost is the full simulated cost of the request and the
+// number of samples it trains on. It needs only the subset's length,
+// which no featurisation changes, so a crashed attempt is billed its
+// share without training and a finished one without asking the training
+// what it saw.
+func (r *Runner) projectedCost(flops, params float64, req Request, batch, gpus int) (perfmodel.Cost, int, error) {
 	train := r.workload.Split.Train
 	k, err := dataset.SubsetLen(train.Len(), req.Alloc.DataFraction)
 	if err != nil {
-		return perfmodel.Cost{}, err
+		return perfmodel.Cost{}, 0, err
 	}
-	return perfmodel.TrainingCost(perfmodel.TrainSpec{
+	cost, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
 		FLOPsPerSample: flops,
 		Params:         params,
 		Samples:        float64(k) * train.Meta.Scale,
@@ -317,19 +287,10 @@ func (r *Runner) projectedCost(flops, params float64, req Request, batch, gpus i
 		BatchSize:      batch,
 		GPUs:           gpus,
 	}, r.gpu)
+	return cost, k, err
 }
 
 // scaleDuration multiplies a duration by a float factor.
 func scaleDuration(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
-}
-
-// hashString is FNV-1a, used to derive per-config training seeds.
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -366,9 +366,10 @@ func TestTrainingNeverWritesThroughData(t *testing.T) {
 	}
 }
 
-// TestProjectedCostMatchesSubset: the crash bill is computed from the
-// subset's length alone and must equal the cost the finished trial
-// charges from the real subset, on the workload that re-featurises too.
+// TestProjectedCostMatchesSubset: every bill — a crashed attempt's and
+// a finished trial's — is computed from the subset's length alone and
+// must equal the cost of the real, featurised subset the training saw,
+// on the workload that re-featurises too.
 func TestProjectedCostMatchesSubset(t *testing.T) {
 	cfg := search.Config{workload.ParamStride: 5, workload.ParamTrainBatch: 64, workload.ParamGPUs: 2}
 	r, err := NewRunner(workload.MustNew("NLP", 1), perfmodel.GPUProfile{}, 7)
@@ -385,12 +386,28 @@ func TestProjectedCostMatchesSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.projectedCost(flops, params, req, 64, 2)
+		train, _, err := r.data(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != res.Cost {
-			t.Errorf("fraction %v: projected cost %+v, trial charged %+v", frac, got, res.Cost)
+		sub, err := train.Subset(frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
+			FLOPsPerSample: flops, Params: params, Samples: sub.PaperSamples(),
+			Epochs: 1, BatchSize: 64, GPUs: 2,
+		}, r.gpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, k, err := r.projectedCost(flops, params, req, 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || res.Cost != want || k != sub.Len() {
+			t.Errorf("fraction %v: projected cost %+v over %d samples, trial charged %+v, the subset of %d costs %+v",
+				frac, got, k, res.Cost, sub.Len(), want)
 		}
 	}
 }

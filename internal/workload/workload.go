@@ -25,6 +25,7 @@ import (
 	"edgetune/internal/nn"
 	"edgetune/internal/search"
 	"edgetune/internal/sim"
+	"edgetune/internal/tensor"
 )
 
 // Parameter names shared across workloads.
@@ -146,6 +147,12 @@ func (w *Workload) Signature(cfg search.Config) string {
 
 // BuildModel constructs a trainable network for the configuration.
 func (w *Workload) BuildModel(cfg search.Config, rng *sim.RNG) (*nn.Network, error) {
+	return w.BuildModelIn(nil, cfg, rng)
+}
+
+// BuildModelIn is BuildModel with the network's storage taken from a:
+// the network is valid until a's next Reset.
+func (w *Workload) BuildModelIn(a *tensor.Arena, cfg search.Config, rng *sim.RNG) (*nn.Network, error) {
 	if rng == nil {
 		rng = sim.NewRNG(w.seed ^ 0xabcdef)
 	}
@@ -158,13 +165,13 @@ func (w *Workload) BuildModel(cfg search.Config, rng *sim.RNG) (*nn.Network, err
 	}
 	switch w.ID {
 	case "IC":
-		return w.buildResNet(int(v), rng)
+		return buildResNet(a, int(v), rng)
 	case "SR":
-		return w.buildM5(int(v), rng)
+		return buildM5(a, int(v), rng)
 	case "NLP":
-		return w.buildRNN(rng)
+		return buildRNN(a, rng)
 	case "OD":
-		return w.buildYOLO(v, rng)
+		return buildYOLO(a, v, rng)
 	default:
 		return nil, fmt.Errorf("workload: unknown id %q", w.ID)
 	}
@@ -173,56 +180,57 @@ func (w *Workload) BuildModel(cfg search.Config, rng *sim.RNG) (*nn.Network, err
 // resNetWidth is the hidden width of the residual trunk.
 const resNetWidth = 32
 
-func (w *Workload) buildResNet(layers int, rng *sim.RNG) (*nn.Network, error) {
+func buildResNet(a *tensor.Arena, layers int, rng *sim.RNG) (*nn.Network, error) {
 	blocks := layers / 8 // 18 -> 2, 34 -> 4, 50 -> 6 residual blocks
 	if blocks < 1 {
 		blocks = 1
 	}
-	ls := []nn.Layer{nn.NewDense(dataset.ImageDim, resNetWidth, rng), nn.NewReLU()}
+	ls := make([]nn.Layer, 0, blocks+3)
+	ls = append(ls, nn.NewDenseIn(a, dataset.ImageDim, resNetWidth, rng), nn.NewReLUIn(a))
 	for i := 0; i < blocks; i++ {
-		ls = append(ls, nn.NewResidual(resNetWidth, rng))
+		ls = append(ls, nn.NewResidualIn(a, resNetWidth, rng))
 	}
-	ls = append(ls, nn.NewDense(resNetWidth, dataset.ImageClasses, rng))
-	return nn.NewNetwork(ls...)
+	ls = append(ls, nn.NewDenseIn(a, resNetWidth, dataset.ImageClasses, rng))
+	return nn.NewNetworkIn(a, ls...)
 }
 
-func (w *Workload) buildM5(embed int, rng *sim.RNG) (*nn.Network, error) {
-	return nn.NewNetwork(
-		nn.NewDense(dataset.SpeechDim, embed, rng),
-		nn.NewReLU(),
-		nn.NewDense(embed, embed, rng),
-		nn.NewReLU(),
-		nn.NewDense(embed, dataset.SpeechClasses, rng),
+func buildM5(a *tensor.Arena, embed int, rng *sim.RNG) (*nn.Network, error) {
+	return nn.NewNetworkIn(a,
+		nn.NewDenseIn(a, dataset.SpeechDim, embed, rng),
+		nn.NewReLUIn(a),
+		nn.NewDenseIn(a, embed, embed, rng),
+		nn.NewReLUIn(a),
+		nn.NewDenseIn(a, embed, dataset.SpeechClasses, rng),
 	)
 }
 
-func (w *Workload) buildRNN(rng *sim.RNG) (*nn.Network, error) {
+func buildRNN(a *tensor.Arena, rng *sim.RNG) (*nn.Network, error) {
 	const hidden = 48
-	return nn.NewNetwork(
-		nn.NewDense(dataset.NewsVocab, hidden, rng),
-		nn.NewTanh(),
-		nn.NewDense(hidden, dataset.NewsClasses, rng),
+	return nn.NewNetworkIn(a,
+		nn.NewDenseIn(a, dataset.NewsVocab, hidden, rng),
+		nn.NewTanhIn(a),
+		nn.NewDenseIn(a, hidden, dataset.NewsClasses, rng),
 	)
 }
 
-func (w *Workload) buildYOLO(dropout float64, rng *sim.RNG) (*nn.Network, error) {
+func buildYOLO(a *tensor.Arena, dropout float64, rng *sim.RNG) (*nn.Network, error) {
 	const hidden = 64
-	d1, err := nn.NewDropout(dropout, rng.Split())
+	d1, err := nn.NewDropoutIn(a, dropout, rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	d2, err := nn.NewDropout(dropout, rng.Split())
+	d2, err := nn.NewDropoutIn(a, dropout, rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	return nn.NewNetwork(
-		nn.NewDense(dataset.DetectDim, hidden, rng),
-		nn.NewReLU(),
+	return nn.NewNetworkIn(a,
+		nn.NewDenseIn(a, dataset.DetectDim, hidden, rng),
+		nn.NewReLUIn(a),
 		d1,
-		nn.NewDense(hidden, hidden, rng),
-		nn.NewReLU(),
+		nn.NewDenseIn(a, hidden, hidden, rng),
+		nn.NewReLUIn(a),
 		d2,
-		nn.NewDense(hidden, dataset.DetectClasses, rng),
+		nn.NewDenseIn(a, hidden, dataset.DetectClasses, rng),
 	)
 }
 

@@ -1,12 +1,16 @@
 package edgetune
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
+	"edgetune/internal/obs/prof"
 	"edgetune/internal/testutil"
 )
 
@@ -122,5 +126,60 @@ func TestClusterShardMetricsAndMergedProm(t *testing.T) {
 	}
 	if n := strings.Count(out, "# TYPE store_wal_appends counter"); n != 1 {
 		t.Errorf("store_wal_appends TYPE header appears %d times, want 1", n)
+	}
+}
+
+// TestTrainingSamplesCarryRungLabels: with Profile on, the CPU samples
+// taken inside a mini-batch step carry the label of the rung the step
+// belongs to whichever goroutine ran it — the tuner's own, labelled by
+// runRung, or a helper, which wears the labels of the task it trains. A
+// helper is started by the tuner's goroutine and inherits the labels of
+// the rung open at that moment, which is the wrong rung for a tail task:
+// with three helpers the tail rungs must still hold the share of the
+// training samples they hold with none.
+func TestTrainingSamplesCarryRungLabels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles two default jobs")
+	}
+	defer testutil.CheckGoroutineLeak(t, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	shares := map[int]map[string]float64{}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var buf bytes.Buffer
+		if err := pprof.StartCPUProfile(&buf); err != nil {
+			t.Skipf("CPU profiling unavailable: %v", err)
+		}
+		_, err := Tune(context.Background(), Job{Workload: "IC", Seed: 3, Profile: true})
+		pprof.StopCPUProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, err := prof.LabelValues(buf.Bytes(), "nn.(*Network).TrainStep", prof.KeyRung)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, n := range counts {
+			total += n
+		}
+		t.Logf("GOMAXPROCS %d: %d samples inside TrainStep, by rung label: %v", procs, total, counts)
+		if total < 50 {
+			t.Skipf("only %d samples landed in TrainStep: too few to judge", total)
+		}
+		// The set-up probe's own handful of steps is the only training
+		// nobody labels.
+		if unlabelled := counts[""]; float64(unlabelled) > 0.03*float64(total) {
+			t.Errorf("GOMAXPROCS %d: %d of %d training samples carry no %s label", procs, unlabelled, total, prof.KeyRung)
+		}
+		shares[procs] = map[string]float64{}
+		for rung, n := range counts {
+			shares[procs][rung] = float64(n) / float64(total)
+		}
+	}
+	for _, rung := range []string{"5", "6", "7"} { // helpers' work: the back of the tail
+		if seq, par := shares[1][rung], shares[4][rung]; par < seq/2 {
+			t.Errorf("rung %s holds %.0f%% of the training samples with three helpers and %.0f%% with none: its helpers wear another rung's labels", rung, 100*par, 100*seq)
+		}
 	}
 }
