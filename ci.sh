@@ -49,6 +49,26 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+gate "option surface"
+# A ratchet: the number of things a user can set may fall, never rise.
+# Each ceiling is today's count; lower it here when a field or flag goes.
+fields() {
+    sed -n "/^type $2 struct {/,/^}/p" "$1" |
+        grep -cE '^	[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* +[^ ]'
+}
+surface() { # what, count, ceiling
+    echo "$1: $2 (ceiling $3)"
+    if [ "$2" -eq 0 ] || [ "$2" -gt "$3" ]; then
+        echo "$1: the count left (0, $3] — an option was added, or the declaration moved" >&2
+        exit 1
+    fi
+}
+surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 34
+surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 24
+surface "edgetune.Job fields" "$(fields edgetune.go Job)" 33
+surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 14
+surface "cmd/edgetune flags" "$(grep -cE 'fs\.[A-Z][A-Za-z0-9]*\("' cmd/edgetune/main.go)" 55
+
 gate "go vet"
 go vet ./...
 
@@ -64,10 +84,18 @@ go -C bench vet ./...
 go -C bench test ./...
 
 gate "go test -race"
-# internal/core alone takes 545–590 s under the race detector on two
+# internal/core alone takes 545–640 s under the race detector on two
 # cores (ROADMAP item 1 is to shard it): the default 10-minute timeout
 # turns a slow minute of the machine into a red gate.
 go test -race -timeout 20m ./...
+
+gate "lifecycle stress"
+# The inference server's request lifecycle — one finish, one hard-stop
+# context, hooks instead of goroutines (DESIGN.md §4.6) — twenty times
+# under the race detector, not once: every Drain/Close/cancel/evict test
+# and the request-outcome golden. Its own gate, so its elapsed time is in
+# the summary and outside the sweep's 20-minute timeout.
+go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome' ./internal/core/
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...

@@ -56,7 +56,7 @@ func (e *EpochStrategy) At(it int) Allocation {
 	if it < 1 {
 		it = 1
 	}
-	return Allocation{Epochs: minInt(e.minEpochs*it, e.maxEpochs), DataFraction: 1}
+	return Allocation{Epochs: min(e.minEpochs*it, e.maxEpochs), DataFraction: 1}
 }
 
 // Saturated reports whether the epoch cap is reached.
@@ -88,7 +88,7 @@ func (d *DatasetStrategy) At(it int) Allocation {
 	if it < 1 {
 		it = 1
 	}
-	return Allocation{Epochs: 1, DataFraction: minFloat(d.minFrac*float64(it), 1)}
+	return Allocation{Epochs: 1, DataFraction: min(d.minFrac*float64(it), 1)}
 }
 
 // Saturated reports whether the full dataset is reached.
@@ -128,8 +128,8 @@ func (m *MultiStrategy) At(it int) Allocation {
 		it = 1
 	}
 	return Allocation{
-		Epochs:       minInt(m.minEpochs*it, m.maxEpochs),
-		DataFraction: minFloat(m.minFrac*float64(it), 1),
+		Epochs:       min(m.minEpochs*it, m.maxEpochs),
+		DataFraction: min(m.minFrac*float64(it), 1),
 	}
 }
 
@@ -169,18 +169,4 @@ func New(kind string) (Strategy, error) {
 	default:
 		return nil, fmt.Errorf("budget: unknown strategy %q", kind)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

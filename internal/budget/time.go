@@ -44,7 +44,7 @@ func (t *TimeStrategy) At(it int) Allocation {
 	if it < 1 {
 		it = 1
 	}
-	cap := minFloat(t.minSeconds*float64(it), t.maxSeconds)
+	cap := min(t.minSeconds*float64(it), t.maxSeconds)
 	epochs := int(cap / t.secondsPerEpoch)
 	if epochs < 1 {
 		epochs = 1

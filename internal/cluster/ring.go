@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"edgetune/internal/sim"
 )
 
 // Ring is a consistent-hash ring with virtual nodes: each node owns
@@ -103,11 +105,7 @@ func (r *Ring) Nodes() []string {
 // correlated and the key shares badly skewed; the finalizer restores
 // full-width dispersion.
 func hashKey(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
+	h := sim.Hash64(s)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

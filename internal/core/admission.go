@@ -53,14 +53,14 @@ type admission struct {
 	cond *sync.Cond
 
 	limit    int
-	high     []*inferJob // critical
-	low      []*inferJob // background
+	high     []*call // critical
+	low      []*call // background
 	inflight int
 
 	rejecting bool // drain started: no new work
 	closed    bool // workers may exit
 	emptied   bool
-	emptyCh   chan struct{}
+	emptyCh   chan struct{} // closed once rejecting and no work remains
 
 	rate   float64
 	burst  float64
@@ -88,7 +88,7 @@ func newAdmission(limit int, rate float64, burst int) *admission {
 
 // push admits a job, returning the background job it evicted to make
 // room (if any) or the typed rejection error.
-func (a *admission) push(j *inferJob) (evicted *inferJob, err error) {
+func (a *admission) push(j *call) (evicted *call, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.rejecting {
@@ -96,7 +96,7 @@ func (a *admission) push(j *inferJob) (evicted *inferJob, err error) {
 	}
 	a.tick++
 	if a.rate > 0 {
-		c := j.req.Client
+		c := j.Client
 		t, seen := a.tokens[c]
 		if !seen {
 			t = a.burst // a new client starts with a full bucket
@@ -116,7 +116,7 @@ func (a *admission) push(j *inferJob) (evicted *inferJob, err error) {
 	if len(a.high)+len(a.low)+a.inflight >= a.limit {
 		// A critical request may reclaim the slot of the most recently
 		// queued background one; everything else is shed.
-		if j.req.Priority == PriorityCritical && len(a.low) > 0 {
+		if j.Priority == PriorityCritical && len(a.low) > 0 {
 			evicted = a.low[len(a.low)-1]
 			a.low = a.low[:len(a.low)-1]
 		} else {
@@ -127,7 +127,7 @@ func (a *admission) push(j *inferJob) (evicted *inferJob, err error) {
 	// under the lock so it is exact. Positions count queued jobs only —
 	// in-flight work is excluded, because how fast workers retire it is
 	// a scheduling artefact the same-seed contract must not observe.
-	if j.req.Priority == PriorityCritical {
+	if j.Priority == PriorityCritical {
 		j.queuedAhead = len(a.high)
 		a.high = append(a.high, j)
 	} else {
@@ -148,7 +148,7 @@ func (a *admission) queuedLen() int {
 
 // take blocks for the next job (critical first), returning false when
 // the queue is closed and empty.
-func (a *admission) take() (*inferJob, bool) {
+func (a *admission) take() (*call, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for {
@@ -183,7 +183,7 @@ func (a *admission) done() {
 
 // remove withdraws a still-queued job (caller cancellation), reporting
 // whether it was found — false means a worker already took it.
-func (a *admission) remove(j *inferJob) bool {
+func (a *admission) remove(j *call) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i, q := range a.high {
@@ -220,12 +220,10 @@ func (a *admission) isRejecting() bool {
 
 // evictAll empties the queues (deadline-expired drain), returning the
 // evicted jobs so the server can deliver their typed errors.
-func (a *admission) evictAll() []*inferJob {
+func (a *admission) evictAll() []*call {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]*inferJob, 0, len(a.high)+len(a.low))
-	out = append(out, a.high...)
-	out = append(out, a.low...)
+	out := append(a.high, a.low...)
 	a.high, a.low = nil, nil
 	a.maybeEmpty()
 	return out
@@ -234,7 +232,7 @@ func (a *admission) evictAll() []*inferJob {
 // evictBackground empties the background queue (the degradation
 // ladder's critical-only rung), returning the evicted jobs so the
 // server can deliver their typed errors.
-func (a *admission) evictBackground() []*inferJob {
+func (a *admission) evictBackground() []*call {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := a.low
@@ -242,9 +240,6 @@ func (a *admission) evictBackground() []*inferJob {
 	a.maybeEmpty()
 	return out
 }
-
-// emptied is closed once the server is rejecting and no work remains.
-func (a *admission) emptiedCh() <-chan struct{} { return a.emptyCh }
 
 // close releases the workers. Call after the drain completes.
 func (a *admission) close() {

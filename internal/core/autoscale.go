@@ -56,7 +56,7 @@ func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, err
 		ctl:       ctl,
 		base:      opts.Pool[0],
 		crowdCap:  3 * limit,
-		decayStep: maxInt(1, limit/4),
+		decayStep: max(1, limit/4),
 	}
 	if reg := opts.Recorder.Registry(); reg != nil {
 		sc.gReplicas = reg.Gauge("autoscale.replicas")
@@ -71,13 +71,6 @@ func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, err
 		sc.cEvicted = reg.Counter("autoscale.evicted.background")
 	}
 	return sc, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // degradeMode reports the degradation ladder's current rung (always
@@ -172,7 +165,7 @@ func (s *InferenceServer) autoscaleTick(req InferRequest, seq int) {
 	}
 	s.sloCapacity.Record(at, sig.Good)
 
-	var evicted []*inferJob
+	var evicted []*call
 	if d, ok := sc.ctl.Evaluate(sig); ok {
 		evicted = s.applyScaleDecision(d, at)
 		active, _ = s.pool.counts(at)
@@ -186,12 +179,11 @@ func (s *InferenceServer) autoscaleTick(req InferRequest, seq int) {
 	sc.gMode.Set(float64(sc.ctl.Mode()))
 	sc.mu.Unlock()
 
-	// Deliver evictions outside the scaler lock: deliver takes s.mu.
-	for _, j := range evicted {
+	// Finish evictions outside the scaler lock: finish takes s.mu.
+	for _, c := range evicted {
 		s.opts.Recorder.AddPreempted()
 		sc.cEvicted.Inc()
-		s.pool.release(j.rt)
-		s.deliver(j.call, InferOutcome{Err: fmt.Errorf("core: background evicted by degradation ladder: %w", ErrOverloaded)})
+		s.finish(c, "", InferOutcome{Err: fmt.Errorf("core: background evicted by degradation ladder: %w", ErrOverloaded)})
 	}
 }
 
@@ -199,9 +191,9 @@ func (s *InferenceServer) autoscaleTick(req InferRequest, seq int) {
 // admission effects, returning any background jobs the critical-only
 // rung evicted (the caller delivers their outcomes). Callers hold
 // sc.mu.
-func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Duration) []*inferJob {
+func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Duration) []*call {
 	sc := s.scale
-	var evicted []*inferJob
+	var evicted []*call
 	switch {
 	case d.Delta > 0:
 		sc.cUps.Inc()

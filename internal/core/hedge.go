@@ -37,13 +37,6 @@ type hedgeOutcome struct {
 	hedgeWon bool
 }
 
-// hedgeable reports whether a primary failure is worth re-issuing
-// elsewhere: injected device faults are, caller cancellations and
-// deadline expiries are not.
-func hedgeable(err error) bool {
-	return fault.IsFault(err)
-}
-
 // runHedged serves req on the routed primary and, when the primary
 // straggles past its deterministic deadline (or fails transiently),
 // speculatively re-issues it to the next-best healthy device, taking
@@ -69,7 +62,9 @@ func (s *InferenceServer) runHedged(ctx context.Context, req InferRequest, prima
 
 	out := hedgeOutcome{res: r1, winner: pd, cost: r1.cost, latency: r1.cost.Duration}
 	straggled := r1.err == nil && deadline > 0 && r1.cost.Duration > deadline
-	failed := r1.err != nil && hedgeable(r1.err)
+	// Injected device faults are worth re-issuing elsewhere; caller
+	// cancellations and deadline expiries are not.
+	failed := fault.IsFault(r1.err)
 	if s.opts.DisableHedging || len(s.pool.devs) < 2 || (!straggled && !failed) {
 		return out
 	}
@@ -127,7 +122,7 @@ func (s *InferenceServer) runHedged(ctx context.Context, req InferRequest, prima
 	default:
 		// Both failed: the full cost of both attempts is charged and
 		// the primary's error stands.
-		out.latency = maxDuration(d1, d2)
+		out.latency = max(d1, d2)
 		out.cost = r1.cost.Add(r2.cost)
 	}
 	if hsp != nil {
@@ -154,11 +149,4 @@ func scaleCost(c perfmodel.Cost, f float64) perfmodel.Cost {
 		Duration: time.Duration(float64(c.Duration) * f),
 		EnergyJ:  c.EnergyJ * f,
 	}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

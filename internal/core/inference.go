@@ -17,6 +17,7 @@ import (
 	"edgetune/internal/obs/slo"
 	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
+	"edgetune/internal/sim"
 	"edgetune/internal/store"
 	"edgetune/internal/workload"
 )
@@ -211,9 +212,9 @@ func (o *InferenceServerOptions) normalise() error {
 // the next-best device when the primary straggles past its
 // perfmodel-derived deadline. Completed results land in the historical
 // store through a write-behind buffer; duplicate in-flight requests are
-// coalesced. Close drains gracefully: in-flight work completes, new
-// submissions fail with ErrServerClosed, and pending store writes are
-// flushed.
+// coalesced. Drain stops it gracefully — in-flight work completes, new
+// submissions fail with ErrServerClosed, pending store writes are
+// flushed — and Close at once.
 type InferenceServer struct {
 	opts InferenceServerOptions
 	m    servingMetrics
@@ -222,10 +223,9 @@ type InferenceServer struct {
 	reg *obs.Registry
 
 	mu        sync.Mutex
-	pending   map[string]*call // in-flight coalescing per signature
+	pending   map[string]*call // in-flight leader per signature
 	seq       int              // submission sequence, for fault sites
-	delivered int              // calls delivered so far; see Submit's second look-up
-	inflightC map[*inferJob]context.CancelFunc
+	delivered int              // leaders finished so far; see cached
 
 	adm    *admission
 	pool   *devicePool
@@ -240,9 +240,12 @@ type InferenceServer struct {
 
 	wg sync.WaitGroup
 
-	shutMu   sync.Mutex
-	shutting bool
-	closedCh chan struct{}
+	// hard is the server's lifetime: cancelled by Close, or by Drain
+	// once its deadline has passed, it stops every request being served.
+	// What turns new work away is adm.isRejecting; shutdown runs once.
+	hard     context.Context
+	stop     context.CancelFunc
+	shut     sync.Once
 	closeErr error
 }
 
@@ -262,31 +265,35 @@ type servingMetrics struct {
 	admitWait    *obs.Histogram
 }
 
-// call fans one tuning run's result out to the leader and any
-// coalesced waiters. Delivery is idempotent so the cancellation watcher
-// and the worker can race safely.
+// call is one Submit on its way to its reply. It starts on Submit's
+// stack, where a cache hit ends it; join moves the one that will lead a
+// tuning run to the heap, and from then on whichever goroutine takes it
+// out of the admission queue owns it and finishes it.
 type call struct {
-	sig       string
-	outs      []chan InferOutcome
-	done      chan struct{}
-	delivered bool
+	InferRequest
+	// ctx is the submitting caller's context; honoured while the call
+	// is queued and between inference trials.
+	ctx context.Context
+	// out receives the reply. join clears it on a call that joined a
+	// leader: the leader answers that caller, from its waiters.
+	out     chan InferOutcome
+	waiters []chan InferOutcome
 
-	// sp is the leader's request span (nil when tracing is off); start
-	// is its submit time, so deliver can end it at start+latency. admSp
-	// is its "admission" child, opened with the call — before a worker
-	// can open the "serve" child — so the two children's ordinals, and
-	// with them their span IDs, never depend on who ran first.
+	seq       int  // submission sequence number
+	delivered int  // s.delivered at the last look-up; see cached
+	opened    bool // took a sequence number: an event the SLO counts
+	leads     bool // registered in s.pending
+
+	// sp is the request span (nil when tracing is off). admSp is its
+	// "admission" child, opened with the leader — before a worker can
+	// open the "serve" child — so the two children's ordinals, and with
+	// them their span IDs, never depend on who ran first.
 	sp, admSp *obs.Span
-	start     time.Duration
-}
 
-type inferJob struct {
-	// ctx is the submitting caller's context; honoured while the
-	// request is queued and between inference trials.
-	ctx  context.Context
-	req  InferRequest
-	call *call
-	rt   route
+	rt     route // the routed device
+	served bool  // a worker ran the call on rt: no routing decision to undo
+	// stop unhooks the call from ctx (nil when ctx is never cancelled).
+	stop func() bool
 
 	// queuedAhead and depthAtEnqueue are queue positions stamped by
 	// admission.push under its lock (see the servingMetrics comment).
@@ -307,14 +314,13 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 		writes = store.NewWriteBehind(opts.Store)
 	}
 	s := &InferenceServer{
-		opts:      opts,
-		pending:   make(map[string]*call),
-		inflightC: make(map[*inferJob]context.CancelFunc),
-		adm:       newAdmission(opts.QueueLimit, opts.RateLimit, opts.RateBurst),
-		pool:      newDevicePool(opts.Pool, breakerThreshold, breakerCooldown, opts.Recorder),
-		writes:    writes,
-		closedCh:  make(chan struct{}),
+		opts:    opts,
+		pending: make(map[string]*call),
+		adm:     newAdmission(opts.QueueLimit, opts.RateLimit, opts.RateBurst),
+		pool:    newDevicePool(opts.Pool, breakerThreshold, breakerCooldown, opts.Recorder),
+		writes:  writes,
 	}
+	s.hard, s.stop = context.WithCancel(context.Background())
 	s.pool.fr = opts.Flight
 	if opts.Autoscale != nil {
 		sc, err := newScaler(*opts.Autoscale, &s.opts)
@@ -389,49 +395,26 @@ func (s *InferenceServer) Drain(ctx context.Context) error {
 }
 
 func (s *InferenceServer) shutdown(ctx context.Context) error {
-	s.shutMu.Lock()
-	if s.shutting {
-		s.shutMu.Unlock()
-		<-s.closedCh
-		return s.closeErr
-	}
-	s.shutting = true
-	s.shutMu.Unlock()
-
-	s.adm.reject()
-	var err error
-	select {
-	case <-s.adm.emptiedCh():
-	case <-ctx.Done():
-		err = ctx.Err()
-		s.cancelInflight()
-		for _, j := range s.adm.evictAll() {
-			s.pool.release(j.rt)
-			s.deliver(j.call, InferOutcome{Err: fmt.Errorf("core: request evicted at shutdown: %w", ErrServerClosed)})
+	s.shut.Do(func() {
+		s.adm.reject()
+		select {
+		case <-s.adm.emptyCh:
+		case <-ctx.Done():
+			s.closeErr = ctx.Err()
+			s.stop() // what is being served exits at its next trial
+			for _, c := range s.adm.evictAll() {
+				s.finish(c, "", InferOutcome{Err: fmt.Errorf("core: request evicted at shutdown: %w", ErrServerClosed)})
+			}
+			<-s.adm.emptyCh
 		}
-		<-s.adm.emptiedCh() // cancelled in-flight work exits promptly
-	}
-	s.adm.close()
-	s.wg.Wait()
-	if werr := s.writes.Close(); werr != nil && err == nil {
-		err = werr
-	}
-	s.closeErr = err
-	close(s.closedCh)
-	return err
-}
-
-// cancelInflight cancels every request currently being served.
-func (s *InferenceServer) cancelInflight() {
-	s.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(s.inflightC))
-	for _, c := range s.inflightC {
-		cancels = append(cancels, c)
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
+		s.adm.close()
+		s.wg.Wait()
+		s.stop()
+		if werr := s.writes.Close(); werr != nil && s.closeErr == nil {
+			s.closeErr = werr
+		}
+	})
+	return s.closeErr
 }
 
 // FlushWrites synchronously drains the write-behind buffer into the
@@ -461,12 +444,6 @@ func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 	return store.Entry{}, lastErr
 }
 
-func (s *InferenceServer) isShutting() bool {
-	s.shutMu.Lock()
-	defer s.shutMu.Unlock()
-	return s.shutting
-}
-
 // Submit asynchronously requests tuning for req and returns a channel
 // that will receive exactly one outcome. Duplicate submissions of the
 // same in-flight signature share a single tuning run. Caller
@@ -478,183 +455,192 @@ func (s *InferenceServer) isShutting() bool {
 // ErrCircuitOpen-wrapping error when no pool device is healthy.
 func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan InferOutcome {
 	out := make(chan InferOutcome, 1)
-	if req.Signature == "" {
-		out <- InferOutcome{Err: errors.New("core: request with empty signature")}
-		return out
+	c := call{InferRequest: req, ctx: ctx, out: out}
+	if err := s.open(&c); err != nil {
+		s.finish(&c, "", InferOutcome{Err: err})
+	} else if !s.cached(&c) {
+		if lead := s.join(&c); lead != nil {
+			s.admit(lead)
+		}
 	}
-	if req.Client == "" {
-		req.Client = req.Signature
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.isShutting() {
-		out <- InferOutcome{Err: ErrServerClosed}
-		return out
-	}
+	return out
+}
 
+// open validates the call and makes it a submission: a sequence number,
+// one autoscale tick, the root span, one count of serving.requests.
+func (s *InferenceServer) open(c *call) error {
+	if c.Signature == "" {
+		return errors.New("core: request with empty signature")
+	}
+	if c.Client == "" {
+		c.Client = c.Signature
+	}
+	if c.ctx == nil {
+		c.ctx = context.Background()
+	}
+	if s.adm.isRejecting() {
+		return ErrServerClosed
+	}
 	s.mu.Lock()
-	seq := s.seq
+	c.seq = s.seq
 	s.seq++
-	delivered := s.delivered
+	c.delivered = s.delivered
 	s.mu.Unlock()
+	c.opened = true
 
 	// Tick the autoscaler before anything can short-circuit the
 	// submission: every submission is one control-loop tick and one
 	// capacity SLO event, cache hits included, so the tick stream is
 	// exactly the submission sequence.
-	s.autoscaleTick(req, seq)
+	s.autoscaleTick(c.InferRequest, c.seq)
 
-	// The request's root span is keyed on the submission sequence,
-	// which is deterministic for a deterministic submission order (the
-	// tuner submits one request per trial and awaits each).
-	var reqSp *obs.Span
+	// The root span is keyed on the submission sequence, which is
+	// deterministic for a deterministic submission order (the tuner
+	// submits one request per trial and awaits each).
 	if t := s.opts.Trace; t != nil {
-		reqSp = t.Root(obs.TrackServing, "request", uint64(seq), req.SubmitTime,
-			obs.Str("sig", req.Signature),
-			obs.Str("client", req.Client),
-			obs.Int("priority", int64(req.Priority)))
+		c.sp = t.Root(obs.TrackServing, "request", uint64(c.seq), c.SubmitTime,
+			obs.Str("sig", c.Signature),
+			obs.Str("client", c.Client),
+			obs.Int("priority", int64(c.Priority)))
 	}
 	s.m.requests.Add(1)
+	return nil
+}
 
-	// Fast path: historical store (§3.4 table look-up), read through
-	// the write-behind buffer and accepting any pool device's entry
-	// (a hedged win tuned on the secondary still satisfies later
-	// duplicates). Cache hits bypass admission and the pool — they
-	// need no device. The reply itself can still be dropped in
-	// flight: the site is per-request, so a resubmission rolls a
-	// fresh decision.
-	//
-	// The loop is for the submission that falls between a concurrent
-	// leader's two steps: its look-up ran before the leader's entry was
-	// written, and its in-flight check below would run after the leader
-	// was delivered and left pending. Finding neither, it would search
-	// what was just searched; so if any call was delivered since the
-	// look-up, look again. A caller that awaits each request never
-	// takes a second turn. The loop exits holding s.mu.
+// cached is §3.4's table look-up: the historical store, read through
+// the write-behind buffer and accepting any pool device's entry (a
+// hedged win tuned on the secondary still satisfies later duplicates).
+// A hit needs no device, so it bypasses admission and the pool; its
+// reply can still be dropped in flight — the site is per-submission, so
+// a resubmission rolls a fresh decision. It reports whether it ended the
+// call, and when it did not it returns HOLDING s.mu, which join
+// releases: the last look and the in-flight check are one step.
+//
+// The loop is for the submission that falls between a concurrent
+// leader's two steps: its look-up ran before the leader's entry was
+// written, and join's in-flight check would run after the leader
+// finished and left pending. Finding neither, it would search what was
+// just searched; so if any leader finished since the look-up, look
+// again. A caller that awaits each request never takes a second turn.
+func (s *InferenceServer) cached(c *call) bool {
 	for {
-		if e, err := s.LookupStored(req.Signature); err == nil {
-			if ferr := s.failAt(fault.DroppedReply, "", req.Signature, seq); ferr != nil {
-				if reqSp != nil {
-					reqSp.Set(obs.Str("outcome", "dropped-reply"))
-				}
-				reqSp.End(req.SubmitTime)
-				s.recordSLO(req.SubmitTime, InferOutcome{Err: ferr})
-				out <- InferOutcome{Err: ferr}
-				return out
+		if e, err := s.LookupStored(c.Signature); err == nil {
+			if ferr := s.failAt(fault.DroppedReply, "", c.Signature, c.seq); ferr != nil {
+				s.finish(c, "dropped-reply", InferOutcome{Err: ferr})
+			} else {
+				s.m.cacheHits.Add(1)
+				s.finish(c, "cached", InferOutcome{Entry: e, Cached: true, Device: e.Device})
 			}
-			s.m.cacheHits.Add(1)
-			if reqSp != nil {
-				reqSp.Set(obs.Str("outcome", "cached"), obs.Str("device", e.Device))
-			}
-			reqSp.End(req.SubmitTime)
-			s.recordSLO(req.SubmitTime, InferOutcome{})
-			out <- InferOutcome{Entry: e, Cached: true, Device: e.Device}
-			return out
+			return true
 		}
 		s.mu.Lock()
-		if s.delivered == delivered {
-			break
+		if s.delivered == c.delivered {
+			return false
 		}
-		delivered = s.delivered
+		c.delivered = s.delivered
 		s.mu.Unlock()
 	}
+}
 
-	// Coalesce with an in-flight request for the same signature: later
-	// submitters wait for the single tuning run already under way.
-	if c, inflight := s.pending[req.Signature]; inflight && !c.delivered {
-		c.outs = append(c.outs, out)
+// join coalesces c with the tuning run already in flight for its
+// signature — that run's leader will answer c's caller — or, when there
+// is none, returns the heap copy of c that leads a new one. It is called
+// holding s.mu (see cached) and releases it.
+func (s *InferenceServer) join(c *call) (lead *call) {
+	if l, ok := s.pending[c.Signature]; ok {
+		l.waiters = append(l.waiters, c.out)
 		s.mu.Unlock()
 		s.m.coalesced.Add(1)
-		if reqSp != nil {
-			reqSp.Set(obs.Str("outcome", "coalesced"))
-		}
-		reqSp.End(req.SubmitTime)
-		return out
+		c.out = nil
+		s.finish(c, "coalesced", InferOutcome{})
+		return nil
 	}
-	c := &call{sig: req.Signature, outs: []chan InferOutcome{out}, done: make(chan struct{}),
-		sp: reqSp, admSp: reqSp.Child("admission", req.SubmitTime), start: req.SubmitTime}
-	s.pending[req.Signature] = c
+	lead = new(call)
+	*lead = *c
+	lead.leads = true
+	lead.admSp = lead.sp.Child("admission", lead.SubmitTime)
+	s.pending[lead.Signature] = lead
 	s.mu.Unlock()
+	return lead
+}
 
-	// Degradation ladder: once it has stepped past normal, background
-	// traffic is shed at the gate so critical work keeps the queue.
-	// Cache hits above stay free — degraded service still answers what
-	// it already knows.
-	if req.Priority == PriorityBackground {
+// admit takes a leader through the intake gate — degradation ladder,
+// injected burst, routing, the bounded queue — and leaves it queued for
+// a worker, or rejected with a typed error.
+func (s *InferenceServer) admit(c *call) {
+	// Once the ladder has stepped past normal, background traffic is
+	// shed at the gate so critical work keeps the queue. Cache hits stay
+	// free — degraded service still answers what it already knows.
+	if c.Priority == PriorityBackground {
 		if mode := s.degradeMode(); mode >= autoscale.ModeShedBackground {
-			s.opts.Recorder.AddShed()
 			s.scale.cShed.Inc()
-			s.admissionSpan(c, "shed-degraded", "", -1)
-			s.deliver(c, InferOutcome{Err: fmt.Errorf("core: background shed by degradation ladder (%s): %w", mode, ErrOverloaded)})
-			return out
+			s.reject(c, "shed-degraded", fmt.Errorf("core: background shed by degradation ladder (%s): %w", mode, ErrOverloaded))
+			return
 		}
 	}
-
-	// Injected overload burst: a synthetic traffic spike sheds this
-	// submission at the gate.
-	if ferr := s.failAt(fault.OverloadBurst, "admit/", req.Client, seq); ferr != nil {
-		s.opts.Recorder.AddShed()
-		s.admissionSpan(c, "shed-burst", "", -1)
-		s.deliver(c, InferOutcome{Err: fmt.Errorf("%w: %w", ErrOverloaded, ferr)})
-		return out
+	// Injected overload burst: a synthetic traffic spike.
+	if ferr := s.failAt(fault.OverloadBurst, "admit/", c.Client, c.seq); ferr != nil {
+		s.reject(c, "shed-burst", fmt.Errorf("%w: %w", ErrOverloaded, ferr))
+		return
 	}
-
-	// Route before queuing so workers never see an unrouted job. Fail
-	// fast when the pool has nothing healthy to offer; the caller
+	// Route before queuing so workers never see an unrouted call, and
+	// fail fast when the pool has nothing healthy to offer: the caller
 	// falls back to degraded data instead of queueing doomed work.
-	rt, rerr := s.pool.pick(req.SubmitTime)
-	if rerr != nil {
-		s.admissionSpan(c, "no-healthy-device", "", -1)
-		s.deliver(c, InferOutcome{Err: rerr})
-		return out
+	var err error
+	if c.rt, err = s.pool.pick(c.SubmitTime); err != nil {
+		s.reject(c, "no-healthy-device", err)
+		return
 	}
-
-	job := &inferJob{ctx: ctx, req: req, call: c, rt: rt}
-	evicted, perr := s.adm.push(job)
-	if perr != nil {
-		s.pool.release(rt)
-		switch {
-		case errors.Is(perr, ErrRateLimited):
-			s.opts.Recorder.AddRateLimited()
-			// Per-tenant rejection counter: the label rides in the
-			// name, the registry convention for data-keyed series.
-			if s.reg != nil {
-				s.reg.Counter("serving.rate-limited.tenant." + req.Client).Inc()
-			}
-		case errors.Is(perr, ErrOverloaded):
-			s.opts.Recorder.AddShed()
-		}
-		s.admissionSpan(c, outcomeLabel(perr), "", -1)
-		s.deliver(c, InferOutcome{Err: perr})
-		return out
+	// Caller cancellation while the call is queued needs no worker and
+	// no goroutine of its own. Hooked up before the push, so that finish
+	// — on whichever goroutine — finds stop already set.
+	if c.ctx.Done() != nil {
+		c.stop = context.AfterFunc(c.ctx, func() { s.unqueue(c) })
+	}
+	evicted, err := s.adm.push(c)
+	if err != nil {
+		s.reject(c, outcomeLabel(err), err)
+		return
 	}
 	s.m.queue.Set(float64(s.adm.inSystem()))
-	s.m.queueEnqueue.Observe(float64(job.depthAtEnqueue))
-	s.m.admitWait.Observe(float64(job.queuedAhead))
-	s.admissionSpan(c, "admitted", rt.pd.name, job.queuedAhead)
+	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
+	s.m.admitWait.Observe(float64(c.queuedAhead))
+	s.admissionSpan(c, "admitted", c.rt.pd.name, c.queuedAhead)
 	if evicted != nil {
 		s.opts.Recorder.AddPreempted()
-		s.opts.Flight.Record(req.SubmitTime, flight.KindAdmission, "preempted", evicted.call.sig, 0, 0)
-		s.pool.release(evicted.rt)
-		s.deliver(evicted.call, InferOutcome{Err: fmt.Errorf("core: preempted by critical request: %w", ErrOverloaded)})
+		s.opts.Flight.Record(c.SubmitTime, flight.KindAdmission, "preempted", evicted.Signature, 0, 0)
+		s.finish(evicted, "", InferOutcome{Err: fmt.Errorf("core: preempted by critical request: %w", ErrOverloaded)})
 	}
+	if c.ctx.Err() != nil {
+		s.unqueue(c) // cancelled before the push: the hook found nothing queued
+	}
+}
 
-	// Honour caller cancellation while the job is still queued: a
-	// worker is not needed to deliver the outcome.
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				if s.adm.remove(job) {
-					s.pool.release(job.rt)
-					s.deliver(job.call, InferOutcome{Err: ctx.Err()})
-				}
-			case <-c.done:
-			}
-		}()
+// reject ends a call the gate turned away: the counter its kind of
+// rejection has, the verdict on its admission span, the typed error to
+// its caller.
+func (s *InferenceServer) reject(c *call, verdict string, err error) {
+	switch {
+	case errors.Is(err, ErrRateLimited):
+		s.opts.Recorder.AddRateLimited()
+		// Per-tenant rejection counter: the label rides in the name,
+		// the registry convention for data-keyed series.
+		if s.reg != nil {
+			s.reg.Counter("serving.rate-limited.tenant." + c.Client).Inc()
+		}
+	case errors.Is(err, ErrOverloaded):
+		s.opts.Recorder.AddShed()
 	}
-	return out
+	s.admissionSpan(c, verdict, "", -1)
+	s.finish(c, "", InferOutcome{Err: err})
+}
+
+// unqueue ends a call whose caller gave up while it was still queued;
+// when a worker has it already, the worker notices.
+func (s *InferenceServer) unqueue(c *call) {
+	if s.adm.remove(c) {
+		s.finish(c, "", InferOutcome{Err: c.ctx.Err()})
+	}
 }
 
 // failAt consults the injector at the per-submission site
@@ -669,24 +655,30 @@ func (s *InferenceServer) failAt(class fault.Class, prefix, name string, seq int
 	return s.opts.Fault.Fail(class, fmt.Sprintf("%s%s#%d", prefix, name, seq), 0)
 }
 
-// deliver fans res out to the call's leader and waiters exactly once.
-// Waiters share the result as a cache hit without re-charging the
-// tuning cost.
-func (s *InferenceServer) deliver(c *call, res InferOutcome) {
-	s.mu.Lock()
-	if c.delivered {
+// finish ends a call, whatever happened to it, and is the only place a
+// request span ends, an SLO event is recorded and a reply is sent. Every
+// queued call reaches it exactly once, from whoever took it out of the
+// queue. label names the ending on the span where the error alone does
+// not ("cached", "dropped-reply", "coalesced"). Two kinds of call are
+// not SLO events: one refused before it was opened, and one that joined
+// a leader (out is nil) — the leader's finish counts the run once and
+// answers the waiters, who share the result as a cache hit without being
+// charged the tuning cost again.
+func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
+	var waiters []chan InferOutcome
+	if c.leads {
+		s.mu.Lock()
+		delete(s.pending, c.Signature)
+		s.delivered++
+		waiters = c.waiters
 		s.mu.Unlock()
-		return
 	}
-	c.delivered = true
-	s.delivered++
-	if s.pending[c.sig] == c {
-		delete(s.pending, c.sig)
-	}
-	outs := c.outs
-	s.mu.Unlock()
+	end := c.SubmitTime + res.Latency
 	if c.sp != nil {
-		attrs := []obs.Attr{obs.Str("outcome", outcomeLabel(res.Err))}
+		if label == "" {
+			label = outcomeLabel(res.Err)
+		}
+		attrs := []obs.Attr{obs.Str("outcome", label)}
 		if res.Device != "" {
 			attrs = append(attrs, obs.Str("device", res.Device))
 		}
@@ -694,17 +686,24 @@ func (s *InferenceServer) deliver(c *call, res InferOutcome) {
 			attrs = append(attrs, obs.Bool("hedged", true))
 		}
 		c.sp.Set(attrs...)
-		c.sp.End(c.start + res.Latency)
+		c.sp.End(end)
 	}
-	s.recordSLO(c.start+res.Latency, res)
-	close(c.done)
-	for i, ch := range outs {
-		r := res
-		if i > 0 {
-			r.Cached = true
-			r.TuningCost = perfmodel.Cost{}
-		}
-		ch <- r
+	if c.out == nil {
+		return
+	}
+	if c.opened {
+		s.recordSLO(end, res)
+	}
+	if c.stop != nil {
+		c.stop()
+	}
+	if !c.served {
+		s.pool.release(c.rt) // routed but never run: give the probe slot back
+	}
+	c.out <- res
+	res.Cached, res.TuningCost = true, perfmodel.Cost{}
+	for _, w := range waiters {
+		w <- res
 	}
 }
 
@@ -719,125 +718,110 @@ func (s *InferenceServer) recordSLO(at time.Duration, res InferOutcome) {
 	}
 }
 
-// worker drains the admission queue, serving one request at a time.
+// worker drains the admission queue, serving one call at a time.
 func (s *InferenceServer) worker() {
 	defer s.wg.Done()
 	for {
-		job, ok := s.adm.take()
+		c, ok := s.adm.take()
 		if !ok {
 			return
 		}
 		s.m.queue.Set(float64(s.adm.inSystem()))
-		if job.ctx.Err() != nil {
-			// Cancelled between queue and worker; the watcher may have
-			// lost the race to remove it.
-			s.pool.release(job.rt)
-			s.adm.done()
-			s.deliver(job.call, InferOutcome{Err: job.ctx.Err()})
-			continue
+		// A call cancelled between queue and worker (unqueue lost the
+		// race to remove it) is not served.
+		res := InferOutcome{Err: c.ctx.Err()}
+		if res.Err == nil {
+			res = s.run(c)
+			if s.adm.isRejecting() {
+				s.opts.Recorder.AddDrained()
+			}
 		}
-		jctx, cancel := context.WithCancel(job.ctx)
-		s.mu.Lock()
-		s.inflightC[job] = cancel
-		s.mu.Unlock()
-
-		var labels []string
-		if s.opts.Profile {
-			// Labels do not cross the Submit→worker goroutine hop;
-			// re-apply the serving taxonomy from the job itself. The
-			// store write inside serve happens on this goroutine, so it
-			// inherits the same labels.
-			labels = append([]string{
-				prof.KeyTenant, tenantLabel(job.req.Client),
-				prof.KeyPriority, priorityLabel(job.req.Priority),
-			}, s.opts.ProfLabels...)
-		}
-		var out InferOutcome
-		prof.Do(jctx, func(ctx context.Context) { out = s.serve(ctx, job) }, labels...)
-
-		s.mu.Lock()
-		delete(s.inflightC, job)
-		s.mu.Unlock()
-		cancel()
-		if s.adm.isRejecting() {
-			s.opts.Recorder.AddDrained()
-		}
-		// Retire the in-system slot before delivering the outcome: a
-		// caller that awaits each request then observes a fully-drained
-		// queue at its next submission, keeping the autoscaler's
-		// in-system signal deterministic for sequential drivers.
+		// Retire the in-system slot before finishing the call: a caller
+		// that awaits each request then observes a fully-drained queue
+		// at its next submission, keeping the autoscaler's in-system
+		// signal deterministic for sequential drivers.
 		s.adm.done()
-		s.deliver(job.call, out)
+		s.finish(c, "", res)
 		s.m.queue.Set(float64(s.adm.inSystem()))
 	}
 }
 
-// serve runs one request end to end: tune on the routed device (hedging
-// to the next-best one when it straggles), persist through the
-// write-behind buffer, reply — each step subject to injected faults and
-// retried up to MaxAttempts, with every attempt's simulated cost
-// charged to the request.
-func (s *InferenceServer) serve(ctx context.Context, job *inferJob) InferOutcome {
-	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
+// run serves c for as long as it may live — until its caller gives up,
+// the server is hard-stopped or requestTimeout passes — under the pprof
+// labels of its tenant and priority.
+func (s *InferenceServer) run(c *call) (out InferOutcome) {
+	c.served = true
+	ctx, cancel := context.WithTimeout(c.ctx, requestTimeout)
 	defer cancel()
-	req := job.req
+	defer context.AfterFunc(s.hard, cancel)() // hooked to the hard stop; unhooked on return
 
-	var sp *obs.Span
-	if job.call.sp != nil {
-		sp = job.call.sp.Child("serve", job.call.start, obs.Str("device", job.rt.pd.name))
+	var labels []string
+	if s.opts.Profile {
+		// Labels do not cross the Submit→worker goroutine hop; re-apply
+		// the serving taxonomy from the call itself. The store write
+		// inside serve happens on this goroutine, so it inherits them.
+		labels = append([]string{
+			prof.KeyTenant, tenantLabel(c.Client),
+			prof.KeyPriority, priorityLabel(c.Priority),
+		}, s.opts.ProfLabels...)
 	}
+	prof.Do(ctx, func(ctx context.Context) { out = s.serve(ctx, c) }, labels...)
+	return out
+}
 
-	h := s.runHedged(ctx, req, job.rt, sp, job.call.start)
+// serve is §3.4 for a call no table entry answered: search on the routed
+// device (hedging to the next-best one when it straggles), persist the
+// winner through the write-behind buffer, reply — each step subject to
+// injected faults, with every attempt's simulated cost charged to the
+// request.
+func (s *InferenceServer) serve(ctx context.Context, c *call) InferOutcome {
+	var sp *obs.Span
+	if c.sp != nil {
+		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", c.rt.pd.name))
+	}
+	h := s.runHedged(ctx, c.InferRequest, c.rt, sp, c.SubmitTime)
 	s.m.latencyMS.Observe(float64(h.latency) / float64(time.Millisecond))
 	if sp != nil {
 		sp.Set(obs.Str("winner", h.winner.name), obs.Bool("hedged", h.hedged))
 	}
-	end := job.call.start + h.latency
-	out := InferOutcome{
-		TuningCost: h.cost,
-		Device:     h.winner.name,
-		Latency:    h.latency,
-		Hedged:     h.hedged,
+	end := c.SubmitTime + h.latency
+	out := InferOutcome{TuningCost: h.cost, Device: h.winner.name, Latency: h.latency, Hedged: h.hedged, Err: h.res.err}
+	if out.Err == nil {
+		out.Err = s.persist(c.Signature, h.res.entry)
+		if sp != nil {
+			wsp := sp.Child("store-write", end, obs.Bool("ok", out.Err == nil))
+			wsp.End(end)
+		}
 	}
-	if h.res.err != nil {
-		out.Err = h.res.err
-		sp.End(end)
-		return out
+	sp.End(end)
+	// The work is done and stored; the reply itself can still be lost in
+	// flight. A retrying caller then recovers cheaply via the store fast
+	// path.
+	if out.Err == nil {
+		out.Err = s.opts.Fault.Fail(fault.DroppedReply, c.Signature, 0)
 	}
+	if out.Err == nil {
+		out.Entry = h.res.entry
+	}
+	return out
+}
 
-	// Persist the winning entry; only the write is retried — the tuned
-	// result is already in hand.
-	var werr error
+// persist stores the winning entry through the write-behind buffer,
+// subject to injected store-write failures. Only the write is retried,
+// up to MaxAttempts — the tuned result is already in hand.
+func (s *InferenceServer) persist(sig string, entry store.Entry) (err error) {
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			s.opts.Recorder.AddRetry()
 		}
-		if werr = s.putEntry(req, h.res.entry, attempt); werr == nil {
+		if err = s.opts.Fault.Fail(fault.StoreWrite, sig, attempt); err == nil {
+			err = s.writes.Put(entry)
+		}
+		if err == nil || !fault.IsFault(err) {
 			break
 		}
-		if !fault.IsFault(werr) {
-			break
-		}
 	}
-	if sp != nil {
-		wsp := sp.Child("store-write", end, obs.Bool("ok", werr == nil))
-		wsp.End(end)
-	}
-	sp.End(end)
-	if werr != nil {
-		out.Err = werr
-		return out
-	}
-
-	// The work is done and stored; the reply itself can still be lost
-	// in flight. A retrying caller then recovers cheaply via the store
-	// fast path.
-	if ferr := s.opts.Fault.Fail(fault.DroppedReply, req.Signature, 0); ferr != nil {
-		out.Err = ferr
-		return out
-	}
-	out.Entry = h.res.entry
-	return out
+	return err
 }
 
 // serveOn runs the tuning attempts for one request on one device,
@@ -846,9 +830,7 @@ func (s *InferenceServer) serve(ctx context.Context, job *inferJob) InferOutcome
 // breaker state at dispatch and placed at start plus the cost charged so
 // far on the simulated clock.
 func (s *InferenceServer) serveOn(ctx context.Context, req InferRequest, pd *poolDevice, sp *obs.Span, start time.Duration) serveResult {
-	var total perfmodel.Cost
-	var base time.Duration
-	var lastErr error
+	var res serveResult
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			s.opts.Recorder.AddRetry()
@@ -856,7 +838,7 @@ func (s *InferenceServer) serveOn(ctx context.Context, req InferRequest, pd *poo
 		var asp *obs.Span
 		if sp != nil {
 			hState, score := s.pool.stateOf(pd.name)
-			asp = sp.Child("device-attempt", start+total.Duration,
+			asp = sp.Child("device-attempt", start+res.cost.Duration,
 				obs.Str("device", pd.name),
 				obs.Int("attempt", int64(attempt)),
 				obs.Str("health", hState.String()),
@@ -864,32 +846,23 @@ func (s *InferenceServer) serveOn(ctx context.Context, req InferRequest, pd *poo
 				obs.Str("breaker", pd.br.snapshotState().String()))
 		}
 		entry, cost, raw, err := s.tuneOn(ctx, req, pd, attempt)
-		total = total.Add(cost)
+		res.cost = res.cost.Add(cost)
 		if raw > 0 {
-			base = raw
+			res.baseline = raw
 		}
 		if asp != nil {
 			asp.Set(obs.Str("outcome", outcomeLabel(err)), obs.Float("energyJ", cost.EnergyJ))
-			asp.End(start + total.Duration)
+			asp.End(start + res.cost.Duration)
 		}
-		if err == nil {
-			return serveResult{entry: entry, cost: total, baseline: base}
+		if res.err = err; err == nil {
+			res.entry = entry
+			break
 		}
-		lastErr = err
 		if !fault.IsFault(err) {
 			break // organic error or cancellation: not retryable here
 		}
 	}
-	return serveResult{cost: total, baseline: base, err: lastErr}
-}
-
-// putEntry persists a tuning result through the write-behind buffer,
-// subject to injected store-write failures.
-func (s *InferenceServer) putEntry(req InferRequest, entry store.Entry, attempt int) error {
-	if ferr := s.opts.Fault.Fail(fault.StoreWrite, req.Signature, attempt); ferr != nil {
-		return ferr
-	}
-	return s.writes.Put(entry)
+	return res
 }
 
 // tuneOn wraps one tuning attempt on one device with its fault model:
@@ -927,7 +900,7 @@ func (s *InferenceServer) tuneOn(ctx context.Context, req InferRequest, pd *pool
 // hedge deadline's baseline (see baseline).
 func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *poolDevice) (store.Entry, perfmodel.Cost, error) {
 	var cost perfmodel.Cost
-	sampler, err := search.NewSampler(s.opts.Algo, s.opts.Space, s.opts.Seed^hashSignature(req.Signature))
+	sampler, err := search.NewSampler(s.opts.Algo, s.opts.Space, s.opts.Seed^sim.Hash64(req.Signature))
 	if err != nil {
 		return store.Entry{}, cost, err
 	}
@@ -981,16 +954,6 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 	return best, cost, nil
 }
 
-// hashSignature derives a per-architecture sampler seed (FNV-1a).
-func hashSignature(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // admissionSpan records the admission verdict for a request as a
 // zero-duration child span of its request span (admission is
 // instantaneous on the simulated clock). queuedAhead is the request's
@@ -999,7 +962,7 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 	// Rejections feed the flight recorder even with tracing off: the
 	// ring is the always-on record, the trace the opt-in one.
 	if verdict != "admitted" {
-		s.opts.Flight.Record(c.start, flight.KindAdmission, verdict, c.sig, int64(queuedAhead), 0)
+		s.opts.Flight.Record(c.SubmitTime, flight.KindAdmission, verdict, c.Signature, int64(queuedAhead), 0)
 	}
 	if c.admSp == nil {
 		return
@@ -1012,7 +975,7 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 		attrs = append(attrs, obs.Int("queuedAhead", int64(queuedAhead)))
 	}
 	c.admSp.Set(attrs...)
-	c.admSp.End(c.start)
+	c.admSp.End(c.SubmitTime)
 }
 
 // outcomeLabel classifies a serving error for span attributes. The

@@ -1,33 +1,45 @@
 package counters
 
 import (
-	"sort"
 	"strings"
 
 	"edgetune/internal/obs"
 )
 
-// Registry names for the resilience and serving counters. Keeping them
-// in one place ties the typed accessors below to the generic metrics
-// snapshot: both views read the same obs.Counter cells.
-const (
-	faultPrefix = "fault."
+const faultPrefix = "fault."
 
-	nameRetries          = "resilience.retries"
-	nameBreakerOpens     = "resilience.breaker.opens"
-	nameBreakerHalfOpens = "resilience.breaker.half-opens"
-	nameBreakerCloses    = "resilience.breaker.closes"
-	nameDegraded         = "resilience.degraded"
-	nameResumedRungs     = "resilience.resumed-rungs"
+// row ties a counter's registry cell to its typed view: the generic
+// metrics snapshot and ResilienceSnapshot both read the cell called name.
+// declare adds a row and returns its index, which Add… methods pass to add.
+type row struct {
+	name  string
+	field func(*ResilienceSnapshot) *int64
+}
 
-	nameShed        = "serving.shed"
-	nameRateLimited = "serving.rate-limited"
-	namePreempted   = "serving.preempted"
-	nameHedges      = "serving.hedges"
-	nameHedgeWins   = "serving.hedge-wins"
-	nameQuarantines = "serving.quarantines"
-	nameProbes      = "serving.probes"
-	nameDrained     = "serving.drained"
+var rows []row
+
+func declare(name string, field func(*ResilienceSnapshot) *int64) int {
+	rows = append(rows, row{name, field})
+	return len(rows) - 1
+}
+
+// The counters, each declared once: index, registry name, and field of a
+// ResilienceSnapshot. Its Add… method says what it counts.
+var (
+	retries          = declare("resilience.retries", func(s *ResilienceSnapshot) *int64 { return &s.Retries })
+	breakerOpens     = declare("resilience.breaker.opens", func(s *ResilienceSnapshot) *int64 { return &s.BreakerOpens })
+	breakerHalfOpens = declare("resilience.breaker.half-opens", func(s *ResilienceSnapshot) *int64 { return &s.BreakerHalfOpens })
+	breakerCloses    = declare("resilience.breaker.closes", func(s *ResilienceSnapshot) *int64 { return &s.BreakerCloses })
+	degraded         = declare("resilience.degraded", func(s *ResilienceSnapshot) *int64 { return &s.Degraded })
+	resumedRungs     = declare("resilience.resumed-rungs", func(s *ResilienceSnapshot) *int64 { return &s.ResumedRungs })
+	shed             = declare("serving.shed", func(s *ResilienceSnapshot) *int64 { return &s.Shed })
+	rateLimited      = declare("serving.rate-limited", func(s *ResilienceSnapshot) *int64 { return &s.RateLimited })
+	preempted        = declare("serving.preempted", func(s *ResilienceSnapshot) *int64 { return &s.Preempted })
+	hedges           = declare("serving.hedges", func(s *ResilienceSnapshot) *int64 { return &s.Hedges })
+	hedgeWins        = declare("serving.hedge-wins", func(s *ResilienceSnapshot) *int64 { return &s.HedgeWins })
+	quarantines      = declare("serving.quarantines", func(s *ResilienceSnapshot) *int64 { return &s.Quarantines })
+	probes           = declare("serving.probes", func(s *ResilienceSnapshot) *int64 { return &s.Probes })
+	drained          = declare("serving.drained", func(s *ResilienceSnapshot) *int64 { return &s.Drained })
 )
 
 // Resilience accumulates the fault-tolerance counters of a tuning job:
@@ -38,29 +50,12 @@ const (
 // names. All methods are safe for concurrent use and nil-safe, so call
 // sites need no guards when resilience accounting is disabled.
 type Resilience struct {
-	reg *obs.Registry
-
-	retries          *obs.Counter
-	breakerOpens     *obs.Counter
-	breakerHalfOpens *obs.Counter
-	breakerCloses    *obs.Counter
-	degraded         *obs.Counter
-	resumedRungs     *obs.Counter
-
-	shed        *obs.Counter
-	rateLimited *obs.Counter
-	preempted   *obs.Counter
-	hedges      *obs.Counter
-	hedgeWins   *obs.Counter
-	quarantines *obs.Counter
-	probes      *obs.Counter
-	drained     *obs.Counter
+	reg   *obs.Registry
+	cells []*obs.Counter // cells[i] is rows[i]'s
 }
 
 // NewResilience returns an empty counter set on a private registry.
-func NewResilience() *Resilience {
-	return NewResilienceOn(obs.NewRegistry())
-}
+func NewResilience() *Resilience { return NewResilienceOn(nil) }
 
 // NewResilienceOn returns a counter set registered on reg, so the
 // resilience counters appear alongside the rest of the job's metrics.
@@ -69,23 +64,11 @@ func NewResilienceOn(reg *obs.Registry) *Resilience {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Resilience{
-		reg:              reg,
-		retries:          reg.Counter(nameRetries),
-		breakerOpens:     reg.Counter(nameBreakerOpens),
-		breakerHalfOpens: reg.Counter(nameBreakerHalfOpens),
-		breakerCloses:    reg.Counter(nameBreakerCloses),
-		degraded:         reg.Counter(nameDegraded),
-		resumedRungs:     reg.Counter(nameResumedRungs),
-		shed:             reg.Counter(nameShed),
-		rateLimited:      reg.Counter(nameRateLimited),
-		preempted:        reg.Counter(namePreempted),
-		hedges:           reg.Counter(nameHedges),
-		hedgeWins:        reg.Counter(nameHedgeWins),
-		quarantines:      reg.Counter(nameQuarantines),
-		probes:           reg.Counter(nameProbes),
-		drained:          reg.Counter(nameDrained),
+	r := &Resilience{reg: reg, cells: make([]*obs.Counter, len(rows))}
+	for i, row := range rows {
+		r.cells[i] = reg.Counter(row.name)
 	}
+	return r
 }
 
 // Registry exposes the backing registry (nil for a nil receiver), so
@@ -99,133 +82,32 @@ func (r *Resilience) Registry() *obs.Registry {
 
 // RecordFault counts one injected fault of the named class.
 func (r *Resilience) RecordFault(class string) {
-	if r == nil {
-		return
+	if r != nil {
+		r.reg.Counter(faultPrefix + class).Inc()
 	}
-	r.reg.Counter(faultPrefix + class).Inc()
 }
 
-// AddRetry counts one retried operation (trial re-run or inference
-// request re-attempt).
-func (r *Resilience) AddRetry() {
-	if r == nil {
-		return
+func (r *Resilience) add(i int, n int64) {
+	if r != nil {
+		r.cells[i].Add(n)
 	}
-	r.retries.Inc()
 }
 
-// AddBreakerOpen counts a closed→open (or half-open→open) transition.
-func (r *Resilience) AddBreakerOpen() {
-	if r == nil {
-		return
-	}
-	r.breakerOpens.Inc()
-}
-
-// AddBreakerHalfOpen counts an open→half-open transition.
-func (r *Resilience) AddBreakerHalfOpen() {
-	if r == nil {
-		return
-	}
-	r.breakerHalfOpens.Inc()
-}
-
-// AddBreakerClose counts a half-open→closed transition.
-func (r *Resilience) AddBreakerClose() {
-	if r == nil {
-		return
-	}
-	r.breakerCloses.Inc()
-}
-
-// AddDegraded counts one outcome served from a fallback (historical
-// store entry or performance-model estimate) instead of a measurement.
-func (r *Resilience) AddDegraded() {
-	if r == nil {
-		return
-	}
-	r.degraded.Inc()
-}
-
-// AddShed counts one submission rejected at the admission gate because
-// the intake queue was full (or an injected overload burst fired).
-func (r *Resilience) AddShed() {
-	if r == nil {
-		return
-	}
-	r.shed.Inc()
-}
-
-// AddRateLimited counts one submission rejected by the per-client
-// token-bucket rate limiter.
-func (r *Resilience) AddRateLimited() {
-	if r == nil {
-		return
-	}
-	r.rateLimited.Inc()
-}
-
-// AddPreempted counts one queued background request evicted to make
-// room for a recommendation-critical one.
-func (r *Resilience) AddPreempted() {
-	if r == nil {
-		return
-	}
-	r.preempted.Inc()
-}
-
-// AddHedge counts one speculative re-issue to a second device after the
-// primary exceeded its straggler deadline or failed transiently.
-func (r *Resilience) AddHedge() {
-	if r == nil {
-		return
-	}
-	r.hedges.Inc()
-}
-
-// AddHedgeWin counts a hedge whose secondary attempt produced the
-// winning result.
-func (r *Resilience) AddHedgeWin() {
-	if r == nil {
-		return
-	}
-	r.hedgeWins.Inc()
-}
-
-// AddQuarantine counts a device transition into the quarantined state.
-func (r *Resilience) AddQuarantine() {
-	if r == nil {
-		return
-	}
-	r.quarantines.Inc()
-}
-
-// AddProbe counts a probe request routed to a quarantined device to
-// test for recovery.
-func (r *Resilience) AddProbe() {
-	if r == nil {
-		return
-	}
-	r.probes.Inc()
-}
-
-// AddDrained counts one in-flight request completed during graceful
-// shutdown (after new intake was already rejected).
-func (r *Resilience) AddDrained() {
-	if r == nil {
-		return
-	}
-	r.drained.Inc()
-}
-
-// AddResumedRungs counts rungs skipped because a checkpoint already
-// held their results.
-func (r *Resilience) AddResumedRungs(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.resumedRungs.Add(n)
-}
+// Each Add… method counts one event of the kind its comment gives.
+func (r *Resilience) AddRetry()               { r.add(retries, 1) }          // a trial re-run or an inference request re-attempt
+func (r *Resilience) AddBreakerOpen()         { r.add(breakerOpens, 1) }     // closed→open, or half-open→open
+func (r *Resilience) AddBreakerHalfOpen()     { r.add(breakerHalfOpens, 1) } // open→half-open
+func (r *Resilience) AddBreakerClose()        { r.add(breakerCloses, 1) }    // half-open→closed
+func (r *Resilience) AddDegraded()            { r.add(degraded, 1) }         // an outcome served from a fallback (store entry, perfmodel estimate), not measured
+func (r *Resilience) AddResumedRungs(n int64) { r.add(resumedRungs, n) }     // n rungs skipped because a checkpoint already held their results
+func (r *Resilience) AddShed()                { r.add(shed, 1) }             // a submission rejected at the gate: queue full, degradation ladder, injected burst
+func (r *Resilience) AddRateLimited()         { r.add(rateLimited, 1) }      // a submission rejected by the per-client token bucket
+func (r *Resilience) AddPreempted()           { r.add(preempted, 1) }        // a queued background request evicted for a recommendation-critical one
+func (r *Resilience) AddHedge()               { r.add(hedges, 1) }           // a speculative re-issue to a second device (primary straggled or failed transiently)
+func (r *Resilience) AddHedgeWin()            { r.add(hedgeWins, 1) }        // a hedge whose secondary attempt produced the winning result
+func (r *Resilience) AddQuarantine()          { r.add(quarantines, 1) }      // a device entering the quarantined state
+func (r *Resilience) AddProbe()               { r.add(probes, 1) }           // a probe request routed to a quarantined device to test for recovery
+func (r *Resilience) AddDrained()             { r.add(drained, 1) }          // an in-flight request completed during graceful shutdown, after intake closed
 
 // FaultCount is one (class, count) pair of a snapshot, sorted by class.
 type FaultCount struct {
@@ -266,39 +148,22 @@ func (s ResilienceSnapshot) FaultCount(class string) int64 {
 	return 0
 }
 
-// Snapshot copies the current counters. A nil receiver yields a zero
-// snapshot.
+// Snapshot copies the current counters (all zero for a nil receiver).
 func (r *Resilience) Snapshot() ResilienceSnapshot {
 	var s ResilienceSnapshot
 	if r == nil {
 		return s
 	}
-	for _, name := range r.reg.CounterNames() {
-		if !strings.HasPrefix(name, faultPrefix) {
-			continue
+	for _, name := range r.reg.CounterNames() { // sorted, and so the classes
+		class, ok := strings.CutPrefix(name, faultPrefix)
+		if n := r.reg.Counter(name).Value(); ok && n != 0 {
+			s.Faults = append(s.Faults, FaultCount{Class: class, Count: n})
+			s.TotalFaults += n
 		}
-		n := r.reg.Counter(name).Value()
-		if n == 0 {
-			continue
-		}
-		s.Faults = append(s.Faults, FaultCount{Class: strings.TrimPrefix(name, faultPrefix), Count: n})
-		s.TotalFaults += n
 	}
-	sort.Slice(s.Faults, func(i, j int) bool { return s.Faults[i].Class < s.Faults[j].Class })
-	s.Retries = r.retries.Value()
-	s.BreakerOpens = r.breakerOpens.Value()
-	s.BreakerHalfOpens = r.breakerHalfOpens.Value()
-	s.BreakerCloses = r.breakerCloses.Value()
-	s.Degraded = r.degraded.Value()
-	s.ResumedRungs = r.resumedRungs.Value()
-	s.Shed = r.shed.Value()
-	s.RateLimited = r.rateLimited.Value()
-	s.Preempted = r.preempted.Value()
-	s.Hedges = r.hedges.Value()
-	s.HedgeWins = r.hedgeWins.Value()
-	s.Quarantines = r.quarantines.Value()
-	s.Probes = r.probes.Value()
-	s.Drained = r.drained.Value()
+	for i, c := range r.cells {
+		*rows[i].field(&s) = c.Value()
+	}
 	return s
 }
 
@@ -319,18 +184,7 @@ func (r *Resilience) Restore(s ResilienceSnapshot) {
 	for _, f := range s.Faults {
 		r.reg.Counter(faultPrefix + f.Class).Set(f.Count)
 	}
-	r.retries.Set(s.Retries)
-	r.breakerOpens.Set(s.BreakerOpens)
-	r.breakerHalfOpens.Set(s.BreakerHalfOpens)
-	r.breakerCloses.Set(s.BreakerCloses)
-	r.degraded.Set(s.Degraded)
-	r.resumedRungs.Set(s.ResumedRungs)
-	r.shed.Set(s.Shed)
-	r.rateLimited.Set(s.RateLimited)
-	r.preempted.Set(s.Preempted)
-	r.hedges.Set(s.Hedges)
-	r.hedgeWins.Set(s.HedgeWins)
-	r.quarantines.Set(s.Quarantines)
-	r.probes.Set(s.Probes)
-	r.drained.Set(s.Drained)
+	for i, c := range r.cells {
+		c.Set(*rows[i].field(&s))
+	}
 }

@@ -132,3 +132,37 @@ func TestResilienceBackedByRegistry(t *testing.T) {
 		t.Fatal("nil recorder must have nil registry")
 	}
 }
+
+// TestResilienceFifteenthRow is the point of the table: one declaration
+// — no struct field, registration line, snapshot line or restore line —
+// and a counter is registered, snapshotted and restored.
+func TestResilienceFifteenthRow(t *testing.T) {
+	var field int64 // stands in for a new ResilienceSnapshot field
+	extra := declare("resilience.fifteenth", func(*ResilienceSnapshot) *int64 { return &field })
+	defer func() { rows = rows[:extra] }()
+	if extra != 14 {
+		t.Fatalf("the new row has index %d, want 14", extra)
+	}
+
+	reg := obs.NewRegistry()
+	r := NewResilienceOn(reg)
+	r.add(extra, 3)
+	r.AddRetry()
+	if got := reg.Counter("resilience.fifteenth").Value(); got != 3 {
+		t.Errorf("registered cell = %d, want 3", got)
+	}
+	snap := r.Snapshot()
+	if field != 3 || snap.Retries != 1 {
+		t.Errorf("snapshot: fifteenth = %d, retries = %d, want 3 and 1", field, snap.Retries)
+	}
+
+	field = 7
+	fresh := NewResilienceOn(obs.NewRegistry())
+	fresh.Restore(snap)
+	if got := fresh.Registry().Counter("resilience.fifteenth").Value(); got != 7 {
+		t.Errorf("restored cell = %d, want 7", got)
+	}
+	if got := fresh.Snapshot().Retries; got != 1 {
+		t.Errorf("restored retries = %d, want 1", got)
+	}
+}

@@ -130,7 +130,7 @@ func (d Device) DefaultSpec(flopsPerSample, params float64) perfmodel.InferSpec 
 // standing in for the gap between the simulation profile and physical
 // hardware. Figure 15 measures estimates against such a twin.
 func (d Device) Perturbed(seed uint64, maxSkew float64) Device {
-	rng := sim.NewRNG(seed ^ hashName(d.Profile.Name))
+	rng := sim.NewRNG(seed ^ sim.Hash64(d.Profile.Name))
 	skew := func(v float64) float64 { return v * (1 + rng.Range(-maxSkew, maxSkew)) }
 	p := d.Profile
 	p.Name = p.Name + "-physical"
@@ -181,13 +181,4 @@ func (m *Measured) Measure(spec perfmodel.InferSpec) (perfmodel.InferResult, err
 	lat := jitter() * float64(r.BatchLatency)
 	r.BatchLatency = time.Duration(lat)
 	return r, nil
-}
-
-func hashName(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

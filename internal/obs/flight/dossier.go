@@ -11,6 +11,7 @@ import (
 	"edgetune/internal/obs"
 	"edgetune/internal/obs/analyze"
 	"edgetune/internal/obs/slo"
+	"edgetune/internal/sim"
 )
 
 // DossierSchema versions the dossier JSON layout.
@@ -165,12 +166,7 @@ func (d Dossier) computeDigest() string {
 	if err != nil {
 		return "fnv1a:error"
 	}
-	h := uint64(fnvOffset)
-	for _, c := range raw {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return fmt.Sprintf("fnv1a:%016x", h)
+	return fmt.Sprintf("fnv1a:%016x", sim.Hash64(string(raw)))
 }
 
 // Verify recomputes the digest; a false return means the artefact was

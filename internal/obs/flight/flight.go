@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"edgetune/internal/obs/slo"
+	"edgetune/internal/sim"
 )
 
 // Event kinds. Call sites pass these constants (and pre-existing
@@ -338,40 +339,16 @@ func sortEvents(evs []Event) {
 	})
 }
 
-// FNV-1a, mirroring the tracer's structural ID derivation so flight
-// event IDs are pure functions of the event fields.
-const (
-	fnvOffset = 1469598103934665603
-	fnvPrime  = 1099511628211
-)
-
-func mixStr(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	h ^= 0xff // field separator
-	h *= fnvPrime
-	return h
-}
-
-func mixU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
+// eventID mirrors the tracer's structural ID derivation, so flight event
+// IDs are pure functions of the event fields; 0xff separates the strings.
 func eventID(at time.Duration, kind, subject, detail string, a, b int64) uint64 {
-	h := uint64(fnvOffset)
-	h = mixStr(h, kind)
-	h = mixStr(h, subject)
-	h = mixStr(h, detail)
-	h = mixU64(h, uint64(at))
-	h = mixU64(h, uint64(a))
-	h = mixU64(h, uint64(b))
+	h := sim.HashOffset
+	for _, s := range [...]string{kind, subject, detail} {
+		h = sim.HashString(sim.HashString(h, s), "\xff")
+	}
+	for _, v := range [...]int64{int64(at), a, b} {
+		h = sim.HashUint64(h, uint64(v))
+	}
 	if h == 0 {
 		h = 1
 	}

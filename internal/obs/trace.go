@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"edgetune/internal/sim"
 )
 
 // Tracks group spans into Perfetto threads: the tuning loop and the
@@ -146,7 +148,7 @@ func (t *Tracer) Root(track int, name string, index uint64, start time.Duration,
 	if t == nil {
 		return nil
 	}
-	id := mixU64(mixStr(fnvOffset, name), index)
+	id := sim.HashUint64(sim.Hash64(name), index)
 	return &Span{tr: t, id: nonzero(id), track: track, start: start, name: name, attrs: attrs}
 }
 
@@ -159,7 +161,7 @@ func (sp *Span) Child(name string, start time.Duration, attrs ...Attr) *Span {
 		return nil
 	}
 	idx := sp.children.Add(1) - 1
-	id := mixU64(mixStr(uint64(sp.id), name), idx)
+	id := sim.HashUint64(sim.HashString(uint64(sp.id), name), idx)
 	return &Span{tr: sp.tr, id: nonzero(id), parent: sp.id, track: sp.track, start: start, name: name, attrs: attrs}
 }
 
@@ -389,26 +391,6 @@ func (t *Tracer) save(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// FNV-1a helpers for structural span IDs.
-const fnvOffset uint64 = 1469598103934665603
-
-func mixStr(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func mixU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
 }
 
 func nonzero(h uint64) SpanID {

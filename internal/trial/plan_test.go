@@ -14,6 +14,7 @@ import (
 	"edgetune/internal/fault"
 	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
+	"edgetune/internal/sim"
 	"edgetune/internal/tensor"
 	"edgetune/internal/testutil"
 	"edgetune/internal/workload"
@@ -361,5 +362,115 @@ func TestTrainingFaultSitesNamedOnlyForAnInjector(t *testing.T) {
 	}
 	if without >= with {
 		t.Errorf("a trial allocates %.0f times without an injector, %.0f with one: the site name is still built for nobody", without, with)
+	}
+}
+
+// spilled reports whether what ran on a since its last Reset overflowed
+// it: the Reset after a spill replaces a block, any other Reset
+// allocates nothing.
+func spilled(a *tensor.Arena) bool {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.Reset()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs != before.Mallocs
+}
+
+// TestSettledScratchNeverSpills: once settled, a scratch holds every
+// trial its workload's space can ask for — every corner of the space
+// trained and evaluated on all of the data and on a sliver of it, and
+// 200 sampled configurations at sampled data fractions through their
+// first step (what a trial takes from its scratch it has taken by then,
+// but for the evaluation, which the corners cover) — so that what a
+// job allocates does not depend on which scratch met which trial.
+func TestSettledScratchNeverSpills(t *testing.T) {
+	for _, id := range workload.IDs() {
+		t.Run(id, func(t *testing.T) {
+			r, a := runnerFor(t, id), new(tensor.Arena)
+			space, err := r.workload.TrainSpace(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.trainOn(a, space.Sample(sim.NewRNG(1)), budget.Allocation{Epochs: 1, DataFraction: 0.1}, 0, nil); !spilled(a) {
+				t.Fatal("a scratch nobody settled held a trial: the spill detector sees nothing")
+			}
+			a = new(tensor.Arena)
+			r.settle(a)
+			a.Reset()
+
+			try := func(cfg search.Config, frac float64, steps int) {
+				t.Helper()
+				check := func() error {
+					if steps--; steps < 0 {
+						return context.Canceled
+					}
+					return nil
+				}
+				out, _ := r.trainOn(a, cfg, budget.Allocation{Epochs: 1, DataFraction: frac}, 0, check)
+				if out.err != nil && !errors.Is(out.err, context.Canceled) {
+					t.Fatal(out.err)
+				}
+				if spilled(a) {
+					t.Errorf("%v at data fraction %g spilt a settled scratch", cfg, frac)
+				}
+			}
+			u := make([]float64, space.Dim())       // model parameter, batch size, GPUs
+			for corner := 0; corner < 4; corner++ { // GPUs change the bill, not the training
+				u[0], u[1] = float64(corner&1), float64(corner>>1)
+				cfg, err := space.FromUnit(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				try(cfg, 1, math.MaxInt)
+				try(cfg, 0.01, math.MaxInt)
+			}
+			rng := sim.NewRNG(7)
+			for i := 0; i < 200; i++ {
+				try(space.Sample(rng), 0.01+0.99*rng.Float64(), 1)
+			}
+		})
+	}
+}
+
+// TestScratchesAreKeptAtPeakConcurrency: eight trainings running at
+// once leave eight scratches on the free list, whatever GOMAXPROCS is
+// (the list was capped there before PR 19, and a third trainer on two
+// cores built and dropped a scratch per trial), and a second wave of
+// eight finds them all there and makes none.
+func TestScratchesAreKeptAtPeakConcurrency(t *testing.T) {
+	scratches.mu.Lock()
+	scratches.free = nil
+	scratches.mu.Unlock()
+	r := runnerFor(t, "IC")
+	req := rungRequests()[0]
+	const n = 8
+	for wave := 1; wave <= 2; wave++ {
+		var started, done sync.WaitGroup
+		started.Add(n)
+		done.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
+				defer done.Done()
+				first := true
+				out := r.train(req.Config, req.Alloc, 0, func() error {
+					if first { // hold the scratch until all eight have one
+						first = false
+						started.Done()
+						started.Wait()
+					}
+					return nil
+				})
+				if out.err != nil {
+					t.Error(out.err)
+				}
+			}()
+		}
+		done.Wait()
+		scratches.mu.Lock()
+		kept := len(scratches.free)
+		scratches.mu.Unlock()
+		if kept != n {
+			t.Errorf("after wave %d of %d concurrent trainings the free list holds %d scratches, want %d", wave, n, kept, n)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package trial
 
 import (
-	"runtime"
+	"errors"
 	"sync"
 
 	"edgetune/internal/budget"
@@ -29,10 +29,57 @@ type training struct {
 // memo only, and trains on a scratch it takes from the free list and
 // gives back.
 func (r *Runner) train(cfg search.Config, alloc budget.Allocation, attempt int, check func() error) training {
-	a := acquireScratch()
+	a, fresh := acquireScratch()
 	defer releaseScratch(a)
+	if fresh {
+		r.settle(a)
+	}
 	out, _ := r.trainOn(a, cfg, alloc, attempt, check)
 	return out
+}
+
+// errSettled stops settle's training after its first step.
+var errSettled = errors.New("trial: scratch settled")
+
+// settle sizes a new scratch once, before its first trial, for every
+// trial of the runner's workload: it builds the largest configuration of
+// the training space on it — deepest or widest model, largest batch, all
+// of the data — and runs one training step and one evaluation. What that
+// overflowed, the Reset that opens the first trial regrows the scratch
+// to hold (tensor.Arena), and no smaller trial asks for more; without it
+// a scratch climbs there one regrowth per record-breaking trial, and
+// which scratch meets which trial is scheduling. A scratch that moves to
+// a bigger workload, or that this failed to settle, grows the old way.
+func (r *Runner) settle(a *tensor.Arena) {
+	space, err := r.workload.TrainSpace(true)
+	if err != nil {
+		return
+	}
+	cfg := make(search.Config, space.Dim())
+	for _, p := range space.Params() {
+		cfg[p.Name] = p.FromUnit(1)
+	}
+	net, err := r.workload.BuildModelIn(a, cfg, sim.NewRNG(r.seed))
+	if err != nil {
+		return
+	}
+	// The split as generated has the shape of every featurisation of it.
+	train, test, steps := r.workload.Split.Train, r.workload.Split.Test, 0
+	_, err = nn.Train(net, train.X, train.Labels, nn.TrainConfig{
+		Epochs:    1,
+		BatchSize: min(int(cfg[workload.ParamTrainBatch]), train.Len()),
+		LR:        r.lr,
+		Momentum:  r.momentum,
+		Check: func() error {
+			if steps++; steps > 1 {
+				return errSettled
+			}
+			return nil
+		},
+	}, nil)
+	if errors.Is(err, errSettled) {
+		net.Predict(test.X)
+	}
 }
 
 // trainOn is train on the given scratch, which it resets first. The
@@ -42,7 +89,7 @@ func (r *Runner) trainOn(a *tensor.Arena, cfg search.Config, alloc budget.Alloca
 	// XOR-folding the attempt into the seed keeps attempt 0 identical
 	// to the pre-resilience behaviour while giving retries fresh
 	// initialisation and shuffling.
-	rng := sim.NewRNG(r.seed ^ hashString(cfg.Key()) ^ (uint64(attempt) * 0xa5a5b5b5c5c5d5d5))
+	rng := sim.NewRNG(r.seed ^ sim.Hash64(cfg.Key()) ^ (uint64(attempt) * 0xa5a5b5b5c5c5d5d5))
 	net, err := r.workload.BuildModelIn(a, cfg, rng)
 	if err != nil {
 		return training{err: err}, nil
@@ -86,39 +133,30 @@ func (r *Runner) trainOn(a *tensor.Arena, cfg search.Config, alloc budget.Alloca
 
 // scratches is the free list of training scratches: one bump arena per
 // trainer that is training right now, kept between trials so that a
-// network's storage is reused instead of collected. It holds at most
-// GOMAXPROCS arenas; a scratch is acquired and released around one
+// network's storage is reused instead of collected. Every scratch that
+// was ever in use is kept, so the list is bounded by the most trainings
+// that ever ran at once; a scratch is acquired and released around one
 // training and owned by nobody in between.
 var scratches struct {
 	mu   sync.Mutex
 	free []*tensor.Arena
 }
 
-func acquireScratch() *tensor.Arena {
+// acquireScratch takes a scratch off the free list, or makes one and
+// says so.
+func acquireScratch() (a *tensor.Arena, fresh bool) {
 	scratches.mu.Lock()
 	defer scratches.mu.Unlock()
 	if n := len(scratches.free); n > 0 {
-		a := scratches.free[n-1]
+		a = scratches.free[n-1]
 		scratches.free = scratches.free[:n-1]
-		return a
+		return a, false
 	}
-	return new(tensor.Arena)
+	return new(tensor.Arena), true
 }
 
 func releaseScratch(a *tensor.Arena) {
 	scratches.mu.Lock()
 	defer scratches.mu.Unlock()
-	if len(scratches.free) < runtime.GOMAXPROCS(0) {
-		scratches.free = append(scratches.free, a)
-	}
-}
-
-// hashString is FNV-1a, used to derive per-config training seeds.
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	scratches.free = append(scratches.free, a)
 }

@@ -61,46 +61,74 @@ type Workload struct {
 	// ModelParam is the single model hyperparameter this family tunes.
 	ModelParam search.Param
 
-	seed uint64
+	family *family // the workload's row of Table 1
+	seed   uint64
+}
+
+// family is one row of Table 1: everything that differs between the
+// workloads. build and cost take the value of the model hyperparameter.
+type family struct {
+	id, task, model string
+	split           func(seed uint64) dataset.Split
+	param           search.Param
+	build           func(a *tensor.Arena, v float64, rng *sim.RNG) (*nn.Network, error)
+	// cost is the paper-scale per-sample forward FLOPs and parameter
+	// count, calibrated to the published footprints of the real models.
+	cost func(v float64) (flopsPerSample, params float64)
+	// target is calibrated per synthetic analogue so that it is
+	// reachable by multi-epoch training but not by any single-epoch
+	// (dataset-budget) run — the regime the paper's corpora live in.
+	target float64
+	// refeaturises says the hyperparameter changes the input features,
+	// not the network: NLP's stride subsamples the token sequences.
+	refeaturises bool
+}
+
+// families is Table 1, in its order.
+var families = []family{
+	{id: "IC", task: "Image Classification", model: "ResNet", split: dataset.NewImageClassification,
+		param: search.Param{Name: ParamLayers, Kind: search.Choice, Choices: []float64{18, 34, 50}},
+		build: buildResNet,
+		// ResNet-18-class: ~0.56 GFLOPs, ~11M params, scaling with depth.
+		cost:   func(v float64) (float64, float64) { return v / 18 * 5.6e8, v / 18 * 11e6 },
+		target: 0.80},
+	{id: "SR", task: "Speech Recognition", model: "M5", split: dataset.NewSpeech,
+		param: search.Param{Name: ParamEmbedDim, Kind: search.Choice, Choices: []float64{32, 64, 128}},
+		build: buildM5,
+		// M5-class: ~0.2-0.8 GFLOPs over the embedding sweep.
+		cost:   func(v float64) (float64, float64) { return v * 6e6, v * 8e3 },
+		target: 0.90},
+	{id: "NLP", task: "Natural Language Processing", model: "RNN", split: dataset.NewNews,
+		param: search.Param{Name: ParamStride, Kind: search.Int, Min: 1, Max: 32},
+		build: buildRNN,
+		// RNN unrolled over seqLen/stride steps.
+		cost:   func(v float64) (float64, float64) { return math.Ceil(dataset.NewsSeqLen/v) * 6e6, 2e6 },
+		target: 0.70, refeaturises: true},
+	{id: "OD", task: "Object Detection", model: "YOLO", split: dataset.NewDetection,
+		param: search.Param{Name: ParamDropout, Kind: search.Float, Min: 0.1, Max: 0.5},
+		build: buildYOLO,
+		// YOLOv3-class: dropout does not change the compute footprint.
+		cost:   func(float64) (float64, float64) { return 8e9, 62e6 },
+		target: 0.90},
 }
 
 // IDs lists the workload identifiers in Table 1 order.
-func IDs() []string { return []string{"IC", "SR", "NLP", "OD"} }
+func IDs() []string {
+	ids := make([]string, len(families))
+	for i, f := range families {
+		ids[i] = f.id
+	}
+	return ids
+}
 
 // New constructs a workload by paper ID with a deterministic seed.
 func New(id string, seed uint64) (*Workload, error) {
-	switch id {
-	case "IC":
-		return &Workload{
-			ID: "IC", Task: "Image Classification", ModelFamily: "ResNet",
-			Split:      dataset.NewImageClassification(seed),
-			ModelParam: search.Param{Name: ParamLayers, Kind: search.Choice, Choices: []float64{18, 34, 50}},
-			seed:       seed,
-		}, nil
-	case "SR":
-		return &Workload{
-			ID: "SR", Task: "Speech Recognition", ModelFamily: "M5",
-			Split:      dataset.NewSpeech(seed),
-			ModelParam: search.Param{Name: ParamEmbedDim, Kind: search.Choice, Choices: []float64{32, 64, 128}},
-			seed:       seed,
-		}, nil
-	case "NLP":
-		return &Workload{
-			ID: "NLP", Task: "Natural Language Processing", ModelFamily: "RNN",
-			Split:      dataset.NewNews(seed),
-			ModelParam: search.Param{Name: ParamStride, Kind: search.Int, Min: 1, Max: 32},
-			seed:       seed,
-		}, nil
-	case "OD":
-		return &Workload{
-			ID: "OD", Task: "Object Detection", ModelFamily: "YOLO",
-			Split:      dataset.NewDetection(seed),
-			ModelParam: search.Param{Name: ParamDropout, Kind: search.Float, Min: 0.1, Max: 0.5},
-			seed:       seed,
-		}, nil
-	default:
-		return nil, fmt.Errorf("workload: unknown id %q (want IC, SR, NLP, or OD)", id)
+	for i := range families {
+		if f := &families[i]; f.id == id {
+			return &Workload{ID: id, Task: f.task, ModelFamily: f.model, Split: f.split(seed), ModelParam: f.param, family: f, seed: seed}, nil
+		}
 	}
+	return nil, fmt.Errorf("workload: unknown id %q (want IC, SR, NLP, or OD)", id)
 }
 
 // MustNew is New for tests and examples with known-good IDs; it panics
@@ -163,25 +191,14 @@ func (w *Workload) BuildModelIn(a *tensor.Arena, cfg search.Config, rng *sim.RNG
 	if !w.ModelParam.Contains(v) {
 		return nil, fmt.Errorf("workload %s: %s=%v outside domain", w.ID, w.ModelParam.Name, v)
 	}
-	switch w.ID {
-	case "IC":
-		return buildResNet(a, int(v), rng)
-	case "SR":
-		return buildM5(a, int(v), rng)
-	case "NLP":
-		return buildRNN(a, rng)
-	case "OD":
-		return buildYOLO(a, v, rng)
-	default:
-		return nil, fmt.Errorf("workload: unknown id %q", w.ID)
-	}
+	return w.family.build(a, v, rng)
 }
 
 // resNetWidth is the hidden width of the residual trunk.
 const resNetWidth = 32
 
-func buildResNet(a *tensor.Arena, layers int, rng *sim.RNG) (*nn.Network, error) {
-	blocks := layers / 8 // 18 -> 2, 34 -> 4, 50 -> 6 residual blocks
+func buildResNet(a *tensor.Arena, layers float64, rng *sim.RNG) (*nn.Network, error) {
+	blocks := int(layers) / 8 // 18 -> 2, 34 -> 4, 50 -> 6 residual blocks
 	if blocks < 1 {
 		blocks = 1
 	}
@@ -194,7 +211,8 @@ func buildResNet(a *tensor.Arena, layers int, rng *sim.RNG) (*nn.Network, error)
 	return nn.NewNetworkIn(a, ls...)
 }
 
-func buildM5(a *tensor.Arena, embed int, rng *sim.RNG) (*nn.Network, error) {
+func buildM5(a *tensor.Arena, embedDim float64, rng *sim.RNG) (*nn.Network, error) {
+	embed := int(embedDim)
 	return nn.NewNetworkIn(a,
 		nn.NewDenseIn(a, dataset.SpeechDim, embed, rng),
 		nn.NewReLUIn(a),
@@ -204,7 +222,7 @@ func buildM5(a *tensor.Arena, embed int, rng *sim.RNG) (*nn.Network, error) {
 	)
 }
 
-func buildRNN(a *tensor.Arena, rng *sim.RNG) (*nn.Network, error) {
+func buildRNN(a *tensor.Arena, _ float64, rng *sim.RNG) (*nn.Network, error) { // the stride shapes the data, not the network
 	const hidden = 48
 	return nn.NewNetworkIn(a,
 		nn.NewDenseIn(a, dataset.NewsVocab, hidden, rng),
@@ -238,7 +256,7 @@ func buildYOLO(a *tensor.Arena, dropout float64, rng *sim.RNG) (*nn.Network, err
 // configuration. Only the NLP workload re-featurises: its stride
 // hyperparameter subsamples the token sequences.
 func (w *Workload) Data(cfg search.Config) (train, test *dataset.Dataset, err error) {
-	if w.ID != "NLP" {
+	if !w.family.refeaturises {
 		return w.Split.Train, w.Split.Test, nil
 	}
 	stride := int(cfg[ParamStride])
@@ -273,23 +291,8 @@ func (w *Workload) PaperCost(cfg search.Config) (flopsPerSample, params float64,
 	if !ok {
 		return 0, 0, fmt.Errorf("workload %s: config missing %q", w.ID, w.ModelParam.Name)
 	}
-	switch w.ID {
-	case "IC":
-		// ResNet-18-class: ~0.56 GFLOPs, ~11M params, scaling with depth.
-		return v / 18 * 5.6e8, v / 18 * 11e6, nil
-	case "SR":
-		// M5-class: ~0.2-0.8 GFLOPs over the embedding sweep.
-		return v * 6e6, v * 8e3, nil
-	case "NLP":
-		// RNN unrolled over seqLen/stride steps.
-		steps := math.Ceil(dataset.NewsSeqLen / v)
-		return steps * 6e6, 2e6, nil
-	case "OD":
-		// YOLOv3-class: dropout does not change the compute footprint.
-		return 8e9, 62e6, nil
-	default:
-		return 0, 0, fmt.Errorf("workload: unknown id %q", w.ID)
-	}
+	flopsPerSample, params = w.family.cost(v)
+	return flopsPerSample, params, nil
 }
 
 // TargetAccuracy is the model-accuracy goal used throughout the paper's
@@ -297,19 +300,5 @@ func (w *Workload) PaperCost(cfg search.Config) (flopsPerSample, params float64,
 // Synthetic datasets keep the same goal for IC; the harder multi-class
 // analogues use family-calibrated targets with the same role.
 func (w *Workload) TargetAccuracy() float64 {
-	// Targets are calibrated per synthetic analogue so that they are
-	// reachable by multi-epoch training but not by any single-epoch
-	// (dataset-budget) run — the regime the paper's corpora live in.
-	switch w.ID {
-	case "IC":
-		return 0.80
-	case "SR":
-		return 0.90
-	case "NLP":
-		return 0.70
-	case "OD":
-		return 0.90
-	default:
-		return 0.80
-	}
+	return w.family.target
 }
