@@ -122,13 +122,16 @@ gate "parallel determinism"
 # GOMAXPROCS decides how many helpers train a rung's registered trials
 # side by side (DESIGN.md §4.17) and nothing else: a seeded job's report
 # and trace are byte-identical on one core — no helper, the sequential
-# loop — and on four. Then the package that owns the helper budget and
-# the scratch free list, twice under the race detector.
+# loop — and on four; on NLP too, whose helpers each featurise their own
+# trial's data side by side. Then the package that owns the helper budget
+# and the scratch free list, twice under the race detector.
 go build -o "$tracedir/edgetune" ./cmd/edgetune
-GOMAXPROCS=1 "$tracedir/edgetune" -workload IC -seed 42 -trace "$tracedir/p1.jsonl" > "$tracedir/p1.out"
-GOMAXPROCS=4 "$tracedir/edgetune" -workload IC -seed 42 -trace "$tracedir/p4.jsonl" > "$tracedir/p4.out"
-cmp "$tracedir/p1.out" "$tracedir/p4.out"
-cmp "$tracedir/p1.jsonl" "$tracedir/p4.jsonl"
+for wl in IC NLP; do
+    GOMAXPROCS=1 "$tracedir/edgetune" -workload "$wl" -seed 42 -trace "$tracedir/p1-$wl.jsonl" > "$tracedir/p1-$wl.out"
+    GOMAXPROCS=4 "$tracedir/edgetune" -workload "$wl" -seed 42 -trace "$tracedir/p4-$wl.jsonl" > "$tracedir/p4-$wl.out"
+    cmp "$tracedir/p1-$wl.out" "$tracedir/p4-$wl.out"
+    cmp "$tracedir/p1-$wl.jsonl" "$tracedir/p4-$wl.jsonl"
+done
 go test -race -count=2 ./internal/trial/
 
 gate "tracing no-op overhead"

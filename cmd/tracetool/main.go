@@ -20,7 +20,7 @@
 //	tracetool fuzz gen [-mode single|cluster] [-seed N] [-n N] -out dir
 //
 // Exit codes: 0 clean, 1 usage or I/O error, 2 gate failure (flagged
-// diff deltas, an allocs/op regression, missing profile
+// diff deltas, an allocs/op or bytes/op regression, missing profile
 // labels, store corruption, a dossier digest mismatch, two dossiers
 // that should match but differ, or a chaos-fuzz invariant violation).
 package main
@@ -284,7 +284,7 @@ func runCheckBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracetool check-bench", flag.ContinueOnError)
 	var (
 		baseline   = fs.String("baseline", "", "committed BENCH_*.json to compare against (required)")
-		allocTol   = fs.Float64("alloc-tolerance", 0.25, "allowed relative allocs/op growth per experiment")
+		allocTol   = fs.Float64("alloc-tolerance", 0.25, "allowed relative allocs/op and bytes/op growth per experiment")
 		allocSlack = fs.Float64("alloc-slack", 16, "absolute allocs/op headroom added to the limit, absorbing runtime noise on tiny baselines")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -307,6 +307,24 @@ func runCheckBench(args []string, out io.Writer) error {
 	}
 
 	regressions := 0
+	// hold gates one probe column: only for experiments whose baseline
+	// carries the probe (a zero baseline still gates — the slack is the
+	// headroom). A current run without it (older binary) skips rather
+	// than comparing an absent value.
+	hold := func(id, unit string, b, c *float64, slack float64) {
+		if b == nil {
+			return
+		}
+		switch limit := *b*(1+*allocTol) + slack; {
+		case c == nil:
+			fmt.Fprintf(out, "SKIP %-28s no %s in current run\n", id, unit)
+		case *c <= limit:
+			fmt.Fprintf(out, "ok   %-28s %.1f -> %.1f %s (limit %.1f)\n", id, *b, *c, unit, limit)
+		default:
+			regressions++
+			fmt.Fprintf(out, "FAIL %-28s %.1f -> %.1f %s exceeds limit %.1f\n", id, *b, *c, unit, limit)
+		}
+	}
 	for _, b := range base.Experiments {
 		c, ok := curByID[b.ID]
 		if !ok {
@@ -314,26 +332,12 @@ func runCheckBench(args []string, out io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(out, "     %-28s %.6fs -> %.6fs wall (not gated)\n", b.ID, b.WallSeconds, c.WallSeconds)
-		// Alloc gating: only for experiments whose baseline carries a
-		// probe (a zero-alloc baseline still gates — alloc-slack is the
-		// headroom). A current run without the probe (older binary)
-		// skips rather than comparing an absent value.
-		if b.AllocsPerOp != nil {
-			switch allocLimit := *b.AllocsPerOp*(1+*allocTol) + *allocSlack; {
-			case c.AllocsPerOp == nil:
-				fmt.Fprintf(out, "SKIP %-28s no allocs/op in current run\n", b.ID)
-			case *c.AllocsPerOp <= allocLimit:
-				fmt.Fprintf(out, "ok   %-28s %.1f -> %.1f allocs/op (limit %.1f)\n",
-					b.ID, *b.AllocsPerOp, *c.AllocsPerOp, allocLimit)
-			default:
-				regressions++
-				fmt.Fprintf(out, "FAIL %-28s %.1f -> %.1f allocs/op exceeds limit %.1f\n",
-					b.ID, *b.AllocsPerOp, *c.AllocsPerOp, allocLimit)
-			}
-		}
+		hold(b.ID, "allocs/op", b.AllocsPerOp, c.AllocsPerOp, *allocSlack)
+		// Bytes: the same tolerance, and 1 KiB where a count has its slack.
+		hold(b.ID, "bytes/op", b.BytesPerOp, c.BytesPerOp, 1<<10)
 	}
 	if regressions > 0 {
-		return fmt.Errorf("%w: %d allocs/op regressions beyond tolerance", errGate, regressions)
+		return fmt.Errorf("%w: %d allocs/op or bytes/op regressions beyond tolerance", errGate, regressions)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -232,6 +233,37 @@ func TestCheckBenchAllocGate(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no allocs/op in current run") {
 		t.Errorf("output must note the skipped probe:\n%s", out.String())
+	}
+}
+
+// TestCheckBenchBytesGate: bytes/op is held the way allocs/op is — the
+// same tolerance, a fixed 1 KiB of slack — so a loop that keeps its
+// allocation count and grows what it allocates still fails.
+func TestCheckBenchBytesGate(t *testing.T) {
+	dir := t.TempDir()
+	bench := func(name string, bytes int) string {
+		path := filepath.Join(dir, name)
+		writeBench(t, path, fmt.Sprintf(`{"experiments":[
+			{"id":"BenchmarkTrialRun","title":"t","rows":1,"wallSeconds":0.1,"allocs_per_op":100,"bytes_per_op":%d}]}`, bytes))
+		return path
+	}
+	base := bench("base.json", 20000)
+	var out bytes.Buffer
+	// 20000*1.25 + 1024 = 26024.
+	if err := run([]string{"check-bench", "-baseline", base, bench("ok.json", 26024)}, &out); err != nil {
+		t.Fatalf("in-tolerance bytes growth must pass: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	if err := run([]string{"check-bench", "-baseline", base, bench("grown.json", 26025)}, &out); !errors.Is(err, errGate) {
+		t.Fatalf("bytes regression err = %v, want gate failure\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "bytes/op exceeds limit") || !strings.Contains(out.String(), "ok   BenchmarkTrialRun") {
+		t.Errorf("output must pass the count and name the bytes regression:\n%s", out.String())
+	}
+	// The tolerance flag governs both columns; the byte slack is not a flag.
+	out.Reset()
+	if err := run([]string{"check-bench", "-baseline", base, "-alloc-tolerance", "0", "-alloc-slack", "0", bench("kib.json", 21025)}, &out); !errors.Is(err, errGate) {
+		t.Fatalf("1 KiB + 1 over a zero-tolerance baseline: err = %v, want gate failure\n%s", err, out.String())
 	}
 }
 

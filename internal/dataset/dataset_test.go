@@ -215,6 +215,25 @@ func TestNewsTokensRetained(t *testing.T) {
 	}
 }
 
+// TestNewsSequencesDoNotReachTheirNeighbours: the sequences of a split
+// share one block, each capped at its own end, so appending to one
+// leaves the next as generated.
+func TestNewsSequencesDoNotReachTheirNeighbours(t *testing.T) {
+	d := NewNews(1).Test
+	for i, seq := range d.Tokens {
+		if len(seq) != NewsSeqLen || cap(seq) != NewsSeqLen {
+			t.Fatalf("sequence %d has len %d cap %d, want %d and %d", i, len(seq), cap(seq), NewsSeqLen, NewsSeqLen)
+		}
+	}
+	next := append([]int(nil), d.Tokens[1]...)
+	_ = append(d.Tokens[0], -1)
+	for j, tok := range d.Tokens[1] {
+		if tok != next[j] {
+			t.Fatalf("appending to sequence 0 wrote token %d of sequence 1", j)
+		}
+	}
+}
+
 func TestBagOfTokens(t *testing.T) {
 	seq := []int{0, 1, 0, 2}
 	dst := make([]float64, 3)

@@ -196,10 +196,13 @@ func NewNews(seed uint64) Split {
 		tokens := make([][]int, n)
 		labels := make([]int, n)
 		x := tensor.New(n, NewsVocab)
+		// One block for the split's sequences; each is capped at its own
+		// end, so an append moves it instead of reaching its neighbour.
+		block := make([]int, n*NewsSeqLen)
 		for i := 0; i < n; i++ {
 			cls := r.Intn(NewsClasses)
 			labels[i] = cls
-			seq := make([]int, NewsSeqLen)
+			seq := block[i*NewsSeqLen : (i+1)*NewsSeqLen : (i+1)*NewsSeqLen]
 			for j := range seq {
 				seq[j] = sampleCumulative(weights[cls], r)
 			}

@@ -106,6 +106,33 @@ func TestDurableWALReplayAfterCrash(t *testing.T) {
 	}
 }
 
+// TestSaveCheckpointKeepsNothingOfTheCallersSlice: the WAL record
+// borrows the caller's bytes for the length of the call and the map owns
+// a copy, so a caller that reuses its buffer afterwards changes neither
+// what LoadCheckpoint returns nor what a crashed process replays.
+func TestSaveCheckpointKeepsNothingOfTheCallersSlice(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, DurableOptions{})
+	const want = `{"rung":1}`
+	buf := []byte(want)
+	if err := d.Store().SaveCheckpoint("job", buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, `{"rung":9}`)
+	if got, ok := d.Store().LoadCheckpoint("job"); !ok || string(got) != want {
+		t.Errorf("LoadCheckpoint = %q, %v after the caller rewrote its slice; want %q", got, ok, want)
+	}
+	// No Close: recovery has the WAL alone to replay.
+	d2 := openDurable(t, dir, DurableOptions{})
+	defer d2.Close()
+	if rr := d2.Recovery(); rr.RecordsReplayed != 1 || rr.Checkpoints != 1 {
+		t.Fatalf("recovery replayed %d records into %d checkpoints, want 1 and 1", rr.RecordsReplayed, rr.Checkpoints)
+	}
+	if got, ok := d2.Store().LoadCheckpoint("job"); !ok || string(got) != want {
+		t.Errorf("recovery replayed %q, %v; want %q", got, ok, want)
+	}
+}
+
 func TestDurableTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{})

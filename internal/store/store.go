@@ -155,8 +155,9 @@ func (s *Store) SaveCheckpoint(key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dur != nil {
-		rec := walRecord{Op: walOpCheckpoint, Key: key, Data: append(json.RawMessage(nil), data...)}
-		if err := s.dur.appendLocked(rec); err != nil {
+		// The record borrows data: appendLocked has encoded it into its
+		// frame before it returns, and keeps nothing of the record.
+		if err := s.dur.appendLocked(walRecord{Op: walOpCheckpoint, Key: key, Data: data}); err != nil {
 			return err
 		}
 	}

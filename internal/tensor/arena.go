@@ -6,13 +6,13 @@ import (
 	"edgetune/internal/sim"
 )
 
-// Arena is bump storage for everything one network is made of: weights,
-// gradients, optimiser state, the layers' activation buffers, index
-// slices. Reset takes it all back at once, so a worker that trains one
-// network after another keeps the same memory instead of handing each
-// network's to the collector. What an arena handed out is valid until
-// its next Reset; nothing that outlives the network may hold a slice of
-// it.
+// Arena is bump storage for everything one network is made of and
+// trains on: weights, gradients, optimiser state, the layers' activation
+// buffers, index slices, a trial's feature matrices. Reset takes it all
+// back at once, so a worker that trains one network after another keeps
+// the same memory instead of handing each network's to the collector.
+// What an arena handed out is valid until its next Reset; nothing that
+// outlives the network may hold a slice of it.
 //
 // A nil *Arena is the heap: every method works on it, and that is how
 // the constructors that take no arena are written. An Arena is
@@ -131,5 +131,6 @@ func (a *Arena) Randn(rows, cols int, std float64, rng *sim.RNG) *Matrix {
 
 // Buffer returns an empty matrix whose Resize takes its storage from
 // the arena: the form in which a layer owns an activation or gradient
-// buffer.
+// buffer, and in which a matrix is carved whose every element is about
+// to be written.
 func (a *Arena) Buffer() Matrix { return Matrix{arena: a} }

@@ -474,3 +474,32 @@ func TestScratchesAreKeptAtPeakConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// TestTrialLeavesNoFeaturesBehind: a trial that re-featurises writes its
+// features to its scratch, so once the scratch is settled a trial at a
+// stride the runner has never seen allocates next to nothing. Before PR
+// 20 the runner kept one heap-allocated featurisation of the whole
+// corpus per stride and each of these trials read ≈ 2.6 MB.
+func TestTrialLeavesNoFeaturesBehind(t *testing.T) {
+	scratches.mu.Lock()
+	scratches.free = nil // a scratch settled for a smaller workload would regrow here
+	scratches.mu.Unlock()
+	r := runnerFor(t, "NLP")
+	run := func(stride int) {
+		t.Helper()
+		cfg := search.Config{workload.ParamStride: float64(stride), workload.ParamTrainBatch: 128, workload.ParamGPUs: 1}
+		if _, err := r.Run(context.Background(), Request{Config: cfg, Alloc: budget.Allocation{Epochs: 1, DataFraction: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1) // makes and settles the scratch
+	var before, after runtime.MemStats
+	for stride := 1; stride <= 32; stride++ {
+		runtime.ReadMemStats(&before)
+		run(stride)
+		runtime.ReadMemStats(&after)
+		if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb >= 64 {
+			t.Errorf("the trial at stride %d allocated %d KB, want < 64: its features were not carved from the scratch", stride, kb)
+		}
+	}
+}

@@ -20,14 +20,14 @@ type training struct {
 	err       error
 }
 
-// train is the pure part of a trial: build the model, featurise, take
-// the allocation's subset, train, evaluate. Its result is a function of
-// the runner's seed, the configuration, the allocation and the attempt
-// and of nothing else, so it may run on any goroutine at any time before
-// the Run that reads it; check is polled between mini-batches and stops
-// it. It touches the runner through its read-only fields and the stride
-// memo only, and trains on a scratch it takes from the free list and
-// gives back.
+// train is the pure part of a trial: build the model, featurise the
+// allocation's subset and the test set, train, evaluate. Its result is a
+// function of the runner's seed, the configuration, the allocation and
+// the attempt and of nothing else, so it may run on any goroutine at any
+// time before the Run that reads it; check is polled between mini-batches
+// and stops it. It reads the runner's immutable fields only, and keeps
+// everything it makes — network and features — on a scratch it takes
+// from the free list and gives back.
 func (r *Runner) train(cfg search.Config, alloc budget.Allocation, attempt int, check func() error) training {
 	a, fresh := acquireScratch()
 	defer releaseScratch(a)
@@ -43,13 +43,14 @@ var errSettled = errors.New("trial: scratch settled")
 
 // settle sizes a new scratch once, before its first trial, for every
 // trial of the runner's workload: it builds the largest configuration of
-// the training space on it — deepest or widest model, largest batch, all
-// of the data — and runs one training step and one evaluation. What that
-// overflowed, the Reset that opens the first trial regrows the scratch
-// to hold (tensor.Arena), and no smaller trial asks for more; without it
-// a scratch climbs there one regrowth per record-breaking trial, and
-// which scratch meets which trial is scheduling. A scratch that moves to
-// a bigger workload, or that this failed to settle, grows the old way.
+// the training space on it — deepest or widest model, largest batch, the
+// features of all of the data — and runs one training step and one
+// evaluation. What that overflowed, the Reset that opens the first trial
+// regrows the scratch to hold (tensor.Arena), and no smaller trial asks
+// for more; without it a scratch climbs there one regrowth per
+// record-breaking trial, and which scratch meets which trial is
+// scheduling. A scratch that moves to a bigger workload, or that this
+// failed to settle, grows the old way.
 func (r *Runner) settle(a *tensor.Arena) {
 	space, err := r.workload.TrainSpace(true)
 	if err != nil {
@@ -63,8 +64,11 @@ func (r *Runner) settle(a *tensor.Arena) {
 	if err != nil {
 		return
 	}
-	// The split as generated has the shape of every featurisation of it.
-	train, test, steps := r.workload.Split.Train, r.workload.Split.Test, 0
+	train, test, err := r.workload.DataIn(a, cfg, 1)
+	if err != nil {
+		return
+	}
+	steps := 0
 	_, err = nn.Train(net, train.X, train.Labels, nn.TrainConfig{
 		Epochs:    1,
 		BatchSize: min(int(cfg[workload.ParamTrainBatch]), train.Len()),
@@ -94,11 +98,7 @@ func (r *Runner) trainOn(a *tensor.Arena, cfg search.Config, alloc budget.Alloca
 	if err != nil {
 		return training{err: err}, nil
 	}
-	train, test, err := r.data(cfg)
-	if err != nil {
-		return training{err: err}, nil
-	}
-	sub, err := train.Subset(alloc.DataFraction)
+	sub, test, err := r.workload.DataIn(a, cfg, alloc.DataFraction)
 	if err != nil {
 		return training{err: err}, nil
 	}

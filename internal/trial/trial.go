@@ -8,7 +8,6 @@ package trial
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"edgetune/internal/budget"
@@ -32,13 +31,6 @@ type Runner struct {
 	// none).
 	injector *fault.Injector
 
-	// splits memoises Workload.Data per stride for the runner's life:
-	// the NLP workload re-featurises its whole corpus per call, strides
-	// are the integers 1-32 (0 stands for the workloads without one),
-	// and datasets are read-only once handed out.
-	mu     sync.Mutex
-	splits map[int]dataset.Split
-
 	// plan is the trainings registered ahead of the Run that reads them.
 	plan plan
 }
@@ -52,22 +44,7 @@ func NewRunner(w *workload.Workload, gpu perfmodel.GPUProfile, seed uint64) (*Ru
 	if gpu.FlopsPerSec == 0 {
 		gpu = perfmodel.TitanRTX()
 	}
-	return &Runner{workload: w, gpu: gpu, seed: seed, lr: 0.018, momentum: 0.9,
-		splits: make(map[int]dataset.Split)}, nil
-}
-
-// data is Workload.Data through the per-stride memo.
-func (r *Runner) data(cfg search.Config) (train, test *dataset.Dataset, err error) {
-	stride := int(cfg[workload.ParamStride])
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.splits[stride]; ok {
-		return s.Train, s.Test, nil
-	}
-	if train, test, err = r.workload.Data(cfg); err == nil {
-		r.splits[stride] = dataset.Split{Train: train, Test: test}
-	}
-	return train, test, err
+	return &Runner{workload: w, gpu: gpu, seed: seed, lr: 0.018, momentum: 0.9}, nil
 }
 
 // SetFaultInjector arms the runner with a fault injector; trials then

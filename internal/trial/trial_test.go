@@ -323,8 +323,9 @@ func TestAllWorkloadsRunnable(t *testing.T) {
 }
 
 // TestTrainingNeverWritesThroughData: a trial's subset is a view of the
-// workload's dataset and the runner hands the same featurised split to
-// every trial of a stride, so a trial must leave both untouched.
+// workload's dataset, and a trial that re-featurises reads the tokens of
+// that dataset and writes the features to its own scratch, so a trial
+// must leave the workload's features, test set and tokens untouched.
 func TestTrainingNeverWritesThroughData(t *testing.T) {
 	for _, tt := range []struct {
 		id  string
@@ -338,28 +339,27 @@ func TestTrainingNeverWritesThroughData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		train, test, err := r.data(tt.cfg)
-		if err != nil {
-			t.Fatal(err)
+		var tokens []int
+		for _, seq := range w.Split.Train.Tokens {
+			tokens = append(tokens, seq...)
 		}
 		before := [][]float64{
-			append([]float64(nil), train.X.Data...), append([]float64(nil), test.X.Data...),
-			append([]float64(nil), w.Split.Train.X.Data...),
+			append([]float64(nil), w.Split.Train.X.Data...), append([]float64(nil), w.Split.Test.X.Data...),
 		}
 		if _, err := r.Run(context.Background(), Request{Config: tt.cfg, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.4}}); err != nil {
 			t.Fatal(err)
 		}
-		again, _, err := r.data(tt.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != train {
-			t.Errorf("%s: the runner featurised the same stride twice", tt.id)
-		}
-		for i, now := range [][]float64{train.X.Data, test.X.Data, w.Split.Train.X.Data} {
+		for i, now := range [][]float64{w.Split.Train.X.Data, w.Split.Test.X.Data} {
 			for j, v := range now {
 				if v != before[i][j] {
 					t.Fatalf("%s: the trial wrote to dataset %d at %d", tt.id, i, j)
+				}
+			}
+		}
+		for i, seq := range w.Split.Train.Tokens {
+			for j, tok := range seq {
+				if tok != tokens[i*len(seq)+j] {
+					t.Fatalf("%s: the trial wrote to token %d of sequence %d", tt.id, j, i)
 				}
 			}
 		}
@@ -386,11 +386,7 @@ func TestProjectedCostMatchesSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		train, _, err := r.data(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub, err := train.Subset(frac)
+		sub, _, err := r.workload.DataIn(nil, cfg, frac)
 		if err != nil {
 			t.Fatal(err)
 		}

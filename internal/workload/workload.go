@@ -256,29 +256,33 @@ func buildYOLO(a *tensor.Arena, dropout float64, rng *sim.RNG) (*nn.Network, err
 // configuration. Only the NLP workload re-featurises: its stride
 // hyperparameter subsamples the token sequences.
 func (w *Workload) Data(cfg search.Config) (train, test *dataset.Dataset, err error) {
-	if !w.family.refeaturises {
-		return w.Split.Train, w.Split.Test, nil
+	return w.DataIn(nil, cfg, 1)
+}
+
+// DataIn is Data for one trial: of the training set only the prefix an
+// allocation of frac trains on (dataset.Subset), and what featurising
+// takes comes from a, so both datasets are valid until a's next Reset.
+func (w *Workload) DataIn(a *tensor.Arena, cfg search.Config, frac float64) (train, test *dataset.Dataset, err error) {
+	if train, err = w.Split.Train.Subset(frac); err != nil || !w.family.refeaturises {
+		return train, w.Split.Test, err
 	}
 	stride := int(cfg[ParamStride])
 	if stride < 1 || stride > 32 {
 		return nil, nil, fmt.Errorf("workload NLP: stride %d out of [1, 32]", stride)
 	}
-	return refeaturise(w.Split.Train, stride), refeaturise(w.Split.Test, stride), nil
+	return refeaturise(a, train, stride), refeaturise(a, w.Split.Test, stride), nil
 }
 
-func refeaturise(d *dataset.Dataset, stride int) *dataset.Dataset {
-	out := &dataset.Dataset{
-		Meta:    d.Meta,
-		Labels:  d.Labels,
-		Classes: d.Classes,
-		Tokens:  d.Tokens,
-		Vocab:   d.Vocab,
-	}
-	out.X = d.X.Clone()
+// refeaturise is d with its features recounted at the stride. The
+// matrix is taken as Resize takes storage, uncleared: BagOfTokens
+// clears each row before it counts into it.
+func refeaturise(a *tensor.Arena, d *dataset.Dataset, stride int) *dataset.Dataset {
+	out, x := *d, a.Buffer()
+	out.X = x.Resize(d.Len(), d.Vocab)
 	for i, seq := range d.Tokens {
 		dataset.BagOfTokens(out.X.Row(i), seq, stride)
 	}
-	return out
+	return &out
 }
 
 // PaperCost reports the paper-scale per-sample forward FLOPs and

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"edgetune/internal/dataset"
 	"edgetune/internal/device"
 	"edgetune/internal/nn"
 	"edgetune/internal/search"
@@ -172,6 +174,78 @@ func TestNLPStrideRefeaturises(t *testing.T) {
 	}
 	if _, _, err := w.Data(search.Config{ParamStride: 99}); err == nil {
 		t.Error("out-of-range stride accepted")
+	}
+}
+
+// TestDataInIsThePrefixOfData: for every stride and at a sliver, a part
+// and all of the data, DataIn's training set is the first SubsetLen
+// samples of Data's and its test set all of Data's, value for value —
+// on an arena nobody has used, on one a larger featurisation has just
+// used, and on one filled with NaNs (the feature matrix is carved
+// uncleared) — and a stride outside the domain is Data's error.
+func TestDataInIsThePrefixOfData(t *testing.T) {
+	w := MustNew("NLP", 1)
+	used, dirty := new(tensor.Arena), new(tensor.Arena)
+	sameRows := func(got, want *dataset.Dataset, rows int) bool {
+		if got.Len() != rows || len(got.Labels) != rows || len(got.Tokens) != rows || got.X.Cols != want.X.Cols {
+			return false
+		}
+		for i, v := range got.X.Data {
+			if v != want.X.Data[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for stride := 1; stride <= 32; stride++ {
+		cfg := search.Config{ParamStride: float64(stride)}
+		train, test, err := w.Data(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range []float64{0.01, 0.3, 1} {
+			k, err := dataset.SubsetLen(train.Len(), frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used.Reset()
+			if _, _, err := w.DataIn(used, search.Config{ParamStride: float64(33 - stride)}, 1); err != nil {
+				t.Fatal(err)
+			}
+			used.Reset()
+			dirty.Reset()
+			floats := dirty.New(1, 1<<19).Data
+			for i := range floats {
+				floats[i] = math.NaN()
+			}
+			dirty.Reset()
+			for name, a := range map[string]*tensor.Arena{"fresh": new(tensor.Arena), "used by a larger trial": used, "filled with NaNs": dirty, "nil": nil} {
+				gotTrain, gotTest, err := w.DataIn(a, cfg, frac)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRows(gotTrain, train, k) || !sameRows(gotTest, test, test.Len()) {
+					t.Fatalf("stride %d, fraction %g, arena %s: DataIn is not the first %d samples of Data and its test set", stride, frac, name, k)
+				}
+			}
+		}
+	}
+	for _, stride := range []float64{0, 33} {
+		_, _, want := w.Data(search.Config{ParamStride: stride})
+		_, _, got := w.DataIn(new(tensor.Arena), search.Config{ParamStride: stride}, 0.3)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("stride %g: DataIn's error %v, Data's %v", stride, got, want)
+		}
+	}
+	// A workload that featurises nothing hands out views of its split.
+	ic := MustNew("IC", 1)
+	train, test, err := ic.DataIn(used, search.Config{ParamLayers: 18}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := dataset.SubsetLen(ic.Split.Train.Len(), 0.3)
+	if &train.X.Data[0] != &ic.Split.Train.X.Data[0] || test != ic.Split.Test || train.Len() != k {
+		t.Errorf("IC: DataIn copied the split or took %d samples at 0.3, want %d", train.Len(), k)
 	}
 }
 
