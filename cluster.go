@@ -161,13 +161,12 @@ func (c *Cluster) DebugAddr() string { return c.dbg.Addr() }
 // Tune runs one job on the shard owning its key (the tenant/workload
 // pair), failing over mid-job if that shard's primary is killed. Jobs
 // sharing a shard serialize and share its historical store; jobs on
-// different shards run concurrently. Job options that configure
-// single-node storage (StorePath, StoreWAL, and the disk-fault hooks
-// that ride on them) are rejected — the cluster's shards own their
-// durable stores.
+// different shards run concurrently. A job that configures single-node
+// storage (StorePath, and the disk-fault hooks that ride on it) is
+// rejected — the cluster's shards own their durable stores.
 func (c *Cluster) Tune(ctx context.Context, job Job) (*ClusterReport, error) {
-	if job.StorePath != "" || job.StoreWAL {
-		return nil, errors.New("edgetune: cluster jobs must not set StorePath/StoreWAL (shards own their stores)")
+	if job.StorePath != "" {
+		return nil, errors.New("edgetune: cluster jobs must not set StorePath (shards own their stores)")
 	}
 	opts, err := job.coreOptions()
 	if err != nil {

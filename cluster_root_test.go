@@ -46,7 +46,7 @@ func TestClusterTuneMatchesSingleNode(t *testing.T) {
 	if rep.Shard == "" {
 		t.Error("report lacks its shard")
 	}
-	if got, want := reportDigest(rep.Report), reportDigest(clean); got != want {
+	if got, want := rep.Digest(), clean.Digest(); got != want {
 		t.Errorf("failed-over cluster digest %s != single-node digest %s", got, want)
 	}
 	if err := c.Close(); err != nil {

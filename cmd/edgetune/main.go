@@ -3,26 +3,26 @@
 //
 // Usage:
 //
-//	edgetune -workload IC [-device i7] [-budget multi] [-metric runtime]
-//	         [-hierarchical] [-no-inference] [-stop-at-target]
-//	         [-store history.json] [-store-wal] [-store-snapshot-every 256]
-//	         [-autoscale] [-autoscale-min 1] [-autoscale-max 4]
-//	         [-fault-flash-crowd 0.1] [-fault-mass-devicefail 0.1] [-fault-scale-stall 0.1]
-//	         [-seed 1] [-json]
-//	         [-trace spans.jsonl] [-trace-chrome trace.json]
-//	         [-flight] [-flight-slots 65536] [-incidents-dir ./incidents]
-//	         [-debug-addr 127.0.0.1:6060] [-metrics]
-//	edgetune -job job.json
-//	edgetune -workload IC -cluster 2 -cluster-dir ./cluster [-tenant acme]
-//	         [-tenant-rate 0.5] [-tenant-burst 4] [-cluster-kill-rungs 2]
-//	         [-fault-shard-kill 0.1] [-fault-partition 0.1] [-fault-follower-lag 0.1]
+//	edgetune -workload IC [flags]
+//	edgetune -job job.json [flags]
+//	edgetune -workload IC -cluster 2 -cluster-dir ./cluster [flags]
 //
-// With -job, the flags are read from a JSON file matching the
-// edgetune.Job structure instead. With -cluster N, the job runs on a
-// sharded multi-tenant cluster of N simulated nodes: jobs are
+// edgetune -help lists every flag; flagTable below is that list.
+//
+// With -job, the job is read from a JSON file matching the edgetune.Job
+// structure, and every flag given beside it overrides the file's value
+// for that field. With -cluster N, the job runs on a sharded
+// multi-tenant cluster of N simulated nodes: jobs are
 // consistent-hash-routed by tenant and workload, every shard journals
 // to a write-ahead log shipped to a follower, and a killed shard fails
 // over to its follower mid-job.
+//
+// With -store the historical database is crash-consistent, and
+// -store-kill-after N makes the binary its own crash harness: the
+// process dies (exit 3) right after the Nth acknowledged WAL append.
+// Restarted with the same flags until it exits 0, every restart recovers
+// from disk and resumes from the last completed rung, and the report's
+// "digest:" line equals an uninterrupted same-seed run's.
 //
 // With -flight, an always-on flight recorder captures a compact event
 // stream from both pipelines into a preallocated ring; anomaly
@@ -36,10 +36,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"sort"
 
 	"edgetune"
@@ -53,256 +55,231 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// bound is the range a flag's value must lie in, whether the value came
+// from the command line or from the job file.
+type bound int
+
+const (
+	free   bound = iota // any value the flag's type holds
+	prob                // a probability in [0,1]
+	nonNeg              // not negative
+)
+
+// flagRow is one flag: its name, the field it sets, the bound its value
+// is checked against and its -help text.
+type flagRow struct {
+	name  string
+	dst   any // *string, *bool, *int, *uint64 or *float64
+	bound bound
+	usage string
+}
+
+// invocation holds what the flags say about this run of the binary
+// rather than about the job.
+type invocation struct {
+	jobPath     string
+	asJSON      bool
+	showMetrics bool
+	cpuProfile  string
+}
+
+// flagTable is the command line: every flag, bound to the field of the
+// invocation, the job or the cluster it sets.
+func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) []flagRow {
+	f, cf := &job.Faults, &cl.Faults
+	return []flagRow{
+		{"job", &inv.jobPath, free, "read the job from a JSON file; flags given beside it override the file"},
+		{"json", &inv.asJSON, free, "print the report as JSON"},
+		{"metrics", &inv.showMetrics, free, "print the full metrics snapshot and SLO evaluation after the report"},
+		{"cpuprofile", &inv.cpuProfile, free, "write a CPU profile of the run to this file (its samples carry the pprof labels with -profile)"},
+
+		{"workload", &job.Workload, free, "workload to tune: IC, SR, NLP, or OD"},
+		{"device", &job.Device, free, "edge device: i7, armv7, or rpi3b+ (default i7)"},
+		{"budget", (*string)(&job.Budget), free, "trial budget: epochs, dataset, or multi (default multi)"},
+		{"metric", (*string)(&job.Metric), free, "objective: runtime or energy (default runtime)"},
+		{"model-algo", (*string)(&job.ModelAlgorithm), free, "model-server search algorithm (default bohb)"},
+		{"infer-algo", (*string)(&job.InferenceAlgorithm), free, "inference-server search algorithm (default bohb)"},
+		{"hierarchical", &job.Hierarchical, free, "use two-tier hierarchical tuning instead of onefold"},
+		{"no-inference", &job.WithoutInference, free, "disable the inference tuning server"},
+		{"stop-at-target", &job.StopAtTarget, free, "stop once the target accuracy is reached"},
+		{"store", &job.StorePath, free, "persist the historical inference database to this JSON file, crash-consistently: every mutation is journalled to a checksummed write-ahead log beside it"},
+		{"store-snapshot-every", &job.StoreSnapshotEvery, free, "compact the WAL into a fresh snapshot every N records (default 256, negative never; requires -store)"},
+		{"store-kill-after", &job.StoreKillAfterAppends, nonNeg, "chaos: kill the process (exit 3) right after the Nth acknowledged WAL append (requires -store)"},
+		{"seed", &job.Seed, free, "random seed (jobs are deterministic per seed)"},
+		{"tenant", &job.Tenant, free, "tenant the job is submitted as (default \"default\")"},
+		{"max-attempts", &job.MaxTrialAttempts, nonNeg, "retry cap per training trial under faults (default 3)"},
+		{"checkpoint", &job.Checkpoint, free, "checkpoint completed rungs for resumable tuning"},
+
+		{"fault-crash", &f.TrialCrash, prob, "probability a training trial crashes partway"},
+		{"fault-nan", &f.TrialNaN, prob, "probability a training trial diverges to NaN"},
+		{"fault-straggler", &f.Straggler, prob, "probability a trial straggles (cost inflated)"},
+		{"fault-flap", &f.DeviceFlap, prob, "probability the edge device drops an inference attempt"},
+		{"fault-brownout", &f.DeviceBrownout, prob, "probability an inference attempt is slowed by a device brown-out"},
+		{"brownout-factor", &f.BrownoutFactor, nonNeg, "maximum brown-out slowdown multiplier (default 6)"},
+		{"fault-overload", &f.OverloadBurst, prob, "probability an inference submission is shed by a synthetic overload burst"},
+		{"fault-store-write", &f.StoreWrite, prob, "probability a historical-store write fails"},
+		{"fault-drop", &f.DroppedReply, prob, "probability an inference reply is lost in flight"},
+		{"fault-disk-torn", &f.DiskTornWrite, prob, "probability a durable-store disk write is torn short (requires -store)"},
+		{"fault-disk-crash", &f.DiskCrash, prob, "probability a durable-store disk write half-lands and kills the disk (requires -store)"},
+		{"fault-disk-flip", &f.DiskBitFlip, prob, "probability a durable-store disk write is silently bit-flipped (requires -store)"},
+		{"fault-disk-full", &f.DiskFull, prob, "probability a durable-store disk write fails with ENOSPC (requires -store)"},
+		{"fault-disk-slow-fsync", &f.DiskSlowFsync, prob, "probability a durable-store fsync stalls (succeeds slowly; requires -store)"},
+
+		{"autoscale", &job.Autoscale, free, "enable the SLO-driven device-pool autoscaler and graceful-degradation ladder"},
+		{"autoscale-min", &job.AutoscaleMin, nonNeg, "minimum device replicas (default 1, requires -autoscale)"},
+		{"autoscale-max", &job.AutoscaleMax, nonNeg, "maximum device replicas (default 4, requires -autoscale)"},
+		{"fault-flash-crowd", &f.FlashCrowd, prob, "probability a submission brings a phantom flash-crowd arrival surge (requires -autoscale)"},
+		{"fault-mass-devicefail", &f.MassDeviceFail, prob, "probability the whole device pool is quarantined at once, at most once per job (requires -autoscale)"},
+		{"fault-scale-stall", &f.ScaleStall, prob, "probability a scale-up stalls: warm-up charged, replica never joins (requires -autoscale)"},
+
+		{"cluster", &cl.Shards, nonNeg, "run the job on a sharded cluster with this many nodes (requires -cluster-dir)"},
+		{"cluster-dir", &cl.Dir, free, "directory holding every cluster node's durable store"},
+		{"tenant-rate", &cl.TenantRate, nonNeg, "per-tenant admission tokens earned per cluster submission (0 disables quotas)"},
+		{"tenant-burst", &cl.TenantBurst, nonNeg, "per-tenant admission token cap (default 4)"},
+		{"cluster-kill-rungs", &cl.KillShardAfterRungs, nonNeg, "chaos: kill the job's shard after its Nth completed rung and fail over to the follower"},
+		{"fault-shard-kill", &cf.ShardKill, prob, "probability a shard dies at a rung boundary (cluster only)"},
+		{"fault-partition", &cf.NetPartition, prob, "probability a shipped WAL frame is dropped by a network partition (cluster only)"},
+		{"fault-follower-lag", &cf.FollowerLag, prob, "probability a shipped WAL frame is delayed behind its successors (cluster only)"},
+
+		{"trace", &job.TracePath, free, "write the deterministic span trace as JSON Lines to this file"},
+		{"trace-chrome", &job.TraceChromePath, free, "write the trace in Chrome trace-event format (Perfetto-loadable)"},
+		{"debug-addr", &job.DebugAddr, free, "serve /metrics, /metrics/prom, /healthz, /slo, /analyze, /flight, /debug/vars, and /debug/pprof on this address while tuning"},
+		{"profile", &job.Profile, free, "enable the profiling plane: pprof label attribution on both pipelines plus per-stage allocation probes in the report"},
+		{"flight", &job.Flight, free, "enable the always-on flight recorder: anomaly triggers cut deterministic incident dossiers into the report"},
+		{"flight-slots", &job.FlightSlots, nonNeg, "flight recorder ring size in event slots (default 65536, requires -flight)"},
+		{"incidents-dir", &job.IncidentsDir, free, "write each incident dossier as a JSON artefact into this directory (implies -flight)"},
+	}
+}
+
+// parse reads args into the rows' fields. A flag's default is whatever
+// its field already holds, so parsing changes only what the user set.
+func parse(args []string, rows []flagRow) error {
 	fs := flag.NewFlagSet("edgetune", flag.ContinueOnError)
+	for _, r := range rows {
+		switch p := r.dst.(type) {
+		case *string:
+			fs.StringVar(p, r.name, *p, r.usage)
+		case *bool:
+			fs.BoolVar(p, r.name, *p, r.usage)
+		case *int:
+			fs.IntVar(p, r.name, *p, r.usage)
+		case *uint64:
+			fs.Uint64Var(p, r.name, *p, r.usage)
+		case *float64:
+			fs.Float64Var(p, r.name, *p, r.usage)
+		default:
+			panic(fmt.Sprintf("flag -%s: no binding for a %T", r.name, p))
+		}
+	}
+	return fs.Parse(args)
+}
+
+// check fails fast on a malformed value, before any tuning work starts,
+// with a one-line error naming the flag. The bounds helpers are the ones
+// the chaos fuzzer's schedule validation runs through, so the two
+// surfaces cannot drift.
+func check(rows []flagRow) error {
+	var probs, nonNegs []fault.NamedValue
+	for _, r := range rows {
+		nv := fault.NamedValue{Name: "-" + r.name}
+		switch p := r.dst.(type) {
+		case *int:
+			nv.Value = float64(*p)
+		case *float64:
+			nv.Value = *p
+		}
+		switch r.bound {
+		case prob:
+			probs = append(probs, nv)
+		case nonNeg:
+			nonNegs = append(nonNegs, nv)
+		}
+	}
+	if err := fault.CheckProbs(probs); err != nil {
+		return err
+	}
+	return fault.CheckNonNegative(nonNegs)
+}
+
+func run(args []string, out io.Writer) error {
 	var (
-		jobPath      = fs.String("job", "", "read the job from a JSON file")
-		workloadID   = fs.String("workload", "", "workload to tune: IC, SR, NLP, or OD")
-		deviceName   = fs.String("device", "", "edge device: i7, armv7, or rpi3b+ (default i7)")
-		budgetKind   = fs.String("budget", "", "trial budget: epochs, dataset, or multi (default multi)")
-		metric       = fs.String("metric", "", "objective: runtime or energy (default runtime)")
-		modelAlgo    = fs.String("model-algo", "", "model-server search algorithm (default bohb)")
-		inferAlgo    = fs.String("infer-algo", "", "inference-server search algorithm (default bohb)")
-		hierarchical = fs.Bool("hierarchical", false, "use two-tier hierarchical tuning instead of onefold")
-		noInference  = fs.Bool("no-inference", false, "disable the inference tuning server")
-		stopAtTarget = fs.Bool("stop-at-target", false, "stop once the target accuracy is reached")
-		storePath    = fs.String("store", "", "persist the historical inference database to this JSON file")
-		storeWAL     = fs.Bool("store-wal", false, "make the store crash-consistent: journal every mutation to a checksummed write-ahead log (requires -store)")
-		storeSnapEv  = fs.Int("store-snapshot-every", 0, "compact the WAL into a fresh snapshot every N records (default 256)")
-		storeKill    = fs.Int("store-kill-after", 0, "chaos: kill the process (exit 3) right after the Nth acknowledged WAL append")
-		seed         = fs.Uint64("seed", 1, "random seed (jobs are deterministic per seed)")
-		asJSON       = fs.Bool("json", false, "print the report as JSON")
-
-		faultCrash      = fs.Float64("fault-crash", 0, "probability a training trial crashes partway")
-		faultNaN        = fs.Float64("fault-nan", 0, "probability a training trial diverges to NaN")
-		faultStraggler  = fs.Float64("fault-straggler", 0, "probability a trial straggles (cost inflated)")
-		faultFlap       = fs.Float64("fault-flap", 0, "probability the edge device drops an inference attempt")
-		faultBrownout   = fs.Float64("fault-brownout", 0, "probability an inference attempt is slowed by a device brown-out")
-		brownoutFactor  = fs.Float64("brownout-factor", 0, "maximum brown-out slowdown multiplier (default 6)")
-		faultOverload   = fs.Float64("fault-overload", 0, "probability an inference submission is shed by a synthetic overload burst")
-		faultStoreWrite = fs.Float64("fault-store-write", 0, "probability a historical-store write fails")
-		faultDrop       = fs.Float64("fault-drop", 0, "probability an inference reply is lost in flight")
-		faultDiskTorn   = fs.Float64("fault-disk-torn", 0, "probability a durable-store disk write is torn short")
-		faultDiskCrash  = fs.Float64("fault-disk-crash", 0, "probability a durable-store disk write half-lands and kills the disk")
-		faultDiskFlip   = fs.Float64("fault-disk-flip", 0, "probability a durable-store disk write is silently bit-flipped")
-		faultDiskFull   = fs.Float64("fault-disk-full", 0, "probability a durable-store disk write fails with ENOSPC")
-		faultDiskFsync  = fs.Float64("fault-disk-slow-fsync", 0, "probability a durable-store fsync stalls (succeeds slowly)")
-		maxAttempts     = fs.Int("max-attempts", 0, "retry cap per training trial under faults (default 3)")
-		checkpoint      = fs.Bool("checkpoint", false, "checkpoint completed rungs for resumable tuning")
-
-		autoscaleOn   = fs.Bool("autoscale", false, "enable the SLO-driven device-pool autoscaler and graceful-degradation ladder")
-		autoscaleMin  = fs.Int("autoscale-min", 0, "minimum device replicas (default 1, requires -autoscale)")
-		autoscaleMax  = fs.Int("autoscale-max", 0, "maximum device replicas (default 4, requires -autoscale)")
-		faultCrowd    = fs.Float64("fault-flash-crowd", 0, "probability a submission brings a phantom flash-crowd arrival surge (requires -autoscale)")
-		faultMassFail = fs.Float64("fault-mass-devicefail", 0, "probability the whole device pool is quarantined at once, at most once per job (requires -autoscale)")
-		faultStall    = fs.Float64("fault-scale-stall", 0, "probability a scale-up stalls: warm-up charged, replica never joins (requires -autoscale)")
-
-		clusterN      = fs.Int("cluster", 0, "run the job on a sharded cluster with this many nodes (requires -cluster-dir)")
-		clusterDir    = fs.String("cluster-dir", "", "directory holding every cluster node's durable store")
-		tenant        = fs.String("tenant", "", "tenant the job is submitted as (default \"default\")")
-		tenantRate    = fs.Float64("tenant-rate", 0, "per-tenant admission tokens earned per cluster submission (0 disables quotas)")
-		tenantBurst   = fs.Int("tenant-burst", 0, "per-tenant admission token cap (default 4)")
-		clusterKill   = fs.Int("cluster-kill-rungs", 0, "chaos: kill the job's shard after its Nth completed rung and fail over to the follower")
-		faultShard    = fs.Float64("fault-shard-kill", 0, "probability a shard dies at a rung boundary (cluster only)")
-		faultPart     = fs.Float64("fault-partition", 0, "probability a shipped WAL frame is dropped by a network partition (cluster only)")
-		faultFollower = fs.Float64("fault-follower-lag", 0, "probability a shipped WAL frame is delayed behind its successors (cluster only)")
-
-		tracePath    = fs.String("trace", "", "write the deterministic span trace as JSON Lines to this file")
-		chromePath   = fs.String("trace-chrome", "", "write the trace in Chrome trace-event format (Perfetto-loadable)")
-		debugAddr    = fs.String("debug-addr", "", "serve /metrics, /metrics/prom, /healthz, /slo, /analyze, /flight, /debug/vars, and /debug/pprof on this address while tuning")
-		profileOn    = fs.Bool("profile", false, "enable the profiling plane: pprof label attribution on both pipelines plus per-stage allocation probes in the report")
-		flightOn     = fs.Bool("flight", false, "enable the always-on flight recorder: anomaly triggers cut deterministic incident dossiers into the report")
-		flightSlots  = fs.Int("flight-slots", 0, "flight recorder ring size in event slots (default 65536, requires -flight)")
-		incidentsDir = fs.String("incidents-dir", "", "write each incident dossier as a JSON artefact into this directory (implies -flight)")
-		showMetrics  = fs.Bool("metrics", false, "print the full metrics snapshot and SLO evaluation after the report")
+		inv invocation
+		job = edgetune.Job{Seed: 1}
+		cl  edgetune.ClusterOptions
 	)
-	if err := fs.Parse(args); err != nil {
+	rows := flagTable(&inv, &job, &cl)
+	if err := parse(args, rows); err != nil {
 		return err
 	}
-
-	// Fail fast on malformed flag values, before any tuning work starts:
-	// every fault class is a probability, and the scalar knobs must not
-	// be negative. (-store-snapshot-every is the deliberate exception —
-	// a negative value disables periodic compaction.) The bounds tables
-	// are the shared internal/fault helpers the chaos fuzzer's schedule
-	// validation also runs through, so the surfaces cannot drift.
-	if err := fault.CheckProbs([]fault.NamedValue{
-		{Name: "-fault-crash", Value: *faultCrash},
-		{Name: "-fault-nan", Value: *faultNaN},
-		{Name: "-fault-straggler", Value: *faultStraggler},
-		{Name: "-fault-flap", Value: *faultFlap},
-		{Name: "-fault-brownout", Value: *faultBrownout},
-		{Name: "-fault-overload", Value: *faultOverload},
-		{Name: "-fault-store-write", Value: *faultStoreWrite},
-		{Name: "-fault-drop", Value: *faultDrop},
-		{Name: "-fault-disk-torn", Value: *faultDiskTorn},
-		{Name: "-fault-disk-crash", Value: *faultDiskCrash},
-		{Name: "-fault-disk-flip", Value: *faultDiskFlip},
-		{Name: "-fault-disk-full", Value: *faultDiskFull},
-		{Name: "-fault-disk-slow-fsync", Value: *faultDiskFsync},
-		{Name: "-fault-shard-kill", Value: *faultShard},
-		{Name: "-fault-partition", Value: *faultPart},
-		{Name: "-fault-follower-lag", Value: *faultFollower},
-		{Name: "-fault-flash-crowd", Value: *faultCrowd},
-		{Name: "-fault-mass-devicefail", Value: *faultMassFail},
-		{Name: "-fault-scale-stall", Value: *faultStall},
-	}); err != nil {
-		return err
-	}
-	if err := fault.CheckNonNegative([]fault.NamedValue{
-		{Name: "-brownout-factor", Value: *brownoutFactor},
-		{Name: "-max-attempts", Value: float64(*maxAttempts)},
-		{Name: "-autoscale-min", Value: float64(*autoscaleMin)},
-		{Name: "-autoscale-max", Value: float64(*autoscaleMax)},
-		{Name: "-tenant-rate", Value: *tenantRate},
-		{Name: "-tenant-burst", Value: float64(*tenantBurst)},
-		{Name: "-cluster", Value: float64(*clusterN)},
-		{Name: "-cluster-kill-rungs", Value: float64(*clusterKill)},
-		{Name: "-store-kill-after", Value: float64(*storeKill)},
-		{Name: "-flight-slots", Value: float64(*flightSlots)},
-	}); err != nil {
-		return err
-	}
-
-	var job edgetune.Job
-	if *jobPath != "" {
-		data, err := os.ReadFile(*jobPath)
+	if inv.jobPath != "" {
+		// The file is the job; the same arguments read again over it
+		// leave it alone except where the user set a flag.
+		data, err := os.ReadFile(inv.jobPath)
 		if err != nil {
 			return err
 		}
+		job = edgetune.Job{}
 		if err := json.Unmarshal(data, &job); err != nil {
-			return fmt.Errorf("parse %s: %w", *jobPath, err)
+			return fmt.Errorf("parse %s: %w", inv.jobPath, err)
 		}
-		// Observability flags compose with a job file: they describe
-		// where this invocation writes its diagnostics, not the job.
-		if *tracePath != "" {
-			job.TracePath = *tracePath
-		}
-		if *chromePath != "" {
-			job.TraceChromePath = *chromePath
-		}
-		if *debugAddr != "" {
-			job.DebugAddr = *debugAddr
-		}
-		if *profileOn {
-			job.Profile = true
-		}
-		if *flightOn {
-			job.Flight = true
-		}
-		if *flightSlots > 0 {
-			job.FlightSlots = *flightSlots
-		}
-		if *incidentsDir != "" {
-			job.IncidentsDir = *incidentsDir
-		}
-	} else {
-		job = edgetune.Job{
-			Workload:              *workloadID,
-			Device:                *deviceName,
-			Budget:                edgetune.BudgetKind(*budgetKind),
-			Metric:                edgetune.Metric(*metric),
-			ModelAlgorithm:        edgetune.Algorithm(*modelAlgo),
-			InferenceAlgorithm:    edgetune.Algorithm(*inferAlgo),
-			Hierarchical:          *hierarchical,
-			WithoutInference:      *noInference,
-			StopAtTarget:          *stopAtTarget,
-			StorePath:             *storePath,
-			StoreWAL:              *storeWAL,
-			StoreSnapshotEvery:    *storeSnapEv,
-			StoreKillAfterAppends: *storeKill,
-			Autoscale:             *autoscaleOn,
-			AutoscaleMin:          *autoscaleMin,
-			AutoscaleMax:          *autoscaleMax,
-			Seed:                  *seed,
-			Faults: edgetune.FaultConfig{
-				TrialCrash:     *faultCrash,
-				TrialNaN:       *faultNaN,
-				Straggler:      *faultStraggler,
-				DeviceFlap:     *faultFlap,
-				DeviceBrownout: *faultBrownout,
-				BrownoutFactor: *brownoutFactor,
-				OverloadBurst:  *faultOverload,
-				StoreWrite:     *faultStoreWrite,
-				DroppedReply:   *faultDrop,
-				DiskTornWrite:  *faultDiskTorn,
-				DiskCrash:      *faultDiskCrash,
-				DiskBitFlip:    *faultDiskFlip,
-				DiskFull:       *faultDiskFull,
-				DiskSlowFsync:  *faultDiskFsync,
-				FlashCrowd:     *faultCrowd,
-				MassDeviceFail: *faultMassFail,
-				ScaleStall:     *faultStall,
-			},
-			MaxTrialAttempts: *maxAttempts,
-			Checkpoint:       *checkpoint,
-			TracePath:        *tracePath,
-			TraceChromePath:  *chromePath,
-			DebugAddr:        *debugAddr,
-			Profile:          *profileOn,
-			Flight:           *flightOn,
-			FlightSlots:      *flightSlots,
-			IncidentsDir:     *incidentsDir,
+		if err := parse(args, rows); err != nil {
+			return err
 		}
 	}
-
-	if *tenant != "" {
-		job.Tenant = *tenant
+	if err := check(rows); err != nil {
+		return err
 	}
 
-	if *clusterN > 0 {
-		if *clusterDir == "" {
-			return fmt.Errorf("-cluster requires -cluster-dir")
+	if inv.cpuProfile != "" {
+		f, err := os.Create(inv.cpuProfile)
+		if err != nil {
+			return err
 		}
-		// The cluster owns each shard's durable store and the trace; the
-		// single-node store and trace paths don't apply to its jobs.
-		copts := edgetune.ClusterOptions{
-			Shards:      *clusterN,
-			Dir:         *clusterDir,
-			TenantRate:  *tenantRate,
-			TenantBurst: *tenantBurst,
-			Seed:        job.Seed,
-			Faults: edgetune.FaultConfig{
-				ShardKill:    *faultShard,
-				NetPartition: *faultPart,
-				FollowerLag:  *faultFollower,
-			},
-			KillShardAfterRungs: *clusterKill,
-			SnapshotEvery:       *storeSnapEv,
-			TracePath:           job.TracePath,
-			Flight:              job.Flight,
-			FlightSlots:         job.FlightSlots,
-			IncidentsDir:        job.IncidentsDir,
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
 		}
-		job.TracePath, job.TraceChromePath, job.DebugAddr = "", "", ""
-		// The cluster owns the flight recorders too: one ring per shard,
-		// artefacts written (shard-prefixed) at Close.
-		job.Flight, job.FlightSlots, job.IncidentsDir = false, 0, ""
-		return runCluster(out, copts, job, *asJSON, *showMetrics)
+		defer pprof.StopCPUProfile()
+	}
+
+	if cl.Shards > 0 {
+		if cl.Dir == "" {
+			return errors.New("-cluster requires -cluster-dir")
+		}
+		// The cluster seeds its own fault injector and owns each shard's
+		// durable store, the trace and the flight recorders (one ring
+		// per shard, artefacts written shard-prefixed at Close); the
+		// job's fields for those are inert on a cluster job.
+		cl.Seed, cl.SnapshotEvery, cl.TracePath = job.Seed, job.StoreSnapshotEvery, job.TracePath
+		cl.Flight, cl.FlightSlots, cl.IncidentsDir = job.Flight, job.FlightSlots, job.IncidentsDir
+		return runCluster(out, cl, job, inv)
 	}
 
 	report, err := edgetune.Tune(context.Background(), job)
 	if err != nil {
 		return err
 	}
-
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
+	if inv.asJSON {
+		return writeJSON(out, report)
 	}
 	printReport(out, report)
-	if *showMetrics {
+	if inv.showMetrics {
 		printMetrics(out, report.Metrics)
 		printSLO(out, report.SLO)
 	}
 	return nil
 }
 
+func writeJSON(out io.Writer, v any) error {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 // runCluster executes the job on a freshly started sharded cluster and
 // renders the report plus the dispatcher's view (owning shard,
 // failover, cluster metrics).
-func runCluster(out io.Writer, copts edgetune.ClusterOptions, job edgetune.Job, asJSON, showMetrics bool) error {
+func runCluster(out io.Writer, copts edgetune.ClusterOptions, job edgetune.Job, inv invocation) error {
 	c, err := edgetune.NewCluster(copts)
 	if err != nil {
 		return err
@@ -316,10 +293,8 @@ func runCluster(out io.Writer, copts edgetune.ClusterOptions, job edgetune.Job, 
 		return tuneErr
 	}
 
-	if asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+	if inv.asJSON {
+		return writeJSON(out, rep)
 	}
 	printReport(out, rep.Report)
 	fmt.Fprintf(out, "  cluster:\n")
@@ -340,7 +315,7 @@ func runCluster(out io.Writer, copts edgetune.ClusterOptions, job edgetune.Job, 
 			}
 		}
 	}
-	if showMetrics {
+	if inv.showMetrics {
 		printMetrics(out, rep.Metrics)
 		printSLO(out, rep.SLO)
 		fmt.Fprintf(out, "  cluster metrics:\n")
@@ -424,6 +399,7 @@ func printReport(out io.Writer, r *edgetune.Report) {
 		fmt.Fprintf(out, "    throughput    %.1f samples/s\n", rec.Throughput)
 		fmt.Fprintf(out, "    energy        %.3f J/sample\n", rec.EnergyPerSampleJ)
 	}
+	fmt.Fprintf(out, "  digest:            %s\n", r.Digest())
 	if len(r.Profile) > 0 {
 		fmt.Fprintf(out, "  profile (allocs/op, bytes/op):\n")
 		for _, p := range r.Profile {

@@ -195,12 +195,114 @@ func TestRunFaultFlagValidation(t *testing.T) {
 		})
 	}
 	// The documented exception: a negative -store-snapshot-every
-	// disables periodic compaction and must stay accepted.
+	// disables periodic compaction and must stay accepted — on a run
+	// that really opens the store the flags name.
 	path := quickJobFile(t, edgetune.Job{Workload: "IC", Seed: 1})
 	var out bytes.Buffer
 	st := filepath.Join(t.TempDir(), "h.json")
-	if err := run([]string{"-job", path, "-store", st, "-store-wal", "-store-snapshot-every", "-1"}, &out); err != nil {
-		t.Errorf("negative -store-snapshot-every rejected: %v", err)
+	if err := run([]string{"-job", path, "-store", st, "-store-snapshot-every", "-1", "-json"}, &out); err != nil {
+		t.Fatalf("negative -store-snapshot-every rejected: %v", err)
+	}
+	var rep edgetune.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.StoreRecovery == nil {
+		t.Error("-store beside -job opened no store")
+	}
+	if _, err := os.Stat(st + ".wal"); err != nil {
+		t.Errorf("-store beside -job left no write-ahead log: %v", err)
+	}
+}
+
+// TestRunJobFileAndFlagsCompose: the job file is the job, a flag given
+// beside it overrides the file's value for its field, a flag not given
+// leaves the file's value alone, and a value out of range is rejected
+// with the flag's name whichever of the two it came from.
+func TestRunJobFileAndFlagsCompose(t *testing.T) {
+	dir := t.TempDir()
+	file := edgetune.Job{Workload: "IC", Seed: 5, Faults: edgetune.FaultConfig{TrialCrash: 0.6}}
+	path := quickJobFile(t, file)
+	reportOf := func(t *testing.T, path string, args ...string) edgetune.Report {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append([]string{"-job", path, "-json"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		var rep edgetune.Report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	report := func(t *testing.T, args ...string) edgetune.Report {
+		t.Helper()
+		return reportOf(t, path, args...)
+	}
+	// What a flag beside the file must give: the run of a file that
+	// already says so.
+	want := func(t *testing.T, edit func(*edgetune.Job)) edgetune.Report {
+		t.Helper()
+		job := file
+		edit(&job)
+		return reportOf(t, quickJobFile(t, job))
+	}
+	same := func(t *testing.T, got, want edgetune.Report) {
+		t.Helper()
+		if got.Digest() != want.Digest() || got.TuningMinutes != want.TuningMinutes ||
+			got.Resilience.TotalFaults != want.Resilience.TotalFaults {
+			t.Errorf("got digest %s, %.3f minutes, %d faults; want %s, %.3f, %d",
+				got.Digest(), got.TuningMinutes, got.Resilience.TotalFaults,
+				want.Digest(), want.TuningMinutes, want.Resilience.TotalFaults)
+		}
+	}
+
+	t.Run("unset-flags-leave-the-file", func(t *testing.T) {
+		base := report(t)
+		if base.Resilience.TotalFaults == 0 {
+			t.Fatal("the file's faults were dropped")
+		}
+		// -seed defaults to 1 without a file; beside one, the file's 5 stays.
+		same(t, report(t, "-seed", "5"), base)
+		if seed1 := report(t, "-seed", "1"); seed1.TuningMinutes == base.TuningMinutes {
+			t.Error("the file's seed gave way to the flag's default")
+		}
+	})
+	t.Run("seed", func(t *testing.T) {
+		same(t, report(t, "-seed", "9"), want(t, func(j *edgetune.Job) { j.Seed = 9 }))
+	})
+	t.Run("fault-crash", func(t *testing.T) {
+		got := report(t, "-fault-crash", "0")
+		same(t, got, want(t, func(j *edgetune.Job) { j.Faults.TrialCrash = 0 }))
+		if got.Resilience.TotalFaults != 0 {
+			t.Errorf("-fault-crash 0 left %d faults", got.Resilience.TotalFaults)
+		}
+	})
+	t.Run("store-and-checkpoint", func(t *testing.T) {
+		st := filepath.Join(dir, "h.json")
+		if rep := report(t, "-store", st, "-checkpoint"); rep.StoreRecovery == nil {
+			t.Fatal("-store opened no store")
+		}
+		// The rerun finds the finished job's checkpoint in the store.
+		if rep := report(t, "-store", st, "-checkpoint"); rep.Resilience.ResumedRungs == 0 {
+			t.Error("-checkpoint beside -job resumed nothing on the rerun")
+		}
+	})
+	for name, tc := range map[string]struct {
+		file edgetune.Job
+		args []string
+		want string
+	}{
+		"flag-out-of-range": {file, []string{"-fault-crash", "1.5"}, "-fault-crash"},
+		"file-out-of-range": {edgetune.Job{Workload: "IC", MaxTrialAttempts: -2}, nil, "-max-attempts"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(append([]string{"-job", quickJobFile(t, tc.file)}, tc.args...), &out)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one naming %s", err, tc.want)
+			}
+		})
 	}
 }
 

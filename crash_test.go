@@ -3,11 +3,9 @@ package edgetune
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,29 +26,8 @@ func crashJob(seed uint64, storePath string, killAfter int) Job {
 		Seed:                  seed,
 		Checkpoint:            true,
 		StorePath:             storePath,
-		StoreWAL:              true,
 		StoreKillAfterAppends: killAfter,
 	}
-}
-
-// reportDigest condenses the outcome a user acts on — winning
-// configuration and inference recommendation — into a hash for
-// convergence comparison.
-func reportDigest(r *Report) string {
-	h := fnv.New64a()
-	keys := make([]string, 0, len(r.BestConfig))
-	for k := range r.BestConfig {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(h, "%s=%.9g;", k, r.BestConfig[k])
-	}
-	fmt.Fprintf(h, "acc=%.9g;", r.BestAccuracy)
-	rec := r.Recommendation
-	fmt.Fprintf(h, "rec=%s/%d/%d/%.9g/%.9g/%.9g/%.9g", rec.Device, rec.BatchSize,
-		rec.Cores, rec.FrequencyGHz, rec.Throughput, rec.EnergyPerSampleJ, rec.LatencySeconds)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestCrashChildProcess is the re-exec target of the crash harness: it
@@ -70,7 +47,7 @@ func TestCrashChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("CRASH_DIGEST %s\n", reportDigest(rep))
+	fmt.Printf("CRASH_DIGEST %s\n", rep.Digest())
 }
 
 // TestCrashRestartRecovery kills the tuner at seeded points
@@ -96,7 +73,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := reportDigest(baseline)
+	want := baseline.Digest()
 
 	for _, killAfter := range []int{2, 7} {
 		killAfter := killAfter

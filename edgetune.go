@@ -28,8 +28,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
-	"os"
+	"sort"
 	"time"
 
 	"edgetune/internal/autoscale"
@@ -125,7 +126,7 @@ type Job struct {
 	// target accuracy (bracket granularity).
 	StopAtTarget bool
 	// Configs, Rungs, and Brackets size the successive-halving search
-	// (defaults 8, 6, 3).
+	// (defaults 8, 8, 3).
 	Configs  int
 	Rungs    int
 	Brackets int
@@ -133,26 +134,23 @@ type Job struct {
 	// explored per architecture (default 24).
 	InferenceTrials int
 	// StorePath optionally persists the historical inference-tuning
-	// database across jobs (§3.4).
+	// database across jobs (§3.4), crash-consistently: every store
+	// mutation is appended to a per-record checksummed write-ahead log
+	// (StorePath + ".wal") and fsynced before it is acknowledged, the
+	// log is periodically compacted into the JSON snapshot at StorePath,
+	// and opening the job recovers whatever a previous crash left
+	// behind — torn tails truncated, corrupt records quarantined, the
+	// salvage reported in Report.StoreRecovery.
 	StorePath string
-	// StoreWAL layers the crash-consistent durability subsystem over
-	// StorePath: every store mutation is appended to a per-record
-	// checksummed write-ahead log (StorePath + ".wal") and fsynced
-	// before it is acknowledged, the log is periodically compacted into
-	// the snapshot, and opening the job recovers whatever a previous
-	// crash left behind — torn tails truncated, corrupt records
-	// quarantined, the salvage reported in Report.StoreRecovery.
-	// Requires StorePath.
-	StoreWAL bool
 	// StoreSnapshotEvery compacts the WAL into a fresh snapshot once
 	// this many records accumulate (default 256; negative disables
-	// periodic compaction). Only meaningful with StoreWAL.
+	// periodic compaction). Only meaningful with StorePath.
 	StoreSnapshotEvery int
 	// StoreKillAfterAppends, when positive, terminates the whole
 	// process (exit code store.KillExitCode) immediately after the Nth
 	// durably acknowledged WAL append — the chaos hook the
 	// crash/restart harness uses to prove recovery. Only meaningful
-	// with StoreWAL.
+	// with StorePath.
 	StoreKillAfterAppends int
 	// Autoscale enables the inference server's SLO-driven device-pool
 	// autoscaler and graceful-degradation ladder: simulated replicas of
@@ -261,10 +259,11 @@ type FaultConfig struct {
 	// DroppedReply loses an inference server reply in flight.
 	DroppedReply float64
 	// The disk classes fire per filesystem operation of the durable
-	// store (StoreWAL), emulating flaky edge flash: DiskTornWrite cuts
-	// a write short, DiskCrash writes half a record and kills the disk,
-	// DiskBitFlip silently corrupts one written byte, DiskFull fails a
-	// write with ENOSPC, DiskSlowFsync stalls (but completes) an fsync.
+	// store (Job.StorePath), emulating flaky edge flash: DiskTornWrite
+	// cuts a write short, DiskCrash writes half a record and kills the
+	// disk, DiskBitFlip silently corrupts one written byte, DiskFull
+	// fails a write with ENOSPC, DiskSlowFsync stalls (but completes) an
+	// fsync.
 	DiskTornWrite float64
 	DiskCrash     float64
 	DiskBitFlip   float64
@@ -434,7 +433,7 @@ type Report struct {
 	// burn-rate alerts over the simulated clock.
 	SLO SLOReport
 	// StoreRecovery describes what opening the durable store salvaged
-	// from a previous crash (nil without StoreWAL).
+	// from a previous crash (nil without Job.StorePath).
 	StoreRecovery *StoreRecovery
 	// Autoscale summarises the device-pool autoscaler's control loop
 	// (nil unless Job.Autoscale was set).
@@ -448,6 +447,28 @@ type Report struct {
 	// artefacts are the JSON files at each Incident.Path when
 	// Job.IncidentsDir was set.
 	Incidents []Incident
+}
+
+// Digest condenses the outcome a user acts on — the winning
+// configuration, its accuracy and the inference recommendation — into a
+// hash. Runs that must converge (a killed-and-resumed job and an
+// uninterrupted one, a failed-over cluster job and a single-node one)
+// are compared by it.
+func (r *Report) Digest() string {
+	h := fnv.New64a()
+	keys := make([]string, 0, len(r.BestConfig))
+	for k := range r.BestConfig {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s=%.9g;", k, r.BestConfig[k])
+	}
+	fmt.Fprintf(h, "acc=%.9g;", r.BestAccuracy)
+	rec := r.Recommendation
+	fmt.Fprintf(h, "rec=%s/%d/%d/%.9g/%.9g/%.9g/%.9g", rec.Device, rec.BatchSize,
+		rec.Cores, rec.FrequencyGHz, rec.Throughput, rec.EnergyPerSampleJ, rec.LatencySeconds)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Incident summarises one incident dossier cut by the flight recorder
@@ -712,42 +733,31 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		})
 	}
 
-	if job.StoreWAL && job.StorePath == "" {
-		return nil, fmt.Errorf("edgetune: StoreWAL requires StorePath")
-	}
-	var st *store.Store
 	var dur *store.Durable
 	if job.StorePath != "" {
-		if job.StoreWAL {
-			var sfs store.FS = store.OSFS{}
-			if job.Faults.anyDisk() {
-				inj, ierr := fault.NewInjector(job.Faults.toInternal(), job.Seed, counters.NewResilienceOn(reg))
-				if ierr != nil {
-					return nil, ierr
-				}
-				sfs = fault.NewFS(sfs, inj)
+		var sfs store.FS = store.OSFS{}
+		if job.Faults.anyDisk() {
+			inj, ierr := fault.NewInjector(job.Faults.toInternal(), job.Seed, counters.NewResilienceOn(reg))
+			if ierr != nil {
+				return nil, ierr
 			}
-			dur, err = store.OpenDurable(store.DurableOptions{
-				SnapshotPath:     job.StorePath,
-				SnapshotEvery:    job.StoreSnapshotEvery,
-				FS:               sfs,
-				Metrics:          reg,
-				SLO:              ev,
-				Trace:            tracer,
-				KillAfterAppends: job.StoreKillAfterAppends,
-				Flight:           fr,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("edgetune: open durable store: %w", err)
-			}
-			defer dur.Close()
-			st = dur.Store()
-		} else {
-			st, err = loadOrNewStore(job.StorePath)
-			if err != nil {
-				return nil, err
-			}
+			sfs = fault.NewFS(sfs, inj)
 		}
+		dur, err = store.OpenDurable(store.DurableOptions{
+			SnapshotPath:     job.StorePath,
+			SnapshotEvery:    job.StoreSnapshotEvery,
+			FS:               sfs,
+			Metrics:          reg,
+			SLO:              ev,
+			Trace:            tracer,
+			KillAfterAppends: job.StoreKillAfterAppends,
+			Flight:           fr,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("edgetune: open durable store: %w", err)
+		}
+		defer dur.Close()
+		opts.Store = dur.Store()
 	}
 	if job.DebugAddr != "" {
 		handlers := map[string]http.Handler{
@@ -767,16 +777,10 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		defer dbg.Close()
 	}
 
-	opts.Store = st
 	opts.Trace = tracer
 	opts.Metrics = reg
 	opts.SLO = ev
 	opts.Flight = fr
-	if job.Checkpoint && job.StorePath != "" {
-		// Flush checkpoints through the persisted store so a killed
-		// process can resume from disk.
-		opts.CheckpointPath = job.StorePath
-	}
 
 	var res core.Result
 	if job.Hierarchical {
@@ -788,14 +792,10 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		return nil, err
 	}
 
-	if job.StorePath != "" && st != nil {
-		if dur != nil {
-			// Close compacts the WAL into a final snapshot; the deferred
-			// second Close is an idempotent no-op.
-			if err := dur.Close(); err != nil {
-				return nil, fmt.Errorf("edgetune: persist store: %w", err)
-			}
-		} else if err := st.Save(job.StorePath); err != nil {
+	if dur != nil {
+		// Close compacts the WAL into a final snapshot; the deferred
+		// second Close is an idempotent no-op.
+		if err := dur.Close(); err != nil {
 			return nil, fmt.Errorf("edgetune: persist store: %w", err)
 		}
 	}
@@ -811,16 +811,8 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	}
 	rep := buildReport(res)
 	if dur != nil {
-		rr := dur.Recovery()
-		rep.StoreRecovery = &StoreRecovery{
-			SnapshotSource:      rr.SnapshotSource,
-			SnapshotQuarantined: rr.SnapshotQuarantined,
-			RecordsReplayed:     rr.RecordsReplayed,
-			RecordsQuarantined:  rr.RecordsQuarantined,
-			TruncatedBytes:      rr.TruncatedBytes,
-			Entries:             rr.Entries,
-			Checkpoints:         rr.Checkpoints,
-		}
+		sr := StoreRecovery(dur.Recovery())
+		rep.StoreRecovery = &sr
 	}
 	if job.IncidentsDir != "" && len(res.Incidents) > 0 {
 		paths, werr := flight.WriteDossiers(job.IncidentsDir, "", res.Incidents)
@@ -1002,25 +994,6 @@ func analyzeHandler(tr *obs.Tracer) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		rep.WriteText(w)
 	})
-}
-
-// loadOrNewStore loads an existing JSON store or creates an empty one
-// if the file does not exist yet.
-func loadOrNewStore(path string) (*store.Store, error) {
-	st, err := store.Load(path)
-	if err == nil {
-		return st, nil
-	}
-	if errors.Is(err, os.ErrNotExist) {
-		return store.New(), nil
-	}
-	return nil, err
-}
-
-// validParamNames are the config keys a Report.BestConfig may carry.
-var _ = []string{
-	workload.ParamLayers, workload.ParamEmbedDim, workload.ParamStride,
-	workload.ParamDropout, workload.ParamTrainBatch, workload.ParamGPUs,
 }
 
 // configFromMap converts a public map into an internal search.Config.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -118,6 +119,50 @@ func TestTunePersistentStore(t *testing.T) {
 	}
 	if second.CacheHits <= first.CacheHits-first.CacheMisses {
 		t.Errorf("second run cache hits %d did not grow", second.CacheHits)
+	}
+}
+
+// TestTuneOpensPlainSnapshot: a StorePath holding a snapshot written
+// before the write-ahead log existed — the current document or the older
+// bare entry array, no .wal beside it — opens as the durable store's
+// first snapshot, reports the recovery, and its entries are reused.
+func TestTuneOpensPlainSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	job := quickJob()
+	job.StorePath = filepath.Join(dir, "seed.json")
+	if _, err := Tune(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	history, err := store.Load(job.StorePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := json.Marshal(history.Entries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := map[string]func(path string) error{
+		"current": history.Save,
+		"legacy":  func(path string) error { return os.WriteFile(path, bare, 0o644) },
+	}
+	for name, writeTo := range write {
+		t.Run(name, func(t *testing.T) {
+			job.StorePath = filepath.Join(dir, name+".json")
+			if err := writeTo(job.StorePath); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Tune(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr := rep.StoreRecovery
+			if sr == nil || sr.SnapshotSource != "snapshot" || sr.Entries != history.Len() {
+				t.Errorf("StoreRecovery = %+v, want the %d snapshot entries", sr, history.Len())
+			}
+			if rep.CacheMisses != 0 {
+				t.Errorf("%d cache misses over a store that already held every architecture", rep.CacheMisses)
+			}
+		})
 	}
 }
 

@@ -221,7 +221,6 @@ func (r *Runner) runSingle(s Schedule, dir string, plan *fault.Plan, observe fau
 		return nil, err
 	}
 	opts.Store = dur.Store()
-	opts.CheckpointPath = storePath
 	opts.Trace = tracer
 	opts.Metrics = reg
 	opts.SLO = ev

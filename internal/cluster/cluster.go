@@ -100,10 +100,10 @@ type Job struct {
 	// "default"). It is also stamped into the job's options so the
 	// node's per-client admission sees the same identity.
 	Tenant string
-	// Opts is the job to run. Store, CheckpointPath, and AfterRung are
-	// owned by the dispatcher: Store must be nil (each shard supplies
-	// its durable store), and Checkpoint is forced on — failover resumes
-	// from the replicated rung checkpoints.
+	// Opts is the job to run. Store and AfterRung are owned by the
+	// dispatcher: Store must be nil (each shard supplies its durable
+	// store), and Checkpoint is forced on — failover resumes from the
+	// replicated rung checkpoints.
 	Opts core.Options
 }
 
@@ -317,7 +317,6 @@ func (c *Cluster) shardOptions(sh *shard, job Job, armKills bool) core.Options {
 	opts := job.Opts
 	opts.Store = sh.primary.Store()
 	opts.Checkpoint = true
-	opts.CheckpointPath = sh.snapshotPath(sh.primaryDir)
 	opts.Tenant = job.Tenant
 	// The shard's recorder, not a per-job one: job options are copied
 	// per attempt, so the same ring survives the failover rerun and its

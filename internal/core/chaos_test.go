@@ -336,18 +336,21 @@ func TestTuneCheckpointResumeAtBracketBoundary(t *testing.T) {
 	}
 }
 
-// TestTuneCheckpointSurvivesKill persists checkpoints through the store
-// file, as a killed process would leave behind, and resumes from a
-// freshly loaded store.
+// TestTuneCheckpointSurvivesKill persists checkpoints through a durable
+// store, abandons it where a killed process would, and resumes from what
+// a fresh open recovers from disk.
 func TestTuneCheckpointSurvivesKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
 	path := t.TempDir() + "/store.json"
+	dur, err := store.OpenDurable(store.DurableOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := smallOptions("IC")
-	opts.Store = store.New()
+	opts.Store = dur.Store()
 	opts.Checkpoint = true
-	opts.CheckpointPath = path
 	opts.AfterRung = func(bracket, rung int) error {
 		if bracket == 0 && rung == 0 {
 			return errKilled
@@ -358,16 +361,22 @@ func TestTuneCheckpointSurvivesKill(t *testing.T) {
 	if !errors.Is(err, errKilled) {
 		t.Fatalf("kill hook not honoured: %v", err)
 	}
+	// The kill: no final compaction, the disk stays as the last
+	// acknowledged append left it.
+	if err := dur.Abandon(); err != nil {
+		t.Fatal(err)
+	}
 
-	// "New process": reload everything from disk.
-	loaded, err := store.Load(path)
+	// "New process": recover everything from disk.
+	reopened, err := store.OpenDurable(store.DurableOptions{SnapshotPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reopened.Close()
+	loaded := reopened.Store()
 	opts2 := smallOptions("IC")
 	opts2.Store = loaded
 	opts2.Checkpoint = true
-	opts2.CheckpointPath = path
 	resumed, err := Tune(context.Background(), opts2)
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ type tuneProgress struct {
 func checkpointKey(o Options) string {
 	key := fmt.Sprintf("tune/%s/%s/%s/%s/%s/eta%d/c%d/r%d/b%d/seed%d/sys%t/inf%t/acc%t",
 		o.Workload.ID, o.Device.Profile.Name, o.Metric, o.BudgetKind, o.ModelAlgo,
-		o.Eta, o.InitialConfigs, o.Rungs, o.MaxBrackets, o.Seed,
+		eta, o.InitialConfigs, o.Rungs, o.MaxBrackets, o.Seed,
 		o.SystemParams, o.InferenceAware, o.AccuracyOnly)
 	if o.Tenant != "" {
 		key += "/tenant=" + o.Tenant
@@ -80,8 +80,8 @@ func checkpointKey(o Options) string {
 	return key
 }
 
-// checkpoint stores the job's progress and, when a path is configured,
-// flushes the store to disk so the checkpoint survives a process kill.
+// checkpoint stores the job's progress and syncs the store, so that on a
+// durable store the checkpoint survives a process kill.
 func (j *tuneJob) checkpoint() error {
 	j.Resilience = j.recd.Snapshot()
 	if rs, ok := j.sampler.(search.Resumable); ok {
@@ -102,10 +102,8 @@ func (j *tuneJob) checkpoint() error {
 	if err := j.opts.Store.SaveCheckpoint(j.Key, data); err != nil {
 		return err
 	}
-	if path := j.opts.CheckpointPath; path != "" {
-		if err := j.opts.Store.Save(path); err != nil {
-			return fmt.Errorf("core: flush checkpoint: %w", err)
-		}
+	if err := j.opts.Store.Sync(); err != nil {
+		return fmt.Errorf("core: flush checkpoint: %w", err)
 	}
 	return nil
 }

@@ -353,19 +353,9 @@ func TestTuneValidation(t *testing.T) {
 		t.Error("missing workload accepted")
 	}
 	bad := smallOptions("IC")
-	bad.Eta = 1
-	if _, err := Tune(context.Background(), bad); err == nil {
-		t.Error("eta=1 accepted")
-	}
-	bad = smallOptions("IC")
 	bad.Metric = "latency"
 	if _, err := Tune(context.Background(), bad); err == nil {
 		t.Error("bad metric accepted")
-	}
-	bad = smallOptions("IC")
-	bad.TargetAccuracy = 2
-	if _, err := Tune(context.Background(), bad); err == nil {
-		t.Error("bad target accepted")
 	}
 }
 

@@ -181,15 +181,13 @@ func TestInferenceServerCancelMidTune(t *testing.T) {
 	}
 }
 
-// TestTunePropagatesTrialErrors: a training platform that cannot host
-// the sampled system configurations must surface an error, not hang or
-// silently skip trials.
+// TestTunePropagatesTrialErrors: a system configuration the training
+// platform cannot host must surface an error, not hang or silently skip
+// trials.
 func TestTunePropagatesTrialErrors(t *testing.T) {
-	gpu := perfmodel.TitanRTX()
-	gpu.MaxGPUs = 2 // space samples up to 8 GPUs -> some trials invalid
 	opts := smallOptions("IC")
-	opts.GPU = gpu
-	opts.InitialConfigs = 8
+	opts.SystemParams = false
+	opts.FixedGPUs = 2 * perfmodel.TitanRTX().MaxGPUs // every trial invalid
 	if _, err := Tune(context.Background(), opts); err == nil {
 		t.Error("invalid system configurations did not error")
 	}

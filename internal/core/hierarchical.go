@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"edgetune/internal/budget"
+	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
 	"edgetune/internal/trial"
 	"edgetune/internal/workload"
@@ -32,7 +33,7 @@ func TuneHierarchical(ctx context.Context, opts Options) (Result, error) {
 	if err := opts.normalise(); err != nil {
 		return res, err
 	}
-	runner, err := trial.NewRunner(opts.Workload, opts.GPU, opts.Seed+1)
+	runner, err := trial.NewRunner(opts.Workload, perfmodel.TitanRTX(), opts.Seed+1)
 	if err != nil {
 		return res, err
 	}
@@ -42,10 +43,10 @@ func TuneHierarchical(ctx context.Context, opts Options) (Result, error) {
 	}
 	alloc := saturatedAlloc(strat) // full budget
 
-	obj := Objective{Metric: opts.Metric, TargetAccuracy: opts.TargetAccuracy}
+	obj := Objective{Metric: opts.Metric, TargetAccuracy: opts.Workload.TargetAccuracy()}
 	bestScore := math.Inf(1)
 	var bestCfg search.Config
-	for gpus := 1; gpus <= opts.GPU.MaxGPUs; gpus++ {
+	for gpus := 1; gpus <= runner.GPUProfile().MaxGPUs; gpus++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}

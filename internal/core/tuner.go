@@ -32,8 +32,6 @@ type Options struct {
 	Workload *workload.Workload
 	// Device is the edge inference target. Defaults to the i7 node.
 	Device device.Device
-	// GPU is the training platform. Defaults to the Titan RTX profile.
-	GPU perfmodel.GPUProfile
 	// BudgetKind selects the trial budget strategy: "epochs",
 	// "dataset", or "multi" (default — the paper's contribution).
 	BudgetKind string
@@ -43,8 +41,6 @@ type Options struct {
 	InferAlgo string
 	// Metric is the objective variant: runtime (default) or energy.
 	Metric Metric
-	// Eta is the successive-halving reduction factor (default 2).
-	Eta int
 	// InitialConfigs is the per-bracket population (default 8).
 	InitialConfigs int
 	// Rungs is the number of halving rounds per bracket (default 8).
@@ -52,9 +48,6 @@ type Options struct {
 	// MaxBrackets bounds repeated brackets when the target accuracy is
 	// not reached (default 3).
 	MaxBrackets int
-	// TargetAccuracy is the accuracy goal recorded in the result; zero
-	// selects the workload's default target (§2.3's 80% for IC).
-	TargetAccuracy float64
 	// StopAtTarget ends tuning early once the target accuracy is
 	// reached. The paper's evaluation runs brackets to completion
 	// (Figure 12 shows ~50 trials), so this defaults to off.
@@ -96,9 +89,6 @@ type Options struct {
 	// Checkpoint serializes completed rungs into the Store so a
 	// killed/cancelled job can resume without re-running them.
 	Checkpoint bool
-	// CheckpointPath additionally flushes the Store to this file after
-	// each rung, making checkpoints durable across process kills.
-	CheckpointPath string
 
 	// Trace receives deterministic spans for the whole pipeline —
 	// tune → bracket → rung → trial → attempt on the tuner track, and
@@ -164,9 +154,6 @@ func (o *Options) normalise() error {
 	if o.Device.Profile.Name == "" {
 		o.Device = device.I7()
 	}
-	if o.GPU.FlopsPerSec == 0 {
-		o.GPU = perfmodel.TitanRTX()
-	}
 	if o.BudgetKind == "" {
 		o.BudgetKind = budget.KindMulti
 	}
@@ -175,12 +162,6 @@ func (o *Options) normalise() error {
 	}
 	if err := o.Metric.Validate(); err != nil {
 		return err
-	}
-	if o.Eta == 0 {
-		o.Eta = 2
-	}
-	if o.Eta < 2 {
-		return fmt.Errorf("core: eta %d must be >= 2", o.Eta)
 	}
 	if o.InitialConfigs == 0 {
 		o.InitialConfigs = 8
@@ -199,12 +180,6 @@ func (o *Options) normalise() error {
 	}
 	if o.MaxBrackets < 1 {
 		return fmt.Errorf("core: max brackets %d must be >= 1", o.MaxBrackets)
-	}
-	if o.TargetAccuracy == 0 {
-		o.TargetAccuracy = o.Workload.TargetAccuracy()
-	}
-	if o.TargetAccuracy < 0 || o.TargetAccuracy > 1 {
-		return fmt.Errorf("core: target accuracy %v out of [0,1]", o.TargetAccuracy)
 	}
 	if o.InferTrials == 0 {
 		o.InferTrials = 24
@@ -236,6 +211,10 @@ const (
 	// from the bracket without killing the job.
 	OutcomeFailed = "failed"
 )
+
+// eta is the successive-halving reduction factor: each rung keeps the
+// best 1/eta of its population. It is printed into the checkpoint key.
+const eta = 2
 
 // failedTrialScore ranks failed trials behind every real score while
 // staying JSON-serialisable (checkpoints round-trip through encoding/
@@ -482,12 +461,12 @@ func (j *tuneJob) setUp() error {
 	if j.strat, err = budget.New(opts.BudgetKind); err != nil {
 		return err
 	}
-	if j.runner, err = trial.NewRunner(w, opts.GPU, opts.Seed); err != nil {
+	if j.runner, err = trial.NewRunner(w, perfmodel.TitanRTX(), opts.Seed); err != nil {
 		return err
 	}
 	j.runner.SetFaultInjector(j.inj)
 	j.satAlloc = saturatedAlloc(j.strat)
-	j.obj = Objective{Metric: opts.Metric, TargetAccuracy: opts.TargetAccuracy}
+	j.obj = Objective{Metric: opts.Metric, TargetAccuracy: w.TargetAccuracy()}
 	if !opts.InferenceAware {
 		return nil
 	}
@@ -612,7 +591,7 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 		j.fold(i, rec)
 	}
 	sort.Slice(j.Pop, func(a, b int) bool { return j.Pop[a].Score < j.Pop[b].Score })
-	keep := len(j.Pop) / j.opts.Eta
+	keep := len(j.Pop) / eta
 	if keep < 1 {
 		keep = 1
 	}
@@ -737,7 +716,7 @@ func (j *tuneJob) fold(i int, rec TrialRecord) {
 	// Winner selection is lexicographic: a trial that meets the target
 	// accuracy always beats one that does not (the user asked for that
 	// accuracy, §2.3); among equals the minimised objective decides.
-	meets := rec.Accuracy >= j.opts.TargetAccuracy
+	meets := rec.Accuracy >= j.obj.TargetAccuracy
 	if !j.HasBest || meets && !j.BestMeets || meets == j.BestMeets && rec.Score < j.BestScore {
 		j.HasBest, j.BestMeets = true, meets
 		j.BestScore, j.BestConfig, j.BestAccuracy = rec.Score, cfg.Clone(), rec.Accuracy
@@ -795,8 +774,8 @@ func (j *tuneJob) recommend(ctx context.Context) error {
 	// killed between the clear and its exit leaves no resume state and
 	// repeats the entire run; a deterministic crash loop (same kill
 	// point every restart) then never terminates.
-	if j.opts.Checkpoint && j.opts.CheckpointPath != "" {
-		if err := j.opts.Store.Save(j.opts.CheckpointPath); err != nil {
+	if j.opts.Checkpoint {
+		if err := j.opts.Store.Sync(); err != nil {
 			return err
 		}
 	}
@@ -986,7 +965,7 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 		Epochs:         j.satAlloc.Epochs,
 		BatchSize:      int(rec.Config[workload.ParamTrainBatch]),
 		GPUs:           int(rec.Config[workload.ParamGPUs]),
-	}, j.opts.GPU)
+	}, j.runner.GPUProfile())
 	if err != nil {
 		return rec, err
 	}

@@ -17,8 +17,8 @@ import (
 // Durable is the crash-consistent persistence layer of the historical
 // store (§3.4): every mutation is appended to a CRC-checksummed
 // write-ahead log and fsynced before it is acknowledged, and the log is
-// periodically compacted into the JSON snapshot the legacy Save/Load
-// path already uses (write temp, fsync, rename, fsync dir). Opening a
+// periodically compacted into a JSON snapshot — the document Save/Load
+// write and read (write temp, fsync, rename, fsync dir). Opening a
 // durable store recovers by replaying the WAL over the newest valid
 // snapshot: a torn tail is truncated, corrupt records are quarantined
 // (never fatally rejected), and the salvage is reported through
@@ -27,7 +27,7 @@ import (
 // Attach semantics: the Durable owns its inner *Store — obtain it with
 // Store() and use it exactly like a plain store. Put, SaveCheckpoint,
 // and ClearCheckpoint are logged write-ahead under the store's mutex,
-// so WAL order always matches apply order; Save becomes "sync the WAL,
+// so WAL order always matches apply order; Sync is "sync the WAL,
 // compact if due".
 type Durable struct {
 	st *Store
@@ -79,9 +79,9 @@ const KillExitCode = 3
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
-	// SnapshotPath is the JSON snapshot file — the same format (and the
-	// same file) the legacy Save/Load path uses, so existing stores
-	// migrate in place. Required.
+	// SnapshotPath is the JSON snapshot file, in the format Save writes
+	// (or its bare-array predecessor): a store file written before the
+	// WAL existed opens as the first snapshot. Required.
 	SnapshotPath string
 	// WALPath is the write-ahead log (default SnapshotPath + ".wal").
 	WALPath string
@@ -226,7 +226,6 @@ func (d *Durable) recover() error {
 	// Newest valid snapshot: the current generation, then the previous
 	// one kept by compaction. A corrupt generation is moved aside to
 	// .quarantine — recovery degrades, it never destroys evidence.
-	loaded := false
 	for _, cand := range []struct{ path, source string }{
 		{d.snapPath, "snapshot"},
 		{d.snapPath + ".prev", "previous"},
@@ -248,19 +247,16 @@ func (d *Durable) recover() error {
 		}
 		rr.SnapshotSource = cand.source
 		d.applyStoreFile(file)
-		loaded = true
 		break
 	}
-	_ = loaded
 	// A leftover temp file from an interrupted atomic write is dead
 	// weight either way: the rename never happened.
 	d.fsys.Remove(d.snapPath + ".tmp")
 
+	// A snapshot with no log beside it is a store last written before
+	// the WAL existed (or a fresh path): an empty log replays the same.
 	data, err := d.fsys.ReadFile(d.walPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: read wal %s: %w", d.walPath, err)
 	}
 	sc := scanWAL(data)
@@ -392,9 +388,9 @@ func (d *Durable) appendLocked(rec walRecord) error {
 	return nil
 }
 
-// persistLocked is the durable implementation of Store.Save: the WAL
-// already holds every acknowledged mutation, so "save" means compact
-// when enough log has accumulated, otherwise just re-assert the sync.
+// persistLocked is the durable half of Store.Sync: the WAL already
+// holds every acknowledged mutation, so it compacts when enough log has
+// accumulated and otherwise just re-asserts the sync.
 func (d *Durable) persistLocked() error {
 	if d.failed != nil {
 		return d.failed

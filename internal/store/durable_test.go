@@ -283,8 +283,8 @@ func TestDurableCompactionRotatesGenerations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Save triggers compaction (5 records >= 3 since last snapshot).
-	if err := st.Save("ignored; durable stores use their snapshot path"); err != nil {
+	// Sync triggers compaction (5 records >= 3 since last snapshot).
+	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(snap + ".wal"); err != nil || fi.Size() != 0 {
@@ -295,7 +295,7 @@ func TestDurableCompactionRotatesGenerations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Save(""); err != nil {
+	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(snap + ".prev")

@@ -56,7 +56,7 @@ type Store struct {
 	// the same persistence as the historical database.
 	checkpoints map[string]json.RawMessage
 	// dur, when set by OpenDurable, journals every mutation write-ahead
-	// (under mu, before the in-memory apply) and takes over Save.
+	// (under mu, before the in-memory apply) and gives Sync something to do.
 	dur *Durable
 }
 
@@ -126,21 +126,6 @@ func (s *Store) Entries() []Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
 	return out
-}
-
-// Merge copies every entry of other into s, overwriting duplicates.
-// It supports combining the historical databases of tuning servers that
-// ran independently (e.g. per-device recommendation jobs).
-func (s *Store) Merge(other *Store) error {
-	if other == nil {
-		return errors.New("store: merge with nil store")
-	}
-	for _, e := range other.Entries() {
-		if err := s.Put(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SaveCheckpoint stores an opaque progress blob under key, replacing
@@ -241,17 +226,23 @@ func (s *Store) snapshotFileLocked() storeFile {
 	return file
 }
 
-// Save writes the store as JSON to path: write a temp sibling, fsync
-// it, rename over the target, fsync the parent directory — power-loss
-// safe even without the WAL. On a durable store (OpenDurable) the WAL
-// already holds every acknowledged mutation, so Save becomes "sync and
-// compact if due" and path is ignored in favour of the snapshot path.
+// Sync makes everything the store has acknowledged safe against a
+// process kill: nothing to do for an in-memory store, "sync the WAL and
+// compact if due" for a durable one (OpenDurable).
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dur == nil {
+		return nil
+	}
+	return s.dur.persistLocked()
+}
+
+// Save writes the store's snapshot document as JSON to path: write a
+// temp sibling, fsync it, rename over the target, fsync the parent
+// directory.
 func (s *Store) Save(path string) error {
 	s.mu.Lock()
-	if s.dur != nil {
-		defer s.mu.Unlock()
-		return s.dur.persistLocked()
-	}
 	file := s.snapshotFileLocked()
 	s.mu.Unlock()
 	data, err := json.MarshalIndent(file, "", "  ")

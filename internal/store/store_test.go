@@ -159,37 +159,6 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := New()
-	_ = a.Put(entry("x", "i7"))
-	stale := entry("y", "i7")
-	stale.Throughput = 1
-	_ = a.Put(stale)
-
-	b := New()
-	fresh := entry("y", "i7")
-	fresh.Throughput = 99
-	_ = b.Put(fresh)
-	_ = b.Put(entry("z", "rpi3b+"))
-
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 3 {
-		t.Errorf("merged Len = %d, want 3", a.Len())
-	}
-	got, err := a.Get("y", "i7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Throughput != 99 {
-		t.Errorf("merge did not overwrite duplicate: %v", got.Throughput)
-	}
-	if err := a.Merge(nil); err == nil {
-		t.Error("nil merge accepted")
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	s := New()
 	if err := s.SaveCheckpoint("", []byte(`{}`)); err == nil {
@@ -293,9 +262,9 @@ func TestConcurrentPutSameKey(t *testing.T) {
 	}
 }
 
-// TestConcurrentMergeAndPut: Merge racing with Put (and with reads)
-// must leave the union of all writes, with every entry intact. Run
-// with -race.
+// TestConcurrentMergeAndPut: copying one store's entries into another
+// while Put (and reads) race on the target must leave the union of all
+// writes, with every entry intact. Run with -race.
 func TestConcurrentMergeAndPut(t *testing.T) {
 	src := New()
 	for _, sig := range []string{"m1", "m2", "m3", "m4"} {
@@ -308,9 +277,11 @@ func TestConcurrentMergeAndPut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := dst.Merge(src); err != nil {
-					t.Error(err)
-					return
+				for _, e := range src.Entries() {
+					if err := dst.Put(e); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -340,13 +311,21 @@ func TestConcurrentMergeAndPut(t *testing.T) {
 	}
 }
 
-// TestMergeSelf: merging a store into itself must not deadlock (Merge
-// snapshots via Entries before taking the write path).
+// TestMergeSelf: putting a store's own entries back into it must not
+// deadlock (Entries returns a snapshot, not a view held under the lock).
 func TestMergeSelf(t *testing.T) {
 	s := New()
 	_ = s.Put(entry("a", "d"))
 	done := make(chan error, 1)
-	go func() { done <- s.Merge(s) }()
+	go func() {
+		for _, e := range s.Entries() {
+			if err := s.Put(e); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
 	select {
 	case err := <-done:
 		if err != nil {

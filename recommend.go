@@ -3,6 +3,7 @@ package edgetune
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"edgetune/internal/core"
 	"edgetune/internal/device"
@@ -25,7 +26,8 @@ type RecommendRequest struct {
 	// Trials is the number of inference configurations explored per
 	// device (default 24).
 	Trials int
-	// StorePath optionally persists results across calls.
+	// StorePath optionally persists results across calls, on the same
+	// durable store Job.StorePath opens.
 	StorePath string
 	// Seed drives determinism.
 	Seed uint64
@@ -60,14 +62,15 @@ func Recommend(ctx context.Context, req RecommendRequest) ([]InferenceRecommenda
 		devs = append(devs, d)
 	}
 
-	var st *store.Store
+	st := store.New()
+	var dur *store.Durable
 	if req.StorePath != "" {
-		st, err = loadOrNewStore(req.StorePath)
+		dur, err = store.OpenDurable(store.DurableOptions{SnapshotPath: req.StorePath})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("edgetune: open durable store: %w", err)
 		}
-	} else {
-		st = store.New()
+		defer dur.Close()
+		st = dur.Store()
 	}
 
 	entries, err := core.RecommendForDevices(ctx, w, cfg, devs, core.InferenceServerOptions{
@@ -79,9 +82,9 @@ func Recommend(ctx context.Context, req RecommendRequest) ([]InferenceRecommenda
 	if err != nil {
 		return nil, err
 	}
-	if req.StorePath != "" {
-		if err := st.Save(req.StorePath); err != nil {
-			return nil, err
+	if dur != nil {
+		if err := dur.Close(); err != nil {
+			return nil, fmt.Errorf("edgetune: persist store: %w", err)
 		}
 	}
 
