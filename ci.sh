@@ -63,12 +63,14 @@ surface() { # what, count, ceiling
         exit 1
     fi
 }
-surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 30
-surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 24
-surface "edgetune.Job fields" "$(fields edgetune.go Job)" 32
-surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 14
+surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 29
+surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 22
+surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)" 13
+surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
+surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
+surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 12
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
-surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 55
+surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 54
 
 gate "go vet"
 go vet ./...
@@ -148,8 +150,11 @@ go test -run '^$' -bench BenchmarkTracingDisabled -benchtime=1x ./internal/obs
 gate "store durability under faulty disks"
 # The durability layer's own tests plus the disk-fault injection tests,
 # twice under the race detector so any run-order or leftover-state bug
-# in WAL replay and quarantine handling surfaces.
+# in WAL replay and quarantine handling surfaces. Then ten seconds of
+# fuzzing the WAL decoder, which reads whatever a crash left on disk
+# (its seed corpus already ran above, as an ordinary test).
 go test -race -count=2 ./internal/store ./internal/fault
+go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
 
 gate "crash-recovery gate"
 # Kill the tuner (exit 3) right after an acknowledged WAL append,

@@ -21,9 +21,6 @@ import (
 type ClusterOptions struct {
 	// Shards is the node-pair count (default 2).
 	Shards int
-	// VirtualNodes is the consistent-hash ring's points per shard
-	// (default 64).
-	VirtualNodes int
 	// Dir is the directory holding every node's store files: each shard
 	// gets Dir/shard<i>/{primary,follower}. Required.
 	Dir string
@@ -50,9 +47,12 @@ type ClusterOptions struct {
 	// routing, failovers) as JSON Lines at Close.
 	TracePath string
 	// DebugAddr, when set (e.g. "localhost:0"), serves the cluster's
-	// debug endpoints: the dispatcher registry on /metrics*, plus a
-	// merged /metrics/prom where every shard's store instruments carry
-	// a shard="<name>" label alongside the unlabeled cluster series.
+	// debug endpoints: the dispatcher registry on /metrics*, a merged
+	// /metrics/prom where every shard's store instruments carry a
+	// shard="<name>" label alongside the unlabeled cluster series, and
+	// — as a single-node job's server does — /slo and /analyze over the
+	// cluster's objectives and spans (so it turns tracing on even
+	// without TracePath).
 	DebugAddr string
 	// Flight gives every shard its own always-on flight recorder: WAL
 	// appends, replication shipping, serving events, and failovers land
@@ -61,8 +61,6 @@ type ClusterOptions struct {
 	// the kill, the promotion, and the resumed run. Incidents (and
 	// ClusterReport.Incidents) expose the dossiers.
 	Flight bool
-	// FlightSlots sizes each shard's ring (default 65536).
-	FlightSlots int
 	// IncidentsDir, when set (implies Flight), writes every shard's
 	// incident dossiers at Close/Drain as JSON artefacts named
 	// <shard>-incident-<seq>-<trigger>.json.
@@ -99,12 +97,11 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	reg := obs.NewRegistry()
 	ev := slo.NewEvaluator()
 	var tracer *obs.Tracer
-	if opts.TracePath != "" {
+	if opts.TracePath != "" || opts.DebugAddr != "" {
 		tracer = obs.NewTracer()
 	}
 	inner, err := cluster.New(cluster.Options{
 		Shards:              opts.Shards,
-		VirtualNodes:        opts.VirtualNodes,
 		Dir:                 opts.Dir,
 		TenantRate:          opts.TenantRate,
 		TenantBurst:         opts.TenantBurst,
@@ -116,7 +113,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		SLO:                 ev,
 		Trace:               tracer,
 		Flight:              opts.Flight,
-		FlightSlots:         opts.FlightSlots,
 	})
 	if err != nil {
 		return nil, err
@@ -124,28 +120,25 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	c := &Cluster{inner: inner, reg: reg, ev: ev, tracer: tracer,
 		path: opts.TracePath, incidentsDir: opts.IncidentsDir}
 	if opts.DebugAddr != "" {
-		dbg, err := obs.StartDebugServerOpts(opts.DebugAddr, obs.DebugOptions{
-			Registry: reg,
-			Handlers: map[string]http.Handler{
-				// Override the single-registry exposition with the
-				// merged cluster view: dispatcher series unlabeled,
-				// each shard's store series labeled shard="<name>".
-				"/metrics/prom": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-					w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-					parts := []obs.LabeledSnapshot{{Snapshot: c.reg.Snapshot()}}
-					shards := c.inner.ShardMetrics()
-					names := make([]string, 0, len(shards))
-					for name := range shards {
-						names = append(names, name)
-					}
-					sort.Strings(names)
-					for _, name := range names {
-						parts = append(parts, obs.LabeledSnapshot{Value: name, Snapshot: shards[name]})
-					}
-					obs.WritePrometheusLabeled(w, "shard", parts)
-				}),
-			},
+		handlers := debugHandlers(ev, tracer)
+		// Override the single-registry exposition with the merged
+		// cluster view: dispatcher series unlabeled, each shard's store
+		// series labeled shard="<name>".
+		handlers["/metrics/prom"] = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			parts := []obs.LabeledSnapshot{{Snapshot: c.reg.Snapshot()}}
+			shards := c.inner.ShardMetrics()
+			names := make([]string, 0, len(shards))
+			for name := range shards {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				parts = append(parts, obs.LabeledSnapshot{Value: name, Snapshot: shards[name]})
+			}
+			obs.WritePrometheusLabeled(w, "shard", parts)
 		})
+		dbg, err := obs.StartDebugServerOpts(opts.DebugAddr, obs.DebugOptions{Registry: reg, Handlers: handlers})
 		if err != nil {
 			inner.Close()
 			return nil, fmt.Errorf("edgetune: cluster debug server: %w", err)
@@ -235,15 +228,7 @@ func (c *Cluster) Incidents() map[string][]Incident {
 	for name, ds := range c.inner.Incidents() {
 		sums := make([]Incident, 0, len(ds))
 		for _, d := range ds {
-			sums = append(sums, Incident{
-				Trigger:   d.Trigger.Kind,
-				Detail:    d.Trigger.Detail,
-				AtMinutes: d.Trigger.At.Minutes(),
-				Seq:       d.Trigger.Seq,
-				Events:    len(d.Events),
-				Truncated: d.Truncated,
-				Digest:    d.Digest,
-			})
+			sums = append(sums, summariseIncident(d))
 		}
 		out[name] = sums
 	}

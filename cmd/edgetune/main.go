@@ -146,7 +146,6 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 		{"debug-addr", &job.DebugAddr, free, "serve /metrics, /metrics/prom, /healthz, /slo, /analyze, /flight, /debug/vars, and /debug/pprof on this address while tuning"},
 		{"profile", &job.Profile, free, "enable the profiling plane: pprof label attribution on both pipelines plus per-stage allocation probes in the report"},
 		{"flight", &job.Flight, free, "enable the always-on flight recorder: anomaly triggers cut deterministic incident dossiers into the report"},
-		{"flight-slots", &job.FlightSlots, nonNeg, "flight recorder ring size in event slots (default 65536, requires -flight)"},
 		{"incidents-dir", &job.IncidentsDir, free, "write each incident dossier as a JSON artefact into this directory (implies -flight)"},
 	}
 }
@@ -247,11 +246,11 @@ func run(args []string, out io.Writer) error {
 			return errors.New("-cluster requires -cluster-dir")
 		}
 		// The cluster seeds its own fault injector and owns each shard's
-		// durable store, the trace and the flight recorders (one ring
-		// per shard, artefacts written shard-prefixed at Close); the
-		// job's fields for those are inert on a cluster job.
+		// durable store, the trace, the debug server and the flight
+		// recorders (one ring per shard, artefacts written shard-prefixed
+		// at Close); the job's fields for those are inert on a cluster job.
 		cl.Seed, cl.SnapshotEvery, cl.TracePath = job.Seed, job.StoreSnapshotEvery, job.TracePath
-		cl.Flight, cl.FlightSlots, cl.IncidentsDir = job.Flight, job.FlightSlots, job.IncidentsDir
+		cl.Flight, cl.IncidentsDir, cl.DebugAddr = job.Flight, job.IncidentsDir, job.DebugAddr
 		return runCluster(out, cl, job, inv)
 	}
 

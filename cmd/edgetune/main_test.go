@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"edgetune"
 )
@@ -288,6 +293,29 @@ func TestRunJobFileAndFlagsCompose(t *testing.T) {
 			t.Error("-checkpoint beside -job resumed nothing on the rerun")
 		}
 	})
+	t.Run("removed-keys-still-decode", func(t *testing.T) {
+		// A file written for an older build names options that are now
+		// constants; it decodes and runs as the file without them.
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["FlightSlots"], doc["StoreWAL"] = 64, true
+		if data, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		old := filepath.Join(dir, "old.json")
+		if err := os.WriteFile(old, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reportOf(t, old), report(t); !reflect.DeepEqual(got, want) {
+			t.Errorf("the file with removed keys reported\n%+v\nwithout them\n%+v", got, want)
+		}
+	})
 	for name, tc := range map[string]struct {
 		file edgetune.Job
 		args []string
@@ -336,6 +364,45 @@ func TestRunAutoscaleTextReport(t *testing.T) {
 	}
 	if got != again.String() {
 		t.Error("identically-seeded autoscaled runs produced different reports")
+	}
+}
+
+// TestRunClusterServesDebugAddr: -debug-addr reaches a cluster run too —
+// its debug server answers while the job tunes.
+func TestRunClusterServesDebugAddr(t *testing.T) {
+	// run does not say which port "localhost:0" became: take a free one.
+	lis, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+
+	path := quickJobFile(t, edgetune.Job{Workload: "IC", Seed: 3, Configs: 4, Rungs: 3})
+	finished := make(chan error, 1)
+	go func() {
+		finished <- run([]string{"-job", path, "-cluster", "2", "-cluster-dir", t.TempDir(), "-debug-addr", addr}, io.Discard)
+	}()
+	healthy := false
+	for !healthy {
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Fatalf("the cluster run finished without %s/healthz ever answering", addr)
+		default:
+		}
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			time.Sleep(time.Millisecond) // not listening yet
+			continue
+		}
+		resp.Body.Close()
+		healthy = resp.StatusCode == http.StatusOK
+	}
+	if err := <-finished; err != nil {
+		t.Fatal(err)
 	}
 }
 

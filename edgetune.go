@@ -222,8 +222,6 @@ type Job struct {
 	// runs produce byte-identical dossiers (leave Profile off for
 	// digest-compared runs).
 	Flight bool
-	// FlightSlots sizes the recorder's ring (default 65536 slots).
-	FlightSlots int
 	// IncidentsDir, when set (implies Flight), writes each incident
 	// dossier as a self-contained JSON artefact into this directory,
 	// named incident-<seq>-<trigger>.json; tracetool incident show/diff
@@ -720,11 +718,7 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 
 	var fr *flight.Recorder
 	if job.Flight {
-		slots := job.FlightSlots
-		if slots <= 0 {
-			slots = flight.DefaultSlots
-		}
-		fr = flight.New(slots)
+		fr = flight.New(flight.DefaultSlots)
 		// Span completions feed the ring as they end; names and tracks
 		// are pre-existing strings and small ints, so the hook keeps
 		// Record's zero-allocation contract.
@@ -760,10 +754,7 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		opts.Store = dur.Store()
 	}
 	if job.DebugAddr != "" {
-		handlers := map[string]http.Handler{
-			"/slo":     slo.Handler(ev),
-			"/analyze": analyzeHandler(tracer),
-		}
+		handlers := debugHandlers(ev, tracer)
 		if fr != nil {
 			handlers["/flight"] = flight.Handler(fr)
 		}
@@ -855,15 +846,7 @@ func buildReport(res core.Result) *Report {
 		})
 	}
 	for _, d := range res.Incidents {
-		r.Incidents = append(r.Incidents, Incident{
-			Trigger:   d.Trigger.Kind,
-			Detail:    d.Trigger.Detail,
-			AtMinutes: d.Trigger.At.Minutes(),
-			Seq:       d.Trigger.Seq,
-			Events:    len(d.Events),
-			Truncated: d.Truncated,
-			Digest:    d.Digest,
-		})
+		r.Incidents = append(r.Incidents, summariseIncident(d))
 	}
 	if a := res.Autoscale; a != nil {
 		r.Autoscale = &AutoscaleReport{
@@ -882,17 +865,37 @@ func buildReport(res core.Result) *Report {
 		}
 	}
 	if res.Recommendation.Signature != "" {
-		r.Recommendation = InferenceRecommendation{
-			Device:           res.Recommendation.Device,
-			BatchSize:        int(res.Recommendation.Config[workload.ParamInferBatch]),
-			Cores:            int(res.Recommendation.Config[workload.ParamCores]),
-			FrequencyGHz:     res.Recommendation.Config[workload.ParamFreq],
-			Throughput:       res.Recommendation.Throughput,
-			EnergyPerSampleJ: res.Recommendation.EnergyPerSampleJ,
-			LatencySeconds:   res.Recommendation.LatencySeconds,
-		}
+		r.Recommendation = recommendationOf(res.Recommendation)
 	}
 	return r
+}
+
+// summariseIncident is a dossier's line in a report; the dossier itself
+// is the artefact under IncidentsDir.
+func summariseIncident(d flight.Dossier) Incident {
+	return Incident{
+		Trigger:   d.Trigger.Kind,
+		Detail:    d.Trigger.Detail,
+		AtMinutes: d.Trigger.At.Minutes(),
+		Seq:       d.Trigger.Seq,
+		Events:    len(d.Events),
+		Truncated: d.Truncated,
+		Digest:    d.Digest,
+	}
+}
+
+// recommendationOf reads an inference-tuning result as the deployment
+// recommendation it is.
+func recommendationOf(e store.Entry) InferenceRecommendation {
+	return InferenceRecommendation{
+		Device:           e.Device,
+		BatchSize:        int(e.Config[workload.ParamInferBatch]),
+		Cores:            int(e.Config[workload.ParamCores]),
+		FrequencyGHz:     e.Config[workload.ParamFreq],
+		Throughput:       e.Throughput,
+		EnergyPerSampleJ: e.EnergyPerSampleJ,
+		LatencySeconds:   e.LatencySeconds,
+	}
 }
 
 func buildResilienceReport(s counters.ResilienceSnapshot) ResilienceReport {
@@ -966,6 +969,16 @@ func buildSLOReport(s slo.Snapshot) SLOReport {
 		r.Objectives = append(r.Objectives, obj)
 	}
 	return r
+}
+
+// debugHandlers is what a debug server mounts beside the registry's
+// own endpoints, single-node and cluster alike: the SLO evaluation and
+// a live analysis of the tracer's spans.
+func debugHandlers(ev *slo.Evaluator, tracer *obs.Tracer) map[string]http.Handler {
+	return map[string]http.Handler{
+		"/slo":     slo.Handler(ev),
+		"/analyze": analyzeHandler(tracer),
+	}
 }
 
 // analyzeHandler serves a live trace analysis: the tracer's current

@@ -133,22 +133,20 @@ func TestTuneOpensPlainSnapshot(t *testing.T) {
 	if _, err := Tune(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	history, err := store.Load(job.StorePath)
+	// What Tune left at StorePath is the current document, alone.
+	current, err := os.ReadFile(job.StorePath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	history := readStore(t, job.StorePath)
 	bare, err := json.Marshal(history.Entries())
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := map[string]func(path string) error{
-		"current": history.Save,
-		"legacy":  func(path string) error { return os.WriteFile(path, bare, 0o644) },
-	}
-	for name, writeTo := range write {
+	for name, document := range map[string][]byte{"current": current, "legacy": bare} {
 		t.Run(name, func(t *testing.T) {
 			job.StorePath = filepath.Join(dir, name+".json")
-			if err := writeTo(job.StorePath); err != nil {
+			if err := os.WriteFile(job.StorePath, document, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := Tune(context.Background(), job)
@@ -164,6 +162,20 @@ func TestTuneOpensPlainSnapshot(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readStore reads what a job left at path the way the next job will,
+// and leaves the files as they were.
+func readStore(t *testing.T, path string) *store.Store {
+	t.Helper()
+	d, err := store.OpenDurable(store.DurableOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	return d.Store()
 }
 
 func TestTuneDifferentDevicesDifferentRecommendations(t *testing.T) {
@@ -258,11 +270,7 @@ func TestTuneCheckpointJobCompletes(t *testing.T) {
 	if rep.Resilience.ResumedRungs != 0 {
 		t.Errorf("fresh job resumed %d rungs", rep.Resilience.ResumedRungs)
 	}
-	st, err := store.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys := st.CheckpointKeys(); len(keys) != 1 {
+	if keys := readStore(t, path).CheckpointKeys(); len(keys) != 1 {
 		t.Errorf("completion checkpoint not persisted: %v", keys)
 	}
 	// Re-running the identical job restores the completed checkpoint:

@@ -169,15 +169,13 @@ func (r *Runner) jobOptions(s Schedule, plan *fault.Plan, observe fault.Observer
 		MaxBrackets:    1,
 		InferTrials:    6,
 		Seed:           s.Seed,
-		Fault:          fault.Config{Plan: plan, Observe: observe},
-		Checkpoint:     true,
-		Tenant:         fuzzTenant,
-		// The write-behind flusher's background appends would otherwise
-		// interleave nondeterministically with the tuner's own WAL
-		// appends, shifting the fault FS's operation numbering run to
-		// run — the one scheduling freedom the determinism invariant
-		// cannot tolerate.
-		SyncStoreWrites: true,
+		// The plan, even an empty one, is also what makes the inference
+		// server persist results inline (core.NewInferenceServer): a
+		// background flusher's appends would interleave with the tuner's
+		// own and shift the fault FS's operation numbering run to run.
+		Fault:      fault.Config{Plan: plan, Observe: observe},
+		Checkpoint: true,
+		Tenant:     fuzzTenant,
 	}, nil
 }
 

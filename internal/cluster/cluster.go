@@ -31,6 +31,7 @@ import (
 	"edgetune/internal/obs/flight"
 	"edgetune/internal/obs/prof"
 	"edgetune/internal/obs/slo"
+	"edgetune/internal/sim"
 	"edgetune/internal/store"
 )
 
@@ -49,9 +50,6 @@ var ErrClusterClosed = errors.New("cluster: closed")
 type Options struct {
 	// Shards is the node-pair count (default 2).
 	Shards int
-	// VirtualNodes is the consistent-hash ring's points per shard
-	// (default 64).
-	VirtualNodes int
 	// Dir is the root directory holding every node's store; each shard
 	// gets Dir/shard<i>/{primary,follower}. Required.
 	Dir string
@@ -122,8 +120,13 @@ type Cluster struct {
 	opts   Options
 	ring   *Ring
 	shards map[string]*shard
-	gate   *tenantGate
 	inj    *fault.Injector
+
+	// quota is the per-tenant gate in front of the per-client admission
+	// each node already runs, so one tenant's job storm cannot starve the
+	// others before work even reaches a shard; see admit.
+	quotaMu sync.Mutex
+	quota   *sim.TokenBuckets
 
 	mu        sync.Mutex
 	inflightC map[*Job]context.CancelFunc
@@ -152,15 +155,18 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d must be >= 1", opts.Shards)
 	}
+	if opts.TenantBurst < 1 {
+		opts.TenantBurst = 4
+	}
 	inj, err := fault.NewInjector(opts.Fault, opts.Seed^0x5bf03635, counters.NewResilienceOn(opts.Metrics))
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		opts:      opts,
-		ring:      NewRing(opts.VirtualNodes),
+		ring:      NewRing(0),
 		shards:    make(map[string]*shard, opts.Shards),
-		gate:      newTenantGate(opts.TenantRate, opts.TenantBurst),
+		quota:     sim.NewTokenBuckets(opts.TenantRate, opts.TenantBurst),
 		inj:       inj,
 		inflightC: make(map[*Job]context.CancelFunc),
 		closedCh:  make(chan struct{}),
@@ -179,11 +185,7 @@ func New(opts Options) (*Cluster, error) {
 		name := fmt.Sprintf("shard%d", i)
 		var fr *flight.Recorder
 		if opts.Flight {
-			slots := opts.FlightSlots
-			if slots <= 0 {
-				slots = flight.DefaultSlots
-			}
-			fr = flight.New(slots)
+			fr = flight.New(opts.FlightSlots)
 		}
 		sh, err := openShard(name, filepath.Join(opts.Dir, name), opts.SnapshotEvery, inj, opts.Metrics, fr)
 		if err != nil {
@@ -243,15 +245,8 @@ func (c *Cluster) Submit(ctx context.Context, job Job) (Result, error) {
 	c.shutMu.Unlock()
 	defer c.wg.Done()
 
-	tick, ok := c.gate.admit(job.Tenant)
-	// The quota SLO runs on the gate's submission-tick clock, the same
-	// operation-indexed convention the store's durability objective uses.
-	c.sloAdmission.Record(time.Duration(tick)*time.Millisecond, ok)
-	if !ok {
-		if reg := c.opts.Metrics; reg != nil {
-			reg.Counter("cluster.tenant.rejected." + job.Tenant).Inc()
-		}
-		return res, ErrTenantQuota
+	if err := c.admit(job.Tenant); err != nil {
+		return res, err
 	}
 
 	owner := c.ring.Owner(job.Key)
@@ -306,6 +301,24 @@ func (c *Cluster) Submit(ctx context.Context, job Job) (Result, error) {
 	}
 	res.Result = run
 	return res, nil
+}
+
+// admit charges one token of tenant's quota, ErrTenantQuota when its
+// bucket is empty. The quota SLO runs on the bucket's submission-tick
+// clock, the same operation-indexed convention the store's durability
+// objective uses.
+func (c *Cluster) admit(tenant string) error {
+	c.quotaMu.Lock()
+	tick, ok := c.quota.Take(tenant)
+	c.quotaMu.Unlock()
+	c.sloAdmission.Record(time.Duration(tick)*time.Millisecond, ok)
+	if ok {
+		return nil
+	}
+	if reg := c.opts.Metrics; reg != nil {
+		reg.Counter("cluster.tenant.rejected." + tenant).Inc()
+	}
+	return ErrTenantQuota
 }
 
 // shardOptions adapts a job's options to run on sh: the shard's
@@ -407,13 +420,8 @@ func (c *Cluster) Query(tenant, sig, device string) (store.Entry, error) {
 		return store.Entry{}, ErrClusterClosed
 	}
 	c.shutMu.Unlock()
-	tick, ok := c.gate.admit(tenant)
-	c.sloAdmission.Record(time.Duration(tick)*time.Millisecond, ok)
-	if !ok {
-		if reg := c.opts.Metrics; reg != nil {
-			reg.Counter("cluster.tenant.rejected." + tenant).Inc()
-		}
-		return store.Entry{}, ErrTenantQuota
+	if err := c.admit(tenant); err != nil {
+		return store.Entry{}, err
 	}
 	sh := c.shards[c.ring.Owner(sig)]
 	sh.mu.Lock()

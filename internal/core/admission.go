@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"edgetune/internal/sim"
 )
 
 // ErrOverloaded is returned by the inference server when admission
@@ -43,11 +45,9 @@ const (
 // burst does not depend on how quickly workers drain the queue — the
 // property that keeps shed counters identical across same-seed runs.
 //
-// The token bucket is likewise deterministic: "time" is the global
-// submission tick, not the wall clock. Each client's bucket refills by
-// rate tokens per submission observed since its last use, capped at
-// burst. A fixed submission sequence therefore always produces the
-// same rate-limit verdicts.
+// The token bucket is likewise deterministic: its clock is the global
+// submission tick, not the wall clock (sim.TokenBuckets), so a fixed
+// submission sequence always produces the same rate-limit verdicts.
 type admission struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -62,11 +62,7 @@ type admission struct {
 	emptied   bool
 	emptyCh   chan struct{} // closed once rejecting and no work remains
 
-	rate   float64
-	burst  float64
-	tick   int64
-	tokens map[string]float64
-	last   map[string]int64
+	clients *sim.TokenBuckets // per-client rate limit, under mu
 
 	// hold makes take() wait even with work queued; the chaos tests use
 	// it to freeze the queue while a deterministic burst is submitted.
@@ -76,11 +72,8 @@ type admission struct {
 func newAdmission(limit int, rate float64, burst int) *admission {
 	a := &admission{
 		limit:   limit,
-		rate:    rate,
-		burst:   float64(burst),
+		clients: sim.NewTokenBuckets(rate, burst),
 		emptyCh: make(chan struct{}),
-		tokens:  make(map[string]float64),
-		last:    make(map[string]int64),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
@@ -94,24 +87,8 @@ func (a *admission) push(j *call) (evicted *call, err error) {
 	if a.rejecting {
 		return nil, ErrServerClosed
 	}
-	a.tick++
-	if a.rate > 0 {
-		c := j.Client
-		t, seen := a.tokens[c]
-		if !seen {
-			t = a.burst // a new client starts with a full bucket
-		} else {
-			t += float64(a.tick-a.last[c]) * a.rate
-			if t > a.burst {
-				t = a.burst
-			}
-		}
-		a.last[c] = a.tick
-		if t < 1 {
-			a.tokens[c] = t
-			return nil, ErrRateLimited
-		}
-		a.tokens[c] = t - 1
+	if _, ok := a.clients.Take(j.Client); !ok {
+		return nil, ErrRateLimited
 	}
 	if len(a.high)+len(a.low)+a.inflight >= a.limit {
 		// A critical request may reclaim the slot of the most recently

@@ -637,8 +637,8 @@ func TestHedgingImprovesTailLatency(t *testing.T) {
 			o.HedgeFactor = 1.5
 			o.Seed = 9
 			o.Fault = inj
-			o.DisableHedging = disable
 		})
+		srv.noHedging = disable
 		lats := make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(i)))

@@ -65,7 +65,7 @@ func (s *InferenceServer) runHedged(ctx context.Context, req InferRequest, prima
 	// Injected device faults are worth re-issuing elsewhere; caller
 	// cancellations and deadline expiries are not.
 	failed := fault.IsFault(r1.err)
-	if s.opts.DisableHedging || len(s.pool.devs) < 2 || (!straggled && !failed) {
+	if s.noHedging || len(s.pool.devs) < 2 || (!straggled && !failed) {
 		return out
 	}
 	if s.degradeMode() >= autoscale.ModeNoHedging {

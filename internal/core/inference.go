@@ -111,9 +111,6 @@ type InferenceServerOptions struct {
 	// HedgeFactor multiplies the perfmodel-derived expected tuning
 	// duration into the straggler deadline (default 2).
 	HedgeFactor float64
-	// DisableHedging turns speculative re-issues off even with a
-	// multi-device pool.
-	DisableHedging bool
 	// Trace receives deterministic serving spans (nil = tracing
 	// disabled; the hooks are single-pointer-check no-ops).
 	Trace *obs.Tracer
@@ -130,16 +127,6 @@ type InferenceServerOptions struct {
 	// incident flight recorder (nil = not recorded; every hook is a
 	// single-pointer-check no-op).
 	Flight *flight.Recorder
-
-	// SyncWrites persists completed results into the store inline on
-	// the worker's put path instead of from the write-behind flusher
-	// goroutine. Buffering, read-through promotion, and failed-flush
-	// retry are unchanged — only the scheduling differs: no background
-	// goroutine issues store appends, so a fault-injected filesystem
-	// under the store sees the same operation order on every same-seed
-	// run. The chaos fuzzer runs with this set; production serving
-	// keeps the asynchronous flusher.
-	SyncWrites bool
 
 	// Profile applies pprof labels (tenant, priority, ProfLabels) to
 	// each request's serve path. Workers run on their own goroutines,
@@ -231,6 +218,9 @@ type InferenceServer struct {
 	pool   *devicePool
 	writes *store.WriteBehind
 	scale  *scaler // nil when autoscaling is disabled
+	// noHedging is the hedging tests' control arm: set before the first
+	// Submit, it turns speculative re-issues off on a multi-device pool.
+	noHedging bool
 
 	// SLO objectives (nil = no accounting; Record no-ops).
 	sloLatency       *slo.Objective
@@ -307,8 +297,13 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
+	// A fault plan names exact sites — the Nth operation on a file — so
+	// under one the store must see its appends in the same order on every
+	// same-seed run: results are persisted inline on the worker's put
+	// path. Everything else keeps the background flusher. Buffering,
+	// read-through promotion and failed-flush retry are the same in both.
 	var writes *store.WriteBehind
-	if opts.SyncWrites {
+	if opts.Fault.Planned() {
 		writes = store.NewSyncWriteBehind(opts.Store)
 	} else {
 		writes = store.NewWriteBehind(opts.Store)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -332,8 +334,8 @@ func TestHedgeOnBrownout(t *testing.T) {
 			o.Pool = []device.Device{device.I7(), i7Twin()}
 			o.Fault = inj
 			o.HedgeFactor = 1.1
-			o.DisableHedging = disable
 		})
+		srv.noHedging = disable
 		out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(0)))
 		return out, rec.Snapshot()
 	}
@@ -355,7 +357,7 @@ func TestHedgeOnBrownout(t *testing.T) {
 		t.Fatalf("unhedged request failed: %v", plain.Err)
 	}
 	if plain.Hedged || psnap.Hedges != 0 {
-		t.Errorf("DisableHedging still hedged: %v / %d", plain.Hedged, psnap.Hedges)
+		t.Errorf("noHedging still hedged: %v / %d", plain.Hedged, psnap.Hedges)
 	}
 	if out.Latency > plain.Latency {
 		t.Errorf("hedged latency %v exceeds unhedged %v", out.Latency, plain.Latency)
@@ -516,5 +518,66 @@ func TestFaultSitesNamedOnlyForAnInjector(t *testing.T) {
 	}
 	if without >= withInj {
 		t.Errorf("a cache hit allocates %.0f times without an injector, %.0f with one: site names are still built for nobody", without, withInj)
+	}
+}
+
+// flusherGoroutines counts the write-behind flusher goroutines alive in
+// the process — all package core can see of which buffer a server built
+// — by who started them: one that has not run yet has no frame of its own.
+func flusherGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("created by edgetune/internal/store.NewWriteBehind "))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestWriteModeFollowsPlan: nothing sets the server's write mode — an
+// injector armed with a fault plan, even an empty one, selects the
+// inline mode (no flusher goroutine, and a result is in the store by the
+// time its request is answered), and every other server keeps the
+// background flusher.
+func TestWriteModeFollowsPlan(t *testing.T) {
+	plan, err := fault.NewPlan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned, err := fault.NewInjector(fault.Config{Plan: plan}, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplanned, err := fault.NewInjector(fault.Config{DeviceBrownout: 0.1}, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		inj      *fault.Injector
+		flushers int
+	}{
+		{"empty plan", planned, 0},
+		{"no injector", nil, 1},
+		{"injector without a plan", unplanned, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := flusherGoroutines()
+			srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) { o.Fault = tc.inj })
+			if got := flusherGoroutines() - before; got != tc.flushers {
+				t.Fatalf("constructing the server started %d flusher goroutines, want %d", got, tc.flushers)
+			}
+			if tc.flushers > 0 {
+				return
+			}
+			for i := 0; i < 200; i++ {
+				if out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(i))); out.Err != nil || out.Cached {
+					t.Fatalf("request %d: %+v, want a served miss", i, out)
+				}
+				if n := srv.PendingWrites(); n != 0 {
+					t.Fatalf("%d writes pending when miss %d was answered: not flushed inline", n, i)
+				}
+			}
+		})
 	}
 }

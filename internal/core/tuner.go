@@ -81,11 +81,6 @@ type Options struct {
 	// faults (default 3); it also bounds the inference server's
 	// per-request retries.
 	MaxAttempts int
-	// SyncStoreWrites makes the inference server persist results
-	// synchronously on its put path instead of through the write-behind
-	// flusher goroutine — same semantics, deterministic store-operation
-	// order for fault injection (see InferenceServerOptions.SyncWrites).
-	SyncStoreWrites bool
 	// Checkpoint serializes completed rungs into the Store so a
 	// killed/cancelled job can resume without re-running them.
 	Checkpoint bool
@@ -445,10 +440,11 @@ func (j *tuneJob) setUp() error {
 	if err != nil {
 		return err
 	}
-	if opts.Fault.Enabled() || opts.Fault.Observe != nil {
+	if opts.Fault.Enabled() || opts.Fault.Observe != nil || opts.Fault.Plan != nil {
 		// Otherwise the injector stays nil, which decides the same
 		// (nothing ever fires) without a site string being built per
-		// decision point for nobody to read.
+		// decision point for nobody to read. A plan keeps it even when
+		// empty: the inference server reads its write mode off it.
 		j.inj = inj
 	}
 	space, err := w.TrainSpace(opts.SystemParams)
@@ -485,7 +481,6 @@ func (j *tuneJob) setUp() error {
 		Fault:       j.inj,
 		Recorder:    j.recd,
 		MaxAttempts: opts.MaxAttempts,
-		SyncWrites:  opts.SyncStoreWrites,
 		Trace:       opts.Trace,
 		SLO:         opts.SLO,
 		Flight:      opts.Flight,

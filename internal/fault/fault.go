@@ -283,6 +283,13 @@ func NewInjector(cfg Config, seed uint64, rec *counters.Resilience) (*Injector, 
 	return &Injector{cfg: cfg, seed: seed, rec: rec}, nil
 }
 
+// Planned reports whether the injector was armed with a Plan, even an
+// empty one. A plan names exact sites — the Nth operation of a file —
+// so whatever runs under it must keep its operations in a stable order.
+func (in *Injector) Planned() bool {
+	return in != nil && in.cfg.Plan != nil
+}
+
 // rng derives the decision stream for one (class, site, attempt) tuple.
 func (in *Injector) rng(class Class, site string, attempt int) *sim.RNG {
 	h := in.seed ^ 0x243f6a8885a308d3 // decorrelate from other seed users

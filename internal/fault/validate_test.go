@@ -82,7 +82,6 @@ func TestCheckNonNegativeScalars(t *testing.T) {
 		"-cluster",
 		"-cluster-kill-rungs",
 		"-store-kill-after",
-		"-flight-slots",
 	}
 	vals := make([]NamedValue, len(scalars))
 	for i, name := range scalars {

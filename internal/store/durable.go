@@ -17,12 +17,12 @@ import (
 // Durable is the crash-consistent persistence layer of the historical
 // store (§3.4): every mutation is appended to a CRC-checksummed
 // write-ahead log and fsynced before it is acknowledged, and the log is
-// periodically compacted into a JSON snapshot — the document Save/Load
-// write and read (write temp, fsync, rename, fsync dir). Opening a
-// durable store recovers by replaying the WAL over the newest valid
-// snapshot: a torn tail is truncated, corrupt records are quarantined
-// (never fatally rejected), and the salvage is reported through
-// RecoveryReport, the "store.recovery.*" counters, and a recovery span.
+// periodically compacted into a JSON snapshot (storeFile: write temp,
+// fsync, rename, fsync dir). Opening a durable store recovers by
+// replaying the WAL over the newest valid snapshot: a torn tail is
+// truncated, corrupt records are quarantined (never fatally rejected),
+// and the salvage is reported through RecoveryReport, the
+// "store.recovery.*" counters, and a recovery span.
 //
 // Attach semantics: the Durable owns its inner *Store — obtain it with
 // Store() and use it exactly like a plain store. Put, SaveCheckpoint,
@@ -79,12 +79,11 @@ const KillExitCode = 3
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
-	// SnapshotPath is the JSON snapshot file, in the format Save writes
-	// (or its bare-array predecessor): a store file written before the
-	// WAL existed opens as the first snapshot. Required.
+	// SnapshotPath is the JSON snapshot file (storeFile, or its
+	// bare-array predecessor): a store file written before the WAL
+	// existed opens as the first snapshot. The write-ahead log lives
+	// beside it at SnapshotPath + ".wal". Required.
 	SnapshotPath string
-	// WALPath is the write-ahead log (default SnapshotPath + ".wal").
-	WALPath string
 	// SnapshotEvery compacts the WAL into a fresh snapshot once this
 	// many records accumulate (default 256; negative disables
 	// auto-compaction, Close still compacts).
@@ -141,9 +140,6 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	if opts.SnapshotPath == "" {
 		return nil, errors.New("store: durable store needs a snapshot path")
 	}
-	if opts.WALPath == "" {
-		opts.WALPath = opts.SnapshotPath + ".wal"
-	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = 256
 	}
@@ -154,7 +150,7 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 		st:        New(),
 		fsys:      opts.FS,
 		snapPath:  opts.SnapshotPath,
-		walPath:   opts.WALPath,
+		walPath:   opts.SnapshotPath + ".wal",
 		every:     opts.SnapshotEvery,
 		killAfter: opts.KillAfterAppends,
 		shipper:   opts.Shipper,

@@ -191,8 +191,8 @@ func (s *Store) CheckpointKeys() []string {
 }
 
 // storeFile is the on-disk representation: entries plus in-flight job
-// checkpoints and cache statistics. Load also accepts the legacy
-// format, a bare entry array.
+// checkpoints and cache statistics. parseStoreFile also accepts the
+// legacy format, a bare entry array.
 type storeFile struct {
 	Entries     []Entry                    `json:"entries"`
 	Checkpoints map[string]json.RawMessage `json:"checkpoints,omitempty"`
@@ -238,20 +238,6 @@ func (s *Store) Sync() error {
 	return s.dur.persistLocked()
 }
 
-// Save writes the store's snapshot document as JSON to path: write a
-// temp sibling, fsync it, rename over the target, fsync the parent
-// directory.
-func (s *Store) Save(path string) error {
-	s.mu.Lock()
-	file := s.snapshotFileLocked()
-	s.mu.Unlock()
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: marshal: %w", err)
-	}
-	return atomicWriteFile(OSFS{}, path, data)
-}
-
 // parseStoreFile decodes an on-disk store document, accepting both the
 // current {entries, checkpoints, stats} format and the legacy
 // bare-array format.
@@ -264,34 +250,4 @@ func parseStoreFile(data []byte) (storeFile, error) {
 		}
 	}
 	return file, nil
-}
-
-// Load reads a JSON store from path, accepting both the current
-// {entries, checkpoints} document and the legacy bare-array format.
-func Load(path string) (*Store, error) {
-	data, err := OSFS{}.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: read %s: %w", path, err)
-	}
-	file, err := parseStoreFile(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: parse %s: %w", path, err)
-	}
-	s := New()
-	for _, e := range file.Entries {
-		if err := s.Put(e); err != nil {
-			return nil, fmt.Errorf("store: invalid entry in %s: %w", path, err)
-		}
-	}
-	for k, v := range file.Checkpoints {
-		if err := s.SaveCheckpoint(k, v); err != nil {
-			return nil, fmt.Errorf("store: invalid checkpoint in %s: %w", path, err)
-		}
-	}
-	if file.Stats != nil {
-		s.mu.Lock()
-		s.hits, s.misses = file.Stats.Hits, file.Stats.Misses
-		s.mu.Unlock()
-	}
-	return s, nil
 }

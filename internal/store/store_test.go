@@ -25,6 +25,20 @@ func entry(sig, dev string) Entry {
 	}
 }
 
+// openSnapshot opens path the one way a store file is opened —
+// OpenDurable, to which a plain snapshot document with no log beside it
+// is the first snapshot — and Close writes that document back: together
+// they are how these tests read and write the snapshot format.
+func openSnapshot(t *testing.T, path string) *Durable {
+	t.Helper()
+	d, err := OpenDurable(DurableOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
 func TestPutGet(t *testing.T) {
 	s := New()
 	if err := s.Put(entry("IC/layers=18", "i7")); err != nil {
@@ -116,16 +130,17 @@ func TestEntriesSorted(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.json")
-	s := New()
-	_ = s.Put(entry("IC/layers=18", "i7"))
-	_ = s.Put(entry("OD/dropout=0.3", "rpi3b+"))
-	if err := s.Save(path); err != nil {
+	d := openSnapshot(t, path)
+	_ = d.Store().Put(entry("IC/layers=18", "i7"))
+	_ = d.Store().Put(entry("OD/dropout=0.3", "rpi3b+"))
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
+	reopened := openSnapshot(t, path)
+	if rr := reopened.Recovery(); rr.SnapshotSource != "snapshot" || rr.RecordsReplayed != 0 {
+		t.Fatalf("Close left more than the snapshot document behind: %+v", rr)
 	}
+	loaded := reopened.Store()
 	if loaded.Len() != 2 {
 		t.Fatalf("loaded %d entries, want 2", loaded.Len())
 	}
@@ -138,29 +153,39 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadErrors: no snapshot file a crash or an older build can leave
+// behind fails the open — each is salvaged and says so in the report.
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
+	missing := openSnapshot(t, filepath.Join(t.TempDir(), "missing.json"))
+	if rr := missing.Recovery(); rr.SnapshotSource != "none" || missing.Store().Len() != 0 {
+		t.Errorf("missing file: %+v, %d entries; want an empty store from no snapshot", rr, missing.Store().Len())
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad); err == nil {
-		t.Error("corrupt file accepted")
+	corrupt := openSnapshot(t, bad)
+	if rr := corrupt.Recovery(); !rr.SnapshotQuarantined || corrupt.Store().Len() != 0 {
+		t.Errorf("corrupt file: %+v, %d entries; want it quarantined", rr, corrupt.Store().Len())
+	}
+	if data, err := os.ReadFile(bad + ".quarantine"); err != nil || string(data) != "{not json" {
+		t.Errorf("corrupt file not preserved as evidence: %q, %v", data, err)
 	}
 	// Structurally valid JSON with an invalid entry.
 	invalid := filepath.Join(t.TempDir(), "invalid.json")
 	if err := os.WriteFile(invalid, []byte(`[{"signature":""}]`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(invalid); err == nil {
-		t.Error("invalid entry accepted")
+	skipped := openSnapshot(t, invalid)
+	if rr := skipped.Recovery(); rr.RecordsQuarantined != 1 || skipped.Store().Len() != 0 {
+		t.Errorf("invalid entry: %+v, %d entries; want it counted and skipped", rr, skipped.Store().Len())
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	s := New()
+	path := filepath.Join(t.TempDir(), "store.json")
+	d := openSnapshot(t, path)
+	s := d.Store()
 	if err := s.SaveCheckpoint("", []byte(`{}`)); err == nil {
 		t.Error("empty key accepted")
 	}
@@ -177,16 +202,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !ok || string(got) != `{"rung":2}` {
 		t.Fatalf("round trip = %q, %v", got, ok)
 	}
-	// Persist across Save/Load together with entries.
+	// Persist across Close and reopen together with entries.
 	_ = s.Put(entry("a", "d"))
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := s.Save(path); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := openSnapshot(t, path).Store()
 	if loaded.Len() != 1 {
 		t.Errorf("entries lost: %d", loaded.Len())
 	}
@@ -217,10 +238,7 @@ func TestLoadLegacyArrayFormat(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSnapshot(t, path).Store()
 	if s.Len() != 1 {
 		t.Fatalf("legacy load got %d entries", s.Len())
 	}
@@ -361,7 +379,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 // TestLegacyFileMigration round-trips a pre-WAL store file — the
 // {entries, checkpoints} document without a stats block — through
-// Load → Save → Load, asserting entries, checkpoints, and the hit/miss
+// open → Close → open, asserting entries, checkpoints, and the hit/miss
 // counters accumulated in between all survive the migration to the
 // current format.
 func TestLegacyFileMigration(t *testing.T) {
@@ -383,28 +401,23 @@ func TestLegacyFileMigration(t *testing.T) {
 	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Load(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := openSnapshot(t, legacyPath)
+	s := d.Store()
 	if s.Len() != 2 {
 		t.Fatalf("legacy load: %d entries, want 2", s.Len())
 	}
 	if hits, misses := s.Stats(); hits != 0 || misses != 0 {
 		t.Fatalf("legacy load stats = %d/%d, want 0/0", hits, misses)
 	}
-	// Accumulate statistics, then migrate by saving in the new format.
+	// Accumulate statistics, then migrate: Close rewrites the file in
+	// the new format.
 	s.Get("IC/layers=18", "i7")
 	s.Get("IC/layers=18", "i7")
 	s.Get("nope", "i7")
-	migrated := filepath.Join(dir, "migrated.json")
-	if err := s.Save(migrated); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Load(migrated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openSnapshot(t, legacyPath).Store()
 	if s2.Len() != 2 {
 		t.Errorf("migrated load: %d entries, want 2", s2.Len())
 	}
@@ -430,14 +443,5 @@ func TestLegacyFileMigration(t *testing.T) {
 	hits, misses := s2.Stats()
 	if hits != 3 || misses != 1 {
 		t.Errorf("stats after migration = %d/%d, want 3/1", hits, misses)
-	}
-	// And the migrated file opens as a durable store too.
-	d, err := OpenDurable(DurableOptions{SnapshotPath: migrated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.Store().Len() != 2 {
-		t.Errorf("durable open of migrated file: %d entries, want 2", d.Store().Len())
 	}
 }

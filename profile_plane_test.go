@@ -127,6 +127,24 @@ func TestClusterShardMetricsAndMergedProm(t *testing.T) {
 	if n := strings.Count(out, "# TYPE store_wal_appends counter"); n != 1 {
 		t.Errorf("store_wal_appends TYPE header appears %d times, want 1", n)
 	}
+
+	// Beside it, what a single-node job's server mounts: the cluster's
+	// objectives on /slo, and on /analyze the spans a set DebugAddr made
+	// it trace.
+	for path, want := range map[string]string{
+		"/slo":     "cluster/tenant-admission",
+		"/analyze": "critical paths",
+	} {
+		resp, err := http.Get("http://" + c.DebugAddr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s = %d, want 200 naming %q:\n%.1000s", path, resp.StatusCode, want, body)
+		}
+	}
 }
 
 // TestTrainingSamplesCarryRungLabels: with Profile on, the CPU samples

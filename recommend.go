@@ -90,15 +90,7 @@ func Recommend(ctx context.Context, req RecommendRequest) ([]InferenceRecommenda
 
 	recs := make([]InferenceRecommendation, len(entries))
 	for i, e := range entries {
-		recs[i] = InferenceRecommendation{
-			Device:           e.Device,
-			BatchSize:        int(e.Config[workload.ParamInferBatch]),
-			Cores:            int(e.Config[workload.ParamCores]),
-			FrequencyGHz:     e.Config[workload.ParamFreq],
-			Throughput:       e.Throughput,
-			EnergyPerSampleJ: e.EnergyPerSampleJ,
-			LatencySeconds:   e.LatencySeconds,
-		}
+		recs[i] = recommendationOf(e)
 	}
 	return recs, nil
 }
