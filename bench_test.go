@@ -16,17 +16,14 @@ import (
 	"testing"
 
 	"edgetune/internal/budget"
-	"edgetune/internal/cluster"
 	"edgetune/internal/core"
 	"edgetune/internal/device"
 	"edgetune/internal/experiments"
-	"edgetune/internal/nn"
-	"edgetune/internal/obs"
+	"edgetune/internal/hotloop"
 	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
 	"edgetune/internal/sim"
 	"edgetune/internal/store"
-	"edgetune/internal/tensor"
 	"edgetune/internal/workload"
 )
 
@@ -163,30 +160,23 @@ func BenchmarkTable2Features(b *testing.B) {
 
 // --- substrate micro-benchmarks ---------------------------------------------
 
-func BenchmarkTrainingStep(b *testing.B) {
-	rng := sim.NewRNG(1)
-	w := workload.MustNew("IC", 1)
-	net, err := w.BuildModel(search.Config{workload.ParamLayers: 18}, rng)
+// benchStage times one loop of the internal/hotloop table — the same
+// loop, on the same state, that a -profile job and the benchtab ledger
+// measure the allocations of.
+func benchStage(b *testing.B, stage string) {
+	op, done, err := hotloop.Open(stage)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := tensor.Randn(32, 24, 1, rng)
-	labels := make([]int, 32)
-	for i := range labels {
-		labels[i] = rng.Intn(10)
-	}
-	opt, err := nn.NewSGD(0.01, 0.9, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	defer done()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.TrainStep(opt, x, labels); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
+
+func BenchmarkTrainingStep(b *testing.B) { benchStage(b, "nn.minibatch-step") }
 
 func BenchmarkInferenceEstimate(b *testing.B) {
 	prof := perfmodel.CPUProfile{
@@ -295,88 +285,16 @@ func BenchmarkSubmitSaturated(b *testing.B) {
 	}
 }
 
-func BenchmarkInferenceServerCacheHit(b *testing.B) {
-	st := store.New()
-	w := workload.MustNew("IC", 1)
-	res, err := core.Tune(context.Background(), core.Options{
-		Workload:       w,
-		SystemParams:   true,
-		InferenceAware: true,
-		InitialConfigs: 2,
-		Rungs:          2,
-		MaxBrackets:    1,
-		InferTrials:    4,
-		Store:          st,
-		Seed:           1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sig := w.Signature(res.BestConfig)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Get(sig, "i7"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkInferenceServerCacheHit(b *testing.B) { benchStage(b, "serve.cache-hit") }
 
 // BenchmarkTraceEmission measures span emission — root, attributed
 // child, two ends — the tracer cost every traced trial pays.
-func BenchmarkTraceEmission(b *testing.B) {
-	tracer := obs.NewTracer()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		root := tracer.Root(0, "bench", uint64(i)+1, 0)
-		sp := root.Child("stage", 0, obs.Int("i", int64(i)))
-		sp.End(1)
-		root.End(1)
-	}
-}
+func BenchmarkTraceEmission(b *testing.B) { benchStage(b, "trace.emit") }
 
 // BenchmarkWALAppend measures one durable-store put on a real WAL
 // file: encode, checksum, append.
-func BenchmarkWALAppend(b *testing.B) {
-	dur, err := store.OpenDurable(store.DurableOptions{
-		SnapshotPath:  b.TempDir() + "/store.json",
-		SnapshotEvery: 1 << 30, // no compaction mid-benchmark
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dur.Close()
-	st := dur.Store()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Put(store.Entry{
-			Signature: "wal" + strconv.Itoa(i),
-			Device:    "i7",
-			Config:    search.Config{"infer_batch": 16},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkWALAppend(b *testing.B) { benchStage(b, "store.wal-append") }
 
 // BenchmarkClusterDispatch measures the consistent-hash owner lookup
 // every cluster submission starts with.
-func BenchmarkClusterDispatch(b *testing.B) {
-	ring := cluster.NewRing(64)
-	for i := 0; i < 4; i++ {
-		ring.Add("shard" + strconv.Itoa(i))
-	}
-	keys := make([]string, 128)
-	for i := range keys {
-		keys[i] = "tenant-" + strconv.Itoa(i%17) + "/job-" + strconv.Itoa(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ring.Owner(keys[i%len(keys)]) == "" {
-			b.Fatal("no owner")
-		}
-	}
-}
+func BenchmarkClusterDispatch(b *testing.B) { benchStage(b, "cluster.dispatch") }

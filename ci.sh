@@ -71,6 +71,24 @@ surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
 surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 12
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
 surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 54
+# The same ratchet for a fork that was closed: a hot loop is declared
+# once, in internal/hotloop's table, and measured only through it — so
+# nothing else outside bench/ builds a loop around prof.Measure, and
+# internal/core, which used to for -profile, imports no training code.
+strays=$(grep -rln --include='*.go' 'prof\.Measure(' . |
+    grep -vE '_test\.go$|^\./(bench|internal/obs/prof|internal/hotloop)/' || true)
+if [ -n "$strays" ]; then
+    echo "prof.Measure called outside internal/hotloop — add a row to its table instead:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+strays=$(grep -l 'edgetune/internal/nn"\|edgetune/internal/tensor"' internal/core/*.go |
+    grep -v '_test\.go$' || true)
+if [ -n "$strays" ]; then
+    echo "internal/core imports nn or tensor outside its tests:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
 
 gate "go vet"
 go vet ./...
@@ -262,7 +280,8 @@ grep -q "autoscale digest: " "$tracedir/overload-a.out"
 
 gate "profile-plane gate"
 # The profiling plane end to end. First the registry/probe layers under
-# concurrent writers, twice under the race detector (the hot loops'
+# concurrent writers and overlapping Measure calls, twice under the race
+# detector (the loops themselves are internal/hotloop's table; their
 # allocs/op are gated above, in the benchtab allocation gate). Then a
 # labeled chaos run: capture a CPU profile across a profiled cluster
 # run and require that the pprof label taxonomy

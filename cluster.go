@@ -172,6 +172,10 @@ func (c *Cluster) Tune(ctx context.Context, job Job) (*ClusterReport, error) {
 	opts.Metrics = obs.NewRegistry()
 	opts.SLO = slo.NewEvaluator()
 	opts.Trace = c.tracer
+	probes, err := job.probe(opts.Metrics)
+	if err != nil {
+		return nil, err
+	}
 
 	tenant := job.Tenant
 	if tenant == "" {
@@ -185,8 +189,10 @@ func (c *Cluster) Tune(ctx context.Context, job Job) (*ClusterReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep := buildReport(res.Result)
+	rep.Profile = probes
 	return &ClusterReport{
-		Report:     buildReport(res.Result),
+		Report:     rep,
 		Shard:      res.Shard,
 		FailedOver: res.FailedOver,
 	}, nil

@@ -28,28 +28,6 @@ func main() {
 	}
 }
 
-// benchEntry is one experiment's record in the -json output: wall time
-// plus, for experiments carrying an alloc probe, the hot loop's
-// allocation cost per operation. The alloc fields are pointers so a
-// probed zero-alloc loop still reports "allocs_per_op": 0 — that zero
-// is a guarantee the regression gate protects — while unprobed
-// experiments omit the fields entirely.
-type benchEntry struct {
-	ID          string   `json:"id"`
-	Title       string   `json:"title"`
-	Rows        int      `json:"rows"`
-	WallSeconds float64  `json:"wallSeconds"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-}
-
-// benchReport is the -json output: per-experiment regeneration times,
-// for CI trend tracking.
-type benchReport struct {
-	Experiments  []benchEntry `json:"experiments"`
-	TotalSeconds float64      `json:"totalSeconds"`
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	var (
@@ -77,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		return false
 	}
 
-	var bench benchReport
+	var bench experiments.BenchReport
 	ran := 0
 	for _, exp := range experiments.All() {
 		if !matches(exp.ID) {
@@ -95,7 +73,7 @@ func run(args []string, out io.Writer) error {
 		}
 		elapsed := time.Since(start).Seconds()
 		fmt.Fprintf(out, "%s(regenerated in %.1fs)\n\n", tab, elapsed)
-		entry := benchEntry{
+		entry := experiments.BenchEntry{
 			ID:          exp.ID,
 			Title:       tab.Title,
 			Rows:        len(tab.Rows),

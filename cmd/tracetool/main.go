@@ -34,6 +34,7 @@ import (
 	"os"
 	"strings"
 
+	"edgetune/internal/experiments"
 	"edgetune/internal/obs/analyze"
 	"edgetune/internal/obs/prof"
 	"edgetune/internal/store"
@@ -249,27 +250,11 @@ func runDiff(args []string, out io.Writer) error {
 	return nil
 }
 
-// benchEntry and benchReport mirror benchtab's -json artefact. The
-// alloc fields are pointers because absent-vs-zero matters: a missing
-// field means the experiment carried no probe, while an explicit 0 is
-// a measured allocation-free hot loop the gate must defend. Wall time
-// is recorded and printed but not gated: no bound on it separates a
-// regression from this machine's run-to-run drift.
-type benchEntry struct {
-	ID          string   `json:"id"`
-	Title       string   `json:"title"`
-	Rows        int      `json:"rows"`
-	WallSeconds float64  `json:"wallSeconds"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-}
-
-type benchReport struct {
-	Experiments []benchEntry `json:"experiments"`
-}
-
-func readBench(path string) (benchReport, error) {
-	var rep benchReport
+// readBench loads a benchtab -json ledger. Its wall times are printed
+// but not gated: no bound on them separates a regression from this
+// machine's run-to-run drift.
+func readBench(path string) (experiments.BenchReport, error) {
+	var rep experiments.BenchReport
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return rep, err
@@ -301,7 +286,7 @@ func runCheckBench(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	curByID := make(map[string]benchEntry, len(cur.Experiments))
+	curByID := make(map[string]experiments.BenchEntry, len(cur.Experiments))
 	for _, e := range cur.Experiments {
 		curByID[e.ID] = e
 	}

@@ -38,6 +38,7 @@ import (
 	"edgetune/internal/counters"
 	"edgetune/internal/device"
 	"edgetune/internal/fault"
+	"edgetune/internal/hotloop"
 	"edgetune/internal/obs"
 	"edgetune/internal/obs/analyze"
 	"edgetune/internal/obs/flight"
@@ -699,6 +700,31 @@ func (job Job) coreOptions() (core.Options, error) {
 	}, nil
 }
 
+// profileRuns is how many operations of each stage a -profile job's
+// alloc probes average over.
+const profileRuns = 8
+
+// probe measures the -profile stages of the internal/hotloop table and
+// publishes them as gauges on reg, the job's registry (nil, and free,
+// unless job.Profile). It runs before the job does, so the gauges are
+// in the job's final metrics snapshot and the probes' GOMAXPROCS pin
+// never stalls the job's own helpers.
+func (job Job) probe(reg *obs.Registry) ([]ProfileProbe, error) {
+	if !job.Profile {
+		return nil, nil
+	}
+	probes, err := hotloop.Measure(profileRuns, hotloop.JobStages()...)
+	if err != nil {
+		return nil, fmt.Errorf("edgetune: profile: %w", err)
+	}
+	out := make([]ProfileProbe, len(probes))
+	for i, p := range probes {
+		p.Publish(reg)
+		out[i] = ProfileProbe(p)
+	}
+	return out, nil
+}
+
 // Tune runs a tuning job to completion.
 func Tune(ctx context.Context, job Job) (*Report, error) {
 	if job.IncidentsDir != "" {
@@ -773,6 +799,10 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	opts.SLO = ev
 	opts.Flight = fr
 
+	probes, err := job.probe(reg)
+	if err != nil {
+		return nil, err
+	}
 	var res core.Result
 	if job.Hierarchical {
 		res, err = core.TuneHierarchical(ctx, opts)
@@ -801,6 +831,7 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		}
 	}
 	rep := buildReport(res)
+	rep.Profile = probes
 	if dur != nil {
 		sr := StoreRecovery(dur.Recovery())
 		rep.StoreRecovery = &sr
@@ -836,14 +867,6 @@ func buildReport(res core.Result) *Report {
 		Resilience:             buildResilienceReport(res.Resilience),
 		Metrics:                buildMetricsReport(res.Metrics),
 		SLO:                    buildSLOReport(res.SLO),
-	}
-	for _, p := range res.Profile {
-		r.Profile = append(r.Profile, ProfileProbe{
-			Stage:       p.Stage,
-			Runs:        p.Runs,
-			AllocsPerOp: p.AllocsPerOp,
-			BytesPerOp:  p.BytesPerOp,
-		})
 	}
 	for _, d := range res.Incidents {
 		r.Incidents = append(r.Incidents, summariseIncident(d))

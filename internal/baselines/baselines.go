@@ -73,23 +73,7 @@ func DefaultInference(w *workload.Workload, cfg search.Config, dev device.Device
 	if err != nil {
 		return store.Entry{}, err
 	}
-	spec := dev.DefaultSpec(flops, params)
-	r, err := dev.Estimate(spec)
-	if err != nil {
-		return store.Entry{}, err
-	}
-	return store.Entry{
-		Signature: w.Signature(cfg) + "/default",
-		Device:    dev.Profile.Name,
-		Config: search.Config{
-			workload.ParamInferBatch: float64(spec.BatchSize),
-			workload.ParamCores:      float64(spec.Cores),
-			workload.ParamFreq:       spec.FreqGHz,
-		},
-		Throughput:       r.Throughput,
-		EnergyPerSampleJ: r.EnergyPerSampleJ,
-		LatencySeconds:   r.BatchLatency.Seconds(),
-	}, nil
+	return core.DefaultEntry(w.Signature(cfg)+"/default", dev, flops, params)
 }
 
 // EvaluateInference scores a model configuration at an explicit

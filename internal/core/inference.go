@@ -934,19 +934,42 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 
 		if bestScore < 0 || score < bestScore {
 			bestScore = score
-			best = store.Entry{
-				Signature:        req.Signature,
-				Device:           pd.name,
-				Config:           cfg, // ours: Sample hands over a fresh map
-				Throughput:       r.Throughput,
-				EnergyPerSampleJ: r.EnergyPerSampleJ,
-				LatencySeconds:   r.BatchLatency.Seconds(),
-				Objective:        score,
-			}
+			best = inferEntry(req.Signature, pd.name, cfg, r) // cfg is ours: Sample hands over a fresh map
+			best.Objective = score
 		}
 	}
 	best.TrialsRun = s.opts.Trials
 	return best, cost, nil
+}
+
+// inferEntry is the historical-store record of one evaluated inference
+// configuration: what ran (cfg, kept rather than copied) and what the
+// device model said of it.
+func inferEntry(sig, dev string, cfg search.Config, r perfmodel.InferResult) store.Entry {
+	return store.Entry{
+		Signature:        sig,
+		Device:           dev,
+		Config:           cfg,
+		Throughput:       r.Throughput,
+		EnergyPerSampleJ: r.EnergyPerSampleJ,
+		LatencySeconds:   r.BatchLatency.Seconds(),
+	}
+}
+
+// DefaultEntry evaluates an architecture at dev's untuned default
+// system configuration: the fallback of a degraded recommendation, and
+// what an inference-unaware baseline deploys.
+func DefaultEntry(sig string, dev device.Device, flops, params float64) (store.Entry, error) {
+	spec := dev.DefaultSpec(flops, params)
+	r, err := dev.Estimate(spec)
+	if err != nil {
+		return store.Entry{}, err
+	}
+	return inferEntry(sig, dev.Profile.Name, search.Config{
+		workload.ParamInferBatch: float64(spec.BatchSize),
+		workload.ParamCores:      float64(spec.Cores),
+		workload.ParamFreq:       spec.FreqGHz,
+	}, r), nil
 }
 
 // admissionSpan records the admission verdict for a request as a

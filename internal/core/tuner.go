@@ -114,13 +114,10 @@ type Options struct {
 	// the same identity the cluster dispatcher admitted.
 	Tenant string
 
-	// Profile turns on the profiling plane: pprof labels (tenant,
-	// bracket, rung, fault class, serving priority, plus ProfLabels)
-	// follow both pipelines so CPU/heap profiles captured from the
-	// debug endpoints are attributable per dimension, and per-stage
-	// allocation probes land in Result.Profile and the metrics
-	// registry. Off by default: measured alloc values are scheduler-
-	// adjacent, so digest-gated deterministic runs keep this off.
+	// Profile applies pprof labels (tenant, bracket, rung, fault class,
+	// serving priority, plus ProfLabels) on both pipelines, so CPU/heap
+	// profiles captured from the debug endpoints are attributable per
+	// dimension.
 	Profile bool
 	// ProfLabels is extra label pairs (alternating key, value) applied
 	// alongside the built-in taxonomy — the cluster dispatcher uses it
@@ -310,12 +307,6 @@ type Result struct {
 	// Options.Autoscale is nil).
 	Autoscale *autoscale.Report
 
-	// Profile is the per-stage allocation probes measured for this job
-	// (nil unless Options.Profile). The same values ride Metrics as
-	// "prof.allocs-per-op.<stage>" / "prof.bytes-per-op.<stage>"
-	// gauges.
-	Profile []prof.Probe
-
 	// Incidents is the flight recorder's dossiers — one per fired
 	// trigger so far, built after the run quiesced (nil when
 	// Options.Flight is nil or nothing tripped). With a per-shard
@@ -414,12 +405,6 @@ func (j *tuneJob) setUp() error {
 	j.res.Workload, j.res.Device, j.res.Metric = w.ID, opts.Device.Profile.Name, opts.Metric
 	j.Version, j.Key = checkpointVersion, checkpointKey(opts)
 	j.startHits, j.startMisses = opts.Store.Stats()
-	if opts.Profile {
-		// Probes run before the loop so even an aborted job reports
-		// them; they publish to reg, and finish's snapshot folds the
-		// gauges into Result.Metrics.
-		j.res.Profile = collectProfile(opts, j.reg)
-	}
 	j.sloOverrun = opts.SLO.Register(slo.Spec{
 		Name:        "tuning/trial-overrun",
 		Description: "90% of trials complete without retry cost or failure",
@@ -1020,24 +1005,7 @@ func (j *tuneJob) fallbackEntry(a arch) (store.Entry, error) {
 	if e, err := j.srv.LookupStored(a.sig); err == nil {
 		return e, nil
 	}
-	dev := j.opts.Device
-	spec := dev.DefaultSpec(a.flops, a.params)
-	r, err := dev.Estimate(spec)
-	if err != nil {
-		return store.Entry{}, err
-	}
-	return store.Entry{
-		Signature: a.sig,
-		Device:    dev.Profile.Name,
-		Config: search.Config{
-			workload.ParamInferBatch: float64(spec.BatchSize),
-			workload.ParamCores:      float64(spec.Cores),
-			workload.ParamFreq:       spec.FreqGHz,
-		},
-		Throughput:       r.Throughput,
-		EnergyPerSampleJ: r.EnergyPerSampleJ,
-		LatencySeconds:   r.BatchLatency.Seconds(),
-	}, nil
+	return DefaultEntry(a.sig, j.opts.Device, a.flops, a.params)
 }
 
 // containment sums the pipelined inference-tuning durations and counts

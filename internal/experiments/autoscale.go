@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"edgetune/internal/autoscale"
-	"edgetune/internal/obs/prof"
 )
 
 var autoscaleMemo memo[Table]
@@ -128,22 +127,9 @@ func BenchmarkAutoscaleDecision() (Table, error) {
 			"steady traffic emits zero decisions; hysteresis holds thrash-guard to single-digit decisions over 250k alternating ticks",
 			"every outage and every surge peak walks the ladder to critical-only and releases all rungs on recovery",
 		}
-		// Alloc probe over the steady-state decision path: a fresh
-		// controller fed the no-decision signal, the shape nearly every
-		// tick takes.
-		probeCtl, err := autoscale.New(autoscale.Config{Min: 1, Max: 4, Window: 32})
-		if err != nil {
+		if err := t.probe("autoscale.evaluate"); err != nil {
 			return Table{}, err
 		}
-		tick := 0
-		p := prof.Measure("autoscale.evaluate", probeRuns, func() {
-			tick++
-			probeCtl.Evaluate(autoscale.Signals{
-				At:       time.Duration(tick) * time.Second,
-				InSystem: 8, QueueLimit: 64, Replicas: 1, Healthy: 1, Good: true,
-			})
-		})
-		t.stampProbe(p.Runs, p.AllocsPerOp, p.BytesPerOp)
 		return t, nil
 	})
 }

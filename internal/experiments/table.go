@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"edgetune/internal/hotloop"
 )
 
 // Table is a printable experiment result: the textual equivalent of one
@@ -37,9 +39,21 @@ type Table struct {
 	BytesPerOp  float64
 }
 
-// Probe stamps an alloc probe's result onto the table.
-func (t *Table) stampProbe(runs int, allocs, bytes float64) {
-	t.ProbeRuns, t.AllocsPerOp, t.BytesPerOp = runs, allocs, bytes
+// probeRuns is the alloc-probe sample count of the Benchmark*
+// experiments: large enough to average out stray runtime allocations,
+// small enough to keep benchtab fast.
+const probeRuns = 32
+
+// probe measures one hot loop of the internal/hotloop table and stamps
+// its allocation cost onto the table.
+func (t *Table) probe(stage string) error {
+	probes, err := hotloop.Measure(probeRuns, stage)
+	if err != nil {
+		return err
+	}
+	p := probes[0]
+	t.ProbeRuns, t.AllocsPerOp, t.BytesPerOp = p.Runs, p.AllocsPerOp, p.BytesPerOp
+	return nil
 }
 
 // String renders the table with aligned columns.

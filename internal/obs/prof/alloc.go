@@ -2,6 +2,7 @@ package prof
 
 import (
 	"runtime"
+	"sync"
 
 	"edgetune/internal/obs"
 )
@@ -19,6 +20,11 @@ type Probe struct {
 	BytesPerOp  float64 `json:"bytesPerOp"`
 }
 
+// measureMu is held from Measure's GOMAXPROCS pin to its restore: two
+// overlapping pins would each restore what they found, and the one that
+// found the other's 1 leaves the whole process on one P for good.
+var measureMu sync.Mutex
+
 // Measure runs fn runs times and reports the average allocations and
 // bytes per run, testing.AllocsPerRun style: one untimed warm-up run
 // (lazy initialisation is setup, not steady state), GOMAXPROCS pinned
@@ -35,6 +41,8 @@ func Measure(stage string, runs int, fn func()) Probe {
 	if runs < 1 {
 		runs = 1
 	}
+	measureMu.Lock()
+	defer measureMu.Unlock()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn() // warm-up: lazy paths allocate once and never again
 

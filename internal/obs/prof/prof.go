@@ -27,7 +27,6 @@ const (
 	KeyRung       = "rung"
 	KeyFaultClass = "fault_class"
 	KeyPriority   = "priority"
-	KeyStage      = "stage"
 )
 
 // Do runs fn with the given pprof labels (alternating key, value)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"runtime"
 	"runtime/pprof"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,6 +77,39 @@ func TestMeasureZeroAllocLoop(t *testing.T) {
 	// The loop body allocates nothing; tolerate a stray runtime alloc.
 	if p.AllocsPerOp > 0.1 {
 		t.Errorf("AllocsPerOp = %v for a non-allocating op", p.AllocsPerOp)
+	}
+}
+
+// TestMeasureOverlappingCallsRestoreGOMAXPROCS: a second Measure that
+// starts while the first is still inside its pin must not read the
+// pinned 1 as the value to restore. B is started once A is inside its
+// warm-up; were the pins allowed to overlap, B would enter its own
+// warm-up at once, outlive A, and put the process back on one P.
+func TestMeasureOverlappingCallsRestoreGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	hold := func(entered, release chan struct{}) func() {
+		var once sync.Once
+		return func() {
+			once.Do(func() { close(entered) })
+			<-release
+		}
+	}
+	inA, releaseA, doneA := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	inB, releaseB, doneB := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() { defer close(doneA); Measure("a", 1, hold(inA, releaseA)) }()
+	<-inA
+	go func() { defer close(doneB); Measure("b", 1, hold(inB, releaseB)) }()
+	select {
+	case <-inB:
+		t.Error("a second Measure entered its pin while the first still held it")
+	case <-time.After(100 * time.Millisecond): // the only way to see B not entering
+	}
+	close(releaseA)
+	<-doneA
+	close(releaseB)
+	<-doneB
+	if got := runtime.GOMAXPROCS(0); got != 2 {
+		t.Errorf("GOMAXPROCS = %d after two overlapping Measure calls, want the 2 they started from", got)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
 
+	"edgetune/internal/hotloop"
 	"edgetune/internal/obs/prof"
 	"edgetune/internal/testutil"
 )
@@ -41,6 +43,13 @@ func TestProfileReport(t *testing.T) {
 		if !stages[want] {
 			t.Errorf("Report.Profile missing stage %q (have %v)", want, stages)
 		}
+	}
+	var order []string
+	for _, p := range rep.Profile {
+		order = append(order, p.Stage)
+	}
+	if want := hotloop.JobStages(); !reflect.DeepEqual(order, want) {
+		t.Errorf("Report.Profile lists %v, want the table's -profile stages %v", order, want)
 	}
 	gauges := 0
 	for _, g := range rep.Metrics.Gauges {
