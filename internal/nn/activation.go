@@ -17,28 +17,35 @@ func NewReLU() *ReLU { return NewReLUIn(nil) }
 // NewReLUIn is NewReLU with the layer's buffers taken from a.
 func NewReLUIn(a *tensor.Arena) *ReLU { return &ReLU{out: a.Buffer(), dx: a.Buffer()} }
 
-// Forward applies max(0, x).
+// Forward applies max(0, x). Whether an entry is positive is as good as
+// a coin toss, so it is a mask that decides, not a branch: an entry
+// keeps all of its bits or none.
 func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	r.out.Resize(x.Rows, x.Cols)
+	out := r.out.Data[:len(x.Data)]
 	for i, v := range x.Data {
+		var keep uint64
 		if v > 0 {
-			r.out.Data[i] = v
-		} else {
-			r.out.Data[i] = 0
+			keep = ^uint64(0)
 		}
+		out[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 	return &r.out
 }
 
-// Backward zeroes gradients where the input was non-positive.
+// Backward zeroes gradients where the input was non-positive: by a
+// product with 1 or with 0, which passes g through exactly or keeps the
+// sign of its zero, as the branch it replaces did.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	r.dx.Resize(grad.Rows, grad.Cols)
+	out, dx := r.out.Data[:len(grad.Data)], r.dx.Data[:len(grad.Data)]
+	one := math.Float64bits(1)
 	for i, g := range grad.Data {
-		if r.out.Data[i] > 0 {
-			r.dx.Data[i] = g
-		} else {
-			r.dx.Data[i] = g * 0 // a product, as ever: keeps the zero's sign
+		var keep uint64
+		if out[i] > 0 {
+			keep = ^uint64(0)
 		}
+		dx[i] = g * math.Float64frombits(one&keep)
 	}
 	return &r.dx
 }

@@ -357,3 +357,37 @@ func TestAccuracyEdgeCases(t *testing.T) {
 		t.Errorf("mismatched labels should give 0, got %v", got)
 	}
 }
+
+// TestReLUBitEqualsTheBranch: the masked ReLU computes, bit for bit —
+// the sign of a zero included — what the branch it replaced computed:
+// Forward max(0, x) with every non-positive entry (a NaN among them) a
+// +0, Backward g where the input was positive and g·0 elsewhere, over
+// random entries and over every pairing of the special values.
+func TestReLUBitEqualsTheBranch(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1, -1}
+	rng := sim.NewRNG(11)
+	x, g := tensor.Randn(len(specials)+7, len(specials), 1, rng), tensor.Randn(len(specials)+7, len(specials), 1, rng)
+	for i, xv := range specials {
+		for j, gv := range specials {
+			x.Set(i, j, xv)
+			g.Set(i, j, gv)
+		}
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	r := NewReLU()
+	out, dx := r.Forward(x, true), r.Backward(g)
+	for i, v := range x.Data {
+		wantOut, wantDx := 0.0, g.Data[i]*0
+		if v > 0 {
+			wantOut, wantDx = v, g.Data[i]
+		}
+		if !same(out.Data[i], wantOut) {
+			t.Fatalf("Forward(%v) = %v, want %v", v, out.Data[i], wantOut)
+		}
+		if !same(dx.Data[i], wantDx) {
+			t.Fatalf("Backward(%v) where the input was %v = %v, want %v", g.Data[i], v, dx.Data[i], wantDx)
+		}
+	}
+}

@@ -107,17 +107,7 @@ func MatMulInto(out, a, b *Matrix) *Matrix {
 	}
 	zeroed(out, a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+		gather(out.Row(i), a.Row(i), 1, a.Cols, b.Data)
 	}
 	return out
 }
@@ -128,18 +118,8 @@ func MatMulATInto(out, a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmulAT shape mismatch %dx%d / %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	zeroed(out, a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+	for i := 0; i < a.Cols; i++ { // a's column i, read at stride a.Cols
+		gather(out.Row(i), a.Data[i:], a.Cols, a.Rows, b.Data)
 	}
 	return out
 }
@@ -151,16 +131,7 @@ func MatMulBTInto(out, a, b *Matrix) *Matrix {
 	}
 	out.Resize(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
+		dots(out.Row(i), a.Row(i), b.Data)
 	}
 	return out
 }
@@ -287,13 +258,13 @@ func (m *Matrix) FrobeniusNorm() float64 {
 }
 
 // Equal reports whether two matrices have the same shape and elements
-// within tolerance eps.
+// within tolerance eps. A NaN on either side is a mismatch.
 func Equal(a, b *Matrix, eps float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > eps {
+		if !(math.Abs(a.Data[i]-b.Data[i]) <= eps) {
 			return false
 		}
 	}

@@ -63,26 +63,13 @@ func TestTransposedMatMulsAgree(t *testing.T) {
 	rng := sim.NewRNG(1)
 	a := Randn(4, 5, 1, rng)
 	b := Randn(4, 3, 1, rng)
-	// aᵀ @ b via explicit transpose.
-	at := New(5, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			at.Set(j, i, a.At(i, j))
-		}
-	}
-	if !Equal(MatMulAT(a, b), MatMul(at, b), 1e-9) {
+	if !Equal(MatMulAT(a, b), MatMul(transposed(a), b), 1e-9) {
 		t.Error("MatMulAT disagrees with explicit transpose")
 	}
 
 	c := Randn(6, 5, 1, rng)
-	ct := New(5, 6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 5; j++ {
-			ct.Set(j, i, c.At(i, j))
-		}
-	}
 	d := Randn(2, 5, 1, rng)
-	if !Equal(MatMulBT(d, c), MatMul(d, ct), 1e-9) {
+	if !Equal(MatMulBT(d, c), MatMul(d, transposed(c)), 1e-9) {
 		t.Error("MatMulBT disagrees with explicit transpose")
 	}
 }
@@ -202,6 +189,17 @@ func TestFrobeniusNorm(t *testing.T) {
 	}
 }
 
+func TestEqualRejectsNaN(t *testing.T) {
+	nan, _ := FromSlice(1, 2, []float64{1, math.NaN()})
+	two, _ := FromSlice(1, 2, []float64{1, 2})
+	if Equal(nan, two, 1e-9) || Equal(two, nan, 1e-9) || Equal(nan, nan, math.Inf(1)) {
+		t.Error("Equal accepted a matrix holding a NaN")
+	}
+	if !Equal(two, two.Clone(), 0) {
+		t.Error("Equal rejected identical matrices at eps 0")
+	}
+}
+
 func TestRandnStd(t *testing.T) {
 	rng := sim.NewRNG(99)
 	m := Randn(100, 100, 0.5, rng)
@@ -223,110 +221,6 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
-	}
-}
-
-// The three reference kernels below are the allocating loops as they
-// stood before the …Into forms existed; TestIntoKernelsBitEqual holds
-// the new kernels to them element for element.
-func refMatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
-			if av == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += av * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-func refMatMulAT(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		for i := 0; i < a.Cols; i++ {
-			av := a.At(k, i)
-			if av == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += av * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-func refMatMulBT(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(j, k)
-			}
-			out.Set(i, j, s)
-		}
-	}
-	return out
-}
-
-// sparseRandn is Randn with about a third of the entries exactly zero,
-// so the kernels' skip-zero branch is exercised.
-func sparseRandn(rows, cols int, rng *sim.RNG) *Matrix {
-	m := Randn(rows, cols, 1, rng)
-	for i := range m.Data {
-		if rng.Intn(3) == 0 {
-			m.Data[i] = 0
-		}
-	}
-	return m
-}
-
-func bitEqual(a, b *Matrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if v != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestIntoKernelsBitEqual: over random shapes with zero entries, every
-// …Into kernel — writing into one reused output that is dirty and of
-// the wrong shape from the previous round — and its allocating wrapper
-// equal the pre-change loops with ==, not within a tolerance.
-func TestIntoKernelsBitEqual(t *testing.T) {
-	rng := sim.NewRNG(99)
-	out := Randn(3, 3, 1, rng)
-	for round := 0; round < 200; round++ {
-		m, k, n := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(9)
-		a, b := sparseRandn(m, k, rng), sparseRandn(k, n, rng)
-		at, bt := sparseRandn(k, m, rng), sparseRandn(n, k, rng)
-		cases := []struct {
-			name       string
-			want       *Matrix
-			into, wrap func() *Matrix
-		}{
-			{"MatMul", refMatMul(a, b), func() *Matrix { return MatMulInto(out, a, b) }, func() *Matrix { return MatMul(a, b) }},
-			{"MatMulAT", refMatMulAT(at, b), func() *Matrix { return MatMulATInto(out, at, b) }, func() *Matrix { return MatMulAT(at, b) }},
-			{"MatMulBT", refMatMulBT(a, bt), func() *Matrix { return MatMulBTInto(out, a, bt) }, func() *Matrix { return MatMulBT(a, bt) }},
-		}
-		for _, c := range cases {
-			if got := c.into(); got != out || !bitEqual(got, c.want) {
-				t.Fatalf("round %d: %sInto(%dx%dx%d) differs from the reference loop", round, c.name, m, k, n)
-			}
-			if !bitEqual(c.wrap(), c.want) {
-				t.Fatalf("round %d: %s(%dx%dx%d) differs from the reference loop", round, c.name, m, k, n)
-			}
-		}
 	}
 }
 
