@@ -89,11 +89,12 @@ if [ -n "$strays" ]; then
     echo "$strays" >&2
     exit 1
 fi
-# And for the kernels: the training substrate is plain Go on every
-# platform — one code path behind every digest — so no unsafe, no build
-# tag and no assembly under it.
-strays=$( (grep -lE '^//go:build|^// \+build|"unsafe"' internal/tensor/*.go internal/nn/*.go |
-    grep -v '_test\.go$'; find internal -name '*.s') || true)
+# And for the kernels: the training substrate — and the featuriser that
+# writes what its token layer reads — is plain Go on every platform, one
+# code path behind every digest, so no unsafe, no build tag and no
+# assembly under it.
+strays=$( (grep -lE '^//go:build|^// \+build|"unsafe"' internal/tensor/*.go internal/nn/*.go \
+    internal/dataset/*.go internal/workload/*.go | grep -v '_test\.go$'; find internal -name '*.s') || true)
 if [ -n "$strays" ]; then
     echo "unsafe, a build tag or assembly in the training substrate:" >&2
     echo "$strays" >&2

@@ -33,9 +33,10 @@ type Meta struct {
 	Scale float64
 }
 
-// Dataset is a labelled classification dataset. Features are dense; the
-// NLP variant additionally carries raw token sequences so the workload's
-// stride hyperparameter can re-featurise them.
+// Dataset is a labelled classification dataset. Features are the dense
+// rows of X, except in a token-sequence dataset (NLP) as generated: that
+// holds its token sequences and a nil X, and the workload's stride
+// hyperparameter decides how they are featurised.
 type Dataset struct {
 	Meta    Meta
 	X       *tensor.Matrix
@@ -43,7 +44,7 @@ type Dataset struct {
 	Classes int
 
 	// Tokens is non-nil only for token-sequence datasets (NLP).
-	Tokens [][]int
+	Tokens [][]uint8
 	// Vocab is the vocabulary size for token datasets.
 	Vocab int
 }
@@ -56,10 +57,10 @@ type Split struct {
 
 // Len returns the number of samples.
 func (d *Dataset) Len() int {
-	if d == nil || d.X == nil {
+	if d == nil {
 		return 0
 	}
-	return d.X.Rows
+	return len(d.Labels)
 }
 
 // PaperSamples returns the paper-scale sample count this dataset
@@ -100,7 +101,9 @@ func (d *Dataset) Subset(frac float64) (*Dataset, error) {
 		Classes: d.Classes,
 		Vocab:   d.Vocab,
 		Labels:  d.Labels[:k],
-		X:       d.X.RowSlice(0, k),
+	}
+	if d.X != nil {
+		sub.X = d.X.RowSlice(0, k)
 	}
 	if d.Tokens != nil {
 		sub.Tokens = d.Tokens[:k]

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"edgetune/internal/sim"
+	"edgetune/internal/tensor"
 )
 
 func allSplits(seed uint64) map[string]Split {
@@ -59,9 +60,15 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		if a.Train.Len() != b.Train.Len() {
 			t.Fatalf("%s: lengths differ", id)
 		}
-		for i := 0; i < a.Train.Len()*a.Train.X.Cols; i++ {
-			if a.Train.X.Data[i] != b.Train.X.Data[i] {
+		fa, fb := features(a.Train), features(b.Train)
+		for i := 0; i < a.Train.Len()*fa.Cols; i++ {
+			if fa.Data[i] != fb.Data[i] {
 				t.Fatalf("%s: feature %d differs across same-seed runs", id, i)
+			}
+		}
+		for i, seq := range a.Train.Tokens {
+			if string(seq) != string(b.Train.Tokens[i]) {
+				t.Fatalf("%s: sequence %d differs across same-seed runs", id, i)
 			}
 		}
 		for i, l := range a.Train.Labels {
@@ -201,7 +208,7 @@ func TestNewsTokensRetained(t *testing.T) {
 			t.Fatalf("sequence length %d, want %d", len(seq), NewsSeqLen)
 		}
 		for _, tok := range seq {
-			if tok < 0 || tok >= NewsVocab {
+			if int(tok) >= NewsVocab {
 				t.Fatalf("token %d out of vocab", tok)
 			}
 		}
@@ -225,8 +232,8 @@ func TestNewsSequencesDoNotReachTheirNeighbours(t *testing.T) {
 			t.Fatalf("sequence %d has len %d cap %d, want %d and %d", i, len(seq), cap(seq), NewsSeqLen, NewsSeqLen)
 		}
 	}
-	next := append([]int(nil), d.Tokens[1]...)
-	_ = append(d.Tokens[0], -1)
+	next := append([]uint8(nil), d.Tokens[1]...)
+	_ = append(d.Tokens[0], 0xff) // not a token
 	for j, tok := range d.Tokens[1] {
 		if tok != next[j] {
 			t.Fatalf("appending to sequence 0 wrote token %d of sequence 1", j)
@@ -234,25 +241,103 @@ func TestNewsSequencesDoNotReachTheirNeighbours(t *testing.T) {
 	}
 }
 
-func TestBagOfTokens(t *testing.T) {
-	seq := []int{0, 1, 0, 2}
-	dst := make([]float64, 3)
-	BagOfTokens(dst, seq, 1)
-	want := []float64{0.5, 0.25, 0.25}
-	for i := range want {
-		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Errorf("stride 1: dst[%d] = %v, want %v", i, dst[i], want[i])
+// bagOfTokens is the dense featurisation TokenPairs replaced, kept as
+// its reference: dst[k] is the share of the stride-th tokens of seq that
+// are k.
+func bagOfTokens(dst []float64, seq []uint8, stride int) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	count := 0
+	for i := 0; i < len(seq); i += stride {
+		dst[seq[i]]++
+		count++
+	}
+	if count > 0 {
+		inv := 1 / float64(count)
+		for i := range dst {
+			dst[i] *= inv
 		}
 	}
-	// Stride 2 keeps tokens 0 and 0.
-	BagOfTokens(dst, seq, 2)
-	if dst[0] != 1 || dst[1] != 0 || dst[2] != 0 {
-		t.Errorf("stride 2: dst = %v, want [1 0 0]", dst)
+}
+
+// features is d's feature matrix; a token dataset's is the dense bag of
+// tokens of every sequence, as NewNews used to build it.
+func features(d *Dataset) *tensor.Matrix {
+	if d.X != nil {
+		return d.X
 	}
-	// Stride < 1 is clamped to 1.
-	BagOfTokens(dst, seq, 0)
-	if math.Abs(dst[0]-0.5) > 1e-12 {
-		t.Errorf("stride 0 not clamped: dst[0]=%v", dst[0])
+	x := tensor.New(d.Len(), d.Vocab)
+	for i, seq := range d.Tokens {
+		bagOfTokens(x.Row(i), seq, 1)
+	}
+	return x
+}
+
+// decodesTo reports whether the pair row p stands for the dense row
+// exactly: its pairs are the non-zero entries of dense in increasing k,
+// bit for bit, and everything after them is zero.
+func decodesTo(p, dense []float64) bool {
+	nonZero := 0
+	for _, v := range dense {
+		if v != 0 {
+			nonZero++
+		}
+	}
+	for i := 0; i < len(p); i += 2 {
+		k, v := p[i], p[i+1]
+		if i >= 2*nonZero {
+			if math.Float64bits(k) != 0 || math.Float64bits(v) != 0 {
+				return false
+			}
+			continue
+		}
+		if k != math.Trunc(k) || k < 0 || int(k) >= len(dense) || math.Float64bits(v) != math.Float64bits(dense[int(k)]) ||
+			(i > 0 && k <= p[i-2]) {
+			return false
+		}
+	}
+	return 2*nonZero <= len(p)
+}
+
+// TestBagOfTokens: TokenPairs writes a sequence's bag of tokens as the
+// (k, share) pairs of its tokens in increasing k over a dirty row, zeros
+// after them — by hand on a short sequence, and decoding to the bits of
+// the dense bag of tokens for every row of a seeded corpus at every
+// stride the NLP workload tunes.
+func TestBagOfTokens(t *testing.T) {
+	seq := []uint8{2, 1, 2, 0}
+	dst := []float64{9, 9, 9, 9, 9, 9, 9, 9}
+	TokenPairs(dst, seq, 1)
+	want := []float64{0, 0.25, 1, 0.25, 2, 0.5, 0, 0}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("stride 1: pairs %v, want %v", dst, want)
+		}
+	}
+	// Stride 2 takes tokens 2 and 2.
+	if dst = dst[:PairsWidth(len(seq), 2)]; len(dst) != 4 {
+		t.Fatalf("PairsWidth(4, 2) = %d, want 4", len(dst))
+	}
+	if TokenPairs(dst, seq, 2); dst[0] != 2 || dst[1] != 1 || dst[2] != 0 || dst[3] != 0 {
+		t.Errorf("stride 2: pairs %v, want [2 1 0 0]", dst)
+	}
+
+	split := NewNews(1)
+	dense := make([]float64, NewsVocab)
+	for stride := 1; stride <= 32; stride++ {
+		row := make([]float64, PairsWidth(NewsSeqLen, stride))
+		for _, d := range []*Dataset{split.Train, split.Test} {
+			for i, seq := range d.Tokens {
+				for j := range row {
+					row[j] = math.NaN()
+				}
+				TokenPairs(row, seq, stride)
+				if bagOfTokens(dense, seq, stride); !decodesTo(row, dense) {
+					t.Fatalf("stride %d, sequence %d: pairs %v do not stand for the bag of tokens %v", stride, i, row, dense)
+				}
+			}
+		}
 	}
 }
 
@@ -276,15 +361,15 @@ func TestClassesAreSeparable(t *testing.T) {
 	// dataset; otherwise tuning cannot produce meaningful accuracy
 	// differences.
 	for id, s := range allSplits(11) {
-		d := s.Train
-		dim := d.X.Cols
+		d, x := s.Train, features(s.Train)
+		dim := x.Cols
 		centroids := make([][]float64, d.Classes)
 		counts := make([]int, d.Classes)
 		for c := range centroids {
 			centroids[c] = make([]float64, dim)
 		}
 		for i := 0; i < d.Len(); i++ {
-			row := d.X.Row(i)
+			row := x.Row(i)
 			c := d.Labels[i]
 			counts[c]++
 			for j, v := range row {
@@ -300,9 +385,9 @@ func TestClassesAreSeparable(t *testing.T) {
 			}
 		}
 		correct := 0
-		test := s.Test
+		test, testX := s.Test, features(s.Test)
 		for i := 0; i < test.Len(); i++ {
-			row := test.X.Row(i)
+			row := testX.Row(i)
 			best, bestC := math.Inf(1), 0
 			for c := range centroids {
 				var dist float64

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"math/bits"
 
 	"edgetune/internal/sim"
 	"edgetune/internal/tensor"
@@ -170,8 +171,9 @@ func NewSpeech(seed uint64) Split {
 
 // NewNews emulates the NLP workload (RNN on AG News): token sequences
 // drawn from class-specific unigram distributions over a shared
-// vocabulary. Raw tokens are retained so the workload's stride
-// hyperparameter can subsample them before featurisation.
+// vocabulary. The split holds the tokens and no features: the workload's
+// stride hyperparameter subsamples them before featurisation
+// (TokenPairs).
 func NewNews(seed uint64) Split {
 	const (
 		train = 120000 / _downScale
@@ -193,21 +195,19 @@ func NewNews(seed uint64) Split {
 		weights[c] = cumulative(w)
 	}
 	gen := func(n int, r *sim.RNG) *Dataset {
-		tokens := make([][]int, n)
+		tokens := make([][]uint8, n)
 		labels := make([]int, n)
-		x := tensor.New(n, NewsVocab)
 		// One block for the split's sequences; each is capped at its own
 		// end, so an append moves it instead of reaching its neighbour.
-		block := make([]int, n*NewsSeqLen)
+		block := make([]uint8, n*NewsSeqLen)
 		for i := 0; i < n; i++ {
 			cls := r.Intn(NewsClasses)
 			labels[i] = cls
 			seq := block[i*NewsSeqLen : (i+1)*NewsSeqLen : (i+1)*NewsSeqLen]
 			for j := range seq {
-				seq[j] = sampleCumulative(weights[cls], r)
+				seq[j] = uint8(sampleCumulative(weights[cls], r))
 			}
 			tokens[i] = seq
-			bagOfTokens(x.Row(i), seq, 1)
 		}
 		return &Dataset{
 			Meta: Meta{
@@ -218,7 +218,7 @@ func NewNews(seed uint64) Split {
 				PaperSizeBytes:  63_018_598, // 60.10 MB
 				Scale:           _downScale,
 			},
-			X: x, Labels: labels, Classes: NewsClasses,
+			Labels: labels, Classes: NewsClasses,
 			Tokens: tokens, Vocab: NewsVocab,
 		}
 	}
@@ -268,31 +268,40 @@ func NewDetection(seed uint64) Split {
 	return Split{Train: gen(train, rng.Split()), Test: gen(test, rng.Split())}
 }
 
-// BagOfTokens featurises a token sequence into counts, taking every
-// stride-th token. It is exported for the workload layer, which maps the
-// paper's RNN stride hyperparameter onto featurisation granularity.
-func BagOfTokens(dst []float64, seq []int, stride int) {
-	bagOfTokens(dst, seq, stride)
-}
+// PairsWidth is the width of a TokenPairs row for n tokens taken at the
+// stride: a pair for each token taken, the most there can be distinct.
+func PairsWidth(n, stride int) int { return 2 * ((n + stride - 1) / stride) }
 
-func bagOfTokens(dst []float64, seq []int, stride int) {
-	if stride < 1 {
-		stride = 1
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	count := 0
+// TokenPairs featurises a token sequence into its bag of tokens, taking
+// every stride-th token (stride ≥ 1): a token k taken c of n times is
+// worth c/n. It writes the (k, c/n) pairs of the tokens taken into dst in
+// increasing k — dst[2i] is k as a float64 — and zeros after them; dst
+// holds at least PairsWidth(len(seq), stride) entries. That is the form
+// tensor.PairsMatMulInto reads: the pairs are the non-zero entries of the
+// Vocab-wide row of shares they stand for, bit for bit.
+func TokenPairs(dst []float64, seq []uint8, stride int) {
+	var (
+		counts [256]int  // one per uint8
+		taken  [4]uint64 // bit k%64 of word k/64: token k was taken
+	)
+	n := 0
 	for i := 0; i < len(seq); i += stride {
-		dst[seq[i]]++
-		count++
+		k := seq[i]
+		counts[k]++
+		taken[k>>6] |= 1 << (k & 63)
+		n++
 	}
-	if count > 0 {
-		inv := 1 / float64(count)
-		for i := range dst {
-			dst[i] *= inv
+	// Walk the tokens taken, not the vocabulary: a row holds a few dozen
+	// of them at most, and which they are is a coin toss per k.
+	inv, j := 1/float64(n), 0
+	for w, set := range taken {
+		for ; set != 0; set &= set - 1 {
+			k := w<<6 | bits.TrailingZeros64(set)
+			dst[j], dst[j+1] = float64(k), float64(counts[k])*inv
+			j += 2
 		}
 	}
+	clear(dst[j:])
 }
 
 // flipLabels randomly reassigns a fraction of labels, bounding the best

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"edgetune/internal/sim"
@@ -135,6 +136,63 @@ func TestSkippedInputGradChangesNothing(t *testing.T) {
 	}
 	if first.dx.Rows != 8 || skip.Layers()[0].(*Dense).dx.Data != nil {
 		t.Error("the full network did not compute the input gradient, or the skipping one did")
+	}
+}
+
+// TestPairsDenseIsDense: a first layer built to read (k, value) pairs,
+// fed the pairs of sparse rows, computes bit for bit the logits of a
+// plain Dense fed the rows themselves, and after twenty steps holds the
+// same weights — through a ragged batch, and with no input gradient.
+func TestPairsDenseIsDense(t *testing.T) {
+	const in = 13
+	rng := sim.NewRNG(12)
+	rows := tensor.New(9, in)
+	pairs := tensor.New(rows.Rows, 2*in)
+	for i := 0; i < rows.Rows; i++ {
+		p := pairs.Row(i)[:0]
+		for k := 0; k < in; k++ {
+			if rng.Float64() < 0.3 {
+				v := rng.NormFloat64()
+				rows.Set(i, k, v)
+				p = append(p, float64(k), v)
+			}
+		}
+	}
+	var nets [2]*Network
+	for i, first := range []func(*tensor.Arena, int, int, *sim.RNG) *Dense{NewDenseIn, NewPairsDenseIn} {
+		rng := sim.NewRNG(13)
+		var err error
+		if nets[i], err = NewNetwork(first(nil, in, 6, rng), NewTanh(), NewDense(6, 3, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
+	for i, x := range []*tensor.Matrix{rows, pairs} {
+		opt, err := NewSGD(0.05, 0.9, 1e-4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 20; step++ {
+			n := 9 - 4*(step%2)
+			batch := x.RowSlice(0, n)
+			if _, err := nets[i].TrainStep(opt, batch, labels[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dense, paired := nets[0].Forward(rows, false).Data, nets[1].Forward(pairs, false).Data
+	for j, v := range dense {
+		if math.Float64bits(v) != math.Float64bits(paired[j]) {
+			t.Fatalf("logit %d: %v from the rows, %v from their pairs", j, v, paired[j])
+		}
+	}
+	if !gradsEqual(nets[0], nets[1]) {
+		t.Error("training on pairs left other weights or gradients than training on the rows")
+	}
+	// Not even outside a network, where no NewNetwork marks it first.
+	d := NewPairsDenseIn(nil, in, 6, rng)
+	if d.Forward(pairs, true); d.Backward(tensor.New(pairs.Rows, 6)) != nil || d.dx.Data != nil {
+		t.Error("the pairs layer computed an input gradient")
 	}
 }
 

@@ -14,6 +14,9 @@ type Dense struct {
 	// skipInputGrad is set by NewNetwork on the first layer, whose input
 	// gradient nobody reads.
 	skipInputGrad bool
+	// pairs says the input rows are (k, value) pairs: set by
+	// NewPairsDenseIn.
+	pairs bool
 
 	lastInput *tensor.Matrix // cached for backward
 	y, dx, dw tensor.Matrix  // owned output and gradient buffers
@@ -38,12 +41,26 @@ func NewDenseIn(a *tensor.Arena, in, out int, rng *sim.RNG) *Dense {
 	}
 }
 
+// NewPairsDenseIn is NewDenseIn for a layer whose input rows come as the
+// (k, value) pairs of their non-zero entries (tensor.PairsMatMulInto)
+// instead of as in-wide rows: what a step reads of a row is then its
+// pairs. The input has no gradient, so the layer computes none.
+func NewPairsDenseIn(a *tensor.Arena, in, out int, rng *sim.RNG) *Dense {
+	d := NewDenseIn(a, in, out, rng)
+	d.pairs, d.skipInputGrad = true, true
+	return d
+}
+
 // Forward computes x W + b, caching x when training.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		d.lastInput = x
 	}
-	tensor.MatMulInto(&d.y, x, d.w.W)
+	if d.pairs {
+		tensor.PairsMatMulInto(&d.y, x, d.w.W)
+	} else {
+		tensor.MatMulInto(&d.y, x, d.w.W)
+	}
 	d.y.AddRowVec(d.b.W.Data)
 	return &d.y
 }
@@ -52,7 +69,11 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // grad W ᵀ for the upstream layer. dW and db are summed on their own
 // before being added, so a non-zero Grad sees the same rounding as ever.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	d.w.Grad.Add(tensor.MatMulATInto(&d.dw, d.lastInput, grad))
+	if d.pairs {
+		d.w.Grad.Add(tensor.PairsMatMulATInto(&d.dw, d.lastInput, grad, d.in))
+	} else {
+		d.w.Grad.Add(tensor.MatMulATInto(&d.dw, d.lastInput, grad))
+	}
 	for i, v := range grad.ColSumsInto(d.db) {
 		d.b.Grad.Data[i] += v
 	}

@@ -13,8 +13,11 @@ type SGD struct {
 	lr          float64
 	momentum    float64
 	weightDecay float64
-	velocity    map[*Param]*tensor.Matrix
-	arena       *tensor.Arena // where velocities come from; nil is the heap
+	// velocity is every parameter's velocity, one after another in the
+	// order Step is given the parameters. The first Step makes it, so a
+	// new SGD starts from rest.
+	velocity []float64
+	arena    *tensor.Arena // where velocity comes from; nil is the heap
 }
 
 // NewSGD creates an optimiser. lr must be positive; momentum and
@@ -38,24 +41,31 @@ func newSGD(a *tensor.Arena, lr, momentum, weightDecay float64) (*SGD, error) {
 		lr:          lr,
 		momentum:    momentum,
 		weightDecay: weightDecay,
-		velocity:    make(map[*Param]*tensor.Matrix),
 		arena:       a,
 	}, nil
 }
 
 // Step applies one update to every parameter from its accumulated
 // gradient, then leaves gradients untouched (callers ZeroGrad as needed).
+// An SGD must be given the same parameters, in the same order, at every
+// Step.
 func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		v, ok := s.velocity[p]
-		if !ok {
-			v = s.arena.New(p.W.Rows, p.W.Cols)
-			s.velocity[p] = v
+	if s.velocity == nil {
+		n := 0
+		for _, p := range params {
+			n += len(p.W.Data)
 		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i] + s.weightDecay*p.W.Data[i]
-			v.Data[i] = s.momentum*v.Data[i] - s.lr*g
-			p.W.Data[i] += v.Data[i]
+		s.velocity = s.arena.Floats(n)
+	}
+	lr, momentum, weightDecay, rest := s.lr, s.momentum, s.weightDecay, s.velocity
+	for _, p := range params {
+		w := p.W.Data
+		g, v := p.Grad.Data[:len(w)], rest[:len(w)]
+		rest = rest[len(w):]
+		for i := range w {
+			gi := g[i] + weightDecay*w[i]
+			v[i] = momentum*v[i] - lr*gi
+			w[i] += v[i]
 		}
 	}
 }

@@ -9,14 +9,3 @@
 // so that experiments are deterministic and complete in milliseconds
 // while still reporting paper-scale units.
 package sim
-
-import (
-	"fmt"
-	"time"
-)
-
-// FormatMinutes renders a duration as fractional minutes, matching the
-// axis labels of the paper's figures.
-func FormatMinutes(d time.Duration) string {
-	return fmt.Sprintf("%.2fm", d.Minutes())
-}

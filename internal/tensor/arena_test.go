@@ -120,7 +120,7 @@ func TestNilArenaIsTheHeap(t *testing.T) {
 	var a *Arena
 	a.Reset() // must not panic
 	viaNil, heap, inArena := a.Randn(3, 5, 0.5, sim.NewRNG(4)), Randn(3, 5, 0.5, sim.NewRNG(4)), new(Arena).Randn(3, 5, 0.5, sim.NewRNG(4))
-	if !bitEqual(viaNil, heap) || !bitEqual(inArena, heap) {
+	if !Equal(viaNil, heap, 0) || !Equal(inArena, heap, 0) {
 		t.Error("Randn draws differ between the heap, a nil arena and an arena")
 	}
 	if len(a.Floats(3)) != 3 || len(a.Ints(2)) != 2 {

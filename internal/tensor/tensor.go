@@ -124,6 +124,36 @@ func MatMulATInto(out, a, b *Matrix) *Matrix {
 	return out
 }
 
+// PairsMatMulInto is MatMulInto for an a whose rows are given as the
+// (k, value) pairs of their non-zero entries in increasing k, padded with
+// zeros: a.At(i, 2p) is k as a float64 and a.At(i, 2p+1) the value. out
+// is bit for bit what MatMulInto gives for the rows the pairs stand for,
+// and what the kernel reads of a row is its pairs, not its width.
+func PairsMatMulInto(out, a, b *Matrix) *Matrix {
+	if a.Cols%2 != 0 {
+		panic(fmt.Sprintf("tensor: pairs matmul over %d columns, not pairs", a.Cols))
+	}
+	zeroed(out, a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		gatherPairs(out.Row(i), a.Row(i), b.Data)
+	}
+	return out
+}
+
+// PairsMatMulATInto is MatMulATInto for an a given as pairs (see
+// PairsMatMulInto) whose rows stand for rows of width entries; out is
+// width × b.Cols.
+func PairsMatMulATInto(out, a, b *Matrix, width int) *Matrix {
+	if a.Rows != b.Rows || a.Cols%2 != 0 {
+		panic(fmt.Sprintf("tensor: pairs matmulAT shape mismatch %dx%d / %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	zeroed(out, width, b.Cols)
+	for r := 0; r < a.Rows; r++ {
+		scatterPairs(out.Data, out.Cols, a.Row(r), b.Row(r))
+	}
+	return out
+}
+
 // MatMulBTInto computes a @ bᵀ into out; see MatMulInto.
 func MatMulBTInto(out, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {

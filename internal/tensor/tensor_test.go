@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -57,20 +58,13 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
-// TestTransposedMatMulsAgree checks MatMulAT and MatMulBT against explicit
-// transposition through MatMul.
-func TestTransposedMatMulsAgree(t *testing.T) {
-	rng := sim.NewRNG(1)
-	a := Randn(4, 5, 1, rng)
-	b := Randn(4, 3, 1, rng)
-	if !Equal(MatMulAT(a, b), MatMul(transposed(a), b), 1e-9) {
-		t.Error("MatMulAT disagrees with explicit transpose")
-	}
-
-	c := Randn(6, 5, 1, rng)
-	d := Randn(2, 5, 1, rng)
-	if !Equal(MatMulBT(d, c), MatMul(d, transposed(c)), 1e-9) {
-		t.Error("MatMulBT disagrees with explicit transpose")
+// TestMatrixHeaderSize pins the layout of Matrix: every layer buffer,
+// arena header and view is one, so each field costs every trial. One more
+// pointer field (a side index of a row's non-zeros) raised what the
+// default IC job allocates from 663.6 to 674.8 KB, +1.7 %.
+func TestMatrixHeaderSize(t *testing.T) {
+	if n := reflect.TypeOf(Matrix{}).Size(); n != 48 {
+		t.Errorf("a Matrix is %d bytes, want 48", n)
 	}
 }
 

@@ -44,13 +44,14 @@ var errSettled = errors.New("trial: scratch settled")
 // settle sizes a new scratch once, before its first trial, for every
 // trial of the runner's workload: it builds the largest configuration of
 // the training space on it — deepest or widest model, largest batch, the
-// features of all of the data — and runs one training step and one
-// evaluation. What that overflowed, the Reset that opens the first trial
-// regrows the scratch to hold (tensor.Arena), and no smaller trial asks
-// for more; without it a scratch climbs there one regrowth per
-// record-breaking trial, and which scratch meets which trial is
-// scheduling. A scratch that moves to a bigger workload, or that this
-// failed to settle, grows the old way.
+// widest features of all of the data (NLP's pair rows are widest at the
+// shortest stride) — and runs one training step and one evaluation.
+// What that overflowed, the Reset that opens the first trial regrows the
+// scratch to hold (tensor.Arena), and no smaller trial asks for more;
+// without it a scratch climbs there one regrowth per record-breaking
+// trial, and which scratch meets which trial is scheduling. A scratch
+// that moves to a bigger workload, or that this failed to settle, grows
+// the old way.
 func (r *Runner) settle(a *tensor.Arena) {
 	space, err := r.workload.TrainSpace(true)
 	if err != nil {
@@ -58,7 +59,11 @@ func (r *Runner) settle(a *tensor.Arena) {
 	}
 	cfg := make(search.Config, space.Dim())
 	for _, p := range space.Params() {
-		cfg[p.Name] = p.FromUnit(1)
+		u := 1.0
+		if p.Name == workload.ParamStride {
+			u = 0
+		}
+		cfg[p.Name] = p.FromUnit(u)
 	}
 	net, err := r.workload.BuildModelIn(a, cfg, sim.NewRNG(r.seed))
 	if err != nil {

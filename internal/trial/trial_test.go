@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"edgetune/internal/budget"
+	"edgetune/internal/dataset"
 	"edgetune/internal/fault"
 	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
@@ -339,17 +340,20 @@ func TestTrainingNeverWritesThroughData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tokens []int
+		var tokens []uint8
 		for _, seq := range w.Split.Train.Tokens {
 			tokens = append(tokens, seq...)
 		}
-		before := [][]float64{
-			append([]float64(nil), w.Split.Train.X.Data...), append([]float64(nil), w.Split.Test.X.Data...),
+		var features, before [][]float64 // a token split has none
+		for _, d := range []*dataset.Dataset{w.Split.Train, w.Split.Test} {
+			if d.X != nil {
+				features, before = append(features, d.X.Data), append(before, append([]float64(nil), d.X.Data...))
+			}
 		}
 		if _, err := r.Run(context.Background(), Request{Config: tt.cfg, Alloc: budget.Allocation{Epochs: 2, DataFraction: 0.4}}); err != nil {
 			t.Fatal(err)
 		}
-		for i, now := range [][]float64{w.Split.Train.X.Data, w.Split.Test.X.Data} {
+		for i, now := range features {
 			for j, v := range now {
 				if v != before[i][j] {
 					t.Fatalf("%s: the trial wrote to dataset %d at %d", tt.id, i, j)

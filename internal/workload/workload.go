@@ -225,7 +225,7 @@ func buildM5(a *tensor.Arena, embedDim float64, rng *sim.RNG) (*nn.Network, erro
 func buildRNN(a *tensor.Arena, _ float64, rng *sim.RNG) (*nn.Network, error) { // the stride shapes the data, not the network
 	const hidden = 48
 	return nn.NewNetworkIn(a,
-		nn.NewDenseIn(a, dataset.NewsVocab, hidden, rng),
+		nn.NewPairsDenseIn(a, dataset.NewsVocab, hidden, rng), // reads what refeaturise writes
 		nn.NewTanhIn(a),
 		nn.NewDenseIn(a, hidden, dataset.NewsClasses, rng),
 	)
@@ -254,7 +254,9 @@ func buildYOLO(a *tensor.Arena, dropout float64, rng *sim.RNG) (*nn.Network, err
 
 // Data returns the training and test datasets featurised for the
 // configuration. Only the NLP workload re-featurises: its stride
-// hyperparameter subsamples the token sequences.
+// hyperparameter subsamples the token sequences, and its rows are the
+// (k, value) pairs of their bags of tokens (dataset.TokenPairs), which
+// the model's first layer reads.
 func (w *Workload) Data(cfg search.Config) (train, test *dataset.Dataset, err error) {
 	return w.DataIn(nil, cfg, 1)
 }
@@ -273,14 +275,14 @@ func (w *Workload) DataIn(a *tensor.Arena, cfg search.Config, frac float64) (tra
 	return refeaturise(a, train, stride), refeaturise(a, w.Split.Test, stride), nil
 }
 
-// refeaturise is d with its features recounted at the stride. The
-// matrix is taken as Resize takes storage, uncleared: BagOfTokens
-// clears each row before it counts into it.
+// refeaturise is d with its tokens counted at the stride into X, one
+// row of pairs each. The matrix is taken as Resize takes storage,
+// uncleared: TokenPairs writes every entry of a row.
 func refeaturise(a *tensor.Arena, d *dataset.Dataset, stride int) *dataset.Dataset {
 	out, x := *d, a.Buffer()
-	out.X = x.Resize(d.Len(), d.Vocab)
+	out.X = x.Resize(d.Len(), dataset.PairsWidth(dataset.NewsSeqLen, stride))
 	for i, seq := range d.Tokens {
-		dataset.BagOfTokens(out.X.Row(i), seq, stride)
+		dataset.TokenPairs(out.X.Row(i), seq, stride)
 	}
 	return &out
 }
