@@ -243,6 +243,15 @@ if [ -z "$baseline" ]; then
     exit 1
 fi
 go run ./cmd/tracetool check-bench -baseline "$baseline" "$tracedir/bench-hotloops.json"
+# The cache-hit path, wired as core.Tune wires it, held to exactly its
+# committed allocs/op. Its probe repeats to the digit, and the default
+# limits above are too wide to see what an SLO objective that kept every
+# event again would cost a hit (4.56 allocs / 717 B against 4 / 528).
+go run ./cmd/benchtab -only BenchmarkAdmissionServe \
+    -json "$tracedir/bench-hit.json" >/dev/null
+go run ./cmd/tracetool check-bench -baseline "$baseline" \
+    -alloc-tolerance 0 -alloc-slack 0 \
+    "$tracedir/bench-hit.json"
 
 gate "cluster-failover gate"
 # The sharded cluster's own tests, twice under the race detector, then

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -901,9 +902,13 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 	}
 	obj := Objective{Metric: s.opts.Metric}
 
+	// Two maps per search: the proposal scratch, and the incumbent's
+	// configuration, which the returned entry keeps.
 	var (
 		best      store.Entry
 		bestScore = -1.0
+		cfg       = make(search.Config, s.opts.Space.Dim())
+		bestCfg   = make(search.Config, s.opts.Space.Dim())
 	)
 	for i := 0; i < s.opts.Trials; i++ {
 		// Honour cancellation and the per-request deadline between
@@ -911,7 +916,7 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 		if err := ctx.Err(); err != nil {
 			return store.Entry{}, cost, err
 		}
-		cfg := sampler.Sample()
+		sampler.SampleInto(cfg)
 		spec := perfmodel.InferSpec{
 			FLOPsPerSample: req.FLOPsPerSample,
 			Params:         req.Params,
@@ -934,7 +939,8 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 
 		if bestScore < 0 || score < bestScore {
 			bestScore = score
-			best = inferEntry(req.Signature, pd.name, cfg, r) // cfg is ours: Sample hands over a fresh map
+			maps.Copy(bestCfg, cfg)
+			best = inferEntry(req.Signature, pd.name, bestCfg, r)
 			best.Objective = score
 		}
 	}

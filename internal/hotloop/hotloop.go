@@ -22,11 +22,13 @@ import (
 	"edgetune/internal/budget"
 	"edgetune/internal/cluster"
 	"edgetune/internal/core"
+	"edgetune/internal/counters"
 	"edgetune/internal/device"
 	"edgetune/internal/nn"
 	"edgetune/internal/obs"
 	"edgetune/internal/obs/flight"
 	"edgetune/internal/obs/prof"
+	"edgetune/internal/obs/slo"
 	"edgetune/internal/perfmodel"
 	"edgetune/internal/search"
 	"edgetune/internal/sim"
@@ -191,7 +193,9 @@ func inferenceSpace(dev device.Device) (*search.Space, error) {
 
 // The inference server's whole request path — submit, admission, serve,
 // deliver — on the cache-hit fast path, where the request resolves
-// without touching a device.
+// without touching a device. The server is wired as core.Tune wires it,
+// with a registry-backed resilience recorder and an SLO evaluator, so
+// what a hit records against its objectives is measured too.
 func openCacheHit() (func(), func(), error) {
 	dev := device.I7()
 	space, err := inferenceSpace(dev)
@@ -205,6 +209,7 @@ func openCacheHit() (func(), func(), error) {
 	}
 	srv, err := core.NewInferenceServer(core.InferenceServerOptions{
 		Device: dev, Space: space, Store: st, Seed: 3,
+		Recorder: counters.NewResilienceOn(obs.NewRegistry()), SLO: slo.NewEvaluator(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -217,10 +222,10 @@ func openCacheHit() (func(), func(), error) {
 }
 
 // One whole inference parameter search as the server runs it on a cache
-// miss: a fresh BOHB sampler, then 24 × (Sample, Estimate on the
+// miss: a fresh BOHB sampler, then 24 × (SampleInto, Estimate on the
 // emulated device, Observe). The sampler owns its model state
-// (DESIGN.md §4.16), so what the search allocates is the sampler itself
-// and one Config per proposal.
+// (DESIGN.md §4.16) and proposes into one map the search reuses, so what
+// the search allocates is the sampler itself and that map.
 func openTPESearch() (func(), func(), error) {
 	dev := device.I7()
 	space, err := inferenceSpace(dev)
@@ -230,8 +235,9 @@ func openTPESearch() (func(), func(), error) {
 	obj := core.Objective{Metric: core.MetricRuntime}
 	return func() {
 		sampler := search.NewTPESampler(space, 3, search.TPEOptions{})
+		cfg := make(search.Config, space.Dim())
 		for i := 0; i < 24; i++ {
-			cfg := sampler.Sample()
+			sampler.SampleInto(cfg)
 			r, err := dev.Estimate(perfmodel.InferSpec{
 				FLOPsPerSample: flopsPerSample,
 				Params:         params,

@@ -17,6 +17,12 @@
 // long as the event multiset is the same — which the pipeline's seeded
 // determinism guarantees. Snapshots sort objectives by name.
 //
+// Memory: an objective keeps runs of equal events, not the events, and
+// folds the runs no window can reach again into whole-run totals, so a
+// server answering millions of requests at one simulated instant keeps
+// one run, and a job whose events carry distinct times keeps the runs of
+// its longest window (at most twice that, between folds).
+//
 // Every method is nil-safe: a nil *Evaluator or nil *Objective no-ops,
 // so disabled SLO accounting costs callers one pointer check.
 package slo
@@ -57,28 +63,83 @@ type Spec struct {
 	BurnThreshold float64
 }
 
-// event is one recorded observation on the simulated clock.
+// event is a run of equal observations on the simulated clock: n > 0
+// counts n good events at t, n < 0 counts −n bad ones. It stays 16 bytes
+// because a tuner's events carry distinct times and never merge.
 type event struct {
-	t    time.Duration
-	good bool
+	t time.Duration
+	n int64
 }
+
+// counts returns how many events the run holds and how many of them are
+// bad.
+func (e event) counts() (n, bad int64) {
+	if e.n < 0 {
+		return -e.n, -e.n
+	}
+	return e.n, 0
+}
+
+// minFold is the run count below which an objective never folds: a
+// small objective keeps every run rather than scan them to save nothing.
+const minFold = 256
 
 // Objective accumulates events for one Spec. Safe for concurrent use.
 type Objective struct {
 	spec Spec
+	span time.Duration // the longest window
 
-	mu     sync.Mutex
-	events []event
+	mu   sync.Mutex
+	runs []event
+	// max is the latest event time recorded. Every snapshot's horizon is
+	// at least max, so a run older than max − span lies before the start
+	// of every window from now on and is folded into oldN and oldBad.
+	max          time.Duration
+	foldAt       int // fold when len(runs) reaches it
+	oldN, oldBad int64
 }
 
-// Record counts one event at simulated time t. A nil objective no-ops.
+// Record counts one event at simulated time t. It extends the last run
+// when t and the verdict match it, and allocates nothing then. A nil
+// objective no-ops.
 func (o *Objective) Record(t time.Duration, good bool) {
 	if o == nil {
 		return
 	}
+	n := int64(1)
+	if !good {
+		n = -1
+	}
 	o.mu.Lock()
-	o.events = append(o.events, event{t: t, good: good})
+	if k := len(o.runs) - 1; k >= 0 && o.runs[k].t == t && (o.runs[k].n > 0) == good {
+		o.runs[k].n += n
+	} else {
+		o.max = max(o.max, t)
+		o.runs = append(o.runs, event{t: t, n: n})
+		if len(o.runs) >= o.foldAt {
+			o.fold()
+		}
+	}
 	o.mu.Unlock()
+}
+
+// fold moves every run older than max − span into the whole-run totals,
+// keeping the rest in order, and sets the next fold at twice the runs
+// kept, so folding costs O(1) per run recorded. The caller holds o.mu.
+func (o *Objective) fold() {
+	line := o.max - o.span
+	kept := o.runs[:0]
+	for _, r := range o.runs {
+		if r.t >= line {
+			kept = append(kept, r)
+			continue
+		}
+		n, bad := r.counts()
+		o.oldN += n
+		o.oldBad += bad
+	}
+	o.runs = kept
+	o.foldAt = max(2*len(kept), minFold)
 }
 
 // Evaluator holds a set of objectives. A nil *Evaluator is a valid
@@ -114,7 +175,10 @@ func (e *Evaluator) Register(spec Spec) *Objective {
 	if o, ok := e.objs[spec.Name]; ok {
 		return o
 	}
-	o := &Objective{spec: spec}
+	o := &Objective{spec: spec, foldAt: minFold, span: spec.Windows[0]}
+	for _, w := range spec.Windows {
+		o.span = max(o.span, w)
+	}
 	e.objs[spec.Name] = o
 	return o
 }
@@ -199,19 +263,15 @@ func (e *Evaluator) Snapshot() Snapshot {
 	// The horizon is global so every objective's windows end at the same
 	// simulated instant.
 	var snap Snapshot
-	copies := make([][]event, len(objs))
+	tallies := make([]tally, len(objs))
 	for i, o := range objs {
 		o.mu.Lock()
-		copies[i] = append([]event(nil), o.events...)
+		tallies[i] = tally{runs: append([]event(nil), o.runs...), events: o.oldN, errors: o.oldBad}
+		snap.Horizon = max(snap.Horizon, o.max)
 		o.mu.Unlock()
-		for _, ev := range copies[i] {
-			if ev.t > snap.Horizon {
-				snap.Horizon = ev.t
-			}
-		}
 	}
 	for i, o := range objs {
-		snap.Objectives = append(snap.Objectives, evaluate(o.spec, copies[i], snap.Horizon))
+		snap.Objectives = append(snap.Objectives, evaluate(o.spec, tallies[i], snap.Horizon))
 	}
 	sort.Slice(snap.Objectives, func(i, j int) bool {
 		return snap.Objectives[i].Name < snap.Objectives[j].Name
@@ -219,21 +279,29 @@ func (e *Evaluator) Snapshot() Snapshot {
 	return snap
 }
 
-// evaluate computes one objective's report from its event multiset.
-func evaluate(spec Spec, events []event, horizon time.Duration) ObjectiveReport {
+// tally is a copy of one objective's counts: its runs, and the events
+// and errors folded out of them.
+type tally struct {
+	runs           []event
+	events, errors int64
+}
+
+// evaluate computes one objective's report from its counts.
+func evaluate(spec Spec, c tally, horizon time.Duration) ObjectiveReport {
 	rep := ObjectiveReport{
 		Name:          spec.Name,
 		Description:   spec.Description,
 		Target:        spec.Target,
 		BurnThreshold: spec.BurnThreshold,
 		GoodFraction:  1,
+		Events:        c.events,
+		Errors:        c.errors,
 	}
 	budget := 1 - spec.Target
-	for _, ev := range events {
-		rep.Events++
-		if !ev.good {
-			rep.Errors++
-		}
+	for _, r := range c.runs {
+		n, bad := r.counts()
+		rep.Events += n
+		rep.Errors += bad
 	}
 	if rep.Events > 0 {
 		errRate := float64(rep.Errors) / float64(rep.Events)
@@ -248,14 +316,13 @@ func evaluate(spec Spec, events []event, horizon time.Duration) ObjectiveReport 
 		}
 		wb := WindowBurn{Window: w}
 		from := horizon - w
-		for _, ev := range events {
-			if ev.t < from {
+		for _, r := range c.runs {
+			if r.t < from {
 				continue
 			}
-			wb.Events++
-			if !ev.good {
-				wb.Errors++
-			}
+			n, bad := r.counts()
+			wb.Events += n
+			wb.Errors += bad
 		}
 		if wb.Events > 0 {
 			wb.ErrorRate = float64(wb.Errors) / float64(wb.Events)

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -255,5 +259,186 @@ func TestWriteTextStable(t *testing.T) {
 	}
 	if x.Len() == 0 || bytes.Index(x.Bytes(), []byte("objective a")) > bytes.Index(x.Bytes(), []byte("objective b")) {
 		t.Errorf("objectives not sorted by name:\n%s", x.String())
+	}
+}
+
+// refEvent and refSnapshot are the evaluator this package had when an
+// objective kept every event, kept as the reference the run counts must
+// reproduce exactly.
+type refEvent struct {
+	t    time.Duration
+	good bool
+}
+
+func refSnapshot(specs []Spec, events [][]refEvent) Snapshot {
+	var snap Snapshot
+	for _, evs := range events {
+		for _, ev := range evs {
+			snap.Horizon = max(snap.Horizon, ev.t)
+		}
+	}
+	for i, spec := range specs {
+		rep := ObjectiveReport{Name: spec.Name, Description: spec.Description, Target: spec.Target,
+			BurnThreshold: spec.BurnThreshold, GoodFraction: 1}
+		budget := 1 - spec.Target
+		for _, ev := range events[i] {
+			rep.Events++
+			if !ev.good {
+				rep.Errors++
+			}
+		}
+		if rep.Events > 0 {
+			errRate := float64(rep.Errors) / float64(rep.Events)
+			rep.GoodFraction = 1 - errRate
+			rep.ErrorBudgetUsed = errRate / budget
+		}
+		rep.Alerting = rep.Events > 0
+		for _, w := range spec.Windows {
+			if w > snap.Horizon {
+				w = snap.Horizon
+			}
+			wb := WindowBurn{Window: w}
+			for _, ev := range events[i] {
+				if ev.t < snap.Horizon-w {
+					continue
+				}
+				wb.Events++
+				if !ev.good {
+					wb.Errors++
+				}
+			}
+			if wb.Events > 0 {
+				wb.ErrorRate = float64(wb.Errors) / float64(wb.Events)
+				wb.BurnRate = wb.ErrorRate / budget
+			}
+			if wb.BurnRate < spec.BurnThreshold {
+				rep.Alerting = false
+			}
+			rep.Windows = append(rep.Windows, wb)
+		}
+		snap.Objectives = append(snap.Objectives, rep)
+	}
+	sort.Slice(snap.Objectives, func(i, j int) bool { return snap.Objectives[i].Name < snap.Objectives[j].Name })
+	return snap
+}
+
+// randomStream draws n events ending near horizon: runs of repeated
+// times and verdicts, distinct rising times, and out-of-order times —
+// some far enough back to land below the fold line of a folded
+// objective.
+func randomStream(rng *rand.Rand, n int, horizon time.Duration) []refEvent {
+	out := make([]refEvent, 0, n)
+	var t time.Duration
+	good := true
+	for i := 0; i < n; i++ {
+		at := t
+		switch r := rng.Intn(10); {
+		case r < 4: // repeat the last time (and, mostly, the verdict)
+		case r < 8:
+			t = min(t+time.Duration(rng.Int63n(int64(5*horizon/time.Duration(n))+1)), horizon)
+			at = t
+		default: // out of order: anywhere back to the start of the run
+			at = time.Duration(rng.Int63n(int64(t) + 1))
+		}
+		if rng.Intn(4) == 0 {
+			good = rng.Intn(5) != 0
+		}
+		out = append(out, refEvent{t: at, good: good})
+	}
+	return out
+}
+
+// TestSnapshotMatchesEventList: on seeded random streams, a snapshot
+// of the run counts equals, field for field, the evaluation of the full
+// event list — before and after folds, at horizons shorter and longer
+// than the 30-minute window, for two objectives whose latest events lie
+// apart, and with four goroutines recording at once.
+func TestSnapshotMatchesEventList(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, horizon := range []time.Duration{10 * time.Minute, 5 * time.Hour} {
+			rng := rand.New(rand.NewSource(seed))
+			e := NewEvaluator()
+			objs := []*Objective{
+				e.Register(Spec{Name: "a", Target: 0.95, BurnThreshold: 2}),
+				e.Register(Spec{Name: "b", Target: 0.9, Windows: []time.Duration{time.Minute, 10 * time.Minute}, BurnThreshold: 1.5}),
+			}
+			// b's events end at a third of a's horizon.
+			streams := [][]refEvent{randomStream(rng, 6000, horizon), randomStream(rng, 6000, horizon/3)}
+			specs := []Spec{objs[0].spec, objs[1].spec}
+
+			// Single goroutine, snapshotting along the way.
+			for k := 1; k <= 4; k++ {
+				lo, hi := (k-1)*len(streams[0])/4, k*len(streams[0])/4
+				for i := range objs {
+					for _, ev := range streams[i][lo:hi] {
+						objs[i].Record(ev.t, ev.good)
+					}
+				}
+				want := refSnapshot(specs, [][]refEvent{streams[0][:hi], streams[1][:hi]})
+				if got := e.Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d horizon %v part %d:\n got %+v\nwant %+v", seed, horizon, k, got, want)
+				}
+			}
+			if horizon > 30*time.Minute && objs[0].oldN == 0 {
+				t.Fatalf("seed %d: a %v stream of %d events never folded", seed, horizon, len(streams[0]))
+			}
+
+			// The same streams from four goroutines at once.
+			e2 := NewEvaluator()
+			objs2 := []*Objective{e2.Register(specs[0]), e2.Register(specs[1])}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i, o := range objs2 {
+						for j := g; j < len(streams[i]); j += 4 {
+							o.Record(streams[i][j].t, streams[i][j].good)
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if got, want := e2.Snapshot(), refSnapshot(specs, streams); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d horizon %v, four recorders:\n got %+v\nwant %+v", seed, horizon, got, want)
+			}
+		}
+	}
+}
+
+// TestObjectiveMemoryBounded: events at one instant keep one run,
+// however many; events at rising times keep the runs of the longest
+// window, at most twice over.
+func TestObjectiveMemoryBounded(t *testing.T) {
+	e := NewEvaluator()
+	hits := e.Register(Spec{Name: "hits", Target: 0.99})
+	for i := 0; i < 2_000_000; i++ {
+		hits.Record(0, true)
+	}
+	if len(hits.runs) != 1 {
+		t.Errorf("2M events at t=0 keep %d runs, want 1", len(hits.runs))
+	}
+
+	const n, across = 1_000_000, 10 * time.Hour
+	jobs := e.Register(Spec{Name: "jobs", Target: 0.99})
+	for i := 0; i < n; i++ {
+		jobs.Record(time.Duration(i)*(across/n), i%3 != 0)
+	}
+	inSpan := int(30 * time.Minute / (across / n))
+	if len(jobs.runs) > 2*inSpan || cap(jobs.runs) > 4*inSpan {
+		t.Errorf("1M rising events keep %d runs (cap %d), want at most %d: two 30-minute windows' worth",
+			len(jobs.runs), cap(jobs.runs), 2*inSpan)
+	}
+	rep, _ := e.Snapshot().Objective("jobs")
+	if rep.Events != n || rep.Errors != (n+2)/3 {
+		t.Errorf("folded totals = %d events / %d errors, want %d / %d", rep.Events, rep.Errors, n, (n+2)/3)
+	}
+}
+
+func TestRecordRepeatedAllocatesNothing(t *testing.T) {
+	o := NewEvaluator().Register(Spec{Name: "r", Target: 0.99})
+	o.Record(time.Minute, false)
+	if allocs := testing.AllocsPerRun(1000, func() { o.Record(time.Minute, false) }); allocs != 0 {
+		t.Errorf("Record on a repeated (t, good) allocates %v times, want 0", allocs)
 	}
 }

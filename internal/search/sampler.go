@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -23,9 +24,13 @@ type Observation struct {
 type Sampler interface {
 	// Name identifies the strategy ("random", "grid", "bohb").
 	Name() string
-	// Sample proposes one configuration. The map is the caller's: no
-	// sampler keeps or reuses it.
+	// Sample proposes one configuration in a fresh map, the caller's.
 	Sample() Config
+	// SampleInto proposes the configuration Sample would, into dst: it
+	// sets every parameter of the space and leaves other keys alone. The
+	// sampler does not retain dst, so a caller reusing one map per
+	// search allocates nothing per proposal.
+	SampleInto(dst Config)
 	// Observe feeds back a completed trial result. The sampler does not
 	// retain obs.Config.
 	Observe(obs Observation)
@@ -68,9 +73,16 @@ func (r *RandomSampler) Name() string { return "random" }
 
 // Sample draws a uniform configuration.
 func (r *RandomSampler) Sample() Config {
+	cfg := make(Config, r.space.Dim())
+	r.SampleInto(cfg)
+	return cfg
+}
+
+// SampleInto draws a uniform configuration into dst.
+func (r *RandomSampler) SampleInto(dst Config) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.space.Sample(r.rng)
+	r.space.SampleInto(r.rng, dst)
 }
 
 // Observe is a no-op: random search does not learn.
@@ -144,11 +156,17 @@ func (g *GridSampler) Name() string { return "grid" }
 
 // Sample returns the next lattice point, cycling at the end.
 func (g *GridSampler) Sample() Config {
+	cfg := make(Config, len(g.grid[0]))
+	g.SampleInto(cfg)
+	return cfg
+}
+
+// SampleInto copies the next lattice point into dst, cycling at the end.
+func (g *GridSampler) SampleInto(dst Config) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cfg := g.grid[g.next%len(g.grid)]
+	maps.Copy(dst, g.grid[g.next%len(g.grid)])
 	g.next++
-	return cfg.Clone()
 }
 
 // Observe is a no-op: grid search does not learn.
@@ -182,7 +200,8 @@ func (g *GridSampler) Size() int { return len(g.grid) }
 //
 // The model is incremental and owns its buffers (DESIGN.md §4.16):
 // Observe encodes a configuration to its unit point once, into a flat
-// arena, and a warm Sample allocates nothing but the Config it returns.
+// arena, and a warm SampleInto allocates nothing; Sample allocates only
+// the Config it returns.
 type TPESampler struct {
 	mu    sync.Mutex
 	space *Space
@@ -283,19 +302,29 @@ func (t *TPESampler) ObservationCount() int {
 	return len(t.scores)
 }
 
-// Sample proposes the next configuration: random until warm, then the
-// best of nCandidates draws from the good-density l(x) scored by
-// l(x)/g(x). Only the winner is decoded: FromUnit is pure and draws no
-// randomness, so deferring it leaves the RNG stream untouched.
+// Sample proposes the next configuration in a fresh map.
 func (t *TPESampler) Sample() Config {
+	cfg := make(Config, t.space.Dim())
+	t.SampleInto(cfg)
+	return cfg
+}
+
+// SampleInto proposes the next configuration into dst: random until
+// warm, then the best of nCandidates draws from the good-density l(x)
+// scored by l(x)/g(x). Only the winner is decoded: FromUnitInto is pure
+// and draws no randomness, so deferring it leaves the RNG stream
+// untouched.
+func (t *TPESampler) SampleInto(dst Config) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.scores) < t.minObs {
-		return t.space.Sample(t.rng)
+		t.space.SampleInto(t.rng, dst)
+		return
 	}
 	good, bad := t.split()
 	if len(good) == 0 || len(bad) == 0 {
-		return t.space.Sample(t.rng)
+		t.space.SampleInto(t.rng, dst)
+		return
 	}
 	bestRatio := math.Inf(-1)
 	for i := 0; i < t.nCandidates; i++ {
@@ -306,10 +335,10 @@ func (t *TPESampler) Sample() Config {
 		}
 	}
 	if math.IsInf(bestRatio, -1) { // no candidate had a usable density ratio
-		return t.space.Sample(t.rng)
+		t.space.SampleInto(t.rng, dst)
+		return
 	}
-	cfg, _ := t.space.FromUnit(t.best) // len(best) == Dim by construction
-	return cfg
+	_ = t.space.FromUnitInto(t.best, dst) // len(best) == Dim by construction
 }
 
 // tier returns the largest budget with at least minObs observations, so

@@ -249,3 +249,43 @@ func sameConfig(a, b Config) bool {
 	}
 	return true
 }
+
+// TestSampleIntoMatchesSample: for every sampler, SampleInto into one
+// reused map proposes bit for bit what Sample proposes in fresh maps,
+// draw for draw, with the same observations fed to both in between.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	space := mixedSpace(t)
+	mk := map[string]func() Sampler{
+		"random": func() Sampler { return NewRandomSampler(space, 11) },
+		"halton": func() Sampler { return NewHaltonSampler(space, 11) },
+		"bohb":   func() Sampler { return NewTPESampler(space, 11, TPEOptions{MinObservations: 6}) },
+		"grid": func() Sampler {
+			g, err := NewGridSampler(space, 4, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+	}
+	for name, fresh := range mk {
+		t.Run(name, func(t *testing.T) {
+			a, b := fresh(), fresh()
+			dst := Config{}
+			for i := 0; i < 200; i++ {
+				want := a.Sample()
+				b.SampleInto(dst)
+				if len(dst) != len(want) {
+					t.Fatalf("draw %d: SampleInto set %v, Sample %v", i, dst, want)
+				}
+				for k, v := range want {
+					if got, ok := dst[k]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("draw %d: %s = %v by SampleInto, %v by Sample", i, k, got, v)
+					}
+				}
+				o := Observation{Config: want, Score: want["freq"]*want["cores"] + float64(i%3), Budget: 1}
+				a.Observe(o)
+				b.Observe(o)
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ type HaltonSampler struct {
 	space *Space
 	index int
 	bases []int
+	u     []float64 // decode scratch
 }
 
 // first primes used as Halton bases; spaces wider than this fall back
@@ -35,6 +36,7 @@ func NewHaltonSampler(space *Space, seed uint64) *HaltonSampler {
 		// Skip the degenerate early prefix and decorrelate seeds.
 		index: 20 + int(seed%1000),
 		bases: bases,
+		u:     make([]float64, len(bases)),
 	}
 }
 
@@ -43,22 +45,20 @@ func (h *HaltonSampler) Name() string { return "halton" }
 
 // Sample returns the next low-discrepancy point mapped into the space.
 func (h *HaltonSampler) Sample() Config {
-	h.mu.Lock()
-	idx := h.index
-	h.index++
-	h.mu.Unlock()
-
-	u := make([]float64, h.space.Dim())
-	for d := range u {
-		u[d] = radicalInverse(idx, h.bases[d])
-	}
-	cfg, err := h.space.FromUnit(u)
-	if err != nil {
-		// FromUnit only fails on dimension mismatch, which cannot
-		// happen here; return an empty config defensively.
-		return Config{}
-	}
+	cfg := make(Config, h.space.Dim())
+	h.SampleInto(cfg)
 	return cfg
+}
+
+// SampleInto decodes the next low-discrepancy point into dst.
+func (h *HaltonSampler) SampleInto(dst Config) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for d := range h.u {
+		h.u[d] = radicalInverse(h.index, h.bases[d])
+	}
+	h.index++
+	_ = h.space.FromUnitInto(h.u, dst) // len(u) == Dim by construction
 }
 
 // Observe is a no-op: quasi-random search does not learn.

@@ -222,10 +222,17 @@ func (s *Space) Dim() int { return len(s.params) }
 // Sample draws a uniform configuration.
 func (s *Space) Sample(rng *sim.RNG) Config {
 	cfg := make(Config, len(s.params))
-	for _, p := range s.params {
-		cfg[p.Name] = p.Sample(rng)
-	}
+	s.SampleInto(rng, cfg)
 	return cfg
+}
+
+// SampleInto draws a uniform configuration into dst, setting every
+// parameter in declaration order (the order Sample draws in). Other
+// keys of dst are left alone.
+func (s *Space) SampleInto(rng *sim.RNG, dst Config) {
+	for _, p := range s.params {
+		dst[p.Name] = p.Sample(rng)
+	}
 }
 
 // ToUnit encodes a configuration as a point in the unit hypercube,
@@ -240,14 +247,23 @@ func (s *Space) ToUnit(cfg Config) []float64 {
 
 // FromUnit decodes a unit-hypercube point into a configuration.
 func (s *Space) FromUnit(u []float64) (Config, error) {
-	if len(u) != len(s.params) {
-		return nil, fmt.Errorf("search: unit point dim %d != space dim %d", len(u), len(s.params))
-	}
 	cfg := make(Config, len(s.params))
-	for i, p := range s.params {
-		cfg[p.Name] = p.FromUnit(u[i])
+	if err := s.FromUnitInto(u, cfg); err != nil {
+		return nil, err
 	}
 	return cfg, nil
+}
+
+// FromUnitInto decodes a unit-hypercube point into dst, setting every
+// parameter. Other keys of dst are left alone.
+func (s *Space) FromUnitInto(u []float64, dst Config) error {
+	if len(u) != len(s.params) {
+		return fmt.Errorf("search: unit point dim %d != space dim %d", len(u), len(s.params))
+	}
+	for i, p := range s.params {
+		dst[p.Name] = p.FromUnit(u[i])
+	}
+	return nil
 }
 
 // Contains reports whether cfg assigns a valid value to every parameter

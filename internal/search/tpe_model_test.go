@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"testing"
@@ -321,21 +322,44 @@ func TestTPEWarmSampleAllocatesOnlyItsConfig(t *testing.T) {
 	}
 }
 
+// TestTPEWarmSampleIntoAllocatesNothing: a warm model proposes into the
+// caller's map with no allocation at all.
+func TestTPEWarmSampleIntoAllocatesNothing(t *testing.T) {
+	space := mixedSpace(t)
+	tpe := NewTPESampler(space, 3, TPEOptions{})
+	rng := sim.NewRNG(4)
+	for i := 0; i < 60; i++ {
+		tpe.Observe(Observation{Config: space.Sample(rng), Score: float64(i % 7), Budget: float64(1 + i%3)})
+	}
+	dst := tpe.Sample() // size the split scratch; dst holds every key
+	if allocs := testing.AllocsPerRun(50, func() { tpe.SampleInto(dst) }); allocs != 0 {
+		t.Errorf("warm SampleInto allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestTPESearchLoopAllocationBudget runs the loop the inference server's
-// tuneCore runs per cache miss — 24 × (Sample, score, Observe) on a fresh
-// sampler — and holds it to: one Config per proposal, plus the sampler
-// itself (struct, RNG, arena, scratch; 8 allocations today, 10 allowed).
+// tuneCore runs per cache miss — 24 × (SampleInto, score, Observe) on a
+// fresh sampler — and holds it to: two Configs (the proposal scratch and
+// the incumbent's), plus the sampler itself (struct, RNG, arena,
+// scratch; 8 allocations today, 10 allowed).
 func TestTPESearchLoopAllocationBudget(t *testing.T) {
 	space := mixedSpace(t)
 	const trials = 24
 	search := func() {
 		tpe := NewTPESampler(space, 9, TPEOptions{})
+		cfg, best := make(Config, space.Dim()), make(Config, space.Dim())
+		bestScore := math.Inf(1)
 		for i := 0; i < trials; i++ {
-			cfg := tpe.Sample()
-			tpe.Observe(Observation{Config: cfg, Score: cfg["freq"] * cfg["cores"], Budget: 1})
+			tpe.SampleInto(cfg)
+			score := cfg["freq"] * cfg["cores"]
+			tpe.Observe(Observation{Config: cfg, Score: score, Budget: 1})
+			if score < bestScore {
+				bestScore = score
+				maps.Copy(best, cfg)
+			}
 		}
 	}
-	budget := trials*configAllocs(space) + 10
+	budget := 2*configAllocs(space) + 10
 	if allocs := testing.AllocsPerRun(20, search); allocs > budget {
 		t.Errorf("a %d-trial search allocates %.1f times, budget %.0f", trials, allocs, budget)
 	}
