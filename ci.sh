@@ -71,6 +71,10 @@ surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
 surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 12
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
 surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 54
+# A report section the pipeline already snapshots is that snapshot (a
+# type alias), not a public struct copying it field for field.
+surface "edgetune exported structs" \
+    "$(ls *.go | grep -v '_test\.go$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct')" 19
 # The same ratchet for a fork that was closed: a hot loop is declared
 # once, in internal/hotloop's table, and measured only through it — so
 # nothing else outside bench/ builds a loop around prof.Measure, and

@@ -203,21 +203,12 @@ func (c *Cluster) Shards() []string { return c.inner.Shards() }
 
 // Metrics snapshots the dispatcher's cluster-level instruments: job
 // routing, failovers, WAL shipping, and per-tenant quota rejections.
-func (c *Cluster) Metrics() MetricsReport {
-	return buildMetricsReport(c.reg.Snapshot())
-}
+func (c *Cluster) Metrics() MetricsReport { return c.reg.Snapshot() }
 
 // ShardMetrics snapshots each shard's store instruments, keyed by shard
 // name — the same per-shard series the debug endpoint's merged
 // /metrics/prom labels with shard="<name>".
-func (c *Cluster) ShardMetrics() map[string]MetricsReport {
-	shards := c.inner.ShardMetrics()
-	out := make(map[string]MetricsReport, len(shards))
-	for name, snap := range shards {
-		out[name] = buildMetricsReport(snap)
-	}
-	return out
-}
+func (c *Cluster) ShardMetrics() map[string]MetricsReport { return c.inner.ShardMetrics() }
 
 // SLO evaluates the cluster's service-level objectives (currently the
 // tenant-admission objective).

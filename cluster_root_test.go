@@ -3,6 +3,7 @@ package edgetune
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"edgetune/internal/testutil"
@@ -52,14 +53,15 @@ func TestClusterTuneMatchesSingleNode(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	var failovers int64 = -1
-	for _, ctr := range c.Metrics().Counters {
-		if ctr.Name == "cluster.failovers" {
-			failovers = ctr.Value
-		}
+	m := c.Metrics()
+	if got := m.Counter("cluster.failovers"); got != 1 {
+		t.Errorf("cluster.failovers = %d, want 1", got)
 	}
-	if failovers != 1 {
-		t.Errorf("cluster.failovers = %d, want 1", failovers)
+	// Metrics is the dispatcher registry's own snapshot — the same
+	// cluster.failovers and every other instrument — not a copy that
+	// could drop or rename one.
+	if reg := c.reg.Snapshot(); !reflect.DeepEqual(m, reg) {
+		t.Errorf("Cluster.Metrics() = %+v, dispatcher registry snapshot = %+v", m, reg)
 	}
 }
 

@@ -321,52 +321,37 @@ func (f FaultConfig) toInternal() fault.Config {
 	}
 }
 
-// FaultCount reports how often one injected fault class fired.
-type FaultCount struct {
-	Class string
-	Count int64
-}
+// The report sections below are the pipeline's own snapshot types, so
+// Report.Metrics, Report.Resilience and Report.StoreRecovery encode in
+// the camelCase JSON that /metrics.json, /slo and every incident dossier
+// use.
+type (
+	// ResilienceReport is a job's fault-tolerance accounting: injected
+	// faults by class, retries, breaker transitions, degraded outcomes,
+	// resumed rungs, and the serving layer's admission, hedging,
+	// quarantine and drain counters.
+	ResilienceReport = counters.ResilienceSnapshot
+	// FaultCount is how often one injected fault class fired.
+	FaultCount = counters.FaultCount
 
-// ResilienceReport aggregates a job's fault-tolerance accounting.
-type ResilienceReport struct {
-	// TotalFaults counts every injected fault, with Faults breaking the
-	// total down by class.
-	TotalFaults int64
-	Faults      []FaultCount
-	// Retries counts re-run training trials and re-submitted inference
-	// requests.
-	Retries int64
-	// Breaker transition counts for the inference server's per-device
-	// circuit breaker.
-	BreakerOpens     int64
-	BreakerHalfOpens int64
-	BreakerCloses    int64
-	// Degraded counts outcomes served from fallbacks (historical store
-	// or performance-model estimate) instead of live inference tuning.
-	Degraded int64
-	// ResumedRungs counts successive-halving rungs restored from a
-	// checkpoint instead of re-run.
-	ResumedRungs int64
-	// Shed and RateLimited count inference submissions rejected by the
-	// server's admission control (queue overflow or injected overload
-	// bursts, and per-client token-bucket rejections); Preempted counts
-	// queued background requests evicted for critical ones.
-	Shed        int64
-	RateLimited int64
-	Preempted   int64
-	// Hedges counts speculative re-issues to a second pool device when
-	// the primary straggled past its perfmodel-derived deadline;
-	// HedgeWins counts hedges whose result arrived first.
-	Hedges    int64
-	HedgeWins int64
-	// Quarantines counts devices pulled from routing on collapsed
-	// health scores; Probes counts the recovery requests routed to
-	// quarantined devices.
-	Quarantines int64
-	Probes      int64
-	// Drained counts requests completed during a graceful shutdown.
-	Drained int64
-}
+	// MetricsReport is a job's metrics snapshot, sorted by name within
+	// each kind so serialisations are byte-stable across same-seed runs.
+	MetricsReport = obs.Snapshot
+	// MetricCounter is one named counter of a metrics report.
+	MetricCounter = obs.CounterStat
+	// MetricGauge is one named gauge of a metrics report.
+	MetricGauge = obs.GaugeStat
+	// MetricHistogram is one histogram of a metrics report, with
+	// pre-computed quantiles.
+	MetricHistogram = obs.HistogramStat
+	// MetricBucket is one histogram bucket: the count of observations at
+	// or below the upper bound ("+Inf" for the overflow bucket).
+	MetricBucket = obs.BucketStat
+
+	// StoreRecovery reports a durable store's crash-recovery salvage: how
+	// the state was reconstructed and what could not be kept.
+	StoreRecovery = store.RecoveryReport
+)
 
 // InferenceRecommendation is the deployment configuration EdgeTune
 // outputs alongside the tuned model (§3.1).
@@ -540,26 +525,6 @@ type AutoscaleReport struct {
 	Digest string
 }
 
-// StoreRecovery reports a durable store's crash-recovery salvage: how
-// the state was reconstructed and what could not be kept.
-type StoreRecovery struct {
-	// SnapshotSource is which snapshot generation seeded the state:
-	// "snapshot", "previous" (the compaction fallback), or "none".
-	SnapshotSource string
-	// SnapshotQuarantined marks a corrupt snapshot moved aside to
-	// .quarantine rather than deleted.
-	SnapshotQuarantined bool
-	// RecordsReplayed counts WAL records applied over the snapshot;
-	// RecordsQuarantined counts corrupt records preserved in the
-	// .quarantine sidecar; TruncatedBytes is the torn tail cut off.
-	RecordsReplayed    int
-	RecordsQuarantined int
-	TruncatedBytes     int64
-	// Entries and Checkpoints are the recovered logical state.
-	Entries     int
-	Checkpoints int
-}
-
 // SLOWindowBurn is one alert window's burn evaluation.
 type SLOWindowBurn struct {
 	// WindowMinutes is the window length in simulated minutes (clamped
@@ -603,48 +568,6 @@ type SLOReport struct {
 	Objectives     []SLOObjective
 	// Alerting reports whether any objective's burn-rate alert fires.
 	Alerting bool
-}
-
-// MetricCounter is one named counter of a metrics report.
-type MetricCounter struct {
-	Name  string
-	Value int64
-}
-
-// MetricGauge is one named gauge of a metrics report.
-type MetricGauge struct {
-	Name  string
-	Value float64
-}
-
-// MetricBucket is one histogram bucket: the count of observations at
-// or below the upper bound ("+Inf" for the overflow bucket).
-type MetricBucket struct {
-	LE    string
-	Count int64
-}
-
-// MetricHistogram is one histogram of a metrics report, with
-// pre-computed quantiles. Min, Max, and Sum cover finite observations.
-type MetricHistogram struct {
-	Name    string
-	Count   int64
-	Sum     float64
-	Min     float64
-	Max     float64
-	P50     float64
-	P95     float64
-	P99     float64
-	Buckets []MetricBucket
-}
-
-// MetricsReport is the public mirror of the job's metrics snapshot,
-// sorted by name within each kind so serialisations are byte-stable
-// across same-seed runs.
-type MetricsReport struct {
-	Counters   []MetricCounter
-	Gauges     []MetricGauge
-	Histograms []MetricHistogram
 }
 
 // coreOptions resolves the job's workload and device and builds the
@@ -833,7 +756,7 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	rep := buildReport(res)
 	rep.Profile = probes
 	if dur != nil {
-		sr := StoreRecovery(dur.Recovery())
+		sr := dur.Recovery()
 		rep.StoreRecovery = &sr
 	}
 	if job.IncidentsDir != "" && len(res.Incidents) > 0 {
@@ -864,8 +787,8 @@ func buildReport(res core.Result) *Report {
 		CacheMisses:    res.CacheMisses,
 
 		RecommendationDegraded: res.RecommendationDegraded,
-		Resilience:             buildResilienceReport(res.Resilience),
-		Metrics:                buildMetricsReport(res.Metrics),
+		Resilience:             res.Resilience,
+		Metrics:                res.Metrics,
 		SLO:                    buildSLOReport(res.SLO),
 	}
 	for _, d := range res.Incidents {
@@ -919,51 +842,6 @@ func recommendationOf(e store.Entry) InferenceRecommendation {
 		EnergyPerSampleJ: e.EnergyPerSampleJ,
 		LatencySeconds:   e.LatencySeconds,
 	}
-}
-
-func buildResilienceReport(s counters.ResilienceSnapshot) ResilienceReport {
-	r := ResilienceReport{
-		TotalFaults:      s.TotalFaults,
-		Retries:          s.Retries,
-		BreakerOpens:     s.BreakerOpens,
-		BreakerHalfOpens: s.BreakerHalfOpens,
-		BreakerCloses:    s.BreakerCloses,
-		Degraded:         s.Degraded,
-		ResumedRungs:     s.ResumedRungs,
-		Shed:             s.Shed,
-		RateLimited:      s.RateLimited,
-		Preempted:        s.Preempted,
-		Hedges:           s.Hedges,
-		HedgeWins:        s.HedgeWins,
-		Quarantines:      s.Quarantines,
-		Probes:           s.Probes,
-		Drained:          s.Drained,
-	}
-	for _, f := range s.Faults {
-		r.Faults = append(r.Faults, FaultCount{Class: f.Class, Count: f.Count})
-	}
-	return r
-}
-
-func buildMetricsReport(s obs.Snapshot) MetricsReport {
-	var r MetricsReport
-	for _, c := range s.Counters {
-		r.Counters = append(r.Counters, MetricCounter{Name: c.Name, Value: c.Value})
-	}
-	for _, g := range s.Gauges {
-		r.Gauges = append(r.Gauges, MetricGauge{Name: g.Name, Value: g.Value})
-	}
-	for _, h := range s.Histograms {
-		mh := MetricHistogram{
-			Name: h.Name, Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-			P50: h.P50, P95: h.P95, P99: h.P99,
-		}
-		for _, b := range h.Buckets {
-			mh.Buckets = append(mh.Buckets, MetricBucket{LE: b.LE, Count: b.Count})
-		}
-		r.Histograms = append(r.Histograms, mh)
-	}
-	return r
 }
 
 func buildSLOReport(s slo.Snapshot) SLOReport {

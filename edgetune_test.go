@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"edgetune/internal/store"
@@ -361,5 +362,79 @@ func TestReportDeterministic(t *testing.T) {
 	a, b := marshal(), marshal()
 	if !bytes.Equal(a, b) {
 		t.Errorf("same-seed reports differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestReportJSONRoundTrip: a report with every snapshot section filled —
+// faults, a recovered durable store, resumed checkpoints — survives
+// json.Marshal and json.Unmarshal unchanged, so a saved -json report
+// reloads as the value the run returned.
+func TestReportJSONRoundTrip(t *testing.T) {
+	job := chaosJob()
+	job.Faults.StoreWrite = 0.1
+	job.StorePath = filepath.Join(t.TempDir(), "history.json")
+	job.Checkpoint = true
+	var rep *Report
+	for run := 0; run < 2; run++ { // the second run recovers the first's store
+		var err error
+		if rep, err = Tune(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sr := rep.StoreRecovery; sr == nil || sr.Entries == 0 || sr.Checkpoints == 0 ||
+		rep.Resilience.TotalFaults == 0 || rep.Resilience.ResumedRungs == 0 ||
+		len(rep.Metrics.Counters) == 0 || len(rep.Metrics.Gauges) == 0 || len(rep.Metrics.Histograms) == 0 {
+		t.Fatalf("the job left a report section empty: %+v", rep)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, rep) {
+		t.Errorf("report changed through JSON:\n got %+v\nwant %+v", back, *rep)
+	}
+}
+
+// TestReportDecodesEarlierSpelling: reports written before the snapshot
+// sections took their camelCase tags spelled every key as its Go field
+// name; the decoder matches keys case-insensitively, so they still load.
+func TestReportDecodesEarlierSpelling(t *testing.T) {
+	const earlier = `{
+		"Workload": "IC",
+		"Metrics": {
+			"Counters": [{"Name": "trial.runs", "Value": 12}],
+			"Gauges": [{"Name": "core.best_accuracy", "Value": 0.75}],
+			"Histograms": [{"Name": "trial.minutes", "Count": 3, "P50": 1.5,
+				"Buckets": [{"LE": "+Inf", "Count": 3}]}]
+		},
+		"Resilience": {"TotalFaults": 5, "Retries": 2,
+			"Faults": [{"Class": "trial-crash", "Count": 3}, {"Class": "straggler", "Count": 2}]},
+		"StoreRecovery": {"SnapshotSource": "previous", "RecordsReplayed": 4, "Entries": 7, "Checkpoints": 1}
+	}`
+	var rep Report
+	if err := json.Unmarshal([]byte(earlier), &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := Report{
+		Workload: "IC",
+		Metrics: MetricsReport{
+			Counters: []MetricCounter{{Name: "trial.runs", Value: 12}},
+			Gauges:   []MetricGauge{{Name: "core.best_accuracy", Value: 0.75}},
+			Histograms: []MetricHistogram{{Name: "trial.minutes", Count: 3, P50: 1.5,
+				Buckets: []MetricBucket{{LE: "+Inf", Count: 3}}}},
+		},
+		Resilience: ResilienceReport{TotalFaults: 5, Retries: 2,
+			Faults: []FaultCount{{Class: "trial-crash", Count: 3}, {Class: "straggler", Count: 2}}},
+		StoreRecovery: &StoreRecovery{SnapshotSource: "previous", RecordsReplayed: 4, Entries: 7, Checkpoints: 1},
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Errorf("decoded %+v\nwant    %+v", rep, want)
+	}
+	if rep.Metrics.Counter("trial.runs") != 12 || rep.Resilience.FaultCount("straggler") != 2 {
+		t.Error("the snapshot lookups do not see the decoded values")
 	}
 }

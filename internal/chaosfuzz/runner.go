@@ -271,11 +271,7 @@ func (r *Runner) runCluster(s Schedule, dir string, jobPlan, clusterPlan *fault.
 	if cerr := cl.Close(); cerr != nil && out.RunErr == nil {
 		out.RunErr = fmt.Errorf("close cluster: %w", cerr)
 	}
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == "cluster.tenant.rejected."+fuzzTenant {
-			out.Rejected = c.Value
-		}
-	}
+	out.Rejected = reg.Snapshot().Counter("cluster.tenant.rejected." + fuzzTenant)
 	out.ClusterSLO = ev.Snapshot()
 	out.Scrubs = scrubReplicas(dir, []string{
 		"shard0/primary", "shard0/follower",

@@ -31,7 +31,7 @@ func tokens(n, steps, vocab int, rng *sim.RNG) *tensor.Matrix {
 	return x
 }
 
-// everyLayerNets builds, from one seed, the three stacks that between
+// everyLayerNets builds, from one seed, the two stacks that between
 // them hold every buffer-owning layer (Dropout aside: its RNG stream
 // would tell the two runs of the tests below apart).
 func everyLayerNets(t *testing.T, seed uint64) []*Network {
@@ -41,14 +41,9 @@ func everyLayerNets(t *testing.T, seed uint64) []*Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnn, err := NewSimpleRNN(11, 6, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stacks := [][]Layer{
 		{NewDense(5, 6, rng), NewLayerNorm(6), NewReLU(), NewResidual(6, rng), NewTanh(), NewDense(6, 3, rng)},
 		{emb, NewDense(6, 3, rng)},
-		{rnn, NewDense(6, 3, rng)},
 	}
 	nets := make([]*Network, len(stacks))
 	for i, ls := range stacks {
@@ -291,7 +286,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 		}
 		batches := map[int]*tensor.Matrix{}
 		for _, n := range []int{12, 5, 9} {
-			if batches[n] = tensor.Randn(n, 5, 1, rng); i == 1 || i == 2 {
+			if batches[n] = tensor.Randn(n, 5, 1, rng); i == 1 {
 				batches[n] = tokens(n, 4, 11, rng)
 			}
 		}

@@ -16,11 +16,12 @@ func TestNewEmbeddingValidation(t *testing.T) {
 	if _, err := NewEmbedding(4, 0, rng); err == nil {
 		t.Error("zero dim accepted")
 	}
-	if _, err := NewSimpleRNN(0, 4, rng); err == nil {
-		t.Error("rnn zero vocab accepted")
+	e, err := NewEmbedding(10, 6, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewSimpleRNN(4, 0, rng); err == nil {
-		t.Error("rnn zero hidden accepted")
+	if e.OutDim(0) != 6 || e.FLOPsPerSample() != 6 || len(e.Params()) != 1 {
+		t.Error("embedding metadata wrong")
 	}
 }
 
@@ -102,103 +103,6 @@ func TestEmbeddingGradientCheck(t *testing.T) {
 	}
 }
 
-func TestSimpleRNNGradientCheck(t *testing.T) {
-	rng := sim.NewRNG(7)
-	rnn, err := NewSimpleRNN(6, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := NewDense(5, 3, rng)
-	net, err := NewNetwork(rnn, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := tensor.FromSlice(2, 4, []float64{0, 1, 2, 3, 4, 5, 1, 0})
-	labels := []int{0, 2}
-
-	lossAt := func() float64 {
-		logits := net.Forward(x, false)
-		loss, _, err := SoftmaxCrossEntropy(logits, labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loss
-	}
-	net.ZeroGrad()
-	logits := net.Forward(x, true)
-	_, grad, err := SoftmaxCrossEntropy(logits, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Backward(grad)
-
-	const eps = 1e-5
-	for pi, p := range rnn.Params() {
-		for _, i := range []int{0, len(p.W.Data) / 2, len(p.W.Data) - 1} {
-			orig := p.W.Data[i]
-			p.W.Data[i] = orig + eps
-			lp := lossAt()
-			p.W.Data[i] = orig - eps
-			lm := lossAt()
-			p.W.Data[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if math.Abs(numeric-p.Grad.Data[i]) > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("rnn param %d idx %d: numeric %v vs analytic %v", pi, i, numeric, p.Grad.Data[i])
-			}
-		}
-	}
-}
-
-// TestRNNLearnsOrderSensitiveTask: the class depends on token ORDER, so
-// only a recurrent model (not a bag of words) can solve it.
-func TestRNNLearnsOrderSensitiveTask(t *testing.T) {
-	rng := sim.NewRNG(11)
-	const (
-		vocab = 4
-		seq   = 6
-		n     = 300
-	)
-	x := tensor.New(n, seq)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < seq; j++ {
-			x.Set(i, j, float64(rng.Intn(vocab)))
-		}
-		// Label: does token 0 appear before token 1 (first occurrences)?
-		first0, first1 := seq, seq
-		for j := 0; j < seq; j++ {
-			tok := int(x.At(i, j))
-			if tok == 0 && first0 == seq {
-				first0 = j
-			}
-			if tok == 1 && first1 == seq {
-				first1 = j
-			}
-		}
-		if first0 < first1 {
-			labels[i] = 1
-		}
-	}
-
-	rnn, err := NewSimpleRNN(vocab, 16, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := NewDense(16, 2, rng)
-	net, err := NewNetwork(rnn, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Train(net, x, labels, TrainConfig{
-		Epochs: 60, BatchSize: 32, LR: 0.05, Momentum: 0.9, Shuffle: true,
-	}, rng); err != nil {
-		t.Fatal(err)
-	}
-	if acc := net.Accuracy(x, labels); acc < 0.85 {
-		t.Errorf("order-sensitive accuracy %.3f, want >= 0.85 (recurrence must carry order)", acc)
-	}
-}
-
 func TestEmbeddingTrainsBagTask(t *testing.T) {
 	rng := sim.NewRNG(13)
 	const (
@@ -233,29 +137,5 @@ func TestEmbeddingTrainsBagTask(t *testing.T) {
 	}
 	if acc := net.Accuracy(x, labels); acc < 0.95 {
 		t.Errorf("embedding accuracy %.3f, want >= 0.95", acc)
-	}
-}
-
-func TestRNNMetadata(t *testing.T) {
-	rng := sim.NewRNG(17)
-	rnn, err := NewSimpleRNN(10, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rnn.OutDim(99) != 8 {
-		t.Error("OutDim should be the hidden width")
-	}
-	if rnn.FLOPsPerSample() != 2*8*8 {
-		t.Errorf("FLOPs = %v", rnn.FLOPsPerSample())
-	}
-	if len(rnn.Params()) != 3 {
-		t.Error("rnn should expose embed, wh, bias")
-	}
-	e, err := NewEmbedding(10, 6, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.OutDim(0) != 6 || e.FLOPsPerSample() != 6 {
-		t.Error("embedding metadata wrong")
 	}
 }

@@ -109,11 +109,7 @@ func TestClusterShardMetricsAndMergedProm(t *testing.T) {
 	}
 	var storeWrites int64
 	for _, m := range shards {
-		for _, ctr := range m.Counters {
-			if ctr.Name == "store.wal.appends" {
-				storeWrites += ctr.Value
-			}
-		}
+		storeWrites += m.Counter("store.wal.appends")
 	}
 	if storeWrites == 0 {
 		t.Error("no store.wal.appends counter on any shard registry")
