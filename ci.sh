@@ -229,33 +229,12 @@ fi
 echo "converged after $restarts kill/restart cycles: $crash_digest"
 go run ./cmd/tracetool store verify "$tracedir/crash.json"
 
-gate "benchtab allocation gate"
-# Run the hot-loop benchmark suite fresh (into a scratch file, so
-# today's run never clobbers a committed baseline) and gate every
-# Benchmark* experiment's allocs/op against the newest committed
-# BENCH_*.json. Wall time is printed beside it but not gated: no bound
-# on it tells a regression from this machine's drift.
-baseline=$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1 || true)
-go run ./cmd/benchtab -only Benchmark -json "$tracedir/bench-hotloops.json" >/dev/null
-if [ -z "$baseline" ]; then
-    # A missing baseline is a repo defect, not something CI should paper
-    # over by seeding its own: a self-seeded file would always pass and
-    # silently launder whatever perf the seeding machine happened to have.
-    echo "no committed BENCH_*.json baseline found." >&2
-    echo "generate one on a quiet machine and commit it:" >&2
-    echo "    go run ./cmd/benchtab -only Benchmark -json BENCH_\$(date +%Y%m%d).json" >&2
-    exit 1
-fi
-go run ./cmd/tracetool check-bench -baseline "$baseline" "$tracedir/bench-hotloops.json"
-# The cache-hit path, wired as core.Tune wires it, held to exactly its
-# committed allocs/op. Its probe repeats to the digit, and the default
-# limits above are too wide to see what an SLO objective that kept every
-# event again would cost a hit (4.56 allocs / 717 B against 4 / 528).
-go run ./cmd/benchtab -only BenchmarkAdmissionServe \
-    -json "$tracedir/bench-hit.json" >/dev/null
-go run ./cmd/tracetool check-bench -baseline "$baseline" \
-    -alloc-tolerance 0 -alloc-slack 0 \
-    "$tracedir/bench-hit.json"
+gate "hot-loop allocation gate"
+# Every hot loop's allocs/op and bytes/op are declared beside its name,
+# in internal/hotloop's stage table; TestStageAllocations fails when a
+# measurement leaves its row in either direction. Five runs, so a
+# figure that holds only some of the time fails here too.
+go test -count=5 -run TestStageAllocations ./internal/hotloop
 
 gate "cluster-failover gate"
 # The sharded cluster's own tests, twice under the race detector, then
@@ -309,7 +288,7 @@ gate "profile-plane gate"
 # The profiling plane end to end. First the registry/probe layers under
 # concurrent writers and overlapping Measure calls, twice under the race
 # detector (the loops themselves are internal/hotloop's table; their
-# allocs/op are gated above, in the benchtab allocation gate). Then a
+# allocs/op are gated above, in the hot-loop allocation gate). Then a
 # labeled chaos run: capture a CPU profile across a profiled cluster
 # run and require that the pprof label taxonomy
 # (tenant/shard/rung/bracket) actually landed in it. The one job is long
@@ -344,8 +323,8 @@ gate "flight-recorder gate"
 # the one nondeterministic report section) — stdout and every incident
 # dossier artefact must be byte-identical, the failover dossier must
 # digest-verify and hold the kill/promotion events inside its window,
-# and `incident diff` must agree. Finally the Record hot path's alloc
-# probe is gated at exactly zero allocations per event.
+# and `incident diff` must agree. (The Record hot path is held at zero
+# allocations per event by the hot-loop allocation gate.)
 go test -race -count=2 ./internal/obs/flight
 fdir="$tracedir/flight"
 $chaos -seed 42 -cluster 2 -cluster-dir "$fdir/c1" -cluster-kill-rungs 2 \
@@ -380,13 +359,6 @@ grep -q "failover.*kill" "$tracedir/failover-incident.out"
 grep -q "failover.*promoted" "$tracedir/failover-incident.out"
 go run ./cmd/tracetool incident diff "$fdos" \
     "$fdir/inc2/$(basename "$fdos")" >/dev/null
-# Zero-alloc Record: "always-on" is only honest if a record never
-# heap-allocates, so this one experiment gets no alloc headroom at all.
-go run ./cmd/benchtab -only BenchmarkFlightRecord \
-    -json "$tracedir/bench-flight.json" >/dev/null
-go run ./cmd/tracetool check-bench -baseline "$baseline" \
-    -alloc-tolerance 0 -alloc-slack 0 \
-    "$tracedir/bench-flight.json"
 
 gate "chaos-fuzz gate"
 # The seeded failure-space fuzzer end to end. Its own tests twice under

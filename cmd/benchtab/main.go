@@ -6,11 +6,9 @@
 //	benchtab                   # all experiments, paper order
 //	benchtab -only 13          # a single figure/table by number
 //	benchtab -list             # list available experiments
-//	benchtab -json bench.json  # also write per-experiment wall times
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,9 +29,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	var (
-		only     = fs.String("only", "", "run only experiments whose ID contains one of these comma-separated strings (e.g. \"13\", \"Table 1\", or \"Table 2,Benchmark\")")
-		list     = fs.Bool("list", false, "list experiment IDs and exit")
-		jsonPath = fs.String("json", "", "write per-experiment wall times to this JSON file")
+		only = fs.String("only", "", "run only experiments whose ID contains one of these comma-separated strings (e.g. \"13\", \"Table 1\", or \"Table 2,Benchmark\")")
+		list = fs.Bool("list", false, "list experiment IDs and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,15 +52,14 @@ func run(args []string, out io.Writer) error {
 		return false
 	}
 
-	var bench experiments.BenchReport
 	ran := 0
 	for _, exp := range experiments.All() {
 		if !matches(exp.ID) {
 			continue
 		}
+		ran++
 		if *list {
 			fmt.Fprintf(out, "%s\n", exp.ID)
-			ran++
 			continue
 		}
 		start := time.Now()
@@ -71,33 +67,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		elapsed := time.Since(start).Seconds()
-		fmt.Fprintf(out, "%s(regenerated in %.1fs)\n\n", tab, elapsed)
-		entry := experiments.BenchEntry{
-			ID:          exp.ID,
-			Title:       tab.Title,
-			Rows:        len(tab.Rows),
-			WallSeconds: elapsed,
-		}
-		if tab.ProbeRuns > 0 {
-			allocs, bytes := tab.AllocsPerOp, tab.BytesPerOp
-			entry.AllocsPerOp, entry.BytesPerOp = &allocs, &bytes
-		}
-		bench.Experiments = append(bench.Experiments, entry)
-		bench.TotalSeconds += elapsed
-		ran++
+		fmt.Fprintf(out, "%s(regenerated in %.1fs)\n\n", tab, time.Since(start).Seconds())
 	}
 	if ran == 0 {
 		return fmt.Errorf("no experiment matches %q", *only)
-	}
-	if *jsonPath != "" && !*list {
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,15 +1,14 @@
 // Command tracetool consumes the pipeline's observability artefacts:
 // it analyses JSONL span traces ("where did the time go?"), diffs two
-// same-workload traces span-class by span-class, gates CI on benchtab
-// allocation regressions, checks captured pprof profiles
-// for expected label strings, and scrubs durable-store files for
-// corruption.
+// same-workload traces span-class by span-class, checks captured pprof
+// profiles for expected label strings, scrubs durable-store files for
+// corruption, shows and diffs incident dossiers, and runs the seeded
+// chaos fuzzer.
 //
 // Usage:
 //
 //	tracetool analyze [-json] trace.jsonl
 //	tracetool diff [-threshold 0.10] a.jsonl b.jsonl
-//	tracetool check-bench [-alloc-tolerance 0.25] [-alloc-slack 16] -baseline BENCH_old.json current.json
 //	tracetool profile check -want tenant,shard,rung cpu.pprof
 //	tracetool store verify [-json] [-wal store.json.wal] store.json
 //	tracetool incident show [-json] [-events] dossier.json
@@ -20,9 +19,9 @@
 //	tracetool fuzz gen [-mode single|cluster] [-seed N] [-n N] -out dir
 //
 // Exit codes: 0 clean, 1 usage or I/O error, 2 gate failure (flagged
-// diff deltas, an allocs/op or bytes/op regression, missing profile
-// labels, store corruption, a dossier digest mismatch, two dossiers
-// that should match but differ, or a chaos-fuzz invariant violation).
+// diff deltas, missing profile labels, store corruption, a dossier
+// digest mismatch, two dossiers that should match but differ, or a
+// chaos-fuzz invariant violation).
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"os"
 	"strings"
 
-	"edgetune/internal/experiments"
 	"edgetune/internal/obs/analyze"
 	"edgetune/internal/obs/prof"
 	"edgetune/internal/store"
@@ -59,15 +57,13 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: tracetool <analyze|diff|check-bench> [flags] args")
+		return errors.New("usage: tracetool <analyze|diff|profile|store|incident|fuzz> [flags] args")
 	}
 	switch args[0] {
 	case "analyze":
 		return runAnalyze(args[1:], out)
 	case "diff":
 		return runDiff(args[1:], out)
-	case "check-bench":
-		return runCheckBench(args[1:], out)
 	case "profile":
 		return runProfile(args[1:], out)
 	case "store":
@@ -77,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	case "fuzz":
 		return runFuzz(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want analyze, diff, check-bench, profile, store, incident, or fuzz)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want analyze, diff, profile, store, incident, or fuzz)", args[0])
 	}
 }
 
@@ -246,83 +242,6 @@ func runDiff(args []string, out io.Writer) error {
 	}
 	if d.Flagged > 0 {
 		return fmt.Errorf("%w: %d span classes moved beyond %.0f%%", errGate, d.Flagged, *threshold*100)
-	}
-	return nil
-}
-
-// readBench loads a benchtab -json ledger. Its wall times are printed
-// but not gated: no bound on them separates a regression from this
-// machine's run-to-run drift.
-func readBench(path string) (experiments.BenchReport, error) {
-	var rep experiments.BenchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-func runCheckBench(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("tracetool check-bench", flag.ContinueOnError)
-	var (
-		baseline   = fs.String("baseline", "", "committed BENCH_*.json to compare against (required)")
-		allocTol   = fs.Float64("alloc-tolerance", 0.25, "allowed relative allocs/op and bytes/op growth per experiment")
-		allocSlack = fs.Float64("alloc-slack", 16, "absolute allocs/op headroom added to the limit, absorbing runtime noise on tiny baselines")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *baseline == "" || fs.NArg() != 1 {
-		return errors.New("usage: tracetool check-bench -baseline BENCH_old.json [flags] current.json")
-	}
-	base, err := readBench(*baseline)
-	if err != nil {
-		return err
-	}
-	cur, err := readBench(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	curByID := make(map[string]experiments.BenchEntry, len(cur.Experiments))
-	for _, e := range cur.Experiments {
-		curByID[e.ID] = e
-	}
-
-	regressions := 0
-	// hold gates one probe column: only for experiments whose baseline
-	// carries the probe (a zero baseline still gates — the slack is the
-	// headroom). A current run without it (older binary) skips rather
-	// than comparing an absent value.
-	hold := func(id, unit string, b, c *float64, slack float64) {
-		if b == nil {
-			return
-		}
-		switch limit := *b*(1+*allocTol) + slack; {
-		case c == nil:
-			fmt.Fprintf(out, "SKIP %-28s no %s in current run\n", id, unit)
-		case *c <= limit:
-			fmt.Fprintf(out, "ok   %-28s %.1f -> %.1f %s (limit %.1f)\n", id, *b, *c, unit, limit)
-		default:
-			regressions++
-			fmt.Fprintf(out, "FAIL %-28s %.1f -> %.1f %s exceeds limit %.1f\n", id, *b, *c, unit, limit)
-		}
-	}
-	for _, b := range base.Experiments {
-		c, ok := curByID[b.ID]
-		if !ok {
-			fmt.Fprintf(out, "SKIP %-28s not in current run\n", b.ID)
-			continue
-		}
-		fmt.Fprintf(out, "     %-28s %.6fs -> %.6fs wall (not gated)\n", b.ID, b.WallSeconds, c.WallSeconds)
-		hold(b.ID, "allocs/op", b.AllocsPerOp, c.AllocsPerOp, *allocSlack)
-		// Bytes: the same tolerance, and 1 KiB where a count has its slack.
-		hold(b.ID, "bytes/op", b.BytesPerOp, c.BytesPerOp, 1<<10)
-	}
-	if regressions > 0 {
-		return fmt.Errorf("%w: %d allocs/op or bytes/op regressions beyond tolerance", errGate, regressions)
 	}
 	return nil
 }

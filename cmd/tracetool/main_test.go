@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,105 +164,22 @@ func TestAnalyzeMalformedTrace(t *testing.T) {
 	}
 }
 
-func writeBench(t *testing.T, path, body string) {
-	t.Helper()
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
+// TestUsageNamesEverySubcommand: the bare usage error and the unknown
+// subcommand error list the same subcommands, and each one they list is
+// dispatched rather than reported unknown.
+func TestUsageNamesEverySubcommand(t *testing.T) {
+	usage := run(nil, &bytes.Buffer{})
+	unknown := run([]string{"check-bench"}, &bytes.Buffer{})
+	if usage == nil || unknown == nil {
+		t.Fatalf("usage = %v, unknown = %v; want both errors", usage, unknown)
 	}
-}
-
-// TestCheckBench: wall time is a recorded column, not a gate — a run
-// five times slower than the baseline is printed and passes.
-func TestCheckBench(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeBench(t, base, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":2.0}],"totalSeconds":2.0}`)
-	slow := filepath.Join(dir, "slow.json")
-	writeBench(t, slow, `{"experiments":[{"id":"Table 2","title":"t","rows":3,"wallSeconds":10.0}],"totalSeconds":10.0}`)
-	var out bytes.Buffer
-	if err := run([]string{"check-bench", "-baseline", base, slow}, &out); err != nil {
-		t.Fatalf("wall time must not gate: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "2.000000s -> 10.000000s wall (not gated)") {
-		t.Errorf("output must still record the wall time:\n%s", out.String())
-	}
-}
-
-// TestCheckBenchAllocGate: the alloc gate fires on a real allocs/op
-// regression (exit 2), tolerates growth within tolerance+slack, and
-// skips experiments without a probe in either run.
-func TestCheckBenchAllocGate(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeBench(t, base, `{"experiments":[
-		{"id":"BenchmarkWALAppend","title":"t","rows":1,"wallSeconds":0.1,"allocs_per_op":100},
-		{"id":"Table 2","title":"t","rows":3,"wallSeconds":0.1}],"totalSeconds":0.2}`)
-
-	// 3x the baseline allocs: well past 100*1.25+16.
-	slow := filepath.Join(dir, "alloc-regress.json")
-	writeBench(t, slow, `{"experiments":[
-		{"id":"BenchmarkWALAppend","title":"t","rows":1,"wallSeconds":0.1,"allocs_per_op":300},
-		{"id":"Table 2","title":"t","rows":3,"wallSeconds":0.1}],"totalSeconds":0.2}`)
-	var out bytes.Buffer
-	if err := run([]string{"check-bench", "-baseline", base, slow}, &out); !errors.Is(err, errGate) {
-		t.Fatalf("alloc regression err = %v, want gate failure\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "allocs/op exceeds limit") {
-		t.Errorf("output must name the alloc regression:\n%s", out.String())
-	}
-
-	// Within tolerance + slack: 100 -> 130 <= 100*1.25+16.
-	ok := filepath.Join(dir, "alloc-ok.json")
-	writeBench(t, ok, `{"experiments":[
-		{"id":"BenchmarkWALAppend","title":"t","rows":1,"wallSeconds":0.1,"allocs_per_op":130},
-		{"id":"Table 2","title":"t","rows":3,"wallSeconds":0.1}],"totalSeconds":0.2}`)
-	out.Reset()
-	if err := run([]string{"check-bench", "-baseline", base, ok}, &out); err != nil {
-		t.Fatalf("in-tolerance alloc growth must pass: %v\n%s", err, out.String())
-	}
-
-	// Probe absent from the current run: skip, not a 0-vs-100 failure.
-	noprobe := filepath.Join(dir, "alloc-none.json")
-	writeBench(t, noprobe, `{"experiments":[
-		{"id":"BenchmarkWALAppend","title":"t","rows":1,"wallSeconds":0.1},
-		{"id":"Table 2","title":"t","rows":3,"wallSeconds":0.1}],"totalSeconds":0.2}`)
-	out.Reset()
-	if err := run([]string{"check-bench", "-baseline", base, noprobe}, &out); err != nil {
-		t.Fatalf("missing current probe must skip, got: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "no allocs/op in current run") {
-		t.Errorf("output must note the skipped probe:\n%s", out.String())
-	}
-}
-
-// TestCheckBenchBytesGate: bytes/op is held the way allocs/op is — the
-// same tolerance, a fixed 1 KiB of slack — so a loop that keeps its
-// allocation count and grows what it allocates still fails.
-func TestCheckBenchBytesGate(t *testing.T) {
-	dir := t.TempDir()
-	bench := func(name string, bytes int) string {
-		path := filepath.Join(dir, name)
-		writeBench(t, path, fmt.Sprintf(`{"experiments":[
-			{"id":"BenchmarkTrialRun","title":"t","rows":1,"wallSeconds":0.1,"allocs_per_op":100,"bytes_per_op":%d}]}`, bytes))
-		return path
-	}
-	base := bench("base.json", 20000)
-	var out bytes.Buffer
-	// 20000*1.25 + 1024 = 26024.
-	if err := run([]string{"check-bench", "-baseline", base, bench("ok.json", 26024)}, &out); err != nil {
-		t.Fatalf("in-tolerance bytes growth must pass: %v\n%s", err, out.String())
-	}
-	out.Reset()
-	if err := run([]string{"check-bench", "-baseline", base, bench("grown.json", 26025)}, &out); !errors.Is(err, errGate) {
-		t.Fatalf("bytes regression err = %v, want gate failure\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "bytes/op exceeds limit") || !strings.Contains(out.String(), "ok   BenchmarkTrialRun") {
-		t.Errorf("output must pass the count and name the bytes regression:\n%s", out.String())
-	}
-	// The tolerance flag governs both columns; the byte slack is not a flag.
-	out.Reset()
-	if err := run([]string{"check-bench", "-baseline", base, "-alloc-tolerance", "0", "-alloc-slack", "0", bench("kib.json", 21025)}, &out); !errors.Is(err, errGate) {
-		t.Fatalf("1 KiB + 1 over a zero-tolerance baseline: err = %v, want gate failure\n%s", err, out.String())
+	for _, sub := range []string{"analyze", "diff", "profile", "store", "incident", "fuzz"} {
+		if !strings.Contains(usage.Error(), sub) || !strings.Contains(unknown.Error(), sub) {
+			t.Errorf("%q missing from %q or %q", sub, usage, unknown)
+		}
+		if err := run([]string{sub}, &bytes.Buffer{}); err != nil && strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%s: %v", sub, err)
+		}
 	}
 }
 

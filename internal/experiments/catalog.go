@@ -89,50 +89,9 @@ type Experiment struct {
 	Run func() (Table, error)
 }
 
-// hotLoops are the ledger's generated experiments, one per loop of the
-// internal/hotloop table: `benchtab -json` carries the loop's allocs/op
-// and bytes/op under the ID, and `tracetool check-bench` holds them to
-// the committed BENCH_*.json. (BenchmarkAutoscaleDecision has rows of
-// its own and takes only its probe from the table.)
-var hotLoops = []struct {
-	id, title, stage string
-	memo             memo[Table]
-}{
-	{id: "BenchmarkNNMiniBatch", title: "training mini-batch step (18-layer IC model, batch 32)", stage: "nn.minibatch-step"},
-	{id: "BenchmarkPerfmodelEval", title: "perfmodel inference-cost evaluation per device", stage: "perfmodel.infer-cost"},
-	{id: "BenchmarkAdmissionServe", title: "inference server admission + serve (cache-hit path)", stage: "serve.cache-hit"},
-	{id: "BenchmarkTPESearch", title: "24-trial BOHB inference search (i7, runtime objective)", stage: "search.tpe-search"},
-	{id: "BenchmarkTrialRun", title: "training trial on a warm scratch (one IC + one NLP trial)", stage: "trial.run"},
-	{id: "BenchmarkTraceEmit", title: "trace emission (root + child span with attrs)", stage: "trace.emit"},
-	{id: "BenchmarkWALAppend", title: "durable store WAL append (put + checksummed journal write)", stage: "store.wal-append"},
-	{id: "BenchmarkClusterDispatch", title: "cluster dispatch (consistent-hash ring owner lookup)", stage: "cluster.dispatch"},
-	{id: "BenchmarkFlightRecord", title: "flight recorder event record (preallocated ring slot)", stage: "flight.record"},
-}
-
-// hotLoopRun is the harness of hotLoops[i]. Its one row names what was
-// probed; the measured values are not byte-deterministic and stay out
-// of the rows.
-func hotLoopRun(i int) func() (Table, error) {
-	l := &hotLoops[i]
-	return func() (Table, error) {
-		return l.memo.do(func() (Table, error) {
-			t := Table{
-				ID:     l.id,
-				Title:  l.title,
-				Header: []string{"stage", "probe-runs"},
-				Rows:   [][]string{{l.stage, fmt.Sprint(probeRuns)}},
-			}
-			if err := t.probe(l.stage); err != nil {
-				return Table{}, err
-			}
-			return t, nil
-		})
-	}
-}
-
 // All returns every experiment in paper order, for cmd/benchtab.
 func All() []Experiment {
-	all := []Experiment{
+	return []Experiment{
 		{ID: "Figure 1", Run: Fig01PerfCounters},
 		{ID: "Figure 2", Run: Fig02ModelHyper},
 		{ID: "Figure 3", Run: Fig03TrainingHyper},
@@ -153,8 +112,4 @@ func All() []Experiment {
 		{ID: "Table 2", Run: Table2Features},
 		{ID: "BenchmarkAutoscaleDecision", Run: BenchmarkAutoscaleDecision},
 	}
-	for i := range hotLoops {
-		all = append(all, Experiment{ID: hotLoops[i].id, Run: hotLoopRun(i)})
-	}
-	return all
 }

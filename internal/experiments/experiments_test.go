@@ -7,6 +7,7 @@ import (
 
 	"edgetune/internal/budget"
 	"edgetune/internal/core"
+	"edgetune/internal/testutil"
 	"edgetune/internal/workload"
 )
 
@@ -16,7 +17,7 @@ import (
 // concurrency they exercise is race-tested directly in internal/core.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("full experiment reproductions are too slow under the race detector")
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"edgetune/internal/hotloop"
 )
 
 // Table is a printable experiment result: the textual equivalent of one
@@ -27,33 +25,6 @@ type Table struct {
 	Rows [][]string
 	// Notes carries the shape conclusions checked against the paper.
 	Notes []string
-	// ProbeRuns, when positive, records that a prof.Measure probe ran
-	// over the experiment's hot loop, and AllocsPerOp/BytesPerOp hold
-	// its measured allocation cost (zero is a real measurement — an
-	// allocation-free loop — not an absent probe). cmd/benchtab emits
-	// them in -json for tracetool's alloc-regression gate; String()
-	// leaves them out, because measured allocation values are not
-	// byte-deterministic, unlike the rows.
-	ProbeRuns   int
-	AllocsPerOp float64
-	BytesPerOp  float64
-}
-
-// probeRuns is the alloc-probe sample count of the Benchmark*
-// experiments: large enough to average out stray runtime allocations,
-// small enough to keep benchtab fast.
-const probeRuns = 32
-
-// probe measures one hot loop of the internal/hotloop table and stamps
-// its allocation cost onto the table.
-func (t *Table) probe(stage string) error {
-	probes, err := hotloop.Measure(probeRuns, stage)
-	if err != nil {
-		return err
-	}
-	p := probes[0]
-	t.ProbeRuns, t.AllocsPerOp, t.BytesPerOp = p.Runs, p.AllocsPerOp, p.BytesPerOp
-	return nil
 }
 
 // String renders the table with aligned columns.

@@ -1,14 +1,16 @@
 // Package hotloop declares the pipeline's hot loops once. A loop is a
 // stage name — the key of its prof.* gauges and of its row in the
-// benchtab ledger — plus a way to open it on self-contained throwaway
+// allocation ledger — plus a way to open it on self-contained throwaway
 // state, so measuring never touches a job's own store, server, tracer or
-// metrics. Three consumers range over the same table: a -profile job
-// (the stages marked job), the Benchmark* experiments that `benchtab
-// -json` writes and `tracetool check-bench` gates, and the Go
+// metrics, plus what one operation of it allocates. Two consumers range
+// over the same table: a -profile job (the stages marked job) and the Go
 // benchmarks in the root package.
 //
-// Every loop has the shape the committed BENCH_*.json baseline was
-// recorded with; change one and the baseline is re-recorded with it.
+// The table is the ledger: each row declares its loop's allocs/op and
+// bytes/op, and TestStageAllocations fails when a measurement leaves
+// them in either direction. Change a loop and its row changes with it;
+// `go test -v -run TestStageAllocations ./internal/hotloop` prints the
+// figures.
 package hotloop
 
 import (
@@ -53,22 +55,26 @@ type stage struct {
 	// job marks the stages a -profile job reports.
 	job  bool
 	open func() (op, done func(), err error)
+	// allocs and bytes are what one operation allocates, averaged over
+	// 32 by Measure and held there by TestStageAllocations.
+	allocs int
+	bytes  float64
 }
 
 func noClose() {}
 
 var stages = []stage{
-	{"nn.minibatch-step", true, openMiniBatchStep},
-	{"perfmodel.infer-cost", true, openInferCost},
-	{"trace.emit", true, openTraceEmit},
-	{"store.put", true, openStorePut},
-	{"serve.cache-hit", true, openCacheHit},
-	{"search.tpe-search", false, openTPESearch},
-	{"trial.run", false, openTrialRun},
-	{"store.wal-append", false, openWALAppend},
-	{"cluster.dispatch", false, openClusterDispatch},
-	{"flight.record", false, openFlightRecord},
-	{"autoscale.evaluate", false, openAutoscaleEvaluate},
+	{"nn.minibatch-step", true, openMiniBatchStep, 0, 0},
+	{"perfmodel.infer-cost", true, openInferCost, 0, 0},
+	{"trace.emit", true, openTraceEmit, 4, 264},
+	{"store.put", true, openStorePut, 4, 352},
+	{"serve.cache-hit", true, openCacheHit, 4, 528},
+	{"search.tpe-search", false, openTPESearch, 7, 1816},
+	{"trial.run", false, openTrialRun, 105, 6413.8},
+	{"store.wal-append", false, openWALAppend, 14, 1128},
+	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
+	{"flight.record", false, openFlightRecord, 0, 0},
+	{"autoscale.evaluate", false, openAutoscaleEvaluate, 0, 0},
 }
 
 // JobStages lists the stages a -profile job reports, in table order.
@@ -349,10 +355,10 @@ func openClusterDispatch() (func(), func(), error) {
 
 // One flight-recorder event record. The recorder is on for every span,
 // admission verdict, breaker transition and WAL append, so "always-on"
-// is only honest at zero heap allocations per record (the ci.sh
-// flight-recorder gate holds this stage to exactly 0). The ring is
-// filled past its capacity first: the steady state is the overwrite
-// path, what a long run's recorder spends its life doing.
+// is only honest at zero heap allocations per record (the table holds
+// this stage to exactly 0). The ring is filled past its capacity first:
+// the steady state is the overwrite path, what a long run's recorder
+// spends its life doing.
 func openFlightRecord() (func(), func(), error) {
 	const slots = 1024
 	fr := flight.New(slots)

@@ -1,6 +1,7 @@
 package hotloop
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -79,5 +80,31 @@ func TestMeasure(t *testing.T) {
 	probes, err = Measure(4, "store.put", "store.putt")
 	if err == nil || !strings.Contains(err.Error(), `"store.putt"`) {
 		t.Errorf("Measure of an unknown stage = %v, %v; want an error naming it", probes, err)
+	}
+}
+
+// TestStageAllocations holds every stage to the allocs/op and bytes/op
+// its row declares. A reading above the declaration is a regression; one
+// below it means the declaration is stale and is lowered with the change
+// that earned it. Either way the test fails, so the table stays the
+// measurement: allocs/op must round to the declared count and bytes/op
+// lie within 1 % of the declared value (a zero row allocates nothing).
+func TestStageAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on the loops' behalf")
+	}
+	for _, s := range stages {
+		probes, err := Measure(32, s.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := probes[0]
+		t.Logf("%-22s %6.2f allocs/op %9.1f B/op", s.name, p.AllocsPerOp, p.BytesPerOp)
+		if got := math.Round(p.AllocsPerOp); got != float64(s.allocs) {
+			t.Errorf("%s: %.2f allocs/op, declared %d", s.name, p.AllocsPerOp, s.allocs)
+		}
+		if math.Abs(p.BytesPerOp-s.bytes) > 0.01*s.bytes {
+			t.Errorf("%s: %.1f B/op, declared %.1f (±1 %%)", s.name, p.BytesPerOp, s.bytes)
+		}
 	}
 }

@@ -35,8 +35,9 @@ var measureMu sync.Mutex
 // path, not the scheduler, so for a single-goroutine fn the probe is
 // stable run to run — but a fn that hands work to other goroutines, or
 // one racing a concurrent GC's mallocs, can wobble by a few allocs.
-// Probe values therefore feed gauges and the alloc-regression gate
-// (which carries an absolute slack), never byte-compared digests.
+// Probe values therefore feed gauges and internal/hotloop's allocation
+// ledger (whose test rounds the count and allows bytes 1 %), never
+// byte-compared digests.
 func Measure(stage string, runs int, fn func()) Probe {
 	if runs < 1 {
 		runs = 1

@@ -367,8 +367,11 @@ func TestTrainingFaultSitesNamedOnlyForAnInjector(t *testing.T) {
 
 // spilled reports whether what ran on a since its last Reset overflowed
 // it: the Reset after a spill replaces a block, any other Reset
-// allocates nothing.
+// allocates nothing. The counters are process-wide, so GOMAXPROCS is
+// pinned to 1 across the window, as testing.AllocsPerRun pins it: no
+// other goroutine allocates inside it.
 func spilled(a *tensor.Arena) bool {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	a.Reset()
