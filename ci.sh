@@ -72,9 +72,10 @@ surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 1
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
 surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 54
 # A report section the pipeline already snapshots is that snapshot (a
-# type alias), not a public struct copying it field for field.
+# type alias), not a public struct copying it field for field; an input
+# section the pipeline already declares (Job.Faults) is that declaration.
 surface "edgetune exported structs" \
-    "$(ls *.go | grep -v '_test\.go$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct')" 19
+    "$(ls *.go | grep -v '_test\.go$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct')" 18
 # The same ratchet for a fork that was closed: a hot loop is declared
 # once, in internal/hotloop's table, and measured only through it — so
 # nothing else outside bench/ builds a loop around prof.Measure, and
@@ -186,11 +187,13 @@ go test -run '^$' -bench BenchmarkTracingDisabled -benchtime=1x ./internal/obs
 gate "store durability under faulty disks"
 # The durability layer's own tests plus the disk-fault injection tests,
 # twice under the race detector so any run-order or leftover-state bug
-# in WAL replay and quarantine handling surfaces. Then ten seconds of
-# fuzzing the WAL decoder, which reads whatever a crash left on disk
-# (its seed corpus already ran above, as an ordinary test).
+# in WAL replay and quarantine handling surfaces. Then ten seconds each
+# of fuzzing the WAL decoder, which reads whatever a crash left on disk,
+# and the Job decoder, which reads whatever -job names (their seed
+# corpora already ran above, as ordinary tests).
 go test -race -count=2 ./internal/store ./internal/fault
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
 
 gate "crash-recovery gate"
 # Kill the tuner (exit 3) right after an acknowledged WAL append,

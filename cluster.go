@@ -106,7 +106,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		TenantRate:          opts.TenantRate,
 		TenantBurst:         opts.TenantBurst,
 		Seed:                opts.Seed,
-		Fault:               opts.Faults.toInternal(),
+		Fault:               opts.Faults,
 		KillShardAfterRungs: opts.KillShardAfterRungs,
 		SnapshotEvery:       opts.SnapshotEvery,
 		Metrics:             reg,

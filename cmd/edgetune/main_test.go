@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"edgetune"
+	"edgetune/internal/fault"
 )
 
 // quickArgs keep CLI tests fast: a tiny job file overriding the search
@@ -217,6 +218,43 @@ func TestRunFaultFlagValidation(t *testing.T) {
 	}
 	if _, err := os.Stat(st + ".wal"); err != nil {
 		t.Errorf("-store beside -job left no write-ahead log: %v", err)
+	}
+}
+
+// TestEveryFaultClassHasOneFlag: each probability row of the flag
+// table sets one fault class — on the job or on the cluster — and every
+// class of the fault model has exactly one such row.
+func TestEveryFaultClassHasOneFlag(t *testing.T) {
+	flagOf := make(map[string]string)
+	for i, row := range flagTable(&invocation{}, &edgetune.Job{}, &edgetune.ClusterOptions{}) {
+		if row.bound != prob {
+			continue
+		}
+		var (
+			inv invocation
+			job edgetune.Job
+			cl  edgetune.ClusterOptions
+		)
+		*flagTable(&inv, &job, &cl)[i].dst.(*float64) = 0.5
+		var moved []string
+		for _, v := range append(job.Faults.ProbValues(""), cl.Faults.ProbValues("")...) {
+			if v.Value != 0 {
+				moved = append(moved, v.Name)
+			}
+		}
+		if len(moved) != 1 {
+			t.Errorf("-%s moved the classes %v, want exactly one", row.name, moved)
+			continue
+		}
+		if prev, dup := flagOf[moved[0]]; dup {
+			t.Errorf("class %s has two flags: -%s and -%s", moved[0], prev, row.name)
+		}
+		flagOf[moved[0]] = row.name
+	}
+	for _, class := range fault.Classes() {
+		if _, ok := flagOf[string(class)]; !ok {
+			t.Errorf("class %s has no flag", class)
+		}
 	}
 }
 

@@ -231,95 +231,12 @@ type Job struct {
 }
 
 // FaultConfig sets per-site injection probabilities for the supported
-// failure classes (all in [0,1]; zero disables a class).
-type FaultConfig struct {
-	// TrialCrash kills a training trial partway through.
-	TrialCrash float64
-	// TrialNaN makes a trial diverge after consuming its full budget.
-	TrialNaN float64
-	// Straggler inflates a trial's cost by up to StragglerFactor.
-	Straggler float64
-	// StragglerFactor is the maximum slowdown multiplier (default 4).
-	StragglerFactor float64
-	// DeviceFlap makes the emulated edge device drop an inference
-	// tuning attempt.
-	DeviceFlap float64
-	// DeviceBrownout slows an inference tuning attempt by up to
-	// BrownoutFactor without failing it — the thermally-throttled
-	// straggler the inference server hedges against.
-	DeviceBrownout float64
-	// BrownoutFactor is the maximum brown-out slowdown (default 6).
-	BrownoutFactor float64
-	// OverloadBurst sheds an inference submission at the admission
-	// gate, emulating a synthetic traffic spike.
-	OverloadBurst float64
-	// StoreWrite fails a write to the historical store.
-	StoreWrite float64
-	// DroppedReply loses an inference server reply in flight.
-	DroppedReply float64
-	// The disk classes fire per filesystem operation of the durable
-	// store (Job.StorePath), emulating flaky edge flash: DiskTornWrite
-	// cuts a write short, DiskCrash writes half a record and kills the
-	// disk, DiskBitFlip silently corrupts one written byte, DiskFull
-	// fails a write with ENOSPC, DiskSlowFsync stalls (but completes) an
-	// fsync.
-	DiskTornWrite float64
-	DiskCrash     float64
-	DiskBitFlip   float64
-	DiskFull      float64
-	DiskSlowFsync float64
-	// The cluster classes fire on a sharded deployment (NewCluster):
-	// ShardKill crashes a job's shard primary at a rung boundary while
-	// its follower still stands, NetPartition drops a WAL frame on the
-	// primary→follower replication link, FollowerLag delays frames in
-	// flight (they land in order at the next ship or at failover
-	// catch-up). They are inert in a single-node Tune.
-	ShardKill    float64
-	NetPartition float64
-	FollowerLag  float64
-	// The autoscale classes exercise the SLO-driven device-pool
-	// autoscaler (Job.Autoscale): FlashCrowd injects a phantom arrival
-	// surge that inflates the in-system load signal until it decays,
-	// MassDeviceFail quarantines the entire device pool at once (at most
-	// once per job), ScaleStall swallows a scale-up so the warm-up cost
-	// is charged but the replica never joins. They are inert without
-	// Autoscale.
-	FlashCrowd     float64
-	MassDeviceFail float64
-	ScaleStall     float64
-}
-
-// anyDisk reports whether any disk-fault class is enabled.
-func (f FaultConfig) anyDisk() bool {
-	return f.DiskTornWrite > 0 || f.DiskCrash > 0 || f.DiskBitFlip > 0 ||
-		f.DiskFull > 0 || f.DiskSlowFsync > 0
-}
-
-func (f FaultConfig) toInternal() fault.Config {
-	return fault.Config{
-		TrialCrash:      f.TrialCrash,
-		TrialNaN:        f.TrialNaN,
-		Straggler:       f.Straggler,
-		StragglerFactor: f.StragglerFactor,
-		DeviceFlap:      f.DeviceFlap,
-		DeviceBrownout:  f.DeviceBrownout,
-		BrownoutFactor:  f.BrownoutFactor,
-		OverloadBurst:   f.OverloadBurst,
-		StoreWrite:      f.StoreWrite,
-		DroppedReply:    f.DroppedReply,
-		DiskTornWrite:   f.DiskTornWrite,
-		DiskCrash:       f.DiskCrash,
-		DiskBitFlip:     f.DiskBitFlip,
-		DiskFull:        f.DiskFull,
-		DiskSlowFsync:   f.DiskSlowFsync,
-		ShardKill:       f.ShardKill,
-		NetPartition:    f.NetPartition,
-		FollowerLag:     f.FollowerLag,
-		FlashCrowd:      f.FlashCrowd,
-		MassDeviceFail:  f.MassDeviceFail,
-		ScaleStall:      f.ScaleStall,
-	}
-}
+// failure classes (all in [0,1]; zero disables a class). It is the fault
+// layer's own Config, so it encodes in camelCase JSON; the decoder
+// matches keys case-insensitively, so job files spelling them as Go
+// field names still load. Plan and Observe are the chaos fuzzer's hooks:
+// their types are internal, so code outside this module cannot set them.
+type FaultConfig = fault.Config
 
 // The report sections below are the pipeline's own snapshot types, so
 // Report.Metrics, Report.Resilience and Report.StoreRecovery encode in
@@ -615,7 +532,7 @@ func (job Job) coreOptions() (core.Options, error) {
 		MaxBrackets:    job.Brackets,
 		InferTrials:    job.InferenceTrials,
 		Seed:           job.Seed,
-		Fault:          job.Faults.toInternal(),
+		Fault:          job.Faults,
 		MaxAttempts:    job.MaxTrialAttempts,
 		Checkpoint:     job.Checkpoint,
 		Tenant:         job.Tenant,
@@ -679,8 +596,8 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	var dur *store.Durable
 	if job.StorePath != "" {
 		var sfs store.FS = store.OSFS{}
-		if job.Faults.anyDisk() {
-			inj, ierr := fault.NewInjector(job.Faults.toInternal(), job.Seed, counters.NewResilienceOn(reg))
+		if job.Faults.AnyDisk() {
+			inj, ierr := fault.NewInjector(job.Faults, job.Seed, counters.NewResilienceOn(reg))
 			if ierr != nil {
 				return nil, ierr
 			}

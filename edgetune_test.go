@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edgetune/internal/fault"
 	"edgetune/internal/store"
 )
 
@@ -436,5 +437,56 @@ func TestReportDecodesEarlierSpelling(t *testing.T) {
 	}
 	if rep.Metrics.Counter("trial.runs") != 12 || rep.Resilience.FaultCount("straggler") != 2 {
 		t.Error("the snapshot lookups do not see the decoded values")
+	}
+}
+
+// TestJobDecodesEarlierFaultSpelling: job files written while Faults was
+// a struct of its own spell its keys as Go field names ("TrialCrash");
+// the decoder matches the camelCase tags case-insensitively, so they
+// still load. A job with every fault field set survives the encoder,
+// which writes camelCase.
+func TestJobDecodesEarlierFaultSpelling(t *testing.T) {
+	data, err := os.ReadFile("examples/chaos/job.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"TrialCrash"`)) {
+		t.Fatal("the chaos job no longer spells its keys as Go field names")
+	}
+	var job Job
+	if err := json.Unmarshal(data, &job); err != nil {
+		t.Fatal(err)
+	}
+	want := FaultConfig{TrialCrash: 0.15, TrialNaN: 0.05, Straggler: 0.2,
+		DeviceFlap: 0.1, StoreWrite: 0.1, DroppedReply: 0.15}
+	if !reflect.DeepEqual(job.Faults, want) {
+		t.Errorf("decoded faults %+v\nwant           %+v", job.Faults, want)
+	}
+
+	full := Job{Workload: "IC"}
+	fields := reflect.ValueOf(&full.Faults).Elem()
+	set := 0
+	for i := 0; i < fields.NumField(); i++ {
+		if f := fields.Field(i); f.Kind() == reflect.Float64 {
+			set++
+			f.SetFloat(float64(set) / 32)
+		}
+	}
+	if want := len(fault.Classes()) + 2; set != want { // the classes and two factors
+		t.Fatalf("set %d fault fields, want %d", set, want)
+	}
+	enc, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(enc, []byte(`"trialCrash":`)) {
+		t.Errorf("the encoder does not write camelCase fault keys: %s", enc)
+	}
+	var back Job
+	if err := json.Unmarshal(enc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, full) {
+		t.Errorf("round trip gave %+v\nwant          %+v", back.Faults, full.Faults)
 	}
 }

@@ -41,23 +41,6 @@ type Schedule struct {
 	Events []fault.Event `json:"events"`
 }
 
-// clusterClasses only have decision points on the sharded dispatcher.
-var clusterClasses = map[fault.Class]bool{
-	fault.ShardKill:    true,
-	fault.NetPartition: true,
-	fault.FollowerLag:  true,
-}
-
-// diskClasses only have decision points on a fault-wrapped filesystem,
-// which only the single-node runner mounts.
-var diskClasses = map[fault.Class]bool{
-	fault.DiskTornWrite: true,
-	fault.DiskCrash:     true,
-	fault.DiskBitFlip:   true,
-	fault.DiskFull:      true,
-	fault.DiskSlowFsync: true,
-}
-
 // Validate checks the schedule's mode, every event (through the same
 // shared fault.CheckProbs/CheckNonNegative helpers the CLI's flag
 // validation uses), and the mode/class routing: cluster classes need a
@@ -74,10 +57,10 @@ func (s Schedule) Validate() error {
 		}
 		probs = append(probs, fault.NamedValue{Name: ev.String(), Value: ev.Intensity})
 		attempts = append(attempts, fault.NamedValue{Name: ev.String(), Value: float64(ev.Attempt)})
-		if s.Mode == ModeSingle && clusterClasses[ev.Class] {
+		if s.Mode == ModeSingle && ev.Class.Cluster() {
 			return fmt.Errorf("chaosfuzz: event %d: %s has no decision point in single mode", i, ev.Class)
 		}
-		if s.Mode == ModeCluster && diskClasses[ev.Class] {
+		if s.Mode == ModeCluster && ev.Class.Disk() {
 			return fmt.Errorf("chaosfuzz: event %d: %s has no decision point in cluster mode (replica stores use the plain filesystem)", i, ev.Class)
 		}
 	}
@@ -98,7 +81,7 @@ func (s Schedule) Validate() error {
 // to salvage.
 func (s Schedule) hasDiskEvents() bool {
 	for _, ev := range s.Events {
-		if diskClasses[ev.Class] {
+		if ev.Class.Disk() {
 			return true
 		}
 	}
@@ -114,7 +97,7 @@ func (s Schedule) failoverOnly() bool {
 		return false
 	}
 	for _, ev := range s.Events {
-		if !clusterClasses[ev.Class] {
+		if !ev.Class.Cluster() {
 			return false
 		}
 	}
@@ -129,7 +112,7 @@ func (s Schedule) failoverOnly() bool {
 func (s Schedule) plans() (job, cluster *fault.Plan, err error) {
 	var jobEvents, clusterEvents []fault.Event
 	for _, ev := range s.Events {
-		if clusterClasses[ev.Class] {
+		if ev.Class.Cluster() {
 			clusterEvents = append(clusterEvents, ev)
 		} else {
 			jobEvents = append(jobEvents, ev)

@@ -2,10 +2,11 @@
 // simulated nodes — each wrapping the existing tuner, inference server,
 // and crash-consistent durable store — behind a dispatcher that
 // consistent-hash-shards tuning jobs and serving lookups, enforces
-// per-tenant quotas in front of the per-client admission control each
-// node already runs, and replicates every shard's write-ahead log to a
+// per-tenant quotas, and replicates every shard's write-ahead log to a
 // follower so a killed shard fails over and resumes from its last
-// checkpointed rung.
+// checkpointed rung. The quota gate is the only rate limit a product
+// job meets: no product path sets the serving layer's per-client
+// InferenceServerOptions.RateLimit.
 //
 // The correctness claim is inherited from the durability layer: a rung
 // checkpoint captures the tuner's full resumable state (sampler stream
@@ -39,7 +40,8 @@ import (
 // dispatcher catches it and fails over.
 var ErrShardKilled = errors.New("cluster: shard primary killed")
 
-// ErrTenantQuota is returned when a tenant's token bucket is empty. It
+// ErrTenantQuota is returned when a tenant's token bucket is empty: the
+// dispatcher's quota gate, the one rate limit a product job meets. It
 // wraps core.ErrRateLimited so existing rate-limit handling applies.
 var ErrTenantQuota = fmt.Errorf("cluster: tenant quota exceeded: %w", core.ErrRateLimited)
 
@@ -122,9 +124,8 @@ type Cluster struct {
 	shards map[string]*shard
 	inj    *fault.Injector
 
-	// quota is the per-tenant gate in front of the per-client admission
-	// each node already runs, so one tenant's job storm cannot starve the
-	// others before work even reaches a shard; see admit.
+	// quota is the per-tenant gate, so one tenant's job storm cannot
+	// starve the others before work even reaches a shard; see admit.
 	quotaMu sync.Mutex
 	quota   *sim.TokenBuckets
 

@@ -74,17 +74,12 @@ func newBreaker(threshold, cooldown int, rec *counters.Resilience) *breaker {
 	}
 }
 
-// allow reports whether a request may proceed. In the open state it
-// consumes one rejection slot per call; exhausting the slots moves the
-// breaker to half-open, which admits exactly one in-flight probe.
-func (b *breaker) allow() bool {
-	ok, _ := b.allowProbe()
-	return ok
-}
-
-// allowProbe is allow plus whether the admitted request holds the
-// half-open probe slot — which the caller must release (releaseProbe)
-// if the request is evicted or cancelled before it ever runs.
+// allowProbe reports whether a request may proceed, and whether it
+// holds the half-open probe slot — which the caller must release
+// (releaseProbe) if the request is evicted or cancelled before it ever
+// runs. In the open state it consumes one rejection slot per call;
+// exhausting the slots moves the breaker to half-open, which admits
+// exactly one in-flight probe.
 func (b *breaker) allowProbe() (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -84,12 +84,12 @@ func TestBreakerTransitions(t *testing.T) {
 			for i, s := range tc.steps {
 				switch s.op {
 				case "allow-ok":
-					if !b.allow() {
-						t.Fatalf("step %d: allow() = false, want true", i)
+					if ok, _ := b.allowProbe(); !ok {
+						t.Fatalf("step %d: allowProbe() = false, want true", i)
 					}
 				case "allow-denied":
-					if b.allow() {
-						t.Fatalf("step %d: allow() = true, want false", i)
+					if ok, _ := b.allowProbe(); ok {
+						t.Fatalf("step %d: allowProbe() = true, want false", i)
 					}
 				case "success":
 					b.success()

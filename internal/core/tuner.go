@@ -425,13 +425,7 @@ func (j *tuneJob) setUp() error {
 	if err != nil {
 		return err
 	}
-	if opts.Fault.Enabled() || opts.Fault.Observe != nil || opts.Fault.Plan != nil {
-		// Otherwise the injector stays nil, which decides the same
-		// (nothing ever fires) without a site string being built per
-		// decision point for nobody to read. A plan keeps it even when
-		// empty: the inference server reads its write mode off it.
-		j.inj = inj
-	}
+	j.inj = inj
 	space, err := w.TrainSpace(opts.SystemParams)
 	if err != nil {
 		return err

@@ -3,9 +3,9 @@
 // function of (seed, class, site, attempt): the tuple is hashed into a
 // fresh internal/sim RNG, so decisions are independent of goroutine
 // scheduling and a run replays exactly from its seed — the property the
-// deterministic-replay tests rely on. The zero probability config (and
-// a nil *Injector) injects nothing, so production paths carry the hooks
-// at no cost.
+// deterministic-replay tests rely on. NewInjector returns the nil
+// *Injector for a config that can fire nothing, and a nil *Injector
+// injects nothing, so production paths carry the hooks at no cost.
 package fault
 
 import (
@@ -94,12 +94,71 @@ const (
 	ScaleStall Class = "scale-stall"
 )
 
-// Classes lists every fault class in deterministic order.
-func Classes() []Class {
-	return []Class{DeviceBrownout, DeviceFlap, DiskBitFlip, DiskCrash, DiskFull, DiskSlowFsync, DiskTornWrite, DroppedReply, FlashCrowd, FollowerLag, MassDeviceFail, NetPartition, OverloadBurst, ScaleStall, ShardKill, StoreWrite, Straggler, TrialCrash, TrialNaN}
+// classRow is one fault class: its name, where its decision points
+// are, and the Config field holding its probability.
+type classRow struct {
+	class   Class
+	disk    bool // consulted by a fault.FS, so only under a durable store
+	cluster bool // consulted by the sharded dispatcher only
+	prob    func(*Config) *float64
 }
 
-// Config holds per-class injection probabilities in [0, 1].
+// classTable is the fault model: every class, once, in alphabetical
+// order — the order Classes returns and Validate reports the first
+// offending class in.
+var classTable = [...]classRow{
+	{class: DeviceBrownout, prob: func(c *Config) *float64 { return &c.DeviceBrownout }},
+	{class: DeviceFlap, prob: func(c *Config) *float64 { return &c.DeviceFlap }},
+	{class: DiskBitFlip, disk: true, prob: func(c *Config) *float64 { return &c.DiskBitFlip }},
+	{class: DiskCrash, disk: true, prob: func(c *Config) *float64 { return &c.DiskCrash }},
+	{class: DiskFull, disk: true, prob: func(c *Config) *float64 { return &c.DiskFull }},
+	{class: DiskSlowFsync, disk: true, prob: func(c *Config) *float64 { return &c.DiskSlowFsync }},
+	{class: DiskTornWrite, disk: true, prob: func(c *Config) *float64 { return &c.DiskTornWrite }},
+	{class: DroppedReply, prob: func(c *Config) *float64 { return &c.DroppedReply }},
+	{class: FlashCrowd, prob: func(c *Config) *float64 { return &c.FlashCrowd }},
+	{class: FollowerLag, cluster: true, prob: func(c *Config) *float64 { return &c.FollowerLag }},
+	{class: MassDeviceFail, prob: func(c *Config) *float64 { return &c.MassDeviceFail }},
+	{class: NetPartition, cluster: true, prob: func(c *Config) *float64 { return &c.NetPartition }},
+	{class: OverloadBurst, prob: func(c *Config) *float64 { return &c.OverloadBurst }},
+	{class: ScaleStall, prob: func(c *Config) *float64 { return &c.ScaleStall }},
+	{class: ShardKill, cluster: true, prob: func(c *Config) *float64 { return &c.ShardKill }},
+	{class: StoreWrite, prob: func(c *Config) *float64 { return &c.StoreWrite }},
+	{class: Straggler, prob: func(c *Config) *float64 { return &c.Straggler }},
+	{class: TrialCrash, prob: func(c *Config) *float64 { return &c.TrialCrash }},
+	{class: TrialNaN, prob: func(c *Config) *float64 { return &c.TrialNaN }},
+}
+
+// Classes lists every fault class in deterministic order.
+func Classes() []Class {
+	out := make([]Class, len(classTable))
+	for i, row := range classTable {
+		out[i] = row.class
+	}
+	return out
+}
+
+// rowOf looks class up in the table; a name outside it gets the zero
+// row, whose prob is nil.
+func rowOf(class Class) classRow {
+	for _, row := range classTable {
+		if row.class == class {
+			return row
+		}
+	}
+	return classRow{}
+}
+
+// Disk reports whether c is a disk class: a fault.FS consults it, so it
+// has decision points only under a durable store.
+func (c Class) Disk() bool { return rowOf(c).disk }
+
+// Cluster reports whether c is a cluster class: only the sharded
+// dispatcher consults it, so it is inert in a single-node job.
+func (c Class) Cluster() bool { return rowOf(c).cluster }
+
+// Config holds per-class injection probabilities in [0, 1]; zero
+// disables a class. Adding a class is its const, its field here and its
+// row of classTable.
 type Config struct {
 	// TrialCrash, TrialNaN, and Straggler fire per training-trial
 	// attempt.
@@ -127,7 +186,8 @@ type Config struct {
 	// DiskTornWrite and DiskFull fail individual writes (partial data
 	// and ENOSPC respectively), DiskCrash kills the filesystem for the
 	// rest of the run, DiskBitFlip silently corrupts one written byte,
-	// DiskSlowFsync records a stalled fsync without failing it.
+	// DiskSlowFsync records a stalled fsync without failing it. A job
+	// meets them through its durable store (a StorePath).
 	DiskTornWrite float64 `json:"diskTornWrite,omitempty"`
 	DiskCrash     float64 `json:"diskCrash,omitempty"`
 	DiskBitFlip   float64 `json:"diskBitFlip,omitempty"`
@@ -136,14 +196,14 @@ type Config struct {
 	// The cluster classes fire on the sharded dispatcher: ShardKill per
 	// rung boundary of a job on a shard whose follower is still standing,
 	// NetPartition and FollowerLag per WAL frame shipped from a shard's
-	// primary to its follower.
+	// primary to its follower. They are inert in a single-node job.
 	ShardKill    float64 `json:"shardKill,omitempty"`
 	NetPartition float64 `json:"netPartition,omitempty"`
 	FollowerLag  float64 `json:"followerLag,omitempty"`
 	// The autoscale classes fire on the serving pool's control loop:
 	// FlashCrowd per inference submission (phantom arrival surge),
 	// MassDeviceFail once per run on the whole pool, ScaleStall per
-	// attempted scale-up.
+	// attempted scale-up. They are inert without the autoscaler.
 	FlashCrowd     float64 `json:"flashCrowd,omitempty"`
 	MassDeviceFail float64 `json:"massDeviceFail,omitempty"`
 	ScaleStall     float64 `json:"scaleStall,omitempty"`
@@ -164,20 +224,29 @@ type Config struct {
 // Enabled reports whether any class has a non-zero probability or a
 // plan schedules at least one event.
 func (c Config) Enabled() bool {
-	for _, class := range Classes() {
-		if c.prob(class) > 0 {
+	for _, row := range classTable {
+		if *row.prob(&c) > 0 {
 			return true
 		}
 	}
 	return c.Plan.Len() > 0
 }
 
+// AnyDisk reports whether any disk class — the ones a fault.FS
+// consults — has a non-zero probability.
+func (c Config) AnyDisk() bool {
+	for _, row := range classTable {
+		if row.disk && *row.prob(&c) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks all probabilities and the straggler factor.
 func (c Config) Validate() error {
-	for _, class := range Classes() {
-		if p := c.prob(class); p < 0 || p > 1 {
-			return fmt.Errorf("fault: %s probability %v out of [0,1]", class, p)
-		}
+	if err := CheckProbs(c.ProbValues("")); err != nil {
+		return fmt.Errorf("fault: %w", err)
 	}
 	if c.StragglerFactor < 0 || (c.StragglerFactor > 0 && c.StragglerFactor < 1) {
 		return fmt.Errorf("fault: straggler factor %v must be >= 1", c.StragglerFactor)
@@ -188,49 +257,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) prob(class Class) float64 {
-	switch class {
-	case TrialCrash:
-		return c.TrialCrash
-	case TrialNaN:
-		return c.TrialNaN
-	case Straggler:
-		return c.Straggler
-	case DeviceFlap:
-		return c.DeviceFlap
-	case StoreWrite:
-		return c.StoreWrite
-	case DroppedReply:
-		return c.DroppedReply
-	case DeviceBrownout:
-		return c.DeviceBrownout
-	case OverloadBurst:
-		return c.OverloadBurst
-	case DiskTornWrite:
-		return c.DiskTornWrite
-	case DiskCrash:
-		return c.DiskCrash
-	case DiskBitFlip:
-		return c.DiskBitFlip
-	case DiskFull:
-		return c.DiskFull
-	case DiskSlowFsync:
-		return c.DiskSlowFsync
-	case ShardKill:
-		return c.ShardKill
-	case NetPartition:
-		return c.NetPartition
-	case FollowerLag:
-		return c.FollowerLag
-	case FlashCrowd:
-		return c.FlashCrowd
-	case MassDeviceFail:
-		return c.MassDeviceFail
-	case ScaleStall:
-		return c.ScaleStall
-	default:
-		return 0
+// prob is class's probability (0 for a name outside the table). It
+// takes a pointer so Should reads the injector's copy in place.
+func (c *Config) prob(class Class) float64 {
+	if row := rowOf(class); row.prob != nil {
+		return *row.prob(c)
 	}
+	return 0
 }
 
 // Error is an injected fault, distinguishable from organic failures so
@@ -269,10 +302,16 @@ type Injector struct {
 
 // NewInjector validates cfg and returns an injector whose decisions
 // derive from seed. Fired faults are recorded into rec (which may be
-// nil).
+// nil). A cfg that sets no probability, plan or observer gets the nil
+// injector: it decides the same — nothing ever fires — without a site
+// string being built per decision point for nobody to read. A plan
+// keeps the injector even when empty, since Planned reads it.
 func NewInjector(cfg Config, seed uint64, rec *counters.Resilience) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if !cfg.Enabled() && cfg.Plan == nil && cfg.Observe == nil {
+		return nil, nil
 	}
 	if cfg.StragglerFactor == 0 {
 		cfg.StragglerFactor = 4

@@ -41,7 +41,24 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNilInjectorNeverFires(t *testing.T) {
-	var in *Injector
+	// A config that can fire nothing and has no observer or plan is the
+	// nil injector; the factors alone do not arm it.
+	in, err := NewInjector(Config{StragglerFactor: 3, BrownoutFactor: 8}, 1, nil)
+	if err != nil || in != nil {
+		t.Fatalf("inert config: injector %v, err %v; want nil, nil", in, err)
+	}
+	for _, armed := range []Config{
+		{Plan: &Plan{}},
+		{Observe: func(Class, string, int, bool) {}},
+		{DiskFull: 0.1},
+	} {
+		if in, _ := NewInjector(armed, 1, nil); in == nil {
+			t.Errorf("NewInjector(%+v) returned the nil injector", armed)
+		}
+	}
+	if in.Planned() || in.Uniform("site", 0) != 0.5 {
+		t.Error("nil injector is not inert")
+	}
 	for _, class := range Classes() {
 		if in.Should(class, "site", 0) {
 			t.Errorf("nil injector fired %s", class)

@@ -24,7 +24,7 @@ type Event struct {
 // Validate checks the event against the class catalog and the shared
 // bounds rules every fault knob obeys.
 func (e Event) Validate() error {
-	if !knownClass(e.Class) {
+	if rowOf(e.Class).prob == nil {
 		return fmt.Errorf("fault: unknown class %q", e.Class)
 	}
 	if e.Site == "" {
@@ -44,15 +44,6 @@ func (e Event) String() string {
 		s += fmt.Sprintf("*%g", e.Intensity)
 	}
 	return s
-}
-
-func knownClass(c Class) bool {
-	for _, k := range Classes() {
-		if k == c {
-			return true
-		}
-	}
-	return false
 }
 
 type planKey struct {

@@ -5,8 +5,8 @@ import "fmt"
 // NamedValue pairs a flag or field name with its numeric value for
 // table-driven validation. cmd/edgetune feeds its 19 probability flags
 // through CheckProbs and its scalar knobs through CheckNonNegative;
-// the chaos fuzzer validates schedule intensities through the same
-// tables, so the two surfaces can never drift on bounds or error text.
+// Config.Validate and the chaos fuzzer's schedule intensities go through
+// the same helpers, so no surface can drift on bounds or error text.
 type NamedValue struct {
 	Name  string
 	Value float64
@@ -34,13 +34,11 @@ func CheckNonNegative(vals []NamedValue) error {
 }
 
 // ProbValues names every class probability of a Config with the given
-// prefix — the table both Config.Validate-style checks and external
-// surfaces can feed to CheckProbs.
+// prefix, in Classes order — what Config.Validate feeds to CheckProbs.
 func (c Config) ProbValues(prefix string) []NamedValue {
-	classes := Classes()
-	out := make([]NamedValue, 0, len(classes))
-	for _, class := range classes {
-		out = append(out, NamedValue{Name: prefix + string(class), Value: c.prob(class)})
+	out := make([]NamedValue, len(classTable))
+	for i, row := range classTable {
+		out[i] = NamedValue{Name: prefix + string(row.class), Value: *row.prob(&c)}
 	}
 	return out
 }

@@ -5,55 +5,35 @@ import (
 	"testing"
 )
 
-// edgetuneProbFlags mirrors cmd/edgetune's 19 probability flags — one
-// per fault class — so this one table test covers every flag the CLI
-// validates through CheckProbs.
-var edgetuneProbFlags = []string{
-	"-fault-crash",
-	"-fault-nan",
-	"-fault-straggler",
-	"-fault-flap",
-	"-fault-brownout",
-	"-fault-overload",
-	"-fault-store-write",
-	"-fault-drop",
-	"-fault-disk-torn",
-	"-fault-disk-crash",
-	"-fault-disk-flip",
-	"-fault-disk-full",
-	"-fault-disk-slow-fsync",
-	"-fault-shard-kill",
-	"-fault-partition",
-	"-fault-follower-lag",
-	"-fault-flash-crowd",
-	"-fault-mass-devicefail",
-	"-fault-scale-stall",
-}
-
+// TestCheckProbsAllFlags: every class's probability accepts the closed
+// interval and rejects the rest with the pinned error text, under the
+// name cmd/edgetune gives its flags and under the name Validate uses.
+// TestEveryFaultClassHasOneFlag in cmd/edgetune holds that each class
+// has exactly one such flag.
 func TestCheckProbsAllFlags(t *testing.T) {
-	if len(edgetuneProbFlags) != len(Classes()) {
-		t.Fatalf("flag table has %d entries, class catalog has %d", len(edgetuneProbFlags), len(Classes()))
+	var names []string
+	for _, class := range Classes() {
+		names = append(names, "-fault-"+string(class), "fault: "+string(class))
 	}
-	// Every flag accepts the full closed interval.
+	// Every name accepts the full closed interval.
 	for _, ok := range []float64{0, 0.5, 1} {
-		vals := make([]NamedValue, len(edgetuneProbFlags))
-		for i, name := range edgetuneProbFlags {
+		vals := make([]NamedValue, len(names))
+		for i, name := range names {
 			vals[i] = NamedValue{Name: name, Value: ok}
 		}
 		if err := CheckProbs(vals); err != nil {
 			t.Fatalf("CheckProbs rejected %v: %v", ok, err)
 		}
 	}
-	// Every flag rejects out-of-bounds values, with the pinned error
-	// text naming the offending flag.
-	for _, flagName := range edgetuneProbFlags {
+	// Every name rejects out-of-bounds values, with the pinned error text
+	// naming the offender.
+	for _, name := range names {
 		for _, bad := range []float64{-0.01, 1.01, 2} {
-			vals := []NamedValue{{Name: flagName, Value: bad}}
-			err := CheckProbs(vals)
+			err := CheckProbs([]NamedValue{{Name: name, Value: bad}})
 			if err == nil {
-				t.Fatalf("CheckProbs accepted %s=%v", flagName, bad)
+				t.Fatalf("CheckProbs accepted %s=%v", name, bad)
 			}
-			want := fmt.Sprintf("%s: probability %v outside [0,1]", flagName, bad)
+			want := fmt.Sprintf("%s: probability %v outside [0,1]", name, bad)
 			if err.Error() != want {
 				t.Fatalf("error text %q, want %q", err.Error(), want)
 			}
@@ -68,6 +48,12 @@ func TestCheckProbsAllFlags(t *testing.T) {
 	})
 	if err == nil || err.Error() != "-fault-nan: probability -1 outside [0,1]" {
 		t.Fatalf("first-offender error = %v", err)
+	}
+	// Validate runs the same rule in Classes order: device-flap sorts
+	// before trial-nan, so it is the one reported.
+	err = Config{TrialNaN: -1, DeviceFlap: 3}.Validate()
+	if err == nil || err.Error() != "fault: device-flap: probability 3 outside [0,1]" {
+		t.Fatalf("Validate error = %v", err)
 	}
 }
 
@@ -117,5 +103,38 @@ func TestProbValuesCoversCatalog(t *testing.T) {
 	}
 	if seen["fault-"+string(TrialCrash)] != 0.25 {
 		t.Fatalf("TrialCrash value = %v, want 0.25", seen["fault-"+string(TrialCrash)])
+	}
+}
+
+// TestClassTableRowsAreDistinct: each row of the class table reads its
+// own Config field, so setting one class moves exactly that class.
+func TestClassTableRowsAreDistinct(t *testing.T) {
+	for _, row := range classTable {
+		var cfg Config
+		*row.prob(&cfg) = 0.5
+		var moved []string
+		for _, v := range cfg.ProbValues("") {
+			if v.Value != 0 {
+				moved = append(moved, v.Name)
+			}
+		}
+		if len(moved) != 1 || moved[0] != string(row.class) {
+			t.Errorf("setting %s moved %v", row.class, moved)
+		}
+		if cfg.AnyDisk() != row.disk {
+			t.Errorf("%s: AnyDisk = %v, want %v", row.class, cfg.AnyDisk(), row.disk)
+		}
+	}
+}
+
+// TestClassScopes pins where each class's decision points are, which
+// the chaos fuzzer routes schedules by.
+func TestClassScopes(t *testing.T) {
+	disk := map[Class]bool{DiskTornWrite: true, DiskCrash: true, DiskBitFlip: true, DiskFull: true, DiskSlowFsync: true}
+	cluster := map[Class]bool{ShardKill: true, NetPartition: true, FollowerLag: true}
+	for _, class := range append(Classes(), "uniform") {
+		if class.Disk() != disk[class] || class.Cluster() != cluster[class] {
+			t.Errorf("%s: Disk %v, Cluster %v", class, class.Disk(), class.Cluster())
+		}
 	}
 }

@@ -242,7 +242,7 @@ func (d *Durable) recover() error {
 			continue
 		}
 		rr.SnapshotSource = cand.source
-		d.applyStoreFile(file)
+		rr.RecordsQuarantined += d.st.applyStoreFile(file)
 		break
 	}
 	// A leftover temp file from an interrupted atomic write is dead
@@ -256,9 +256,7 @@ func (d *Durable) recover() error {
 		return fmt.Errorf("store: read wal %s: %w", d.walPath, err)
 	}
 	sc := scanWAL(data)
-	for _, rec := range sc.Records {
-		d.applyRecord(rec)
-	}
+	rr.RecordsQuarantined += d.st.applyRecords(sc.Records)
 	rr.RecordsReplayed += len(sc.Records)
 	rr.RecordsQuarantined += len(sc.Quarantined)
 	rr.TruncatedBytes += sc.TruncatedBytes
@@ -277,41 +275,48 @@ func (d *Durable) recover() error {
 	return nil
 }
 
-// applyStoreFile loads a parsed snapshot, skipping (and counting)
-// invalid entries instead of rejecting the whole snapshot.
-func (d *Durable) applyStoreFile(file storeFile) {
+// applyStoreFile loads a parsed snapshot into st, skipping invalid
+// entries instead of rejecting the whole snapshot, and returns how many
+// it skipped. Recovery and Scrub both load snapshots through it.
+func (st *Store) applyStoreFile(file storeFile) (rejected int) {
 	for _, e := range file.Entries {
-		if err := d.st.Put(e); err != nil {
-			d.recovery.RecordsQuarantined++
+		if st.Put(e) != nil {
+			rejected++
 		}
 	}
 	for k, v := range file.Checkpoints {
-		if err := d.st.SaveCheckpoint(k, v); err != nil {
-			d.recovery.RecordsQuarantined++
+		if st.SaveCheckpoint(k, v) != nil {
+			rejected++
 		}
 	}
 	if file.Stats != nil {
-		d.st.mu.Lock()
-		d.st.hits, d.st.misses = file.Stats.Hits, file.Stats.Misses
-		d.st.mu.Unlock()
+		st.mu.Lock()
+		st.hits, st.misses = file.Stats.Hits, file.Stats.Misses
+		st.mu.Unlock()
 	}
+	return rejected
 }
 
-// applyRecord replays one WAL record. Records are validated at scan
-// time, so apply errors (which cannot happen today) only count.
-func (d *Durable) applyRecord(rec walRecord) {
-	var err error
-	switch rec.Op {
-	case walOpPut:
-		err = d.st.Put(*rec.Entry)
-	case walOpCheckpoint:
-		err = d.st.SaveCheckpoint(rec.Key, rec.Data)
-	case walOpClear:
-		d.st.ClearCheckpoint(rec.Key)
+// applyRecords replays WAL records into st and returns how many it
+// rejected. Records are validated at scan time, so a rejection (which
+// cannot happen today) only counts. Recovery and Scrub both replay
+// through it.
+func (st *Store) applyRecords(recs []walRecord) (rejected int) {
+	for _, rec := range recs {
+		var err error
+		switch rec.Op {
+		case walOpPut:
+			err = st.Put(*rec.Entry)
+		case walOpCheckpoint:
+			err = st.SaveCheckpoint(rec.Key, rec.Data)
+		case walOpClear:
+			st.ClearCheckpoint(rec.Key)
+		}
+		if err != nil {
+			rejected++
+		}
 	}
-	if err != nil {
-		d.recovery.RecordsQuarantined++
-	}
+	return rejected
 }
 
 // writeQuarantine preserves corrupt raw frames next to the WAL. Best

@@ -54,17 +54,9 @@ func Scrub(fsys FS, snapPath, walPath string) (ScrubReport, error) {
 	}
 	rep := ScrubReport{SnapshotPath: snapPath, WALPath: walPath}
 
+	// The state is rebuilt the way recovery rebuilds it, through the
+	// same apply path.
 	st := New()
-	applied := false
-	apply := func(file storeFile) {
-		for _, e := range file.Entries {
-			st.Put(e)
-		}
-		for k, v := range file.Checkpoints {
-			st.SaveCheckpoint(k, v)
-		}
-		applied = true
-	}
 
 	data, err := fsys.ReadFile(snapPath)
 	switch {
@@ -72,7 +64,7 @@ func Scrub(fsys FS, snapPath, walPath string) (ScrubReport, error) {
 		rep.SnapshotPresent = true
 		if file, perr := parseStoreFile(data); perr == nil {
 			rep.SnapshotValid = true
-			apply(file)
+			st.applyStoreFile(file)
 		} else {
 			rep.SnapshotError = perr.Error()
 		}
@@ -86,8 +78,8 @@ func Scrub(fsys FS, snapPath, walPath string) (ScrubReport, error) {
 		rep.PrevPresent = true
 		if file, perr := parseStoreFile(data); perr == nil {
 			rep.PrevValid = true
-			if !applied {
-				apply(file)
+			if !rep.SnapshotValid {
+				st.applyStoreFile(file)
 			}
 		}
 	case !errors.Is(err, fs.ErrNotExist):
@@ -102,16 +94,7 @@ func Scrub(fsys FS, snapPath, walPath string) (ScrubReport, error) {
 		rep.WALRecords = len(sc.Records)
 		rep.WALQuarantined = len(sc.Quarantined)
 		rep.WALTornBytes = sc.TruncatedBytes
-		for _, rec := range sc.Records {
-			switch rec.Op {
-			case walOpPut:
-				st.Put(*rec.Entry)
-			case walOpCheckpoint:
-				st.SaveCheckpoint(rec.Key, rec.Data)
-			case walOpClear:
-				st.ClearCheckpoint(rec.Key)
-			}
-		}
+		st.applyRecords(sc.Records)
 	case !errors.Is(err, fs.ErrNotExist):
 		return rep, fmt.Errorf("store: scrub read %s: %w", walPath, err)
 	}
