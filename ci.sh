@@ -273,12 +273,13 @@ gate "autoscale-resilience gate"
 # The autoscaling controller's own tests and the serving-layer chaos
 # tests (flash-crowd determinism, mass-device-failure recovery through
 # the degradation ladder, stalled scale-ups), twice under the race
-# detector. Then the overload example twice: same seed must produce
-# byte-identical standard output (the burst's scheduler-dependent split
-# goes to standard error), the ladder must both engage and release, and
-# the decision digest line must be present.
+# detector, beside the test that a recycled reply channel never reaches
+# the wrong caller. Then the overload example twice: same seed must
+# produce byte-identical standard output (the burst's
+# scheduler-dependent split goes to standard error), the ladder must
+# both engage and release, and the decision digest line must be present.
 go test -race -count=2 ./internal/autoscale
-go test -race -count=2 -run Autoscale ./internal/core
+go test -race -count=2 -run 'Autoscale|TestReplyChannelsNeverCrossDeliver' ./internal/core
 go build -o "$tracedir/overload" ./examples/overload
 "$tracedir/overload" > "$tracedir/overload-a.out"
 "$tracedir/overload" > "$tracedir/overload-b.out"

@@ -45,6 +45,10 @@ type InferRequest struct {
 
 // InferOutcome is the server's reply.
 type InferOutcome struct {
+	// Entry is the tuned result. A hit's, and a coalesced waiter's,
+	// shares its Config map with the historical store or with the
+	// leader's reply: treat it as read-only, and Clone it to keep a copy
+	// that may change.
 	Entry store.Entry
 	// Cached reports whether the result came from the historical store.
 	Cached bool
@@ -146,6 +150,9 @@ const (
 	// sloServeLatency is the latency objective's threshold: a served
 	// request is "good" when its simulated serving time is within it.
 	sloServeLatency = 60 * time.Second
+	// spareReplies bounds the delivered reply channels the server keeps
+	// for later submissions (see Submit).
+	spareReplies = 64
 )
 
 func (o *InferenceServerOptions) normalise() error {
@@ -214,6 +221,11 @@ type InferenceServer struct {
 	pending   map[string]*call // in-flight leader per signature
 	seq       int              // submission sequence, for fault sites
 	delivered int              // leaders finished so far; see cached
+	// spare is a FIFO ring of reply channels finish has sent on, oldest
+	// at spareHead, spareLen of them: what open hands out again once a
+	// channel's outcome has been received.
+	spare               [spareReplies]chan InferOutcome
+	spareHead, spareLen int
 
 	adm    *admission
 	pool   *devicePool
@@ -449,12 +461,20 @@ func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 // preempted by critical ones), ErrRateLimited when the client's token
 // bucket is empty, ErrServerClosed after Close/Drain, and a
 // ErrCircuitOpen-wrapping error when no pool device is healthy.
+//
+// Receive from the channel exactly once. Once its outcome has been
+// received the channel may carry the reply to a later Submit, so it must
+// not be read again; one whose outcome is never received is never
+// handed out again.
 func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan InferOutcome {
-	out := make(chan InferOutcome, 1)
-	c := call{InferRequest: req, ctx: ctx, out: out}
+	c := call{InferRequest: req, ctx: ctx}
 	if err := s.open(&c); err != nil {
+		c.out = make(chan InferOutcome, 1) // refused before open gave it one
 		s.finish(&c, "", InferOutcome{Err: err})
-	} else if !s.cached(&c) {
+		return c.out
+	}
+	out := c.out // join clears c.out on a call that joins a leader
+	if !s.cached(&c) {
 		if lead := s.join(&c); lead != nil {
 			s.admit(lead)
 		}
@@ -462,8 +482,9 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 	return out
 }
 
-// open validates the call and makes it a submission: a sequence number,
-// one autoscale tick, the root span, one count of serving.requests.
+// open validates the call and makes it a submission: a reply channel, a
+// sequence number, one autoscale tick, the root span, one count of
+// serving.requests.
 func (s *InferenceServer) open(c *call) error {
 	if c.Signature == "" {
 		return errors.New("core: request with empty signature")
@@ -478,6 +499,7 @@ func (s *InferenceServer) open(c *call) error {
 		return ErrServerClosed
 	}
 	s.mu.Lock()
+	c.out = s.replyLocked()
 	c.seq = s.seq
 	s.seq++
 	c.delivered = s.delivered
@@ -659,7 +681,8 @@ func (s *InferenceServer) failAt(class fault.Class, prefix, name string, seq int
 // not SLO events: one refused before it was opened, and one that joined
 // a leader (out is nil) — the leader's finish counts the run once and
 // answers the waiters, who share the result as a cache hit without being
-// charged the tuning cost again.
+// charged the tuning cost again. Every channel it has sent on goes to
+// the spare ring afterwards.
 func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 	var waiters []chan InferOutcome
 	if c.leads {
@@ -701,6 +724,40 @@ func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 	for _, w := range waiters {
 		w <- res
 	}
+	s.mu.Lock()
+	s.spareLocked(c.out)
+	for _, w := range waiters {
+		s.spareLocked(w)
+	}
+	s.mu.Unlock()
+}
+
+// spareLocked lists a channel finish has sent on at the back of the
+// spare ring, or drops it when the ring is full. Callers hold s.mu.
+func (s *InferenceServer) spareLocked(ch chan InferOutcome) {
+	if s.spareLen == len(s.spare) {
+		return
+	}
+	s.spare[(s.spareHead+s.spareLen)%len(s.spare)] = ch
+	s.spareLen++
+}
+
+// replyLocked hands out a reply channel: the oldest spare one whose
+// outcome has been received, else a new one. A spare still holding its
+// outcome — its caller has not looked yet, or never will — leaves the
+// ring unused, so no caller can receive another's reply. Callers hold
+// s.mu.
+func (s *InferenceServer) replyLocked() chan InferOutcome {
+	for s.spareLen > 0 {
+		ch := s.spare[s.spareHead]
+		s.spare[s.spareHead] = nil
+		s.spareHead = (s.spareHead + 1) % len(s.spare)
+		s.spareLen--
+		if len(ch) == 0 {
+			return ch
+		}
+	}
+	return make(chan InferOutcome, 1)
 }
 
 // recordSLO counts one request outcome against the server's objectives

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"edgetune/internal/counters"
+	"edgetune/internal/obs"
 	"edgetune/internal/store"
 	"edgetune/internal/testutil"
 )
@@ -89,5 +92,101 @@ func TestCloseAnswersInflightExactlyOnce(t *testing.T) {
 	}
 	if out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(n))); !errors.Is(out.Err, ErrServerClosed) {
 		t.Errorf("submit after Close: err = %v, want ErrServerClosed", out.Err)
+	}
+}
+
+// TestReplyChannelsNeverCrossDeliver: Submit hands out reply channels
+// again once their outcome has been received, and never to the wrong
+// caller. Goroutines mix hits, misses, coalesced duplicates, cancelled
+// contexts and channels left unread. Every outcome received carries its
+// own request's signature, and a channel nobody read is never returned
+// by Submit again. A channel handed out while still full would block its
+// next sender for good, so the run as a whole has a deadline.
+func TestReplyChannelsNeverCrossDeliver(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) {
+		o.Workers = 2
+		o.Recorder = counters.NewResilienceOn(reg)
+	})
+	const hot = 4 // signatures every goroutine repeats: hits after their first miss
+	for i := 0; i < hot; i++ {
+		if out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(i))); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	const goroutines, perG = 8, 400
+	var (
+		mu       sync.Mutex
+		unread   = map[<-chan InferOutcome]bool{}
+		returned = map[<-chan InferOutcome]bool{}
+		reused   int
+		tuned    int // replies a leader's own tuning run produced
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				var req InferRequest
+				switch i % 4 {
+				case 0: // a miss no other goroutine asks for
+					req = sigRequest(1000 + g*perG + i)
+				case 1: // one every goroutine asks for at about the same time
+					req = sigRequest(100 + i)
+				default:
+					req = sigRequest(i % hot)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				ch := srv.Submit(ctx, req)
+				if i%7 == 3 {
+					cancel()
+				}
+				mu.Lock()
+				if unread[ch] {
+					t.Errorf("request %s got a channel whose outcome was never read", req.Signature)
+				}
+				if returned[ch] {
+					reused++
+				}
+				returned[ch] = true
+				if i%11 == 5 {
+					unread[ch] = true
+				}
+				mu.Unlock()
+				if i%11 == 5 {
+					cancel()
+					continue
+				}
+				select {
+				case out := <-ch:
+					if out.Err == nil && out.Entry.Signature != req.Signature {
+						t.Errorf("request %s answered with %s's entry", req.Signature, out.Entry.Signature)
+					}
+					if out.Err == nil && !out.Cached {
+						mu.Lock()
+						tuned++
+						mu.Unlock()
+					}
+				case <-time.After(10 * time.Second):
+					t.Errorf("request %s: no outcome delivered", req.Signature)
+				}
+				cancel()
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("submissions still blocked after 60s: a reply was sent on a channel that was still full")
+	}
+	if reused == 0 {
+		t.Errorf("no reply channel was handed out twice in %d submissions: nothing was recycled", goroutines*perG)
+	}
+	hits, coalesced := reg.Counter("serving.cache-hits").Value(), reg.Counter("serving.coalesced").Value()
+	if hits == 0 || coalesced == 0 || tuned == 0 {
+		t.Errorf("traffic mix: %d hits, %d coalesced, %d tuned; want some of each", hits, coalesced, tuned)
 	}
 }

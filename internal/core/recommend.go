@@ -80,6 +80,7 @@ func RecommendForDevices(ctx context.Context, w *workload.Workload, cfg search.C
 				return nil, fmt.Errorf("core: device %s: %w", devices[r.idx].Profile.Name, r.out.Err)
 			}
 			entries[r.idx] = r.out.Entry
+			entries[r.idx].Config = r.out.Entry.Config.Clone() // the caller's own copy
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"edgetune/internal/device"
@@ -62,6 +63,54 @@ func TestRecommendForDevicesReusesStore(t *testing.T) {
 	hits1, _ := st.Stats()
 	if hits1-hits0 != 3 {
 		t.Errorf("second call made %d cache hits, want 3", hits1-hits0)
+	}
+}
+
+// TestReturnedConfigsAreTheCallers: the store hands its own Config maps
+// to the server's hits, so whatever leaves for user code is copied
+// first. Writing to Tune's recommendation and to RecommendForDevices'
+// entries, over one shared store, changes nothing a later hit reads.
+func TestReturnedConfigsAreTheCallers(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	opts := planOptions()
+	opts.Store = st
+	res, err := Tune(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recOpts := InferenceServerOptions{Trials: 8, Store: st, Seed: 5}
+	entries, err := RecommendForDevices(ctx, opts.Workload, res.BestConfig, device.All(), recOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string]store.Entry{}
+	for _, e := range st.Entries() {
+		stored[e.Signature+"@"+e.Device] = e
+	}
+	if _, ok := stored[res.Recommendation.Signature+"@"+res.Recommendation.Device]; !ok {
+		t.Fatalf("recommendation %s@%s is not in the store", res.Recommendation.Signature, res.Recommendation.Device)
+	}
+
+	scribble := func(cfg search.Config) {
+		for k := range cfg {
+			cfg[k] = -1
+		}
+		cfg["scribbled"] = 1
+	}
+	scribble(res.Recommendation.Config)
+	for _, e := range entries {
+		scribble(e.Config)
+	}
+
+	again, err := RecommendForDevices(ctx, opts.Workload, res.BestConfig, device.All(), recOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range again {
+		if want := stored[e.Signature+"@"+e.Device]; !reflect.DeepEqual(e, want) {
+			t.Errorf("hit for %s@%s = %+v, want the stored %+v", e.Signature, e.Device, e, want)
+		}
 	}
 }
 

@@ -720,6 +720,7 @@ func (j *tuneJob) recommend(ctx context.Context) error {
 		switch {
 		case out.Err == nil:
 			res.Recommendation = out.Entry
+			res.Recommendation.Config = out.Entry.Config.Clone() // the caller's own copy
 		case ctx.Err() != nil:
 			return ctx.Err()
 		case transientInferError(out.Err):
@@ -729,6 +730,7 @@ func (j *tuneJob) recommend(ctx context.Context) error {
 			}
 			j.recd.AddDegraded()
 			res.Recommendation = entry
+			res.Recommendation.Config = entry.Config.Clone() // the caller's own copy
 			res.RecommendationDegraded = true
 		default:
 			return out.Err

@@ -68,7 +68,7 @@ var stages = []stage{
 	{"perfmodel.infer-cost", true, openInferCost, 0, 0},
 	{"trace.emit", true, openTraceEmit, 4, 264},
 	{"store.put", true, openStorePut, 4, 352},
-	{"serve.cache-hit", true, openCacheHit, 4, 528},
+	{"serve.cache-hit", true, openCacheHit, 0, 0},
 	{"search.tpe-search", false, openTPESearch, 7, 1816},
 	{"trial.run", false, openTrialRun, 105, 6413.8},
 	{"store.wal-append", false, openWALAppend, 14, 1128},
@@ -201,27 +201,28 @@ func inferenceSpace(dev device.Device) (*search.Space, error) {
 // deliver — on the cache-hit fast path, where the request resolves
 // without touching a device. The server is wired as core.Tune wires it,
 // with a registry-backed resilience recorder and an SLO evaluator, so
-// what a hit records against its objectives is measured too.
+// what a hit records against its objectives is measured too. The entry
+// the hits read is the one the server stored for the same request's
+// miss, so it has the shape every stored result has.
 func openCacheHit() (func(), func(), error) {
 	dev := device.I7()
 	space, err := inferenceSpace(dev)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := store.New()
-	if err := st.Put(store.Entry{Signature: "hotloop", Device: dev.Profile.Name,
-		Config: search.Config{"batch": 16}, Throughput: 100}); err != nil {
-		return nil, nil, err
-	}
 	srv, err := core.NewInferenceServer(core.InferenceServerOptions{
-		Device: dev, Space: space, Store: st, Seed: 3,
+		Device: dev, Space: space, Store: store.New(), Seed: 3,
 		Recorder: counters.NewResilienceOn(obs.NewRegistry()), SLO: slo.NewEvaluator(),
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	ctx := context.Background()
-	req := core.InferRequest{Signature: "hotloop", FLOPsPerSample: flopsPerSample, Params: params}
+	req := core.InferRequest{Signature: "IC/layers=18", FLOPsPerSample: flopsPerSample, Params: params}
+	if out := <-srv.Submit(ctx, req); out.Err != nil || out.Cached {
+		srv.Close()
+		return nil, nil, fmt.Errorf("seeding miss: cached=%v err=%v", out.Cached, out.Err)
+	}
 	return func() {
 		<-srv.Submit(ctx, req)
 	}, srv.Close, nil

@@ -280,7 +280,7 @@ func (d *Durable) recover() error {
 // it skipped. Recovery and Scrub both load snapshots through it.
 func (st *Store) applyStoreFile(file storeFile) (rejected int) {
 	for _, e := range file.Entries {
-		if st.Put(e) != nil {
+		if st.put(e) != nil {
 			rejected++
 		}
 	}
@@ -306,7 +306,7 @@ func (st *Store) applyRecords(recs []walRecord) (rejected int) {
 		var err error
 		switch rec.Op {
 		case walOpPut:
-			err = st.Put(*rec.Entry)
+			err = st.put(*rec.Entry)
 		case walOpCheckpoint:
 			err = st.SaveCheckpoint(rec.Key, rec.Data)
 		case walOpClear:

@@ -46,6 +46,11 @@ var ErrNotFound = errors.New("store: entry not found")
 
 // Store is a thread-safe historical result cache. The zero value is
 // ready to use.
+//
+// A stored Config is never written to. It is copied once on the way in
+// (Put, WriteBehind.Put) and read in place from then on: by get, by
+// WriteBehind.Get and by compaction. Recovery hands the maps it decodes
+// to put uncopied. Get and Entries still hand out copies.
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]Entry
@@ -63,8 +68,16 @@ type Store struct {
 // New returns an empty store.
 func New() *Store { return &Store{} }
 
-// Put inserts or replaces an entry.
+// Put inserts or replaces an entry. The store keeps a copy of e.Config,
+// so the caller may go on using its map.
 func (s *Store) Put(e Entry) error {
+	e.Config = e.Config.Clone()
+	return s.put(e)
+}
+
+// put is Put without the copy: the store takes e.Config over, and the
+// caller must not write to it again.
+func (s *Store) put(e Entry) error {
 	if e.Signature == "" {
 		return fmt.Errorf("store: entry with empty signature")
 	}
@@ -73,7 +86,6 @@ func (s *Store) Put(e Entry) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.Config = e.Config.Clone()
 	if s.dur != nil {
 		if err := s.dur.appendLocked(walRecord{Op: walOpPut, Entry: &e}); err != nil {
 			return err
@@ -88,16 +100,28 @@ func (s *Store) Put(e Entry) error {
 
 // Get looks up the cached result for an architecture on a device,
 // recording the hit/miss statistics the overhead evaluation reports.
+// The entry's Config is the caller's own copy.
 func (s *Store) Get(signature, dev string) (Entry, error) {
+	e, err := s.get(signature, dev)
+	if err != nil {
+		return Entry{}, fmt.Errorf("%w: %s@%s", err, signature, dev)
+	}
+	e.Config = e.Config.Clone()
+	return e, nil
+}
+
+// get is Get without the copy and without naming the missing key: the
+// entry's Config is the stored map, read-only to the caller, and a miss
+// is the bare ErrNotFound.
+func (s *Store) get(signature, dev string) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[signature+"@"+dev]
 	if !ok {
 		s.misses++
-		return Entry{}, fmt.Errorf("%w: %s@%s", ErrNotFound, signature, dev)
+		return Entry{}, ErrNotFound
 	}
 	s.hits++
-	e.Config = e.Config.Clone()
 	return e, nil
 }
 
@@ -206,11 +230,11 @@ type storeStats struct {
 }
 
 // snapshotFileLocked builds the on-disk document from the current
-// state. Callers must hold s.mu.
+// state. Its entries share the stored Config maps, which nothing writes
+// to. Callers must hold s.mu.
 func (s *Store) snapshotFileLocked() storeFile {
 	file := storeFile{Entries: make([]Entry, 0, len(s.entries))}
 	for _, e := range s.entries {
-		e.Config = e.Config.Clone()
 		file.Entries = append(file.Entries, e)
 	}
 	sort.Slice(file.Entries, func(i, j int) bool { return file.Entries[i].key() < file.Entries[j].key() })

@@ -107,7 +107,9 @@ func (w *WriteBehind) Instrument(reg *obs.Registry) {
 }
 
 // Put buffers an entry for asynchronous persistence. Validation happens
-// here, synchronously, so the flusher can never fail on bad input.
+// here, synchronously, so the flusher can never fail on bad input. The
+// buffer keeps a copy of e.Config, the one copy the stored entry ever
+// gets: the flush hands that map on to the store as it is.
 func (w *WriteBehind) Put(e Entry) error {
 	if e.Signature == "" {
 		return fmt.Errorf("store: entry with empty signature")
@@ -147,6 +149,10 @@ func (w *WriteBehind) Put(e Entry) error {
 // Get reads through the buffer: a pending entry is promoted into the
 // store first so hit/miss accounting matches a flushed store exactly,
 // and one a running Flush is writing is waited for rather than missed.
+//
+// Unlike Store.Get it copies nothing: the entry's Config is the stored
+// map, which the caller must treat as read-only, and a miss is the bare
+// ErrNotFound.
 func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 	key := signature + "@" + dev
 	w.mu.Lock()
@@ -154,7 +160,7 @@ func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 		w.flushed.Wait() // written, or re-queued into pending by a failed flush
 	}
 	if e, ok := w.pending[key]; ok {
-		if err := w.st.Put(e); err != nil {
+		if err := w.st.put(e); err != nil {
 			w.mu.Unlock()
 			return Entry{}, err
 		}
@@ -168,7 +174,7 @@ func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 		w.mPending.Set(float64(len(w.pending)))
 	}
 	w.mu.Unlock()
-	return w.st.Get(signature, dev)
+	return w.st.get(signature, dev)
 }
 
 // Pending reports how many buffered entries await persistence.
@@ -202,7 +208,7 @@ func (w *WriteBehind) Flush() error {
 	w.mPending.Set(0)
 	w.mu.Unlock()
 	for i, e := range entries {
-		if err := w.st.Put(e); err != nil {
+		if err := w.st.put(e); err != nil {
 			w.requeue(entries[i:], err)
 			return err
 		}
