@@ -324,11 +324,12 @@ gate "flight-recorder gate"
 # The always-on flight recorder end to end. The recorder's own tests
 # twice under the race detector; then two same-seed failed-over cluster
 # chaos runs with recording on (-profile stays off: alloc gauges are
-# the one nondeterministic report section) — stdout and every incident
-# dossier artefact must be byte-identical, the failover dossier must
-# digest-verify and hold the kill/promotion events inside its window,
-# and `incident diff` must agree. (The Record hot path is held at zero
-# allocations per event by the hot-loop allocation gate.)
+# the one nondeterministic report section) — stdout, every shard store
+# file and every incident dossier artefact must be byte-identical, the
+# failover dossier must digest-verify and hold the kill/promotion
+# events inside its window, and `incident diff` must agree. (The Record
+# hot path is held at zero allocations per event by the hot-loop
+# allocation gate.)
 go test -race -count=2 ./internal/obs/flight
 fdir="$tracedir/flight"
 $chaos -seed 42 -cluster 2 -cluster-dir "$fdir/c1" -cluster-kill-rungs 2 \
@@ -336,6 +337,9 @@ $chaos -seed 42 -cluster 2 -cluster-dir "$fdir/c1" -cluster-kill-rungs 2 \
 $chaos -seed 42 -cluster 2 -cluster-dir "$fdir/c2" -cluster-kill-rungs 2 \
     -flight -incidents-dir "$fdir/inc2" > "$tracedir/chaos-flight-b.out"
 cmp "$tracedir/chaos-flight-a.out" "$tracedir/chaos-flight-b.out"
+# Same seed, same shard files: every primary and follower file of the
+# two runs is byte-identical.
+diff -r "$fdir/c1" "$fdir/c2"
 grep -q "failed over  *true" "$tracedir/chaos-flight-a.out"
 grep -q "shard[0-9]* #[0-9]* shard-failover" "$tracedir/chaos-flight-a.out" || {
     echo "flight run reported no shard-failover incident:" >&2

@@ -160,6 +160,7 @@ func (s *shard) close() error {
 // pass — flushes in order, so the follower log never reorders.
 type replica struct {
 	shard string
+	site  string // "ship/<shard>", the network faults' site
 	inj   *fault.Injector
 	fr    *flight.Recorder
 
@@ -181,6 +182,7 @@ func newReplica(shard, path string, inj *fault.Injector, reg *obs.Registry, fr *
 	}
 	return &replica{
 		shard:    shard,
+		site:     "ship/" + shard,
 		inj:      inj,
 		fr:       fr,
 		file:     f,
@@ -191,9 +193,11 @@ func newReplica(shard, path string, inj *fault.Injector, reg *obs.Registry, fr *
 	}, nil
 }
 
-// Ship implements store.Shipper. Ship events ride the same
-// operation-indexed clock as the primary's WAL appends (sequence as
-// milliseconds), so a dossier interleaves them correctly.
+// Ship implements store.Shipper. It is done with the frame when it
+// returns: the frame is written, dropped, or parked as a copy. Ship
+// events ride the same operation-indexed clock as the primary's WAL
+// appends (sequence as milliseconds), so a dossier interleaves them
+// correctly.
 func (r *replica) Ship(seq int64, frame []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -201,13 +205,13 @@ func (r *replica) Ship(seq int64, frame []byte) {
 		return
 	}
 	at := time.Duration(seq) * time.Millisecond
-	site := "ship/" + r.shard
-	if r.inj.Should(fault.NetPartition, site, int(seq)) {
+	if r.inj.Should(fault.NetPartition, r.site, int(seq)) {
 		r.mDropped.Inc()
 		r.fr.Record(at, flight.KindShip, r.shard, "dropped", seq, int64(len(frame)))
 		return
 	}
-	if r.inj.Should(fault.FollowerLag, site, int(seq)) {
+	if r.inj.Should(fault.FollowerLag, r.site, int(seq)) {
+		// The frame is borrowed (store.Shipper): a parked one is a copy.
 		r.pending = append(r.pending, append([]byte(nil), frame...))
 		r.mLagged.Inc()
 		r.fr.Record(at, flight.KindShip, r.shard, "lagged", seq, int64(len(frame)))

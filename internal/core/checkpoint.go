@@ -95,10 +95,17 @@ func (j *tuneJob) checkpoint() error {
 			return err
 		}
 	}
-	data, err := json.Marshal(&j.tuneProgress)
-	if err != nil {
+	if j.ckEnc == nil {
+		j.ckEnc = json.NewEncoder(&j.ckBuf)
+	}
+	j.ckBuf.Reset()
+	if err := j.ckEnc.Encode(&j.tuneProgress); err != nil {
 		return fmt.Errorf("core: marshal checkpoint: %w", err)
 	}
+	// An Encoder with its defaults writes json.Marshal's bytes, plus a
+	// newline.
+	data := j.ckBuf.Bytes()
+	data = data[:len(data)-1]
 	if err := j.opts.Store.SaveCheckpoint(j.Key, data); err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -357,6 +359,12 @@ type tuneJob struct {
 	// Hit/miss counters persist across restarts with a durable store,
 	// so the result reports this run's delta, not lifetime totals.
 	startHits, startMisses int
+
+	// ckBuf is the buffer every checkpoint is encoded into, through
+	// ckEnc (made on the first checkpoint). The store copies what it
+	// keeps, so the job reuses the buffer.
+	ckBuf bytes.Buffer
+	ckEnc *json.Encoder
 }
 
 // Tune runs the EdgeTune onefold tuning loop (Algorithm 1): brackets of

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"edgetune/internal/autoscale"
@@ -71,7 +72,8 @@ var stages = []stage{
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
 	{"search.tpe-search", false, openTPESearch, 7, 1816},
 	{"trial.run", false, openTrialRun, 105, 6413.8},
-	{"store.wal-append", false, openWALAppend, 14, 1128},
+	{"store.wal-append", false, openWALAppend, 11, 696},
+	{"store.checkpoint", false, openCheckpoint, 0, 0},
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
 	{"flight.record", false, openFlightRecord, 0, 0},
 	{"autoscale.evaluate", false, openAutoscaleEvaluate, 0, 0},
@@ -306,24 +308,36 @@ func openTrialRun() (func(), func(), error) {
 	}, noClose, nil
 }
 
-// One durable-store put: encode, checksum, append, and fsync-policy
-// bookkeeping on a real WAL file.
-func openWALAppend() (func(), func(), error) {
+// throwawayDurable opens a durable store in a fresh temporary
+// directory, with compaction out of the way: a snapshot write inside a
+// probe window would bill an entire rewrite to one operation. done
+// abandons the store (no final snapshot) and removes the directory.
+func throwawayDurable() (st *store.Store, done func(), err error) {
 	dir, err := os.MkdirTemp("", "edgetune-hotloop-*")
 	if err != nil {
 		return nil, nil, err
 	}
 	dur, err := store.OpenDurable(store.DurableOptions{
-		SnapshotPath: filepath.Join(dir, "store.json"),
-		// No compaction inside the probe window: a snapshot write
-		// mid-measure would bill an entire rewrite to one put.
+		SnapshotPath:  filepath.Join(dir, "store.json"),
 		SnapshotEvery: 1 << 30,
 	})
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
-	st := dur.Store()
+	return dur.Store(), func() {
+		_ = dur.Abandon() // throwaway state: the files go next
+		os.RemoveAll(dir)
+	}, nil
+}
+
+// One durable-store put: encode, checksum, append, and fsync-policy
+// bookkeeping on a real WAL file.
+func openWALAppend() (func(), func(), error) {
+	st, done, err := throwawayDurable()
+	if err != nil {
+		return nil, nil, err
+	}
 	seq := 0
 	put := func() {
 		seq++
@@ -337,10 +351,30 @@ func openWALAppend() (func(), func(), error) {
 	for i := 0; i < 256; i++ {
 		put()
 	}
-	return put, func() {
-		_ = dur.Abandon() // throwaway state: no final snapshot, and the files go next
-		os.RemoveAll(dir)
-	}, nil
+	return put, done, nil
+}
+
+// One rung checkpoint on a durable store: a ≈ 20 KB progress blob, the
+// size of a late NLP job's, encoded into the store's frame buffer,
+// appended, fsynced, and kept in the key's previous blob. The job
+// checkpoints after every rung, so this is the durable write a tuning
+// run makes most bytes of.
+func openCheckpoint() (func(), func(), error) {
+	st, done, err := throwawayDurable()
+	if err != nil {
+		return nil, nil, err
+	}
+	blob := []byte(`{"version":2,"trials":[` +
+		strings.Repeat(`{"config":{"lr":0.01,"stride":4},"score":0.8125,"outcome":"ok"},`, 320) + `{}]}`)
+	const key = "tune/NLP/hotloop"
+	// The first save sizes the frame buffer and the stored blob.
+	if err := st.SaveCheckpoint(key, blob); err != nil {
+		done()
+		return nil, nil, err
+	}
+	return func() {
+		_ = st.SaveCheckpoint(key, blob) // the blob the first save accepted
+	}, done, nil
 }
 
 // Consistent-hash job routing, the ring lookup every cluster submission

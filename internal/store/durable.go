@@ -44,6 +44,10 @@ type Durable struct {
 	killAfter    int
 	shipper      Shipper
 	fr           *flight.Recorder
+	// enc frames every append into one reused buffer: the frame an
+	// append writes and ships is valid until the next append, and every
+	// append runs under the store's mutex.
+	enc *walEncoder
 
 	failed   error // sticky: the WAL could not be repaired in place
 	closed   bool
@@ -62,12 +66,14 @@ type Durable struct {
 // ErrDurableClosed is returned by mutations after Close.
 var ErrDurableClosed = errors.New("store: durable store closed")
 
-// Shipper receives a copy of every durably acknowledged WAL frame,
-// in append order, while the store's mutex is held — the hook the
-// cluster layer uses to replicate a shard's log to its follower. The
-// frame is the raw on-disk encoding (length prefix, CRC, payload), so
-// appending it verbatim to another WAL file yields a valid log. Ship
-// must not call back into the store.
+// Shipper receives every durably acknowledged WAL frame, in append
+// order, while the store's mutex is held — the hook the cluster layer
+// uses to replicate a shard's log to its follower. The frame is the raw
+// on-disk encoding (length prefix, CRC, payload), so appending it
+// verbatim to another WAL file yields a valid log. The frame is
+// borrowed for the call: it is the store's reused frame buffer, which
+// the next append overwrites, so a Shipper that keeps a frame past Ship
+// keeps a copy. Ship must not call back into the store.
 type Shipper interface {
 	Ship(seq int64, frame []byte)
 }
@@ -149,6 +155,7 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	d := &Durable{
 		st:        New(),
 		fsys:      opts.FS,
+		enc:       newWALEncoder(),
 		snapPath:  opts.SnapshotPath,
 		walPath:   opts.SnapshotPath + ".wal",
 		every:     opts.SnapshotEvery,
@@ -347,7 +354,7 @@ func (d *Durable) appendLocked(rec walRecord) error {
 	if d.closed {
 		return ErrDurableClosed
 	}
-	frame, err := encodeWALRecord(rec)
+	frame, err := d.enc.frame(rec)
 	if err != nil {
 		return err
 	}

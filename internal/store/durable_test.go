@@ -109,7 +109,9 @@ func TestDurableWALReplayAfterCrash(t *testing.T) {
 // TestSaveCheckpointKeepsNothingOfTheCallersSlice: the WAL record
 // borrows the caller's bytes for the length of the call and the map owns
 // a copy, so a caller that reuses its buffer afterwards changes neither
-// what LoadCheckpoint returns nor what a crashed process replays.
+// what LoadCheckpoint returns nor what a crashed process replays. The
+// store's copy is rewritten in place by the key's next checkpoint, so
+// what LoadCheckpoint returned before it is a copy of its own.
 func TestSaveCheckpointKeepsNothingOfTheCallersSlice(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{})
@@ -128,8 +130,20 @@ func TestSaveCheckpointKeepsNothingOfTheCallersSlice(t *testing.T) {
 	if rr := d2.Recovery(); rr.RecordsReplayed != 1 || rr.Checkpoints != 1 {
 		t.Fatalf("recovery replayed %d records into %d checkpoints, want 1 and 1", rr.RecordsReplayed, rr.Checkpoints)
 	}
-	if got, ok := d2.Store().LoadCheckpoint("job"); !ok || string(got) != want {
+	got, ok := d2.Store().LoadCheckpoint("job")
+	if !ok || string(got) != want {
 		t.Errorf("recovery replayed %q, %v; want %q", got, ok, want)
+	}
+
+	const shorter = `{"r":3}`
+	if err := d2.Store().SaveCheckpoint("job", []byte(shorter)); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("an earlier LoadCheckpoint result reads %q after the next save; want %q", got, want)
+	}
+	if again, ok := d2.Store().LoadCheckpoint("job"); !ok || string(again) != shorter {
+		t.Errorf("LoadCheckpoint = %q, %v after a shorter save; want %q", again, ok, shorter)
 	}
 }
 

@@ -51,6 +51,10 @@ var ErrNotFound = errors.New("store: entry not found")
 // (Put, WriteBehind.Put) and read in place from then on: by get, by
 // WriteBehind.Get and by compaction. Recovery hands the maps it decodes
 // to put uncopied. Get and Entries still hand out copies.
+//
+// A stored checkpoint blob is the opposite: the next SaveCheckpoint of
+// its key overwrites it in place. So LoadCheckpoint copies it out, and
+// compaction encodes it under mu.
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]Entry
@@ -153,7 +157,9 @@ func (s *Store) Entries() []Entry {
 }
 
 // SaveCheckpoint stores an opaque progress blob under key, replacing
-// any previous one.
+// any previous one. The store keeps a copy of data, written into the
+// key's previous blob when it has room, so the caller may reuse its
+// buffer for the next checkpoint.
 func (s *Store) SaveCheckpoint(key string, data []byte) error {
 	if key == "" {
 		return errors.New("store: checkpoint with empty key")
@@ -173,7 +179,7 @@ func (s *Store) SaveCheckpoint(key string, data []byte) error {
 	if s.checkpoints == nil {
 		s.checkpoints = make(map[string]json.RawMessage)
 	}
-	s.checkpoints[key] = append(json.RawMessage(nil), data...)
+	s.checkpoints[key] = append(s.checkpoints[key][:0], data...)
 	return nil
 }
 
@@ -231,19 +237,15 @@ type storeStats struct {
 
 // snapshotFileLocked builds the on-disk document from the current
 // state. Its entries share the stored Config maps, which nothing writes
-// to. Callers must hold s.mu.
+// to, and its checkpoints are the stored map, whose blobs the next
+// SaveCheckpoint overwrites: callers hold s.mu until the document is
+// encoded.
 func (s *Store) snapshotFileLocked() storeFile {
-	file := storeFile{Entries: make([]Entry, 0, len(s.entries))}
+	file := storeFile{Entries: make([]Entry, 0, len(s.entries)), Checkpoints: s.checkpoints}
 	for _, e := range s.entries {
 		file.Entries = append(file.Entries, e)
 	}
 	sort.Slice(file.Entries, func(i, j int) bool { return file.Entries[i].key() < file.Entries[j].key() })
-	if len(s.checkpoints) > 0 {
-		file.Checkpoints = make(map[string]json.RawMessage, len(s.checkpoints))
-		for k, v := range s.checkpoints {
-			file.Checkpoints[k] = append(json.RawMessage(nil), v...)
-		}
-	}
 	if s.hits != 0 || s.misses != 0 {
 		file.Stats = &storeStats{Hits: s.hits, Misses: s.misses}
 	}

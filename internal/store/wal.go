@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -46,16 +47,42 @@ const (
 	maxWALRecord = 16 << 20
 )
 
-// encodeWALRecord frames rec for appending.
-func encodeWALRecord(rec walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// walEncoder frames records for appending into one buffer it reuses,
+// so an append allocates no frame of its own. The payload is what
+// json.Marshal writes (an Encoder with its defaults writes the same
+// bytes, plus a newline it drops), so the format is encoding/json's.
+type walEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+	// rec holds the record while it is encoded: Encode takes a pointer
+	// into the encoder instead of one to a record boxed per call.
+	rec walRecord
+}
+
+func newWALEncoder() *walEncoder {
+	w := &walEncoder{}
+	w.enc = json.NewEncoder(&w.buf)
+	return w
+}
+
+// frame encodes rec as one length-prefixed, checksummed frame. The
+// frame is the encoder's own buffer: it is valid until the next call,
+// and a caller that keeps it copies it. rec's bytes are not retained.
+func (w *walEncoder) frame(rec walRecord) ([]byte, error) {
+	var header [walHeaderSize]byte // length and CRC, filled in below
+	w.buf.Reset()
+	w.buf.Write(header[:])
+	w.rec = rec
+	err := w.enc.Encode(&w.rec)
+	w.rec = walRecord{}
 	if err != nil {
 		return nil, fmt.Errorf("store: marshal wal record: %w", err)
 	}
-	frame := make([]byte, walHeaderSize+len(payload))
+	frame := w.buf.Bytes()
+	frame = frame[:len(frame)-1] // Encode's trailing newline
+	payload := frame[walHeaderSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[walHeaderSize:], payload)
 	return frame, nil
 }
 

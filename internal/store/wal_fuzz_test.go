@@ -37,11 +37,13 @@ func walRecordsFrom(data []byte) []walRecord {
 	return recs
 }
 
+// walFrames is the log the store's own encoder writes for recs.
 func walFrames(t testing.TB, recs []walRecord) []byte {
 	t.Helper()
 	var log []byte
+	enc := newWALEncoder()
 	for _, rec := range recs {
-		frame, err := encodeWALRecord(rec)
+		frame, err := enc.frame(rec)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", rec, err)
 		}
@@ -107,7 +109,7 @@ func FuzzScanWAL(f *testing.F) {
 			if !validWALRecord(rec) {
 				t.Fatalf("accepted a record that cannot be applied: %+v", rec)
 			}
-			if _, err := encodeWALRecord(rec); err != nil {
+			if _, err := newWALEncoder().frame(rec); err != nil {
 				t.Fatalf("accepted a record that cannot be logged again: %+v: %v", rec, err)
 			}
 		}
