@@ -1,0 +1,96 @@
+package edgetune
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"edgetune/internal/testutil"
+)
+
+// tinyTraceJob is a small traced IC job: enough rungs for epochs and
+// mini-batches under every attempt, small enough to run in a second.
+func tinyTraceJob() Job {
+	return Job{Workload: "IC", Configs: 3, Rungs: 2, Brackets: 1, InferenceTrials: 4, Seed: 5}
+}
+
+func sha(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestTraceBytesGolden holds the trace exports of a single-node job and
+// of a job on a two-shard cluster (whose jobs all share one tracer) to
+// fixed digests: how the tracer buffers spans may change, the bytes it
+// exports may not. A digest moves only with a change meant to move what
+// is traced, and then in the same change.
+func TestTraceBytesGolden(t *testing.T) {
+	defer testutil.CheckGoroutineLeak(t, 4)
+	const (
+		wantJobJSONL      = "d0701cb9dc42d126a9cd3183b30334f4f54e76071594500489a22021ad67d792"
+		wantJobChrome     = "81adfbe6a53eaf898748a96787718d49e8f2348a2323f0ef8841d9b13363b28d"
+		wantClusterJSONL  = "3122c8e2c22d00262a25832ffa3ffd42f33e798bb67062b994eec73c225052ae"
+		wantClusterChrome = "c7437764a7d009b74b1de0c32f7a7eff8e28f4b86b6abd6311ed80f7eca6056c"
+	)
+	dir := t.TempDir()
+
+	job := tinyTraceJob()
+	job.TracePath = filepath.Join(dir, "job.jsonl")
+	job.TraceChromePath = filepath.Join(dir, "job.chrome.json")
+	if _, err := Tune(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ path, want string }{
+		{job.TracePath, wantJobJSONL},
+		{job.TraceChromePath, wantJobChrome},
+	} {
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(data); got != f.want {
+			t.Errorf("%s: sha256 %s, want %s", filepath.Base(f.path), got, f.want)
+		}
+		// The digests cover both kinds of leaf span the pipeline emits.
+		for _, name := range []string{`"mini-batch"`, `"store-write"`} {
+			if !bytes.Contains(data, []byte(name)) {
+				t.Errorf("%s holds no %s span", filepath.Base(f.path), name)
+			}
+		}
+	}
+
+	c, err := NewCluster(ClusterOptions{
+		Shards:    2,
+		Dir:       filepath.Join(dir, "cluster"),
+		Seed:      5,
+		TracePath: filepath.Join(dir, "cluster.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tune(context.Background(), tinyTraceJob()); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "cluster.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(data); got != wantClusterJSONL {
+		t.Errorf("cluster.jsonl: sha256 %s, want %s", got, wantClusterJSONL)
+	}
+	var chrome bytes.Buffer
+	if err := c.tracer.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(chrome.Bytes()); got != wantClusterChrome {
+		t.Errorf("cluster Chrome export: sha256 %s, want %s", got, wantClusterChrome)
+	}
+}
