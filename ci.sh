@@ -148,11 +148,17 @@ go test -shuffle=on ./...
 
 gate "trace determinism"
 # Two independent same-seed runs must write byte-identical trace files,
-# in both the JSONL and Chrome trace-event formats.
+# in both the JSONL and Chrome trace-event formats; on a 2-shard cluster
+# too, where every job's spans land in the cluster's one tracer.
 $chaos -seed 7 -trace "$tracedir/a.jsonl" -trace-chrome "$tracedir/a.json" >/dev/null
 $chaos -seed 7 -trace "$tracedir/b.jsonl" -trace-chrome "$tracedir/b.json" >/dev/null
 cmp "$tracedir/a.jsonl" "$tracedir/b.jsonl"
 cmp "$tracedir/a.json" "$tracedir/b.json"
+for run in a b; do
+  $chaos -seed 7 -cluster 2 -cluster-dir "$tracedir/cluster-$run" \
+    -trace "$tracedir/cluster-$run.jsonl" >/dev/null
+done
+cmp "$tracedir/cluster-a.jsonl" "$tracedir/cluster-b.jsonl"
 
 gate "trace analytics"
 # The analyzer must be as deterministic as the traces it reads: same

@@ -842,8 +842,7 @@ func (s *InferenceServer) serve(ctx context.Context, c *call) InferOutcome {
 	if out.Err == nil {
 		out.Err = s.persist(c.Signature, h.res.entry)
 		if sp != nil {
-			wsp := sp.Child("store-write", end, obs.Bool("ok", out.Err == nil))
-			wsp.End(end)
+			sp.Leaf("store-write", end, end, obs.Bool("ok", out.Err == nil))
 		}
 	}
 	sp.End(end)

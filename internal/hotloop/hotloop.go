@@ -68,6 +68,7 @@ var stages = []stage{
 	{"nn.minibatch-step", true, openMiniBatchStep, 0, 0},
 	{"perfmodel.infer-cost", true, openInferCost, 0, 0},
 	{"trace.emit", true, openTraceEmit, 4, 264},
+	{"trace.leaf", false, openTraceLeaf, 0, 0},
 	{"store.put", true, openStorePut, 4, 352},
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
 	{"search.tpe-search", false, openTPESearch, 7, 1816},
@@ -160,10 +161,11 @@ func openInferCost() (func(), func(), error) {
 }
 
 // Span emission — root, attributed child, two ends — the tracer work
-// every trial and every serve request pays when tracing is on. The
-// tracer's buffer grows geometrically; it is grown first to where the
-// next growth is hundreds of records away, so the steady state is
-// measured, not whichever copy falls in the window.
+// every trial and every serve request pays when tracing is on: the two
+// *Spans, the child's attribute slice and its boxed int. The tracer
+// keeps records in blocks of up to 1024 (DESIGN.md §4.8); it is filled
+// first to where the next block is hundreds of records away, so no
+// block falls in the window.
 func openTraceEmit() (func(), func(), error) {
 	tracer := obs.NewTracer()
 	var seq uint64
@@ -178,6 +180,26 @@ func openTraceEmit() (func(), func(), error) {
 		emit()
 	}
 	return emit, noClose, nil
+}
+
+// One leaf span — a "mini-batch" with two small int attributes, as
+// every step group of a traced trial records it. The leaf builds no
+// *Span and its attributes are copied into the tracer's own blocks, so
+// it allocates nothing; the tracer is filled first so that neither its
+// record blocks nor its attribute blocks start a new one in the window.
+func openTraceLeaf() (func(), func(), error) {
+	tracer := obs.NewTracer()
+	epoch := tracer.Root(0, "epoch", 0, 0)
+	var seq int64
+	leaf := func() {
+		seq++
+		at := time.Duration(seq)
+		epoch.Leaf("mini-batch", at, at+1, obs.Int("step", seq%64), obs.Int("steps", 1))
+	}
+	for i := 0; i < 1024; i++ {
+		leaf()
+	}
+	return leaf, noClose, nil
 }
 
 // An in-memory store write, the body of every recommendation persist.

@@ -114,11 +114,69 @@ func (a *Attr) UnmarshalJSON(data []byte) error {
 
 // Tracer collects finished spans. A nil *Tracer is a valid disabled
 // tracer: all methods no-op. Safe for concurrent use.
+//
+// A finished span costs its record and its attributes, nothing more:
+// records are kept in blocks, so the buffer grows without copying what
+// it holds (see blocks). Attribute memory is owned as follows. A *Span
+// keeps the slice passed to Root or Child, grown by Set, and its record
+// keeps that slice at End, so a caller must not modify an attribute
+// slice once passed. A leaf's attributes are copied into blocks the
+// tracer owns, so the slice passed to Leaf is the caller's again when
+// Leaf returns.
 type Tracer struct {
 	mu       sync.Mutex
-	spans    []spanRecord
+	spans    blocks[spanRecord]
+	attrs    blocks[Attr] // leaf attributes
 	dropped  int64
 	observer func(name string, track int, start, dur time.Duration)
+}
+
+// The block sizes of a blocks list: the first holds firstBlock
+// elements, each next one twice its predecessor, up to maxBlock. A
+// short trace stays small; a long one adds maxBlock elements at a time.
+const (
+	firstBlock = 64
+	maxBlock   = 1024
+)
+
+// blocks is an append-only list kept as fixed-capacity blocks. A full
+// block is never copied or regrown: the next element goes into a new
+// block beside it, so over its life the list allocates about what it
+// holds, where one append-grown slice allocates several times that in
+// the copies its growth leaves behind.
+type blocks[T any] struct {
+	list [][]T
+	n    int
+}
+
+// take returns room for n more elements, in one block: a subslice with
+// its capacity capped at n, so appending to it never writes over the
+// block's next elements. When the last block has too little room left,
+// its tail stays unused and a new block is started, of the next size
+// or of n if that is larger.
+func (b *blocks[T]) take(n int) []T {
+	last := len(b.list) - 1
+	if last < 0 || cap(b.list[last])-len(b.list[last]) < n {
+		size := firstBlock
+		if last >= 0 {
+			size = min(2*cap(b.list[last]), maxBlock)
+		}
+		b.list = append(b.list, make([]T, 0, max(size, n)))
+		last++
+	}
+	blk := b.list[last]
+	i := len(blk)
+	b.list[last] = blk[:i+n]
+	b.n += n
+	return blk[i : i+n : i+n]
+}
+
+// appendTo appends every element, in the order taken, to dst.
+func (b *blocks[T]) appendTo(dst []T) []T {
+	for _, blk := range b.list {
+		dst = append(dst, blk...)
+	}
+	return dst
 }
 
 // NewTracer returns an empty tracer.
@@ -160,9 +218,40 @@ func (sp *Span) Child(name string, start time.Duration, attrs ...Attr) *Span {
 	if sp == nil {
 		return nil
 	}
+	return &Span{tr: sp.tr, id: sp.childID(name), parent: sp.id, track: sp.track, start: start, name: name, attrs: attrs}
+}
+
+// childID numbers sp's next child: a hash of (sp's ID, name, creation
+// index).
+func (sp *Span) childID(name string) SpanID {
 	idx := sp.children.Add(1) - 1
-	id := sim.HashUint64(sim.HashString(uint64(sp.id), name), idx)
-	return &Span{tr: sp.tr, id: nonzero(id), parent: sp.id, track: sp.track, start: start, name: name, attrs: attrs}
+	return nonzero(sim.HashUint64(sim.HashString(uint64(sp.id), name), idx))
+}
+
+// Leaf records a child of sp that starts at start and ends at end. It
+// exports exactly what Child(name, start, attrs...) followed at once by
+// End(end) does, the same ID included, but builds no *Span: a finished
+// leaf costs its record and nothing else. Its attributes are copied
+// into memory the tracer owns, so attrs stays the caller's (a variadic
+// call's slice stays on the caller's stack). A leaf can have no
+// children and takes no Set: use it only where a Child would be ended
+// before anything else is done with it.
+func (sp *Span) Leaf(name string, start, end time.Duration, attrs ...Attr) {
+	if sp == nil {
+		return
+	}
+	sp.leaf(name, start, end, attrs)
+}
+
+func (sp *Span) leaf(name string, start, end time.Duration, attrs []Attr) {
+	sp.tr.emit(spanRecord{
+		ID:     uint64(sp.childID(name)),
+		Parent: uint64(sp.id),
+		Name:   name,
+		Track:  sp.track,
+		Start:  int64(start),
+		Dur:    int64(clampedDur(start, end)),
+	}, attrs)
 }
 
 // ID reports the span's deterministic identifier (0 for a nil span).
@@ -211,28 +300,36 @@ func (sp *Span) end(end time.Duration) {
 	attrs := sp.attrs
 	sp.mu.Unlock()
 
-	dur := end - sp.start
-	if dur < 0 {
-		dur = 0
-	}
 	sp.tr.emit(spanRecord{
 		ID:     uint64(sp.id),
 		Parent: uint64(sp.parent),
 		Name:   sp.name,
 		Track:  sp.track,
 		Start:  int64(sp.start),
-		Dur:    int64(dur),
+		Dur:    int64(clampedDur(sp.start, end)),
 		Attrs:  attrs,
-	})
+	}, nil)
 }
 
-func (t *Tracer) emit(rec spanRecord) {
+// clampedDur is end − start, or zero for an end before the start.
+func clampedDur(start, end time.Duration) time.Duration {
+	return max(end-start, 0)
+}
+
+// emit buffers a finished span. A *Span hands over its attributes in
+// rec.Attrs; a leaf's arrive in leafAttrs and are copied into the
+// tracer's own blocks.
+func (t *Tracer) emit(rec spanRecord, leafAttrs []Attr) {
 	t.mu.Lock()
 	obsv := t.observer
-	if len(t.spans) >= maxSpans {
+	if t.spans.n >= maxSpans {
 		t.dropped++
 	} else {
-		t.spans = append(t.spans, rec)
+		if len(leafAttrs) > 0 {
+			rec.Attrs = t.attrs.take(len(leafAttrs))
+			copy(rec.Attrs, leafAttrs)
+		}
+		t.spans.take(1)[0] = rec
 	}
 	t.mu.Unlock()
 	if obsv != nil {
@@ -262,7 +359,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.spans.n
 }
 
 // Dropped reports spans discarded by the buffer cap.
@@ -275,11 +372,11 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// sorted copies the buffer in deterministic (start, ID) order.
+// sorted concatenates the buffer's blocks into one slice, in
+// deterministic (start, ID) order.
 func (t *Tracer) sorted() []spanRecord {
 	t.mu.Lock()
-	out := make([]spanRecord, len(t.spans))
-	copy(out, t.spans)
+	out := t.spans.appendTo(make([]spanRecord, 0, t.spans.n))
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {

@@ -3,10 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"edgetune/internal/testutil"
 )
 
 // buildTrace emits a small two-track trace; called twice it must
@@ -127,6 +131,7 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 	child := root.Child("trial", 0, Str("k", "v"))
 	child.Set(Int("n", 1))
 	child.End(time.Second)
+	child.Leaf("mini-batch", 0, time.Second, Int("step", 1))
 	if got := child.ID(); got != 0 {
 		t.Fatalf("nil span ID = %d, want 0", got)
 	}
@@ -213,5 +218,171 @@ func TestSaveFiles(t *testing.T) {
 	data := mustRead(t, jp)
 	if !bytes.Equal(data, mem.Bytes()) {
 		t.Fatal("SaveJSONL differs from WriteJSONL")
+	}
+}
+
+// leafAttrs are the attribute lists the leaf tests cycle through: none,
+// one, two, and five, of every kind.
+var leafAttrs = [][]Attr{
+	nil,
+	{Int("step", 3)},
+	{Int("step", 0), Int("steps", 2)},
+	{Str("device", "i7"), Int("attempt", 1), Float("score", 0.5), Bool("ok", true), Int("big", 1<<40)},
+}
+
+// emitChildren gives parent n children: every fourth an ordinary span
+// with a grandchild and a Set, the rest leaves — built by Leaf, or by
+// Child and an End at once when leaf is false. Starts repeat, so the
+// export's ID tie-break is exercised too.
+func emitChildren(parent *Span, n int, leaf bool) {
+	for i := 0; i < n; i++ {
+		start := time.Duration(i/3) * time.Millisecond
+		end := start + time.Duration(i%5)*time.Microsecond
+		if i%4 == 0 {
+			sp := parent.Child("epoch", start, Int("epoch", int64(i)))
+			sp.Child("inner", start).End(end)
+			sp.Set(Bool("done", true))
+			sp.End(end)
+			continue
+		}
+		attrs := leafAttrs[i%len(leafAttrs)]
+		if i%7 == 0 {
+			end = start - time.Microsecond // clamped to zero either way
+		}
+		if leaf {
+			parent.Leaf("mini-batch", start, end, attrs...)
+		} else {
+			parent.Child("mini-batch", start, attrs...).End(end)
+		}
+	}
+}
+
+func exports(t *testing.T, tr *Tracer) (jsonl, chrome []byte) {
+	t.Helper()
+	var j, c bytes.Buffer
+	if err := tr.WriteJSONL(&j); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteChrome(&c); err != nil {
+		t.Fatal(err)
+	}
+	return j.Bytes(), c.Bytes()
+}
+
+// TestLeafMatchesChildEnd: a leaf exports exactly what a Child ended at
+// once exports — ID, parent, duration, attributes — and takes its place
+// in the parent's child numbering, so the spans around it keep theirs.
+func TestLeafMatchesChildEnd(t *testing.T) {
+	build := func(leaf bool) *Tracer {
+		tr := NewTracer()
+		root := tr.Root(TrackTuner, "attempt", 9, 0, Str("config", "b32"))
+		emitChildren(root, 200, leaf)
+		root.End(time.Second)
+		return tr
+	}
+	ends, leaves := build(false), build(true)
+	if ends.Len() != leaves.Len() {
+		t.Fatalf("Child+End kept %d spans, Leaf %d", ends.Len(), leaves.Len())
+	}
+	wantJ, wantC := exports(t, ends)
+	gotJ, gotC := exports(t, leaves)
+	if !bytes.Equal(gotJ, wantJ) {
+		t.Errorf("JSONL with leaves differs from Child+End:\n%s\nvs\n%s", gotJ, wantJ)
+	}
+	if !bytes.Equal(gotC, wantC) {
+		t.Errorf("Chrome export with leaves differs from Child+End")
+	}
+}
+
+// TestLeafAttrsAreCopied: the slice passed to Leaf is the caller's again
+// once Leaf returns; reusing it changes no recorded span.
+func TestLeafAttrsAreCopied(t *testing.T) {
+	tr := NewTracer()
+	root := tr.Root(TrackTuner, "epoch", 1, 0)
+	attrs := []Attr{Int("step", 1), Int("steps", 1)}
+	root.Leaf("mini-batch", 0, 1, attrs...)
+	attrs[0], attrs[1] = Int("step", 2), Str("late", "overwritten")
+	root.Leaf("mini-batch", 1, 2, attrs...)
+	jsonl, _ := exports(t, tr)
+	if strings.Count(string(jsonl), `{"k":"step","v":1}`) != 1 || strings.Count(string(jsonl), `"late"`) != 1 {
+		t.Fatalf("a leaf's attributes changed after Leaf returned:\n%s", jsonl)
+	}
+}
+
+// TestConcurrentLeaves: leaves under eight parents, one goroutine each,
+// export as the same leaves emitted from one goroutine do. Run under
+// -race it also checks that the shared blocks are guarded.
+func TestConcurrentLeaves(t *testing.T) {
+	const parents, children = 8, 500
+	build := func(concurrent bool) *Tracer {
+		tr := NewTracer()
+		var wg sync.WaitGroup
+		for p := 0; p < parents; p++ {
+			run := func() {
+				root := tr.Root(TrackServing, "request", uint64(p), time.Duration(p))
+				emitChildren(root, children, true)
+				root.End(time.Second)
+			}
+			if !concurrent {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		return tr
+	}
+	seq, conc := build(false), build(true)
+	if conc.Len() != parents*(children+1+children/4) {
+		t.Fatalf("kept %d spans, want %d", conc.Len(), parents*(children+1+children/4))
+	}
+	wantJ, wantC := exports(t, seq)
+	gotJ, gotC := exports(t, conc)
+	if !bytes.Equal(gotJ, wantJ) || !bytes.Equal(gotC, wantC) {
+		t.Fatal("concurrent leaves export differently from sequential ones")
+	}
+}
+
+// TestTracerAllocatesWhatItKeeps: filling the buffer allocates about
+// the records and attributes it keeps, not the multiple of them that
+// the copies of an append-grown slice add up to. Leaves are two thirds
+// of a job's spans; each costs its record and its attributes, and an
+// ordinary span adds its *Span.
+func TestTracerAllocatesWhatItKeeps(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on the tracer's behalf")
+	}
+	const (
+		leaves = 20000
+		spans  = 2000
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewTracer()
+	root := tr.Root(TrackTuner, "attempt", 1, 0)
+	for i := 0; i < leaves; i++ {
+		at := time.Duration(i)
+		root.Leaf("mini-batch", at, at+1, Int("step", int64(i%64)), Int("steps", 1))
+		if i%(leaves/spans) == 0 {
+			root.Child("epoch", at).End(at + 1)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+
+	recSize, attrSize := float64(reflect.TypeOf(spanRecord{}).Size()), float64(reflect.TypeOf(Attr{}).Size())
+	kept := float64(leaves+spans)*recSize + 2*leaves*attrSize
+	block := maxBlock * (recSize + attrSize)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d spans: %.0f B kept, %.0f B allocated (%.3fx)", tr.Len(), kept, got, got/kept)
+	if tr.Len() != leaves+spans {
+		t.Fatalf("kept %d spans, want %d", tr.Len(), leaves+spans)
+	}
+	if limit := 1.1*kept + block; got > limit {
+		t.Errorf("allocated %.0f B for %.0f B kept: over the %.0f B allowed (1.1x plus one block)", got, kept, limit)
 	}
 }

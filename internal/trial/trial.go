@@ -236,10 +236,9 @@ func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerE
 			if last > stepsPerEpoch {
 				last = stepsPerEpoch
 			}
-			msp := esp.Child("mini-batch", gStart,
+			esp.Leaf("mini-batch", gStart, gEnd,
 				obs.Int("step", int64(first)),
 				obs.Int("steps", int64(last-first)))
-			msp.End(gEnd)
 		}
 		esp.End(eEnd)
 	}
