@@ -137,11 +137,13 @@ go test -race -timeout 20m ./...
 
 gate "lifecycle stress"
 # The inference server's request lifecycle — one finish, one hard-stop
-# context, hooks instead of goroutines (DESIGN.md §4.6) — twenty times
-# under the race detector, not once: every Drain/Close/cancel/evict test
-# and the request-outcome golden. Its own gate, so its elapsed time is in
-# the summary and outside the sweep's 20-minute timeout.
-go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome' ./internal/core/
+# check between trials, hooks instead of goroutines (DESIGN.md §4.6) —
+# twenty times under the race detector, not once: every
+# Drain/Close/cancel/evict test, the request-outcome golden, and the
+# tests of the per-worker search scratch a request is served on. Its own
+# gate, so its elapsed time is in the summary and outside the sweep's
+# 20-minute timeout.
+go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch' ./internal/core/
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...
@@ -241,9 +243,11 @@ go run ./cmd/tracetool store verify "$tracedir/crash.json"
 gate "hot-loop allocation gate"
 # Every hot loop's allocs/op and bytes/op are declared beside its name,
 # in internal/hotloop's stage table; TestStageAllocations fails when a
-# measurement leaves its row in either direction. Five runs, so a
-# figure that holds only some of the time fails here too.
-go test -count=5 -run TestStageAllocations ./internal/hotloop
+# measurement leaves its row in either direction. Twenty runs, so a
+# figure that holds only some of the time fails here too (the test warms
+# each loop up first, so the runtime's one-time type-assertion cache
+# builds fall before the window; see ledgerWarmUpRuns).
+go test -count=20 -run TestStageAllocations ./internal/hotloop
 
 gate "cluster-failover gate"
 # The sharded cluster's own tests, twice under the race detector, then

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"edgetune/internal/autoscale"
@@ -53,9 +52,9 @@ type hedgeOutcome struct {
 // winner is whichever result finishes first on that clock, and the
 // loser is charged only the cost it accrued before the winner's
 // finish — the cancellation refund.
-func (s *InferenceServer) runHedged(ctx context.Context, req InferRequest, primary route, sp *obs.Span, base time.Duration) hedgeOutcome {
+func (s *InferenceServer) runHedged(req InferRequest, primary route, sp *obs.Span, base time.Duration, sc *scratch) hedgeOutcome {
 	pd := primary.pd
-	r1 := s.serveOn(ctx, req, pd, sp, base)
+	r1 := s.serveOn(req, pd, sp, base, sc)
 	expected := r1.baseline
 	deadline := time.Duration(float64(expected) * s.opts.HedgeFactor)
 	s.pool.observe(primary, r1.err, r1.cost.Duration, expected, base+r1.cost.Duration)
@@ -97,7 +96,7 @@ func (s *InferenceServer) runHedged(ctx context.Context, req InferRequest, prima
 			obs.Str("reason", reason))
 	}
 
-	r2 := s.serveOn(ctx, req, second.pd, hsp, base+start)
+	r2 := s.serveOn(req, second.pd, hsp, base+start, sc)
 	s.pool.observe(second, r2.err, r2.cost.Duration, r2.baseline, base+start+r2.cost.Duration)
 
 	d1 := r1.cost.Duration

@@ -45,10 +45,10 @@ type InferRequest struct {
 
 // InferOutcome is the server's reply.
 type InferOutcome struct {
-	// Entry is the tuned result. A hit's, and a coalesced waiter's,
-	// shares its Config map with the historical store or with the
-	// leader's reply: treat it as read-only, and Clone it to keep a copy
-	// that may change.
+	// Entry is the tuned result. Every reply's Config map — a hit's, a
+	// coalesced waiter's, and the tuned one a miss returns — is the map
+	// the historical store keeps: treat it as read-only, and Clone it to
+	// keep a copy that may change.
 	Entry store.Entry
 	// Cached reports whether the result came from the historical store.
 	Cached bool
@@ -771,9 +771,11 @@ func (s *InferenceServer) recordSLO(at time.Duration, res InferOutcome) {
 	}
 }
 
-// worker drains the admission queue, serving one call at a time.
+// worker drains the admission queue, serving one call at a time on the
+// one scratch it owns.
 func (s *InferenceServer) worker() {
 	defer s.wg.Done()
+	sc := s.newScratch()
 	for {
 		c, ok := s.adm.take()
 		if !ok {
@@ -784,7 +786,7 @@ func (s *InferenceServer) worker() {
 		// race to remove it) is not served.
 		res := InferOutcome{Err: c.ctx.Err()}
 		if res.Err == nil {
-			res = s.run(c)
+			res = s.run(c, sc)
 			if s.adm.isRejecting() {
 				s.opts.Recorder.AddDrained()
 			}
@@ -799,15 +801,49 @@ func (s *InferenceServer) worker() {
 	}
 }
 
+// scratch is what one worker reuses from request to request: the
+// sampler, reset to each search's seed, the search's proposal and
+// incumbent maps, and how long the request being served may live. A
+// hedged request runs its two searches one after the other on the
+// simulated clock, so a worker never uses its scratch twice at once.
+type scratch struct {
+	sampler   search.Sampler // nil until the worker's first search builds it
+	cfg, best search.Config
+	// ctx is the served request's caller's context, and deadline its
+	// wall-clock limit.
+	ctx      context.Context
+	deadline time.Time
+}
+
+func (s *InferenceServer) newScratch() *scratch {
+	dim := s.opts.Space.Dim()
+	return &scratch{cfg: make(search.Config, dim), best: make(search.Config, dim)}
+}
+
+// stopped reports why the request on sc must stop, or nil while it may
+// go on: the caller's own error first, then the hard stop as
+// context.Canceled, then the deadline as context.DeadlineExceeded — what
+// a context derived from the caller's, with the deadline and cancelled
+// by the hard stop, would report.
+func (s *InferenceServer) stopped(sc *scratch) error {
+	if err := sc.ctx.Err(); err != nil {
+		return err
+	}
+	if s.hard.Err() != nil {
+		return context.Canceled
+	}
+	if !time.Now().Before(sc.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // run serves c for as long as it may live — until its caller gives up,
 // the server is hard-stopped or requestTimeout passes — under the pprof
 // labels of its tenant and priority.
-func (s *InferenceServer) run(c *call) (out InferOutcome) {
+func (s *InferenceServer) run(c *call, sc *scratch) (out InferOutcome) {
 	c.served = true
-	ctx, cancel := context.WithTimeout(c.ctx, requestTimeout)
-	defer cancel()
-	defer context.AfterFunc(s.hard, cancel)() // hooked to the hard stop; unhooked on return
-
+	sc.ctx, sc.deadline = c.ctx, time.Now().Add(requestTimeout)
 	var labels []string
 	if s.opts.Profile {
 		// Labels do not cross the Submit→worker goroutine hop; re-apply
@@ -818,7 +854,8 @@ func (s *InferenceServer) run(c *call) (out InferOutcome) {
 			prof.KeyPriority, priorityLabel(c.Priority),
 		}, s.opts.ProfLabels...)
 	}
-	prof.Do(ctx, func(ctx context.Context) { out = s.serve(ctx, c) }, labels...)
+	prof.Do(c.ctx, func(context.Context) { out = s.serve(c, sc) }, labels...)
+	sc.ctx = nil // keep no caller's context past its call
 	return out
 }
 
@@ -827,12 +864,12 @@ func (s *InferenceServer) run(c *call) (out InferOutcome) {
 // winner through the write-behind buffer, reply — each step subject to
 // injected faults, with every attempt's simulated cost charged to the
 // request.
-func (s *InferenceServer) serve(ctx context.Context, c *call) InferOutcome {
+func (s *InferenceServer) serve(c *call, sc *scratch) InferOutcome {
 	var sp *obs.Span
 	if c.sp != nil {
 		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", c.rt.pd.name))
 	}
-	h := s.runHedged(ctx, c.InferRequest, c.rt, sp, c.SubmitTime)
+	h := s.runHedged(c.InferRequest, c.rt, sp, c.SubmitTime, sc)
 	s.m.latencyMS.Observe(float64(h.latency) / float64(time.Millisecond))
 	if sp != nil {
 		sp.Set(obs.Str("winner", h.winner.name), obs.Bool("hedged", h.hedged))
@@ -860,14 +897,16 @@ func (s *InferenceServer) serve(ctx context.Context, c *call) InferOutcome {
 
 // persist stores the winning entry through the write-behind buffer,
 // subject to injected store-write failures. Only the write is retried,
-// up to MaxAttempts — the tuned result is already in hand.
+// up to MaxAttempts — the tuned result is already in hand. The buffer
+// takes the entry's Config over uncopied: tuneCore made it for this
+// entry alone, and the reply shares it with the store from here on.
 func (s *InferenceServer) persist(sig string, entry store.Entry) (err error) {
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			s.opts.Recorder.AddRetry()
 		}
 		if err = s.opts.Fault.Fail(fault.StoreWrite, sig, attempt); err == nil {
-			err = s.writes.Put(entry)
+			err = s.writes.PutOwned(entry)
 		}
 		if err == nil || !fault.IsFault(err) {
 			break
@@ -881,7 +920,7 @@ func (s *InferenceServer) persist(sig string, entry store.Entry) (err error) {
 // child of sp (nil = tracing off), stamped with the device's health and
 // breaker state at dispatch and placed at start plus the cost charged so
 // far on the simulated clock.
-func (s *InferenceServer) serveOn(ctx context.Context, req InferRequest, pd *poolDevice, sp *obs.Span, start time.Duration) serveResult {
+func (s *InferenceServer) serveOn(req InferRequest, pd *poolDevice, sp *obs.Span, start time.Duration, sc *scratch) serveResult {
 	var res serveResult
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -897,7 +936,7 @@ func (s *InferenceServer) serveOn(ctx context.Context, req InferRequest, pd *poo
 				obs.Float("score", score),
 				obs.Str("breaker", pd.br.snapshotState().String()))
 		}
-		entry, cost, raw, err := s.tuneOn(ctx, req, pd, attempt)
+		entry, cost, raw, err := s.tuneOn(req, pd, attempt, sc)
 		res.cost = res.cost.Add(cost)
 		if raw > 0 {
 			res.baseline = raw
@@ -923,7 +962,7 @@ func (s *InferenceServer) serveOn(ctx context.Context, req InferRequest, pd *poo
 // dead) while leaving the tuned entry's steady-state metrics intact.
 // The third return is the raw pre-brownout duration — the fault-free
 // perfmodel expectation the hedge deadline derives from.
-func (s *InferenceServer) tuneOn(ctx context.Context, req InferRequest, pd *poolDevice, attempt int) (store.Entry, perfmodel.Cost, time.Duration, error) {
+func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, sc *scratch) (store.Entry, perfmodel.Cost, time.Duration, error) {
 	var site string
 	if s.opts.Fault != nil { // a nil injector reads no site: build none
 		site = pd.name + "/" + req.Signature
@@ -935,7 +974,7 @@ func (s *InferenceServer) tuneOn(ctx context.Context, req InferRequest, pd *pool
 	if s.opts.Fault.Should(fault.DeviceBrownout, site, attempt) {
 		factor = s.opts.Fault.BrownoutFactor(site, attempt)
 	}
-	entry, cost, err := s.tuneCore(ctx, req, pd)
+	entry, cost, err := s.tuneCore(req, pd, sc)
 	raw := cost.Duration
 	if factor > 1 {
 		cost = scaleCost(cost, factor)
@@ -950,29 +989,37 @@ func (s *InferenceServer) tuneOn(ctx context.Context, req InferRequest, pd *pool
 // reproduces the same search — attempts differ only in which faults
 // fire. It is fault-free by construction, which also makes it the
 // hedge deadline's baseline (see baseline).
-func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *poolDevice) (store.Entry, perfmodel.Cost, error) {
+//
+// The search runs on the worker's scratch: its sampler, reset to the
+// seed, and its two maps. The returned entry owns a clone of the
+// incumbent's configuration, the one map a search allocates: a hedge's
+// search rewrites the scratch while the primary's entry is still alive.
+func (s *InferenceServer) tuneCore(req InferRequest, pd *poolDevice, sc *scratch) (store.Entry, perfmodel.Cost, error) {
 	var cost perfmodel.Cost
-	sampler, err := search.NewSampler(s.opts.Algo, s.opts.Space, s.opts.Seed^sim.Hash64(req.Signature))
-	if err != nil {
-		return store.Entry{}, cost, err
+	seed := s.opts.Seed ^ sim.Hash64(req.Signature)
+	if sc.sampler == nil {
+		sampler, err := search.NewSampler(s.opts.Algo, s.opts.Space, seed)
+		if err != nil {
+			return store.Entry{}, cost, err
+		}
+		sc.sampler = sampler
+	} else {
+		sc.sampler.Reset(seed)
 	}
 	obj := Objective{Metric: s.opts.Metric}
 
-	// Two maps per search: the proposal scratch, and the incumbent's
-	// configuration, which the returned entry keeps.
 	var (
-		best      store.Entry
+		bestR     perfmodel.InferResult
 		bestScore = -1.0
-		cfg       = make(search.Config, s.opts.Space.Dim())
-		bestCfg   = make(search.Config, s.opts.Space.Dim())
+		cfg       = sc.cfg
 	)
 	for i := 0; i < s.opts.Trials; i++ {
 		// Honour cancellation and the per-request deadline between
 		// trials, not only at request boundaries.
-		if err := ctx.Err(); err != nil {
+		if err := s.stopped(sc); err != nil {
 			return store.Entry{}, cost, err
 		}
-		sampler.SampleInto(cfg)
+		sc.sampler.SampleInto(cfg)
 		spec := perfmodel.InferSpec{
 			FLOPsPerSample: req.FLOPsPerSample,
 			Params:         req.Params,
@@ -985,7 +1032,7 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 			return store.Entry{}, cost, fmt.Errorf("core: inference trial: %w", err)
 		}
 		score := obj.InferScore(r)
-		sampler.Observe(search.Observation{Config: cfg, Score: score, Budget: 1})
+		sc.sampler.Observe(search.Observation{Config: cfg, Score: score, Budget: 1})
 
 		// Charge the emulated trial: one batch evaluation.
 		cost = cost.Add(perfmodel.Cost{
@@ -994,12 +1041,12 @@ func (s *InferenceServer) tuneCore(ctx context.Context, req InferRequest, pd *po
 		})
 
 		if bestScore < 0 || score < bestScore {
-			bestScore = score
-			maps.Copy(bestCfg, cfg)
-			best = inferEntry(req.Signature, pd.name, bestCfg, r)
-			best.Objective = score
+			bestScore, bestR = score, r
+			maps.Copy(sc.best, cfg)
 		}
 	}
+	best := inferEntry(req.Signature, pd.name, sc.best.Clone(), bestR)
+	best.Objective = bestScore
 	best.TrialsRun = s.opts.Trials
 	return best, cost, nil
 }

@@ -16,6 +16,8 @@ package hotloop
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,11 +71,11 @@ var stages = []stage{
 	{"perfmodel.infer-cost", true, openInferCost, 0, 0},
 	{"trace.emit", true, openTraceEmit, 4, 264},
 	{"trace.leaf", false, openTraceLeaf, 0, 0},
-	{"store.put", true, openStorePut, 4, 352},
+	{"store.put", true, openStorePut, 3, 272},
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
-	{"search.tpe-search", false, openTPESearch, 7, 1816},
+	{"search.tpe-search", false, openTPESearch, 0, 0},
 	{"trial.run", false, openTrialRun, 105, 6413.8},
-	{"store.wal-append", false, openWALAppend, 11, 696},
+	{"store.wal-append", false, openWALAppend, 10, 616},
 	{"store.checkpoint", false, openCheckpoint, 0, 0},
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
 	{"flight.record", false, openFlightRecord, 0, 0},
@@ -163,9 +165,9 @@ func openInferCost() (func(), func(), error) {
 // Span emission — root, attributed child, two ends — the tracer work
 // every trial and every serve request pays when tracing is on: the two
 // *Spans, the child's attribute slice and its boxed int. The tracer
-// keeps records in blocks of up to 1024 (DESIGN.md §4.8); it is filled
-// first to where the next block is hundreds of records away, so no
-// block falls in the window.
+// keeps records in blocks of up to 1024 (DESIGN.md §4.8); the fill here,
+// and the allocation ledger's warm-up after it, leave the window hundreds
+// of records short of the next block, so none falls in it.
 func openTraceEmit() (func(), func(), error) {
 	tracer := obs.NewTracer()
 	var seq uint64
@@ -185,8 +187,9 @@ func openTraceEmit() (func(), func(), error) {
 // One leaf span — a "mini-batch" with two small int attributes, as
 // every step group of a traced trial records it. The leaf builds no
 // *Span and its attributes are copied into the tracer's own blocks, so
-// it allocates nothing; the tracer is filled first so that neither its
-// record blocks nor its attribute blocks start a new one in the window.
+// it allocates nothing; the fill here, and the allocation ledger's
+// warm-up after it, leave the window where neither its record blocks nor
+// its attribute blocks start a new one.
 func openTraceLeaf() (func(), func(), error) {
 	tracer := obs.NewTracer()
 	epoch := tracer.Root(0, "epoch", 0, 0)
@@ -253,10 +256,12 @@ func openCacheHit() (func(), func(), error) {
 }
 
 // One whole inference parameter search as the server runs it on a cache
-// miss: a fresh BOHB sampler, then 24 × (SampleInto, Estimate on the
-// emulated device, Observe). The sampler owns its model state
-// (DESIGN.md §4.16) and proposes into one map the search reuses, so what
-// the search allocates is the sampler itself and that map.
+// miss: the worker's BOHB sampler Reset to the request's seed, then
+// 24 × (SampleInto, Estimate on the emulated device, Observe), keeping
+// the incumbent in the second of the worker's two maps. The sampler
+// keeps the buffers its model grew (DESIGN.md §4.16) and the maps are
+// reused, so the search allocates nothing; what a miss keeps of it is
+// the one clone of the incumbent the server makes after the loop.
 func openTPESearch() (func(), func(), error) {
 	dev := device.I7()
 	space, err := inferenceSpace(dev)
@@ -264,9 +269,11 @@ func openTPESearch() (func(), func(), error) {
 		return nil, nil, err
 	}
 	obj := core.Objective{Metric: core.MetricRuntime}
+	sampler := search.NewTPESampler(space, 3, search.TPEOptions{})
+	cfg, best := make(search.Config, space.Dim()), make(search.Config, space.Dim())
 	return func() {
-		sampler := search.NewTPESampler(space, 3, search.TPEOptions{})
-		cfg := make(search.Config, space.Dim())
+		sampler.Reset(3)
+		bestScore := math.Inf(1)
 		for i := 0; i < 24; i++ {
 			sampler.SampleInto(cfg)
 			r, err := dev.Estimate(perfmodel.InferSpec{
@@ -279,7 +286,12 @@ func openTPESearch() (func(), func(), error) {
 			if err != nil {
 				return // a proposal from the device's own space is valid
 			}
-			sampler.Observe(search.Observation{Config: cfg, Score: obj.InferScore(r), Budget: 1})
+			score := obj.InferScore(r)
+			sampler.Observe(search.Observation{Config: cfg, Score: score, Budget: 1})
+			if score < bestScore {
+				bestScore = score
+				maps.Copy(best, cfg)
+			}
 		}
 	}, noClose, nil
 }

@@ -6,7 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"edgetune/internal/obs/prof"
 	"edgetune/internal/testutil"
 )
 
@@ -83,6 +85,30 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
+// The ledger warms each loop up for ledgerWarmUpRuns runs before it
+// measures, ending early once ledgerWarmUpTime has passed.
+//
+// prof.Measure's one warm-up run settles lazy initialisation, but not
+// this: since Go 1.22 the runtime caches, per call site, the outcome of
+// each type assertion and type switch to an interface type. Until a
+// site's cache holds the type it meets, each execution that misses it
+// builds a new cache with probability 1/1024 (runtime.typeAssert and
+// interfaceSwitch → buildTypeAssertCache), a 40 B allocation in the 48 B
+// size class. It is paid once per site and type, about a thousand
+// executions in: a start-up cost, not a per-op one. encoding/json's
+// marshaler check (addrMarshalerEncoder) is such a site and runs once
+// per WAL record, so 32 checkpoints measured after one warm-up run
+// caught the build about one time in thirty, and a zero row read
+// 1.5 B/op. Thousands of runs pay it before the window; the time bound
+// keeps a loop whose run is a whole training trial from taking minutes
+// over it. The warm-up is the ledger's, not prof.Measure's: a -profile
+// job measures its stages through prof.Measure before it trains, and a
+// second of warm-up would be a second of unlabelled training steps.
+const (
+	ledgerWarmUpRuns = 8192
+	ledgerWarmUpTime = time.Second
+)
+
 // TestStageAllocations holds every stage to the allocs/op and bytes/op
 // its row declares. A reading above the declaration is a regression; one
 // below it means the declaration is stale and is lowered with the change
@@ -94,11 +120,15 @@ func TestStageAllocations(t *testing.T) {
 		t.Skip("the race detector allocates on the loops' behalf")
 	}
 	for _, s := range stages {
-		probes, err := Measure(32, s.name)
+		op, done, err := Open(s.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := probes[0]
+		for i, start := 0, time.Now(); i < ledgerWarmUpRuns && time.Since(start) < ledgerWarmUpTime; i++ {
+			op()
+		}
+		p := prof.Measure(s.name, 32, op)
+		done()
 		t.Logf("%-22s %6.2f allocs/op %9.1f B/op", s.name, p.AllocsPerOp, p.BytesPerOp)
 		if got := math.Round(p.AllocsPerOp); got != float64(s.allocs) {
 			t.Errorf("%s: %.2f allocs/op, declared %d", s.name, p.AllocsPerOp, s.allocs)

@@ -8,10 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"edgetune/internal/testutil"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -432,6 +435,35 @@ func TestObjectiveMemoryBounded(t *testing.T) {
 	rep, _ := e.Snapshot().Objective("jobs")
 	if rep.Events != n || rep.Errors != (n+2)/3 {
 		t.Errorf("folded totals = %d events / %d errors, want %d / %d", rep.Events, rep.Errors, n, (n+2)/3)
+	}
+}
+
+// TestObjectiveAllocatesWhatItKeeps: events at distinct times inside one
+// window are all kept, and keeping them allocates a small multiple of
+// their runs — the doubling growth fold makes room in — not the sum of
+// append's 1.25× copies.
+func TestObjectiveAllocatesWhatItKeeps(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on the objective's behalf")
+	}
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	o := NewEvaluator().Register(Spec{Name: "window", Target: 0.99})
+	for i := 0; i < n; i++ {
+		o.Record(time.Duration(i)*time.Millisecond, i%5 != 0) // 100 s: inside the 5-minute window
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(o)
+
+	kept := float64(len(o.runs)) * float64(reflect.TypeOf(event{}).Size())
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d runs: %.0f B kept, %.0f B allocated (%.2fx)", len(o.runs), kept, got, got/kept)
+	if len(o.runs) != n {
+		t.Fatalf("kept %d runs, want all %d", len(o.runs), n)
+	}
+	if got > 4*kept {
+		t.Errorf("allocated %.0f B for %.0f B of runs kept: over 4x", got, kept)
 	}
 }
 

@@ -34,6 +34,11 @@ type Sampler interface {
 	// Observe feeds back a completed trial result. The sampler does not
 	// retain obs.Config.
 	Observe(obs Observation)
+	// Reset returns the sampler to the state its constructor built with
+	// seed — NewSampler(algo, space, seed)'s: the same proposals from
+	// here on, no observations — and keeps the buffers it has grown, so
+	// one sampler can run search after search without allocating.
+	Reset(seed uint64)
 }
 
 // SamplerState is the serializable position of a sampler's proposal
@@ -87,6 +92,13 @@ func (r *RandomSampler) SampleInto(dst Config) {
 
 // Observe is a no-op: random search does not learn.
 func (r *RandomSampler) Observe(Observation) {}
+
+// Reset reseeds the generator.
+func (r *RandomSampler) Reset(seed uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rng.SetState(sim.RNGState{State: seed})
+}
 
 // SamplerState implements Resumable.
 func (r *RandomSampler) SamplerState() SamplerState {
@@ -171,6 +183,15 @@ func (g *GridSampler) SampleInto(dst Config) {
 
 // Observe is a no-op: grid search does not learn.
 func (g *GridSampler) Observe(Observation) {}
+
+// Reset rewinds the cursor to the first lattice point and keeps the
+// lattice. The grid draws no randomness, so seed is unused, as it is by
+// NewSampler.
+func (g *GridSampler) Reset(uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.next = 0
+}
 
 // SamplerState implements Resumable: the state is the lattice cursor.
 func (g *GridSampler) SamplerState() SamplerState {
@@ -277,6 +298,17 @@ func (t *TPESampler) Observe(obs Observation) {
 	t.scores = append(t.scores, obs.Score)
 	t.budgets = append(t.budgets, obs.Budget)
 	t.mu.Unlock()
+}
+
+// Reset forgets every observation, keeping the buffers that held them,
+// and reseeds the generator; the state also drops a cached Box-Muller
+// spare, as a fresh generator has none.
+func (t *TPESampler) Reset(seed uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.units, t.scores, t.budgets = t.units[:0], t.scores[:0], t.budgets[:0]
+	t.order = t.order[:0]
+	t.rng.SetState(sim.RNGState{State: seed})
 }
 
 // SamplerState implements Resumable. Observations are not part of the

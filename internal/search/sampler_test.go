@@ -289,3 +289,50 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		})
 	}
 }
+
+// TestResetMatchesNew: for every algorithm, a sampler that has run a
+// 24-trial search and is then Reset(seed) is the sampler
+// NewSampler(algo, space, seed) builds — the same SamplerState, and the
+// same proposals, bit for bit, draw after draw with the same
+// observations fed to both.
+func TestResetMatchesNew(t *testing.T) {
+	space := mixedSpace(t)
+	const seed = 42
+	score := func(cfg Config, i int) float64 { return cfg["freq"]*cfg["cores"] + float64(i%3) }
+	for _, algo := range []string{AlgoRandom, AlgoGrid, AlgoHalton, AlgoBOHB} {
+		t.Run(algo, func(t *testing.T) {
+			used, err := NewSampler(algo, space, 977)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{}
+			for i := 0; i < 24; i++ {
+				used.SampleInto(cfg)
+				used.Observe(Observation{Config: cfg, Score: score(cfg, i), Budget: 1})
+			}
+			used.Reset(seed)
+			fresh, err := NewSampler(algo, space, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := used.(Resumable).SamplerState(), fresh.(Resumable).SamplerState(); got != want {
+				t.Fatalf("state after Reset = %+v, NewSampler's = %+v", got, want)
+			}
+			for i := 0; i < 60; i++ {
+				want := fresh.Sample()
+				used.SampleInto(cfg)
+				for k, v := range want {
+					if got := cfg[k]; math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("draw %d: %s = %v after Reset, %v from NewSampler", i, k, got, v)
+					}
+				}
+				o := Observation{Config: want, Score: score(want, i), Budget: 1}
+				fresh.Observe(o)
+				used.Observe(o)
+			}
+			if got, want := used.(Resumable).SamplerState(), fresh.(Resumable).SamplerState(); got != want {
+				t.Errorf("state after 60 draws = %+v, NewSampler's = %+v", got, want)
+			}
+		})
+	}
+}

@@ -33,12 +33,15 @@ func NewHaltonSampler(space *Space, seed uint64) *HaltonSampler {
 	}
 	return &HaltonSampler{
 		space: space,
-		// Skip the degenerate early prefix and decorrelate seeds.
-		index: 20 + int(seed%1000),
+		index: haltonStart(seed),
 		bases: bases,
 		u:     make([]float64, len(bases)),
 	}
 }
+
+// haltonStart is where seed starts the sequence: past the degenerate
+// early prefix, at an offset that decorrelates seeds.
+func haltonStart(seed uint64) int { return 20 + int(seed%1000) }
 
 // Name returns "halton".
 func (h *HaltonSampler) Name() string { return "halton" }
@@ -63,6 +66,13 @@ func (h *HaltonSampler) SampleInto(dst Config) {
 
 // Observe is a no-op: quasi-random search does not learn.
 func (h *HaltonSampler) Observe(Observation) {}
+
+// Reset moves the sequence back to seed's start.
+func (h *HaltonSampler) Reset(seed uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.index = haltonStart(seed)
+}
 
 // SamplerState implements Resumable: the state is the sequence index.
 func (h *HaltonSampler) SamplerState() SamplerState {

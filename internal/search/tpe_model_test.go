@@ -338,10 +338,12 @@ func TestTPEWarmSampleIntoAllocatesNothing(t *testing.T) {
 }
 
 // TestTPESearchLoopAllocationBudget runs the loop the inference server's
-// tuneCore runs per cache miss — 24 × (SampleInto, score, Observe) on a
-// fresh sampler — and holds it to: two Configs (the proposal scratch and
-// the incumbent's), plus the sampler itself (struct, RNG, arena,
-// scratch; 8 allocations today, 10 allowed).
+// tuneCore runs per cache miss — 24 × (SampleInto, score, Observe) — on
+// a fresh sampler, as a worker's first search does, and holds it to: two
+// Configs (the proposal scratch and the incumbent's), plus the sampler
+// itself (struct, RNG, arena, scratch; 8 allocations today, 10 allowed).
+// Later searches Reset the sampler and reuse the maps: the
+// search.tpe-search ledger row holds those to zero.
 func TestTPESearchLoopAllocationBudget(t *testing.T) {
 	space := mixedSpace(t)
 	const trials = 24

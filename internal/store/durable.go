@@ -48,6 +48,10 @@ type Durable struct {
 	// append writes and ships is valid until the next append, and every
 	// append runs under the store's mutex.
 	enc *walEncoder
+	// entry is the record slot of a put: the logged record points here
+	// rather than at the caller's entry, which would move every entry a
+	// store puts to the heap. Guarded, like enc, by the store's mutex.
+	entry Entry
 
 	failed   error // sticky: the WAL could not be repaired in place
 	closed   bool
@@ -340,6 +344,15 @@ func (d *Durable) writeQuarantine(frames [][]byte) {
 	}
 	f.Sync()
 	f.Close()
+}
+
+// appendPutLocked logs the put of e through the record slot. Called
+// with the store's mutex held, like appendLocked.
+func (d *Durable) appendPutLocked(e Entry) error {
+	d.entry = e
+	err := d.appendLocked(walRecord{Op: walOpPut, Entry: &d.entry})
+	d.entry = Entry{}
+	return err
 }
 
 // appendLocked logs one mutation write-ahead. Called with the store's

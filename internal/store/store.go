@@ -91,7 +91,7 @@ func (s *Store) put(e Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dur != nil {
-		if err := s.dur.appendLocked(walRecord{Op: walOpPut, Entry: &e}); err != nil {
+		if err := s.dur.appendPutLocked(e); err != nil {
 			return err
 		}
 	}

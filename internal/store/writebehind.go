@@ -22,6 +22,12 @@ var ErrBufferClosed = errors.New("store: write-behind buffer closed")
 // Reads promote a pending entry into the store before delegating to
 // Store.Get, so cache hit/miss statistics do not depend on flusher
 // timing — the determinism contract of the chaos suite.
+//
+// Ownership: a buffered entry's Config belongs to the buffer (Put makes
+// it a copy, PutOwned takes the caller's) and passes to the store as it
+// is. The buffer's own bookkeeping — the pending map, the insertion
+// order and the flush's entry list — is recycled: a Flush that drains
+// cleanly keeps what it emptied as the spares of the next one.
 type WriteBehind struct {
 	st *Store
 	// syncMode flushes inline on the Put path instead of waking the
@@ -42,6 +48,13 @@ type WriteBehind struct {
 	flushMu  sync.Mutex
 	flushing map[string]Entry
 	flushed  sync.Cond // L is &mu
+	// spareMap, spareOrder and spareEntries are what the last clean
+	// Flush emptied — its flushing map, its order slice and its entry
+	// list — for the next Flush to fill instead of allocating; nil after
+	// a failed one. They belong to flushMu.
+	spareMap     map[string]Entry
+	spareOrder   []string
+	spareEntries []Entry
 
 	wake chan struct{}
 	stop chan struct{}
@@ -111,13 +124,20 @@ func (w *WriteBehind) Instrument(reg *obs.Registry) {
 // buffer keeps a copy of e.Config, the one copy the stored entry ever
 // gets: the flush hands that map on to the store as it is.
 func (w *WriteBehind) Put(e Entry) error {
+	e.Config = e.Config.Clone()
+	return w.PutOwned(e)
+}
+
+// PutOwned is Put without the copy: the buffer, and then the store,
+// take e.Config over, and the caller must not write to it again. It may
+// go on reading it: the store never writes a map it keeps.
+func (w *WriteBehind) PutOwned(e Entry) error {
 	if e.Signature == "" {
 		return fmt.Errorf("store: entry with empty signature")
 	}
 	if e.Device == "" {
 		return fmt.Errorf("store: entry with empty device")
 	}
-	e.Config = e.Config.Clone()
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -197,19 +217,24 @@ func (w *WriteBehind) Pending() int {
 func (w *WriteBehind) Flush() error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
+	pending := w.spareMap
+	if pending == nil {
+		pending = make(map[string]Entry)
+	}
 	w.mu.Lock()
 	keys := w.order
-	entries := make([]Entry, 0, len(keys))
+	entries := w.spareEntries[:0]
 	for _, k := range keys {
 		entries = append(entries, w.pending[k])
 	}
-	w.order = nil
-	w.flushing, w.pending = w.pending, make(map[string]Entry)
+	w.order = w.spareOrder[:0]
+	w.flushing, w.pending = w.pending, pending
 	w.mPending.Set(0)
 	w.mu.Unlock()
+	w.spareMap, w.spareOrder, w.spareEntries = nil, nil, nil
 	for i, e := range entries {
 		if err := w.st.put(e); err != nil {
-			w.requeue(entries[i:], err)
+			w.requeue(entries[i:], err) // hands on no spares
 			return err
 		}
 		w.mu.Lock()
@@ -219,7 +244,14 @@ func (w *WriteBehind) Flush() error {
 	}
 	w.mu.Lock()
 	w.lastErr = nil
+	// Every entry has left flushing, so it is empty: it and the two
+	// slices are the next Flush's to fill, once they let go of what the
+	// store now holds.
+	w.spareMap, w.flushing = w.flushing, nil
 	w.mu.Unlock()
+	clear(keys)
+	clear(entries)
+	w.spareOrder, w.spareEntries = keys[:0], entries[:0]
 	return nil
 }
 

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -432,5 +434,167 @@ func TestWriteBehindFailedFlushWakesWaitingGet(t *testing.T) {
 	}
 	if wb.Pending() != 1 {
 		t.Errorf("Pending = %d, want sig-b re-queued", wb.Pending())
+	}
+}
+
+// parkAtShipper parks the store Put that ships WAL frame at — mid write,
+// with the store's mutex held — until release is closed.
+type parkAtShipper struct {
+	at      int64
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkAtShipper) Ship(seq int64, _ []byte) {
+	if seq == p.at {
+		close(p.parked)
+		<-p.release
+	}
+}
+
+// mapID identifies a map by its header, to tell a recycled map from a
+// new one.
+func mapID(m map[string]Entry) uintptr { return reflect.ValueOf(m).Pointer() }
+
+// TestWriteBehindRecycledFlushKeepsEntriesReadable: a clean Flush leaves
+// its emptied map to the next one, which takes Puts in it while a later
+// Flush runs. With a Put parked mid-flush on those recycled buffers,
+// Gets of the entries being written, of one put meanwhile and of one
+// already stored are all hits, and the entry put meanwhile reaches the
+// store with the next Flush.
+func TestWriteBehindRecycledFlushKeepsEntriesReadable(t *testing.T) {
+	park := &parkAtShipper{at: 3, parked: make(chan struct{}), release: make(chan struct{})}
+	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json"), Shipper: park})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := d.Store()
+	wb := newWriteBehind(st) // no background flusher: the test owns every Flush
+	first := mapID(wb.pending)
+	for _, sig := range []string{"sig-a", "sig-b"} { // WAL frames 1 and 2
+		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
+			t.Fatal(err)
+		}
+		if err := wb.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mapID(wb.pending); got != first {
+		t.Fatal("the second Flush made a new pending map instead of taking the first one's")
+	}
+	if wb.spareMap == nil || cap(wb.spareOrder) == 0 || cap(wb.spareEntries) == 0 {
+		t.Fatal("a clean Flush kept no spares")
+	}
+
+	for _, sig := range []string{"sig-c", "sig-d"} {
+		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushErr := make(chan error, 1)
+	go func() { flushErr <- wb.Flush() }()
+	<-park.parked // sig-c's Put is in the store, not yet returned
+	if err := wb.Put(wbEntry("sig-e", "i7")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, sig := range []string{"sig-a", "sig-c", "sig-d", "sig-d"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e, err := wb.Get(sig, "i7"); err != nil || e.Signature != sig {
+				t.Errorf("Get(%s) during the flush = %+v, %v; want a hit", sig, e, err)
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the Gets reach the buffer
+	close(park.release)
+	wg.Wait()
+	if err := <-flushErr; err != nil {
+		t.Fatal(err)
+	}
+	if wb.Pending() != 1 {
+		t.Errorf("Pending = %d, want sig-e, put during the flush", wb.Pending())
+	}
+	if err := wb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := st.Stats(); hits != 4 || misses != 0 || st.Len() != 5 {
+		t.Errorf("store holds %d entries, saw %d hits, %d misses; want 5, 4, 0", st.Len(), hits, misses)
+	}
+	if d.appendSeq != 5 {
+		t.Errorf("%d WAL appends for five entries", d.appendSeq)
+	}
+}
+
+// TestWriteBehindFailedFlushHandsOnNoSpare: a Flush that fails re-queues
+// what it could not write and keeps none of its buffers for the next
+// one, which may still hold the requeued entries; a clean Flush after it
+// writes them in order and starts recycling again.
+func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
+	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := d.Store()
+	setClosed := func(closed bool) { // fail every store write, or stop failing
+		st.mu.Lock()
+		d.closed = closed
+		st.mu.Unlock()
+	}
+	wb := newWriteBehind(st)
+	if err := wb.Put(wbEntry("sig-a", "i7")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	setClosed(true)
+	for _, sig := range []string{"sig-b", "sig-c"} {
+		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wb.Flush(); !errors.Is(err, ErrDurableClosed) {
+		t.Fatalf("Flush error = %v, want ErrDurableClosed", err)
+	}
+	if wb.spareMap != nil || wb.spareOrder != nil || wb.spareEntries != nil {
+		t.Error("a failed Flush handed on spares")
+	}
+	if got := wb.order; !reflect.DeepEqual(got, []string{"sig-b@i7", "sig-c@i7"}) {
+		t.Errorf("requeued order %v, want sig-b then sig-c", got)
+	}
+
+	setClosed(false)
+	if err := wb.Put(wbEntry("sig-d", "i7")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if wb.LastFlushErr() != nil || wb.Pending() != 0 || wb.spareMap == nil {
+		t.Errorf("after a clean Flush: last error %v, %d pending, spare map %v", wb.LastFlushErr(), wb.Pending(), wb.spareMap != nil)
+	}
+	var keys []string
+	for _, e := range st.Entries() {
+		keys = append(keys, e.key())
+	}
+	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7", "sig-d@i7"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("store holds %v, want %v", keys, want)
+	}
+	data, err := os.ReadFile(d.walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := scanWAL(data)
+	var logged []string
+	for _, r := range scan.Records {
+		logged = append(logged, r.Entry.key())
+	}
+	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7", "sig-d@i7"}; !reflect.DeepEqual(logged, want) {
+		t.Errorf("WAL logs %v, want %v: the requeued entries first, in order", logged, want)
 	}
 }
