@@ -60,22 +60,22 @@ func i7Narrow() device.Device {
 // TestScratchHedgeMatchesFreshServer: a planned brown-out forces a hedge
 // to a device whose search finds another configuration, once mild enough
 // that the primary still wins and once severe enough that the hedge
-// does. The hedge's search reruns the worker's scratch while the
+// does. The hedge's search reuses the worker's scratch while the
 // primary's entry is alive; on a server that has already served misses
 // the reply is still, entry for entry, what a fresh server replies.
 func TestScratchHedgeMatchesFreshServer(t *testing.T) {
+	const warmups = 3
 	for _, tc := range []struct {
-		name    string
-		factor  float64 // BrownoutFactor: the planned slowdown's ceiling
-		winner  string
-		warmups int
+		name   string
+		factor float64 // BrownoutFactor: the planned slowdown's ceiling
+		winner string
 	}{
-		{"primary-wins", 1.6, "i7", 3},
-		{"hedge-wins", 40, "i7-narrow", 3},
+		{"primary-wins", 1.6, "i7"},
+		{"hedge-wins", 40, "i7-narrow"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := sigRequest(50)
-			serve := func(warmups int) InferOutcome {
+			serve := func(misses int) InferOutcome {
 				plan, err := fault.NewPlan([]fault.Event{{Class: fault.DeviceBrownout, Site: "i7/" + req.Signature}})
 				if err != nil {
 					t.Fatal(err)
@@ -90,7 +90,7 @@ func TestScratchHedgeMatchesFreshServer(t *testing.T) {
 					o.HedgeFactor = 1.1
 					o.Trials = 24
 				})
-				for i := 0; i < warmups; i++ {
+				for i := 0; i < misses; i++ {
 					if out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(i))); out.Err != nil || out.Hedged {
 						t.Fatalf("warm-up miss %d: hedged=%v err=%v", i, out.Hedged, out.Err)
 					}
@@ -102,17 +102,16 @@ func TestScratchHedgeMatchesFreshServer(t *testing.T) {
 				}
 				return out
 			}
-			fresh, used := serve(0), serve(tc.warmups)
+			fresh, used := serve(0), serve(warmups)
 			if !reflect.DeepEqual(used.Entry, fresh.Entry) {
-				t.Errorf("after %d misses the reply is %+v, a fresh server's %+v", tc.warmups, used.Entry, fresh.Entry)
+				t.Errorf("after %d misses the reply is %+v, a fresh server's %+v", warmups, used.Entry, fresh.Entry)
 			}
 		})
 	}
 }
 
 // TestScratchHardStopCancelsSearch: Close during a search whose caller
-// never gives up ends it at the next trial with context.Canceled, as the
-// cancelled per-request context did.
+// never gives up ends it at the next trial with context.Canceled.
 func TestScratchHardStopCancelsSearch(t *testing.T) {
 	testutil.CheckGoroutineLeak(t, 0)
 	srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) { o.Trials = 1 << 40 })
