@@ -64,7 +64,7 @@ surface() { # what, count, ceiling
     fi
 }
 surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 29
-surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 22
+surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 18
 surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)" 13
 surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
 surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
@@ -84,6 +84,14 @@ strays=$(grep -rln --include='*.go' 'prof\.Measure(' . |
     grep -vE '_test\.go$|^\./(bench|internal/obs/prof|internal/hotloop)/' || true)
 if [ -n "$strays" ]; then
     echo "prof.Measure called outside internal/hotloop — add a row to its table instead:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+# The examples are what a user can copy: they reach the pipeline through
+# the public edgetune API or a job file, never through internal/.
+strays=$(grep -rl --include='*.go' '"edgetune/internal/' examples || true)
+if [ -n "$strays" ]; then
+    echo "an example imports edgetune/internal/…:" >&2
     echo "$strays" >&2
     exit 1
 fi
@@ -284,19 +292,16 @@ gate "autoscale-resilience gate"
 # tests (flash-crowd determinism, mass-device-failure recovery through
 # the degradation ladder, stalled scale-ups), twice under the race
 # detector, beside the test that a recycled reply channel never reaches
-# the wrong caller. Then the overload example twice: same seed must
-# produce byte-identical standard output (the burst's
-# scheduler-dependent split goes to standard error), the ladder must
-# both engage and release, and the decision digest line must be present.
+# the wrong caller. Then the product binary's flash-crowd job twice:
+# same seed must print byte-identical reports, and the crowd must drive
+# the degradation ladder to its last rung.
 go test -race -count=2 ./internal/autoscale
 go test -race -count=2 -run 'Autoscale|TestReplyChannelsNeverCrossDeliver' ./internal/core
-go build -o "$tracedir/overload" ./examples/overload
-"$tracedir/overload" > "$tracedir/overload-a.out"
-"$tracedir/overload" > "$tracedir/overload-b.out"
-cmp "$tracedir/overload-a.out" "$tracedir/overload-b.out"
-grep -q "ladder engaged" "$tracedir/overload-a.out"
-grep -q "ladder released" "$tracedir/overload-a.out"
-grep -q "autoscale digest: " "$tracedir/overload-a.out"
+crowd="$tracedir/edgetune -workload IC -autoscale -autoscale-max 3 -fault-flash-crowd 0.1 -seed 7"
+$crowd > "$tracedir/crowd-a.out"
+$crowd > "$tracedir/crowd-b.out"
+cmp "$tracedir/crowd-a.out" "$tracedir/crowd-b.out"
+grep -q "deepest critical-only" "$tracedir/crowd-a.out"
 
 gate "profile-plane gate"
 # The profiling plane end to end. First the registry/probe layers under

@@ -443,12 +443,9 @@ func printReport(out io.Writer, r *edgetune.Report) {
 	}
 	// Serving counters, printed in a fixed order so reports are
 	// byte-stable across identically-seeded runs.
-	if res.Shed > 0 || res.RateLimited > 0 || res.Preempted > 0 ||
-		res.Hedges > 0 || res.Quarantines > 0 || res.Probes > 0 || res.Drained > 0 {
+	if res.Shed > 0 || res.Hedges > 0 || res.Quarantines > 0 || res.Probes > 0 || res.Drained > 0 {
 		fmt.Fprintf(out, "  serving:\n")
 		fmt.Fprintf(out, "    shed              %d\n", res.Shed)
-		fmt.Fprintf(out, "    rate limited      %d\n", res.RateLimited)
-		fmt.Fprintf(out, "    preempted         %d\n", res.Preempted)
 		fmt.Fprintf(out, "    hedges (won)      %d (%d)\n", res.Hedges, res.HedgeWins)
 		fmt.Fprintf(out, "    quarantines       %d\n", res.Quarantines)
 		fmt.Fprintf(out, "    probes            %d\n", res.Probes)

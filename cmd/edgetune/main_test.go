@@ -128,7 +128,7 @@ func TestRunOverloadTextReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"serving:", "shed", "rate limited", "hedges (won)", "drained"} {
+	for _, want := range []string{"serving:", "shed", "hedges (won)", "drained"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("overload report missing %q:\n%s", want, got)
 		}

@@ -158,10 +158,11 @@ type Job struct {
 	// the target device are added under saturation or capacity loss
 	// (each charging a warm-up cost to the tuning budget), retired again
 	// with hysteresis when load recedes, and when scaling out is not
-	// enough the server sheds background work, disables hedging, and
-	// finally serves critical requests only — stepping back out as the
-	// burn rate recovers. The run's control-loop summary lands in
-	// Report.Autoscale.
+	// enough the degradation ladder steps down — shed-background,
+	// no-hedging, critical-only — and back out as the burn rate
+	// recovers. The server has one class of traffic, so of those rungs
+	// only no-hedging changes how it serves: it turns hedging off. The
+	// run's control-loop summary lands in Report.Autoscale.
 	Autoscale bool
 	// AutoscaleMin and AutoscaleMax bound the replica count (defaults 1
 	// and 4). Only meaningful with Autoscale.
@@ -170,10 +171,10 @@ type Job struct {
 	// Seed drives all randomised components; jobs are fully
 	// deterministic given a seed.
 	Seed uint64
-	// Tenant names the client submitting this job. It keys the serving
-	// layer's per-client admission (and the cluster dispatcher's quota
-	// gate), so per-tenant rejection counters and the tenant-rejections
-	// SLO attribute pressure to the right client. Empty means
+	// Tenant names the client submitting this job. It keys the cluster
+	// dispatcher's quota gate and its per-tenant rejection counters, and
+	// is the client of every inference submission (its overload-burst
+	// fault sites, tenant pprof label and request spans). Empty means
 	// per-signature clients, the single-tenant default.
 	Tenant string
 	// Faults injects deterministic failures into the trial and
@@ -202,11 +203,11 @@ type Job struct {
 	// DebugAddr enables tracing even without TracePath.
 	DebugAddr string
 	// Profile turns on the profiling plane: pprof labels (tenant,
-	// bracket/rung, fault class, serving priority — plus shard under a
-	// cluster) attribute CPU/heap profiles captured from DebugAddr's
-	// pprof endpoints, and per-stage allocation probes land in
-	// Report.Profile and on the metrics surfaces as
-	// prof.allocs-per-op.<stage> / prof.bytes-per-op.<stage> gauges.
+	// bracket/rung, fault class — plus shard under a cluster) attribute
+	// CPU/heap profiles captured from DebugAddr's pprof endpoints, and
+	// per-stage allocation probes land in Report.Profile and on the
+	// metrics surfaces as prof.allocs-per-op.<stage> /
+	// prof.bytes-per-op.<stage> gauges.
 	// Measured alloc values can wobble a few allocs across runs, so
 	// digest-compared deterministic runs leave this off.
 	Profile bool

@@ -32,14 +32,14 @@ type Mode int
 const (
 	// ModeNormal serves all traffic with hedging enabled.
 	ModeNormal Mode = iota
-	// ModeShedBackground rejects background-priority requests at
-	// admission so critical traffic keeps the queue.
+	// ModeShedBackground is the rung that would shed background
+	// traffic; the inference server has none, so it restricts nothing.
 	ModeShedBackground
 	// ModeNoHedging additionally disables hedged requests, halving
 	// worst-case device load per request.
 	ModeNoHedging
-	// ModeCriticalOnly additionally evicts already-queued background
-	// work; only critical requests are served.
+	// ModeCriticalOnly is the rung that would evict queued background
+	// work; like ModeShedBackground it adds no restriction of its own.
 	ModeCriticalOnly
 )
 

@@ -5,8 +5,7 @@
 // per-tenant quotas, and replicates every shard's write-ahead log to a
 // follower so a killed shard fails over and resumes from its last
 // checkpointed rung. The quota gate is the only rate limit a product
-// job meets: no product path sets the serving layer's per-client
-// InferenceServerOptions.RateLimit.
+// job meets: the serving layer itself has none.
 //
 // The correctness claim is inherited from the durability layer: a rung
 // checkpoint captures the tuner's full resumable state (sampler stream
@@ -42,8 +41,8 @@ var ErrShardKilled = errors.New("cluster: shard primary killed")
 
 // ErrTenantQuota is returned when a tenant's token bucket is empty: the
 // dispatcher's quota gate, the one rate limit a product job meets. It
-// wraps core.ErrRateLimited so existing rate-limit handling applies.
-var ErrTenantQuota = fmt.Errorf("cluster: tenant quota exceeded: %w", core.ErrRateLimited)
+// wraps core.ErrOverloaded so existing shed handling applies.
+var ErrTenantQuota = fmt.Errorf("cluster: tenant quota exceeded: %w", core.ErrOverloaded)
 
 // ErrClusterClosed is returned by submissions after Close/Drain.
 var ErrClusterClosed = errors.New("cluster: closed")
@@ -98,7 +97,7 @@ type Job struct {
 	Key string
 	// Tenant names the submitting client for quota accounting (default
 	// "default"). It is also stamped into the job's options so the
-	// node's per-client admission sees the same identity.
+	// node's serving path sees the same identity.
 	Tenant string
 	// Opts is the job to run. Store and AfterRung are owned by the
 	// dispatcher: Store must be nil (each shard supplies its durable
@@ -324,7 +323,7 @@ func (c *Cluster) admit(tenant string) error {
 
 // shardOptions adapts a job's options to run on sh: the shard's
 // durable store, checkpointing forced on (failover depends on it), the
-// tenant identity threaded to the node's admission control, and — when
+// tenant identity threaded to the node's serving path, and — when
 // the shard still has a follower to fail over to — the kill hooks at
 // rung boundaries.
 func (c *Cluster) shardOptions(sh *shard, job Job, armKills bool) core.Options {

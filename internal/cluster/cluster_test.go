@@ -260,7 +260,7 @@ func TestClusterStoresVerifyAfterFailover(t *testing.T) {
 
 // TestClusterTenantQuota: the dispatcher's per-tenant token bucket
 // rejects a bursting tenant with ErrTenantQuota (wrapping the serving
-// layer's ErrRateLimited), counts the rejection per tenant, and leaves
+// layer's ErrOverloaded), counts the rejection per tenant, and leaves
 // other tenants unaffected.
 func TestClusterTenantQuota(t *testing.T) {
 	testutil.CheckGoroutineLeak(t, 4)
@@ -279,8 +279,8 @@ func TestClusterTenantQuota(t *testing.T) {
 		_, err := c.Query("alice", fmt.Sprintf("IC/layers=%d", 18+i), "i7")
 		switch {
 		case errors.Is(err, ErrTenantQuota):
-			if !errors.Is(err, core.ErrRateLimited) {
-				t.Fatal("ErrTenantQuota does not wrap core.ErrRateLimited")
+			if !errors.Is(err, core.ErrOverloaded) {
+				t.Fatal("ErrTenantQuota does not wrap core.ErrOverloaded")
 			}
 			rejected++
 		case err != nil && !errors.Is(err, store.ErrNotFound):

@@ -15,13 +15,13 @@ import (
 // scaler binds the autoscale controller to the inference server: it is
 // ticked once per submission, in submission order, with signals
 // stamped deterministically at the request's simulated time, and
-// applies the controller's decisions to the device pool, the admission
-// queue, and the hedging gate. The flash-crowd fault class feeds it
-// phantom load; the mass-device-fail class collapses the pool under it.
+// applies the controller's decisions to the device pool and the
+// hedging gate. The flash-crowd fault class feeds it phantom load; the
+// mass-device-fail class collapses the pool under it.
 type scaler struct {
 	mu   sync.Mutex
 	ctl  *autoscale.Controller
-	base device.Device // replica template: the pool's first device
+	base device.Device // replica template: the server's Device
 
 	// crowd is the phantom flash-crowd load added to the in-system
 	// signal; it decays by decayStep per tick and is bounded by
@@ -42,8 +42,6 @@ type scaler struct {
 	cRecover  *obs.Counter
 	cStalls   *obs.Counter
 	cCrowd    *obs.Counter
-	cShed     *obs.Counter
-	cEvicted  *obs.Counter
 }
 
 func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, error) {
@@ -54,7 +52,7 @@ func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, err
 	limit := opts.QueueLimit
 	sc := &scaler{
 		ctl:       ctl,
-		base:      opts.Pool[0],
+		base:      opts.Device,
 		crowdCap:  3 * limit,
 		decayStep: max(1, limit/4),
 	}
@@ -67,8 +65,6 @@ func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, err
 		sc.cRecover = reg.Counter("autoscale.recover-steps")
 		sc.cStalls = reg.Counter("autoscale.stalls")
 		sc.cCrowd = reg.Counter("autoscale.flash-crowds")
-		sc.cShed = reg.Counter("autoscale.shed.background")
-		sc.cEvicted = reg.Counter("autoscale.evicted.background")
 	}
 	return sc, nil
 }
@@ -165,9 +161,8 @@ func (s *InferenceServer) autoscaleTick(req InferRequest, seq int) {
 	}
 	s.sloCapacity.Record(at, sig.Good)
 
-	var evicted []*call
 	if d, ok := sc.ctl.Evaluate(sig); ok {
-		evicted = s.applyScaleDecision(d, at)
+		s.applyScaleDecision(d, at)
 		active, _ = s.pool.counts(at)
 	}
 
@@ -178,22 +173,12 @@ func (s *InferenceServer) autoscaleTick(req InferRequest, seq int) {
 	sc.gReplicas.Set(float64(active))
 	sc.gMode.Set(float64(sc.ctl.Mode()))
 	sc.mu.Unlock()
-
-	// Finish evictions outside the scaler lock: finish takes s.mu.
-	for _, c := range evicted {
-		s.opts.Recorder.AddPreempted()
-		sc.cEvicted.Inc()
-		s.finish(c, "", InferOutcome{Err: fmt.Errorf("core: background evicted by degradation ladder: %w", ErrOverloaded)})
-	}
 }
 
-// applyScaleDecision turns one controller decision into pool and
-// admission effects, returning any background jobs the critical-only
-// rung evicted (the caller delivers their outcomes). Callers hold
-// sc.mu.
-func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Duration) []*call {
+// applyScaleDecision turns one controller decision into its effect on
+// the pool and the hedging gate. Callers hold sc.mu.
+func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Duration) {
 	sc := s.scale
-	var evicted []*call
 	switch {
 	case d.Delta > 0:
 		sc.cUps.Inc()
@@ -224,9 +209,6 @@ func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Durat
 				// timeline already being dossiered.
 				s.opts.Flight.Trigger(flight.TriggerLadder, at, d.Mode.String())
 			}
-			if d.Mode >= autoscale.ModeCriticalOnly {
-				evicted = s.adm.evictBackground()
-			}
 		} else if d.Mode < sc.lastMode {
 			sc.cRecover.Inc()
 			s.opts.Flight.Record(at, flight.KindLadder, "recover", d.Mode.String(), int64(sc.lastMode), int64(d.Mode))
@@ -243,5 +225,4 @@ func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Durat
 		sp.End(at + d.WarmupTime)
 	}
 	s.opts.Flight.Record(at, flight.KindAutoscale, d.Reason, d.Mode.String(), int64(d.Delta), int64(d.Replicas))
-	return evicted
 }

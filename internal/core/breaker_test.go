@@ -136,8 +136,7 @@ func TestTransientInferError(t *testing.T) {
 		{"circuit open", ErrCircuitOpen, true},
 		{"no healthy device", ErrNoHealthyDevice, true},
 		{"overloaded", ErrOverloaded, true},
-		{"rate limited", ErrRateLimited, true},
-		{"preempted", fmt.Errorf("core: preempted by critical request: %w", ErrOverloaded), true},
+		{"tenant quota", fmt.Errorf("cluster: tenant quota exceeded: %w", ErrOverloaded), true},
 		{"server closed", ErrServerClosed, true},
 		{"deadline", context.DeadlineExceeded, true},
 		{"cancelled", context.Canceled, false},

@@ -24,6 +24,10 @@ type serveResult struct {
 	err      error
 }
 
+// hedgeFactor multiplies the perfmodel-derived expected tuning duration
+// into the straggler deadline.
+const hedgeFactor = 2
+
 // hedgeOutcome is the merged result of a (possibly hedged) request:
 // which device's result won, the combined charged cost, and the
 // effective finish time under the simulated-concurrency model.
@@ -42,7 +46,7 @@ type hedgeOutcome struct {
 // the first result and cancelling the loser.
 //
 // The deadline is derived from the performance model — the primary's
-// fault-free tuning duration times HedgeFactor — never from wall-clock
+// fault-free tuning duration times hedgeFactor — never from wall-clock
 // randomness, so identically-seeded runs hedge identically. (The
 // fault-free duration falls out of the attempt itself: brown-outs
 // inflate the charged cost after the search runs, so the pre-inflation
@@ -56,7 +60,7 @@ func (s *InferenceServer) runHedged(req InferRequest, primary route, sp *obs.Spa
 	pd := primary.pd
 	r1 := s.serveOn(req, pd, sp, base, sc)
 	expected := r1.baseline
-	deadline := time.Duration(float64(expected) * s.opts.HedgeFactor)
+	deadline := expected * hedgeFactor
 	s.pool.observe(primary, r1.err, r1.cost.Duration, expected, base+r1.cost.Duration)
 
 	out := hedgeOutcome{res: r1, winner: pd, cost: r1.cost, latency: r1.cost.Duration}
@@ -64,7 +68,7 @@ func (s *InferenceServer) runHedged(req InferRequest, primary route, sp *obs.Spa
 	// Injected device faults are worth re-issuing elsewhere; caller
 	// cancellations and deadline expiries are not.
 	failed := fault.IsFault(r1.err)
-	if s.noHedging || len(s.pool.devs) < 2 || (!straggled && !failed) {
+	if len(s.pool.devs) < 2 || (!straggled && !failed) {
 		return out
 	}
 	if s.degradeMode() >= autoscale.ModeNoHedging {

@@ -31,12 +31,10 @@ type InferRequest struct {
 	// FLOPsPerSample and Params describe the paper-scale model.
 	FLOPsPerSample float64
 	Params         float64
-	// Client keys the admission rate limiter; it defaults to the
-	// signature, so per-trial traffic is naturally per-client.
+	// Client names who submitted the request; it defaults to the
+	// signature. It keys the overload-burst fault site, the tenant pprof
+	// label and the request span's client attribute.
 	Client string
-	// Priority orders the request in the intake queue; the zero value
-	// is critical (see Priority).
-	Priority Priority
 	// SubmitTime places the request on the simulated timeline for
 	// tracing; the tuner stamps it with the sheltering trial's start.
 	// It has no effect on scheduling.
@@ -70,13 +68,9 @@ type InferOutcome struct {
 
 // InferenceServerOptions configures the server.
 type InferenceServerOptions struct {
-	// Device is the edge target being emulated (the preferred pool
-	// device when Pool is unset).
+	// Device is the edge target being emulated: the pool's first
+	// device, and the template of the autoscaler's replicas.
 	Device device.Device
-	// Pool lists the devices the server routes across; it defaults to
-	// [Device]. With two or more devices, straggling requests hedge to
-	// the next-best healthy one.
-	Pool []device.Device
 	// Space is the inference parameter space (batch, cores, frequency).
 	Space *search.Space
 	// Algo names the search strategy; the default is BOHB, and a grid
@@ -107,15 +101,6 @@ type InferenceServerOptions struct {
 	// QueueLimit bounds queued plus in-flight requests; submissions
 	// beyond it are shed with ErrOverloaded (default 64).
 	QueueLimit int
-	// RateLimit enables the per-client token bucket when positive: each
-	// client earns RateLimit tokens per submission tick, spends one per
-	// request, and holds at most RateBurst (0 = no rate limiting).
-	RateLimit float64
-	// RateBurst is the token bucket capacity (default 8).
-	RateBurst int
-	// HedgeFactor multiplies the perfmodel-derived expected tuning
-	// duration into the straggler deadline (default 2).
-	HedgeFactor float64
 	// Trace receives deterministic serving spans (nil = tracing
 	// disabled; the hooks are single-pointer-check no-ops).
 	Trace *obs.Tracer
@@ -133,8 +118,8 @@ type InferenceServerOptions struct {
 	// single-pointer-check no-op).
 	Flight *flight.Recorder
 
-	// Profile applies pprof labels (tenant, priority, ProfLabels) to
-	// each request's serve path. Workers run on their own goroutines,
+	// Profile applies pprof labels (tenant, ProfLabels) to each
+	// request's serve path. Workers run on their own goroutines,
 	// so labels set by the submitting caller do not reach them; the
 	// worker re-applies them from the job's own fields.
 	Profile bool
@@ -180,42 +165,26 @@ func (o *InferenceServerOptions) normalise() error {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if len(o.Pool) == 0 {
-		o.Pool = []device.Device{o.Device}
-	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 64
-	}
-	if o.RateLimit < 0 {
-		return errors.New("core: negative rate limit")
-	}
-	if o.RateBurst <= 0 {
-		o.RateBurst = 8
-	}
-	if o.HedgeFactor <= 0 {
-		o.HedgeFactor = 2
 	}
 	return nil
 }
 
 // InferenceServer is the asynchronous inference tuning component
 // (§3.4), hardened for sustained overload and device degradation.
-// Requests pass an admission gate (bounded in-system queue, per-client
-// token bucket, priority preemption) before a worker pool tunes them on
-// a health-managed device pool: per-device circuit breakers plus EWMA
-// health scores with quarantine/probation, and speculative hedging to
-// the next-best device when the primary straggles past its
-// perfmodel-derived deadline. Completed results land in the historical
-// store through a write-behind buffer; duplicate in-flight requests are
-// coalesced. Drain stops it gracefully — in-flight work completes, new
+// Requests pass an admission gate (a bounded in-system FIFO queue)
+// before a worker pool tunes them on a health-managed device pool:
+// per-device circuit breakers plus EWMA health scores with
+// quarantine/probation, and speculative hedging to the next-best device
+// when the primary straggles past its perfmodel-derived deadline.
+// Completed results land in the historical store through a write-behind
+// buffer; duplicate in-flight requests are coalesced. Drain stops it gracefully — in-flight work completes, new
 // submissions fail with ErrServerClosed, pending store writes are
 // flushed — and Close at once.
 type InferenceServer struct {
 	opts InferenceServerOptions
 	m    servingMetrics
-	// reg is the recorder's registry (nil = metrics off); kept for the
-	// per-tenant rejection counters, whose names are data-dependent.
-	reg *obs.Registry
 
 	mu        sync.Mutex
 	pending   map[string]*call // in-flight leader per signature
@@ -231,15 +200,11 @@ type InferenceServer struct {
 	pool   *devicePool
 	writes *store.WriteBehind
 	scale  *scaler // nil when autoscaling is disabled
-	// noHedging is the hedging tests' control arm: set before the first
-	// Submit, it turns speculative re-issues off on a multi-device pool.
-	noHedging bool
 
 	// SLO objectives (nil = no accounting; Record no-ops).
-	sloLatency       *slo.Objective
-	sloRejects       *slo.Objective
-	sloTenantRejects *slo.Objective
-	sloCapacity      *slo.Objective
+	sloLatency  *slo.Objective
+	sloRejects  *slo.Objective
+	sloCapacity *slo.Objective
 
 	wg sync.WaitGroup
 
@@ -304,9 +269,16 @@ type call struct {
 	depthAtEnqueue int
 }
 
-// NewInferenceServer starts the server's worker pool. Callers must
+// NewInferenceServer starts the server's worker pool on a pool of
+// opts.Device alone (the autoscaler may add replicas). Callers must
 // Close it.
 func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
+	return newInferenceServer(opts, []device.Device{opts.Device})
+}
+
+// newInferenceServer starts a server routing across pool, whose first
+// device is opts.Device.
+func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*InferenceServer, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
@@ -324,8 +296,8 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 	s := &InferenceServer{
 		opts:    opts,
 		pending: make(map[string]*call),
-		adm:     newAdmission(opts.QueueLimit, opts.RateLimit, opts.RateBurst),
-		pool:    newDevicePool(opts.Pool, breakerThreshold, breakerCooldown, opts.Recorder),
+		adm:     newAdmission(opts.QueueLimit),
+		pool:    newDevicePool(pool, breakerThreshold, breakerCooldown, opts.Recorder),
 		writes:  writes,
 	}
 	s.hard, s.stop = context.WithCancel(context.Background())
@@ -338,7 +310,6 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 		s.scale = sc
 	}
 	if reg := opts.Recorder.Registry(); reg != nil {
-		s.reg = reg
 		s.m = servingMetrics{
 			requests:     reg.Counter("serving.requests"),
 			cacheHits:    reg.Counter("serving.cache-hits"),
@@ -358,13 +329,8 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 		})
 		s.sloRejects = opts.SLO.Register(slo.Spec{
 			Name:        "serving/rejections",
-			Description: "95% of submissions admitted (not shed, rate-limited, or preempted)",
+			Description: "95% of submissions admitted (not shed)",
 			Target:      0.95,
-		})
-		s.sloTenantRejects = opts.SLO.Register(slo.Spec{
-			Name:        "serving/tenant-rejections",
-			Description: "99% of submissions clear the per-client token bucket (not rate-limited)",
-			Target:      0.99,
 		})
 		if s.scale != nil {
 			s.sloCapacity = opts.SLO.Register(slo.Spec{
@@ -457,10 +423,9 @@ func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 // same in-flight signature share a single tuning run. Caller
 // cancellation is honoured while the request is queued and while it is
 // being tuned. Overload is shed with typed errors: ErrOverloaded when
-// the bounded queue is full (background requests may additionally be
-// preempted by critical ones), ErrRateLimited when the client's token
-// bucket is empty, ErrServerClosed after Close/Drain, and a
-// ErrCircuitOpen-wrapping error when no pool device is healthy.
+// the bounded queue is full or an injected overload burst fires,
+// ErrServerClosed after Close/Drain, and an ErrCircuitOpen-wrapping
+// error when no pool device is healthy.
 //
 // Receive from the channel exactly once. Once its outcome has been
 // received the channel may carry the reply to a later Submit, so it must
@@ -518,8 +483,7 @@ func (s *InferenceServer) open(c *call) error {
 	if t := s.opts.Trace; t != nil {
 		c.sp = t.Root(obs.TrackServing, "request", uint64(c.seq), c.SubmitTime,
 			obs.Str("sig", c.Signature),
-			obs.Str("client", c.Client),
-			obs.Int("priority", int64(c.Priority)))
+			obs.Str("client", c.Client))
 	}
 	s.m.requests.Add(1)
 	return nil
@@ -582,20 +546,10 @@ func (s *InferenceServer) join(c *call) (lead *call) {
 	return lead
 }
 
-// admit takes a leader through the intake gate — degradation ladder,
-// injected burst, routing, the bounded queue — and leaves it queued for
-// a worker, or rejected with a typed error.
+// admit takes a leader through the intake gate — injected burst,
+// routing, the bounded queue — and leaves it queued for a worker, or
+// rejected with a typed error.
 func (s *InferenceServer) admit(c *call) {
-	// Once the ladder has stepped past normal, background traffic is
-	// shed at the gate so critical work keeps the queue. Cache hits stay
-	// free — degraded service still answers what it already knows.
-	if c.Priority == PriorityBackground {
-		if mode := s.degradeMode(); mode >= autoscale.ModeShedBackground {
-			s.scale.cShed.Inc()
-			s.reject(c, "shed-degraded", fmt.Errorf("core: background shed by degradation ladder (%s): %w", mode, ErrOverloaded))
-			return
-		}
-	}
 	// Injected overload burst: a synthetic traffic spike.
 	if ferr := s.failAt(fault.OverloadBurst, "admit/", c.Client, c.seq); ferr != nil {
 		s.reject(c, "shed-burst", fmt.Errorf("%w: %w", ErrOverloaded, ferr))
@@ -615,8 +569,7 @@ func (s *InferenceServer) admit(c *call) {
 	if c.ctx.Done() != nil {
 		c.stop = context.AfterFunc(c.ctx, func() { s.unqueue(c) })
 	}
-	evicted, err := s.adm.push(c)
-	if err != nil {
+	if err := s.adm.push(c); err != nil {
 		s.reject(c, outcomeLabel(err), err)
 		return
 	}
@@ -624,29 +577,16 @@ func (s *InferenceServer) admit(c *call) {
 	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
 	s.m.admitWait.Observe(float64(c.queuedAhead))
 	s.admissionSpan(c, "admitted", c.rt.pd.name, c.queuedAhead)
-	if evicted != nil {
-		s.opts.Recorder.AddPreempted()
-		s.opts.Flight.Record(c.SubmitTime, flight.KindAdmission, "preempted", evicted.Signature, 0, 0)
-		s.finish(evicted, "", InferOutcome{Err: fmt.Errorf("core: preempted by critical request: %w", ErrOverloaded)})
-	}
 	if c.ctx.Err() != nil {
 		s.unqueue(c) // cancelled before the push: the hook found nothing queued
 	}
 }
 
-// reject ends a call the gate turned away: the counter its kind of
-// rejection has, the verdict on its admission span, the typed error to
-// its caller.
+// reject ends a call the gate turned away: the shed counter when it was
+// shed, the verdict on its admission span, the typed error to its
+// caller.
 func (s *InferenceServer) reject(c *call, verdict string, err error) {
-	switch {
-	case errors.Is(err, ErrRateLimited):
-		s.opts.Recorder.AddRateLimited()
-		// Per-tenant rejection counter: the label rides in the name,
-		// the registry convention for data-keyed series.
-		if s.reg != nil {
-			s.reg.Counter("serving.rate-limited.tenant." + c.Client).Inc()
-		}
-	case errors.Is(err, ErrOverloaded):
+	if errors.Is(err, ErrOverloaded) {
 		s.opts.Recorder.AddShed()
 	}
 	s.admissionSpan(c, verdict, "", -1)
@@ -765,7 +705,6 @@ func (s *InferenceServer) replyLocked() chan InferOutcome {
 // latency objective only requests that actually produced a result.
 func (s *InferenceServer) recordSLO(at time.Duration, res InferOutcome) {
 	s.sloRejects.Record(at, !errors.Is(res.Err, ErrOverloaded))
-	s.sloTenantRejects.Record(at, !errors.Is(res.Err, ErrRateLimited))
 	if res.Err == nil {
 		s.sloLatency.Record(at, res.Latency <= sloServeLatency)
 	}
@@ -840,7 +779,7 @@ func (s *InferenceServer) stopped(sc *scratch) error {
 
 // run serves c for as long as it may live — until its caller gives up,
 // the server is hard-stopped or requestTimeout passes — under the pprof
-// labels of its tenant and priority.
+// label of its tenant.
 func (s *InferenceServer) run(c *call, sc *scratch) (out InferOutcome) {
 	c.served = true
 	sc.ctx, sc.deadline = c.ctx, time.Now().Add(requestTimeout)
@@ -849,10 +788,7 @@ func (s *InferenceServer) run(c *call, sc *scratch) (out InferOutcome) {
 		// Labels do not cross the Submit→worker goroutine hop; re-apply
 		// the serving taxonomy from the call itself. The store write
 		// inside serve happens on this goroutine, so it inherits them.
-		labels = append([]string{
-			prof.KeyTenant, tenantLabel(c.Client),
-			prof.KeyPriority, priorityLabel(c.Priority),
-		}, s.opts.ProfLabels...)
+		labels = append([]string{prof.KeyTenant, tenantLabel(c.Client)}, s.opts.ProfLabels...)
 	}
 	prof.Do(c.ctx, func(context.Context) { out = s.serve(c, sc) }, labels...)
 	sc.ctx = nil // keep no caller's context past its call
@@ -1107,14 +1043,11 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 
 // outcomeLabel classifies a serving error for span attributes. The
 // checks are ordered because the typed errors wrap one another
-// (rate-limited and preemption wrap overloaded, no-healthy-device wraps
-// circuit-open).
+// (no-healthy-device wraps circuit-open).
 func outcomeLabel(err error) string {
 	switch {
 	case err == nil:
 		return "ok"
-	case errors.Is(err, ErrRateLimited):
-		return "rate-limited"
 	case errors.Is(err, ErrServerClosed):
 		return "server-closed"
 	case errors.Is(err, ErrOverloaded):
@@ -1136,8 +1069,8 @@ func outcomeLabel(err error) string {
 
 // transientInferError reports whether an inference outcome error is
 // worth a cheap resubmit or a degraded fallback (injected faults,
-// breaker rejections, shed or rate-limited submissions, a closed
-// server, missed deadlines) rather than a hard abort.
+// breaker rejections, shed submissions, a closed server, missed
+// deadlines) rather than a hard abort.
 func transientInferError(err error) bool {
 	return fault.IsFault(err) ||
 		errors.Is(err, ErrCircuitOpen) ||

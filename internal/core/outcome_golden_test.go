@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/counters"
 	"edgetune/internal/device"
 	"edgetune/internal/fault"
@@ -56,12 +55,6 @@ func (e *outcomeEnv) submitCancellable(r InferRequest) {
 	e.chs = append(e.chs, e.srv.Submit(e.ctx, r))
 }
 
-func (e *outcomeEnv) background(i int) InferRequest {
-	r := e.req(i)
-	r.Priority = PriorityBackground
-	return r
-}
-
 // await blocks for the reply of the i-th submission.
 func (e *outcomeEnv) await(i int) {
 	e.t.Helper()
@@ -80,14 +73,12 @@ type outcomeScenario struct {
 	cfg    func(*InferenceServerOptions)
 	faults fault.Config
 	plan   []fault.Event
+	pool   []device.Device // nil = the I7 alone
 	drive  func(e *outcomeEnv)
 }
 
 func outcomeScenarios() []outcomeScenario {
 	sig0 := sigRequest(0).Signature
-	ladder := func(o *InferenceServerOptions) {
-		o.Autoscale = &autoscale.Config{Min: 1, Max: 1, LadderAfterTicks: 1}
-	}
 	return []outcomeScenario{
 		{name: "cached", want: "cached", drive: func(e *outcomeEnv) {
 			e.submit(e.req(0))
@@ -107,28 +98,6 @@ func outcomeScenarios() []outcomeScenario {
 			e.submit(e.req(0))
 			e.srv.adm.setHold(false)
 		}},
-		{name: "shed-ladder", want: "shed", cfg: ladder,
-			plan: []fault.Event{{Class: fault.FlashCrowd, Site: "crowd#0"}},
-			drive: func(e *outcomeEnv) {
-				e.submit(e.req(0))
-				e.await(0)
-				e.submit(e.background(1))
-			}},
-		{name: "evicted-ladder", want: "ok", cfg: ladder,
-			plan: []fault.Event{
-				{Class: fault.FlashCrowd, Site: "crowd#1"},
-				{Class: fault.FlashCrowd, Site: "crowd#2"},
-				{Class: fault.FlashCrowd, Site: "crowd#3"},
-			},
-			drive: func(e *outcomeEnv) {
-				e.srv.adm.setHold(true)
-				e.submit(e.background(0))
-				for i := 1; i <= 3; i++ {
-					e.submit(e.req(i))
-				}
-				e.await(0)
-				e.srv.adm.setHold(false)
-			}},
 		{name: "shed-burst", want: "shed",
 			plan: []fault.Event{{Class: fault.OverloadBurst, Site: "admit/test-client#0"}},
 			drive: func(e *outcomeEnv) {
@@ -143,29 +112,12 @@ func outcomeScenarios() []outcomeScenario {
 					e.await(i)
 				}
 			}},
-		{name: "rate-limited", want: "rate-limited",
-			cfg: func(o *InferenceServerOptions) { o.RateLimit, o.RateBurst = 0.25, 1 },
-			drive: func(e *outcomeEnv) {
-				e.srv.adm.setHold(true)
-				e.submit(e.req(0))
-				e.submit(e.req(1))
-				e.srv.adm.setHold(false)
-			}},
 		{name: "queue-full", want: "shed",
 			cfg: func(o *InferenceServerOptions) { o.QueueLimit = 1 },
 			drive: func(e *outcomeEnv) {
 				e.srv.adm.setHold(true)
 				e.submit(e.req(0))
 				e.submit(e.req(1))
-				e.srv.adm.setHold(false)
-			}},
-		{name: "preempted", want: "ok",
-			cfg: func(o *InferenceServerOptions) { o.QueueLimit = 1 },
-			drive: func(e *outcomeEnv) {
-				e.srv.adm.setHold(true)
-				e.submit(e.background(0))
-				e.submit(e.req(1))
-				e.await(0)
 				e.srv.adm.setHold(false)
 			}},
 		{name: "cancelled-queued", want: "cancelled", drive: func(e *outcomeEnv) {
@@ -198,9 +150,7 @@ func outcomeScenarios() []outcomeScenario {
 		{name: "served-hedged", want: "hedged",
 			faults: fault.Config{BrownoutFactor: 8},
 			plan:   []fault.Event{{Class: fault.DeviceBrownout, Site: device.NameI7 + "/" + sig0}},
-			cfg: func(o *InferenceServerOptions) {
-				o.Pool = []device.Device{device.I7(), i7Twin()}
-			},
+			pool:   twinPool(),
 			drive: func(e *outcomeEnv) {
 				e.submit(e.req(0))
 			}},
@@ -229,7 +179,6 @@ var typedErrors = []struct {
 	err  error
 }{
 	{"overloaded", ErrOverloaded},
-	{"rate-limited", ErrRateLimited},
 	{"server-closed", ErrServerClosed},
 	{"no-healthy-device", ErrNoHealthyDevice},
 	{"circuit-open", ErrCircuitOpen},
@@ -290,7 +239,11 @@ func runOutcomeScenario(t *testing.T, sc outcomeScenario, w *bytes.Buffer) {
 	if sc.cfg != nil {
 		sc.cfg(&opts)
 	}
-	e.srv, err = NewInferenceServer(opts)
+	pool := sc.pool
+	if pool == nil {
+		pool = []device.Device{dev}
+	}
+	e.srv, err = newInferenceServer(opts, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

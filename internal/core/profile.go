@@ -8,11 +8,3 @@ func tenantLabel(tenant string) string {
 	}
 	return tenant
 }
-
-// priorityLabel renders a serving priority for pprof labels.
-func priorityLabel(p Priority) string {
-	if p == PriorityBackground {
-		return "background"
-	}
-	return "critical"
-}

@@ -70,7 +70,7 @@ func TestScratchHedgeMatchesFreshServer(t *testing.T) {
 		factor float64 // BrownoutFactor: the planned slowdown's ceiling
 		winner string
 	}{
-		{"primary-wins", 1.6, "i7"},
+		{"primary-wins", 3, "i7"},
 		{"hedge-wins", 40, "i7-narrow"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,10 +84,8 @@ func TestScratchHedgeMatchesFreshServer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) {
-					o.Pool = []device.Device{device.I7(), i7Narrow()}
+				srv, _ := servingServerOn(t, store.New(), []device.Device{device.I7(), i7Narrow()}, func(o *InferenceServerOptions) {
 					o.Fault = inj
-					o.HedgeFactor = 1.1
 					o.Trials = 24
 				})
 				for i := 0; i < misses; i++ {

@@ -6,14 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"edgetune/internal/counters"
 	"edgetune/internal/device"
 	"edgetune/internal/fault"
-	"edgetune/internal/obs/slo"
 	"edgetune/internal/store"
 	"edgetune/internal/testutil"
 	"edgetune/internal/workload"
@@ -30,6 +28,16 @@ func i7Twin() device.Device {
 // servingServer builds a server for the overload/hedging tests with a
 // recorder attached; cfg mutates the defaults.
 func servingServer(t *testing.T, st *store.Store, cfg func(*InferenceServerOptions)) (*InferenceServer, *counters.Resilience) {
+	t.Helper()
+	return servingServerOn(t, st, nil, cfg)
+}
+
+// twinPool is the hedging tests' pool: the I7 and its twin.
+func twinPool() []device.Device { return []device.Device{device.I7(), i7Twin()} }
+
+// servingServerOn is servingServer routing across pool, whose first
+// device must be the I7 (nil = the I7 alone, as NewInferenceServer).
+func servingServerOn(t *testing.T, st *store.Store, pool []device.Device, cfg func(*InferenceServerOptions)) (*InferenceServer, *counters.Resilience) {
 	t.Helper()
 	w := workload.MustNew("IC", 1)
 	dev := device.I7()
@@ -51,7 +59,10 @@ func servingServer(t *testing.T, st *store.Store, cfg func(*InferenceServerOptio
 	if cfg != nil {
 		cfg(&opts)
 	}
-	srv, err := NewInferenceServer(opts)
+	if pool == nil {
+		pool = []device.Device{opts.Device}
+	}
+	srv, err := newInferenceServer(opts, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +110,6 @@ func TestAdmissionShedsAtLimit(t *testing.T) {
 		if !errors.Is(out.Err, ErrOverloaded) {
 			t.Errorf("submission %d: err = %v, want ErrOverloaded", i, out.Err)
 		}
-		if errors.Is(out.Err, ErrRateLimited) {
-			t.Errorf("submission %d misreported as rate-limited", i)
-		}
 	}
 	if got := rec.Snapshot().Shed; got != 2 {
 		t.Errorf("shed counter = %d, want 2", got)
@@ -111,128 +119,6 @@ func TestAdmissionShedsAtLimit(t *testing.T) {
 		if out := mustOutcome(t, chs[i]); out.Err != nil {
 			t.Errorf("admitted submission %d failed: %v", i, out.Err)
 		}
-	}
-}
-
-// TestCriticalPreemptsBackground: a critical submission arriving at a
-// full queue evicts the most recent background job instead of being
-// shed.
-func TestCriticalPreemptsBackground(t *testing.T) {
-	srv, rec := servingServer(t, store.New(), func(o *InferenceServerOptions) {
-		o.QueueLimit = 2
-	})
-	srv.adm.setHold(true)
-	bg := make([]<-chan InferOutcome, 2)
-	for i := range bg {
-		req := sigRequest(i)
-		req.Priority = PriorityBackground
-		bg[i] = srv.Submit(context.Background(), req)
-	}
-	crit := srv.Submit(context.Background(), sigRequest(2))
-
-	out := mustOutcome(t, bg[1])
-	if !errors.Is(out.Err, ErrOverloaded) {
-		t.Errorf("preempted job err = %v, want ErrOverloaded", out.Err)
-	}
-	if got := rec.Snapshot().Preempted; got != 1 {
-		t.Errorf("preempted counter = %d, want 1", got)
-	}
-
-	// A second background submission is shed outright: critical work
-	// holds both slots' worth of capacity.
-	req := sigRequest(3)
-	req.Priority = PriorityBackground
-	if out := mustOutcome(t, srv.Submit(context.Background(), req)); !errors.Is(out.Err, ErrOverloaded) {
-		t.Errorf("background overflow err = %v, want ErrOverloaded", out.Err)
-	}
-
-	srv.adm.setHold(false)
-	if out := mustOutcome(t, bg[0]); out.Err != nil {
-		t.Errorf("surviving background job failed: %v", out.Err)
-	}
-	if out := mustOutcome(t, crit); out.Err != nil {
-		t.Errorf("critical job failed: %v", out.Err)
-	}
-}
-
-// TestRateLimitPerClient: the deterministic token bucket rejects a
-// client that bursts past its allowance, without touching other
-// clients.
-func TestRateLimitPerClient(t *testing.T) {
-	srv, rec := servingServer(t, store.New(), func(o *InferenceServerOptions) {
-		o.QueueLimit = 10
-		o.RateLimit = 0.25
-		o.RateBurst = 2
-	})
-	srv.adm.setHold(true)
-	chs := make([]<-chan InferOutcome, 0, 4)
-	for i := 0; i < 4; i++ {
-		chs = append(chs, srv.Submit(context.Background(), sigRequest(i)))
-	}
-	// Burst 2 with refill 0.25/tick: submissions 3 and 4 find a dry
-	// bucket.
-	for i := 2; i < 4; i++ {
-		out := mustOutcome(t, chs[i])
-		if !errors.Is(out.Err, ErrRateLimited) || !errors.Is(out.Err, ErrOverloaded) {
-			t.Errorf("submission %d: err = %v, want ErrRateLimited (wrapping ErrOverloaded)", i, out.Err)
-		}
-	}
-	if got := rec.Snapshot().RateLimited; got != 2 {
-		t.Errorf("rate-limited counter = %d, want 2", got)
-	}
-	// A different client starts with a full bucket.
-	other := sigRequest(9)
-	other.Client = "other-client"
-	otherCh := srv.Submit(context.Background(), other)
-	srv.adm.setHold(false)
-	for _, ch := range []<-chan InferOutcome{chs[0], chs[1], otherCh} {
-		if out := mustOutcome(t, ch); out.Err != nil {
-			t.Errorf("admitted submission failed: %v", out.Err)
-		}
-	}
-}
-
-// TestRateLimitTenantInstruments: rate-limit rejections surface as
-// per-tenant labeled counters and as errors on the standing
-// serving/tenant-rejections objective, attributed to the bursting
-// client only.
-func TestRateLimitTenantInstruments(t *testing.T) {
-	ev := slo.NewEvaluator()
-	srv, rec := servingServer(t, store.New(), func(o *InferenceServerOptions) {
-		o.QueueLimit = 10
-		o.RateLimit = 0.25
-		o.RateBurst = 2
-		o.SLO = ev
-	})
-	srv.adm.setHold(true)
-	chs := make([]<-chan InferOutcome, 0, 5)
-	for i := 0; i < 4; i++ {
-		chs = append(chs, srv.Submit(context.Background(), sigRequest(i)))
-	}
-	other := sigRequest(9)
-	other.Client = "other-client"
-	chs = append(chs, srv.Submit(context.Background(), other))
-	srv.adm.setHold(false)
-	for _, ch := range chs {
-		mustOutcome(t, ch)
-	}
-
-	got := map[string]int64{}
-	for _, c := range rec.Registry().Snapshot().Counters {
-		if strings.HasPrefix(c.Name, "serving.rate-limited.tenant.") {
-			got[strings.TrimPrefix(c.Name, "serving.rate-limited.tenant.")] = c.Value
-		}
-	}
-	if got["test-client"] != 2 || got["other-client"] != 0 {
-		t.Errorf("per-tenant rate-limited counters = %v, want test-client=2 and no other-client", got)
-	}
-
-	obj, ok := ev.Snapshot().Objective("serving/tenant-rejections")
-	if !ok {
-		t.Fatal("serving/tenant-rejections objective not registered")
-	}
-	if obj.Errors != 2 || obj.Events != 5 {
-		t.Errorf("tenant-rejections objective = %d errors / %d events, want 2/5", obj.Errors, obj.Events)
 	}
 }
 
@@ -323,41 +209,37 @@ func TestDrainExpiredContext(t *testing.T) {
 
 // TestHedgeOnBrownout: with a browned-out primary, the server issues a
 // deterministic hedge to the twin device and the request still
-// succeeds.
+// succeeds. The control arm is the I7 alone, which has nowhere to hedge
+// to and browns out on the same sites.
 func TestHedgeOnBrownout(t *testing.T) {
-	run := func(disable bool) (InferOutcome, counters.ResilienceSnapshot) {
+	run := func(pool []device.Device) (InferOutcome, counters.ResilienceSnapshot) {
 		inj, err := fault.NewInjector(fault.Config{DeviceBrownout: 1, BrownoutFactor: 8}, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, rec := servingServer(t, store.New(), func(o *InferenceServerOptions) {
-			o.Pool = []device.Device{device.I7(), i7Twin()}
-			o.Fault = inj
-			o.HedgeFactor = 1.1
-		})
-		srv.noHedging = disable
+		srv, rec := servingServerOn(t, store.New(), pool, func(o *InferenceServerOptions) { o.Fault = inj })
 		out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(0)))
 		return out, rec.Snapshot()
 	}
 
-	out, snap := run(false)
+	out, snap := run(twinPool())
 	if out.Err != nil {
 		t.Fatalf("browned-out request failed: %v", out.Err)
 	}
 	if !out.Hedged || snap.Hedges != 1 {
-		t.Errorf("hedged = %v, hedges = %d; want a hedge on a >1.1x brown-out", out.Hedged, snap.Hedges)
+		t.Errorf("hedged = %v, hedges = %d; want a hedge on a >%dx brown-out", out.Hedged, snap.Hedges, hedgeFactor)
 	}
-	out2, snap2 := run(false)
+	out2, snap2 := run(twinPool())
 	if out2.Latency != out.Latency || snap2.Hedges != snap.Hedges || snap2.HedgeWins != snap.HedgeWins {
 		t.Errorf("same-seed hedging diverged: %v/%+v vs %v/%+v", out.Latency, snap, out2.Latency, snap2)
 	}
 
-	plain, psnap := run(true)
+	plain, psnap := run(twinPool()[:1])
 	if plain.Err != nil {
 		t.Fatalf("unhedged request failed: %v", plain.Err)
 	}
 	if plain.Hedged || psnap.Hedges != 0 {
-		t.Errorf("noHedging still hedged: %v / %d", plain.Hedged, psnap.Hedges)
+		t.Errorf("a one-device pool hedged: %v / %d", plain.Hedged, psnap.Hedges)
 	}
 	if out.Latency > plain.Latency {
 		t.Errorf("hedged latency %v exceeds unhedged %v", out.Latency, plain.Latency)

@@ -111,13 +111,13 @@ type Options struct {
 	Flight *flight.Recorder
 
 	// Tenant names the client this job runs on behalf of. When set it
-	// stamps every inference submission's Client field, so per-client
-	// admission, quota counters, and the tenant-rejections SLO all see
-	// the same identity the cluster dispatcher admitted.
+	// stamps every inference submission's Client field, so the serving
+	// path's overload-burst fault sites, tenant pprof label and request
+	// spans see the same identity the cluster dispatcher admitted.
 	Tenant string
 
 	// Profile applies pprof labels (tenant, bracket, rung, fault class,
-	// serving priority, plus ProfLabels) on both pipelines, so CPU/heap
+	// plus ProfLabels) on both pipelines, so CPU/heap
 	// profiles captured from the debug endpoints are attributable per
 	// dimension.
 	Profile bool

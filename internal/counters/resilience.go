@@ -33,8 +33,6 @@ var (
 	degraded         = declare("resilience.degraded", func(s *ResilienceSnapshot) *int64 { return &s.Degraded })
 	resumedRungs     = declare("resilience.resumed-rungs", func(s *ResilienceSnapshot) *int64 { return &s.ResumedRungs })
 	shed             = declare("serving.shed", func(s *ResilienceSnapshot) *int64 { return &s.Shed })
-	rateLimited      = declare("serving.rate-limited", func(s *ResilienceSnapshot) *int64 { return &s.RateLimited })
-	preempted        = declare("serving.preempted", func(s *ResilienceSnapshot) *int64 { return &s.Preempted })
 	hedges           = declare("serving.hedges", func(s *ResilienceSnapshot) *int64 { return &s.Hedges })
 	hedgeWins        = declare("serving.hedge-wins", func(s *ResilienceSnapshot) *int64 { return &s.HedgeWins })
 	quarantines      = declare("serving.quarantines", func(s *ResilienceSnapshot) *int64 { return &s.Quarantines })
@@ -100,9 +98,7 @@ func (r *Resilience) AddBreakerHalfOpen()     { r.add(breakerHalfOpens, 1) } // 
 func (r *Resilience) AddBreakerClose()        { r.add(breakerCloses, 1) }    // half-open→closed
 func (r *Resilience) AddDegraded()            { r.add(degraded, 1) }         // an outcome served from a fallback (store entry, perfmodel estimate), not measured
 func (r *Resilience) AddResumedRungs(n int64) { r.add(resumedRungs, n) }     // n rungs skipped because a checkpoint already held their results
-func (r *Resilience) AddShed()                { r.add(shed, 1) }             // a submission rejected at the gate: queue full, degradation ladder, injected burst
-func (r *Resilience) AddRateLimited()         { r.add(rateLimited, 1) }      // a submission rejected by the per-client token bucket
-func (r *Resilience) AddPreempted()           { r.add(preempted, 1) }        // a queued background request evicted for a recommendation-critical one
+func (r *Resilience) AddShed()                { r.add(shed, 1) }             // a submission rejected at the gate: queue full or an injected burst
 func (r *Resilience) AddHedge()               { r.add(hedges, 1) }           // a speculative re-issue to a second device (primary straggled or failed transiently)
 func (r *Resilience) AddHedgeWin()            { r.add(hedgeWins, 1) }        // a hedge whose secondary attempt produced the winning result
 func (r *Resilience) AddQuarantine()          { r.add(quarantines, 1) }      // a device entering the quarantined state
@@ -129,8 +125,6 @@ type ResilienceSnapshot struct {
 	ResumedRungs     int64        `json:"resumedRungs"`
 
 	Shed        int64 `json:"shed"`
-	RateLimited int64 `json:"rateLimited"`
-	Preempted   int64 `json:"preempted"`
 	Hedges      int64 `json:"hedges"`
 	HedgeWins   int64 `json:"hedgeWins"`
 	Quarantines int64 `json:"quarantines"`

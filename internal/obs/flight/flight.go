@@ -2,7 +2,7 @@
 // preallocated fixed-slot ring buffer that continuously captures a
 // compact event stream — span completions, SLO objective state
 // transitions, autoscale decisions and ladder steps, admission
-// rejections and preemptions, breaker and health transitions, WAL
+// rejections, breaker and health transitions, WAL
 // append/recovery/shipping events, shard failover — stamped on the
 // simulated clock with FNV-derived IDs. Recording is allocation-free
 // in steady state: each event is a value copied into its slot, so the
@@ -46,10 +46,9 @@ const (
 	// KindLadder is a degradation-ladder transition: Subject the new
 	// mode, Detail "degrade" or "recover".
 	KindLadder = "ladder"
-	// KindAdmission is a rejected or preempted submission: Subject the
-	// rejection class ("shed-burst", "shed-degraded", "rate-limited",
-	// "overloaded", "preempted", "no-healthy-device"), Detail the
-	// client when known.
+	// KindAdmission is a rejected submission: Subject the rejection
+	// class ("shed-burst", "shed" for a full queue, "server-closed",
+	// "no-healthy-device"), Detail the request's signature.
 	KindAdmission = "admission"
 	// KindBreaker is a circuit-breaker state change: Subject the
 	// device, Detail the new state.

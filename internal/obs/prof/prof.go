@@ -5,8 +5,7 @@
 //
 // Label propagation rides the existing -debug-addr pprof endpoints: a
 // profile captured from /debug/pprof/profile during a labelled run can
-// be sliced per tenant, shard, bracket/rung, fault class, or serving
-// priority. Labels follow the context on the calling goroutine only, so
+// be sliced per tenant, shard, bracket/rung, or fault class. Labels follow the context on the calling goroutine only, so
 // pipeline stages that hop goroutines (the inference server's workers)
 // re-apply them from the job's own fields.
 package prof
@@ -18,7 +17,7 @@ import (
 
 // Label keys of the pipeline taxonomy. Tune-side stages carry tenant,
 // bracket, and rung (plus shard when dispatched by a cluster); serving
-// stages carry tenant and priority; retry attempts after an injected
+// stages carry tenant; retry attempts after an injected
 // fault carry the fault class that killed the previous attempt.
 const (
 	KeyTenant     = "tenant"
@@ -26,7 +25,6 @@ const (
 	KeyBracket    = "bracket"
 	KeyRung       = "rung"
 	KeyFaultClass = "fault_class"
-	KeyPriority   = "priority"
 )
 
 // Do runs fn with the given pprof labels (alternating key, value)

@@ -5,11 +5,10 @@ package sim
 // clock. A key's bucket starts full, refills by rate tokens per tick
 // since its last use, holds at most burst, and a Take spends one. A
 // fixed sequence of Takes therefore always gets the same verdicts. The
-// inference server's per-client rate limit and the cluster's per-tenant
-// quota are each one of these.
+// cluster's per-tenant quota is one of these.
 //
-// Like RNG it is not safe for concurrent use; both callers already
-// serialise their admissions under a lock of their own.
+// Like RNG it is not safe for concurrent use; the cluster serialises its
+// admissions under a lock of its own.
 type TokenBuckets struct {
 	rate   float64
 	burst  float64

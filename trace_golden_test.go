@@ -31,10 +31,10 @@ func sha(data []byte) string {
 func TestTraceBytesGolden(t *testing.T) {
 	defer testutil.CheckGoroutineLeak(t, 4)
 	const (
-		wantJobJSONL      = "d0701cb9dc42d126a9cd3183b30334f4f54e76071594500489a22021ad67d792"
-		wantJobChrome     = "81adfbe6a53eaf898748a96787718d49e8f2348a2323f0ef8841d9b13363b28d"
-		wantClusterJSONL  = "3122c8e2c22d00262a25832ffa3ffd42f33e798bb67062b994eec73c225052ae"
-		wantClusterChrome = "c7437764a7d009b74b1de0c32f7a7eff8e28f4b86b6abd6311ed80f7eca6056c"
+		wantJobJSONL      = "eaf9dc5f5509a74afb215ae367d99637db73a20b54ae45dc465d1778054b7611"
+		wantJobChrome     = "876271b50de05e4537df7d86f7fccd15c8b3df599fcaf13c56b14ee272d10d5c"
+		wantClusterJSONL  = "1ca5398262e47cebe519408b14e09b62ddc69a9f07c0920d1ef2d0f73a16df1f"
+		wantClusterChrome = "b2d84669488df6fb73cdd58619ab73b0f0de781a02c683bbd85ef20459a391ae"
 	)
 	dir := t.TempDir()
 
