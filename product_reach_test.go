@@ -164,7 +164,7 @@ func reachTally(trace string, rep *Report) (string, error) {
 	}
 	for k, v := range res {
 		var n int64
-		if json.Unmarshal(v, &n) == nil {
+		if json.Unmarshal(v, &n) == nil { // every key but the faults list, tallied below
 			counts["resilience "+k] = n
 		}
 	}
