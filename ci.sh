@@ -69,6 +69,9 @@ surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)"
 surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
 surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
 surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 12
+surface "autoscale.Config fields" "$(fields internal/autoscale/autoscale.go Config)" 2
+surface "slo.Spec fields" "$(fields internal/obs/slo/slo.go Spec)" 3
+surface "baselines.HyperPowerOptions fields" "$(fields internal/baselines/baselines.go HyperPowerOptions)" 3
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
 surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 54
 # A report section the pipeline already snapshots is that snapshot (a

@@ -60,132 +60,42 @@ func (m Mode) String() string {
 	}
 }
 
-// Config bounds and tunes the controller. The zero value of any field
-// selects the documented default; negative values are rejected by
-// Validate.
+// Config bounds the replica count; the rest of the control loop is
+// the package's constants. The zero value of a field selects its
+// default; New rejects a bound out of range.
 type Config struct {
 	// Min and Max bound the replica count. Defaults: 1 and 4.
-	Min int `json:"min,omitempty"`
-	Max int `json:"max,omitempty"`
-	// ScaleUpAt and ScaleDownAt are saturation thresholds on
-	// in-system depth over queue limit. Defaults: 0.75 and 0.25.
-	ScaleUpAt   float64 `json:"scaleUpAt,omitempty"`
-	ScaleDownAt float64 `json:"scaleDownAt,omitempty"`
-	// BurnHot and BurnCalm are burn-rate thresholds on the
-	// serving/capacity objective (error rate over error budget).
-	// Defaults: 14.4 (the standing page-worthy burn threshold) and 1
-	// (burning no faster than budget).
-	BurnHot  float64 `json:"burnHot,omitempty"`
-	BurnCalm float64 `json:"burnCalm,omitempty"`
-	// Target is the capacity objective's success target used to turn
-	// the windowed bad-event rate into a burn rate. Default: 0.95.
-	Target float64 `json:"target,omitempty"`
-	// Window is the number of recent submissions the controller's
-	// internal burn-rate window covers. Default: 32.
-	Window int `json:"window,omitempty"`
-	// HysteresisTicks is the number of consecutive calm ticks required
-	// before each scale-down or ladder-release step. Default: 8.
-	HysteresisTicks int `json:"hysteresisTicks,omitempty"`
-	// LadderAfterTicks is the number of consecutive hot ticks after
-	// which the degradation ladder steps one rung deeper. Default: 4.
-	LadderAfterTicks int `json:"ladderAfterTicks,omitempty"`
-	// WarmupTime and WarmupEnergyJ are charged per added replica: the
-	// replica is not routable until WarmupTime of simulated time has
-	// passed, and WarmupEnergyJ joules are billed to the run.
-	// Defaults: 30s and 150 J.
-	WarmupTime    time.Duration `json:"warmupTime,omitempty"`
-	WarmupEnergyJ float64       `json:"warmupEnergyJ,omitempty"`
+	Min int
+	Max int
 }
 
-func defaults() Config {
-	return Config{
-		Min:              1,
-		Max:              4,
-		ScaleUpAt:        0.75,
-		ScaleDownAt:      0.25,
-		BurnHot:          14.4,
-		BurnCalm:         1,
-		Target:           0.95,
-		Window:           32,
-		HysteresisTicks:  8,
-		LadderAfterTicks: 4,
-		WarmupTime:       30 * time.Second,
-		WarmupEnergyJ:    150,
-	}
-}
+// CapacityTarget is the serving/capacity objective's success target:
+// the controller's burn rate divides its windowed bad-event rate by the
+// error budget 1 − CapacityTarget. Typed, so that budget is the float64
+// difference the SLO evaluator computes for the same objective.
+const CapacityTarget float64 = 0.95
 
-// Normalised returns the config with zero fields replaced by defaults,
-// or an error if any explicit value is out of range.
-func (c Config) Normalised() (Config, error) {
-	d := defaults()
-	if c.Min == 0 {
-		c.Min = d.Min
-	}
-	if c.Max == 0 {
-		c.Max = d.Max
-	}
-	if c.ScaleUpAt == 0 {
-		c.ScaleUpAt = d.ScaleUpAt
-	}
-	if c.ScaleDownAt == 0 {
-		c.ScaleDownAt = d.ScaleDownAt
-	}
-	if c.BurnHot == 0 {
-		c.BurnHot = d.BurnHot
-	}
-	if c.BurnCalm == 0 {
-		c.BurnCalm = d.BurnCalm
-	}
-	if c.Target == 0 {
-		c.Target = d.Target
-	}
-	if c.Window == 0 {
-		c.Window = d.Window
-	}
-	if c.HysteresisTicks == 0 {
-		c.HysteresisTicks = d.HysteresisTicks
-	}
-	if c.LadderAfterTicks == 0 {
-		c.LadderAfterTicks = d.LadderAfterTicks
-	}
-	if c.WarmupTime == 0 {
-		c.WarmupTime = d.WarmupTime
-	}
-	if c.WarmupEnergyJ == 0 {
-		c.WarmupEnergyJ = d.WarmupEnergyJ
-	}
-	return c, c.validate()
-}
-
-func (c Config) validate() error {
-	switch {
-	case c.Min < 1:
-		return fmt.Errorf("autoscale: min replicas %d < 1", c.Min)
-	case c.Max < c.Min:
-		return fmt.Errorf("autoscale: max replicas %d < min %d", c.Max, c.Min)
-	case c.ScaleUpAt <= 0 || c.ScaleUpAt > 1:
-		return fmt.Errorf("autoscale: scale-up threshold %v outside (0,1]", c.ScaleUpAt)
-	case c.ScaleDownAt < 0 || c.ScaleDownAt >= c.ScaleUpAt:
-		return fmt.Errorf("autoscale: scale-down threshold %v outside [0,%v)", c.ScaleDownAt, c.ScaleUpAt)
-	case c.BurnHot <= 0:
-		return fmt.Errorf("autoscale: hot burn threshold %v <= 0", c.BurnHot)
-	case c.BurnCalm < 0 || c.BurnCalm > c.BurnHot:
-		return fmt.Errorf("autoscale: calm burn threshold %v outside [0,%v]", c.BurnCalm, c.BurnHot)
-	case c.Target <= 0 || c.Target >= 1:
-		return fmt.Errorf("autoscale: capacity target %v outside (0,1)", c.Target)
-	case c.Window < 1:
-		return fmt.Errorf("autoscale: burn window %d < 1 tick", c.Window)
-	case c.HysteresisTicks < 1:
-		return fmt.Errorf("autoscale: hysteresis %d < 1 tick", c.HysteresisTicks)
-	case c.LadderAfterTicks < 1:
-		return fmt.Errorf("autoscale: ladder threshold %d < 1 tick", c.LadderAfterTicks)
-	case c.WarmupTime < 0:
-		return fmt.Errorf("autoscale: negative warm-up time %v", c.WarmupTime)
-	case c.WarmupEnergyJ < 0:
-		return fmt.Errorf("autoscale: negative warm-up energy %v J", c.WarmupEnergyJ)
-	}
-	return nil
-}
+// The control loop. Saturation (in-system depth over queue limit) at or
+// above scaleUpAt is hot, at or below scaleDownAt calm; so is a burn
+// rate at or above burnHot (the standing page-worthy threshold), at or
+// below burnCalm (burning no faster than budget). The burn rate covers
+// the last burnWindow submissions. Each scale-down or ladder release
+// waits for hysteresisTicks consecutive calm ticks, each ladder step
+// for ladderAfterTicks consecutive hot ticks at Max. An added replica
+// is not routable until warmupTime of simulated time has passed, and
+// bills warmupEnergyJ joules to the run: the edge platform's replica
+// start-up cost.
+const (
+	scaleUpAt        = 0.75
+	scaleDownAt      = 0.25
+	burnHot          = 14.4
+	burnCalm         = 1
+	burnWindow       = 32
+	hysteresisTicks  = 8
+	ladderAfterTicks = 4
+	warmupTime       = 30 * time.Second
+	warmupEnergyJ    = 150
+)
 
 // Signals is the controller's deterministic view of the server at one
 // submission tick. All fields are stamped at submission time on the
@@ -215,16 +125,16 @@ type Signals struct {
 // Decision is one emitted control action. Delta is +1 for a scale-up,
 // -1 for a scale-down and 0 for a pure ladder transition.
 type Decision struct {
-	Tick     int64         `json:"tick"`
-	At       time.Duration `json:"at"`
-	Delta    int           `json:"delta"`
-	Replicas int           `json:"replicas"` // target replica count after the decision
-	Mode     Mode          `json:"mode"`
-	Reason   string        `json:"reason"`
+	Tick     int64
+	At       time.Duration
+	Delta    int
+	Replicas int // target replica count after the decision
+	Mode     Mode
+	Reason   string
 	// WarmupTime and WarmupEnergyJ are the costs charged by this
 	// decision (zero unless Delta > 0).
-	WarmupTime    time.Duration `json:"warmupTime,omitempty"`
-	WarmupEnergyJ float64       `json:"warmupEnergyJ,omitempty"`
+	WarmupTime    time.Duration
+	WarmupEnergyJ float64
 }
 
 // Report is a summary snapshot of a controller's run.
@@ -256,7 +166,7 @@ type Controller struct {
 	cfg Config
 
 	tick   int64
-	window []bool // ring buffer of capacity good/bad events
+	window [burnWindow]bool // ring buffer of capacity good/bad events
 	wpos   int
 	wfill  int
 	bad    int // bad events currently in the window
@@ -266,7 +176,7 @@ type Controller struct {
 	calm int // consecutive calm ticks
 
 	lastReplicas int
-	decisions    []Decision
+	decisions    int
 	digest       uint64
 
 	scaleUps, scaleDowns int
@@ -277,27 +187,26 @@ type Controller struct {
 	warmEnergy           float64
 }
 
-// New builds a controller from cfg (zero fields defaulted) or returns
+// New builds a controller from cfg (zero bounds defaulted) or returns
 // a validation error.
 func New(cfg Config) (*Controller, error) {
-	n, err := cfg.Normalised()
-	if err != nil {
-		return nil, err
+	if cfg.Min == 0 {
+		cfg.Min = 1
+	}
+	if cfg.Max == 0 {
+		cfg.Max = 4
+	}
+	switch {
+	case cfg.Min < 1:
+		return nil, fmt.Errorf("autoscale: min replicas %d < 1", cfg.Min)
+	case cfg.Max < cfg.Min:
+		return nil, fmt.Errorf("autoscale: max replicas %d < min %d", cfg.Max, cfg.Min)
 	}
 	return &Controller{
-		cfg:          n,
-		window:       make([]bool, n.Window),
+		cfg:          cfg,
 		digest:       fnvOffset,
-		lastReplicas: n.Min,
+		lastReplicas: cfg.Min,
 	}, nil
-}
-
-// Config returns the normalised configuration the controller runs with.
-func (c *Controller) Config() Config {
-	if c == nil {
-		return Config{}
-	}
-	return c.cfg
 }
 
 // Evaluate advances the controller by one submission tick and returns
@@ -325,17 +234,17 @@ func (c *Controller) Evaluate(sig Signals) (Decision, bool) {
 	switch {
 	case sig.Healthy == 0 || 2*sig.Healthy < sig.Replicas:
 		reason = "capacity-loss"
-	case sat >= c.cfg.ScaleUpAt:
+	case sat >= scaleUpAt:
 		reason = "saturation"
 	case 2*sig.QueuedAhead >= limit:
 		reason = "admission-wait"
-	case burn >= c.cfg.BurnHot:
+	case burn >= burnHot:
 		reason = "burn"
 	}
 	hot := reason != ""
 	calm := !hot &&
-		sat <= c.cfg.ScaleDownAt &&
-		burn <= c.cfg.BurnCalm &&
+		sat <= scaleDownAt &&
+		burn <= burnCalm &&
 		2*sig.Healthy >= sig.Replicas
 
 	switch {
@@ -349,14 +258,16 @@ func (c *Controller) Evaluate(sig Signals) (Decision, bool) {
 				Replicas:      sig.Replicas + 1,
 				Mode:          c.mode,
 				Reason:        "scale-up:" + reason,
-				WarmupTime:    c.cfg.WarmupTime,
-				WarmupEnergyJ: c.cfg.WarmupEnergyJ,
+				WarmupTime:    warmupTime,
+				WarmupEnergyJ: warmupEnergyJ,
 			})
 			return d, true
 		}
-		if c.hot >= c.cfg.LadderAfterTicks && c.mode < ModeCriticalOnly {
+		if c.hot >= ladderAfterTicks && c.mode < ModeCriticalOnly {
 			c.mode++
 			c.hot = 0
+			c.degrades++
+			c.modePath = append(c.modePath, c.mode)
 			d := c.emit(Decision{
 				At:       sig.At,
 				Replicas: sig.Replicas,
@@ -368,10 +279,12 @@ func (c *Controller) Evaluate(sig Signals) (Decision, bool) {
 	case calm:
 		c.hot = 0
 		c.calm++
-		if c.calm >= c.cfg.HysteresisTicks {
+		if c.calm >= hysteresisTicks {
 			if c.mode > ModeNormal {
 				c.mode--
 				c.calm = 0
+				c.recovers++
+				c.modePath = append(c.modePath, c.mode)
 				d := c.emit(Decision{
 					At:       sig.At,
 					Replicas: sig.Replicas,
@@ -425,12 +338,12 @@ func (c *Controller) burnLocked() float64 {
 		return 0
 	}
 	errRate := float64(c.bad) / float64(c.wfill)
-	return errRate / (1 - c.cfg.Target)
+	return errRate / (1 - CapacityTarget)
 }
 
 func (c *Controller) emit(d Decision) Decision {
 	d.Tick = c.tick
-	c.decisions = append(c.decisions, d)
+	c.decisions++
 	c.mix(d)
 	switch {
 	case d.Delta > 0:
@@ -439,14 +352,6 @@ func (c *Controller) emit(d Decision) Decision {
 		c.warmEnergy += d.WarmupEnergyJ
 	case d.Delta < 0:
 		c.scaleDowns++
-	}
-	if len(d.Reason) > 8 && d.Reason[:8] == "degrade:" {
-		c.degrades++
-		c.modePath = append(c.modePath, d.Mode)
-	}
-	if len(d.Reason) > 8 && d.Reason[:8] == "recover:" {
-		c.recovers++
-		c.modePath = append(c.modePath, d.Mode)
 	}
 	if d.Mode > c.deepest {
 		c.deepest = d.Mode
@@ -462,18 +367,6 @@ func (c *Controller) Mode() Mode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.mode
-}
-
-// Decisions returns a copy of every decision emitted so far, in order.
-func (c *Controller) Decisions() []Decision {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Decision, len(c.decisions))
-	copy(out, c.decisions)
-	return out
 }
 
 // Digest returns the FNV-1a fold of the decision stream so far. Two
@@ -496,7 +389,7 @@ func (c *Controller) Report() Report {
 	defer c.mu.Unlock()
 	return Report{
 		Ticks:         c.tick,
-		Decisions:     len(c.decisions),
+		Decisions:     c.decisions,
 		ScaleUps:      c.scaleUps,
 		ScaleDowns:    c.scaleDowns,
 		DegradeSteps:  c.degrades,

@@ -6,18 +6,10 @@ import (
 	"time"
 )
 
-// testConfig keeps the control loop small enough that unit tests can
-// walk it tick by tick.
+// testConfig bounds the pool at three replicas, so a hot drive reaches
+// Max in two scale-ups and then walks the ladder.
 func testConfig() Config {
-	return Config{
-		Min:              1,
-		Max:              3,
-		Window:           4,
-		HysteresisTicks:  2,
-		LadderAfterTicks: 2,
-		WarmupTime:       10 * time.Second,
-		WarmupEnergyJ:    50,
-	}
+	return Config{Min: 1, Max: 3}
 }
 
 func hotSignals(at time.Duration, replicas int) Signals {
@@ -29,13 +21,15 @@ func calmSignals(at time.Duration, replicas int) Signals {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	n, err := Config{}.Normalised()
+	ctl, err := New(Config{})
 	if err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	want := defaults()
-	if !reflect.DeepEqual(n, want) {
-		t.Fatalf("zero config normalised to %+v, want %+v", n, want)
+	if want := (Config{Min: 1, Max: 4}); ctl.cfg != want {
+		t.Fatalf("zero config defaulted to %+v, want %+v", ctl.cfg, want)
+	}
+	if got := ctl.Report().FinalReplicas; got != 1 {
+		t.Fatalf("fresh controller reports %d replicas, want Min", got)
 	}
 }
 
@@ -43,17 +37,6 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Min: -1},
 		{Min: 3, Max: 2},
-		{ScaleUpAt: 1.5},
-		{ScaleUpAt: -0.1},
-		{ScaleDownAt: 0.9}, // >= default ScaleUpAt
-		{BurnHot: -2},
-		{BurnCalm: 100}, // > default BurnHot
-		{Target: 1.5},
-		{Window: -1},
-		{HysteresisTicks: -1},
-		{LadderAfterTicks: -2},
-		{WarmupTime: -time.Second},
-		{WarmupEnergyJ: -1},
 	}
 	for i, c := range cases {
 		if _, err := New(c); err == nil {
@@ -70,7 +53,7 @@ func TestScaleUpThenLadder(t *testing.T) {
 	replicas := 1
 	var modes []Mode
 	var deltas []int
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 16; i++ {
 		d, ok := ctl.Evaluate(hotSignals(time.Duration(i)*time.Minute, replicas))
 		if !ok {
 			continue
@@ -79,8 +62,9 @@ func TestScaleUpThenLadder(t *testing.T) {
 		modes = append(modes, d.Mode)
 		replicas += d.Delta
 	}
-	// Ticks 1,2 scale up to Max=3; then every LadderAfterTicks=2 hot
-	// ticks the ladder steps a rung deeper until critical-only.
+	// Ticks 1,2 scale up to Max=3; the hot streak they start steps the
+	// ladder at tick 4, then every fourth hot tick steps it a rung
+	// deeper until critical-only (tick 12).
 	wantDeltas := []int{1, 1, 0, 0, 0}
 	wantModes := []Mode{ModeNormal, ModeNormal, ModeShedBackground, ModeNoHedging, ModeCriticalOnly}
 	if !reflect.DeepEqual(deltas, wantDeltas) {
@@ -96,8 +80,8 @@ func TestScaleUpThenLadder(t *testing.T) {
 	if rep.ScaleUps != 2 || rep.DegradeSteps != 3 || rep.DeepestMode != ModeCriticalOnly {
 		t.Errorf("report = %+v, want 2 scale-ups, 3 degrade steps, deepest critical-only", rep)
 	}
-	if rep.WarmupTime != 20*time.Second || rep.WarmupEnergyJ != 100 {
-		t.Errorf("warm-up charges = %v / %v J, want 20s / 100 J", rep.WarmupTime, rep.WarmupEnergyJ)
+	if rep.WarmupTime != time.Minute || rep.WarmupEnergyJ != 300 {
+		t.Errorf("warm-up charges = %v / %v J, want 1m / 300 J (30s / 150 J per replica)", rep.WarmupTime, rep.WarmupEnergyJ)
 	}
 }
 
@@ -114,7 +98,7 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 		return ctl.Evaluate(s)
 	}
 	// Drive to max replicas + critical-only.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 12; i++ {
 		if d, ok := tick(hotSignals(0, replicas)); ok {
 			replicas += d.Delta
 		}
@@ -122,11 +106,12 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 	if ctl.Mode() != ModeCriticalOnly || replicas != 3 {
 		t.Fatalf("setup: mode %v replicas %d, want critical-only/3", ctl.Mode(), replicas)
 	}
-	// Calm ticks: the window (4) still holds bad events, so the first
-	// calm ticks are merely "not hot" until burn decays; then each
-	// HysteresisTicks=2 calm streak releases one rung, then scales down.
+	// Calm ticks: the 32-tick burn window still holds the 12 bad events,
+	// so the first calm ticks are merely "not hot" until all but one
+	// have left it (31 ticks); then each 8-tick calm streak releases one
+	// rung, then scales down.
 	var trail []string
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 80; i++ {
 		if d, ok := tick(calmSignals(0, replicas)); ok {
 			replicas += d.Delta
 			trail = append(trail, d.Reason)
@@ -152,25 +137,30 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 }
 
 func TestHysteresisResetOnHotTick(t *testing.T) {
-	cfg := testConfig()
-	cfg.HysteresisTicks = 3
-	ctl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// scaleDowns drives 2 replicas with calm ticks after one scale-up,
+	// turning every hotEvery-th tick hot by admission wait: hot, yet a
+	// good capacity event, so the burn window stays clean.
+	scaleDowns := func(hotEvery int) int {
+		ctl, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.Evaluate(hotSignals(0, 1)) // reach 2 replicas
+		for i := 1; i <= 96; i++ {
+			sig := calmSignals(time.Duration(i)*time.Minute, 2)
+			if hotEvery > 0 && i%hotEvery == 0 {
+				sig.InSystem, sig.QueuedAhead = 2, 4
+			}
+			ctl.Evaluate(sig)
+		}
+		return ctl.Report().ScaleDowns
 	}
-	// Reach 2 replicas so a scale-down is possible.
-	ctl.Evaluate(hotSignals(0, 1))
-	// Flush the window with good events, interleaving a hot tick right
-	// before the hysteresis threshold: no scale-down may fire.
-	for i := 0; i < 20; i++ {
-		sig := calmSignals(time.Duration(i)*time.Minute, 2)
-		if i%3 == 2 { // every third tick goes hot: streak never reaches 3
-			sig = hotSignals(sig.At, 2)
-			sig.Replicas, sig.Healthy = 2, 2
-		}
-		if d, ok := ctl.Evaluate(sig); ok && d.Delta < 0 {
-			t.Fatalf("scale-down fired at tick %d despite broken calm streak", i)
-		}
+	if got := scaleDowns(0); got == 0 {
+		t.Fatal("unbroken calm drive never scaled down")
+	}
+	// A hot tick every eighth tick: the calm streak never reaches 8.
+	if got := scaleDowns(8); got != 0 {
+		t.Fatalf("%d scale-downs fired despite a calm streak broken every 8 ticks", got)
 	}
 }
 
@@ -218,33 +208,33 @@ func TestBoundsRespected(t *testing.T) {
 }
 
 func TestSameInputsSameDigest(t *testing.T) {
-	run := func() (uint64, []Decision) {
+	run := func() (uint64, Report) {
 		ctl, err := New(testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		replicas := 1
-		for i := 0; i < 40; i++ {
+		for i := 0; i < 80; i++ {
 			sig := calmSignals(time.Duration(i)*time.Minute, replicas)
-			if i%7 < 3 {
+			if i%16 < 6 {
 				sig = hotSignals(sig.At, replicas)
 			}
 			if d, ok := ctl.Evaluate(sig); ok {
 				replicas += d.Delta
 			}
 		}
-		return ctl.Digest(), ctl.Decisions()
+		return ctl.Digest(), ctl.Report()
 	}
-	d1, dec1 := run()
-	d2, dec2 := run()
+	d1, rep1 := run()
+	d2, rep2 := run()
 	if d1 != d2 {
 		t.Fatalf("digests diverged: %016x != %016x", d1, d2)
 	}
-	if !reflect.DeepEqual(dec1, dec2) {
-		t.Fatalf("decision streams diverged:\n%v\n%v", dec1, dec2)
+	if !reflect.DeepEqual(rep1, rep2) {
+		t.Fatalf("reports diverged:\n%+v\n%+v", rep1, rep2)
 	}
-	if len(dec1) == 0 {
-		t.Fatal("mixed drive emitted no decisions")
+	if rep1.Decisions == 0 || rep1.DegradeSteps == 0 {
+		t.Fatalf("mixed drive emitted %d decisions, %d ladder steps; want both", rep1.Decisions, rep1.DegradeSteps)
 	}
 }
 
@@ -253,7 +243,7 @@ func TestNilControllerIsSafe(t *testing.T) {
 	if _, ok := ctl.Evaluate(hotSignals(0, 1)); ok {
 		t.Fatal("nil controller emitted a decision")
 	}
-	if ctl.Mode() != ModeNormal || ctl.Digest() != 0 || ctl.Decisions() != nil {
+	if ctl.Mode() != ModeNormal || ctl.Digest() != 0 {
 		t.Fatal("nil controller accessors not zero-valued")
 	}
 	if got := ctl.Report(); !reflect.DeepEqual(got, Report{}) {

@@ -95,51 +95,35 @@ func EvaluateInference(w *workload.Workload, modelCfg search.Config, infCfg sear
 	})
 }
 
-// HyperPowerOptions configures the HyperPower baseline.
+// HyperPowerOptions configures the HyperPower baseline. Its search is
+// one fixed schedule (see RunHyperPower).
 type HyperPowerOptions struct {
 	// Workload is the model/dataset pair. Required.
 	Workload *workload.Workload
-	// GPU is the training platform (defaults to Titan RTX).
-	GPU perfmodel.GPUProfile
 	// PowerCapW is the training power constraint; trials predicted to
 	// exceed it are terminated before full evaluation. Zero selects
 	// 220 W (a single-GPU-class cap).
 	PowerCapW float64
-	// Configs is the number of configurations explored (default 8).
-	Configs int
-	// Rungs is the number of early-termination rounds (default 3 — more
-	// aggressive than EdgeTune, matching HyperPower's cheaper tuning).
-	Rungs int
-	// Eta is the halving factor (default 3, aggressive termination).
-	Eta int
 	// Seed drives determinism.
 	Seed uint64
 }
 
+// HyperPower samples hpConfigs configurations and keeps the best
+// 1/hpEta of them after each round.
+const (
+	hpConfigs = 8
+	hpEta     = 3
+)
+
 func (o *HyperPowerOptions) normalise() error {
 	if o.Workload == nil {
 		return errors.New("baselines: hyperpower needs a workload")
-	}
-	if o.GPU.FlopsPerSec == 0 {
-		o.GPU = perfmodel.TitanRTX()
 	}
 	if o.PowerCapW == 0 {
 		o.PowerCapW = 220
 	}
 	if o.PowerCapW < 0 {
 		return fmt.Errorf("baselines: power cap %v must be positive", o.PowerCapW)
-	}
-	if o.Configs == 0 {
-		o.Configs = 8
-	}
-	if o.Rungs == 0 {
-		o.Rungs = 3
-	}
-	if o.Eta == 0 {
-		o.Eta = 3
-	}
-	if o.Eta < 2 {
-		return fmt.Errorf("baselines: eta %d must be >= 2", o.Eta)
 	}
 	return nil
 }
@@ -159,10 +143,12 @@ type HyperPowerResult struct {
 }
 
 // RunHyperPower executes the HyperPower baseline: TPE-driven search over
-// hyperparameters with a power cap. Before each trial, the analytic
-// power predictor (standing in for HyperPower's learned power model)
-// screens the configuration; violating trials are terminated at a small
-// screening cost.
+// hyperparameters with a power cap, training on a Titan RTX. Before each
+// trial, the analytic power predictor (standing in for HyperPower's
+// learned power model) screens the configuration; violating trials are
+// terminated at a small screening cost. hpConfigs configurations run
+// the three-round schedule below, keeping the best 1/hpEta after each
+// round — more aggressive than EdgeTune.
 func RunHyperPower(ctx context.Context, opts HyperPowerOptions) (HyperPowerResult, error) {
 	var res HyperPowerResult
 	if err := opts.normalise(); err != nil {
@@ -174,7 +160,8 @@ func RunHyperPower(ctx context.Context, opts HyperPowerOptions) (HyperPowerResul
 		return res, err
 	}
 	sampler := search.NewTPESampler(space, opts.Seed, search.TPEOptions{})
-	runner, err := trial.NewRunner(w, opts.GPU, opts.Seed)
+	gpu := perfmodel.TitanRTX()
+	runner, err := trial.NewRunner(w, gpu, opts.Seed)
 	if err != nil {
 		return res, err
 	}
@@ -192,23 +179,19 @@ func RunHyperPower(ctx context.Context, opts HyperPowerOptions) (HyperPowerResul
 		cfg   search.Config
 		score float64
 	}
-	population := make([]member, 0, opts.Configs)
-	for i := 0; i < opts.Configs; i++ {
+	population := make([]member, 0, hpConfigs)
+	for i := 0; i < hpConfigs; i++ {
 		population = append(population, member{cfg: sampler.Sample()})
 	}
 	bestScore := math.Inf(1)
 
-	if opts.Rungs > len(schedule) {
-		opts.Rungs = len(schedule)
-	}
-	for rung := 0; rung < opts.Rungs && len(population) > 0; rung++ {
-		alloc := schedule[rung]
+	for _, alloc := range schedule {
 		for i := range population {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
 			cfg := population[i].cfg
-			power, err := predictTrainingPower(w, cfg, alloc, opts.GPU)
+			power, err := predictTrainingPower(w, cfg, alloc, gpu)
 			if err != nil {
 				return res, err
 			}
@@ -219,7 +202,7 @@ func RunHyperPower(ctx context.Context, opts HyperPowerOptions) (HyperPowerResul
 				res.Terminated++
 				res.TuningCost = res.TuningCost.Add(perfmodel.Cost{
 					Duration: 0,
-					EnergyJ:  opts.GPU.IdlePowerW, // ~1 s of host idle
+					EnergyJ:  gpu.IdlePowerW, // ~1 s of host idle
 				})
 				continue
 			}
@@ -239,11 +222,7 @@ func RunHyperPower(ctx context.Context, opts HyperPowerOptions) (HyperPowerResul
 			}
 		}
 		sort.Slice(population, func(a, b int) bool { return population[a].score < population[b].score })
-		keep := len(population) / opts.Eta
-		if keep < 1 {
-			keep = 1
-		}
-		population = population[:keep]
+		population = population[:max(1, len(population)/hpEta)]
 	}
 	if res.BestConfig == nil {
 		return res, errors.New("baselines: hyperpower terminated every trial; raise the power cap")

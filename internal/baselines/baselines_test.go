@@ -89,8 +89,6 @@ func TestEvaluateInference(t *testing.T) {
 func TestRunHyperPower(t *testing.T) {
 	res, err := RunHyperPower(context.Background(), HyperPowerOptions{
 		Workload: workload.MustNew("IC", 1),
-		Configs:  6,
-		Rungs:    3,
 		Seed:     7,
 	})
 	if err != nil {
@@ -115,7 +113,6 @@ func TestHyperPowerPowerCapTerminates(t *testing.T) {
 	_, err := RunHyperPower(context.Background(), HyperPowerOptions{
 		Workload:  workload.MustNew("IC", 1),
 		PowerCapW: 1,
-		Configs:   4,
 		Seed:      1,
 	})
 	if err == nil {
@@ -126,7 +123,6 @@ func TestHyperPowerPowerCapTerminates(t *testing.T) {
 	res, err := RunHyperPower(context.Background(), HyperPowerOptions{
 		Workload:  workload.MustNew("IC", 1),
 		PowerCapW: 168,
-		Configs:   8,
 		Seed:      1,
 	})
 	if err != nil {
@@ -147,16 +143,10 @@ func TestHyperPowerValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("negative cap accepted")
 	}
-	if _, err := RunHyperPower(context.Background(), HyperPowerOptions{
-		Workload: workload.MustNew("IC", 1),
-		Eta:      1,
-	}); err == nil {
-		t.Error("eta=1 accepted")
-	}
 }
 
 func TestHyperPowerDeterministic(t *testing.T) {
-	opts := HyperPowerOptions{Workload: workload.MustNew("IC", 1), Configs: 4, Seed: 3}
+	opts := HyperPowerOptions{Workload: workload.MustNew("IC", 1), Seed: 3}
 	a, err := RunHyperPower(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +168,7 @@ func TestHyperPowerDeterministic(t *testing.T) {
 func TestHyperPowerCheaperButWorseInference(t *testing.T) {
 	ctx := context.Background()
 	// Both systems at their default scale: EdgeTune's three brackets of
-	// 8 configurations (~50 trials, Figure 12) against HyperPower's 12
+	// 8 configurations (~50 trials, Figure 12) against HyperPower's 8
 	// configurations with aggressive termination.
 	et, err := core.Tune(ctx, core.Options{
 		Workload:       workload.MustNew("IC", 1),

@@ -89,15 +89,6 @@ func (s *InferenceServer) AutoscaleReport() *autoscale.Report {
 	return &rep
 }
 
-// AutoscaleDecisions returns the decision stream so far (nil when
-// autoscaling is disabled).
-func (s *InferenceServer) AutoscaleDecisions() []autoscale.Decision {
-	if s.scale == nil {
-		return nil
-	}
-	return s.scale.ctl.Decisions()
-}
-
 // AutoscaleStalls reports how many scale-ups the ScaleStall fault class
 // swallowed (warm-up charged, replica never joined).
 func (s *InferenceServer) AutoscaleStalls() int64 {

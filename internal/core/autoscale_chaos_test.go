@@ -96,21 +96,15 @@ func TestAutoscaleMassDeviceFailRecovery(t *testing.T) {
 	srv, rec := servingServer(t, store.New(), func(o *InferenceServerOptions) {
 		o.Fault = inj
 		o.SLO = ev
-		o.Autoscale = &autoscale.Config{
-			Min:              1,
-			Max:              3,
-			Window:           8,
-			HysteresisTicks:  2,
-			LadderAfterTicks: 2,
-			WarmupTime:       300 * time.Second,
-			WarmupEnergyJ:    50,
-		}
+		o.Autoscale = &autoscale.Config{Min: 1, Max: 3}
 	})
 
+	// 75 submissions a second apart are the fewest in which the shipped
+	// control loop walks the ladder down and back and scales in to Min.
 	sawAlert := false
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 75; i++ {
 		req := sigRequest(i)
-		req.SubmitTime = time.Duration(i) * 10 * time.Second
+		req.SubmitTime = time.Duration(i) * time.Second
 		mustOutcome(t, srv.Submit(context.Background(), req))
 		if o, ok := ev.Snapshot().Objective("serving/capacity"); ok && o.Alerting {
 			sawAlert = true
@@ -163,12 +157,7 @@ func TestAutoscaleScaleStall(t *testing.T) {
 	}
 	srv, _ := servingServer(t, store.New(), func(o *InferenceServerOptions) {
 		o.Fault = inj
-		o.Autoscale = &autoscale.Config{
-			Min:           1,
-			Max:           3,
-			WarmupTime:    20 * time.Second,
-			WarmupEnergyJ: 50,
-		}
+		o.Autoscale = &autoscale.Config{Min: 1, Max: 3}
 	})
 	const n = 8
 	for i := 0; i < n; i++ {
@@ -186,10 +175,10 @@ func TestAutoscaleScaleStall(t *testing.T) {
 	if rep.FinalReplicas != 1 {
 		t.Errorf("final replicas = %d, want 1: stalled replicas must not join", rep.FinalReplicas)
 	}
-	if want := time.Duration(n) * 20 * time.Second; rep.WarmupTime != want {
-		t.Errorf("warm-up time = %v, want %v charged despite the stalls", rep.WarmupTime, want)
+	if want := time.Duration(n) * 30 * time.Second; rep.WarmupTime != want {
+		t.Errorf("warm-up time = %v, want %v (30 s per stall) charged despite the stalls", rep.WarmupTime, want)
 	}
-	if rep.WarmupEnergyJ != n*50 {
-		t.Errorf("warm-up energy = %v J, want %v", rep.WarmupEnergyJ, n*50)
+	if rep.WarmupEnergyJ != n*150 {
+		t.Errorf("warm-up energy = %v J, want %v (150 J per stall)", rep.WarmupEnergyJ, n*150)
 	}
 }

@@ -336,7 +336,7 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 			s.sloCapacity = opts.SLO.Register(slo.Spec{
 				Name:        "serving/capacity",
 				Description: "submissions find a routable device pool with in-system headroom",
-				Target:      s.scale.ctl.Config().Target,
+				Target:      autoscale.CapacityTarget,
 			})
 		}
 	}

@@ -39,7 +39,7 @@ func BenchmarkAutoscaleDecision() (Table, error) {
 			load func(i int) (int, bool)
 		}{
 			{"steady", func(i int) (int, bool) {
-				return 8 + i%5, false // well under ScaleUpAt: no decisions
+				return 8 + i%5, false // well under the scale-up threshold: no decisions
 			}},
 			{"diurnal-surge", func(i int) (int, bool) {
 				// Triangular wave with a 5000-tick period: saturation
@@ -66,12 +66,7 @@ func BenchmarkAutoscaleDecision() (Table, error) {
 			}},
 		}
 		for _, sc := range scenarios {
-			ctl, err := autoscale.New(autoscale.Config{
-				Min:        1,
-				Max:        4,
-				Window:     32,
-				WarmupTime: 30 * time.Second,
-			})
+			ctl, err := autoscale.New(autoscale.Config{Min: 1, Max: 4})
 			if err != nil {
 				return Table{}, err
 			}

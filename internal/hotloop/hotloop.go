@@ -446,7 +446,7 @@ func openFlightRecord() (func(), func(), error) {
 // controller fed the no-decision signal, the shape nearly every tick
 // takes.
 func openAutoscaleEvaluate() (func(), func(), error) {
-	ctl, err := autoscale.New(autoscale.Config{Min: 1, Max: 4, Window: 32})
+	ctl, err := autoscale.New(autoscale.Config{Min: 1, Max: 4})
 	if err != nil {
 		return nil, nil, err
 	}

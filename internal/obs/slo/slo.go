@@ -34,19 +34,23 @@ import (
 	"time"
 )
 
-// Default alert windows and burn threshold. The fast/slow pair follows
-// the SRE multi-window rule scaled to the emulator's job lengths
+// The alert rule every objective shares. The fast/slow window pair
+// follows the SRE multi-window rule scaled to the emulator's job lengths
 // (simulated tuning runs span minutes to hours): a sustained burn must
 // show over the last half hour and still be burning over the last five
 // minutes. 14.4 is the classic page threshold — at that rate a 30-day
 // error budget is gone in two days.
-var (
-	DefaultWindows = []time.Duration{5 * time.Minute, 30 * time.Minute}
-
-	DefaultBurnThreshold = 14.4
+const (
+	fastWindow    = 5 * time.Minute
+	slowWindow    = 30 * time.Minute
+	burnThreshold = 14.4
 )
 
-// Spec declares one objective.
+// windows are the alert windows, ascending, each reported in turn.
+var windows = [...]time.Duration{fastWindow, slowWindow}
+
+// Spec declares one objective; every objective alerts on the same
+// windows and burn threshold.
 type Spec struct {
 	// Name identifies the objective; registering the same name twice
 	// returns the existing objective.
@@ -56,12 +60,6 @@ type Spec struct {
 	// Target is the required good-event fraction in (0, 1), e.g. 0.99
 	// for "99% of requests must be good". The error budget is 1 − Target.
 	Target float64
-	// Windows are the burn-rate alert windows, ascending; empty selects
-	// DefaultWindows.
-	Windows []time.Duration
-	// BurnThreshold is the burn rate at which every window must burn for
-	// the alert to fire; zero selects DefaultBurnThreshold.
-	BurnThreshold float64
 }
 
 // event is a run of equal observations on the simulated clock: n > 0
@@ -88,13 +86,13 @@ const minFold = 256
 // Objective accumulates events for one Spec. Safe for concurrent use.
 type Objective struct {
 	spec Spec
-	span time.Duration // the longest window
 
 	mu   sync.Mutex
 	runs []event
 	// max is the latest event time recorded. Every snapshot's horizon is
-	// at least max, so a run older than max − span lies before the start
-	// of every window from now on and is folded into oldN and oldBad.
+	// at least max, so a run older than max − slowWindow lies before the
+	// start of every window from now on and is folded into oldN and
+	// oldBad.
 	max          time.Duration
 	foldAt       int // fold when len(runs) reaches it
 	oldN, oldBad int64
@@ -124,15 +122,15 @@ func (o *Objective) Record(t time.Duration, good bool) {
 	o.mu.Unlock()
 }
 
-// fold moves every run older than max − span into the whole-run totals,
-// keeping the rest in order, and sets the next fold at twice the runs
-// kept, so folding costs O(1) per run recorded. It makes room for the
-// runs up to that fold at once: between folds Record's append never
+// fold moves every run older than max − slowWindow into the whole-run
+// totals, keeping the rest in order, and sets the next fold at twice the
+// runs kept, so folding costs O(1) per run recorded. It makes room for
+// the runs up to that fold at once: between folds Record's append never
 // regrows the slice, so the runs a window keeps cost them about twice
 // over rather than the five-fold of append's 1.25× steps. The caller
 // holds o.mu.
 func (o *Objective) fold() {
-	line := o.max - o.span
+	line := o.max - slowWindow
 	kept := o.runs[:0]
 	for _, r := range o.runs {
 		if r.t >= line {
@@ -170,21 +168,12 @@ func (e *Evaluator) Register(spec Spec) *Objective {
 	if spec.Target <= 0 || spec.Target >= 1 {
 		spec.Target = 0.99
 	}
-	if len(spec.Windows) == 0 {
-		spec.Windows = DefaultWindows
-	}
-	if spec.BurnThreshold <= 0 {
-		spec.BurnThreshold = DefaultBurnThreshold
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if o, ok := e.objs[spec.Name]; ok {
 		return o
 	}
-	o := &Objective{spec: spec, foldAt: minFold, span: spec.Windows[0]}
-	for _, w := range spec.Windows {
-		o.span = max(o.span, w)
-	}
+	o := &Objective{spec: spec, foldAt: minFold}
 	e.objs[spec.Name] = o
 	return o
 }
@@ -298,7 +287,7 @@ func evaluate(spec Spec, c tally, horizon time.Duration) ObjectiveReport {
 		Name:          spec.Name,
 		Description:   spec.Description,
 		Target:        spec.Target,
-		BurnThreshold: spec.BurnThreshold,
+		BurnThreshold: burnThreshold,
 		GoodFraction:  1,
 		Events:        c.events,
 		Errors:        c.errors,
@@ -316,7 +305,7 @@ func evaluate(spec Spec, c tally, horizon time.Duration) ObjectiveReport {
 	}
 
 	rep.Alerting = rep.Events > 0
-	for _, w := range spec.Windows {
+	for _, w := range windows {
 		if w > horizon {
 			w = horizon
 		}
@@ -334,13 +323,10 @@ func evaluate(spec Spec, c tally, horizon time.Duration) ObjectiveReport {
 			wb.ErrorRate = float64(wb.Errors) / float64(wb.Events)
 			wb.BurnRate = wb.ErrorRate / budget
 		}
-		if wb.BurnRate < spec.BurnThreshold {
+		if wb.BurnRate < burnThreshold {
 			rep.Alerting = false
 		}
 		rep.Windows = append(rep.Windows, wb)
-	}
-	if len(spec.Windows) == 0 {
-		rep.Alerting = false
 	}
 	return rep
 }

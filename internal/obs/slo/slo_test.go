@@ -52,11 +52,11 @@ func TestSpecDefaults(t *testing.T) {
 	if rep.Target != 0.99 {
 		t.Errorf("target = %g, want default 0.99", rep.Target)
 	}
-	if rep.BurnThreshold != DefaultBurnThreshold {
-		t.Errorf("burn threshold = %g, want default", rep.BurnThreshold)
+	if rep.BurnThreshold != 14.4 {
+		t.Errorf("burn threshold = %g, want 14.4", rep.BurnThreshold)
 	}
-	if len(rep.Windows) != len(DefaultWindows) {
-		t.Errorf("windows = %d, want %d defaults", len(rep.Windows), len(DefaultWindows))
+	if len(rep.Windows) != 2 {
+		t.Errorf("windows = %d, want the 5m/30m pair", len(rep.Windows))
 	}
 }
 
@@ -64,10 +64,8 @@ func TestSpecDefaults(t *testing.T) {
 // threshold in both windows alerts; a compliant one does not.
 func TestBurnRateAlert(t *testing.T) {
 	e := NewEvaluator()
-	hot := e.Register(Spec{Name: "hot", Target: 0.99,
-		Windows: []time.Duration{5 * time.Minute, 30 * time.Minute}, BurnThreshold: 14.4})
-	cool := e.Register(Spec{Name: "cool", Target: 0.99,
-		Windows: []time.Duration{5 * time.Minute, 30 * time.Minute}, BurnThreshold: 14.4})
+	hot := e.Register(Spec{Name: "hot", Target: 0.99})
+	cool := e.Register(Spec{Name: "cool", Target: 0.99})
 
 	// One event per simulated minute over an hour; "hot" fails half of
 	// them (error rate 0.5 → burn 50), "cool" fails none.
@@ -96,16 +94,17 @@ func TestBurnRateAlert(t *testing.T) {
 	}
 }
 
-// TestMultiWindowRequiresBothWindows: errors confined to the distant
-// past burn the long window but not the short one — no alert (the
-// condition is over, the page would be noise).
+// TestMultiWindowRequiresBothWindows: errors confined to the past burn
+// the long window but not the short one — no alert (the condition is
+// over, the page would be noise).
 func TestMultiWindowRequiresBothWindows(t *testing.T) {
 	e := NewEvaluator()
-	o := e.Register(Spec{Name: "past", Target: 0.9,
-		Windows: []time.Duration{5 * time.Minute, time.Hour}, BurnThreshold: 2})
-	// Errors in the first 10 minutes, then 50 minutes of good events.
+	o := e.Register(Spec{Name: "past", Target: 0.99})
+	// One event a minute for an hour: errors in minutes 30–39 only. The
+	// 30-minute window [29m, 59m] holds all ten (burn ≈ 32), the
+	// 5-minute window [54m, 59m] none.
 	for i := 0; i < 60; i++ {
-		o.Record(time.Duration(i)*time.Minute, i >= 10)
+		o.Record(time.Duration(i)*time.Minute, i < 30 || i >= 40)
 	}
 	rep, _ := e.Snapshot().Objective("past")
 	if rep.Alerting {
@@ -120,19 +119,23 @@ func TestMultiWindowRequiresBothWindows(t *testing.T) {
 	if rep.Windows[1].Errors != 10 {
 		t.Errorf("long window errors = %d, want 10", rep.Windows[1].Errors)
 	}
+	if rep.Windows[1].BurnRate < rep.BurnThreshold {
+		t.Errorf("long window burn = %g, want past the threshold — the silence must come from the short window alone", rep.Windows[1].BurnRate)
+	}
 }
 
-// TestWindowClampedToHorizon: a run shorter than the window evaluates
+// TestWindowClampedToHorizon: a run shorter than a window evaluates
 // over the whole run instead of an empty (never-alerting) window.
 func TestWindowClampedToHorizon(t *testing.T) {
 	e := NewEvaluator()
-	o := e.Register(Spec{Name: "short", Target: 0.99,
-		Windows: []time.Duration{time.Hour}, BurnThreshold: 2})
+	o := e.Register(Spec{Name: "short", Target: 0.99})
 	o.Record(time.Minute, false)
 	o.Record(2*time.Minute, false)
 	rep, _ := e.Snapshot().Objective("short")
-	if rep.Windows[0].Window != 2*time.Minute {
-		t.Errorf("window = %v, want clamped to 2m", rep.Windows[0].Window)
+	for i, wb := range rep.Windows {
+		if wb.Window != 2*time.Minute {
+			t.Errorf("window %d = %v, want clamped to 2m", i, wb.Window)
+		}
 	}
 	if !rep.Alerting {
 		t.Errorf("fully-burning short run must alert: %+v", rep)
@@ -145,8 +148,7 @@ func TestWindowClampedToHorizon(t *testing.T) {
 // clear — even while the slow window is still burning over the burst.
 func TestAlertClearsWhenFastWindowAgesOut(t *testing.T) {
 	e := NewEvaluator()
-	o := e.Register(Spec{Name: "burst", Target: 0.9,
-		Windows: []time.Duration{5 * time.Minute, 30 * time.Minute}, BurnThreshold: 2})
+	o := e.Register(Spec{Name: "burst", Target: 0.99})
 
 	// A ten-minute all-error burst: every window burns, the alert fires.
 	for i := 0; i < 10; i++ {
@@ -172,7 +174,7 @@ func TestAlertClearsWhenFastWindowAgesOut(t *testing.T) {
 	if rep.Windows[1].Errors != 10 {
 		t.Errorf("slow window errors = %d, want the full burst of 10", rep.Windows[1].Errors)
 	}
-	if rep.Windows[1].BurnRate < 2 {
+	if rep.Windows[1].BurnRate < rep.BurnThreshold {
 		t.Errorf("slow window burn = %g, want still past threshold — the clear must come from the fast window alone", rep.Windows[1].BurnRate)
 	}
 }
@@ -267,13 +269,14 @@ func TestWriteTextStable(t *testing.T) {
 
 // refEvent and refSnapshot are the evaluator this package had when an
 // objective kept every event, kept as the reference the run counts must
-// reproduce exactly.
+// reproduce exactly. It holds its own copy of the alert rule.
 type refEvent struct {
 	t    time.Duration
 	good bool
 }
 
 func refSnapshot(specs []Spec, events [][]refEvent) Snapshot {
+	const threshold = 14.4
 	var snap Snapshot
 	for _, evs := range events {
 		for _, ev := range evs {
@@ -282,7 +285,7 @@ func refSnapshot(specs []Spec, events [][]refEvent) Snapshot {
 	}
 	for i, spec := range specs {
 		rep := ObjectiveReport{Name: spec.Name, Description: spec.Description, Target: spec.Target,
-			BurnThreshold: spec.BurnThreshold, GoodFraction: 1}
+			BurnThreshold: threshold, GoodFraction: 1}
 		budget := 1 - spec.Target
 		for _, ev := range events[i] {
 			rep.Events++
@@ -296,7 +299,7 @@ func refSnapshot(specs []Spec, events [][]refEvent) Snapshot {
 			rep.ErrorBudgetUsed = errRate / budget
 		}
 		rep.Alerting = rep.Events > 0
-		for _, w := range spec.Windows {
+		for _, w := range []time.Duration{5 * time.Minute, 30 * time.Minute} {
 			if w > snap.Horizon {
 				w = snap.Horizon
 			}
@@ -314,7 +317,7 @@ func refSnapshot(specs []Spec, events [][]refEvent) Snapshot {
 				wb.ErrorRate = float64(wb.Errors) / float64(wb.Events)
 				wb.BurnRate = wb.ErrorRate / budget
 			}
-			if wb.BurnRate < spec.BurnThreshold {
+			if wb.BurnRate < threshold {
 				rep.Alerting = false
 			}
 			rep.Windows = append(rep.Windows, wb)
@@ -355,15 +358,16 @@ func randomStream(rng *rand.Rand, n int, horizon time.Duration) []refEvent {
 // of the run counts equals, field for field, the evaluation of the full
 // event list — before and after folds, at horizons shorter and longer
 // than the 30-minute window, for two objectives whose latest events lie
-// apart, and with four goroutines recording at once.
+// apart — one burning past the alert threshold, one below it — and with
+// four goroutines recording at once.
 func TestSnapshotMatchesEventList(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, horizon := range []time.Duration{10 * time.Minute, 5 * time.Hour} {
 			rng := rand.New(rand.NewSource(seed))
 			e := NewEvaluator()
 			objs := []*Objective{
-				e.Register(Spec{Name: "a", Target: 0.95, BurnThreshold: 2}),
-				e.Register(Spec{Name: "b", Target: 0.9, Windows: []time.Duration{time.Minute, 10 * time.Minute}, BurnThreshold: 1.5}),
+				e.Register(Spec{Name: "a", Target: 0.99}),
+				e.Register(Spec{Name: "b", Target: 0.95}),
 			}
 			// b's events end at a third of a's horizon.
 			streams := [][]refEvent{randomStream(rng, 6000, horizon), randomStream(rng, 6000, horizon/3)}
