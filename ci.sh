@@ -153,8 +153,12 @@ gate "lifecycle stress"
 # Drain/Close/cancel/evict test, the request-outcome golden, and the
 # tests of the per-worker search scratch a request is served on. Its own
 # gate, so its elapsed time is in the summary and outside the sweep's
-# 20-minute timeout.
+# 20-minute timeout. Beside them, a job cancelled mid-rung releases its
+# dataset split only after its helper trainers stopped reading it, and
+# the next job regenerates into it (DESIGN.md, "Where the storage comes
+# from").
 go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch' ./internal/core/
+go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...

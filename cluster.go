@@ -165,6 +165,9 @@ func (c *Cluster) Tune(ctx context.Context, job Job) (*ClusterReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Submit runs both attempts inline, each draining its trainers
+	// before it returns: the split is free once Submit is.
+	defer opts.Workload.Release()
 	// Per-job observability: each job's metrics, SLO events, and
 	// resilience counters stay on its own registry (exactly as a
 	// single-node Tune), with the dispatcher's cluster instruments kept

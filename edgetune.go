@@ -575,6 +575,9 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// core.Tune drains every trainer before it returns, so the split is
+	// free for the next job once this one is done with it.
+	defer opts.Workload.Release()
 
 	var tracer *obs.Tracer
 	if job.TracePath != "" || job.TraceChromePath != "" || job.DebugAddr != "" || job.Flight {

@@ -113,6 +113,9 @@ type devicePool struct {
 	devNames []string
 	rec      *counters.Resilience
 	seq      int64
+	// order is bestLocked's sort of the routable devices, kept so a
+	// route allocates nothing; under mu.
+	order []*poolDevice
 
 	// Breaker parameters, kept so autoscaled replicas get breakers
 	// configured like the seed pool's.
@@ -261,13 +264,14 @@ func (p *devicePool) next(exclude *poolDevice, at time.Duration) (route, error) 
 // past warm-up at simulated time at) in weight order and returns the
 // first whose breaker admits traffic; callers hold p.mu.
 func (p *devicePool) bestLocked(exclude *poolDevice, at time.Duration) (route, error) {
-	order := make([]*poolDevice, 0, len(p.devs))
+	order := p.order[:0]
 	for _, d := range p.devs {
 		if d == exclude || d.state == deviceQuarantined || d.retired || d.readyAt > at {
 			continue
 		}
 		order = append(order, d)
 	}
+	p.order = order
 	// Insertion sort by descending weight keeps ties in pool order.
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && weight(order[j]) > weight(order[j-1]); j-- {

@@ -11,6 +11,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
 
 	"edgetune/internal/tensor"
 )
@@ -53,6 +54,81 @@ type Dataset struct {
 type Split struct {
 	Train *Dataset
 	Test  *Dataset
+}
+
+// released is the free list of splits whose owners are done with them,
+// one list per workload ID: a generator regenerates into a released
+// split of its workload instead of allocating the features, labels and
+// tokens anew. Every split ever released is kept, so a list is bounded
+// by the most jobs of its workload that ever ran at once; a split is
+// taken by one generator call and owned by nobody while it is listed.
+var released struct {
+	mu   sync.Mutex
+	free map[string][]Split
+}
+
+// Release hands s's storage to the next generator call for its
+// workload, which overwrites it. Nothing may read s, or any Subset of
+// it, afterwards. Releasing the zero Split does nothing.
+func Release(s Split) {
+	if s.Train == nil || s.Test == nil {
+		return
+	}
+	released.mu.Lock()
+	defer released.mu.Unlock()
+	if released.free == nil {
+		released.free = make(map[string][]Split)
+	}
+	id := s.Train.Meta.ID
+	released.free[id] = append(released.free[id], s)
+}
+
+// reuse takes a released split of the workload off the free list, or
+// returns the zero Split when there is none.
+func reuse(id string) Split {
+	released.mu.Lock()
+	defer released.mu.Unlock()
+	free := released.free[id]
+	if len(free) == 0 {
+		return Split{}
+	}
+	s := free[len(free)-1]
+	free[len(free)-1] = Split{}
+	released.free[id] = free[:len(free)-1]
+	return s
+}
+
+// features returns the n×cols matrix a generator writes every element
+// of: d's, when d is a released dataset of that shape, else a new one.
+func (d *Dataset) features(n, cols int) *tensor.Matrix {
+	if d != nil && d.X != nil && d.X.Rows == n && d.X.Cols == cols {
+		return d.X
+	}
+	return tensor.New(n, cols)
+}
+
+// labels returns the n labels a generator writes every one of: d's,
+// when d is a released dataset of that length, else new ones.
+func (d *Dataset) labels(n int) []int {
+	if d != nil && len(d.Labels) == n {
+		return d.Labels
+	}
+	return make([]int, n)
+}
+
+// tokens returns the n sequences of seqLen tokens a generator writes
+// every token of: d's, when d is a released dataset of that shape, else
+// new ones cut from one block, each capped at its own end so that an
+// append moves it instead of reaching its neighbour.
+func (d *Dataset) tokens(n, seqLen int) [][]uint8 {
+	if d != nil && len(d.Tokens) == n && (n == 0 || len(d.Tokens[0]) == seqLen) {
+		return d.Tokens
+	}
+	out, block := make([][]uint8, n), make([]uint8, n*seqLen)
+	for i := range out {
+		out[i] = block[i*seqLen : (i+1)*seqLen : (i+1)*seqLen]
+	}
+	return out
 }
 
 // Len returns the number of samples.

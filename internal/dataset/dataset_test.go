@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -409,4 +410,124 @@ func TestClassesAreSeparable(t *testing.T) {
 			t.Errorf("%s: nearest-centroid accuracy %.3f not above 2x chance %.3f", id, acc, 2*chance)
 		}
 	}
+}
+
+// TestRecycledSplitMatchesFresh: for each generator, a split of seed B
+// regenerated into the storage a released split of seed A held is, bit
+// for bit, the split of seed B generated on fresh storage — and it is
+// that storage, not new memory. A split released for one workload is
+// not taken by another's generator.
+func TestRecycledSplitMatchesFresh(t *testing.T) {
+	released.mu.Lock()
+	released.free = nil
+	released.mu.Unlock()
+	gens := map[string]func(uint64) Split{
+		"IC": NewImageClassification, "SR": NewSpeech, "NLP": NewNews, "OD": NewDetection,
+	}
+	const seedA, seedB = 3, 8
+	for id, gen := range gens {
+		t.Run(id, func(t *testing.T) {
+			fresh := gen(seedB)
+			old := gen(seedA)
+			Release(old)
+			for other, g := range gens {
+				if other != id && sameStorage(g(seedA).Train, old.Train) {
+					t.Fatalf("%s's generator took the split %s released", other, id)
+				}
+			}
+			got := gen(seedB)
+			for _, p := range []struct {
+				name            string
+				got, want, from *Dataset
+			}{{"train", got.Train, fresh.Train, old.Train}, {"test", got.Test, fresh.Test, old.Test}} {
+				if !sameStorage(p.got, p.from) {
+					t.Errorf("%s: the regenerated split does not live in the released one's storage", p.name)
+				}
+				if p.got.Meta != p.want.Meta || p.got.Classes != p.want.Classes || p.got.Vocab != p.want.Vocab {
+					t.Errorf("%s: header %+v, fresh %+v", p.name, p.got, p.want)
+				}
+				if (p.got.X == nil) != (p.want.X == nil) {
+					t.Fatalf("%s: X present %v, fresh %v", p.name, p.got.X != nil, p.want.X != nil)
+				}
+				if p.want.X != nil {
+					if p.got.X.Rows != p.want.X.Rows || p.got.X.Cols != p.want.X.Cols {
+						t.Fatalf("%s: X is %dx%d, fresh %dx%d", p.name, p.got.X.Rows, p.got.X.Cols, p.want.X.Rows, p.want.X.Cols)
+					}
+					for i, v := range p.want.X.Data {
+						if math.Float64bits(p.got.X.Data[i]) != math.Float64bits(v) {
+							t.Fatalf("%s: X[%d] = %v, fresh %v", p.name, i, p.got.X.Data[i], v)
+						}
+					}
+				}
+				if len(p.got.Labels) != len(p.want.Labels) {
+					t.Fatalf("%s: %d labels, fresh %d", p.name, len(p.got.Labels), len(p.want.Labels))
+				}
+				for i, l := range p.want.Labels {
+					if p.got.Labels[i] != l {
+						t.Fatalf("%s: label %d = %d, fresh %d", p.name, i, p.got.Labels[i], l)
+					}
+				}
+				if len(p.got.Tokens) != len(p.want.Tokens) {
+					t.Fatalf("%s: %d sequences, fresh %d", p.name, len(p.got.Tokens), len(p.want.Tokens))
+				}
+				for i, seq := range p.want.Tokens {
+					if len(p.got.Tokens[i]) != len(seq) || cap(p.got.Tokens[i]) != cap(seq) {
+						t.Fatalf("%s: sequence %d has len %d cap %d, fresh %d and %d", p.name, i, len(p.got.Tokens[i]), cap(p.got.Tokens[i]), len(seq), cap(seq))
+					}
+					for j, tok := range seq {
+						if p.got.Tokens[i][j] != tok {
+							t.Fatalf("%s: token %d of sequence %d = %d, fresh %d", p.name, j, i, p.got.Tokens[i][j], tok)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameStorage reports whether d's features, labels and tokens are the
+// memory from's were.
+func sameStorage(d, from *Dataset) bool {
+	if &d.Labels[0] != &from.Labels[0] {
+		return false
+	}
+	if from.X != nil && (d.X == nil || &d.X.Data[0] != &from.X.Data[0]) {
+		return false
+	}
+	return from.Tokens == nil || (d.Tokens != nil && &d.Tokens[0][0] == &from.Tokens[0][0])
+}
+
+// TestReleaseFromSeveralGoroutines: jobs that run side by side generate
+// into and release splits of one workload at once; each still gets the
+// split of its own seed, and no two hold the same storage.
+func TestReleaseFromSeveralGoroutines(t *testing.T) {
+	const jobs, rounds = 4, 3
+	want := make([]Split, jobs)
+	for i := range want {
+		want[i] = NewSpeech(uint64(i))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got := NewSpeech(uint64(i))
+				for j, v := range want[i].Train.X.Data {
+					if math.Float64bits(got.Train.X.Data[j]) != math.Float64bits(v) {
+						t.Errorf("job %d round %d: X[%d] = %v, want %v", i, r, j, got.Train.X.Data[j], v)
+						break
+					}
+				}
+				for j, l := range want[i].Test.Labels {
+					if got.Test.Labels[j] != l {
+						t.Errorf("job %d round %d: test label %d = %d, want %d", i, r, j, got.Test.Labels[j], l)
+						break
+					}
+				}
+				Release(got)
+			}
+		}()
+	}
+	wg.Wait()
 }

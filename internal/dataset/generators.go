@@ -96,9 +96,8 @@ func NewImageClassification(seed uint64) Split {
 	// decision surface keeps the task learnable to high accuracy while
 	// model depth still governs how well it is approximated.
 	const margin = 0.5
-	gen := func(n int, r *sim.RNG) *Dataset {
-		x := tensor.New(n, ImageDim)
-		labels := make([]int, n)
+	gen := func(n int, r *sim.RNG, old *Dataset) *Dataset {
+		x, labels := old.features(n, ImageDim), old.labels(n)
 		for i := 0; i < n; i++ {
 			row := x.Row(i)
 			for attempt := 0; ; attempt++ {
@@ -125,7 +124,8 @@ func NewImageClassification(seed uint64) Split {
 			X: x, Labels: labels, Classes: ImageClasses,
 		}
 	}
-	return Split{Train: gen(train, rng.Split()), Test: gen(test, rng.Split())}
+	old := reuse("IC")
+	return Split{Train: gen(train, rng.Split(), old.Train), Test: gen(test, rng.Split(), old.Test)}
 }
 
 // NewSpeech emulates the SR workload (M5 on Speech Commands): each class
@@ -137,9 +137,8 @@ func NewSpeech(seed uint64) Split {
 		test  = 4890 / _downScale
 	)
 	rng := sim.NewRNG(seed)
-	gen := func(n int, r *sim.RNG) *Dataset {
-		x := tensor.New(n, SpeechDim)
-		labels := make([]int, n)
+	gen := func(n int, r *sim.RNG, old *Dataset) *Dataset {
+		x, labels := old.features(n, SpeechDim), old.labels(n)
 		for i := 0; i < n; i++ {
 			cls := r.Intn(SpeechClasses)
 			labels[i] = cls
@@ -166,7 +165,8 @@ func NewSpeech(seed uint64) Split {
 			X: x, Labels: labels, Classes: SpeechClasses,
 		}
 	}
-	return Split{Train: gen(train, rng.Split()), Test: gen(test, rng.Split())}
+	old := reuse("SR")
+	return Split{Train: gen(train, rng.Split(), old.Train), Test: gen(test, rng.Split(), old.Test)}
 }
 
 // NewNews emulates the NLP workload (RNN on AG News): token sequences
@@ -194,20 +194,14 @@ func NewNews(seed uint64) Split {
 		}
 		weights[c] = cumulative(w)
 	}
-	gen := func(n int, r *sim.RNG) *Dataset {
-		tokens := make([][]uint8, n)
-		labels := make([]int, n)
-		// One block for the split's sequences; each is capped at its own
-		// end, so an append moves it instead of reaching its neighbour.
-		block := make([]uint8, n*NewsSeqLen)
-		for i := 0; i < n; i++ {
+	gen := func(n int, r *sim.RNG, old *Dataset) *Dataset {
+		tokens, labels := old.tokens(n, NewsSeqLen), old.labels(n)
+		for i, seq := range tokens {
 			cls := r.Intn(NewsClasses)
 			labels[i] = cls
-			seq := block[i*NewsSeqLen : (i+1)*NewsSeqLen : (i+1)*NewsSeqLen]
 			for j := range seq {
 				seq[j] = uint8(sampleCumulative(weights[cls], r))
 			}
-			tokens[i] = seq
 		}
 		return &Dataset{
 			Meta: Meta{
@@ -222,7 +216,8 @@ func NewNews(seed uint64) Split {
 			Tokens: tokens, Vocab: NewsVocab,
 		}
 	}
-	return Split{Train: gen(train, rng.Split()), Test: gen(test, rng.Split())}
+	old := reuse("NLP")
+	return Split{Train: gen(train, rng.Split(), old.Train), Test: gen(test, rng.Split(), old.Test)}
 }
 
 // NewDetection emulates the OD workload (YOLO on COCO): each sample mixes
@@ -237,9 +232,8 @@ func NewDetection(seed uint64) Split {
 	rng := sim.NewRNG(seed)
 	// Fixed class signatures.
 	sig := tensor.Randn(DetectClasses, DetectDim, 1, rng)
-	gen := func(n int, r *sim.RNG) *Dataset {
-		x := tensor.New(n, DetectDim)
-		labels := make([]int, n)
+	gen := func(n int, r *sim.RNG, old *Dataset) *Dataset {
+		x, labels := old.features(n, DetectDim), old.labels(n)
 		for i := 0; i < n; i++ {
 			cls := r.Intn(DetectClasses)
 			labels[i] = cls
@@ -265,7 +259,8 @@ func NewDetection(seed uint64) Split {
 			X: x, Labels: labels, Classes: DetectClasses,
 		}
 	}
-	return Split{Train: gen(train, rng.Split()), Test: gen(test, rng.Split())}
+	old := reuse("OD")
+	return Split{Train: gen(train, rng.Split(), old.Train), Test: gen(test, rng.Split(), old.Test)}
 }
 
 // PairsWidth is the width of a TokenPairs row for n tokens taken at the

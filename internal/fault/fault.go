@@ -9,7 +9,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 
 	"edgetune/internal/counters"
@@ -279,18 +278,46 @@ func (e *Error) Error() string {
 }
 
 // IsFault reports whether err is (or wraps) an injected fault.
-func IsFault(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
-}
+func IsFault(err error) bool { return asFault(err) != nil }
 
 // ClassOf returns the fault class of an injected fault ("" otherwise).
 func ClassOf(err error) Class {
-	var fe *Error
-	if errors.As(err, &fe) {
+	if fe := asFault(err); fe != nil {
 		return fe.Class
 	}
 	return ""
+}
+
+// asFault is errors.As for *Error: the first injected fault in err's
+// tree, depth first, or nil. It walks the tree itself because the
+// target errors.As is handed escapes, and the serving path asks this of
+// every failed request.
+func asFault(err error) *Error {
+	for err != nil {
+		if fe, ok := err.(*Error); ok {
+			return fe
+		}
+		if x, ok := err.(interface{ As(any) bool }); ok {
+			var fe *Error // escapes, on this path only
+			if x.As(&fe) {
+				return fe
+			}
+		}
+		switch e := err.(type) {
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, err := range e.Unwrap() {
+				if fe := asFault(err); fe != nil {
+					return fe
+				}
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+	return nil
 }
 
 // Injector makes the injection decisions. A nil Injector never fires.

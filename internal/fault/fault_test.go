@@ -181,6 +181,31 @@ func TestErrorClassification(t *testing.T) {
 	if IsFault(errors.New("organic")) || ClassOf(errors.New("organic")) != "" {
 		t.Error("organic error classified as fault")
 	}
+	// The tree errors.As walks: joins depth first, and an error that
+	// answers As itself.
+	joined := errors.Join(errors.New("organic"), fmt.Errorf("retry: %w", errors.Join(ferr)))
+	if ClassOf(joined) != DeviceFlap || IsFault(errors.Join(errors.New("a"), errors.New("b"))) || IsFault(nil) {
+		t.Error("a fault inside a join is not found, or one is found where there is none")
+	}
+	if ClassOf(asError{&Error{Class: TrialCrash}}) != TrialCrash || IsFault(asError{}) {
+		t.Error("an error's own As is not consulted")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ClassOf(wrapped) }); n != 0 {
+		t.Errorf("ClassOf of a wrapped fault allocates %.0f times", n)
+	}
+}
+
+// asError answers errors.As for *Error with fe, when fe is set.
+type asError struct{ fe *Error }
+
+func (e asError) Error() string { return "as" }
+
+func (e asError) As(target any) bool {
+	if p, ok := target.(**Error); ok && e.fe != nil {
+		*p = e.fe
+		return true
+	}
+	return false
 }
 
 func TestStragglerFactorRange(t *testing.T) {

@@ -74,7 +74,8 @@ var stages = []stage{
 	{"store.put", true, openStorePut, 3, 272},
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
 	{"search.tpe-search", false, openTPESearch, 0, 0},
-	{"trial.run", false, openTrialRun, 105, 6413.8},
+	{"trial.run", false, openTrialRun, 15, 1072},
+	{"workload.new", false, openWorkloadNew, 10, 5264},
 	{"store.wal-append", false, openWALAppend, 10, 616},
 	{"store.checkpoint", false, openCheckpoint, 0, 0},
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
@@ -300,9 +301,11 @@ func openTPESearch() (func(), func(), error) {
 // featurise the subset, train, evaluate — on a scratch the trial before
 // warmed (DESIGN.md §4.15): one IC and one NLP trial per operation, the
 // NLP trial at another stride each time, so a featurisation kept on the
-// heap shows. What a trial leaves to the collector is the few dozen
-// small objects a network is made of, not the storage under it or its
-// features.
+// heap shows. The network — its layer values, its layer and parameter
+// slices, and the storage under them — and the features live on the
+// scratch; what a trial leaves to the collector is a handful of small
+// headers around the training (the RNG, the optimiser, the subset
+// views, the configuration's key).
 func openTrialRun() (func(), func(), error) {
 	alloc := budget.Allocation{Epochs: 2, DataFraction: 0.3}
 	nlp := search.Config{workload.ParamStride: 4, workload.ParamTrainBatch: 64, workload.ParamGPUs: 1}
@@ -339,6 +342,24 @@ func openTrialRun() (func(), func(), error) {
 		for _, run := range trials {
 			_ = run() // the same requests just ran cleanly above, but for the stride
 		}
+	}, noClose, nil
+}
+
+// A tuning job's workload as edgetune.Tune builds and releases it: the
+// IC split regenerated, at the next seed each time, into the storage
+// the job before released. What is left to the collector is the teacher
+// that labels the data, the two Dataset headers and the Workload.
+func openWorkloadNew() (func(), func(), error) {
+	seed := uint64(7)
+	w, err := workload.New("IC", seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	w.Release() // the split the window's first job regenerates into
+	return func() {
+		seed++
+		w, _ = workload.New("IC", seed) // a known ID
+		w.Release()
 	}, noClose, nil
 }
 

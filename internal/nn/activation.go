@@ -15,7 +15,11 @@ type ReLU struct {
 func NewReLU() *ReLU { return NewReLUIn(nil) }
 
 // NewReLUIn is NewReLU with the layer's buffers taken from a.
-func NewReLUIn(a *tensor.Arena) *ReLU { return &ReLU{out: a.Buffer(), dx: a.Buffer()} }
+func NewReLUIn(a *tensor.Arena) *ReLU {
+	r := take[ReLU](a)
+	r.out, r.dx = a.Buffer(), a.Buffer()
+	return r
+}
 
 // Forward applies max(0, x). Whether an entry is positive is as good as
 // a coin toss, so it is a mask that decides, not a branch: an entry
@@ -69,7 +73,11 @@ type Tanh struct {
 func NewTanh() *Tanh { return NewTanhIn(nil) }
 
 // NewTanhIn is NewTanh with the layer's buffers taken from a.
-func NewTanhIn(a *tensor.Arena) *Tanh { return &Tanh{out: a.Buffer(), dx: a.Buffer()} }
+func NewTanhIn(a *tensor.Arena) *Tanh {
+	t := take[Tanh](a)
+	t.out, t.dx = a.Buffer(), a.Buffer()
+	return t
+}
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {

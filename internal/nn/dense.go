@@ -11,6 +11,7 @@ import (
 type Dense struct {
 	in, out int
 	w, b    *Param
+	params  [2]*Param // w, b: what Params returns
 	// skipInputGrad is set by NewNetwork on the first layer, whose input
 	// gradient nobody reads.
 	skipInputGrad bool
@@ -29,7 +30,8 @@ func NewDense(in, out int, rng *sim.RNG) *Dense { return NewDenseIn(nil, in, out
 // NewDenseIn is NewDense with the layer's storage taken from a.
 func NewDenseIn(a *tensor.Arena, in, out int, rng *sim.RNG) *Dense {
 	std := math.Sqrt(2 / float64(in))
-	return &Dense{
+	d := take[Dense](a)
+	*d = Dense{
 		in:  in,
 		out: out,
 		w:   newParam(a, a.Randn(in, out, std, rng)),
@@ -39,6 +41,8 @@ func NewDenseIn(a *tensor.Arena, in, out int, rng *sim.RNG) *Dense {
 		dw:  a.Buffer(),
 		db:  a.Floats(out),
 	}
+	d.params = [2]*Param{d.w, d.b}
+	return d
 }
 
 // NewPairsDenseIn is NewDenseIn for a layer whose input rows come as the
@@ -83,8 +87,9 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	return tensor.MatMulBTInto(&d.dx, grad, d.w.W)
 }
 
-// Params returns the weight and bias parameters.
-func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
+// Params returns the weight and bias parameters, in the layer's own
+// slice: read-only.
+func (d *Dense) Params() []*Param { return d.params[:] }
 
 // FLOPsPerSample counts the multiply-adds of one forward pass.
 func (d *Dense) FLOPsPerSample() float64 { return 2 * float64(d.in) * float64(d.out) }

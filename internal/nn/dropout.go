@@ -26,7 +26,9 @@ func NewDropoutIn(a *tensor.Arena, rate float64, rng *sim.RNG) (*Dropout, error)
 	if rate < 0 || rate >= 1 {
 		return nil, fmt.Errorf("nn: dropout rate %v out of [0,1)", rate)
 	}
-	return &Dropout{rate: rate, rng: rng, mask: a.Buffer(), out: a.Buffer(), dx: a.Buffer()}, nil
+	d := take[Dropout](a)
+	*d = Dropout{rate: rate, rng: rng, mask: a.Buffer(), out: a.Buffer(), dx: a.Buffer()}
+	return d, nil
 }
 
 // Forward applies the mask when training; it is the identity at inference.

@@ -17,8 +17,14 @@ type Param struct {
 // newParam wraps a weight matrix with a zeroed gradient of the same
 // shape from a (nil = the heap).
 func newParam(a *tensor.Arena, w *tensor.Matrix) *Param {
-	return &Param{W: w, Grad: a.New(w.Rows, w.Cols)}
+	p := take[Param](a)
+	p.W, p.Grad = w, a.New(w.Rows, w.Cols)
+	return p
 }
+
+// take returns a zero T from a (nil = the heap): where a layer built
+// on an arena keeps its own value.
+func take[T any](a *tensor.Arena) *T { return &tensor.Take[T](a, 1)[0] }
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() {
@@ -45,10 +51,13 @@ func (p *Param) Count() int { return len(p.W.Data) }
 // returns nil where no input gradient exists (token IDs) or nobody
 // reads it (see NewNetwork).
 //
+// What Params returns is read-only: a layer may hand out a slice it
+// keeps, as Dense and Residual do, so that no call builds one.
+//
 // The constructors named …In build the layer out of a tensor.Arena —
-// weights, gradients and the owned buffers alike — and the layer is
-// then valid until that arena's next Reset; the ones without the
-// suffix are the same constructors on the heap (a nil arena).
+// the layer value, weights, gradients and owned buffers alike — and the
+// layer is then valid until that arena's next Reset; the ones without
+// the suffix are the same constructors on the heap (a nil arena).
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix

@@ -34,9 +34,9 @@ type Network struct {
 // Backward discards it, and it is the widest product of the step.
 func NewNetwork(layers ...Layer) (*Network, error) { return NewNetworkIn(nil, layers...) }
 
-// NewNetworkIn is NewNetwork with the network's buffers, and the
-// optimiser state, batch and sample order of a Train on it, taken from
-// a — the arena its layers were built in.
+// NewNetworkIn is NewNetwork with the network itself, its copy of
+// layers, its buffers, and the optimiser state, batch and sample order
+// of a Train on it, taken from a — the arena its layers were built in.
 func NewNetworkIn(a *tensor.Arena, layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("nn: network needs at least one layer")
@@ -44,7 +44,18 @@ func NewNetworkIn(a *tensor.Arena, layers ...Layer) (*Network, error) {
 	if d, ok := layers[0].(*Dense); ok {
 		d.skipInputGrad = true
 	}
-	n := &Network{layers: layers, arena: a, lossGrad: a.Buffer()}
+	count := 0
+	for _, l := range layers {
+		count += len(l.Params())
+	}
+	n := take[Network](a)
+	*n = Network{
+		layers:   tensor.Take[Layer](a, len(layers)),
+		params:   tensor.Take[*Param](a, count)[:0],
+		arena:    a,
+		lossGrad: a.Buffer(),
+	}
+	copy(n.layers, layers)
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 	}

@@ -14,6 +14,7 @@ type Residual struct {
 	dim    int
 	d1, d2 *Dense
 	relu   *ReLU
+	params [4]*Param // d1's, then d2's: what Params returns
 }
 
 // NewResidual creates a residual block of width dim. The second dense
@@ -25,12 +26,15 @@ func NewResidual(dim int, rng *sim.RNG) *Residual { return NewResidualIn(nil, di
 func NewResidualIn(a *tensor.Arena, dim int, rng *sim.RNG) *Residual {
 	d2 := NewDenseIn(a, dim, dim, rng)
 	d2.w.W.Scale(0.1)
-	return &Residual{
+	r := take[Residual](a)
+	*r = Residual{
 		dim:  dim,
 		d1:   NewDenseIn(a, dim, dim, rng),
 		d2:   d2,
 		relu: NewReLUIn(a),
 	}
+	r.params = [4]*Param{r.d1.w, r.d1.b, d2.w, d2.b}
+	return r
 }
 
 // Forward computes the residual transform.
@@ -51,10 +55,9 @@ func (r *Residual) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	return g
 }
 
-// Params returns the parameters of both dense sublayers.
-func (r *Residual) Params() []*Param {
-	return append(r.d1.Params(), r.d2.Params()...)
-}
+// Params returns the parameters of both dense sublayers, in the
+// block's own slice: read-only.
+func (r *Residual) Params() []*Param { return r.params[:] }
 
 // FLOPsPerSample sums the two dense sublayers.
 func (r *Residual) FLOPsPerSample() float64 {

@@ -9,7 +9,8 @@ package search
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"edgetune/internal/sim"
 )
@@ -176,16 +177,21 @@ func (c Config) Clone() Config {
 
 // Key returns a canonical string identity for deduplication and caching.
 func (c Config) Key() string {
-	keys := make([]string, 0, len(c))
+	var keyBuf [8]string // a space's few names: the sort needs no heap
+	keys := keyBuf[:0]
 	for k := range c {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	s := ""
+	slices.Sort(keys)
+	var b [128]byte
+	buf := b[:0]
 	for _, k := range keys {
-		s += fmt.Sprintf("%s=%g;", k, c[k])
+		buf = append(buf, k...)
+		buf = append(buf, '=')
+		buf = strconv.AppendFloat(buf, c[k], 'g', -1, 64) // the bytes of fmt's %g
+		buf = append(buf, ';')
 	}
-	return s
+	return string(buf)
 }
 
 // Space is an ordered set of parameters.

@@ -7,8 +7,9 @@ import (
 )
 
 // Arena is bump storage for everything one network is made of and
-// trains on: weights, gradients, optimiser state, the layers' activation
-// buffers, index slices, a trial's feature matrices. Reset takes it all
+// trains on: the layer values themselves, weights, gradients, optimiser
+// state, the layers' activation buffers, index slices, a trial's
+// feature matrices. Reset takes it all
 // back at once, so a worker that trains one network after another keeps
 // the same memory instead of handing each network's to the collector.
 // What an arena handed out is valid until its next Reset; nothing that
@@ -20,8 +21,14 @@ import (
 type Arena struct {
 	floats slab[float64]
 	ints   slab[int]
-	mats   slab[Matrix] // the headers New returns pointers to
+	// typed holds a slab per element type Take was asked for: the
+	// headers New returns pointers to, and the values and slices a
+	// network is made of.
+	typed []typedSlab
 }
+
+// typedSlab is a Take slab as Reset sees it.
+type typedSlab interface{ release() }
 
 // slab is one contiguous block handed out front to back. A request
 // that no longer fits is served from the heap and counted, and the next
@@ -54,18 +61,47 @@ func (s *slab[T]) take(n int) (out []T, zero bool) {
 	return out, false
 }
 
-// Reset takes back everything the arena handed out. The memory is not
-// cleared: New, Floats and Ints clear what they hand out, Resize — which
-// promises nothing about contents on the heap either — does not.
+// release clears what a Take slab handed out and takes it back: a
+// stale pointer in it would keep what it points to reachable, and what
+// Take hands out next must be zero.
+func (s *slab[T]) release() {
+	clear(s.buf[:s.used])
+	s.reset()
+}
+
+// Reset takes back everything the arena handed out. The float and int
+// memory is not cleared: New, Floats and Ints clear what they hand out,
+// Resize — which promises nothing about contents on the heap either —
+// does not. What Take handed out is cleared here.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	a.floats.reset()
 	a.ints.reset()
-	// Stale headers would keep a replaced float block reachable.
-	clear(a.mats.buf[:a.mats.used])
-	a.mats.reset()
+	for _, s := range a.typed {
+		s.release()
+	}
+}
+
+// Take returns n zero values of T: on a nil arena from the heap, else
+// from the slab the arena keeps for T, which spills and regrows as the
+// float and int ones do. It is how a network's layer values, and its
+// layer and parameter slices, live on the arena its weights do.
+func Take[T any](a *Arena, n int) []T {
+	if a == nil {
+		return make([]T, n)
+	}
+	for _, s := range a.typed {
+		if s, ok := s.(*slab[T]); ok {
+			out, _ := s.take(n)
+			return out
+		}
+	}
+	s := new(slab[T])
+	a.typed = append(a.typed, s)
+	out, _ := s.take(n)
+	return out
 }
 
 // resizeStorage is what Matrix.Resize grows into: n floats of
@@ -109,13 +145,7 @@ func (a *Arena) New(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	var m *Matrix
-	if a == nil {
-		m = new(Matrix)
-	} else {
-		hdr, _ := a.mats.take(1)
-		m = &hdr[0]
-	}
+	m := &Take[Matrix](a, 1)[0]
 	*m = Matrix{Rows: rows, Cols: cols, Data: a.Floats(rows * cols), arena: a}
 	return m
 }

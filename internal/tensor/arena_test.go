@@ -142,3 +142,49 @@ func TestArgmaxRowsIntoOverwrites(t *testing.T) {
 		t.Errorf("ArgmaxRows = %v, want [1 0 0]", got)
 	}
 }
+
+// TestTakeIsZeroAfterReset: a value Take hands out after a Reset is the
+// zero value, whatever the one handed out before it held — pointers
+// included, so a stale one keeps nothing reachable — and it is the
+// same memory; a demand the slab cannot hold spills to the heap, and
+// the next Reset regrows the slab to hold it without allocating again.
+func TestTakeIsZeroAfterReset(t *testing.T) {
+	type layer struct {
+		w    *Matrix
+		n    int
+		name string
+		buf  []float64
+	}
+	a := new(Arena)
+	first := &Take[layer](a, 1)[0]
+	a.Reset() // the slab was made in the first Take and spilt it
+	first = &Take[layer](a, 1)[0]
+	*first = layer{w: New(1, 1), n: 7, name: "dense", buf: make([]float64, 3)}
+	a.Reset()
+	again := &Take[layer](a, 1)[0]
+	if again != first {
+		t.Error("a Take after Reset did not reuse the slab")
+	}
+	if again.w != nil || again.n != 0 || again.name != "" || again.buf != nil {
+		t.Errorf("a Take after Reset handed out %+v, want the zero value", *again)
+	}
+
+	a.Reset()
+	_ = Take[layer](a, 1)
+	spill := Take[layer](a, 8) // beyond the one-element slab
+	if &spill[0] == again || len(spill) != 8 || cap(spill) != 8 {
+		t.Fatalf("a spilling Take handed out %d of cap %d from the slab", len(spill), cap(spill))
+	}
+	use := func() {
+		a.Reset()
+		one, eight := Take[layer](a, 1), Take[layer](a, 8)
+		one[0].n, eight[7].n = 1, 8
+	}
+	use() // the Reset in here regrows the slab
+	if n := testing.AllocsPerRun(10, use); n != 0 {
+		t.Errorf("a slab regrown after a spill still allocates %.0f times", n)
+	}
+	if got := Take[layer](nil, 2); len(got) != 2 || got[1].w != nil || got[1].buf != nil {
+		t.Errorf("Take on a nil arena = %+v, want two zero values from the heap", got)
+	}
+}

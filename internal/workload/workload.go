@@ -131,6 +131,16 @@ func New(id string, seed uint64) (*Workload, error) {
 	return nil, fmt.Errorf("workload: unknown id %q (want IC, SR, NLP, or OD)", id)
 }
 
+// Release hands the workload's split to the next New of the same ID,
+// which regenerates into it (dataset.Release): what a tuning job calls
+// once nothing it started reads the data any more. The workload holds
+// no split afterwards; releasing it again does nothing. A workload that
+// is never released is collected as ever.
+func (w *Workload) Release() {
+	dataset.Release(w.Split)
+	w.Split = dataset.Split{}
+}
+
 // MustNew is New for tests and examples with known-good IDs; it panics
 // on error.
 func MustNew(id string, seed uint64) *Workload {
@@ -202,7 +212,7 @@ func buildResNet(a *tensor.Arena, layers float64, rng *sim.RNG) (*nn.Network, er
 	if blocks < 1 {
 		blocks = 1
 	}
-	ls := make([]nn.Layer, 0, blocks+3)
+	ls := tensor.Take[nn.Layer](a, blocks+3)[:0]
 	ls = append(ls, nn.NewDenseIn(a, dataset.ImageDim, resNetWidth, rng), nn.NewReLUIn(a))
 	for i := 0; i < blocks; i++ {
 		ls = append(ls, nn.NewResidualIn(a, resNetWidth, rng))

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -404,5 +406,71 @@ func TestChunkedAccuracyMatchesWholeMatrix(t *testing.T) {
 		if got := net.Accuracy(test.X, test.Labels); got != want {
 			t.Errorf("%s: chunked accuracy %v, whole-matrix %v", tt.id, got, want)
 		}
+	}
+}
+
+// TestConfigKeyIsTheFmtForm: Config.Key writes, for every configuration
+// of all four workloads' train spaces (both modes) and their inference
+// spaces on every device, the bytes the fmt form "name=%g;" in name
+// order writes. A trial's RNG seed hashes the key, so these bytes are
+// every digest's.
+func TestConfigKeyIsTheFmtForm(t *testing.T) {
+	fmtKey := func(c search.Config) string {
+		keys := make([]string, 0, len(c))
+		for k := range c {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		s := ""
+		for _, k := range keys {
+			s += fmt.Sprintf("%s=%g;", k, c[k])
+		}
+		return s
+	}
+	for _, id := range IDs() {
+		w := MustNew(id, 1)
+		var spaces []*search.Space
+		for _, system := range []bool{false, true} {
+			s, err := w.TrainSpace(system)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spaces = append(spaces, s)
+		}
+		for _, dev := range device.All() {
+			s, err := w.InferenceSpace(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spaces = append(spaces, s)
+		}
+		rng := sim.NewRNG(9)
+		for _, s := range spaces {
+			for i := 0; i < 500; i++ {
+				u := make([]float64, s.Dim())
+				for j := range u {
+					switch i {
+					case 0: // the lower corner
+					case 1:
+						u[j] = 1
+					default:
+						u[j] = rng.Float64()
+					}
+				}
+				cfg, err := s.FromUnit(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := cfg.Key(), fmtKey(cfg); got != want {
+					t.Fatalf("%s: Key() = %q, the fmt form %q", id, got, want)
+				}
+			}
+		}
+	}
+	// Values no space holds, and more names than Key keeps off the heap.
+	odd := search.Config{"a": math.Inf(1), "b": math.Inf(-1), "c": math.NaN(), "d": 1e21, "e": 1e-7,
+		"f": math.Copysign(0, -1), "g": 123456789, "h": 0.1 + 0.2, "i": -2.5e-300}
+	if got, want := odd.Key(), fmtKey(odd); got != want {
+		t.Errorf("Key() = %q, the fmt form %q", got, want)
 	}
 }
