@@ -117,6 +117,16 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+gate "test-only exports"
+# Code only tests call stays out of the product tree: TestNoTestOnlyExports
+# fails on an exported function or method outside the public API, cmd/,
+# examples/ and internal/testutil that no non-test file names, unless
+# testdata/test_only_exports.txt lists it. The list is a ratchet like the
+# option surface: its ceiling is today's count and may fall, never rise.
+go test -count=1 -run '^TestNoTestOnlyExports$' .
+surface "test-only exports allowlisted" \
+    "$(grep -cvE '^(#|$)' testdata/test_only_exports.txt)" 13
+
 gate "go vet"
 go vet ./...
 
@@ -212,11 +222,13 @@ gate "store durability under faulty disks"
 # twice under the race detector so any run-order or leftover-state bug
 # in WAL replay and quarantine handling surfaces. Then ten seconds each
 # of fuzzing the WAL decoder, which reads whatever a crash left on disk,
-# and the Job decoder, which reads whatever -job names (their seed
+# the Job decoder, which reads whatever -job names, and checkpoint
+# restore, which resumes a job from whatever the store holds (their seed
 # corpora already ran above, as ordinary tests).
 go test -race -count=2 ./internal/store ./internal/fault
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
+go test -run '^$' -fuzz FuzzCheckpointRestore -fuzztime 10s ./internal/core
 
 gate "crash-recovery gate"
 # Kill the tuner (exit 3) right after an acknowledged WAL append,

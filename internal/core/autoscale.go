@@ -31,7 +31,6 @@ type scaler struct {
 	massFailed bool // MassDeviceFail fires at most once per run
 	replicaSeq int  // names autoscaled replicas <base>-as<N>
 	lastMode   autoscale.Mode
-	stalls     int64
 
 	// Registry instruments (nil when metrics are off).
 	gReplicas *obs.Gauge
@@ -87,17 +86,6 @@ func (s *InferenceServer) AutoscaleReport() *autoscale.Report {
 	}
 	rep := s.scale.ctl.Report()
 	return &rep
-}
-
-// AutoscaleStalls reports how many scale-ups the ScaleStall fault class
-// swallowed (warm-up charged, replica never joined).
-func (s *InferenceServer) AutoscaleStalls() int64 {
-	if s.scale == nil {
-		return 0
-	}
-	s.scale.mu.Lock()
-	defer s.scale.mu.Unlock()
-	return s.scale.stalls
 }
 
 // autoscaleTick runs the control loop for one submission: fire
@@ -177,7 +165,6 @@ func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Durat
 			// The scale-up never materialises: the warm-up cost is
 			// already charged, but no replica joins. The controller sees
 			// the unchanged replica count next tick and tries again.
-			sc.stalls++
 			sc.cStalls.Inc()
 		} else {
 			sc.replicaSeq++

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"edgetune/internal/autoscale"
+	"edgetune/internal/counters"
 	"edgetune/internal/fault"
 	"edgetune/internal/obs"
 	"edgetune/internal/obs/slo"
@@ -151,7 +152,8 @@ func TestAutoscaleMassDeviceFailRecovery(t *testing.T) {
 // cost is still charged, no replica ever joins, and the controller
 // keeps retrying because the replica count it observes never moves.
 func TestAutoscaleScaleStall(t *testing.T) {
-	inj, err := fault.NewInjector(fault.Config{FlashCrowd: 1, ScaleStall: 1}, 7, nil)
+	rec := counters.NewResilienceOn(nil)
+	inj, err := fault.NewInjector(fault.Config{FlashCrowd: 1, ScaleStall: 1}, 7, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestAutoscaleScaleStall(t *testing.T) {
 	if rep.ScaleUps != n {
 		t.Errorf("scale-ups = %d, want one per hot tick (%d)", rep.ScaleUps, n)
 	}
-	if got := srv.AutoscaleStalls(); got != n {
+	if got := rec.Snapshot().FaultCount(string(fault.ScaleStall)); got != n {
 		t.Errorf("stalls = %d, want every scale-up swallowed (%d)", got, n)
 	}
 	if rep.FinalReplicas != 1 {

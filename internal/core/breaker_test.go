@@ -80,7 +80,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newBreaker(3, 2, counters.NewResilience())
+			b := newBreaker(3, 2, counters.NewResilienceOn(nil))
 			for i, s := range tc.steps {
 				switch s.op {
 				case "allow-ok":
@@ -107,7 +107,7 @@ func TestBreakerTransitions(t *testing.T) {
 // TestBreakerReleaseProbe: a probe slot freed without a verdict (the
 // probing request was evicted before running) admits the next probe.
 func TestBreakerReleaseProbe(t *testing.T) {
-	b := newBreaker(1, 1, counters.NewResilience())
+	b := newBreaker(1, 1, counters.NewResilienceOn(nil))
 	b.failure() // threshold 1: open immediately
 	if ok, _ := b.allowProbe(); !ok {
 		t.Fatal("cooldown 1: first rejection should half-open and admit a probe")

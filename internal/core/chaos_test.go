@@ -560,7 +560,7 @@ func runOverloadScenario(t *testing.T) overloadDigest {
 	}
 
 	// Digest every outcome plus the final counters and store state.
-	d := overloadDigest{Phase1Shed: phase1Shed, Resilience: rec.Snapshot(), Pending: srv.writes.Pending()}
+	d := overloadDigest{Phase1Shed: phase1Shed, Resilience: rec.Snapshot(), Pending: srv.PendingWrites()}
 	for i, out := range outs {
 		switch {
 		case out.Err == nil:

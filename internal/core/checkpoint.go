@@ -117,14 +117,16 @@ func (j *tuneJob) checkpoint() error {
 
 // restore resumes from the job's stored checkpoint, if there is one and
 // it is compatible: the loop then skips the rungs a previous run already
-// completed.
+// completed. A checkpoint that does not parse, or is not this job's
+// progress at a point of its schedule (see resumable), is ignored and
+// the job starts fresh.
 func (j *tuneJob) restore() {
 	if !j.opts.Checkpoint {
 		return
 	}
 	var p tuneProgress
 	data, ok := j.opts.Store.LoadCheckpoint(j.Key)
-	if !ok || json.Unmarshal(data, &p) != nil || p.Version != checkpointVersion || p.Key != j.Key {
+	if !ok || json.Unmarshal(data, &p) != nil || !j.resumable(&p) {
 		return
 	}
 	j.tuneProgress = p
@@ -143,4 +145,44 @@ func (j *tuneJob) restore() {
 	if rs, ok := j.sampler.(search.Resumable); ok && j.Sampler != nil {
 		rs.RestoreSamplerState(*j.Sampler)
 	}
+}
+
+// resumable reports whether p is a state this job's loop writes: its
+// version and key; a position after 1 to MaxBrackets×Rungs completed
+// rungs, with NextRung in [0, Rungs); no population at a bracket
+// boundary (NextRung 0) and otherwise as many members as rung NextRung
+// trains; member and incumbent configurations with a value in the domain
+// of every parameter of the job's space; and no negative counter.
+func (j *tuneJob) resumable(p *tuneProgress) bool {
+	o := j.opts
+	done := p.Bracket*o.Rungs + p.NextRung
+	if p.Version != checkpointVersion || p.Key != j.Key || p.Bracket < 0 || p.Bracket > o.MaxBrackets ||
+		p.NextRung < 0 || p.NextRung >= o.Rungs || done < 1 || done > o.MaxBrackets*o.Rungs ||
+		(p.NextRung == 0) != (p.Pop == nil) || p.Resilience.Negative() {
+		return false
+	}
+	size := o.InitialConfigs
+	for range p.NextRung {
+		size = max(size/eta, 1)
+	}
+	if p.Pop != nil && len(p.Pop) != size || p.HasBest && !j.inSpace(p.BestConfig) {
+		return false
+	}
+	for _, m := range p.Pop {
+		if !j.inSpace(m.Config) {
+			return false
+		}
+	}
+	return true
+}
+
+// inSpace reports whether cfg holds a value in the domain of every
+// parameter of the job's space.
+func (j *tuneJob) inSpace(cfg search.Config) bool {
+	for _, param := range j.space.Params() {
+		if v, ok := cfg[param.Name]; !ok || !param.Contains(v) {
+			return false
+		}
+	}
+	return true
 }

@@ -46,9 +46,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 
 func checkpointBytesGolden(t *testing.T, name string, killBracket, killRung, procs int) {
 	atProcs(t, procs)
-	opts := chaosOptions(fault.Config{TrialCrash: 0.3, DroppedReply: 0.2})
-	opts.Store = store.New()
-	opts.Checkpoint = true
+	opts := goldenJob(store.New())
 	opts.AfterRung = func(bracket, rung int) error {
 		if bracket == killBracket && rung == killRung {
 			return errKilled
@@ -73,18 +71,21 @@ func checkpointBytesGolden(t *testing.T, name string, killBracket, killRung, pro
 	}
 }
 
+// goldenJob is the checkpointed job whose checkpoints the goldens are,
+// on st.
+func goldenJob(st *store.Store) Options {
+	opts := chaosOptions(fault.Config{TrialCrash: 0.3, DroppedReply: 0.2})
+	opts.Store = st
+	opts.Checkpoint = true
+	return opts
+}
+
 // TestCheckpointGoldenResumes: each golden checkpoint, as committed and
 // as a build that still counted rate-limited and preempted submissions
 // wrote it, resumes the job that stored it, which then recommends what
 // an uninterrupted run recommends.
 func TestCheckpointGoldenResumes(t *testing.T) {
-	job := func(st *store.Store) Options {
-		opts := chaosOptions(fault.Config{TrialCrash: 0.3, DroppedReply: 0.2})
-		opts.Store = st
-		opts.Checkpoint = true
-		return opts
-	}
-	want, err := Tune(context.Background(), job(store.New()))
+	want, err := Tune(context.Background(), goldenJob(store.New()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestCheckpointGoldenResumes(t *testing.T) {
 				if err := st.SaveCheckpoint(p.Key, blob.data); err != nil {
 					t.Fatal(err)
 				}
-				got, err := Tune(context.Background(), job(st))
+				got, err := Tune(context.Background(), goldenJob(st))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -396,10 +396,6 @@ func (s *InferenceServer) shutdown(ctx context.Context) error {
 // every completed result.
 func (s *InferenceServer) FlushWrites() error { return s.writes.Flush() }
 
-// PendingWrites reports how many accepted results still sit in the
-// write-behind buffer; it is zero after a successful Drain or Flush.
-func (s *InferenceServer) PendingWrites() int { return s.writes.Pending() }
-
 // LookupStored reads an entry for any pool device (preferred first)
 // through the write-behind buffer, so callers building degraded
 // fallbacks see results that have not reached the store yet. The walk

@@ -221,7 +221,7 @@ func runOutcomeScenario(t *testing.T, sc outcomeScenario, w *bytes.Buffer) {
 			e.onFlap()
 		}
 	}
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	inj, err := fault.NewInjector(cfg, 3, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func servingServerOn(t *testing.T, st *store.Store, pool []device.Device, cfg fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	opts := InferenceServerOptions{
 		Device:   dev,
 		Space:    space,
@@ -143,7 +143,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 	if out := mustOutcome(t, b); out.Err != nil {
 		t.Errorf("queued request failed during drain: %v", out.Err)
 	}
-	if got := srv.writes.Pending(); got != 0 {
+	if got := srv.PendingWrites(); got != 0 {
 		t.Errorf("%d store writes still pending after drain", got)
 	}
 	if st.Len() != 2 {
@@ -277,7 +277,7 @@ func TestNoHealthyDeviceTyped(t *testing.T) {
 // reaches it, and sustained clean results walk it back through
 // probation to healthy.
 func TestPoolQuarantineAndRecovery(t *testing.T) {
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	pool := newDevicePool([]device.Device{device.I7(), i7Twin()}, 3, 2, rec)
 	sick := pool.devs[0]
 	boom := errors.New("boom")
@@ -344,7 +344,7 @@ func TestPoolQuarantineAndRecovery(t *testing.T) {
 // slower than the performance model expects (a brown-out) is
 // quarantined even though its breaker never trips.
 func TestPoolSlowSuccessesQuarantine(t *testing.T) {
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	pool := newDevicePool([]device.Device{device.I7(), i7Twin()}, 3, 2, rec)
 	slow := pool.devs[0]
 	// Ten-fold slowdown: each observation scores 0.1.

@@ -330,6 +330,7 @@ type tuneJob struct {
 	opts    Options
 	res     *Result
 	runner  *trial.Runner
+	space   *search.Space // the training space the sampler draws from
 	sampler search.Sampler
 	strat   budget.Strategy
 	// satAlloc is the saturated allocation: scores use each
@@ -434,11 +435,10 @@ func (j *tuneJob) setUp() error {
 		return err
 	}
 	j.inj = inj
-	space, err := w.TrainSpace(opts.SystemParams)
-	if err != nil {
+	if j.space, err = w.TrainSpace(opts.SystemParams); err != nil {
 		return err
 	}
-	if j.sampler, err = search.NewSampler(opts.ModelAlgo, space, opts.Seed); err != nil {
+	if j.sampler, err = search.NewSampler(opts.ModelAlgo, j.space, opts.Seed); err != nil {
 		return err
 	}
 	if j.strat, err = budget.New(opts.BudgetKind); err != nil {

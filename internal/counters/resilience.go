@@ -52,9 +52,6 @@ type Resilience struct {
 	cells []*obs.Counter // cells[i] is rows[i]'s
 }
 
-// NewResilience returns an empty counter set on a private registry.
-func NewResilience() *Resilience { return NewResilienceOn(nil) }
-
 // NewResilienceOn returns a counter set registered on reg, so the
 // resilience counters appear alongside the rest of the job's metrics.
 // A nil reg gets a private registry.
@@ -140,6 +137,23 @@ func (s ResilienceSnapshot) FaultCount(class string) int64 {
 		}
 	}
 	return 0
+}
+
+// Negative reports whether any count in s is below zero, which no
+// snapshot of a counter set is: one read back from storage that says so
+// is corrupt.
+func (s ResilienceSnapshot) Negative() bool {
+	for _, f := range s.Faults {
+		if f.Count < 0 {
+			return true
+		}
+	}
+	for _, row := range rows {
+		if *row.field(&s) < 0 {
+			return true
+		}
+	}
+	return s.TotalFaults < 0
 }
 
 // Snapshot copies the current counters (all zero for a nil receiver).

@@ -26,7 +26,7 @@ func TestResilienceNilSafe(t *testing.T) {
 }
 
 func TestResilienceServingCounters(t *testing.T) {
-	r := NewResilience()
+	r := NewResilienceOn(nil)
 	for i := 0; i < 3; i++ {
 		r.AddShed()
 	}
@@ -46,7 +46,7 @@ func TestResilienceServingCounters(t *testing.T) {
 }
 
 func TestResilienceRestoreRoundTrip(t *testing.T) {
-	r := NewResilience()
+	r := NewResilienceOn(nil)
 	r.RecordFault("overload-burst")
 	r.AddShed()
 	r.AddHedge()
@@ -55,7 +55,7 @@ func TestResilienceRestoreRoundTrip(t *testing.T) {
 	r.AddDrained()
 	snap := r.Snapshot()
 
-	fresh := NewResilience()
+	fresh := NewResilienceOn(nil)
 	fresh.Restore(snap)
 	if got := fresh.Snapshot(); !reflect.DeepEqual(got, snap) {
 		t.Errorf("restored snapshot = %+v, want %+v", got, snap)
@@ -68,7 +68,7 @@ func TestResilienceRestoreRoundTrip(t *testing.T) {
 }
 
 func TestResilienceConcurrentServingCounters(t *testing.T) {
-	r := NewResilience()
+	r := NewResilienceOn(nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

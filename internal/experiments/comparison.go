@@ -156,26 +156,6 @@ func Fig15EstimationError() (Table, error) {
 	})
 }
 
-// Fig15Medians exposes the Figure 15 medians for tests.
-func Fig15Medians() (tp, en float64, err error) {
-	t, err := Fig15EstimationError()
-	if err != nil {
-		return 0, 0, err
-	}
-	_ = t
-	// Recompute from the table rows to avoid caching extra state.
-	if len(t.Rows) != 2 {
-		return 0, 0, fmt.Errorf("experiments: malformed figure 15 table")
-	}
-	if _, err := fmt.Sscanf(t.Rows[0][3], "%f", &tp); err != nil {
-		return 0, 0, err
-	}
-	if _, err := fmt.Sscanf(t.Rows[1][3], "%f", &en); err != nil {
-		return 0, 0, err
-	}
-	return tp, en, nil
-}
-
 var fig16Memo memo[Table]
 
 // Fig16Objectives reproduces Figure 16: the runtime-based versus

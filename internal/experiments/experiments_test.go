@@ -102,6 +102,47 @@ func TestFig04Shape(t *testing.T) {
 	}
 }
 
+// TestFig05Shape: at batch 1, more cores raise energy per image but
+// barely raise throughput; at batch 10, 4 cores beat 2 only slightly, at
+// more power.
+func TestFig05Shape(t *testing.T) {
+	tab, err := Fig05InferSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows: (1,1) (1,2) (1,4) (10,1) (10,2) (10,4); columns 2-4 =
+	// throughput, J/img, W.
+	if cell(t, tab, 2, 3) <= cell(t, tab, 0, 3) {
+		t.Error("batch 1: 4 cores do not cost more energy per image than 1")
+	}
+	if gain := cell(t, tab, 2, 2)/cell(t, tab, 0, 2) - 1; gain > 0.15 {
+		t.Errorf("batch 1: 4 cores raise throughput %.0f%% over 1, want at most 15%%", 100*gain)
+	}
+	if gain := cell(t, tab, 5, 2)/cell(t, tab, 4, 2) - 1; gain <= 0 || gain >= 0.15 {
+		t.Errorf("batch 10: 4 cores beat 2 by %.1f%%, want a gain under 15%%", 100*gain)
+	}
+	if cell(t, tab, 5, 4) <= cell(t, tab, 4, 4) {
+		t.Error("batch 10: 4 cores draw no more power than 2")
+	}
+}
+
+// TestFig09Shape: onefold joint tuning takes less tuning time and energy
+// than hierarchical two-tier tuning.
+func TestFig09Shape(t *testing.T) {
+	skipUnderRace(t)
+	tab, err := Fig09HierVsOnefold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows: onefold, hierarchical; columns 2, 3 = minutes, kJ.
+	if cell(t, tab, 0, 2) >= cell(t, tab, 1, 2) {
+		t.Errorf("onefold tunes for %s min, hierarchical %s", tab.Rows[0][2], tab.Rows[1][2])
+	}
+	if cell(t, tab, 0, 3) >= cell(t, tab, 1, 3) {
+		t.Errorf("onefold spends %s kJ tuning, hierarchical %s", tab.Rows[0][3], tab.Rows[1][3])
+	}
+}
+
 // TestFig10Shape: BOHB's last trials concentrate near the optimum more
 // than random and grid.
 func TestFig10Shape(t *testing.T) {
@@ -221,7 +262,18 @@ func TestFig14Shape(t *testing.T) {
 // ~20% bound.
 func TestFig15Shape(t *testing.T) {
 	skipUnderRace(t)
-	tp, en, err := Fig15Medians()
+	tab, err := Fig15EstimationError()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 2 {
+		t.Fatalf("figure 15 table has %d rows, want throughput and energy", len(tab.Rows))
+	}
+	tp, err := strconv.ParseFloat(tab.Rows[0][3], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := strconv.ParseFloat(tab.Rows[1][3], 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestEmpiricalRate(t *testing.T) {
 }
 
 func TestRecording(t *testing.T) {
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	in, err := NewInjector(Config{TrialNaN: 1}, 1, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestBrownoutFactorRange(t *testing.T) {
 }
 
 func TestNewClassesFire(t *testing.T) {
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	in, err := NewInjector(Config{OverloadBurst: 1, DeviceBrownout: 1}, 5, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestNewClassesFire(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	rec := counters.NewResilience()
+	rec := counters.NewResilienceOn(nil)
 	in, err := NewInjector(Config{TrialCrash: 0.5}, 3, rec)
 	if err != nil {
 		t.Fatal(err)

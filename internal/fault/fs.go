@@ -44,13 +44,6 @@ func (f *FS) Dead() bool {
 	return f.dead
 }
 
-// SlowFsyncs counts injected slow fsyncs (they succeed, slowly).
-func (f *FS) SlowFsyncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.slow
-}
-
 // nextOp returns the next attempt number, or an error when the disk
 // already crashed.
 func (f *FS) nextOp() (int, error) {

@@ -11,10 +11,8 @@ type ReLU struct {
 	out, dx tensor.Matrix // out doubles as the backward mask: > 0 where the input was
 }
 
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return NewReLUIn(nil) }
-
-// NewReLUIn is NewReLU with the layer's buffers taken from a.
+// NewReLUIn returns a ReLU activation layer, its buffers taken from a
+// (nil is the heap).
 func NewReLUIn(a *tensor.Arena) *ReLU {
 	r := take[ReLU](a)
 	r.out, r.dx = a.Buffer(), a.Buffer()
@@ -69,10 +67,8 @@ type Tanh struct {
 	out, dx tensor.Matrix // out is also what Backward differentiates through
 }
 
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return NewTanhIn(nil) }
-
-// NewTanhIn is NewTanh with the layer's buffers taken from a.
+// NewTanhIn returns a Tanh activation layer, its buffers taken from a
+// (nil is the heap).
 func NewTanhIn(a *tensor.Arena) *Tanh {
 	t := take[Tanh](a)
 	t.out, t.dx = a.Buffer(), a.Buffer()

@@ -16,9 +16,9 @@ func BenchmarkMiniBatchStep(b *testing.B) {
 	x, labels := blobs(32, rng)
 	var layers []Layer
 	for _, dims := range [][2]int{{2, 64}, {64, 64}, {64, 2}} {
-		layers = append(layers, NewDense(dims[0], dims[1], rng), NewReLU())
+		layers = append(layers, NewDenseIn(nil, dims[0], dims[1], rng), NewReLUIn(nil))
 	}
-	net, err := NewNetwork(layers[:len(layers)-1]...)
+	net, err := NewNetworkIn(nil, layers[:len(layers)-1]...)
 	if err != nil {
 		b.Fatal(err)
 	}

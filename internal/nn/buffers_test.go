@@ -42,12 +42,12 @@ func everyLayerNets(t *testing.T, seed uint64) []*Network {
 		t.Fatal(err)
 	}
 	stacks := [][]Layer{
-		{NewDense(5, 6, rng), NewLayerNorm(6), NewReLU(), NewResidual(6, rng), NewTanh(), NewDense(6, 3, rng)},
-		{emb, NewDense(6, 3, rng)},
+		{NewDenseIn(nil, 5, 6, rng), NewReLUIn(nil), NewResidualIn(nil, 6, rng), NewTanhIn(nil), NewDenseIn(nil, 6, 3, rng)},
+		{emb, NewDenseIn(nil, 6, 3, rng)},
 	}
 	nets := make([]*Network, len(stacks))
 	for i, ls := range stacks {
-		if nets[i], err = NewNetwork(ls...); err != nil {
+		if nets[i], err = NewNetworkIn(nil, ls...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestPairsDenseIsDense(t *testing.T) {
 	for i, first := range []func(*tensor.Arena, int, int, *sim.RNG) *Dense{NewDenseIn, NewPairsDenseIn} {
 		rng := sim.NewRNG(13)
 		var err error
-		if nets[i], err = NewNetwork(first(nil, in, 6, rng), NewTanh(), NewDense(6, 3, rng)); err != nil {
+		if nets[i], err = NewNetworkIn(nil, first(nil, in, 6, rng), NewTanhIn(nil), NewDenseIn(nil, 6, 3, rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestBackwardAfterInferenceForwardPanics(t *testing.T) {
 // TestDropoutMaskRewrittenEachForward: a dropped unit must block the
 // gradient even when the reused mask held a survivor there last time.
 func TestDropoutMaskRewrittenEachForward(t *testing.T) {
-	d, err := NewDropout(0.5, sim.NewRNG(4))
+	d, err := NewDropoutIn(nil, 0.5, sim.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,12 +268,12 @@ func TestPredictChunksMatchWholeMatrix(t *testing.T) {
 // a shrink-then-grow sequence, on every buffer-owning layer.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	rng := sim.NewRNG(7)
-	drop, err := NewDropout(0.3, rng.Split())
+	drop, err := NewDropoutIn(nil, 0.3, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
 	nets := everyLayerNets(t, 7)
-	withDrop, err := NewNetwork(NewDense(5, 6, rng), drop, NewDense(6, 3, rng))
+	withDrop, err := NewNetworkIn(nil, NewDenseIn(nil, 5, 6, rng), drop, NewDenseIn(nil, 6, 3, rng))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ type Dense struct {
 	in, out int
 	w, b    *Param
 	params  [2]*Param // w, b: what Params returns
-	// skipInputGrad is set by NewNetwork on the first layer, whose input
+	// skipInputGrad is set by NewNetworkIn on the first layer, whose input
 	// gradient nobody reads.
 	skipInputGrad bool
 	// pairs says the input rows are (k, value) pairs: set by
@@ -24,10 +24,8 @@ type Dense struct {
 	db        []float64
 }
 
-// NewDense creates a dense layer with He-normal initialised weights.
-func NewDense(in, out int, rng *sim.RNG) *Dense { return NewDenseIn(nil, in, out, rng) }
-
-// NewDenseIn is NewDense with the layer's storage taken from a.
+// NewDenseIn creates a dense layer with He-normal initialised weights,
+// its storage taken from a (nil is the heap).
 func NewDenseIn(a *tensor.Arena, in, out int, rng *sim.RNG) *Dense {
 	std := math.Sqrt(2 / float64(in))
 	d := take[Dense](a)

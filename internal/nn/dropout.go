@@ -18,10 +18,8 @@ type Dropout struct {
 	mask, out, dx tensor.Matrix
 }
 
-// NewDropout creates a dropout layer. Rate must be in [0, 1).
-func NewDropout(rate float64, rng *sim.RNG) (*Dropout, error) { return NewDropoutIn(nil, rate, rng) }
-
-// NewDropoutIn is NewDropout with the layer's buffers taken from a.
+// NewDropoutIn creates a dropout layer, its buffers taken from a (nil is
+// the heap). Rate must be in [0, 1).
 func NewDropoutIn(a *tensor.Arena, rate float64, rng *sim.RNG) (*Dropout, error) {
 	if rate < 0 || rate >= 1 {
 		return nil, fmt.Errorf("nn: dropout rate %v out of [0,1)", rate)

@@ -63,8 +63,8 @@ func TestEmbeddingGradientCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := NewDense(4, 2, rng)
-	net, err := NewNetwork(e, head)
+	head := NewDenseIn(nil, 4, 2, rng)
+	net, err := NewNetworkIn(nil, e, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEmbeddingTrainsBagTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork(emb, NewReLU(), NewDense(8, 2, rng))
+	net, err := NewNetworkIn(nil, emb, NewReLUIn(nil), NewDenseIn(nil, 8, 2, rng))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func (p *Param) Count() int { return len(p.W.Data) }
 // needs is cached by reference, so a layer never writes to its input
 // and a Forward in between invalidates the pending Backward. Backward
 // returns nil where no input gradient exists (token IDs) or nobody
-// reads it (see NewNetwork).
+// reads it (see NewNetworkIn).
 //
 // What Params returns is read-only: a layer may hand out a slice it
 // keeps, as Dense and Residual do, so that no call builds one.

@@ -7,7 +7,7 @@ import (
 )
 
 // Network is a sequential stack of layers with a softmax classification
-// head. The zero value is not usable; construct with NewNetwork.
+// head. The zero value is not usable; construct with NewNetworkIn.
 //
 // A Network is single-goroutine: its layers own the activation and
 // gradient buffers they return and reuse them on every call, so the
@@ -29,14 +29,12 @@ type Network struct {
 	trained bool
 }
 
-// NewNetwork builds a sequential network from layers. At least one layer
-// is required. A Dense first layer is told to skip its input gradient:
-// Backward discards it, and it is the widest product of the step.
-func NewNetwork(layers ...Layer) (*Network, error) { return NewNetworkIn(nil, layers...) }
-
-// NewNetworkIn is NewNetwork with the network itself, its copy of
-// layers, its buffers, and the optimiser state, batch and sample order
-// of a Train on it, taken from a — the arena its layers were built in.
+// NewNetworkIn builds a sequential network from layers. At least one
+// layer is required. A Dense first layer is told to skip its input
+// gradient: Backward discards it, and it is the widest product of the
+// step. The network itself, its copy of layers, its buffers, and the
+// optimiser state, batch and sample order of a Train on it come from a —
+// the arena its layers were built in (nil is the heap).
 func NewNetworkIn(a *tensor.Arena, layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("nn: network needs at least one layer")
@@ -111,8 +109,9 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// ParamCount returns the total number of scalar parameters, used by the
-// performance model for memory accounting.
+// ParamCount returns the total number of scalar parameters. The
+// performance model does not use it: it costs a trial at the paper's
+// parameter count, Workload.PaperCost's.
 func (n *Network) ParamCount() int {
 	var c int
 	for _, p := range n.params {

@@ -36,12 +36,12 @@ func mlp(t *testing.T, rng *sim.RNG, dims ...int) *Network {
 	t.Helper()
 	var layers []Layer
 	for i := 0; i+1 < len(dims); i++ {
-		layers = append(layers, NewDense(dims[i], dims[i+1], rng))
+		layers = append(layers, NewDenseIn(nil, dims[i], dims[i+1], rng))
 		if i+2 < len(dims) {
-			layers = append(layers, NewReLU())
+			layers = append(layers, NewReLUIn(nil))
 		}
 	}
-	net, err := NewNetwork(layers...)
+	net, err := NewNetworkIn(nil, layers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func mlp(t *testing.T, rng *sim.RNG, dims ...int) *Network {
 }
 
 func TestNewNetworkRequiresLayers(t *testing.T) {
-	if _, err := NewNetwork(); err == nil {
+	if _, err := NewNetworkIn(nil); err == nil {
 		t.Error("empty network did not error")
 	}
 }
@@ -204,9 +204,9 @@ func TestDenseGradientCheck(t *testing.T) {
 
 func TestResidualGradientCheck(t *testing.T) {
 	rng := sim.NewRNG(13)
-	res := NewResidual(4, rng)
-	head := NewDense(4, 2, rng)
-	net, err := NewNetwork(res, head)
+	res := NewResidualIn(nil, 4, rng)
+	head := NewDenseIn(nil, 4, 2, rng)
+	net, err := NewNetworkIn(nil, res, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestResidualGradientCheck(t *testing.T) {
 
 func TestDropout(t *testing.T) {
 	rng := sim.NewRNG(17)
-	d, err := NewDropout(0.5, rng)
+	d, err := NewDropoutIn(nil, 0.5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestDropout(t *testing.T) {
 func TestDropoutRateValidation(t *testing.T) {
 	rng := sim.NewRNG(1)
 	for _, rate := range []float64{-0.1, 1, 1.5} {
-		if _, err := NewDropout(rate, rng); err == nil {
+		if _, err := NewDropoutIn(nil, rate, rng); err == nil {
 			t.Errorf("rate %v did not error", rate)
 		}
 	}
@@ -302,7 +302,7 @@ func TestFLOPsAndParamCount(t *testing.T) {
 	if got := net.FLOPsPerSample(); got != 600 {
 		t.Errorf("FLOPsPerSample = %v, want 600", got)
 	}
-	res := NewResidual(8, rng)
+	res := NewResidualIn(nil, 8, rng)
 	if got := res.FLOPsPerSample(); got != 2*2*8*8 {
 		t.Errorf("residual FLOPs = %v, want %v", got, 2*2*8*8)
 	}
@@ -310,7 +310,7 @@ func TestFLOPsAndParamCount(t *testing.T) {
 
 func TestTanhBackward(t *testing.T) {
 	rng := sim.NewRNG(23)
-	tanh := NewTanh()
+	tanh := NewTanhIn(nil)
 	x := tensor.Randn(2, 3, 1, rng)
 	out := tanh.Forward(x, true)
 	for i, v := range out.Data {
@@ -333,7 +333,7 @@ func TestTanhBackward(t *testing.T) {
 
 func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	rng := sim.NewRNG(29)
-	d := NewDense(4, 4, rng)
+	d := NewDenseIn(nil, 4, 4, rng)
 	before := d.Params()[0].W.FrobeniusNorm()
 	opt, err := NewSGD(0.1, 0, 0.5)
 	if err != nil {
@@ -376,7 +376,7 @@ func TestReLUBitEqualsTheBranch(t *testing.T) {
 	same := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 	}
-	r := NewReLU()
+	r := NewReLUIn(nil)
 	out, dx := r.Forward(x, true), r.Backward(g)
 	for i, v := range x.Data {
 		wantOut, wantDx := 0.0, g.Data[i]*0

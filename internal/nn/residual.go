@@ -17,12 +17,10 @@ type Residual struct {
 	params [4]*Param // d1's, then d2's: what Params returns
 }
 
-// NewResidual creates a residual block of width dim. The second dense
-// layer is initialised near zero (the "zero-gamma" trick) so that deep
-// stacks start close to the identity and train stably.
-func NewResidual(dim int, rng *sim.RNG) *Residual { return NewResidualIn(nil, dim, rng) }
-
-// NewResidualIn is NewResidual with the block's storage taken from a.
+// NewResidualIn creates a residual block of width dim, its storage taken
+// from a (nil is the heap). The second dense layer is initialised near
+// zero (the "zero-gamma" trick) so that deep stacks start close to the
+// identity and train stably.
 func NewResidualIn(a *tensor.Arena, dim int, rng *sim.RNG) *Residual {
 	d2 := NewDenseIn(a, dim, dim, rng)
 	d2.w.W.Scale(0.1)

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -83,109 +82,5 @@ func TestSaveLoadJSON(t *testing.T) {
 	}
 	if err := fresh.Load(strings.NewReader("{broken")); err == nil {
 		t.Error("corrupt JSON accepted")
-	}
-}
-
-func TestLayerNormForward(t *testing.T) {
-	ln := NewLayerNorm(4)
-	x, _ := tensor.FromSlice(2, 4, []float64{1, 2, 3, 4, -10, 0, 10, 20})
-	out := ln.Forward(x, false)
-	for i := 0; i < out.Rows; i++ {
-		var mean, variance float64
-		for _, v := range out.Row(i) {
-			mean += v
-		}
-		mean /= 4
-		for _, v := range out.Row(i) {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= 4
-		if math.Abs(mean) > 1e-9 {
-			t.Errorf("row %d mean = %v, want 0 (identity affine)", i, mean)
-		}
-		if math.Abs(variance-1) > 1e-3 {
-			t.Errorf("row %d variance = %v, want ~1", i, variance)
-		}
-	}
-}
-
-func TestLayerNormGradientCheck(t *testing.T) {
-	rng := sim.NewRNG(11)
-	net, err := NewNetwork(
-		NewDense(3, 4, rng),
-		NewLayerNorm(4),
-		NewReLU(),
-		NewDense(4, 2, rng),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(5, 3, 1, rng)
-	labels := []int{0, 1, 0, 1, 1}
-
-	lossAt := func() float64 {
-		logits := net.Forward(x, false)
-		loss, _, err := SoftmaxCrossEntropy(logits, labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loss
-	}
-	net.ZeroGrad()
-	logits := net.Forward(x, true)
-	_, grad, err := SoftmaxCrossEntropy(logits, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Backward(grad)
-
-	const eps = 1e-5
-	for pi, p := range net.Params() {
-		for _, i := range []int{0, len(p.W.Data) / 2, len(p.W.Data) - 1} {
-			orig := p.W.Data[i]
-			p.W.Data[i] = orig + eps
-			lp := lossAt()
-			p.W.Data[i] = orig - eps
-			lm := lossAt()
-			p.W.Data[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if math.Abs(numeric-p.Grad.Data[i]) > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("param %d idx %d: numeric %v vs analytic %v", pi, i, numeric, p.Grad.Data[i])
-			}
-		}
-	}
-}
-
-func TestLayerNormTrains(t *testing.T) {
-	rng := sim.NewRNG(13)
-	x, labels := blobs(200, rng)
-	net, err := NewNetwork(
-		NewDense(2, 8, rng),
-		NewLayerNorm(8),
-		NewReLU(),
-		NewDense(8, 2, rng),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Train(net, x, labels, TrainConfig{Epochs: 10, BatchSize: 16, LR: 0.1, Momentum: 0.9, Shuffle: true}, rng); err != nil {
-		t.Fatal(err)
-	}
-	if acc := net.Accuracy(x, labels); acc < 0.95 {
-		t.Errorf("layernorm network accuracy %.3f, want >= 0.95", acc)
-	}
-}
-
-func TestLayerNormMetadata(t *testing.T) {
-	ln := NewLayerNorm(16)
-	if got := ln.OutDim(16); got != 16 {
-		t.Errorf("OutDim = %d", got)
-	}
-	if got := ln.FLOPsPerSample(); got != 80 {
-		t.Errorf("FLOPs = %v, want 80", got)
-	}
-	if len(ln.Params()) != 2 {
-		t.Error("layernorm should expose gamma and beta")
 	}
 }

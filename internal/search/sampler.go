@@ -327,13 +327,6 @@ func (t *TPESampler) RestoreSamplerState(s SamplerState) {
 	t.rng.SetState(s.RNG)
 }
 
-// ObservationCount reports how many results the model has absorbed.
-func (t *TPESampler) ObservationCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.scores)
-}
-
 // Sample proposes the next configuration in a fresh map.
 func (t *TPESampler) Sample() Config {
 	cfg := make(Config, t.space.Dim())

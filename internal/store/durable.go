@@ -456,19 +456,6 @@ func (d *Durable) compactLocked() error {
 	return nil
 }
 
-// Compact folds the WAL into a fresh snapshot now.
-func (d *Durable) Compact() error {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	if d.failed != nil {
-		return d.failed
-	}
-	if d.closed {
-		return ErrDurableClosed
-	}
-	return d.compactLocked()
-}
-
 // Close compacts one last time and closes the log. Idempotent. Even
 // when compaction fails (the disk died), every acknowledged mutation
 // is still in the WAL, so the next OpenDurable loses nothing.

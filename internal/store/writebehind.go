@@ -154,8 +154,8 @@ func (w *WriteBehind) PutOwned(e Entry) error {
 	if w.syncMode {
 		// Inline flush, on the caller's goroutine. The error handling
 		// matches the background flusher exactly: a failure is counted,
-		// re-queued, and surfaced via LastFlushErr — not returned — so
-		// the two modes differ only in scheduling, never in outcome.
+		// re-queued, and kept in lastErr — not returned — so the two
+		// modes differ only in scheduling, never in outcome.
 		w.Flush()
 		return nil
 	}
@@ -195,13 +195,6 @@ func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 	}
 	w.mu.Unlock()
 	return w.st.get(signature, dev)
-}
-
-// Pending reports how many buffered entries await persistence.
-func (w *WriteBehind) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.pending)
 }
 
 // Flush synchronously drains every buffered entry into the store, in
@@ -253,15 +246,6 @@ func (w *WriteBehind) Flush() error {
 	clear(entries)
 	w.spareOrder, w.spareEntries = keys[:0], entries[:0]
 	return nil
-}
-
-// LastFlushErr reports the most recent flush failure, or nil after a
-// flush that drained cleanly — how callers observe background-flusher
-// failures between explicit flushes.
-func (w *WriteBehind) LastFlushErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastErr
 }
 
 // requeue puts entries a failed flush could not persist back at the
