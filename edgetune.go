@@ -158,11 +158,9 @@ type Job struct {
 	// the target device are added under saturation or capacity loss
 	// (each charging a warm-up cost to the tuning budget), retired again
 	// with hysteresis when load recedes, and when scaling out is not
-	// enough the degradation ladder steps down — shed-background,
-	// no-hedging, critical-only — and back out as the burn rate
-	// recovers. The server has one class of traffic, so of those rungs
-	// only no-hedging changes how it serves: it turns hedging off. The
-	// run's control-loop summary lands in Report.Autoscale.
+	// enough the degradation ladder switches hedging off (no-hedging)
+	// and back on as the burn rate recovers. The run's control-loop
+	// summary lands in Report.Autoscale.
 	Autoscale bool
 	// AutoscaleMin and AutoscaleMax bound the replica count (defaults 1
 	// and 4). Only meaningful with Autoscale.
@@ -413,8 +411,9 @@ type ProfileProbe struct {
 }
 
 // AutoscaleReport summarises the autoscaler's run: how often it
-// scaled, how deep the graceful-degradation ladder went, the warm-up
-// bill, and the deterministic digest of the decision stream. Stalled
+// scaled, whether the graceful-degradation ladder switched hedging
+// off, the warm-up bill, and the deterministic digest of the decision
+// stream. Stalled
 // scale-ups (the ScaleStall fault class) appear in the
 // "autoscale.stalls" counter of Report.Metrics.
 type AutoscaleReport struct {
@@ -426,8 +425,8 @@ type AutoscaleReport struct {
 	ScaleUps   int
 	ScaleDowns int
 	// DegradeSteps and RecoverSteps count degradation-ladder
-	// transitions. Modes are "normal", "shed-background", "no-hedging",
-	// and "critical-only".
+	// transitions, which alternate starting with a degrade. Modes are
+	// "normal" (hedging on) and "no-hedging".
 	DegradeSteps int
 	RecoverSteps int
 	DeepestMode  string

@@ -24,23 +24,16 @@ import (
 	"time"
 )
 
-// Mode is a rung on the graceful-degradation ladder. Modes are
-// cumulative: each deeper rung keeps every restriction of the rungs
-// above it.
+// Mode is the position of the graceful-degradation switch: the one
+// thing the ladder changes about serving is whether hedging is on.
 type Mode int
 
 const (
 	// ModeNormal serves all traffic with hedging enabled.
 	ModeNormal Mode = iota
-	// ModeShedBackground is the rung that would shed background
-	// traffic; the inference server has none, so it restricts nothing.
-	ModeShedBackground
-	// ModeNoHedging additionally disables hedged requests, halving
-	// worst-case device load per request.
+	// ModeNoHedging disables hedged requests, halving worst-case
+	// device load per request.
 	ModeNoHedging
-	// ModeCriticalOnly is the rung that would evict queued background
-	// work; like ModeShedBackground it adds no restriction of its own.
-	ModeCriticalOnly
 )
 
 // String returns the stable, kebab-case name used in traces, reasons
@@ -49,12 +42,8 @@ func (m Mode) String() string {
 	switch m {
 	case ModeNormal:
 		return "normal"
-	case ModeShedBackground:
-		return "shed-background"
 	case ModeNoHedging:
 		return "no-hedging"
-	case ModeCriticalOnly:
-		return "critical-only"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -80,7 +69,7 @@ const CapacityTarget float64 = 0.95
 // rate at or above burnHot (the standing page-worthy threshold), at or
 // below burnCalm (burning no faster than budget). The burn rate covers
 // the last burnWindow submissions. Each scale-down or ladder release
-// waits for hysteresisTicks consecutive calm ticks, each ladder step
+// waits for hysteresisTicks consecutive calm ticks, the ladder step
 // for ladderAfterTicks consecutive hot ticks at Max. An added replica
 // is not routable until warmupTime of simulated time has passed, and
 // bills warmupEnergyJ joules to the run: the edge platform's replica
@@ -137,7 +126,10 @@ type Decision struct {
 	WarmupEnergyJ float64
 }
 
-// Report is a summary snapshot of a controller's run.
+// Report is a summary snapshot of a controller's run. The ladder only
+// switches between its two modes, so degrades and recovers alternate
+// starting with a degrade: DegradeSteps − RecoverSteps is the final
+// mode, and DeepestMode is ModeNoHedging exactly when DegradeSteps > 0.
 type Report struct {
 	Ticks         int64
 	Decisions     int
@@ -151,11 +143,6 @@ type Report struct {
 	WarmupTime    time.Duration
 	WarmupEnergyJ float64
 	Digest        uint64
-	// ModePath is the destination rung of every ladder transition in
-	// order — the evidence the chaos fuzzer's monotonicity invariant
-	// checks: engage and recover both move exactly one rung at a time,
-	// starting from ModeNormal. Empty when the ladder never moved.
-	ModePath []Mode
 }
 
 // Controller is the autoscaling state machine. All methods are safe
@@ -181,8 +168,6 @@ type Controller struct {
 
 	scaleUps, scaleDowns int
 	degrades, recovers   int
-	deepest              Mode
-	modePath             []Mode
 	warmTime             time.Duration
 	warmEnergy           float64
 }
@@ -263,11 +248,9 @@ func (c *Controller) Evaluate(sig Signals) (Decision, bool) {
 			})
 			return d, true
 		}
-		if c.hot >= ladderAfterTicks && c.mode < ModeCriticalOnly {
-			c.mode++
-			c.hot = 0
+		if c.hot >= ladderAfterTicks && c.mode == ModeNormal {
+			c.mode = ModeNoHedging
 			c.degrades++
-			c.modePath = append(c.modePath, c.mode)
 			d := c.emit(Decision{
 				At:       sig.At,
 				Replicas: sig.Replicas,
@@ -280,11 +263,10 @@ func (c *Controller) Evaluate(sig Signals) (Decision, bool) {
 		c.hot = 0
 		c.calm++
 		if c.calm >= hysteresisTicks {
-			if c.mode > ModeNormal {
-				c.mode--
+			if c.mode == ModeNoHedging {
+				c.mode = ModeNormal
 				c.calm = 0
 				c.recovers++
-				c.modePath = append(c.modePath, c.mode)
 				d := c.emit(Decision{
 					At:       sig.At,
 					Replicas: sig.Replicas,
@@ -353,13 +335,10 @@ func (c *Controller) emit(d Decision) Decision {
 	case d.Delta < 0:
 		c.scaleDowns++
 	}
-	if d.Mode > c.deepest {
-		c.deepest = d.Mode
-	}
 	return d
 }
 
-// Mode returns the current degradation-ladder rung.
+// Mode returns the current degradation mode.
 func (c *Controller) Mode() Mode {
 	if c == nil {
 		return ModeNormal
@@ -387,6 +366,10 @@ func (c *Controller) Report() Report {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	deepest := ModeNormal
+	if c.degrades > 0 {
+		deepest = ModeNoHedging
+	}
 	return Report{
 		Ticks:         c.tick,
 		Decisions:     c.decisions,
@@ -394,13 +377,12 @@ func (c *Controller) Report() Report {
 		ScaleDowns:    c.scaleDowns,
 		DegradeSteps:  c.degrades,
 		RecoverSteps:  c.recovers,
-		DeepestMode:   c.deepest,
+		DeepestMode:   deepest,
 		FinalMode:     c.mode,
 		FinalReplicas: c.lastReplicas,
 		WarmupTime:    c.warmTime,
 		WarmupEnergyJ: c.warmEnergy,
 		Digest:        c.digest,
-		ModePath:      append([]Mode(nil), c.modePath...),
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // testConfig bounds the pool at three replicas, so a hot drive reaches
-// Max in two scale-ups and then walks the ladder.
+// Max in two scale-ups and then steps the ladder.
 func testConfig() Config {
 	return Config{Min: 1, Max: 3}
 }
@@ -63,22 +63,22 @@ func TestScaleUpThenLadder(t *testing.T) {
 		replicas += d.Delta
 	}
 	// Ticks 1,2 scale up to Max=3; the hot streak they start steps the
-	// ladder at tick 4, then every fourth hot tick steps it a rung
-	// deeper until critical-only (tick 12).
-	wantDeltas := []int{1, 1, 0, 0, 0}
-	wantModes := []Mode{ModeNormal, ModeNormal, ModeShedBackground, ModeNoHedging, ModeCriticalOnly}
+	// ladder to no-hedging at tick 4, and the twelve hot ticks after it
+	// find nothing deeper to switch off.
+	wantDeltas := []int{1, 1, 0}
+	wantModes := []Mode{ModeNormal, ModeNormal, ModeNoHedging}
 	if !reflect.DeepEqual(deltas, wantDeltas) {
 		t.Errorf("deltas = %v, want %v", deltas, wantDeltas)
 	}
 	if !reflect.DeepEqual(modes, wantModes) {
 		t.Errorf("modes = %v, want %v", modes, wantModes)
 	}
-	if got := ctl.Mode(); got != ModeCriticalOnly {
-		t.Errorf("final mode = %v, want critical-only", got)
+	if got := ctl.Mode(); got != ModeNoHedging {
+		t.Errorf("final mode = %v, want no-hedging", got)
 	}
 	rep := ctl.Report()
-	if rep.ScaleUps != 2 || rep.DegradeSteps != 3 || rep.DeepestMode != ModeCriticalOnly {
-		t.Errorf("report = %+v, want 2 scale-ups, 3 degrade steps, deepest critical-only", rep)
+	if rep.ScaleUps != 2 || rep.DegradeSteps != 1 || rep.DeepestMode != ModeNoHedging {
+		t.Errorf("report = %+v, want 2 scale-ups, 1 degrade step, deepest no-hedging", rep)
 	}
 	if rep.WarmupTime != time.Minute || rep.WarmupEnergyJ != 300 {
 		t.Errorf("warm-up charges = %v / %v J, want 1m / 300 J (30s / 150 J per replica)", rep.WarmupTime, rep.WarmupEnergyJ)
@@ -97,19 +97,19 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 		s.At = at
 		return ctl.Evaluate(s)
 	}
-	// Drive to max replicas + critical-only.
+	// Drive to max replicas + no-hedging.
 	for i := 0; i < 12; i++ {
 		if d, ok := tick(hotSignals(0, replicas)); ok {
 			replicas += d.Delta
 		}
 	}
-	if ctl.Mode() != ModeCriticalOnly || replicas != 3 {
-		t.Fatalf("setup: mode %v replicas %d, want critical-only/3", ctl.Mode(), replicas)
+	if ctl.Mode() != ModeNoHedging || replicas != 3 {
+		t.Fatalf("setup: mode %v replicas %d, want no-hedging/3", ctl.Mode(), replicas)
 	}
 	// Calm ticks: the 32-tick burn window still holds the 12 bad events,
 	// so the first calm ticks are merely "not hot" until all but one
-	// have left it (31 ticks); then each 8-tick calm streak releases one
-	// rung, then scales down.
+	// have left it (31 ticks); then the first 8-tick calm streak turns
+	// hedging back on and each later one scales down.
 	var trail []string
 	for i := 0; i < 80; i++ {
 		if d, ok := tick(calmSignals(0, replicas)); ok {
@@ -118,8 +118,6 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 		}
 	}
 	want := []string{
-		"recover:no-hedging",
-		"recover:shed-background",
 		"recover:normal",
 		"scale-down:idle",
 		"scale-down:idle",
@@ -131,8 +129,8 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 		t.Errorf("final state %d replicas mode %v, want 1/normal", replicas, ctl.Mode())
 	}
 	rep := ctl.Report()
-	if rep.RecoverSteps != 3 || rep.ScaleDowns != 2 || rep.FinalMode != ModeNormal {
-		t.Errorf("report = %+v, want 3 recover steps, 2 scale-downs, final normal", rep)
+	if rep.RecoverSteps != 1 || rep.ScaleDowns != 2 || rep.FinalMode != ModeNormal {
+		t.Errorf("report = %+v, want 1 recover step, 2 scale-downs, final normal", rep)
 	}
 }
 
@@ -253,11 +251,10 @@ func TestNilControllerIsSafe(t *testing.T) {
 
 func TestModeString(t *testing.T) {
 	want := map[Mode]string{
-		ModeNormal:         "normal",
-		ModeShedBackground: "shed-background",
-		ModeNoHedging:      "no-hedging",
-		ModeCriticalOnly:   "critical-only",
-		Mode(9):            "mode(9)",
+		ModeNormal:    "normal",
+		ModeNoHedging: "no-hedging",
+		Mode(2):       "mode(2)",
+		Mode(9):       "mode(9)",
 	}
 	for m, s := range want {
 		if m.String() != s {

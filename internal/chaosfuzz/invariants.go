@@ -160,49 +160,28 @@ func checkBudgetConservation(ev Evidence) []Violation {
 	return out
 }
 
-// checkLadderMonotonicity asserts the degradation ladder never skips a
-// rung: every transition in the mode path moves exactly one step from
-// its predecessor (starting at normal), the reported step counters
-// match the path, and the deepest mode is the path's maximum.
+// checkLadderMonotonicity asserts the degradation ladder only ever
+// flips its one switch: degrades and recovers alternate starting with a
+// degrade, so the step counters differ by 0 or 1, that difference is
+// the final mode, and the deepest mode is no-hedging exactly when the
+// ladder ever stepped.
 func checkLadderMonotonicity(ev Evidence) []Violation {
 	a := ev.First.Result.Autoscale
 	if a == nil {
 		return nil
 	}
 	var out []Violation
-	prev := autoscale.ModeNormal
-	deepest := autoscale.ModeNormal
-	degrades, recovers := 0, 0
-	for i, m := range a.ModePath {
-		switch m {
-		case prev + 1:
-			degrades++
-		case prev - 1:
-			recovers++
-		default:
-			out = append(out, Violation{
-				Invariant: "ladder-monotonicity",
-				Detail: fmt.Sprintf("transition %d jumped %s -> %s (must move one rung at a time)",
-					i, prev, m),
-			})
-		}
-		if m > deepest {
-			deepest = m
-		}
-		prev = m
+	flag := func(format string, args ...any) {
+		out = append(out, Violation{Invariant: "ladder-monotonicity", Detail: fmt.Sprintf(format, args...)})
 	}
-	if a.DegradeSteps != degrades || a.RecoverSteps != recovers {
-		out = append(out, Violation{
-			Invariant: "ladder-monotonicity",
-			Detail: fmt.Sprintf("step counters (%d degrade, %d recover) disagree with mode path (%d, %d)",
-				a.DegradeSteps, a.RecoverSteps, degrades, recovers),
-		})
+	switch open := a.DegradeSteps - a.RecoverSteps; {
+	case open != 0 && open != 1:
+		flag("step counters (%d degrade, %d recover) differ by %d (must alternate)", a.DegradeSteps, a.RecoverSteps, open)
+	case a.FinalMode != autoscale.Mode(open):
+		flag("final mode %s disagrees with step counters (%d degrade, %d recover)", a.FinalMode, a.DegradeSteps, a.RecoverSteps)
 	}
-	if len(a.ModePath) > 0 && a.DeepestMode != deepest {
-		out = append(out, Violation{
-			Invariant: "ladder-monotonicity",
-			Detail:    fmt.Sprintf("reported deepest mode %s != path maximum %s", a.DeepestMode, deepest),
-		})
+	if (a.DeepestMode == autoscale.ModeNoHedging) != (a.DegradeSteps > 0) {
+		flag("deepest mode %s after %d degrade steps", a.DeepestMode, a.DegradeSteps)
 	}
 	return out
 }

@@ -382,7 +382,7 @@ func writeResult(h interface{ Write([]byte) (int, error) }, res *core.Result) {
 		fmt.Fprintf(h, "slo=%s/%d/%d;", obj.Name, obj.Events, obj.Errors)
 	}
 	if a := res.Autoscale; a != nil {
-		fmt.Fprintf(h, "as=%d/%d/%d/%d/%016x;", a.Ticks, a.ScaleUps, a.ScaleDowns, len(a.ModePath), a.Digest)
+		fmt.Fprintf(h, "as=%d/%d/%d/%d/%016x;", a.Ticks, a.ScaleUps, a.ScaleDowns, a.DegradeSteps+a.RecoverSteps, a.Digest)
 	}
 	for _, d := range res.Incidents {
 		fmt.Fprintf(h, "inc=%s/%d/%s;", d.Trigger.Kind, d.Trigger.Seq, d.Digest)

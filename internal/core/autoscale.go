@@ -30,7 +30,6 @@ type scaler struct {
 
 	massFailed bool // MassDeviceFail fires at most once per run
 	replicaSeq int  // names autoscaled replicas <base>-as<N>
-	lastMode   autoscale.Mode
 
 	// Registry instruments (nil when metrics are off).
 	gReplicas *obs.Gauge
@@ -68,14 +67,11 @@ func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, err
 	return sc, nil
 }
 
-// degradeMode reports the degradation ladder's current rung (always
-// ModeNormal without an autoscaler). Reads go through the controller's
-// own lock.
-func (s *InferenceServer) degradeMode() autoscale.Mode {
-	if s.scale == nil {
-		return autoscale.ModeNormal
-	}
-	return s.scale.ctl.Mode()
+// hedgingOff reports whether the degradation ladder has switched
+// hedging off (never without an autoscaler). Reads go through the
+// controller's own lock.
+func (s *InferenceServer) hedgingOff() bool {
+	return s.scale != nil && s.scale.ctl.Mode() == autoscale.ModeNoHedging
 }
 
 // AutoscaleReport snapshots the autoscaler's run totals, or nil when
@@ -176,23 +172,18 @@ func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Durat
 		if _, ok := s.pool.retireNewest(); ok {
 			sc.cDowns.Inc()
 		}
+	case d.Mode == autoscale.ModeNoHedging:
+		// Pure ladder step: hedging switches off. Every step is an
+		// engagement — the run left normal service — and so an
+		// incident trigger.
+		sc.cDegrade.Inc()
+		s.opts.Flight.Record(at, flight.KindLadder, "degrade", d.Mode.String(), int64(autoscale.ModeNormal), int64(d.Mode))
+		s.opts.Flight.Trigger(flight.TriggerLadder, at, d.Mode.String())
 	default:
-		// Pure ladder transition.
-		if d.Mode > sc.lastMode {
-			sc.cDegrade.Inc()
-			s.opts.Flight.Record(at, flight.KindLadder, "degrade", d.Mode.String(), int64(sc.lastMode), int64(d.Mode))
-			if sc.lastMode == autoscale.ModeNormal {
-				// Ladder engagement — the run left normal service — is
-				// an incident trigger; deeper steps only extend the
-				// timeline already being dossiered.
-				s.opts.Flight.Trigger(flight.TriggerLadder, at, d.Mode.String())
-			}
-		} else if d.Mode < sc.lastMode {
-			sc.cRecover.Inc()
-			s.opts.Flight.Record(at, flight.KindLadder, "recover", d.Mode.String(), int64(sc.lastMode), int64(d.Mode))
-		}
+		// Pure ladder release: hedging is back on.
+		sc.cRecover.Inc()
+		s.opts.Flight.Record(at, flight.KindLadder, "recover", d.Mode.String(), int64(autoscale.ModeNoHedging), int64(d.Mode))
 	}
-	sc.lastMode = d.Mode
 
 	if t := s.opts.Trace; t != nil {
 		sp := t.Root(obs.TrackAutoscale, "scale-event", uint64(d.Tick), at,

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/fault"
 	"edgetune/internal/obs"
 	"edgetune/internal/perfmodel"
@@ -68,10 +67,10 @@ func (s *InferenceServer) runHedged(req InferRequest, primary route, sp *obs.Spa
 	// Injected device faults are worth re-issuing elsewhere; caller
 	// cancellations and deadline expiries are not.
 	failed := fault.IsFault(r1.err)
-	if len(s.pool.devs) < 2 || (!straggled && !failed) {
+	if !straggled && !failed {
 		return out
 	}
-	if s.degradeMode() >= autoscale.ModeNoHedging {
+	if s.hedgingOff() {
 		// The degradation ladder has switched hedging off: worst-case
 		// device load per request matters more than tail latency now.
 		return out

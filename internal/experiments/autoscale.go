@@ -121,7 +121,7 @@ func BenchmarkAutoscaleDecision() (Table, error) {
 		}
 		t.Notes = []string{
 			"steady traffic emits zero decisions; hysteresis holds thrash-guard to single-digit decisions over 250k alternating ticks",
-			"every outage and every surge peak walks the ladder to critical-only and releases all rungs on recovery",
+			"every outage and every surge peak switches hedging off (no-hedging) and back on once load recedes",
 		}
 		return t, nil
 	})

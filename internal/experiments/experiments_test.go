@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,6 +83,36 @@ func TestFig02Shape(t *testing.T) {
 	}
 }
 
+// TestFig03Shape: batch 1024 trains slower and costs more energy than
+// 256 and 512, which train in about the same time at different energy
+// (Fig 3a: 23.4 / 23.4 / 49.0 min, 222.9 / 252.1 / 528.9 kJ); inference
+// batch 10 beats 1 and 100 on throughput and J/img (Fig 3b: 24.3 / 48.9
+// / 18.2 img/s at 0.374 / 0.232 / 0.471 J/img).
+func TestFig03Shape(t *testing.T) {
+	tab, err := Fig03TrainingHyper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows: train 256, 512, 1024, then infer 1, 10, 100; column 2 =
+	// minutes / img/s, column 3 = kJ / J/img.
+	for r := 0; r < 2; r++ {
+		if cell(t, tab, 2, 2) <= cell(t, tab, r, 2) || cell(t, tab, 2, 3) <= cell(t, tab, r, 3) {
+			t.Errorf("batch 1024 (%v) not slower and costlier than batch %s (%v)", tab.Rows[2], tab.Rows[r][1], tab.Rows[r])
+		}
+	}
+	if d := cell(t, tab, 1, 2)/cell(t, tab, 0, 2) - 1; math.Abs(d) > 0.05 {
+		t.Errorf("batch 512 trains %.1f%% off batch 256's runtime, want within 5%%", 100*d)
+	}
+	if cell(t, tab, 1, 3) == cell(t, tab, 0, 3) {
+		t.Errorf("batches 256 and 512 cost the same %s kJ", tab.Rows[0][3])
+	}
+	for _, r := range []int{3, 5} {
+		if cell(t, tab, 4, 2) <= cell(t, tab, r, 2) || cell(t, tab, 4, 3) >= cell(t, tab, r, 3) {
+			t.Errorf("inference batch 10 (%v) does not beat batch %s (%v) on throughput and J/img", tab.Rows[4], tab.Rows[r][1], tab.Rows[r])
+		}
+	}
+}
+
 // TestFig04Shape: at batch 32, 8 GPUs are ~2.2x slower than 1; at batch
 // 1024 they are faster but energy grows.
 func TestFig04Shape(t *testing.T) {
@@ -155,6 +188,33 @@ func TestFig10Shape(t *testing.T) {
 	bohb := cell(t, tab, 2, 2)
 	if bohb >= cell(t, tab, 0, 2) || bohb >= cell(t, tab, 1, 2) {
 		t.Errorf("BOHB tail objective %.3f not below grid/random", bohb)
+	}
+}
+
+// TestFig11Shape replays §4.3's worked example exactly: at iteration k
+// the epoch budget trains min(2k, 10) epochs on all the data, the
+// dataset budget one epoch on 10k% of it, and multi-budget grows both at
+// once: 2 x 10%, 4 x 20% … 10 x 50%, then 10 x 60% … 10 x 100%.
+func TestFig11Shape(t *testing.T) {
+	tab, err := Fig11BudgetFlow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 10 {
+		t.Fatalf("want 10 iterations, got %d", len(tab.Rows))
+	}
+	for i, row := range tab.Rows {
+		k := i + 1
+		epochs, pct := min(2*k, 10), 10*k
+		want := []string{
+			fmt.Sprint(k),
+			fmt.Sprintf("%d x 100%%", epochs),
+			fmt.Sprintf("1 x %d%%", pct),
+			fmt.Sprintf("%d x %d%%", epochs, pct),
+		}
+		if !reflect.DeepEqual(row, want) {
+			t.Errorf("iteration %d = %v, want %v", k, row, want)
+		}
 	}
 }
 
@@ -402,8 +462,8 @@ func TestBenchmarkAutoscaleDecisionShape(t *testing.T) {
 		if row[5] != row[6] {
 			t.Errorf("%s: degrades %s != recovers %s", row[0], row[5], row[6])
 		}
-		if row[7] != "critical-only" {
-			t.Errorf("%s: never reached critical-only: %v", row[0], row)
+		if row[7] != "no-hedging" {
+			t.Errorf("%s: never switched hedging off: %v", row[0], row)
 		}
 	}
 	if guard := cell(t, tab, 3, 2); guard > 10 {

@@ -109,17 +109,6 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// ParamCount returns the total number of scalar parameters. The
-// performance model does not use it: it costs a trial at the paper's
-// parameter count, Workload.PaperCost's.
-func (n *Network) ParamCount() int {
-	var c int
-	for _, p := range n.params {
-		c += p.Count()
-	}
-	return c
-}
-
 // FLOPsPerSample returns the forward-pass FLOPs of the whole network for
 // a single sample. The performance model charges backward passes at 2x.
 func (n *Network) FLOPsPerSample() float64 {

@@ -77,8 +77,8 @@ const (
 const (
 	// TriggerSLOAlert fires on an objective's alert rising edge.
 	TriggerSLOAlert = "slo-alert"
-	// TriggerLadder fires when the degradation ladder engages (any
-	// step away from normal service).
+	// TriggerLadder fires when the degradation ladder engages: it
+	// switches hedging off, leaving normal service.
 	TriggerLadder = "ladder-engaged"
 	// TriggerFailover fires when a shard fails over to its follower.
 	TriggerFailover = "shard-failover"

@@ -80,12 +80,8 @@ func (r *RNG) ExpFloat64(lambda float64) float64 {
 	return -math.Log(u) / lambda
 }
 
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
-
 // PermInto overwrites dst with a pseudo-random permutation of
-// [0, len(dst)) and returns it, drawing exactly what Perm(len(dst))
-// draws.
+// [0, len(dst)) (Fisher-Yates) and returns it.
 func (r *RNG) PermInto(dst []int) []int {
 	for i := range dst {
 		dst[i] = i

@@ -293,7 +293,7 @@ func TestIntoKernelsBitEqual(t *testing.T) {
 					// non-zeros, scattered.
 					x := tensor.New(rows, inner)
 					for r := 0; r < rows; r++ {
-						for _, k := range rng.Perm(inner)[:(r+inner)%(inner+1)] {
+						for _, k := range rng.PermInto(make([]int, inner))[:(r+inner)%(inner+1)] {
 							x.Set(r, k, rng.NormFloat64())
 						}
 					}

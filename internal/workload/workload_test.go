@@ -123,9 +123,18 @@ func TestDepthChangesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if large.ParamCount() <= small.ParamCount() {
-		t.Errorf("50-layer params %d not above 18-layer %d", large.ParamCount(), small.ParamCount())
+	if l, s := paramCount(large), paramCount(small); l <= s {
+		t.Errorf("50-layer params %d not above 18-layer %d", l, s)
 	}
+}
+
+// paramCount sums a network's scalar parameters.
+func paramCount(net *nn.Network) int {
+	c := 0
+	for _, p := range net.Params() {
+		c += p.Count()
+	}
+	return c
 }
 
 func TestSignatureReuseSemantics(t *testing.T) {

@@ -20,10 +20,10 @@ var updateReach = flag.Bool("update-reach", false, "rewrite testdata/product_rea
 // TestProductReach is the census of what the product's own jobs reach
 // on the serving path: every request ending, admission verdict and hedge
 // in each job's trace, every nonzero resilience counter and the deepest
-// autoscale rung in its report. The four jobs are the ones a user runs
+// autoscale mode in its report. The four jobs are the ones a user runs
 // from the CLI — the default IC job, the chaos preset single-node and
-// failed over on a two-shard cluster, and a flash crowd that drives the
-// degradation ladder to its last rung. The golden lists nonzero tallies
+// failed over on a two-shard cluster, and a flash crowd whose
+// degradation ladder switches hedging off. The golden lists nonzero tallies
 // only, so a serving mechanism no product job exercises appears nowhere
 // in it, and a change that deletes such a mechanism leaves it byte for
 // byte as it was.
