@@ -166,8 +166,10 @@ gate "lifecycle stress"
 # 20-minute timeout. Beside them, a job cancelled mid-rung releases its
 # dataset split only after its helper trainers stopped reading it, and
 # the next job regenerates into it (DESIGN.md, "Where the storage comes
-# from").
-go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch' ./internal/core/
+# from"). Two checkpointed jobs side by side share the free list of
+# checkpoint storage and store the bytes each stores alone (DESIGN.md
+# §4.9).
+go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 
 gate "go test -shuffle=on"

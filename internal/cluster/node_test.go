@@ -38,7 +38,7 @@ func TestFollowerLogMatchesPrimary(t *testing.T) {
 			st := sh.primary.Store()
 			for i, n := range []int{16, 512, 4096, 20000, 4096, 512, 16} {
 				blob := fmt.Sprintf(`{"rung":%d,"pad":%q}`, i, strings.Repeat("x", n))
-				if err := st.SaveCheckpoint("tune/job", []byte(blob)); err != nil {
+				if _, err := st.SaveCheckpoint("tune/job", []byte(blob)); err != nil {
 					t.Fatal(err)
 				}
 				if err := st.Put(store.Entry{Signature: fmt.Sprintf("sig-%d", i), Device: "i7",

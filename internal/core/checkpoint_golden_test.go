@@ -108,7 +108,7 @@ func TestCheckpointGoldenResumes(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := store.New()
-				if err := st.SaveCheckpoint(p.Key, blob.data); err != nil {
+				if _, err := st.SaveCheckpoint(p.Key, bytes.Clone(blob.data)); err != nil {
 					t.Fatal(err)
 				}
 				got, err := Tune(context.Background(), goldenJob(st))

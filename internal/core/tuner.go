@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -361,11 +359,15 @@ type tuneJob struct {
 	// so the result reports this run's delta, not lifetime totals.
 	startHits, startMisses int
 
-	// ckBuf is the buffer every checkpoint is encoded into, through
-	// ckEnc (made on the first checkpoint). The store copies what it
-	// keeps, so the job reuses the buffer.
-	ckBuf bytes.Buffer
-	ckEnc *json.Encoder
+	// scheduled is how many trials the schedule folds; Trials is made
+	// with room for them.
+	scheduled int
+	// ck is what checkpoints are built in (nil until the first one),
+	// released to the next job by finish.
+	ck *ckStorage
+
+	// alerts is the SLO alert states a rung boundary polls into.
+	alerts []slo.Alert
 }
 
 // Tune runs the EdgeTune onefold tuning loop (Algorithm 1): brackets of
@@ -413,6 +415,8 @@ func (j *tuneJob) setUp() error {
 	opts, w := j.opts, j.opts.Workload
 	j.res.Workload, j.res.Device, j.res.Metric = w.ID, opts.Device.Profile.Name, opts.Metric
 	j.Version, j.Key = checkpointVersion, checkpointKey(opts)
+	j.scheduled = opts.scheduledTrials()
+	j.Trials = make([]TrialRecord, 0, j.scheduled)
 	j.startHits, j.startMisses = opts.Store.Stats()
 	j.sloOverrun = opts.SLO.Register(slo.Spec{
 		Name:        "tuning/trial-overrun",
@@ -496,6 +500,10 @@ func (j *tuneJob) finish() {
 	// will read; their helpers stop before anything they could still
 	// touch is torn down, and before Tune returns.
 	j.runner.Drain()
+	if j.ck != nil {
+		j.ck.release()
+		j.ck = nil
+	}
 	res := j.res
 	res.Trials, res.TrialsRun = j.Trials, j.TrialsRun
 	res.TuningDuration, res.TuningEnergyKJ = j.Tuning, j.TuningEnergyKJ
@@ -585,9 +593,10 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 	if j.opts.Flight != nil {
 		// Rung boundaries are the deterministic poll points for SLO
 		// alert edges: every worker has drained the rung's trials, so
-		// the snapshot (and any rising edge it reveals) lands at the
-		// same simulated time every run.
-		j.opts.Flight.ObserveSLO(j.Tuning, j.opts.SLO.Snapshot())
+		// the alert states (and any rising edge they reveal) land at
+		// the same simulated time every run.
+		j.alerts = j.opts.SLO.Alerts(j.alerts[:0])
+		j.opts.Flight.ObserveSLO(j.Tuning, j.alerts)
 	}
 
 	j.NextRung = rung + 1

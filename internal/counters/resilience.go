@@ -1,10 +1,6 @@
 package counters
 
-import (
-	"strings"
-
-	"edgetune/internal/obs"
-)
+import "edgetune/internal/obs"
 
 const faultPrefix = "fault."
 
@@ -162,10 +158,9 @@ func (r *Resilience) Snapshot() ResilienceSnapshot {
 	if r == nil {
 		return s
 	}
-	for _, name := range r.reg.CounterNames() { // sorted, and so the classes
-		class, ok := strings.CutPrefix(name, faultPrefix)
-		if n := r.reg.Counter(name).Value(); ok && n != 0 {
-			s.Faults = append(s.Faults, FaultCount{Class: class, Count: n})
+	for _, name := range r.reg.CounterNames(faultPrefix) { // sorted, and so the classes
+		if n := r.reg.Counter(name).Value(); n != 0 {
+			s.Faults = append(s.Faults, FaultCount{Class: name[len(faultPrefix):], Count: n})
 			s.TotalFaults += n
 		}
 	}
@@ -184,10 +179,8 @@ func (r *Resilience) Restore(s ResilienceSnapshot) {
 	}
 	// Zero fault classes the snapshot no longer carries before loading
 	// the saved counts, so Restore fully replaces the fault state.
-	for _, name := range r.reg.CounterNames() {
-		if strings.HasPrefix(name, faultPrefix) {
-			r.reg.Counter(name).Set(0)
-		}
+	for _, name := range r.reg.CounterNames(faultPrefix) {
+		r.reg.Counter(name).Set(0)
 	}
 	for _, f := range s.Faults {
 		r.reg.Counter(faultPrefix + f.Class).Set(f.Count)

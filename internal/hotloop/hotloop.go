@@ -14,6 +14,7 @@
 package hotloop
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"maps"
@@ -410,10 +411,11 @@ func openWALAppend() (func(), func(), error) {
 }
 
 // One rung checkpoint on a durable store: a ≈ 20 KB progress blob, the
-// size of a late NLP job's, encoded into the store's frame buffer,
-// appended, fsynced, and kept in the key's previous blob. The job
-// checkpoints after every rung, so this is the durable write a tuning
-// run makes most bytes of.
+// size of a late NLP job's, framed into the store's frame buffer,
+// appended, fsynced, and kept as the key's blob, while the blob it
+// replaces comes back, as a job writes its next checkpoint into it. The
+// job checkpoints after every rung, so this is the durable write a
+// tuning run makes most bytes of. Two copies of the blob take turns.
 func openCheckpoint() (func(), func(), error) {
 	st, done, err := throwawayDurable()
 	if err != nil {
@@ -423,12 +425,14 @@ func openCheckpoint() (func(), func(), error) {
 		strings.Repeat(`{"config":{"lr":0.01,"stride":4},"score":0.8125,"outcome":"ok"},`, 320) + `{}]}`)
 	const key = "tune/NLP/hotloop"
 	// The first save sizes the frame buffer and the stored blob.
-	if err := st.SaveCheckpoint(key, blob); err != nil {
+	if _, err := st.SaveCheckpoint(key, bytes.Clone(blob)); err != nil {
 		done()
 		return nil, nil, err
 	}
 	return func() {
-		_ = st.SaveCheckpoint(key, blob) // the blob the first save accepted
+		if prev, err := st.SaveCheckpoint(key, blob); err == nil { // a blob the first save accepted
+			blob = prev
+		}
 	}, done, nil
 }
 

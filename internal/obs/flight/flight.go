@@ -224,17 +224,17 @@ func (r *Recorder) ManualTrigger(detail string) {
 	r.mu.Unlock()
 }
 
-// ObserveSLO feeds an evaluator snapshot through the per-objective
-// alert edge detector: a rising edge records a KindSLO "alert" event
-// and fires TriggerSLOAlert; a falling edge records "clear". Callers
-// poll at deterministic points (rung boundaries), so the edges land at
-// deterministic simulated times.
-func (r *Recorder) ObserveSLO(at time.Duration, snap slo.Snapshot) {
+// ObserveSLO feeds the objectives' alert states (slo.Evaluator.Alerts)
+// through the per-objective alert edge detector: a rising edge records
+// a KindSLO "alert" event and fires TriggerSLOAlert; a falling edge
+// records "clear". Callers poll at deterministic points (rung
+// boundaries), so the edges land at deterministic simulated times.
+func (r *Recorder) ObserveSLO(at time.Duration, alerts []slo.Alert) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	for _, o := range snap.Objectives {
+	for _, o := range alerts {
 		was := r.alerting[o.Name]
 		if o.Alerting == was {
 			continue

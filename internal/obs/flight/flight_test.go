@@ -18,7 +18,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.Record(0, KindSpan, "x", "", 0, 0)
 	r.Trigger(TriggerManual, 0, "")
 	r.ManualTrigger("")
-	r.ObserveSLO(0, slo.Snapshot{})
+	r.ObserveSLO(0, nil)
 	if evs := r.Events(); evs != nil {
 		t.Fatalf("nil recorder events = %v", evs)
 	}
@@ -65,8 +65,8 @@ func TestEventsSortedIndependentOfArrival(t *testing.T) {
 
 func TestSLOEdgeDetection(t *testing.T) {
 	r := New(64)
-	alert := slo.Snapshot{Objectives: []slo.ObjectiveReport{{Name: "o", Alerting: true}}}
-	clear := slo.Snapshot{Objectives: []slo.ObjectiveReport{{Name: "o", Alerting: false}}}
+	alert := []slo.Alert{{Name: "o", Alerting: true}}
+	clear := []slo.Alert{{Name: "o", Alerting: false}}
 
 	r.ObserveSLO(10, clear) // no edge: starts clear
 	r.ObserveSLO(20, alert) // rising edge

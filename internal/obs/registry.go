@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -277,16 +278,19 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	return h
 }
 
-// CounterNames lists registered counter names in sorted order.
-func (r *Registry) CounterNames() []string {
+// CounterNames lists the registered counter names that start with
+// prefix, in sorted order (nil when none does).
+func (r *Registry) CounterNames(prefix string) []string {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
+	var names []string
 	for name := range r.counters {
-		names = append(names, name)
+		if strings.HasPrefix(name, prefix) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -66,8 +68,26 @@ func TestNilRegistryNoOp(t *testing.T) {
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
-	if names := reg.CounterNames(); names != nil {
+	if names := reg.CounterNames(""); names != nil {
 		t.Fatalf("nil registry names = %v", names)
+	}
+}
+
+// TestCounterNamesByPrefix: CounterNames lists the counters whose names
+// start with the prefix, sorted, and nothing when none does.
+func TestCounterNamesByPrefix(t *testing.T) {
+	reg := NewRegistry()
+	for _, name := range []string{"fault.b", "tune.trials", "fault.a", "faults", "x.fault.c"} {
+		reg.Counter(name)
+	}
+	if got, want := reg.CounterNames("fault."), []string{"fault.a", "fault.b"}; !reflect.DeepEqual(got, want) {
+		t.Errorf(`CounterNames("fault.") = %v, want %v`, got, want)
+	}
+	if got := reg.CounterNames("serving."); got != nil {
+		t.Errorf(`CounterNames("serving.") = %v, want nil`, got)
+	}
+	if got := reg.CounterNames(""); len(got) != 5 || !sort.StringsAreSorted(got) {
+		t.Errorf(`CounterNames("") = %v, want all five, sorted`, got)
 	}
 }
 

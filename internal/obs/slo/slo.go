@@ -30,6 +30,7 @@ package slo
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -274,11 +275,90 @@ func (e *Evaluator) Snapshot() Snapshot {
 	return snap
 }
 
-// tally is a copy of one objective's counts: its runs, and the events
-// and errors folded out of them.
+// Alert is one objective's alert state: what the flight recorder's edge
+// detector polls at every rung boundary.
+type Alert struct {
+	Name     string
+	Alerting bool
+	// Events and Errors cover the whole run, as in ObjectiveReport.
+	Events, Errors int64
+}
+
+// Alerts appends every objective's alert state to dst, sorted by name,
+// and returns the extended slice: what Snapshot reports of each
+// objective's Name, Alerting, Events and Errors, from the same
+// arithmetic, but read in place under the objectives' locks, so a dst
+// with room allocates nothing. A nil evaluator appends nothing.
+func (e *Evaluator) Alerts(dst []Alert) []Alert {
+	if e == nil {
+		return dst
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// Every objective stays locked until its state is read, so the
+	// horizon and the counts are one cut. Record takes one objective's
+	// lock and nothing else, so holding them all cannot deadlock.
+	var horizon time.Duration
+	for _, o := range e.objs {
+		o.mu.Lock()
+		horizon = max(horizon, o.max)
+	}
+	for _, o := range e.objs {
+		c := tally{runs: o.runs, events: o.oldN, errors: o.oldBad}
+		a := Alert{Name: o.spec.Name}
+		a.Events, a.Errors = c.totals()
+		a.Alerting = a.Events > 0
+		for _, w := range windows {
+			if c.window(w, horizon, 1-o.spec.Target).BurnRate < burnThreshold {
+				a.Alerting = false
+			}
+		}
+		o.mu.Unlock()
+		dst = append(dst, a)
+	}
+	slices.SortFunc(dst, func(a, b Alert) int { return strings.Compare(a.Name, b.Name) })
+	return dst
+}
+
+// tally is one objective's counts: its runs, and the events and errors
+// folded out of them.
 type tally struct {
 	runs           []event
 	events, errors int64
+}
+
+// totals counts the whole run's events and errors.
+func (c tally) totals() (events, errors int64) {
+	events, errors = c.events, c.errors
+	for _, r := range c.runs {
+		n, bad := r.counts()
+		events += n
+		errors += bad
+	}
+	return events, errors
+}
+
+// window evaluates the alert window of length w ending at horizon,
+// against the error budget.
+func (c tally) window(w, horizon time.Duration, budget float64) WindowBurn {
+	if w > horizon {
+		w = horizon
+	}
+	wb := WindowBurn{Window: w}
+	from := horizon - w
+	for _, r := range c.runs {
+		if r.t < from {
+			continue
+		}
+		n, bad := r.counts()
+		wb.Events += n
+		wb.Errors += bad
+	}
+	if wb.Events > 0 {
+		wb.ErrorRate = float64(wb.Errors) / float64(wb.Events)
+		wb.BurnRate = wb.ErrorRate / budget
+	}
+	return wb
 }
 
 // evaluate computes one objective's report from its counts.
@@ -289,40 +369,17 @@ func evaluate(spec Spec, c tally, horizon time.Duration) ObjectiveReport {
 		Target:        spec.Target,
 		BurnThreshold: burnThreshold,
 		GoodFraction:  1,
-		Events:        c.events,
-		Errors:        c.errors,
 	}
 	budget := 1 - spec.Target
-	for _, r := range c.runs {
-		n, bad := r.counts()
-		rep.Events += n
-		rep.Errors += bad
-	}
+	rep.Events, rep.Errors = c.totals()
 	if rep.Events > 0 {
 		errRate := float64(rep.Errors) / float64(rep.Events)
 		rep.GoodFraction = 1 - errRate
 		rep.ErrorBudgetUsed = errRate / budget
 	}
-
 	rep.Alerting = rep.Events > 0
 	for _, w := range windows {
-		if w > horizon {
-			w = horizon
-		}
-		wb := WindowBurn{Window: w}
-		from := horizon - w
-		for _, r := range c.runs {
-			if r.t < from {
-				continue
-			}
-			n, bad := r.counts()
-			wb.Events += n
-			wb.Errors += bad
-		}
-		if wb.Events > 0 {
-			wb.ErrorRate = float64(wb.Errors) / float64(wb.Events)
-			wb.BurnRate = wb.ErrorRate / budget
-		}
+		wb := c.window(w, horizon, budget)
 		if wb.BurnRate < burnThreshold {
 			rep.Alerting = false
 		}

@@ -413,6 +413,57 @@ func TestSnapshotMatchesEventList(t *testing.T) {
 	}
 }
 
+// TestAlertsMatchSnapshot: on the seeded streams of
+// TestSnapshotMatchesEventList — folded and not, one objective alerting
+// and one not, their latest events apart — Alerts reports each
+// objective's name, alert state, events and errors as Snapshot does,
+// in the same order, and appends them to a reused slice without
+// allocating.
+func TestAlertsMatchSnapshot(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, horizon := range []time.Duration{10 * time.Minute, 5 * time.Hour} {
+			rng := rand.New(rand.NewSource(seed))
+			e := NewEvaluator()
+			objs := []*Objective{
+				e.Register(Spec{Name: "b", Target: 0.95}),
+				e.Register(Spec{Name: "a", Target: 0.99}),
+			}
+			streams := [][]refEvent{randomStream(rng, 6000, horizon/3), randomStream(rng, 6000, horizon)}
+			var dst []Alert
+			alerting := false
+			for k := 1; k <= 4; k++ {
+				lo, hi := (k-1)*len(streams[0])/4, k*len(streams[0])/4
+				for i := range objs {
+					for _, ev := range streams[i][lo:hi] {
+						objs[i].Record(ev.t, ev.good)
+					}
+				}
+				var want []Alert
+				for _, o := range e.Snapshot().Objectives {
+					want = append(want, Alert{Name: o.Name, Alerting: o.Alerting, Events: o.Events, Errors: o.Errors})
+					alerting = alerting || o.Alerting
+				}
+				if dst = e.Alerts(dst[:0]); !reflect.DeepEqual(dst, want) {
+					t.Fatalf("seed %d horizon %v part %d: Alerts = %+v, Snapshot reports %+v", seed, horizon, k, dst, want)
+				}
+			}
+			if !alerting {
+				t.Fatalf("seed %d horizon %v: no objective ever alerted", seed, horizon)
+			}
+			if testutil.RaceEnabled {
+				continue // the race detector allocates on the evaluator's behalf
+			}
+			if allocs := testing.AllocsPerRun(100, func() { dst = e.Alerts(dst[:0]) }); allocs != 0 {
+				t.Errorf("Alerts into a slice with room allocates %v times, want 0", allocs)
+			}
+		}
+	}
+	var nilEval *Evaluator
+	if got := nilEval.Alerts(nil); got != nil {
+		t.Errorf("a nil evaluator's Alerts = %v, want nil", got)
+	}
+}
+
 // TestObjectiveMemoryBounded: events at one instant keep one run,
 // however many; events at rising times keep the runs of the longest
 // window, at most twice over.

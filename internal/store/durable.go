@@ -296,7 +296,7 @@ func (st *Store) applyStoreFile(file storeFile) (rejected int) {
 		}
 	}
 	for k, v := range file.Checkpoints {
-		if st.SaveCheckpoint(k, v) != nil {
+		if _, err := st.SaveCheckpoint(k, v); err != nil {
 			rejected++
 		}
 	}
@@ -319,7 +319,7 @@ func (st *Store) applyRecords(recs []walRecord) (rejected int) {
 		case walOpPut:
 			err = st.put(*rec.Entry)
 		case walOpCheckpoint:
-			err = st.SaveCheckpoint(rec.Key, rec.Data)
+			_, err = st.SaveCheckpoint(rec.Key, rec.Data)
 		case walOpClear:
 			st.ClearCheckpoint(rec.Key)
 		}

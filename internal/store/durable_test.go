@@ -37,7 +37,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := st.Put(entry("IC/layers=50", "rpi3b+")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveCheckpoint("job-1", []byte(`{"rung":3}`)); err != nil {
+	if _, err := st.SaveCheckpoint("job-1", []byte(`{"rung":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -86,7 +86,7 @@ func TestDurableWALReplayAfterCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.SaveCheckpoint("job", []byte(`{"rung":1}`)); err != nil {
+	if _, err := st.SaveCheckpoint("job", []byte(`{"rung":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	st.ClearCheckpoint("job")
@@ -106,44 +106,47 @@ func TestDurableWALReplayAfterCrash(t *testing.T) {
 	}
 }
 
-// TestSaveCheckpointKeepsNothingOfTheCallersSlice: the WAL record
-// borrows the caller's bytes for the length of the call and the map owns
-// a copy, so a caller that reuses its buffer afterwards changes neither
-// what LoadCheckpoint returns nor what a crashed process replays. The
-// store's copy is rewritten in place by the key's next checkpoint, so
-// what LoadCheckpoint returned before it is a copy of its own.
-func TestSaveCheckpointKeepsNothingOfTheCallersSlice(t *testing.T) {
+// TestSaveCheckpointTakesTheSliceOver: the store keeps the caller's
+// slice as the blob and hands it back on the key's next save, so the
+// caller may write its next checkpoint into what it gets back. The WAL
+// record borrows the bytes only for the length of the call, so
+// rewriting a handed-back blob changes neither what LoadCheckpoint
+// returns nor what a crashed process replays, and what LoadCheckpoint
+// returned earlier is a copy of its own.
+func TestSaveCheckpointTakesTheSliceOver(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{})
-	const want = `{"rung":1}`
-	buf := []byte(want)
-	if err := d.Store().SaveCheckpoint("job", buf); err != nil {
+	const first, second = `{"rung":1}`, `{"r":3}`
+	buf := []byte(first)
+	if prev, err := d.Store().SaveCheckpoint("job", buf); err != nil || prev != nil {
+		t.Fatalf("first save handed back %q, %v; want nothing", prev, err)
+	}
+	got, ok := d.Store().LoadCheckpoint("job")
+	if !ok || string(got) != first {
+		t.Fatalf("LoadCheckpoint = %q, %v; want %q", got, ok, first)
+	}
+	prev, err := d.Store().SaveCheckpoint("job", []byte(second))
+	if err != nil {
 		t.Fatal(err)
 	}
-	copy(buf, `{"rung":9}`)
-	if got, ok := d.Store().LoadCheckpoint("job"); !ok || string(got) != want {
-		t.Errorf("LoadCheckpoint = %q, %v after the caller rewrote its slice; want %q", got, ok, want)
+	if len(prev) != len(buf) || &prev[0] != &buf[0] {
+		t.Fatalf("the second save handed back %q, not the first save's slice", prev)
+	}
+	copy(prev, `{"rung":9}`)
+	if string(got) != first {
+		t.Errorf("an earlier LoadCheckpoint result reads %q after its blob was rewritten; want %q", got, first)
+	}
+	if again, ok := d.Store().LoadCheckpoint("job"); !ok || string(again) != second {
+		t.Errorf("LoadCheckpoint = %q, %v after the handed-back blob was rewritten; want %q", again, ok, second)
 	}
 	// No Close: recovery has the WAL alone to replay.
 	d2 := openDurable(t, dir, DurableOptions{})
 	defer d2.Close()
-	if rr := d2.Recovery(); rr.RecordsReplayed != 1 || rr.Checkpoints != 1 {
-		t.Fatalf("recovery replayed %d records into %d checkpoints, want 1 and 1", rr.RecordsReplayed, rr.Checkpoints)
+	if rr := d2.Recovery(); rr.RecordsReplayed != 2 || rr.Checkpoints != 1 {
+		t.Fatalf("recovery replayed %d records into %d checkpoints, want 2 and 1", rr.RecordsReplayed, rr.Checkpoints)
 	}
-	got, ok := d2.Store().LoadCheckpoint("job")
-	if !ok || string(got) != want {
-		t.Errorf("recovery replayed %q, %v; want %q", got, ok, want)
-	}
-
-	const shorter = `{"r":3}`
-	if err := d2.Store().SaveCheckpoint("job", []byte(shorter)); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != want {
-		t.Errorf("an earlier LoadCheckpoint result reads %q after the next save; want %q", got, want)
-	}
-	if again, ok := d2.Store().LoadCheckpoint("job"); !ok || string(again) != shorter {
-		t.Errorf("LoadCheckpoint = %q, %v after a shorter save; want %q", again, ok, shorter)
+	if replayed, ok := d2.Store().LoadCheckpoint("job"); !ok || string(replayed) != second {
+		t.Errorf("recovery replayed %q, %v; want %q", replayed, ok, second)
 	}
 }
 

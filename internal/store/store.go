@@ -52,9 +52,11 @@ var ErrNotFound = errors.New("store: entry not found")
 // WriteBehind.Get and by compaction. Recovery hands the maps it decodes
 // to put uncopied. Get and Entries still hand out copies.
 //
-// A stored checkpoint blob is the opposite: the next SaveCheckpoint of
-// its key overwrites it in place. So LoadCheckpoint copies it out, and
-// compaction encodes it under mu.
+// A stored checkpoint blob is the opposite: it is the slice its
+// SaveCheckpoint caller handed over, and the key's next SaveCheckpoint
+// hands it back to that caller, who writes the checkpoint after into
+// it. So LoadCheckpoint copies it out, and compaction encodes it under
+// mu.
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]Entry
@@ -156,31 +158,35 @@ func (s *Store) Entries() []Entry {
 	return out
 }
 
-// SaveCheckpoint stores an opaque progress blob under key, replacing
-// any previous one. The store keeps a copy of data, written into the
-// key's previous blob when it has room, so the caller may reuse its
-// buffer for the next checkpoint.
-func (s *Store) SaveCheckpoint(key string, data []byte) error {
+// SaveCheckpoint stores data as the blob under key, replacing any
+// previous one, and takes data over: the store keeps the slice itself,
+// so the caller must not touch it again. It hands back the key's
+// previous blob (nil when the key had none), which the store no longer
+// references, for the caller to reuse: a job encodes its next
+// checkpoint into it. On error the store keeps nothing, and data stays
+// the caller's.
+func (s *Store) SaveCheckpoint(key string, data []byte) (prev []byte, err error) {
 	if key == "" {
-		return errors.New("store: checkpoint with empty key")
+		return nil, errors.New("store: checkpoint with empty key")
 	}
 	if !json.Valid(data) {
-		return fmt.Errorf("store: checkpoint %q is not valid JSON", key)
+		return nil, fmt.Errorf("store: checkpoint %q is not valid JSON", key)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dur != nil {
-		// The record borrows data: appendLocked has encoded it into its
-		// frame before it returns, and keeps nothing of the record.
+		// The record borrows data: appendLocked has framed it before it
+		// returns, and keeps nothing of the record.
 		if err := s.dur.appendLocked(walRecord{Op: walOpCheckpoint, Key: key, Data: data}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if s.checkpoints == nil {
 		s.checkpoints = make(map[string]json.RawMessage)
 	}
-	s.checkpoints[key] = append(s.checkpoints[key][:0], data...)
-	return nil
+	prev = s.checkpoints[key]
+	s.checkpoints[key] = data
+	return prev, nil
 }
 
 // LoadCheckpoint returns the blob stored under key, if any.
@@ -195,7 +201,8 @@ func (s *Store) LoadCheckpoint(key string) ([]byte, bool) {
 }
 
 // ClearCheckpoint removes the blob stored under key (a no-op when
-// absent), called when the checkpointed job completes.
+// absent). Only WAL replay calls it: a job that completes keeps its
+// final checkpoint as a durable completion marker (DESIGN.md §4.9).
 func (s *Store) ClearCheckpoint(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,8 +245,8 @@ type storeStats struct {
 // snapshotFileLocked builds the on-disk document from the current
 // state. Its entries share the stored Config maps, which nothing writes
 // to, and its checkpoints are the stored map, whose blobs the next
-// SaveCheckpoint overwrites: callers hold s.mu until the document is
-// encoded.
+// SaveCheckpoint hands back to be overwritten: callers hold s.mu until
+// the document is encoded.
 func (s *Store) snapshotFileLocked() storeFile {
 	file := storeFile{Entries: make([]Entry, 0, len(s.entries)), Checkpoints: s.checkpoints}
 	for _, e := range s.entries {

@@ -186,16 +186,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	d := openSnapshot(t, path)
 	s := d.Store()
-	if err := s.SaveCheckpoint("", []byte(`{}`)); err == nil {
+	if _, err := s.SaveCheckpoint("", []byte(`{}`)); err == nil {
 		t.Error("empty key accepted")
 	}
-	if err := s.SaveCheckpoint("job", []byte(`{broken`)); err == nil {
+	if _, err := s.SaveCheckpoint("job", []byte(`{broken`)); err == nil {
 		t.Error("invalid JSON accepted")
 	}
 	if _, ok := s.LoadCheckpoint("job"); ok {
 		t.Error("missing checkpoint found")
 	}
-	if err := s.SaveCheckpoint("job", []byte(`{"rung":2}`)); err != nil {
+	if _, err := s.SaveCheckpoint("job", []byte(`{"rung":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.LoadCheckpoint("job")

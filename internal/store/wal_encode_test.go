@@ -78,7 +78,7 @@ func TestWALEncoderWritesReferenceBytes(t *testing.T) {
 				case walOpPut:
 					err = st.Put(*rec.Entry)
 				case walOpCheckpoint:
-					err = st.SaveCheckpoint(rec.Key, rec.Data)
+					_, err = st.SaveCheckpoint(rec.Key, rec.Data)
 				case walOpClear:
 					st.ClearCheckpoint(rec.Key)
 				}
