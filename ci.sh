@@ -160,8 +160,9 @@ gate "lifecycle stress"
 # The inference server's request lifecycle — one finish, one hard-stop
 # check between trials, hooks instead of goroutines (DESIGN.md §4.6) —
 # twenty times under the race detector, not once: every
-# Drain/Close/cancel/evict test, the request-outcome golden, and the
-# tests of the per-worker search scratch a request is served on. Its own
+# Drain/Close/cancel/evict test, the request-outcome golden, the
+# tests of the per-worker search scratch a request is served on, and
+# concurrent duplicate misses each answered on their own channel. Its own
 # gate, so its elapsed time is in the summary and outside the sweep's
 # 20-minute timeout. Beside them, a job cancelled mid-rung releases its
 # dataset split only after its helper trainers stopped reading it, and
@@ -169,7 +170,7 @@ gate "lifecycle stress"
 # from"). Two checkpointed jobs side by side share the free list of
 # checkpoint storage and store the bytes each stores alone (DESIGN.md
 # §4.9).
-go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint' ./internal/core/
+go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 
 gate "go test -shuffle=on"

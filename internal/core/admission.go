@@ -159,7 +159,8 @@ func (a *admission) setHold(h bool) {
 	a.cond.Broadcast()
 }
 
-// inSystem reports queued plus in-flight jobs (for tests).
+// inSystem reports queued plus in-flight jobs: the autoscaler's load
+// signal and the serving.queue.depth gauge.
 func (a *admission) inSystem() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -43,10 +43,10 @@ type InferRequest struct {
 
 // InferOutcome is the server's reply.
 type InferOutcome struct {
-	// Entry is the tuned result. Every reply's Config map — a hit's, a
-	// coalesced waiter's, and the tuned one a miss returns — is the map
-	// the historical store keeps: treat it as read-only, and Clone it to
-	// keep a copy that may change.
+	// Entry is the tuned result. Every reply's Config map — a hit's and
+	// the tuned one a miss returns — is the map the historical store
+	// keeps: treat it as read-only, and Clone it to keep a copy that may
+	// change.
 	Entry store.Entry
 	// Cached reports whether the result came from the historical store.
 	Cached bool
@@ -135,7 +135,7 @@ const (
 	// sloServeLatency is the latency objective's threshold: a served
 	// request is "good" when its simulated serving time is within it.
 	sloServeLatency = 60 * time.Second
-	// spareReplies bounds the delivered reply channels the server keeps
+	// spareReplies bounds the answered reply channels the server keeps
 	// for later submissions (see Submit).
 	spareReplies = 64
 )
@@ -179,17 +179,15 @@ func (o *InferenceServerOptions) normalise() error {
 // quarantine/probation, and speculative hedging to the next-best device
 // when the primary straggles past its perfmodel-derived deadline.
 // Completed results land in the historical store through a write-behind
-// buffer; duplicate in-flight requests are coalesced. Drain stops it gracefully — in-flight work completes, new
-// submissions fail with ErrServerClosed, pending store writes are
-// flushed — and Close at once.
+// buffer, where a repeated architecture finds them. Drain stops it
+// gracefully — in-flight work completes, new submissions fail with
+// ErrServerClosed, pending store writes are flushed — and Close at once.
 type InferenceServer struct {
 	opts InferenceServerOptions
 	m    servingMetrics
 
-	mu        sync.Mutex
-	pending   map[string]*call // in-flight leader per signature
-	seq       int              // submission sequence, for fault sites
-	delivered int              // leaders finished so far; see cached
+	mu  sync.Mutex
+	seq int // submission sequence, for fault sites
 	// spare is a FIFO ring of reply channels finish has sent on, oldest
 	// at spareHead, spareLen of them: what open hands out again once a
 	// channel's outcome has been received.
@@ -222,7 +220,6 @@ type InferenceServer struct {
 type servingMetrics struct {
 	requests  *obs.Counter
 	cacheHits *obs.Counter
-	coalesced *obs.Counter
 	latencyMS *obs.Histogram
 	queue     *obs.Gauge
 	// queueEnqueue samples the queued depth (excluding in-flight work)
@@ -234,28 +231,24 @@ type servingMetrics struct {
 }
 
 // call is one Submit on its way to its reply. It starts on Submit's
-// stack, where a cache hit ends it; join moves the one that will lead a
-// tuning run to the heap, and from then on whichever goroutine takes it
-// out of the admission queue owns it and finishes it.
+// stack, where a cache hit ends it; Submit moves a miss to the heap, and
+// from then on whichever goroutine takes it out of the admission queue
+// owns it and finishes it.
 type call struct {
 	InferRequest
 	// ctx is the submitting caller's context; honoured while the call
 	// is queued and between inference trials.
 	ctx context.Context
-	// out receives the reply. join clears it on a call that joined a
-	// leader: the leader answers that caller, from its waiters.
-	out     chan InferOutcome
-	waiters []chan InferOutcome
+	out chan InferOutcome // receives the call's one reply
 
-	seq       int  // submission sequence number
-	delivered int  // s.delivered at the last look-up; see cached
-	opened    bool // took a sequence number: an event the SLO counts
-	leads     bool // registered in s.pending
+	seq    int  // submission sequence number
+	opened bool // took a sequence number: an event the SLO counts
 
 	// sp is the request span (nil when tracing is off). admSp is its
-	// "admission" child, opened with the leader — before a worker can
-	// open the "serve" child — so the two children's ordinals, and with
-	// them their span IDs, never depend on who ran first.
+	// "admission" child, opened in Submit before admit queues the call —
+	// before a worker can open the "serve" child — so the two children's
+	// ordinals, and with them their span IDs, never depend on who ran
+	// first.
 	sp, admSp *obs.Span
 
 	rt     route // the routed device
@@ -294,11 +287,10 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 		writes = store.NewWriteBehind(opts.Store)
 	}
 	s := &InferenceServer{
-		opts:    opts,
-		pending: make(map[string]*call),
-		adm:     newAdmission(opts.QueueLimit),
-		pool:    newDevicePool(pool, breakerThreshold, breakerCooldown, opts.Recorder),
-		writes:  writes,
+		opts:   opts,
+		adm:    newAdmission(opts.QueueLimit),
+		pool:   newDevicePool(pool, breakerThreshold, breakerCooldown, opts.Recorder),
+		writes: writes,
 	}
 	s.hard, s.stop = context.WithCancel(context.Background())
 	s.pool.fr = opts.Flight
@@ -313,7 +305,6 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 		s.m = servingMetrics{
 			requests:     reg.Counter("serving.requests"),
 			cacheHits:    reg.Counter("serving.cache-hits"),
-			coalesced:    reg.Counter("serving.coalesced"),
 			latencyMS:    reg.Histogram("serving.latency.ms", obs.LatencyBucketsMS),
 			queue:        reg.Gauge("serving.queue.depth"),
 			queueEnqueue: reg.Histogram("serving.queue.depth.enqueue", obs.QueueDepthBuckets),
@@ -415,8 +406,8 @@ func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 }
 
 // Submit asynchronously requests tuning for req and returns a channel
-// that will receive exactly one outcome. Duplicate submissions of the
-// same in-flight signature share a single tuning run. Caller
+// that will receive exactly one outcome: the historical store's entry
+// when it has one for the signature, else a new search's. Caller
 // cancellation is honoured while the request is queued and while it is
 // being tuned. Overload is shed with typed errors: ErrOverloaded when
 // the bounded queue is full or an injected overload burst fires,
@@ -434,13 +425,13 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 		s.finish(&c, "", InferOutcome{Err: err})
 		return c.out
 	}
-	out := c.out // join clears c.out on a call that joins a leader
 	if !s.cached(&c) {
-		if lead := s.join(&c); lead != nil {
-			s.admit(lead)
-		}
+		miss := new(call)
+		*miss = c
+		miss.admSp = miss.sp.Child("admission", miss.SubmitTime)
+		s.admit(miss)
 	}
-	return out
+	return c.out
 }
 
 // open validates the call and makes it a submission: a reply channel, a
@@ -463,7 +454,6 @@ func (s *InferenceServer) open(c *call) error {
 	c.out = s.replyLocked()
 	c.seq = s.seq
 	s.seq++
-	c.delivered = s.delivered
 	s.mu.Unlock()
 	c.opened = true
 
@@ -491,58 +481,22 @@ func (s *InferenceServer) open(c *call) error {
 // A hit needs no device, so it bypasses admission and the pool; its
 // reply can still be dropped in flight — the site is per-submission, so
 // a resubmission rolls a fresh decision. It reports whether it ended the
-// call, and when it did not it returns HOLDING s.mu, which join
-// releases: the last look and the in-flight check are one step.
-//
-// The loop is for the submission that falls between a concurrent
-// leader's two steps: its look-up ran before the leader's entry was
-// written, and join's in-flight check would run after the leader
-// finished and left pending. Finding neither, it would search what was
-// just searched; so if any leader finished since the look-up, look
-// again. A caller that awaits each request never takes a second turn.
+// call.
 func (s *InferenceServer) cached(c *call) bool {
-	for {
-		if e, err := s.LookupStored(c.Signature); err == nil {
-			if ferr := s.failAt(fault.DroppedReply, "", c.Signature, c.seq); ferr != nil {
-				s.finish(c, "dropped-reply", InferOutcome{Err: ferr})
-			} else {
-				s.m.cacheHits.Add(1)
-				s.finish(c, "cached", InferOutcome{Entry: e, Cached: true, Device: e.Device})
-			}
-			return true
-		}
-		s.mu.Lock()
-		if s.delivered == c.delivered {
-			return false
-		}
-		c.delivered = s.delivered
-		s.mu.Unlock()
+	e, err := s.LookupStored(c.Signature)
+	if err != nil {
+		return false
 	}
+	if ferr := s.failAt(fault.DroppedReply, "", c.Signature, c.seq); ferr != nil {
+		s.finish(c, "dropped-reply", InferOutcome{Err: ferr})
+	} else {
+		s.m.cacheHits.Add(1)
+		s.finish(c, "cached", InferOutcome{Entry: e, Cached: true, Device: e.Device})
+	}
+	return true
 }
 
-// join coalesces c with the tuning run already in flight for its
-// signature — that run's leader will answer c's caller — or, when there
-// is none, returns the heap copy of c that leads a new one. It is called
-// holding s.mu (see cached) and releases it.
-func (s *InferenceServer) join(c *call) (lead *call) {
-	if l, ok := s.pending[c.Signature]; ok {
-		l.waiters = append(l.waiters, c.out)
-		s.mu.Unlock()
-		s.m.coalesced.Add(1)
-		c.out = nil
-		s.finish(c, "coalesced", InferOutcome{})
-		return nil
-	}
-	lead = new(call)
-	*lead = *c
-	lead.leads = true
-	lead.admSp = lead.sp.Child("admission", lead.SubmitTime)
-	s.pending[lead.Signature] = lead
-	s.mu.Unlock()
-	return lead
-}
-
-// admit takes a leader through the intake gate — injected burst,
+// admit takes a miss through the intake gate — injected burst,
 // routing, the bounded queue — and leaves it queued for a worker, or
 // rejected with a typed error.
 func (s *InferenceServer) admit(c *call) {
@@ -613,21 +567,10 @@ func (s *InferenceServer) failAt(class fault.Class, prefix, name string, seq int
 // request span ends, an SLO event is recorded and a reply is sent. Every
 // queued call reaches it exactly once, from whoever took it out of the
 // queue. label names the ending on the span where the error alone does
-// not ("cached", "dropped-reply", "coalesced"). Two kinds of call are
-// not SLO events: one refused before it was opened, and one that joined
-// a leader (out is nil) — the leader's finish counts the run once and
-// answers the waiters, who share the result as a cache hit without being
-// charged the tuning cost again. Every channel it has sent on goes to
-// the spare ring afterwards.
+// not ("cached", "dropped-reply"). A call refused before it was opened
+// is not an SLO event. The channel it sent on goes to the spare ring
+// afterwards.
 func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
-	var waiters []chan InferOutcome
-	if c.leads {
-		s.mu.Lock()
-		delete(s.pending, c.Signature)
-		s.delivered++
-		waiters = c.waiters
-		s.mu.Unlock()
-	}
 	end := c.SubmitTime + res.Latency
 	if c.sp != nil {
 		if label == "" {
@@ -643,9 +586,6 @@ func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 		c.sp.Set(attrs...)
 		c.sp.End(end)
 	}
-	if c.out == nil {
-		return
-	}
 	if c.opened {
 		s.recordSLO(end, res)
 	}
@@ -656,15 +596,8 @@ func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 		s.pool.release(c.rt) // routed but never run: give the probe slot back
 	}
 	c.out <- res
-	res.Cached, res.TuningCost = true, perfmodel.Cost{}
-	for _, w := range waiters {
-		w <- res
-	}
 	s.mu.Lock()
 	s.spareLocked(c.out)
-	for _, w := range waiters {
-		s.spareLocked(w)
-	}
 	s.mu.Unlock()
 }
 
@@ -1079,7 +1012,7 @@ func transientInferError(err error) bool {
 // server to enforce the containment claim (§3.3: the inference result
 // must arrive before the training trial ends). The timer is stopped and
 // drained on every exit path so heavy retry traffic does not accumulate
-// pending timer channels.
+// live timers.
 func awaitOutcome(ctx context.Context, ch <-chan InferOutcome, limit time.Duration) (InferOutcome, error) {
 	timer := time.NewTimer(limit)
 	defer func() {

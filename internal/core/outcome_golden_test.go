@@ -65,8 +65,8 @@ func (e *outcomeEnv) await(i int) {
 
 // outcomeScenario is one way a request can end. drive submits; the last
 // submission's reply must carry the label want (outcomeLabel's
-// vocabulary, plus "cached", "joined" and "hedged" for the three kinds of
-// success that are not a plain "ok").
+// vocabulary, plus "cached" and "hedged" for the two kinds of success
+// that are not a plain "ok").
 type outcomeScenario struct {
 	name   string
 	want   string
@@ -92,12 +92,6 @@ func outcomeScenarios() []outcomeScenario {
 				e.await(0)
 				e.submit(e.req(0))
 			}},
-		{name: "joined", want: "joined", drive: func(e *outcomeEnv) {
-			e.srv.adm.setHold(true)
-			e.submit(e.req(0))
-			e.submit(e.req(0))
-			e.srv.adm.setHold(false)
-		}},
 		{name: "shed-burst", want: "shed",
 			plan: []fault.Event{{Class: fault.OverloadBurst, Site: "admit/test-client#0"}},
 			drive: func(e *outcomeEnv) {
@@ -190,8 +184,6 @@ func replyLabel(out InferOutcome) string {
 	switch {
 	case out.Err != nil:
 		return outcomeLabel(out.Err)
-	case out.Cached && out.Latency > 0: // the leader's result, shared
-		return "joined"
 	case out.Cached:
 		return "cached"
 	case out.Hedged:

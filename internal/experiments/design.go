@@ -18,12 +18,15 @@ var fig06Memo memo[Table]
 
 // Fig06Pipelining reproduces Figure 6: the asynchronous overlap of the
 // model and inference tuning servers. For each training trial of a
-// small onefold run it reports the pipelined inference-tuning time and
-// verifies containment (§3.3).
+// small onefold run it reports the trial's architecture, the pipelined
+// inference-tuning time and what answered the inference request — the
+// server's search, or the historical store for an architecture seen
+// before — and verifies containment (§3.3).
 func Fig06Pipelining() (Table, error) {
 	return fig06Memo.do(func() (Table, error) {
+		w := workload.MustNew("IC", refWorkloadSeed)
 		res, err := core.Tune(context.Background(), core.Options{
-			Workload:       workload.MustNew("IC", refWorkloadSeed),
+			Workload:       w,
 			SystemParams:   true,
 			InferenceAware: true,
 			InitialConfigs: 3,
@@ -38,7 +41,7 @@ func Fig06Pipelining() (Table, error) {
 		t := Table{
 			ID:     "Figure 6",
 			Title:  "model/inference server pipelining: per-trial overlap",
-			Header: []string{"trial", "rung", "train [m]", "inference tuning [m]", "source"},
+			Header: []string{"trial", "rung", "architecture", "train [m]", "inference tuning [m]", "source"},
 		}
 		for i, tr := range res.Trials {
 			src := "inference server"
@@ -48,6 +51,7 @@ func Fig06Pipelining() (Table, error) {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(i + 1),
 				fmt.Sprint(tr.Rung + 1),
+				w.Signature(tr.Config),
 				f2(tr.TrainCost.Duration.Minutes()),
 				f2(tr.InferTuning.Duration.Minutes()),
 				src,

@@ -159,6 +159,33 @@ func TestFig05Shape(t *testing.T) {
 	}
 }
 
+// TestFig06Shape: the inference server searches each architecture once.
+// The first trial of an architecture is answered by the server's search;
+// every later trial of it, by the historical store (§3.4).
+func TestFig06Shape(t *testing.T) {
+	skipUnderRace(t)
+	tab, err := Fig06Pipelining()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: 2 = architecture, 5 = source.
+	seen := make(map[string]bool)
+	for _, row := range tab.Rows {
+		arch, src := row[2], row[5]
+		want := "inference server"
+		if seen[arch] {
+			want = "historical store"
+		}
+		if src != want {
+			t.Errorf("trial %s (%s): source %q, want %q", row[0], arch, src, want)
+		}
+		seen[arch] = true
+	}
+	if len(seen) == len(tab.Rows) {
+		t.Errorf("no architecture repeats in %d trials: nothing for the store to answer", len(tab.Rows))
+	}
+}
+
 // TestFig09Shape: onefold joint tuning takes less tuning time and energy
 // than hierarchical two-tier tuning.
 func TestFig09Shape(t *testing.T) {

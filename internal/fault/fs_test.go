@@ -7,6 +7,7 @@ import (
 	"syscall"
 	"testing"
 
+	"edgetune/internal/counters"
 	"edgetune/internal/store"
 )
 
@@ -178,12 +179,22 @@ func TestFSCrashMidWrite(t *testing.T) {
 }
 
 func TestFSSlowFsync(t *testing.T) {
-	dir := t.TempDir()
-	d, ffs := faultyDurable(t, dir, Config{DiskSlowFsync: 1}, 9)
+	rec := counters.NewResilienceOn(nil)
+	in, err := NewInjector(Config{DiskSlowFsync: 1}, 9, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.OpenDurable(store.DurableOptions{
+		SnapshotPath: filepath.Join(t.TempDir(), "store.json"),
+		FS:           NewFS(nil, in),
+	})
+	if err != nil {
+		t.Fatalf("OpenDurable under slow fsyncs: %v", err)
+	}
 	if err := d.Store().Put(fsEntry("a")); err != nil {
 		t.Fatalf("slow fsync failed the write: %v", err)
 	}
-	if ffs.SlowFsyncs() == 0 {
+	if rec.Registry().Counter("fault."+string(DiskSlowFsync)).Value() == 0 {
 		t.Error("no slow fsyncs counted at p=1")
 	}
 	if err := d.Close(); err != nil {

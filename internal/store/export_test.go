@@ -13,14 +13,6 @@ func (d *Durable) Compact() error {
 	return d.compactLocked()
 }
 
-// LastFlushErr reports the most recent flush failure, or nil after a
-// flush that drained cleanly.
-func (w *WriteBehind) LastFlushErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastErr
-}
-
 // Pending reports how many buffered entries await persistence.
 func (w *WriteBehind) Pending() int {
 	w.mu.Lock()

@@ -38,7 +38,6 @@ type WriteBehind struct {
 	pending map[string]Entry
 	order   []string // insertion order, for deterministic flushes
 	closed  bool
-	lastErr error // most recent flush failure; cleared by a clean Flush
 
 	// flushing holds the entries the running Flush took out of pending,
 	// each until its store Put has returned, so that an accepted entry is
@@ -153,9 +152,9 @@ func (w *WriteBehind) PutOwned(e Entry) error {
 	w.mu.Unlock()
 	if w.syncMode {
 		// Inline flush, on the caller's goroutine. The error handling
-		// matches the background flusher exactly: a failure is counted,
-		// re-queued, and kept in lastErr — not returned — so the two
-		// modes differ only in scheduling, never in outcome.
+		// matches the background flusher exactly: a failure is counted
+		// and re-queued — not returned — so the two modes differ only in
+		// scheduling, never in outcome.
 		w.Flush()
 		return nil
 	}
@@ -236,7 +235,6 @@ func (w *WriteBehind) Flush() error {
 		w.mu.Unlock()
 	}
 	w.mu.Lock()
-	w.lastErr = nil
 	// Every entry has left flushing, so it is empty: it and the two
 	// slices are the next Flush's to fill, once they let go of what the
 	// store now holds.
@@ -255,7 +253,6 @@ func (w *WriteBehind) requeue(entries []Entry, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.mFlushErrs.Inc()
-	w.lastErr = err
 	if w.pending == nil {
 		w.pending = make(map[string]Entry)
 	}

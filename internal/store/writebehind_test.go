@@ -198,7 +198,7 @@ func TestSyncWriteBehindFlushesInline(t *testing.T) {
 // TestSyncWriteBehindRetainsFailedFlush checks the sync mode matches
 // the background flusher's failure semantics exactly: a failed inline
 // flush is counted and re-queued, Put still returns nil, and the error
-// surfaces through LastFlushErr and the final Close.
+// surfaces through the final Close.
 func TestSyncWriteBehindRetainsFailedFlush(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(dir, "store.json")})
@@ -216,9 +216,6 @@ func TestSyncWriteBehindRetainsFailedFlush(t *testing.T) {
 	}
 	if wb.Pending() != 1 {
 		t.Errorf("Pending = %d, want the failed entry re-queued", wb.Pending())
-	}
-	if !errors.Is(wb.LastFlushErr(), ErrDurableClosed) {
-		t.Errorf("LastFlushErr = %v, want ErrDurableClosed", wb.LastFlushErr())
 	}
 	if got := reg.Counter("store.writebehind.flush-errors").Value(); got == 0 {
 		t.Error("inline flush failure not counted")
@@ -263,9 +260,6 @@ func TestWriteBehindFlushErrorSurfaced(t *testing.T) {
 	if got := reg.Counter("store.writebehind.flush-errors").Value(); got == 0 {
 		t.Error("flush failure not counted")
 	}
-	if wb.LastFlushErr() == nil {
-		t.Error("LastFlushErr lost the failure")
-	}
 	// Nothing dropped: both entries are back in the buffer, in order.
 	if wb.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2 re-queued entries", wb.Pending())
@@ -309,8 +303,8 @@ func TestWriteBehindRequeuePreservesOrderAndNewerWrites(t *testing.T) {
 	if got.Throughput != 2 {
 		t.Errorf("Throughput = %v; re-queue resurrected the stale write", got.Throughput)
 	}
-	if wb.LastFlushErr() != nil {
-		t.Error("clean Flush did not clear LastFlushErr")
+	if wb.Pending() != 0 {
+		t.Errorf("Pending = %d after a clean Flush, want 0", wb.Pending())
 	}
 }
 
@@ -575,8 +569,8 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 	if err := wb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if wb.LastFlushErr() != nil || wb.Pending() != 0 || wb.spareMap == nil {
-		t.Errorf("after a clean Flush: last error %v, %d pending, spare map %v", wb.LastFlushErr(), wb.Pending(), wb.spareMap != nil)
+	if wb.Pending() != 0 || wb.spareMap == nil {
+		t.Errorf("after a clean Flush: %d pending, spare map %v", wb.Pending(), wb.spareMap != nil)
 	}
 	var keys []string
 	for _, e := range st.Entries() {
