@@ -20,8 +20,9 @@ var updateReach = flag.Bool("update-reach", false, "rewrite testdata/product_rea
 // TestProductReach is the census of what the product's own jobs reach
 // on the serving path: every request ending, admission verdict and hedge
 // in each job's trace, every nonzero resilience counter and the deepest
-// autoscale mode in its report. The four jobs are the ones a user runs
-// from the CLI — the default IC job, the chaos preset single-node and
+// autoscale mode in its report, and — for the cluster job — every
+// nonzero counter of the dispatcher registry (Cluster.Metrics). The
+// four jobs are the ones a user runs from the CLI — the default IC job, the chaos preset single-node and
 // failed over on a two-shard cluster, and a flash crowd whose
 // degradation ladder switches hedging off. The golden lists nonzero tallies
 // only, so a serving mechanism no product job exercises appears nowhere
@@ -46,50 +47,46 @@ func TestProductReach(t *testing.T) {
 
 	jobs := []struct {
 		name, digest string
-		run          func(trace string) (*Report, error)
+		// run returns the job's report and, for a cluster job, the
+		// dispatcher registry's snapshot.
+		run func(trace string) (*Report, MetricsReport, error)
 	}{
-		{"ic-seed5", "3719ca5effa1a2d2", func(trace string) (*Report, error) {
-			return tuneTraced(Job{Workload: "IC", Seed: 5}, trace)
-		}},
-		{"chaos-seed42", "9d9e45378ffeb3eb", func(trace string) (*Report, error) {
-			return tuneTraced(chaos(), trace)
-		}},
-		{"chaos-seed42-cluster2-kill2", "9d9e45378ffeb3eb", func(trace string) (*Report, error) {
+		{"ic-seed5", "3719ca5effa1a2d2", tuneTraced(Job{Workload: "IC", Seed: 5})},
+		{"chaos-seed42", "9d9e45378ffeb3eb", tuneTraced(chaos())},
+		{"chaos-seed42-cluster2-kill2", "9d9e45378ffeb3eb", func(trace string) (*Report, MetricsReport, error) {
 			c, err := NewCluster(ClusterOptions{
 				Shards: 2, Dir: filepath.Join(filepath.Dir(trace), "cluster"), Seed: 42,
 				KillShardAfterRungs: 2, TracePath: trace,
 			})
 			if err != nil {
-				return nil, err
+				return nil, MetricsReport{}, err
 			}
 			rep, err := c.Tune(context.Background(), chaos())
 			if cerr := c.Close(); err == nil {
 				err = cerr
 			}
 			if err != nil {
-				return nil, err
+				return nil, MetricsReport{}, err
 			}
 			if !rep.FailedOver {
-				return nil, fmt.Errorf("the scripted shard kill did not fail the job over")
+				return nil, MetricsReport{}, fmt.Errorf("the scripted shard kill did not fail the job over")
 			}
-			return rep.Report, nil
+			return rep.Report, c.Metrics(), nil
 		}},
-		{"autoscale-flash-crowd-seed7", "9d2158a1827686e6", func(trace string) (*Report, error) {
-			return tuneTraced(flashCrowd, trace)
-		}},
+		{"autoscale-flash-crowd-seed7", "9d2158a1827686e6", tuneTraced(flashCrowd)},
 	}
 
 	var got bytes.Buffer
 	for _, j := range jobs {
 		trace := filepath.Join(t.TempDir(), "trace.jsonl")
-		rep, err := j.run(trace)
+		rep, dispatcher, err := j.run(trace)
 		if err != nil {
 			t.Fatalf("%s: %v", j.name, err)
 		}
 		if d := rep.Digest(); d != j.digest {
 			t.Errorf("%s: digest %s, want %s", j.name, d, j.digest)
 		}
-		tally, err := reachTally(trace, rep)
+		tally, err := reachTally(trace, rep, dispatcher)
 		if err != nil {
 			t.Fatalf("%s: %v", j.name, err)
 		}
@@ -111,13 +108,18 @@ func TestProductReach(t *testing.T) {
 	}
 }
 
-func tuneTraced(job Job, trace string) (*Report, error) {
-	job.TracePath = trace
-	return Tune(context.Background(), job)
+// tuneTraced runs job single-node with its trace written to the path
+// the census hands it; a single-node job has no dispatcher registry.
+func tuneTraced(job Job) func(trace string) (*Report, MetricsReport, error) {
+	return func(trace string) (*Report, MetricsReport, error) {
+		job.TracePath = trace
+		rep, err := Tune(context.Background(), job)
+		return rep, MetricsReport{}, err
+	}
 }
 
 // reachTally renders one job's nonzero tallies, one sorted line each.
-func reachTally(trace string, rep *Report) (string, error) {
+func reachTally(trace string, rep *Report, dispatcher MetricsReport) (string, error) {
 	counts := map[string]int64{}
 	f, err := os.Open(trace)
 	if err != nil {
@@ -170,6 +172,9 @@ func reachTally(trace string, rep *Report) (string, error) {
 	}
 	for _, fc := range rep.Resilience.Faults {
 		counts["resilience fault."+fc.Class] = fc.Count
+	}
+	for _, c := range dispatcher.Counters {
+		counts["dispatcher "+c.Name] = c.Value
 	}
 
 	var lines []string
