@@ -65,15 +65,15 @@ surface() { # what, count, ceiling
 }
 surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 29
 surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 18
-surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)" 13
+surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)" 10
 surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
 surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
-surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 12
+surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 10
 surface "autoscale.Config fields" "$(fields internal/autoscale/autoscale.go Config)" 2
 surface "slo.Spec fields" "$(fields internal/obs/slo/slo.go Spec)" 3
 surface "baselines.HyperPowerOptions fields" "$(fields internal/baselines/baselines.go HyperPowerOptions)" 3
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
-surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 54
+surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 52
 # A report section the pipeline already snapshots is that snapshot (a
 # type alias), not a public struct copying it field for field; an input
 # section the pipeline already declares (Job.Faults) is that declaration.

@@ -16,21 +16,14 @@ import (
 // ClusterOptions configures a sharded multi-tenant tuning cluster: N
 // simulated nodes, each pairing the tuner + inference server with a
 // crash-consistent durable store, behind a dispatcher that
-// consistent-hash-shards jobs, enforces per-tenant quotas, and ships
-// every shard's write-ahead log to a follower for failover.
+// consistent-hash-shards jobs and ships every shard's write-ahead log
+// to a follower for failover.
 type ClusterOptions struct {
 	// Shards is the node-pair count (default 2).
 	Shards int
 	// Dir is the directory holding every node's store files: each shard
 	// gets Dir/shard<i>/{primary,follower}. Required.
 	Dir string
-	// TenantRate and TenantBurst configure the dispatcher's per-tenant
-	// token bucket: each tenant earns TenantRate tokens per cluster
-	// submission and holds at most TenantBurst (rate 0 disables quotas,
-	// burst default 4). Rejections surface as ErrTenantQuota, per-tenant
-	// counters, and the cluster/tenant-admission SLO.
-	TenantRate  float64
-	TenantBurst int
 	// Seed drives the cluster's fault injector.
 	Seed uint64
 	// Faults configures the cluster fault classes (ShardKill,
@@ -50,9 +43,9 @@ type ClusterOptions struct {
 	// debug endpoints: the dispatcher registry on /metrics*, a merged
 	// /metrics/prom where every shard's store instruments carry a
 	// shard="<name>" label alongside the unlabeled cluster series, and
-	// — as a single-node job's server does — /slo and /analyze over the
-	// cluster's objectives and spans (so it turns tracing on even
-	// without TracePath).
+	// — as a single-node job's server does — /analyze over the cluster's
+	// spans (so it turns tracing on even without TracePath). Each job's
+	// SLOs are in its own ClusterReport.SLO; the cluster has none.
 	DebugAddr string
 	// Flight gives every shard its own always-on flight recorder: WAL
 	// appends, replication shipping, serving events, and failovers land
@@ -72,7 +65,6 @@ type ClusterOptions struct {
 type Cluster struct {
 	inner        *cluster.Cluster
 	reg          *obs.Registry
-	ev           *slo.Evaluator
 	tracer       *obs.Tracer
 	path         string
 	incidentsDir string
@@ -95,7 +87,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		opts.Flight = true
 	}
 	reg := obs.NewRegistry()
-	ev := slo.NewEvaluator()
 	var tracer *obs.Tracer
 	if opts.TracePath != "" || opts.DebugAddr != "" {
 		tracer = obs.NewTracer()
@@ -103,24 +94,21 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	inner, err := cluster.New(cluster.Options{
 		Shards:              opts.Shards,
 		Dir:                 opts.Dir,
-		TenantRate:          opts.TenantRate,
-		TenantBurst:         opts.TenantBurst,
 		Seed:                opts.Seed,
 		Fault:               opts.Faults,
 		KillShardAfterRungs: opts.KillShardAfterRungs,
 		SnapshotEvery:       opts.SnapshotEvery,
 		Metrics:             reg,
-		SLO:                 ev,
 		Trace:               tracer,
 		Flight:              opts.Flight,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{inner: inner, reg: reg, ev: ev, tracer: tracer,
+	c := &Cluster{inner: inner, reg: reg, tracer: tracer,
 		path: opts.TracePath, incidentsDir: opts.IncidentsDir}
 	if opts.DebugAddr != "" {
-		handlers := debugHandlers(ev, tracer)
+		handlers := map[string]http.Handler{"/analyze": analyzeHandler(tracer)}
 		// Override the single-registry exposition with the merged
 		// cluster view: dispatcher series unlabeled, each shard's store
 		// series labeled shard="<name>".
@@ -205,19 +193,13 @@ func (c *Cluster) Tune(ctx context.Context, job Job) (*ClusterReport, error) {
 func (c *Cluster) Shards() []string { return c.inner.Shards() }
 
 // Metrics snapshots the dispatcher's cluster-level instruments: job
-// routing, failovers, WAL shipping, and per-tenant quota rejections.
+// routing, failovers, and WAL shipping.
 func (c *Cluster) Metrics() MetricsReport { return c.reg.Snapshot() }
 
 // ShardMetrics snapshots each shard's store instruments, keyed by shard
 // name — the same per-shard series the debug endpoint's merged
 // /metrics/prom labels with shard="<name>".
 func (c *Cluster) ShardMetrics() map[string]MetricsReport { return c.inner.ShardMetrics() }
-
-// SLO evaluates the cluster's service-level objectives (currently the
-// tenant-admission objective).
-func (c *Cluster) SLO() SLOReport {
-	return buildSLOReport(c.ev.Snapshot())
-}
 
 // Incidents summarises each shard's flight-recorder dossiers, keyed by
 // shard name (empty without ClusterOptions.Flight, or when no trigger
@@ -279,7 +261,3 @@ func (c *Cluster) saveIncidents(err error) error {
 	}
 	return err
 }
-
-// ErrTenantQuota is returned by Cluster.Tune when the submitting
-// tenant's token bucket is empty.
-var ErrTenantQuota = cluster.ErrTenantQuota

@@ -134,8 +134,6 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 
 		{"cluster", &cl.Shards, nonNeg, "run the job on a sharded cluster with this many nodes (requires -cluster-dir)"},
 		{"cluster-dir", &cl.Dir, free, "directory holding every cluster node's durable store"},
-		{"tenant-rate", &cl.TenantRate, nonNeg, "per-tenant admission tokens earned per cluster submission (0 disables quotas)"},
-		{"tenant-burst", &cl.TenantBurst, nonNeg, "per-tenant admission token cap (default 4)"},
 		{"cluster-kill-rungs", &cl.KillShardAfterRungs, nonNeg, "chaos: kill the job's shard after its Nth completed rung and fail over to the follower"},
 		{"fault-shard-kill", &cf.ShardKill, prob, "probability a shard dies at a rung boundary (cluster only)"},
 		{"fault-partition", &cf.NetPartition, prob, "probability a shipped WAL frame is dropped by a network partition (cluster only)"},
@@ -321,7 +319,6 @@ func runCluster(out io.Writer, copts edgetune.ClusterOptions, job edgetune.Job, 
 		for _, ctr := range c.Metrics().Counters {
 			fmt.Fprintf(out, "    counter   %-36s %d\n", ctr.Name, ctr.Value)
 		}
-		printSLO(out, c.SLO())
 	}
 	return nil
 }

@@ -181,8 +181,6 @@ func TestRunFaultFlagValidation(t *testing.T) {
 		{"negative-max-attempts", []string{"-max-attempts", "-2"}, "negative"},
 		{"negative-autoscale-min", []string{"-autoscale-min", "-1"}, "negative"},
 		{"negative-autoscale-max", []string{"-autoscale-max", "-4"}, "negative"},
-		{"negative-tenant-rate", []string{"-tenant-rate", "-0.5"}, "negative"},
-		{"negative-tenant-burst", []string{"-tenant-burst", "-4"}, "negative"},
 		{"negative-brownout-factor", []string{"-brownout-factor", "-6"}, "negative"},
 	}
 	for _, tc := range cases {

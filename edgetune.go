@@ -169,11 +169,11 @@ type Job struct {
 	// Seed drives all randomised components; jobs are fully
 	// deterministic given a seed.
 	Seed uint64
-	// Tenant names the client submitting this job. It keys the cluster
-	// dispatcher's quota gate and its per-tenant rejection counters, and
-	// is the client of every inference submission (its overload-burst
-	// fault sites, tenant pprof label and request spans). Empty means
-	// per-signature clients, the single-tenant default.
+	// Tenant names the client submitting this job. It prefixes the
+	// cluster dispatcher's sharding key, and is the client of every
+	// inference submission (its overload-burst fault sites, tenant pprof
+	// label and request spans). Empty means per-signature clients, the
+	// single-tenant default.
 	Tenant string
 	// Faults injects deterministic failures into the trial and
 	// inference paths for resilience testing; the zero value injects
@@ -623,7 +623,12 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		opts.Store = dur.Store()
 	}
 	if job.DebugAddr != "" {
-		handlers := debugHandlers(ev, tracer)
+		// Beside the registry's own endpoints: the SLO evaluation and a
+		// live analysis of the tracer's spans.
+		handlers := map[string]http.Handler{
+			"/slo":     slo.Handler(ev),
+			"/analyze": analyzeHandler(tracer),
+		}
 		if fr != nil {
 			handlers["/flight"] = flight.Handler(fr)
 		}
@@ -790,16 +795,6 @@ func buildSLOReport(s slo.Snapshot) SLOReport {
 		r.Objectives = append(r.Objectives, obj)
 	}
 	return r
-}
-
-// debugHandlers is what a debug server mounts beside the registry's
-// own endpoints, single-node and cluster alike: the SLO evaluation and
-// a live analysis of the tracer's spans.
-func debugHandlers(ev *slo.Evaluator, tracer *obs.Tracer) map[string]http.Handler {
-	return map[string]http.Handler{
-		"/slo":     slo.Handler(ev),
-		"/analyze": analyzeHandler(tracer),
-	}
 }
 
 // analyzeHandler serves a live trace analysis: the tracer's current

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"edgetune/internal/autoscale"
-	"edgetune/internal/obs/slo"
 )
 
 // Violation is one broken invariant: which one, and the evidence. The
@@ -46,7 +45,6 @@ func Registry() []Invariant {
 		{Name: "budget-conservation", Check: checkBudgetConservation},
 		{Name: "ladder-monotonicity", Check: checkLadderMonotonicity},
 		{Name: "slo-consistency", Check: checkSLOConsistency},
-		{Name: "tenant-quota", Check: checkTenantQuota},
 		{Name: "goroutine-leak", Check: checkGoroutineLeak},
 	}
 }
@@ -186,72 +184,41 @@ func checkLadderMonotonicity(ev Evidence) []Violation {
 	return out
 }
 
-// checkSLOConsistency asserts every objective's counters are
+// checkSLOConsistency asserts every objective of the job's report is
 // internally consistent: errors never exceed events, the compliance
 // fraction matches the counts, and no alert window counts more than
 // the whole run.
 func checkSLOConsistency(ev Evidence) []Violation {
 	var out []Violation
-	for _, pair := range []struct {
-		scope string
-		objs  []slo.ObjectiveReport
-	}{
-		{"job", ev.First.Result.SLO.Objectives},
-		{"cluster", ev.First.ClusterSLO.Objectives},
-	} {
-		for _, o := range pair.objs {
-			if o.Errors < 0 || o.Events < 0 || o.Errors > o.Events {
+	for _, o := range ev.First.Result.SLO.Objectives {
+		if o.Errors < 0 || o.Events < 0 || o.Errors > o.Events {
+			out = append(out, Violation{
+				Invariant: "slo-consistency",
+				Detail:    fmt.Sprintf("job objective %s: %d errors over %d events", o.Name, o.Errors, o.Events),
+			})
+			continue
+		}
+		if o.Events > 0 {
+			want := 1 - float64(o.Errors)/float64(o.Events)
+			if math.Abs(o.GoodFraction-want) > 1e-9 {
 				out = append(out, Violation{
 					Invariant: "slo-consistency",
-					Detail:    fmt.Sprintf("%s objective %s: %d errors over %d events", pair.scope, o.Name, o.Errors, o.Events),
+					Detail: fmt.Sprintf("job objective %s: good fraction %.12g != 1 - %d/%d",
+						o.Name, o.GoodFraction, o.Errors, o.Events),
 				})
-				continue
 			}
-			if o.Events > 0 {
-				want := 1 - float64(o.Errors)/float64(o.Events)
-				if math.Abs(o.GoodFraction-want) > 1e-9 {
-					out = append(out, Violation{
-						Invariant: "slo-consistency",
-						Detail: fmt.Sprintf("%s objective %s: good fraction %.12g != 1 - %d/%d",
-							pair.scope, o.Name, o.GoodFraction, o.Errors, o.Events),
-					})
-				}
-			}
-			for _, w := range o.Windows {
-				if w.Errors > w.Events || w.Events > o.Events {
-					out = append(out, Violation{
-						Invariant: "slo-consistency",
-						Detail: fmt.Sprintf("%s objective %s: window (%d/%d) exceeds run totals (%d/%d)",
-							pair.scope, o.Name, w.Errors, w.Events, o.Errors, o.Events),
-					})
-				}
+		}
+		for _, w := range o.Windows {
+			if w.Errors > w.Events || w.Events > o.Events {
+				out = append(out, Violation{
+					Invariant: "slo-consistency",
+					Detail: fmt.Sprintf("job objective %s: window (%d/%d) exceeds run totals (%d/%d)",
+						o.Name, w.Errors, w.Events, o.Errors, o.Events),
+				})
 			}
 		}
 	}
 	return out
-}
-
-// checkTenantQuota asserts the fabric's rejection accounting agrees
-// with what the caller observed: a quota denial is counted exactly
-// once, and a job that was admitted never shows tenant rejections —
-// the quota was not silently exceeded or double-charged.
-func checkTenantQuota(ev Evidence) []Violation {
-	o := ev.First
-	if ev.Schedule.Mode != ModeCluster {
-		return nil
-	}
-	var want int64
-	if o.QuotaDenied {
-		want = 1
-	}
-	if o.Rejected != want {
-		return []Violation{{
-			Invariant: "tenant-quota",
-			Detail: fmt.Sprintf("tenant %s: %d rejections recorded, caller observed %d denial(s)",
-				fuzzTenant, o.Rejected, want),
-		}}
-	}
-	return nil
 }
 
 // checkGoroutineLeak asserts the run shut everything down: after the

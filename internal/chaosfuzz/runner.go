@@ -2,7 +2,6 @@ package chaosfuzz
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -25,8 +24,8 @@ import (
 	"edgetune/internal/workload"
 )
 
-// fuzzTenant is the identity every fuzz job runs under; the cluster's
-// quota counters and rejection metrics key on it.
+// fuzzTenant is the identity every fuzz job runs under: the tenant its
+// requests, spans and profile labels carry.
 const fuzzTenant = "fuzz"
 
 // Runner executes one schedule as a real tuning job — the same wiring
@@ -62,13 +61,6 @@ type runOutcome struct {
 	Result     core.Result
 	RunErr     error
 	FailedOver bool
-	// QuotaDenied reports the cluster rejected the submission at the
-	// tenant gate; Rejected is the fabric's rejection counter for the
-	// fuzz tenant (the two must agree).
-	QuotaDenied bool
-	Rejected    int64
-	// ClusterSLO is the fabric evaluator's snapshot (cluster mode).
-	ClusterSLO slo.Snapshot
 	// Incidents are the shard dossiers (cluster mode), keyed by shard.
 	Incidents map[string][]flight.Dossier
 	// Scrubs holds every replica's post-run scrub + reopen evidence.
@@ -233,17 +225,14 @@ func (r *Runner) runSingle(s Schedule, dir string, plan *fault.Plan, observe fau
 }
 
 func (r *Runner) runCluster(s Schedule, dir string, jobPlan, clusterPlan *fault.Plan, observe fault.Observer) (*runOutcome, error) {
-	reg := obs.NewRegistry()
-	ev := slo.NewEvaluator()
+	// Nothing here reads the fabric registry; it is wired because
+	// edgetune.NewCluster wires one, and the fuzzer runs that path.
 	cl, err := cluster.New(cluster.Options{
 		Shards:      2,
 		Dir:         dir,
 		Seed:        s.Seed,
 		Fault:       fault.Config{Plan: clusterPlan, Observe: observe},
-		TenantRate:  1,
-		TenantBurst: 4,
-		Metrics:     reg,
-		SLO:         ev,
+		Metrics:     obs.NewRegistry(),
 		Flight:      true,
 		FlightSlots: 1 << 12,
 	})
@@ -266,13 +255,10 @@ func (r *Runner) runCluster(s Schedule, dir string, jobPlan, clusterPlan *fault.
 	out.Result = res.Result
 	out.RunErr = runErr
 	out.FailedOver = res.FailedOver
-	out.QuotaDenied = errors.Is(runErr, cluster.ErrTenantQuota)
 	out.Incidents = cl.Incidents()
 	if cerr := cl.Close(); cerr != nil && out.RunErr == nil {
 		out.RunErr = fmt.Errorf("close cluster: %w", cerr)
 	}
-	out.Rejected = reg.Snapshot().Counter("cluster.tenant.rejected." + fuzzTenant)
-	out.ClusterSLO = ev.Snapshot()
 	out.Scrubs = scrubReplicas(dir, []string{
 		"shard0/primary", "shard0/follower",
 		"shard1/primary", "shard1/follower",
@@ -337,7 +323,7 @@ func settleGoroutines(before int) int {
 // finalize computes the outcome's two digests.
 func (o *runOutcome) finalize() {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "mode=%s;seed=%d;failedOver=%v;quotaDenied=%v;rejected=%d;", o.Schedule.Mode, o.Schedule.Seed, o.FailedOver, o.QuotaDenied, o.Rejected)
+	fmt.Fprintf(h, "mode=%s;seed=%d;failedOver=%v;", o.Schedule.Mode, o.Schedule.Seed, o.FailedOver)
 	if o.RunErr != nil {
 		fmt.Fprintf(h, "err=%s;", o.errString())
 	}

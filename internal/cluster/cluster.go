@@ -1,11 +1,10 @@
 // Package cluster is the scale-out layer of the tuning service: N
 // simulated nodes — each wrapping the existing tuner, inference server,
 // and crash-consistent durable store — behind a dispatcher that
-// consistent-hash-shards tuning jobs and serving lookups, enforces
-// per-tenant quotas, and replicates every shard's write-ahead log to a
-// follower so a killed shard fails over and resumes from its last
-// checkpointed rung. The quota gate is the only rate limit a product
-// job meets: the serving layer itself has none.
+// consistent-hash-shards tuning jobs and replicates every shard's
+// write-ahead log to a follower, so a killed shard fails over and
+// resumes from its last checkpointed rung. Neither the dispatcher nor
+// the serving layer rate-limits a job.
 //
 // The correctness claim is inherited from the durability layer: a rung
 // checkpoint captures the tuner's full resumable state (sampler stream
@@ -30,19 +29,11 @@ import (
 	"edgetune/internal/obs"
 	"edgetune/internal/obs/flight"
 	"edgetune/internal/obs/prof"
-	"edgetune/internal/obs/slo"
-	"edgetune/internal/sim"
-	"edgetune/internal/store"
 )
 
 // ErrShardKilled is the injected death of a shard's primary node; the
 // dispatcher catches it and fails over.
 var ErrShardKilled = errors.New("cluster: shard primary killed")
-
-// ErrTenantQuota is returned when a tenant's token bucket is empty: the
-// dispatcher's quota gate, the one rate limit a product job meets. It
-// wraps core.ErrOverloaded so existing shed handling applies.
-var ErrTenantQuota = fmt.Errorf("cluster: tenant quota exceeded: %w", core.ErrOverloaded)
 
 // ErrClusterClosed is returned by submissions after Close/Drain.
 var ErrClusterClosed = errors.New("cluster: closed")
@@ -54,11 +45,6 @@ type Options struct {
 	// Dir is the root directory holding every node's store; each shard
 	// gets Dir/shard<i>/{primary,follower}. Required.
 	Dir string
-	// TenantRate and TenantBurst configure the per-tenant quota gate:
-	// each tenant earns TenantRate tokens per cluster submission and
-	// holds at most TenantBurst (rate 0 = no quotas, burst default 4).
-	TenantRate  float64
-	TenantBurst int
 	// Seed drives the cluster's fault injector (decorrelated from the
 	// per-job seeds).
 	Seed uint64
@@ -77,8 +63,6 @@ type Options struct {
 	// Metrics receives the cluster instruments (nil = off); per-job
 	// metrics stay on each job's own registry.
 	Metrics *obs.Registry
-	// SLO receives the "cluster/tenant-admission" objective (nil = off).
-	SLO *slo.Evaluator
 	// Trace receives per-job cluster spans on TrackCluster (nil = off).
 	Trace *obs.Tracer
 	// Flight enables a per-shard flight recorder: each shard's WAL,
@@ -95,9 +79,9 @@ type Job struct {
 	// Key is the sharding key (required); equal keys land on the same
 	// shard and therefore share its historical store.
 	Key string
-	// Tenant names the submitting client for quota accounting (default
-	// "default"). It is also stamped into the job's options so the
-	// node's serving path sees the same identity.
+	// Tenant names the submitting client (default "default"). It is
+	// stamped into the job's options so the node's serving path, pprof
+	// labels and spans carry the same identity.
 	Tenant string
 	// Opts is the job to run. Store and AfterRung are owned by the
 	// dispatcher: Store must be nil (each shard supplies its durable
@@ -123,11 +107,6 @@ type Cluster struct {
 	shards map[string]*shard
 	inj    *fault.Injector
 
-	// quota is the per-tenant gate, so one tenant's job storm cannot
-	// starve the others before work even reaches a shard; see admit.
-	quotaMu sync.Mutex
-	quota   *sim.TokenBuckets
-
 	mu        sync.Mutex
 	inflightC map[*Job]context.CancelFunc
 
@@ -139,12 +118,10 @@ type Cluster struct {
 
 	mJobs      *obs.Counter
 	mFailovers *obs.Counter
-
-	sloAdmission *slo.Objective
 }
 
-// New opens a cluster: Shards node pairs under Dir, a populated ring,
-// and the quota gate. Callers must Close (or Drain) it.
+// New opens a cluster: Shards node pairs under Dir and a populated
+// ring. Callers must Close (or Drain) it.
 func New(opts Options) (*Cluster, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("cluster: options need a directory")
@@ -155,9 +132,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d must be >= 1", opts.Shards)
 	}
-	if opts.TenantBurst < 1 {
-		opts.TenantBurst = 4
-	}
 	inj, err := fault.NewInjector(opts.Fault, opts.Seed^0x5bf03635, counters.NewResilienceOn(opts.Metrics))
 	if err != nil {
 		return nil, err
@@ -166,20 +140,12 @@ func New(opts Options) (*Cluster, error) {
 		opts:      opts,
 		ring:      NewRing(0),
 		shards:    make(map[string]*shard, opts.Shards),
-		quota:     sim.NewTokenBuckets(opts.TenantRate, opts.TenantBurst),
 		inj:       inj,
 		inflightC: make(map[*Job]context.CancelFunc),
 		closedCh:  make(chan struct{}),
 
 		mJobs:      opts.Metrics.Counter("cluster.jobs"),
 		mFailovers: opts.Metrics.Counter("cluster.failovers"),
-	}
-	if opts.SLO != nil {
-		c.sloAdmission = opts.SLO.Register(slo.Spec{
-			Name:        "cluster/tenant-admission",
-			Description: "99% of cluster submissions clear the per-tenant quota gate",
-			Target:      0.99,
-		})
 	}
 	for i := 0; i < opts.Shards; i++ {
 		name := fmt.Sprintf("shard%d", i)
@@ -203,12 +169,9 @@ func New(opts Options) (*Cluster, error) {
 // Shards lists the shard names in ring order.
 func (c *Cluster) Shards() []string { return c.ring.Nodes() }
 
-// Owner returns the shard a key routes to.
-func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
-
 // ShardMetrics snapshots each shard's private registry (the primary
 // store's instruments), keyed by shard name. Cluster-fabric counters —
-// dispatch, quotas, WAL shipping, failovers — live on the shared
+// dispatch, WAL shipping, failovers — live on the shared
 // registry and are not duplicated here.
 func (c *Cluster) ShardMetrics() map[string]obs.Snapshot {
 	out := make(map[string]obs.Snapshot, len(c.shards))
@@ -244,10 +207,6 @@ func (c *Cluster) Submit(ctx context.Context, job Job) (Result, error) {
 	c.wg.Add(1)
 	c.shutMu.Unlock()
 	defer c.wg.Done()
-
-	if err := c.admit(job.Tenant); err != nil {
-		return res, err
-	}
 
 	owner := c.ring.Owner(job.Key)
 	sh := c.shards[owner]
@@ -301,24 +260,6 @@ func (c *Cluster) Submit(ctx context.Context, job Job) (Result, error) {
 	}
 	res.Result = run
 	return res, nil
-}
-
-// admit charges one token of tenant's quota, ErrTenantQuota when its
-// bucket is empty. The quota SLO runs on the bucket's submission-tick
-// clock, the same operation-indexed convention the store's durability
-// objective uses.
-func (c *Cluster) admit(tenant string) error {
-	c.quotaMu.Lock()
-	tick, ok := c.quota.Take(tenant)
-	c.quotaMu.Unlock()
-	c.sloAdmission.Record(time.Duration(tick)*time.Millisecond, ok)
-	if ok {
-		return nil
-	}
-	if reg := c.opts.Metrics; reg != nil {
-		reg.Counter("cluster.tenant.rejected." + tenant).Inc()
-	}
-	return ErrTenantQuota
 }
 
 // shardOptions adapts a job's options to run on sh: the shard's
@@ -405,29 +346,6 @@ func (c *Cluster) Incidents() map[string][]flight.Dossier {
 		}
 	}
 	return out
-}
-
-// Query serves one historical-store lookup, routed to the shard owning
-// sig — the read path of the dispatcher. It is quota-gated like a
-// submission.
-func (c *Cluster) Query(tenant, sig, device string) (store.Entry, error) {
-	if tenant == "" {
-		tenant = "default"
-	}
-	c.shutMu.Lock()
-	if c.shutting {
-		c.shutMu.Unlock()
-		return store.Entry{}, ErrClusterClosed
-	}
-	c.shutMu.Unlock()
-	if err := c.admit(tenant); err != nil {
-		return store.Entry{}, err
-	}
-	sh := c.shards[c.ring.Owner(sig)]
-	sh.mu.Lock()
-	st := sh.primary.Store()
-	sh.mu.Unlock()
-	return st.Get(sig, device)
 }
 
 // Close shuts the cluster down immediately: in-flight jobs are

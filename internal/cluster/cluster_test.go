@@ -15,7 +15,6 @@ import (
 	"edgetune/internal/core"
 	"edgetune/internal/fault"
 	"edgetune/internal/obs"
-	"edgetune/internal/obs/slo"
 	"edgetune/internal/store"
 	"edgetune/internal/testutil"
 	"edgetune/internal/workload"
@@ -258,78 +257,6 @@ func TestClusterStoresVerifyAfterFailover(t *testing.T) {
 	}
 }
 
-// TestClusterTenantQuota: the dispatcher's per-tenant token bucket
-// rejects a bursting tenant with ErrTenantQuota (wrapping the serving
-// layer's ErrOverloaded), counts the rejection per tenant, and leaves
-// other tenants unaffected.
-func TestClusterTenantQuota(t *testing.T) {
-	testutil.CheckGoroutineLeak(t, 4)
-	reg := obs.NewRegistry()
-	ev := slo.NewEvaluator()
-	c := newTestCluster(t, Options{
-		Shards:      2,
-		TenantRate:  0.25,
-		TenantBurst: 2,
-		Metrics:     reg,
-		SLO:         ev,
-	})
-
-	rejected := 0
-	for i := 0; i < 6; i++ {
-		_, err := c.Query("alice", fmt.Sprintf("IC/layers=%d", 18+i), "i7")
-		switch {
-		case errors.Is(err, ErrTenantQuota):
-			if !errors.Is(err, core.ErrOverloaded) {
-				t.Fatal("ErrTenantQuota does not wrap core.ErrOverloaded")
-			}
-			rejected++
-		case err != nil && !errors.Is(err, store.ErrNotFound):
-			t.Fatalf("unexpected query error: %v", err)
-		}
-	}
-	if rejected == 0 {
-		t.Error("six queries at rate 0.25 / burst 2 never hit the quota")
-	}
-	if got := reg.Counter("cluster.tenant.rejected.alice").Value(); got != int64(rejected) {
-		t.Errorf("alice's rejection counter = %d, want %d", got, rejected)
-	}
-	// A fresh tenant starts with a full bucket regardless of alice's.
-	if _, err := c.Query("bob", "IC/layers=18", "i7"); errors.Is(err, ErrTenantQuota) {
-		t.Error("bob rejected though his bucket was untouched")
-	}
-	if got := reg.Counter("cluster.tenant.rejected.bob").Value(); got != 0 {
-		t.Errorf("bob's rejection counter = %d, want 0", got)
-	}
-
-	snap := ev.Snapshot()
-	found := false
-	for _, o := range snap.Objectives {
-		if o.Name == "cluster/tenant-admission" {
-			found = true
-			if o.Errors != int64(rejected) {
-				t.Errorf("admission SLO errors = %d, want %d", o.Errors, rejected)
-			}
-		}
-	}
-	if !found {
-		t.Error("cluster/tenant-admission objective not registered")
-	}
-}
-
-// TestClusterQuotaRejectsSubmissions: the gate guards the tuning path
-// too, before any shard work starts.
-func TestClusterQuotaRejectsSubmissions(t *testing.T) {
-	testutil.CheckGoroutineLeak(t, 4)
-	c := newTestCluster(t, Options{Shards: 1, TenantRate: 0.01, TenantBurst: 1})
-	if _, err := c.Query("alice", "IC/layers=18", "i7"); errors.Is(err, ErrTenantQuota) {
-		t.Fatal("first query burned no burst")
-	}
-	_, err := c.Submit(context.Background(), Job{Key: "k", Tenant: "alice", Opts: jobOpts()})
-	if !errors.Is(err, ErrTenantQuota) {
-		t.Fatalf("submission after burst: err = %v, want ErrTenantQuota", err)
-	}
-}
-
 // TestClusterRoutesAndRunsConcurrently: keys owned by different shards
 // tune in parallel, each deterministic against its own unsharded run.
 func TestClusterRoutesAndRunsConcurrently(t *testing.T) {
@@ -345,7 +272,7 @@ func TestClusterRoutesAndRunsConcurrently(t *testing.T) {
 	keyB := ""
 	for i := 0; i < 64 && keyB == ""; i++ {
 		k := fmt.Sprintf("tenantB/job%d", i)
-		if c.Owner(k) != c.Owner(keyA) {
+		if c.ring.Owner(k) != c.ring.Owner(keyA) {
 			keyB = k
 		}
 	}
@@ -385,8 +312,8 @@ func TestClusterRoutesAndRunsConcurrently(t *testing.T) {
 }
 
 // TestClusterCloseIdempotent mirrors the PR 2 serving contract: Close
-// twice returns the same error, and submissions and queries after it
-// fail with ErrClusterClosed.
+// twice returns the same error, and a submission after it fails with
+// ErrClusterClosed.
 func TestClusterCloseIdempotent(t *testing.T) {
 	testutil.CheckGoroutineLeak(t, 4)
 	c := newTestCluster(t, Options{Shards: 2})
@@ -397,9 +324,6 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	}
 	if _, err := c.Submit(context.Background(), Job{Key: "k", Opts: jobOpts()}); !errors.Is(err, ErrClusterClosed) {
 		t.Errorf("submit after close: %v, want ErrClusterClosed", err)
-	}
-	if _, err := c.Query("t", "sig", "i7"); !errors.Is(err, ErrClusterClosed) {
-		t.Errorf("query after close: %v, want ErrClusterClosed", err)
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 // VirtualNodes points on a 64-bit hash circle, and a key belongs to the
 // node owning the first point at or clockwise of the key's hash. With
 // enough virtual nodes the key space splits near-evenly, and removing a
-// node moves only the keys it owned — the property the failover path
-// and the minimal-disruption tests rely on.
+// node moves only the keys it owned — the property the minimal-disruption
+// tests check.
 //
 // The ring is not goroutine-safe; the dispatcher mutates it only at
-// construction and under its own lock at failover.
+// construction (a failover promotes a shard's follower in place, so
+// ownership never moves).
 type Ring struct {
 	vnodes int
 	points []ringPoint // sorted by hash
@@ -58,22 +59,6 @@ func (r *Ring) Add(node string) {
 		// make deterministic).
 		return r.points[i].node < r.points[j].node
 	})
-}
-
-// Remove takes node's virtual points off the ring; its keys fall to
-// their clockwise successors. Removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // Owner returns the node owning key ("" on an empty ring).

@@ -186,6 +186,36 @@ func TestFig06Shape(t *testing.T) {
 	}
 }
 
+// TestFig08Shape: both multi-sample scenarios need a tuned batch size.
+// The server's best split of a 64-sample query is interior (neither one
+// batch nor per-sample), the multi-stream aggregation cap is above one,
+// and aggregating cuts the mean response at least 10x against
+// per-sample dispatch (today: split 32, cap 5, 119.8x).
+func TestFig08Shape(t *testing.T) {
+	tab, err := Fig08Batching()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows: server, multi-stream; column 2 = optimal split / cap,
+	// column 3 = mean response [ms].
+	if split := cell(t, tab, 0, 2); split <= 1 || split >= 64 {
+		t.Errorf("server split %v is not interior to (1, 64)", split)
+	}
+	if aggCap := cell(t, tab, 1, 2); aggCap <= 1 {
+		t.Errorf("multi-stream aggregation cap %v, want > 1", aggCap)
+	}
+	var single float64
+	if len(tab.Notes) == 0 {
+		t.Fatal("no per-sample dispatch note")
+	}
+	if _, err := fmt.Sscanf(tab.Notes[0], "without aggregation the multi-stream mean response is %f ms", &single); err != nil {
+		t.Fatalf("per-sample dispatch note %q: %v", tab.Notes[0], err)
+	}
+	if gain := single / cell(t, tab, 1, 3); gain < 10 {
+		t.Errorf("aggregation cuts the mean response %.1fx against per-sample dispatch, want at least 10x", gain)
+	}
+}
+
 // TestFig09Shape: onefold joint tuning takes less tuning time and energy
 // than hierarchical two-tier tuning.
 func TestFig09Shape(t *testing.T) {

@@ -63,8 +63,6 @@ func TestCheckNonNegativeScalars(t *testing.T) {
 		"-max-attempts",
 		"-autoscale-min",
 		"-autoscale-max",
-		"-tenant-rate",
-		"-tenant-burst",
 		"-cluster",
 		"-cluster-kill-rungs",
 		"-store-kill-after",

@@ -1,7 +1,6 @@
 // Package sim provides the deterministic simulation substrate used by all
-// EdgeTune experiments: seeded random-number helpers, the hash every
-// digest and derived seed starts from, and a token bucket that runs on
-// ticks instead of the wall clock.
+// EdgeTune experiments: seeded random-number helpers and the hash every
+// digest and derived seed starts from.
 //
 // The paper reports tuning runtimes in minutes and energy in kilojoules
 // measured on a physical testbed. This reproduction replaces wall-clock
