@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"edgetune/internal/testutil"
@@ -19,9 +20,11 @@ var updateReach = flag.Bool("update-reach", false, "rewrite testdata/product_rea
 
 // TestProductReach is the census of what the product's own jobs reach
 // on the serving path: every request ending, admission verdict and hedge
-// in each job's trace, every nonzero resilience counter and the deepest
-// autoscale mode in its report, and — for the cluster job — every
-// nonzero counter of the dispatcher registry (Cluster.Metrics). The
+// in each job's trace, every nonzero resilience counter, every pool
+// device's nonzero request count, and the autoscaler's deepest mode,
+// scale-ups, scale-downs and final replicas in its report, and — for
+// the cluster job — every nonzero counter of the dispatcher registry
+// (Cluster.Metrics). The
 // four jobs are the ones a user runs from the CLI — the default IC job, the chaos preset single-node and
 // failed over on a two-shard cluster, and a flash crowd whose
 // degradation ladder switches hedging off. The golden lists nonzero tallies
@@ -176,6 +179,11 @@ func reachTally(trace string, rep *Report, dispatcher MetricsReport) (string, er
 	for _, c := range dispatcher.Counters {
 		counts["dispatcher "+c.Name] = c.Value
 	}
+	for _, c := range rep.Metrics.Counters {
+		if strings.HasPrefix(c.Name, "serving.device.") && strings.HasSuffix(c.Name, ".requests") {
+			counts[c.Name] = c.Value
+		}
+	}
 
 	var lines []string
 	for k, n := range counts {
@@ -184,7 +192,8 @@ func reachTally(trace string, rep *Report, dispatcher MetricsReport) (string, er
 		}
 	}
 	if a := rep.Autoscale; a != nil {
-		lines = append(lines, fmt.Sprintf("  autoscale deepest %s\n", a.DeepestMode))
+		lines = append(lines, fmt.Sprintf("  autoscale deepest %s\n", a.DeepestMode),
+			fmt.Sprintf("  autoscale scale up/down %d/%d (final replicas %d)\n", a.ScaleUps, a.ScaleDowns, a.FinalReplicas))
 	}
 	sort.Strings(lines)
 	var b bytes.Buffer
