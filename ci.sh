@@ -312,18 +312,18 @@ done
 gate "autoscale-resilience gate"
 # The autoscaling controller's own tests and the serving-layer chaos
 # tests (flash-crowd determinism, mass-device-failure recovery through
-# the degradation ladder, stalled scale-ups), twice under the race
+# scale-out and scale-in, stalled scale-ups), twice under the race
 # detector, beside the test that a recycled reply channel never reaches
 # the wrong caller. Then the product binary's flash-crowd job twice:
-# same seed must print byte-identical reports, and the crowd must drive
-# the degradation ladder to no-hedging, its one step.
+# same seed must print byte-identical reports, and the crowd must scale
+# the pool out twice, to its three-replica maximum, and never back in.
 go test -race -count=2 ./internal/autoscale
 go test -race -count=2 -run 'Autoscale|TestReplyChannelsNeverCrossDeliver' ./internal/core
 crowd="$tracedir/edgetune -workload IC -autoscale -autoscale-max 3 -fault-flash-crowd 0.1 -seed 7"
 $crowd > "$tracedir/crowd-a.out"
 $crowd > "$tracedir/crowd-b.out"
 cmp "$tracedir/crowd-a.out" "$tracedir/crowd-b.out"
-grep -q "deepest no-hedging" "$tracedir/crowd-a.out"
+grep -q "scale up/down     2/0 (final replicas 3)" "$tracedir/crowd-a.out"
 
 gate "profile-plane gate"
 # The profiling plane end to end. First the registry/probe layers under

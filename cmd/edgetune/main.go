@@ -26,8 +26,8 @@
 //
 // With -flight, an always-on flight recorder captures a compact event
 // stream from both pipelines into a preallocated ring; anomaly
-// triggers (SLO alerts, ladder engagement, shard failover, crash
-// salvage, mass device failure) cut deterministic incident dossiers
+// triggers (SLO alerts, shard failover, crash salvage, mass device
+// failure) cut deterministic incident dossiers
 // into the report, written as JSON artefacts under -incidents-dir. In
 // cluster mode each shard gets its own recorder and its dossiers are
 // written (shard-prefixed) when the cluster closes.
@@ -125,7 +125,7 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 		{"fault-disk-full", &f.DiskFull, prob, "probability a durable-store disk write fails with ENOSPC (requires -store)"},
 		{"fault-disk-slow-fsync", &f.DiskSlowFsync, prob, "probability a durable-store fsync stalls (succeeds slowly; requires -store)"},
 
-		{"autoscale", &job.Autoscale, free, "enable the SLO-driven device-pool autoscaler and graceful-degradation ladder"},
+		{"autoscale", &job.Autoscale, free, "enable the SLO-driven device-pool autoscaler"},
 		{"autoscale-min", &job.AutoscaleMin, nonNeg, "minimum device replicas (default 1, requires -autoscale)"},
 		{"autoscale-max", &job.AutoscaleMax, nonNeg, "maximum device replicas (default 4, requires -autoscale)"},
 		{"fault-flash-crowd", &f.FlashCrowd, prob, "probability a submission brings a phantom flash-crowd arrival surge (requires -autoscale)"},
@@ -417,8 +417,6 @@ func printReport(out io.Writer, r *edgetune.Report) {
 		fmt.Fprintf(out, "    ticks             %d (decisions %d)\n", a.Ticks, a.Decisions)
 		fmt.Fprintf(out, "    scale up/down     %d/%d (final replicas %d)\n",
 			a.ScaleUps, a.ScaleDowns, a.FinalReplicas)
-		fmt.Fprintf(out, "    ladder            deepest %s, final %s (degrade/recover %d/%d)\n",
-			a.DeepestMode, a.FinalMode, a.DegradeSteps, a.RecoverSteps)
 		fmt.Fprintf(out, "    warm-up cost      %.1f simulated minutes, %.3f kJ\n",
 			a.WarmupMinutes, a.WarmupEnergyKJ)
 		fmt.Fprintf(out, "    digest            %s\n", a.Digest)
@@ -440,10 +438,9 @@ func printReport(out io.Writer, r *edgetune.Report) {
 	}
 	// Serving counters, printed in a fixed order so reports are
 	// byte-stable across identically-seeded runs.
-	if res.Shed > 0 || res.Hedges > 0 || res.Quarantines > 0 || res.Probes > 0 || res.Drained > 0 {
+	if res.Shed > 0 || res.Quarantines > 0 || res.Probes > 0 || res.Drained > 0 {
 		fmt.Fprintf(out, "  serving:\n")
 		fmt.Fprintf(out, "    shed              %d\n", res.Shed)
-		fmt.Fprintf(out, "    hedges (won)      %d (%d)\n", res.Hedges, res.HedgeWins)
 		fmt.Fprintf(out, "    quarantines       %d\n", res.Quarantines)
 		fmt.Fprintf(out, "    probes            %d\n", res.Probes)
 		fmt.Fprintf(out, "    drained           %d\n", res.Drained)

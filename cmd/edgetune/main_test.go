@@ -128,7 +128,7 @@ func TestRunOverloadTextReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"serving:", "shed", "hedges (won)", "drained"} {
+	for _, want := range []string{"serving:", "shed", "quarantines", "drained"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("overload report missing %q:\n%s", want, got)
 		}
@@ -384,7 +384,6 @@ func TestRunAutoscaleTextReport(t *testing.T) {
 	for _, want := range []string{
 		"autoscale:",
 		"scale up/down",
-		"ladder",
 		"warm-up cost",
 		"digest",
 	} {

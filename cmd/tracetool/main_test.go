@@ -61,7 +61,7 @@ func TestAnalyzeAndDiffDeterministic(t *testing.T) {
 		t.Errorf("same-seed analyses differ:\n%s\n---\n%s", outA.String(), outB.String())
 	}
 	for _, section := range []string{
-		"critical paths", "queue wait vs service", "per-device breakdown", "hedging",
+		"critical paths", "queue wait vs service", "per-device breakdown", "requests",
 	} {
 		if !strings.Contains(outA.String(), section) {
 			t.Errorf("analysis missing %q section:\n%s", section, outA.String())

@@ -154,13 +154,11 @@ type Job struct {
 	// with StorePath.
 	StoreKillAfterAppends int
 	// Autoscale enables the inference server's SLO-driven device-pool
-	// autoscaler and graceful-degradation ladder: simulated replicas of
-	// the target device are added under saturation or capacity loss
-	// (each charging a warm-up cost to the tuning budget), retired again
-	// with hysteresis when load recedes, and when scaling out is not
-	// enough the degradation ladder switches hedging off (no-hedging)
-	// and back on as the burn rate recovers. The run's control-loop
-	// summary lands in Report.Autoscale.
+	// autoscaler: simulated replicas of the target device are added
+	// under saturation or capacity loss (each charging a warm-up cost to
+	// the tuning budget) and retired again with hysteresis when load
+	// recedes. The run's control-loop summary lands in
+	// Report.Autoscale.
 	Autoscale bool
 	// AutoscaleMin and AutoscaleMax bound the replica count (defaults 1
 	// and 4). Only meaningful with Autoscale.
@@ -211,12 +209,11 @@ type Job struct {
 	Profile bool
 	// Flight turns on the always-on flight recorder: a preallocated
 	// fixed-slot ring continuously records a compact event stream from
-	// both pipelines (span completions, SLO alert edges, autoscale and
-	// ladder decisions, admission rejections, breaker and health
-	// transitions, WAL appends and recovery) with zero steady-state
-	// allocations, and anomaly triggers — an SLO alert's rising edge,
-	// ladder engagement, a crash-recovery salvage, a mass device
-	// failure — snapshot it into deterministic incident dossiers,
+	// both pipelines (span completions, SLO alert edges, autoscale
+	// decisions, admission rejections, breaker and health transitions,
+	// WAL appends and recovery) with zero steady-state allocations, and
+	// anomaly triggers — an SLO alert's rising edge, a crash-recovery
+	// salvage, a mass device failure — snapshot it into deterministic incident dossiers,
 	// summarised in Report.Incidents. Enabling Flight also enables
 	// tracing so dossiers carry a windowed trace analysis. Same-seed
 	// runs produce byte-identical dossiers (leave Profile off for
@@ -244,8 +241,8 @@ type FaultConfig = fault.Config
 type (
 	// ResilienceReport is a job's fault-tolerance accounting: injected
 	// faults by class, retries, breaker transitions, degraded outcomes,
-	// resumed rungs, and the serving layer's admission, hedging,
-	// quarantine and drain counters.
+	// resumed rungs, and the serving layer's admission, quarantine and
+	// drain counters.
 	ResilienceReport = counters.ResilienceSnapshot
 	// FaultCount is how often one injected fault class fired.
 	FaultCount = counters.FaultCount
@@ -378,12 +375,11 @@ func (r *Report) Digest() string {
 // windowed trace analysis, digest — is the JSON file at Path when the
 // job set IncidentsDir.
 type Incident struct {
-	// Trigger is the trigger kind: "slo-alert", "ladder-engaged",
-	// "shard-failover", "crash-salvage", "mass-device-fail", or
-	// "manual".
+	// Trigger is the trigger kind: "slo-alert", "shard-failover",
+	// "crash-salvage", "mass-device-fail", or "manual".
 	Trigger string
 	// Detail is the trigger's context: the alerting objective, the
-	// failed-over shard, the engaged ladder mode.
+	// failed-over shard.
 	Detail string
 	// AtMinutes is the trigger's simulated time.
 	AtMinutes float64
@@ -411,26 +407,19 @@ type ProfileProbe struct {
 }
 
 // AutoscaleReport summarises the autoscaler's run: how often it
-// scaled, whether the graceful-degradation ladder switched hedging
-// off, the warm-up bill, and the deterministic digest of the decision
-// stream. Stalled
+// scaled, the warm-up bill, and the deterministic digest of the
+// decision stream. Stalled
 // scale-ups (the ScaleStall fault class) appear in the
 // "autoscale.stalls" counter of Report.Metrics.
 type AutoscaleReport struct {
 	// Ticks counts control-loop evaluations (one per inference
-	// submission); Decisions counts the actions emitted.
+	// submission); Decisions counts the actions emitted, each a
+	// scale-up or a scale-down.
 	Ticks     int64
 	Decisions int
 	// ScaleUps and ScaleDowns count replica additions and retirements.
 	ScaleUps   int
 	ScaleDowns int
-	// DegradeSteps and RecoverSteps count degradation-ladder
-	// transitions, which alternate starting with a degrade. Modes are
-	// "normal" (hedging on) and "no-hedging".
-	DegradeSteps int
-	RecoverSteps int
-	DeepestMode  string
-	FinalMode    string
 	// FinalReplicas is the active replica count at the last tick.
 	FinalReplicas int
 	// WarmupMinutes and WarmupEnergyKJ are the total replica warm-up
@@ -725,10 +714,6 @@ func buildReport(res core.Result) *Report {
 			Decisions:      a.Decisions,
 			ScaleUps:       a.ScaleUps,
 			ScaleDowns:     a.ScaleDowns,
-			DegradeSteps:   a.DegradeSteps,
-			RecoverSteps:   a.RecoverSteps,
-			DeepestMode:    a.DeepestMode.String(),
-			FinalMode:      a.FinalMode.String(),
 			FinalReplicas:  a.FinalReplicas,
 			WarmupMinutes:  a.WarmupTime.Minutes(),
 			WarmupEnergyKJ: a.WarmupEnergyJ / 1000,

@@ -1,7 +1,5 @@
 // Package autoscale implements a deterministic, sim-clock autoscaler
-// for the inference server's simulated device pool, plus a
-// graceful-degradation ladder for the moments when adding capacity is
-// not enough (or not possible).
+// for the inference server's simulated device pool.
 //
 // The controller is a pure state machine: it is evaluated exactly once
 // per request submission (the "tick"), and every input it sees —
@@ -24,31 +22,6 @@ import (
 	"time"
 )
 
-// Mode is the position of the graceful-degradation switch: the one
-// thing the ladder changes about serving is whether hedging is on.
-type Mode int
-
-const (
-	// ModeNormal serves all traffic with hedging enabled.
-	ModeNormal Mode = iota
-	// ModeNoHedging disables hedged requests, halving worst-case
-	// device load per request.
-	ModeNoHedging
-)
-
-// String returns the stable, kebab-case name used in traces, reasons
-// and reports.
-func (m Mode) String() string {
-	switch m {
-	case ModeNormal:
-		return "normal"
-	case ModeNoHedging:
-		return "no-hedging"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // Config bounds the replica count; the rest of the control loop is
 // the package's constants. The zero value of a field selects its
 // default; New rejects a bound out of range.
@@ -68,22 +41,20 @@ const CapacityTarget float64 = 0.95
 // above scaleUpAt is hot, at or below scaleDownAt calm; so is a burn
 // rate at or above burnHot (the standing page-worthy threshold), at or
 // below burnCalm (burning no faster than budget). The burn rate covers
-// the last burnWindow submissions. Each scale-down or ladder release
-// waits for hysteresisTicks consecutive calm ticks, the ladder step
-// for ladderAfterTicks consecutive hot ticks at Max. An added replica
+// the last burnWindow submissions. Each scale-down waits for
+// hysteresisTicks consecutive calm ticks. An added replica
 // is not routable until warmupTime of simulated time has passed, and
 // bills warmupEnergyJ joules to the run: the edge platform's replica
 // start-up cost.
 const (
-	scaleUpAt        = 0.75
-	scaleDownAt      = 0.25
-	burnHot          = 14.4
-	burnCalm         = 1
-	burnWindow       = 32
-	hysteresisTicks  = 8
-	ladderAfterTicks = 4
-	warmupTime       = 30 * time.Second
-	warmupEnergyJ    = 150
+	scaleUpAt       = 0.75
+	scaleDownAt     = 0.25
+	burnHot         = 14.4
+	burnCalm        = 1
+	burnWindow      = 32
+	hysteresisTicks = 8
+	warmupTime      = 30 * time.Second
+	warmupEnergyJ   = 150
 )
 
 // Signals is the controller's deterministic view of the server at one
@@ -111,14 +82,13 @@ type Signals struct {
 	Good bool
 }
 
-// Decision is one emitted control action. Delta is +1 for a scale-up,
-// -1 for a scale-down and 0 for a pure ladder transition.
+// Decision is one emitted control action. Delta is +1 for a scale-up
+// and -1 for a scale-down.
 type Decision struct {
 	Tick     int64
 	At       time.Duration
 	Delta    int
 	Replicas int // target replica count after the decision
-	Mode     Mode
 	Reason   string
 	// WarmupTime and WarmupEnergyJ are the costs charged by this
 	// decision (zero unless Delta > 0).
@@ -126,19 +96,13 @@ type Decision struct {
 	WarmupEnergyJ float64
 }
 
-// Report is a summary snapshot of a controller's run. The ladder only
-// switches between its two modes, so degrades and recovers alternate
-// starting with a degrade: DegradeSteps − RecoverSteps is the final
-// mode, and DeepestMode is ModeNoHedging exactly when DegradeSteps > 0.
+// Report is a summary snapshot of a controller's run. Every decision
+// is a scale-up or a scale-down, so Decisions = ScaleUps + ScaleDowns.
 type Report struct {
 	Ticks         int64
 	Decisions     int
 	ScaleUps      int
 	ScaleDowns    int
-	DegradeSteps  int
-	RecoverSteps  int
-	DeepestMode   Mode
-	FinalMode     Mode
 	FinalReplicas int
 	WarmupTime    time.Duration
 	WarmupEnergyJ float64
@@ -158,8 +122,6 @@ type Controller struct {
 	wfill  int
 	bad    int // bad events currently in the window
 
-	mode Mode
-	hot  int // consecutive hot ticks
 	calm int // consecutive calm ticks
 
 	lastReplicas int
@@ -167,7 +129,6 @@ type Controller struct {
 	digest       uint64
 
 	scaleUps, scaleDowns int
-	degrades, recovers   int
 	warmTime             time.Duration
 	warmEnergy           float64
 }
@@ -235,62 +196,33 @@ func (c *Controller) Evaluate(sig Signals) (Decision, bool) {
 	switch {
 	case hot:
 		c.calm = 0
-		c.hot++
 		if sig.Replicas < c.cfg.Max {
 			d := c.emit(Decision{
 				At:            sig.At,
 				Delta:         1,
 				Replicas:      sig.Replicas + 1,
-				Mode:          c.mode,
 				Reason:        "scale-up:" + reason,
 				WarmupTime:    warmupTime,
 				WarmupEnergyJ: warmupEnergyJ,
 			})
 			return d, true
 		}
-		if c.hot >= ladderAfterTicks && c.mode == ModeNormal {
-			c.mode = ModeNoHedging
-			c.degrades++
+	case calm:
+		c.calm++
+		if c.calm >= hysteresisTicks && sig.Replicas > c.cfg.Min {
+			c.calm = 0
 			d := c.emit(Decision{
 				At:       sig.At,
-				Replicas: sig.Replicas,
-				Mode:     c.mode,
-				Reason:   "degrade:" + c.mode.String(),
+				Delta:    -1,
+				Replicas: sig.Replicas - 1,
+				Reason:   "scale-down:idle",
 			})
 			return d, true
 		}
-	case calm:
-		c.hot = 0
-		c.calm++
-		if c.calm >= hysteresisTicks {
-			if c.mode == ModeNoHedging {
-				c.mode = ModeNormal
-				c.calm = 0
-				c.recovers++
-				d := c.emit(Decision{
-					At:       sig.At,
-					Replicas: sig.Replicas,
-					Mode:     c.mode,
-					Reason:   "recover:" + c.mode.String(),
-				})
-				return d, true
-			}
-			if sig.Replicas > c.cfg.Min {
-				c.calm = 0
-				d := c.emit(Decision{
-					At:       sig.At,
-					Delta:    -1,
-					Replicas: sig.Replicas - 1,
-					Mode:     c.mode,
-					Reason:   "scale-down:idle",
-				})
-				return d, true
-			}
-		}
 	default:
-		// Neither hot nor calm: the system is in between. Reset both
-		// streaks so flapping load cannot accumulate a stale streak.
-		c.hot, c.calm = 0, 0
+		// Neither hot nor calm: the system is in between. Reset the
+		// streak so flapping load cannot accumulate a stale one.
+		c.calm = 0
 	}
 	return Decision{}, false
 }
@@ -338,47 +270,19 @@ func (c *Controller) emit(d Decision) Decision {
 	return d
 }
 
-// Mode returns the current degradation mode.
-func (c *Controller) Mode() Mode {
-	if c == nil {
-		return ModeNormal
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mode
-}
-
-// Digest returns the FNV-1a fold of the decision stream so far. Two
-// same-seed runs must agree on it.
-func (c *Controller) Digest() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.digest
-}
-
-// Report snapshots run totals.
+// Report snapshots run totals. Its Digest is the FNV-1a fold of the
+// decision stream so far; two same-seed runs must agree on it.
 func (c *Controller) Report() Report {
 	if c == nil {
 		return Report{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deepest := ModeNormal
-	if c.degrades > 0 {
-		deepest = ModeNoHedging
-	}
 	return Report{
 		Ticks:         c.tick,
 		Decisions:     c.decisions,
 		ScaleUps:      c.scaleUps,
 		ScaleDowns:    c.scaleDowns,
-		DegradeSteps:  c.degrades,
-		RecoverSteps:  c.recovers,
-		DeepestMode:   deepest,
-		FinalMode:     c.mode,
 		FinalReplicas: c.lastReplicas,
 		WarmupTime:    c.warmTime,
 		WarmupEnergyJ: c.warmEnergy,
@@ -396,7 +300,6 @@ func (c *Controller) mix(d Decision) {
 	c.mixUint(uint64(d.At))
 	c.mixUint(uint64(int64(d.Delta)))
 	c.mixUint(uint64(int64(d.Replicas)))
-	c.mixUint(uint64(int64(d.Mode)))
 	for i := 0; i < len(d.Reason); i++ {
 		c.digest = (c.digest ^ uint64(d.Reason[i])) * fnvPrime
 	}

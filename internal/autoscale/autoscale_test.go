@@ -7,7 +7,7 @@ import (
 )
 
 // testConfig bounds the pool at three replicas, so a hot drive reaches
-// Max in two scale-ups and then steps the ladder.
+// Max in two scale-ups.
 func testConfig() Config {
 	return Config{Min: 1, Max: 3}
 }
@@ -51,7 +51,6 @@ func TestScaleUpThenLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	replicas := 1
-	var modes []Mode
 	var deltas []int
 	for i := 0; i < 16; i++ {
 		d, ok := ctl.Evaluate(hotSignals(time.Duration(i)*time.Minute, replicas))
@@ -59,26 +58,16 @@ func TestScaleUpThenLadder(t *testing.T) {
 			continue
 		}
 		deltas = append(deltas, d.Delta)
-		modes = append(modes, d.Mode)
 		replicas += d.Delta
 	}
-	// Ticks 1,2 scale up to Max=3; the hot streak they start steps the
-	// ladder to no-hedging at tick 4, and the twelve hot ticks after it
-	// find nothing deeper to switch off.
-	wantDeltas := []int{1, 1, 0}
-	wantModes := []Mode{ModeNormal, ModeNormal, ModeNoHedging}
-	if !reflect.DeepEqual(deltas, wantDeltas) {
-		t.Errorf("deltas = %v, want %v", deltas, wantDeltas)
-	}
-	if !reflect.DeepEqual(modes, wantModes) {
-		t.Errorf("modes = %v, want %v", modes, wantModes)
-	}
-	if got := ctl.Mode(); got != ModeNoHedging {
-		t.Errorf("final mode = %v, want no-hedging", got)
+	// Ticks 1,2 scale up to Max=3; the fourteen hot ticks after them
+	// find no capacity left to add and emit nothing.
+	if want := []int{1, 1}; !reflect.DeepEqual(deltas, want) {
+		t.Errorf("deltas = %v, want %v", deltas, want)
 	}
 	rep := ctl.Report()
-	if rep.ScaleUps != 2 || rep.DegradeSteps != 1 || rep.DeepestMode != ModeNoHedging {
-		t.Errorf("report = %+v, want 2 scale-ups, 1 degrade step, deepest no-hedging", rep)
+	if rep.ScaleUps != 2 || rep.Decisions != 2 || rep.FinalReplicas != 3 {
+		t.Errorf("report = %+v, want 2 scale-ups, 2 decisions, 3 replicas", rep)
 	}
 	if rep.WarmupTime != time.Minute || rep.WarmupEnergyJ != 300 {
 		t.Errorf("warm-up charges = %v / %v J, want 1m / 300 J (30s / 150 J per replica)", rep.WarmupTime, rep.WarmupEnergyJ)
@@ -97,19 +86,18 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 		s.At = at
 		return ctl.Evaluate(s)
 	}
-	// Drive to max replicas + no-hedging.
+	// Drive to max replicas.
 	for i := 0; i < 12; i++ {
 		if d, ok := tick(hotSignals(0, replicas)); ok {
 			replicas += d.Delta
 		}
 	}
-	if ctl.Mode() != ModeNoHedging || replicas != 3 {
-		t.Fatalf("setup: mode %v replicas %d, want no-hedging/3", ctl.Mode(), replicas)
+	if replicas != 3 {
+		t.Fatalf("setup: %d replicas, want 3", replicas)
 	}
 	// Calm ticks: the 32-tick burn window still holds the 12 bad events,
 	// so the first calm ticks are merely "not hot" until all but one
-	// have left it (31 ticks); then the first 8-tick calm streak turns
-	// hedging back on and each later one scales down.
+	// have left it (31 ticks); then each 8-tick calm streak scales down.
 	var trail []string
 	for i := 0; i < 80; i++ {
 		if d, ok := tick(calmSignals(0, replicas)); ok {
@@ -118,19 +106,18 @@ func TestLadderReleasesAndScalesDownWithHysteresis(t *testing.T) {
 		}
 	}
 	want := []string{
-		"recover:normal",
 		"scale-down:idle",
 		"scale-down:idle",
 	}
 	if !reflect.DeepEqual(trail, want) {
 		t.Fatalf("release trail = %v, want %v", trail, want)
 	}
-	if replicas != 1 || ctl.Mode() != ModeNormal {
-		t.Errorf("final state %d replicas mode %v, want 1/normal", replicas, ctl.Mode())
+	if replicas != 1 {
+		t.Errorf("final state %d replicas, want 1", replicas)
 	}
 	rep := ctl.Report()
-	if rep.RecoverSteps != 1 || rep.ScaleDowns != 2 || rep.FinalMode != ModeNormal {
-		t.Errorf("report = %+v, want 1 recover step, 2 scale-downs, final normal", rep)
+	if rep.ScaleDowns != 2 || rep.Decisions != 4 {
+		t.Errorf("report = %+v, want 2 scale-downs, 4 decisions", rep)
 	}
 }
 
@@ -190,7 +177,7 @@ func TestBoundsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At Max, hot ticks ladder instead of scaling.
+	// At Max, hot ticks emit nothing.
 	for i := 0; i < 30; i++ {
 		if d, ok := ctl.Evaluate(hotSignals(time.Duration(i)*time.Minute, 3)); ok && d.Delta > 0 {
 			t.Fatalf("scaled past Max at tick %d: %+v", i, d)
@@ -206,7 +193,7 @@ func TestBoundsRespected(t *testing.T) {
 }
 
 func TestSameInputsSameDigest(t *testing.T) {
-	run := func() (uint64, Report) {
+	run := func() Report {
 		ctl, err := New(testConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -221,18 +208,17 @@ func TestSameInputsSameDigest(t *testing.T) {
 				replicas += d.Delta
 			}
 		}
-		return ctl.Digest(), ctl.Report()
+		return ctl.Report()
 	}
-	d1, rep1 := run()
-	d2, rep2 := run()
-	if d1 != d2 {
-		t.Fatalf("digests diverged: %016x != %016x", d1, d2)
+	rep1, rep2 := run(), run()
+	if rep1.Digest != rep2.Digest {
+		t.Fatalf("digests diverged: %016x != %016x", rep1.Digest, rep2.Digest)
 	}
 	if !reflect.DeepEqual(rep1, rep2) {
 		t.Fatalf("reports diverged:\n%+v\n%+v", rep1, rep2)
 	}
-	if rep1.Decisions == 0 || rep1.DegradeSteps == 0 {
-		t.Fatalf("mixed drive emitted %d decisions, %d ladder steps; want both", rep1.Decisions, rep1.DegradeSteps)
+	if rep1.Decisions == 0 {
+		t.Fatal("mixed drive emitted no decision")
 	}
 }
 
@@ -241,25 +227,8 @@ func TestNilControllerIsSafe(t *testing.T) {
 	if _, ok := ctl.Evaluate(hotSignals(0, 1)); ok {
 		t.Fatal("nil controller emitted a decision")
 	}
-	if ctl.Mode() != ModeNormal || ctl.Digest() != 0 {
-		t.Fatal("nil controller accessors not zero-valued")
-	}
 	if got := ctl.Report(); !reflect.DeepEqual(got, Report{}) {
 		t.Fatalf("nil controller report = %+v", got)
-	}
-}
-
-func TestModeString(t *testing.T) {
-	want := map[Mode]string{
-		ModeNormal:    "normal",
-		ModeNoHedging: "no-hedging",
-		Mode(2):       "mode(2)",
-		Mode(9):       "mode(9)",
-	}
-	for m, s := range want {
-		if m.String() != s {
-			t.Errorf("Mode(%d).String() = %q, want %q", int(m), m.String(), s)
-		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"edgetune/internal/autoscale"
-	"edgetune/internal/core"
 	"edgetune/internal/fault"
 )
 
@@ -302,50 +300,5 @@ func TestGenerateDeterministicAndBounded(t *testing.T) {
 				t.Fatalf("Generate(%d) intensity %v, want 1", i, ev.Intensity)
 			}
 		}
-	}
-}
-
-// TestLadderMonotonicityCatchesViolations plants each way a two-mode
-// ladder's report can contradict itself and checks the invariant names
-// it, while the reports a real run can produce pass.
-func TestLadderMonotonicityCatchesViolations(t *testing.T) {
-	const normal, off = autoscale.ModeNormal, autoscale.ModeNoHedging
-	cases := []struct {
-		name               string
-		degrades, recovers int
-		deepest, final     autoscale.Mode
-		wantViolation      string
-	}{
-		{"never stepped", 0, 0, normal, normal, ""},
-		{"clean 1/0", 1, 0, off, off, ""},
-		{"clean 3/3", 3, 3, off, normal, ""},
-		{"two degrades in a row", 2, 0, off, off, "must alternate"},
-		{"recover before degrade", 0, 1, normal, normal, "must alternate"},
-		{"final mode disagrees", 1, 1, off, off, "final mode no-hedging"},
-		{"deepest normal after a degrade", 1, 0, normal, off, "deepest mode normal after 1"},
-		{"deepest no-hedging without a degrade", 0, 0, off, normal, "deepest mode no-hedging after 0"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			ev := Evidence{First: &runOutcome{Result: core.Result{Autoscale: &autoscale.Report{
-				DegradeSteps: c.degrades,
-				RecoverSteps: c.recovers,
-				DeepestMode:  c.deepest,
-				FinalMode:    c.final,
-			}}}}
-			got := checkLadderMonotonicity(ev)
-			if c.wantViolation == "" {
-				if len(got) != 0 {
-					t.Fatalf("clean report flagged: %v", got)
-				}
-				return
-			}
-			if len(got) != 1 || got[0].Invariant != "ladder-monotonicity" || !strings.Contains(got[0].Detail, c.wantViolation) {
-				t.Fatalf("violations = %v, want one ladder-monotonicity naming %q", got, c.wantViolation)
-			}
-		})
-	}
-	if got := checkLadderMonotonicity(Evidence{First: &runOutcome{}}); len(got) != 0 {
-		t.Fatalf("a run without an autoscaler flagged: %v", got)
 	}
 }

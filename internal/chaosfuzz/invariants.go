@@ -3,8 +3,6 @@ package chaosfuzz
 import (
 	"fmt"
 	"math"
-
-	"edgetune/internal/autoscale"
 )
 
 // Violation is one broken invariant: which one, and the evidence. The
@@ -43,7 +41,6 @@ func Registry() []Invariant {
 		{Name: "determinism", Check: checkDeterminism},
 		{Name: "twin-convergence", Check: checkTwinConvergence},
 		{Name: "budget-conservation", Check: checkBudgetConservation},
-		{Name: "ladder-monotonicity", Check: checkLadderMonotonicity},
 		{Name: "slo-consistency", Check: checkSLOConsistency},
 		{Name: "goroutine-leak", Check: checkGoroutineLeak},
 	}
@@ -154,32 +151,6 @@ func checkBudgetConservation(ev Evidence) []Violation {
 			Detail: fmt.Sprintf("reported energy %.12gkJ != recomputed %.12gkJ",
 				res.TuningEnergyKJ, wantKJ),
 		})
-	}
-	return out
-}
-
-// checkLadderMonotonicity asserts the degradation ladder only ever
-// flips its one switch: degrades and recovers alternate starting with a
-// degrade, so the step counters differ by 0 or 1, that difference is
-// the final mode, and the deepest mode is no-hedging exactly when the
-// ladder ever stepped.
-func checkLadderMonotonicity(ev Evidence) []Violation {
-	a := ev.First.Result.Autoscale
-	if a == nil {
-		return nil
-	}
-	var out []Violation
-	flag := func(format string, args ...any) {
-		out = append(out, Violation{Invariant: "ladder-monotonicity", Detail: fmt.Sprintf(format, args...)})
-	}
-	switch open := a.DegradeSteps - a.RecoverSteps; {
-	case open != 0 && open != 1:
-		flag("step counters (%d degrade, %d recover) differ by %d (must alternate)", a.DegradeSteps, a.RecoverSteps, open)
-	case a.FinalMode != autoscale.Mode(open):
-		flag("final mode %s disagrees with step counters (%d degrade, %d recover)", a.FinalMode, a.DegradeSteps, a.RecoverSteps)
-	}
-	if (a.DeepestMode == autoscale.ModeNoHedging) != (a.DegradeSteps > 0) {
-		flag("deepest mode %s after %d degrade steps", a.DeepestMode, a.DegradeSteps)
 	}
 	return out
 }

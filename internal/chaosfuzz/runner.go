@@ -143,7 +143,7 @@ func (r *Runner) run(s Schedule, observe fault.Observer) (*runOutcome, error) {
 
 // jobOptions builds the fixed fuzz job shape: small enough that a
 // schedule evaluation takes tens of milliseconds, rich enough that
-// every subsystem (retries, inference serving, autoscaling ladder,
+// every subsystem (retries, inference serving, autoscaling,
 // checkpoints, SLOs) has decision points to fault.
 func (r *Runner) jobOptions(s Schedule, plan *fault.Plan, observe fault.Observer) (core.Options, error) {
 	w, err := workload.New("IC", s.Seed^0x9e3779b9)
@@ -368,7 +368,7 @@ func writeResult(h interface{ Write([]byte) (int, error) }, res *core.Result) {
 		fmt.Fprintf(h, "slo=%s/%d/%d;", obj.Name, obj.Events, obj.Errors)
 	}
 	if a := res.Autoscale; a != nil {
-		fmt.Fprintf(h, "as=%d/%d/%d/%d/%016x;", a.Ticks, a.ScaleUps, a.ScaleDowns, a.DegradeSteps+a.RecoverSteps, a.Digest)
+		fmt.Fprintf(h, "as=%d/%d/%d/%016x;", a.Ticks, a.ScaleUps, a.ScaleDowns, a.Digest)
 	}
 	for _, d := range res.Incidents {
 		fmt.Fprintf(h, "inc=%s/%d/%s;", d.Trigger.Kind, d.Trigger.Seq, d.Digest)

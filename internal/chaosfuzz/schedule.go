@@ -6,8 +6,7 @@
 // tuning job, and evaluates a registry of system-wide invariants after
 // every run: no lost durably-acked writes, same-seed digest
 // convergence wherever the design promises it, budget conservation,
-// degradation-ladder monotonicity, SLO counter consistency, and zero
-// goroutine leaks. When an invariant breaks, a
+// SLO counter consistency, and zero goroutine leaks. When an invariant breaks, a
 // delta-debugging shrinker minimizes the schedule and the fuzzer emits
 // a replayable repro artefact: the minimal schedule plus seed, and a
 // flight-recorder dossier of the violating run.

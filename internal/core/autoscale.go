@@ -15,9 +15,9 @@ import (
 // scaler binds the autoscale controller to the inference server: it is
 // ticked once per submission, in submission order, with signals
 // stamped deterministically at the request's simulated time, and
-// applies the controller's decisions to the device pool and the
-// hedging gate. The flash-crowd fault class feeds it phantom load; the
-// mass-device-fail class collapses the pool under it.
+// applies the controller's decisions to the device pool. The
+// flash-crowd fault class feeds it phantom load; the mass-device-fail
+// class collapses the pool under it.
 type scaler struct {
 	mu   sync.Mutex
 	ctl  *autoscale.Controller
@@ -33,11 +33,8 @@ type scaler struct {
 
 	// Registry instruments (nil when metrics are off).
 	gReplicas *obs.Gauge
-	gMode     *obs.Gauge
 	cUps      *obs.Counter
 	cDowns    *obs.Counter
-	cDegrade  *obs.Counter
-	cRecover  *obs.Counter
 	cStalls   *obs.Counter
 	cCrowd    *obs.Counter
 }
@@ -56,22 +53,12 @@ func newScaler(cfg autoscale.Config, opts *InferenceServerOptions) (*scaler, err
 	}
 	if reg := opts.Recorder.Registry(); reg != nil {
 		sc.gReplicas = reg.Gauge("autoscale.replicas")
-		sc.gMode = reg.Gauge("autoscale.mode")
 		sc.cUps = reg.Counter("autoscale.scale-ups")
 		sc.cDowns = reg.Counter("autoscale.scale-downs")
-		sc.cDegrade = reg.Counter("autoscale.degrade-steps")
-		sc.cRecover = reg.Counter("autoscale.recover-steps")
 		sc.cStalls = reg.Counter("autoscale.stalls")
 		sc.cCrowd = reg.Counter("autoscale.flash-crowds")
 	}
 	return sc, nil
-}
-
-// hedgingOff reports whether the degradation ladder has switched
-// hedging off (never without an autoscaler). Reads go through the
-// controller's own lock.
-func (s *InferenceServer) hedgingOff() bool {
-	return s.scale != nil && s.scale.ctl.Mode() == autoscale.ModeNoHedging
 }
 
 // AutoscaleReport snapshots the autoscaler's run totals, or nil when
@@ -146,12 +133,11 @@ func (s *InferenceServer) autoscaleTick(req InferRequest, seq int) {
 		sc.crowd = 0
 	}
 	sc.gReplicas.Set(float64(active))
-	sc.gMode.Set(float64(sc.ctl.Mode()))
 	sc.mu.Unlock()
 }
 
 // applyScaleDecision turns one controller decision into its effect on
-// the pool and the hedging gate. Callers hold sc.mu.
+// the pool. Callers hold sc.mu.
 func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Duration) {
 	sc := s.scale
 	switch {
@@ -168,30 +154,18 @@ func (s *InferenceServer) applyScaleDecision(d autoscale.Decision, at time.Durat
 			replica.Profile.Name = fmt.Sprintf("%s-as%d", sc.base.Profile.Name, sc.replicaSeq)
 			s.pool.addReplica(replica, at+d.WarmupTime)
 		}
-	case d.Delta < 0:
+	default:
 		if _, ok := s.pool.retireNewest(); ok {
 			sc.cDowns.Inc()
 		}
-	case d.Mode == autoscale.ModeNoHedging:
-		// Pure ladder step: hedging switches off. Every step is an
-		// engagement — the run left normal service — and so an
-		// incident trigger.
-		sc.cDegrade.Inc()
-		s.opts.Flight.Record(at, flight.KindLadder, "degrade", d.Mode.String(), int64(autoscale.ModeNormal), int64(d.Mode))
-		s.opts.Flight.Trigger(flight.TriggerLadder, at, d.Mode.String())
-	default:
-		// Pure ladder release: hedging is back on.
-		sc.cRecover.Inc()
-		s.opts.Flight.Record(at, flight.KindLadder, "recover", d.Mode.String(), int64(autoscale.ModeNoHedging), int64(d.Mode))
 	}
 
 	if t := s.opts.Trace; t != nil {
 		sp := t.Root(obs.TrackAutoscale, "scale-event", uint64(d.Tick), at,
 			obs.Int("delta", int64(d.Delta)),
 			obs.Int("replicas", int64(d.Replicas)),
-			obs.Str("mode", d.Mode.String()),
 			obs.Str("reason", d.Reason))
 		sp.End(at + d.WarmupTime)
 	}
-	s.opts.Flight.Record(at, flight.KindAutoscale, d.Reason, d.Mode.String(), int64(d.Delta), int64(d.Replicas))
+	s.opts.Flight.Record(at, flight.KindAutoscale, d.Reason, "", int64(d.Delta), int64(d.Replicas))
 }

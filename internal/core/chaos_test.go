@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"edgetune/internal/counters"
-	"edgetune/internal/device"
 	"edgetune/internal/fault"
 	"edgetune/internal/store"
 	"edgetune/internal/testutil"
@@ -564,7 +563,7 @@ func runOverloadScenario(t *testing.T) overloadDigest {
 	for i, out := range outs {
 		switch {
 		case out.Err == nil:
-			d.Outcomes = append(d.Outcomes, fmt.Sprintf("ok@%s hedged=%v lat=%d", out.Device, out.Hedged, out.Latency))
+			d.Outcomes = append(d.Outcomes, fmt.Sprintf("ok@%s lat=%d", out.Device, out.TuningCost.Duration))
 			// Zero dropped writes: every success must be in the store
 			// after the drain.
 			if _, err := st.Get(sigRequest(i).Signature, out.Device); err != nil {
@@ -584,8 +583,9 @@ func runOverloadScenario(t *testing.T) overloadDigest {
 
 // TestInferenceServerOverloadBrownoutChaos is the serving acceptance
 // test: sustained overload with a browning-out pool must shed
-// deterministically, hedge stragglers, lose no completed store write,
-// leak no goroutines, and replay identically under the same seed.
+// deterministically, steer around browning-out devices, lose no
+// completed store write, leak no goroutines, and replay identically
+// under the same seed.
 func TestInferenceServerOverloadBrownoutChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
@@ -598,8 +598,16 @@ func TestInferenceServerOverloadBrownoutChaos(t *testing.T) {
 	if a.Phase1Shed != 24 {
 		t.Errorf("phase-1 shed = %d, want 24 (32 submissions - 8 queue slots)", a.Phase1Shed)
 	}
-	if a.Resilience.Hedges == 0 {
-		t.Error("no hedges under 30%% brown-outs")
+	// Brown-outs lower the I7's health score, which steers later
+	// requests onto its twin; without them the I7 serves every one.
+	served := map[string]bool{}
+	for _, o := range a.Outcomes {
+		if dev, ok := strings.CutPrefix(o, "ok@"); ok {
+			served[strings.Fields(dev)[0]] = true
+		}
+	}
+	if len(served) != 2 {
+		t.Errorf("successes served by %v; want brown-outs to steer requests onto both pool devices", served)
 	}
 	if a.Resilience.Drained == 0 {
 		t.Error("no requests recorded as completed during drain")
@@ -614,47 +622,5 @@ func TestInferenceServerOverloadBrownoutChaos(t *testing.T) {
 	b := runOverloadScenario(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed overload scenarios diverged:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestHedgingImprovesTailLatency: under injected brown-out stragglers,
-// hedged serving must strictly beat the no-hedge baseline — the I7
-// alone, browning out on the same sites — at the tail (p99).
-func TestHedgingImprovesTailLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite skipped in -short mode")
-	}
-	const n = 60
-	run := func(pool []device.Device) []time.Duration {
-		inj, err := fault.NewInjector(fault.Config{DeviceBrownout: 0.3, BrownoutFactor: 12}, 9, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, _ := servingServerOn(t, store.New(), pool, func(o *InferenceServerOptions) {
-			o.Seed = 9
-			o.Fault = inj
-		})
-		lats := make([]time.Duration, 0, n)
-		for i := 0; i < n; i++ {
-			out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(i)))
-			if out.Err != nil {
-				t.Fatalf("request %d failed: %v", i, out.Err)
-			}
-			lats = append(lats, out.Latency)
-		}
-		return lats
-	}
-
-	// The runs are compared distributionally, not pointwise: health
-	// scoring reacts to the hedge observations too, so later requests
-	// may route (and roll brown-outs) differently between the two runs.
-	hedged := run(twinPool())
-	plain := run(twinPool()[:1])
-	h, p := append([]time.Duration(nil), hedged...), append([]time.Duration(nil), plain...)
-	sort.Slice(h, func(i, j int) bool { return h[i] < h[j] })
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-	idx := n * 99 / 100
-	if h[idx] >= p[idx] {
-		t.Errorf("hedged p99 %v not strictly below baseline p99 %v", h[idx], p[idx])
 	}
 }

@@ -42,6 +42,13 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add(withPop(`[]`))
 	f.Add(bytes.Replace(rung0, []byte(`"nextRung":1,`), []byte(`"nextRung":-7,`), 1))
 	f.Add(withPop(`[{"config":{}},{"config":{}}]`))
+	// The rung-0 checkpoint as a build that counted hedged requests
+	// wrote it: two more resilience keys, which restore ignores.
+	hedging, err := os.ReadFile(filepath.Join("testdata", "checkpoint_rung0_hedge_counters.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hedging)
 
 	var golden tuneProgress
 	if err := json.Unmarshal(rung0, &golden); err != nil {

@@ -18,11 +18,11 @@ import (
 // TestCheckpointBytesGolden pins the checkpoint wire format: the bytes
 // a seeded job stores after a mid-bracket rung and at a bracket
 // boundary must equal the goldens in testdata: the bytes captured
-// before tuneJob existed, less the resilience snapshot's two retired
-// counters, "rateLimited":0 and "preempted":0. restore ignores those
-// keys when an older build wrote them and reads a missing key as zero,
-// so a store written by either build resumes under the other
-// (TestCheckpointGoldenResumes).
+// before tuneJob existed, less the resilience snapshot's four retired
+// counters, "rateLimited":0 and "preempted":0, then "hedges":0 and
+// "hedgeWins":0. restore ignores those keys when an older build wrote
+// them and reads a missing key as zero, so a store written by any of
+// these builds resumes under the others (TestCheckpointGoldenResumes).
 // A deliberate format change bumps checkpointVersion and replaces the
 // files in testdata with the bytes this test prints. The bytes are the
 // same at every core count: helpers move when a training is evaluated,
@@ -83,7 +83,9 @@ func goldenJob(st *store.Store) Options {
 // TestCheckpointGoldenResumes: each golden checkpoint, as committed and
 // as a build that still counted rate-limited and preempted submissions
 // wrote it, resumes the job that stored it, which then recommends what
-// an uninterrupted run recommends.
+// an uninterrupted run recommends. So does the rung-0 checkpoint exactly
+// as the last build that counted hedged requests wrote it, kept in
+// testdata as that build's bytes.
 func TestCheckpointGoldenResumes(t *testing.T) {
 	want, err := Tune(context.Background(), goldenJob(store.New()))
 	if err != nil {
@@ -98,10 +100,22 @@ func TestCheckpointGoldenResumes(t *testing.T) {
 		if bytes.Equal(older, golden) {
 			t.Fatalf("%s: no shed counter to splice the retired keys after", name)
 		}
-		for _, blob := range []struct {
+		type blob struct {
 			build string
 			data  []byte
-		}{{"this", golden}, {"older", older}} {
+		}
+		blobs := []blob{{"this", golden}, {"older", older}}
+		if name == "rung0" {
+			hedging, err := os.ReadFile(filepath.Join("testdata", "checkpoint_rung0_hedge_counters.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bytes.Replace(golden, []byte(`"shed":0,`), []byte(`"shed":0,"hedges":0,"hedgeWins":0,`), 1); !bytes.Equal(hedging, want) {
+				t.Fatalf("the hedge-counting build's checkpoint is not the golden with its two counters:\n got %s\nwant %s", hedging, want)
+			}
+			blobs = append(blobs, blob{"hedge-counting", hedging})
+		}
+		for _, blob := range blobs {
 			t.Run(name+"/"+blob.build, func(t *testing.T) {
 				var p tuneProgress
 				if err := json.Unmarshal(blob.data, &p); err != nil {

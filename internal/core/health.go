@@ -249,24 +249,16 @@ func (p *devicePool) pick(at time.Duration) (route, error) {
 			}
 		}
 	}
-	return p.bestLocked(nil, at)
-}
-
-// next returns the best device other than exclude, for hedged
-// re-issues.
-func (p *devicePool) next(exclude *poolDevice, at time.Duration) (route, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bestLocked(exclude, at)
+	return p.bestLocked(at)
 }
 
 // bestLocked walks the routable devices (non-quarantined, non-retired,
 // past warm-up at simulated time at) in weight order and returns the
 // first whose breaker admits traffic; callers hold p.mu.
-func (p *devicePool) bestLocked(exclude *poolDevice, at time.Duration) (route, error) {
+func (p *devicePool) bestLocked(at time.Duration) (route, error) {
 	order := p.order[:0]
 	for _, d := range p.devs {
-		if d == exclude || d.state == deviceQuarantined || d.retired || d.readyAt > at {
+		if d.state == deviceQuarantined || d.retired || d.readyAt > at {
 			continue
 		}
 		order = append(order, d)

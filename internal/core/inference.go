@@ -52,16 +52,11 @@ type InferOutcome struct {
 	Cached bool
 	// TuningCost is the simulated cost of the inference trials run (zero
 	// when cached). Failed attempts still charge their cost, so
-	// resilience is inference-aware too.
+	// resilience is inference-aware too. Its Duration is the request's
+	// serving time on the simulated clock.
 	TuningCost perfmodel.Cost
-	// Device names the pool device that served the winning result.
+	// Device names the pool device that served the request.
 	Device string
-	// Latency is the request's effective serving time on the simulated
-	// clock — with a winning hedge, the hedged finish time, strictly
-	// below what the straggling primary alone would have taken.
-	Latency time.Duration
-	// Hedged reports that a speculative second attempt was issued.
-	Hedged bool
 	// Err carries a per-request failure.
 	Err error
 }
@@ -108,9 +103,9 @@ type InferenceServerOptions struct {
 	// accounting). The server registers a serve-latency objective and an
 	// admission-rejection objective on it.
 	SLO *slo.Evaluator
-	// Autoscale enables the SLO-driven device-pool autoscaler and its
-	// graceful-degradation ladder (nil = static pool). Zero fields in
-	// the config select the documented defaults.
+	// Autoscale enables the SLO-driven device-pool autoscaler (nil =
+	// static pool). Zero fields in the config select the documented
+	// defaults.
 	Autoscale *autoscale.Config
 	// Flight receives the compact always-on event stream (admission
 	// outcomes, autoscale decisions, breaker/health transitions) for the
@@ -176,8 +171,7 @@ func (o *InferenceServerOptions) normalise() error {
 // Requests pass an admission gate (a bounded in-system FIFO queue)
 // before a worker pool tunes them on a health-managed device pool:
 // per-device circuit breakers plus EWMA health scores with
-// quarantine/probation, and speculative hedging to the next-best device
-// when the primary straggles past its perfmodel-derived deadline.
+// quarantine/probation, which steer each request to one device.
 // Completed results land in the historical store through a write-behind
 // buffer, where a repeated architecture finds them. Drain stops it
 // gracefully — in-flight work completes, new submissions fail with
@@ -477,7 +471,7 @@ func (s *InferenceServer) open(c *call) error {
 
 // cached is §3.4's table look-up: the historical store, read through
 // the write-behind buffer and accepting any pool device's entry (a
-// hedged win tuned on the secondary still satisfies later duplicates).
+// result tuned on a replica still satisfies later duplicates).
 // A hit needs no device, so it bypasses admission and the pool; its
 // reply can still be dropped in flight — the site is per-submission, so
 // a resubmission rolls a fresh decision. It reports whether it ended the
@@ -571,7 +565,7 @@ func (s *InferenceServer) failAt(class fault.Class, prefix, name string, seq int
 // is not an SLO event. The channel it sent on goes to the spare ring
 // afterwards.
 func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
-	end := c.SubmitTime + res.Latency
+	end := c.SubmitTime + res.TuningCost.Duration
 	if c.sp != nil {
 		if label == "" {
 			label = outcomeLabel(res.Err)
@@ -579,9 +573,6 @@ func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 		attrs := []obs.Attr{obs.Str("outcome", label)}
 		if res.Device != "" {
 			attrs = append(attrs, obs.Str("device", res.Device))
-		}
-		if res.Hedged {
-			attrs = append(attrs, obs.Bool("hedged", true))
 		}
 		c.sp.Set(attrs...)
 		c.sp.End(end)
@@ -635,7 +626,7 @@ func (s *InferenceServer) replyLocked() chan InferOutcome {
 func (s *InferenceServer) recordSLO(at time.Duration, res InferOutcome) {
 	s.sloRejects.Record(at, !errors.Is(res.Err, ErrOverloaded))
 	if res.Err == nil {
-		s.sloLatency.Record(at, res.Latency <= sloServeLatency)
+		s.sloLatency.Record(at, res.TuningCost.Duration <= sloServeLatency)
 	}
 }
 
@@ -672,8 +663,8 @@ func (s *InferenceServer) worker() {
 // scratch is what one worker reuses from request to request: the
 // sampler, reset to each search's seed, the search's proposal and
 // incumbent maps, and how long the request being served may live. A
-// hedged request runs its two searches one after the other on the
-// simulated clock, so a worker never uses its scratch twice at once.
+// worker serves one request at a time, so it never uses its scratch
+// twice at once.
 type scratch struct {
 	sampler   search.Sampler // nil until the worker's first search builds it
 	cfg, best search.Config
@@ -725,24 +716,22 @@ func (s *InferenceServer) run(c *call, sc *scratch) (out InferOutcome) {
 }
 
 // serve is §3.4 for a call no table entry answered: search on the routed
-// device (hedging to the next-best one when it straggles), persist the
-// winner through the write-behind buffer, reply — each step subject to
-// injected faults, with every attempt's simulated cost charged to the
-// request.
+// device, feed the result back into its health score, persist it through
+// the write-behind buffer, reply — each step subject to injected faults,
+// with every attempt's simulated cost charged to the request.
 func (s *InferenceServer) serve(c *call, sc *scratch) InferOutcome {
+	pd := c.rt.pd
 	var sp *obs.Span
 	if c.sp != nil {
-		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", c.rt.pd.name))
+		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", pd.name))
 	}
-	h := s.runHedged(c.InferRequest, c.rt, sp, c.SubmitTime, sc)
-	s.m.latencyMS.Observe(float64(h.latency) / float64(time.Millisecond))
-	if sp != nil {
-		sp.Set(obs.Str("winner", h.winner.name), obs.Bool("hedged", h.hedged))
-	}
-	end := c.SubmitTime + h.latency
-	out := InferOutcome{TuningCost: h.cost, Device: h.winner.name, Latency: h.latency, Hedged: h.hedged, Err: h.res.err}
+	res := s.serveOn(c.InferRequest, pd, sp, c.SubmitTime, sc)
+	end := c.SubmitTime + res.cost.Duration
+	s.pool.observe(c.rt, res.err, res.cost.Duration, res.baseline, end)
+	s.m.latencyMS.Observe(float64(res.cost.Duration) / float64(time.Millisecond))
+	out := InferOutcome{TuningCost: res.cost, Device: pd.name, Err: res.err}
 	if out.Err == nil {
-		out.Err = s.persist(c.Signature, h.res.entry)
+		out.Err = s.persist(c.Signature, res.entry)
 		if sp != nil {
 			sp.Leaf("store-write", end, end, obs.Bool("ok", out.Err == nil))
 		}
@@ -755,12 +744,12 @@ func (s *InferenceServer) serve(c *call, sc *scratch) InferOutcome {
 		out.Err = s.opts.Fault.Fail(fault.DroppedReply, c.Signature, 0)
 	}
 	if out.Err == nil {
-		out.Entry = h.res.entry
+		out.Entry = res.entry
 	}
 	return out
 }
 
-// persist stores the winning entry through the write-behind buffer,
+// persist stores the tuned entry through the write-behind buffer,
 // subject to injected store-write failures. Only the write is retried,
 // up to MaxAttempts — the tuned result is already in hand. The buffer
 // takes the entry's Config over uncopied: tuneCore made it for this
@@ -778,6 +767,20 @@ func (s *InferenceServer) persist(sig string, entry store.Entry) (err error) {
 		}
 	}
 	return err
+}
+
+// serveResult is one device's attempt-group at a request: the tuned
+// entry (on success), the total simulated cost charged across attempts,
+// and the terminal error. The cost's Duration doubles as the device's
+// serving latency on simulated time. baseline is the fault-free
+// (pre-brownout) duration of the last completed search — the perfmodel
+// expectation health scoring compares against; zero when no attempt got
+// as far as the search.
+type serveResult struct {
+	entry    store.Entry
+	cost     perfmodel.Cost
+	baseline time.Duration
+	err      error
 }
 
 // serveOn runs the tuning attempts for one request on one device,
@@ -826,7 +829,7 @@ func (s *InferenceServer) serveOn(req InferRequest, pd *poolDevice, sp *obs.Span
 // attempt's simulated cost (the device is thermally throttled, not
 // dead) while leaving the tuned entry's steady-state metrics intact.
 // The third return is the raw pre-brownout duration — the fault-free
-// perfmodel expectation the hedge deadline derives from.
+// perfmodel expectation health scoring compares against.
 func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, sc *scratch) (store.Entry, perfmodel.Cost, time.Duration, error) {
 	var site string
 	if s.opts.Fault != nil { // a nil injector reads no site: build none
@@ -842,7 +845,8 @@ func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, 
 	entry, cost, err := s.tuneCore(req, pd, sc)
 	raw := cost.Duration
 	if factor > 1 {
-		cost = scaleCost(cost, factor)
+		cost.Duration = time.Duration(float64(cost.Duration) * factor)
+		cost.EnergyJ *= factor
 	}
 	return entry, cost, raw, err
 }
@@ -852,13 +856,14 @@ func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, 
 // emulated device with the configured algorithm and objective. The
 // sampler seed depends only on the signature, so a retried attempt
 // reproduces the same search — attempts differ only in which faults
-// fire. It is fault-free by construction, which also makes it the
-// hedge deadline's baseline (see baseline).
+// fire. It is fault-free by construction, which also makes it health
+// scoring's baseline (see serveResult).
 //
 // The search runs on the worker's scratch: its sampler, reset to the
 // seed, and its two maps. The returned entry owns a clone of the
-// incumbent's configuration, the one map a search allocates: a hedge's
-// search rewrites the scratch while the primary's entry is still alive.
+// incumbent's configuration, the one map a search allocates: the
+// worker's next search rewrites the scratch while this entry lives on
+// in the store and the reply.
 func (s *InferenceServer) tuneCore(req InferRequest, pd *poolDevice, sc *scratch) (store.Entry, perfmodel.Cost, error) {
 	var cost perfmodel.Cost
 	seed := s.opts.Seed ^ sim.Hash64(req.Signature)

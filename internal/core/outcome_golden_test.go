@@ -65,15 +65,14 @@ func (e *outcomeEnv) await(i int) {
 
 // outcomeScenario is one way a request can end. drive submits; the last
 // submission's reply must carry the label want (outcomeLabel's
-// vocabulary, plus "cached" and "hedged" for the two kinds of success
-// that are not a plain "ok").
+// vocabulary, plus "cached" for the success that is not a plain
+// "ok").
 type outcomeScenario struct {
 	name   string
 	want   string
 	cfg    func(*InferenceServerOptions)
 	faults fault.Config
 	plan   []fault.Event
-	pool   []device.Device // nil = the I7 alone
 	drive  func(e *outcomeEnv)
 }
 
@@ -141,13 +140,6 @@ func outcomeScenarios() []outcomeScenario {
 		{name: "served", want: "ok", drive: func(e *outcomeEnv) {
 			e.submit(e.req(0))
 		}},
-		{name: "served-hedged", want: "hedged",
-			faults: fault.Config{BrownoutFactor: 8},
-			plan:   []fault.Event{{Class: fault.DeviceBrownout, Site: device.NameI7 + "/" + sig0}},
-			pool:   twinPool(),
-			drive: func(e *outcomeEnv) {
-				e.submit(e.req(0))
-			}},
 		{name: "search-failed", want: "fault:device-flap",
 			faults: fault.Config{DeviceFlap: 1},
 			drive: func(e *outcomeEnv) {
@@ -186,8 +178,6 @@ func replyLabel(out InferOutcome) string {
 		return outcomeLabel(out.Err)
 	case out.Cached:
 		return "cached"
-	case out.Hedged:
-		return "hedged"
 	}
 	return "ok"
 }
@@ -231,11 +221,7 @@ func runOutcomeScenario(t *testing.T, sc outcomeScenario, w *bytes.Buffer) {
 	if sc.cfg != nil {
 		sc.cfg(&opts)
 	}
-	pool := sc.pool
-	if pool == nil {
-		pool = []device.Device{dev}
-	}
-	e.srv, err = newInferenceServer(opts, pool)
+	e.srv, err = newInferenceServer(opts, []device.Device{dev})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,22 +17,22 @@ import (
 	"edgetune/internal/workload"
 )
 
-// i7Twin returns a second I7 ("i7-b"): an identical replica board, the
-// simplest healthy hedge target since it shares the search space.
+// i7Twin returns a second I7 ("i7-b"): an identical replica board that
+// shares the search space.
 func i7Twin() device.Device {
 	d := device.I7()
 	d.Profile.Name = "i7-b"
 	return d
 }
 
-// servingServer builds a server for the overload/hedging tests with a
+// servingServer builds a server for the serving tests with a
 // recorder attached; cfg mutates the defaults.
 func servingServer(t *testing.T, st *store.Store, cfg func(*InferenceServerOptions)) (*InferenceServer, *counters.Resilience) {
 	t.Helper()
 	return servingServerOn(t, st, nil, cfg)
 }
 
-// twinPool is the hedging tests' pool: the I7 and its twin.
+// twinPool is a two-device pool: the I7 and its twin.
 func twinPool() []device.Device { return []device.Device{device.I7(), i7Twin()} }
 
 // servingServerOn is servingServer routing across pool, whose first
@@ -205,45 +205,6 @@ func TestDrainExpiredContext(t *testing.T) {
 	}
 	srv.Close()
 	srv.Close() // idempotent after a drain, including repeated calls
-}
-
-// TestHedgeOnBrownout: with a browned-out primary, the server issues a
-// deterministic hedge to the twin device and the request still
-// succeeds. The control arm is the I7 alone, which has nowhere to hedge
-// to and browns out on the same sites.
-func TestHedgeOnBrownout(t *testing.T) {
-	run := func(pool []device.Device) (InferOutcome, counters.ResilienceSnapshot) {
-		inj, err := fault.NewInjector(fault.Config{DeviceBrownout: 1, BrownoutFactor: 8}, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, rec := servingServerOn(t, store.New(), pool, func(o *InferenceServerOptions) { o.Fault = inj })
-		out := mustOutcome(t, srv.Submit(context.Background(), sigRequest(0)))
-		return out, rec.Snapshot()
-	}
-
-	out, snap := run(twinPool())
-	if out.Err != nil {
-		t.Fatalf("browned-out request failed: %v", out.Err)
-	}
-	if !out.Hedged || snap.Hedges != 1 {
-		t.Errorf("hedged = %v, hedges = %d; want a hedge on a >%dx brown-out", out.Hedged, snap.Hedges, hedgeFactor)
-	}
-	out2, snap2 := run(twinPool())
-	if out2.Latency != out.Latency || snap2.Hedges != snap.Hedges || snap2.HedgeWins != snap.HedgeWins {
-		t.Errorf("same-seed hedging diverged: %v/%+v vs %v/%+v", out.Latency, snap, out2.Latency, snap2)
-	}
-
-	plain, psnap := run(twinPool()[:1])
-	if plain.Err != nil {
-		t.Fatalf("unhedged request failed: %v", plain.Err)
-	}
-	if plain.Hedged || psnap.Hedges != 0 {
-		t.Errorf("a one-device pool hedged: %v / %d", plain.Hedged, psnap.Hedges)
-	}
-	if out.Latency > plain.Latency {
-		t.Errorf("hedged latency %v exceeds unhedged %v", out.Latency, plain.Latency)
-	}
 }
 
 // TestNoHealthyDeviceTyped: with the only device's breaker open, Submit

@@ -100,7 +100,7 @@ type Options struct {
 	// the final evaluation lands in Result.SLO.
 	SLO *slo.Evaluator
 	// Flight is the always-on flight recorder: both pipelines feed it
-	// a compact event stream (admissions, autoscale and ladder steps,
+	// a compact event stream (admissions, autoscale decisions,
 	// breaker/health transitions, WAL and SLO edges), anomaly triggers
 	// snapshot it into incident dossiers, and the dossiers land in
 	// Result.Incidents. Nil disables recording at single-pointer-check
@@ -125,7 +125,7 @@ type Options struct {
 	ProfLabels []string
 
 	// Autoscale enables the inference server's SLO-driven device-pool
-	// autoscaler and graceful-degradation ladder (nil = static pool).
+	// autoscaler (nil = static pool).
 	// The controller's report lands in Result.Autoscale, and the
 	// replicas' warm-up time and energy are charged to the job's
 	// budget totals.

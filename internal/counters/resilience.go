@@ -29,8 +29,6 @@ var (
 	degraded         = declare("resilience.degraded", func(s *ResilienceSnapshot) *int64 { return &s.Degraded })
 	resumedRungs     = declare("resilience.resumed-rungs", func(s *ResilienceSnapshot) *int64 { return &s.ResumedRungs })
 	shed             = declare("serving.shed", func(s *ResilienceSnapshot) *int64 { return &s.Shed })
-	hedges           = declare("serving.hedges", func(s *ResilienceSnapshot) *int64 { return &s.Hedges })
-	hedgeWins        = declare("serving.hedge-wins", func(s *ResilienceSnapshot) *int64 { return &s.HedgeWins })
 	quarantines      = declare("serving.quarantines", func(s *ResilienceSnapshot) *int64 { return &s.Quarantines })
 	probes           = declare("serving.probes", func(s *ResilienceSnapshot) *int64 { return &s.Probes })
 	drained          = declare("serving.drained", func(s *ResilienceSnapshot) *int64 { return &s.Drained })
@@ -92,8 +90,6 @@ func (r *Resilience) AddBreakerClose()        { r.add(breakerCloses, 1) }    // 
 func (r *Resilience) AddDegraded()            { r.add(degraded, 1) }         // an outcome served from a fallback (store entry, perfmodel estimate), not measured
 func (r *Resilience) AddResumedRungs(n int64) { r.add(resumedRungs, n) }     // n rungs skipped because a checkpoint already held their results
 func (r *Resilience) AddShed()                { r.add(shed, 1) }             // a submission rejected at the gate: queue full or an injected burst
-func (r *Resilience) AddHedge()               { r.add(hedges, 1) }           // a speculative re-issue to a second device (primary straggled or failed transiently)
-func (r *Resilience) AddHedgeWin()            { r.add(hedgeWins, 1) }        // a hedge whose secondary attempt produced the winning result
 func (r *Resilience) AddQuarantine()          { r.add(quarantines, 1) }      // a device entering the quarantined state
 func (r *Resilience) AddProbe()               { r.add(probes, 1) }           // a probe request routed to a quarantined device to test for recovery
 func (r *Resilience) AddDrained()             { r.add(drained, 1) }          // an in-flight request completed during graceful shutdown, after intake closed
@@ -118,8 +114,6 @@ type ResilienceSnapshot struct {
 	ResumedRungs     int64        `json:"resumedRungs"`
 
 	Shed        int64 `json:"shed"`
-	Hedges      int64 `json:"hedges"`
-	HedgeWins   int64 `json:"hedgeWins"`
 	Quarantines int64 `json:"quarantines"`
 	Probes      int64 `json:"probes"`
 	Drained     int64 `json:"drained"`

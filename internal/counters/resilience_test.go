@@ -13,8 +13,6 @@ func TestResilienceNilSafe(t *testing.T) {
 	r.RecordFault("trial-crash")
 	r.AddRetry()
 	r.AddShed()
-	r.AddHedge()
-	r.AddHedgeWin()
 	r.AddQuarantine()
 	r.AddProbe()
 	r.AddDrained()
@@ -30,15 +28,13 @@ func TestResilienceServingCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.AddShed()
 	}
-	r.AddHedge()
-	r.AddHedge()
-	r.AddHedgeWin()
 	r.AddQuarantine()
+	r.AddProbe()
 	r.AddProbe()
 	r.AddDrained()
 	s := r.Snapshot()
 	want := ResilienceSnapshot{
-		Shed: 3, Hedges: 2, HedgeWins: 1, Quarantines: 1, Probes: 1, Drained: 1,
+		Shed: 3, Quarantines: 1, Probes: 2, Drained: 1,
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Errorf("snapshot = %+v, want %+v", s, want)
@@ -49,8 +45,7 @@ func TestResilienceRestoreRoundTrip(t *testing.T) {
 	r := NewResilienceOn(nil)
 	r.RecordFault("overload-burst")
 	r.AddShed()
-	r.AddHedge()
-	r.AddHedgeWin()
+	r.AddProbe()
 	r.AddQuarantine()
 	r.AddDrained()
 	snap := r.Snapshot()
@@ -76,14 +71,14 @@ func TestResilienceConcurrentServingCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				r.AddShed()
-				r.AddHedge()
+				r.AddProbe()
 			}
 		}()
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Shed != 800 || s.Hedges != 800 {
-		t.Errorf("shed/hedges = %d/%d, want 800/800", s.Shed, s.Hedges)
+	if s.Shed != 800 || s.Probes != 800 {
+		t.Errorf("shed/probes = %d/%d, want 800/800", s.Shed, s.Probes)
 	}
 }
 
@@ -130,14 +125,14 @@ func TestResilienceBackedByRegistry(t *testing.T) {
 // TestResilienceFifteenthRow is the point of the table: one declaration
 // — no struct field, registration line, snapshot line or restore line —
 // and a counter is registered, snapshotted and restored. (It is named
-// for the table of fourteen rows it was written against; twelve are
-// left, so the new row is the thirteenth.)
+// for the table of fourteen rows it was written against; ten are
+// left, so the new row is the eleventh.)
 func TestResilienceFifteenthRow(t *testing.T) {
 	var field int64 // stands in for a new ResilienceSnapshot field
 	extra := declare("resilience.fifteenth", func(*ResilienceSnapshot) *int64 { return &field })
 	defer func() { rows = rows[:extra] }()
-	if extra != 12 {
-		t.Fatalf("the new row has index %d, want 12", extra)
+	if extra != 10 {
+		t.Fatalf("the new row has index %d, want 10", extra)
 	}
 
 	reg := obs.NewRegistry()

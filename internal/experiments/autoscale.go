@@ -24,12 +24,9 @@ const autoscaleTicks = 250_000
 func BenchmarkAutoscaleDecision() (Table, error) {
 	return autoscaleMemo.do(func() (Table, error) {
 		t := Table{
-			ID:    "BenchmarkAutoscaleDecision",
-			Title: "autoscaling control loop on synthetic load traces",
-			Header: []string{
-				"scenario", "ticks", "decisions", "up", "down",
-				"degrade", "recover", "deepest", "digest",
-			},
+			ID:     "BenchmarkAutoscaleDecision",
+			Title:  "autoscaling control loop on synthetic load traces",
+			Header: []string{"scenario", "ticks", "decisions", "up", "down", "digest"},
 		}
 		scenarios := []struct {
 			name string
@@ -53,7 +50,7 @@ func BenchmarkAutoscaleDecision() (Table, error) {
 			}},
 			{"capacity-loss", func(i int) (int, bool) {
 				// Total outage for 200 ticks out of every 20000: the
-				// ladder must engage, ride it out, and release.
+				// pool must scale out, ride it out, and scale back in.
 				return 10, i%20000 < 200
 			}},
 			{"thrash-guard", func(i int) (int, bool) {
@@ -113,15 +110,11 @@ func BenchmarkAutoscaleDecision() (Table, error) {
 				fmt.Sprint(rep.Decisions),
 				fmt.Sprint(rep.ScaleUps),
 				fmt.Sprint(rep.ScaleDowns),
-				fmt.Sprint(rep.DegradeSteps),
-				fmt.Sprint(rep.RecoverSteps),
-				rep.DeepestMode.String(),
 				fmt.Sprintf("%016x", rep.Digest),
 			})
 		}
 		t.Notes = []string{
 			"steady traffic emits zero decisions; hysteresis holds thrash-guard to single-digit decisions over 250k alternating ticks",
-			"every outage and every surge peak switches hedging off (no-hedging) and back on once load recedes",
 		}
 		return t, nil
 	})

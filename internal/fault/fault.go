@@ -41,8 +41,8 @@ const (
 	DroppedReply Class = "dropped-reply"
 	// DeviceBrownout slows one device's inference-tuning attempt down
 	// without failing it (thermal throttling, shared-bus contention) —
-	// the health pool and hedging layers must notice before the breaker
-	// ever would.
+	// the health score must notice and steer later requests away before
+	// the breaker ever would.
 	DeviceBrownout Class = "device-brownout"
 	// OverloadBurst sheds one inference submission at the admission gate
 	// (a synthetic traffic spike), exercising the typed ErrOverloaded
@@ -80,7 +80,7 @@ const (
 	// FlashCrowd injects a phantom traffic surge at one inference
 	// submission: the autoscaler's in-system signal is inflated by a
 	// burst of simulated arrivals that decays linearly, driving
-	// scale-up and (if it persists) the degradation ladder.
+	// scale-up.
 	FlashCrowd Class = "flash-crowd"
 	// MassDeviceFail quarantines every active device in the serving
 	// pool at once (rack power event, fleet-wide bad firmware push).

@@ -1,8 +1,8 @@
 // Package analyze turns the deterministic JSONL span traces of the obs
 // tracer into machine-checkable answers: where did the time go
 // (critical paths), how much of a request was queueing vs service,
-// which devices and rungs consumed the time and energy, and whether
-// hedging earned its cost. It is stdlib-only, and every report is
+// and which devices and rungs consumed the time and energy. It is
+// stdlib-only, and every report is
 // deterministic — same trace bytes, same report bytes — so two
 // same-seed runs analyse byte-identically and traces can be diffed as
 // regression gates.
@@ -47,12 +47,6 @@ func (s Span) attrStr(key string) string {
 // JSON numbers decode as float64, so integer attributes land here too.
 func (s Span) attrFloat(key string) float64 {
 	v, _ := s.Attrs[key].(float64)
-	return v
-}
-
-// attrBool reads a boolean attribute (false when absent or mistyped).
-func (s Span) attrBool(key string) bool {
-	v, _ := s.Attrs[key].(bool)
 	return v
 }
 
@@ -204,23 +198,6 @@ type RungStat struct {
 	EnergyJ float64       `json:"energyJ"`
 }
 
-// HedgeStats reports hedging effectiveness: how often the speculative
-// second attempt fired, how often it won, what it cost, and what the
-// wins saved against the straggling primary.
-type HedgeStats struct {
-	Hedges int `json:"hedges"`
-	Wins   int `json:"wins"`
-	// WinRate is Wins/Hedges.
-	WinRate float64 `json:"winRate"`
-	// Busy and EnergyJ are the total simulated time and energy spent on
-	// hedge attempts — the insurance premium.
-	Busy    time.Duration `json:"busyNs"`
-	EnergyJ float64       `json:"energyJ"`
-	// Saved sums, over winning hedges, the primary's full duration minus
-	// the hedged finish: the latency the insurance paid out.
-	Saved time.Duration `json:"savedNs"`
-}
-
 // OutcomeCount is one request-outcome tally.
 type OutcomeCount struct {
 	Outcome string `json:"outcome"`
@@ -251,7 +228,6 @@ type Report struct {
 	Queue         QueueStats    `json:"queue"`
 	Devices       []DeviceStat  `json:"devices,omitempty"`
 	Rungs         []RungStat    `json:"rungs,omitempty"`
-	Hedging       HedgeStats    `json:"hedging"`
 	Requests      RequestStats  `json:"requests"`
 }
 
@@ -429,37 +405,9 @@ func Analyze(tr *Trace) *Report {
 				rs.Trials++
 				rs.EnergyJ += child.attrFloat("energyJ")
 			}
-		case "hedge":
-			rep.Hedging.Hedges++
-			rep.Hedging.Busy += sp.Dur
-			for _, k := range ix.children[sp.ID] {
-				rep.Hedging.EnergyJ += ix.spans[k].attrFloat("energyJ")
-			}
-			if !sp.attrBool("won") {
-				break
-			}
-			rep.Hedging.Wins++
-			// The win's payout: the primary's full duration (its direct
-			// device-attempts under the enclosing serve span) minus the
-			// hedged finish, both relative to the serve start.
-			if p, ok := ix.byID[sp.Parent]; ok && ix.spans[p].Name == "serve" {
-				serve := ix.spans[p]
-				var primary time.Duration
-				for _, k := range ix.children[serve.ID] {
-					if ix.spans[k].Name == "device-attempt" {
-						primary += ix.spans[k].Dur
-					}
-				}
-				if saved := primary - (sp.End() - serve.Start); saved > 0 {
-					rep.Hedging.Saved += saved
-				}
-			}
 		}
 	}
 
-	if rep.Hedging.Hedges > 0 {
-		rep.Hedging.WinRate = float64(rep.Hedging.Wins) / float64(rep.Hedging.Hedges)
-	}
 	if t := rep.Queue.Wait + rep.Queue.Service; t > 0 {
 		rep.Queue.WaitShare = float64(rep.Queue.Wait) / float64(t)
 	}
@@ -575,11 +523,6 @@ func (r *Report) WriteText(w io.Writer) error {
 				g.Bracket, g.Rung, g.Trials, g.Total, g.EnergyJ)
 		}
 	}
-
-	fmt.Fprintln(bw, "\nhedging:")
-	fmt.Fprintf(bw, "  hedges=%d wins=%d win-rate=%.1f%% cost=%s/%.1fJ saved=%s\n",
-		r.Hedging.Hedges, r.Hedging.Wins, r.Hedging.WinRate*100,
-		r.Hedging.Busy, r.Hedging.EnergyJ, r.Hedging.Saved)
 
 	fmt.Fprintf(bw, "\nrequests (%d):\n", r.Requests.Total)
 	for _, oc := range r.Requests.Outcomes {

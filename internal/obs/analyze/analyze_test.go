@@ -8,15 +8,15 @@ import (
 )
 
 // syntheticTrace is a hand-built JSONL trace exercising every report
-// section: a request with queue wait, a serve with a winning hedge, a
-// bracket/rung/trial tree with energy attributes, and an admission span
+// section: a request with queue wait, a serve whose first device attempt
+// fails and whose retry succeeds, a bracket/rung/trial tree with energy attributes, and an admission span
 // with a queue position.
 const syntheticTrace = `{"id":1,"parent":0,"name":"request","track":2,"startNs":0,"durNs":1000,"attrs":[{"k":"outcome","v":"ok"}]}
 {"id":2,"parent":1,"name":"admission","track":2,"startNs":0,"durNs":0,"attrs":[{"k":"verdict","v":"admitted"},{"k":"queuedAhead","v":3}]}
 {"id":3,"parent":1,"name":"serve","track":2,"startNs":200,"durNs":800}
-{"id":4,"parent":3,"name":"device-attempt","track":2,"startNs":200,"durNs":800,"attrs":[{"k":"device","v":"jetson"},{"k":"outcome","v":"timeout"},{"k":"energyJ","v":5.5}]}
-{"id":5,"parent":3,"name":"hedge","track":2,"startNs":600,"durNs":300,"attrs":[{"k":"won","v":true}]}
-{"id":6,"parent":5,"name":"device-attempt","track":2,"startNs":600,"durNs":300,"attrs":[{"k":"device","v":"pi4"},{"k":"outcome","v":"ok"},{"k":"energyJ","v":2.5}]}
+{"id":4,"parent":3,"name":"device-attempt","track":2,"startNs":200,"durNs":300,"attrs":[{"k":"device","v":"jetson"},{"k":"outcome","v":"fault:device-flap"},{"k":"energyJ","v":3}]}
+{"id":5,"parent":3,"name":"device-attempt","track":2,"startNs":500,"durNs":500,"attrs":[{"k":"device","v":"jetson"},{"k":"outcome","v":"ok"},{"k":"energyJ","v":2.5}]}
+{"id":6,"parent":3,"name":"store-write","track":2,"startNs":1000,"durNs":0,"attrs":[{"k":"ok","v":true}]}
 {"id":7,"parent":0,"name":"request","track":2,"startNs":0,"durNs":50,"attrs":[{"k":"outcome","v":"overloaded"}]}
 {"id":8,"parent":0,"name":"tune","track":1,"startNs":0,"durNs":5000}
 {"id":9,"parent":8,"name":"bracket","track":1,"startNs":0,"durNs":5000,"attrs":[{"k":"bracket","v":0}]}
@@ -83,15 +83,12 @@ func TestAnalyzeSynthetic(t *testing.T) {
 		t.Errorf("queued-ahead = %+v", rep.Queue)
 	}
 
-	// Devices: jetson 1 attempt 1 failure 5.5J, pi4 1 attempt ok 2.5J.
-	if len(rep.Devices) != 2 {
+	// Devices: jetson 2 attempts over 800ns, 1 failure, 3J + 2.5J.
+	if len(rep.Devices) != 1 {
 		t.Fatalf("devices = %+v", rep.Devices)
 	}
-	if d := rep.Devices[0]; d.Device != "jetson" || d.Failures != 1 || d.EnergyJ != 5.5 {
+	if d := rep.Devices[0]; d.Device != "jetson" || d.Attempts != 2 || d.Failures != 1 || d.Busy != 800 || d.EnergyJ != 5.5 {
 		t.Errorf("jetson = %+v", d)
-	}
-	if d := rep.Devices[1]; d.Device != "pi4" || d.Failures != 0 || d.EnergyJ != 2.5 {
-		t.Errorf("pi4 = %+v", d)
 	}
 
 	// Rungs: bracket 0 rung 0, 2 trials, 5000ns, 14J.
@@ -100,20 +97,6 @@ func TestAnalyzeSynthetic(t *testing.T) {
 	}
 	if g := rep.Rungs[0]; g.Bracket != 0 || g.Rung != 0 || g.Trials != 2 || g.Total != 5000 || g.EnergyJ != 14 {
 		t.Errorf("rung = %+v", g)
-	}
-
-	// Hedging: one hedge, won. Primary device-attempt under serve runs
-	// 800ns; the hedged finish is at 900ns, i.e. 700ns after serve start,
-	// so the win saved 100ns. Energy = the hedge's own attempt.
-	h := rep.Hedging
-	if h.Hedges != 1 || h.Wins != 1 || h.WinRate != 1 {
-		t.Errorf("hedging = %+v", h)
-	}
-	if h.Saved != 100 {
-		t.Errorf("hedge saved = %v, want 100ns", h.Saved)
-	}
-	if h.EnergyJ != 2.5 {
-		t.Errorf("hedge energy = %g, want 2.5", h.EnergyJ)
 	}
 
 	// Requests: 2 total, outcomes sorted, p-quantiles over the one ok.

@@ -1,9 +1,9 @@
 // Package flight is the pipelines' always-on flight recorder: a
 // preallocated fixed-slot ring buffer that continuously captures a
 // compact event stream — span completions, SLO objective state
-// transitions, autoscale decisions and ladder steps, admission
-// rejections, breaker and health transitions, WAL
-// append/recovery/shipping events, shard failover — stamped on the
+// transitions, autoscale decisions, admission rejections, breaker and
+// health transitions, WAL append/recovery/shipping events, shard
+// failover — stamped on the
 // simulated clock with FNV-derived IDs. Recording is allocation-free
 // in steady state: each event is a value copied into its slot, so the
 // recorder can ride inside every run at fixed memory cost.
@@ -40,12 +40,9 @@ const (
 	// Detail "alert" (rising) or "clear" (falling).
 	KindSLO = "slo"
 	// KindAutoscale is one controller decision applied to the pool:
-	// Subject the resulting mode, Detail the controller's reason, A the
-	// replica delta, B the replica count after the decision.
+	// Subject the controller's reason, A the replica delta, B the
+	// replica count after the decision.
 	KindAutoscale = "autoscale"
-	// KindLadder is a degradation-ladder transition: Subject the new
-	// mode, Detail "degrade" or "recover".
-	KindLadder = "ladder"
 	// KindAdmission is a rejected submission: Subject the rejection
 	// class ("shed-burst", "shed" for a full queue, "server-closed",
 	// "no-healthy-device"), Detail the request's signature.
@@ -77,9 +74,6 @@ const (
 const (
 	// TriggerSLOAlert fires on an objective's alert rising edge.
 	TriggerSLOAlert = "slo-alert"
-	// TriggerLadder fires when the degradation ladder engages: it
-	// switches hedging off, leaving normal service.
-	TriggerLadder = "ladder-engaged"
 	// TriggerFailover fires when a shard fails over to its follower.
 	TriggerFailover = "shard-failover"
 	// TriggerSalvage fires when crash recovery had to quarantine

@@ -28,8 +28,8 @@ func TestSameBytesAtEveryCoreCount(t *testing.T) {
 	defer testutil.CheckGoroutineLeak(t, 4)
 	jobs := map[string]Job{
 		"default IC": {Workload: "IC", Seed: 5},
-		// The mass device failure under the autoscaler is what cuts
-		// dossiers here (the failure itself, then the ladder engaging).
+		// The mass device failure under the autoscaler is what cuts a
+		// dossier here.
 		"checkpointed NLP": {Workload: "NLP", Configs: 4, Rungs: 4, Brackets: 2, Seed: 42, Checkpoint: true, Flight: true, Autoscale: true,
 			Faults: FaultConfig{TrialCrash: 0.15, TrialNaN: 0.05, Straggler: 0.20, DeviceFlap: 0.10, StoreWrite: 0.10, DroppedReply: 0.15, MassDeviceFail: 1}},
 	}

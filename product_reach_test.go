@@ -19,18 +19,18 @@ import (
 var updateReach = flag.Bool("update-reach", false, "rewrite testdata/product_reach.golden")
 
 // TestProductReach is the census of what the product's own jobs reach
-// on the serving path: every request ending, admission verdict and hedge
-// in each job's trace, every nonzero resilience counter, every pool
-// device's nonzero request count, and the autoscaler's deepest mode,
-// scale-ups, scale-downs and final replicas in its report, and — for
-// the cluster job — every nonzero counter of the dispatcher registry
-// (Cluster.Metrics). The
-// four jobs are the ones a user runs from the CLI — the default IC job, the chaos preset single-node and
-// failed over on a two-shard cluster, and a flash crowd whose
-// degradation ladder switches hedging off. The golden lists nonzero tallies
-// only, so a serving mechanism no product job exercises appears nowhere
-// in it, and a change that deletes such a mechanism leaves it byte for
-// byte as it was.
+// on the serving path: every request ending and admission verdict in
+// each job's trace, every nonzero resilience counter, every pool
+// device's nonzero request count, and the autoscaler's scale-ups,
+// scale-downs and final replicas in its report, and — for the cluster
+// job — every nonzero counter of the dispatcher registry
+// (Cluster.Metrics). The four jobs are the ones a user runs from the
+// CLI — the default IC job, the chaos preset single-node and failed over
+// on a two-shard cluster, and a flash crowd that scales the device pool
+// out to three replicas. The golden lists nonzero tallies only, so a
+// serving mechanism no product job exercises appears nowhere in it, and
+// a change that deletes such a mechanism leaves it byte for byte as it
+// was.
 func TestProductReach(t *testing.T) {
 	defer testutil.CheckGoroutineLeak(t, 4)
 	data, err := os.ReadFile("examples/chaos/job.json")
@@ -146,8 +146,6 @@ func reachTally(trace string, rep *Report, dispatcher MetricsReport) (string, er
 			switch {
 			case sp.Name == "request" && a.K == "outcome":
 				counts[fmt.Sprintf("request outcome %v", a.V)]++
-			case sp.Name == "request" && a.K == "hedged" && a.V == true:
-				counts["request hedged"]++
 			case sp.Name == "admission" && a.K == "verdict":
 				counts[fmt.Sprintf("admission verdict %v", a.V)]++
 			}
@@ -192,8 +190,7 @@ func reachTally(trace string, rep *Report, dispatcher MetricsReport) (string, er
 		}
 	}
 	if a := rep.Autoscale; a != nil {
-		lines = append(lines, fmt.Sprintf("  autoscale deepest %s\n", a.DeepestMode),
-			fmt.Sprintf("  autoscale scale up/down %d/%d (final replicas %d)\n", a.ScaleUps, a.ScaleDowns, a.FinalReplicas))
+		lines = append(lines, fmt.Sprintf("  autoscale scale up/down %d/%d (final replicas %d)\n", a.ScaleUps, a.ScaleDowns, a.FinalReplicas))
 	}
 	sort.Strings(lines)
 	var b bytes.Buffer

@@ -31,10 +31,10 @@ func sha(data []byte) string {
 func TestTraceBytesGolden(t *testing.T) {
 	defer testutil.CheckGoroutineLeak(t, 4)
 	const (
-		wantJobJSONL      = "eaf9dc5f5509a74afb215ae367d99637db73a20b54ae45dc465d1778054b7611"
-		wantJobChrome     = "876271b50de05e4537df7d86f7fccd15c8b3df599fcaf13c56b14ee272d10d5c"
-		wantClusterJSONL  = "1ca5398262e47cebe519408b14e09b62ddc69a9f07c0920d1ef2d0f73a16df1f"
-		wantClusterChrome = "b2d84669488df6fb73cdd58619ab73b0f0de781a02c683bbd85ef20459a391ae"
+		wantJobJSONL      = "8d0eddabc0ca7bab7fdd1886b303e003132f788f14e3ac9455526374493e9f31"
+		wantJobChrome     = "f7617255886de9d7bc6dbfcc35d5fffac9f5e922887803b0c0bf16fea1b94973"
+		wantClusterJSONL  = "81659092e8c5f4af52294aff9e9f5ed74785a3c9fdea12b78da88319a8600594"
+		wantClusterChrome = "d010850429287982f5b7f24fcefb29f040ae666ecfc8bfac1bbb6c4504752591"
 	)
 	dir := t.TempDir()
 
