@@ -276,8 +276,11 @@ gate "hot-loop allocation gate"
 # measurement leaves its row in either direction. Twenty runs, so a
 # figure that holds only some of the time fails here too (the test warms
 # each loop up first, so the runtime's one-time type-assertion cache
-# builds fall before the window; see ledgerWarmUpRuns).
+# builds fall before the window; see ledgerWarmUpRuns). A trial's
+# bookkeeping — its member's configuration, its reply wait, its
+# Register — is pinned beside the table, twenty runs too.
 go test -count=20 -run TestStageAllocations ./internal/hotloop
+go test -count=20 -run TestTrialBookkeepingAllocations ./internal/core
 
 gate "cluster-failover gate"
 # The sharded cluster's own tests, twice under the race detector, then

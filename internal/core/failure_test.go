@@ -79,7 +79,7 @@ func TestInferenceServerSubmitCancelledContext(t *testing.T) {
 
 func TestAwaitOutcomeDeadline(t *testing.T) {
 	ch := make(chan InferOutcome) // never delivers
-	_, err := awaitOutcome(context.Background(), ch, 30*time.Millisecond)
+	_, err := awaitOutcome(context.Background(), newDeadline(), ch, 30*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Errorf("missed deadline error = %v", err)
 	}
@@ -88,13 +88,52 @@ func TestAwaitOutcomeDeadline(t *testing.T) {
 func TestAwaitOutcomePropagatesErrors(t *testing.T) {
 	ch := make(chan InferOutcome, 1)
 	ch <- InferOutcome{Err: context.DeadlineExceeded}
-	if _, err := awaitOutcome(context.Background(), ch, time.Second); err == nil {
+	if _, err := awaitOutcome(context.Background(), newDeadline(), ch, time.Second); err == nil {
 		t.Error("outcome error not propagated")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := awaitOutcome(ctx, make(chan InferOutcome), time.Second); err == nil {
+	if _, err := awaitOutcome(ctx, newDeadline(), make(chan InferOutcome), time.Second); err == nil {
 		t.Error("context cancellation not propagated")
+	}
+}
+
+// TestAwaitOutcomeReusesTheTimer: a job's waits share one timer, and a
+// wait after one that hit its deadline, one whose timer fired beside
+// the reply it returned, or one whose context was cancelled, returns
+// the reply that arrives — not a tick left over from before.
+func TestAwaitOutcomeReusesTheTimer(t *testing.T) {
+	timer := newDeadline()
+	next := func(after string) {
+		t.Helper()
+		ch := make(chan InferOutcome)
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			ch <- InferOutcome{Cached: true}
+		}()
+		if out, err := awaitOutcome(context.Background(), timer, ch, time.Minute); err != nil || !out.Cached {
+			t.Fatalf("the wait after %s returned %+v, %v: want the reply", after, out, err)
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for range 10 {
+		if _, err := awaitOutcome(context.Background(), timer, make(chan InferOutcome), time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("a wait that nothing answers returned %v, want its deadline", err)
+		}
+		next("a missed deadline")
+
+		answered := make(chan InferOutcome, 1)
+		answered <- InferOutcome{}
+		awaitOutcome(context.Background(), timer, answered, time.Nanosecond)
+		time.Sleep(time.Millisecond) // the tick has fired by now
+		next("a reply beside a tick")
+
+		if _, err := awaitOutcome(cancelled, timer, make(chan InferOutcome), time.Nanosecond); err == nil {
+			t.Fatal("a cancelled wait returned no error")
+		}
+		time.Sleep(time.Millisecond)
+		next("a cancelled wait")
 	}
 }
 

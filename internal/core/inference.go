@@ -215,7 +215,6 @@ type servingMetrics struct {
 	requests  *obs.Counter
 	cacheHits *obs.Counter
 	latencyMS *obs.Histogram
-	queue     *obs.Gauge
 	// queueEnqueue samples the queued depth (excluding in-flight work)
 	// right after each admit; admitWait samples how many requests sat
 	// ahead of each admitted one. Both are queue positions taken under
@@ -300,10 +299,10 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 			requests:     reg.Counter("serving.requests"),
 			cacheHits:    reg.Counter("serving.cache-hits"),
 			latencyMS:    reg.Histogram("serving.latency.ms", obs.LatencyBucketsMS),
-			queue:        reg.Gauge("serving.queue.depth"),
 			queueEnqueue: reg.Histogram("serving.queue.depth.enqueue", obs.QueueDepthBuckets),
 			admitWait:    reg.Histogram("serving.admission.wait.requests", obs.QueueDepthBuckets),
 		}
+		s.adm.depth = reg.Gauge("serving.queue.depth")
 		s.writes.Instrument(reg)
 	}
 	if opts.SLO != nil {
@@ -517,7 +516,6 @@ func (s *InferenceServer) admit(c *call) {
 		s.reject(c, outcomeLabel(err), err)
 		return
 	}
-	s.m.queue.Set(float64(s.adm.inSystem()))
 	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
 	s.m.admitWait.Observe(float64(c.queuedAhead))
 	s.admissionSpan(c, "admitted", c.rt.pd.name, c.queuedAhead)
@@ -640,7 +638,6 @@ func (s *InferenceServer) worker() {
 		if !ok {
 			return
 		}
-		s.m.queue.Set(float64(s.adm.inSystem()))
 		// A call cancelled between queue and worker (unqueue lost the
 		// race to remove it) is not served.
 		res := InferOutcome{Err: c.ctx.Err()}
@@ -656,7 +653,6 @@ func (s *InferenceServer) worker() {
 		// signal deterministic for sequential drivers.
 		s.adm.done()
 		s.finish(c, "", res)
-		s.m.queue.Set(float64(s.adm.inSystem()))
 	}
 }
 
@@ -1015,19 +1011,22 @@ func transientInferError(err error) bool {
 
 // awaitOutcome blocks for an outcome with a deadline, used by the model
 // server to enforce the containment claim (§3.3: the inference result
-// must arrive before the training trial ends). The timer is stopped and
-// drained on every exit path so heavy retry traffic does not accumulate
-// live timers.
-func awaitOutcome(ctx context.Context, ch <-chan InferOutcome, limit time.Duration) (InferOutcome, error) {
-	timer := time.NewTimer(limit)
-	defer func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+// must arrive before the training trial ends). The deadline runs on
+// timer, which the caller owns and reuses wait after wait — a tuning
+// job has one (newDeadline) — so a wait allocates nothing. The module
+// runs the pre-Go 1.23 timer semantics, under which a tick nobody took
+// stays in the channel and would answer the next wait at once: every
+// wait stops and drains the timer before it resets it, and stops it on
+// the way out, so no timer outlives its wait.
+func awaitOutcome(ctx context.Context, timer *time.Timer, ch <-chan InferOutcome, limit time.Duration) (InferOutcome, error) {
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
 		}
-	}()
+	}
+	timer.Reset(limit)
+	defer timer.Stop()
 	select {
 	case res := <-ch:
 		if res.Err != nil {
@@ -1039,4 +1038,11 @@ func awaitOutcome(ctx context.Context, ch <-chan InferOutcome, limit time.Durati
 	case <-ctx.Done():
 		return InferOutcome{}, ctx.Err()
 	}
+}
+
+// newDeadline is a stopped timer for awaitOutcome to reuse.
+func newDeadline() *time.Timer {
+	t := time.NewTimer(requestTimeout)
+	t.Stop()
+	return t
 }

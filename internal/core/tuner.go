@@ -339,6 +339,7 @@ type tuneJob struct {
 	satAlloc budget.Allocation
 	obj      Objective
 	srv      *InferenceServer // nil unless Options.InferenceAware
+	deadline *time.Timer      // every awaitOutcome of the job's trials; nil without srv
 	inj      *fault.Injector
 	recd     *counters.Resilience
 	reg      *obs.Registry
@@ -461,6 +462,7 @@ func (j *tuneJob) setUp() error {
 	if err != nil {
 		return err
 	}
+	j.deadline = newDeadline()
 	j.srv, err = NewInferenceServer(InferenceServerOptions{
 		Device:      opts.Device,
 		Space:       infSpace,
@@ -544,7 +546,8 @@ func (j *tuneJob) openBracket(bracket int) {
 	}
 	j.Pop = make([]member, 0, j.opts.InitialConfigs)
 	for i := 0; i < j.opts.InitialConfigs; i++ {
-		j.Pop = append(j.Pop, member{Config: j.sampler.Sample()})
+		cfg := j.sampler.Sample()
+		j.Pop = append(j.Pop, member{Config: cfg, trial: j.trialConfig(cfg)})
 	}
 }
 
@@ -572,7 +575,7 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 		var rec TrialRecord
 		var err error
 		prof.Do(ctx, func(ctx context.Context) {
-			rec, err = j.runResilientTrial(ctx, j.Pop[i].Config, alloc)
+			rec, err = j.runResilientTrial(ctx, j.Pop[i], alloc)
 		}, labels...)
 		if err != nil {
 			return err
@@ -652,7 +655,7 @@ func (j *tuneJob) plan(bracket, rung int) {
 	}
 	reqs, alloc := make([]trial.Request, len(j.Pop)), j.allocAt(rung)
 	for i := range j.Pop {
-		reqs[i] = trial.Request{Config: j.trialConfig(j.Pop[i].Config), Alloc: alloc}
+		reqs[i] = trial.Request{Config: j.Pop[i].trial, Alloc: alloc}
 	}
 	j.runner.Register(j.rungLabels(bracket, rung), reqs...)
 	if len(j.Pop) > 1 {
@@ -664,14 +667,17 @@ func (j *tuneJob) plan(bracket, rung int) {
 	}
 }
 
-// trialConfig is the configuration a trial of cfg trains and records: a
-// copy, with the fixed system configuration filled in for the
-// inference-unaware baselines, whose space has no GPU count.
+// trialConfig is the configuration the trials of a member drawn as cfg
+// train and record: cfg itself when it holds a GPU count, as every draw
+// from a SystemParams space does, and otherwise — the inference-unaware
+// baselines — a copy with the fixed system configuration filled in. A
+// member's is decided once, when it is drawn or restored.
 func (j *tuneJob) trialConfig(cfg search.Config) search.Config {
-	cfg = cfg.Clone()
-	if _, ok := cfg[workload.ParamGPUs]; !ok {
-		cfg[workload.ParamGPUs] = float64(max(j.opts.FixedGPUs, 1))
+	if _, ok := cfg[workload.ParamGPUs]; ok {
+		return cfg
 	}
+	cfg = cfg.Clone()
+	cfg[workload.ParamGPUs] = float64(max(j.opts.FixedGPUs, 1))
 	return cfg
 }
 
@@ -815,8 +821,8 @@ func inferTerm(e store.Entry) perfmodel.InferResult {
 // attempt become spans under the open rung span, placed on the simulated
 // timeline from the job's running total; failed attempts and backoff
 // waits push the next attempt later, exactly as they are charged.
-func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, alloc budget.Allocation) (TrialRecord, error) {
-	start := j.Tuning
+func (j *tuneJob) runResilientTrial(ctx context.Context, m member, alloc budget.Allocation) (TrialRecord, error) {
+	cfg, start := m.Config, j.Tuning
 	var wasted perfmodel.Cost
 	var trSp *obs.Span
 	if j.rgSp != nil {
@@ -838,7 +844,7 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 		var rec TrialRecord
 		var err error
 		prof.Do(ctx, func(ctx context.Context) {
-			rec, err = j.runTrial(ctx, trial.Request{Config: cfg, Alloc: alloc, Attempt: attempt, Span: attSp, Start: attStart})
+			rec, err = j.runTrial(ctx, trial.Request{Config: m.trial, Alloc: alloc, Attempt: attempt, Span: attSp, Start: attStart})
 		}, retryLabels...)
 		if err == nil {
 			rec.Attempts = attempt + 1
@@ -892,7 +898,7 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 				trSp.End(start + wasted.Duration)
 			}
 			return TrialRecord{
-				Config:    cfg.Clone(),
+				Config:    cfg,
 				Alloc:     alloc,
 				Outcome:   OutcomeFailed,
 				Attempts:  attempt + 1,
@@ -920,7 +926,7 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 // marked OutcomeDegraded so reports distinguish measured from
 // estimated scores.
 func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord, error) {
-	rec := TrialRecord{Config: j.trialConfig(req.Config), Alloc: req.Alloc}
+	rec := TrialRecord{Config: req.Config, Alloc: req.Alloc}
 
 	a, err := j.archOf(req.Config)
 	if err != nil {
@@ -931,7 +937,6 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 		infCh = j.submit(ctx, a, req.Start)
 	}
 
-	req.Config = rec.Config
 	trialRes, err := j.runner.Run(ctx, req)
 	if err != nil {
 		// Surface the partial cost so the retry loop can charge it, and
@@ -940,7 +945,7 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 		// let a retry race against its completion.
 		rec.TrainCost = trialRes.Cost
 		if infCh != nil {
-			if out, aerr := awaitOutcome(ctx, infCh, requestTimeout); aerr == nil || out.TuningCost.Duration > 0 {
+			if out, aerr := awaitOutcome(ctx, j.deadline, infCh, requestTimeout); aerr == nil || out.TuningCost.Duration > 0 {
 				rec.InferTuning = out.TuningCost
 			}
 		}
@@ -965,7 +970,7 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 
 	var inf perfmodel.InferResult
 	if j.srv != nil {
-		out, err := awaitOutcome(ctx, infCh, requestTimeout)
+		out, err := awaitOutcome(ctx, j.deadline, infCh, requestTimeout)
 		switch {
 		case err == nil:
 			rec.InferCached = out.Cached

@@ -138,3 +138,36 @@ func TestStageAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestWALAppendRowHoldsWhereverTheWindowFalls moves the ledger's window
+// across the first four thousand appends of one store.wal-append loop —
+// where a time-bounded warm-up on a slow machine leaves it — and holds
+// every window to the row, as TestStageAllocations does: neither the
+// store's index growing nor a collection may land in a window.
+func TestWALAppendRowHoldsWhereverTheWindowFalls(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on the loops' behalf")
+	}
+	var row stage
+	for _, s := range stages {
+		if s.name == "store.wal-append" {
+			row = s
+		}
+	}
+	op, done, err := Open(row.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done()
+	for ran := 0; ran < 4000; {
+		p := prof.Measure(row.name, 32, op)
+		if math.Round(p.AllocsPerOp) != float64(row.allocs) || math.Abs(p.BytesPerOp-row.bytes) > 0.01*row.bytes {
+			t.Errorf("window after %d appends: %.2f allocs/op, %.1f B/op; declared %d, %.1f",
+				ran, p.AllocsPerOp, p.BytesPerOp, row.allocs, row.bytes)
+		}
+		for i := 0; i < 40; i++ {
+			op()
+		}
+		ran += 33 + 40
+	}
+}

@@ -31,10 +31,18 @@ var measureMu sync.Mutex
 // to 1 so no other goroutine's allocations pollute the window, and
 // runtime.MemStats deltas around the measured loop.
 //
+// A collection runs first, before the warm-up. A cycle empties every
+// sync.Pool — the next Get of fmt's printers or encoding/json's encoders
+// allocates the pool's per-P slots and the object again — and wakes the
+// runtime's own clean-ups (the unique package's map sweep), ≈ 4
+// allocations and 280 B that a window holding the cycle read as the
+// stage's. The warm-up run pays the refill, and the window then
+// allocates far less than the next heap goal, so no cycle lands in it.
+//
 // Determinism caveats: allocation counts are a property of the code
 // path, not the scheduler, so for a single-goroutine fn the probe is
-// stable run to run — but a fn that hands work to other goroutines, or
-// one racing a concurrent GC's mallocs, can wobble by a few allocs.
+// stable run to run — but a fn that hands work to other goroutines can
+// wobble by a few allocs.
 // Probe values therefore feed gauges and internal/hotloop's allocation
 // ledger (whose test rounds the count and allows bytes 1 %), never
 // byte-compared digests.
@@ -45,6 +53,7 @@ func Measure(stage string, runs int, fn func()) Probe {
 	measureMu.Lock()
 	defer measureMu.Unlock()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	fn() // warm-up: lazy paths allocate once and never again
 
 	var before, after runtime.MemStats

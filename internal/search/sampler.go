@@ -25,6 +25,9 @@ type Sampler interface {
 	// Name identifies the strategy ("random", "grid", "bohb").
 	Name() string
 	// Sample proposes one configuration in a fresh map, the caller's.
+	// A tuning job treats the map as read-only once drawn: its
+	// population, the trainings it registers and its trial records
+	// share it rather than copy it.
 	Sample() Config
 	// SampleInto proposes the configuration Sample would, into dst: it
 	// sets every parameter of the space and leaves other keys alone. The

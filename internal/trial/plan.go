@@ -31,8 +31,15 @@ type task struct {
 	labels  []string // pprof labels of the rung that will read the result
 	claimed bool     // somebody trains it or has trained it; under plan.mu
 
-	cancelled atomic.Bool   // nobody will read the result: stop
-	done      chan struct{} // closed by the helper that trained it, after out is set
+	// finished is set, and done — if a Run made one — closed, by the
+	// helper that trained the task, under plan.mu, after out is set.
+	// done is made, under plan.mu, only by a Run that finds a helper
+	// still training the task it asks for: a task its own Run trains, or
+	// one a helper finished first, never has one.
+	finished bool
+	done     chan struct{}
+
+	cancelled atomic.Bool // nobody will read the result: stop
 	out       training
 }
 
@@ -58,22 +65,24 @@ func (t *task) is(req Request) bool {
 }
 
 // Register announces trainings whose inputs are already decided: each
-// request's Config, Alloc and Attempt (the configurations must not be
-// modified afterwards). The Run that later asks for one of them takes
-// the registered result, and a request registered twice is two
-// trainings, read by two Runs. labels are the pprof labels (alternating
-// key, value) a helper wears while it trains these, since the rung that
-// registered a training need not be the rung that reads it. Everything
-// registered must be read by a Run or given up by Drain.
+// request's Config, Alloc and Attempt (the plan keeps the Config map
+// itself, so it must not be modified afterwards). The Run that later
+// asks for one of them takes the registered result, and a request
+// registered twice is two trainings, read by two Runs. labels are the
+// pprof labels (alternating key, value) a helper wears while it trains
+// these, since the rung that registered a training need not be the rung
+// that reads it. Everything registered must be read by a Run or given up
+// by Drain. A call allocates its tasks as one block, and no channel:
+// only a Run that must wait for a helper makes one (see task.done).
 func (r *Runner) Register(labels []string, reqs ...Request) {
+	block := make([]task, len(reqs))
 	r.plan.mu.Lock()
 	defer r.plan.mu.Unlock()
-	for _, req := range reqs {
-		r.plan.tasks = append(r.plan.tasks, &task{
-			req:    Request{Config: req.Config, Alloc: req.Alloc, Attempt: req.Attempt},
-			labels: labels,
-			done:   make(chan struct{}),
-		})
+	for i, req := range reqs {
+		t := &block[i]
+		t.req = Request{Config: req.Config, Alloc: req.Alloc, Attempt: req.Attempt}
+		t.labels = labels
+		r.plan.tasks = append(r.plan.tasks, t)
 	}
 }
 
@@ -103,13 +112,29 @@ func (r *Runner) training(ctx context.Context, req Request) training {
 	if t == nil || mine {
 		return r.train(req.Config, req.Alloc, req.Attempt, ctx.Err)
 	}
+	done := r.awaitable(t)
+	if done == nil {
+		return t.out
+	}
 	select {
-	case <-t.done:
+	case <-done:
 		return t.out
 	case <-ctx.Done():
 		t.cancelled.Store(true)
 		return training{err: ctx.Err()}
 	}
+}
+
+// awaitable is nil when the helper training t has finished, and
+// otherwise the channel it closes when it does, made here.
+func (r *Runner) awaitable(t *task) <-chan struct{} {
+	r.plan.mu.Lock()
+	defer r.plan.mu.Unlock()
+	if t.finished {
+		return nil
+	}
+	t.done = make(chan struct{})
+	return t.done
 }
 
 // take removes the first task that is req's training from the plan and
@@ -165,7 +190,12 @@ func (r *Runner) help() {
 		prof.Do(context.Background(), func(context.Context) {
 			t.out = r.train(t.req.Config, t.req.Alloc, t.req.Attempt, t.check)
 		}, t.labels...)
-		close(t.done)
+		r.plan.mu.Lock()
+		t.finished = true
+		if t.done != nil {
+			close(t.done)
+		}
+		r.plan.mu.Unlock()
 	}
 }
 

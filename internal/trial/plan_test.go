@@ -222,24 +222,103 @@ func TestDrainGivesUpWhatNobodyReads(t *testing.T) {
 	(*Runner)(nil).Drain()
 }
 
-// TestCancelledWaitGivesTheTrainingUp: a Run that is waiting for a
-// helper's training when its context ends returns the context's error
-// and stops the helper.
+// TestCancelledWaitGivesTheTrainingUp: a Run waiting for a helper's
+// training — its channel made — returns context.Canceled when its
+// context is cancelled mid-wait and stops the helper, which marks the
+// task finished and closes that channel.
 func TestCancelledWaitGivesTheTrainingUp(t *testing.T) {
 	withProcs(t, 2)
 	r := icRunner(t)
-	big := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 400, DataFraction: 1}}
-	bigger := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 401, DataFraction: 1}}
-	r.Register(nil, trialReq(), big, bigger)
-	if _, err := r.Run(context.Background(), trialReq()); err != nil { // the helper takes `bigger`
+	big := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 400, DataFraction: 1}} // minutes, if it ran
+	r.Register(nil, trialReq(), big)
+	tasks := registered(r)
+	if _, err := r.Run(context.Background(), trialReq()); err != nil { // the helper takes big
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := r.Run(ctx, bigger); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Run waiting on a helper returned %v, want the context's error", err)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.Run(ctx, big)
+		errc <- err
+	}()
+	await(t, r, tasks[1], "the Run waits on the helper", func(tk *task) bool { return tk.done != nil })
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Errorf("Run cancelled mid-wait returned %v, want context.Canceled", err)
+	}
+	await(t, r, tasks[1], "the helper gave the training up", func(tk *task) bool { return tk.finished })
+	select {
+	case <-tasks[1].done:
+	default:
+		t.Error("the helper finished without closing the waiter's channel")
 	}
 	r.Drain()
+}
+
+// registered is the plan's tasks as Register left them, for a test to
+// watch after Runs have taken them out of the plan.
+func registered(r *Runner) []*task {
+	r.plan.mu.Lock()
+	defer r.plan.mu.Unlock()
+	return append([]*task(nil), r.plan.tasks...)
+}
+
+// await polls, under plan.mu, until cond holds for t.
+func await(t *testing.T, r *Runner, tk *task, what string, cond func(*task) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.plan.mu.Lock()
+		ok := cond(tk)
+		r.plan.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gave up waiting until %s", what)
+		}
+	}
+}
+
+// TestOnlyAWaitMakesAChannel: a task its own Run trains, and one a
+// helper finished before its Run asked, are read without a channel;
+// the result is the one an unregistered Run returns.
+func TestOnlyAWaitMakesAChannel(t *testing.T) {
+	t.Run("caller trains", func(t *testing.T) {
+		withProcs(t, 1)
+		r := icRunner(t)
+		r.Register(nil, rungRequests()...)
+		tasks := registered(r)
+		runAll(t, r, rungRequests())
+		for i, tk := range tasks {
+			if tk.done != nil {
+				t.Errorf("task %d, trained by its own Run, made a channel", i)
+			}
+		}
+	})
+	t.Run("helper finished first", func(t *testing.T) {
+		withProcs(t, 2)
+		r := icRunner(t)
+		first, second := trialReq(), trialReq()
+		second.Attempt = 1
+		want, err := icRunner(t).Run(context.Background(), second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Register(nil, first, second)
+		tasks := registered(r)
+		if _, err := r.Run(context.Background(), first); err != nil { // a helper takes second
+			t.Fatal(err)
+		}
+		await(t, r, tasks[1], "the helper finished", func(tk *task) bool { return tk.finished })
+		if got, err := r.Run(context.Background(), second); err != nil || got != want {
+			t.Errorf("Run of a finished task: %+v, %v; want %+v", got, err, want)
+		}
+		if tasks[1].done != nil {
+			t.Error("reading a finished task made a channel")
+		}
+		r.Drain()
+	})
 }
 
 // TestInjectedCrashDiscardsTheRegisteredTraining: attempt 0 dies before
