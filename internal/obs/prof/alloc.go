@@ -2,6 +2,7 @@ package prof
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"edgetune/internal/obs"
@@ -31,13 +32,14 @@ var measureMu sync.Mutex
 // to 1 so no other goroutine's allocations pollute the window, and
 // runtime.MemStats deltas around the measured loop.
 //
-// A collection runs first, before the warm-up. A cycle empties every
-// sync.Pool — the next Get of fmt's printers or encoding/json's encoders
-// allocates the pool's per-P slots and the object again — and wakes the
-// runtime's own clean-ups (the unique package's map sweep), ≈ 4
-// allocations and 280 B that a window holding the cycle read as the
-// stage's. The warm-up run pays the refill, and the window then
-// allocates far less than the next heap goal, so no cycle lands in it.
+// The collector is off from before the warm-up run to the end of the
+// window (turning it off also waits out a cycle already marking), so no
+// cycle lands in the window. A cycle empties every sync.Pool — the next
+// Get of fmt's printers or encoding/json's encoders allocates the pool's
+// per-P slots and the object again — and wakes the runtime's own
+// clean-ups (the unique package's map sweep): ≈ 4 allocations and 280 B
+// that a window holding one would read as the stage's. The warm-up run
+// refills what an earlier cycle emptied.
 //
 // Determinism caveats: allocation counts are a property of the code
 // path, not the scheduler, so for a single-goroutine fn the probe is
@@ -53,7 +55,7 @@ func Measure(stage string, runs int, fn func()) Probe {
 	measureMu.Lock()
 	defer measureMu.Unlock()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn() // warm-up: lazy paths allocate once and never again
 
 	var before, after runtime.MemStats
