@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"sync"
-
-	"edgetune/internal/obs"
 )
 
 // ErrOverloaded is returned by the inference server when admission
@@ -40,12 +38,6 @@ type admission struct {
 	// hold makes take() wait even with work queued; the chaos tests use
 	// it to freeze the queue while a deterministic burst is submitted.
 	hold bool
-
-	// depth is the serving.queue.depth gauge (nil without a recorder):
-	// the in-system count, set under mu by every push, take and done.
-	// Set outside the lock, a submitter's count could land after the
-	// worker's, which had already served the call, and leave it stale.
-	depth *obs.Gauge
 }
 
 func newAdmission(limit int) *admission {
@@ -71,7 +63,6 @@ func (a *admission) push(j *call) error {
 	j.queuedAhead = len(a.queue)
 	a.queue = append(a.queue, j)
 	j.depthAtEnqueue = len(a.queue)
-	a.depth.Set(float64(len(a.queue) + a.inflight))
 	a.cond.Signal()
 	return nil
 }
@@ -93,7 +84,6 @@ func (a *admission) take() (*call, bool) {
 			j := a.queue[0]
 			a.queue = a.queue[1:]
 			a.inflight++
-			a.depth.Set(float64(len(a.queue) + a.inflight))
 			return j, true
 		}
 		if a.closed {
@@ -108,7 +98,6 @@ func (a *admission) done() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.inflight--
-	a.depth.Set(float64(len(a.queue) + a.inflight))
 	a.maybeEmpty()
 }
 
@@ -171,7 +160,7 @@ func (a *admission) setHold(h bool) {
 }
 
 // inSystem reports queued plus in-flight jobs: the autoscaler's load
-// signal, and what the depth gauge shows.
+// signal and the serving.queue.depth gauge.
 func (a *admission) inSystem() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -19,14 +19,10 @@ import (
 const checkpointVersion = 2
 
 // member is one configuration of the bracket's population with its
-// score at the last rung it was evaluated on. Config is the map the
-// sampler drew, and trial the one every trial of the member trains and
-// records (see trialConfig): the same map unless the job fills in the
-// GPU count. Both are read-only once drawn.
+// score at the last rung it was evaluated on.
 type member struct {
 	Config search.Config `json:"config"`
 	Score  float64       `json:"score"`
-	trial  search.Config
 }
 
 // tuneProgress is a tuning job's live state and, marshalled as it
@@ -261,9 +257,6 @@ func (j *tuneJob) restore() {
 		return
 	}
 	j.tuneProgress = p
-	for i := range j.Pop {
-		j.Pop[i].trial = j.trialConfig(j.Pop[i].Config)
-	}
 	j.Trials = slices.Grow(j.Trials, max(j.scheduled-len(j.Trials), 0))
 	// Rebuild the sampler's model from the completed trials so the
 	// resumed search continues informed.

@@ -99,16 +99,16 @@ func TestAwaitOutcomePropagatesErrors(t *testing.T) {
 }
 
 // TestAwaitOutcomeReusesTheTimer: a job's waits share one timer, and a
-// wait after one that hit its deadline, one whose timer fired beside
-// the reply it returned, or one whose context was cancelled, returns
-// the reply that arrives — not a tick left over from before.
+// wait after one that hit its deadline, one whose context was
+// cancelled, or one whose reply landed together with its deadline,
+// returns the reply that arrives — not a tick left over from before.
 func TestAwaitOutcomeReusesTheTimer(t *testing.T) {
 	timer := newDeadline()
-	next := func(after string) {
+	next := func(after string, delay time.Duration) {
 		t.Helper()
-		ch := make(chan InferOutcome)
+		ch := make(chan InferOutcome, 1)
 		go func() {
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(delay)
 			ch <- InferOutcome{Cached: true}
 		}()
 		if out, err := awaitOutcome(context.Background(), timer, ch, time.Minute); err != nil || !out.Cached {
@@ -121,19 +121,25 @@ func TestAwaitOutcomeReusesTheTimer(t *testing.T) {
 		if _, err := awaitOutcome(context.Background(), timer, make(chan InferOutcome), time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("a wait that nothing answers returned %v, want its deadline", err)
 		}
-		next("a missed deadline")
-
-		answered := make(chan InferOutcome, 1)
-		answered <- InferOutcome{}
-		awaitOutcome(context.Background(), timer, answered, time.Nanosecond)
-		time.Sleep(time.Millisecond) // the tick has fired by now
-		next("a reply beside a tick")
+		next("a missed deadline", 5*time.Millisecond)
 
 		if _, err := awaitOutcome(cancelled, timer, make(chan InferOutcome), time.Nanosecond); err == nil {
 			t.Fatal("a cancelled wait returned no error")
 		}
-		time.Sleep(time.Millisecond)
-		next("a cancelled wait")
+		time.Sleep(time.Millisecond) // a tick the wait left would have landed
+		next("a cancelled wait", 5*time.Millisecond)
+	}
+	// A reply ready as the deadline fires: the wait may return either,
+	// and the next wait starts at once, with no pause for a late tick. A
+	// wait that stops the fired timer without taking its tick fails
+	// here; the narrower race, a Stop that reports the fire before the
+	// runtime has sent the tick, cannot be forced from a test, and the
+	// blocking receive in stopDeadline is what covers it.
+	for i := range 1000 {
+		answered := make(chan InferOutcome, 1)
+		answered <- InferOutcome{}
+		awaitOutcome(context.Background(), timer, answered, time.Duration(i%16)*time.Microsecond)
+		next("a reply beside its deadline", 50*time.Microsecond)
 	}
 }
 

@@ -215,6 +215,7 @@ type servingMetrics struct {
 	requests  *obs.Counter
 	cacheHits *obs.Counter
 	latencyMS *obs.Histogram
+	queue     *obs.Gauge
 	// queueEnqueue samples the queued depth (excluding in-flight work)
 	// right after each admit; admitWait samples how many requests sat
 	// ahead of each admitted one. Both are queue positions taken under
@@ -299,10 +300,10 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 			requests:     reg.Counter("serving.requests"),
 			cacheHits:    reg.Counter("serving.cache-hits"),
 			latencyMS:    reg.Histogram("serving.latency.ms", obs.LatencyBucketsMS),
+			queue:        reg.Gauge("serving.queue.depth"),
 			queueEnqueue: reg.Histogram("serving.queue.depth.enqueue", obs.QueueDepthBuckets),
 			admitWait:    reg.Histogram("serving.admission.wait.requests", obs.QueueDepthBuckets),
 		}
-		s.adm.depth = reg.Gauge("serving.queue.depth")
 		s.writes.Instrument(reg)
 	}
 	if opts.SLO != nil {
@@ -516,6 +517,7 @@ func (s *InferenceServer) admit(c *call) {
 		s.reject(c, outcomeLabel(err), err)
 		return
 	}
+	s.m.queue.Set(float64(s.adm.inSystem()))
 	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
 	s.m.admitWait.Observe(float64(c.queuedAhead))
 	s.admissionSpan(c, "admitted", c.rt.pd.name, c.queuedAhead)
@@ -638,6 +640,7 @@ func (s *InferenceServer) worker() {
 		if !ok {
 			return
 		}
+		s.m.queue.Set(float64(s.adm.inSystem()))
 		// A call cancelled between queue and worker (unqueue lost the
 		// race to remove it) is not served.
 		res := InferOutcome{Err: c.ctx.Err()}
@@ -653,6 +656,7 @@ func (s *InferenceServer) worker() {
 		// signal deterministic for sequential drivers.
 		s.adm.done()
 		s.finish(c, "", res)
+		s.m.queue.Set(float64(s.adm.inSystem()))
 	}
 }
 
@@ -1013,22 +1017,17 @@ func transientInferError(err error) bool {
 // server to enforce the containment claim (§3.3: the inference result
 // must arrive before the training trial ends). The deadline runs on
 // timer, which the caller owns and reuses wait after wait — a tuning
-// job has one (newDeadline) — so a wait allocates nothing. The module
-// runs the pre-Go 1.23 timer semantics, under which a tick nobody took
-// stays in the channel and would answer the next wait at once: every
-// wait stops and drains the timer before it resets it, and stops it on
-// the way out, so no timer outlives its wait.
+// job has one (newDeadline) — so a wait allocates nothing. The timer is
+// stopped with an empty channel between waits: a wait that ends on the
+// deadline has taken the tick, and one that ends on the reply or the
+// context stops the timer and, if it had already fired, takes the tick
+// the runtime is bound to send. Under the pre-Go 1.23 timer semantics
+// the module runs, a tick left behind would end the next wait at once.
 func awaitOutcome(ctx context.Context, timer *time.Timer, ch <-chan InferOutcome, limit time.Duration) (InferOutcome, error) {
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
 	timer.Reset(limit)
-	defer timer.Stop()
 	select {
 	case res := <-ch:
+		stopDeadline(timer)
 		if res.Err != nil {
 			return res, res.Err
 		}
@@ -1036,7 +1035,16 @@ func awaitOutcome(ctx context.Context, timer *time.Timer, ch <-chan InferOutcome
 	case <-timer.C:
 		return InferOutcome{}, fmt.Errorf("core: inference result missed the %v deadline: %w", limit, context.DeadlineExceeded)
 	case <-ctx.Done():
+		stopDeadline(timer)
 		return InferOutcome{}, ctx.Err()
+	}
+}
+
+// stopDeadline stops a timer whose tick nobody has taken, and takes the
+// tick if the timer fired first.
+func stopDeadline(timer *time.Timer) {
+	if !timer.Stop() {
+		<-timer.C
 	}
 }
 

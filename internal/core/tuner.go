@@ -546,8 +546,7 @@ func (j *tuneJob) openBracket(bracket int) {
 	}
 	j.Pop = make([]member, 0, j.opts.InitialConfigs)
 	for i := 0; i < j.opts.InitialConfigs; i++ {
-		cfg := j.sampler.Sample()
-		j.Pop = append(j.Pop, member{Config: cfg, trial: j.trialConfig(cfg)})
+		j.Pop = append(j.Pop, member{Config: j.sampler.Sample()})
 	}
 }
 
@@ -575,7 +574,7 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 		var rec TrialRecord
 		var err error
 		prof.Do(ctx, func(ctx context.Context) {
-			rec, err = j.runResilientTrial(ctx, j.Pop[i], alloc)
+			rec, err = j.runResilientTrial(ctx, j.Pop[i].Config, alloc)
 		}, labels...)
 		if err != nil {
 			return err
@@ -655,7 +654,7 @@ func (j *tuneJob) plan(bracket, rung int) {
 	}
 	reqs, alloc := make([]trial.Request, len(j.Pop)), j.allocAt(rung)
 	for i := range j.Pop {
-		reqs[i] = trial.Request{Config: j.Pop[i].trial, Alloc: alloc}
+		reqs[i] = trial.Request{Config: j.trialConfig(j.Pop[i].Config), Alloc: alloc}
 	}
 	j.runner.Register(j.rungLabels(bracket, rung), reqs...)
 	if len(j.Pop) > 1 {
@@ -667,11 +666,11 @@ func (j *tuneJob) plan(bracket, rung int) {
 	}
 }
 
-// trialConfig is the configuration the trials of a member drawn as cfg
-// train and record: cfg itself when it holds a GPU count, as every draw
-// from a SystemParams space does, and otherwise — the inference-unaware
-// baselines — a copy with the fixed system configuration filled in. A
-// member's is decided once, when it is drawn or restored.
+// trialConfig is the configuration a trial of cfg trains and records:
+// cfg itself when it holds a GPU count, as every draw from a
+// SystemParams space does, and otherwise — the inference-unaware
+// baselines, whose space has no GPU count — a copy with the fixed system
+// configuration filled in.
 func (j *tuneJob) trialConfig(cfg search.Config) search.Config {
 	if _, ok := cfg[workload.ParamGPUs]; ok {
 		return cfg
@@ -821,8 +820,8 @@ func inferTerm(e store.Entry) perfmodel.InferResult {
 // attempt become spans under the open rung span, placed on the simulated
 // timeline from the job's running total; failed attempts and backoff
 // waits push the next attempt later, exactly as they are charged.
-func (j *tuneJob) runResilientTrial(ctx context.Context, m member, alloc budget.Allocation) (TrialRecord, error) {
-	cfg, start := m.Config, j.Tuning
+func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, alloc budget.Allocation) (TrialRecord, error) {
+	start := j.Tuning
 	var wasted perfmodel.Cost
 	var trSp *obs.Span
 	if j.rgSp != nil {
@@ -844,7 +843,7 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, m member, alloc budget.
 		var rec TrialRecord
 		var err error
 		prof.Do(ctx, func(ctx context.Context) {
-			rec, err = j.runTrial(ctx, trial.Request{Config: m.trial, Alloc: alloc, Attempt: attempt, Span: attSp, Start: attStart})
+			rec, err = j.runTrial(ctx, trial.Request{Config: cfg, Alloc: alloc, Attempt: attempt, Span: attSp, Start: attStart})
 		}, retryLabels...)
 		if err == nil {
 			rec.Attempts = attempt + 1
@@ -926,7 +925,7 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, m member, alloc budget.
 // marked OutcomeDegraded so reports distinguish measured from
 // estimated scores.
 func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord, error) {
-	rec := TrialRecord{Config: req.Config, Alloc: req.Alloc}
+	rec := TrialRecord{Config: j.trialConfig(req.Config), Alloc: req.Alloc}
 
 	a, err := j.archOf(req.Config)
 	if err != nil {
@@ -937,6 +936,7 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 		infCh = j.submit(ctx, a, req.Start)
 	}
 
+	req.Config = rec.Config
 	trialRes, err := j.runner.Run(ctx, req)
 	if err != nil {
 		// Surface the partial cost so the retry loop can charge it, and
