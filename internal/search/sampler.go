@@ -27,7 +27,7 @@ type Sampler interface {
 	// Sample proposes one configuration in a fresh map, the caller's.
 	// A tuning job treats the map as read-only once drawn: its
 	// population, the trainings it registers and its trial records
-	// share it rather than copy it.
+	// share it, unless the job must fill in a parameter the space lacks.
 	Sample() Config
 	// SampleInto proposes the configuration Sample would, into dst: it
 	// sets every parameter of the space and leaves other keys alone. The
