@@ -73,7 +73,7 @@ surface "autoscale.Config fields" "$(fields internal/autoscale/autoscale.go Conf
 surface "slo.Spec fields" "$(fields internal/obs/slo/slo.go Spec)" 3
 surface "baselines.HyperPowerOptions fields" "$(fields internal/baselines/baselines.go HyperPowerOptions)" 3
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
-surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 52
+surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 33
 # A report section the pipeline already snapshots is that snapshot (a
 # type alias), not a public struct copying it field for field; an input
 # section the pipeline already declares (Job.Faults) is that declaration.
@@ -225,11 +225,13 @@ gate "store durability under faulty disks"
 # twice under the race detector so any run-order or leftover-state bug
 # in WAL replay and quarantine handling surfaces. Then ten seconds each
 # of fuzzing the WAL decoder, which reads whatever a crash left on disk,
-# the Job decoder, which reads whatever -job names, and checkpoint
-# restore, which resumes a job from whatever the store holds (their seed
-# corpora already ran above, as ordinary tests).
+# the fault spec parser, which reads whatever -faults says, the Job
+# decoder, which reads whatever -job names, and checkpoint restore, which
+# resumes a job from whatever the store holds (their seed corpora already
+# ran above, as ordinary tests).
 go test -race -count=2 ./internal/store ./internal/fault
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
 go test -run '^$' -fuzz FuzzCheckpointRestore -fuzztime 10s ./internal/core
 
@@ -322,7 +324,7 @@ gate "autoscale-resilience gate"
 # the pool out twice, to its three-replica maximum, and never back in.
 go test -race -count=2 ./internal/autoscale
 go test -race -count=2 -run 'Autoscale|TestReplyChannelsNeverCrossDeliver' ./internal/core
-crowd="$tracedir/edgetune -workload IC -autoscale -autoscale-max 3 -fault-flash-crowd 0.1 -seed 7"
+crowd="$tracedir/edgetune -workload IC -autoscale -autoscale-max 3 -faults flash-crowd=0.1 -seed 7"
 $crowd > "$tracedir/crowd-a.out"
 $crowd > "$tracedir/crowd-b.out"
 cmp "$tracedir/crowd-a.out" "$tracedir/crowd-b.out"

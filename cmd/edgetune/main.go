@@ -61,7 +61,6 @@ type bound int
 
 const (
 	free   bound = iota // any value the flag's type holds
-	prob                // a probability in [0,1]
 	nonNeg              // not negative
 )
 
@@ -69,7 +68,7 @@ const (
 // is checked against and its -help text.
 type flagRow struct {
 	name  string
-	dst   any // *string, *bool, *int, *uint64 or *float64
+	dst   any // *string, *bool, *int, *uint64 or a flag.Value
 	bound bound
 	usage string
 }
@@ -86,7 +85,6 @@ type invocation struct {
 // flagTable is the command line: every flag, bound to the field of the
 // invocation, the job or the cluster it sets.
 func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) []flagRow {
-	f, cf := &job.Faults, &cl.Faults
 	return []flagRow{
 		{"job", &inv.jobPath, free, "read the job from a JSON file; flags given beside it override the file"},
 		{"json", &inv.asJSON, free, "print the report as JSON"},
@@ -103,41 +101,22 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 		{"no-inference", &job.WithoutInference, free, "disable the inference tuning server"},
 		{"stop-at-target", &job.StopAtTarget, free, "stop once the target accuracy is reached"},
 		{"store", &job.StorePath, free, "persist the historical inference database to this JSON file, crash-consistently: every mutation is journalled to a checksummed write-ahead log beside it"},
-		{"store-snapshot-every", &job.StoreSnapshotEvery, free, "compact the WAL into a fresh snapshot every N records (default 256, negative never; requires -store)"},
-		{"store-kill-after", &job.StoreKillAfterAppends, nonNeg, "chaos: kill the process (exit 3) right after the Nth acknowledged WAL append (requires -store)"},
+		{"store-snapshot-every", &job.StoreSnapshotEvery, free, "compact the WAL into a fresh snapshot every N records (default 256, negative never; inert without -store)"},
+		{"store-kill-after", &job.StoreKillAfterAppends, nonNeg, "chaos: kill the process (exit 3) right after the Nth acknowledged WAL append (inert without -store)"},
 		{"seed", &job.Seed, free, "random seed (jobs are deterministic per seed)"},
 		{"tenant", &job.Tenant, free, "tenant the job is submitted as (default \"default\")"},
 		{"max-attempts", &job.MaxTrialAttempts, nonNeg, "retry cap per training trial under faults (default 3)"},
 		{"checkpoint", &job.Checkpoint, free, "checkpoint completed rungs for resumable tuning"},
 
-		{"fault-crash", &f.TrialCrash, prob, "probability a training trial crashes partway"},
-		{"fault-nan", &f.TrialNaN, prob, "probability a training trial diverges to NaN"},
-		{"fault-straggler", &f.Straggler, prob, "probability a trial straggles (cost inflated)"},
-		{"fault-flap", &f.DeviceFlap, prob, "probability the edge device drops an inference attempt"},
-		{"fault-brownout", &f.DeviceBrownout, prob, "probability an inference attempt is slowed by a device brown-out"},
-		{"brownout-factor", &f.BrownoutFactor, nonNeg, "maximum brown-out slowdown multiplier (default 6)"},
-		{"fault-overload", &f.OverloadBurst, prob, "probability an inference submission is shed by a synthetic overload burst"},
-		{"fault-store-write", &f.StoreWrite, prob, "probability a historical-store write fails"},
-		{"fault-drop", &f.DroppedReply, prob, "probability an inference reply is lost in flight"},
-		{"fault-disk-torn", &f.DiskTornWrite, prob, "probability a durable-store disk write is torn short (requires -store)"},
-		{"fault-disk-crash", &f.DiskCrash, prob, "probability a durable-store disk write half-lands and kills the disk (requires -store)"},
-		{"fault-disk-flip", &f.DiskBitFlip, prob, "probability a durable-store disk write is silently bit-flipped (requires -store)"},
-		{"fault-disk-full", &f.DiskFull, prob, "probability a durable-store disk write fails with ENOSPC (requires -store)"},
-		{"fault-disk-slow-fsync", &f.DiskSlowFsync, prob, "probability a durable-store fsync stalls (succeeds slowly; requires -store)"},
+		{"faults", &job.Faults, free, "inject faults: a `spec` of comma-separated class=probability pairs, each set over the job file's, plus brownout-factor=N, the maximum brown-out slowdown (default 6); disk classes need -store and no -cluster, cluster classes -cluster; classes: " + fmt.Sprint(fault.Classes())},
 
 		{"autoscale", &job.Autoscale, free, "enable the SLO-driven device-pool autoscaler"},
 		{"autoscale-min", &job.AutoscaleMin, nonNeg, "minimum device replicas (default 1, requires -autoscale)"},
 		{"autoscale-max", &job.AutoscaleMax, nonNeg, "maximum device replicas (default 4, requires -autoscale)"},
-		{"fault-flash-crowd", &f.FlashCrowd, prob, "probability a submission brings a phantom flash-crowd arrival surge (requires -autoscale)"},
-		{"fault-mass-devicefail", &f.MassDeviceFail, prob, "probability the whole device pool is quarantined at once, at most once per job (requires -autoscale)"},
-		{"fault-scale-stall", &f.ScaleStall, prob, "probability a scale-up stalls: warm-up charged, replica never joins (requires -autoscale)"},
 
 		{"cluster", &cl.Shards, nonNeg, "run the job on a sharded cluster with this many nodes (requires -cluster-dir)"},
 		{"cluster-dir", &cl.Dir, free, "directory holding every cluster node's durable store"},
 		{"cluster-kill-rungs", &cl.KillShardAfterRungs, nonNeg, "chaos: kill the job's shard after its Nth completed rung and fail over to the follower"},
-		{"fault-shard-kill", &cf.ShardKill, prob, "probability a shard dies at a rung boundary (cluster only)"},
-		{"fault-partition", &cf.NetPartition, prob, "probability a shipped WAL frame is dropped by a network partition (cluster only)"},
-		{"fault-follower-lag", &cf.FollowerLag, prob, "probability a shipped WAL frame is delayed behind its successors (cluster only)"},
 
 		{"trace", &job.TracePath, free, "write the deterministic span trace as JSON Lines to this file"},
 		{"trace-chrome", &job.TraceChromePath, free, "write the trace in Chrome trace-event format (Perfetto-loadable)"},
@@ -162,8 +141,8 @@ func parse(args []string, rows []flagRow) error {
 			fs.IntVar(p, r.name, *p, r.usage)
 		case *uint64:
 			fs.Uint64Var(p, r.name, *p, r.usage)
-		case *float64:
-			fs.Float64Var(p, r.name, *p, r.usage)
+		case flag.Value:
+			fs.Var(p, r.name, r.usage)
 		default:
 			panic(fmt.Sprintf("flag -%s: no binding for a %T", r.name, p))
 		}
@@ -172,30 +151,34 @@ func parse(args []string, rows []flagRow) error {
 }
 
 // check fails fast on a malformed value, before any tuning work starts,
-// with a one-line error naming the flag. The bounds helpers are the ones
-// the chaos fuzzer's schedule validation runs through, so the two
-// surfaces cannot drift.
-func check(rows []flagRow) error {
-	var probs, nonNegs []fault.NamedValue
+// with a one-line error naming the flag, whether the value came from the
+// command line or the job file. The bounds helpers and the fault scope
+// rule are the ones the chaos fuzzer's schedule validation runs through,
+// so the two surfaces cannot drift.
+func check(rows []flagRow, job *edgetune.Job, cl *edgetune.ClusterOptions) error {
+	var nonNegs []fault.NamedValue
 	for _, r := range rows {
-		nv := fault.NamedValue{Name: "-" + r.name}
-		switch p := r.dst.(type) {
-		case *int:
-			nv.Value = float64(*p)
-		case *float64:
-			nv.Value = *p
-		}
-		switch r.bound {
-		case prob:
-			probs = append(probs, nv)
-		case nonNeg:
-			nonNegs = append(nonNegs, nv)
+		if r.bound == nonNeg {
+			nonNegs = append(nonNegs, fault.NamedValue{Name: "-" + r.name, Value: float64(*r.dst.(*int))})
 		}
 	}
-	if err := fault.CheckProbs(probs); err != nil {
+	if err := fault.CheckNonNegative(nonNegs); err != nil {
 		return err
 	}
-	return fault.CheckNonNegative(nonNegs)
+	probs := job.Faults.ProbValues()
+	err := fault.CheckProbs(probs)
+	if err == nil {
+		err = fault.CheckNonNegative([]fault.NamedValue{{Name: "brownout-factor", Value: job.Faults.BrownoutFactor}})
+	}
+	for _, p := range probs {
+		if err == nil && p.Value > 0 {
+			err = fault.Class(p.Name).Scope(job.StorePath != "", cl.Shards > 0)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
+	}
+	return nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -223,7 +206,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if err := check(rows); err != nil {
+	if err := check(rows, &job, &cl); err != nil {
 		return err
 	}
 
@@ -243,11 +226,12 @@ func run(args []string, out io.Writer) error {
 		if cl.Dir == "" {
 			return errors.New("-cluster requires -cluster-dir")
 		}
-		// The cluster seeds its own fault injector and owns each shard's
+		// The cluster seeds its own fault injector, which fires the
+		// cluster classes of the job's faults, and owns each shard's
 		// durable store, the trace, the debug server and the flight
 		// recorders (one ring per shard, artefacts written shard-prefixed
 		// at Close); the job's fields for those are inert on a cluster job.
-		cl.Seed, cl.SnapshotEvery, cl.TracePath = job.Seed, job.StoreSnapshotEvery, job.TracePath
+		cl.Seed, cl.SnapshotEvery, cl.TracePath, cl.Faults = job.Seed, job.StoreSnapshotEvery, job.TracePath, job.Faults
 		cl.Flight, cl.IncidentsDir, cl.DebugAddr = job.Flight, job.IncidentsDir, job.DebugAddr
 		return runCluster(out, cl, job, inv)
 	}

@@ -173,15 +173,21 @@ func TestRunFaultFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"prob-above-one", []string{"-fault-crash", "1.5"}, "outside [0,1]"},
-		{"prob-negative", []string{"-fault-flash-crowd", "-0.1"}, "outside [0,1]"},
-		{"mass-devicefail-above-one", []string{"-fault-mass-devicefail", "2"}, "outside [0,1]"},
-		{"scale-stall-negative", []string{"-fault-scale-stall", "-1"}, "outside [0,1]"},
-		{"shard-kill-above-one", []string{"-fault-shard-kill", "7"}, "outside [0,1]"},
+		{"prob-above-one", []string{"-faults", "trial-crash=1.5"}, "outside [0,1]"},
+		{"prob-negative", []string{"-faults", "flash-crowd=-0.1"}, "outside [0,1]"},
+		{"mass-devicefail-above-one", []string{"-faults", "mass-device-fail=2"}, "outside [0,1]"},
+		{"scale-stall-negative", []string{"-faults", "scale-stall=-1"}, "outside [0,1]"},
+		{"shard-kill-above-one", []string{"-faults", "shard-kill=7"}, "outside [0,1]"},
 		{"negative-max-attempts", []string{"-max-attempts", "-2"}, "negative"},
 		{"negative-autoscale-min", []string{"-autoscale-min", "-1"}, "negative"},
 		{"negative-autoscale-max", []string{"-autoscale-max", "-4"}, "negative"},
-		{"negative-brownout-factor", []string{"-brownout-factor", "-6"}, "negative"},
+		{"negative-brownout-factor", []string{"-faults", "brownout-factor=-6"}, "negative"},
+		// A class outside the table, or one with no decision point in
+		// the job the other flags describe, is an error too.
+		{"unknown-class", []string{"-faults", "fault-crash=0.5"}, "unknown fault class"},
+		{"disk-class-without-store", []string{"-faults", "disk-torn-write=0.5"}, "-store"},
+		{"disk-class-on-cluster", []string{"-faults", "disk-full=0.5", "-store", "h.json", "-cluster", "2"}, "no -cluster"},
+		{"cluster-class-without-cluster", []string{"-faults", "follower-lag=0.5"}, "-cluster"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,6 +203,13 @@ func TestRunFaultFlagValidation(t *testing.T) {
 				t.Errorf("validation error spans multiple lines: %q", err)
 			}
 		})
+	}
+	// The unknown-class error lists the classes there are.
+	err := run([]string{"-faults", "fault-crash=0.5"}, io.Discard)
+	for _, class := range fault.Classes() {
+		if err == nil || !strings.Contains(err.Error(), string(class)) {
+			t.Errorf("unknown-class error %v does not list %s", err, class)
+		}
 	}
 	// The documented exception: a negative -store-snapshot-every
 	// disables periodic compaction and must stay accepted — on a run
@@ -219,39 +232,48 @@ func TestRunFaultFlagValidation(t *testing.T) {
 	}
 }
 
-// TestEveryFaultClassHasOneFlag: each probability row of the flag
-// table sets one fault class — on the job or on the cluster — and every
-// class of the fault model has exactly one such row.
+// TestEveryFaultClassHasOneFlag: the fault classes are the keys of the
+// one -faults flag — -faults <class>=0.5 moves exactly that class, on
+// every class of the fault model — and -help lists every one of them.
 func TestEveryFaultClassHasOneFlag(t *testing.T) {
-	flagOf := make(map[string]string)
-	for i, row := range flagTable(&invocation{}, &edgetune.Job{}, &edgetune.ClusterOptions{}) {
-		if row.bound != prob {
-			continue
-		}
+	for _, class := range fault.Classes() {
 		var (
 			inv invocation
 			job edgetune.Job
 			cl  edgetune.ClusterOptions
 		)
-		*flagTable(&inv, &job, &cl)[i].dst.(*float64) = 0.5
+		if err := parse([]string{"-faults", string(class) + "=0.5"}, flagTable(&inv, &job, &cl)); err != nil {
+			t.Errorf("-faults %s=0.5: %v", class, err)
+			continue
+		}
 		var moved []string
-		for _, v := range append(job.Faults.ProbValues(""), cl.Faults.ProbValues("")...) {
+		for _, v := range append(job.Faults.ProbValues(), cl.Faults.ProbValues()...) {
 			if v.Value != 0 {
 				moved = append(moved, v.Name)
 			}
 		}
-		if len(moved) != 1 {
-			t.Errorf("-%s moved the classes %v, want exactly one", row.name, moved)
-			continue
+		if len(moved) != 1 || moved[0] != string(class) {
+			t.Errorf("-faults %s=0.5 moved the classes %v, want exactly %s", class, moved, class)
 		}
-		if prev, dup := flagOf[moved[0]]; dup {
-			t.Errorf("class %s has two flags: -%s and -%s", moved[0], prev, row.name)
-		}
-		flagOf[moved[0]] = row.name
+	}
+
+	// -help prints its usage to stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-help"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	if err == nil {
+		t.Error("-help ran a job")
 	}
 	for _, class := range fault.Classes() {
-		if _, ok := flagOf[string(class)]; !ok {
-			t.Errorf("class %s has no flag", class)
+		if !bytes.Contains(usage, []byte(class)) {
+			t.Errorf("-help does not name the fault class %s:\n%s", class, usage)
 		}
 	}
 }
@@ -313,10 +335,24 @@ func TestRunJobFileAndFlagsCompose(t *testing.T) {
 		same(t, report(t, "-seed", "9"), want(t, func(j *edgetune.Job) { j.Seed = 9 }))
 	})
 	t.Run("fault-crash", func(t *testing.T) {
-		got := report(t, "-fault-crash", "0")
+		got := report(t, "-faults", "trial-crash=0")
 		same(t, got, want(t, func(j *edgetune.Job) { j.Faults.TrialCrash = 0 }))
 		if got.Resilience.TotalFaults != 0 {
-			t.Errorf("-fault-crash 0 left %d faults", got.Resilience.TotalFaults)
+			t.Errorf("-faults trial-crash=0 left %d faults", got.Resilience.TotalFaults)
+		}
+	})
+	t.Run("faults-merge", func(t *testing.T) {
+		// -faults sets the classes it names; the file's others stay.
+		got := report(t, "-faults", "dropped-reply=0.3")
+		same(t, got, want(t, func(j *edgetune.Job) { j.Faults.DroppedReply = 0.3 }))
+		crashes := int64(0)
+		for _, f := range got.Resilience.Faults {
+			if f.Class == string(fault.TrialCrash) {
+				crashes = f.Count
+			}
+		}
+		if crashes == 0 {
+			t.Errorf("-faults dropped-reply=0.3 dropped the file's trial-crash: %+v", got.Resilience.Faults)
 		}
 	})
 	t.Run("store-and-checkpoint", func(t *testing.T) {
@@ -357,8 +393,10 @@ func TestRunJobFileAndFlagsCompose(t *testing.T) {
 		args []string
 		want string
 	}{
-		"flag-out-of-range": {file, []string{"-fault-crash", "1.5"}, "-fault-crash"},
-		"file-out-of-range": {edgetune.Job{Workload: "IC", MaxTrialAttempts: -2}, nil, "-max-attempts"},
+		"flag-out-of-range":       {file, []string{"-faults", "trial-crash=1.5"}, "-faults: trial-crash"},
+		"file-out-of-range":       {edgetune.Job{Workload: "IC", MaxTrialAttempts: -2}, nil, "-max-attempts"},
+		"file-fault-out-of-range": {edgetune.Job{Workload: "IC", Faults: edgetune.FaultConfig{TrialCrash: 1.5}}, nil, "-faults: trial-crash"},
+		"file-fault-out-of-scope": {edgetune.Job{Workload: "IC", Faults: edgetune.FaultConfig{DiskFull: 0.5}}, nil, "-faults: disk-full"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer
@@ -375,7 +413,7 @@ func TestRunAutoscaleTextReport(t *testing.T) {
 	args := []string{
 		"-workload", "IC", "-seed", "7",
 		"-autoscale", "-autoscale-max", "3",
-		"-fault-flash-crowd", "0.3",
+		"-faults", "flash-crowd=0.3",
 	}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)

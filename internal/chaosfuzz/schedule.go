@@ -40,37 +40,26 @@ type Schedule struct {
 	Events []fault.Event `json:"events"`
 }
 
-// Validate checks the schedule's mode, every event (through the same
-// shared fault.CheckProbs/CheckNonNegative helpers the CLI's flag
-// validation uses), and the mode/class routing: cluster classes need a
+// Validate checks the schedule's mode, every event (Event.Validate goes
+// through the same fault.CheckProbs/CheckNonNegative helpers the CLI's
+// -faults check uses), and the mode/class routing through the scope rule
+// that check also applies, fault.Class.Scope: cluster classes need a
 // cluster, disk classes need the single-node durable store.
 func (s Schedule) Validate() error {
 	if s.Mode != ModeSingle && s.Mode != ModeCluster {
 		return fmt.Errorf("chaosfuzz: mode %q must be %q or %q", s.Mode, ModeSingle, ModeCluster)
 	}
-	probs := make([]fault.NamedValue, 0, len(s.Events))
-	attempts := make([]fault.NamedValue, 0, len(s.Events))
 	for i, ev := range s.Events {
 		if err := ev.Validate(); err != nil {
 			return fmt.Errorf("chaosfuzz: event %d: %w", i, err)
 		}
-		probs = append(probs, fault.NamedValue{Name: ev.String(), Value: ev.Intensity})
-		attempts = append(attempts, fault.NamedValue{Name: ev.String(), Value: float64(ev.Attempt)})
-		if s.Mode == ModeSingle && ev.Class.Cluster() {
-			return fmt.Errorf("chaosfuzz: event %d: %s has no decision point in single mode", i, ev.Class)
-		}
-		if s.Mode == ModeCluster && ev.Class.Disk() {
+		// Single mode runs on a durable store, cluster mode on a cluster.
+		if ev.Class.Scope(s.Mode == ModeSingle, s.Mode == ModeCluster) != nil {
+			if s.Mode == ModeSingle {
+				return fmt.Errorf("chaosfuzz: event %d: %s has no decision point in single mode", i, ev.Class)
+			}
 			return fmt.Errorf("chaosfuzz: event %d: %s has no decision point in cluster mode (replica stores use the plain filesystem)", i, ev.Class)
 		}
-	}
-	// Event.Validate already checked each value; rechecking through the
-	// shared table-driven helpers keeps the fuzzer's schedule validation
-	// and the CLI's flag validation on one code path.
-	if err := fault.CheckProbs(probs); err != nil {
-		return fmt.Errorf("chaosfuzz: %w", err)
-	}
-	if err := fault.CheckNonNegative(attempts); err != nil {
-		return fmt.Errorf("chaosfuzz: %w", err)
 	}
 	return nil
 }

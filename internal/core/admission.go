@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"sync"
+
+	"edgetune/internal/obs"
 )
 
 // ErrOverloaded is returned by the inference server when admission
@@ -38,6 +40,11 @@ type admission struct {
 	// hold makes take() wait even with work queued; the chaos tests use
 	// it to freeze the queue while a deterministic burst is submitted.
 	hold bool
+
+	// depth is the serving.queue.depth gauge (nil without a registry),
+	// set to the in-system count under mu wherever that count changes
+	// hands between submitter and worker, so no stale count lands last.
+	depth *obs.Gauge
 }
 
 func newAdmission(limit int) *admission {
@@ -63,6 +70,7 @@ func (a *admission) push(j *call) error {
 	j.queuedAhead = len(a.queue)
 	a.queue = append(a.queue, j)
 	j.depthAtEnqueue = len(a.queue)
+	a.setDepth()
 	a.cond.Signal()
 	return nil
 }
@@ -84,6 +92,7 @@ func (a *admission) take() (*call, bool) {
 			j := a.queue[0]
 			a.queue = a.queue[1:]
 			a.inflight++
+			a.setDepth()
 			return j, true
 		}
 		if a.closed {
@@ -98,6 +107,7 @@ func (a *admission) done() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.inflight--
+	a.setDepth()
 	a.maybeEmpty()
 }
 
@@ -160,11 +170,17 @@ func (a *admission) setHold(h bool) {
 }
 
 // inSystem reports queued plus in-flight jobs: the autoscaler's load
-// signal and the serving.queue.depth gauge.
+// signal.
 func (a *admission) inSystem() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.queue) + a.inflight
+}
+
+// setDepth publishes the in-system count to the depth gauge; callers
+// hold a.mu.
+func (a *admission) setDepth() {
+	a.depth.Set(float64(len(a.queue) + a.inflight))
 }
 
 // maybeEmpty closes emptyCh once a rejecting queue fully drains;

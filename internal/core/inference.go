@@ -215,7 +215,6 @@ type servingMetrics struct {
 	requests  *obs.Counter
 	cacheHits *obs.Counter
 	latencyMS *obs.Histogram
-	queue     *obs.Gauge
 	// queueEnqueue samples the queued depth (excluding in-flight work)
 	// right after each admit; admitWait samples how many requests sat
 	// ahead of each admitted one. Both are queue positions taken under
@@ -300,10 +299,10 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 			requests:     reg.Counter("serving.requests"),
 			cacheHits:    reg.Counter("serving.cache-hits"),
 			latencyMS:    reg.Histogram("serving.latency.ms", obs.LatencyBucketsMS),
-			queue:        reg.Gauge("serving.queue.depth"),
 			queueEnqueue: reg.Histogram("serving.queue.depth.enqueue", obs.QueueDepthBuckets),
 			admitWait:    reg.Histogram("serving.admission.wait.requests", obs.QueueDepthBuckets),
 		}
+		s.adm.depth = reg.Gauge("serving.queue.depth")
 		s.writes.Instrument(reg)
 	}
 	if opts.SLO != nil {
@@ -517,7 +516,6 @@ func (s *InferenceServer) admit(c *call) {
 		s.reject(c, outcomeLabel(err), err)
 		return
 	}
-	s.m.queue.Set(float64(s.adm.inSystem()))
 	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
 	s.m.admitWait.Observe(float64(c.queuedAhead))
 	s.admissionSpan(c, "admitted", c.rt.pd.name, c.queuedAhead)
@@ -640,7 +638,6 @@ func (s *InferenceServer) worker() {
 		if !ok {
 			return
 		}
-		s.m.queue.Set(float64(s.adm.inSystem()))
 		// A call cancelled between queue and worker (unqueue lost the
 		// race to remove it) is not served.
 		res := InferOutcome{Err: c.ctx.Err()}
@@ -656,7 +653,6 @@ func (s *InferenceServer) worker() {
 		// signal deterministic for sequential drivers.
 		s.adm.done()
 		s.finish(c, "", res)
-		s.m.queue.Set(float64(s.adm.inSystem()))
 	}
 }
 

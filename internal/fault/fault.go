@@ -244,7 +244,7 @@ func (c Config) AnyDisk() bool {
 
 // Validate checks all probabilities and the straggler factor.
 func (c Config) Validate() error {
-	if err := CheckProbs(c.ProbValues("")); err != nil {
+	if err := CheckProbs(c.ProbValues()); err != nil {
 		return fmt.Errorf("fault: %w", err)
 	}
 	if c.StragglerFactor < 0 || (c.StragglerFactor > 0 && c.StragglerFactor < 1) {

@@ -3,10 +3,11 @@ package fault
 import "fmt"
 
 // NamedValue pairs a flag or field name with its numeric value for
-// table-driven validation. cmd/edgetune feeds its 19 probability flags
-// through CheckProbs and its scalar knobs through CheckNonNegative;
-// Config.Validate and the chaos fuzzer's schedule intensities go through
-// the same helpers, so no surface can drift on bounds or error text.
+// table-driven validation. cmd/edgetune feeds its -faults config's class
+// probabilities through CheckProbs and its scalar knobs through
+// CheckNonNegative; Config.Validate and the chaos fuzzer's schedule
+// intensities go through the same helpers, so no surface can drift on
+// bounds or error text.
 type NamedValue struct {
 	Name  string
 	Value float64
@@ -33,12 +34,12 @@ func CheckNonNegative(vals []NamedValue) error {
 	return nil
 }
 
-// ProbValues names every class probability of a Config with the given
-// prefix, in Classes order — what Config.Validate feeds to CheckProbs.
-func (c Config) ProbValues(prefix string) []NamedValue {
+// ProbValues names every class probability of a Config by its class, in
+// Classes order — what Config.Validate feeds to CheckProbs.
+func (c Config) ProbValues() []NamedValue {
 	out := make([]NamedValue, len(classTable))
 	for i, row := range classTable {
-		out[i] = NamedValue{Name: prefix + string(row.class), Value: *row.prob(&c)}
+		out[i] = NamedValue{Name: string(row.class), Value: *row.prob(&c)}
 	}
 	return out
 }

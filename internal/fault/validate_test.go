@@ -7,13 +7,13 @@ import (
 
 // TestCheckProbsAllFlags: every class's probability accepts the closed
 // interval and rejects the rest with the pinned error text, under the
-// name cmd/edgetune gives its flags and under the name Validate uses.
-// TestEveryFaultClassHasOneFlag in cmd/edgetune holds that each class
-// has exactly one such flag.
+// name cmd/edgetune's -faults check gives it and under the name Validate
+// uses. TestEveryFaultClassHasOneFlag in cmd/edgetune holds that each
+// class is a -faults key.
 func TestCheckProbsAllFlags(t *testing.T) {
 	var names []string
 	for _, class := range Classes() {
-		names = append(names, "-fault-"+string(class), "fault: "+string(class))
+		names = append(names, "-faults: "+string(class), "fault: "+string(class))
 	}
 	// Every name accepts the full closed interval.
 	for _, ok := range []float64{0, 0.5, 1} {
@@ -42,11 +42,11 @@ func TestCheckProbsAllFlags(t *testing.T) {
 	// The first offender wins when several values are bad, so the CLI
 	// reports deterministically.
 	err := CheckProbs([]NamedValue{
-		{Name: "-fault-crash", Value: 0.5},
-		{Name: "-fault-nan", Value: -1},
-		{Name: "-fault-flap", Value: 3},
+		{Name: "-faults: trial-crash", Value: 0.5},
+		{Name: "-faults: trial-nan", Value: -1},
+		{Name: "-faults: device-flap", Value: 3},
 	})
-	if err == nil || err.Error() != "-fault-nan: probability -1 outside [0,1]" {
+	if err == nil || err.Error() != "-faults: trial-nan: probability -1 outside [0,1]" {
 		t.Fatalf("first-offender error = %v", err)
 	}
 	// Validate runs the same rule in Classes order: device-flap sorts
@@ -59,7 +59,7 @@ func TestCheckProbsAllFlags(t *testing.T) {
 
 func TestCheckNonNegativeScalars(t *testing.T) {
 	scalars := []string{
-		"-brownout-factor",
+		"-faults: brownout-factor",
 		"-max-attempts",
 		"-autoscale-min",
 		"-autoscale-max",
@@ -88,7 +88,7 @@ func TestCheckNonNegativeScalars(t *testing.T) {
 
 func TestProbValuesCoversCatalog(t *testing.T) {
 	cfg := Config{TrialCrash: 0.25, ScaleStall: 1.5}
-	vals := cfg.ProbValues("fault-")
+	vals := cfg.ProbValues()
 	if len(vals) != len(Classes()) {
 		t.Fatalf("ProbValues returned %d entries, want %d", len(vals), len(Classes()))
 	}
@@ -99,8 +99,8 @@ func TestProbValuesCoversCatalog(t *testing.T) {
 	for _, v := range vals {
 		seen[v.Name] = v.Value
 	}
-	if seen["fault-"+string(TrialCrash)] != 0.25 {
-		t.Fatalf("TrialCrash value = %v, want 0.25", seen["fault-"+string(TrialCrash)])
+	if seen[string(TrialCrash)] != 0.25 {
+		t.Fatalf("TrialCrash value = %v, want 0.25", seen[string(TrialCrash)])
 	}
 }
 
@@ -111,7 +111,7 @@ func TestClassTableRowsAreDistinct(t *testing.T) {
 		var cfg Config
 		*row.prob(&cfg) = 0.5
 		var moved []string
-		for _, v := range cfg.ProbValues("") {
+		for _, v := range cfg.ProbValues() {
 			if v.Value != 0 {
 				moved = append(moved, v.Name)
 			}

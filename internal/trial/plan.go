@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"edgetune/internal/budget"
 	"edgetune/internal/obs/prof"
+	"edgetune/internal/search"
 )
 
 // plan is the trainings a runner's caller registered ahead of the Run
@@ -27,7 +29,11 @@ type plan struct {
 
 // task is one registered training.
 type task struct {
-	req     Request  // Config, Alloc and Attempt; the rest is the Run's
+	// The training's Request, but for its Span and Start: those are the
+	// Run's.
+	config  search.Config
+	alloc   budget.Allocation
+	attempt int
 	labels  []string // pprof labels of the rung that will read the result
 	claimed bool     // somebody trains it or has trained it; under plan.mu
 
@@ -53,11 +59,11 @@ func (t *task) check() error {
 
 // is reports whether the task is the training req asks for.
 func (t *task) is(req Request) bool {
-	if t.req.Attempt != req.Attempt || t.req.Alloc != req.Alloc || len(t.req.Config) != len(req.Config) {
+	if t.attempt != req.Attempt || t.alloc != req.Alloc || len(t.config) != len(req.Config) {
 		return false
 	}
 	for k, v := range req.Config {
-		if tv, ok := t.req.Config[k]; !ok || tv != v {
+		if tv, ok := t.config[k]; !ok || tv != v {
 			return false
 		}
 	}
@@ -80,7 +86,7 @@ func (r *Runner) Register(labels []string, reqs ...Request) {
 	defer r.plan.mu.Unlock()
 	for i, req := range reqs {
 		t := &block[i]
-		t.req = Request{Config: req.Config, Alloc: req.Alloc, Attempt: req.Attempt}
+		t.config, t.alloc, t.attempt = req.Config, req.Alloc, req.Attempt
 		t.labels = labels
 		r.plan.tasks = append(r.plan.tasks, t)
 	}
@@ -188,7 +194,7 @@ func (r *Runner) help() {
 			return
 		}
 		prof.Do(context.Background(), func(context.Context) {
-			t.out = r.train(t.req.Config, t.req.Alloc, t.req.Attempt, t.check)
+			t.out = r.train(t.config, t.alloc, t.attempt, t.check)
 		}, t.labels...)
 		r.plan.mu.Lock()
 		t.finished = true
