@@ -280,9 +280,11 @@ gate "hot-loop allocation gate"
 # each loop up first, so the runtime's one-time type-assertion cache
 # builds fall before the window; see ledgerWarmUpRuns). A trial's
 # bookkeeping — its member's configuration, its reply wait, its
-# Register — is pinned beside the table, twenty runs too.
+# Register — is pinned beside the table, twenty runs too, and so is what
+# the tracer allocates for what it keeps (records, attributes, step runs).
 go test -count=20 -run TestStageAllocations ./internal/hotloop
 go test -count=20 -run TestTrialBookkeepingAllocations ./internal/core
+go test -count=20 -run TestTracerAllocatesWhatItKeeps ./internal/obs
 
 gate "cluster-failover gate"
 # The sharded cluster's own tests, twice under the race detector, then

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edgetune/internal/fault"
@@ -253,6 +255,17 @@ func TestTuneFaultValidation(t *testing.T) {
 	job.MaxTrialAttempts = -1
 	if _, err := Tune(context.Background(), job); err == nil {
 		t.Error("negative attempt cap accepted")
+	}
+}
+
+// TestTuneRejectsNaNFaultProbability: a NaN compares false with every
+// bound, so a check written as "below 0 or above 1" let it through and
+// the class was silently off; the job must fail instead.
+func TestTuneRejectsNaNFaultProbability(t *testing.T) {
+	job := quickJob()
+	job.Faults.TrialCrash = math.NaN()
+	if _, err := Tune(context.Background(), job); err == nil || !strings.Contains(err.Error(), "trial-crash") {
+		t.Errorf("Tune with a NaN trial-crash probability: err = %v, want one naming trial-crash", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package chaosfuzz
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -21,6 +22,8 @@ func TestScheduleValidate(t *testing.T) {
 		{"bad mode", Schedule{Mode: "edge"}, "mode"},
 		{"bad intensity", Schedule{Mode: ModeSingle, Events: []fault.Event{
 			{Class: fault.TrialCrash, Site: "s", Intensity: 1.5}}}, "outside [0,1]"},
+		{"NaN intensity", Schedule{Mode: ModeSingle, Events: []fault.Event{
+			{Class: fault.TrialCrash, Site: "s", Intensity: math.NaN()}}}, "outside [0,1]"},
 		{"negative attempt", Schedule{Mode: ModeSingle, Events: []fault.Event{
 			{Class: fault.TrialCrash, Site: "s", Attempt: -1, Intensity: 1}}}, "negative"},
 		{"unknown class", Schedule{Mode: ModeSingle, Events: []fault.Event{

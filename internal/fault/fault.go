@@ -93,38 +93,85 @@ const (
 	ScaleStall Class = "scale-stall"
 )
 
-// classRow is one fault class: its name, where its decision points
-// are, and the Config field holding its probability.
+// classRow is one fault class: its name and where its decision points
+// are. Its probability is the Config field prob returns.
 type classRow struct {
 	class   Class
 	disk    bool // consulted by a fault.FS, so only under a durable store
 	cluster bool // consulted by the sharded dispatcher only
-	prob    func(*Config) *float64
 }
 
 // classTable is the fault model: every class, once, in alphabetical
 // order — the order Classes returns and Validate reports the first
 // offending class in.
 var classTable = [...]classRow{
-	{class: DeviceBrownout, prob: func(c *Config) *float64 { return &c.DeviceBrownout }},
-	{class: DeviceFlap, prob: func(c *Config) *float64 { return &c.DeviceFlap }},
-	{class: DiskBitFlip, disk: true, prob: func(c *Config) *float64 { return &c.DiskBitFlip }},
-	{class: DiskCrash, disk: true, prob: func(c *Config) *float64 { return &c.DiskCrash }},
-	{class: DiskFull, disk: true, prob: func(c *Config) *float64 { return &c.DiskFull }},
-	{class: DiskSlowFsync, disk: true, prob: func(c *Config) *float64 { return &c.DiskSlowFsync }},
-	{class: DiskTornWrite, disk: true, prob: func(c *Config) *float64 { return &c.DiskTornWrite }},
-	{class: DroppedReply, prob: func(c *Config) *float64 { return &c.DroppedReply }},
-	{class: FlashCrowd, prob: func(c *Config) *float64 { return &c.FlashCrowd }},
-	{class: FollowerLag, cluster: true, prob: func(c *Config) *float64 { return &c.FollowerLag }},
-	{class: MassDeviceFail, prob: func(c *Config) *float64 { return &c.MassDeviceFail }},
-	{class: NetPartition, cluster: true, prob: func(c *Config) *float64 { return &c.NetPartition }},
-	{class: OverloadBurst, prob: func(c *Config) *float64 { return &c.OverloadBurst }},
-	{class: ScaleStall, prob: func(c *Config) *float64 { return &c.ScaleStall }},
-	{class: ShardKill, cluster: true, prob: func(c *Config) *float64 { return &c.ShardKill }},
-	{class: StoreWrite, prob: func(c *Config) *float64 { return &c.StoreWrite }},
-	{class: Straggler, prob: func(c *Config) *float64 { return &c.Straggler }},
-	{class: TrialCrash, prob: func(c *Config) *float64 { return &c.TrialCrash }},
-	{class: TrialNaN, prob: func(c *Config) *float64 { return &c.TrialNaN }},
+	{class: DeviceBrownout},
+	{class: DeviceFlap},
+	{class: DiskBitFlip, disk: true},
+	{class: DiskCrash, disk: true},
+	{class: DiskFull, disk: true},
+	{class: DiskSlowFsync, disk: true},
+	{class: DiskTornWrite, disk: true},
+	{class: DroppedReply},
+	{class: FlashCrowd},
+	{class: FollowerLag, cluster: true},
+	{class: MassDeviceFail},
+	{class: NetPartition, cluster: true},
+	{class: OverloadBurst},
+	{class: ScaleStall},
+	{class: ShardKill, cluster: true},
+	{class: StoreWrite},
+	{class: Straggler},
+	{class: TrialCrash},
+	{class: TrialNaN},
+}
+
+// prob is the Config field holding row's class's probability, nil for a
+// name outside the table. It is a switch, not a function value in each
+// row, so that the compiler sees c go no further than the result: a
+// Config read through it stays where it is, never moved to the heap.
+func (row classRow) prob(c *Config) *float64 {
+	switch row.class {
+	case DeviceBrownout:
+		return &c.DeviceBrownout
+	case DeviceFlap:
+		return &c.DeviceFlap
+	case DiskBitFlip:
+		return &c.DiskBitFlip
+	case DiskCrash:
+		return &c.DiskCrash
+	case DiskFull:
+		return &c.DiskFull
+	case DiskSlowFsync:
+		return &c.DiskSlowFsync
+	case DiskTornWrite:
+		return &c.DiskTornWrite
+	case DroppedReply:
+		return &c.DroppedReply
+	case FlashCrowd:
+		return &c.FlashCrowd
+	case FollowerLag:
+		return &c.FollowerLag
+	case MassDeviceFail:
+		return &c.MassDeviceFail
+	case NetPartition:
+		return &c.NetPartition
+	case OverloadBurst:
+		return &c.OverloadBurst
+	case ScaleStall:
+		return &c.ScaleStall
+	case ShardKill:
+		return &c.ShardKill
+	case StoreWrite:
+		return &c.StoreWrite
+	case Straggler:
+		return &c.Straggler
+	case TrialCrash:
+		return &c.TrialCrash
+	case TrialNaN:
+		return &c.TrialNaN
+	}
+	return nil
 }
 
 // Classes lists every fault class in deterministic order.
@@ -137,7 +184,7 @@ func Classes() []Class {
 }
 
 // rowOf looks class up in the table; a name outside it gets the zero
-// row, whose prob is nil.
+// row, whose class is empty.
 func rowOf(class Class) classRow {
 	for _, row := range classTable {
 		if row.class == class {
@@ -156,8 +203,8 @@ func (c Class) Disk() bool { return rowOf(c).disk }
 func (c Class) Cluster() bool { return rowOf(c).cluster }
 
 // Config holds per-class injection probabilities in [0, 1]; zero
-// disables a class. Adding a class is its const, its field here and its
-// row of classTable.
+// disables a class. Adding a class is its const, its field here, its
+// row of classTable and its case in classRow.prob.
 type Config struct {
 	// TrialCrash, TrialNaN, and Straggler fire per training-trial
 	// attempt.
@@ -242,16 +289,19 @@ func (c Config) AnyDisk() bool {
 	return false
 }
 
-// Validate checks all probabilities and the straggler factor.
+// Validate checks all probabilities and the two slowdown factors, each
+// 0 (the default) or at least 1. A NaN fails every check.
 func (c Config) Validate() error {
-	if err := CheckProbs(c.ProbValues()); err != nil {
-		return fmt.Errorf("fault: %w", err)
+	for _, row := range classTable {
+		if err := checkProb(string(row.class), *row.prob(&c)); err != nil {
+			return fmt.Errorf("fault: %w", err)
+		}
 	}
-	if c.StragglerFactor < 0 || (c.StragglerFactor > 0 && c.StragglerFactor < 1) {
-		return fmt.Errorf("fault: straggler factor %v must be >= 1", c.StragglerFactor)
+	if f := c.StragglerFactor; !(f == 0 || f >= 1) {
+		return fmt.Errorf("fault: straggler factor %v must be >= 1", f)
 	}
-	if c.BrownoutFactor < 0 || (c.BrownoutFactor > 0 && c.BrownoutFactor < 1) {
-		return fmt.Errorf("fault: brownout factor %v must be >= 1", c.BrownoutFactor)
+	if f := c.BrownoutFactor; !(f == 0 || f >= 1) {
+		return fmt.Errorf("fault: brownout factor %v must be >= 1", f)
 	}
 	return nil
 }
@@ -259,8 +309,8 @@ func (c Config) Validate() error {
 // prob is class's probability (0 for a name outside the table). It
 // takes a pointer so Should reads the injector's copy in place.
 func (c *Config) prob(class Class) float64 {
-	if row := rowOf(class); row.prob != nil {
-		return *row.prob(c)
+	if p := (classRow{class: class}).prob(c); p != nil {
+		return *p
 	}
 	return 0
 }

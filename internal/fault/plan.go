@@ -24,7 +24,7 @@ type Event struct {
 // Validate checks the event against the class catalog and the shared
 // bounds rules every fault knob obeys.
 func (e Event) Validate() error {
-	if rowOf(e.Class).prob == nil {
+	if rowOf(e.Class).class == "" {
 		return fmt.Errorf("fault: unknown class %q", e.Class)
 	}
 	if e.Site == "" {

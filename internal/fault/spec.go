@@ -33,7 +33,7 @@ func (c *Config) Set(spec string) error {
 			return fmt.Errorf("fault spec entry %q: %q is not a number", pair, val)
 		}
 		switch row := rowOf(Class(key)); {
-		case row.prob != nil:
+		case row.class != "":
 			*row.prob(&next) = v
 		case key == brownoutFactorKey:
 			next.BrownoutFactor = v

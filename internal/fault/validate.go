@@ -5,29 +5,38 @@ import "fmt"
 // NamedValue pairs a flag or field name with its numeric value for
 // table-driven validation. cmd/edgetune feeds its -faults config's class
 // probabilities through CheckProbs and its scalar knobs through
-// CheckNonNegative; Config.Validate and the chaos fuzzer's schedule
-// intensities go through the same helpers, so no surface can drift on
-// bounds or error text.
+// CheckNonNegative; Config.Validate (through checkProb, CheckProbs of
+// one value) and the chaos fuzzer's schedule intensities go through the
+// same helpers, so no surface can drift on bounds or error text.
 type NamedValue struct {
 	Name  string
 	Value float64
 }
 
-// CheckProbs verifies every value is a probability in [0, 1]. The
-// error text is the contract the CLI tests pin.
+// CheckProbs verifies every value is a probability in [0, 1]; a NaN is
+// not one. The error text is the contract the CLI tests pin.
 func CheckProbs(vals []NamedValue) error {
 	for _, v := range vals {
-		if v.Value < 0 || v.Value > 1 {
-			return fmt.Errorf("%s: probability %v outside [0,1]", v.Name, v.Value)
+		if err := checkProb(v.Name, v.Value); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// CheckNonNegative verifies every value is >= 0.
+// checkProb is CheckProbs of one value. The test is written so that a
+// NaN, which every comparison is false for, fails it.
+func checkProb(name string, v float64) error {
+	if !(v >= 0 && v <= 1) {
+		return fmt.Errorf("%s: probability %v outside [0,1]", name, v)
+	}
+	return nil
+}
+
+// CheckNonNegative verifies every value is >= 0; a NaN is not.
 func CheckNonNegative(vals []NamedValue) error {
 	for _, v := range vals {
-		if v.Value < 0 {
+		if !(v.Value >= 0) {
 			return fmt.Errorf("%s: negative value %v", v.Name, v.Value)
 		}
 	}
@@ -35,7 +44,7 @@ func CheckNonNegative(vals []NamedValue) error {
 }
 
 // ProbValues names every class probability of a Config by its class, in
-// Classes order — what Config.Validate feeds to CheckProbs.
+// Classes order — what cmd/edgetune's check feeds to CheckProbs.
 func (c Config) ProbValues() []NamedValue {
 	out := make([]NamedValue, len(classTable))
 	for i, row := range classTable {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -134,5 +135,36 @@ func TestClassScopes(t *testing.T) {
 		if class.Disk() != disk[class] || class.Cluster() != cluster[class] {
 			t.Errorf("%s: Disk %v, Cluster %v", class, class.Disk(), class.Cluster())
 		}
+	}
+}
+
+// TestChecksRejectNaN: a NaN compares false with every bound, so each
+// check is written to fail it rather than to pass it.
+func TestChecksRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	if CheckProbs([]NamedValue{{Name: "p", Value: nan}}) == nil {
+		t.Error("CheckProbs accepted a NaN")
+	}
+	if CheckNonNegative([]NamedValue{{Name: "v", Value: nan}}) == nil {
+		t.Error("CheckNonNegative accepted a NaN")
+	}
+	for _, c := range []Config{{DiskFull: nan}, {StragglerFactor: nan}, {BrownoutFactor: nan}} {
+		if c.Validate() == nil {
+			t.Errorf("Validate accepted %+v", c)
+		}
+	}
+}
+
+// TestValidateAllocatesNothing: a job's set-up validates its fault
+// config and asks whether anything can fire; neither copies the Config
+// to the heap nor builds a list of its values.
+func TestValidateAllocatesNothing(t *testing.T) {
+	var c Config
+	if n := testing.AllocsPerRun(100, func() {
+		if c.Validate() != nil || c.Enabled() {
+			t.Fatal("the zero Config is valid and fires nothing")
+		}
+	}); n != 0 {
+		t.Errorf("Validate and Enabled on the zero Config allocate %v times, want 0", n)
 	}
 }

@@ -186,12 +186,14 @@ func openTraceEmit() (func(), func(), error) {
 	return emit, noClose, nil
 }
 
-// One leaf span — a "mini-batch" with two small int attributes, as
-// every step group of a traced trial records it. The leaf builds no
-// *Span and its attributes are copied into the tracer's own blocks, so
-// it allocates nothing; the fill here, and the allocation ledger's
-// warm-up after it, leave the window where neither its record blocks nor
-// its attribute blocks start a new one.
+// One leaf span with two small int attributes. A leaf builds no *Span
+// and its attributes are copied into the tracer's own blocks, so inside
+// the window it allocates nothing: the fill here, and the allocation
+// ledger's warm-up after it, leave the window where neither its record
+// blocks nor its attribute blocks start a new one. Amortised over the
+// blocks it fills, a leaf like this one costs 144 B, its 80 B record
+// and two 32 B attributes. A traced epoch's mini-batches are not leaves
+// but one step run (obs.Span.Steps), built into spans only at export.
 func openTraceLeaf() (func(), func(), error) {
 	tracer := obs.NewTracer()
 	epoch := tracer.Root(0, "epoch", 0, 0)

@@ -77,8 +77,8 @@ func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 
 // maxSpans bounds the in-memory buffer; a runaway instrumentation site
-// drops spans (counted) instead of exhausting memory.
-const maxSpans = 4 << 20
+// drops spans (counted) instead of exhausting memory. Tests lower it.
+var maxSpans = 4 << 20
 
 // spanRecord is one finished span as buffered and exported.
 type spanRecord struct {
@@ -121,14 +121,66 @@ func (a *Attr) UnmarshalJSON(data []byte) error {
 // keeps the slice passed to Root or Child, grown by Set, and its record
 // keeps that slice at End, so a caller must not modify an attribute
 // slice once passed. A leaf's attributes are copied into blocks the
-// tracer owns, so the slice passed to Leaf is the caller's again when
-// Leaf returns.
+// tracer owns, so the slice passed to Leaf or Steps is the caller's
+// again when it returns. A step run costs one stepRun for all its
+// leaves: they are built from it at export.
 type Tracer struct {
 	mu       sync.Mutex
 	spans    blocks[spanRecord]
 	attrs    blocks[Attr] // leaf attributes
+	runs     blocks[stepRun]
+	steps    int // leaves held in runs
 	dropped  int64
 	observer func(name string, track int, start, dur time.Duration)
+}
+
+// stepRun is the run of step leaves one Steps call records under its
+// leaf, kept in 48 bytes. Every leaf of the run is a function of the
+// run, its index and the leaf that holds it, so export builds them
+// (appendLeaves) where Leaf would have kept a record and two attributes
+// each.
+type stepRun struct {
+	at     int // the index, among the tracer's records, of the run's leaf
+	name   string
+	end    time.Duration
+	n, per int
+}
+
+// groups is the number of leaves in the run: n steps, per to a leaf.
+func (r *stepRun) groups() int { return (r.n-1)/r.per + 1 }
+
+// span is the start and the duration of leaf g of the run's groups,
+// which divide [start, r.end] evenly by the integer division a loop of
+// Leaf calls over the same range does.
+func (r *stepRun) span(start time.Duration, g, groups int) (time.Duration, time.Duration) {
+	d := r.end - start
+	gStart := start + time.Duration(g)*d/time.Duration(groups)
+	gEnd := start + time.Duration(g+1)*d/time.Duration(groups)
+	return gStart, clampedDur(gStart, gEnd)
+}
+
+// appendLeaves appends to dst the first len(attrs)/2 leaves of the run
+// under leaf, as the Leaf calls of Steps' doc comment record them; the
+// two attributes of each are written into attrs.
+func (r *stepRun) appendLeaves(dst []spanRecord, leaf *spanRecord, attrs []Attr) []spanRecord {
+	groups := r.groups()
+	h := sim.HashString(leaf.ID, r.name)
+	for g := range len(attrs) / 2 {
+		start, dur := r.span(time.Duration(leaf.Start), g, groups)
+		a := attrs[2*g : 2*g+2 : 2*g+2]
+		a[0] = Int("step", int64(g*r.per))
+		a[1] = Int("steps", int64(min(r.per, r.n-g*r.per)))
+		dst = append(dst, spanRecord{
+			ID:     uint64(nonzero(sim.HashUint64(h, uint64(g)))),
+			Parent: leaf.ID,
+			Name:   r.name,
+			Track:  leaf.Track,
+			Start:  int64(start),
+			Dur:    int64(dur),
+			Attrs:  a,
+		})
+	}
+	return dst
 }
 
 // The block sizes of a blocks list: the first holds firstBlock
@@ -244,14 +296,51 @@ func (sp *Span) Leaf(name string, start, end time.Duration, attrs ...Attr) {
 }
 
 func (sp *Span) leaf(name string, start, end time.Duration, attrs []Attr) {
-	sp.tr.emit(spanRecord{
+	sp.tr.emit(sp.leafRecord(name, start, end), attrs)
+}
+
+// leafRecord is the record of sp's next child, a leaf, without its
+// attributes.
+func (sp *Span) leafRecord(name string, start, end time.Duration) spanRecord {
+	return spanRecord{
 		ID:     uint64(sp.childID(name)),
 		Parent: uint64(sp.id),
 		Name:   name,
 		Track:  sp.track,
 		Start:  int64(start),
 		Dur:    int64(clampedDur(start, end)),
-	}, attrs)
+	}
+}
+
+// Steps records a leaf child of sp, name from start to end with attrs,
+// and under it a run of ceil(n/per) leaves named step: leaf g covers
+// steps g·per up to min((g+1)·per, n), carries the attributes
+// step = g·per and steps = min(per, n − g·per), and takes the gth of
+// groups even slices of [start, end]. It exports exactly what
+//
+//	c := sp.Child(name, start, attrs...)
+//	for g := 0; g < groups; g++ {
+//		c.Leaf(step, start+time.Duration(g)*(end-start)/time.Duration(groups),
+//			start+time.Duration(g+1)*(end-start)/time.Duration(groups),
+//			Int("step", int64(g*per)), Int("steps", int64(min(per, n-g*per))))
+//	}
+//	c.End(end)
+//
+// does, and the span observer sees the same spans in the same order, but
+// the tracer keeps one record, its attributes and one stepRun: the step
+// leaves are built at export. Len and the buffer cap count them one by
+// one. As with Leaf, attrs are copied and the leaf takes no Set. With n
+// or per below 1 the run is empty: Steps records the leaf alone.
+func (sp *Span) Steps(name string, start, end time.Duration, step string, n, per int, attrs ...Attr) {
+	if sp == nil {
+		return
+	}
+	rec := sp.leafRecord(name, start, end)
+	if n < 1 || per < 1 {
+		sp.tr.emit(rec, attrs)
+		return
+	}
+	sp.tr.emitSteps(rec, attrs, stepRun{name: step, end: end, n: n, per: per})
 }
 
 // ID reports the span's deterministic identifier (0 for a nil span).
@@ -322,17 +411,56 @@ func clampedDur(start, end time.Duration) time.Duration {
 func (t *Tracer) emit(rec spanRecord, leafAttrs []Attr) {
 	t.mu.Lock()
 	obsv := t.observer
-	if t.spans.n >= maxSpans {
-		t.dropped++
-	} else {
-		if len(leafAttrs) > 0 {
-			rec.Attrs = t.attrs.take(len(leafAttrs))
-			copy(rec.Attrs, leafAttrs)
-		}
-		t.spans.take(1)[0] = rec
-	}
+	t.keep(rec, leafAttrs)
 	t.mu.Unlock()
 	if obsv != nil {
+		obsv(rec.Name, rec.Track, time.Duration(rec.Start), time.Duration(rec.Dur))
+	}
+}
+
+// kept is the number of finished spans kept, a run counted as its
+// leaves; t.mu is held.
+func (t *Tracer) kept() int { return t.spans.n + t.steps }
+
+// keep buffers rec, or drops it at the cap; t.mu is held.
+func (t *Tracer) keep(rec spanRecord, leafAttrs []Attr) {
+	if t.kept() >= maxSpans {
+		t.dropped++
+		return
+	}
+	if len(leafAttrs) > 0 {
+		rec.Attrs = t.attrs.take(len(leafAttrs))
+		copy(rec.Attrs, leafAttrs)
+	}
+	t.spans.take(1)[0] = rec
+}
+
+// emitSteps buffers a Steps call: its run and then its leaf, where the
+// Leaf calls and the End it stands for would have put their records, so
+// export sorts what it sorted before. A run that the cap leaves too
+// little room for keeps its first leaves as records and drops the rest.
+func (t *Tracer) emitSteps(rec spanRecord, leafAttrs []Attr, r stepRun) {
+	groups := r.groups()
+	t.mu.Lock()
+	obsv := t.observer
+	switch room := maxSpans - t.kept(); {
+	case groups < room:
+		r.at = t.spans.n
+		t.runs.take(1)[0] = r
+		t.steps += groups
+	case room > 0:
+		copy(t.spans.take(room), r.appendLeaves(nil, &rec, make([]Attr, 2*room)))
+		t.dropped += int64(groups - room)
+	default:
+		t.dropped += int64(groups)
+	}
+	t.keep(rec, leafAttrs)
+	t.mu.Unlock()
+	if obsv != nil {
+		for g := range groups {
+			start, dur := r.span(time.Duration(rec.Start), g, groups)
+			obsv(r.name, rec.Track, start, dur)
+		}
 		obsv(rec.Name, rec.Track, time.Duration(rec.Start), time.Duration(rec.Dur))
 	}
 }
@@ -359,7 +487,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.spans.n
+	return t.kept()
 }
 
 // Dropped reports spans discarded by the buffer cap.
@@ -372,11 +500,29 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// sorted concatenates the buffer's blocks into one slice, in
+// sorted concatenates the buffer's blocks into one slice, each run's
+// leaves built in just before the leaf that holds them, and puts it in
 // deterministic (start, ID) order.
 func (t *Tracer) sorted() []spanRecord {
 	t.mu.Lock()
-	out := t.spans.appendTo(make([]spanRecord, 0, t.spans.n))
+	out := make([]spanRecord, 0, t.kept())
+	attrs := make([]Attr, 2*t.steps)
+	runs, run := t.runs.list, []stepRun(nil)
+	at := 0 // index of the next record among the tracer's records
+	for _, blk := range t.spans.list {
+		for i := range blk {
+			if len(run) == 0 && len(runs) > 0 {
+				run, runs = runs[0], runs[1:]
+			}
+			if len(run) > 0 && run[0].at == at {
+				k := 2 * run[0].groups()
+				out = run[0].appendLeaves(out, &blk[i], attrs[:k:k])
+				attrs, run = attrs[k:], run[1:]
+			}
+			out = append(out, blk[i])
+			at++
+		}
+	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {

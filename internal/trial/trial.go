@@ -208,16 +208,17 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 // "mini-batch" children, with the attempt's (post-straggler) simulated
 // duration divided evenly. Only successful attempts emit them — crashed
 // and diverged runs end at the attempt span itself. The per-epoch step
-// count is capped so pathological allocations cannot flood the tracer.
+// count is capped so pathological allocations cannot flood the tracer:
+// beyond 64 steps an epoch's mini-batches coalesce into at most 64
+// spans of ceil(steps/64) steps each. Every mini-batch is a function of
+// its epoch, so an epoch is one Steps call: the tracer keeps the epoch
+// and one step run, and builds the mini-batch spans at export.
 func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerEpoch int) {
 	if sp == nil || epochs < 1 || stepsPerEpoch < 1 {
 		return
 	}
 	const maxSteps = 64 // mini-batch spans per epoch beyond this coalesce
-	coalesce := 1
-	if stepsPerEpoch > maxSteps {
-		coalesce = (stepsPerEpoch + maxSteps - 1) / maxSteps
-	}
+	coalesce := (stepsPerEpoch + maxSteps - 1) / maxSteps
 	epochDur := dur / time.Duration(epochs)
 	for e := 0; e < epochs; e++ {
 		eStart := start + time.Duration(e)*epochDur
@@ -225,22 +226,7 @@ func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerE
 		if e == epochs-1 {
 			eEnd = start + dur // absorb integer-division remainder
 		}
-		esp := sp.Child("epoch", eStart, obs.Int("epoch", int64(e)))
-		groups := (stepsPerEpoch + coalesce - 1) / coalesce
-		span := eEnd - eStart
-		for g := 0; g < groups; g++ {
-			gStart := eStart + time.Duration(g)*span/time.Duration(groups)
-			gEnd := eStart + time.Duration(g+1)*span/time.Duration(groups)
-			first := g * coalesce
-			last := first + coalesce
-			if last > stepsPerEpoch {
-				last = stepsPerEpoch
-			}
-			esp.Leaf("mini-batch", gStart, gEnd,
-				obs.Int("step", int64(first)),
-				obs.Int("steps", int64(last-first)))
-		}
-		esp.End(eEnd)
+		sp.Steps("epoch", eStart, eEnd, "mini-batch", stepsPerEpoch, coalesce, obs.Int("epoch", int64(e)))
 	}
 }
 
