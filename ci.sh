@@ -63,22 +63,22 @@ surface() { # what, count, ceiling
         exit 1
     fi
 }
-surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 29
-surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 18
+surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 28
+surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 17
 surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)" 10
 surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
-surface "edgetune.Job fields" "$(fields edgetune.go Job)" 31
+surface "edgetune.Job fields" "$(fields edgetune.go Job)" 28
 surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 10
 surface "autoscale.Config fields" "$(fields internal/autoscale/autoscale.go Config)" 2
 surface "slo.Spec fields" "$(fields internal/obs/slo/slo.go Spec)" 3
 surface "baselines.HyperPowerOptions fields" "$(fields internal/baselines/baselines.go HyperPowerOptions)" 3
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
-surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 33
+surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 30
 # A report section the pipeline already snapshots is that snapshot (a
 # type alias), not a public struct copying it field for field; an input
 # section the pipeline already declares (Job.Faults) is that declaration.
 surface "edgetune exported structs" \
-    "$(ls *.go | grep -v '_test\.go$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct')" 18
+    "$(ls *.go | grep -v '_test\.go$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct')" 17
 # The same ratchet for a fork that was closed: a hot loop is declared
 # once, in internal/hotloop's table, and measured only through it — so
 # nothing else outside bench/ builds a loop around prof.Measure, and
@@ -169,9 +169,13 @@ gate "lifecycle stress"
 # the next job regenerates into it (DESIGN.md, "Where the storage comes
 # from"). Two checkpointed jobs side by side share the free list of
 # checkpoint storage and store the bytes each stores alone (DESIGN.md
-# §4.9).
+# §4.9). Then, twice each, a recycled reply channel never reaching the
+# wrong caller, and the autoscale controller package, which only its own
+# tests and the hot-loop ledger drive.
 go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
+go test -race -count=2 -run '^TestReplyChannelsNeverCrossDeliver$' ./internal/core/
+go test -race -count=2 ./internal/autoscale
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...
@@ -315,22 +319,6 @@ for rdir in "$cdir"/shard*/primary "$cdir"/shard*/follower; do
     [ -e "$storefile" ] || [ -e "$storefile.wal" ] || continue
     go run ./cmd/tracetool store verify "$storefile"
 done
-
-gate "autoscale-resilience gate"
-# The autoscaling controller's own tests and the serving-layer chaos
-# tests (flash-crowd determinism, mass-device-failure recovery through
-# scale-out and scale-in, stalled scale-ups), twice under the race
-# detector, beside the test that a recycled reply channel never reaches
-# the wrong caller. Then the product binary's flash-crowd job twice:
-# same seed must print byte-identical reports, and the crowd must scale
-# the pool out twice, to its three-replica maximum, and never back in.
-go test -race -count=2 ./internal/autoscale
-go test -race -count=2 -run 'Autoscale|TestReplyChannelsNeverCrossDeliver' ./internal/core
-crowd="$tracedir/edgetune -workload IC -autoscale -autoscale-max 3 -faults flash-crowd=0.1 -seed 7"
-$crowd > "$tracedir/crowd-a.out"
-$crowd > "$tracedir/crowd-b.out"
-cmp "$tracedir/crowd-a.out" "$tracedir/crowd-b.out"
-grep -q "scale up/down     2/0 (final replicas 3)" "$tracedir/crowd-a.out"
 
 gate "profile-plane gate"
 # The profiling plane end to end. First the registry/probe layers under

@@ -110,10 +110,6 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 
 		{"faults", &job.Faults, free, "inject faults: a `spec` of comma-separated class=probability pairs, each set over the job file's, plus brownout-factor=N, the maximum brown-out slowdown (default 6); disk classes need -store and no -cluster, cluster classes -cluster; classes: " + fmt.Sprint(fault.Classes())},
 
-		{"autoscale", &job.Autoscale, free, "enable the SLO-driven device-pool autoscaler"},
-		{"autoscale-min", &job.AutoscaleMin, nonNeg, "minimum device replicas (default 1, requires -autoscale)"},
-		{"autoscale-max", &job.AutoscaleMax, nonNeg, "maximum device replicas (default 4, requires -autoscale)"},
-
 		{"cluster", &cl.Shards, nonNeg, "run the job on a sharded cluster with this many nodes (requires -cluster-dir)"},
 		{"cluster-dir", &cl.Dir, free, "directory holding every cluster node's durable store"},
 		{"cluster-kill-rungs", &cl.KillShardAfterRungs, nonNeg, "chaos: kill the job's shard after its Nth completed rung and fail over to the follower"},
@@ -395,15 +391,6 @@ func printReport(out io.Writer, r *edgetune.Report) {
 				fmt.Fprintf(out, "       dossier %s\n", inc.Path)
 			}
 		}
-	}
-	if a := r.Autoscale; a != nil {
-		fmt.Fprintf(out, "  autoscale:\n")
-		fmt.Fprintf(out, "    ticks             %d (decisions %d)\n", a.Ticks, a.Decisions)
-		fmt.Fprintf(out, "    scale up/down     %d/%d (final replicas %d)\n",
-			a.ScaleUps, a.ScaleDowns, a.FinalReplicas)
-		fmt.Fprintf(out, "    warm-up cost      %.1f simulated minutes, %.3f kJ\n",
-			a.WarmupMinutes, a.WarmupEnergyKJ)
-		fmt.Fprintf(out, "    digest            %s\n", a.Digest)
 	}
 	res := r.Resilience
 	if res.TotalFaults > 0 || res.Retries > 0 || res.ResumedRungs > 0 {

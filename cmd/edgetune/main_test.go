@@ -174,13 +174,15 @@ func TestRunFaultFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"prob-above-one", []string{"-faults", "trial-crash=1.5"}, "outside [0,1]"},
-		{"prob-negative", []string{"-faults", "flash-crowd=-0.1"}, "outside [0,1]"},
-		{"mass-devicefail-above-one", []string{"-faults", "mass-device-fail=2"}, "outside [0,1]"},
-		{"scale-stall-negative", []string{"-faults", "scale-stall=-1"}, "outside [0,1]"},
+		{"prob-negative", []string{"-faults", "device-flap=-0.1"}, "outside [0,1]"},
+		// Names the fault model and the flag table do not carry are an
+		// unknown class and undefined flags.
+		{"mass-devicefail-above-one", []string{"-faults", "mass-device-fail=2"}, "unknown fault class"},
+		{"scale-stall-negative", []string{"-faults", "scale-stall=-1"}, "unknown fault class"},
 		{"shard-kill-above-one", []string{"-faults", "shard-kill=7"}, "outside [0,1]"},
 		{"negative-max-attempts", []string{"-max-attempts", "-2"}, "negative"},
-		{"negative-autoscale-min", []string{"-autoscale-min", "-1"}, "negative"},
-		{"negative-autoscale-max", []string{"-autoscale-max", "-4"}, "negative"},
+		{"negative-autoscale-min", []string{"-autoscale-min", "-1"}, "not defined"},
+		{"negative-autoscale-max", []string{"-autoscale-max", "-4"}, "not defined"},
 		{"negative-brownout-factor", []string{"-faults", "brownout-factor=-6"}, "negative"},
 		// A class outside the table, or one with no decision point in
 		// the job the other flags describe, is an error too.
@@ -367,7 +369,8 @@ func TestRunJobFileAndFlagsCompose(t *testing.T) {
 	})
 	t.Run("removed-keys-still-decode", func(t *testing.T) {
 		// A file written for an older build names options that are now
-		// constants; it decodes and runs as the file without them.
+		// constants or gone, and fault classes that are gone; it decodes
+		// and runs as the file without them.
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -377,6 +380,13 @@ func TestRunJobFileAndFlagsCompose(t *testing.T) {
 			t.Fatal(err)
 		}
 		doc["FlightSlots"], doc["StoreWAL"] = 64, true
+		doc["Autoscale"], doc["AutoscaleMin"], doc["AutoscaleMax"] = true, 1, 3
+		faults, _ := doc["Faults"].(map[string]any)
+		if faults == nil {
+			faults = map[string]any{}
+		}
+		faults["flashCrowd"], faults["massDeviceFail"], faults["scaleStall"] = 0.1, 1, 0.5
+		doc["Faults"] = faults
 		if data, err = json.Marshal(doc); err != nil {
 			t.Fatal(err)
 		}
@@ -405,38 +415,6 @@ func TestRunJobFileAndFlagsCompose(t *testing.T) {
 				t.Errorf("err = %v, want one naming %s", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestRunAutoscaleTextReport(t *testing.T) {
-	var out bytes.Buffer
-	args := []string{
-		"-workload", "IC", "-seed", "7",
-		"-autoscale", "-autoscale-max", "3",
-		"-faults", "flash-crowd=0.3",
-	}
-	if err := run(args, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"autoscale:",
-		"scale up/down",
-		"warm-up cost",
-		"digest",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("autoscale report missing %q:\n%s", want, got)
-		}
-	}
-	// Same seed, same flags: the autoscale block (digest included) must
-	// be byte-stable.
-	var again bytes.Buffer
-	if err := run(args, &again); err != nil {
-		t.Fatal(err)
-	}
-	if got != again.String() {
-		t.Error("identically-seeded autoscaled runs produced different reports")
 	}
 }
 

@@ -9,11 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/core"
 	"edgetune/internal/fault"
 	"edgetune/internal/obs"
-	"edgetune/internal/obs/analyze"
 	"edgetune/internal/workload"
 )
 
@@ -86,64 +84,6 @@ func TestAnalyzeAndDiffDeterministic(t *testing.T) {
 	if err := run([]string{"diff", "-threshold", "0.01", a, c}, &diffC); !errors.Is(err, errGate) {
 		t.Errorf("cross-seed diff err = %v, want gate failure\n%s", err, diffC.String())
 	}
-}
-
-// TestAnalyzeAutoscaledTraceScaleEvents: the autoscaler's scale-event
-// spans land on TrackAutoscale, and the analyser surfaces them as their
-// own span class — so "where did the time go?" can answer "the control
-// loop fired N times" without a dedicated report section.
-func TestAnalyzeAutoscaledTraceScaleEvents(t *testing.T) {
-	tr := obs.NewTracer()
-	_, err := core.Tune(context.Background(), core.Options{
-		Workload:       workload.MustNew("IC", 1),
-		InitialConfigs: 2,
-		Rungs:          2,
-		MaxBrackets:    1,
-		InferenceAware: true,
-		SystemParams:   true,
-		Seed:           7,
-		Fault:          fault.Config{FlashCrowd: 0.4},
-		Autoscale:      &autoscale.Config{},
-		Trace:          tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "autoscaled.jsonl")
-	if err := tr.SaveJSONL(path); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := analyze.Analyze(mustParse(t, path))
-	found := false
-	for _, c := range rep.Classes {
-		if c.Name == "scale-event" {
-			found = true
-			if c.Count == 0 {
-				t.Error("scale-event class present but counted no spans")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("scale-event missing from per-class stats: %+v", rep.Classes)
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"analyze", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "scale-event") {
-		t.Errorf("analyze text output lacks the scale-event class:\n%s", out.String())
-	}
-}
-
-func mustParse(t *testing.T, path string) *analyze.Trace {
-	t.Helper()
-	tr, err := analyze.ParseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
 }
 
 // TestAnalyzeMalformedTrace: a truncated trace is reported, not fatal.

@@ -33,7 +33,6 @@ import (
 	"sort"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/core"
 	"edgetune/internal/counters"
 	"edgetune/internal/device"
@@ -153,17 +152,6 @@ type Job struct {
 	// crash/restart harness uses to prove recovery. Only meaningful
 	// with StorePath.
 	StoreKillAfterAppends int
-	// Autoscale enables the inference server's SLO-driven device-pool
-	// autoscaler: simulated replicas of the target device are added
-	// under saturation or capacity loss (each charging a warm-up cost to
-	// the tuning budget) and retired again with hysteresis when load
-	// recedes. The run's control-loop summary lands in
-	// Report.Autoscale.
-	Autoscale bool
-	// AutoscaleMin and AutoscaleMax bound the replica count (defaults 1
-	// and 4). Only meaningful with Autoscale.
-	AutoscaleMin int
-	AutoscaleMax int
 	// Seed drives all randomised components; jobs are fully
 	// deterministic given a seed.
 	Seed uint64
@@ -209,11 +197,11 @@ type Job struct {
 	Profile bool
 	// Flight turns on the always-on flight recorder: a preallocated
 	// fixed-slot ring continuously records a compact event stream from
-	// both pipelines (span completions, SLO alert edges, autoscale
-	// decisions, admission rejections, breaker and health transitions,
-	// WAL appends and recovery) with zero steady-state allocations, and
-	// anomaly triggers — an SLO alert's rising edge, a crash-recovery
-	// salvage, a mass device failure — snapshot it into deterministic incident dossiers,
+	// both pipelines (span completions, SLO alert edges, admission
+	// rejections, breaker and health transitions, WAL appends and
+	// recovery) with zero steady-state allocations, and anomaly
+	// triggers — an SLO alert's rising edge, a crash-recovery salvage, a
+	// shard failover — snapshot it into deterministic incident dossiers,
 	// summarised in Report.Incidents. Enabling Flight also enables
 	// tracing so dossiers carry a windowed trace analysis. Same-seed
 	// runs produce byte-identical dossiers (leave Profile off for
@@ -332,9 +320,6 @@ type Report struct {
 	// StoreRecovery describes what opening the durable store salvaged
 	// from a previous crash (nil without Job.StorePath).
 	StoreRecovery *StoreRecovery
-	// Autoscale summarises the device-pool autoscaler's control loop
-	// (nil unless Job.Autoscale was set).
-	Autoscale *AutoscaleReport
 	// Profile is the per-stage allocation probes (nil unless
 	// Job.Profile was set). The same values appear in Metrics as
 	// prof.allocs-per-op.<stage> / prof.bytes-per-op.<stage> gauges.
@@ -376,7 +361,7 @@ func (r *Report) Digest() string {
 // job set IncidentsDir.
 type Incident struct {
 	// Trigger is the trigger kind: "slo-alert", "shard-failover",
-	// "crash-salvage", "mass-device-fail", or "manual".
+	// "crash-salvage", or "manual".
 	Trigger string
 	// Detail is the trigger's context: the alerting objective, the
 	// failed-over shard.
@@ -404,31 +389,6 @@ type ProfileProbe struct {
 	Runs        int
 	AllocsPerOp float64
 	BytesPerOp  float64
-}
-
-// AutoscaleReport summarises the autoscaler's run: how often it
-// scaled, the warm-up bill, and the deterministic digest of the
-// decision stream. Stalled
-// scale-ups (the ScaleStall fault class) appear in the
-// "autoscale.stalls" counter of Report.Metrics.
-type AutoscaleReport struct {
-	// Ticks counts control-loop evaluations (one per inference
-	// submission); Decisions counts the actions emitted, each a
-	// scale-up or a scale-down.
-	Ticks     int64
-	Decisions int
-	// ScaleUps and ScaleDowns count replica additions and retirements.
-	ScaleUps   int
-	ScaleDowns int
-	// FinalReplicas is the active replica count at the last tick.
-	FinalReplicas int
-	// WarmupMinutes and WarmupEnergyKJ are the total replica warm-up
-	// costs, already included in TuningMinutes and TuningEnergyKJ.
-	WarmupMinutes  float64
-	WarmupEnergyKJ float64
-	// Digest is the FNV-1a fold of the decision stream, hex-encoded;
-	// same-seed jobs produce identical digests.
-	Digest string
 }
 
 // SLOWindowBurn is one alert window's burn evaluation.
@@ -501,14 +461,9 @@ func (job Job) coreOptions() (core.Options, error) {
 			return core.Options{}, err
 		}
 	}
-	var as *autoscale.Config
-	if job.Autoscale {
-		as = &autoscale.Config{Min: job.AutoscaleMin, Max: job.AutoscaleMax}
-	}
 	return core.Options{
 		Workload:       w,
 		Device:         dev,
-		Autoscale:      as,
 		BudgetKind:     string(job.Budget),
 		Metric:         core.Metric(job.Metric),
 		ModelAlgo:      string(job.ModelAlgorithm),
@@ -707,18 +662,6 @@ func buildReport(res core.Result) *Report {
 	}
 	for _, d := range res.Incidents {
 		r.Incidents = append(r.Incidents, summariseIncident(d))
-	}
-	if a := res.Autoscale; a != nil {
-		r.Autoscale = &AutoscaleReport{
-			Ticks:          a.Ticks,
-			Decisions:      a.Decisions,
-			ScaleUps:       a.ScaleUps,
-			ScaleDowns:     a.ScaleDowns,
-			FinalReplicas:  a.FinalReplicas,
-			WarmupMinutes:  a.WarmupTime.Minutes(),
-			WarmupEnergyKJ: a.WarmupEnergyJ / 1000,
-			Digest:         fmt.Sprintf("%016x", a.Digest),
-		}
 	}
 	if res.Recommendation.Signature != "" {
 		r.Recommendation = recommendationOf(res.Recommendation)

@@ -116,10 +116,9 @@ func checkTwinConvergence(ev Evidence) []Violation {
 }
 
 // checkBudgetConservation recomputes the tuning bill from first
-// principles — every trial's training cost plus its retry cost, plus
-// the autoscaler's warm-up charges — and requires the reported totals
-// to match: retries and warm-ups charged exactly once, nothing lost,
-// nothing double-billed. Duration arithmetic is integer so the match
+// principles — every trial's training cost plus its retry cost — and
+// requires the reported totals to match: retries charged exactly once,
+// nothing lost, nothing double-billed. Duration arithmetic is integer so the match
 // is exact; energy sums floats in trial order, so it gets an epsilon.
 func checkBudgetConservation(ev Evidence) []Violation {
 	o := ev.First
@@ -132,10 +131,6 @@ func checkBudgetConservation(ev Evidence) []Violation {
 	for _, t := range res.Trials {
 		wantDur += int64(t.TrainCost.Duration) + int64(t.RetryCost.Duration)
 		wantKJ += (t.TrainCost.EnergyJ + t.InferTuning.EnergyJ + t.RetryCost.EnergyJ) / 1000
-	}
-	if a := res.Autoscale; a != nil {
-		wantDur += int64(a.WarmupTime)
-		wantKJ += a.WarmupEnergyJ / 1000
 	}
 	var out []Violation
 	if int64(res.TuningDuration) != wantDur {

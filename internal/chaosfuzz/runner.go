@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/cluster"
 	"edgetune/internal/core"
 	"edgetune/internal/counters"
@@ -31,7 +30,7 @@ const fuzzTenant = "fuzz"
 // Runner executes one schedule as a real tuning job — the same wiring
 // the public Tune path and the cluster dispatcher use, built directly
 // so the fuzzer controls every knob. The job shape is fixed per
-// (mode, seed): a small IC search, autoscaling on, checkpointing on,
+// (mode, seed): a small IC search, checkpointing on,
 // durable store (single mode) or a two-shard cluster (cluster mode).
 type Runner struct {
 	// Mode is ModeSingle or ModeCluster.
@@ -143,8 +142,8 @@ func (r *Runner) run(s Schedule, observe fault.Observer) (*runOutcome, error) {
 
 // jobOptions builds the fixed fuzz job shape: small enough that a
 // schedule evaluation takes tens of milliseconds, rich enough that
-// every subsystem (retries, inference serving, autoscaling,
-// checkpoints, SLOs) has decision points to fault.
+// every subsystem (retries, inference serving, checkpoints, SLOs) has
+// decision points to fault.
 func (r *Runner) jobOptions(s Schedule, plan *fault.Plan, observe fault.Observer) (core.Options, error) {
 	w, err := workload.New("IC", s.Seed^0x9e3779b9)
 	if err != nil {
@@ -153,7 +152,6 @@ func (r *Runner) jobOptions(s Schedule, plan *fault.Plan, observe fault.Observer
 	return core.Options{
 		Workload:       w,
 		Device:         device.I7(),
-		Autoscale:      &autoscale.Config{Min: 1, Max: 2},
 		SystemParams:   true,
 		InferenceAware: true,
 		InitialConfigs: 4,
@@ -348,8 +346,7 @@ func (o *runOutcome) finalize() {
 }
 
 // writeResult folds the full result — budget totals, every trial's
-// accounting, the metrics and SLO snapshots, the autoscale decision
-// stream — into h. Any scheduling nondeterminism anywhere in the
+// accounting, the metrics and SLO snapshots — into h. Any scheduling nondeterminism anywhere in the
 // pipeline shows up as a digest mismatch between twin runs.
 func writeResult(h interface{ Write([]byte) (int, error) }, res *core.Result) {
 	fmt.Fprintf(h, "dur=%d;energy=%.9g;trials=%d;hits=%d;misses=%d;target=%v;",
@@ -366,9 +363,6 @@ func writeResult(h interface{ Write([]byte) (int, error) }, res *core.Result) {
 	}
 	for _, obj := range res.SLO.Objectives {
 		fmt.Fprintf(h, "slo=%s/%d/%d;", obj.Name, obj.Events, obj.Errors)
-	}
-	if a := res.Autoscale; a != nil {
-		fmt.Fprintf(h, "as=%d/%d/%d/%016x;", a.Ticks, a.ScaleUps, a.ScaleDowns, a.Digest)
 	}
 	for _, d := range res.Incidents {
 		fmt.Fprintf(h, "inc=%s/%d/%s;", d.Trigger.Kind, d.Trigger.Seq, d.Digest)

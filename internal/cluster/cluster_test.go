@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/core"
 	"edgetune/internal/fault"
 	"edgetune/internal/obs"
@@ -118,53 +117,6 @@ func TestClusterFailoverConvergence(t *testing.T) {
 	}
 	if got := digestOf(res2.Result); !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed digest diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestClusterAutoscaleSurvivesFailover: a job tuned with the
-// autoscaler enabled and flash crowds injected is killed mid-bracket;
-// the promoted follower rebuilds its own controller, the job still
-// converges to the unsharded recommendation digest, and the autoscale
-// report is surfaced on the result.
-func TestClusterAutoscaleSurvivesFailover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster chaos suite skipped in -short mode")
-	}
-	testutil.CheckGoroutineLeak(t, 4)
-
-	withAutoscale := func() core.Options {
-		opts := jobOpts()
-		opts.Autoscale = &autoscale.Config{}
-		opts.Fault = fault.Config{FlashCrowd: 0.3}
-		return opts
-	}
-	clean, err := core.Tune(context.Background(), withAutoscale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := digestOf(clean)
-
-	c := newTestCluster(t, Options{
-		Shards:              2,
-		Seed:                11,
-		KillShardAfterRungs: 2,
-	})
-	res, err := c.Submit(context.Background(), Job{Key: "acme/IC", Opts: withAutoscale()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FailedOver {
-		t.Fatal("shard was not killed — the chaos hook never fired")
-	}
-	rep := res.Result.Autoscale
-	if rep == nil {
-		t.Fatal("autoscale report missing after failover")
-	}
-	if rep.ScaleUps == 0 {
-		t.Error("flash crowds never drove a scale-up on the promoted shard")
-	}
-	if got := digestOf(res.Result); !reflect.DeepEqual(got, want) {
-		t.Errorf("failed-over autoscaled digest diverged from unsharded run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -169,8 +169,7 @@ func (a *admission) setHold(h bool) {
 	a.cond.Broadcast()
 }
 
-// inSystem reports queued plus in-flight jobs: the autoscaler's load
-// signal.
+// inSystem reports queued plus in-flight jobs.
 func (a *admission) inSystem() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

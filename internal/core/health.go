@@ -74,15 +74,6 @@ type poolDevice struct {
 	state   deviceHealthState
 	probing bool // a recovery probe is in flight
 
-	// readyAt is the simulated time at which the device becomes
-	// routable: autoscaled replicas warm up first. Zero for the
-	// configured pool, which is ready from the start.
-	readyAt time.Duration
-	// retired devices (autoscale scale-down) receive no new traffic but
-	// stay in the slice so in-flight observations and the stored-entry
-	// fast path still resolve them.
-	retired bool
-
 	// Per-device registry instruments (nil when metrics are disabled).
 	mRequests *obs.Counter
 	mFailures *obs.Counter
@@ -107,19 +98,14 @@ type route struct {
 type devicePool struct {
 	mu   sync.Mutex
 	devs []*poolDevice
-	// devNames[i] is devs[i].name. Devices only ever join (a retired one
-	// stays listed), so the slice is append-only and a reader may keep
-	// the header it got from names() without copying.
+	// devNames[i] is devs[i].name. The pool is fixed at construction,
+	// so it is read without mu.
 	devNames []string
 	rec      *counters.Resilience
 	seq      int64
 	// order is bestLocked's sort of the routable devices, kept so a
 	// route allocates nothing; under mu.
 	order []*poolDevice
-
-	// Breaker parameters, kept so autoscaled replicas get breakers
-	// configured like the seed pool's.
-	threshold, cooldown int
 
 	// fr receives breaker and health-state transitions as flight events
 	// (nil = not recorded). Unlike the resilience counters, the flight
@@ -129,106 +115,26 @@ type devicePool struct {
 }
 
 func newDevicePool(devs []device.Device, threshold, cooldown int, rec *counters.Resilience) *devicePool {
-	p := &devicePool{rec: rec, threshold: threshold, cooldown: cooldown}
+	p := &devicePool{rec: rec}
 	for _, d := range devs {
-		p.join(d, 0)
+		pd := &poolDevice{
+			dev:   d,
+			name:  d.Profile.Name,
+			br:    newBreaker(threshold, cooldown, rec),
+			score: 1,
+		}
+		p.devs = append(p.devs, pd)
+		p.devNames = append(p.devNames, pd.name)
+		if reg := rec.Registry(); reg != nil {
+			prefix := "serving.device." + pd.name
+			pd.mRequests = reg.Counter(prefix + ".requests")
+			pd.mFailures = reg.Counter(prefix + ".failures")
+			pd.mLatency = reg.Histogram(prefix+".latency.ms", obs.LatencyBucketsMS)
+			pd.mHealth = reg.Gauge(prefix + ".health")
+			pd.mHealth.Set(pd.score)
+		}
 	}
 	return p
-}
-
-// join adds a routed device entry with its breaker and registry
-// instruments to the pool; callers hold p.mu (or are still single-owner
-// in newDevicePool).
-func (p *devicePool) join(d device.Device, readyAt time.Duration) {
-	pd := &poolDevice{
-		dev:     d,
-		name:    d.Profile.Name,
-		br:      newBreaker(p.threshold, p.cooldown, p.rec),
-		score:   1,
-		readyAt: readyAt,
-	}
-	p.devs = append(p.devs, pd)
-	p.devNames = append(p.devNames, pd.name)
-	if reg := p.rec.Registry(); reg != nil {
-		prefix := "serving.device." + pd.name
-		pd.mRequests = reg.Counter(prefix + ".requests")
-		pd.mFailures = reg.Counter(prefix + ".failures")
-		pd.mLatency = reg.Histogram(prefix+".latency.ms", obs.LatencyBucketsMS)
-		pd.mHealth = reg.Gauge(prefix + ".health")
-		pd.mHealth.Set(pd.score)
-	}
-}
-
-// addReplica joins a cloned device to the pool; it becomes routable at
-// readyAt (warm-up on the simulated clock).
-func (p *devicePool) addReplica(d device.Device, readyAt time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.join(d, readyAt)
-}
-
-// retireNewest removes the most recently added, still-active device
-// from routing (autoscale scale-down), never touching the pool's first
-// device. It reports the retired device's name, or false when nothing
-// is retirable.
-func (p *devicePool) retireNewest() (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.devs) - 1; i > 0; i-- {
-		if d := p.devs[i]; !d.retired {
-			d.retired = true
-			return d.name, true
-		}
-	}
-	return "", false
-}
-
-// massFail quarantines every active device at once (the MassDeviceFail
-// fault class): score to zero, no routed traffic until recovery probes
-// succeed. Returns the number of devices hit.
-func (p *devicePool) massFail() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, d := range p.devs {
-		if d.retired || d.state == deviceQuarantined {
-			continue
-		}
-		d.state = deviceQuarantined
-		d.score = 0
-		if d.mHealth != nil {
-			d.mHealth.Set(0)
-		}
-		p.rec.AddQuarantine()
-		n++
-	}
-	return n
-}
-
-// counts reports, at simulated time at: active devices (non-retired,
-// including ones still warming up) and healthy devices (active, past
-// warm-up, not quarantined).
-func (p *devicePool) counts(at time.Duration) (active, healthy int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, d := range p.devs {
-		if d.retired {
-			continue
-		}
-		active++
-		if d.state != deviceQuarantined && d.readyAt <= at {
-			healthy++
-		}
-	}
-	return active, healthy
-}
-
-// names lists every pool device name (active and retired) in join
-// order, for the stored-entry fast path.
-func (p *devicePool) names() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.devNames
 }
 
 // pick returns the next device for a fresh submission at simulated
@@ -240,7 +146,7 @@ func (p *devicePool) pick(at time.Duration) (route, error) {
 	p.seq++
 	if p.seq%probeEvery == 0 {
 		for _, d := range p.devs {
-			if d.state == deviceQuarantined && !d.probing && !d.retired {
+			if d.state == deviceQuarantined && !d.probing {
 				if ok, brProbe := p.allowLocked(d, at); ok {
 					d.probing = true
 					p.rec.AddProbe()
@@ -252,13 +158,13 @@ func (p *devicePool) pick(at time.Duration) (route, error) {
 	return p.bestLocked(at)
 }
 
-// bestLocked walks the routable devices (non-quarantined, non-retired,
-// past warm-up at simulated time at) in weight order and returns the
-// first whose breaker admits traffic; callers hold p.mu.
+// bestLocked walks the routable (non-quarantined) devices in weight
+// order and returns the first whose breaker admits traffic at simulated
+// time at; callers hold p.mu.
 func (p *devicePool) bestLocked(at time.Duration) (route, error) {
 	order := p.order[:0]
 	for _, d := range p.devs {
-		if d.state == deviceQuarantined || d.retired || d.readyAt > at {
+		if d.state == deviceQuarantined {
 			continue
 		}
 		order = append(order, d)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/counters"
 	"edgetune/internal/device"
 	"edgetune/internal/fault"
@@ -63,8 +62,8 @@ type InferOutcome struct {
 
 // InferenceServerOptions configures the server.
 type InferenceServerOptions struct {
-	// Device is the edge target being emulated: the pool's first
-	// device, and the template of the autoscaler's replicas.
+	// Device is the edge target being emulated, the one device a
+	// request is tuned on.
 	Device device.Device
 	// Space is the inference parameter space (batch, cores, frequency).
 	Space *search.Space
@@ -103,12 +102,8 @@ type InferenceServerOptions struct {
 	// accounting). The server registers a serve-latency objective and an
 	// admission-rejection objective on it.
 	SLO *slo.Evaluator
-	// Autoscale enables the SLO-driven device-pool autoscaler (nil =
-	// static pool). Zero fields in the config select the documented
-	// defaults.
-	Autoscale *autoscale.Config
 	// Flight receives the compact always-on event stream (admission
-	// outcomes, autoscale decisions, breaker/health transitions) for the
+	// outcomes, breaker/health transitions) for the
 	// incident flight recorder (nil = not recorded; every hook is a
 	// single-pointer-check no-op).
 	Flight *flight.Recorder
@@ -191,12 +186,10 @@ type InferenceServer struct {
 	adm    *admission
 	pool   *devicePool
 	writes *store.WriteBehind
-	scale  *scaler // nil when autoscaling is disabled
 
 	// SLO objectives (nil = no accounting; Record no-ops).
-	sloLatency  *slo.Objective
-	sloRejects  *slo.Objective
-	sloCapacity *slo.Objective
+	sloLatency *slo.Objective
+	sloRejects *slo.Objective
 
 	wg sync.WaitGroup
 
@@ -256,8 +249,7 @@ type call struct {
 }
 
 // NewInferenceServer starts the server's worker pool on a pool of
-// opts.Device alone (the autoscaler may add replicas). Callers must
-// Close it.
+// opts.Device alone. Callers must Close it.
 func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 	return newInferenceServer(opts, []device.Device{opts.Device})
 }
@@ -287,13 +279,6 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 	}
 	s.hard, s.stop = context.WithCancel(context.Background())
 	s.pool.fr = opts.Flight
-	if opts.Autoscale != nil {
-		sc, err := newScaler(*opts.Autoscale, &s.opts)
-		if err != nil {
-			return nil, err
-		}
-		s.scale = sc
-	}
 	if reg := opts.Recorder.Registry(); reg != nil {
 		s.m = servingMetrics{
 			requests:     reg.Counter("serving.requests"),
@@ -316,13 +301,6 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 			Description: "95% of submissions admitted (not shed)",
 			Target:      0.95,
 		})
-		if s.scale != nil {
-			s.sloCapacity = opts.SLO.Register(slo.Spec{
-				Name:        "serving/capacity",
-				Description: "submissions find a routable device pool with in-system headroom",
-				Target:      autoscale.CapacityTarget,
-			})
-		}
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -382,13 +360,10 @@ func (s *InferenceServer) FlushWrites() error { return s.writes.Flush() }
 
 // LookupStored reads an entry for any pool device (preferred first)
 // through the write-behind buffer, so callers building degraded
-// fallbacks see results that have not reached the store yet. The walk
-// covers the live pool — autoscaled replicas and retired devices
-// included — so entries tuned on a since-retired replica still satisfy
-// later duplicates.
+// fallbacks see results that have not reached the store yet.
 func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 	var lastErr error
-	for _, name := range s.pool.names() {
+	for _, name := range s.pool.devNames {
 		e, err := s.writes.Get(sig, name)
 		if err == nil {
 			return e, nil
@@ -428,8 +403,7 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 }
 
 // open validates the call and makes it a submission: a reply channel, a
-// sequence number, one autoscale tick, the root span, one count of
-// serving.requests.
+// sequence number, the root span, one count of serving.requests.
 func (s *InferenceServer) open(c *call) error {
 	if c.Signature == "" {
 		return errors.New("core: request with empty signature")
@@ -450,12 +424,6 @@ func (s *InferenceServer) open(c *call) error {
 	s.mu.Unlock()
 	c.opened = true
 
-	// Tick the autoscaler before anything can short-circuit the
-	// submission: every submission is one control-loop tick and one
-	// capacity SLO event, cache hits included, so the tick stream is
-	// exactly the submission sequence.
-	s.autoscaleTick(c.InferRequest, c.seq)
-
 	// The root span is keyed on the submission sequence, which is
 	// deterministic for a deterministic submission order (the tuner
 	// submits one request per trial and awaits each).
@@ -469,8 +437,7 @@ func (s *InferenceServer) open(c *call) error {
 }
 
 // cached is §3.4's table look-up: the historical store, read through
-// the write-behind buffer and accepting any pool device's entry (a
-// result tuned on a replica still satisfies later duplicates).
+// the write-behind buffer and accepting any pool device's entry.
 // A hit needs no device, so it bypasses admission and the pool; its
 // reply can still be dropped in flight — the site is per-submission, so
 // a resubmission rolls a fresh decision. It reports whether it ended the
@@ -649,8 +616,7 @@ func (s *InferenceServer) worker() {
 		}
 		// Retire the in-system slot before finishing the call: a caller
 		// that awaits each request then observes a fully-drained queue
-		// at its next submission, keeping the autoscaler's in-system
-		// signal deterministic for sequential drivers.
+		// at its next submission.
 		s.adm.done()
 		s.finish(c, "", res)
 	}

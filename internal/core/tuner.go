@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/budget"
 	"edgetune/internal/counters"
 	"edgetune/internal/device"
@@ -100,8 +99,8 @@ type Options struct {
 	// the final evaluation lands in Result.SLO.
 	SLO *slo.Evaluator
 	// Flight is the always-on flight recorder: both pipelines feed it
-	// a compact event stream (admissions, autoscale decisions,
-	// breaker/health transitions, WAL and SLO edges), anomaly triggers
+	// a compact event stream (admissions, breaker/health transitions,
+	// WAL and SLO edges), anomaly triggers
 	// snapshot it into incident dossiers, and the dossiers land in
 	// Result.Incidents. Nil disables recording at single-pointer-check
 	// cost. In a cluster the recorder is per shard and outlives
@@ -123,13 +122,6 @@ type Options struct {
 	// alongside the built-in taxonomy — the cluster dispatcher uses it
 	// to stamp the owning shard. Ignored unless Profile is set.
 	ProfLabels []string
-
-	// Autoscale enables the inference server's SLO-driven device-pool
-	// autoscaler (nil = static pool).
-	// The controller's report lands in Result.Autoscale, and the
-	// replicas' warm-up time and energy are charged to the job's
-	// budget totals.
-	Autoscale *autoscale.Config
 
 	// AfterRung, when non-nil, runs after each completed (and
 	// checkpointed) rung; a non-nil return aborts the job. Chaos hook:
@@ -303,10 +295,6 @@ type Result struct {
 	// (zero value when Options.SLO is nil).
 	SLO slo.Snapshot
 
-	// Autoscale is the device-pool autoscaler's run report (nil when
-	// Options.Autoscale is nil).
-	Autoscale *autoscale.Report
-
 	// Incidents is the flight recorder's dossiers — one per fired
 	// trigger so far, built after the run quiesced (nil when
 	// Options.Flight is nil or nothing tripped). With a per-shard
@@ -477,7 +465,6 @@ func (j *tuneJob) setUp() error {
 		Trace:       opts.Trace,
 		SLO:         opts.SLO,
 		Flight:      opts.Flight,
-		Autoscale:   opts.Autoscale,
 		Profile:     opts.Profile,
 		ProfLabels:  opts.ProfLabels,
 	})
@@ -493,10 +480,9 @@ func saturatedAlloc(strat budget.Strategy) budget.Allocation {
 	return strat.At(it)
 }
 
-// finish assembles the Result on every exit path. The order matters: the
-// autoscaler is read before Close tears the server down (its replicas'
-// warm-up is charged to the job), Close drains the serving SLO events,
-// and the snapshots and dossiers come last, once the pipeline quiesced.
+// finish assembles the Result on every exit path. The order matters:
+// Close drains the serving SLO events, and the snapshots and dossiers
+// come last, once the pipeline quiesced.
 func (j *tuneJob) finish() {
 	// Whatever path led here, trainings may be registered that no trial
 	// will read; their helpers stop before anything they could still
@@ -511,11 +497,6 @@ func (j *tuneJob) finish() {
 	res.TuningDuration, res.TuningEnergyKJ = j.Tuning, j.TuningEnergyKJ
 	res.MaxAccuracy, res.ReachedTarget = j.MaxAccuracy, j.ReachedTarget
 	if j.srv != nil {
-		if rep := j.srv.AutoscaleReport(); rep != nil {
-			res.Autoscale = rep
-			res.TuningDuration += rep.WarmupTime
-			res.TuningEnergyKJ += rep.WarmupEnergyJ / 1000
-		}
 		j.srv.Close()
 	}
 	if j.tuneSp != nil {

@@ -77,20 +77,6 @@ const (
 	// replica): frames queue in order and land late, so a failover first
 	// drains the lagged backlog (catch-up replay) before promotion.
 	FollowerLag Class = "follower-lag"
-	// FlashCrowd injects a phantom traffic surge at one inference
-	// submission: the autoscaler's in-system signal is inflated by a
-	// burst of simulated arrivals that decays linearly, driving
-	// scale-up.
-	FlashCrowd Class = "flash-crowd"
-	// MassDeviceFail quarantines every active device in the serving
-	// pool at once (rack power event, fleet-wide bad firmware push).
-	// It fires at most once per run; recovery comes from health probes
-	// and autoscaled replacement replicas.
-	MassDeviceFail Class = "mass-device-fail"
-	// ScaleStall makes one autoscale scale-up fail to materialise
-	// (cloud capacity shortage, image pull failure): the warm-up cost
-	// is still charged but the replica never joins the pool.
-	ScaleStall Class = "scale-stall"
 )
 
 // classRow is one fault class: its name and where its decision points
@@ -113,12 +99,9 @@ var classTable = [...]classRow{
 	{class: DiskSlowFsync, disk: true},
 	{class: DiskTornWrite, disk: true},
 	{class: DroppedReply},
-	{class: FlashCrowd},
 	{class: FollowerLag, cluster: true},
-	{class: MassDeviceFail},
 	{class: NetPartition, cluster: true},
 	{class: OverloadBurst},
-	{class: ScaleStall},
 	{class: ShardKill, cluster: true},
 	{class: StoreWrite},
 	{class: Straggler},
@@ -148,18 +131,12 @@ func (row classRow) prob(c *Config) *float64 {
 		return &c.DiskTornWrite
 	case DroppedReply:
 		return &c.DroppedReply
-	case FlashCrowd:
-		return &c.FlashCrowd
 	case FollowerLag:
 		return &c.FollowerLag
-	case MassDeviceFail:
-		return &c.MassDeviceFail
 	case NetPartition:
 		return &c.NetPartition
 	case OverloadBurst:
 		return &c.OverloadBurst
-	case ScaleStall:
-		return &c.ScaleStall
 	case ShardKill:
 		return &c.ShardKill
 	case StoreWrite:
@@ -246,13 +223,6 @@ type Config struct {
 	ShardKill    float64 `json:"shardKill,omitempty"`
 	NetPartition float64 `json:"netPartition,omitempty"`
 	FollowerLag  float64 `json:"followerLag,omitempty"`
-	// The autoscale classes fire on the serving pool's control loop:
-	// FlashCrowd per inference submission (phantom arrival surge),
-	// MassDeviceFail once per run on the whole pool, ScaleStall per
-	// attempted scale-up. They are inert without the autoscaler.
-	FlashCrowd     float64 `json:"flashCrowd,omitempty"`
-	MassDeviceFail float64 `json:"massDeviceFail,omitempty"`
-	ScaleStall     float64 `json:"scaleStall,omitempty"`
 
 	// Plan, when non-nil, schedules exact fault events on top of the
 	// probabilistic classes: a decision whose (class, site, attempt)

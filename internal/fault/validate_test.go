@@ -62,8 +62,6 @@ func TestCheckNonNegativeScalars(t *testing.T) {
 	scalars := []string{
 		"-faults: brownout-factor",
 		"-max-attempts",
-		"-autoscale-min",
-		"-autoscale-max",
 		"-cluster",
 		"-cluster-kill-rungs",
 		"-store-kill-after",
@@ -88,13 +86,13 @@ func TestCheckNonNegativeScalars(t *testing.T) {
 }
 
 func TestProbValuesCoversCatalog(t *testing.T) {
-	cfg := Config{TrialCrash: 0.25, ScaleStall: 1.5}
+	cfg := Config{TrialCrash: 0.25, OverloadBurst: 1.5}
 	vals := cfg.ProbValues()
 	if len(vals) != len(Classes()) {
 		t.Fatalf("ProbValues returned %d entries, want %d", len(vals), len(Classes()))
 	}
 	if err := CheckProbs(vals); err == nil {
-		t.Fatal("CheckProbs missed the out-of-range ScaleStall probability")
+		t.Fatal("CheckProbs missed the out-of-range OverloadBurst probability")
 	}
 	seen := make(map[string]float64, len(vals))
 	for _, v := range vals {

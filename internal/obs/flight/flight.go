@@ -1,9 +1,8 @@
 // Package flight is the pipelines' always-on flight recorder: a
 // preallocated fixed-slot ring buffer that continuously captures a
 // compact event stream — span completions, SLO objective state
-// transitions, autoscale decisions, admission rejections, breaker and
-// health transitions, WAL append/recovery/shipping events, shard
-// failover — stamped on the
+// transitions, admission rejections, breaker and health transitions,
+// WAL append/recovery/shipping events, shard failover — stamped on the
 // simulated clock with FNV-derived IDs. Recording is allocation-free
 // in steady state: each event is a value copied into its slot, so the
 // recorder can ride inside every run at fixed memory cost.
@@ -39,10 +38,6 @@ const (
 	// KindSLO is an objective alert edge: Subject the objective name,
 	// Detail "alert" (rising) or "clear" (falling).
 	KindSLO = "slo"
-	// KindAutoscale is one controller decision applied to the pool:
-	// Subject the controller's reason, A the replica delta, B the
-	// replica count after the decision.
-	KindAutoscale = "autoscale"
 	// KindAdmission is a rejected submission: Subject the rejection
 	// class ("shed-burst", "shed" for a full queue, "server-closed",
 	// "no-healthy-device"), Detail the request's signature.
@@ -50,9 +45,8 @@ const (
 	// KindBreaker is a circuit-breaker state change: Subject the
 	// device, Detail the new state.
 	KindBreaker = "breaker"
-	// KindHealth is a health-manager state change: Subject the device
-	// (or "pool" for a mass failure), Detail the new state, A the
-	// device count for pool-wide events.
+	// KindHealth is a health-manager state change: Subject the device,
+	// Detail the new state, A and B the old and new states.
 	KindHealth = "health"
 	// KindWAL is a durable-store journal event: Subject "append" (A the
 	// append sequence, B the frame bytes) or "recover" (A records
@@ -79,9 +73,6 @@ const (
 	// TriggerSalvage fires when crash recovery had to quarantine
 	// records or truncate a torn WAL tail.
 	TriggerSalvage = "crash-salvage"
-	// TriggerMassFail fires when the injected mass-device-failure
-	// quarantines the pool.
-	TriggerMassFail = "mass-device-fail"
 	// TriggerManual is the operator-requested dossier.
 	TriggerManual = "manual"
 )

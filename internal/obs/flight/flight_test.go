@@ -102,7 +102,7 @@ func TestDossierDeterministicAndVerifiable(t *testing.T) {
 		sp.End(9 * time.Millisecond)
 		r.Record(5*time.Millisecond, KindSpan, "request", "", int64(obs.TrackServing), int64(4*time.Millisecond))
 		r.Record(6*time.Millisecond, KindAdmission, "shed-burst", "tenant-a", 0, 0)
-		r.Trigger(TriggerMassFail, 7*time.Millisecond, "pool")
+		r.Trigger(TriggerSLOAlert, 7*time.Millisecond, "serving/latency")
 		return r.Dossiers(Sources{Metrics: reg.Snapshot(), Trace: tr})
 	}
 	da, db := build(), build()

@@ -21,17 +21,14 @@ var updateReach = flag.Bool("update-reach", false, "rewrite testdata/product_rea
 // TestProductReach is the census of what the product's own jobs reach
 // on the serving path: every request ending and admission verdict in
 // each job's trace, every nonzero resilience counter, every pool
-// device's nonzero request count, and the autoscaler's scale-ups,
-// scale-downs and final replicas in its report, and — for the cluster
-// job — every nonzero counter of the dispatcher registry
-// (Cluster.Metrics). The first four jobs are the ones a user runs from
-// the CLI — the default IC job, the chaos preset single-node and failed
-// over on a two-shard cluster, and a flash crowd that scales the device
-// pool out to three replicas — and the device flap/brown-out and mass
-// device failure jobs follow, each with and without the autoscaler. The
-// golden lists nonzero tallies only, so a serving mechanism no product
-// job exercises appears nowhere in it, and a change that deletes such a
-// mechanism leaves it byte for byte as it was.
+// device's nonzero request count, and — for the cluster job — every
+// nonzero counter of the dispatcher registry (Cluster.Metrics). The
+// jobs are the ones a user runs from the CLI — the default IC job, the
+// chaos preset single-node and failed over on a two-shard cluster, and
+// the serving-path device faults (flap and brown-out). The golden lists
+// nonzero tallies only, so a serving mechanism no product job exercises
+// appears nowhere in it, and a change that deletes such a mechanism
+// leaves it byte for byte as it was.
 func TestProductReach(t *testing.T) {
 	defer testutil.CheckGoroutineLeak(t, 4)
 	data, err := os.ReadFile("examples/chaos/job.json")
@@ -46,20 +43,9 @@ func TestProductReach(t *testing.T) {
 		j.Seed = 42
 		return j
 	}
-	flashCrowd := Job{Workload: "IC", Seed: 7, Autoscale: true, AutoscaleMax: 3}
-	flashCrowd.Faults.FlashCrowd = 0.1
-	// The serving-path fault classes a job without the autoscaler can
-	// fire, each run with and without it: the pairs show what the
-	// autoscaler adds to the same job.
 	flapBrownout := Job{Workload: "IC", Seed: 7}
 	flapBrownout.Faults.DeviceFlap = 0.3
 	flapBrownout.Faults.DeviceBrownout = 0.5
-	massFail := Job{Workload: "IC", Seed: 7}
-	massFail.Faults.MassDeviceFail = 0.5
-	autoscaled := func(j Job) Job {
-		j.Autoscale, j.AutoscaleMax = true, 3
-		return j
-	}
 
 	jobs := []struct {
 		name, digest string
@@ -89,11 +75,7 @@ func TestProductReach(t *testing.T) {
 			}
 			return rep.Report, c.Metrics(), nil
 		}},
-		{"autoscale-flash-crowd-seed7", "9d2158a1827686e6", tuneTraced(flashCrowd)},
 		{"flap-brownout-seed7", "9d2158a1827686e6", tuneTraced(flapBrownout)},
-		{"flap-brownout-seed7-autoscale", "9d2158a1827686e6", tuneTraced(autoscaled(flapBrownout))},
-		{"mass-device-fail-seed7", "9d2158a1827686e6", tuneTraced(massFail)},
-		{"mass-device-fail-seed7-autoscale", "9d2158a1827686e6", tuneTraced(autoscaled(massFail))},
 	}
 
 	var got bytes.Buffer
@@ -205,9 +187,6 @@ func reachTally(trace string, rep *Report, dispatcher MetricsReport) (string, er
 		if n != 0 {
 			lines = append(lines, fmt.Sprintf("  %s %d\n", k, n))
 		}
-	}
-	if a := rep.Autoscale; a != nil {
-		lines = append(lines, fmt.Sprintf("  autoscale scale up/down %d/%d (final replicas %d)\n", a.ScaleUps, a.ScaleDowns, a.FinalReplicas))
 	}
 	sort.Strings(lines)
 	var b bytes.Buffer
