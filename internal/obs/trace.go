@@ -22,11 +22,14 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,20 +40,18 @@ import (
 // Tracks group spans into Perfetto threads: the tuning loop and the
 // inference serving path render as separate swim lanes.
 const (
-	TrackTuner     = 1
-	TrackServing   = 2
-	TrackStore     = 3
-	TrackCluster   = 4
-	TrackAutoscale = 5
+	TrackTuner   = 1
+	TrackServing = 2
+	TrackStore   = 3
+	TrackCluster = 4
 )
 
 // trackNames label the tracks in the Chrome trace metadata.
 var trackNames = map[int]string{
-	TrackTuner:     "model-tuning",
-	TrackServing:   "inference-serving",
-	TrackStore:     "historical-store",
-	TrackCluster:   "cluster",
-	TrackAutoscale: "autoscale",
+	TrackTuner:   "model-tuning",
+	TrackServing: "inference-serving",
+	TrackStore:   "historical-store",
+	TrackCluster: "cluster",
 }
 
 // SpanID identifies a span; 0 means "no parent".
@@ -502,7 +503,7 @@ func (t *Tracer) Dropped() int64 {
 
 // sorted concatenates the buffer's blocks into one slice, each run's
 // leaves built in just before the leaf that holds them, and puts it in
-// deterministic (start, ID) order.
+// the export order compareRecords defines.
 func (t *Tracer) sorted() []spanRecord {
 	t.mu.Lock()
 	out := make([]spanRecord, 0, t.kept())
@@ -524,13 +525,40 @@ func (t *Tracer) sorted() []spanRecord {
 		}
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, compareRecords)
 	return out
+}
+
+// compareRecords orders records by start, then ID, then their own
+// content. A job that fails over runs again from start 0 under the same
+// root ID, so records that differ can tie on (start, ID); the content
+// orders them the same wherever concurrent jobs left them in the
+// buffer. Records it calls equal export the same bytes.
+func compareRecords(a, b spanRecord) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dur, b.Dur); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Track, b.Track); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Parent, b.Parent); c != 0 {
+		return c
+	}
+	return slices.CompareFunc(a.Attrs, b.Attrs, func(x, y Attr) int {
+		if c := strings.Compare(x.Key, y.Key); c != 0 {
+			return c
+		}
+		return strings.Compare(fmt.Sprintf("%T %v", x.Value, x.Value), fmt.Sprintf("%T %v", y.Value, y.Value))
+	})
 }
 
 // WriteJSONL exports the trace as one JSON span per line, in

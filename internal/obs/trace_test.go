@@ -500,8 +500,8 @@ func TestStepsMatchesLeafLoop(t *testing.T) {
 
 // TestStepsKeepTiesInPlace: a job that fails over runs again from the
 // start under the same root ID, so the export's (start, ID) order ties
-// spans that differ. The sort leaves such ties where it finds them, so
-// a run's leaves must reach it where the Leaf loop put them.
+// spans that differ; with such ties, a run's leaves must export as the
+// Leaf loop's do.
 func TestStepsKeepTiesInPlace(t *testing.T) {
 	build := func(emit func(*Span, string, time.Duration, time.Duration, string, int, int, ...Attr)) *Tracer {
 		tr := NewTracer()
@@ -519,6 +519,48 @@ func TestStepsKeepTiesInPlace(t *testing.T) {
 	gotJ, gotC := exports(t, build((*Span).Steps))
 	if !bytes.Equal(gotJ, wantJ) || !bytes.Equal(gotC, wantC) {
 		t.Errorf("with ties, Steps exports differently from the Leaf loop")
+	}
+}
+
+// TestExportOrderIsTotal: records that tie on (start, ID) but differ —
+// a failed-over job's two "tune" roots — export in the same order
+// whichever reached the buffer first, as concurrent jobs interleave.
+func TestExportOrderIsTotal(t *testing.T) {
+	// Each differs from the first in one field; the test sets name and
+	// parent by hand, as a real ID hashes them in.
+	type root struct {
+		end    time.Duration
+		track  int
+		name   string
+		parent SpanID
+		attrs  []Attr
+	}
+	roots := []root{
+		{5 * time.Second, TrackTuner, "tune", 0, nil},
+		{9 * time.Second, TrackTuner, "tune", 0, nil},
+		{5 * time.Second, TrackCluster, "tune", 0, nil},
+		{5 * time.Second, TrackTuner, "tuning", 0, nil},
+		{5 * time.Second, TrackTuner, "tune", 7, nil},
+		{5 * time.Second, TrackTuner, "tune", 0, []Attr{Int("trials", 3)}},
+		{5 * time.Second, TrackTuner, "tune", 0, []Attr{Int("trials", 4)}},
+		{5 * time.Second, TrackTuner, "tune", 0, []Attr{Str("trials", "3")}},
+	}
+	build := func(order []int) *Tracer {
+		tr := NewTracer()
+		for _, i := range order {
+			r := roots[i]
+			sp := tr.Root(r.track, "tune", 42, 0, r.attrs...)
+			sp.name, sp.parent = r.name, r.parent
+			sp.End(r.end)
+		}
+		return tr
+	}
+	wantJ, wantC := exports(t, build([]int{0, 1, 2, 3, 4, 5, 6, 7}))
+	for _, order := range [][]int{{7, 6, 5, 4, 3, 2, 1, 0}, {3, 1, 7, 5, 0, 6, 4, 2}} {
+		gotJ, gotC := exports(t, build(order))
+		if !bytes.Equal(gotJ, wantJ) || !bytes.Equal(gotC, wantC) {
+			t.Errorf("buffer order %v exports differently:\n%s\nvs\n%s", order, gotJ, wantJ)
+		}
 	}
 }
 
