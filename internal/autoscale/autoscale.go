@@ -1,5 +1,9 @@
 // Package autoscale implements a deterministic, sim-clock autoscaler
-// for the inference server's simulated device pool.
+// for a simulated device pool. No server wires it: the inference server
+// tunes each request on its one device (the paper's §3.4), and a job
+// never holds more than one request in it. The package's own tests,
+// the autoscale.evaluate hot-loop row and the BenchmarkAutoscaleDecision
+// experiment are what run it.
 //
 // The controller is a pure state machine: it is evaluated exactly once
 // per request submission (the "tick"), and every input it sees —
@@ -9,8 +13,8 @@
 // decision streams, which the controller folds into an FNV-1a digest
 // so tests and CI can compare whole runs with a single value.
 //
-// Scaling up is never free: each added replica charges a warm-up cost
-// (time and energy) to the run's budget, mirroring the warm-up-aware
+// Scaling up is never free: each decision to add a replica carries a
+// warm-up cost (time and energy), mirroring the warm-up-aware
 // scaling argument in "On the Sustainability of AI Inferences in the
 // Edge". Scaling down is hysteresis-bounded so a single calm tick
 // cannot flap capacity away.
@@ -31,10 +35,10 @@ type Config struct {
 	Max int
 }
 
-// CapacityTarget is the serving/capacity objective's success target:
-// the controller's burn rate divides its windowed bad-event rate by the
+// CapacityTarget is the capacity objective's success target: the
+// controller's burn rate divides its windowed bad-event rate by the
 // error budget 1 − CapacityTarget. Typed, so that budget is the float64
-// difference the SLO evaluator computes for the same objective.
+// difference an SLO evaluator computes for the same target.
 const CapacityTarget float64 = 0.95
 
 // The control loop. Saturation (in-system depth over queue limit) at or

@@ -118,8 +118,9 @@ func checkTwinConvergence(ev Evidence) []Violation {
 // checkBudgetConservation recomputes the tuning bill from first
 // principles — every trial's training cost plus its retry cost — and
 // requires the reported totals to match: retries charged exactly once,
-// nothing lost, nothing double-billed. Duration arithmetic is integer so the match
-// is exact; energy sums floats in trial order, so it gets an epsilon.
+// nothing lost, nothing double-billed. Duration arithmetic is integer
+// so the match is exact; energy sums floats in trial order, so it gets
+// an epsilon.
 func checkBudgetConservation(ev Evidence) []Violation {
 	o := ev.First
 	if o.RunErr != nil {

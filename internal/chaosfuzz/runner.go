@@ -346,8 +346,9 @@ func (o *runOutcome) finalize() {
 }
 
 // writeResult folds the full result — budget totals, every trial's
-// accounting, the metrics and SLO snapshots — into h. Any scheduling nondeterminism anywhere in the
-// pipeline shows up as a digest mismatch between twin runs.
+// accounting, the metrics and SLO snapshots — into h. Any scheduling
+// nondeterminism anywhere in the pipeline shows up as a digest mismatch
+// between twin runs.
 func writeResult(h interface{ Write([]byte) (int, error) }, res *core.Result) {
 	fmt.Fprintf(h, "dur=%d;energy=%.9g;trials=%d;hits=%d;misses=%d;target=%v;",
 		res.TuningDuration, res.TuningEnergyKJ, res.TrialsRun, res.CacheHits, res.CacheMisses, res.ReachedTarget)

@@ -93,9 +93,10 @@ func (s Schedule) failoverOnly() bool {
 }
 
 // plans splits the schedule into the two injectors that consult it:
-// the job-level plan (trial, device, store, and disk classes — the single-node runner shares one injector config between
-// the tuner and its fault filesystem) and the cluster fabric plan
-// (shard kills and replication-link faults).
+// the job-level plan (trial, device, store, and disk classes — the
+// single-node runner shares one injector config between the tuner and
+// its fault filesystem) and the cluster fabric plan (shard kills and
+// replication-link faults).
 func (s Schedule) plans() (job, cluster *fault.Plan, err error) {
 	var jobEvents, clusterEvents []fault.Event
 	for _, ev := range s.Events {

@@ -75,13 +75,6 @@ func (a *admission) push(j *call) error {
 	return nil
 }
 
-// queuedLen reports the queued (not in-flight) job count.
-func (a *admission) queuedLen() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue)
-}
-
 // take blocks for the next job, returning false when the queue is
 // closed and empty.
 func (a *admission) take() (*call, bool) {
@@ -167,13 +160,6 @@ func (a *admission) setHold(h bool) {
 	defer a.mu.Unlock()
 	a.hold = h
 	a.cond.Broadcast()
-}
-
-// inSystem reports queued plus in-flight jobs.
-func (a *admission) inSystem() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue) + a.inflight
 }
 
 // setDepth publishes the in-system count to the depth gauge; callers

@@ -10,3 +10,17 @@ func (s *InferenceServer) PendingWrites() int {
 	}
 	return int(reg.Gauge("store.writebehind.pending").Value())
 }
+
+// queuedLen reports the queued (not in-flight) job count.
+func (a *admission) queuedLen() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.queue)
+}
+
+// inSystem reports queued plus in-flight jobs.
+func (a *admission) inSystem() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.queue) + a.inflight
+}

@@ -557,7 +557,8 @@ func compareRecords(a, b spanRecord) int {
 		if c := strings.Compare(x.Key, y.Key); c != 0 {
 			return c
 		}
-		return strings.Compare(fmt.Sprintf("%T %v", x.Value, x.Value), fmt.Sprintf("%T %v", y.Value, y.Value))
+		vx, vy := fmt.Sprintf("%T %v", x.Value, x.Value), fmt.Sprintf("%T %v", y.Value, y.Value)
+		return strings.Compare(vx, vy)
 	})
 }
 
