@@ -232,8 +232,12 @@ gate "store durability under faulty disks"
 # the fault spec parser, which reads whatever -faults says, the Job
 # decoder, which reads whatever -job names, and checkpoint restore, which
 # resumes a job from whatever the store holds (their seed corpora already
-# ran above, as ordinary tests).
+# ran above, as ordinary tests). Before the fuzzers, twenty race runs of
+# the group-commit tests: reads beside a put parked in its fsync, one
+# fsync per flush, the kept prefix of a failed group, frames shipped
+# only once fsynced, WAL order against apply order, the kill point.
 go test -race -count=2 ./internal/store ./internal/fault
+go test -race -count=20 -run '^TestGroupCommit|^TestWriteBehindFailedFlushWakesWaitingGet$' ./internal/store
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .

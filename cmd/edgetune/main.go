@@ -26,14 +26,15 @@
 //
 // With -flight, an always-on flight recorder captures a compact event
 // stream from both pipelines into a preallocated ring; anomaly
-// triggers (SLO alerts, shard failover, crash salvage, mass device
-// failure) cut deterministic incident dossiers
-// into the report, written as JSON artefacts under -incidents-dir. In
-// cluster mode each shard gets its own recorder and its dossiers are
-// written (shard-prefixed) when the cluster closes.
+// triggers (SLO alerts, shard failover, crash salvage) cut
+// deterministic incident dossiers into the report, written as JSON
+// artefacts under -incidents-dir. In cluster mode each shard gets its
+// own recorder and its dossiers are written (shard-prefixed) when the
+// cluster closes.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,10 +51,24 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "edgetune:", err)
+		printError(os.Stderr, err)
 		os.Exit(1)
 	}
 }
+
+// printError writes the line a failed run exits with. A command line
+// the flag set rejected gets a second line, a pointer to -help, instead
+// of the whole flag list.
+func printError(w io.Writer, err error) {
+	fmt.Fprintln(w, "edgetune:", err)
+	if errors.As(err, new(badArgs)) {
+		fmt.Fprintln(w, "edgetune: run 'edgetune -help' for the list of flags")
+	}
+}
+
+// badArgs is a command line the flag set rejected: a flag it does not
+// define, or a value the flag's type does not parse.
+type badArgs struct{ error }
 
 // bound is the range a flag's value must lie in, whether the value came
 // from the command line or from the job file.
@@ -125,6 +140,8 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 
 // parse reads args into the rows' fields. A flag's default is whatever
 // its field already holds, so parsing changes only what the user set.
+// Of what the flag set prints, only -help's flag list reaches stderr: a
+// rejected command line is returned as badArgs, for printError.
 func parse(args []string, rows []flagRow) error {
 	fs := flag.NewFlagSet("edgetune", flag.ContinueOnError)
 	for _, r := range rows {
@@ -143,7 +160,17 @@ func parse(args []string, rows []flagRow) error {
 			panic(fmt.Sprintf("flag -%s: no binding for a %T", r.name, p))
 		}
 	}
-	return fs.Parse(args)
+	var usage bytes.Buffer
+	fs.SetOutput(&usage)
+	err := fs.Parse(args)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Stderr.Write(usage.Bytes())
+		return err
+	case err != nil:
+		return badArgs{err}
+	}
+	return nil
 }
 
 // check fails fast on a malformed value, before any tuning work starts,

@@ -184,6 +184,9 @@ func TestRunFaultFlagValidation(t *testing.T) {
 		{"negative-autoscale-min", []string{"-autoscale-min", "-1"}, "not defined"},
 		{"negative-autoscale-max", []string{"-autoscale-max", "-4"}, "not defined"},
 		{"negative-brownout-factor", []string{"-faults", "brownout-factor=-6"}, "negative"},
+		// What the flag set itself rejects is one line too.
+		{"undefined-flag", []string{"-autoscale"}, "flag provided but not defined"},
+		{"unparsable-value", []string{"-seed", "abc"}, "invalid value"},
 		// A class outside the table, or one with no decision point in
 		// the job the other flags describe, is an error too.
 		{"unknown-class", []string{"-faults", "fault-crash=0.5"}, "unknown fault class"},
@@ -231,6 +234,28 @@ func TestRunFaultFlagValidation(t *testing.T) {
 	}
 	if _, err := os.Stat(st + ".wal"); err != nil {
 		t.Errorf("-store beside -job left no write-ahead log: %v", err)
+	}
+}
+
+// TestRejectedCommandLineIsTwoLines: an undefined flag or an
+// unparsable value prints the flag set's error and a pointer to -help,
+// not the flag list; an error found after parsing is its one line.
+func TestRejectedCommandLineIsTwoLines(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "IC", "-autoscale"}, "edgetune: flag provided but not defined: -autoscale\n" +
+			"edgetune: run 'edgetune -help' for the list of flags\n"},
+		{[]string{"-seed", "abc"}, "edgetune: invalid value \"abc\" for flag -seed: parse error\n" +
+			"edgetune: run 'edgetune -help' for the list of flags\n"},
+		{[]string{"-max-attempts", "-2"}, "edgetune: -max-attempts: negative value -2\n"},
+	} {
+		var stderr bytes.Buffer
+		printError(&stderr, run(tc.args, io.Discard))
+		if stderr.String() != tc.want {
+			t.Errorf("%v printed\n%q\nwant\n%q", tc.args, stderr.String(), tc.want)
+		}
 	}
 }
 

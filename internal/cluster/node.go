@@ -147,8 +147,9 @@ func (s *shard) close() error {
 }
 
 // replica ships a primary's WAL frames to its follower's log. Ship
-// runs with the primary store's mutex held, so it must only touch its
-// own state. Frames are raw on-disk encodings (length, CRC, payload):
+// runs after the frame's fsync with the primary store's WAL lock held
+// (reads of the store go on beside it), so it must only touch its own
+// state. Frames are raw on-disk encodings (length, CRC, payload):
 // appending them in order to the follower's WAL file yields a log the
 // normal recovery path replays verbatim.
 //

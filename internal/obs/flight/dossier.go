@@ -86,12 +86,12 @@ func (r *Recorder) Dossiers(src Sources) []Dossier {
 	if after <= 0 {
 		after = DefaultWindowAfter
 	}
-	events := r.Events()
 	triggers := r.Triggers()
-	_, _, dropped := r.Stats()
 	if len(triggers) == 0 {
 		return nil
 	}
+	events := r.Events()
+	_, _, dropped := r.Stats()
 
 	// Parse the trace once; each dossier filters its own window.
 	var spans *analyze.Trace

@@ -226,3 +226,21 @@ func TestRecordZeroAllocs(t *testing.T) {
 		t.Fatalf("Record allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestDossiersWithoutTriggerCopyNothing: a job with no incident cuts no
+// dossier, and asking costs nothing — the ring's events are copied only
+// once a trigger has fired.
+func TestDossiersWithoutTriggerCopyNothing(t *testing.T) {
+	r := New(1024)
+	for i := range 512 {
+		r.Record(time.Duration(i), KindWAL, "append", "", int64(i), 64)
+	}
+	allocs := testing.AllocsPerRun(64, func() {
+		if ds := r.Dossiers(Sources{}); ds != nil {
+			t.Fatalf("dossiers without a trigger: %v", ds)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Dossiers without a trigger allocates %.1f allocs/op, want 0", allocs)
+	}
+}

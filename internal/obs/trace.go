@@ -26,9 +26,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -569,15 +571,112 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	for _, rec := range t.sorted() {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("obs: marshal span %d: %w", rec.ID, err)
+	recs := t.sorted()
+	var line []byte
+	for i := range recs {
+		var ok bool
+		if line, ok = appendRecord(line[:0], &recs[i]); !ok {
+			data, err := json.Marshal(&recs[i])
+			if err != nil {
+				return fmt.Errorf("obs: marshal span %d: %w", recs[i].ID, err)
+			}
+			line = data
 		}
-		bw.Write(data)
-		bw.WriteByte('\n')
+		bw.Write(append(line, '\n'))
 	}
 	return bw.Flush()
+}
+
+// appendRecord appends the bytes json.Marshal writes for rec, without
+// reflection or an Attr boxed per call. It reports false, having
+// appended part of them, when rec holds something only encoding/json
+// writes right: a string it escapes, or an attribute value that is not
+// a string, an int64, a finite float64 or a bool. The caller then
+// marshals the record, which also returns the error NaN or ±Inf gets.
+func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
+	if !plainString(rec.Name) {
+		return b, false
+	}
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, rec.ID, 10)
+	if rec.Parent != 0 {
+		b = append(b, `,"parent":`...)
+		b = strconv.AppendUint(b, rec.Parent, 10)
+	}
+	b = append(b, `,"name":"`...)
+	b = append(b, rec.Name...)
+	b = append(b, `","track":`...)
+	b = strconv.AppendInt(b, int64(rec.Track), 10)
+	b = append(b, `,"startNs":`...)
+	b = strconv.AppendInt(b, rec.Start, 10)
+	b = append(b, `,"durNs":`...)
+	b = strconv.AppendInt(b, rec.Dur, 10)
+	if len(rec.Attrs) > 0 {
+		b = append(b, `,"attrs":[`...)
+		for i, a := range rec.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if !plainString(a.Key) {
+				return b, false
+			}
+			b = append(b, `{"k":"`...)
+			b = append(b, a.Key...)
+			b = append(b, `","v":`...)
+			switch v := a.Value.(type) {
+			case string:
+				if !plainString(v) {
+					return b, false
+				}
+				b = append(b, '"')
+				b = append(b, v...)
+				b = append(b, '"')
+			case int64:
+				b = strconv.AppendInt(b, v, 10)
+			case float64:
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return b, false
+				}
+				b = appendJSONFloat(b, v)
+			case bool:
+				b = strconv.AppendBool(b, v)
+			default:
+				return b, false
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), true
+}
+
+// plainString reports whether encoding/json writes s as it stands
+// between quotes: printable ASCII without a quote, a backslash or an
+// HTML character.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest decimal that round-trips, in exponent form below 1e-6 or
+// from 1e21 on, with a one-digit negative exponent unpadded (1e-7, not
+// 1e-07).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // WriteChrome exports the trace in the Chrome trace-event format

@@ -26,9 +26,12 @@ import (
 //
 // Attach semantics: the Durable owns its inner *Store — obtain it with
 // Store() and use it exactly like a plain store. Put, SaveCheckpoint,
-// and ClearCheckpoint are logged write-ahead under the store's mutex,
-// so WAL order always matches apply order; Sync is "sync the WAL,
-// compact if due".
+// and ClearCheckpoint are logged write-ahead under the store's WAL lock
+// and applied, after their fsync, under the same hold, so WAL order
+// always matches apply order; the map lock that reads take is held only
+// for the apply, never across a write or an fsync. A write-behind
+// Flush logs its whole batch as one group commit: every record written,
+// one fsync. Sync is "sync the WAL, compact if due".
 type Durable struct {
 	st *Store
 
@@ -44,15 +47,17 @@ type Durable struct {
 	killAfter    int
 	shipper      Shipper
 	fr           *flight.Recorder
-	// enc frames every append into one reused buffer: the frame an
-	// append writes and ships is valid until the next append, and every
-	// append runs under the store's mutex.
+	// enc frames every group commit into one reused buffer: the frames
+	// a commit writes and ships are valid until the next commit, and
+	// every commit runs under the store's WAL lock.
 	enc *walEncoder
 	// entry is the record slot of a put: the logged record points here
 	// rather than at the caller's entry, which would move every entry a
-	// store puts to the heap. Guarded, like enc, by the store's mutex.
+	// store puts to the heap. Guarded, like enc, by the WAL lock.
 	entry Entry
 
+	// failed, closed and closeErr, like every field above, are guarded
+	// by the store's WAL lock.
 	failed   error // sticky: the WAL could not be repaired in place
 	closed   bool
 	closeErr error
@@ -71,12 +76,15 @@ type Durable struct {
 var ErrDurableClosed = errors.New("store: durable store closed")
 
 // Shipper receives every durably acknowledged WAL frame, in append
-// order, while the store's mutex is held — the hook the cluster layer
-// uses to replicate a shard's log to its follower. The frame is the raw
+// order, after the fsync that made it durable and while the store's WAL
+// lock is held (reads go on meanwhile: they take only the map lock) —
+// the hook the cluster layer uses to replicate a shard's log to its
+// follower. A group commit ships its frames one by one after its one
+// fsync, before any of them is applied. The frame is the raw
 // on-disk encoding (length prefix, CRC, payload), so appending it
 // verbatim to another WAL file yields a valid log. The frame is
 // borrowed for the call: it is the store's reused frame buffer, which
-// the next append overwrites, so a Shipper that keeps a frame past Ship
+// the next commit overwrites, so a Shipper that keeps a frame past Ship
 // keeps a copy. Ship must not call back into the store.
 type Shipper interface {
 	Ship(seq int64, frame []byte)
@@ -346,78 +354,147 @@ func (d *Durable) writeQuarantine(frames [][]byte) {
 	f.Close()
 }
 
-// appendPutLocked logs the put of e through the record slot. Called
-// with the store's mutex held, like appendLocked.
-func (d *Durable) appendPutLocked(e Entry) error {
-	d.entry = e
-	err := d.appendLocked(walRecord{Op: walOpPut, Entry: &d.entry})
-	d.entry = Entry{}
-	return err
-}
-
-// appendLocked logs one mutation write-ahead. Called with the store's
-// mutex held, before the in-memory apply; an error means the mutation
-// is rejected and memory stays unchanged. A failed partial append is
-// repaired by truncating the log back to its last good length, so one
-// disk fault does not poison every later record.
-func (d *Durable) appendLocked(rec walRecord) error {
+// writable reports why the log takes no append, if it takes none.
+func (d *Durable) writable() error {
 	if d.failed != nil {
 		return d.failed
 	}
 	if d.closed {
 		return ErrDurableClosed
-	}
-	frame, err := d.enc.frame(rec)
-	if err != nil {
-		return err
-	}
-	n, werr := d.wal.Write(frame)
-	if werr == nil && n < len(frame) {
-		werr = io.ErrShortWrite
-	}
-	if werr == nil {
-		werr = d.wal.Sync()
-	}
-	d.appendSeq++
-	// The durability SLO runs on an operation-indexed clock — append
-	// sequence as milliseconds — deterministic and monotonic without
-	// threading the tuner's simulated clock into the storage layer.
-	at := time.Duration(d.appendSeq) * time.Millisecond
-	if werr != nil {
-		d.mAppendErrs.Inc()
-		d.sloDurability.Record(at, false)
-		d.fr.Record(at, flight.KindWAL, "append-error", "", d.appendSeq, int64(n))
-		if n > 0 {
-			if terr := d.fsys.Truncate(d.walPath, d.walSize); terr != nil {
-				d.failed = fmt.Errorf("store: wal unrepairable after failed append: %w", terr)
-			}
-		}
-		return fmt.Errorf("store: wal append: %w", werr)
-	}
-	d.walSize += int64(len(frame))
-	d.sinceCompact++
-	d.mAppends.Inc()
-	d.mWALBytes.Add(int64(len(frame)))
-	d.sloDurability.Record(at, true)
-	d.fr.Record(at, flight.KindWAL, "append", "", d.appendSeq, int64(len(frame)))
-	if d.shipper != nil {
-		d.shipper.Ship(d.appendSeq, frame)
-	}
-	if d.killAfter > 0 && d.appendSeq >= int64(d.killAfter) {
-		os.Exit(KillExitCode) // chaos: power loss right after the ack'd fsync
 	}
 	return nil
 }
 
+// appendPuts logs the puts of es as one group commit (commit) and
+// reports how many of them, a prefix of es, are durable. A put whose
+// record cannot be encoded ends the group before it. Called with the
+// store's WAL lock held, before the in-memory apply.
+func (d *Durable) appendPuts(es []Entry) (int, error) {
+	if err := d.writable(); err != nil {
+		return 0, err
+	}
+	// A group never crosses the kill point: the process still dies right
+	// after the fsync of exactly the KillAfterAppends-th append.
+	if left := d.killAfter - int(d.appendSeq); d.killAfter > 0 && left < len(es) {
+		es = es[:max(left, 1)]
+	}
+	d.enc.reset()
+	for i := range es {
+		// The record points at the slot, not at es[i]: that would move
+		// every batch a store puts to the heap.
+		d.entry = es[i]
+		err := d.enc.add(walRecord{Op: walOpPut, Entry: &d.entry})
+		d.entry = Entry{}
+		if err != nil {
+			n, cerr := d.commit()
+			if cerr != nil {
+				return n, cerr
+			}
+			return n, err
+		}
+	}
+	return d.commit()
+}
+
+// append logs one mutation write-ahead, a group of one. Called with
+// the store's WAL lock held, before the in-memory apply; an error means
+// the mutation is rejected and memory stays unchanged.
+func (d *Durable) append(rec walRecord) error {
+	if err := d.writable(); err != nil {
+		return err
+	}
+	d.enc.reset()
+	if err := d.enc.add(rec); err != nil {
+		return err
+	}
+	_, err := d.commit()
+	return err
+}
+
+// commit writes the frames the encoder holds to the log, one Write
+// each, and fsyncs them once: a group commit. Only after that fsync
+// does a frame count as appended — its sequence number, metrics, SLO
+// and flight records, its Ship — so no follower sees a frame that is
+// not on disk. It returns how many frames, a prefix, are durable.
+//
+// A failed write at frame i cuts the log back to frames 0..i-1 and
+// fsyncs those; a failed fsync cuts the whole group off. So one disk
+// fault does not poison every later record. Either way the first frame
+// not kept counts as one failed append, as it would alone, and the
+// frames after it are not attempted.
+func (d *Durable) commit() (int, error) {
+	frames := d.enc.frames()
+	if frames == 0 {
+		return 0, nil
+	}
+	good, end, written := frames, d.walSize, 0
+	var err error
+	for i := 0; i < frames; i++ {
+		frame := d.enc.frame(i)
+		n, werr := d.wal.Write(frame)
+		if werr == nil && n < len(frame) {
+			werr = io.ErrShortWrite
+		}
+		if werr != nil {
+			good, written, err = i, n, werr
+			break
+		}
+		end += int64(len(frame))
+	}
+	if err != nil && written > 0 {
+		if terr := d.fsys.Truncate(d.walPath, end); terr != nil {
+			d.failed = fmt.Errorf("store: wal unrepairable after failed append: %w", terr)
+			good = 0
+		}
+	}
+	if good > 0 {
+		if serr := d.wal.Sync(); serr != nil {
+			good, written, err = 0, len(d.enc.frame(0)), serr
+			if terr := d.fsys.Truncate(d.walPath, d.walSize); terr != nil {
+				d.failed = fmt.Errorf("store: wal unrepairable after failed append: %w", terr)
+			}
+		}
+	}
+	for i := 0; i < good; i++ {
+		frame := d.enc.frame(i)
+		d.appendSeq++
+		d.walSize += int64(len(frame))
+		d.sinceCompact++
+		d.mAppends.Inc()
+		d.mWALBytes.Add(int64(len(frame)))
+		d.sloDurability.Record(d.appendClock(), true)
+		d.fr.Record(d.appendClock(), flight.KindWAL, "append", "", d.appendSeq, int64(len(frame)))
+		if d.shipper != nil {
+			d.shipper.Ship(d.appendSeq, frame)
+		}
+		if d.killAfter > 0 && d.appendSeq >= int64(d.killAfter) {
+			os.Exit(KillExitCode) // chaos: power loss right after the ack'd fsync
+		}
+	}
+	if err != nil {
+		d.appendSeq++
+		d.mAppendErrs.Inc()
+		d.sloDurability.Record(d.appendClock(), false)
+		d.fr.Record(d.appendClock(), flight.KindWAL, "append-error", "", d.appendSeq, int64(written))
+		return good, fmt.Errorf("store: wal append: %w", err)
+	}
+	return good, nil
+}
+
+// appendClock is the durability SLO's operation-indexed clock: append
+// sequence as milliseconds, deterministic and monotonic without
+// threading the tuner's simulated clock into the storage layer.
+func (d *Durable) appendClock() time.Duration {
+	return time.Duration(d.appendSeq) * time.Millisecond
+}
+
 // persistLocked is the durable half of Store.Sync: the WAL already
 // holds every acknowledged mutation, so it compacts when enough log has
-// accumulated and otherwise just re-asserts the sync.
+// accumulated and otherwise just re-asserts the sync. Called with the
+// store's WAL lock held.
 func (d *Durable) persistLocked() error {
-	if d.failed != nil {
-		return d.failed
-	}
-	if d.closed {
-		return ErrDurableClosed
+	if err := d.writable(); err != nil {
+		return err
 	}
 	if d.every > 0 && d.sinceCompact >= d.every {
 		return d.compactLocked()
@@ -430,6 +507,9 @@ func (d *Durable) persistLocked() error {
 // recovery always has a fallback; the crash windows are all safe:
 // before the rename the old snapshot + full WAL recover, between
 // rename and truncate the new snapshot + an idempotent replay recover.
+// Called with the store's WAL lock held, which keeps every mutation
+// out; reads go on, since it takes the map lock only to copy the
+// hit/miss counters.
 func (d *Durable) compactLocked() error {
 	file := d.st.snapshotFileLocked()
 	data, err := json.MarshalIndent(file, "", "  ")
@@ -460,8 +540,8 @@ func (d *Durable) compactLocked() error {
 // when compaction fails (the disk died), every acknowledged mutation
 // is still in the WAL, so the next OpenDurable loses nothing.
 func (d *Durable) Close() error {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
+	d.st.walMu.Lock()
+	defer d.st.walMu.Unlock()
 	if d.closed {
 		return d.closeErr
 	}
@@ -485,8 +565,8 @@ func (d *Durable) Close() error {
 // to depose a killed primary whose directory must remain untouched
 // evidence (recoverable, never mutated after the kill).
 func (d *Durable) Abandon() error {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
+	d.st.walMu.Lock()
+	defer d.st.walMu.Unlock()
 	if d.closed {
 		return d.closeErr
 	}

@@ -2,13 +2,10 @@ package store
 
 // Compact folds the WAL into a fresh snapshot now.
 func (d *Durable) Compact() error {
-	d.st.mu.Lock()
-	defer d.st.mu.Unlock()
-	if d.failed != nil {
-		return d.failed
-	}
-	if d.closed {
-		return ErrDurableClosed
+	d.st.walMu.Lock()
+	defer d.st.walMu.Unlock()
+	if err := d.writable(); err != nil {
+		return err
 	}
 	return d.compactLocked()
 }
@@ -19,3 +16,7 @@ func (w *WriteBehind) Pending() int {
 	defer w.mu.Unlock()
 	return len(w.pending)
 }
+
+// PutBatch puts valid entries as one group commit (putBatch) and
+// reports how many, a prefix, the store now holds.
+func (s *Store) PutBatch(es []Entry) (int, error) { return s.putBatch(es) }

@@ -56,8 +56,17 @@ var ErrNotFound = errors.New("store: entry not found")
 // SaveCheckpoint caller handed over, and the key's next SaveCheckpoint
 // hands it back to that caller, who writes the checkpoint after into
 // it. So LoadCheckpoint copies it out, and compaction encodes it under
-// mu.
+// walMu.
+//
+// Two locks: walMu orders mutations and mu guards the maps. A mutation
+// holds walMu from its WAL record's framing through write, fsync and
+// ship to its in-memory apply, and takes mu only for that apply, so a
+// read, which takes mu alone, never waits on the disk. Compaction runs
+// under walMu and reads the maps without mu: only walMu holders write
+// them. Lock order: walMu, then mu.
 type Store struct {
+	walMu sync.Mutex
+	// mu guards the maps and the hit/miss counters.
 	mu      sync.Mutex
 	entries map[string]Entry
 	hits    int
@@ -67,7 +76,8 @@ type Store struct {
 	// the same persistence as the historical database.
 	checkpoints map[string]json.RawMessage
 	// dur, when set by OpenDurable, journals every mutation write-ahead
-	// (under mu, before the in-memory apply) and gives Sync something to do.
+	// (under walMu, before the in-memory apply) and gives Sync something
+	// to do.
 	dur *Durable
 }
 
@@ -90,18 +100,32 @@ func (s *Store) put(e Entry) error {
 	if e.Device == "" {
 		return fmt.Errorf("store: entry with empty device")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	one := [1]Entry{e}
+	_, err := s.putBatch(one[:])
+	return err
+}
+
+// putBatch puts valid entries in order, taking their Configs over. On a
+// durable store they are one group commit: every entry's WAL record is
+// written, the log is fsynced once, and only then are the entries
+// applied. It returns how many entries, a prefix of es, the store now
+// holds; on error it holds none of the rest.
+func (s *Store) putBatch(es []Entry) (int, error) {
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
+	n, err := len(es), error(nil)
 	if s.dur != nil {
-		if err := s.dur.appendPutLocked(e); err != nil {
-			return err
-		}
+		n, err = s.dur.appendPuts(es)
 	}
+	s.mu.Lock()
 	if s.entries == nil {
 		s.entries = make(map[string]Entry)
 	}
-	s.entries[e.key()] = e
-	return nil
+	for _, e := range es[:n] {
+		s.entries[e.key()] = e
+	}
+	s.mu.Unlock()
+	return n, err
 }
 
 // Get looks up the cached result for an architecture on a device,
@@ -172,15 +196,17 @@ func (s *Store) SaveCheckpoint(key string, data []byte) (prev []byte, err error)
 	if !json.Valid(data) {
 		return nil, fmt.Errorf("store: checkpoint %q is not valid JSON", key)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
 	if s.dur != nil {
-		// The record borrows data: appendLocked has framed it before it
+		// The record borrows data: append has framed it before it
 		// returns, and keeps nothing of the record.
-		if err := s.dur.appendLocked(walRecord{Op: walOpCheckpoint, Key: key, Data: data}); err != nil {
+		if err := s.dur.append(walRecord{Op: walOpCheckpoint, Key: key, Data: data}); err != nil {
 			return nil, err
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.checkpoints == nil {
 		s.checkpoints = make(map[string]json.RawMessage)
 	}
@@ -204,15 +230,17 @@ func (s *Store) LoadCheckpoint(key string) ([]byte, bool) {
 // absent). Only WAL replay calls it: a job that completes keeps its
 // final checkpoint as a durable completion marker (DESIGN.md §4.9).
 func (s *Store) ClearCheckpoint(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
 	if s.dur != nil {
 		// Best effort: a failed log append here only means the clear may
 		// be replayed as a no-op delete after a crash; the in-memory
 		// clear (and the next compaction) still happens.
-		s.dur.appendLocked(walRecord{Op: walOpClear, Key: key})
+		s.dur.append(walRecord{Op: walOpClear, Key: key})
 	}
+	s.mu.Lock()
 	delete(s.checkpoints, key)
+	s.mu.Unlock()
 }
 
 // CheckpointKeys lists stored checkpoint keys in sorted order.
@@ -245,16 +273,20 @@ type storeStats struct {
 // snapshotFileLocked builds the on-disk document from the current
 // state. Its entries share the stored Config maps, which nothing writes
 // to, and its checkpoints are the stored map, whose blobs the next
-// SaveCheckpoint hands back to be overwritten: callers hold s.mu until
-// the document is encoded.
+// SaveCheckpoint hands back to be overwritten: callers hold s.walMu
+// until the document is encoded. Holding it, they read the maps without
+// mu; only the hit/miss counters, which reads move, are copied under it.
 func (s *Store) snapshotFileLocked() storeFile {
 	file := storeFile{Entries: make([]Entry, 0, len(s.entries)), Checkpoints: s.checkpoints}
 	for _, e := range s.entries {
 		file.Entries = append(file.Entries, e)
 	}
 	sort.Slice(file.Entries, func(i, j int) bool { return file.Entries[i].key() < file.Entries[j].key() })
-	if s.hits != 0 || s.misses != 0 {
-		file.Stats = &storeStats{Hits: s.hits, Misses: s.misses}
+	s.mu.Lock()
+	hits, misses := s.hits, s.misses
+	s.mu.Unlock()
+	if hits != 0 || misses != 0 {
+		file.Stats = &storeStats{Hits: hits, Misses: misses}
 	}
 	return file
 }
@@ -263,8 +295,8 @@ func (s *Store) snapshotFileLocked() storeFile {
 // process kill: nothing to do for an in-memory store, "sync the WAL and
 // compact if due" for a durable one (OpenDurable).
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
 	if s.dur == nil {
 		return nil
 	}

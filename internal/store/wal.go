@@ -48,15 +48,19 @@ const (
 )
 
 // walEncoder frames records for appending into one buffer it reuses,
-// so an append allocates no frame of its own. The payload is what
-// json.Marshal writes (an Encoder with its defaults writes the same
-// bytes, plus a newline it drops), so the format is encoding/json's.
+// so an append allocates no frame of its own. A group commit frames
+// all its records into the buffer, one after another, before it writes
+// any. The payload is what json.Marshal writes (an Encoder with its
+// defaults writes the same bytes, plus a newline it drops), so the
+// format is encoding/json's.
 type walEncoder struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 	// rec holds the record while it is encoded: Encode takes a pointer
 	// into the encoder instead of one to a record boxed per call.
 	rec walRecord
+	// ends marks where each frame added since the last reset ends in buf.
+	ends []int
 }
 
 func newWALEncoder() *walEncoder {
@@ -65,25 +69,46 @@ func newWALEncoder() *walEncoder {
 	return w
 }
 
-// frame encodes rec as one length-prefixed, checksummed frame. The
-// frame is the encoder's own buffer: it is valid until the next call,
-// and a caller that keeps it copies it. rec's bytes are not retained.
+// reset empties the buffer for the next group of frames.
+func (w *walEncoder) reset() {
+	w.buf.Reset()
+	w.ends = w.ends[:0]
+}
+
+// frames reports how many frames the buffer holds.
+func (w *walEncoder) frames() int { return len(w.ends) }
+
+// frame returns the ith frame in the buffer. It is the encoder's own
+// memory: valid until the next add or reset, and a caller that keeps it
+// copies it.
+func (w *walEncoder) frame(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = w.ends[i-1]
+	}
+	return w.buf.Bytes()[start:w.ends[i]]
+}
+
+// add encodes rec as one length-prefixed, checksummed frame after the
+// frames already in the buffer. rec's bytes are not retained. On error
+// the buffer is as it was.
 //
 // A checkpoint record whose key and blob hold nothing encoding/json
 // escapes is written directly: the record's fields in order, the key
 // as it stands, the blob compacted. That is json.Marshal's payload for
 // it, without the round trip of a ≈ 20 KB blob through encoding/json's
 // pooled encode state, which the collector empties.
-func (w *walEncoder) frame(rec walRecord) ([]byte, error) {
+func (w *walEncoder) add(rec walRecord) error {
 	var header [walHeaderSize]byte // length and CRC, filled in below
-	w.buf.Reset()
+	start := w.buf.Len()
 	w.buf.Write(header[:])
 	if rec.Op == walOpCheckpoint && rec.Key != "" && plainKey(rec.Key) && plainBlob(rec.Data) {
 		w.buf.WriteString(`{"op":"checkpoint","key":"`)
 		w.buf.WriteString(rec.Key)
 		w.buf.WriteString(`","data":`)
 		if err := json.Compact(&w.buf, rec.Data); err != nil {
-			return nil, fmt.Errorf("store: marshal wal record: %w", err)
+			w.buf.Truncate(start)
+			return fmt.Errorf("store: marshal wal record: %w", err)
 		}
 		w.buf.WriteByte('}')
 	} else {
@@ -91,15 +116,17 @@ func (w *walEncoder) frame(rec walRecord) ([]byte, error) {
 		err := w.enc.Encode(&w.rec)
 		w.rec = walRecord{}
 		if err != nil {
-			return nil, fmt.Errorf("store: marshal wal record: %w", err)
+			w.buf.Truncate(start)
+			return fmt.Errorf("store: marshal wal record: %w", err)
 		}
 		w.buf.Truncate(w.buf.Len() - 1) // Encode's trailing newline
 	}
-	frame := w.buf.Bytes()
+	frame := w.buf.Bytes()[start:]
 	payload := frame[walHeaderSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return frame, nil
+	w.ends = append(w.ends, w.buf.Len())
+	return nil
 }
 
 // plainKey reports whether encoding/json writes key as it stands:

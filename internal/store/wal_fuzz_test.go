@@ -37,19 +37,17 @@ func walRecordsFrom(data []byte) []walRecord {
 	return recs
 }
 
-// walFrames is the log the store's own encoder writes for recs.
+// walFrames is the log the store's own encoder writes for recs, framed
+// as one group commit.
 func walFrames(t testing.TB, recs []walRecord) []byte {
 	t.Helper()
-	var log []byte
 	enc := newWALEncoder()
 	for _, rec := range recs {
-		frame, err := enc.frame(rec)
-		if err != nil {
+		if err := enc.add(rec); err != nil {
 			t.Fatalf("encode %+v: %v", rec, err)
 		}
-		log = append(log, frame...)
 	}
-	return log
+	return append([]byte(nil), enc.buf.Bytes()...)
 }
 
 // FuzzScanWAL: the log decoder reads whatever a crash left on disk. On
@@ -109,7 +107,7 @@ func FuzzScanWAL(f *testing.F) {
 			if !validWALRecord(rec) {
 				t.Fatalf("accepted a record that cannot be applied: %+v", rec)
 			}
-			if _, err := newWALEncoder().frame(rec); err != nil {
+			if err := newWALEncoder().add(rec); err != nil {
 				t.Fatalf("accepted a record that cannot be logged again: %+v: %v", rec, err)
 			}
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"edgetune/internal/obs"
@@ -178,32 +179,79 @@ func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 	for _, inFlight := w.flushing[key]; inFlight; _, inFlight = w.flushing[key] {
 		w.flushed.Wait() // written, or re-queued into pending by a failed flush
 	}
-	if e, ok := w.pending[key]; ok {
-		if err := w.st.put(e); err != nil {
-			w.mu.Unlock()
+	_, pending := w.pending[key]
+	w.mu.Unlock()
+	if pending {
+		if err := w.promote(key); err != nil {
 			return Entry{}, err
 		}
-		delete(w.pending, key)
-		for i, k := range w.order {
-			if k == key {
-				w.order = append(w.order[:i], w.order[i+1:]...)
-				break
-			}
-		}
-		w.mPending.Set(float64(len(w.pending)))
 	}
-	w.mu.Unlock()
 	return w.st.get(signature, dev)
 }
 
+// promote writes the pending entry under key to the store as a Flush of
+// that one entry would: under flushMu, through flushing, so the store
+// write runs without mu — Puts and Gets go on meanwhile — and the entry
+// stays readable. If the write fails, the key goes back to its place in
+// the buffer's order, with the entry or any newer value a Put left
+// meanwhile.
+func (w *WriteBehind) promote(key string) error {
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	w.mu.Lock()
+	e, ok := w.pending[key]
+	if !ok { // a Flush wrote it while this Get waited for flushMu
+		w.mu.Unlock()
+		return nil
+	}
+	// k is the buffer's own copy of the key: keeping the caller's would
+	// move every Get's key to the heap.
+	at := slices.Index(w.order, key)
+	k := w.order[at]
+	w.order = slices.Delete(w.order, at, at+1)
+	delete(w.pending, k)
+	if w.spareMap == nil {
+		w.spareMap = make(map[string]Entry)
+	}
+	w.flushing = w.spareMap // empty: it belongs to flushMu, as flushing does
+	w.flushing[k] = e
+	w.mPending.Set(float64(len(w.pending)))
+	w.mu.Unlock()
+
+	err := w.st.put(e)
+
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	delete(w.flushing, k)
+	w.flushing = nil
+	w.flushed.Broadcast()
+	if err != nil {
+		if _, newer := w.pending[k]; newer {
+			i := slices.Index(w.order, k)
+			w.order = slices.Delete(w.order, i, i+1)
+		} else {
+			w.pending[k] = e
+		}
+		w.order = slices.Insert(w.order, at, k)
+		w.mPending.Set(float64(len(w.pending)))
+	}
+	return err
+}
+
 // Flush synchronously drains every buffered entry into the store, in
-// insertion order. A failed Put does not lose data: the failing entry
-// and everything after it are re-queued (unless a newer Put for the
-// same key raced in), the failure is counted, and the error returned —
-// so a later Flush, or the one Close runs, retries them.
+// insertion order, as one group commit: on a durable store, one WAL
+// write per entry and one fsync for them all. A failed write does not
+// lose data: the entries before it are kept, the failing entry and
+// everything after it are re-queued (unless a newer Put for the same
+// key raced in), the failure is counted, and the error returned — so a
+// later Flush, or the one Close runs, retries them.
+//
+// In sync mode each entry is a commit of its own, so a fault-injected
+// filesystem sees one (write, fsync) per record, in the order its seed
+// replays, whatever a failed flush left queued.
 //
 // The entries being written stay readable: Flush moves them to flushing,
-// and each leaves it only when its Put has returned. Without that, an
+// and they leave it only when the store holds them. Without that, an
 // entry would for a moment be in neither buffer nor store, and a repeat
 // request landing there would be searched a second time.
 func (w *WriteBehind) Flush() error {
@@ -224,15 +272,23 @@ func (w *WriteBehind) Flush() error {
 	w.mPending.Set(0)
 	w.mu.Unlock()
 	w.spareMap, w.spareOrder, w.spareEntries = nil, nil, nil
-	for i, e := range entries {
-		if err := w.st.put(e); err != nil {
-			w.requeue(entries[i:], err) // hands on no spares
-			return err
-		}
+	step := len(entries)
+	if w.syncMode {
+		step = 1
+	}
+	for done := 0; done < len(entries); {
+		n, err := w.st.putBatch(entries[done:min(done+step, len(entries))])
 		w.mu.Lock()
-		delete(w.flushing, keys[i])
+		for _, k := range keys[done : done+n] {
+			delete(w.flushing, k)
+		}
 		w.flushed.Broadcast()
 		w.mu.Unlock()
+		done += n
+		if err != nil {
+			w.requeue(entries[done:], err) // hands on no spares
+			return err
+		}
 	}
 	w.mu.Lock()
 	// Every entry has left flushing, so it is empty: it and the two

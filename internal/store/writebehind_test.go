@@ -308,8 +308,9 @@ func TestWriteBehindRequeuePreservesOrderAndNewerWrites(t *testing.T) {
 	}
 }
 
-// parkShipper parks the store Put that ships the first WAL frame — mid
-// write, with the store's mutex held — until release is closed.
+// parkShipper parks the store write that ships the first WAL frame —
+// after the fsync, before the apply, with the store's WAL lock held —
+// until release is closed.
 type parkShipper struct {
 	once    sync.Once
 	parked  chan struct{}
@@ -347,7 +348,7 @@ func TestWriteBehindFlushKeepsEntriesReadable(t *testing.T) {
 	}
 	flushErr := make(chan error, 1)
 	go func() { flushErr <- wb.Flush() }()
-	<-park.parked // sig-a's Put is in the store, not yet returned; sig-b's has not begun
+	<-park.parked // both frames are fsynced and shipping; neither entry is applied
 
 	wb.mu.Lock()
 	for _, key := range []string{"sig-a@i7", "sig-b@i7"} {
@@ -388,13 +389,14 @@ func TestWriteBehindFlushKeepsEntriesReadable(t *testing.T) {
 
 // TestWriteBehindFailedFlushWakesWaitingGet: a Get waiting on an entry
 // whose flush then fails must not hang — the entry is re-queued and the
-// Get goes on to promote it itself, surfacing the store's error.
+// Get goes on to promote it itself, surfacing the store's error. The
+// flush is one group commit, so what fails is sig-b's frame write,
+// held until the Get waits on it; sig-a's frame, written before it, is
+// kept: fsynced, applied and recovered.
 func TestWriteBehindFailedFlushWakesWaitingGet(t *testing.T) {
-	park := &parkShipper{parked: make(chan struct{}), release: make(chan struct{})}
-	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json"), Shipper: park})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGateFS()
+	g.parkWrite, g.failWrite = 2, 2 // sig-b's write, and every one after it
+	d := openGated(t, g, DurableOptions{})
 	wb := newWriteBehind(d.Store())
 	for _, sig := range []string{"sig-a", "sig-b"} {
 		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
@@ -403,36 +405,46 @@ func TestWriteBehindFailedFlushWakesWaitingGet(t *testing.T) {
 	}
 	flushErr := make(chan error, 1)
 	go func() { flushErr <- wb.Flush() }()
-	<-park.parked
+	<-g.parked
 	getErr := make(chan error, 1)
 	go func() {
 		_, err := wb.Get("sig-b", "i7")
 		getErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the Get start waiting on sig-b
-	// Closing the store from inside the parked Put is not possible (it
-	// holds the store's mutex); mark it closed directly so sig-b's Put,
-	// the next one, fails.
-	d.closed = true
-	close(park.release)
-	if err := <-flushErr; !errors.Is(err, ErrDurableClosed) {
-		t.Fatalf("Flush error = %v, want ErrDurableClosed", err)
+	close(g.release)
+	if err := <-flushErr; !errors.Is(err, errDisk) {
+		t.Fatalf("Flush error = %v, want the disk's", err)
 	}
 	select {
 	case err := <-getErr:
-		if !errors.Is(err, ErrDurableClosed) {
-			t.Errorf("waiting Get returned %v, want ErrDurableClosed", err)
+		if !errors.Is(err, errDisk) {
+			t.Errorf("waiting Get returned %v, want the disk's error", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Get still waiting on an entry whose flush failed")
 	}
-	if wb.Pending() != 1 {
-		t.Errorf("Pending = %d, want sig-b re-queued", wb.Pending())
+	if wb.Pending() != 1 || d.Store().Len() != 1 {
+		t.Errorf("Pending = %d, store holds %d; want sig-b re-queued, sig-a kept", wb.Pending(), d.Store().Len())
+	}
+	if got := g.durable(); got != d.walSize {
+		t.Errorf("%d bytes of the log are durable, %d acknowledged", got, d.walSize)
+	}
+	if err := d.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenDurable(DurableOptions{SnapshotPath: d.snapPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if rec := again.Recovery(); rec.RecordsReplayed != 1 || rec.TruncatedBytes != 0 {
+		t.Errorf("recovery %+v, want sig-a's frame and no torn tail", rec)
 	}
 }
 
-// parkAtShipper parks the store Put that ships WAL frame at — mid write,
-// with the store's mutex held — until release is closed.
+// parkAtShipper parks the store write that ships WAL frame at — after
+// the fsync, with the store's WAL lock held — until release is closed.
 type parkAtShipper struct {
 	at      int64
 	parked  chan struct{}
@@ -488,7 +500,7 @@ func TestWriteBehindRecycledFlushKeepsEntriesReadable(t *testing.T) {
 	}
 	flushErr := make(chan error, 1)
 	go func() { flushErr <- wb.Flush() }()
-	<-park.parked // sig-c's Put is in the store, not yet returned
+	<-park.parked // sig-c and sig-d are fsynced; neither is applied
 	if err := wb.Put(wbEntry("sig-e", "i7")); err != nil {
 		t.Fatal(err)
 	}
@@ -534,9 +546,9 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 	defer d.Close()
 	st := d.Store()
 	setClosed := func(closed bool) { // fail every store write, or stop failing
-		st.mu.Lock()
+		st.walMu.Lock()
 		d.closed = closed
-		st.mu.Unlock()
+		st.walMu.Unlock()
 	}
 	wb := newWriteBehind(st)
 	if err := wb.Put(wbEntry("sig-a", "i7")); err != nil {
@@ -590,5 +602,50 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 	}
 	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7", "sig-d@i7"}; !reflect.DeepEqual(logged, want) {
 		t.Errorf("WAL logs %v, want %v: the requeued entries first, in order", logged, want)
+	}
+}
+
+// TestWriteBehindFailedPromotionKeepsItsPlace: a Get whose promotion the
+// store refuses surfaces the error and leaves the buffer as it found it
+// — the entry pending, its key where it was in the flush order — and
+// the next Flush writes the buffer in that order.
+func TestWriteBehindFailedPromotionKeepsItsPlace(t *testing.T) {
+	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := d.Store()
+	wb := newWriteBehind(st)
+	for _, sig := range []string{"sig-a", "sig-b", "sig-c"} {
+		if err := wb.Put(wbEntry(sig, "i7")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.walMu.Lock()
+	d.closed = true
+	st.walMu.Unlock()
+	if _, err := wb.Get("sig-b", "i7"); !errors.Is(err, ErrDurableClosed) {
+		t.Fatalf("Get promoting into a closed store = %v, want ErrDurableClosed", err)
+	}
+	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7"}; !reflect.DeepEqual(wb.order, want) || wb.Pending() != 3 {
+		t.Errorf("after the failed promotion: order %v, %d pending; want %v, 3", wb.order, wb.Pending(), want)
+	}
+	st.walMu.Lock()
+	d.closed = false
+	st.walMu.Unlock()
+	if err := wb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(d.walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	for _, r := range scanWAL(data).Records {
+		logged = append(logged, r.Entry.key())
+	}
+	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7"}; !reflect.DeepEqual(logged, want) {
+		t.Errorf("WAL logs %v, want %v", logged, want)
 	}
 }
