@@ -116,7 +116,7 @@ func (r *Runner) Drain() {
 func (r *Runner) training(ctx context.Context, req Request) training {
 	t, mine := r.take(req)
 	if t == nil || mine {
-		return r.train(req.Config, req.Alloc, req.Attempt, ctx.Err)
+		return r.train(&scratches, req.Config, req.Alloc, req.Attempt, ctx.Err)
 	}
 	done := r.awaitable(t)
 	if done == nil {
@@ -194,7 +194,7 @@ func (r *Runner) help() {
 			return
 		}
 		prof.Do(context.Background(), func(context.Context) {
-			t.out = r.train(t.config, t.alloc, t.attempt, t.check)
+			t.out = r.train(&helperScratches, t.config, t.alloc, t.attempt, t.check)
 		}, t.labels...)
 		r.plan.mu.Lock()
 		t.finished = true

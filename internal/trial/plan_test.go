@@ -534,7 +534,7 @@ func TestScratchesAreKeptAtPeakConcurrency(t *testing.T) {
 			go func() {
 				defer done.Done()
 				first := true
-				out := r.train(req.Config, req.Alloc, 0, func() error {
+				out := r.train(&scratches, req.Config, req.Alloc, 0, func() error {
 					if first { // hold the scratch until all eight have one
 						first = false
 						started.Done()
@@ -554,6 +554,84 @@ func TestScratchesAreKeptAtPeakConcurrency(t *testing.T) {
 		if kept != n {
 			t.Errorf("after wave %d of %d concurrent trainings the free list holds %d scratches, want %d", wave, n, kept, n)
 		}
+	}
+}
+
+// TestHelpersDrawTheirOwnScratches: a Run's caller trains on a scratch
+// from scratches and a helper on one from helperScratches, so that what
+// a later job builds depends on how many callers once trained at the
+// same time and on whether a helper ever trained, not on both at one
+// moment. Two callers at once leave two scratches on the callers' list
+// and one helper one on the helpers', and after that two rungs side by
+// side on two cores, their helper training beside both callers, build
+// none; on one list that third trainer built a third scratch.
+func TestHelpersDrawTheirOwnScratches(t *testing.T) {
+	withProcs(t, 2)
+	for _, l := range []*scratchList{&scratches, &helperScratches} {
+		l.mu.Lock()
+		l.free = nil
+		l.mu.Unlock()
+	}
+	kept := func() (callers, helpers int) {
+		scratches.mu.Lock()
+		callers = len(scratches.free)
+		scratches.mu.Unlock()
+		helperScratches.mu.Lock()
+		helpers = len(helperScratches.free)
+		helperScratches.mu.Unlock()
+		return callers, helpers
+	}
+	r := icRunner(t)
+	req := trialReq()
+	var started, done sync.WaitGroup
+	started.Add(2)
+	done.Add(2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			defer done.Done()
+			first := true
+			if out := r.train(&scratches, req.Config, req.Alloc, 0, func() error {
+				if first { // hold the scratch until both callers have one
+					first = false
+					started.Done()
+					started.Wait()
+				}
+				return nil
+			}); out.err != nil {
+				t.Error(out.err)
+			}
+		}()
+	}
+	done.Wait()
+	big := Request{Config: icConfig(), Alloc: budget.Allocation{Epochs: 400, DataFraction: 1}} // minutes, if it ran
+	r.Register(nil, req, big)
+	if _, err := r.Run(context.Background(), req); err != nil { // the helper takes big
+		t.Fatal(err)
+	}
+	r.Drain()
+	if c, h := kept(); c != 2 || h != 1 {
+		t.Fatalf("two callers at once and one helper left %d scratches on the callers' list and %d on the helpers', want 2 and 1", c, h)
+	}
+
+	reqs := rungRequests()
+	var rungs sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		rungs.Add(1)
+		go func() {
+			defer rungs.Done()
+			r := icRunner(t)
+			r.Register(nil, reqs...)
+			for _, req := range reqs {
+				if _, err := r.Run(context.Background(), req); err != nil {
+					t.Error(err)
+				}
+			}
+			r.Drain()
+		}()
+	}
+	rungs.Wait()
+	if c, h := kept(); c != 2 || h != 1 {
+		t.Errorf("two rungs side by side left %d scratches on the callers' list and %d on the helpers', want the 2 and 1 they found", c, h)
 	}
 }
 

@@ -27,10 +27,11 @@ type training struct {
 // time before the Run that reads it; check is polled between mini-batches
 // and stops it. It reads the runner's immutable fields only, and keeps
 // everything it makes — network and features — on a scratch it takes
-// from the free list and gives back.
-func (r *Runner) train(cfg search.Config, alloc budget.Allocation, attempt int, check func() error) training {
-	a, fresh := acquireScratch()
-	defer releaseScratch(a)
+// from the free list l and gives back: &scratches for a Run's caller,
+// &helperScratches for a helper.
+func (r *Runner) train(l *scratchList, cfg search.Config, alloc budget.Allocation, attempt int, check func() error) training {
+	a, fresh := l.acquire()
+	defer l.release(a)
 	if fresh {
 		r.settle(a)
 	}
@@ -136,32 +137,42 @@ func (r *Runner) trainOn(a *tensor.Arena, cfg search.Config, alloc budget.Alloca
 	}, net
 }
 
-// scratches is the free list of training scratches: one bump arena per
+// scratchList is a free list of training scratches: one bump arena per
 // trainer that is training right now, kept between trials so that a
 // network's storage is reused instead of collected. Every scratch that
-// was ever in use is kept, so the list is bounded by the most trainings
-// that ever ran at once; a scratch is acquired and released around one
-// training and owned by nobody in between.
-var scratches struct {
+// was ever in use is kept, so a list is bounded by the most trainings
+// that ever drew from it at once; a scratch is acquired and released
+// around one training and owned by nobody in between.
+type scratchList struct {
 	mu   sync.Mutex
 	free []*tensor.Arena
 }
 
-// acquireScratch takes a scratch off the free list, or makes one and
-// says so.
-func acquireScratch() (a *tensor.Arena, fresh bool) {
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	if n := len(scratches.free); n > 0 {
-		a = scratches.free[n-1]
-		scratches.free = scratches.free[:n-1]
+// The trainings a Run's caller runs and those helpers run ahead draw
+// from two lists. Helpers are GOMAXPROCS − 1 at most across the process
+// (helperBudget), callers one per job that is training, so each list
+// reaches its peak on its own: the helpers' when the budget's helpers
+// first train together (the first helper, on two cores), the callers'
+// when the jobs side by side first all train. On one
+// list the peak is both at once, which short jobs may never meet: two
+// NLP jobs on two cores, warmed up on two scratches, built and settled
+// a third in a later job (8.2 MB of allocation) in about one run in ten.
+var scratches, helperScratches scratchList
+
+// acquire takes a scratch off the list, or makes one and says so.
+func (l *scratchList) acquire() (a *tensor.Arena, fresh bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		a = l.free[n-1]
+		l.free = l.free[:n-1]
 		return a, false
 	}
 	return new(tensor.Arena), true
 }
 
-func releaseScratch(a *tensor.Arena) {
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	scratches.free = append(scratches.free, a)
+func (l *scratchList) release(a *tensor.Arena) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, a)
 }
