@@ -161,8 +161,10 @@ gate "lifecycle stress"
 # check between trials, hooks instead of goroutines (DESIGN.md §4.6) —
 # twenty times under the race detector, not once: every
 # Drain/Close/cancel/evict test, the request-outcome golden, the
-# tests of the per-worker search scratch a request is served on, and
-# concurrent duplicate misses each answered on their own channel. Its own
+# tests of the per-worker search scratch a request is served on,
+# concurrent duplicate misses each answered on their own channel, and
+# the device gate — breaker, health score and probe slot under one lock
+# — alone and under the overload/brown-out scenario. Its own
 # gate, so its elapsed time is in the summary and outside the sweep's
 # 20-minute timeout. Beside them, a job cancelled mid-rung releases its
 # dataset split only after its helper trainers stopped reading it, and
@@ -172,7 +174,7 @@ gate "lifecycle stress"
 # §4.9). Then, twice each, a recycled reply channel never reaching the
 # wrong caller, and the autoscale controller package, which only its own
 # tests and the hot-loop ledger drive.
-go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates' ./internal/core/
+go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates|Pool|Brownout|Probe' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 go test -race -count=2 -run '^TestReplyChannelsNeverCrossDeliver$' ./internal/core/
 go test -race -count=2 ./internal/autoscale

@@ -96,7 +96,7 @@ func TestBreakerTransitions(t *testing.T) {
 				case "failure":
 					b.failure()
 				}
-				if got := b.snapshotState(); got != s.wantState {
+				if got := b.state; got != s.wantState {
 					t.Fatalf("step %d (%s): state = %d, want %d", i, s.op, got, s.wantState)
 				}
 			}

@@ -220,8 +220,7 @@ func TestInferenceServerCancelMidTune(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not abort the tuning loop")
 	}
-	br := srv.pool.breakerOf(srv.opts.Device.Profile.Name)
-	if st := br.snapshotState(); st != breakerClosed {
+	if _, _, st := srv.gate.snapshot(); st != breakerClosed {
 		t.Errorf("caller cancellation moved the breaker to state %d", st)
 	}
 }

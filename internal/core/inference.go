@@ -54,7 +54,8 @@ type InferOutcome struct {
 	// resilience is inference-aware too. Its Duration is the request's
 	// serving time on the simulated clock.
 	TuningCost perfmodel.Cost
-	// Device names the pool device that served the request.
+	// Device names the device that served the request, or for a cached
+	// reply the device of the stored entry.
 	Device string
 	// Err carries a per-request failure.
 	Err error
@@ -164,9 +165,10 @@ func (o *InferenceServerOptions) normalise() error {
 // InferenceServer is the asynchronous inference tuning component
 // (§3.4), hardened for sustained overload and device degradation.
 // Requests pass an admission gate (a bounded in-system FIFO queue)
-// before a worker pool tunes them on a health-managed device pool:
-// per-device circuit breakers plus EWMA health scores with
-// quarantine/probation, which steer each request to one device.
+// before a worker pool tunes them on the one target device, behind its
+// device gate: a circuit breaker plus an EWMA health score with
+// quarantine/probation, which turn requests away while the device
+// fails or browns out.
 // Completed results land in the historical store through a write-behind
 // buffer, where a repeated architecture finds them. Drain stops it
 // gracefully — in-flight work completes, new submissions fail with
@@ -184,7 +186,7 @@ type InferenceServer struct {
 	spareHead, spareLen int
 
 	adm    *admission
-	pool   *devicePool
+	gate   *deviceGate
 	writes *store.WriteBehind
 
 	// SLO objectives (nil = no accounting; Record no-ops).
@@ -237,8 +239,8 @@ type call struct {
 	// first.
 	sp, admSp *obs.Span
 
-	rt     route // the routed device
-	served bool  // a worker ran the call on rt: no routing decision to undo
+	rt     route // the device gate's pick
+	served bool  // a worker ran the call: no pick to undo
 	// stop unhooks the call from ctx (nil when ctx is never cancelled).
 	stop func() bool
 
@@ -248,15 +250,9 @@ type call struct {
 	depthAtEnqueue int
 }
 
-// NewInferenceServer starts the server's worker pool on a pool of
-// opts.Device alone. Callers must Close it.
+// NewInferenceServer starts the server's worker pool on opts.Device.
+// Callers must Close it.
 func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
-	return newInferenceServer(opts, []device.Device{opts.Device})
-}
-
-// newInferenceServer starts a server routing across pool, whose first
-// device is opts.Device.
-func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*InferenceServer, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
@@ -274,11 +270,10 @@ func newInferenceServer(opts InferenceServerOptions, pool []device.Device) (*Inf
 	s := &InferenceServer{
 		opts:   opts,
 		adm:    newAdmission(opts.QueueLimit),
-		pool:   newDevicePool(pool, breakerThreshold, breakerCooldown, opts.Recorder),
+		gate:   newDeviceGate(opts.Device, opts.Recorder, opts.Flight),
 		writes: writes,
 	}
 	s.hard, s.stop = context.WithCancel(context.Background())
-	s.pool.fr = opts.Flight
 	if reg := opts.Recorder.Registry(); reg != nil {
 		s.m = servingMetrics{
 			requests:     reg.Counter("serving.requests"),
@@ -358,19 +353,11 @@ func (s *InferenceServer) shutdown(ctx context.Context) error {
 // every completed result.
 func (s *InferenceServer) FlushWrites() error { return s.writes.Flush() }
 
-// LookupStored reads an entry for any pool device (preferred first)
-// through the write-behind buffer, so callers building degraded
-// fallbacks see results that have not reached the store yet.
+// LookupStored reads the device's entry for sig through the
+// write-behind buffer, so callers building degraded fallbacks see
+// results that have not reached the store yet.
 func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
-	var lastErr error
-	for _, name := range s.pool.devNames {
-		e, err := s.writes.Get(sig, name)
-		if err == nil {
-			return e, nil
-		}
-		lastErr = err
-	}
-	return store.Entry{}, lastErr
+	return s.writes.Get(sig, s.gate.name)
 }
 
 // Submit asynchronously requests tuning for req and returns a channel
@@ -380,7 +367,7 @@ func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 // being tuned. Overload is shed with typed errors: ErrOverloaded when
 // the bounded queue is full or an injected overload burst fires,
 // ErrServerClosed after Close/Drain, and an ErrCircuitOpen-wrapping
-// error when no pool device is healthy.
+// error when the device gate turns it away.
 //
 // Receive from the channel exactly once. Once its outcome has been
 // received the channel may carry the reply to a later Submit, so it must
@@ -436,9 +423,9 @@ func (s *InferenceServer) open(c *call) error {
 	return nil
 }
 
-// cached is §3.4's table look-up: the historical store, read through
-// the write-behind buffer and accepting any pool device's entry.
-// A hit needs no device, so it bypasses admission and the pool; its
+// cached is §3.4's table look-up: the historical store's entry for the
+// device, read through the write-behind buffer. A hit runs nothing on
+// the device, so it bypasses admission and the device gate; its
 // reply can still be dropped in flight — the site is per-submission, so
 // a resubmission rolls a fresh decision. It reports whether it ended the
 // call.
@@ -456,20 +443,20 @@ func (s *InferenceServer) cached(c *call) bool {
 	return true
 }
 
-// admit takes a miss through the intake gate — injected burst,
-// routing, the bounded queue — and leaves it queued for a worker, or
-// rejected with a typed error.
+// admit takes a miss through the intake gate — injected burst, the
+// device gate, the bounded queue — and leaves it queued for a worker,
+// or rejected with a typed error.
 func (s *InferenceServer) admit(c *call) {
 	// Injected overload burst: a synthetic traffic spike.
 	if ferr := s.failAt(fault.OverloadBurst, "admit/", c.Client, c.seq); ferr != nil {
 		s.reject(c, "shed-burst", fmt.Errorf("%w: %w", ErrOverloaded, ferr))
 		return
 	}
-	// Route before queuing so workers never see an unrouted call, and
-	// fail fast when the pool has nothing healthy to offer: the caller
-	// falls back to degraded data instead of queueing doomed work.
+	// Pass the device gate before queuing, failing fast while the
+	// device is quarantined or its breaker open: the caller falls back
+	// to degraded data instead of queueing doomed work.
 	var err error
-	if c.rt, err = s.pool.pick(c.SubmitTime); err != nil {
+	if c.rt, err = s.gate.pick(c.SubmitTime); err != nil {
 		s.reject(c, "no-healthy-device", err)
 		return
 	}
@@ -485,7 +472,7 @@ func (s *InferenceServer) admit(c *call) {
 	}
 	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
 	s.m.admitWait.Observe(float64(c.queuedAhead))
-	s.admissionSpan(c, "admitted", c.rt.pd.name, c.queuedAhead)
+	s.admissionSpan(c, "admitted", s.gate.name, c.queuedAhead)
 	if c.ctx.Err() != nil {
 		s.unqueue(c) // cancelled before the push: the hook found nothing queued
 	}
@@ -549,7 +536,7 @@ func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 		c.stop()
 	}
 	if !c.served {
-		s.pool.release(c.rt) // routed but never run: give the probe slot back
+		s.gate.release(c.rt) // picked but never run: give the probe slot back
 	}
 	c.out <- res
 	s.mu.Lock()
@@ -677,21 +664,21 @@ func (s *InferenceServer) run(c *call, sc *scratch) (out InferOutcome) {
 	return out
 }
 
-// serve is §3.4 for a call no table entry answered: search on the routed
-// device, feed the result back into its health score, persist it through
+// serve is §3.4 for a call no table entry answered: search on the
+// device, feed the result back into its device gate, persist it through
 // the write-behind buffer, reply — each step subject to injected faults,
 // with every attempt's simulated cost charged to the request.
 func (s *InferenceServer) serve(c *call, sc *scratch) InferOutcome {
-	pd := c.rt.pd
+	name := s.gate.name
 	var sp *obs.Span
 	if c.sp != nil {
-		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", pd.name))
+		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", name))
 	}
-	res := s.serveOn(c.InferRequest, pd, sp, c.SubmitTime, sc)
+	res := s.serveOn(c.InferRequest, sp, c.SubmitTime, sc)
 	end := c.SubmitTime + res.cost.Duration
-	s.pool.observe(c.rt, res.err, res.cost.Duration, res.baseline, end)
+	s.gate.observe(c.rt, res.err, res.cost.Duration, res.baseline, end)
 	s.m.latencyMS.Observe(float64(res.cost.Duration) / float64(time.Millisecond))
-	out := InferOutcome{TuningCost: res.cost, Device: pd.name, Err: res.err}
+	out := InferOutcome{TuningCost: res.cost, Device: name, Err: res.err}
 	if out.Err == nil {
 		out.Err = s.persist(c.Signature, res.entry)
 		if sp != nil {
@@ -731,7 +718,7 @@ func (s *InferenceServer) persist(sig string, entry store.Entry) (err error) {
 	return err
 }
 
-// serveResult is one device's attempt-group at a request: the tuned
+// serveResult is the device's attempt-group at a request: the tuned
 // entry (on success), the total simulated cost charged across attempts,
 // and the terminal error. The cost's Duration doubles as the device's
 // serving latency on simulated time. baseline is the fault-free
@@ -745,12 +732,12 @@ type serveResult struct {
 	err      error
 }
 
-// serveOn runs the tuning attempts for one request on one device,
+// serveOn runs the tuning attempts for one request on the device,
 // charging every attempt's cost. Each attempt becomes a "device-attempt"
 // child of sp (nil = tracing off), stamped with the device's health and
 // breaker state at dispatch and placed at start plus the cost charged so
 // far on the simulated clock.
-func (s *InferenceServer) serveOn(req InferRequest, pd *poolDevice, sp *obs.Span, start time.Duration, sc *scratch) serveResult {
+func (s *InferenceServer) serveOn(req InferRequest, sp *obs.Span, start time.Duration, sc *scratch) serveResult {
 	var res serveResult
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -758,15 +745,15 @@ func (s *InferenceServer) serveOn(req InferRequest, pd *poolDevice, sp *obs.Span
 		}
 		var asp *obs.Span
 		if sp != nil {
-			hState, score := s.pool.stateOf(pd.name)
+			health, score, br := s.gate.snapshot()
 			asp = sp.Child("device-attempt", start+res.cost.Duration,
-				obs.Str("device", pd.name),
+				obs.Str("device", s.gate.name),
 				obs.Int("attempt", int64(attempt)),
-				obs.Str("health", hState.String()),
+				obs.Str("health", health.String()),
 				obs.Float("score", score),
-				obs.Str("breaker", pd.br.snapshotState().String()))
+				obs.Str("breaker", br.String()))
 		}
-		entry, cost, raw, err := s.tuneOn(req, pd, attempt, sc)
+		entry, cost, raw, err := s.tuneOn(req, attempt, sc)
 		res.cost = res.cost.Add(cost)
 		if raw > 0 {
 			res.baseline = raw
@@ -786,16 +773,16 @@ func (s *InferenceServer) serveOn(req InferRequest, pd *poolDevice, sp *obs.Span
 	return res
 }
 
-// tuneOn wraps one tuning attempt on one device with its fault model:
+// tuneOn wraps one tuning attempt on the device with its fault model:
 // a device flap fails the attempt outright, a brown-out inflates the
 // attempt's simulated cost (the device is thermally throttled, not
 // dead) while leaving the tuned entry's steady-state metrics intact.
 // The third return is the raw pre-brownout duration — the fault-free
 // perfmodel expectation health scoring compares against.
-func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, sc *scratch) (store.Entry, perfmodel.Cost, time.Duration, error) {
+func (s *InferenceServer) tuneOn(req InferRequest, attempt int, sc *scratch) (store.Entry, perfmodel.Cost, time.Duration, error) {
 	var site string
 	if s.opts.Fault != nil { // a nil injector reads no site: build none
-		site = pd.name + "/" + req.Signature
+		site = s.gate.name + "/" + req.Signature
 	}
 	if ferr := s.opts.Fault.Fail(fault.DeviceFlap, site, attempt); ferr != nil {
 		return store.Entry{}, perfmodel.Cost{}, 0, ferr
@@ -804,7 +791,7 @@ func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, 
 	if s.opts.Fault.Should(fault.DeviceBrownout, site, attempt) {
 		factor = s.opts.Fault.BrownoutFactor(site, attempt)
 	}
-	entry, cost, err := s.tuneCore(req, pd, sc)
+	entry, cost, err := s.tuneCore(req, sc)
 	raw := cost.Duration
 	if factor > 1 {
 		cost.Duration = time.Duration(float64(cost.Duration) * factor)
@@ -826,7 +813,7 @@ func (s *InferenceServer) tuneOn(req InferRequest, pd *poolDevice, attempt int, 
 // incumbent's configuration, the one map a search allocates: the
 // worker's next search rewrites the scratch while this entry lives on
 // in the store and the reply.
-func (s *InferenceServer) tuneCore(req InferRequest, pd *poolDevice, sc *scratch) (store.Entry, perfmodel.Cost, error) {
+func (s *InferenceServer) tuneCore(req InferRequest, sc *scratch) (store.Entry, perfmodel.Cost, error) {
 	var cost perfmodel.Cost
 	seed := s.opts.Seed ^ sim.Hash64(req.Signature)
 	if sc.sampler == nil {
@@ -859,7 +846,7 @@ func (s *InferenceServer) tuneCore(req InferRequest, pd *poolDevice, sc *scratch
 			Cores:          int(cfg[workload.ParamCores]),
 			FreqGHz:        cfg[workload.ParamFreq],
 		}
-		r, err := pd.dev.Estimate(spec)
+		r, err := s.gate.dev.Estimate(spec)
 		if err != nil {
 			return store.Entry{}, cost, fmt.Errorf("core: inference trial: %w", err)
 		}
@@ -877,7 +864,7 @@ func (s *InferenceServer) tuneCore(req InferRequest, pd *poolDevice, sc *scratch
 			maps.Copy(sc.best, cfg)
 		}
 	}
-	best := inferEntry(req.Signature, pd.name, sc.best.Clone(), bestR)
+	best := inferEntry(req.Signature, s.gate.name, sc.best.Clone(), bestR)
 	best.Objective = bestScore
 	best.TrialsRun = s.opts.Trials
 	return best, cost, nil

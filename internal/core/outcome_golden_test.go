@@ -221,7 +221,7 @@ func runOutcomeScenario(t *testing.T, sc outcomeScenario, w *bytes.Buffer) {
 	if sc.cfg != nil {
 		sc.cfg(&opts)
 	}
-	e.srv, err = newInferenceServer(opts, []device.Device{dev})
+	e.srv, err = NewInferenceServer(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,27 +17,9 @@ import (
 	"edgetune/internal/workload"
 )
 
-// i7Twin returns a second I7 ("i7-b"): an identical replica board that
-// shares the search space.
-func i7Twin() device.Device {
-	d := device.I7()
-	d.Profile.Name = "i7-b"
-	return d
-}
-
-// servingServer builds a server for the serving tests with a
+// servingServer builds a server on the I7 for the serving tests with a
 // recorder attached; cfg mutates the defaults.
 func servingServer(t *testing.T, st *store.Store, cfg func(*InferenceServerOptions)) (*InferenceServer, *counters.Resilience) {
-	t.Helper()
-	return servingServerOn(t, st, nil, cfg)
-}
-
-// twinPool is a two-device pool: the I7 and its twin.
-func twinPool() []device.Device { return []device.Device{device.I7(), i7Twin()} }
-
-// servingServerOn is servingServer routing across pool, whose first
-// device must be the I7 (nil = the I7 alone, as NewInferenceServer).
-func servingServerOn(t *testing.T, st *store.Store, pool []device.Device, cfg func(*InferenceServerOptions)) (*InferenceServer, *counters.Resilience) {
 	t.Helper()
 	w := workload.MustNew("IC", 1)
 	dev := device.I7()
@@ -59,10 +41,7 @@ func servingServerOn(t *testing.T, st *store.Store, pool []device.Device, cfg fu
 	if cfg != nil {
 		cfg(&opts)
 	}
-	if pool == nil {
-		pool = []device.Device{opts.Device}
-	}
-	srv, err := newInferenceServer(opts, pool)
+	srv, err := NewInferenceServer(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,71 +212,158 @@ func TestNoHealthyDeviceTyped(t *testing.T) {
 	}
 }
 
-// TestPoolQuarantineAndRecovery drives the health state machine
-// directly: repeated failures quarantine a device, the periodic probe
-// reaches it, and sustained clean results walk it back through
-// probation to healthy.
+// slowSuccesses feeds g n successes ten times slower than the
+// performance model expects: each scores 0.1.
+func slowSuccesses(g *deviceGate, n int) {
+	for i := 0; i < n; i++ {
+		g.observe(route{}, nil, 10*time.Second, time.Second, 0)
+	}
+}
+
+// TestPoolQuarantineAndRecovery drives the health state machine of the
+// server's one device: chronic slowness quarantines it with its breaker
+// still closed; while it is quarantined exactly every probeEvery-th pick
+// is a recovery probe and every other pick ends ErrNoHealthyDevice; a
+// failed probe keeps it quarantined, a clean one moves it to probation,
+// and sustained clean results walk it back to healthy.
 func TestPoolQuarantineAndRecovery(t *testing.T) {
 	rec := counters.NewResilienceOn(nil)
-	pool := newDevicePool([]device.Device{device.I7(), i7Twin()}, 3, 2, rec)
-	sick := pool.devs[0]
-	boom := errors.New("boom")
-
-	// Three failures: score 1 -> 0.7 -> 0.49 -> 0.343, under the 0.35
-	// quarantine threshold (and the breaker trips at its threshold 3).
-	for i := 0; i < 3; i++ {
-		pool.observe(route{pd: sick}, boom, 0, 0, 0)
-	}
-	if st, score := pool.stateOf("i7"); st != deviceQuarantined {
-		t.Fatalf("after 3 failures: state = %d (score %.3f), want quarantined", st, score)
+	g := newDeviceGate(device.I7(), rec, nil)
+	// Score 1 -> 0.73 -> 0.541 -> 0.409 -> 0.316, under the 0.35
+	// quarantine threshold.
+	slowSuccesses(g, 4)
+	if st, score, _ := g.snapshot(); st != deviceQuarantined {
+		t.Fatalf("after 4 slow successes: state = %v (score %.3f), want quarantined", st, score)
 	}
 	if got := rec.Snapshot().Quarantines; got != 1 {
 		t.Errorf("quarantine counter = %d, want 1", got)
 	}
 
-	// Routing avoids the quarantined device...
-	for i := 1; i <= 3; i++ {
-		rt, err := pool.pick(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.pd.name != "i7-b" {
-			t.Fatalf("pick %d routed to quarantined device", i)
-		}
-		pool.observe(rt, nil, 0, 0, 0)
-	}
-	// ...until the periodic probe; the breaker (open, cooldown 2) eats
-	// the first probe attempts, then half-opens and admits one.
-	var probe route
-	for i := 0; i < 3*probeEvery && probe.pd == nil; i++ {
-		rt, err := pool.pick(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.qProbe {
+	// Two failed probes, then a clean one. Two failures stay under the
+	// breaker's threshold of 3, so it never rejects a probe.
+	boom := errors.New("boom")
+	const rounds = 3
+	for round := 1; round <= rounds; round++ {
+		var probe route
+		for i := 1; i <= probeEvery; i++ {
+			rt, err := g.pick(0)
+			if i < probeEvery {
+				if !errors.Is(err, ErrNoHealthyDevice) {
+					t.Fatalf("round %d, pick %d: (%+v, %v), want ErrNoHealthyDevice", round, i, rt, err)
+				}
+				continue
+			}
+			if err != nil || !rt.qProbe {
+				t.Fatalf("round %d, pick %d: (%+v, %v), want a quarantine probe", round, i, rt, err)
+			}
 			probe = rt
-		} else {
-			pool.observe(rt, nil, 0, 0, 0)
 		}
+		if round < rounds {
+			g.observe(probe, boom, 0, 0, 0)
+			if st, _, _ := g.snapshot(); st != deviceQuarantined {
+				t.Fatalf("after failed probe %d: state = %v, want quarantined", round, st)
+			}
+			continue
+		}
+		g.observe(probe, nil, 0, 0, 0)
 	}
-	if probe.pd == nil || probe.pd.name != "i7" {
-		t.Fatal("quarantined device never probed")
+	if got := rec.Snapshot().Probes; got != rounds {
+		t.Errorf("probe counter = %d, want %d", got, rounds)
 	}
-	if rec.Snapshot().Probes == 0 {
-		t.Error("probe counter not incremented")
+	if st, _, _ := g.snapshot(); st != deviceProbation {
+		t.Fatalf("after clean probe: state = %v, want probation", st)
 	}
 
-	// A clean probe moves it to probation; clean traffic then restores
-	// full health at the 0.75 threshold.
-	pool.observe(probe, nil, 0, 0, 0)
-	if st, _ := pool.stateOf("i7"); st != deviceProbation {
-		t.Fatalf("after clean probe: state = %d, want probation", st)
-	}
+	// Probation admits every pick; clean traffic restores full health
+	// at the 0.75 threshold.
 	for i := 0; i < 10; i++ {
-		pool.observe(route{pd: sick}, nil, 0, 0, 0)
+		rt, err := g.pick(0)
+		if err != nil || rt.qProbe {
+			t.Fatalf("probation pick %d: (%+v, %v), want a plain admission", i, rt, err)
+		}
+		g.observe(rt, nil, 0, 0, 0)
 	}
-	if st, score := pool.stateOf("i7"); st != deviceHealthy || score < recoverAbove {
-		t.Errorf("after sustained successes: state = %d score = %.3f, want healthy", st, score)
+	if st, score, _ := g.snapshot(); st != deviceHealthy || score < recoverAbove {
+		t.Errorf("after sustained successes: state = %v score = %.3f, want healthy", st, score)
+	}
+}
+
+// TestQuarantineProbeThroughOpenBreaker: hard failures quarantine the
+// device and open its breaker together. The probeEvery-th pick is
+// offered to the breaker, whose open state spends a rejection slot on
+// it; the next offer spends the last of its cooldown of 2, half-opens it
+// and is the probe. Every pick in between ends ErrNoHealthyDevice
+// without consulting the breaker — one that did would half-open it
+// early and deny the probe.
+func TestQuarantineProbeThroughOpenBreaker(t *testing.T) {
+	rec := counters.NewResilienceOn(nil)
+	g := newDeviceGate(device.I7(), rec, nil)
+	boom := errors.New("boom")
+	// Score 1 -> 0.7 -> 0.49 -> 0.343; the breaker trips at 3.
+	for i := 0; i < 3; i++ {
+		g.observe(route{}, boom, 0, 0, 0)
+	}
+	if st, _, br := g.snapshot(); st != deviceQuarantined || br != breakerOpen {
+		t.Fatalf("after 3 failures: %v with breaker %v, want quarantined with breaker open", st, br)
+	}
+	for i := 1; i <= 2*probeEvery; i++ {
+		rt, err := g.pick(0)
+		if i < 2*probeEvery {
+			if !errors.Is(err, ErrNoHealthyDevice) {
+				t.Fatalf("pick %d: (%+v, %v), want ErrNoHealthyDevice", i, rt, err)
+			}
+			continue
+		}
+		if err != nil || !rt.qProbe || !rt.brProbe {
+			t.Fatalf("pick %d: (%+v, %v), want a quarantine probe on the breaker's half-open slot", i, rt, err)
+		}
+	}
+	if _, _, br := g.snapshot(); br != breakerHalfOpen {
+		t.Errorf("breaker %v after the probe, want half-open", br)
+	}
+	if got := rec.Snapshot().Probes; got != 1 {
+		t.Errorf("probe counter = %d, want 1", got)
+	}
+}
+
+// TestOneQuarantineProbeInFlight: a request picked while the device was
+// healthy and finishing after the quarantine probe went out must not
+// free the probe's slot, or the next probeEvery-th pick would send a
+// second probe while the first is still in flight.
+func TestOneQuarantineProbeInFlight(t *testing.T) {
+	g := newDeviceGate(device.I7(), counters.NewResilienceOn(nil), nil)
+	early, err := g.pick(0) // pick 1, healthy
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowSuccesses(g, 4) // quarantined, breaker closed
+	var probe route
+	for i := 2; i <= probeEvery; i++ {
+		rt, err := g.pick(0)
+		if i < probeEvery {
+			if !errors.Is(err, ErrNoHealthyDevice) {
+				t.Fatalf("pick %d: (%+v, %v), want ErrNoHealthyDevice", i, rt, err)
+			}
+			continue
+		}
+		if err != nil || !rt.qProbe {
+			t.Fatalf("pick %d: (%+v, %v), want a quarantine probe", i, rt, err)
+		}
+		probe = rt
+	}
+	g.observe(early, nil, 0, 0, 0)
+	for i := probeEvery + 1; i <= 2*probeEvery; i++ {
+		if rt, err := g.pick(0); !errors.Is(err, ErrNoHealthyDevice) {
+			t.Fatalf("pick %d: (%+v, %v), want ErrNoHealthyDevice while the probe is in flight", i, rt, err)
+		}
+	}
+	// The probe's own result frees the slot.
+	g.observe(probe, errors.New("boom"), 0, 0, 0)
+	for i := 2*probeEvery + 1; i <= 3*probeEvery; i++ {
+		rt, err := g.pick(0)
+		if want := i == 3*probeEvery; (err == nil && rt.qProbe) != want {
+			t.Fatalf("pick %d: (%+v, %v), want probe %v", i, rt, err, want)
+		}
 	}
 }
 
@@ -305,17 +371,12 @@ func TestPoolQuarantineAndRecovery(t *testing.T) {
 // slower than the performance model expects (a brown-out) is
 // quarantined even though its breaker never trips.
 func TestPoolSlowSuccessesQuarantine(t *testing.T) {
-	rec := counters.NewResilienceOn(nil)
-	pool := newDevicePool([]device.Device{device.I7(), i7Twin()}, 3, 2, rec)
-	slow := pool.devs[0]
-	// Ten-fold slowdown: each observation scores 0.1.
-	for i := 0; i < 8; i++ {
-		pool.observe(route{pd: slow}, nil, 10*time.Second, time.Second, 0)
+	g := newDeviceGate(device.I7(), counters.NewResilienceOn(nil), nil)
+	slowSuccesses(g, 8)
+	if g.health != deviceQuarantined {
+		t.Errorf("state = %v (score %.3f), want quarantined on chronic slowness", g.health, g.score)
 	}
-	if st, score := pool.stateOf("i7"); st != deviceQuarantined {
-		t.Errorf("state = %d (score %.3f), want quarantined on chronic slowness", st, score)
-	}
-	if pool.breakerOf("i7").snapshotState() != breakerClosed {
+	if g.br.state != breakerClosed {
 		t.Error("breaker tripped on successes")
 	}
 }

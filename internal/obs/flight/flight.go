@@ -45,8 +45,9 @@ const (
 	// KindBreaker is a circuit-breaker state change: Subject the
 	// device, Detail the new state.
 	KindBreaker = "breaker"
-	// KindHealth is a health-manager state change: Subject the device,
-	// Detail the new state, A and B the old and new states.
+	// KindHealth is a device health-state change (healthy, probation,
+	// quarantined): Subject the device, Detail the new state, A and B
+	// the old and new states.
 	KindHealth = "health"
 	// KindWAL is a durable-store journal event: Subject "append" (A the
 	// append sequence, B the frame bytes) or "recover" (A records
