@@ -178,6 +178,10 @@ func benchStage(b *testing.B, stage string) {
 
 func BenchmarkTrainingStep(b *testing.B) { benchStage(b, "nn.minibatch-step") }
 
+// BenchmarkInferenceSearch is one cache miss's 24-trial search, as a
+// server worker runs it on its reused sampler and maps.
+func BenchmarkInferenceSearch(b *testing.B) { benchStage(b, "search.tpe-search") }
+
 func BenchmarkInferenceEstimate(b *testing.B) {
 	prof := perfmodel.CPUProfile{
 		Name: "bench", MaxCores: 4, FlopsPerCorePerGHz: 4e9,

@@ -237,7 +237,8 @@ func predictTrainingPower(w *workload.Workload, cfg search.Config, alloc budget.
 	if err != nil {
 		return 0, err
 	}
-	samples := float64(w.Split.Train.Len()) * w.Split.Train.Meta.Scale * alloc.DataFraction
+	train := w.Split().Train
+	samples := float64(train.Len()) * train.Meta.Scale * alloc.DataFraction
 	cost, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
 		FLOPsPerSample: flops,
 		Params:         params,

@@ -940,7 +940,7 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 	fullCost, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
 		FLOPsPerSample: a.flops,
 		Params:         a.params,
-		Samples:        j.opts.Workload.Split.Train.PaperSamples() * j.satAlloc.DataFraction,
+		Samples:        j.opts.Workload.Split().Train.PaperSamples() * j.satAlloc.DataFraction,
 		Epochs:         j.satAlloc.Epochs,
 		BatchSize:      int(rec.Config[workload.ParamTrainBatch]),
 		GPUs:           int(rec.Config[workload.ParamGPUs]),

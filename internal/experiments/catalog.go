@@ -22,7 +22,8 @@ func Table1Workloads() (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			m := w.Split.Train.Meta
+			split := w.Split()
+			m := split.Train.Meta
 			t.Rows = append(t.Rows, []string{
 				w.Task,
 				w.ID,
@@ -31,7 +32,7 @@ func Table1Workloads() (Table, error) {
 				humanBytes(m.PaperSizeBytes),
 				fmt.Sprint(m.PaperTrainFiles),
 				fmt.Sprint(m.PaperTestFiles),
-				fmt.Sprintf("%d/%d", w.Split.Train.Len(), w.Split.Test.Len()),
+				fmt.Sprintf("%d/%d", split.Train.Len(), split.Test.Len()),
 			})
 		}
 		return t, nil

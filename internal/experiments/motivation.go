@@ -24,7 +24,7 @@ func icTrainSpec(layers float64, batch, gpus int) (perfmodel.TrainSpec, error) {
 	return perfmodel.TrainSpec{
 		FLOPsPerSample: flops,
 		Params:         params,
-		Samples:        w.Split.Train.PaperSamples(),
+		Samples:        w.Split().Train.PaperSamples(),
 		Epochs:         10,
 		BatchSize:      batch,
 		GPUs:           gpus,

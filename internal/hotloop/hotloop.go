@@ -348,20 +348,23 @@ func openTrialRun() (func(), func(), error) {
 	}, noClose, nil
 }
 
-// A tuning job's workload as edgetune.Tune builds and releases it: the
-// IC split regenerated, at the next seed each time, into the storage
-// the job before released. What is left to the collector is the teacher
-// that labels the data, the two Dataset headers and the Workload.
+// A tuning job's workload as edgetune.Tune builds, reads and releases
+// it: the IC split regenerated on the first read, at the next seed each
+// time, into the storage the job before released. What is left to the
+// collector is the teacher that labels the data, the two Dataset
+// headers and the Workload.
 func openWorkloadNew() (func(), func(), error) {
 	seed := uint64(7)
 	w, err := workload.New("IC", seed)
 	if err != nil {
 		return nil, nil, err
 	}
+	w.Split()
 	w.Release() // the split the window's first job regenerates into
 	return func() {
 		seed++
 		w, _ = workload.New("IC", seed) // a known ID
+		w.Split()
 		w.Release()
 	}, noClose, nil
 }

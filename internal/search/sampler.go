@@ -341,7 +341,8 @@ func (t *TPESampler) Sample() Config {
 // warm, then the best of nCandidates draws from the good-density l(x)
 // scored by l(x)/g(x). Only the winner is decoded: FromUnitInto is pure
 // and draws no randomness, so deferring it leaves the RNG stream
-// untouched.
+// untouched. The model lives on this call's stack unless its pool
+// outgrows stack (DESIGN.md §4.16).
 func (t *TPESampler) SampleInto(dst Config) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -354,15 +355,15 @@ func (t *TPESampler) SampleInto(dst Config) {
 		t.space.SampleInto(t.rng, dst)
 		return
 	}
-	bestRatio := math.Inf(-1)
+	var stack [512]float64
+	k := t.gather(good, bad, stack[:])
 	for i := 0; i < t.nCandidates; i++ {
-		t.sampleFromKDE(good, t.cand)
-		if ratio := t.kdeLogDensity(good, t.cand) - t.kdeLogDensity(bad, t.cand); ratio > bestRatio {
-			bestRatio = ratio
+		t.sampleFromKDE(&k, t.cand)
+		if k.beats(t.cand) {
 			copy(t.best, t.cand)
 		}
 	}
-	if math.IsInf(bestRatio, -1) { // no candidate had a usable density ratio
+	if math.IsInf(k.best, -1) { // no candidate had a usable density ratio
 		t.space.SampleInto(t.rng, dst)
 		return
 	}
@@ -434,28 +435,167 @@ func (t *TPESampler) unit(i int) []float64 {
 	return t.units[i*d : (i+1)*d]
 }
 
+// kde is the model one proposal scores its candidates against: the good
+// and bad observations' unit points, gathered out of the arena in the
+// order split returned them, room for one candidate's squared distances
+// to each, and the best density ratio so far.
+type kde struct {
+	good, bad   []float64 // dim values a point
+	dGood, dBad []float64 // one value a point
+	inv2h2      float64   // the kernel's 1/(2h²)
+	lnBad       float64   // ln len(dBad)
+
+	best    float64 // the best ratio so far, -Inf before the first
+	pruning bool    // best is small enough for the bounds to be trusted
+	// badScale turns a candidate's good mean into the bad sum above which
+	// it loses: len(dBad)·e^(pruneMargin−best).
+	badScale float64
+}
+
+// setBest makes r the ratio to beat.
+func (k *kde) setBest(r float64) {
+	k.best = r
+	k.pruning = math.Abs(r) < pruneLimit
+	k.badScale = float64(len(k.dBad)) * math.Exp(pruneMargin-r)
+}
+
+// gather builds the proposal's model in buf, or on the heap when buf is
+// too small for it.
+func (t *TPESampler) gather(good, bad []int, buf []float64) kde {
+	dim := len(t.space.params)
+	if need := (len(good) + len(bad)) * (dim + 1); need > len(buf) {
+		buf = make([]float64, need)
+	}
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	k := kde{
+		good: take(len(good) * dim), bad: take(len(bad) * dim),
+		dGood: take(len(good)), dBad: take(len(bad)),
+		inv2h2: 1 / (2 * t.bandwidth * t.bandwidth),
+		lnBad:  math.Log(float64(len(bad))),
+	}
+	k.setBest(math.Inf(-1))
+	for i, o := range good {
+		copy(k.good[i*dim:], t.unit(o))
+	}
+	for i, o := range bad {
+		copy(k.bad[i*dim:], t.unit(o))
+	}
+	return k
+}
+
 // sampleFromKDE draws a point from the mixture of Gaussians centred on
-// the observations in points, truncated to the unit cube, into u.
-func (t *TPESampler) sampleFromKDE(points []int, u []float64) {
-	for i, c := range t.unit(points[t.rng.Intn(len(points))]) {
-		u[i] = clamp(c+t.rng.NormFloat64()*t.bandwidth, 0, 1)
+// the model's good points, truncated to the unit cube, into u.
+func (t *TPESampler) sampleFromKDE(k *kde, u []float64) {
+	c := t.rng.Intn(len(k.dGood)) * len(u)
+	for i, x := range k.good[c : c+len(u)] {
+		u[i] = clamp(x+t.rng.NormFloat64()*t.bandwidth, 0, 1)
 	}
 }
 
-// kdeLogDensity evaluates the log of the Gaussian KDE over the
-// observations in points at u.
-func (t *TPESampler) kdeLogDensity(points []int, u []float64) float64 {
-	inv2h2 := 1 / (2 * t.bandwidth * t.bandwidth)
+// Pruning (DESIGN.md §4.16) trusts its bounds only where every quantity
+// it reasons about is a normal float.
+const (
+	// pruneMargin is added to every bound before it rejects a candidate:
+	// the bound and the exact ratio it stands for are rounded differently,
+	// by a few ulps of logs no larger than 10³ plus an ulp a summed term,
+	// which is under 1e-12 for any pool this sampler is given.
+	pruneMargin = 1e-9
+	// pruneLimit caps |best ratio| and the nearest bad point's exponent:
+	// e^-600 and e^600 are far from underflow and overflow.
+	pruneLimit = 600
+	// goodFloor caps the nearest good point's exponent in the cheap bound:
+	// a term under e^-708 is subnormal and may round up by far more than
+	// the margin, so the bound never takes the good density below e^-700.
+	goodFloor = 700
+)
+
+// beats reports whether candidate u's log density ratio
+// log l(u) − log g(u) beats the best so far (strictly, as a NaN never
+// does), and if so makes it the best. It gives up on u, without
+// finishing the ratio, once a bound shows that u cannot win; every ratio
+// it does finish is computed exactly as the two kernel density sums
+// always were, term by term in split order, so the winner of a proposal,
+// and every digest, is what scoring every candidate in full gives.
+func (k *kde) beats(u []float64) bool {
+	c := k.inv2h2
+	minGood, _ := distances(k.dGood, k.good, u, c, math.Inf(-1))
+	// The good mean is at most its largest term and the bad sum at least
+	// its largest term, so a bad point with exponent under cut bounds the
+	// ratio below the best, with no exp or log.
+	cut := math.Inf(-1)
+	if k.pruning {
+		cut = min(k.best-pruneMargin-k.lnBad+min(c*minGood, goodFloor), pruneLimit)
+	}
+	minBad, ok := distances(k.dBad, k.bad, u, c, cut)
+	if !ok {
+		return false
+	}
+	prune := k.pruning && c*minBad <= pruneLimit
 	var sum float64
-	for _, pi := range points {
+	for _, d2 := range k.dGood {
+		sum += math.Exp(-d2 * c)
+	}
+	good := sum / float64(len(k.dGood))
+	limit := math.Inf(1) // the bad sum above which u loses
+	if prune {
+		limit = good * k.badScale
+	}
+	// The bad terms, nearest first, each kept in place of its distance;
+	// their running sum only grows, so once it passes limit u has lost.
+	nearest := math.Exp(-minBad * c)
+	if nearest > limit {
+		return false
+	}
+	partial, skip := nearest, true
+	for j, d2 := range k.dBad {
+		term := nearest
+		if skip && d2 == minBad {
+			skip = false
+		} else {
+			term = math.Exp(-d2 * c)
+			if partial += term; partial > limit {
+				return false
+			}
+		}
+		k.dBad[j] = term
+	}
+	sum = 0
+	for _, term := range k.dBad {
+		sum += term
+	}
+	ratio := math.Log(good) - math.Log(sum/float64(len(k.dBad)))
+	if !(ratio > k.best) {
+		return false
+	}
+	k.setBest(ratio)
+	return true
+}
+
+// distances sets d[j] to u's squared distance from point j of pts and
+// returns the least of them that is not NaN, or +Inf. It stops, and
+// reports false, at the first point whose exponent c·d² is under cut.
+func distances(d, pts, u []float64, c, cut float64) (least float64, ok bool) {
+	least = math.Inf(1)
+	for j := range d {
+		p := pts[j*len(u):][:len(u)]
 		var d2 float64
-		for i, c := range t.unit(pi) {
-			diff := u[i] - c
+		for i, x := range u {
+			diff := x - p[i]
 			d2 += diff * diff
 		}
-		sum += math.Exp(-d2 * inv2h2)
+		if c*d2 < cut {
+			return 0, false
+		}
+		d[j] = d2
+		if d2 < least {
+			least = d2
+		}
 	}
-	return math.Log(sum / float64(len(points)))
+	return least, true
 }
 
 // --- Registry ------------------------------------------------------------

@@ -236,7 +236,7 @@ func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerE
 // share without training and a finished one without asking the training
 // what it saw.
 func (r *Runner) projectedCost(flops, params float64, req Request, batch, gpus int) (perfmodel.Cost, int, error) {
-	train := r.workload.Split.Train
+	train := r.workload.Split().Train
 	k, err := dataset.SubsetLen(train.Len(), req.Alloc.DataFraction)
 	if err != nil {
 		return perfmodel.Cost{}, 0, err

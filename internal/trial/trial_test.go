@@ -315,7 +315,7 @@ func TestAllWorkloadsRunnable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chance := 1 / float64(r.Workload().Split.Test.Classes)
+			chance := 1 / float64(r.Workload().Split().Test.Classes)
 			if res.Accuracy < 1.5*chance {
 				t.Errorf("accuracy %.3f below 1.5x chance", res.Accuracy)
 			}
@@ -341,11 +341,11 @@ func TestTrainingNeverWritesThroughData(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tokens []uint8
-		for _, seq := range w.Split.Train.Tokens {
+		for _, seq := range w.Split().Train.Tokens {
 			tokens = append(tokens, seq...)
 		}
 		var features, before [][]float64 // a token split has none
-		for _, d := range []*dataset.Dataset{w.Split.Train, w.Split.Test} {
+		for _, d := range []*dataset.Dataset{w.Split().Train, w.Split().Test} {
 			if d.X != nil {
 				features, before = append(features, d.X.Data), append(before, append([]float64(nil), d.X.Data...))
 			}
@@ -360,7 +360,7 @@ func TestTrainingNeverWritesThroughData(t *testing.T) {
 				}
 			}
 		}
-		for i, seq := range w.Split.Train.Tokens {
+		for i, seq := range w.Split().Train.Tokens {
 			for j, tok := range seq {
 				if tok != tokens[i*len(seq)+j] {
 					t.Fatalf("%s: the trial wrote to token %d of sequence %d", tt.id, j, i)

@@ -19,6 +19,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"edgetune/internal/dataset"
 	"edgetune/internal/device"
@@ -56,13 +57,13 @@ type Workload struct {
 	Task string
 	// ModelFamily names the emulated architecture.
 	ModelFamily string
-	// Split holds the train/test data.
-	Split dataset.Split
 	// ModelParam is the single model hyperparameter this family tunes.
 	ModelParam search.Param
 
 	family *family // the workload's row of Table 1
 	seed   uint64
+	once   sync.Once // builds split on the first read
+	split  dataset.Split
 }
 
 // family is one row of Table 1: everything that differs between the
@@ -121,24 +122,34 @@ func IDs() []string {
 	return ids
 }
 
-// New constructs a workload by paper ID with a deterministic seed.
+// New constructs a workload by paper ID with a deterministic seed. Its
+// data is built on the first call to Split, so a workload asked only
+// for its spaces and costs never builds any.
 func New(id string, seed uint64) (*Workload, error) {
 	for i := range families {
 		if f := &families[i]; f.id == id {
-			return &Workload{ID: id, Task: f.task, ModelFamily: f.model, Split: f.split(seed), ModelParam: f.param, family: f, seed: seed}, nil
+			return &Workload{ID: id, Task: f.task, ModelFamily: f.model, ModelParam: f.param, family: f, seed: seed}, nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown id %q (want IC, SR, NLP, or OD)", id)
 }
 
-// Release hands the workload's split to the next New of the same ID,
-// which regenerates into it (dataset.Release): what a tuning job calls
-// once nothing it started reads the data any more. The workload holds
-// no split afterwards; releasing it again does nothing. A workload that
-// is never released is collected as ever.
+// Split returns the train/test data, building it on the first call; any
+// number of goroutines may call it at once.
+func (w *Workload) Split() dataset.Split {
+	w.once.Do(func() { w.split = w.family.split(w.seed) })
+	return w.split
+}
+
+// Release hands the workload's split, if it was built, to the next New
+// of the same ID, which regenerates into it (dataset.Release): what a
+// tuning job calls once nothing it started reads the data any more. The
+// workload holds no split afterwards and builds none; releasing it again
+// does nothing. A workload that is never released is collected as ever.
 func (w *Workload) Release() {
-	dataset.Release(w.Split)
-	w.Split = dataset.Split{}
+	w.once.Do(func() {})
+	dataset.Release(w.split)
+	w.split = dataset.Split{}
 }
 
 // MustNew is New for tests and examples with known-good IDs; it panics
@@ -275,14 +286,15 @@ func (w *Workload) Data(cfg search.Config) (train, test *dataset.Dataset, err er
 // allocation of frac trains on (dataset.Subset), and what featurising
 // takes comes from a, so both datasets are valid until a's next Reset.
 func (w *Workload) DataIn(a *tensor.Arena, cfg search.Config, frac float64) (train, test *dataset.Dataset, err error) {
-	if train, err = w.Split.Train.Subset(frac); err != nil || !w.family.refeaturises {
-		return train, w.Split.Test, err
+	split := w.Split()
+	if train, err = split.Train.Subset(frac); err != nil || !w.family.refeaturises {
+		return train, split.Test, err
 	}
 	stride := int(cfg[ParamStride])
 	if stride < 1 || stride > 32 {
 		return nil, nil, fmt.Errorf("workload NLP: stride %d out of [1, 32]", stride)
 	}
-	return refeaturise(a, train, stride), refeaturise(a, w.Split.Test, stride), nil
+	return refeaturise(a, train, stride), refeaturise(a, split.Test, stride), nil
 }
 
 // refeaturise is d with its tokens counted at the stride into X, one

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"edgetune/internal/dataset"
@@ -24,7 +25,7 @@ func TestNewValidIDs(t *testing.T) {
 		if w.ID != id {
 			t.Errorf("ID = %q, want %q", w.ID, id)
 		}
-		if w.Split.Train.Len() == 0 || w.Split.Test.Len() == 0 {
+		if w.Split().Train.Len() == 0 || w.Split().Test.Len() == 0 {
 			t.Errorf("%s: empty dataset", id)
 		}
 	}
@@ -135,6 +136,65 @@ func paramCount(net *nn.Network) int {
 		c += p.Count()
 	}
 	return c
+}
+
+// TestSpacesAndCostsBuildNoData: what a recommendation, the batching
+// planners and an inference server's set-up ask of a workload needs none
+// of its data, so none is built until the first Split.
+func TestSpacesAndCostsBuildNoData(t *testing.T) {
+	for _, id := range IDs() {
+		w := MustNew(id, 3)
+		if _, err := w.InferenceSpace(device.I7()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.TrainSpace(true); err != nil {
+			t.Fatal(err)
+		}
+		cfg := search.Config{w.ModelParam.Name: w.ModelParam.GridValues(2)[0]}
+		if _, _, err := w.PaperCost(cfg); err != nil {
+			t.Fatal(err)
+		}
+		_ = w.Signature(cfg)
+		_ = w.TargetAccuracy()
+		if w.split.Train != nil || w.split.Test != nil {
+			t.Errorf("%s: spaces and costs built the data", id)
+		}
+		if s := w.Split(); s.Train.Len() == 0 || s.Test.Len() == 0 {
+			t.Errorf("%s: the first Split built no data", id)
+		}
+	}
+}
+
+// TestConcurrentFirstReadsBuildOnce: readers racing to the first Split
+// all get the one split it builds.
+func TestConcurrentFirstReadsBuildOnce(t *testing.T) {
+	w := MustNew("IC", 5)
+	got := make([]dataset.Split, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = w.Split()
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if s.Train == nil || s != got[0] {
+			t.Fatalf("reader %d got %p/%p, reader 0 %p/%p", i, s.Train, s.Test, got[0].Train, got[0].Test)
+		}
+	}
+}
+
+// TestReleaseBeforeReadBuildsNothing: a workload released unread hands
+// nothing back and builds nothing afterwards.
+func TestReleaseBeforeReadBuildsNothing(t *testing.T) {
+	w := MustNew("SR", 2)
+	w.Release()
+	if s := w.Split(); s.Train != nil || s.Test != nil {
+		t.Errorf("Split after Release = %p/%p, want none", s.Train, s.Test)
+	}
+	w.Release() // again: nothing
 }
 
 func TestSignatureReuseSemantics(t *testing.T) {
@@ -251,8 +311,8 @@ func TestDataInIsThePrefixOfData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _ := dataset.SubsetLen(ic.Split.Train.Len(), 0.3)
-	if &train.X.Data[0] != &ic.Split.Train.X.Data[0] || test != ic.Split.Test || train.Len() != k {
+	k, _ := dataset.SubsetLen(ic.Split().Train.Len(), 0.3)
+	if &train.X.Data[0] != &ic.Split().Train.X.Data[0] || test != ic.Split().Test || train.Len() != k {
 		t.Errorf("IC: DataIn copied the split or took %d samples at 0.3, want %d", train.Len(), k)
 	}
 }
