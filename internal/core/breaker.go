@@ -118,34 +118,44 @@ func (b *breaker) allowProbe() (ok, probe bool) {
 func (b *breaker) releaseProbe() { b.probing = false }
 
 // success records a served request that completed without failure.
-func (b *breaker) success() {
-	if b.state == breakerHalfOpen {
+// probe says whether the request held the half-open probe slot: only the
+// probe's verdict moves a half-open breaker, since a request admitted
+// while the breaker was closed says nothing about the device after it
+// opened.
+func (b *breaker) success(probe bool) {
+	if probe && b.state == breakerHalfOpen {
 		b.state = breakerClosed
 		b.cooldown = b.baseCooldown
 		b.rec.AddBreakerClose()
 	}
-	b.probing = false
+	if probe {
+		b.probing = false
+	}
 	b.consecFails = 0
 }
 
 // failure records a served request that failed; caller-cancellations
-// must not be reported here.
-func (b *breaker) failure() {
-	switch b.state {
-	case breakerHalfOpen:
+// must not be reported here. probe is as for success: a failure that did
+// not hold the probe slot counts only towards the closed breaker's
+// threshold.
+func (b *breaker) failure(probe bool) {
+	switch {
+	case probe && b.state == breakerHalfOpen:
 		// Failed probe: re-open with the cooldown doubled.
 		b.cooldown *= 2
 		if b.cooldown > b.maxCooldown {
 			b.cooldown = b.maxCooldown
 		}
 		b.open()
-	case breakerClosed:
+	case b.state == breakerClosed:
 		b.consecFails++
 		if b.consecFails >= b.threshold {
 			b.open()
 		}
 	}
-	b.probing = false
+	if probe {
+		b.probing = false
+	}
 }
 
 // open transitions to the open state.
@@ -322,13 +332,13 @@ func (g *deviceGate) observe(r route, err error, latency, expected, at time.Dura
 	brBefore := g.br.state
 	signal := 0.0
 	if err == nil {
-		g.br.success()
+		g.br.success(r.brProbe)
 		signal = 1
 		if expected > 0 && latency > expected {
 			signal = float64(expected) / float64(latency)
 		}
 	} else {
-		g.br.failure()
+		g.br.failure(r.brProbe)
 		g.mFailures.Add(1)
 	}
 	if brAfter := g.br.state; brAfter != brBefore {

@@ -13,7 +13,11 @@ import (
 // step is one scripted interaction with a breaker: an admission check
 // or an outcome report, with the state expected afterwards.
 type step struct {
-	op        string // "allow-ok", "allow-denied", "success", "failure"
+	// "allow-ok", "allow-denied", "success", "failure", or "stale-success"
+	// and "stale-failure": the verdict of a request that did not hold the
+	// probe slot. success and failure are the held probe's verdict when
+	// an allow-ok took the slot.
+	op        string
 	wantState breakerState
 }
 
@@ -77,24 +81,53 @@ func TestBreakerTransitions(t *testing.T) {
 				{"allow-ok", breakerHalfOpen}, // back to the base cooldown of 2
 			},
 		},
+		{
+			name: "stale-verdicts-leave-the-probe",
+			steps: []step{
+				{"failure", breakerClosed},
+				{"failure", breakerClosed},
+				{"failure", breakerOpen},
+				{"stale-failure", breakerOpen}, // admitted before the trip
+				{"allow-denied", breakerOpen},
+				{"allow-ok", breakerHalfOpen},
+				{"stale-failure", breakerHalfOpen}, // not the probe
+				{"stale-success", breakerHalfOpen},
+				{"allow-denied", breakerHalfOpen}, // the probe still holds the slot
+				{"failure", breakerOpen},          // the probe's verdict: cooldown 4
+				{"allow-denied", breakerOpen},
+				{"allow-denied", breakerOpen},
+				{"allow-denied", breakerOpen},
+				{"allow-ok", breakerHalfOpen},
+				{"success", breakerClosed},
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newBreaker(3, 2, counters.NewResilienceOn(nil))
+			held := false // an allow-ok took the probe slot
 			for i, s := range tc.steps {
 				switch s.op {
 				case "allow-ok":
-					if ok, _ := b.allowProbe(); !ok {
+					ok, probe := b.allowProbe()
+					if !ok {
 						t.Fatalf("step %d: allowProbe() = false, want true", i)
 					}
+					held = held || probe
 				case "allow-denied":
 					if ok, _ := b.allowProbe(); ok {
 						t.Fatalf("step %d: allowProbe() = true, want false", i)
 					}
 				case "success":
-					b.success()
+					b.success(held)
+					held = false
 				case "failure":
-					b.failure()
+					b.failure(held)
+					held = false
+				case "stale-success":
+					b.success(false)
+				case "stale-failure":
+					b.failure(false)
 				}
 				if got := b.state; got != s.wantState {
 					t.Fatalf("step %d (%s): state = %d, want %d", i, s.op, got, s.wantState)
@@ -108,7 +141,7 @@ func TestBreakerTransitions(t *testing.T) {
 // probing request was evicted before running) admits the next probe.
 func TestBreakerReleaseProbe(t *testing.T) {
 	b := newBreaker(1, 1, counters.NewResilienceOn(nil))
-	b.failure() // threshold 1: open immediately
+	b.failure(false) // threshold 1: open immediately
 	if ok, _ := b.allowProbe(); !ok {
 		t.Fatal("cooldown 1: first rejection should half-open and admit a probe")
 	}

@@ -367,6 +367,42 @@ func TestOneQuarantineProbeInFlight(t *testing.T) {
 	}
 }
 
+// TestStaleFailureLeavesTheBreakerProbe: a request picked while the
+// device was healthy and failing after the breaker opened and
+// half-opened is not the probe's verdict. It must neither re-open the
+// breaker with its cooldown doubled nor free the slot while the probe is
+// still in flight.
+func TestStaleFailureLeavesTheBreakerProbe(t *testing.T) {
+	g := newDeviceGate(device.I7(), counters.NewResilienceOn(nil), nil)
+	early, err := g.pick(0) // pick 1: healthy, breaker closed
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	for i := 0; i < 3; i++ {
+		g.observe(route{}, boom, 0, 0, 0) // quarantined, breaker open
+	}
+	var probe route
+	for i := 2; i <= 2*probeEvery; i++ {
+		rt, err := g.pick(0)
+		if i == 2*probeEvery {
+			if err != nil || !rt.brProbe {
+				t.Fatalf("pick %d: (%+v, %v), want the breaker's probe", i, rt, err)
+			}
+			probe = rt
+		}
+	}
+	g.observe(early, boom, 0, 0, 0)
+	if g.br.state != breakerHalfOpen || g.br.cooldown != breakerCooldown || !g.br.probing {
+		t.Fatalf("after the stale failure: breaker %v, cooldown %d, probing %v; want half-open, %d, true",
+			g.br.state, g.br.cooldown, g.br.probing, breakerCooldown)
+	}
+	g.observe(probe, nil, 0, 0, 0)
+	if st, _, br := g.snapshot(); br != breakerClosed || st != deviceProbation {
+		t.Errorf("after the probe's success: %v with breaker %v, want probation with breaker closed", st, br)
+	}
+}
+
 // TestPoolSlowSuccessesQuarantine: a device that keeps succeeding far
 // slower than the performance model expects (a brown-out) is
 // quarantined even though its breaker never trips.
