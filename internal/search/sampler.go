@@ -508,9 +508,13 @@ const (
 	// e^-600 and e^600 are far from underflow and overflow.
 	pruneLimit = 600
 	// goodFloor caps the nearest good point's exponent in the cheap bound:
-	// a term under e^-708 is subnormal and may round up by far more than
-	// the margin, so the bound never takes the good density below e^-700.
+	// a good mean under e^-708 is subnormal, and math.Log of a subnormal
+	// may be far above its true value (on amd64 it is about −709 for
+	// every one), so the bound never takes the good density below e^-700.
 	goodFloor = 700
+	// minNormal is the least normal float64: a subnormal good mean, whose
+	// logarithm the exact ratio takes as computed, is never pruned.
+	minNormal = 0x1p-1022
 )
 
 // beats reports whether candidate u's log density ratio
@@ -541,7 +545,7 @@ func (k *kde) beats(u []float64) bool {
 	}
 	good := sum / float64(len(k.dGood))
 	limit := math.Inf(1) // the bad sum above which u loses
-	if prune {
+	if prune && good >= minNormal {
 		limit = good * k.badScale
 	}
 	// The bad terms, nearest first, each kept in place of its distance;
