@@ -341,8 +341,8 @@ func (t *TPESampler) Sample() Config {
 // warm, then the best of nCandidates draws from the good-density l(x)
 // scored by l(x)/g(x). Only the winner is decoded: FromUnitInto is pure
 // and draws no randomness, so deferring it leaves the RNG stream
-// untouched. The model lives on this call's stack unless its pool
-// outgrows stack (DESIGN.md §4.16).
+// untouched. The model is gathered into an array on this call's stack,
+// or onto the heap for a pool too big for it (DESIGN.md §4.16).
 func (t *TPESampler) SampleInto(dst Config) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
