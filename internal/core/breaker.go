@@ -123,12 +123,12 @@ func (b *breaker) releaseProbe() { b.probing = false }
 // while the breaker was closed says nothing about the device after it
 // opened.
 func (b *breaker) success(probe bool) {
-	if probe && b.state == breakerHalfOpen {
-		b.state = breakerClosed
-		b.cooldown = b.baseCooldown
-		b.rec.AddBreakerClose()
-	}
 	if probe {
+		if b.state == breakerHalfOpen {
+			b.state = breakerClosed
+			b.cooldown = b.baseCooldown
+			b.rec.AddBreakerClose()
+		}
 		b.probing = false
 	}
 	b.consecFails = 0
