@@ -83,6 +83,33 @@ func TestReadReproRejectsBadSchedule(t *testing.T) {
 	}
 }
 
+// TestReadReproSchema1: a schema-1 artefact still loads when it has no
+// disk event, and is refused with an error when it has one — its disk
+// sites name the Nth filesystem operation, which no decision is keyed
+// by any more, so replaying it would silently fire nothing.
+func TestReadReproSchema1(t *testing.T) {
+	for _, tc := range []struct {
+		ev      fault.Event
+		wantErr bool
+	}{
+		{fault.Event{Class: fault.TrialCrash, Site: "conf1/b0/r0"}, false},
+		{fault.Event{Class: fault.DiskCrash, Site: "fsync/store.json.wal", Attempt: 16}, true},
+	} {
+		path := filepath.Join(t.TempDir(), "repro.json")
+		old := Repro{Schema: 1, Schedule: Schedule{Seed: 11, Mode: ModeSingle, Events: []fault.Event{tc.ev}}}
+		if err := WriteRepro(path, old); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadRepro(path)
+		if gotErr := err != nil; gotErr != tc.wantErr {
+			t.Errorf("schema-1 repro with %s: ReadRepro error %v, want error %v", tc.ev, err, tc.wantErr)
+		}
+		if tc.wantErr && err != nil && !strings.Contains(err.Error(), "schema 1") {
+			t.Errorf("schema-1 refusal does not name the schema: %v", err)
+		}
+	}
+}
+
 // TestShrinkMinimizes drives ddmin with a synthetic predicate: the
 // failure needs events #3 and #6 together; everything else is noise.
 // The shrinker must strip all six noise events and keep exactly the

@@ -159,13 +159,9 @@ func (r *Runner) jobOptions(s Schedule, plan *fault.Plan, observe fault.Observer
 		MaxBrackets:    1,
 		InferTrials:    6,
 		Seed:           s.Seed,
-		// The plan, even an empty one, is also what makes the inference
-		// server persist results inline (core.NewInferenceServer): a
-		// background flusher's appends would interleave with the tuner's
-		// own and shift the fault FS's operation numbering run to run.
-		Fault:      fault.Config{Plan: plan, Observe: observe},
-		Checkpoint: true,
-		Tenant:     fuzzTenant,
+		Fault:          fault.Config{Plan: plan, Observe: observe},
+		Checkpoint:     true,
+		Tenant:         fuzzTenant,
 	}, nil
 }
 

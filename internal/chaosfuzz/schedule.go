@@ -115,8 +115,11 @@ func (s Schedule) plans() (job, cluster *fault.Plan, err error) {
 	return job, cluster, nil
 }
 
-// ReproSchema versions the repro artefact layout.
-const ReproSchema = 1
+// ReproSchema versions the repro artefact layout. Schema 2 keys a disk
+// event by the frame written (fault.FS); schema 1 keyed it by the Nth
+// operation on the filesystem, which names no frame, so a schema-1
+// artefact loads only when it holds no disk event.
+const ReproSchema = 2
 
 // Repro is the replayable artefact the fuzzer emits for a finding: the
 // minimal schedule plus the invariant it breaks. Corpus entries use
@@ -161,8 +164,11 @@ func ReadRepro(path string) (Repro, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("chaosfuzz: parse %s: %w", path, err)
 	}
-	if r.Schema != ReproSchema {
+	if r.Schema != ReproSchema && r.Schema != 1 {
 		return r, fmt.Errorf("chaosfuzz: %s: unsupported repro schema %d (want %d)", path, r.Schema, ReproSchema)
+	}
+	if r.Schema == 1 && r.Schedule.hasDiskEvents() {
+		return r, fmt.Errorf("chaosfuzz: %s: schema 1 keys its disk events by operation number, which no longer names a decision; re-express them by frame (schema %d)", path, ReproSchema)
 	}
 	if err := r.Schedule.Validate(); err != nil {
 		return r, fmt.Errorf("chaosfuzz: %s: %w", path, err)

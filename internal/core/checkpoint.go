@@ -164,17 +164,20 @@ func checkpointKey(o Options) string {
 // hands back the one it held before, which the next checkpoint is
 // written into.
 func (j *tuneJob) checkpoint() error {
+	if j.srv != nil {
+		// The checkpoint must capture every completed inference result,
+		// not leave some in the server's write-behind buffer. Flushing
+		// first also orders the log: every result a rung produced is
+		// written before the rung's checkpoint, and every disk fault
+		// those writes meet is counted in the snapshot below.
+		if err := j.srv.FlushWrites(); err != nil {
+			return err
+		}
+	}
 	j.Resilience = j.recd.Snapshot()
 	if rs, ok := j.sampler.(search.Resumable); ok {
 		state := rs.SamplerState()
 		j.Sampler = &state
-	}
-	if j.srv != nil {
-		// The checkpoint must capture every completed inference result,
-		// not leave some in the server's write-behind buffer.
-		if err := j.srv.FlushWrites(); err != nil {
-			return err
-		}
 	}
 	if j.ck == nil {
 		j.ck = takeCkStorage()

@@ -256,22 +256,11 @@ func NewInferenceServer(opts InferenceServerOptions) (*InferenceServer, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
-	// A fault plan names exact sites — the Nth operation on a file — so
-	// under one the store must see its appends in the same order on every
-	// same-seed run: results are persisted inline on the worker's put
-	// path. Everything else keeps the background flusher. Buffering,
-	// read-through promotion and failed-flush retry are the same in both.
-	var writes *store.WriteBehind
-	if opts.Fault.Planned() {
-		writes = store.NewSyncWriteBehind(opts.Store)
-	} else {
-		writes = store.NewWriteBehind(opts.Store)
-	}
 	s := &InferenceServer{
 		opts:   opts,
 		adm:    newAdmission(opts.QueueLimit),
 		gate:   newDeviceGate(opts.Device, opts.Recorder, opts.Flight),
-		writes: writes,
+		writes: store.NewWriteBehind(opts.Store),
 	}
 	s.hard, s.stop = context.WithCancel(context.Background())
 	if reg := opts.Recorder.Registry(); reg != nil {

@@ -205,12 +205,13 @@ type Config struct {
 	// OverloadBurst fires per inference submission at the admission
 	// gate, shedding the request with ErrOverloaded.
 	OverloadBurst float64 `json:"overloadBurst,omitempty"`
-	// The disk classes fire per filesystem operation of a fault.FS:
-	// DiskTornWrite and DiskFull fail individual writes (partial data
-	// and ENOSPC respectively), DiskCrash kills the filesystem for the
-	// rest of the run, DiskBitFlip silently corrupts one written byte,
-	// DiskSlowFsync records a stalled fsync without failing it. A job
-	// meets them through its durable store (a StorePath).
+	// The disk classes fire per write of a fault.FS, keyed by the bytes
+	// written, and per write an fsync covers: DiskTornWrite and DiskFull
+	// fail individual writes (partial data and ENOSPC respectively),
+	// DiskCrash kills the filesystem for the rest of the run,
+	// DiskBitFlip silently corrupts one written byte, DiskSlowFsync
+	// records a stalled fsync without failing it. A job meets them
+	// through its durable store (a StorePath).
 	DiskTornWrite float64 `json:"diskTornWrite,omitempty"`
 	DiskCrash     float64 `json:"diskCrash,omitempty"`
 	DiskBitFlip   float64 `json:"diskBitFlip,omitempty"`
@@ -351,13 +352,13 @@ type Injector struct {
 // derive from seed. Fired faults are recorded into rec (which may be
 // nil). A cfg that sets no probability, plan or observer gets the nil
 // injector: it decides the same — nothing ever fires — without a site
-// string being built per decision point for nobody to read. A plan
-// keeps the injector even when empty, since Planned reads it.
+// string being built per decision point for nobody to read. An empty
+// plan schedules nothing, so it keeps no injector either.
 func NewInjector(cfg Config, seed uint64, rec *counters.Resilience) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.Enabled() && cfg.Plan == nil && cfg.Observe == nil {
+	if !cfg.Enabled() && cfg.Observe == nil {
 		return nil, nil
 	}
 	if cfg.StragglerFactor == 0 {
@@ -367,13 +368,6 @@ func NewInjector(cfg Config, seed uint64, rec *counters.Resilience) (*Injector, 
 		cfg.BrownoutFactor = 6
 	}
 	return &Injector{cfg: cfg, seed: seed, rec: rec}, nil
-}
-
-// Planned reports whether the injector was armed with a Plan, even an
-// empty one. A plan names exact sites — the Nth operation of a file —
-// so whatever runs under it must keep its operations in a stable order.
-func (in *Injector) Planned() bool {
-	return in != nil && in.cfg.Plan != nil
 }
 
 // rng derives the decision stream for one (class, site, attempt) tuple.

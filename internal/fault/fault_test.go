@@ -41,14 +41,22 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNilInjectorNeverFires(t *testing.T) {
-	// A config that can fire nothing and has no observer or plan is the
-	// nil injector; the factors alone do not arm it.
+	// A config that can fire nothing and has no observer is the nil
+	// injector; the factors alone do not arm it.
 	in, err := NewInjector(Config{StragglerFactor: 3, BrownoutFactor: 8}, 1, nil)
 	if err != nil || in != nil {
 		t.Fatalf("inert config: injector %v, err %v; want nil, nil", in, err)
 	}
+	// An empty plan schedules nothing: it gets the nil injector too.
+	if in, err := NewInjector(Config{Plan: &Plan{}}, 1, nil); err != nil || in != nil {
+		t.Fatalf("empty plan: injector %v, err %v; want nil, nil", in, err)
+	}
+	one, err := NewPlan([]Event{{Class: DiskFull, Site: "store.json.wal", Attempt: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, armed := range []Config{
-		{Plan: &Plan{}},
+		{Plan: one},
 		{Observe: func(Class, string, int, bool) {}},
 		{DiskFull: 0.1},
 	} {
@@ -56,7 +64,7 @@ func TestNilInjectorNeverFires(t *testing.T) {
 			t.Errorf("NewInjector(%+v) returned the nil injector", armed)
 		}
 	}
-	if in.Planned() || in.Uniform("site", 0) != 0.5 {
+	if in.Uniform("site", 0) != 0.5 {
 		t.Error("nil injector is not inert")
 	}
 	for _, class := range Classes() {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"sync"
 	"syscall"
@@ -12,16 +13,18 @@ import (
 // FS wraps a store.FS with seeded disk-fault injection, driving the
 // durability layer through the failure modes of real edge flash: torn
 // writes, partial-write-then-crash, silent bit flips, ENOSPC, and slow
-// fsyncs. Decisions come from the same (seed, class, site, attempt)
-// hashing as every other fault class — site is the file path, attempt
-// is a per-filesystem operation counter — so a run replays exactly
-// from its seed.
+// fsyncs. A decision is keyed by what is written, not by when: a Write's
+// site is its file's base name and a hash of its bytes, its attempt the
+// occurrence of those bytes on that file, and a Sync takes the decisions
+// of the writes it covers. A WAL frame carries no sequence number, so
+// every same-seed run meets the same decisions however the flusher's
+// group commits and the checkpoint appends interleave (DESIGN.md §4.14).
 type FS struct {
 	inner store.FS
 	in    *Injector
 
 	mu   sync.Mutex
-	op   int
+	seen map[string]int // writes of each site so far
 	dead bool
 }
 
@@ -31,7 +34,7 @@ func NewFS(inner store.FS, in *Injector) *FS {
 	if inner == nil {
 		inner = store.OSFS{}
 	}
-	return &FS{inner: inner, in: in}
+	return &FS{inner: inner, in: in, seen: make(map[string]int)}
 }
 
 var _ store.FS = (*FS)(nil)
@@ -43,16 +46,21 @@ func (f *FS) Dead() bool {
 	return f.dead
 }
 
-// nextOp returns the next attempt number, or an error when the disk
-// already crashed.
-func (f *FS) nextOp() (int, error) {
+// frameOf keys a write of p to the file path: its site and the
+// occurrence of those bytes there. It fails when the disk already
+// crashed.
+func (f *FS) frameOf(path string, p []byte) (frame, error) {
+	h := fnv.New64a()
+	h.Write(p)
+	site := fmt.Sprintf("%s:%016x", path, h.Sum64())
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dead {
-		return 0, &Error{Class: DiskCrash, Site: "dead-disk"}
+		return frame{}, &Error{Class: DiskCrash, Site: "dead-disk"}
 	}
-	f.op++
-	return f.op, nil
+	n := f.seen[site]
+	f.seen[site] = n + 1
+	return frame{site: site, attempt: n}, nil
 }
 
 func (f *FS) kill() {
@@ -67,38 +75,47 @@ func diskErr(class Class, site string, errno error) error {
 	return fmt.Errorf("%w: %w", &Error{Class: class, Site: site}, errno)
 }
 
+// frame is the decision key of one write.
+type frame struct {
+	site    string
+	attempt int
+}
+
 // faultFile wraps an open file; writes and fsyncs are where the disk
 // classes fire. path is the file's base name: hashing the site without
 // its directory keeps fault decisions identical for the same store
-// opened anywhere (temp dirs, per-run scratch space).
+// opened anywhere (temp dirs, per-run scratch space). covered holds the
+// writes landed since the last Sync, guarded by the FS's mutex.
 type faultFile struct {
-	f    store.File
-	fs   *FS
-	path string
+	f       store.File
+	fs      *FS
+	path    string
+	covered []frame
 }
 
 // Write injects the write-path classes. A torn write lands a prefix
 // and reports failure with the true byte count (so the WAL layer can
 // repair); a crash lands a prefix and kills the filesystem; a bit flip
 // corrupts one byte and reports success — only recovery's checksums
-// can catch it; disk-full writes nothing.
+// can catch it; disk-full writes nothing. Only a write that reports
+// success is covered by the next Sync.
 func (w *faultFile) Write(p []byte) (int, error) {
-	attempt, err := w.fs.nextOp()
+	fr, err := w.fs.frameOf(w.path, p)
 	if err != nil {
 		return 0, err
 	}
 	in := w.fs.in
-	if in.Should(DiskCrash, w.path, attempt) {
+	if in.Should(DiskCrash, fr.site, fr.attempt) {
 		n, _ := w.f.Write(p[:len(p)/2])
 		w.f.Sync()
 		w.fs.kill()
 		return n, diskErr(DiskCrash, w.path, syscall.EIO)
 	}
-	if in.Should(DiskFull, w.path, attempt) {
+	if in.Should(DiskFull, fr.site, fr.attempt) {
 		return 0, diskErr(DiskFull, w.path, syscall.ENOSPC)
 	}
-	if in.Should(DiskTornWrite, w.path, attempt) {
-		torn := int(in.Uniform("torn/"+w.path, attempt) * float64(len(p)))
+	if in.Should(DiskTornWrite, fr.site, fr.attempt) {
+		torn := int(in.Uniform("torn/"+fr.site, fr.attempt) * float64(len(p)))
 		if torn >= len(p) {
 			torn = len(p) - 1
 		}
@@ -106,32 +123,47 @@ func (w *faultFile) Write(p []byte) (int, error) {
 		w.f.Sync()
 		return n, diskErr(DiskTornWrite, w.path, syscall.EIO)
 	}
-	if in.Should(DiskBitFlip, w.path, attempt) && len(p) > 0 {
-		corrupt := append([]byte(nil), p...)
-		idx := int(in.Uniform("flip/"+w.path, attempt) * float64(len(corrupt)))
-		if idx >= len(corrupt) {
-			idx = len(corrupt) - 1
+	data := p
+	if in.Should(DiskBitFlip, fr.site, fr.attempt) && len(p) > 0 {
+		data = append([]byte(nil), p...)
+		idx := int(in.Uniform("flip/"+fr.site, fr.attempt) * float64(len(data)))
+		if idx >= len(data) {
+			idx = len(data) - 1
 		}
-		corrupt[idx] ^= 0x40
-		return w.f.Write(corrupt)
+		data[idx] ^= 0x40
 	}
-	return w.f.Write(p)
+	n, err := w.f.Write(data)
+	if err == nil {
+		w.fs.mu.Lock()
+		w.covered = append(w.covered, fr)
+		w.fs.mu.Unlock()
+	}
+	return n, err
 }
 
-// Sync injects crash-at-fsync and slow-fsync.
+// Sync injects crash-at-fsync and slow-fsync, taking the decisions of
+// the writes it covers in the order they landed: it crashes at the
+// first whose crash decision fires, and each whose slow decision fires
+// counts one slow fsync. So a group commit of n frames decides what n
+// commits of one frame would.
 func (w *faultFile) Sync() error {
-	attempt, err := w.fs.nextOp()
-	if err != nil {
-		return err
+	w.fs.mu.Lock()
+	dead, covered := w.fs.dead, w.covered
+	w.covered = nil
+	w.fs.mu.Unlock()
+	if dead {
+		return &Error{Class: DiskCrash, Site: "dead-disk"}
 	}
 	in := w.fs.in
-	if in.Should(DiskCrash, "fsync/"+w.path, attempt) {
-		w.fs.kill()
-		return diskErr(DiskCrash, w.path, syscall.EIO)
+	for _, fr := range covered {
+		if in.Should(DiskCrash, "fsync/"+fr.site, fr.attempt) {
+			w.fs.kill()
+			return diskErr(DiskCrash, w.path, syscall.EIO)
+		}
+		// A slow fsync succeeds, slowly: the decision is all there is of
+		// it, counted under the class by the injector's recorder.
+		in.Should(DiskSlowFsync, fr.site, fr.attempt)
 	}
-	// A slow fsync succeeds, slowly: the decision is all there is of it,
-	// counted under the class by the injector's recorder.
-	in.Should(DiskSlowFsync, w.path, attempt)
 	return w.f.Sync()
 }
 

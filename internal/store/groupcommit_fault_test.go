@@ -16,11 +16,36 @@ import (
 // behind for recovery to cut.
 func TestGroupCommitTornWriteKeepsPrefix(t *testing.T) {
 	const n = 4
+	es := make([]store.Entry, n)
+	for k := range es {
+		es[k] = store.Entry{Signature: fmt.Sprintf("sig-%d", k), Device: "i7", Throughput: float64(k)}
+	}
+	// A disk fault is keyed by the frame it writes: learn the group's
+	// frame sites, in write order, from an observer on a clean run.
+	var sites []string
+	observe := func(class fault.Class, site string, attempt int, _ bool) {
+		if class == fault.DiskTornWrite && attempt == 0 {
+			sites = append(sites, site)
+		}
+	}
+	in, err := fault.NewInjector(fault.Config{Observe: observe}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.OpenDurable(store.DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json"), FS: fault.NewFS(nil, in)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := d.Store().PutBatch(es); kept != n || err != nil {
+		t.Fatalf("clean group kept %d entries, err %v", kept, err)
+	}
+	d.Abandon()
+	if len(sites) != n {
+		t.Fatalf("a group of %d puts wrote %d frames: %v", n, len(sites), sites)
+	}
 	for i := range n {
 		t.Run(fmt.Sprintf("frame-%d", i), func(t *testing.T) {
-			// The WAL's first write is the fault filesystem's first
-			// operation, so frame i is attempt i+1.
-			plan, err := fault.NewPlan([]fault.Event{{Class: fault.DiskTornWrite, Site: "store.json.wal", Attempt: i + 1}})
+			plan, err := fault.NewPlan([]fault.Event{{Class: fault.DiskTornWrite, Site: sites[i]}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,10 +57,6 @@ func TestGroupCommitTornWriteKeepsPrefix(t *testing.T) {
 			d, err := store.OpenDurable(store.DurableOptions{SnapshotPath: path, FS: fault.NewFS(nil, in)})
 			if err != nil {
 				t.Fatal(err)
-			}
-			es := make([]store.Entry, n)
-			for k := range es {
-				es[k] = store.Entry{Signature: fmt.Sprintf("sig-%d", k), Device: "i7", Throughput: float64(k)}
 			}
 			kept, err := d.Store().PutBatch(es)
 			if kept != i || fault.ClassOf(err) != fault.DiskTornWrite {

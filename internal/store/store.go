@@ -155,6 +155,14 @@ func (s *Store) get(signature, dev string) (Entry, error) {
 	return e, nil
 }
 
+// hit counts a cache hit answered outside the map: a write-behind
+// buffer's entry on its way to the store.
+func (s *Store) hit() {
+	s.mu.Lock()
+	s.hits++
+	s.mu.Unlock()
+}
+
 // Len reports the number of cached entries.
 func (s *Store) Len() int {
 	s.mu.Lock()

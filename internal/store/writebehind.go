@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"edgetune/internal/obs"
@@ -20,9 +19,12 @@ var ErrBufferClosed = errors.New("store: write-behind buffer closed")
 // is what the server's drain mode relies on for its zero-dropped-writes
 // guarantee.
 //
-// Reads promote a pending entry into the store before delegating to
-// Store.Get, so cache hit/miss statistics do not depend on flusher
-// timing — the determinism contract of the chaos suite.
+// Flush is the one write path: a Get never writes. It answers a
+// buffered entry from the buffer and counts the hit on the store, so
+// cache hit/miss statistics do not depend on flusher timing — the
+// determinism contract of the chaos suite. A failed background flush is
+// kept, and the next Flush returns it without writing, so a write fails
+// the same way whether the flusher or the caller met it first.
 //
 // Ownership: a buffered entry's Config belongs to the buffer (Put makes
 // it a copy, PutOwned takes the caller's) and passes to the store as it
@@ -31,9 +33,6 @@ var ErrBufferClosed = errors.New("store: write-behind buffer closed")
 // cleanly keeps what it emptied as the spares of the next one.
 type WriteBehind struct {
 	st *Store
-	// syncMode flushes inline on the Put path instead of waking the
-	// background flusher (which is never started); see NewSyncWriteBehind.
-	syncMode bool
 
 	mu      sync.Mutex
 	pending map[string]Entry
@@ -41,13 +40,16 @@ type WriteBehind struct {
 	closed  bool
 
 	// flushing holds the entries the running Flush took out of pending,
-	// each until its store Put has returned, so that an accepted entry is
-	// at every instant in pending, in flushing or in the store: Get never
-	// finds it in none of them. flushed wakes the Gets waiting on one.
+	// until the store holds them, so that an accepted entry is at every
+	// instant in pending, in flushing or in the store: Get never finds
+	// it in none of them. It is written under mu.
 	// flushMu admits one Flush at a time; flushing belongs to it.
 	flushMu  sync.Mutex
 	flushing map[string]Entry
-	flushed  sync.Cond // L is &mu
+	// failed is the error of a background flush that no Flush has
+	// returned yet; while it is kept the flusher writes nothing. It
+	// belongs to flushMu.
+	failed error
 	// spareMap, spareOrder and spareEntries are what the last clean
 	// Flush emptied — its flushing map, its order slice and its entry
 	// list — for the next Flush to fill instead of allocating; nil after
@@ -84,22 +86,6 @@ func newWriteBehind(st *Store) *WriteBehind {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	w.flushed.L = &w.mu
-	return w
-}
-
-// NewSyncWriteBehind wraps st with a buffer that flushes inline on the
-// Put path: no background flusher goroutine ever runs, so the
-// underlying store — and any fault-injected filesystem beneath it —
-// observes the same operation order on every same-seed run. Buffering,
-// read-through promotion, and failed-flush retry semantics are
-// identical to the asynchronous form; only the scheduling of the
-// flushes changes. The chaos fuzzer's determinism invariant depends on
-// this mode.
-func NewSyncWriteBehind(st *Store) *WriteBehind {
-	w := newWriteBehind(st)
-	w.syncMode = true
-	close(w.done) // no flusher for Close to wait on
 	return w
 }
 
@@ -151,14 +137,6 @@ func (w *WriteBehind) PutOwned(e Entry) error {
 	w.mWrites.Add(1)
 	w.mPending.Set(float64(len(w.pending)))
 	w.mu.Unlock()
-	if w.syncMode {
-		// Inline flush, on the caller's goroutine. The error handling
-		// matches the background flusher exactly: a failure is counted
-		// and re-queued — not returned — so the two modes differ only in
-		// scheduling, never in outcome.
-		w.Flush()
-		return nil
-	}
 	select {
 	case w.wake <- struct{}{}:
 	default:
@@ -166,76 +144,26 @@ func (w *WriteBehind) PutOwned(e Entry) error {
 	return nil
 }
 
-// Get reads through the buffer: a pending entry is promoted into the
-// store first so hit/miss accounting matches a flushed store exactly,
-// and one a running Flush is writing is waited for rather than missed.
+// Get reads through the buffer: an entry still pending, or being
+// written by a running Flush, is answered from the buffer and counted
+// as a store hit, as the store would count it once flushed.
 //
-// Unlike Store.Get it copies nothing: the entry's Config is the stored
-// map, which the caller must treat as read-only, and a miss is the bare
-// ErrNotFound.
+// Unlike Store.Get it copies nothing: the entry's Config is the map the
+// store keeps, which the caller must treat as read-only, and a miss is
+// the bare ErrNotFound.
 func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
 	key := signature + "@" + dev
 	w.mu.Lock()
-	for _, inFlight := w.flushing[key]; inFlight; _, inFlight = w.flushing[key] {
-		w.flushed.Wait() // written, or re-queued into pending by a failed flush
+	e, ok := w.pending[key]
+	if !ok {
+		e, ok = w.flushing[key]
 	}
-	_, pending := w.pending[key]
 	w.mu.Unlock()
-	if pending {
-		if err := w.promote(key); err != nil {
-			return Entry{}, err
-		}
+	if ok {
+		w.st.hit()
+		return e, nil
 	}
 	return w.st.get(signature, dev)
-}
-
-// promote writes the pending entry under key to the store as a Flush of
-// that one entry would: under flushMu, through flushing, so the store
-// write runs without mu — Puts and Gets go on meanwhile — and the entry
-// stays readable. If the write fails, the key goes back to its place in
-// the buffer's order, with the entry or any newer value a Put left
-// meanwhile.
-func (w *WriteBehind) promote(key string) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	e, ok := w.pending[key]
-	if !ok { // a Flush wrote it while this Get waited for flushMu
-		w.mu.Unlock()
-		return nil
-	}
-	// k is the buffer's own copy of the key: keeping the caller's would
-	// move every Get's key to the heap.
-	at := slices.Index(w.order, key)
-	k := w.order[at]
-	w.order = slices.Delete(w.order, at, at+1)
-	delete(w.pending, k)
-	if w.spareMap == nil {
-		w.spareMap = make(map[string]Entry)
-	}
-	w.flushing = w.spareMap // empty: it belongs to flushMu, as flushing does
-	w.flushing[k] = e
-	w.mPending.Set(float64(len(w.pending)))
-	w.mu.Unlock()
-
-	err := w.st.put(e)
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.flushing, k)
-	w.flushing = nil
-	w.flushed.Broadcast()
-	if err != nil {
-		if _, newer := w.pending[k]; newer {
-			i := slices.Index(w.order, k)
-			w.order = slices.Delete(w.order, i, i+1)
-		} else {
-			w.pending[k] = e
-		}
-		w.order = slices.Insert(w.order, at, k)
-		w.mPending.Set(float64(len(w.pending)))
-	}
-	return err
 }
 
 // Flush synchronously drains every buffered entry into the store, in
@@ -246,9 +174,10 @@ func (w *WriteBehind) promote(key string) error {
 // key raced in), the failure is counted, and the error returned — so a
 // later Flush, or the one Close runs, retries them.
 //
-// In sync mode each entry is a commit of its own, so a fault-injected
-// filesystem sees one (write, fsync) per record, in the order its seed
-// replays, whatever a failed flush left queued.
+// When a background flush failed since the last Flush returned, Flush
+// returns that error and writes nothing. The failed entry is first in
+// the buffer, so the buffer is left as this Flush would have left it
+// had the flusher not met the failure first.
 //
 // The entries being written stay readable: Flush moves them to flushing,
 // and they leave it only when the store holds them. Without that, an
@@ -257,6 +186,15 @@ func (w *WriteBehind) promote(key string) error {
 func (w *WriteBehind) Flush() error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
+	if err := w.failed; err != nil {
+		w.failed = nil
+		return err
+	}
+	return w.flushLocked()
+}
+
+// flushLocked is Flush's group commit. Called with flushMu held.
+func (w *WriteBehind) flushLocked() error {
 	pending := w.spareMap
 	if pending == nil {
 		pending = make(map[string]Entry)
@@ -272,28 +210,19 @@ func (w *WriteBehind) Flush() error {
 	w.mPending.Set(0)
 	w.mu.Unlock()
 	w.spareMap, w.spareOrder, w.spareEntries = nil, nil, nil
-	step := len(entries)
-	if w.syncMode {
-		step = 1
-	}
-	for done := 0; done < len(entries); {
-		n, err := w.st.putBatch(entries[done:min(done+step, len(entries))])
-		w.mu.Lock()
-		for _, k := range keys[done : done+n] {
-			delete(w.flushing, k)
-		}
-		w.flushed.Broadcast()
-		w.mu.Unlock()
-		done += n
-		if err != nil {
-			w.requeue(entries[done:], err) // hands on no spares
+	if len(entries) > 0 {
+		if n, err := w.st.putBatch(entries); err != nil {
+			w.requeue(entries[n:], err) // hands on no spares
 			return err
 		}
 	}
 	w.mu.Lock()
-	// Every entry has left flushing, so it is empty: it and the two
-	// slices are the next Flush's to fill, once they let go of what the
-	// store now holds.
+	// The store holds every entry now: flushing, emptied key by key (a
+	// clear would walk every slot a big batch once grew it to), and the
+	// two slices are the next Flush's to fill, once they let go of it.
+	for _, k := range keys {
+		delete(w.flushing, k)
+	}
 	w.spareMap, w.flushing = w.flushing, nil
 	w.mu.Unlock()
 	clear(keys)
@@ -323,8 +252,7 @@ func (w *WriteBehind) requeue(entries []Entry, err error) {
 	}
 	w.order = append(order, w.order...)
 	w.mPending.Set(float64(len(w.pending)))
-	w.flushing = nil // back in pending, where a waiting Get promotes them
-	w.flushed.Broadcast()
+	w.flushing = nil // back in pending, where Get finds them
 }
 
 // Close stops the flusher and drains whatever is still buffered. It is
@@ -347,10 +275,14 @@ func (w *WriteBehind) flusher() {
 	for {
 		select {
 		case <-w.wake:
-			// A failed flush is counted, re-queued, and retried by the
-			// next wake-up or the final Close-time flush, whose error
-			// reaches the caller (the server's Drain).
-			w.Flush()
+			// A failed flush is counted, re-queued and kept: the next
+			// Flush — a checkpoint's, or the one Close runs — returns
+			// it, and the one after retries the entries.
+			w.flushMu.Lock()
+			if w.failed == nil {
+				w.failed = w.flushLocked()
+			}
+			w.flushMu.Unlock()
 		case <-w.stop:
 			return
 		}

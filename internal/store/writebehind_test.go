@@ -170,61 +170,6 @@ func TestWriteBehindConcurrent(t *testing.T) {
 	}
 }
 
-// TestSyncWriteBehindFlushesInline pins the synchronous mode's
-// contract: a Put is persisted before it returns, on the caller's
-// goroutine, with no flusher goroutine ever started — the scheduling
-// guarantee the chaos fuzzer's deterministic fault numbering needs.
-func TestSyncWriteBehindFlushesInline(t *testing.T) {
-	testutil.CheckGoroutineLeak(t, 2)
-	st := New()
-	wb := NewSyncWriteBehind(st)
-	if err := wb.Put(wbEntry("sig-a", "i7")); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("store has %d entries immediately after Put, want 1", st.Len())
-	}
-	if wb.Pending() != 0 {
-		t.Errorf("Pending = %d after inline flush, want 0", wb.Pending())
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Put(wbEntry("late", "i7")); !errors.Is(err, ErrBufferClosed) {
-		t.Errorf("put after close = %v, want ErrBufferClosed", err)
-	}
-}
-
-// TestSyncWriteBehindRetainsFailedFlush checks the sync mode matches
-// the background flusher's failure semantics exactly: a failed inline
-// flush is counted and re-queued, Put still returns nil, and the error
-// surfaces through the final Close.
-func TestSyncWriteBehindRetainsFailedFlush(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(dir, "store.json")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil { // every store write now fails
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	wb := NewSyncWriteBehind(d.Store())
-	wb.Instrument(reg)
-	if err := wb.Put(wbEntry("sig-a", "i7")); err != nil {
-		t.Fatalf("Put must not surface the flush failure, got %v", err)
-	}
-	if wb.Pending() != 1 {
-		t.Errorf("Pending = %d, want the failed entry re-queued", wb.Pending())
-	}
-	if got := reg.Counter("store.writebehind.flush-errors").Value(); got == 0 {
-		t.Error("inline flush failure not counted")
-	}
-	if err := wb.Close(); !errors.Is(err, ErrDurableClosed) {
-		t.Errorf("Close error = %v, want ErrDurableClosed", err)
-	}
-}
-
 // TestWriteBehindFlushErrorSurfaced drives the buffer against a store
 // whose writes fail (a closed durable store) and asserts the failure
 // is counted, the entries are re-queued rather than dropped, and the
@@ -268,6 +213,61 @@ func TestWriteBehindFlushErrorSurfaced(t *testing.T) {
 	// it — what the server's Drain(ctx) relies on.
 	if err := wb.Close(); !errors.Is(err, ErrDurableClosed) {
 		t.Errorf("Close error = %v, want ErrDurableClosed", err)
+	}
+}
+
+// TestWriteBehindKeepsBackgroundFailure: a failure the background
+// flusher meets is kept — the flusher writes nothing more — and the
+// next Flush returns it and writes nothing either, as it would have
+// failed itself had the flusher not met the failure first. The Flush
+// after it writes the buffer.
+func TestWriteBehindKeepsBackgroundFailure(t *testing.T) {
+	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := d.Store()
+	setClosed := func(closed bool) { // fail every store write, or stop failing
+		st.walMu.Lock()
+		d.closed = closed
+		st.walMu.Unlock()
+	}
+	reg := obs.NewRegistry()
+	wb := NewWriteBehind(st)
+	wb.Instrument(reg)
+	setClosed(true)
+	if err := wb.Put(wbEntry("sig-a", "i7")); err != nil {
+		t.Fatal(err)
+	}
+	failures := reg.Counter("store.writebehind.flush-errors")
+	for deadline := time.Now().Add(5 * time.Second); failures.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never met the closed store")
+		}
+	}
+	setClosed(false)
+	if err := wb.Put(wbEntry("sig-b", "i7")); err != nil { // wakes the flusher
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st.Len() != 0 {
+		t.Fatalf("the flusher wrote %d entries while its failure was kept", st.Len())
+	}
+	if err := wb.Flush(); !errors.Is(err, ErrDurableClosed) {
+		t.Fatalf("Flush = %v, want the kept ErrDurableClosed", err)
+	}
+	if st.Len() != 0 || wb.Pending() != 2 {
+		t.Fatalf("the Flush returning the kept failure wrote: store %d, pending %d", st.Len(), wb.Pending())
+	}
+	if err := wb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 2 || failures.Value() != 1 {
+		t.Errorf("store holds %d entries after %d failed flushes; want 2 after 1", st.Len(), failures.Value())
+	}
+	if err := wb.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -387,12 +387,13 @@ func TestWriteBehindFlushKeepsEntriesReadable(t *testing.T) {
 	wb.mu.Unlock()
 }
 
-// TestWriteBehindFailedFlushWakesWaitingGet: a Get waiting on an entry
-// whose flush then fails must not hang — the entry is re-queued and the
-// Get goes on to promote it itself, surfacing the store's error. The
-// flush is one group commit, so what fails is sig-b's frame write,
-// held until the Get waits on it; sig-a's frame, written before it, is
-// kept: fsynced, applied and recovered.
+// TestWriteBehindFailedFlushWakesWaitingGet: a Get of an entry whose
+// flush is held and then fails is never left waiting on it — a Get
+// writes nothing and waits on no write: it is answered from the buffer
+// while the flush runs and from the re-queued entry after it failed.
+// The flush is one group commit, so what fails is sig-b's frame write,
+// held while the Get runs; sig-a's frame, written before it, is kept:
+// fsynced, applied and recovered.
 func TestWriteBehindFailedFlushWakesWaitingGet(t *testing.T) {
 	g := newGateFS()
 	g.parkWrite, g.failWrite = 2, 2 // sig-b's write, and every one after it
@@ -406,23 +407,33 @@ func TestWriteBehindFailedFlushWakesWaitingGet(t *testing.T) {
 	flushErr := make(chan error, 1)
 	go func() { flushErr <- wb.Flush() }()
 	<-g.parked
-	getErr := make(chan error, 1)
-	go func() {
-		_, err := wb.Get("sig-b", "i7")
-		getErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the Get start waiting on sig-b
+	get := func(when string) {
+		t.Helper()
+		got := make(chan error, 1)
+		go func() {
+			e, err := wb.Get("sig-b", "i7")
+			if err == nil && e.Signature != "sig-b" {
+				err = fmt.Errorf("got %+v", e)
+			}
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Errorf("Get %s = %v, want a hit", when, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Get %s waited on the flush", when)
+		}
+	}
+	get("while sig-b's write is held")
 	close(g.release)
 	if err := <-flushErr; !errors.Is(err, errDisk) {
 		t.Fatalf("Flush error = %v, want the disk's", err)
 	}
-	select {
-	case err := <-getErr:
-		if !errors.Is(err, errDisk) {
-			t.Errorf("waiting Get returned %v, want the disk's error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Get still waiting on an entry whose flush failed")
+	get("after the flush failed")
+	if hits, misses := d.Store().Stats(); hits != 2 || misses != 0 {
+		t.Errorf("store saw %d hits, %d misses; want 2, 0", hits, misses)
 	}
 	if wb.Pending() != 1 || d.Store().Len() != 1 {
 		t.Errorf("Pending = %d, store holds %d; want sig-b re-queued, sig-a kept", wb.Pending(), d.Store().Len())
@@ -605,10 +616,10 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 	}
 }
 
-// TestWriteBehindFailedPromotionKeepsItsPlace: a Get whose promotion the
-// store refuses surfaces the error and leaves the buffer as it found it
-// — the entry pending, its key where it was in the flush order — and
-// the next Flush writes the buffer in that order.
+// TestWriteBehindFailedPromotionKeepsItsPlace: a Get of a pending
+// entry while the store refuses writes succeeds and leaves the buffer
+// as it found it — a Get promotes nothing into the store, so there is
+// no write to fail — and the next Flush writes the buffer in its order.
 func TestWriteBehindFailedPromotionKeepsItsPlace(t *testing.T) {
 	d, err := OpenDurable(DurableOptions{SnapshotPath: filepath.Join(t.TempDir(), "store.json")})
 	if err != nil {
@@ -625,11 +636,11 @@ func TestWriteBehindFailedPromotionKeepsItsPlace(t *testing.T) {
 	st.walMu.Lock()
 	d.closed = true
 	st.walMu.Unlock()
-	if _, err := wb.Get("sig-b", "i7"); !errors.Is(err, ErrDurableClosed) {
-		t.Fatalf("Get promoting into a closed store = %v, want ErrDurableClosed", err)
+	if e, err := wb.Get("sig-b", "i7"); err != nil || e.Signature != "sig-b" {
+		t.Fatalf("Get of a pending entry beside a closed store = %+v, %v; want a hit", e, err)
 	}
 	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7"}; !reflect.DeepEqual(wb.order, want) || wb.Pending() != 3 {
-		t.Errorf("after the failed promotion: order %v, %d pending; want %v, 3", wb.order, wb.Pending(), want)
+		t.Errorf("after the Get: order %v, %d pending; want %v, 3", wb.order, wb.Pending(), want)
 	}
 	st.walMu.Lock()
 	d.closed = false
