@@ -231,6 +231,9 @@ gate "store durability under faulty disks"
 # twice under the race detector so any run-order or leftover-state bug
 # in WAL replay and quarantine handling surfaces. Then ten seconds each
 # of fuzzing the WAL decoder, which reads whatever a crash left on disk,
+# the put frames the WAL encoder writes without encoding/json, against
+# json.Marshal's bytes, snapshot recovery, which reads whatever store.json
+# holds and must come back the same after a compaction,
 # the fault spec parser, which reads whatever -faults says, the Job
 # decoder, which reads whatever -job names, and checkpoint restore, which
 # resumes a job from whatever the store holds (their seed corpora already
@@ -241,6 +244,8 @@ gate "store durability under faulty disks"
 go test -race -count=2 ./internal/store ./internal/fault
 go test -race -count=20 -run '^TestGroupCommit|^TestWriteBehindFailedFlushWakesWaitingGet$' ./internal/store
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz FuzzPutFrame -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz FuzzSnapshotRecover -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
 go test -run '^$' -fuzz FuzzCheckpointRestore -fuzztime 10s ./internal/core

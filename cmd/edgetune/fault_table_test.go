@@ -200,3 +200,33 @@ func firedIn(class fault.Class, stdout string) bool {
 	counter := regexp.MustCompile(`counter\s+fault\.` + regexp.QuoteMeta(string(class)) + `\s+[1-9]`)
 	return counter.MatchString(stdout) || strings.Contains(stdout, "injected "+string(class)+" ")
 }
+
+// TestDiskCrashNamesNoDirectory: what a run whose disk crashes prints —
+// the report, or the error that ends it — names the store's files by
+// their base names, so it reads the same wherever the store lives.
+func TestDiskCrashNamesNoDirectory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two tuning jobs")
+	}
+	for _, asJSON := range []bool{false, true} {
+		dir := t.TempDir()
+		args := []string{"-workload", "IC", "-seed", "5", "-budget", "dataset", "-checkpoint",
+			"-faults", "disk-crash=0.05", "-metrics", "-store", filepath.Join(dir, "s.db")}
+		if asJSON {
+			args = append(args, "-json")
+		}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			out.Reset()
+			printError(&out, err)
+		}
+		if !firedIn(fault.DiskCrash, out.String()) {
+			t.Errorf("-json=%v: disk-crash never fired: %s", asJSON, out.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, dir) {
+				t.Errorf("-json=%v printed the store's directory: %q", asJSON, line)
+			}
+		}
+	}
+}

@@ -75,6 +75,13 @@ func diskErr(class Class, site string, errno error) error {
 	return fmt.Errorf("%w: %w", &Error{Class: class, Site: site}, errno)
 }
 
+// crashed is the error of an operation on path after a DiskCrash. It
+// names the file by its base name, as Write and Sync do, so what a
+// crash prints does not depend on where the store lives.
+func crashed(path string) error {
+	return &Error{Class: DiskCrash, Site: filepath.Base(path)}
+}
+
 // frame is the decision key of one write.
 type frame struct {
 	site    string
@@ -175,7 +182,7 @@ func (w *faultFile) Close() error { return w.f.Close() }
 // sees exactly what the faults left on disk.
 func (f *FS) ReadFile(path string) ([]byte, error) {
 	if f.Dead() {
-		return nil, &Error{Class: DiskCrash, Site: path}
+		return nil, crashed(path)
 	}
 	return f.inner.ReadFile(path)
 }
@@ -183,7 +190,7 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 // Create implements store.FS.
 func (f *FS) Create(path string) (store.File, error) {
 	if f.Dead() {
-		return nil, &Error{Class: DiskCrash, Site: path}
+		return nil, crashed(path)
 	}
 	file, err := f.inner.Create(path)
 	if err != nil {
@@ -195,7 +202,7 @@ func (f *FS) Create(path string) (store.File, error) {
 // OpenAppend implements store.FS.
 func (f *FS) OpenAppend(path string) (store.File, error) {
 	if f.Dead() {
-		return nil, &Error{Class: DiskCrash, Site: path}
+		return nil, crashed(path)
 	}
 	file, err := f.inner.OpenAppend(path)
 	if err != nil {
@@ -207,7 +214,7 @@ func (f *FS) OpenAppend(path string) (store.File, error) {
 // Rename implements store.FS.
 func (f *FS) Rename(oldPath, newPath string) error {
 	if f.Dead() {
-		return &Error{Class: DiskCrash, Site: oldPath}
+		return crashed(oldPath)
 	}
 	return f.inner.Rename(oldPath, newPath)
 }
@@ -215,7 +222,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 // Remove implements store.FS.
 func (f *FS) Remove(path string) error {
 	if f.Dead() {
-		return &Error{Class: DiskCrash, Site: path}
+		return crashed(path)
 	}
 	return f.inner.Remove(path)
 }
@@ -223,7 +230,7 @@ func (f *FS) Remove(path string) error {
 // Truncate implements store.FS.
 func (f *FS) Truncate(path string, size int64) error {
 	if f.Dead() {
-		return &Error{Class: DiskCrash, Site: path}
+		return crashed(path)
 	}
 	return f.inner.Truncate(path, size)
 }
@@ -231,7 +238,7 @@ func (f *FS) Truncate(path string, size int64) error {
 // SyncDir implements store.FS.
 func (f *FS) SyncDir(path string) error {
 	if f.Dead() {
-		return &Error{Class: DiskCrash, Site: path}
+		return crashed(path)
 	}
 	return f.inner.SyncDir(path)
 }
@@ -239,7 +246,7 @@ func (f *FS) SyncDir(path string) error {
 // Size implements store.FS.
 func (f *FS) Size(path string) (int64, error) {
 	if f.Dead() {
-		return 0, &Error{Class: DiskCrash, Site: path}
+		return 0, crashed(path)
 	}
 	return f.inner.Size(path)
 }

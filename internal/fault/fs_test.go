@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -231,5 +232,46 @@ func TestFSDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical fault streams (suspicious)")
+	}
+}
+
+// TestFSDeadDiskErrorsNameTheBaseName: after a crash every operation
+// fails, and its error names the file as a crashed Write's does, by its
+// base name, never the directory the store lives in.
+func TestFSDeadDiskErrorsNameTheBaseName(t *testing.T) {
+	dir := t.TempDir()
+	in, err := NewInjector(Config{DiskCrash: 1}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := NewFS(nil, in)
+	path := filepath.Join(dir, "s.db.wal")
+	f, err := ffs.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte("frame")); ClassOf(err) != DiskCrash || !ffs.Dead() {
+		t.Fatalf("Write at disk-crash=1 returned %v, dead %v", err, ffs.Dead())
+	}
+	ops := map[string]func() error{
+		"ReadFile":   func() error { _, err := ffs.ReadFile(path); return err },
+		"Create":     func() error { _, err := ffs.Create(path); return err },
+		"OpenAppend": func() error { _, err := ffs.OpenAppend(path); return err },
+		"Rename":     func() error { return ffs.Rename(path, path+".prev") },
+		"Remove":     func() error { return ffs.Remove(path) },
+		"Truncate":   func() error { return ffs.Truncate(path, 0) },
+		"SyncDir":    func() error { return ffs.SyncDir(path) },
+		"Size":       func() error { _, err := ffs.Size(path); return err },
+	}
+	for name, op := range ops {
+		err := op()
+		if ClassOf(err) != DiskCrash {
+			t.Errorf("%s on a dead disk returned %v, want a disk-crash fault", name, err)
+			continue
+		}
+		if msg := err.Error(); strings.Contains(msg, dir) || !strings.HasSuffix(msg, " s.db.wal") {
+			t.Errorf("%s on a dead disk: %q, want the error to name s.db.wal alone", name, msg)
+		}
 	}
 }

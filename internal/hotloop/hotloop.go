@@ -77,7 +77,7 @@ var stages = []stage{
 	{"search.tpe-search", false, openTPESearch, 0, 0},
 	{"trial.run", false, openTrialRun, 15, 1072},
 	{"workload.new", false, openWorkloadNew, 10, 5264},
-	{"store.wal-append", false, openWALAppend, 10, 616},
+	{"store.wal-append", false, openWALAppend, 7, 544},
 	{"store.checkpoint", false, openCheckpoint, 0, 0},
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
 	{"flight.record", false, openFlightRecord, 0, 0},
@@ -395,11 +395,12 @@ func throwawayDurable() (st *store.Store, done func(), err error) {
 // One durable-store put: encode, checksum, append, and fsync-policy
 // bookkeeping on a real WAL file. The puts cycle through 256 signatures,
 // all in the index before the window opens, so every measured put
-// replaces an entry and the window holds appends only: a growing index
-// splits a table of its map (≈ 14 allocations, 213 KB) at counts the
-// keys' hashes decide, and the ledger's time-bounded warm-up can leave
-// the window on one. The numbers start at 256 so that boxing one for
-// Sprintf allocates, as a fresh signature's does.
+// replaces an entry in place and the window holds appends only: a
+// growing index splits a table of its pointer map (≈ 7 allocations,
+// 55 KB) at counts the keys' hashes decide and opens a block of 256
+// entries (20 KB) every 256th new key, and the ledger's time-bounded
+// warm-up can leave the window on either. The numbers start at 256 so
+// that boxing one for Sprintf allocates, as a fresh signature's does.
 func openWALAppend() (func(), func(), error) {
 	st, done, err := throwawayDurable()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -495,4 +496,64 @@ func TestParseStoreFileLegacyArray(t *testing.T) {
 	if len(file.Entries) != 1 || file.Entries[0].Signature != "a" {
 		t.Errorf("legacy parse = %+v", file)
 	}
+}
+
+// FuzzSnapshotRecover: the snapshot decoder reads whatever a crash, an
+// older build or a hand edit left as store.json. On any bytes opening
+// the store must not panic, and what it recovered must survive a Close,
+// which compacts it into a snapshot of its own: the second open holds
+// the same entries, checkpoint keys and statistics as the first.
+func FuzzSnapshotRecover(f *testing.F) {
+	snapshot, err := json.MarshalIndent(storeFile{
+		Entries:     []Entry{entry("IC/layers=18", "i7"), entry("OD/dropout=0.3", "rpi3b+")},
+		Checkpoints: map[string]json.RawMessage{"job": json.RawMessage(`{"rung": 2}`)},
+		Stats:       &storeStats{Hits: 3, Misses: 1},
+	}, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := json.Marshal([]Entry{entry("a", "d")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snapshot)
+	f.Add(legacy)
+	f.Add(snapshot[:len(snapshot)/2]) // torn
+	f.Add([]byte(`{"entries":[{"signature":"a@b","device":"c"},{"signature":"a","device":"b@c","trialsRun":2}]}`))
+	f.Add([]byte(`{"entries":[{"signature":"s","device":"d"},{"signature":"","device":"d"},null,{"signature":"s","device":"d","config":{}}]}`))
+	f.Add([]byte(`{"entries":null,"checkpoints":{"a":null,"":{}},"stats":{"hits":0,"misses":0}}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "store.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		type state struct {
+			entries      []Entry
+			checkpoints  []string
+			hits, misses int
+		}
+		open := func() (*Durable, state) {
+			d := openDurable(t, dir, DurableOptions{})
+			st := d.Store()
+			s := state{entries: st.Entries(), checkpoints: st.CheckpointKeys()}
+			s.hits, s.misses = st.Stats()
+			return d, s
+		}
+		d, first := open()
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		d, second := open()
+		defer d.Close()
+		if src := d.Recovery().SnapshotSource; src != "snapshot" {
+			t.Fatalf("second open recovered from %q, want the snapshot Close wrote", src)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("a compacted store reopened differently:\nfirst  %+v\nsecond %+v", first, second)
+		}
+	})
 }

@@ -19,4 +19,10 @@ func (w *WriteBehind) Pending() int {
 
 // PutBatch puts valid entries as one group commit (putBatch) and
 // reports how many, a prefix, the store now holds.
-func (s *Store) PutBatch(es []Entry) (int, error) { return s.putBatch(es) }
+func (s *Store) PutBatch(es []Entry) (int, error) {
+	keys := make([]string, len(es))
+	for i, e := range es {
+		keys[i] = e.key()
+	}
+	return s.putBatch(es, keys)
+}

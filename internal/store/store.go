@@ -66,9 +66,16 @@ var ErrNotFound = errors.New("store: entry not found")
 // them. Lock order: walMu, then mu.
 type Store struct {
 	walMu sync.Mutex
-	// mu guards the maps and the hit/miss counters.
-	mu      sync.Mutex
-	entries map[string]Entry
+	// mu guards the maps, the entries they point into and the hit/miss
+	// counters.
+	mu sync.Mutex
+	// entries indexes the stored entries by key. They live in blocks:
+	// block is the one new entries fill, a map slot is a pointer, and a
+	// replaced entry is overwritten where it lies. So a growing index
+	// copies pointers, not entries, and an entry's key is the one its
+	// writer built.
+	entries map[string]*Entry
+	block   []Entry
 	hits    int
 	misses  int
 	// checkpoints holds opaque job-progress blobs keyed by job, so a
@@ -100,17 +107,25 @@ func (s *Store) put(e Entry) error {
 	if e.Device == "" {
 		return fmt.Errorf("store: entry with empty device")
 	}
-	one := [1]Entry{e}
-	_, err := s.putBatch(one[:])
+	one, key := [1]Entry{e}, [1]string{e.key()}
+	_, err := s.putBatch(one[:], key[:])
 	return err
 }
 
-// putBatch puts valid entries in order, taking their Configs over. On a
-// durable store they are one group commit: every entry's WAL record is
-// written, the log is fsynced once, and only then are the entries
-// applied. It returns how many entries, a prefix of es, the store now
-// holds; on error it holds none of the rest.
-func (s *Store) putBatch(es []Entry) (int, error) {
+// Index blocks start at minBlock entries, so a store that keeps a few
+// holds no more than it needs, and double up to maxBlock.
+const (
+	minBlock = 4
+	maxBlock = 256
+)
+
+// putBatch puts valid entries in order, taking their Configs over;
+// keys[i] is es[i].key(), which the index keeps. On a durable store
+// they are one group commit: every entry's WAL record is written, the
+// log is fsynced once, and only then are the entries applied. It
+// returns how many entries, a prefix of es, the store now holds; on
+// error it holds none of the rest.
+func (s *Store) putBatch(es []Entry, keys []string) (int, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	n, err := len(es), error(nil)
@@ -119,10 +134,18 @@ func (s *Store) putBatch(es []Entry) (int, error) {
 	}
 	s.mu.Lock()
 	if s.entries == nil {
-		s.entries = make(map[string]Entry)
+		s.entries = make(map[string]*Entry)
 	}
-	for _, e := range es[:n] {
-		s.entries[e.key()] = e
+	for i := range es[:n] {
+		if p := s.entries[keys[i]]; p != nil {
+			*p = es[i]
+			continue
+		}
+		if len(s.block) == cap(s.block) {
+			s.block = make([]Entry, 0, min(max(2*cap(s.block), minBlock), maxBlock))
+		}
+		s.block = append(s.block, es[i])
+		s.entries[keys[i]] = &s.block[len(s.block)-1]
 	}
 	s.mu.Unlock()
 	return n, err
@@ -146,13 +169,13 @@ func (s *Store) Get(signature, dev string) (Entry, error) {
 func (s *Store) get(signature, dev string) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[signature+"@"+dev]
-	if !ok {
+	p := s.entries[signature+"@"+dev]
+	if p == nil {
 		s.misses++
 		return Entry{}, ErrNotFound
 	}
 	s.hits++
-	return e, nil
+	return *p, nil
 }
 
 // hit counts a cache hit answered outside the map: a write-behind
@@ -181,12 +204,25 @@ func (s *Store) Stats() (hits, misses int) {
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		e.Config = e.Config.Clone()
-		out = append(out, e)
+	out := s.sortedEntriesLocked()
+	for i := range out {
+		out[i].Config = out[i].Config.Clone()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
+	return out
+}
+
+// sortedEntriesLocked copies the stored entries out, sorted by key.
+// Their Configs are the stored maps. Called with mu or walMu held.
+func (s *Store) sortedEntriesLocked() []Entry {
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]Entry, len(keys))
+	for i, k := range keys {
+		out[i] = *s.entries[k]
+	}
 	return out
 }
 
@@ -285,11 +321,7 @@ type storeStats struct {
 // until the document is encoded. Holding it, they read the maps without
 // mu; only the hit/miss counters, which reads move, are copied under it.
 func (s *Store) snapshotFileLocked() storeFile {
-	file := storeFile{Entries: make([]Entry, 0, len(s.entries)), Checkpoints: s.checkpoints}
-	for _, e := range s.entries {
-		file.Entries = append(file.Entries, e)
-	}
-	sort.Slice(file.Entries, func(i, j int) bool { return file.Entries[i].key() < file.Entries[j].key() })
+	file := storeFile{Entries: s.sortedEntriesLocked(), Checkpoints: s.checkpoints}
 	s.mu.Lock()
 	hits, misses := s.hits, s.misses
 	s.mu.Unlock()

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
+	"strconv"
 )
 
 // The write-ahead log is a flat sequence of length-prefixed,
@@ -98,11 +101,16 @@ func (w *walEncoder) frame(i int) []byte {
 // as it stands, the blob compacted. That is json.Marshal's payload for
 // it, without the round trip of a ≈ 20 KB blob through encoding/json's
 // pooled encode state, which the collector empties.
+//
+// A put record is written directly too (addPut), unless its entry
+// holds a string encoding/json escapes or a float it rejects.
 func (w *walEncoder) add(rec walRecord) error {
 	var header [walHeaderSize]byte // length and CRC, filled in below
 	start := w.buf.Len()
 	w.buf.Write(header[:])
-	if rec.Op == walOpCheckpoint && rec.Key != "" && plainKey(rec.Key) && plainBlob(rec.Data) {
+	switch {
+	case rec.Op == walOpPut && rec.Entry != nil && rec.Key == "" && rec.Data == nil && w.addPut(rec.Entry):
+	case rec.Op == walOpCheckpoint && rec.Key != "" && plainKey(rec.Key) && plainBlob(rec.Data):
 		w.buf.WriteString(`{"op":"checkpoint","key":"`)
 		w.buf.WriteString(rec.Key)
 		w.buf.WriteString(`","data":`)
@@ -111,7 +119,7 @@ func (w *walEncoder) add(rec walRecord) error {
 			return fmt.Errorf("store: marshal wal record: %w", err)
 		}
 		w.buf.WriteByte('}')
-	} else {
+	default:
 		w.rec = rec
 		err := w.enc.Encode(&w.rec)
 		w.rec = walRecord{}
@@ -127,6 +135,80 @@ func (w *walEncoder) add(rec walRecord) error {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	w.ends = append(w.ends, w.buf.Len())
 	return nil
+}
+
+// addPut writes the payload json.Marshal writes for a put record of e
+// — its fields in struct order, the config's keys sorted — without
+// encoding/json's reflection over the entry and its map. It writes
+// nothing and reports false when a string of e is not plainKey or a
+// float is not finite: the encoder then escapes the one and rejects
+// the other.
+func (w *walEncoder) addPut(e *Entry) bool {
+	if !plainKey(e.Signature) || !plainKey(e.Device) || !finite(e.Throughput) ||
+		!finite(e.EnergyPerSampleJ) || !finite(e.LatencySeconds) || !finite(e.Objective) {
+		return false
+	}
+	var keyBuf [8]string // a space's few names: the sort needs no heap
+	keys := keyBuf[:0]
+	for k, v := range e.Config {
+		if !plainKey(k) || !finite(v) {
+			return false
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var num [32]byte
+	w.buf.WriteString(`{"op":"put","entry":{"signature":"`)
+	w.buf.WriteString(e.Signature)
+	w.buf.WriteString(`","device":"`)
+	w.buf.WriteString(e.Device)
+	w.buf.WriteString(`","config":`)
+	if e.Config == nil {
+		w.buf.WriteString("null")
+	} else {
+		w.buf.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				w.buf.WriteByte(',')
+			}
+			w.buf.WriteByte('"')
+			w.buf.WriteString(k)
+			w.buf.WriteString(`":`)
+			w.buf.Write(appendJSONFloat(num[:0], e.Config[k]))
+		}
+		w.buf.WriteByte('}')
+	}
+	w.buf.WriteString(`,"throughput":`)
+	w.buf.Write(appendJSONFloat(num[:0], e.Throughput))
+	w.buf.WriteString(`,"energyPerSampleJoules":`)
+	w.buf.Write(appendJSONFloat(num[:0], e.EnergyPerSampleJ))
+	w.buf.WriteString(`,"latencySeconds":`)
+	w.buf.Write(appendJSONFloat(num[:0], e.LatencySeconds))
+	w.buf.WriteString(`,"objective":`)
+	w.buf.Write(appendJSONFloat(num[:0], e.Objective))
+	w.buf.WriteString(`,"trialsRun":`)
+	w.buf.Write(strconv.AppendInt(num[:0], int64(e.TrialsRun), 10))
+	w.buf.WriteString("}}")
+	return true
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest 'f' form, or the 'e' form below 1e-6 or from 1e21 up,
+// with a one-digit negative exponent's leading zero dropped (e-9, not
+// e-09).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // plainKey reports whether encoding/json writes key as it stands:

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,4 +115,62 @@ func TestWALEncoderWritesReferenceBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzPutFrame: a put frame is written without encoding/json, and a
+// disk fault is keyed by a hash of the frame's bytes, so one byte that
+// differs from json.Marshal's moves fault decisions as well as
+// digests. Whatever the entry holds, the walEncoder's frame must equal
+// the reference encoder's byte for byte, or both must fail. config is
+// a comma-separated list of keys; values gives the ith key's float as
+// little-endian bits, eight bytes a key (float64(i) past its end).
+func FuzzPutFrame(f *testing.F) {
+	bits := func(fs ...float64) []byte {
+		var b []byte
+		for _, v := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add("IC/layers=18", "i7", "cores,infer_batch", bits(2, 8), 42.5, 0.125, 0.01, 1.5, 24, false)
+	f.Add("s", "d", "tiny,huge", bits(1e-7, 1e21), 1e-7, 1e21, math.Copysign(0, -1), 5e-324, 3, false)
+	f.Add("s", "d", "a", bits(math.Copysign(0, -1)), 5e-324, 1e20, 9.999999e-7, -1e-300, -7, false)
+	f.Add("s", "d", "nan", bits(math.NaN()), 1.0, 2.0, 3.0, 4.0, 0, false)
+	f.Add("s", "d", "", []byte(nil), math.NaN(), 0.0, 0.0, 0.0, 0, false)
+	f.Add("tune/<IC>&b", "d\u2028", "a<b,c&d", bits(1, 2), 1.0, 2.0, 3.0, 4.0, 1, false)
+	f.Add("s", "d", "", []byte(nil), 0.0, 0.0, 0.0, 0.0, 0, true)  // nil config
+	f.Add("s", "d", "", []byte(nil), 0.0, 0.0, 0.0, 0.0, 0, false) // empty config
+	f.Add("s", "d", "a,b,c,d,e,f,g,h,i,j", bits(1, 2, 3), 1.0, 2.0, 3.0, 4.0, 9, false)
+
+	f.Fuzz(func(t *testing.T, sig, dev, config string, values []byte,
+		throughput, energy, latency, objective float64, trials int, nilConfig bool) {
+		e := Entry{Signature: sig, Device: dev, Throughput: throughput, EnergyPerSampleJ: energy,
+			LatencySeconds: latency, Objective: objective, TrialsRun: trials}
+		if !nilConfig {
+			e.Config = search.Config{}
+			if config != "" {
+				for i, k := range strings.Split(config, ",") {
+					v := float64(i)
+					if len(values) >= 8*(i+1) {
+						v = math.Float64frombits(binary.LittleEndian.Uint64(values[8*i:]))
+					}
+					e.Config[k] = v
+				}
+			}
+		}
+		rec := walRecord{Op: walOpPut, Entry: &e}
+		ref, refErr := encodeWALRecord(rec)
+		enc := newWALEncoder()
+		err := enc.add(rec)
+		switch {
+		case (err != nil) != (refErr != nil):
+			t.Fatalf("encoder error %v, reference error %v, for %+v", err, refErr, e)
+		case err != nil:
+			if enc.frames() != 0 || enc.buf.Len() != 0 {
+				t.Fatalf("a failed add left %d frames, %d bytes", enc.frames(), enc.buf.Len())
+			}
+		case !bytes.Equal(enc.frame(0), ref):
+			t.Fatalf("frame differs from the reference for %+v:\ngot  %q\nwant %q", e, enc.frame(0), ref)
+		}
+	})
 }

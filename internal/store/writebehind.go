@@ -211,8 +211,8 @@ func (w *WriteBehind) flushLocked() error {
 	w.mu.Unlock()
 	w.spareMap, w.spareOrder, w.spareEntries = nil, nil, nil
 	if len(entries) > 0 {
-		if n, err := w.st.putBatch(entries); err != nil {
-			w.requeue(entries[n:], err) // hands on no spares
+		if n, err := w.st.putBatch(entries, keys); err != nil {
+			w.requeue(entries[n:], keys[n:]) // hands on no spares
 			return err
 		}
 	}
@@ -231,10 +231,11 @@ func (w *WriteBehind) flushLocked() error {
 	return nil
 }
 
-// requeue puts entries a failed flush could not persist back at the
-// front of the buffer, preserving their relative order. Entries the
-// caller overwrote while the flush ran keep the newer value.
-func (w *WriteBehind) requeue(entries []Entry, err error) {
+// requeue puts entries a failed flush could not persist, keyed by
+// keys, back at the front of the buffer, preserving their relative
+// order. Entries the caller overwrote while the flush ran keep the
+// newer value.
+func (w *WriteBehind) requeue(entries []Entry, keys []string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.mFlushErrs.Inc()
@@ -242,8 +243,8 @@ func (w *WriteBehind) requeue(entries []Entry, err error) {
 		w.pending = make(map[string]Entry)
 	}
 	order := make([]string, 0, len(entries)+len(w.order))
-	for _, e := range entries {
-		k := e.key()
+	for i, e := range entries {
+		k := keys[i]
 		if _, newer := w.pending[k]; newer {
 			continue
 		}

@@ -289,7 +289,7 @@ func TestWriteBehindRequeuePreservesOrderAndNewerWrites(t *testing.T) {
 	if err := wb.Put(fresh); err != nil {
 		t.Fatal(err)
 	}
-	wb.requeue([]Entry{old}, errors.New("boom"))
+	wb.requeue([]Entry{old}, []string{"sig-a@i7"})
 	if wb.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", wb.Pending())
 	}
