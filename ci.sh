@@ -173,11 +173,15 @@ gate "lifecycle stress"
 # checkpoint storage and store the bytes each stores alone (DESIGN.md
 # §4.9). Then, twice each, a recycled reply channel never reaching the
 # wrong caller, and the autoscale controller package, which only its own
-# tests and the hot-loop ledger drive.
+# tests and the hot-loop ledger drive. Last, twenty times, the SLO
+# objective's sorted insert under four concurrent recorders
+# (TestSnapshotMatchesEventList; the package's single-goroutine memory
+# test, 13 s a run under the race detector, runs once in the sweep above).
 go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates|Pool|Brownout|Probe' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 go test -race -count=2 -run '^TestReplyChannelsNeverCrossDeliver$' ./internal/core/
 go test -race -count=2 ./internal/autoscale
+go test -race -count=20 -run '^TestSnapshotMatchesEventList$' ./internal/obs/slo
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...

@@ -53,15 +53,31 @@ func newAdmission(limit int) *admission {
 	return a
 }
 
-// push admits a job or returns the typed rejection error.
-func (a *admission) push(j *call) error {
+// refusal returns the typed error push would refuse a job with now, or
+// nil: what the server asks before it moves a call to the heap. push
+// asks again, under the same lock as the append.
+func (a *admission) refusal() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.refusalLocked()
+}
+
+func (a *admission) refusalLocked() error {
 	if a.rejecting {
 		return ErrServerClosed
 	}
 	if len(a.queue)+a.inflight >= a.limit {
 		return ErrOverloaded
+	}
+	return nil
+}
+
+// push admits a job or returns the typed rejection error.
+func (a *admission) push(j *call) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := a.refusalLocked(); err != nil {
+		return err
 	}
 	// Queue-position accounting for the wait/depth instruments, taken
 	// under the lock so it is exact. Positions count queued jobs only —

@@ -219,9 +219,9 @@ type servingMetrics struct {
 }
 
 // call is one Submit on its way to its reply. It starts on Submit's
-// stack, where a cache hit ends it; Submit moves a miss to the heap, and
-// from then on whichever goroutine takes it out of the admission queue
-// owns it and finishes it.
+// stack, where a cache hit or a refused miss ends it; admit moves a miss
+// the queue has room for to the heap, and from then on whichever
+// goroutine takes it out of the admission queue owns it and finishes it.
 type call struct {
 	InferRequest
 	// ctx is the submitting caller's context; honoured while the call
@@ -370,10 +370,8 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 		return c.out
 	}
 	if !s.cached(&c) {
-		miss := new(call)
-		*miss = c
-		miss.admSp = miss.sp.Child("admission", miss.SubmitTime)
-		s.admit(miss)
+		c.admSp = c.sp.Child("admission", c.SubmitTime)
+		s.admit(&c)
 	}
 	return c.out
 }
@@ -434,7 +432,9 @@ func (s *InferenceServer) cached(c *call) bool {
 
 // admit takes a miss through the intake gate — injected burst, the
 // device gate, the bounded queue — and leaves it queued for a worker,
-// or rejected with a typed error.
+// or rejected with a typed error. c is on Submit's stack: a call the gate
+// refuses ends there, and only one the queue has room for is copied to
+// the heap.
 func (s *InferenceServer) admit(c *call) {
 	// Injected overload burst: a synthetic traffic spike.
 	if ferr := s.failAt(fault.OverloadBurst, "admit/", c.Client, c.seq); ferr != nil {
@@ -449,21 +449,27 @@ func (s *InferenceServer) admit(c *call) {
 		s.reject(c, "no-healthy-device", err)
 		return
 	}
-	// Caller cancellation while the call is queued needs no worker and
-	// no goroutine of its own. Hooked up before the push, so that finish
-	// — on whichever goroutine — finds stop already set.
-	if c.ctx.Done() != nil {
-		c.stop = context.AfterFunc(c.ctx, func() { s.unqueue(c) })
-	}
-	if err := s.adm.push(c); err != nil {
+	if err := s.adm.refusal(); err != nil {
 		s.reject(c, outcomeLabel(err), err)
 		return
 	}
-	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
-	s.m.admitWait.Observe(float64(c.queuedAhead))
-	s.admissionSpan(c, "admitted", s.gate.name, c.queuedAhead)
-	if c.ctx.Err() != nil {
-		s.unqueue(c) // cancelled before the push: the hook found nothing queued
+	q := new(call)
+	*q = *c
+	// Caller cancellation while the call is queued needs no worker and
+	// no goroutine of its own. Hooked up before the push, so that finish
+	// — on whichever goroutine — finds stop already set.
+	if q.ctx.Done() != nil {
+		q.stop = context.AfterFunc(q.ctx, func() { s.unqueue(q) })
+	}
+	if err := s.adm.push(q); err != nil {
+		s.reject(q, outcomeLabel(err), err) // the queue filled since refusal
+		return
+	}
+	s.m.queueEnqueue.Observe(float64(q.depthAtEnqueue))
+	s.m.admitWait.Observe(float64(q.queuedAhead))
+	s.admissionSpan(q, "admitted", s.gate.name, q.queuedAhead)
+	if q.ctx.Err() != nil {
+		s.unqueue(q) // cancelled before the push: the hook found nothing queued
 	}
 }
 

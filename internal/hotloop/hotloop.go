@@ -81,6 +81,7 @@ var stages = []stage{
 	{"store.checkpoint", false, openCheckpoint, 0, 0},
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
 	{"flight.record", false, openFlightRecord, 0, 0},
+	{"slo.record", false, openSLORecord, 0, 0},
 	{"autoscale.evaluate", false, openAutoscaleEvaluate, 0, 0},
 }
 
@@ -473,6 +474,26 @@ func openFlightRecord() (func(), func(), error) {
 		fr.Record(time.Duration(seq)*time.Millisecond, flight.KindSpan, "hotloop", "serve", seq, 64)
 	}
 	for i := 0; i < 2*slots; i++ {
+		record()
+	}
+	return record, noClose, nil
+}
+
+// One SLO event on a clock that never repeats a time: 7 ms steps, every
+// eighth event bad, the way a durable store's append clock (1 ms an
+// append) or a tuner's trial clock advances. The objective counts them in
+// 1-second buckets and folds what is older than its 30-minute window, so
+// once its first folds have sized its slice — the stream is run for two
+// simulated hours first — an event allocates nothing however long the
+// clock runs.
+func openSLORecord() (func(), func(), error) {
+	o := slo.NewEvaluator().Register(slo.Spec{Name: "hotloop", Target: 0.99})
+	var seq int64
+	record := func() {
+		seq++
+		o.Record(time.Duration(seq)*7*time.Millisecond, seq%8 != 0)
+	}
+	for time.Duration(seq)*7*time.Millisecond < 2*time.Hour {
 		record()
 	}
 	return record, noClose, nil

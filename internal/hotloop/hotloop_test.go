@@ -12,7 +12,7 @@ import (
 	"edgetune/internal/testutil"
 )
 
-// TestStageNames: the table is exactly the fourteen loops, each named
+// TestStageNames: the table is exactly the fifteen loops, each named
 // once, and a -profile job's five are among them in table order.
 func TestStageNames(t *testing.T) {
 	var all []string
@@ -24,7 +24,7 @@ func TestStageNames(t *testing.T) {
 	if want := []string{
 		"autoscale.evaluate", "cluster.dispatch", "flight.record",
 		"nn.minibatch-step", "perfmodel.infer-cost", "search.tpe-search",
-		"serve.cache-hit", "store.checkpoint", "store.put", "store.wal-append", "trace.emit",
+		"serve.cache-hit", "slo.record", "store.checkpoint", "store.put", "store.wal-append", "trace.emit",
 		"trace.leaf", "trial.run", "workload.new",
 	}; !reflect.DeepEqual(sorted, want) {
 		t.Errorf("table declares %v, want exactly %v", sorted, want)

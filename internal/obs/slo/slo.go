@@ -12,22 +12,29 @@
 // multi-window rule: the long window proves the burn is sustained, the
 // short one that it is still happening).
 //
-// Determinism: events are aggregated by (timestamp, good) only, so
-// concurrent recorders in any interleaving yield the same snapshot as
-// long as the event multiset is the same — which the pipeline's seeded
-// determinism guarantees. Snapshots sort objectives by name.
+// Determinism: an objective counts events by (bucket, good) only, in
+// runs kept sorted by bucket, so concurrent recorders in any
+// interleaving leave the same counts, and a snapshot depends only on the
+// event multiset — which the pipeline's seeded determinism guarantees.
+// Snapshots sort objectives by name.
 //
-// Memory: an objective keeps runs of equal events, not the events, and
-// folds the runs no window can reach again into whole-run totals, so a
-// server answering millions of requests at one simulated instant keeps
-// one run, and a job whose events carry distinct times keeps the runs of
-// its longest window (at most twice that, between folds).
+// Memory: an objective counts events in 1-second buckets of simulated
+// time, one run per bucket and verdict, and folds the buckets no window
+// can reach again into whole-run totals. A fold keeps at most the
+// 2 × 1 801 runs of the last half hour (about 58 KB) and the next comes
+// at twice the runs kept, so an objective holds at most 7 204 runs on any
+// clock: a server answering millions of requests at one simulated
+// instant keeps one, a clock advancing 1 ms an event keeps one per
+// thousand events, and a job whose events span hours keeps the last half
+// hour's seconds. A window counts the buckets that start inside it; the
+// horizon and the whole-run totals stay exact.
 //
 // Every method is nil-safe: a nil *Evaluator or nil *Objective no-ops,
 // so disabled SLO accounting costs callers one pointer check.
 package slo
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -50,6 +57,10 @@ const (
 // windows are the alert windows, ascending, each reported in turn.
 var windows = [...]time.Duration{fastWindow, slowWindow}
 
+// bucket is the resolution an objective counts at. It divides both
+// windows, so a window always spans a whole number of buckets.
+const bucket = time.Second
+
 // Spec declares one objective; every objective alerts on the same
 // windows and burn threshold.
 type Spec struct {
@@ -63,12 +74,29 @@ type Spec struct {
 	Target float64
 }
 
-// event is a run of equal observations on the simulated clock: n > 0
-// counts n good events at t, n < 0 counts −n bad ones. It stays 16 bytes
-// because a tuner's events carry distinct times and never merge.
+// event is a run of equal observations in one bucket of the simulated
+// clock: t is the bucket's start, n > 0 counts n good events in it, n < 0
+// counts −n bad ones. It stays 16 bytes because a tuner's events mostly
+// fall in buckets of their own, where a run with both counts would carry
+// a third word for nothing.
 type event struct {
 	t time.Duration
 	n int64
+}
+
+// compareRuns orders runs by bucket, and a good run before a bad one in
+// the same bucket.
+func compareRuns(a, b event) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	switch aGood, bGood := a.n > 0, b.n > 0; {
+	case aGood == bGood:
+		return 0
+	case aGood:
+		return -1
+	}
+	return 1
 }
 
 // counts returns how many events the run holds and how many of them are
@@ -88,7 +116,8 @@ const minFold = 256
 type Objective struct {
 	spec Spec
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// runs are sorted by compareRuns, at most one per bucket and verdict.
 	runs []event
 	// max is the latest event time recorded. Every snapshot's horizon is
 	// at least max, so a run older than max − slowWindow lies before the
@@ -99,37 +128,48 @@ type Objective struct {
 	oldN, oldBad int64
 }
 
-// Record counts one event at simulated time t. It extends the last run
-// when t and the verdict match it, and allocates nothing then. A nil
-// objective no-ops.
+// Record counts one event at simulated time t in its bucket's run. It
+// adds to the last run when the event belongs to it, and appends a run
+// when the event sorts after it: the common cases, in the order the
+// pipeline's clocks advance. An event that sorts before the last run
+// finds its run by binary search, or inserts one. Only a new run can
+// allocate, and only until the objective's first folds have sized its
+// slice. A nil objective no-ops.
 func (o *Objective) Record(t time.Duration, good bool) {
 	if o == nil {
 		return
 	}
-	n := int64(1)
+	r := event{t: t.Truncate(bucket), n: 1}
 	if !good {
-		n = -1
+		r.n = -1
 	}
 	o.mu.Lock()
-	if k := len(o.runs) - 1; k >= 0 && o.runs[k].t == t && (o.runs[k].n > 0) == good {
-		o.runs[k].n += n
-	} else {
-		o.max = max(o.max, t)
-		o.runs = append(o.runs, event{t: t, n: n})
-		if len(o.runs) >= o.foldAt {
-			o.fold()
+	o.max = max(o.max, t)
+	switch k := len(o.runs) - 1; {
+	case k >= 0 && compareRuns(o.runs[k], r) == 0:
+		o.runs[k].n += r.n
+	case k < 0 || compareRuns(o.runs[k], r) < 0:
+		o.runs = append(o.runs, r)
+	default:
+		if i, found := slices.BinarySearchFunc(o.runs, r, compareRuns); found {
+			o.runs[i].n += r.n
+		} else {
+			o.runs = slices.Insert(o.runs, i, r)
 		}
+	}
+	if len(o.runs) >= o.foldAt {
+		o.fold()
 	}
 	o.mu.Unlock()
 }
 
-// fold moves every run older than max − slowWindow into the whole-run
-// totals, keeping the rest in order, and sets the next fold at twice the
-// runs kept, so folding costs O(1) per run recorded. It makes room for
-// the runs up to that fold at once: between folds Record's append never
-// regrows the slice, so the runs a window keeps cost them about twice
-// over rather than the five-fold of append's 1.25× steps. The caller
-// holds o.mu.
+// fold moves every run whose bucket starts before max − slowWindow into
+// the whole-run totals, keeping the rest in order, and sets the next fold
+// at twice the runs kept, so folding costs O(1) per run recorded. It
+// makes room for the runs up to that fold at once: between folds Record
+// never regrows the slice, so the runs a window keeps cost them about
+// twice over rather than the five-fold of append's 1.25× steps. The
+// caller holds o.mu.
 func (o *Objective) fold() {
 	line := o.max - slowWindow
 	kept := o.runs[:0]
@@ -339,7 +379,8 @@ func (c tally) totals() (events, errors int64) {
 }
 
 // window evaluates the alert window of length w ending at horizon,
-// against the error budget.
+// against the error budget. A bucket counts when it starts inside the
+// window.
 func (c tally) window(w, horizon time.Duration, budget float64) WindowBurn {
 	if w > horizon {
 		w = horizon

@@ -267,9 +267,11 @@ func TestWriteTextStable(t *testing.T) {
 	}
 }
 
-// refEvent and refSnapshot are the evaluator this package had when an
-// objective kept every event, kept as the reference the run counts must
-// reproduce exactly. It holds its own copy of the alert rule.
+// refEvent and refSnapshot evaluate the full event list, as this
+// package did when an objective kept every event, under the window rule
+// the run counts keep: an event counts in a window when the second it
+// falls in starts inside the window. They are the reference the run
+// counts must reproduce exactly, with their own copy of the alert rule.
 type refEvent struct {
 	t    time.Duration
 	good bool
@@ -305,7 +307,7 @@ func refSnapshot(specs []Spec, events [][]refEvent) Snapshot {
 			}
 			wb := WindowBurn{Window: w}
 			for _, ev := range events[i] {
-				if ev.t < snap.Horizon-w {
+				if ev.t.Truncate(time.Second) < snap.Horizon-w {
 					continue
 				}
 				wb.Events++
@@ -354,13 +356,47 @@ func randomStream(rng *rand.Rand, n int, horizon time.Duration) []refEvent {
 	return out
 }
 
+// straddleStream puts three events around each window's start for a
+// horizon 500 ms past a whole second: 300 ms before it and 200 ms after,
+// both in the second the window starts inside of, so neither counts,
+// and 600 ms after it, in the window's first whole second, which counts.
+// The horizon's own event ends the stream. Every third event is bad.
+func straddleStream(horizon time.Duration) []refEvent {
+	var out []refEvent
+	for _, w := range []time.Duration{30 * time.Minute, 5 * time.Minute} {
+		for _, d := range []time.Duration{-300 * time.Millisecond, 200 * time.Millisecond, 600 * time.Millisecond} {
+			out = append(out, refEvent{t: horizon - w + d, good: len(out)%3 != 2})
+		}
+	}
+	return append(out, refEvent{t: horizon, good: true})
+}
+
 // TestSnapshotMatchesEventList: on seeded random streams, a snapshot
 // of the run counts equals, field for field, the evaluation of the full
 // event list — before and after folds, at horizons shorter and longer
 // than the 30-minute window, for two objectives whose latest events lie
 // apart — one burning past the alert threshold, one below it — and with
-// four goroutines recording at once.
+// four goroutines recording at once. A stream whose sub-second times
+// straddle both windows' starts holds the bucket rule itself.
 func TestSnapshotMatchesEventList(t *testing.T) {
+	horizon := 40*time.Minute + 500*time.Millisecond
+	stream := straddleStream(horizon)
+	e := NewEvaluator()
+	o := e.Register(Spec{Name: "edges", Target: 0.9})
+	for _, ev := range stream {
+		o.Record(ev.t, ev.good)
+	}
+	got := e.Snapshot()
+	if want := refSnapshot([]Spec{o.spec}, [][]refEvent{stream}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("straddling stream:\n got %+v\nwant %+v", got, want)
+	}
+	// The 5-minute window holds its first whole second's event and the
+	// horizon's; the 30-minute one those, its own first whole second's
+	// event, and all three around the 5-minute start.
+	if ws := got.Objectives[0].Windows; ws[0].Events != 2 || ws[1].Events != 5 {
+		t.Errorf("straddling stream: windows hold %d and %d events, want 2 and 5", ws[0].Events, ws[1].Events)
+	}
+
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, horizon := range []time.Duration{10 * time.Minute, 5 * time.Hour} {
 			rng := rand.New(rand.NewSource(seed))
@@ -466,7 +502,8 @@ func TestAlertsMatchSnapshot(t *testing.T) {
 
 // TestObjectiveMemoryBounded: events at one instant keep one run,
 // however many; events at rising times keep the runs of the longest
-// window, at most twice over.
+// window, at most twice over; and a server's millisecond clock, over
+// hours, keeps no more than the half hour's buckets after every fold.
 func TestObjectiveMemoryBounded(t *testing.T) {
 	e := NewEvaluator()
 	hits := e.Register(Spec{Name: "hits", Target: 0.99})
@@ -491,22 +528,41 @@ func TestObjectiveMemoryBounded(t *testing.T) {
 	if rep.Events != n || rep.Errors != (n+2)/3 {
 		t.Errorf("folded totals = %d events / %d errors, want %d / %d", rep.Events, rep.Errors, n, (n+2)/3)
 	}
+
+	// A durability clock: one append a millisecond, every 97th failing.
+	const appends = 3 * 3600 * 1000 // three simulated hours
+	dur := e.Register(Spec{Name: "durability", Target: 0.99})
+	folds, most := 0, 0
+	for i := 0; i < appends; i++ {
+		before := len(dur.runs)
+		dur.Record(time.Duration(i)*time.Millisecond, i%97 != 0)
+		if len(dur.runs) < before {
+			folds++
+			most = max(most, len(dur.runs))
+		}
+	}
+	if folds == 0 || most > 2*1801 {
+		t.Errorf("%d folds over three hours of 1 ms appends kept up to %d runs, want folds keeping at most %d",
+			folds, most, 2*1801)
+	}
+	if rep, _ := e.Snapshot().Objective("durability"); rep.Events != appends || rep.Errors != (appends+96)/97 {
+		t.Errorf("durability totals = %d events / %d errors, want %d / %d", rep.Events, rep.Errors, appends, (appends+96)/97)
+	}
 }
 
 // TestObjectiveAllocatesWhatItKeeps: events at distinct times inside one
-// window are all kept, and keeping them allocates a small multiple of
-// their runs — the doubling growth fold makes room in — not the sum of
-// append's 1.25× copies.
+// minute keep one run per second and verdict, however many they are, and
+// keeping them allocates a small multiple of those runs.
 func TestObjectiveAllocatesWhatItKeeps(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on the objective's behalf")
 	}
-	const n = 100_000
+	const n = 2_000_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	o := NewEvaluator().Register(Spec{Name: "window", Target: 0.99})
 	for i := 0; i < n; i++ {
-		o.Record(time.Duration(i)*time.Millisecond, i%5 != 0) // 100 s: inside the 5-minute window
+		o.Record(time.Duration(i)*(time.Minute/n), i%5 != 0) // a 30 µs step: the stream spans one minute
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(o)
@@ -514,18 +570,35 @@ func TestObjectiveAllocatesWhatItKeeps(t *testing.T) {
 	kept := float64(len(o.runs)) * float64(reflect.TypeOf(event{}).Size())
 	got := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("%d runs: %.0f B kept, %.0f B allocated (%.2fx)", len(o.runs), kept, got, got/kept)
-	if len(o.runs) != n {
-		t.Fatalf("kept %d runs, want all %d", len(o.runs), n)
+	if len(o.runs) > 2*61 {
+		t.Fatalf("kept %d runs, want at most %d: a good and a bad run for each second of one minute", len(o.runs), 2*61)
 	}
 	if got > 4*kept {
 		t.Errorf("allocated %.0f B for %.0f B of runs kept: over 4x", got, kept)
 	}
 }
 
+// TestRecordRepeatedAllocatesNothing: an event that lands in a run
+// already kept allocates nothing — at a repeated time, and at distinct
+// times inside one second, whether it lands in the last run or, a good
+// event behind the second's bad run, in the one before it.
 func TestRecordRepeatedAllocatesNothing(t *testing.T) {
 	o := NewEvaluator().Register(Spec{Name: "r", Target: 0.99})
 	o.Record(time.Minute, false)
 	if allocs := testing.AllocsPerRun(1000, func() { o.Record(time.Minute, false) }); allocs != 0 {
 		t.Errorf("Record on a repeated (t, good) allocates %v times, want 0", allocs)
+	}
+
+	o.Record(time.Minute, true)
+	at, good := time.Minute, false
+	if allocs := testing.AllocsPerRun(1000, func() {
+		at += 100 * time.Microsecond // 1001 steps: inside the minute's first second
+		good = !good
+		o.Record(at, good)
+	}); allocs != 0 {
+		t.Errorf("Record at distinct times inside one second allocates %v times, want 0", allocs)
+	}
+	if len(o.runs) != 2 || at >= time.Minute+time.Second {
+		t.Errorf("the second's events keep %d runs up to %v, want 2 inside the second", len(o.runs), at)
 	}
 }

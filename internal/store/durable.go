@@ -483,7 +483,9 @@ func (d *Durable) commit() (int, error) {
 
 // appendClock is the durability SLO's operation-indexed clock: append
 // sequence as milliseconds, deterministic and monotonic without
-// threading the tuner's simulated clock into the storage layer.
+// threading the tuner's simulated clock into the storage layer. The
+// objective counts by the second, so 1 000 appends share a bucket and
+// its memory stays bounded however long the store lives.
 func (d *Durable) appendClock() time.Duration {
 	return time.Duration(d.appendSeq) * time.Millisecond
 }
