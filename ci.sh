@@ -236,8 +236,10 @@ gate "store durability under faulty disks"
 # in WAL replay and quarantine handling surfaces. Then ten seconds each
 # of fuzzing the WAL decoder, which reads whatever a crash left on disk,
 # the put frames the WAL encoder writes without encoding/json, against
-# json.Marshal's bytes, snapshot recovery, which reads whatever store.json
-# holds and must come back the same after a compaction,
+# json.Marshal's bytes, the search.Config encoder those frames and every
+# rung checkpoint use, against the same, snapshot recovery, which reads
+# whatever store.json holds and must come back the same after a
+# compaction,
 # the fault spec parser, which reads whatever -faults says, the Job
 # decoder, which reads whatever -job names, and checkpoint restore, which
 # resumes a job from whatever the store holds (their seed corpora already
@@ -249,6 +251,7 @@ go test -race -count=2 ./internal/store ./internal/fault
 go test -race -count=20 -run '^TestGroupCommit|^TestWriteBehindFailedFlushWakesWaitingGet$' ./internal/store
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz FuzzPutFrame -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/search
 go test -run '^$' -fuzz FuzzSnapshotRecover -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
@@ -300,7 +303,7 @@ gate "hot-loop allocation gate"
 # builds fall before the window; see ledgerWarmUpRuns). A trial's
 # bookkeeping — its member's configuration, its reply wait, its
 # Register — is pinned beside the table, twenty runs too, and so is what
-# the tracer allocates for what it keeps (records, attributes, step runs).
+# the tracer allocates for what it keeps (records, attributes, training runs).
 go test -count=20 -run TestStageAllocations ./internal/hotloop
 go test -count=20 -run TestTrialBookkeepingAllocations ./internal/core
 go test -count=20 -run TestTracerAllocatesWhatItKeeps ./internal/obs

@@ -225,7 +225,7 @@ func TestRungCheckpointAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on the job's behalf")
 	}
-	const want = 23
+	const want = 5
 	d, err := store.OpenDurable(store.DurableOptions{
 		SnapshotPath:  filepath.Join(t.TempDir(), "store.json"),
 		SnapshotEvery: -1, // a compaction would rewrite the whole store inside one run

@@ -166,20 +166,23 @@ func SubsetLen(n int, frac float64) (int, error) {
 // using a deterministic prefix keeps budget growth monotone: a larger
 // budget strictly contains a smaller one, as in the paper's
 // dataset-fraction budgets. The subset is a view: it shares d's
-// storage, which training only ever reads.
-func (d *Dataset) Subset(frac float64) (*Dataset, error) {
+// storage, which training only ever reads, and its Dataset and Matrix
+// headers come from a (tensor.Take), so on an arena it is valid until
+// a's next Reset; a nil a is the heap.
+func (d *Dataset) Subset(a *tensor.Arena, frac float64) (*Dataset, error) {
 	k, err := SubsetLen(d.Len(), frac)
 	if err != nil {
 		return nil, err
 	}
-	sub := &Dataset{
+	sub := &tensor.Take[Dataset](a, 1)[0]
+	*sub = Dataset{
 		Meta:    d.Meta,
 		Classes: d.Classes,
 		Vocab:   d.Vocab,
 		Labels:  d.Labels[:k],
 	}
 	if d.X != nil {
-		sub.X = d.X.RowSlice(0, k)
+		sub.X = d.X.RowSlice(a, 0, k)
 	}
 	if d.Tokens != nil {
 		sub.Tokens = d.Tokens[:k]

@@ -129,7 +129,7 @@ func TestSubset(t *testing.T) {
 		{frac: 0.0001, want: 1}, // never empty
 	}
 	for _, tt := range tests {
-		sub, err := d.Subset(tt.frac)
+		sub, err := d.Subset(nil, tt.frac)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,10 +152,34 @@ func TestSubset(t *testing.T) {
 	}
 }
 
+// TestSubsetOnAnArenaAllocatesNothing: a subset's Dataset and Matrix
+// headers come from the arena it is given, so once the arena has
+// settled a trial's view of its data costs the heap nothing; on a nil
+// arena they are the heap's, and the view is the same.
+func TestSubsetOnAnArenaAllocatesNothing(t *testing.T) {
+	d := NewImageClassification(1).Train
+	a := new(tensor.Arena)
+	var sub *Dataset
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		sub, _ = d.Subset(a, 0.5)
+	})
+	if allocs != 0 {
+		t.Errorf("Subset on a settled arena allocates %.1f times, want 0", allocs)
+	}
+	heap, err := d.Subset(nil, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Len() != heap.Len() || sub.X.Rows != heap.X.Rows || &sub.X.Data[0] != &heap.X.Data[0] {
+		t.Errorf("Subset on an arena is %d rows, on the heap %d", sub.X.Rows, heap.X.Rows)
+	}
+}
+
 func TestSubsetErrors(t *testing.T) {
 	d := NewImageClassification(1).Train
 	for _, frac := range []float64{0, -0.5, 1.5} {
-		if _, err := d.Subset(frac); err == nil {
+		if _, err := d.Subset(nil, frac); err == nil {
 			t.Errorf("Subset(%v) did not error", frac)
 		}
 	}
@@ -175,8 +199,8 @@ func TestSubsetMonotoneContainment(t *testing.T) {
 		if fa > fb {
 			fa, fb = fb, fa
 		}
-		small, err1 := d.Subset(fa)
-		large, err2 := d.Subset(fb)
+		small, err1 := d.Subset(nil, fa)
+		large, err2 := d.Subset(nil, fb)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -214,7 +238,7 @@ func TestNewsTokensRetained(t *testing.T) {
 			}
 		}
 	}
-	sub, err := s.Train.Subset(0.25)
+	sub, err := s.Train.Subset(nil, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

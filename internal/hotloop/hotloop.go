@@ -75,7 +75,7 @@ var stages = []stage{
 	{"store.put", true, openStorePut, 3, 272},
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
 	{"search.tpe-search", false, openTPESearch, 0, 0},
-	{"trial.run", false, openTrialRun, 15, 1072},
+	{"trial.run", false, openTrialRun, 8, 352},
 	{"workload.new", false, openWorkloadNew, 10, 5264},
 	{"store.wal-append", false, openWALAppend, 7, 544},
 	{"store.checkpoint", false, openCheckpoint, 0, 0},
@@ -193,8 +193,9 @@ func openTraceEmit() (func(), func(), error) {
 // ledger's warm-up after it, leave the window where neither its record
 // blocks nor its attribute blocks start a new one. Amortised over the
 // blocks it fills, a leaf like this one costs 144 B, its 80 B record
-// and two 32 B attributes. A traced epoch's mini-batches are not leaves
-// but one step run (obs.Span.Steps), built into spans only at export.
+// and two 32 B attributes. A traced attempt's epochs and mini-batches
+// are not leaves but one training run (obs.Span.Epochs), built into
+// spans only at export.
 func openTraceLeaf() (func(), func(), error) {
 	tracer := obs.NewTracer()
 	epoch := tracer.Root(0, "epoch", 0, 0)
@@ -306,10 +307,10 @@ func openTPESearch() (func(), func(), error) {
 // warmed (DESIGN.md §4.15): one IC and one NLP trial per operation, the
 // NLP trial at another stride each time, so a featurisation kept on the
 // heap shows. The network — its layer values, its layer and parameter
-// slices, and the storage under them — and the features live on the
-// scratch; what a trial leaves to the collector is a handful of small
-// headers around the training (the RNG, the optimiser, the subset
-// views, the configuration's key).
+// slices, and the storage under them — the features and the headers of
+// the data views live on the scratch; what a trial leaves to the
+// collector is a handful of small headers around the training (the RNG,
+// the optimiser, the configuration's key).
 func openTrialRun() (func(), func(), error) {
 	alloc := budget.Allocation{Epochs: 2, DataFraction: 0.3}
 	nlp := search.Config{workload.ParamStride: 4, workload.ParamTrainBatch: 64, workload.ParamGPUs: 1}

@@ -169,7 +169,7 @@ func TestPairsDenseIsDense(t *testing.T) {
 		}
 		for step := 0; step < 20; step++ {
 			n := 9 - 4*(step%2)
-			batch := x.RowSlice(0, n)
+			batch := x.RowSlice(nil, 0, n)
 			if _, err := nets[i].TrainStep(opt, batch, labels[:n]); err != nil {
 				t.Fatal(err)
 			}

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sort"
@@ -36,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edgetune/internal/jsonenc"
 	"edgetune/internal/sim"
 )
 
@@ -124,65 +124,115 @@ func (a *Attr) UnmarshalJSON(data []byte) error {
 // keeps the slice passed to Root or Child, grown by Set, and its record
 // keeps that slice at End, so a caller must not modify an attribute
 // slice once passed. A leaf's attributes are copied into blocks the
-// tracer owns, so the slice passed to Leaf or Steps is the caller's
-// again when it returns. A step run costs one stepRun for all its
-// leaves: they are built from it at export.
+// tracer owns, so the slice passed to Leaf is the caller's again when it
+// returns. A training run costs one epochRun for all its epoch and step
+// leaves, whatever its length: they are built from it at export.
 type Tracer struct {
 	mu       sync.Mutex
 	spans    blocks[spanRecord]
 	attrs    blocks[Attr] // leaf attributes
-	runs     blocks[stepRun]
+	runs     blocks[epochRun]
 	steps    int // leaves held in runs
 	dropped  int64
 	observer func(name string, track int, start, dur time.Duration)
 }
 
-// stepRun is the run of step leaves one Steps call records under its
-// leaf, kept in 48 bytes. Every leaf of the run is a function of the
-// run, its index and the leaf that holds it, so export builds them
-// (appendLeaves) where Leaf would have kept a record and two attributes
+// epochRun is what one Epochs call records: its epoch leaves and their
+// step leaves, of which the first kept are held. Every leaf is a
+// function of the run and its place in it, so export builds them
+// (appendLeaves) where Leaf would have kept a record and its attributes
 // each.
-type stepRun struct {
-	at     int // the index, among the tracer's records, of the run's leaf
-	name   string
-	end    time.Duration
-	n, per int
+type epochRun struct {
+	parent     SpanID
+	first      uint64 // the parent's child index of epoch 0
+	name, step string
+	start, end time.Duration
+	track      int
+	epochs     int
+	n, per     int
+	kept       int // leaves held, in the order Epochs' loop records them
 }
 
-// groups is the number of leaves in the run: n steps, per to a leaf.
-func (r *stepRun) groups() int { return (r.n-1)/r.per + 1 }
+// groups is the number of step leaves under each epoch: n steps, per to
+// a leaf, or none when n or per is below 1.
+func (r *epochRun) groups() int {
+	if r.n < 1 || r.per < 1 {
+		return 0
+	}
+	return (r.n-1)/r.per + 1
+}
 
-// span is the start and the duration of leaf g of the run's groups,
-// which divide [start, r.end] evenly by the integer division a loop of
-// Leaf calls over the same range does.
-func (r *stepRun) span(start time.Duration, g, groups int) (time.Duration, time.Duration) {
-	d := r.end - start
+// leaves is the number of leaves the run records: each epoch's step
+// leaves and then the epoch.
+func (r *epochRun) leaves() int { return r.epochs * (r.groups() + 1) }
+
+// epoch is the start and the end of epoch e: an even share of the run,
+// by integer division, and the last one to the run's end.
+func (r *epochRun) epoch(e int) (time.Duration, time.Duration) {
+	d := (r.end - r.start) / time.Duration(r.epochs)
+	start, end := r.start+time.Duration(e)*d, r.start+time.Duration(e+1)*d
+	if e == r.epochs-1 {
+		end = r.end
+	}
+	return start, end
+}
+
+// stepSpan is the start and the duration of step leaf g of an epoch from
+// start to end: the gth of groups even slices, by the integer division
+// a loop of Leaf calls over the same range does.
+func stepSpan(start, end time.Duration, g, groups int) (time.Duration, time.Duration) {
+	d := end - start
 	gStart := start + time.Duration(g)*d/time.Duration(groups)
 	gEnd := start + time.Duration(g+1)*d/time.Duration(groups)
 	return gStart, clampedDur(gStart, gEnd)
 }
 
-// appendLeaves appends to dst the first len(attrs)/2 leaves of the run
-// under leaf, as the Leaf calls of Steps' doc comment record them; the
-// two attributes of each are written into attrs.
-func (r *stepRun) appendLeaves(dst []spanRecord, leaf *spanRecord, attrs []Attr) []spanRecord {
+// each calls fn for every leaf of the run, kept or not, in the order
+// Epochs' loop records them: epoch e's step leaves (g ≥ 0), then epoch e
+// itself (g = −1). It stops early when fn returns false.
+func (r *epochRun) each(fn func(e, g int, start, dur time.Duration) bool) {
 	groups := r.groups()
-	h := sim.HashString(leaf.ID, r.name)
-	for g := range len(attrs) / 2 {
-		start, dur := r.span(time.Duration(leaf.Start), g, groups)
-		a := attrs[2*g : 2*g+2 : 2*g+2]
-		a[0] = Int("step", int64(g*r.per))
-		a[1] = Int("steps", int64(min(r.per, r.n-g*r.per)))
-		dst = append(dst, spanRecord{
-			ID:     uint64(nonzero(sim.HashUint64(h, uint64(g)))),
-			Parent: leaf.ID,
-			Name:   r.name,
-			Track:  leaf.Track,
-			Start:  int64(start),
-			Dur:    int64(dur),
-			Attrs:  a,
-		})
+	for e := range r.epochs {
+		eStart, eEnd := r.epoch(e)
+		for g := range groups {
+			start, dur := stepSpan(eStart, eEnd, g, groups)
+			if !fn(e, g, start, dur) {
+				return
+			}
+		}
+		if !fn(e, -1, eStart, clampedDur(eStart, eEnd)) {
+			return
+		}
 	}
+}
+
+// appendLeaves appends the run's kept leaves to dst, as the Child, Leaf
+// and End calls of Epochs' doc comment record them; their attributes
+// are appended to *attrs, which must have the room for them.
+func (r *epochRun) appendLeaves(dst []spanRecord, attrs *[]Attr) []spanRecord {
+	left := r.kept
+	h := sim.HashString(uint64(r.parent), r.name)
+	var id, hs uint64 // epoch e's ID, and its hash for its step leaves
+	r.each(func(e, g int, start, dur time.Duration) bool {
+		if g <= 0 {
+			id = uint64(nonzero(sim.HashUint64(h, r.first+uint64(e))))
+			hs = sim.HashString(id, r.step)
+		}
+		rec := spanRecord{Track: r.track, Start: int64(start), Dur: int64(dur)}
+		a := *attrs
+		if g >= 0 {
+			rec.ID, rec.Parent, rec.Name = uint64(nonzero(sim.HashUint64(hs, uint64(g)))), id, r.step
+			a = append(a, Int("step", int64(g*r.per)), Int("steps", int64(min(r.per, r.n-g*r.per))))
+		} else {
+			rec.ID, rec.Parent, rec.Name = id, uint64(r.parent), r.name
+			a = append(a, Int("epoch", int64(e)))
+		}
+		rec.Attrs = a[len(*attrs):len(a):len(a)]
+		*attrs = a
+		dst = append(dst, rec)
+		left--
+		return left > 0
+	})
 	return dst
 }
 
@@ -315,35 +365,44 @@ func (sp *Span) leafRecord(name string, start, end time.Duration) spanRecord {
 	}
 }
 
-// Steps records a leaf child of sp, name from start to end with attrs,
-// and under it a run of ceil(n/per) leaves named step: leaf g covers
-// steps g·per up to min((g+1)·per, n), carries the attributes
-// step = g·per and steps = min(per, n − g·per), and takes the gth of
-// groups even slices of [start, end]. It exports exactly what
+// Epochs records under sp the timeline of a training run from start to
+// end: epochs leaf children named name, each holding a run of
+// ceil(n/per) leaves named step. Epoch e carries the attribute
+// epoch = e and takes an even share of [start, end], the last epoch the
+// remainder; its step leaf g covers steps g·per up to
+// min((g+1)·per, n), carries the attributes step = g·per and
+// steps = min(per, n − g·per), and takes the gth of groups even slices
+// of its epoch. It exports exactly what
 //
-//	c := sp.Child(name, start, attrs...)
-//	for g := 0; g < groups; g++ {
-//		c.Leaf(step, start+time.Duration(g)*(end-start)/time.Duration(groups),
-//			start+time.Duration(g+1)*(end-start)/time.Duration(groups),
-//			Int("step", int64(g*per)), Int("steps", int64(min(per, n-g*per))))
+//	d := (end - start) / time.Duration(epochs)
+//	for e := 0; e < epochs; e++ {
+//		eStart, eEnd := start+time.Duration(e)*d, start+time.Duration(e+1)*d
+//		if e == epochs-1 {
+//			eEnd = end
+//		}
+//		c := sp.Child(name, eStart, Int("epoch", int64(e)))
+//		for g := 0; g < groups; g++ {
+//			c.Leaf(step, eStart+time.Duration(g)*(eEnd-eStart)/time.Duration(groups),
+//				eStart+time.Duration(g+1)*(eEnd-eStart)/time.Duration(groups),
+//				Int("step", int64(g*per)), Int("steps", int64(min(per, n-g*per))))
+//		}
+//		c.End(eEnd)
 //	}
-//	c.End(end)
 //
 // does, and the span observer sees the same spans in the same order, but
-// the tracer keeps one record, its attributes and one stepRun: the step
-// leaves are built at export. Len and the buffer cap count them one by
-// one. As with Leaf, attrs are copied and the leaf takes no Set. With n
-// or per below 1 the run is empty: Steps records the leaf alone.
-func (sp *Span) Steps(name string, start, end time.Duration, step string, n, per int, attrs ...Attr) {
-	if sp == nil {
+// the tracer keeps one epochRun for the lot: the leaves are built at
+// export. Len and the buffer cap count them one by one. The epochs take
+// no Set. With n or per below 1 an epoch has no step leaves; with epochs
+// below 1 Epochs records nothing.
+func (sp *Span) Epochs(name string, start, end time.Duration, epochs int, step string, n, per int) {
+	if sp == nil || epochs < 1 {
 		return
 	}
-	rec := sp.leafRecord(name, start, end)
-	if n < 1 || per < 1 {
-		sp.tr.emit(rec, attrs)
-		return
-	}
-	sp.tr.emitSteps(rec, attrs, stepRun{name: step, end: end, n: n, per: per})
+	first := sp.children.Add(uint64(epochs)) - uint64(epochs)
+	sp.tr.emitEpochs(epochRun{
+		parent: sp.id, first: first, name: name, step: step,
+		start: start, end: end, track: sp.track, epochs: epochs, n: n, per: per,
+	})
 }
 
 // ID reports the span's deterministic identifier (0 for a nil span).
@@ -438,33 +497,29 @@ func (t *Tracer) keep(rec spanRecord, leafAttrs []Attr) {
 	t.spans.take(1)[0] = rec
 }
 
-// emitSteps buffers a Steps call: its run and then its leaf, where the
-// Leaf calls and the End it stands for would have put their records, so
-// export sorts what it sorted before. A run that the cap leaves too
-// little room for keeps its first leaves as records and drops the rest.
-func (t *Tracer) emitSteps(rec spanRecord, leafAttrs []Attr, r stepRun) {
-	groups := r.groups()
+// emitEpochs buffers an Epochs call. A run that the cap leaves too
+// little room for keeps its first leaves, as the loop it stands for
+// would, and drops the rest.
+func (t *Tracer) emitEpochs(r epochRun) {
+	total := r.leaves()
 	t.mu.Lock()
 	obsv := t.observer
-	switch room := maxSpans - t.kept(); {
-	case groups < room:
-		r.at = t.spans.n
+	r.kept = min(total, max(maxSpans-t.kept(), 0))
+	if r.kept > 0 {
 		t.runs.take(1)[0] = r
-		t.steps += groups
-	case room > 0:
-		copy(t.spans.take(room), r.appendLeaves(nil, &rec, make([]Attr, 2*room)))
-		t.dropped += int64(groups - room)
-	default:
-		t.dropped += int64(groups)
+		t.steps += r.kept
 	}
-	t.keep(rec, leafAttrs)
+	t.dropped += int64(total - r.kept)
 	t.mu.Unlock()
 	if obsv != nil {
-		for g := range groups {
-			start, dur := r.span(time.Duration(rec.Start), g, groups)
-			obsv(r.name, rec.Track, start, dur)
-		}
-		obsv(rec.Name, rec.Track, time.Duration(rec.Start), time.Duration(rec.Dur))
+		r.each(func(_, g int, start, dur time.Duration) bool {
+			name := r.name
+			if g >= 0 {
+				name = r.step
+			}
+			obsv(name, r.track, start, dur)
+			return true
+		})
 	}
 }
 
@@ -503,27 +558,17 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// sorted concatenates the buffer's blocks into one slice, each run's
-// leaves built in just before the leaf that holds them, and puts it in
-// the export order compareRecords defines.
+// sorted concatenates the buffer's blocks into one slice, with every
+// run's leaves built, and puts it in the export order compareRecords
+// defines, which is total: where records came from in the buffer does
+// not change the bytes exported.
 func (t *Tracer) sorted() []spanRecord {
 	t.mu.Lock()
-	out := make([]spanRecord, 0, t.kept())
-	attrs := make([]Attr, 2*t.steps)
-	runs, run := t.runs.list, []stepRun(nil)
-	at := 0 // index of the next record among the tracer's records
-	for _, blk := range t.spans.list {
+	out := t.spans.appendTo(make([]spanRecord, 0, t.kept()))
+	attrs := make([]Attr, 0, 2*t.steps) // a leaf has two attributes at most
+	for _, blk := range t.runs.list {
 		for i := range blk {
-			if len(run) == 0 && len(runs) > 0 {
-				run, runs = runs[0], runs[1:]
-			}
-			if len(run) > 0 && run[0].at == at {
-				k := 2 * run[0].groups()
-				out = run[0].appendLeaves(out, &blk[i], attrs[:k:k])
-				attrs, run = attrs[k:], run[1:]
-			}
-			out = append(out, blk[i])
-			at++
+			out = blk[i].appendLeaves(out, &attrs)
 		}
 	}
 	t.mu.Unlock()
@@ -594,7 +639,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 // a string, an int64, a finite float64 or a bool. The caller then
 // marshals the record, which also returns the error NaN or ±Inf gets.
 func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
-	if !plainString(rec.Name) {
+	if !jsonenc.Plain(rec.Name) {
 		return b, false
 	}
 	b = append(b, `{"id":`...)
@@ -617,7 +662,7 @@ func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			if !plainString(a.Key) {
+			if !jsonenc.Plain(a.Key) {
 				return b, false
 			}
 			b = append(b, `{"k":"`...)
@@ -625,7 +670,7 @@ func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
 			b = append(b, `","v":`...)
 			switch v := a.Value.(type) {
 			case string:
-				if !plainString(v) {
+				if !jsonenc.Plain(v) {
 					return b, false
 				}
 				b = append(b, '"')
@@ -634,10 +679,10 @@ func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
 			case int64:
 				b = strconv.AppendInt(b, v, 10)
 			case float64:
-				if math.IsNaN(v) || math.IsInf(v, 0) {
+				if !jsonenc.Finite(v) {
 					return b, false
 				}
-				b = appendJSONFloat(b, v)
+				b = jsonenc.AppendFloat(b, v)
 			case bool:
 				b = strconv.AppendBool(b, v)
 			default:
@@ -648,35 +693,6 @@ func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
 		b = append(b, ']')
 	}
 	return append(b, '}'), true
-}
-
-// plainString reports whether encoding/json writes s as it stands
-// between quotes: printable ASCII without a quote, a backslash or an
-// HTML character.
-func plainString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64:
-// the shortest decimal that round-trips, in exponent form below 1e-6 or
-// from 1e21 on, with a one-digit negative exponent unpadded (1e-7, not
-// 1e-07).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // WriteChrome exports the trace in the Chrome trace-event format

@@ -351,64 +351,84 @@ func TestConcurrentLeaves(t *testing.T) {
 // the records, attributes and runs it keeps, not the multiple of them
 // that the copies of an append-grown slice add up to. Leaves are two
 // thirds of a job's spans; each costs its record and its attributes,
-// and an ordinary span adds its *Span. An epoch of 64 steps costs its
-// record, its attribute and one run, not 64 leaves.
+// and an ordinary span adds its *Span. A training attempt costs one
+// run, whether it has one epoch or sixty, not its epochs and their
+// 64 steps each.
 func TestTracerAllocatesWhatItKeeps(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on the tracer's behalf")
 	}
 	const (
-		leaves = 20000
-		spans  = 2000
-		epochs = 2000
-		steps  = 64
+		leaves   = 20000
+		spans    = 2000
+		attempts = 2000
+		steps    = 64
 	)
+	epochs := func(i int) int { return []int{1, 3, 10, 60}[i/(leaves/attempts)%4] }
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tr := NewTracer()
 	root := tr.Root(TrackTuner, "attempt", 1, 0)
+	wantLen := leaves + spans
 	for i := 0; i < leaves; i++ {
 		at := time.Duration(i)
 		root.Leaf("mini-batch", at, at+1, Int("step", int64(i%64)), Int("steps", 1))
 		if i%(leaves/spans) == 0 {
 			root.Child("epoch", at).End(at + 1)
 		}
-		if i%(leaves/epochs) == 0 {
-			root.Steps("epoch", at, at+steps, "mini-batch", steps, 1, Int("epoch", int64(i)))
+		if i%(leaves/attempts) == 0 {
+			root.Epochs("epoch", at, at+steps, epochs(i), "mini-batch", steps, 1)
+			wantLen += epochs(i) * (1 + steps)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(tr)
 
 	recSize, attrSize := float64(reflect.TypeOf(spanRecord{}).Size()), float64(reflect.TypeOf(Attr{}).Size())
-	runSize := float64(reflect.TypeOf(stepRun{}).Size())
-	if runSize > 64 {
-		t.Errorf("a step run takes %.0f B, over 64", runSize)
+	runSize := float64(reflect.TypeOf(epochRun{}).Size())
+	if runSize > 128 {
+		t.Errorf("a training run takes %.0f B, over 128", runSize)
 	}
-	kept := float64(leaves+spans)*recSize + 2*leaves*attrSize + epochs*(recSize+attrSize+runSize)
+	kept := float64(leaves+spans)*recSize + 2*leaves*attrSize + attempts*runSize
 	block := maxBlock * (recSize + attrSize + runSize)
 	got := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("%d spans: %.0f B kept, %.0f B allocated (%.3fx)", tr.Len(), kept, got, got/kept)
-	if want := leaves + spans + epochs*(1+steps); tr.Len() != want {
-		t.Fatalf("kept %d spans, want %d", tr.Len(), want)
+	if tr.Len() != wantLen {
+		t.Fatalf("kept %d spans, want %d", tr.Len(), wantLen)
 	}
 	if limit := 1.1*kept + block; got > limit {
 		t.Errorf("allocated %.0f B for %.0f B kept: over the %.0f B allowed (1.1x plus one block)", got, kept, limit)
 	}
 }
 
-// stepsByLeaf is what Steps stands for: the leaf as a Child, a loop of
-// Leaf calls for its run, then the leaf's End.
-func stepsByLeaf(sp *Span, name string, start, end time.Duration, step string, n, per int, attrs ...Attr) {
-	c := sp.Child(name, start, attrs...)
-	groups := (n + per - 1) / per
-	for g := 0; g < groups; g++ {
-		c.Leaf(step, start+time.Duration(g)*(end-start)/time.Duration(groups),
-			start+time.Duration(g+1)*(end-start)/time.Duration(groups),
-			Int("step", int64(g*per)), Int("steps", int64(min(per, n-g*per))))
+// epochsByLeaf is what Epochs stands for: per epoch, the epoch as a
+// Child, a loop of Leaf calls for its steps, then the epoch's End.
+func epochsByLeaf(sp *Span, name string, start, end time.Duration, epochs int, step string, n, per int) {
+	if epochs < 1 {
+		return
 	}
-	c.End(end)
+	groups := 0
+	if n >= 1 && per >= 1 {
+		groups = (n + per - 1) / per
+	}
+	d := (end - start) / time.Duration(epochs)
+	for e := 0; e < epochs; e++ {
+		eStart, eEnd := start+time.Duration(e)*d, start+time.Duration(e+1)*d
+		if e == epochs-1 {
+			eEnd = end
+		}
+		c := sp.Child(name, eStart, Int("epoch", int64(e)))
+		for g := 0; g < groups; g++ {
+			c.Leaf(step, eStart+time.Duration(g)*(eEnd-eStart)/time.Duration(groups),
+				eStart+time.Duration(g+1)*(eEnd-eStart)/time.Duration(groups),
+				Int("step", int64(g*per)), Int("steps", int64(min(per, n-g*per))))
+		}
+		c.End(eEnd)
+	}
 }
+
+// epochsEmitter is the shape of Epochs and of epochsByLeaf.
+type epochsEmitter func(sp *Span, name string, start, end time.Duration, epochs int, step string, n, per int)
 
 // observed is one call of a span observer.
 type observed struct {
@@ -431,30 +451,32 @@ func observedTracer() (*Tracer, map[int][]observed) {
 	return tr, seen
 }
 
-// TestStepsMatchesLeafLoop: a Steps call exports, counts and is observed
-// exactly as the Child, Leaf loop and End it stands for, for runs of
-// every shape, and for runs under sibling spans built from goroutines.
+// TestStepsMatchesLeafLoop: an Epochs call exports, counts and is
+// observed exactly as the per-epoch loop of Child, Leaf calls and End it
+// stands for, for runs of every shape, for runs with ordinary siblings
+// between them (which take the child numbers after a run's epochs), and
+// for runs under sibling spans built from goroutines.
 func TestStepsMatchesLeafLoop(t *testing.T) {
 	type run struct {
-		n, per     int
-		start, end time.Duration
+		epochs, n, per int
+		start, end     time.Duration
 	}
 	cases := []struct {
 		name    string
 		runs    []run
 		parents int // goroutines, each under its own root and track
 	}{
-		{"per-over-n", []run{{5, 8, 0, time.Second}}, 1},
-		{"uneven", []run{{100, 7, time.Millisecond, 3 * time.Second}}, 1},
-		{"one-step", []run{{1, 1, 5, 9}}, 1},
-		{"start-is-end", []run{{64, 1, time.Second, time.Second}}, 1},
-		{"end-before-start", []run{{10, 3, time.Second, time.Millisecond}}, 1},
-		{"coalesced", []run{{1000, 16, 0, 7 * time.Second}, {3, 1, 7 * time.Second, 8 * time.Second}}, 1},
-		{"siblings-from-goroutines", []run{{64, 1, 0, time.Second}, {200, 4, time.Second, 2 * time.Second}, {9, 2, 2 * time.Second, 2 * time.Second}}, 8},
+		{"per-over-n", []run{{1, 5, 8, 0, time.Second}, {3, 5, 8, time.Second, 2 * time.Second}}, 1},
+		{"uneven", []run{{7, 100, 7, time.Millisecond, 3*time.Second + 5}}, 1},
+		{"one-step", []run{{1, 1, 1, 5, 9}, {4, 1, 1, 9, 11}}, 1},
+		{"start-is-end", []run{{3, 64, 1, time.Second, time.Second}}, 1},
+		{"end-before-start", []run{{3, 10, 3, time.Second, time.Millisecond}, {2, 0, 1, time.Second, 2 * time.Second}}, 1},
+		{"coalesced", []run{{5, 1000, 16, 0, 7 * time.Second}, {2, 3, 1, 7 * time.Second, 8 * time.Second}}, 1},
+		{"siblings-from-goroutines", []run{{2, 64, 1, 0, time.Second}, {3, 200, 4, time.Second, 2 * time.Second}, {1, 9, 2, 2 * time.Second, 2 * time.Second}}, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(steps bool) (*Tracer, map[int][]observed) {
+			build := func(emit epochsEmitter) (*Tracer, map[int][]observed) {
 				tr, seen := observedTracer()
 				var wg sync.WaitGroup
 				for p := 0; p < tc.parents; p++ {
@@ -462,37 +484,34 @@ func TestStepsMatchesLeafLoop(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						root := tr.Root(TrackTuner+p, "attempt", uint64(p), 0)
-						for e, r := range tc.runs {
-							if e%2 == 1 { // an ordinary sibling between runs
+						for i, r := range tc.runs {
+							if i%2 == 1 { // an ordinary sibling between runs
 								root.Child("eval", r.start).End(r.start)
 							}
-							emit := stepsByLeaf
-							if steps {
-								emit = (*Span).Steps
-							}
-							emit(root, "epoch", r.start, r.end, "mini-batch", r.n, r.per, Int("epoch", int64(e)))
+							emit(root, "epoch", r.start, r.end, r.epochs, "mini-batch", r.n, r.per)
 						}
+						root.Child("eval", 10*time.Second).End(10 * time.Second)
 						root.End(10 * time.Second)
 					}()
 				}
 				wg.Wait()
 				return tr, seen
 			}
-			old, oldSeen := build(false)
-			got, gotSeen := build(true)
+			old, oldSeen := build(epochsByLeaf)
+			got, gotSeen := build((*Span).Epochs)
 			if got.Len() != old.Len() {
-				t.Errorf("Steps kept %d spans, the Leaf loop %d", got.Len(), old.Len())
+				t.Errorf("Epochs kept %d spans, the loop %d", got.Len(), old.Len())
 			}
 			wantJ, wantC := exports(t, old)
 			gotJ, gotC := exports(t, got)
 			if !bytes.Equal(gotJ, wantJ) {
-				t.Errorf("JSONL with Steps differs from the Leaf loop:\n%s\nvs\n%s", gotJ, wantJ)
+				t.Errorf("JSONL with Epochs differs from the loop:\n%s\nvs\n%s", gotJ, wantJ)
 			}
 			if !bytes.Equal(gotC, wantC) {
-				t.Errorf("Chrome export with Steps differs from the Leaf loop")
+				t.Errorf("Chrome export with Epochs differs from the loop")
 			}
 			if !reflect.DeepEqual(gotSeen, oldSeen) {
-				t.Errorf("the observer saw\n%v\nwith Steps, and\n%v\nwith the Leaf loop", gotSeen, oldSeen)
+				t.Errorf("the observer saw\n%v\nwith Epochs, and\n%v\nwith the loop", gotSeen, oldSeen)
 			}
 		})
 	}
@@ -501,24 +520,22 @@ func TestStepsMatchesLeafLoop(t *testing.T) {
 // TestStepsKeepTiesInPlace: a job that fails over runs again from the
 // start under the same root ID, so the export's (start, ID) order ties
 // spans that differ; with such ties, a run's leaves must export as the
-// Leaf loop's do.
+// loop's do.
 func TestStepsKeepTiesInPlace(t *testing.T) {
-	build := func(emit func(*Span, string, time.Duration, time.Duration, string, int, int, ...Attr)) *Tracer {
+	build := func(emit epochsEmitter) *Tracer {
 		tr := NewTracer()
 		for attempt, epochs := range []int{1, 2} {
 			root := tr.Root(TrackTuner, "tune", 42, 0, Int("attempt", int64(attempt)))
-			for e := 0; e < epochs; e++ {
-				at := time.Duration(e) * time.Second
-				emit(root, "epoch", at, at+time.Second, "mini-batch", 4, 1, Int("epoch", int64(e)))
-			}
-			root.End(time.Duration(epochs) * time.Second)
+			end := time.Duration(epochs) * time.Second
+			emit(root, "epoch", 0, end, epochs, "mini-batch", 4, 1)
+			root.End(end)
 		}
 		return tr
 	}
-	wantJ, wantC := exports(t, build(stepsByLeaf))
-	gotJ, gotC := exports(t, build((*Span).Steps))
+	wantJ, wantC := exports(t, build(epochsByLeaf))
+	gotJ, gotC := exports(t, build((*Span).Epochs))
 	if !bytes.Equal(gotJ, wantJ) || !bytes.Equal(gotC, wantC) {
-		t.Errorf("with ties, Steps exports differently from the Leaf loop")
+		t.Errorf("with ties, Epochs exports differently from the loop")
 	}
 }
 
@@ -564,28 +581,31 @@ func TestExportOrderIsTotal(t *testing.T) {
 	}
 }
 
-// TestStepsAtTheCap: where the buffer cap falls inside a run, before its
-// leaf or just past it, Steps keeps and drops what the Leaf loop does.
+// TestStepsAtTheCap: wherever the buffer cap falls — inside an epoch's
+// steps, on an epoch, between two runs or before the first — an Epochs
+// call keeps the first leaves the per-epoch loop keeps, and counts and
+// drops what it does.
 func TestStepsAtTheCap(t *testing.T) {
 	defer func(n int) { maxSpans = n }(maxSpans)
-	for _, limit := range []int{1, 2, 5, 10, 11, 12, 13, 20} {
+	build := func(emit epochsEmitter) *Tracer {
+		tr := NewTracer()
+		root := tr.Root(TrackTuner, "attempt", 1, 0)
+		emit(root, "epoch", 0, time.Second, 3, "mini-batch", 10, 1)
+		emit(root, "epoch", time.Second, 2*time.Second, 2, "mini-batch", 5, 2)
+		root.End(2 * time.Second)
+		return tr
+	}
+	const total = 3*(10+1) + 2*(3+1) + 1
+	for limit := 0; limit <= total+1; limit++ {
 		maxSpans = limit
-		build := func(emit func(*Span, string, time.Duration, time.Duration, string, int, int, ...Attr)) *Tracer {
-			tr := NewTracer()
-			root := tr.Root(TrackTuner, "attempt", 1, 0)
-			emit(root, "epoch", 0, time.Second, "mini-batch", 10, 1, Int("epoch", 0))
-			emit(root, "epoch", time.Second, 2*time.Second, "mini-batch", 5, 2, Int("epoch", 1))
-			root.End(2 * time.Second)
-			return tr
-		}
-		old, got := build(stepsByLeaf), build((*Span).Steps)
+		old, got := build(epochsByLeaf), build((*Span).Epochs)
 		if got.Len() != old.Len() || got.Dropped() != old.Dropped() {
-			t.Errorf("cap %d: Steps kept %d and dropped %d, the Leaf loop %d and %d",
+			t.Errorf("cap %d: Epochs kept %d and dropped %d, the loop %d and %d",
 				limit, got.Len(), got.Dropped(), old.Len(), old.Dropped())
 		}
 		wantJ, _ := exports(t, old)
 		if gotJ, _ := exports(t, got); !bytes.Equal(gotJ, wantJ) {
-			t.Errorf("cap %d: JSONL with Steps differs from the Leaf loop:\n%s\nvs\n%s", limit, gotJ, wantJ)
+			t.Errorf("cap %d: JSONL with Epochs differs from the loop:\n%s\nvs\n%s", limit, gotJ, wantJ)
 		}
 	}
 }

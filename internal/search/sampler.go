@@ -241,6 +241,9 @@ type TPESampler struct {
 	units, scores, budgets []float64
 	order                  []int     // split scratch: pool indices, sorted by score
 	cand, best             []float64 // Sample scratch: current and best candidate
+	// model is the proposal's model (kde) once the pool outgrows
+	// SampleInto's stack array: grown with the pool, never per proposal.
+	model []float64
 }
 
 // TPEOptions tunes the TPE sampler; zero values select defaults.
@@ -459,12 +462,17 @@ func (k *kde) setBest(r float64) {
 	k.badScale = float64(len(k.dBad)) * math.Exp(pruneMargin-r)
 }
 
-// gather builds the proposal's model in buf, or on the heap when buf is
-// too small for it.
+// gather builds the proposal's model in buf, or in the sampler's model
+// scratch when buf is too small for it. The scratch at least doubles
+// when it grows, so a pool growing one observation at a time regrows it
+// a logarithmic number of times.
 func (t *TPESampler) gather(good, bad []int, buf []float64) kde {
 	dim := len(t.space.params)
 	if need := (len(good) + len(bad)) * (dim + 1); need > len(buf) {
-		buf = make([]float64, need)
+		if need > len(t.model) {
+			t.model = make([]float64, max(need, 2*len(t.model)))
+		}
+		buf = t.model
 	}
 	take := func(n int) []float64 {
 		s := buf[:n:n]

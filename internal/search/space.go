@@ -7,11 +7,13 @@
 package search
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 
+	"edgetune/internal/jsonenc"
 	"edgetune/internal/sim"
 )
 
@@ -193,6 +195,58 @@ func (c Config) Key() string {
 	}
 	return string(buf)
 }
+
+// AppendJSON appends to b the bytes json.Marshal writes for the config
+// as a map[string]float64: null when it is nil, else its keys sorted,
+// each value as encoding/json writes a float64. It reports false, having
+// appended nothing, when a key is one encoding/json escapes or a value
+// one it rejects (NaN, ±Inf).
+func (c Config) AppendJSON(b []byte) ([]byte, bool) {
+	if c == nil {
+		return append(b, "null"...), true
+	}
+	var keyBuf [8]string // a space's few names: the sort needs no heap
+	keys := keyBuf[:0]
+	for k, v := range c {
+		if !jsonenc.Plain(k) || !jsonenc.Finite(v) {
+			return b, false
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, k...)
+		b = append(b, '"', ':')
+		b = jsonenc.AppendFloat(b, c[k])
+	}
+	return append(b, '}'), true
+}
+
+// MarshalJSON writes what json.Marshal writes for
+// map[string]float64(c), without encoding/json's reflection over the
+// map: a job checkpoints its population's configurations at every rung.
+// A config AppendJSON cannot write goes to encoding/json, which escapes
+// the key or returns the error the value gets.
+func (c Config) MarshalJSON() ([]byte, error) {
+	size := len("null") // or the braces, and each key with its quotes, colon, comma and value
+	for k := range c {
+		size += len(k) + 4 + maxFloatLen
+	}
+	if b, ok := c.AppendJSON(make([]byte, 0, size)); ok {
+		return b, nil
+	}
+	return json.Marshal(map[string]float64(c))
+}
+
+// maxFloatLen is the longest float64 encoding/json writes:
+// -0.0000012345678901234567, 17 digits at the smallest exponent it
+// writes without one.
+const maxFloatLen = 25
 
 // Space is an ordered set of parameters.
 type Space struct {

@@ -337,6 +337,33 @@ func TestTPEWarmSampleIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTPELongSearchSampleIntoAllocatesNothing: a pool past SampleInto's
+// 512-float stack array — 300 observations of five parameters need
+// 1 800 floats — keeps its model in the sampler's scratch, so every
+// proposal after the first allocates nothing; and a pool growing one
+// observation a proposal regrows the scratch only now and then.
+func TestTPELongSearchSampleIntoAllocatesNothing(t *testing.T) {
+	space := mixedSpace(t)
+	tpe := NewTPESampler(space, 3, TPEOptions{})
+	rng := sim.NewRNG(5)
+	for i := 0; i < 300; i++ {
+		tpe.Observe(Observation{Config: space.Sample(rng), Score: float64(i % 11), Budget: 1})
+	}
+	dst := make(Config, space.Dim())
+	tpe.SampleInto(dst) // sizes the model scratch
+	if allocs := testing.AllocsPerRun(50, func() { tpe.SampleInto(dst) }); allocs != 0 {
+		t.Errorf("SampleInto over 300 observations allocates %.1f times after its first call, want 0", allocs)
+	}
+	score := 0.0
+	if allocs := testing.AllocsPerRun(500, func() {
+		tpe.SampleInto(dst)
+		score++
+		tpe.Observe(Observation{Config: dst, Score: math.Mod(score, 13), Budget: 1})
+	}); allocs >= 0.05 {
+		t.Errorf("a growing search allocates %.3f times a proposal, want < 0.05", allocs)
+	}
+}
+
 // TestTPESearchLoopAllocationBudget runs the loop the inference server's
 // tuneCore runs per cache miss — 24 × (SampleInto, score, Observe) — on
 // a fresh sampler, as a worker's first search does, and holds it to: two

@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
-	"slices"
 	"strconv"
+
+	"edgetune/internal/jsonenc"
 )
 
 // The write-ahead log is a flat sequence of length-prefixed,
@@ -110,7 +110,7 @@ func (w *walEncoder) add(rec walRecord) error {
 	w.buf.Write(header[:])
 	switch {
 	case rec.Op == walOpPut && rec.Entry != nil && rec.Key == "" && rec.Data == nil && w.addPut(rec.Entry):
-	case rec.Op == walOpCheckpoint && rec.Key != "" && plainKey(rec.Key) && plainBlob(rec.Data):
+	case rec.Op == walOpCheckpoint && rec.Key != "" && jsonenc.Plain(rec.Key) && plainBlob(rec.Data):
 		w.buf.WriteString(`{"op":"checkpoint","key":"`)
 		w.buf.WriteString(rec.Key)
 		w.buf.WriteString(`","data":`)
@@ -138,87 +138,36 @@ func (w *walEncoder) add(rec walRecord) error {
 }
 
 // addPut writes the payload json.Marshal writes for a put record of e
-// — its fields in struct order, the config's keys sorted — without
-// encoding/json's reflection over the entry and its map. It writes
-// nothing and reports false when a string of e is not plainKey or a
-// float is not finite: the encoder then escapes the one and rejects
-// the other.
+// — its fields in struct order, the config's keys sorted
+// (search.Config.AppendJSON) — without encoding/json's reflection over
+// the entry and its map. It writes nothing and reports false when a
+// string of e is not jsonenc.Plain or a float is not finite: the
+// encoder then escapes the one and rejects the other.
 func (w *walEncoder) addPut(e *Entry) bool {
-	if !plainKey(e.Signature) || !plainKey(e.Device) || !finite(e.Throughput) ||
-		!finite(e.EnergyPerSampleJ) || !finite(e.LatencySeconds) || !finite(e.Objective) {
+	var cfgBuf [256]byte // a space's few names and values: no heap
+	cfg, ok := e.Config.AppendJSON(cfgBuf[:0])
+	if !ok || !jsonenc.Plain(e.Signature) || !jsonenc.Plain(e.Device) || !jsonenc.Finite(e.Throughput) ||
+		!jsonenc.Finite(e.EnergyPerSampleJ) || !jsonenc.Finite(e.LatencySeconds) || !jsonenc.Finite(e.Objective) {
 		return false
 	}
-	var keyBuf [8]string // a space's few names: the sort needs no heap
-	keys := keyBuf[:0]
-	for k, v := range e.Config {
-		if !plainKey(k) || !finite(v) {
-			return false
-		}
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	var num [32]byte
 	w.buf.WriteString(`{"op":"put","entry":{"signature":"`)
 	w.buf.WriteString(e.Signature)
 	w.buf.WriteString(`","device":"`)
 	w.buf.WriteString(e.Device)
 	w.buf.WriteString(`","config":`)
-	if e.Config == nil {
-		w.buf.WriteString("null")
-	} else {
-		w.buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				w.buf.WriteByte(',')
-			}
-			w.buf.WriteByte('"')
-			w.buf.WriteString(k)
-			w.buf.WriteString(`":`)
-			w.buf.Write(appendJSONFloat(num[:0], e.Config[k]))
-		}
-		w.buf.WriteByte('}')
-	}
+	w.buf.Write(cfg)
 	w.buf.WriteString(`,"throughput":`)
-	w.buf.Write(appendJSONFloat(num[:0], e.Throughput))
+	w.buf.Write(jsonenc.AppendFloat(num[:0], e.Throughput))
 	w.buf.WriteString(`,"energyPerSampleJoules":`)
-	w.buf.Write(appendJSONFloat(num[:0], e.EnergyPerSampleJ))
+	w.buf.Write(jsonenc.AppendFloat(num[:0], e.EnergyPerSampleJ))
 	w.buf.WriteString(`,"latencySeconds":`)
-	w.buf.Write(appendJSONFloat(num[:0], e.LatencySeconds))
+	w.buf.Write(jsonenc.AppendFloat(num[:0], e.LatencySeconds))
 	w.buf.WriteString(`,"objective":`)
-	w.buf.Write(appendJSONFloat(num[:0], e.Objective))
+	w.buf.Write(jsonenc.AppendFloat(num[:0], e.Objective))
 	w.buf.WriteString(`,"trialsRun":`)
 	w.buf.Write(strconv.AppendInt(num[:0], int64(e.TrialsRun), 10))
 	w.buf.WriteString("}}")
-	return true
-}
-
-func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64:
-// the shortest 'f' form, or the 'e' form below 1e-6 or from 1e21 up,
-// with a one-digit negative exponent's leading zero dropped (e-9, not
-// e-09).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// plainKey reports whether encoding/json writes key as it stands:
-// printable ASCII without a quote, a backslash or an HTML character.
-func plainKey(key string) bool {
-	for i := 0; i < len(key); i++ {
-		if c := key[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
 	return true
 }
 

@@ -74,9 +74,12 @@ func (m *Matrix) Resize(rows, cols int) *Matrix {
 	return m
 }
 
-// RowSlice returns a view of rows [lo, hi) sharing m's storage.
-func (m *Matrix) RowSlice(lo, hi int) *Matrix {
-	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+// RowSlice returns a view of rows [lo, hi) sharing m's storage, its
+// header taken from a (a nil a is the heap).
+func (m *Matrix) RowSlice(a *Arena, lo, hi int) *Matrix {
+	v := &Take[Matrix](a, 1)[0]
+	*v = Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+	return v
 }
 
 // zeroed resizes out and clears it, for the kernels that accumulate.

@@ -234,7 +234,7 @@ func TestResizeReusesStorage(t *testing.T) {
 
 func TestRowSliceIsAView(t *testing.T) {
 	m, _ := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	v := m.RowSlice(1, 3)
+	v := m.RowSlice(nil, 1, 3)
 	if v.Rows != 2 || v.Cols != 2 || v.At(0, 0) != 3 || v.At(1, 1) != 6 {
 		t.Fatalf("RowSlice(1,3) = %dx%d %v", v.Rows, v.Cols, v.Data)
 	}

@@ -210,24 +210,17 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 // and diverged runs end at the attempt span itself. The per-epoch step
 // count is capped so pathological allocations cannot flood the tracer:
 // beyond 64 steps an epoch's mini-batches coalesce into at most 64
-// spans of ceil(steps/64) steps each. Every mini-batch is a function of
-// its epoch, so an epoch is one Steps call: the tracer keeps the epoch
-// and one step run, and builds the mini-batch spans at export.
+// spans of ceil(steps/64) steps each. Every epoch and mini-batch is a
+// function of the attempt, so the timeline is one Epochs call: the
+// tracer keeps one run for the attempt, whatever its epochs, and builds
+// the spans at export.
 func emitTrainingSpans(sp *obs.Span, start, dur time.Duration, epochs, stepsPerEpoch int) {
-	if sp == nil || epochs < 1 || stepsPerEpoch < 1 {
+	if stepsPerEpoch < 1 {
 		return
 	}
 	const maxSteps = 64 // mini-batch spans per epoch beyond this coalesce
 	coalesce := (stepsPerEpoch + maxSteps - 1) / maxSteps
-	epochDur := dur / time.Duration(epochs)
-	for e := 0; e < epochs; e++ {
-		eStart := start + time.Duration(e)*epochDur
-		eEnd := start + time.Duration(e+1)*epochDur
-		if e == epochs-1 {
-			eEnd = start + dur // absorb integer-division remainder
-		}
-		sp.Steps("epoch", eStart, eEnd, "mini-batch", stepsPerEpoch, coalesce, obs.Int("epoch", int64(e)))
-	}
+	sp.Epochs("epoch", start, start+dur, epochs, "mini-batch", stepsPerEpoch, coalesce)
 }
 
 // projectedCost is the full simulated cost of the request and the

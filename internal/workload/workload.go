@@ -283,11 +283,12 @@ func (w *Workload) Data(cfg search.Config) (train, test *dataset.Dataset, err er
 }
 
 // DataIn is Data for one trial: of the training set only the prefix an
-// allocation of frac trains on (dataset.Subset), and what featurising
-// takes comes from a, so both datasets are valid until a's next Reset.
+// allocation of frac trains on (dataset.Subset), and the headers of
+// that view and whatever featurising takes come from a, so both
+// datasets are valid until a's next Reset.
 func (w *Workload) DataIn(a *tensor.Arena, cfg search.Config, frac float64) (train, test *dataset.Dataset, err error) {
 	split := w.Split()
-	if train, err = split.Train.Subset(frac); err != nil || !w.family.refeaturises {
+	if train, err = split.Train.Subset(a, frac); err != nil || !w.family.refeaturises {
 		return train, split.Test, err
 	}
 	stride := int(cfg[ParamStride])
@@ -298,15 +299,17 @@ func (w *Workload) DataIn(a *tensor.Arena, cfg search.Config, frac float64) (tra
 }
 
 // refeaturise is d with its tokens counted at the stride into X, one
-// row of pairs each. The matrix is taken as Resize takes storage,
-// uncleared: TokenPairs writes every entry of a row.
+// row of pairs each. The Dataset and Matrix headers come from a, and
+// the matrix's storage is taken as Resize takes it, uncleared:
+// TokenPairs writes every entry of a row.
 func refeaturise(a *tensor.Arena, d *dataset.Dataset, stride int) *dataset.Dataset {
-	out, x := *d, a.Buffer()
+	out, x := &tensor.Take[dataset.Dataset](a, 1)[0], &tensor.Take[tensor.Matrix](a, 1)[0]
+	*out, *x = *d, a.Buffer()
 	out.X = x.Resize(d.Len(), dataset.PairsWidth(dataset.NewsSeqLen, stride))
 	for i, seq := range d.Tokens {
 		dataset.TokenPairs(out.X.Row(i), seq, stride)
 	}
-	return &out
+	return out
 }
 
 // PaperCost reports the paper-scale per-sample forward FLOPs and

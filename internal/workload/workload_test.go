@@ -436,7 +436,7 @@ func TestTrainStepAllocsOnShippedModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches := []*tensor.Matrix{train.X.RowSlice(0, 64), train.X.RowSlice(0, 17), train.X.RowSlice(0, 40), train.X.RowSlice(0, 64)}
+		batches := []*tensor.Matrix{train.X.RowSlice(nil, 0, 64), train.X.RowSlice(nil, 0, 17), train.X.RowSlice(nil, 0, 40), train.X.RowSlice(nil, 0, 64)}
 		steps := func() {
 			for _, x := range batches {
 				if _, err := net.TrainStep(opt, x, train.Labels[:x.Rows]); err != nil {
