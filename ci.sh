@@ -67,13 +67,13 @@ surface "core.Options fields" "$(fields internal/core/tuner.go Options)" 28
 surface "core.InferenceServerOptions fields" "$(fields internal/core/inference.go InferenceServerOptions)" 17
 surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)" 10
 surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
-surface "edgetune.Job fields" "$(fields edgetune.go Job)" 28
+surface "edgetune.Job fields" "$(fields edgetune.go Job)" 27
 surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 10
 surface "autoscale.Config fields" "$(fields internal/autoscale/autoscale.go Config)" 2
 surface "slo.Spec fields" "$(fields internal/obs/slo/slo.go Spec)" 3
 surface "baselines.HyperPowerOptions fields" "$(fields internal/baselines/baselines.go HyperPowerOptions)" 3
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
-surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 30
+surface "cmd/edgetune flags" "$(grep -cE '^	+\{"[a-z-]+", [(&]' cmd/edgetune/main.go)" 29
 # A report section the pipeline already snapshots is that snapshot (a
 # type alias), not a public struct copying it field for field; an input
 # section the pipeline already declares (Job.Faults) is that declaration.
@@ -188,17 +188,22 @@ go test -shuffle=on ./...
 
 gate "trace determinism"
 # Two independent same-seed runs must write byte-identical trace files,
-# in both the JSONL and Chrome trace-event formats; on a 2-shard cluster
-# too, where every job's spans land in the cluster's one tracer.
-$chaos -seed 7 -trace "$tracedir/a.jsonl" -trace-chrome "$tracedir/a.json" >/dev/null
-$chaos -seed 7 -trace "$tracedir/b.jsonl" -trace-chrome "$tracedir/b.json" >/dev/null
-cmp "$tracedir/a.jsonl" "$tracedir/b.jsonl"
-cmp "$tracedir/a.json" "$tracedir/b.json"
+# and convert into byte-identical Chrome trace-event files; on a 2-shard
+# cluster too, where every job's spans land in the cluster's one tracer.
+$chaos -seed 7 -trace "$tracedir/a.jsonl" >/dev/null
+$chaos -seed 7 -trace "$tracedir/b.jsonl" >/dev/null
 for run in a b; do
   $chaos -seed 7 -cluster 2 -cluster-dir "$tracedir/cluster-$run" \
     -trace "$tracedir/cluster-$run.jsonl" >/dev/null
 done
-cmp "$tracedir/cluster-a.jsonl" "$tracedir/cluster-b.jsonl"
+go build -o "$tracedir/tracetool" ./cmd/tracetool
+for trace in "" cluster-; do
+  cmp "$tracedir/${trace}a.jsonl" "$tracedir/${trace}b.jsonl"
+  for run in a b; do
+    "$tracedir/tracetool" chrome "$tracedir/$trace$run.jsonl" "$tracedir/$trace$run.json"
+  done
+  cmp "$tracedir/${trace}a.json" "$tracedir/${trace}b.json"
+done
 
 gate "trace analytics"
 # The analyzer must be as deterministic as the traces it reads: same
@@ -241,9 +246,11 @@ gate "store durability under faulty disks"
 # whatever store.json holds and must come back the same after a
 # compaction,
 # the fault spec parser, which reads whatever -faults says, the Job
-# decoder, which reads whatever -job names, and checkpoint restore, which
-# resumes a job from whatever the store holds (their seed corpora already
-# ran above, as ordinary tests). Before the fuzzers, twenty race runs of
+# decoder, which reads whatever -job names, checkpoint restore, which
+# resumes a job from whatever the store holds, and the trace ingest,
+# which reads whatever a trace file holds and converts a traced span
+# into the Chrome bytes a direct export writes (their seed corpora
+# already ran above, as ordinary tests). Before the fuzzers, twenty race runs of
 # the group-commit tests: reads beside a put parked in its fsync, one
 # fsync per flush, the kept prefix of a failed group, frames shipped
 # only once fsynced, WAL order against apply order, the kill point.
@@ -256,6 +263,7 @@ go test -run '^$' -fuzz FuzzSnapshotRecover -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
 go test -run '^$' -fuzz FuzzCheckpointRestore -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz FuzzChromeJSONL -fuzztime 10s ./internal/obs
 
 gate "crash-recovery gate"
 # Kill the tuner (exit 3) right after an acknowledged WAL append,

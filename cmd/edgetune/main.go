@@ -130,7 +130,6 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 		{"cluster-kill-rungs", &cl.KillShardAfterRungs, nonNeg, "chaos: kill the job's shard after its Nth completed rung and fail over to the follower"},
 
 		{"trace", &job.TracePath, free, "write the deterministic span trace as JSON Lines to this file"},
-		{"trace-chrome", &job.TraceChromePath, free, "write the trace in Chrome trace-event format (Perfetto-loadable)"},
 		{"debug-addr", &job.DebugAddr, free, "serve /metrics, /metrics/prom, /healthz, /slo, /analyze, /flight, /debug/vars, and /debug/pprof on this address while tuning"},
 		{"profile", &job.Profile, free, "enable the profiling plane: pprof label attribution on both pipelines plus per-stage allocation probes in the report"},
 		{"flight", &job.Flight, free, "enable the always-on flight recorder: anomaly triggers cut deterministic incident dossiers into the report"},

@@ -1,6 +1,7 @@
 // Command tracetool consumes the pipeline's observability artefacts:
 // it analyses JSONL span traces ("where did the time go?"), diffs two
-// same-workload traces span-class by span-class, checks captured pprof
+// same-workload traces span-class by span-class, converts a trace into
+// the Chrome trace-event format for Perfetto, checks captured pprof
 // profiles for expected label strings, scrubs durable-store files for
 // corruption, shows and diffs incident dossiers, and runs the seeded
 // chaos fuzzer.
@@ -9,6 +10,7 @@
 //
 //	tracetool analyze [-json] trace.jsonl
 //	tracetool diff [-threshold 0.10] a.jsonl b.jsonl
+//	tracetool chrome trace.jsonl trace.json
 //	tracetool profile check -want tenant,shard,rung cpu.pprof
 //	tracetool store verify [-json] [-wal store.json.wal] store.json
 //	tracetool incident show [-json] [-events] dossier.json
@@ -25,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -57,13 +60,15 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: tracetool <analyze|diff|profile|store|incident|fuzz> [flags] args")
+		return errors.New("usage: tracetool <analyze|diff|chrome|profile|store|incident|fuzz> [flags] args")
 	}
 	switch args[0] {
 	case "analyze":
 		return runAnalyze(args[1:], out)
 	case "diff":
 		return runDiff(args[1:], out)
+	case "chrome":
+		return runChrome(args[1:])
 	case "profile":
 		return runProfile(args[1:], out)
 	case "store":
@@ -73,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	case "fuzz":
 		return runFuzz(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want analyze, diff, profile, store, incident, or fuzz)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want analyze, diff, chrome, profile, store, incident, or fuzz)", args[0])
 	}
 }
 
@@ -244,4 +249,21 @@ func runDiff(args []string, out io.Writer) error {
 		return fmt.Errorf("%w: %d span classes moved beyond %.0f%%", errGate, d.Flagged, *threshold*100)
 	}
 	return nil
+}
+
+// runChrome writes the Chrome trace-event view of a JSONL trace.
+func runChrome(args []string) error {
+	if len(args) != 2 {
+		return errors.New("usage: tracetool chrome trace.jsonl trace.json")
+	}
+	in, err := os.Open(args[0])
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	var out bytes.Buffer
+	if err := analyze.Chrome(&out, in); err != nil {
+		return err
+	}
+	return os.WriteFile(args[1], out.Bytes(), 0o644)
 }

@@ -104,6 +104,40 @@ func TestAnalyzeMalformedTrace(t *testing.T) {
 	}
 }
 
+// TestChromeConverts: `tracetool chrome` writes the trace's Chrome view,
+// the same for two same-seed traces, and a wrong argument count is a
+// usage error.
+func TestChromeConverts(t *testing.T) {
+	dir := t.TempDir()
+	var views [2][]byte
+	for i, name := range []string{"a", "b"} {
+		in, out := filepath.Join(dir, name+".jsonl"), filepath.Join(dir, name+".json")
+		traceJob(t, in, 11)
+		if err := run([]string{"chrome", in, out}, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		views[i] = mustReadFile(t, out)
+	}
+	if !bytes.Equal(views[0], views[1]) {
+		t.Error("same-seed traces convert to different Chrome files")
+	}
+	if !bytes.HasPrefix(views[0], []byte(`{"traceEvents":[{"name":"thread_name"`)) || !bytes.Contains(views[0], []byte(`"ph":"X"`)) {
+		t.Errorf("not a Chrome trace: %.200s", views[0])
+	}
+	if err := run([]string{"chrome", filepath.Join(dir, "a.jsonl")}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "usage") {
+		t.Errorf("one argument: err = %v, want the usage", err)
+	}
+}
+
+func mustReadFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestUsageNamesEverySubcommand: the bare usage error and the unknown
 // subcommand error list the same subcommands, and each one they list is
 // dispatched rather than reported unknown.
@@ -113,7 +147,7 @@ func TestUsageNamesEverySubcommand(t *testing.T) {
 	if usage == nil || unknown == nil {
 		t.Fatalf("usage = %v, unknown = %v; want both errors", usage, unknown)
 	}
-	for _, sub := range []string{"analyze", "diff", "profile", "store", "incident", "fuzz"} {
+	for _, sub := range []string{"analyze", "diff", "chrome", "profile", "store", "incident", "fuzz"} {
 		if !strings.Contains(usage.Error(), sub) || !strings.Contains(unknown.Error(), sub) {
 			t.Errorf("%q missing from %q or %q", sub, usage, unknown)
 		}

@@ -174,12 +174,9 @@ type Job struct {
 	// interrupted job resumes without re-running finished trials.
 	Checkpoint bool
 	// TracePath, when set, writes the job's deterministic span trace as
-	// JSON Lines (one span per line, sorted by start time). Same-seed
-	// jobs produce byte-identical files.
+	// JSON Lines (one span per line, sorted by start time; `tracetool
+	// chrome` converts it for Perfetto). Same-seed jobs write equal files.
 	TracePath string
-	// TraceChromePath, when set, writes the same trace in Chrome
-	// trace-event format, loadable in Perfetto or chrome://tracing.
-	TraceChromePath string
 	// DebugAddr, when set (e.g. "127.0.0.1:6060"), serves /metrics,
 	// /metrics.json, /metrics/prom, /healthz, /slo, /analyze,
 	// /debug/goroutines, /debug/vars, and /debug/pprof for the duration
@@ -523,7 +520,7 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	defer opts.Workload.Release()
 
 	var tracer *obs.Tracer
-	if job.TracePath != "" || job.TraceChromePath != "" || job.DebugAddr != "" || job.Flight {
+	if job.TracePath != "" || job.DebugAddr != "" || job.Flight {
 		tracer = obs.NewTracer()
 	}
 	reg := obs.NewRegistry()
@@ -615,11 +612,6 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 	if job.TracePath != "" {
 		if err := tracer.SaveJSONL(job.TracePath); err != nil {
 			return nil, fmt.Errorf("edgetune: write trace: %w", err)
-		}
-	}
-	if job.TraceChromePath != "" {
-		if err := tracer.SaveChrome(job.TraceChromePath); err != nil {
-			return nil, fmt.Errorf("edgetune: write chrome trace: %w", err)
 		}
 	}
 	rep := buildReport(res)

@@ -1,12 +1,12 @@
 // Tracing: run a small faulted tuning job with the deterministic
 // tracer and metrics registry enabled, write the span trace as JSON
-// Lines and (optionally) Chrome trace-event JSON, and print a metrics
-// digest. Same-seed runs produce byte-identical trace files — which is
-// exactly what ci.sh checks by running this program twice and diffing
-// the outputs. Load the Chrome file in Perfetto (ui.perfetto.dev) to
-// see the tune → bracket → rung → trial → attempt hierarchy sheltering
-// the serving track's request → admission → serve → device-attempt
-// spans.
+// Lines, and print a metrics digest and the command that converts the
+// trace into Chrome trace-event JSON. Same-seed runs produce
+// byte-identical trace files — which is exactly what ci.sh checks by
+// running this program twice and diffing the outputs. Load the Chrome
+// file in Perfetto (ui.perfetto.dev) to see the tune → bracket → rung →
+// trial → attempt hierarchy sheltering the serving track's request →
+// admission → serve → device-attempt spans.
 package main
 
 import (
@@ -20,9 +20,8 @@ import (
 
 func main() {
 	var (
-		seed   = flag.Uint64("seed", 7, "job seed; same seed, same bytes")
-		trace  = flag.String("trace", "trace.jsonl", "JSON Lines span output")
-		chrome = flag.String("chrome", "", "Chrome trace-event output (Perfetto-loadable)")
+		seed  = flag.Uint64("seed", 7, "job seed; same seed, same bytes")
+		trace = flag.String("trace", "trace.jsonl", "JSON Lines span output")
 	)
 	flag.Parse()
 
@@ -38,8 +37,7 @@ func main() {
 			DeviceFlap:   0.10, // exercise device-attempt retries
 			DroppedReply: 0.10, // exercise resubmit + cache-hit spans
 		},
-		TracePath:       *trace,
-		TraceChromePath: *chrome,
+		TracePath: *trace,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -47,6 +45,7 @@ func main() {
 
 	fmt.Printf("tuned %s in %d trials; trace written to %s\n",
 		report.Workload, report.TrialsRun, *trace)
+	fmt.Printf("for Perfetto: go run ./cmd/tracetool chrome %s trace.json\n", *trace)
 	for _, c := range report.Metrics.Counters {
 		fmt.Printf("  %-32s %d\n", c.Name, c.Value)
 	}

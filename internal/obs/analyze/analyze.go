@@ -14,6 +14,7 @@ package analyze
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,45 +63,62 @@ type Trace struct {
 // maxParseErrors caps the sampled parse failures.
 const maxParseErrors = 5
 
-// jsonSpan mirrors the tracer's JSONL export shape.
-type jsonSpan struct {
+// spanLine mirrors the tracer's JSONL export shape, its name decoded
+// into an N and its attribute values into a V.
+type spanLine[N, V any] struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent"`
-	Name   string `json:"name"`
+	Name   N      `json:"name"`
 	Track  int    `json:"track"`
 	Start  int64  `json:"startNs"`
 	Dur    int64  `json:"durNs"`
 	Attrs  []struct {
 		K string `json:"k"`
-		V any    `json:"v"`
+		V V      `json:"v"`
 	} `json:"attrs"`
 }
 
-// ParseJSONL reads one span per line. Unparseable lines (corruption,
-// truncation) are counted and sampled, never fatal; the returned error
-// covers only the reader itself.
-func ParseJSONL(r io.Reader) (*Trace, error) {
-	tr := &Trace{}
+// jsonSpan is a line as ParseJSONL reads it, a defined type so that a
+// decode error names it; rawSpan is one as Chrome copies it.
+type jsonSpan spanLine[string, any]
+type rawSpan spanLine[json.RawMessage, json.RawMessage]
+
+// scan decodes each non-blank line of r into a new T and hands it to
+// keep. A line that does not decode, or that keep refuses, is counted
+// and sampled into tr as malformed; the error covers only the reader.
+func scan[T any](r io.Reader, tr *Trace, keep func(*T) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+	for line := 1; sc.Scan(); line++ {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		var js jsonSpan
-		if err := json.Unmarshal([]byte(raw), &js); err != nil || js.Name == "" {
-			tr.Malformed++
-			if len(tr.Errors) < maxParseErrors {
-				msg := fmt.Sprintf("line %d: not a span", line)
-				if err != nil {
-					msg = fmt.Sprintf("line %d: %v", line, err)
-				}
-				tr.Errors = append(tr.Errors, msg)
-			}
+		var js T
+		err := json.Unmarshal(raw, &js)
+		if err == nil && keep(&js) {
 			continue
+		}
+		tr.Malformed++
+		if len(tr.Errors) < maxParseErrors {
+			msg := fmt.Sprintf("line %d: not a span", line)
+			if err != nil {
+				msg = fmt.Sprintf("line %d: %v", line, err)
+			}
+			tr.Errors = append(tr.Errors, msg)
+		}
+	}
+	return sc.Err()
+}
+
+// ParseJSONL reads one span per line. Unparseable lines (corruption,
+// truncation) and lines without a name are counted and sampled, never
+// fatal; the returned error covers only the reader itself.
+func ParseJSONL(r io.Reader) (*Trace, error) {
+	tr := &Trace{}
+	err := scan(r, tr, func(js *jsonSpan) bool {
+		if js.Name == "" {
+			return false
 		}
 		sp := Span{
 			ID:     js.ID,
@@ -117,8 +135,9 @@ func ParseJSONL(r io.Reader) (*Trace, error) {
 			}
 		}
 		tr.Spans = append(tr.Spans, sp)
-	}
-	return tr, sc.Err()
+		return true
+	})
+	return tr, err
 }
 
 // ParseFile reads a JSONL trace from path.

@@ -184,3 +184,31 @@ func TestDiffReports(t *testing.T) {
 		t.Errorf("text diff must mark flagged classes:\n%s", buf.String())
 	}
 }
+
+// TestChromeSkipsWhatParseJSONLSkips: Chrome reads through ParseJSONL's
+// ingest, so it converts exactly the spans ParseJSONL keeps, a key that
+// is not a string making its line malformed in both; args come out
+// ordered by key, a later attribute replacing the span's id.
+func TestChromeSkipsWhatParseJSONLSkips(t *testing.T) {
+	input := syntheticTrace +
+		"{not json at all\n" +
+		`{"id":99,"parent":0,"startNs":1,"durNs":1}` + "\n" +
+		`{"id":98,"name":"bad key","attrs":[{"k":1,"v":2}]}` + "\n" +
+		`{"id":97,"name":"keys","track":7,"startNs":1500,"attrs":[{"k":"z","v":1},{"k":"id","v":"x"},{"v":[1, 2]},{"k":"a"}]}` + "\n" +
+		`{"id":14,"parent":0,"name":"request","track":2,"startNs":9000,"durNs":1`
+	tr := parseString(t, input)
+	var out bytes.Buffer
+	if err := Chrome(&out, strings.NewReader(input)); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), `"ph":"X"`); got != len(tr.Spans) || tr.Malformed != 4 {
+		t.Errorf("Chrome wrote %d spans, ParseJSONL kept %d and counted %d malformed", got, len(tr.Spans), tr.Malformed)
+	}
+	want := `{"name":"keys","cat":"edgetune","ph":"X","ts":1.5,"pid":1,"tid":7,"args":{"":[1,2],"a":null,"id":"x","z":1}}`
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("Chrome view lacks\n%s\nin\n%s", want, out.String())
+	}
+	if !strings.Contains(out.String(), `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":7,"args":{"name":"track-7"}}`) {
+		t.Errorf("an unknown track is not named track-7:\n%s", out.String())
+	}
+}

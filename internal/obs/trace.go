@@ -28,7 +28,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,14 +46,6 @@ const (
 	TrackStore   = 3
 	TrackCluster = 4
 )
-
-// trackNames label the tracks in the Chrome trace metadata.
-var trackNames = map[int]string{
-	TrackTuner:   "model-tuning",
-	TrackServing: "inference-serving",
-	TrackStore:   "historical-store",
-	TrackCluster: "cluster",
-}
 
 // SpanID identifies a span; 0 means "no parent".
 type SpanID uint64
@@ -100,19 +91,6 @@ func (a Attr) MarshalJSON() ([]byte, error) {
 		K string `json:"k"`
 		V any    `json:"v"`
 	}{a.Key, a.Value})
-}
-
-// UnmarshalJSON accepts the same {"k","v"} shape (tests round-trip).
-func (a *Attr) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		K string `json:"k"`
-		V any    `json:"v"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	a.Key, a.Value = raw.K, raw.V
-	return nil
 }
 
 // Tracer collects finished spans. A nil *Tracer is a valid disabled
@@ -405,14 +383,6 @@ func (sp *Span) Epochs(name string, start, end time.Duration, epochs int, step s
 	})
 }
 
-// ID reports the span's deterministic identifier (0 for a nil span).
-func (sp *Span) ID() SpanID {
-	if sp == nil {
-		return 0
-	}
-	return sp.id
-}
-
 // Set appends attributes to the span. The nil fast path inlines so a
 // disabled span costs one pointer check (hot callers additionally guard
 // attribute construction behind the same check).
@@ -695,77 +665,8 @@ func appendRecord(b []byte, rec *spanRecord) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// WriteChrome exports the trace in the Chrome trace-event format
-// (complete "X" events plus thread-name metadata), loadable in Perfetto
-// or chrome://tracing. Timestamps are microseconds of simulated time.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	type chromeEvent struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat,omitempty"`
-		Ph   string         `json:"ph"`
-		TS   float64        `json:"ts"`
-		Dur  float64        `json:"dur,omitempty"`
-		PID  int            `json:"pid"`
-		TID  int            `json:"tid"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	recs := t.sorted()
-	tracks := map[int]bool{}
-	events := make([]chromeEvent, 0, len(recs)+2)
-	for _, rec := range recs {
-		tracks[rec.Track] = true
-		args := make(map[string]any, len(rec.Attrs)+2)
-		args["id"] = rec.ID
-		if rec.Parent != 0 {
-			args["parent"] = rec.Parent
-		}
-		for _, a := range rec.Attrs {
-			args[a.Key] = a.Value
-		}
-		events = append(events, chromeEvent{
-			Name: rec.Name,
-			Cat:  "edgetune",
-			Ph:   "X",
-			TS:   float64(rec.Start) / 1e3,
-			Dur:  float64(rec.Dur) / 1e3,
-			PID:  1,
-			TID:  rec.Track,
-			Args: args,
-		})
-	}
-	// Thread-name metadata, in deterministic track order.
-	ids := make([]int, 0, len(tracks))
-	for id := range tracks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	meta := make([]chromeEvent, 0, len(ids))
-	for _, id := range ids {
-		name := trackNames[id]
-		if name == "" {
-			name = fmt.Sprintf("track-%d", id)
-		}
-		meta = append(meta, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: id,
-			Args: map[string]any{"name": name},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{append(meta, events...)})
-}
-
 // SaveJSONL writes the JSONL export to path.
-func (t *Tracer) SaveJSONL(path string) error { return t.save(path, t.WriteJSONL) }
-
-// SaveChrome writes the Chrome trace-event export to path.
-func (t *Tracer) SaveChrome(path string) error { return t.save(path, t.WriteChrome) }
-
-func (t *Tracer) save(path string, write func(io.Writer) error) error {
+func (t *Tracer) SaveJSONL(path string) error {
 	if t == nil {
 		return nil
 	}
@@ -773,7 +674,7 @@ func (t *Tracer) save(path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := t.WriteJSONL(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"edgetune/internal/obs/analyze"
 	"edgetune/internal/testutil"
 )
 
@@ -31,24 +32,13 @@ func buildTrace() *Tracer {
 }
 
 func TestTraceExportDeterministic(t *testing.T) {
-	var a, b, ca, cb bytes.Buffer
-	if err := buildTrace().WriteJSONL(&a); err != nil {
-		t.Fatal(err)
+	a, ca := exports(t, buildTrace())
+	b, cb := exports(t, buildTrace())
+	if !bytes.Equal(a, b) {
+		t.Fatalf("JSONL exports differ:\n%s\nvs\n%s", a, b)
 	}
-	if err := buildTrace().WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("JSONL exports differ:\n%s\nvs\n%s", a.String(), b.String())
-	}
-	if err := buildTrace().WriteChrome(&ca); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildTrace().WriteChrome(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
-		t.Fatalf("Chrome exports differ:\n%s\nvs\n%s", ca.String(), cb.String())
+	if !bytes.Equal(ca, cb) {
+		t.Fatalf("Chrome exports differ:\n%s\nvs\n%s", ca, cb)
 	}
 }
 
@@ -58,13 +48,13 @@ func TestTraceParentChildIDs(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
+	parsed, err := analyze.ParseJSONL(&buf)
+	if err != nil || parsed.Malformed != 0 {
+		t.Fatalf("bad JSONL: err=%v, errors %v", err, parsed.Errors)
+	}
 	ids := map[uint64]bool{}
-	var recs []spanRecord
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec spanRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
+	recs := parsed.Spans
+	for _, rec := range recs {
 		if rec.ID == 0 {
 			t.Fatalf("span %q has zero ID", rec.Name)
 		}
@@ -72,7 +62,6 @@ func TestTraceParentChildIDs(t *testing.T) {
 			t.Fatalf("duplicate span ID %d", rec.ID)
 		}
 		ids[rec.ID] = true
-		recs = append(recs, rec)
 	}
 	if len(recs) != 5 {
 		t.Fatalf("expected 5 spans, got %d", len(recs))
@@ -90,20 +79,27 @@ func TestTraceParentChildIDs(t *testing.T) {
 	}
 }
 
+// TestTraceChromeLoadable: the Chrome view of a trace is one JSON
+// document of metadata and complete events, and every track the tracer
+// declares has its own thread name.
 func TestTraceChromeLoadable(t *testing.T) {
-	var buf bytes.Buffer
-	if err := buildTrace().WriteChrome(&buf); err != nil {
-		t.Fatal(err)
+	tr := buildTrace()
+	for track := TrackStore; track <= TrackCluster; track++ {
+		tr.Root(track, "other", 0, 0).End(0)
 	}
+	_, chrome := exports(t, tr)
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
 			Ph   string  `json:"ph"`
 			TS   float64 `json:"ts"`
 			TID  int     `json:"tid"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(chrome, &doc); err != nil {
 		t.Fatalf("chrome export not valid JSON: %v", err)
 	}
 	var meta, complete int
@@ -111,14 +107,17 @@ func TestTraceChromeLoadable(t *testing.T) {
 		switch ev.Ph {
 		case "M":
 			meta++
+			if strings.HasPrefix(ev.Args.Name, "track-") {
+				t.Errorf("track %d has no name of its own: %q", ev.TID, ev.Args.Name)
+			}
 		case "X":
 			complete++
 		default:
 			t.Fatalf("unexpected event phase %q", ev.Ph)
 		}
 	}
-	if meta != 2 || complete != 5 {
-		t.Fatalf("expected 2 metadata + 5 complete events, got %d + %d", meta, complete)
+	if meta != 4 || complete != 7 {
+		t.Fatalf("expected 4 metadata + 7 complete events, got %d + %d", meta, complete)
 	}
 }
 
@@ -132,18 +131,12 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 	child.Set(Int("n", 1))
 	child.End(time.Second)
 	child.Leaf("mini-batch", 0, time.Second, Int("step", 1))
-	if got := child.ID(); got != 0 {
-		t.Fatalf("nil span ID = %d, want 0", got)
-	}
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must report empty")
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil tracer JSONL: err=%v len=%d", err, buf.Len())
-	}
-	if err := tr.WriteChrome(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil tracer Chrome: err=%v len=%d", err, buf.Len())
 	}
 	if err := tr.SaveJSONL("/nonexistent/never-created"); err != nil {
 		t.Fatalf("nil tracer SaveJSONL: %v", err)
@@ -206,18 +199,21 @@ func TestTracerConcurrentRoots(t *testing.T) {
 func TestSaveFiles(t *testing.T) {
 	dir := t.TempDir()
 	tr := buildTrace()
-	jp, cp := dir+"/t.jsonl", dir+"/t.chrome.json"
+	jp := dir + "/t.jsonl"
 	if err := tr.SaveJSONL(jp); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SaveChrome(cp); err != nil {
+	mem, memChrome := exports(t, tr)
+	data := mustRead(t, jp)
+	if !bytes.Equal(data, mem) {
+		t.Fatal("SaveJSONL differs from WriteJSONL")
+	}
+	var chrome bytes.Buffer
+	if err := analyze.Chrome(&chrome, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	var mem bytes.Buffer
-	tr.WriteJSONL(&mem)
-	data := mustRead(t, jp)
-	if !bytes.Equal(data, mem.Bytes()) {
-		t.Fatal("SaveJSONL differs from WriteJSONL")
+	if !bytes.Equal(chrome.Bytes(), memChrome) {
+		t.Fatal("the saved trace converts to other Chrome bytes than WriteJSONL's")
 	}
 }
 
@@ -257,13 +253,14 @@ func emitChildren(parent *Span, n int, leaf bool) {
 	}
 }
 
+// exports is the trace's JSONL export and its Chrome view.
 func exports(t *testing.T, tr *Tracer) (jsonl, chrome []byte) {
 	t.Helper()
 	var j, c bytes.Buffer
 	if err := tr.WriteJSONL(&j); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteChrome(&c); err != nil {
+	if err := analyze.Chrome(&c, bytes.NewReader(j.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	return j.Bytes(), c.Bytes()

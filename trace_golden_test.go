@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"edgetune/internal/obs/analyze"
 	"edgetune/internal/testutil"
 )
 
@@ -24,10 +25,10 @@ func sha(data []byte) string {
 }
 
 // TestTraceBytesGolden holds the trace exports of a single-node job and
-// of a job on a two-shard cluster (whose jobs all share one tracer) to
-// fixed digests: how the tracer buffers spans may change, the bytes it
-// exports may not. A digest moves only with a change meant to move what
-// is traced, and then in the same change.
+// of a job on a two-shard cluster (whose jobs all share one tracer), and
+// their Chrome views, to fixed digests: how the tracer buffers spans may
+// change, the bytes it exports may not. A digest moves only with a
+// change meant to move what is traced, and then in the same change.
 func TestTraceBytesGolden(t *testing.T) {
 	defer testutil.CheckGoroutineLeak(t, 4)
 	const (
@@ -40,25 +41,28 @@ func TestTraceBytesGolden(t *testing.T) {
 
 	job := tinyTraceJob()
 	job.TracePath = filepath.Join(dir, "job.jsonl")
-	job.TraceChromePath = filepath.Join(dir, "job.chrome.json")
 	if _, err := Tune(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct{ path, want string }{
-		{job.TracePath, wantJobJSONL},
-		{job.TraceChromePath, wantJobChrome},
+	data, err := os.ReadFile(job.TracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"job.jsonl", data, wantJobJSONL},
+		{"job Chrome view", chrome(t, data), wantJobChrome},
 	} {
-		data, err := os.ReadFile(f.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sha(data); got != f.want {
-			t.Errorf("%s: sha256 %s, want %s", filepath.Base(f.path), got, f.want)
+		if got := sha(f.data); got != f.want {
+			t.Errorf("%s: sha256 %s, want %s", f.name, got, f.want)
 		}
 		// The digests cover both kinds of leaf span the pipeline emits.
 		for _, name := range []string{`"mini-batch"`, `"store-write"`} {
-			if !bytes.Contains(data, []byte(name)) {
-				t.Errorf("%s holds no %s span", filepath.Base(f.path), name)
+			if !bytes.Contains(f.data, []byte(name)) {
+				t.Errorf("%s holds no %s span", f.name, name)
 			}
 		}
 	}
@@ -79,18 +83,24 @@ func TestTraceBytesGolden(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "cluster.jsonl"))
+	data, err = os.ReadFile(filepath.Join(dir, "cluster.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sha(data); got != wantClusterJSONL {
 		t.Errorf("cluster.jsonl: sha256 %s, want %s", got, wantClusterJSONL)
 	}
-	var chrome bytes.Buffer
-	if err := c.tracer.WriteChrome(&chrome); err != nil {
+	if got := sha(chrome(t, data)); got != wantClusterChrome {
+		t.Errorf("cluster Chrome view: sha256 %s, want %s", got, wantClusterChrome)
+	}
+}
+
+// chrome is the Chrome view of a JSONL trace.
+func chrome(t *testing.T, jsonl []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := analyze.Chrome(&buf, bytes.NewReader(jsonl)); err != nil {
 		t.Fatal(err)
 	}
-	if got := sha(chrome.Bytes()); got != wantClusterChrome {
-		t.Errorf("cluster Chrome export: sha256 %s, want %s", got, wantClusterChrome)
-	}
+	return buf.Bytes()
 }
