@@ -177,11 +177,15 @@ gate "lifecycle stress"
 # objective's sorted insert under four concurrent recorders
 # (TestSnapshotMatchesEventList; the package's single-goroutine memory
 # test, 13 s a run under the race detector, runs once in the sweep above).
+# And twenty times the tracer, whose span has no lock of its own: End
+# racing End, a child started under an ended span, an export beside
+# ending spans, leaves and training runs from several goroutines (≈ 25 s).
 go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates|Pool|Brownout|Probe' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 go test -race -count=2 -run '^TestReplyChannelsNeverCrossDeliver$' ./internal/core/
 go test -race -count=2 ./internal/autoscale
 go test -race -count=20 -run '^TestSnapshotMatchesEventList$' ./internal/obs/slo
+go test -race -count=20 -run 'Span|Tracer|Leaf|Epochs' ./internal/obs
 
 gate "go test -shuffle=on"
 go test -shuffle=on ./...

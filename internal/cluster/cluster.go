@@ -251,10 +251,7 @@ func (c *Cluster) Submit(ctx context.Context, job Job) (Result, error) {
 		// degraded, another death is not survivable.
 		run, err = core.Tune(jctx, c.shardOptions(sh, job, false))
 	}
-	if sp != nil {
-		sp.Set(obs.Bool("failedOver", res.FailedOver))
-	}
-	sp.End(run.TuningDuration)
+	sp.End(run.TuningDuration, obs.Bool("failedOver", res.FailedOver))
 	if err != nil {
 		return res, err
 	}
@@ -310,16 +307,12 @@ func (c *Cluster) shardOptions(sh *shard, job Job, armKills bool) core.Options {
 
 // failOver promotes sh's follower. Callers hold sh.mu.
 func (c *Cluster) failOver(sh *shard, sp *obs.Span, at time.Duration) error {
-	var fsp *obs.Span
-	if sp != nil {
-		fsp = sp.Child("failover", at, obs.Str("shard", sh.name))
-	}
+	fsp := sp.Child("failover", at)
 	sh.fr.Record(at, flight.KindFailover, sh.name, "kill", 0, 0)
 	err := sh.failover()
 	if fsp != nil {
-		fsp.Set(obs.Bool("ok", err == nil))
+		fsp.End(at, obs.Str("shard", sh.name), obs.Bool("ok", err == nil))
 	}
-	fsp.End(at)
 	if err != nil {
 		return err
 	}

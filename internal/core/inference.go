@@ -401,11 +401,7 @@ func (s *InferenceServer) open(c *call) error {
 	// The root span is keyed on the submission sequence, which is
 	// deterministic for a deterministic submission order (the tuner
 	// submits one request per trial and awaits each).
-	if t := s.opts.Trace; t != nil {
-		c.sp = t.Root(obs.TrackServing, "request", uint64(c.seq), c.SubmitTime,
-			obs.Str("sig", c.Signature),
-			obs.Str("client", c.Client))
-	}
+	c.sp = s.opts.Trace.Root(obs.TrackServing, "request", uint64(c.seq), c.SubmitTime)
 	s.m.requests.Add(1)
 	return nil
 }
@@ -517,12 +513,12 @@ func (s *InferenceServer) finish(c *call, label string, res InferOutcome) {
 		if label == "" {
 			label = outcomeLabel(res.Err)
 		}
-		attrs := []obs.Attr{obs.Str("outcome", label)}
+		attrs := append(make([]obs.Attr, 0, 4),
+			obs.Str("sig", c.Signature), obs.Str("client", c.Client), obs.Str("outcome", label))
 		if res.Device != "" {
 			attrs = append(attrs, obs.Str("device", res.Device))
 		}
-		c.sp.Set(attrs...)
-		c.sp.End(end)
+		c.sp.End(end, attrs...)
 	}
 	if c.opened {
 		s.recordSLO(end, res)
@@ -665,10 +661,7 @@ func (s *InferenceServer) run(c *call, sc *scratch) (out InferOutcome) {
 // with every attempt's simulated cost charged to the request.
 func (s *InferenceServer) serve(c *call, sc *scratch) InferOutcome {
 	name := s.gate.name
-	var sp *obs.Span
-	if c.sp != nil {
-		sp = c.sp.Child("serve", c.SubmitTime, obs.Str("device", name))
-	}
+	sp := c.sp.Child("serve", c.SubmitTime)
 	res := s.serveOn(c.InferRequest, sp, c.SubmitTime, sc)
 	end := c.SubmitTime + res.cost.Duration
 	s.gate.observe(c.rt, res.err, res.cost.Duration, res.baseline, end)
@@ -680,7 +673,9 @@ func (s *InferenceServer) serve(c *call, sc *scratch) InferOutcome {
 			sp.Leaf("store-write", end, end, obs.Bool("ok", out.Err == nil))
 		}
 	}
-	sp.End(end)
+	if sp != nil {
+		sp.End(end, obs.Str("device", name))
+	}
 	// The work is done and stored; the reply itself can still be lost in
 	// flight. A retrying caller then recovers cheaply via the store fast
 	// path.
@@ -738,15 +733,13 @@ func (s *InferenceServer) serveOn(req InferRequest, sp *obs.Span, start time.Dur
 		if attempt > 0 {
 			s.opts.Recorder.AddRetry()
 		}
-		var asp *obs.Span
-		if sp != nil {
-			health, score, br := s.gate.snapshot()
-			asp = sp.Child("device-attempt", start+res.cost.Duration,
-				obs.Str("device", s.gate.name),
-				obs.Int("attempt", int64(attempt)),
-				obs.Str("health", health.String()),
-				obs.Float("score", score),
-				obs.Str("breaker", br.String()))
+		// The attempt's span carries the gate's state at dispatch.
+		asp := sp.Child("device-attempt", start+res.cost.Duration)
+		var health deviceHealthState
+		var score float64
+		var br breakerState
+		if asp != nil {
+			health, score, br = s.gate.snapshot()
 		}
 		entry, cost, raw, err := s.tuneOn(req, attempt, sc)
 		res.cost = res.cost.Add(cost)
@@ -754,8 +747,14 @@ func (s *InferenceServer) serveOn(req InferRequest, sp *obs.Span, start time.Dur
 			res.baseline = raw
 		}
 		if asp != nil {
-			asp.Set(obs.Str("outcome", outcomeLabel(err)), obs.Float("energyJ", cost.EnergyJ))
-			asp.End(start + res.cost.Duration)
+			asp.End(start+res.cost.Duration,
+				obs.Str("device", s.gate.name),
+				obs.Int("attempt", int64(attempt)),
+				obs.Str("health", health.String()),
+				obs.Float("score", score),
+				obs.Str("breaker", br.String()),
+				obs.Str("outcome", outcomeLabel(err)),
+				obs.Float("energyJ", cost.EnergyJ))
 		}
 		if res.err = err; err == nil {
 			res.entry = entry
@@ -908,15 +907,14 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 	if c.admSp == nil {
 		return
 	}
-	attrs := []obs.Attr{obs.Str("verdict", verdict)}
+	attrs := append(make([]obs.Attr, 0, 3), obs.Str("verdict", verdict))
 	if dev != "" {
 		attrs = append(attrs, obs.Str("device", dev))
 	}
 	if queuedAhead >= 0 {
 		attrs = append(attrs, obs.Int("queuedAhead", int64(queuedAhead)))
 	}
-	c.admSp.Set(attrs...)
-	c.admSp.End(c.SubmitTime)
+	c.admSp.End(c.SubmitTime, attrs...)
 }
 
 // outcomeLabel classifies a serving error for span attributes. The

@@ -391,7 +391,7 @@ func Tune(ctx context.Context, opts Options) (res Result, err error) {
 				return res, err
 			}
 		}
-		j.brSp.End(j.Tuning)
+		j.brSp.End(j.Tuning, obs.Int("bracket", int64(bracket)))
 	}
 	err = j.recommend(ctx)
 	return res, err
@@ -415,13 +415,7 @@ func (j *tuneJob) setUp() error {
 	j.mTrials = j.reg.Counter("tune.trials")
 	j.mTrialDur = j.reg.Histogram("tune.trial.duration.s", obs.SecondsBuckets)
 	j.mTrialEnergy = j.reg.Histogram("tune.trial.energy.kj", obs.EnergyBucketsKJ)
-	if opts.Trace != nil {
-		j.tuneSp = opts.Trace.Root(obs.TrackTuner, "tune", opts.Seed, 0,
-			obs.Str("workload", w.ID),
-			obs.Str("device", j.res.Device),
-			obs.Str("metric", string(opts.Metric)),
-			obs.Str("budget", opts.BudgetKind))
-	}
+	j.tuneSp = opts.Trace.Root(obs.TrackTuner, "tune", opts.Seed, 0)
 
 	inj, err := fault.NewInjector(opts.Fault, opts.Seed, j.recd)
 	if err != nil {
@@ -500,8 +494,12 @@ func (j *tuneJob) finish() {
 		j.srv.Close()
 	}
 	if j.tuneSp != nil {
-		j.tuneSp.Set(obs.Int("trials", int64(res.TrialsRun)))
-		j.tuneSp.End(res.TuningDuration)
+		j.tuneSp.End(res.TuningDuration,
+			obs.Str("workload", res.Workload),
+			obs.Str("device", res.Device),
+			obs.Str("metric", string(j.opts.Metric)),
+			obs.Str("budget", j.opts.BudgetKind),
+			obs.Int("trials", int64(res.TrialsRun)))
 	}
 	res.Resilience = j.recd.Snapshot()
 	res.Metrics = j.reg.Snapshot()
@@ -519,9 +517,7 @@ func (j *tuneJob) finish() {
 // resumed the job inside this bracket with its survivors already in Pop.
 func (j *tuneJob) openBracket(bracket int) {
 	j.tailPlanned = false
-	if j.tuneSp != nil {
-		j.brSp = j.tuneSp.Child("bracket", j.Tuning, obs.Int("bracket", int64(bracket)))
-	}
+	j.brSp = j.tuneSp.Child("bracket", j.Tuning)
 	if j.Pop != nil {
 		return
 	}
@@ -536,13 +532,8 @@ func (j *tuneJob) openBracket(bracket int) {
 func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 	alloc := j.allocAt(rung)
 	j.plan(bracket, rung)
-	if j.brSp != nil {
-		j.rgSp = j.brSp.Child("rung", j.Tuning,
-			obs.Int("rung", int64(rung)),
-			obs.Int("population", int64(len(j.Pop))),
-			obs.Int("epochs", int64(alloc.Epochs)),
-			obs.Float("fraction", alloc.DataFraction))
-	}
+	j.rgSp = j.brSp.Child("rung", j.Tuning)
+	population := len(j.Pop)
 	// The trial's sequential part, and its mini-batch loop unless a
 	// helper ran it under these same labels (see plan), run on this
 	// goroutine; inference work hops to the server's workers, which
@@ -570,8 +561,12 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 	}
 	j.Pop = j.Pop[:keep]
 	if j.rgSp != nil {
-		j.rgSp.Set(obs.Int("survivors", int64(keep)))
-		j.rgSp.End(j.Tuning)
+		j.rgSp.End(j.Tuning,
+			obs.Int("rung", int64(rung)),
+			obs.Int("population", int64(population)),
+			obs.Int("epochs", int64(alloc.Epochs)),
+			obs.Float("fraction", alloc.DataFraction),
+			obs.Int("survivors", int64(keep)))
 	}
 	if j.opts.Flight != nil {
 		// Rung boundaries are the deterministic poll points for SLO
@@ -804,23 +799,14 @@ func inferTerm(e store.Entry) perfmodel.InferResult {
 func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, alloc budget.Allocation) (TrialRecord, error) {
 	start := j.Tuning
 	var wasted perfmodel.Cost
-	var trSp *obs.Span
-	if j.rgSp != nil {
-		trSp = j.rgSp.Child("trial", start,
-			obs.Str("config", cfg.Key()),
-			obs.Int("epochs", int64(alloc.Epochs)),
-			obs.Float("fraction", alloc.DataFraction))
-	}
+	trSp := j.rgSp.Child("trial", start)
 	// Retry attempts carry the class of the fault that killed the
 	// previous one as a pprof label, so a profile shows what the
 	// injector's turbulence actually costs, per class.
 	var retryLabels []string
 	for attempt := 0; ; attempt++ {
 		attStart := start + wasted.Duration
-		var attSp *obs.Span
-		if trSp != nil {
-			attSp = trSp.Child("attempt", attStart, obs.Int("attempt", int64(attempt)))
-		}
+		attSp := trSp.Child("attempt", attStart)
 		var rec TrialRecord
 		var err error
 		prof.Do(ctx, func(ctx context.Context) {
@@ -833,15 +819,15 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 				rec.Outcome = OutcomeOK
 			}
 			if attSp != nil {
-				attSp.Set(obs.Str("outcome", "ok"), obs.Float("energyJ", rec.TrainCost.EnergyJ))
-				attSp.End(attStart + rec.TrainCost.Duration)
+				attSp.End(attStart+rec.TrainCost.Duration, obs.Int("attempt", int64(attempt)),
+					obs.Str("outcome", "ok"), obs.Float("energyJ", rec.TrainCost.EnergyJ))
 			}
 			if trSp != nil {
-				trSp.Set(obs.Str("outcome", rec.Outcome),
+				endTrial(trSp, start+rec.RetryCost.Duration+rec.TrainCost.Duration, cfg, alloc,
+					obs.Str("outcome", rec.Outcome),
 					obs.Float("accuracy", rec.Accuracy),
 					obs.Bool("cached", rec.InferCached),
 					obs.Float("energyJ", rec.TrainCost.EnergyJ+rec.InferTuning.EnergyJ+rec.RetryCost.EnergyJ))
-				trSp.End(start + rec.RetryCost.Duration + rec.TrainCost.Duration)
 			}
 			return rec, nil
 		}
@@ -850,18 +836,22 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 			if fault.IsFault(err) {
 				label = "fault:" + string(fault.ClassOf(err))
 			}
-			attSp.Set(obs.Str("outcome", label), obs.Float("energyJ", rec.TrainCost.EnergyJ))
-			attSp.End(attStart + rec.TrainCost.Duration)
+			attSp.End(attStart+rec.TrainCost.Duration, obs.Int("attempt", int64(attempt)),
+				obs.Str("outcome", label), obs.Float("energyJ", rec.TrainCost.EnergyJ))
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The job was cancelled; a checkpointed run resumes later.
-			trSp.End(attStart + rec.TrainCost.Duration)
+			if trSp != nil {
+				endTrial(trSp, attStart+rec.TrainCost.Duration, cfg, alloc)
+			}
 			return rec, cerr
 		}
 		if !fault.IsFault(err) {
 			// Organic errors (invalid configurations, broken platforms)
 			// are bugs to surface, not turbulence to ride out.
-			trSp.End(attStart + rec.TrainCost.Duration)
+			if trSp != nil {
+				endTrial(trSp, attStart+rec.TrainCost.Duration, cfg, alloc)
+			}
 			return rec, err
 		}
 		if j.opts.Profile {
@@ -874,8 +864,8 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 		wasted.EnergyJ += rec.TrainCost.EnergyJ + rec.InferTuning.EnergyJ
 		if attempt+1 >= j.opts.MaxAttempts {
 			if trSp != nil {
-				trSp.Set(obs.Str("outcome", OutcomeFailed), obs.Float("energyJ", wasted.EnergyJ))
-				trSp.End(start + wasted.Duration)
+				endTrial(trSp, start+wasted.Duration, cfg, alloc,
+					obs.Str("outcome", OutcomeFailed), obs.Float("energyJ", wasted.EnergyJ))
 			}
 			return TrialRecord{
 				Config:    cfg,
@@ -895,6 +885,17 @@ func (j *tuneJob) runResilientTrial(ctx context.Context, cfg search.Config, allo
 		jitter := j.inj.Uniform(site, attempt)
 		wasted.Duration += backoff + time.Duration(jitter*float64(retryBaseDelay))
 	}
+}
+
+// endTrial ends a trial's span at end with its configuration and
+// allocation and then attrs, the way it ended. The attributes are built
+// on the caller's stack: End copies them into the tracer.
+func endTrial(sp *obs.Span, end time.Duration, cfg search.Config, alloc budget.Allocation, attrs ...obs.Attr) {
+	all := append(make([]obs.Attr, 0, 7),
+		obs.Str("config", cfg.Key()),
+		obs.Int("epochs", int64(alloc.Epochs)),
+		obs.Float("fraction", alloc.DataFraction))
+	sp.End(end, append(all, attrs...)...)
 }
 
 // runTrial executes one attempt with the pipelined inference request of

@@ -70,7 +70,8 @@ func noClose() {}
 var stages = []stage{
 	{"nn.minibatch-step", true, openMiniBatchStep, 0, 0},
 	{"perfmodel.infer-cost", true, openInferCost, 0, 0},
-	{"trace.emit", true, openTraceEmit, 4, 264},
+	{"trace.emit", true, openTraceEmit, 4, 232},
+	{"trace.end-attrs", false, openTraceEndAttrs, 1, 96},
 	{"trace.leaf", false, openTraceLeaf, 0, 0},
 	{"store.put", true, openStorePut, 3, 272},
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
@@ -167,10 +168,12 @@ func openInferCost() (func(), func(), error) {
 
 // Span emission — root, attributed child, two ends — the tracer work
 // every trial and every serve request pays when tracing is on: the two
-// *Spans, the child's attribute slice and its boxed int. The tracer
-// keeps records in blocks of up to 1024 (DESIGN.md §4.8); the fill here,
-// and the allocation ledger's warm-up after it, leave the window hundreds
-// of records short of the next block, so none falls in it.
+// 96 B *Spans, the child's attribute slice, which a *Span holds from
+// Child to End, and its boxed int. End copies the attribute into the
+// tracer's own blocks, and the tracer keeps the ended *Spans themselves,
+// an 8 B slot each, in blocks of up to 1024 (DESIGN.md §4.8); the fill
+// here, and the allocation ledger's warm-up after it, leave the window
+// hundreds of slots short of the next block, so none falls in it.
 func openTraceEmit() (func(), func(), error) {
 	tracer := obs.NewTracer()
 	var seq uint64
@@ -185,6 +188,31 @@ func openTraceEmit() (func(), func(), error) {
 		emit()
 	}
 	return emit, noClose, nil
+}
+
+// A child ended with four attributes, the way a trial's attempt ends:
+// the attributes go to End, which copies them into the tracer's own
+// blocks, so they allocate nothing inside the window — the fill here,
+// and the allocation ledger's warm-up after it, leave the window where
+// neither the span blocks nor the attribute blocks start a new one. What
+// is left is the child's 96 B *Span. Amortised over the blocks it fills,
+// the child also costs an 8 B slot and its four 32 B attributes. The
+// values are bools and small ints, which an interface holds without a
+// box; a string value is boxed, 16 B, wherever it is passed.
+func openTraceEndAttrs() (func(), func(), error) {
+	tracer := obs.NewTracer()
+	trial := tracer.Root(0, "trial", 0, 0)
+	var seq int64
+	end := func() {
+		seq++
+		at := time.Duration(seq)
+		trial.Child("attempt", at).End(at+1,
+			obs.Int("attempt", seq%4), obs.Bool("ok", true), obs.Bool("cached", false), obs.Int("steps", 1))
+	}
+	for i := 0; i < 1024; i++ {
+		end()
+	}
+	return end, noClose, nil
 }
 
 // One leaf span with two small int attributes. A leaf builds no *Span

@@ -25,7 +25,7 @@ func TestStageNames(t *testing.T) {
 		"autoscale.evaluate", "cluster.dispatch", "flight.record",
 		"nn.minibatch-step", "perfmodel.infer-cost", "search.tpe-search",
 		"serve.cache-hit", "slo.record", "store.checkpoint", "store.put", "store.wal-append", "trace.emit",
-		"trace.leaf", "trial.run", "workload.new",
+		"trace.end-attrs", "trace.leaf", "trial.run", "workload.new",
 	}; !reflect.DeepEqual(sorted, want) {
 		t.Errorf("table declares %v, want exactly %v", sorted, want)
 	}

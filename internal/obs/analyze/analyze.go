@@ -58,13 +58,18 @@ type Trace struct {
 	// first few parse failures for the report.
 	Malformed int
 	Errors    []string
+	// Dropped is the count of spans the tracer's buffer cap left out, as
+	// the {"dropped":N} line that ends a cut trace states it; 0 for a
+	// whole trace.
+	Dropped int64
 }
 
 // maxParseErrors caps the sampled parse failures.
 const maxParseErrors = 5
 
 // spanLine mirrors the tracer's JSONL export shape, its name decoded
-// into an N and its attribute values into a V.
+// into an N and its attribute values into a V. Dropped is set only on
+// the nameless line that ends a cut trace.
 type spanLine[N, V any] struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent"`
@@ -76,6 +81,7 @@ type spanLine[N, V any] struct {
 		K string `json:"k"`
 		V V      `json:"v"`
 	} `json:"attrs"`
+	Dropped int64 `json:"dropped"`
 }
 
 // jsonSpan is a line as ParseJSONL reads it, a defined type so that a
@@ -111,14 +117,20 @@ func scan[T any](r io.Reader, tr *Trace, keep func(*T) bool) error {
 	return sc.Err()
 }
 
-// ParseJSONL reads one span per line. Unparseable lines (corruption,
-// truncation) and lines without a name are counted and sampled, never
-// fatal; the returned error covers only the reader itself.
+// ParseJSONL reads one span per line. A line without a name that
+// counts dropped spans, {"dropped":N}, adds N to the trace's Dropped.
+// Unparseable lines (corruption, truncation) and other lines without a
+// name are counted and sampled, never fatal; the returned error covers
+// only the reader itself.
 func ParseJSONL(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	err := scan(r, tr, func(js *jsonSpan) bool {
 		if js.Name == "" {
-			return false
+			if js.Dropped <= 0 {
+				return false
+			}
+			tr.Dropped += js.Dropped
+			return true
 		}
 		sp := Span{
 			ID:     js.ID,
@@ -240,6 +252,8 @@ type Report struct {
 	Spans     int      `json:"spans"`
 	Malformed int      `json:"malformed"`
 	Errors    []string `json:"errors,omitempty"`
+	// Dropped is the count of spans the tracer left out of a cut trace.
+	Dropped int64 `json:"dropped,omitempty"`
 	// Horizon is the latest span end time.
 	Horizon       time.Duration `json:"horizonNs"`
 	Classes       []ClassStat   `json:"classes,omitempty"`
@@ -312,6 +326,7 @@ func Analyze(tr *Trace) *Report {
 		Spans:     len(tr.Spans),
 		Malformed: tr.Malformed,
 		Errors:    append([]string(nil), tr.Errors...),
+		Dropped:   tr.Dropped,
 	}
 	ix := buildIndex(tr.Spans)
 
@@ -503,6 +518,9 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, "trace: %d spans, horizon %s", r.Spans, r.Horizon)
 	if r.Malformed > 0 {
 		fmt.Fprintf(bw, " (%d malformed lines skipped)", r.Malformed)
+	}
+	if r.Dropped > 0 {
+		fmt.Fprintf(bw, " (cut: %d spans dropped at the tracer's cap)", r.Dropped)
 	}
 	fmt.Fprintln(bw)
 	for _, e := range r.Errors {

@@ -212,3 +212,46 @@ func TestChromeSkipsWhatParseJSONLSkips(t *testing.T) {
 		t.Errorf("an unknown track is not named track-7:\n%s", out.String())
 	}
 }
+
+// TestCutTrace: the {"dropped":N} line that ends a trace the tracer's
+// buffer cap cut is read as the count of spans left out, not as a
+// malformed line; the report prints it and the Chrome view leaves it
+// out. A nameless line that counts nothing is still malformed.
+func TestCutTrace(t *testing.T) {
+	cut := syntheticTrace + `{"dropped":7}` + "\n"
+	tr := parseString(t, cut)
+	if tr.Dropped != 7 || tr.Malformed != 0 || len(tr.Spans) != 13 {
+		t.Fatalf("read %d spans, %d dropped, %d malformed (errors %v)", len(tr.Spans), tr.Dropped, tr.Malformed, tr.Errors)
+	}
+	rep := Analyze(tr)
+	var text, whole bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "(cut: 7 spans dropped at the tracer's cap)") {
+		t.Errorf("the report does not say the trace was cut:\n%s", text.String())
+	}
+	if err := Analyze(parseString(t, syntheticTrace)).WriteText(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(whole.String(), "dropped") || rep.Dropped != 7 {
+		t.Errorf("report dropped %d; a whole trace's report reads:\n%s", rep.Dropped, whole.String())
+	}
+
+	var wantChrome, gotChrome bytes.Buffer
+	if err := Chrome(&wantChrome, strings.NewReader(syntheticTrace)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Chrome(&gotChrome, strings.NewReader(cut)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotChrome.Bytes(), wantChrome.Bytes()) {
+		t.Errorf("the Chrome view of the cut trace differs from the spans' own")
+	}
+
+	for _, line := range []string{`{"dropped":0}`, `{"dropped":-2}`} {
+		if tr := parseString(t, syntheticTrace+line+"\n"); tr.Malformed != 1 || tr.Dropped != 0 {
+			t.Errorf("%s: %d malformed, %d dropped; want 1, 0", line, tr.Malformed, tr.Dropped)
+		}
+	}
+}

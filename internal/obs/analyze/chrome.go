@@ -18,7 +18,8 @@ var trackNames = map[int]string{1: "model-tuning", 2: "inference-serving", 3: "h
 // args are its id, parent and attributes. Names and values keep their
 // JSONL text, so the bytes are the tracer's own as Chrome events (an
 // attribute key that is not UTF-8 is U+FFFD in the JSONL already). A
-// line ParseJSONL counts as malformed is left out.
+// line ParseJSONL counts as malformed is left out, and so is the
+// {"dropped":N} line that ends a cut trace: it is no span.
 func Chrome(w io.Writer, r io.Reader) error {
 	type event struct {
 		Name json.RawMessage `json:"name"`

@@ -45,10 +45,7 @@ func BenchmarkTracingDisabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := instrumentedSubmit(tr, requests, lat, uint64(i))
-		if sp != nil {
-			sp.Set(Bool("cached", false))
-		}
-		sp.End(time.Duration(i))
+		sp.End(time.Duration(i), Bool("cached", false))
 	}
 }
 
@@ -61,8 +58,7 @@ func BenchmarkTracingEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := instrumentedSubmit(tr, requests, lat, uint64(i))
-		sp.Set(Bool("cached", false))
-		sp.End(time.Duration(i))
+		sp.End(time.Duration(i), Bool("cached", false))
 	}
 }
 

@@ -34,7 +34,7 @@ func writeChromeDirect(t *Tracer, w io.Writer) error {
 		TrackStore:   "historical-store",
 		TrackCluster: "cluster",
 	}
-	recs := t.sorted()
+	recs, _ := t.sorted()
 	tracks := map[int]bool{}
 	events := make([]chromeEvent, 0, len(recs)+2)
 	for _, rec := range recs {

@@ -96,19 +96,26 @@ func (a Attr) MarshalJSON() ([]byte, error) {
 // Tracer collects finished spans. A nil *Tracer is a valid disabled
 // tracer: all methods no-op. Safe for concurrent use.
 //
-// A finished span costs its record and its attributes, nothing more:
-// records are kept in blocks, so the buffer grows without copying what
-// it holds (see blocks). Attribute memory is owned as follows. A *Span
-// keeps the slice passed to Root or Child, grown by Set, and its record
-// keeps that slice at End, so a caller must not modify an attribute
-// slice once passed. A leaf's attributes are copied into blocks the
-// tracer owns, so the slice passed to Leaf is the caller's again when it
-// returns. A training run costs one epochRun for all its epoch and step
-// leaves, whatever its length: they are built from it at export.
+// A finished span costs what it is and its attributes, nothing more:
+// everything is kept in blocks, so the buffer grows without copying what
+// it holds (see blocks). An ended *Span is its own record: the tracer
+// keeps the pointer, and export builds the record from it. A leaf is a
+// record and nothing else. A training run costs one epochRun for all its
+// epoch and step leaves, whatever its length: they are built from it at
+// export.
+//
+// Attribute memory is owned by the tracer. End copies a span's
+// attributes — those given to Root or Child, then those given to End —
+// into the tracer's Attr blocks, exactly sized, once; Leaf copies its
+// own. So the slice passed to End or Leaf is the caller's again when the
+// call returns, and a variadic call's slice stays on the caller's stack.
+// The slice passed to Root or Child is held by the *Span until it ends,
+// so a caller must not modify it in between.
 type Tracer struct {
 	mu       sync.Mutex
-	spans    blocks[spanRecord]
-	attrs    blocks[Attr] // leaf attributes
+	spans    blocks[*Span] // ended spans
+	leaves   blocks[spanRecord]
+	attrs    blocks[Attr] // the attributes of ended spans and of leaves
 	runs     blocks[epochRun]
 	steps    int // leaves held in runs
 	dropped  int64
@@ -265,21 +272,24 @@ func (b *blocks[T]) appendTo(dst []T) []T {
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Span is an in-progress span. A nil *Span no-ops, so instrumentation
-// chains (root disabled → children disabled) need no guards.
+// Span is a span, in progress until End and then the tracer's record of
+// it. A nil *Span no-ops, so instrumentation chains (root disabled →
+// children disabled) need no guards.
 type Span struct {
 	tr     *Tracer
 	id     SpanID
 	parent SpanID
 	name   string
-	track  int
 	start  time.Duration
+	// attrs holds the attributes Root or Child was given until the End
+	// that ends the span, under the tracer's lock, sets dur and replaces
+	// attrs with the tracer's copy of them and of End's own.
+	dur   time.Duration
+	attrs []Attr
 
 	children atomic.Uint64
-
-	mu    sync.Mutex
-	attrs []Attr
-	ended bool
+	track    int32
+	ended    atomic.Bool
 }
 
 // Root starts a top-level span. index must be deterministic across
@@ -290,13 +300,14 @@ func (t *Tracer) Root(track int, name string, index uint64, start time.Duration,
 		return nil
 	}
 	id := sim.HashUint64(sim.Hash64(name), index)
-	return &Span{tr: t, id: nonzero(id), track: track, start: start, name: name, attrs: attrs}
+	return &Span{tr: t, id: nonzero(id), track: int32(track), start: start, name: name, attrs: attrs}
 }
 
 // Child starts a span under sp. The child inherits the parent's track;
 // its ID derives from (parent ID, name, per-parent creation index), so
 // it is deterministic as long as sp's children are created from a
-// single goroutine at a time.
+// single goroutine at a time. A span that has ended can still take
+// children.
 func (sp *Span) Child(name string, start time.Duration, attrs ...Attr) *Span {
 	if sp == nil {
 		return nil
@@ -317,8 +328,8 @@ func (sp *Span) childID(name string) SpanID {
 // leaf costs its record and nothing else. Its attributes are copied
 // into memory the tracer owns, so attrs stays the caller's (a variadic
 // call's slice stays on the caller's stack). A leaf can have no
-// children and takes no Set: use it only where a Child would be ended
-// before anything else is done with it.
+// children: use it only where a Child would be ended before anything
+// else is done with it.
 func (sp *Span) Leaf(name string, start, end time.Duration, attrs ...Attr) {
 	if sp == nil {
 		return
@@ -327,7 +338,7 @@ func (sp *Span) Leaf(name string, start, end time.Duration, attrs ...Attr) {
 }
 
 func (sp *Span) leaf(name string, start, end time.Duration, attrs []Attr) {
-	sp.tr.emit(sp.leafRecord(name, start, end), attrs)
+	sp.tr.emitLeaf(sp.leafRecord(name, start, end), attrs)
 }
 
 // leafRecord is the record of sp's next child, a leaf, without its
@@ -337,7 +348,7 @@ func (sp *Span) leafRecord(name string, start, end time.Duration) spanRecord {
 		ID:     uint64(sp.childID(name)),
 		Parent: uint64(sp.id),
 		Name:   name,
-		Track:  sp.track,
+		Track:  int(sp.track),
 		Start:  int64(start),
 		Dur:    int64(clampedDur(start, end)),
 	}
@@ -369,9 +380,9 @@ func (sp *Span) leafRecord(name string, start, end time.Duration) spanRecord {
 //
 // does, and the span observer sees the same spans in the same order, but
 // the tracer keeps one epochRun for the lot: the leaves are built at
-// export. Len and the buffer cap count them one by one. The epochs take
-// no Set. With n or per below 1 an epoch has no step leaves; with epochs
-// below 1 Epochs records nothing.
+// export. Len and the buffer cap count them one by one. With n or per
+// below 1 an epoch has no step leaves; with epochs below 1 Epochs
+// records nothing.
 func (sp *Span) Epochs(name string, start, end time.Duration, epochs int, step string, n, per int) {
 	if sp == nil || epochs < 1 {
 		return
@@ -379,57 +390,40 @@ func (sp *Span) Epochs(name string, start, end time.Duration, epochs int, step s
 	first := sp.children.Add(uint64(epochs)) - uint64(epochs)
 	sp.tr.emitEpochs(epochRun{
 		parent: sp.id, first: first, name: name, step: step,
-		start: start, end: end, track: sp.track, epochs: epochs, n: n, per: per,
+		start: start, end: end, track: int(sp.track), epochs: epochs, n: n, per: per,
 	})
 }
 
-// Set appends attributes to the span. The nil fast path inlines so a
-// disabled span costs one pointer check (hot callers additionally guard
-// attribute construction behind the same check).
-func (sp *Span) Set(attrs ...Attr) {
+// End finishes the span at the given simulated time, with attrs after
+// the attributes it was started with, and hands it to the tracer. End is
+// idempotent: only the first call records, its attributes included. An
+// end before the start is clamped to a zero duration. The nil fast path
+// inlines, so a disabled span costs one pointer check (hot callers
+// additionally guard attribute construction behind the same check).
+func (sp *Span) End(end time.Duration, attrs ...Attr) {
 	if sp == nil {
 		return
 	}
-	sp.set(attrs)
+	sp.end(end, attrs)
 }
 
-func (sp *Span) set(attrs []Attr) {
-	sp.mu.Lock()
-	if !sp.ended {
-		sp.attrs = append(sp.attrs, attrs...)
-	}
-	sp.mu.Unlock()
-}
-
-// End finishes the span at the given simulated time and hands it to the
-// tracer. End is idempotent; an end before the start is clamped to a
-// zero duration.
-func (sp *Span) End(end time.Duration) {
-	if sp == nil {
+func (sp *Span) end(end time.Duration, attrs []Attr) {
+	if !sp.ended.CompareAndSwap(false, true) {
 		return
 	}
-	sp.end(end)
-}
-
-func (sp *Span) end(end time.Duration) {
-	sp.mu.Lock()
-	if sp.ended {
-		sp.mu.Unlock()
-		return
+	dur := clampedDur(sp.start, end)
+	t := sp.tr
+	t.mu.Lock()
+	obsv := t.observer
+	if t.room() {
+		sp.dur = dur
+		sp.attrs = t.copyAttrs(sp.attrs, attrs)
+		t.spans.take(1)[0] = sp
 	}
-	sp.ended = true
-	attrs := sp.attrs
-	sp.mu.Unlock()
-
-	sp.tr.emit(spanRecord{
-		ID:     uint64(sp.id),
-		Parent: uint64(sp.parent),
-		Name:   sp.name,
-		Track:  sp.track,
-		Start:  int64(sp.start),
-		Dur:    int64(clampedDur(sp.start, end)),
-		Attrs:  attrs,
-	}, nil)
+	t.mu.Unlock()
+	if obsv != nil {
+		obsv(sp.name, int(sp.track), sp.start, dur)
+	}
 }
 
 // clampedDur is end − start, or zero for an end before the start.
@@ -437,13 +431,15 @@ func clampedDur(start, end time.Duration) time.Duration {
 	return max(end-start, 0)
 }
 
-// emit buffers a finished span. A *Span hands over its attributes in
-// rec.Attrs; a leaf's arrive in leafAttrs and are copied into the
+// emitLeaf buffers a leaf's record, its attributes copied into the
 // tracer's own blocks.
-func (t *Tracer) emit(rec spanRecord, leafAttrs []Attr) {
+func (t *Tracer) emitLeaf(rec spanRecord, attrs []Attr) {
 	t.mu.Lock()
 	obsv := t.observer
-	t.keep(rec, leafAttrs)
+	if t.room() {
+		rec.Attrs = t.copyAttrs(attrs, nil)
+		t.leaves.take(1)[0] = rec
+	}
 	t.mu.Unlock()
 	if obsv != nil {
 		obsv(rec.Name, rec.Track, time.Duration(rec.Start), time.Duration(rec.Dur))
@@ -452,19 +448,27 @@ func (t *Tracer) emit(rec spanRecord, leafAttrs []Attr) {
 
 // kept is the number of finished spans kept, a run counted as its
 // leaves; t.mu is held.
-func (t *Tracer) kept() int { return t.spans.n + t.steps }
+func (t *Tracer) kept() int { return t.spans.n + t.leaves.n + t.steps }
 
-// keep buffers rec, or drops it at the cap; t.mu is held.
-func (t *Tracer) keep(rec spanRecord, leafAttrs []Attr) {
+// room reports whether one more finished span may be kept, and counts
+// it dropped when it may not; t.mu is held.
+func (t *Tracer) room() bool {
 	if t.kept() >= maxSpans {
 		t.dropped++
-		return
+		return false
 	}
-	if len(leafAttrs) > 0 {
-		rec.Attrs = t.attrs.take(len(leafAttrs))
-		copy(rec.Attrs, leafAttrs)
+	return true
+}
+
+// copyAttrs copies a and then b into one exactly sized slice of the
+// tracer's blocks, or returns nil when both are empty; t.mu is held.
+func (t *Tracer) copyAttrs(a, b []Attr) []Attr {
+	if len(a)+len(b) == 0 {
+		return nil
 	}
-	t.spans.take(1)[0] = rec
+	dst := t.attrs.take(len(a) + len(b))
+	copy(dst[copy(dst, a):], b)
+	return dst
 }
 
 // emitEpochs buffers an Epochs call. A run that the cap leaves too
@@ -529,21 +533,36 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // sorted concatenates the buffer's blocks into one slice, with every
-// run's leaves built, and puts it in the export order compareRecords
-// defines, which is total: where records came from in the buffer does
-// not change the bytes exported.
-func (t *Tracer) sorted() []spanRecord {
+// ended span's record and every run's leaves built, and puts it in the
+// export order compareRecords defines, which is total: where records
+// came from in the buffer does not change the bytes exported. It also
+// returns the count of spans dropped, read with the records.
+func (t *Tracer) sorted() ([]spanRecord, int64) {
 	t.mu.Lock()
-	out := t.spans.appendTo(make([]spanRecord, 0, t.kept()))
+	out := t.leaves.appendTo(make([]spanRecord, 0, t.kept()))
+	for _, blk := range t.spans.list {
+		for _, sp := range blk {
+			out = append(out, spanRecord{
+				ID:     uint64(sp.id),
+				Parent: uint64(sp.parent),
+				Name:   sp.name,
+				Track:  int(sp.track),
+				Start:  int64(sp.start),
+				Dur:    int64(sp.dur),
+				Attrs:  sp.attrs,
+			})
+		}
+	}
 	attrs := make([]Attr, 0, 2*t.steps) // a leaf has two attributes at most
 	for _, blk := range t.runs.list {
 		for i := range blk {
 			out = blk[i].appendLeaves(out, &attrs)
 		}
 	}
+	dropped := t.dropped
 	t.mu.Unlock()
 	slices.SortFunc(out, compareRecords)
-	return out
+	return out, dropped
 }
 
 // compareRecords orders records by start, then ID, then their own
@@ -580,13 +599,15 @@ func compareRecords(a, b spanRecord) int {
 }
 
 // WriteJSONL exports the trace as one JSON span per line, in
-// deterministic order. A nil tracer writes nothing.
+// deterministic order. A trace the buffer cap cut ends with one more
+// line, {"dropped":N}, the count of spans left out; an uncut trace has
+// none. A nil tracer writes nothing.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	recs := t.sorted()
+	recs, dropped := t.sorted()
 	var line []byte
 	for i := range recs {
 		var ok bool
@@ -598,6 +619,10 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			line = data
 		}
 		bw.Write(append(line, '\n'))
+	}
+	if dropped > 0 {
+		line = strconv.AppendInt(append(line[:0], `{"dropped":`...), dropped, 10)
+		bw.Write(append(line, "}\n"...))
 	}
 	return bw.Flush()
 }

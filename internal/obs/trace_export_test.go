@@ -13,7 +13,8 @@ import (
 // one line each, in export order.
 func marshalJSONL(t *Tracer) ([]byte, error) {
 	var buf bytes.Buffer
-	for _, rec := range t.sorted() {
+	recs, _ := t.sorted()
+	for _, rec := range recs {
 		data, err := json.Marshal(rec)
 		if err != nil {
 			return nil, fmt.Errorf("obs: marshal span %d: %w", rec.ID, err)

@@ -21,8 +21,7 @@ func buildTrace() *Tracer {
 	root := tr.Root(TrackTuner, "tune", 7, 0, Str("workload", "IC"))
 	br := root.Child("bracket", 0, Int("bracket", 0))
 	trial := br.Child("trial", 10*time.Millisecond, Str("config", "b32"))
-	trial.Set(Float("accuracy", 0.91), Bool("degraded", false))
-	trial.End(40 * time.Millisecond)
+	trial.End(40*time.Millisecond, Float("accuracy", 0.91), Bool("degraded", false))
 	br.End(50 * time.Millisecond)
 	req := tr.Root(TrackServing, "request", 3, 20*time.Millisecond, Str("sig", "IC|b32"))
 	req.Child("device-attempt", 20*time.Millisecond, Str("device", "i7")).End(30 * time.Millisecond)
@@ -128,8 +127,7 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 		t.Fatal("nil tracer must return nil root")
 	}
 	child := root.Child("trial", 0, Str("k", "v"))
-	child.Set(Int("n", 1))
-	child.End(time.Second)
+	child.End(time.Second, Int("n", 1))
 	child.Leaf("mini-batch", 0, time.Second, Int("step", 1))
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must report empty")
@@ -143,22 +141,148 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 	}
 }
 
-func TestSpanEndIdempotentAndSetAfterEnd(t *testing.T) {
+// TestSpanEndIdempotent: only the first End records, with its own
+// attributes; a later one, attributes and all, changes nothing.
+func TestSpanEndIdempotent(t *testing.T) {
 	tr := NewTracer()
-	sp := tr.Root(TrackTuner, "x", 1, 0)
-	sp.End(time.Second)
-	sp.Set(Str("late", "ignored"))
-	sp.End(2 * time.Second)
+	sp := tr.Root(TrackTuner, "x", 1, 0, Str("at", "start"))
+	sp.End(time.Second, Str("at", "end"))
+	sp.End(2*time.Second, Str("late", "ignored"))
 	if tr.Len() != 1 {
 		t.Fatalf("double End recorded %d spans, want 1", tr.Len())
 	}
 	var buf bytes.Buffer
 	tr.WriteJSONL(&buf)
 	if strings.Contains(buf.String(), "late") {
-		t.Fatal("Set after End must be dropped")
+		t.Fatal("a second End's attributes must be dropped")
 	}
-	if !strings.Contains(buf.String(), `"durNs":1000000000`) {
-		t.Fatalf("first End must win: %s", buf.String())
+	if !strings.Contains(buf.String(), `"durNs":1000000000,"attrs":[{"k":"at","v":"start"},{"k":"at","v":"end"}]`) {
+		t.Fatalf("first End must win, after the start attributes: %s", buf.String())
+	}
+}
+
+// TestSpanEndAttrsAreCopied: the slices passed to End are the caller's
+// again once End returns; reusing one changes no recorded span.
+func TestSpanEndAttrsAreCopied(t *testing.T) {
+	tr := NewTracer()
+	root := tr.Root(TrackTuner, "tune", 1, 0)
+	attrs := []Attr{Str("outcome", "ok"), Int("attempt", 0)}
+	root.Child("attempt", 0).End(1, attrs...)
+	attrs[0], attrs[1] = Str("outcome", "overwritten"), Int("attempt", 1)
+	root.Child("attempt", 1).End(2, attrs...)
+	jsonl, _ := exports(t, tr)
+	if strings.Count(string(jsonl), `{"k":"outcome","v":"ok"},{"k":"attempt","v":0}`) != 1 ||
+		strings.Count(string(jsonl), `"overwritten"`) != 1 {
+		t.Fatalf("a span's attributes changed after End returned:\n%s", jsonl)
+	}
+}
+
+// TestSpanEndRacingEnd: spans ended from several goroutines at once
+// record once each, with the attributes of one End, whichever won.
+func TestSpanEndRacingEnd(t *testing.T) {
+	const spans, enders = 200, 4
+	tr := NewTracer()
+	root := tr.Root(TrackServing, "request", 1, 0)
+	kids := make([]*Span, spans)
+	for i := range kids {
+		kids[i] = root.Child("attempt", time.Duration(i), Int("attempt", int64(i)))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < enders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, sp := range kids {
+				sp.End(time.Duration(i+g), Int("ender", int64(g)), Str("outcome", "ok"))
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.Len() != spans {
+		t.Fatalf("kept %d spans, want %d", tr.Len(), spans)
+	}
+	jsonl, _ := exports(t, tr)
+	for _, line := range strings.Split(strings.TrimSpace(string(jsonl)), "\n") {
+		if strings.Count(line, `"k":"ender"`) != 1 || strings.Count(line, `"k":"outcome"`) != 1 {
+			t.Fatalf("a span holds other than one End's attributes: %s", line)
+		}
+	}
+}
+
+// TestChildOfEndedSpan: a child started under a span that has already
+// ended is recorded under it, numbered after its earlier siblings, and
+// the ended span is not recorded again.
+func TestChildOfEndedSpan(t *testing.T) {
+	build := func(endFirst bool) *Tracer {
+		tr := NewTracer()
+		root := tr.Root(TrackTuner, "tune", 1, 0)
+		root.Child("bracket", 0).End(1)
+		if endFirst {
+			root.End(2, Int("trials", 1))
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			root.Child("bracket", 1, Int("bracket", 1)).End(2)
+		}()
+		wg.Wait()
+		root.End(2, Int("trials", 1))
+		return tr
+	}
+	want, _ := exports(t, build(false))
+	got, _ := exports(t, build(true))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a child of an ended span exports differently:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestTracerWritesJSONLBesideEnd: exports taken while spans end from other
+// goroutines each hold whole spans, and once every span has ended the
+// export is the one a quiet tracer writes. Run under -race it also
+// checks that End's writes to a span and export's reads of it are
+// ordered by the tracer's lock.
+func TestTracerWritesJSONLBesideEnd(t *testing.T) {
+	const parents, children = 4, 300
+	build := func(export bool) *Tracer {
+		tr := NewTracer()
+		var wg sync.WaitGroup
+		for p := 0; p < parents; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				root := tr.Root(TrackServing, "request", uint64(p), time.Duration(p))
+				emitChildren(root, children, false)
+				root.End(time.Second, Str("outcome", "ok"))
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		for export {
+			var buf bytes.Buffer
+			if err := tr.WriteJSONL(&buf); err != nil {
+				t.Error(err)
+			}
+			parsed, err := analyze.ParseJSONL(&buf)
+			if err != nil || parsed.Malformed != 0 {
+				t.Fatalf("an export beside End is not whole spans: err=%v, errors %v", err, parsed.Errors)
+			}
+			select {
+			case <-done:
+				export = false
+			default:
+			}
+		}
+		<-done
+		return tr
+	}
+	want, _ := exports(t, build(false))
+	got, _ := exports(t, build(true))
+	if !bytes.Equal(got, want) {
+		t.Fatal("spans ended beside exports export differently from spans ended alone")
 	}
 }
 
@@ -227,9 +351,9 @@ var leafAttrs = [][]Attr{
 }
 
 // emitChildren gives parent n children: every fourth an ordinary span
-// with a grandchild and a Set, the rest leaves — built by Leaf, or by
-// Child and an End at once when leaf is false. Starts repeat, so the
-// export's ID tie-break is exercised too.
+// with a grandchild and attributes at its start and at its End, the rest
+// leaves — built by Leaf, or by Child and an End at once when leaf is
+// false. Starts repeat, so the export's ID tie-break is exercised too.
 func emitChildren(parent *Span, n int, leaf bool) {
 	for i := 0; i < n; i++ {
 		start := time.Duration(i/3) * time.Millisecond
@@ -237,8 +361,7 @@ func emitChildren(parent *Span, n int, leaf bool) {
 		if i%4 == 0 {
 			sp := parent.Child("epoch", start, Int("epoch", int64(i)))
 			sp.Child("inner", start).End(end)
-			sp.Set(Bool("done", true))
-			sp.End(end)
+			sp.End(end, Bool("done", true))
 			continue
 		}
 		attrs := leafAttrs[i%len(leafAttrs)]
@@ -345,12 +468,12 @@ func TestConcurrentLeaves(t *testing.T) {
 }
 
 // TestTracerAllocatesWhatItKeeps: filling the buffer allocates about
-// the records, attributes and runs it keeps, not the multiple of them
-// that the copies of an append-grown slice add up to. Leaves are two
-// thirds of a job's spans; each costs its record and its attributes,
-// and an ordinary span adds its *Span. A training attempt costs one
-// run, whether it has one epoch or sixty, not its epochs and their
-// 64 steps each.
+// the records, spans, attributes and runs it keeps, not the multiple of
+// them that the copies of an append-grown slice add up to. Leaves are
+// two thirds of a job's spans; each costs its record and its attributes.
+// An ordinary span is its own record: it costs its *Span and the 8-byte
+// slot that keeps it. A training attempt costs one run, whether it has
+// one epoch or sixty, not its epochs and their 64 steps each.
 func TestTracerAllocatesWhatItKeeps(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on the tracer's behalf")
@@ -382,12 +505,16 @@ func TestTracerAllocatesWhatItKeeps(t *testing.T) {
 	runtime.KeepAlive(tr)
 
 	recSize, attrSize := float64(reflect.TypeOf(spanRecord{}).Size()), float64(reflect.TypeOf(Attr{}).Size())
+	spanSize, slotSize := float64(reflect.TypeOf(Span{}).Size()), float64(reflect.TypeOf(&Span{}).Size())
 	runSize := float64(reflect.TypeOf(epochRun{}).Size())
 	if runSize > 128 {
 		t.Errorf("a training run takes %.0f B, over 128", runSize)
 	}
-	kept := float64(leaves+spans)*recSize + 2*leaves*attrSize + attempts*runSize
-	block := maxBlock * (recSize + attrSize + runSize)
+	if spanSize > 96 {
+		t.Errorf("a span takes %.0f B, over the 96-byte size class", spanSize)
+	}
+	kept := leaves*recSize + spans*(spanSize+slotSize) + 2*leaves*attrSize + attempts*runSize
+	block := maxBlock * (recSize + slotSize + attrSize + runSize)
 	got := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("%d spans: %.0f B kept, %.0f B allocated (%.3fx)", tr.Len(), kept, got, got/kept)
 	if tr.Len() != wantLen {
@@ -604,5 +731,36 @@ func TestStepsAtTheCap(t *testing.T) {
 		if gotJ, _ := exports(t, got); !bytes.Equal(gotJ, wantJ) {
 			t.Errorf("cap %d: JSONL with Epochs differs from the loop:\n%s\nvs\n%s", limit, gotJ, wantJ)
 		}
+	}
+}
+
+// TestCutTraceSaysSo: a trace the buffer cap cut ends with one line
+// counting the spans left out, which the analyzer reads as that count
+// and the Chrome view leaves out; a trace the cap just holds exports as
+// an uncapped one, with no such line.
+func TestCutTraceSaysSo(t *testing.T) {
+	defer func(n int) { maxSpans = n }(maxSpans)
+	whole, _ := exports(t, buildTrace())
+	maxSpans = buildTrace().Len()
+	if got, _ := exports(t, buildTrace()); !bytes.Equal(got, whole) {
+		t.Fatalf("a trace the cap just holds exports differently:\n%s\nvs\n%s", got, whole)
+	}
+	if bytes.Contains(whole, []byte(`"dropped"`)) {
+		t.Fatalf("an uncut trace counts dropped spans:\n%s", whole)
+	}
+
+	maxSpans = 3
+	cut := buildTrace()
+	jsonl, chrome := exports(t, cut)
+	if cut.Dropped() != 2 || !bytes.HasSuffix(jsonl, []byte("}\n{\"dropped\":2}\n")) {
+		t.Fatalf("a trace cut with %d spans dropped ends:\n%s", cut.Dropped(), jsonl)
+	}
+	parsed, err := analyze.ParseJSONL(bytes.NewReader(jsonl))
+	if err != nil || parsed.Malformed != 0 || parsed.Dropped != 2 || len(parsed.Spans) != 3 {
+		t.Fatalf("the analyzer read %d spans, %d dropped, %d malformed (err %v)",
+			len(parsed.Spans), parsed.Dropped, parsed.Malformed, err)
+	}
+	if n := bytes.Count(chrome, []byte(`"ph":"X"`)); n != 3 || bytes.Contains(chrome, []byte("dropped")) {
+		t.Fatalf("the Chrome view of the cut trace holds %d spans:\n%s", n, chrome)
 	}
 }
