@@ -315,7 +315,7 @@ gate "hot-loop allocation gate"
 # builds fall before the window; see ledgerWarmUpRuns). A trial's
 # bookkeeping — its member's configuration, its reply wait, its
 # Register — is pinned beside the table, twenty runs too, and so is what
-# the tracer allocates for what it keeps (records, attributes, training runs).
+# the tracer allocates for what it keeps (records, spans, attributes, training runs).
 go test -count=20 -run TestStageAllocations ./internal/hotloop
 go test -count=20 -run TestTrialBookkeepingAllocations ./internal/core
 go test -count=20 -run TestTracerAllocatesWhatItKeeps ./internal/obs
