@@ -11,16 +11,39 @@ func (s *InferenceServer) PendingWrites() int {
 	return int(reg.Gauge("store.writebehind.pending").Value())
 }
 
-// queuedLen reports the queued (not in-flight) job count.
+// queuedLen reports how many calls the ring holds (queued, not in
+// flight).
 func (a *admission) queuedLen() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.queue)
+	return a.count
 }
 
-// inSystem reports queued plus in-flight jobs.
+// inSystem reports queued plus in-flight calls.
 func (a *admission) inSystem() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.queue) + a.inflight
+	return a.count + a.inflight
+}
+
+// ringSlots reports how many call slots the ring has allocated.
+func (a *admission) ringSlots() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.ring)
+}
+
+// pinnedSlots reports how many ring slots outside the queued run still
+// reference a caller's context, reply channel, span or hook — each one a
+// call the ring keeps reachable after it left the queue.
+func (a *admission) pinnedSlots() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for i := a.count; i < len(a.ring); i++ {
+		if c := &a.ring[a.slot(i)]; c.ctx != nil || c.out != nil || c.sp != nil || c.admSp != nil || c.stop != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -219,9 +219,10 @@ type servingMetrics struct {
 }
 
 // call is one Submit on its way to its reply. It starts on Submit's
-// stack, where a cache hit or a refused miss ends it; admit moves a miss
-// the queue has room for to the heap, and from then on whichever
-// goroutine takes it out of the admission queue owns it and finishes it.
+// stack, where a cache hit or a refused miss ends it; admit copies a miss
+// the queue has room for into the admission ring, and from then on
+// whichever goroutine copies it out of the ring — a worker, unqueue or
+// the shutdown — owns that copy and finishes it.
 type call struct {
 	InferRequest
 	// ctx is the submitting caller's context; honoured while the call
@@ -229,7 +230,7 @@ type call struct {
 	ctx context.Context
 	out chan InferOutcome // receives the call's one reply
 
-	seq    int  // submission sequence number
+	seq    int  // submission sequence number; names the call in the ring
 	opened bool // took a sequence number: an event the SLO counts
 
 	// sp is the request span (nil when tracing is off). admSp is its
@@ -322,8 +323,9 @@ func (s *InferenceServer) shutdown(ctx context.Context) error {
 		case <-ctx.Done():
 			s.closeErr = ctx.Err()
 			s.stop() // what is being served exits at its next trial
-			for _, c := range s.adm.evictAll() {
-				s.finish(c, "", InferOutcome{Err: fmt.Errorf("core: request evicted at shutdown: %w", ErrServerClosed)})
+			evicted := s.adm.evictAll()
+			for i := range evicted {
+				s.finish(&evicted[i], "", InferOutcome{Err: fmt.Errorf("core: request evicted at shutdown: %w", ErrServerClosed)})
 			}
 			<-s.adm.emptyCh
 		}
@@ -351,7 +353,9 @@ func (s *InferenceServer) LookupStored(sig string) (store.Entry, error) {
 
 // Submit asynchronously requests tuning for req and returns a channel
 // that will receive exactly one outcome: the historical store's entry
-// when it has one for the signature, else a new search's. Caller
+// when it has one for the signature, else a new search's. The call is
+// built on Submit's stack; a miss the queue admits is copied into the
+// admission ring, so no submission allocates a call of its own. Caller
 // cancellation is honoured while the request is queued and while it is
 // being tuned. Overload is shed with typed errors: ErrOverloaded when
 // the bounded queue is full or an injected overload burst fires,
@@ -429,8 +433,10 @@ func (s *InferenceServer) cached(c *call) bool {
 // admit takes a miss through the intake gate — injected burst, the
 // device gate, the bounded queue — and leaves it queued for a worker,
 // or rejected with a typed error. c is on Submit's stack: a call the gate
-// refuses ends there, and only one the queue has room for is copied to
-// the heap.
+// refuses ends there, and one the queue has room for is copied into the
+// admission ring, where the copy belongs to whoever takes it out; c is
+// left to record the queue positions push stamped on it and to close
+// the admission span.
 func (s *InferenceServer) admit(c *call) {
 	// Injected overload burst: a synthetic traffic spike.
 	if ferr := s.failAt(fault.OverloadBurst, "admit/", c.Client, c.seq); ferr != nil {
@@ -449,23 +455,24 @@ func (s *InferenceServer) admit(c *call) {
 		s.reject(c, outcomeLabel(err), err)
 		return
 	}
-	q := new(call)
-	*q = *c
 	// Caller cancellation while the call is queued needs no worker and
-	// no goroutine of its own. Hooked up before the push, so that finish
-	// — on whichever goroutine — finds stop already set.
-	if q.ctx.Done() != nil {
-		q.stop = context.AfterFunc(q.ctx, func() { s.unqueue(q) })
+	// no goroutine of its own. Hooked up before the push copies c, so
+	// that finish — on whichever goroutine — finds stop already set. The
+	// hook names the call by its sequence number: the queued copy is the
+	// ring's, not c.
+	if c.ctx.Done() != nil {
+		seq := c.seq
+		c.stop = context.AfterFunc(c.ctx, func() { s.unqueue(seq) })
 	}
-	if err := s.adm.push(q); err != nil {
-		s.reject(q, outcomeLabel(err), err) // the queue filled since refusal
+	if err := s.adm.push(c); err != nil {
+		s.reject(c, outcomeLabel(err), err) // the queue filled since refusal
 		return
 	}
-	s.m.queueEnqueue.Observe(float64(q.depthAtEnqueue))
-	s.m.admitWait.Observe(float64(q.queuedAhead))
-	s.admissionSpan(q, "admitted", s.gate.name, q.queuedAhead)
-	if q.ctx.Err() != nil {
-		s.unqueue(q) // cancelled before the push: the hook found nothing queued
+	s.m.queueEnqueue.Observe(float64(c.depthAtEnqueue))
+	s.m.admitWait.Observe(float64(c.queuedAhead))
+	s.admissionSpan(c, "admitted", s.gate.name, c.queuedAhead)
+	if c.ctx.Err() != nil {
+		s.unqueue(c.seq) // cancelled before the push: the hook found nothing queued
 	}
 }
 
@@ -480,11 +487,13 @@ func (s *InferenceServer) reject(c *call, verdict string, err error) {
 	s.finish(c, "", InferOutcome{Err: err})
 }
 
-// unqueue ends a call whose caller gave up while it was still queued;
-// when a worker has it already, the worker notices.
-func (s *InferenceServer) unqueue(c *call) {
-	if s.adm.remove(c) {
-		s.finish(c, "", InferOutcome{Err: c.ctx.Err()})
+// unqueue ends the call with sequence number seq when its caller gave
+// up while it was still queued, copying it out of the ring to finish it;
+// when a worker or the shutdown has it already, they end it.
+func (s *InferenceServer) unqueue(seq int) {
+	var c call
+	if s.adm.remove(seq, &c) {
+		s.finish(&c, "", InferOutcome{Err: c.ctx.Err()})
 	}
 }
 
@@ -574,20 +583,19 @@ func (s *InferenceServer) recordSLO(at time.Duration, res InferOutcome) {
 }
 
 // worker drains the admission queue, serving one call at a time on the
-// one scratch it owns.
+// one scratch it owns. take copies each call into the worker's own c,
+// which is zeroed once the call is finished, so no finished caller's
+// context, spans or hook stay reachable from it.
 func (s *InferenceServer) worker() {
 	defer s.wg.Done()
 	sc := s.newScratch()
-	for {
-		c, ok := s.adm.take()
-		if !ok {
-			return
-		}
+	var c call
+	for s.adm.take(&c) {
 		// A call cancelled between queue and worker (unqueue lost the
 		// race to remove it) is not served.
 		res := InferOutcome{Err: c.ctx.Err()}
 		if res.Err == nil {
-			res = s.run(c, sc)
+			res = s.run(&c, sc)
 			if s.adm.isRejecting() {
 				s.opts.Recorder.AddDrained()
 			}
@@ -596,7 +604,8 @@ func (s *InferenceServer) worker() {
 		// that awaits each request then observes a fully-drained queue
 		// at its next submission.
 		s.adm.done()
-		s.finish(c, "", res)
+		s.finish(&c, "", res)
+		c = call{}
 	}
 }
 
