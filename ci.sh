@@ -69,7 +69,6 @@ surface "cluster.Options fields" "$(fields internal/cluster/cluster.go Options)"
 surface "store.DurableOptions fields" "$(fields internal/store/durable.go DurableOptions)" 9
 surface "edgetune.Job fields" "$(fields edgetune.go Job)" 27
 surface "edgetune.ClusterOptions fields" "$(fields cluster.go ClusterOptions)" 10
-surface "autoscale.Config fields" "$(fields internal/autoscale/autoscale.go Config)" 2
 surface "slo.Spec fields" "$(fields internal/obs/slo/slo.go Spec)" 3
 surface "baselines.HyperPowerOptions fields" "$(fields internal/baselines/baselines.go HyperPowerOptions)" 3
 # A flag is one row of cmd/edgetune's table: {"name", &field, bound, "usage"}.
@@ -171,9 +170,8 @@ gate "lifecycle stress"
 # the next job regenerates into it (DESIGN.md, "Where the storage comes
 # from"). Two checkpointed jobs side by side share the free list of
 # checkpoint storage and store the bytes each stores alone (DESIGN.md
-# §4.9). Then, twice each, a recycled reply channel never reaching the
-# wrong caller, and the autoscale controller package, which only its own
-# tests and the hot-loop ledger drive. Last, twenty times, the SLO
+# §4.9). Then, twice, a recycled reply channel never reaching the
+# wrong caller. Last, twenty times, the SLO
 # objective's sorted insert under four concurrent recorders
 # (TestSnapshotMatchesEventList; the package's single-goroutine memory
 # test, 13 s a run under the race detector, runs once in the sweep above).
@@ -183,7 +181,6 @@ gate "lifecycle stress"
 go test -race -count=20 -run 'Drain|Close|Cancel|Evict|Outcome|Scratch|ConcurrentCheckpoint|ConcurrentDuplicates|Pool|Brownout|Probe' ./internal/core/
 go test -race -count=20 -run '^TestCancelledJobReleasesItsSplit$' .
 go test -race -count=2 -run '^TestReplyChannelsNeverCrossDeliver$' ./internal/core/
-go test -race -count=2 ./internal/autoscale
 go test -race -count=20 -run '^TestSnapshotMatchesEventList$' ./internal/obs/slo
 go test -race -count=20 -run 'Span|Tracer|Leaf|Epochs' ./internal/obs
 
@@ -253,8 +250,10 @@ gate "store durability under faulty disks"
 # decoder, which reads whatever -job names, checkpoint restore, which
 # resumes a job from whatever the store holds, and the trace ingest,
 # which reads whatever a trace file holds and converts a traced span
-# into the Chrome bytes a direct export writes (their seed corpora
-# already ran above, as ordinary tests). Before the fuzzers, twenty race runs of
+# into the Chrome bytes a direct export writes, and the pprof string
+# table reader behind `tracetool profile check`, which reads whatever
+# profile it is handed (their seed corpora already ran above, as
+# ordinary tests). Before the fuzzers, twenty race runs of
 # the group-commit tests: reads beside a put parked in its fsync, one
 # fsync per flush, the kept prefix of a failed group, frames shipped
 # only once fsynced, WAL order against apply order, the kill point.
@@ -268,6 +267,7 @@ go test -run '^$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s .
 go test -run '^$' -fuzz FuzzCheckpointRestore -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzChromeJSONL -fuzztime 10s ./internal/obs
+go test -run '^$' -fuzz FuzzProfileStrings -fuzztime 10s ./internal/obs/prof
 
 gate "crash-recovery gate"
 # Kill the tuner (exit 3) right after an acknowledged WAL append,

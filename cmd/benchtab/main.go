@@ -29,7 +29,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	var (
-		only = fs.String("only", "", "run only experiments whose ID contains one of these comma-separated strings (e.g. \"13\", \"Table 1\", or \"Table 2,Benchmark\")")
+		only = fs.String("only", "", "run only experiments whose ID contains one of these comma-separated strings (e.g. \"13\", \"Table 1\", or \"Table 2,Figure 9\")")
 		list = fs.Bool("list", false, "list experiment IDs and exit")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -14,14 +14,13 @@ func TestRunList(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"Figure 1", "Figure 17", "Table 1", "Table 2",
-		"BenchmarkAutoscaleDecision",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("list missing %q", want)
 		}
 	}
-	if lines := strings.Count(got, "\n"); lines != 19 {
-		t.Errorf("list has %d lines, want 19 experiments", lines)
+	if lines := strings.Count(got, "\n"); lines != 18 {
+		t.Errorf("list has %d lines, want 18 experiments", lines)
 	}
 }
 

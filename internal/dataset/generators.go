@@ -56,13 +56,6 @@ func newTeacher(in, hidden, classes int, rng *sim.RNG) *teacher {
 	}
 }
 
-func (t *teacher) label(x *tensor.Matrix) []int {
-	h := tensor.MatMul(x, t.w1)
-	h.Apply(math.Tanh)
-	logits := tensor.MatMul(h, t.w2)
-	return logits.ArgmaxRows()
-}
-
 // labelMargin returns the label and the logit margin (top minus
 // runner-up) for a single feature row.
 func (t *teacher) labelMargin(row []float64) (int, float64) {

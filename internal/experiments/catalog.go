@@ -111,6 +111,5 @@ func All() []Experiment {
 		{ID: "Figure 17", Run: Fig17VsHyperPower},
 		{ID: "Table 1", Run: Table1Workloads},
 		{ID: "Table 2", Run: Table2Features},
-		{ID: "BenchmarkAutoscaleDecision", Run: BenchmarkAutoscaleDecision},
 	}
 }

@@ -497,42 +497,3 @@ func TestTable2EdgeTuneRow(t *testing.T) {
 		}
 	}
 }
-
-// TestBenchmarkAutoscaleDecisionShape: steady load is decision-free,
-// every decision is a scale-up or a scale-down, surge and outage traces
-// balance their ups and downs, and the decision digests are stable
-// across regenerations.
-func TestBenchmarkAutoscaleDecisionShape(t *testing.T) {
-	tab, err := BenchmarkAutoscaleDecision()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("want 4 scenarios, got %d", len(tab.Rows))
-	}
-	if tab.Rows[0][0] != "steady" || tab.Rows[0][2] != "0" {
-		t.Errorf("steady scenario emitted decisions: %v", tab.Rows[0])
-	}
-	for i, row := range tab.Rows {
-		if cell(t, tab, i, 2) != cell(t, tab, i, 3)+cell(t, tab, i, 4) {
-			t.Errorf("%s: decisions %s != scale-ups %s + scale-downs %s", row[0], row[2], row[3], row[4])
-		}
-	}
-	for _, row := range tab.Rows[1:3] { // diurnal-surge, capacity-loss
-		if row[3] == "0" || row[3] != row[4] {
-			t.Errorf("%s: scale-ups %s, scale-downs %s; want equal and nonzero", row[0], row[3], row[4])
-		}
-	}
-	if guard := cell(t, tab, 3, 2); guard > 10 {
-		t.Errorf("thrash-guard flapped: %.0f decisions", guard)
-	}
-	again, err := BenchmarkAutoscaleDecision()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range tab.Rows {
-		if row[5] != again.Rows[i][5] {
-			t.Errorf("%s digest unstable: %s vs %s", row[0], row[5], again.Rows[i][5])
-		}
-	}
-}

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"edgetune/internal/autoscale"
 	"edgetune/internal/budget"
 	"edgetune/internal/cluster"
 	"edgetune/internal/core"
@@ -83,7 +82,6 @@ var stages = []stage{
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
 	{"flight.record", false, openFlightRecord, 0, 0},
 	{"slo.record", false, openSLORecord, 0, 0},
-	{"autoscale.evaluate", false, openAutoscaleEvaluate, 0, 0},
 }
 
 // JobStages lists the stages a -profile job reports, in table order.
@@ -526,22 +524,4 @@ func openSLORecord() (func(), func(), error) {
 		record()
 	}
 	return record, noClose, nil
-}
-
-// The autoscaling controller's steady-state decision path: a fresh
-// controller fed the no-decision signal, the shape nearly every tick
-// takes.
-func openAutoscaleEvaluate() (func(), func(), error) {
-	ctl, err := autoscale.New(autoscale.Config{Min: 1, Max: 4})
-	if err != nil {
-		return nil, nil, err
-	}
-	tick := 0
-	return func() {
-		tick++
-		ctl.Evaluate(autoscale.Signals{
-			At:       time.Duration(tick) * time.Second,
-			InSystem: 8, QueueLimit: 64, Replicas: 1, Healthy: 1, Good: true,
-		})
-	}, noClose, nil
 }

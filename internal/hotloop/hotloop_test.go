@@ -22,7 +22,7 @@ func TestStageNames(t *testing.T) {
 	sorted := append([]string(nil), all...)
 	sort.Strings(sorted)
 	if want := []string{
-		"autoscale.evaluate", "cluster.dispatch", "flight.record",
+		"cluster.dispatch", "flight.record",
 		"nn.minibatch-step", "perfmodel.infer-cost", "search.tpe-search",
 		"serve.cache-hit", "slo.record", "store.checkpoint", "store.put", "store.wal-append", "trace.emit",
 		"trace.end-attrs", "trace.leaf", "trial.run", "workload.new",

@@ -251,7 +251,7 @@ func TestPredictChunksMatchWholeMatrix(t *testing.T) {
 	rng := sim.NewRNG(2)
 	net := mlp(t, rng, 2, 8, 3)
 	x := tensor.Randn(2*evalChunk+5, 2, 1, rng)
-	want := net.Forward(x, false).ArgmaxRows()
+	want := net.Forward(x, false).ArgmaxRowsInto(make([]int, x.Rows))
 	got := net.Predict(x)
 	if len(got) != len(want) {
 		t.Fatalf("Predict returned %d classes for %d rows", len(got), len(want))

@@ -69,6 +69,3 @@ func (d *Dropout) FLOPsPerSample() float64 { return 0 }
 
 // OutDim preserves the input width.
 func (d *Dropout) OutDim(inDim int) int { return inDim }
-
-// Rate reports the configured dropout rate.
-func (d *Dropout) Rate() float64 { return d.rate }

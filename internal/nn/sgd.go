@@ -69,6 +69,3 @@ func (s *SGD) Step(params []*Param) {
 		}
 	}
 }
-
-// LR reports the configured learning rate.
-func (s *SGD) LR() float64 { return s.lr }

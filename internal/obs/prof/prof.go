@@ -39,7 +39,3 @@ func Do(ctx context.Context, fn func(context.Context), kvs ...string) {
 	}
 	pprof.Do(ctx, pprof.Labels(kvs...), fn)
 }
-
-// Labels returns the label set for kvs, for callers that need to hold
-// one (tests, mostly). It panics on an odd count, like pprof.Labels.
-func Labels(kvs ...string) pprof.LabelSet { return pprof.Labels(kvs...) }

@@ -2,7 +2,6 @@ package prof
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"runtime"
 	"runtime/pprof"
@@ -151,11 +150,7 @@ func TestProfileStringsHandCraftedMessage(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		data := raw
 		if compress {
-			var buf bytes.Buffer
-			zw := gzip.NewWriter(&buf)
-			zw.Write(raw)
-			zw.Close()
-			data = buf.Bytes()
+			data = gzipped(raw)
 		}
 		got, err := ProfileStrings(data)
 		if err != nil {
@@ -191,18 +186,14 @@ func TestProfileStringsTruncated(t *testing.T) {
 	}
 }
 
-// TestCPUProfileCarriesLabels is the end-to-end check behind the CI
-// gate: CPU samples taken while Do's labels are active must land the
-// label keys and values in the profile's string table.
-func TestCPUProfileCarriesLabels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiling burn loop")
-	}
+// labelledCPUProfile returns a CPU profile of a busy loop that runs for
+// d under Do's labels kvs, as runtime/pprof writes it (gzipped).
+func labelledCPUProfile(d time.Duration, kvs ...string) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Skipf("CPU profiling unavailable: %v", err)
+		return nil, err
 	}
-	deadline := time.Now().Add(500 * time.Millisecond)
+	deadline := time.Now().Add(d)
 	Do(context.Background(), func(context.Context) {
 		acc := 1.0
 		for time.Now().Before(deadline) {
@@ -211,10 +202,24 @@ func TestCPUProfileCarriesLabels(t *testing.T) {
 			}
 		}
 		_ = acc
-	}, KeyTenant, "prof-test-tenant", KeyRung, "7")
+	}, kvs...)
 	pprof.StopCPUProfile()
+	return buf.Bytes(), nil
+}
 
-	table, err := ProfileStrings(buf.Bytes())
+// TestCPUProfileCarriesLabels is the end-to-end check behind the CI
+// gate: CPU samples taken while Do's labels are active must land the
+// label keys and values in the profile's string table.
+func TestCPUProfileCarriesLabels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiling burn loop")
+	}
+	profile, err := labelledCPUProfile(500*time.Millisecond, KeyTenant, "prof-test-tenant", KeyRung, "7")
+	if err != nil {
+		t.Skipf("CPU profiling unavailable: %v", err)
+	}
+
+	table, err := ProfileStrings(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +228,14 @@ func TestCPUProfileCarriesLabels(t *testing.T) {
 	}
 	// And sample by sample: everything the burn loop's samples say about
 	// the rung is "7".
-	counts, err := LabelValues(buf.Bytes(), "TestCPUProfileCarriesLabels", KeyRung)
+	counts, err := LabelValues(profile, "TestCPUProfileCarriesLabels", KeyRung)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(counts) != 1 || counts["7"] < 10 {
 		t.Errorf("burn-loop samples by rung label: %v, want a few dozen, all \"7\"", counts)
 	}
-	if other, err := LabelValues(buf.Bytes(), "no such function", KeyRung); err != nil || len(other) != 0 {
+	if other, err := LabelValues(profile, "no such function", KeyRung); err != nil || len(other) != 0 {
 		t.Errorf("samples through a function nobody ran: %v, %v", other, err)
 	}
 }

@@ -12,3 +12,6 @@ func (m *Matrix) Hadamard(other *Matrix) {
 
 // ColSums returns the per-column sums (length Cols).
 func (m *Matrix) ColSums() []float64 { return m.ColSumsInto(make([]float64, m.Cols)) }
+
+// ArgmaxRows returns the index of the maximum element of each row.
+func (m *Matrix) ArgmaxRows() []int { return m.ArgmaxRowsInto(make([]int, m.Rows)) }

@@ -224,9 +224,6 @@ func (m *Matrix) ColSumsInto(sums []float64) []float64 {
 	return sums
 }
 
-// ArgmaxRows returns the index of the maximum element of each row.
-func (m *Matrix) ArgmaxRows() []int { return m.ArgmaxRowsInto(make([]int, m.Rows)) }
-
 // ArgmaxRowsInto writes the index of the maximum element of each row
 // into out (length Rows) and returns it.
 func (m *Matrix) ArgmaxRowsInto(out []int) []int {

@@ -466,7 +466,7 @@ func TestChunkedAccuracyMatchesWholeMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		correct := 0
-		for i, class := range net.Forward(test.X, false).ArgmaxRows() {
+		for i, class := range net.Forward(test.X, false).ArgmaxRowsInto(make([]int, test.X.Rows)) {
 			if class == test.Labels[i] {
 				correct++
 			}
