@@ -55,12 +55,6 @@ func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns nil: activations are parameter-free.
 func (r *ReLU) Params() []*Param { return nil }
 
-// FLOPsPerSample is negligible for element-wise ops; charged as zero.
-func (r *ReLU) FLOPsPerSample() float64 { return 0 }
-
-// OutDim preserves the input width.
-func (r *ReLU) OutDim(inDim int) int { return inDim }
-
 // Tanh is the hyperbolic tangent activation, used by the recurrent
 // workload family.
 type Tanh struct {
@@ -95,9 +89,3 @@ func (t *Tanh) Backward(grad *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil: activations are parameter-free.
 func (t *Tanh) Params() []*Param { return nil }
-
-// FLOPsPerSample is negligible for element-wise ops; charged as zero.
-func (t *Tanh) FLOPsPerSample() float64 { return 0 }
-
-// OutDim preserves the input width.
-func (t *Tanh) OutDim(inDim int) int { return inDim }

@@ -22,36 +22,17 @@ func gradsEqual(a, b *Network) bool {
 	return true
 }
 
-// tokens returns an n x steps matrix of token IDs below vocab.
-func tokens(n, steps, vocab int, rng *sim.RNG) *tensor.Matrix {
-	x := tensor.New(n, steps)
-	for i := range x.Data {
-		x.Data[i] = float64(rng.Intn(vocab))
-	}
-	return x
-}
-
-// everyLayerNets builds, from one seed, the two stacks that between
-// them hold every buffer-owning layer (Dropout aside: its RNG stream
-// would tell the two runs of the tests below apart).
-func everyLayerNets(t *testing.T, seed uint64) []*Network {
+// everyLayerNet builds, from one seed, a stack that holds every
+// buffer-owning layer (Dropout aside: its RNG stream would tell the two
+// runs of the tests below apart).
+func everyLayerNet(t *testing.T, seed uint64) *Network {
 	t.Helper()
 	rng := sim.NewRNG(seed)
-	emb, err := NewEmbedding(11, 6, rng)
+	net, err := NewNetworkIn(nil, NewDenseIn(nil, 5, 6, rng), NewReLUIn(nil), NewResidualIn(nil, 6, rng), NewTanhIn(nil), NewDenseIn(nil, 6, 3, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stacks := [][]Layer{
-		{NewDenseIn(nil, 5, 6, rng), NewReLUIn(nil), NewResidualIn(nil, 6, rng), NewTanhIn(nil), NewDenseIn(nil, 6, 3, rng)},
-		{emb, NewDenseIn(nil, 6, 3, rng)},
-	}
-	nets := make([]*Network, len(stacks))
-	for i, ls := range stacks {
-		if nets[i], err = NewNetworkIn(nil, ls...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return nets
+	return net
 }
 
 // TestReusedBuffersMatchFreshNetwork: a step on buffers left dirty, and
@@ -59,44 +40,36 @@ func everyLayerNets(t *testing.T, seed uint64) []*Network {
 // bit-for-bit what a fresh network computes — no layer reads stale
 // storage.
 func TestReusedBuffersMatchFreshNetwork(t *testing.T) {
-	used, fresh := everyLayerNets(t, 5), everyLayerNets(t, 5)
+	used, fresh := everyLayerNet(t, 5), everyLayerNet(t, 5)
 	rng := sim.NewRNG(6)
-	for i := range used {
-		input := func(n int) *tensor.Matrix {
-			if i == 0 {
-				return tensor.Randn(n, 5, 1, rng)
-			}
-			return tokens(n, 4, 11, rng)
+	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
+	for _, n := range []int{7, 3, 9} {
+		used.ZeroGrad()
+		_, grad, err := SoftmaxCrossEntropy(used.Forward(tensor.Randn(n, 5, 1, rng), true), labels[:n])
+		if err != nil {
+			t.Fatal(err)
 		}
-		labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
-		for _, n := range []int{7, 3, 9} {
-			used[i].ZeroGrad()
-			_, grad, err := SoftmaxCrossEntropy(used[i].Forward(input(n), true), labels[:n])
-			if err != nil {
-				t.Fatal(err)
-			}
-			used[i].Backward(grad)
+		used.Backward(grad)
+	}
+	x := tensor.Randn(5, 5, 1, rng)
+	var logits [2][]float64
+	for j, net := range []*Network{used, fresh} {
+		net.ZeroGrad()
+		out := net.Forward(x, true)
+		logits[j] = append(logits[j], out.Data...)
+		_, grad, err := SoftmaxCrossEntropy(out, labels[:5])
+		if err != nil {
+			t.Fatal(err)
 		}
-		x := input(5)
-		var logits [2][]float64
-		for j, net := range []*Network{used[i], fresh[i]} {
-			net.ZeroGrad()
-			out := net.Forward(x, true)
-			logits[j] = append(logits[j], out.Data...)
-			_, grad, err := SoftmaxCrossEntropy(out, labels[:5])
-			if err != nil {
-				t.Fatal(err)
-			}
-			net.Backward(grad)
+		net.Backward(grad)
+	}
+	for j, v := range logits[0] {
+		if v != logits[1][j] {
+			t.Fatalf("logit %d on reused buffers %v, fresh %v", j, v, logits[1][j])
 		}
-		for j, v := range logits[0] {
-			if v != logits[1][j] {
-				t.Fatalf("stack %d: logit %d on reused buffers %v, fresh %v", i, j, v, logits[1][j])
-			}
-		}
-		if !gradsEqual(used[i], fresh[i]) {
-			t.Errorf("stack %d: gradients on reused buffers differ from a fresh network's", i)
-		}
+	}
+	if !gradsEqual(used, fresh) {
+		t.Error("gradients on reused buffers differ from a fresh network's")
 	}
 }
 
@@ -105,7 +78,7 @@ func TestReusedBuffersMatchFreshNetwork(t *testing.T) {
 // it hold bit-equal gradients after one step and bit-equal weights after
 // twenty — the skipped product fed nothing.
 func TestSkippedInputGradChangesNothing(t *testing.T) {
-	skip, full := everyLayerNets(t, 8)[0], everyLayerNets(t, 8)[0]
+	skip, full := everyLayerNet(t, 8), everyLayerNet(t, 8)
 	first := full.Layers()[0].(*Dense)
 	if !first.skipInputGrad || !skip.Layers()[0].(*Dense).skipInputGrad {
 		t.Fatal("NewNetwork did not mark the first Dense")
@@ -272,12 +245,11 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets := everyLayerNets(t, 7)
 	withDrop, err := NewNetworkIn(nil, NewDenseIn(nil, 5, 6, rng), drop, NewDenseIn(nil, 6, 3, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets = append(nets, withDrop)
+	nets := []*Network{everyLayerNet(t, 7), withDrop}
 	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}
 	for i, net := range nets {
 		opt, err := NewSGD(0.01, 0.9, 0)
@@ -286,9 +258,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 		}
 		batches := map[int]*tensor.Matrix{}
 		for _, n := range []int{12, 5, 9} {
-			if batches[n] = tensor.Randn(n, 5, 1, rng); i == 1 {
-				batches[n] = tokens(n, 4, 11, rng)
-			}
+			batches[n] = tensor.Randn(n, 5, 1, rng)
 		}
 		steps := func() {
 			for _, n := range []int{12, 5, 9, 12} {

@@ -89,9 +89,6 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // slice: read-only.
 func (d *Dense) Params() []*Param { return d.params[:] }
 
-// FLOPsPerSample counts the multiply-adds of one forward pass.
-func (d *Dense) FLOPsPerSample() float64 { return 2 * float64(d.in) * float64(d.out) }
-
 // OutDim reports the layer output width.
 func (d *Dense) OutDim(int) int { return d.out }
 

@@ -63,9 +63,3 @@ func (d *Dropout) Backward(grad *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil: dropout is parameter-free.
 func (d *Dropout) Params() []*Param { return nil }
-
-// FLOPsPerSample is negligible for element-wise ops; charged as zero.
-func (d *Dropout) FLOPsPerSample() float64 { return 0 }
-
-// OutDim preserves the input width.
-func (d *Dropout) OutDim(inDim int) int { return inDim }

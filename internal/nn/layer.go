@@ -1,9 +1,8 @@
 // Package nn is a from-scratch mini-batch SGD training library. It plays
 // the role PyTorch plays in the original EdgeTune prototype: models are
-// sequential stacks of layers trained with softmax cross-entropy, and
-// every layer reports its parameter and FLOP counts so the performance
-// model can charge simulated runtime and energy for training and
-// inference.
+// sequential stacks of layers trained with softmax cross-entropy. What a
+// trial costs in simulated runtime and energy comes from the workload's
+// paper-scale counts (workload.PaperCost), not from the network.
 package nn
 
 import "edgetune/internal/tensor"
@@ -33,9 +32,6 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Count returns the number of scalar parameters.
-func (p *Param) Count() int { return len(p.W.Data) }
-
 // Layer is one differentiable stage of a network.
 //
 // Forward consumes a batch (rows = samples) and returns the activation.
@@ -48,8 +44,8 @@ func (p *Param) Count() int { return len(p.W.Data) }
 // valid until the layer's next Forward (or Backward), and what Backward
 // needs is cached by reference, so a layer never writes to its input
 // and a Forward in between invalidates the pending Backward. Backward
-// returns nil where no input gradient exists (token IDs) or nobody
-// reads it (see NewNetworkIn).
+// returns nil where no input gradient exists ((k, value) pair rows) or
+// nobody reads it (see NewNetworkIn).
 //
 // What Params returns is read-only: a layer may hand out a slice it
 // keeps, as Dense and Residual do, so that no call builds one.
@@ -62,10 +58,4 @@ type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
-	// FLOPsPerSample estimates the forward-pass floating point operations
-	// for a single input sample; the backward pass is charged at 2x by
-	// convention (one pass for activation gradients, one for weights).
-	FLOPsPerSample() float64
-	// OutDim reports the layer's output width given its input width.
-	OutDim(inDim int) int
 }

@@ -109,16 +109,6 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// FLOPsPerSample returns the forward-pass FLOPs of the whole network for
-// a single sample. The performance model charges backward passes at 2x.
-func (n *Network) FLOPsPerSample() float64 {
-	var f float64
-	for _, l := range n.layers {
-		f += l.FLOPsPerSample()
-	}
-	return f
-}
-
 // evalChunk is how many rows Predict forwards at a time: the smallest
 // training batch the tuner uses (§5.1), so evaluating a whole test set
 // never grows the layers' buffers beyond what training needed. Rows are

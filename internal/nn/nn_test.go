@@ -291,23 +291,6 @@ func TestDropoutRateValidation(t *testing.T) {
 	}
 }
 
-func TestFLOPsAndParamCount(t *testing.T) {
-	rng := sim.NewRNG(19)
-	net := mlp(t, rng, 10, 20, 5)
-	// Dense(10,20): params 10*20+20=220, flops 2*10*20=400.
-	// Dense(20,5): params 20*5+5=105, flops 2*20*5=200.
-	if got := net.ParamCount(); got != 325 {
-		t.Errorf("ParamCount = %d, want 325", got)
-	}
-	if got := net.FLOPsPerSample(); got != 600 {
-		t.Errorf("FLOPsPerSample = %v, want 600", got)
-	}
-	res := NewResidualIn(nil, 8, rng)
-	if got := res.FLOPsPerSample(); got != 2*2*8*8 {
-		t.Errorf("residual FLOPs = %v, want %v", got, 2*2*8*8)
-	}
-}
-
 func TestTanhBackward(t *testing.T) {
 	rng := sim.NewRNG(23)
 	tanh := NewTanhIn(nil)

@@ -11,7 +11,6 @@ import (
 // hyperparameter: deeper stacks have more parameters and FLOPs and fit
 // the synthetic data better, at higher simulated cost.
 type Residual struct {
-	dim    int
 	d1, d2 *Dense
 	relu   *ReLU
 	params [4]*Param // d1's, then d2's: what Params returns
@@ -26,7 +25,6 @@ func NewResidualIn(a *tensor.Arena, dim int, rng *sim.RNG) *Residual {
 	d2.w.W.Scale(0.1)
 	r := take[Residual](a)
 	*r = Residual{
-		dim:  dim,
 		d1:   NewDenseIn(a, dim, dim, rng),
 		d2:   d2,
 		relu: NewReLUIn(a),
@@ -56,11 +54,3 @@ func (r *Residual) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns the parameters of both dense sublayers, in the
 // block's own slice: read-only.
 func (r *Residual) Params() []*Param { return r.params[:] }
-
-// FLOPsPerSample sums the two dense sublayers.
-func (r *Residual) FLOPsPerSample() float64 {
-	return r.d1.FLOPsPerSample() + r.d2.FLOPsPerSample()
-}
-
-// OutDim preserves the input width (skip connection requires it).
-func (r *Residual) OutDim(int) int { return r.dim }

@@ -133,7 +133,7 @@ func TestDepthChangesCapacity(t *testing.T) {
 func paramCount(net *nn.Network) int {
 	c := 0
 	for _, p := range net.Params() {
-		c += p.Count()
+		c += len(p.W.Data)
 	}
 	return c
 }

@@ -1,41 +1,54 @@
 package edgetune
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
-	"testing/fstest"
 )
 
-// allowlistPath lists the exported functions and methods that only tests
-// call, one "pkg.Recv.Name  reason" line each. The gate fails on an entry
-// missing from it and on a line nothing matches, so it can only shrink.
+// allowlistPath lists the functions and methods in scope that no product
+// binary links, one "pkg.Recv.Name  reason" line each. The gate fails on
+// an entry missing from it and on a line nothing matches, so it can only
+// shrink.
 const allowlistPath = "testdata/test_only_exports.txt"
 
-// interfaceMethods are the method names a type declares to satisfy a
-// standard interface; the call sits in the standard library, not the tree.
-var interfaceMethods = map[string]bool{
-	"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true,
-	"Unwrap": true, "Is": true, "As": true, "Len": true, "Less": true,
-	"Swap": true, "ServeHTTP": true, "Read": true, "Write": true, "Close": true,
+// binaries names the main packages one module directory builds.
+type binaries struct {
+	dir  string   // the module's directory, relative to the census root
+	pkgs []string // package patterns to build there
+}
+
+// productBinaries are every binary the tree ships: the commands, the
+// examples and the separate bench/ module's benchmark.
+var productBinaries = []binaries{
+	{".", []string{"./cmd/...", "./examples/..."}},
+	{"bench", []string{"."}},
 }
 
 // TestNoTestOnlyExports keeps code only tests call out of the product
-// tree. It lists every exported function and method declared in a
-// non-test file outside the public API (the root package), cmd/,
-// examples/ and internal/testutil whose name no non-test file of the
-// module or of bench/ names outside the declaration itself, and holds
-// that list to the allowlist. The name rule is conservative: a
-// same-named identifier anywhere counts as a call.
+// tree. It builds every product binary with the module's inlining off
+// and lists every non-generic function and method declared in a non-test
+// file outside the public API (the root package), cmd/, examples/,
+// internal/testutil and bench/ whose symbol no binary holds: the linker
+// decides what is called, so a same-named identifier elsewhere no longer
+// counts as a call. That list is held to the allowlist. Its blind spots
+// are generic code, whose symbols carry their instantiations, and methods
+// the linker keeps because a type that has them is converted to an
+// interface whose method of that name some binary calls.
 func TestNoTestOnlyExports(t *testing.T) {
 	t.Run("tree", func(t *testing.T) {
-		found, err := testOnlyExports(os.DirFS("."))
+		found, err := unlinkedFuncs(".", "edgetune", t.TempDir(), productBinaries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,30 +58,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		unlisted, stale := compareAllowlist(found, parseAllowlist(data))
 		for _, name := range unlisted {
-			t.Errorf("%s is exported but only tests call it: move it into an export_test.go or the test that uses it, or delete it", name)
+			t.Errorf("%s is linked by no product binary: move it into an export_test.go or the test that uses it, or delete it", name)
 		}
 		for _, name := range stale {
-			t.Errorf("%s: the %s line matches no test-only export; delete the line", allowlistPath, name)
+			t.Errorf("%s: the %s line matches no unlinked function; delete the line", allowlistPath, name)
 		}
 	})
 	t.Run("planted", func(t *testing.T) {
-		tree := fstest.MapFS{
-			"internal/p/p.go":      {Data: []byte("package p\n\nfunc Used() {}\n\nfunc Planted() { Planted() }\n\nfunc (T) String() string { return \"\" }\n\ntype T struct{}\n")},
-			"internal/p/p_test.go": {Data: []byte("package p\n\nfunc f() { Planted() }\n")},
-			"internal/q/q.go":      {Data: []byte("package q\n\nimport \"m/internal/p\"\n\nfunc G() { p.Used() }\n")},
-			"main.go":              {Data: []byte("package m\n\nimport \"m/internal/q\"\n\nfunc Run() { q.G() }\n")},
-			"bench/out/x.go":       {Data: []byte("package out\n\nfunc h() { Planted() }\n")},
-		}
-		found, err := testOnlyExports(tree)
+		found, err := unlinkedFuncs("testdata/linkcensus", "m", t.TempDir(), []binaries{{".", []string{"."}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []string{"p.Planted"}; !slices.Equal(found, want) {
+		want := []string{"p.Mean", "p.Unreached", "p.unreached"}
+		if !slices.Equal(found, want) {
 			t.Fatalf("found %v, want %v", found, want)
 		}
 		unlisted, stale := compareAllowlist(found, parseAllowlist(nil))
-		if !slices.Equal(unlisted, []string{"p.Planted"}) || len(stale) != 0 {
-			t.Fatalf("unlisted %v stale %v: the planted export must fail the gate", unlisted, stale)
+		if !slices.Equal(unlisted, want) || len(stale) != 0 {
+			t.Fatalf("unlisted %v stale %v: the planted functions must fail the gate", unlisted, stale)
 		}
 	})
 	t.Run("stale", func(t *testing.T) {
@@ -80,104 +87,103 @@ func TestNoTestOnlyExports(t *testing.T) {
 	})
 }
 
-// testOnlyExports walks every non-test .go file of tree (skipping
-// bench/out/) and returns, sorted, the "pkg.Name" or "pkg.Recv.Name" of
-// each exported declaration in scope that nothing else names.
-func testOnlyExports(tree fs.FS) ([]string, error) {
-	type decl struct {
-		key, name  string
-		file       string
-		start, end token.Pos
+// unlinkedFuncs builds bins into out with inlining off for the packages
+// of module mod, rooted at root (so a called function keeps its own
+// symbol), and returns, sorted, the "pkg.Name" or "pkg.Recv.Name" of each
+// non-generic function and method declared in a non-test file of root in
+// scope whose symbol none of the binaries holds.
+func unlinkedFuncs(root, mod, out string, bins []binaries) ([]string, error) {
+	linked := map[string]bool{}
+	for i, b := range bins {
+		dir := filepath.Join(out, strconv.Itoa(i)) + string(filepath.Separator)
+		args := append([]string{"-C", filepath.Join(root, b.dir), "build", "-gcflags=" + mod + "/...=-l", "-o", dir}, b.pkgs...)
+		if err := goCmd(nil, args...); err != nil {
+			return nil, err
+		}
+		exes, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, exe := range exes {
+			var nm bytes.Buffer
+			if err := goCmd(&nm, "tool", "nm", filepath.Join(dir, exe.Name())); err != nil {
+				return nil, err
+			}
+			// "addr type symbol"; a symbol may hold spaces (generic shapes).
+			for _, line := range strings.Split(nm.String(), "\n") {
+				f := strings.SplitN(strings.TrimSpace(line), " ", 3)
+				if len(f) == 3 && (f[1] == "T" || f[1] == "t") {
+					linked[f[2]] = true
+				}
+			}
+		}
 	}
-	var decls []decl
-	files := map[string]*ast.File{}
+
+	var found []string
 	fset := token.NewFileSet()
-	err := fs.WalkDir(tree, ".", func(p string, d fs.DirEntry, err error) error {
+	err := fs.WalkDir(os.DirFS(root), ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if p == "bench/out" || p == "testdata" || strings.HasSuffix(p, "/testdata") || strings.HasPrefix(d.Name(), ".") && p != "." {
+			if p == "bench/out" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && p != "." {
 				return fs.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") || !declScope(path.Dir(p)) {
 			return nil
 		}
-		src, err := fs.ReadFile(tree, p)
+		f, err := parser.ParseFile(fset, filepath.Join(root, p), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files[p] = f
-		if !declScope(path.Dir(p)) {
-			return nil
-		}
+		pkg := mod + "/" + path.Dir(p) + "."
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
+			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" || fn.Type.TypeParams != nil {
 				continue
 			}
-			key := f.Name.Name + "." + fn.Name.Name
+			key, syms := f.Name.Name+"."+fn.Name.Name, []string{pkg + fn.Name.Name}
 			if fn.Recv != nil {
-				if interfaceMethods[fn.Name.Name] {
+				recv, generic := recvName(fn.Recv.List[0].Type)
+				if generic {
 					continue
 				}
-				key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				key = f.Name.Name + "." + recv + "." + fn.Name.Name
+				syms = []string{pkg + recv + "." + fn.Name.Name, pkg + "(*" + recv + ")." + fn.Name.Name}
 			}
-			decls = append(decls, decl{key, fn.Name.Name, p, fn.Pos(), fn.End()})
+			if !slices.ContainsFunc(syms, func(s string) bool { return linked[s] }) {
+				found = append(found, key)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Every identifier that names something, by name, minus the names
-	// function declarations give themselves: a declaration is not a call.
-	type use struct {
-		file string
-		pos  token.Pos
-	}
-	uses := map[string][]use{}
-	for p, f := range files {
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				declared[fn.Name] = true
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name] = append(uses[id.Name], use{p, id.Pos()})
-			}
-			return true
-		})
-	}
-	var found []string
-	for _, d := range decls {
-		called := false
-		for _, u := range uses[d.name] {
-			if u.file != d.file || u.pos < d.start || u.pos >= d.end {
-				called = true
-				break
-			}
-		}
-		if !called {
-			found = append(found, d.key)
-		}
-	}
 	slices.Sort(found)
 	return found, nil
 }
 
-// declScope reports whether exported declarations in dir are held to the
-// gate: the public API, the commands, the examples, the test helpers and
-// the separate bench/ module are not.
+// goCmd runs the go command, writing its standard output to stdout
+// (nil drops it).
+func goCmd(stdout *bytes.Buffer, args ...string) error {
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	if stdout != nil {
+		cmd.Stdout = stdout
+	}
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return nil
+}
+
+// declScope reports whether declarations in dir are held to the gate:
+// the public API, the commands, the examples, the test helpers and the
+// separate bench/ module are not.
 func declScope(dir string) bool {
 	if dir == "." {
 		return false
@@ -190,20 +196,22 @@ func declScope(dir string) bool {
 	return true
 }
 
-// recvName is the type name of a method receiver: T, *T, T[K] or *T[K].
-func recvName(e ast.Expr) string {
+// recvName is the type name of a method receiver — T, *T, T[K] or *T[K]
+// — and whether the type is generic.
+func recvName(e ast.Expr) (string, bool) {
+	generic := false
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.IndexExpr:
-			e = x.X
+			e, generic = x.X, true
 		case *ast.IndexListExpr:
-			e = x.X
+			e, generic = x.X, true
 		case *ast.Ident:
-			return x.Name
+			return x.Name, generic
 		default:
-			return "?"
+			return "?", generic
 		}
 	}
 }
