@@ -130,7 +130,7 @@ gate "test-only exports"
 # its ceiling is today's count and may fall, never rise.
 go test -count=1 -run '^TestNoTestOnlyExports$' .
 surface "unlinked functions allowlisted" \
-    "$(grep -cvE '^(#|$)' testdata/test_only_exports.txt)" 33
+    "$(grep -cvE '^(#|$)' testdata/test_only_exports.txt)" 26
 
 gate "go vet"
 go vet ./...
@@ -258,7 +258,9 @@ gate "store durability under faulty disks"
 # which reads whatever a trace file holds and converts a traced span
 # into the Chrome bytes a direct export writes, and the pprof string
 # table reader behind `tracetool profile check`, which reads whatever
-# profile it is handed (their seed corpora already ran above, as
+# profile it is handed, and the repro decoder behind `tracetool fuzz
+# replay`, which reads whatever artefact it is handed and must load an
+# accepted one's own encoding unchanged (their seed corpora already ran above, as
 # ordinary tests). Each fuzzer minimises a new input for at most 100
 # runs, so its ten seconds go to fuzzing, not to shrinking. Before the
 # fuzzers, twenty race runs of the group-commit tests: reads beside a put
@@ -276,6 +278,7 @@ go test -run '^$' -fuzz FuzzJobJSON -fuzztime 10s -fuzzminimizetime 100x .
 go test -run '^$' -fuzz FuzzCheckpointRestore -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 go test -run '^$' -fuzz FuzzChromeJSONL -fuzztime 10s -fuzzminimizetime 100x ./internal/obs
 go test -run '^$' -fuzz FuzzProfileStrings -fuzztime 10s -fuzzminimizetime 100x ./internal/obs/prof
+go test -run '^$' -fuzz FuzzReproJSON -fuzztime 10s -fuzzminimizetime 100x ./internal/chaosfuzz
 
 gate "crash-recovery gate"
 # Kill the tuner (exit 3) right after an acknowledged WAL append,

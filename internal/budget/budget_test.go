@@ -7,10 +7,7 @@ import (
 )
 
 func TestEpochStrategy(t *testing.T) {
-	s, err := NewEpoch(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStrategy(t, KindEpochs)
 	tests := []struct {
 		it         int
 		wantEpochs int
@@ -30,19 +27,16 @@ func TestEpochStrategy(t *testing.T) {
 			t.Errorf("At(%d).DataFraction = %v, want 1 (epoch budget uses full data)", tt.it, a.DataFraction)
 		}
 	}
-	if s.Saturated(1) {
+	if s.At(1) == s.Max() {
 		t.Error("saturated at iteration 1")
 	}
-	if !s.Saturated(5) {
+	if s.At(5) != s.Max() {
 		t.Error("not saturated once max epochs reached")
 	}
 }
 
 func TestDatasetStrategy(t *testing.T) {
-	s, err := NewDataset(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStrategy(t, KindDataset)
 	tests := []struct {
 		it       int
 		wantFrac float64
@@ -61,7 +55,7 @@ func TestDatasetStrategy(t *testing.T) {
 			t.Errorf("At(%d).Epochs = %d, want 1 (dataset budget is single epoch)", tt.it, a.Epochs)
 		}
 	}
-	if !s.Saturated(10) {
+	if s.At(10) != s.Max() {
 		t.Error("not saturated at full dataset")
 	}
 }
@@ -71,10 +65,7 @@ func TestDatasetStrategy(t *testing.T) {
 // epochs on 20%, the 3rd 6 epochs on 30%; from the 5th iteration epochs
 // stay at 10 while the fraction keeps growing until the 10th.
 func TestMultiStrategyPaperExample(t *testing.T) {
-	s, err := NewMulti(2, 10, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStrategy(t, KindMulti)
 	tests := []struct {
 		it         int
 		wantEpochs int
@@ -95,10 +86,10 @@ func TestMultiStrategyPaperExample(t *testing.T) {
 				tt.it, a.Epochs, a.DataFraction, tt.wantEpochs, tt.wantFrac)
 		}
 	}
-	if s.Saturated(9) {
+	if s.At(9) == s.Max() {
 		t.Error("saturated before fraction reaches 1")
 	}
-	if !s.Saturated(10) {
+	if s.At(10) != s.Max() {
 		t.Error("not saturated at iteration 10")
 	}
 }
@@ -108,8 +99,7 @@ func TestMultiStrategyPaperExample(t *testing.T) {
 // entire [dataset] or run for a fixed number of epochs": below
 // saturation its cost is strictly below the epoch budget's.
 func TestMultiCheaperThanEpochAtSameIteration(t *testing.T) {
-	epoch, _ := NewEpoch(2, 10)
-	multi, _ := NewMulti(2, 10, 0.1)
+	epoch, multi := mustStrategy(t, KindEpochs), mustStrategy(t, KindMulti)
 	for it := 1; it <= 9; it++ {
 		if multi.At(it).Cost() >= epoch.At(it).Cost() {
 			t.Errorf("it %d: multi cost %v not below epoch cost %v",
@@ -119,11 +109,7 @@ func TestMultiCheaperThanEpochAtSameIteration(t *testing.T) {
 }
 
 func TestBudgetMonotonicity(t *testing.T) {
-	strategies := []Strategy{
-		mustStrategy(t, KindEpochs),
-		mustStrategy(t, KindDataset),
-		mustStrategy(t, KindMulti),
-	}
+	strategies := allStrategies(t)
 	f := func(a, b uint8) bool {
 		i, j := int(a%30)+1, int(b%30)+1
 		if i > j {
@@ -145,58 +131,33 @@ func TestBudgetMonotonicity(t *testing.T) {
 	}
 }
 
+// TestAllocationBounds holds every row's allocations inside (0, Max]
+// and holds Max to the allocation the row levels off at, bit for bit.
 func TestAllocationBounds(t *testing.T) {
-	strategies := []Strategy{
-		mustStrategy(t, KindEpochs),
-		mustStrategy(t, KindDataset),
-		mustStrategy(t, KindMulti),
-	}
-	for _, s := range strategies {
+	for kind, s := range allStrategies(t) {
+		top := s.Max()
 		for it := 1; it <= 50; it++ {
 			a := s.At(it)
-			if a.Epochs < 1 {
-				t.Errorf("%s At(%d).Epochs = %d < 1", s.Name(), it, a.Epochs)
+			if a.Epochs < 1 || a.Epochs > top.Epochs {
+				t.Errorf("%s At(%d).Epochs = %d outside [1, %d]", kind, it, a.Epochs, top.Epochs)
 			}
 			if a.DataFraction <= 0 || a.DataFraction > 1 {
-				t.Errorf("%s At(%d).DataFraction = %v out of (0,1]", s.Name(), it, a.DataFraction)
+				t.Errorf("%s At(%d).DataFraction = %v out of (0,1]", kind, it, a.DataFraction)
 			}
 		}
-	}
-}
-
-func TestConstructorValidation(t *testing.T) {
-	if _, err := NewEpoch(0, 10); err == nil {
-		t.Error("NewEpoch(0,10) did not error")
-	}
-	if _, err := NewEpoch(5, 2); err == nil {
-		t.Error("NewEpoch(5,2) did not error")
-	}
-	if _, err := NewDataset(0); err == nil {
-		t.Error("NewDataset(0) did not error")
-	}
-	if _, err := NewDataset(1.5); err == nil {
-		t.Error("NewDataset(1.5) did not error")
-	}
-	if _, err := NewMulti(1, 0, 0.1); err == nil {
-		t.Error("NewMulti bad epochs did not error")
-	}
-	if _, err := NewMulti(1, 4, -1); err == nil {
-		t.Error("NewMulti bad fraction did not error")
+		if got := s.At(10); got != top {
+			t.Errorf("%s At(10) = %+v, want Max() = %+v", kind, got, top)
+		}
 	}
 }
 
 func TestRegistry(t *testing.T) {
-	for _, kind := range []string{KindEpochs, KindDataset, KindMulti, ""} {
-		s, err := New(kind)
-		if err != nil {
-			t.Fatalf("New(%q): %v", kind, err)
-		}
-		if kind != "" && s.Name() != kind {
-			t.Errorf("New(%q).Name() = %q", kind, s.Name())
-		}
+	def, err := New("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s, _ := New(""); s.Name() != KindMulti {
-		t.Error("default strategy is not multi-budget")
+	if multi := mustStrategy(t, KindMulti); def != multi {
+		t.Errorf("New(\"\") = %+v, want the multi-budget %+v", def, multi)
 	}
 	if _, err := New("time"); err == nil {
 		t.Error("unknown kind did not error")
@@ -208,6 +169,15 @@ func TestCost(t *testing.T) {
 	if got := a.Cost(); got != 1 {
 		t.Errorf("Cost = %v, want 1", got)
 	}
+}
+
+func allStrategies(t *testing.T) map[string]Strategy {
+	t.Helper()
+	all := make(map[string]Strategy, 3)
+	for _, kind := range []string{KindEpochs, KindDataset, KindMulti} {
+		all[kind] = mustStrategy(t, kind)
+	}
+	return all
 }
 
 func mustStrategy(t *testing.T, kind string) Strategy {

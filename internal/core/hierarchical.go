@@ -41,7 +41,7 @@ func TuneHierarchical(ctx context.Context, opts Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	alloc := saturatedAlloc(strat) // full budget
+	alloc := strat.Max() // full budget
 
 	obj := Objective{Metric: opts.Metric, TargetAccuracy: opts.Workload.TargetAccuracy()}
 	bestScore := math.Inf(1)

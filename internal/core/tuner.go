@@ -313,18 +313,12 @@ const retryBaseDelay = 5 * time.Second
 type tuneJob struct {
 	tuneProgress
 
-	opts    Options
-	res     *Result
-	runner  *trial.Runner
-	space   *search.Space // the training space the sampler draws from
-	sampler search.Sampler
-	strat   budget.Strategy
-	// satAlloc is the saturated allocation: scores use each
-	// configuration's projected full-budget training cost so that trials
-	// from different rungs are comparable (a cheap low-fidelity trial
-	// must not win on cost it never paid; its penalty is its lower
-	// accuracy).
-	satAlloc budget.Allocation
+	opts     Options
+	res      *Result
+	runner   *trial.Runner
+	space    *search.Space // the training space the sampler draws from
+	sampler  search.Sampler
+	strat    budget.Strategy
 	obj      Objective
 	srv      *InferenceServer // nil unless Options.InferenceAware
 	deadline *time.Timer      // every awaitOutcome of the job's trials; nil without srv
@@ -435,7 +429,6 @@ func (j *tuneJob) setUp() error {
 		return err
 	}
 	j.runner.SetFaultInjector(j.inj)
-	j.satAlloc = saturatedAlloc(j.strat)
 	j.obj = Objective{Metric: opts.Metric, TargetAccuracy: w.TargetAccuracy()}
 	if !opts.InferenceAware {
 		return nil
@@ -463,15 +456,6 @@ func (j *tuneJob) setUp() error {
 		ProfLabels:  opts.ProfLabels,
 	})
 	return err
-}
-
-// saturatedAlloc is the allocation a strategy levels off at.
-func saturatedAlloc(strat budget.Strategy) budget.Allocation {
-	it := 1
-	for !strat.Saturated(it) && it < 64 {
-		it++
-	}
-	return strat.At(it)
 }
 
 // finish assembles the Result on every exit path. The order matters:
@@ -598,7 +582,7 @@ func (j *tuneJob) runRung(ctx context.Context, bracket, rung int) error {
 // bracket ends with fully-trained evaluations.
 func (j *tuneJob) allocAt(rung int) budget.Allocation {
 	if rung == j.opts.Rungs-1 {
-		return j.satAlloc
+		return j.strat.Max()
 	}
 	return j.strat.At(rung + 1)
 }
@@ -937,12 +921,14 @@ func (j *tuneJob) runTrial(ctx context.Context, req trial.Request) (TrialRecord,
 	rec.TrainCost = trialRes.Cost
 
 	// Projected cost of training this configuration at the saturated
-	// budget, used for cross-rung comparable scoring.
+	// budget (full data, most epochs), so that trials from different
+	// rungs score comparably: a cheap low-fidelity trial must not win on
+	// cost it never paid; its penalty is its lower accuracy.
 	fullCost, err := perfmodel.TrainingCost(perfmodel.TrainSpec{
 		FLOPsPerSample: a.flops,
 		Params:         a.params,
-		Samples:        j.opts.Workload.Split().Train.PaperSamples() * j.satAlloc.DataFraction,
-		Epochs:         j.satAlloc.Epochs,
+		Samples:        j.opts.Workload.Split().Train.PaperSamples(),
+		Epochs:         j.strat.Max().Epochs,
 		BatchSize:      int(rec.Config[workload.ParamTrainBatch]),
 		GPUs:           int(rec.Config[workload.ParamGPUs]),
 	}, j.runner.GPUProfile())

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"edgetune/internal/budget"
 	"edgetune/internal/core"
@@ -17,70 +16,52 @@ type tuneKey struct {
 	metric   core.Metric
 }
 
-var (
-	tuneMu    sync.Mutex
-	tuneCache = make(map[tuneKey]core.Result)
-)
+var tuneRuns memoByKey[tuneKey, core.Result]
 
 // edgeTuneRun executes (and memoises) an EdgeTune run at the
 // comparison scale: tuning proceeds until the workload's target
 // accuracy is reached (the paper's convergence criterion), bounded by
 // three brackets of eight configurations.
 func edgeTuneRun(id, budgetKind string, metric core.Metric) (core.Result, error) {
+	if budgetKind == "" {
+		budgetKind = budget.KindMulti // the default's run is the multi-budget's
+	}
 	key := tuneKey{workload: id, budget: budgetKind, metric: metric}
-	tuneMu.Lock()
-	if res, ok := tuneCache[key]; ok {
-		tuneMu.Unlock()
+	return tuneRuns.do(key, func() (core.Result, error) {
+		res, err := core.Tune(context.Background(), core.Options{
+			Workload:       workload.MustNew(id, refWorkloadSeed),
+			BudgetKind:     budgetKind,
+			Metric:         metric,
+			SystemParams:   true,
+			InferenceAware: true,
+			StopAtTarget:   true,
+			Seed:           21,
+		})
+		if err != nil {
+			return res, fmt.Errorf("experiments: edgetune %s/%s/%s: %w", id, budgetKind, metric, err)
+		}
 		return res, nil
-	}
-	tuneMu.Unlock()
-
-	res, err := core.Tune(context.Background(), core.Options{
-		Workload:       workload.MustNew(id, refWorkloadSeed),
-		BudgetKind:     budgetKind,
-		Metric:         metric,
-		SystemParams:   true,
-		InferenceAware: true,
-		StopAtTarget:   true,
-		Seed:           21,
 	})
-	if err != nil {
-		return res, fmt.Errorf("experiments: edgetune %s/%s/%s: %w", id, budgetKind, metric, err)
-	}
-	tuneMu.Lock()
-	tuneCache[key] = res
-	tuneMu.Unlock()
-	return res, nil
 }
 
-var (
-	convergenceMu    sync.Mutex
-	convergenceCache = make(map[string]core.Result)
-)
+var convergenceRuns memoByKey[string, core.Result]
 
 // convergenceRun executes a full-horizon run (~51 trials, no early
 // stop) for the Figure 12 convergence study.
 func convergenceRun(budgetKind string) (core.Result, error) {
-	convergenceMu.Lock()
-	if res, ok := convergenceCache[budgetKind]; ok {
-		convergenceMu.Unlock()
+	return convergenceRuns.do(budgetKind, func() (core.Result, error) {
+		res, err := core.Tune(context.Background(), core.Options{
+			Workload:       workload.MustNew("IC", refWorkloadSeed),
+			BudgetKind:     budgetKind,
+			SystemParams:   true,
+			InferenceAware: true,
+			Seed:           21,
+		})
+		if err != nil {
+			return res, fmt.Errorf("experiments: convergence %s: %w", budgetKind, err)
+		}
 		return res, nil
-	}
-	convergenceMu.Unlock()
-	res, err := core.Tune(context.Background(), core.Options{
-		Workload:       workload.MustNew("IC", refWorkloadSeed),
-		BudgetKind:     budgetKind,
-		SystemParams:   true,
-		InferenceAware: true,
-		Seed:           21,
 	})
-	if err != nil {
-		return res, fmt.Errorf("experiments: convergence %s: %w", budgetKind, err)
-	}
-	convergenceMu.Lock()
-	convergenceCache[budgetKind] = res
-	convergenceMu.Unlock()
-	return res, nil
 }
 
 var fig12Memo memo[Table]

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"edgetune/internal/baselines"
 	"edgetune/internal/core"
@@ -14,32 +13,22 @@ import (
 	"edgetune/internal/workload"
 )
 
-var (
-	tuneBaselineMu    sync.Mutex
-	tuneBaselineCache = make(map[string]core.Result)
-)
+var tuneBaselineRuns memoByKey[string, core.Result]
 
 // tuneBaselineRun executes (and memoises) the Tune baseline at the same
 // evaluation scale as edgeTuneRun.
 func tuneBaselineRun(id string) (core.Result, error) {
-	tuneBaselineMu.Lock()
-	if res, ok := tuneBaselineCache[id]; ok {
-		tuneBaselineMu.Unlock()
+	return tuneBaselineRuns.do(id, func() (core.Result, error) {
+		res, err := baselines.RunTune(context.Background(), core.Options{
+			Workload:     workload.MustNew(id, refWorkloadSeed),
+			StopAtTarget: true,
+			Seed:         21,
+		})
+		if err != nil {
+			return res, fmt.Errorf("experiments: tune baseline %s: %w", id, err)
+		}
 		return res, nil
-	}
-	tuneBaselineMu.Unlock()
-	res, err := baselines.RunTune(context.Background(), core.Options{
-		Workload:     workload.MustNew(id, refWorkloadSeed),
-		StopAtTarget: true,
-		Seed:         21,
 	})
-	if err != nil {
-		return res, fmt.Errorf("experiments: tune baseline %s: %w", id, err)
-	}
-	tuneBaselineMu.Lock()
-	tuneBaselineCache[id] = res
-	tuneBaselineMu.Unlock()
-	return res, nil
 }
 
 var fig14Memo memo[Table]

@@ -28,27 +28,30 @@ func skipUnderRace(t *testing.T) {
 func TestAllExperimentsProduceTables(t *testing.T) {
 	skipUnderRace(t)
 	for _, exp := range All() {
-		tab, err := exp.Run()
-		if err != nil {
-			t.Fatalf("%v: %v", exp.ID, err)
-		}
-		if tab.ID != exp.ID {
-			t.Errorf("catalog ID %q != table ID %q", exp.ID, tab.ID)
-		}
-		if tab.ID == "" || tab.Title == "" {
-			t.Errorf("table missing identity: %+v", tab)
-		}
-		if len(tab.Rows) == 0 {
-			t.Errorf("%s: no rows", tab.ID)
-		}
-		for i, row := range tab.Rows {
-			if len(row) != len(tab.Header) {
-				t.Errorf("%s row %d: %d cells for %d columns", tab.ID, i, len(row), len(tab.Header))
+		t.Run(exp.ID, func(t *testing.T) {
+			t.Parallel()
+			tab, err := exp.Run()
+			if err != nil {
+				t.Fatalf("%v: %v", exp.ID, err)
 			}
-		}
-		if !strings.Contains(tab.String(), tab.ID) {
-			t.Errorf("%s: String() drops the ID", tab.ID)
-		}
+			if tab.ID != exp.ID {
+				t.Errorf("catalog ID %q != table ID %q", exp.ID, tab.ID)
+			}
+			if tab.ID == "" || tab.Title == "" {
+				t.Errorf("table missing identity: %+v", tab)
+			}
+			if len(tab.Rows) == 0 {
+				t.Errorf("%s: no rows", tab.ID)
+			}
+			for i, row := range tab.Rows {
+				if len(row) != len(tab.Header) {
+					t.Errorf("%s row %d: %d cells for %d columns", tab.ID, i, len(row), len(tab.Header))
+				}
+			}
+			if !strings.Contains(tab.String(), tab.ID) {
+				t.Errorf("%s: String() drops the ID", tab.ID)
+			}
+		})
 	}
 }
 

@@ -82,6 +82,28 @@ func (m *memo[T]) do(f func() (T, error)) (T, error) {
 	return m.val, m.err
 }
 
+// memoByKey runs f once per key: a caller that asks for a key another
+// caller is computing waits for that result instead of computing it
+// again.
+type memoByKey[K comparable, T any] struct {
+	mu sync.Mutex
+	m  map[K]*memo[T]
+}
+
+func (k *memoByKey[K, T]) do(key K, f func() (T, error)) (T, error) {
+	k.mu.Lock()
+	m, ok := k.m[key]
+	if !ok {
+		if k.m == nil {
+			k.m = make(map[K]*memo[T])
+		}
+		m = new(memo[T])
+		k.m[key] = m
+	}
+	k.mu.Unlock()
+	return m.do(f)
+}
+
 // f2 formats a float with two decimals; f1 and f3 vary precision.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

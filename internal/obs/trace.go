@@ -522,16 +522,6 @@ func (t *Tracer) Len() int {
 	return t.kept()
 }
 
-// Dropped reports spans discarded by the buffer cap.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // sorted concatenates the buffer's blocks into one slice, with every
 // ended span's record and every run's leaves built, and puts it in the
 // export order compareRecords defines, which is total: where records

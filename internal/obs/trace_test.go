@@ -129,7 +129,7 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 	child := root.Child("trial", 0, Str("k", "v"))
 	child.End(time.Second, Int("n", 1))
 	child.Leaf("mini-batch", 0, time.Second, Int("step", 1))
-	if tr.Len() != 0 || tr.Dropped() != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("nil tracer must report empty")
 	}
 	var buf bytes.Buffer
@@ -723,9 +723,11 @@ func TestStepsAtTheCap(t *testing.T) {
 	for limit := 0; limit <= total+1; limit++ {
 		maxSpans = limit
 		old, got := build(epochsByLeaf), build((*Span).Epochs)
-		if got.Len() != old.Len() || got.Dropped() != old.Dropped() {
+		_, gotDropped := got.sorted()
+		_, oldDropped := old.sorted()
+		if got.Len() != old.Len() || gotDropped != oldDropped {
 			t.Errorf("cap %d: Epochs kept %d and dropped %d, the loop %d and %d",
-				limit, got.Len(), got.Dropped(), old.Len(), old.Dropped())
+				limit, got.Len(), gotDropped, old.Len(), oldDropped)
 		}
 		wantJ, _ := exports(t, old)
 		if gotJ, _ := exports(t, got); !bytes.Equal(gotJ, wantJ) {
@@ -752,8 +754,8 @@ func TestCutTraceSaysSo(t *testing.T) {
 	maxSpans = 3
 	cut := buildTrace()
 	jsonl, chrome := exports(t, cut)
-	if cut.Dropped() != 2 || !bytes.HasSuffix(jsonl, []byte("}\n{\"dropped\":2}\n")) {
-		t.Fatalf("a trace cut with %d spans dropped ends:\n%s", cut.Dropped(), jsonl)
+	if _, dropped := cut.sorted(); dropped != 2 || !bytes.HasSuffix(jsonl, []byte("}\n{\"dropped\":2}\n")) {
+		t.Fatalf("a trace cut with %d spans dropped ends:\n%s", dropped, jsonl)
 	}
 	parsed, err := analyze.ParseJSONL(bytes.NewReader(jsonl))
 	if err != nil || parsed.Malformed != 0 || parsed.Dropped != 2 || len(parsed.Spans) != 3 {

@@ -411,41 +411,3 @@ func TestProjectedCostMatchesSubset(t *testing.T) {
 		}
 	}
 }
-
-// TestTimeBudgetIntegration wires the paper's third budget type end to
-// end: a TimeStrategy whose epoch length is what a one-epoch full-data
-// trial is charged produces allocations a trial can run.
-func TestTimeBudgetIntegration(t *testing.T) {
-	w := workload.MustNew("IC", 1)
-	cfg := search.Config{
-		workload.ParamLayers:     18,
-		workload.ParamTrainBatch: 64,
-		workload.ParamGPUs:       1,
-	}
-	r, err := NewRunner(w, perfmodel.GPUProfile{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := r.Run(context.Background(), Request{Config: cfg, Alloc: budget.Allocation{Epochs: 1, DataFraction: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perEpoch := one.Cost.Duration.Seconds()
-	strat, err := budget.NewTime(perEpoch, 10*perEpoch, perEpoch, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 1; it <= 4; it++ {
-		alloc := strat.At(it)
-		res, err := r.Run(context.Background(), Request{Config: cfg, Alloc: alloc})
-		if err != nil {
-			t.Fatalf("it %d: %v", it, err)
-		}
-		// The trial's charged time must respect the iteration's cap
-		// (within one epoch of rounding).
-		cap := perEpoch * float64(it+1)
-		if res.Cost.Duration.Seconds() > cap {
-			t.Errorf("it %d: trial took %.0fs, cap %.0fs", it, res.Cost.Duration.Seconds(), cap)
-		}
-	}
-}
