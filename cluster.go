@@ -33,9 +33,6 @@ type ClusterOptions struct {
 	// job's shard at its Nth completed rung (while the shard still has a
 	// follower) — the scripted chaos hook the failover gate uses.
 	KillShardAfterRungs int
-	// SnapshotEvery compacts each primary's WAL after this many records
-	// (default 256).
-	SnapshotEvery int
 	// TracePath, when set, writes the cluster's dispatcher spans (job
 	// routing, failovers) as JSON Lines at Close.
 	TracePath string
@@ -97,7 +94,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Seed:                opts.Seed,
 		Fault:               opts.Faults,
 		KillShardAfterRungs: opts.KillShardAfterRungs,
-		SnapshotEvery:       opts.SnapshotEvery,
 		Metrics:             reg,
 		Trace:               tracer,
 		Flight:              opts.Flight,

@@ -116,7 +116,6 @@ func flagTable(inv *invocation, job *edgetune.Job, cl *edgetune.ClusterOptions) 
 		{"no-inference", &job.WithoutInference, free, "disable the inference tuning server"},
 		{"stop-at-target", &job.StopAtTarget, free, "stop once the target accuracy is reached"},
 		{"store", &job.StorePath, free, "persist the historical inference database to this JSON file, crash-consistently: every mutation is journalled to a checksummed write-ahead log beside it"},
-		{"store-snapshot-every", &job.StoreSnapshotEvery, free, "compact the WAL into a fresh snapshot every N records (default 256, negative never; inert without -store)"},
 		{"store-kill-after", &job.StoreKillAfterAppends, nonNeg, "chaos: kill the process (exit 3) right after the Nth acknowledged WAL append (inert without -store)"},
 		{"seed", &job.Seed, free, "random seed (jobs are deterministic per seed)"},
 		{"tenant", &job.Tenant, free, "tenant the job is submitted as (default \"default\")"},
@@ -253,7 +252,7 @@ func run(args []string, out io.Writer) error {
 		// durable store, the trace, the debug server and the flight
 		// recorders (one ring per shard, artefacts written shard-prefixed
 		// at Close); the job's fields for those are inert on a cluster job.
-		cl.Seed, cl.SnapshotEvery, cl.TracePath, cl.Faults = job.Seed, job.StoreSnapshotEvery, job.TracePath, job.Faults
+		cl.Seed, cl.TracePath, cl.Faults = job.Seed, job.TracePath, job.Faults
 		cl.Flight, cl.IncidentsDir, cl.DebugAddr = job.Flight, job.IncidentsDir, job.DebugAddr
 		return runCluster(out, cl, job, inv)
 	}

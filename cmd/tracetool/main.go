@@ -12,7 +12,7 @@
 //	tracetool diff [-threshold 0.10] a.jsonl b.jsonl
 //	tracetool chrome trace.jsonl trace.json
 //	tracetool profile check -want tenant,shard,rung cpu.pprof
-//	tracetool store verify [-json] [-wal store.json.wal] store.json
+//	tracetool store verify [-json] store.json
 //	tracetool incident show [-json] [-events] dossier.json
 //	tracetool incident diff a.json b.json
 //	tracetool fuzz run [-mode single|cluster] [-seed N] [-n N] [-plant-double-charge] [-out dir]
@@ -140,27 +140,25 @@ func runProfileCheck(args []string, out io.Writer) error {
 // runStore dispatches the store maintenance subcommands.
 func runStore(args []string, out io.Writer) error {
 	if len(args) == 0 || args[0] != "verify" {
-		return errors.New("usage: tracetool store verify [-json] [-wal path] store.json")
+		return errors.New("usage: tracetool store verify [-json] store.json")
 	}
 	return runStoreVerify(args[1:], out)
 }
 
-// runStoreVerify scrubs a durable store's on-disk files read-only:
-// snapshot generations, WAL framing and checksums, torn tails. Exit 2
-// when anything is corrupt — the same gate semantics as diff.
+// runStoreVerify scrubs a durable store's on-disk files read-only —
+// recovery without its repairs: snapshot generations, WAL framing and
+// checksums, torn tails. Exit 2 when recovery would salvage anything —
+// the same gate semantics as diff.
 func runStoreVerify(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracetool store verify", flag.ContinueOnError)
-	var (
-		asJSON  = fs.Bool("json", false, "emit the scrub report as JSON instead of text")
-		walPath = fs.String("wal", "", "write-ahead log path (default <store>.wal)")
-	)
+	asJSON := fs.Bool("json", false, "emit the scrub report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return errors.New("usage: tracetool store verify [-json] [-wal path] store.json")
+		return errors.New("usage: tracetool store verify [-json] store.json")
 	}
-	rep, err := store.Scrub(nil, fs.Arg(0), *walPath)
+	rep, err := store.Scrub(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -171,32 +169,19 @@ func runStoreVerify(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		snap := "missing"
-		switch {
-		case rep.SnapshotPresent && rep.SnapshotValid:
-			snap = "valid"
-		case rep.SnapshotPresent:
-			snap = "CORRUPT: " + rep.SnapshotError
+		snap := "loads " + rep.SnapshotSource
+		if rep.SnapshotQuarantined {
+			snap += ", a generation CORRUPT: " + rep.SnapshotError
 		}
 		fmt.Fprintf(out, "snapshot %-40s %s\n", rep.SnapshotPath, snap)
-		if rep.PrevPresent {
-			prev := "valid"
-			if !rep.PrevValid {
-				prev = "CORRUPT"
-			}
-			fmt.Fprintf(out, "previous %-40s %s\n", rep.SnapshotPath+".prev", prev)
-		}
-		if rep.WALPresent {
-			fmt.Fprintf(out, "wal      %-40s %d records, %d quarantined, %d torn bytes\n",
-				rep.WALPath, rep.WALRecords, rep.WALQuarantined, rep.WALTornBytes)
-		} else {
-			fmt.Fprintf(out, "wal      %-40s missing\n", rep.WALPath)
-		}
-		fmt.Fprintf(out, "state    %d entries, %d checkpoints\n", rep.Entries, rep.Checkpoints)
+		fmt.Fprintf(out, "wal      %-40s %d records replayed, %d torn bytes\n",
+			rep.WALPath, rep.RecordsReplayed, rep.TruncatedBytes)
+		fmt.Fprintf(out, "state    %d entries, %d checkpoints, %d records quarantined\n",
+			rep.Entries, rep.Checkpoints, rep.RecordsQuarantined)
 	}
 	if !rep.Clean {
-		return fmt.Errorf("%w: store has corruption (snapshot valid=%v, %d quarantined records, %d torn bytes)",
-			errGate, !rep.SnapshotPresent || rep.SnapshotValid, rep.WALQuarantined, rep.WALTornBytes)
+		return fmt.Errorf("%w: store has corruption (snapshot quarantined=%v, %d quarantined records, %d torn bytes)",
+			errGate, rep.SnapshotQuarantined, rep.RecordsQuarantined, rep.TruncatedBytes)
 	}
 	fmt.Fprintln(out, "clean")
 	return nil

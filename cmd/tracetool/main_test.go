@@ -157,6 +157,29 @@ func TestUsageNamesEverySubcommand(t *testing.T) {
 	}
 }
 
+// TestStoreVerifyFailsASalvagedStore: store verify is recovery without
+// the repairs, so a snapshot recovery has to salvage — an entry with an
+// empty signature and a checkpoint with an empty key beside a valid
+// entry — fails the gate (exit 2) and is left as it was.
+func TestStoreVerifyFailsASalvagedStore(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "store.json")
+	planted := []byte(`{"entries":[{"signature":"IC/layers=18","device":"i7","config":{"cores":2}},` +
+		`{"signature":"","device":"i7","config":{}}],"checkpoints":{"":{"rung":1}}}`)
+	if err := os.WriteFile(snap, planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"store", "verify", snap}, &out); !errors.Is(err, errGate) {
+		t.Fatalf("store verify of a salvaged store: err = %v, want a gate failure\n%s", err, out.String())
+	}
+	if want := "1 entries, 0 checkpoints, 2 records quarantined"; !strings.Contains(out.String(), want) {
+		t.Errorf("store verify output lacks %q:\n%s", want, out.String())
+	}
+	if !bytes.Equal(mustReadFile(t, snap), planted) {
+		t.Error("store verify modified the snapshot")
+	}
+}
+
 // pprofString encodes one Profile.string_table entry (field 6).
 func pprofString(b []byte, s string) []byte {
 	b = append(b, 6<<3|2, byte(len(s)))

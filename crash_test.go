@@ -120,7 +120,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 			}
 
 			// The recovered store must also pass an integrity scrub.
-			rep, err := store.Scrub(nil, storePath, "")
+			rep, err := store.Scrub(storePath)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,10 +142,6 @@ type Job struct {
 	// behind — torn tails truncated, corrupt records quarantined, the
 	// salvage reported in Report.StoreRecovery.
 	StorePath string
-	// StoreSnapshotEvery compacts the WAL into a fresh snapshot once
-	// this many records accumulate (default 256; negative disables
-	// periodic compaction). Only meaningful with StorePath.
-	StoreSnapshotEvery int
 	// StoreKillAfterAppends, when positive, terminates the whole
 	// process (exit code store.KillExitCode) immediately after the Nth
 	// durably acknowledged WAL append — the chaos hook the
@@ -549,7 +545,6 @@ func Tune(ctx context.Context, job Job) (*Report, error) {
 		}
 		dur, err = store.OpenDurable(store.DurableOptions{
 			SnapshotPath:     job.StorePath,
-			SnapshotEvery:    job.StoreSnapshotEvery,
 			FS:               sfs,
 			Metrics:          reg,
 			SLO:              ev,

@@ -193,11 +193,11 @@ func TestRunDeterministicDigest(t *testing.T) {
 	s := Schedule{Seed: 1234, Mode: ModeSingle, Events: []fault.Event{
 		{Class: fault.TrialCrash, Site: "conf0/b0/r0", Attempt: 0, Intensity: 1},
 	}}
-	a, err := r.Run(s)
+	a, err := r.run(s, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	b, err := r.Run(s)
+	b, err := r.run(s, nil)
 	if err != nil {
 		t.Fatalf("Run (second): %v", err)
 	}

@@ -75,9 +75,8 @@ func checkStoreVerify(ev Evidence) []Violation {
 		if !disk && !sc.Report.Clean {
 			out = append(out, Violation{
 				Invariant: "store-verify",
-				Detail: fmt.Sprintf("replica %s not clean without disk faults: %d quarantined, %d torn bytes, snapshot valid=%v",
-					sc.Name, sc.Report.WALQuarantined, sc.Report.WALTornBytes,
-					!sc.Report.SnapshotPresent || sc.Report.SnapshotValid),
+				Detail: fmt.Sprintf("replica %s not clean without disk faults: %d quarantined, %d torn bytes, snapshot quarantined=%v",
+					sc.Name, sc.Report.RecordsQuarantined, sc.Report.TruncatedBytes, sc.Report.SnapshotQuarantined),
 			})
 		}
 	}

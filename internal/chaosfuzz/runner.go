@@ -96,14 +96,10 @@ func redactPath(s, dir string) string {
 	return strings.ReplaceAll(s, dir, "<scratch>")
 }
 
-// Run executes the schedule once and gathers the evidence. The error
+// run executes the schedule once and gathers the evidence. The error
 // return is for harness failures (bad schedule, scratch-dir I/O);
 // failures *of the system under test* land inside the outcome where
 // the invariants judge them.
-func (r *Runner) Run(s Schedule) (*runOutcome, error) {
-	return r.run(s, nil)
-}
-
 func (r *Runner) run(s Schedule, observe fault.Observer) (*runOutcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -280,7 +276,7 @@ func scrubReplicas(dir string, names []string) []replicaScrub {
 			}
 		}
 		rs := replicaScrub{Name: name}
-		rep, err := store.Scrub(store.OSFS{}, snap, "")
+		rep, err := store.Scrub(snap)
 		if err != nil {
 			rs.ReopenErr = "scrub: " + redactPath(err.Error(), dir)
 		}
@@ -324,7 +320,7 @@ func (o *runOutcome) finalize() {
 	writeResult(h, &o.Result)
 	for _, sc := range o.Scrubs {
 		fmt.Fprintf(h, "scrub=%s/%v/%d/%d/%d/%d/%d/%s;", sc.Name, sc.Report.Clean,
-			sc.Report.WALRecords, sc.Report.WALQuarantined, sc.Report.WALTornBytes,
+			sc.Report.RecordsReplayed, sc.Report.RecordsQuarantined, sc.Report.TruncatedBytes,
 			sc.Report.Entries, sc.Report.Checkpoints, sc.ReopenErr)
 	}
 	shards := make([]string, 0, len(o.Incidents))

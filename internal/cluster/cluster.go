@@ -58,8 +58,6 @@ type Options struct {
 	// chaos gate's scripted kill; Fault.ShardKill is the probabilistic
 	// variant.
 	KillShardAfterRungs int
-	// SnapshotEvery is passed to each primary store (default 256).
-	SnapshotEvery int
 	// Metrics receives the cluster instruments (nil = off); per-job
 	// metrics stay on each job's own registry.
 	Metrics *obs.Registry
@@ -153,7 +151,7 @@ func New(opts Options) (*Cluster, error) {
 		if opts.Flight {
 			fr = flight.New(opts.FlightSlots)
 		}
-		sh, err := openShard(name, filepath.Join(opts.Dir, name), opts.SnapshotEvery, inj, opts.Metrics, fr)
+		sh, err := openShard(name, filepath.Join(opts.Dir, name), inj, opts.Metrics, fr)
 		if err != nil {
 			for _, open := range c.shards {
 				open.close()

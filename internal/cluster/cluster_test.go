@@ -194,7 +194,7 @@ func TestClusterStoresVerifyAfterFailover(t *testing.T) {
 					continue // node never wrote anything
 				}
 			}
-			rep, err := store.Scrub(nil, snap, "")
+			rep, err := store.Scrub(snap)
 			if err != nil {
 				t.Fatalf("scrub %s: %v", snap, err)
 			}

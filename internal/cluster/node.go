@@ -54,7 +54,7 @@ func (s *shard) snapshotPath(sub string) string {
 // openShard creates the shard's primary/follower directories, opens
 // the primary durable store with WAL shipping attached, and opens the
 // follower's log for appends.
-func openShard(name, dir string, snapshotEvery int, inj *fault.Injector, reg *obs.Registry, fr *flight.Recorder) (*shard, error) {
+func openShard(name, dir string, inj *fault.Injector, reg *obs.Registry, fr *flight.Recorder) (*shard, error) {
 	s := &shard{name: name, dir: dir, primaryDir: "primary", reg: obs.NewRegistry(), fr: fr}
 	for _, sub := range []string{"primary", "follower"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -66,11 +66,10 @@ func openShard(name, dir string, snapshotEvery int, inj *fault.Injector, reg *ob
 		return nil, err
 	}
 	prim, err := store.OpenDurable(store.DurableOptions{
-		SnapshotPath:  s.snapshotPath("primary"),
-		SnapshotEvery: snapshotEvery,
-		Metrics:       s.reg,
-		Shipper:       rep,
-		Flight:        fr,
+		SnapshotPath: s.snapshotPath("primary"),
+		Metrics:      s.reg,
+		Shipper:      rep,
+		Flight:       fr,
 	})
 	if err != nil {
 		rep.close()

@@ -31,7 +31,7 @@ func TestFollowerLogMatchesPrimary(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			sh, err := openShard("shard0", t.TempDir(), -1, inj, reg, nil)
+			sh, err := openShard("shard0", t.TempDir(), inj, reg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,5 +1,5 @@
 // Package metrics provides the small statistics toolkit the evaluation
-// harness uses: percent error (Figure 15's metric), means, and
+// harness uses: percent error (Figure 15's metric), quantiles and
 // box-and-whisker summaries.
 package metrics
 
@@ -16,18 +16,6 @@ func PercentError(empirical, estimated float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: empirical value is zero")
 	}
 	return math.Abs(empirical-estimated) / math.Abs(empirical) * 100, nil
-}
-
-// Mean returns the arithmetic mean; it is 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear

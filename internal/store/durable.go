@@ -232,71 +232,104 @@ func (d *Durable) Store() *Store { return d.st }
 // Recovery reports what opening this store salvaged.
 func (d *Durable) Recovery() RecoveryReport { return d.recovery }
 
-// recover seeds the in-memory store from the newest valid snapshot and
-// replays the WAL over it, repairing the log files in place.
-func (d *Durable) recover() error {
-	rr := &d.recovery
-	rr.SnapshotSource = "none"
+// storeFiles is what readFiles found in a durable store's files: the
+// report of what loading them did, and what recovery then repairs.
+type storeFiles struct {
+	report RecoveryReport
+	// corrupt are the snapshot generations that did not parse, in the
+	// order read; corruptErr is the first one's parse error.
+	corrupt    []string
+	corruptErr error
+	// wal is the log's scan: its quarantined frames and torn tail.
+	wal walScan
+}
 
-	// Newest valid snapshot: the current generation, then the previous
-	// one kept by compaction. A corrupt generation is moved aside to
-	// .quarantine — recovery degrades, it never destroys evidence.
+// readFiles loads the newest valid state of the durable store whose
+// snapshot is snapPath into st: the current snapshot generation — or,
+// only when that is missing or corrupt, the previous one compaction
+// kept — with the WAL, walPath (always snapPath + ".wal"), replayed
+// over it. It repairs nothing: recovery is readFiles plus the repairs,
+// Scrub is readFiles plus a report, so the two agree on every store by
+// construction.
+func readFiles(fsys FS, snapPath, walPath string, st *Store) (storeFiles, error) {
+	var f storeFiles
+	rr := &f.report
+	rr.SnapshotSource = "none"
 	for _, cand := range []struct{ path, source string }{
-		{d.snapPath, "snapshot"},
-		{d.snapPath + ".prev", "previous"},
+		{snapPath, "snapshot"},
+		{snapPath + ".prev", "previous"},
 	} {
-		data, err := d.fsys.ReadFile(cand.path)
+		data, err := fsys.ReadFile(cand.path)
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("store: read snapshot %s: %w", cand.path, err)
+			return f, fmt.Errorf("store: read snapshot %s: %w", cand.path, err)
 		}
 		file, perr := parseStoreFile(data)
 		if perr != nil {
-			if qerr := d.fsys.Rename(cand.path, cand.path+".quarantine"); qerr == nil {
-				d.fsys.SyncDir(cand.path)
+			if f.corruptErr == nil {
+				f.corruptErr = perr
 			}
+			f.corrupt = append(f.corrupt, cand.path)
 			rr.SnapshotQuarantined = true
 			continue
 		}
 		rr.SnapshotSource = cand.source
-		rr.RecordsQuarantined += d.st.applyStoreFile(file)
+		rr.RecordsQuarantined += st.applyStoreFile(file)
 		break
+	}
+
+	// A snapshot with no log beside it is a store last written before
+	// the WAL existed (or a fresh path): an empty log replays the same.
+	data, err := fsys.ReadFile(walPath)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return f, fmt.Errorf("store: read wal %s: %w", walPath, err)
+	}
+	f.wal = scanWAL(data)
+	rr.RecordsQuarantined += st.applyRecords(f.wal.Records) + len(f.wal.Quarantined)
+	rr.RecordsReplayed = len(f.wal.Records)
+	rr.TruncatedBytes = f.wal.TruncatedBytes
+	rr.Entries = len(st.entries)
+	rr.Checkpoints = len(st.checkpoints)
+	return f, nil
+}
+
+// recover seeds the in-memory store from the store's files (readFiles)
+// and repairs them in place.
+func (d *Durable) recover() error {
+	f, err := readFiles(d.fsys, d.snapPath, d.walPath, d.st)
+	if err != nil {
+		return err
+	}
+	d.recovery = f.report
+	// A corrupt generation is moved aside to .quarantine — recovery
+	// degrades, it never destroys evidence.
+	for _, path := range f.corrupt {
+		if qerr := d.fsys.Rename(path, path+".quarantine"); qerr == nil {
+			d.fsys.SyncDir(path)
+		}
 	}
 	// A leftover temp file from an interrupted atomic write is dead
 	// weight either way: the rename never happened.
 	d.fsys.Remove(d.snapPath + ".tmp")
 
-	// A snapshot with no log beside it is a store last written before
-	// the WAL existed (or a fresh path): an empty log replays the same.
-	data, err := d.fsys.ReadFile(d.walPath)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: read wal %s: %w", d.walPath, err)
+	if len(f.wal.Quarantined) > 0 {
+		d.writeQuarantine(f.wal.Quarantined)
 	}
-	sc := scanWAL(data)
-	rr.RecordsQuarantined += d.st.applyRecords(sc.Records)
-	rr.RecordsReplayed += len(sc.Records)
-	rr.RecordsQuarantined += len(sc.Quarantined)
-	rr.TruncatedBytes += sc.TruncatedBytes
-	if len(sc.Quarantined) > 0 {
-		d.writeQuarantine(sc.Quarantined)
-	}
-	if sc.TruncatedBytes > 0 {
-		if err := d.fsys.Truncate(d.walPath, sc.ValidEnd); err != nil {
+	if f.wal.TruncatedBytes > 0 {
+		if err := d.fsys.Truncate(d.walPath, f.wal.ValidEnd); err != nil {
 			return fmt.Errorf("store: truncate torn wal tail: %w", err)
 		}
 	}
-	d.walSize = sc.ValidEnd
-	d.sinceCompact = len(sc.Records)
-	rr.Entries = len(d.st.entries)
-	rr.Checkpoints = len(d.st.checkpoints)
+	d.walSize = f.wal.ValidEnd
+	d.sinceCompact = len(f.wal.Records)
 	return nil
 }
 
 // applyStoreFile loads a parsed snapshot into st, skipping invalid
 // entries instead of rejecting the whole snapshot, and returns how many
-// it skipped. Recovery and Scrub both load snapshots through it.
+// it skipped.
 func (st *Store) applyStoreFile(file storeFile) (rejected int) {
 	for _, e := range file.Entries {
 		if st.put(e) != nil {
@@ -318,8 +351,7 @@ func (st *Store) applyStoreFile(file storeFile) (rejected int) {
 
 // applyRecords replays WAL records into st and returns how many it
 // rejected. Records are validated at scan time, so a rejection (which
-// cannot happen today) only counts. Recovery and Scrub both replay
-// through it.
+// cannot happen today) only counts.
 func (st *Store) applyRecords(recs []walRecord) (rejected int) {
 	for _, rec := range recs {
 		var err error

@@ -425,11 +425,11 @@ func TestScrubReports(t *testing.T) {
 	if err := d.Store().Put(entry("b", "d")); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Scrub(nil, snap, "")
+	rep, err := Scrub(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean || rep.WALRecords != 2 || rep.Entries != 2 {
+	if !rep.Clean || rep.RecordsReplayed != 2 || rep.Entries != 2 {
 		t.Errorf("clean scrub = %+v", rep)
 	}
 	// Scrub is read-only: the WAL must be untouched afterwards.
@@ -438,15 +438,15 @@ func TestScrubReports(t *testing.T) {
 	if err := os.WriteFile(snap+".wal", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Scrub(nil, snap, "")
+	rep, err = Scrub(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Clean {
 		t.Error("scrub of torn wal reported clean")
 	}
-	if rep.WALTornBytes != 3 {
-		t.Errorf("WALTornBytes = %d, want 3", rep.WALTornBytes)
+	if rep.TruncatedBytes != 3 {
+		t.Errorf("TruncatedBytes = %d, want 3", rep.TruncatedBytes)
 	}
 	if after, _ := os.ReadFile(snap + ".wal"); len(after) != len(data) {
 		t.Error("Scrub modified the wal")
@@ -457,12 +457,85 @@ func TestScrubReports(t *testing.T) {
 	if err := os.WriteFile(snap, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Scrub(nil, snap, "")
+	rep, err = Scrub(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Clean || rep.SnapshotValid || rep.SnapshotError == "" {
+	if rep.Clean || !rep.SnapshotQuarantined || rep.SnapshotError == "" {
 		t.Errorf("corrupt-snapshot scrub = %+v", rep)
+	}
+}
+
+// salvageSnapshot is a snapshot recovery has to salvage: one valid
+// entry, one entry with an empty signature and one checkpoint with an
+// empty key.
+const salvageSnapshot = `{"entries":[{"signature":"IC/layers=18","device":"i7","config":{"cores":2}},` +
+	`{"signature":"","device":"i7","config":{}}],"checkpoints":{"":{"rung":1}}}`
+
+// TestScrubMatchesRecovery: Scrub is recovery without the repairs, so
+// on a store recovery salvages it reports the store dirty, with the
+// report the open then makes.
+func TestScrubMatchesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "store.json")
+	if err := os.WriteFile(snap, []byte(salvageSnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scrub(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := openDurable(t, dir, DurableOptions{})
+	defer d.Close()
+	rr := d.Recovery()
+	if rr.RecordsQuarantined != 2 || rr.Entries != 1 || rr.Checkpoints != 0 {
+		t.Fatalf("recovery = %+v, want 2 records quarantined, 1 entry, no checkpoint", rr)
+	}
+	if rep.Clean {
+		t.Errorf("Scrub reported clean a store whose recovery quarantined %d records", rr.RecordsQuarantined)
+	}
+	if rep.RecoveryReport != rr {
+		t.Errorf("Scrub found %+v, recovery %+v", rep.RecoveryReport, rr)
+	}
+}
+
+// readsFS records the names of the files a store reads.
+type readsFS struct {
+	OSFS
+	reads []string
+}
+
+func (f *readsFS) ReadFile(path string) ([]byte, error) {
+	f.reads = append(f.reads, filepath.Base(path))
+	return f.OSFS.ReadFile(path)
+}
+
+// TestOpenReadsPrevOnlyWithoutAValidSnapshot: an open reads the
+// previous snapshot generation only when the current one is corrupt
+// (or missing), and the WAL always.
+func TestOpenReadsPrevOnlyWithoutAValidSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "store.json")
+	for _, tc := range []struct {
+		current string
+		want    []string
+	}{
+		{"{}", []string{"store.json", "store.json.wal"}},
+		{"{torn", []string{"store.json", "store.json.prev", "store.json.wal"}},
+	} {
+		for path, data := range map[string]string{snap: tc.current, snap + ".prev": "{}"} {
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fsys := &readsFS{}
+		d := openDurable(t, dir, DurableOptions{FS: fsys})
+		if !reflect.DeepEqual(fsys.reads, tc.want) {
+			t.Errorf("snapshot %q: the open read %v, want %v", tc.current, fsys.reads, tc.want)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -502,7 +575,8 @@ func TestParseStoreFileLegacyArray(t *testing.T) {
 // older build or a hand edit left as store.json. On any bytes opening
 // the store must not panic, and what it recovered must survive a Close,
 // which compacts it into a snapshot of its own: the second open holds
-// the same entries, checkpoint keys and statistics as the first.
+// the same entries, checkpoint keys and statistics as the first. A
+// Scrub taken before the first open reports what that open recovers.
 func FuzzSnapshotRecover(f *testing.F) {
 	snapshot, err := json.MarshalIndent(storeFile{
 		Entries:     []Entry{entry("IC/layers=18", "i7"), entry("OD/dropout=0.3", "rpi3b+")},
@@ -543,7 +617,21 @@ func FuzzSnapshotRecover(f *testing.F) {
 			s.hits, s.misses = st.Stats()
 			return d, s
 		}
+		rep, err := Scrub(path)
+		if err != nil {
+			t.Fatalf("Scrub: %v", err)
+		}
 		d, first := open()
+		// Scrub is the open without its repairs: it reports the state
+		// the open recovers, and clean exactly when nothing is salvaged.
+		rr := d.Recovery()
+		if rep.Entries != rr.Entries || rep.Checkpoints != rr.Checkpoints {
+			t.Fatalf("Scrub found %d entries, %d checkpoints; the open recovered %d, %d",
+				rep.Entries, rep.Checkpoints, rr.Entries, rr.Checkpoints)
+		}
+		if salvaged := rr.RecordsQuarantined > 0 || rr.SnapshotQuarantined || rr.TruncatedBytes > 0; rep.Clean == salvaged {
+			t.Fatalf("Scrub clean=%v; the open salvaged %+v", rep.Clean, rr)
+		}
 		if err := d.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}

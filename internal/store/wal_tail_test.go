@@ -57,7 +57,7 @@ func TestDurableZeroLengthTornTailFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After repair and compaction the store scrubs clean.
-	rep, err := Scrub(nil, filepath.Join(dir, "store.json"), "")
+	rep, err := Scrub(filepath.Join(dir, "store.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,9 +97,6 @@ type Result struct {
 	Straggled bool
 }
 
-// Workload exposes the runner's workload.
-func (r *Runner) Workload() *workload.Workload { return r.workload }
-
 // GPUProfile exposes the runner's training platform.
 func (r *Runner) GPUProfile() perfmodel.GPUProfile { return r.gpu }
 

@@ -118,7 +118,7 @@ func TestFullBudgetReachesTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tgt := r.Workload().TargetAccuracy(); res.Accuracy < tgt {
+	if tgt := r.workload.TargetAccuracy(); res.Accuracy < tgt {
 		t.Errorf("full-budget accuracy %.3f below target %.2f", res.Accuracy, tgt)
 	}
 }
@@ -315,7 +315,7 @@ func TestAllWorkloadsRunnable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chance := 1 / float64(r.Workload().Split().Test.Classes)
+			chance := 1 / float64(r.workload.Split().Test.Classes)
 			if res.Accuracy < 1.5*chance {
 				t.Errorf("accuracy %.3f below 1.5x chance", res.Accuracy)
 			}
