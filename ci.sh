@@ -267,9 +267,10 @@ gate "store durability under faulty disks"
 # fuzzers, twenty race runs of the group-commit tests: reads beside a put
 # parked in its fsync, one fsync per flush, the kept prefix of a failed
 # group, frames shipped only once fsynced, WAL order against apply order,
-# the kill point.
+# the kill point, and the store's index against a map model while a
+# reader's gets probe it beside the flushes that grow it.
 go test -race -count=2 ./internal/store ./internal/fault
-go test -race -count=20 -run '^TestGroupCommit|^TestWriteBehindFailedFlushWakesWaitingGet$' ./internal/store
+go test -race -count=20 -run '^TestGroupCommit|^TestWriteBehindFailedFlushWakesWaitingGet$|^TestIndexMatchesMapModel$' ./internal/store
 go test -run '^$' -fuzz FuzzScanWAL -fuzztime 10s -fuzzminimizetime 100x ./internal/store
 go test -run '^$' -fuzz FuzzPutFrame -fuzztime 10s -fuzzminimizetime 100x ./internal/store
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s -fuzzminimizetime 100x ./internal/search

@@ -72,12 +72,12 @@ var stages = []stage{
 	{"trace.emit", true, openTraceEmit, 4, 232},
 	{"trace.end-attrs", false, openTraceEndAttrs, 1, 96},
 	{"trace.leaf", false, openTraceLeaf, 0, 0},
-	{"store.put", true, openStorePut, 3, 272},
+	{"store.put", true, openStorePut, 2, 256},
 	{"serve.cache-hit", true, openCacheHit, 0, 0},
 	{"search.tpe-search", false, openTPESearch, 0, 0},
 	{"trial.run", false, openTrialRun, 8, 352},
 	{"workload.new", false, openWorkloadNew, 10, 5264},
-	{"store.wal-append", false, openWALAppend, 7, 544},
+	{"store.wal-append", false, openWALAppend, 6, 528},
 	{"store.checkpoint", false, openCheckpoint, 0, 0},
 	{"cluster.dispatch", false, openClusterDispatch, 0, 0},
 	{"flight.record", false, openFlightRecord, 0, 0},
@@ -424,11 +424,12 @@ func throwawayDurable() (st *store.Store, done func(), err error) {
 // bookkeeping on a real WAL file. The puts cycle through 256 signatures,
 // all in the index before the window opens, so every measured put
 // replaces an entry in place and the window holds appends only: a
-// growing index splits a table of its pointer map (≈ 7 allocations,
-// 55 KB) at counts the keys' hashes decide and opens a block of 256
+// growing index doubles its slot array, one allocation of 4 bytes a
+// slot (the loop's 256 keys sit in 512 slots, 2 KB), whenever a new key
+// would fill more than three quarters of it, and opens a block of 256
 // entries (20 KB) every 256th new key, and the ledger's time-bounded
-// warm-up can leave the window on either. The numbers start at 256 so
-// that boxing one for Sprintf allocates, as a fresh signature's does.
+// warm-up could leave the window on either. The numbers start at 256 so that boxing one for Sprintf
+// allocates, as a fresh signature's does.
 func openWALAppend() (func(), func(), error) {
 	st, done, err := throwawayDurable()
 	if err != nil {

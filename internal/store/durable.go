@@ -290,7 +290,7 @@ func readFiles(fsys FS, snapPath, walPath string, st *Store) (storeFiles, error)
 	rr.RecordsQuarantined += st.applyRecords(f.wal.Records) + len(f.wal.Quarantined)
 	rr.RecordsReplayed = len(f.wal.Records)
 	rr.TruncatedBytes = f.wal.TruncatedBytes
-	rr.Entries = len(st.entries)
+	rr.Entries = st.idx.n
 	rr.Checkpoints = len(st.checkpoints)
 	return f, nil
 }
@@ -329,8 +329,12 @@ func (d *Durable) recover() error {
 
 // applyStoreFile loads a parsed snapshot into st, skipping invalid
 // entries instead of rejecting the whole snapshot, and returns how many
-// it skipped.
+// it skipped. The index is sized for the snapshot's entries before the
+// first goes in, so it does not double its way up to them.
 func (st *Store) applyStoreFile(file storeFile) (rejected int) {
+	st.mu.Lock()
+	st.idx.reserve(len(file.Entries))
+	st.mu.Unlock()
 	for _, e := range file.Entries {
 		if st.put(e) != nil {
 			rejected++

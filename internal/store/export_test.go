@@ -19,10 +19,12 @@ func (w *WriteBehind) Pending() int {
 
 // PutBatch puts valid entries as one group commit (putBatch) and
 // reports how many, a prefix, the store now holds.
-func (s *Store) PutBatch(es []Entry) (int, error) {
-	keys := make([]string, len(es))
-	for i, e := range es {
-		keys[i] = e.key()
-	}
-	return s.putBatch(es, keys)
+func (s *Store) PutBatch(es []Entry) (int, error) { return s.putBatch(es) }
+
+// plantHashMask narrows every index hash to mask, so that keys share
+// probe chains, until the returned func restores it.
+func plantHashMask(mask uint64) (restore func()) {
+	old := hashMask
+	hashMask = mask
+	return func() { hashMask = old }
 }

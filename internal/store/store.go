@@ -2,7 +2,7 @@
 // results keyed by architecture signature, so that a model structure
 // already tuned for inference is never re-tuned ("avoids retuning
 // architectures and parameters twice, with the cost of a small storage
-// overhead"). The store is an in-memory map with optional JSON
+// overhead"). The store is an in-memory index with optional durable
 // persistence.
 package store
 
@@ -37,10 +37,6 @@ type Entry struct {
 	TrialsRun int `json:"trialsRun"`
 }
 
-// key combines signature and device: the same architecture tuned for a
-// different device is a different entry.
-func (e Entry) key() string { return e.Signature + "@" + e.Device }
-
 // ErrNotFound is returned by Get for missing entries.
 var ErrNotFound = errors.New("store: entry not found")
 
@@ -58,26 +54,25 @@ var ErrNotFound = errors.New("store: entry not found")
 // it. So LoadCheckpoint copies it out, and compaction encodes it under
 // walMu.
 //
-// Two locks: walMu orders mutations and mu guards the maps. A mutation
-// holds walMu from its WAL record's framing through write, fsync and
-// ship to its in-memory apply, and takes mu only for that apply, so a
-// read, which takes mu alone, never waits on the disk. Compaction runs
-// under walMu and reads the maps without mu: only walMu holders write
-// them. Lock order: walMu, then mu.
+// An entry is keyed by its (Signature, Device) pair, the two fields
+// apart: no key string is built to put, get or sort one, and
+// ("a@b", "c") and ("a", "b@c") are two entries.
+//
+// Two locks: walMu orders mutations and mu guards the index and the
+// checkpoint map. A mutation holds walMu from its WAL record's framing
+// through write, fsync and ship to its in-memory apply, and takes mu
+// only for that apply, so a read, which takes mu alone, never waits on
+// the disk. Compaction runs under walMu and reads the index and the map
+// without mu: only walMu holders write them. Lock order: walMu, then mu.
 type Store struct {
 	walMu sync.Mutex
-	// mu guards the maps, the entries they point into and the hit/miss
-	// counters.
+	// mu guards the index, the checkpoint map and the hit/miss counters.
 	mu sync.Mutex
-	// entries indexes the stored entries by key. They live in blocks:
-	// block is the one new entries fill, a map slot is a pointer, and a
-	// replaced entry is overwritten where it lies. So a growing index
-	// copies pointers, not entries, and an entry's key is the one its
-	// writer built.
-	entries map[string]*Entry
-	block   []Entry
-	hits    int
-	misses  int
+	// idx holds the stored entries, in blocks a growing table finds
+	// them in (index).
+	idx    index
+	hits   int
+	misses int
 	// checkpoints holds opaque job-progress blobs keyed by job, so a
 	// crashed tuning run can resume from its last completed rung using
 	// the same persistence as the historical database.
@@ -107,25 +102,17 @@ func (s *Store) put(e Entry) error {
 	if e.Device == "" {
 		return fmt.Errorf("store: entry with empty device")
 	}
-	one, key := [1]Entry{e}, [1]string{e.key()}
-	_, err := s.putBatch(one[:], key[:])
+	one := [1]Entry{e}
+	_, err := s.putBatch(one[:])
 	return err
 }
 
-// Index blocks start at minBlock entries, so a store that keeps a few
-// holds no more than it needs, and double up to maxBlock.
-const (
-	minBlock = 4
-	maxBlock = 256
-)
-
-// putBatch puts valid entries in order, taking their Configs over;
-// keys[i] is es[i].key(), which the index keeps. On a durable store
-// they are one group commit: every entry's WAL record is written, the
-// log is fsynced once, and only then are the entries applied. It
-// returns how many entries, a prefix of es, the store now holds; on
-// error it holds none of the rest.
-func (s *Store) putBatch(es []Entry, keys []string) (int, error) {
+// putBatch puts valid entries in order, taking their Configs over. On a
+// durable store they are one group commit: every entry's WAL record is
+// written, the log is fsynced once, and only then are the entries
+// applied. It returns how many entries, a prefix of es, the store now
+// holds; on error it holds none of the rest.
+func (s *Store) putBatch(es []Entry) (int, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	n, err := len(es), error(nil)
@@ -133,19 +120,8 @@ func (s *Store) putBatch(es []Entry, keys []string) (int, error) {
 		n, err = s.dur.appendPuts(es)
 	}
 	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = make(map[string]*Entry)
-	}
 	for i := range es[:n] {
-		if p := s.entries[keys[i]]; p != nil {
-			*p = es[i]
-			continue
-		}
-		if len(s.block) == cap(s.block) {
-			s.block = make([]Entry, 0, min(max(2*cap(s.block), minBlock), maxBlock))
-		}
-		s.block = append(s.block, es[i])
-		s.entries[keys[i]] = &s.block[len(s.block)-1]
+		s.idx.put(es[i])
 	}
 	s.mu.Unlock()
 	return n, err
@@ -169,7 +145,7 @@ func (s *Store) Get(signature, dev string) (Entry, error) {
 func (s *Store) get(signature, dev string) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.entries[signature+"@"+dev]
+	p := s.idx.get(signature, dev)
 	if p == nil {
 		s.misses++
 		return Entry{}, ErrNotFound
@@ -178,7 +154,7 @@ func (s *Store) get(signature, dev string) (Entry, error) {
 	return *p, nil
 }
 
-// hit counts a cache hit answered outside the map: a write-behind
+// hit counts a cache hit answered outside the index: a write-behind
 // buffer's entry on its way to the store.
 func (s *Store) hit() {
 	s.mu.Lock()
@@ -190,7 +166,7 @@ func (s *Store) hit() {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.idx.n
 }
 
 // Stats reports cache hits and misses since creation (or load).
@@ -200,28 +176,15 @@ func (s *Store) Stats() (hits, misses int) {
 	return s.hits, s.misses
 }
 
-// Entries returns all entries sorted by key (deterministic order).
+// Entries returns all entries in a deterministic order: by the bytes of
+// the joined "signature@device" string, the shorter signature first
+// where two read alike.
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.sortedEntriesLocked()
+	out := s.idx.sorted()
 	for i := range out {
 		out[i].Config = out[i].Config.Clone()
-	}
-	return out
-}
-
-// sortedEntriesLocked copies the stored entries out, sorted by key.
-// Their Configs are the stored maps. Called with mu or walMu held.
-func (s *Store) sortedEntriesLocked() []Entry {
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Entry, len(keys))
-	for i, k := range keys {
-		out[i] = *s.entries[k]
 	}
 	return out
 }
@@ -318,10 +281,11 @@ type storeStats struct {
 // state. Its entries share the stored Config maps, which nothing writes
 // to, and its checkpoints are the stored map, whose blobs the next
 // SaveCheckpoint hands back to be overwritten: callers hold s.walMu
-// until the document is encoded. Holding it, they read the maps without
-// mu; only the hit/miss counters, which reads move, are copied under it.
+// until the document is encoded. Holding it, they read the index and
+// the checkpoint map without mu; only the hit/miss counters, which
+// reads move, are copied under it.
 func (s *Store) snapshotFileLocked() storeFile {
-	file := storeFile{Entries: s.sortedEntriesLocked(), Checkpoints: s.checkpoints}
+	file := storeFile{Entries: s.idx.sorted(), Checkpoints: s.checkpoints}
 	s.mu.Lock()
 	hits, misses := s.hits, s.misses
 	s.mu.Unlock()

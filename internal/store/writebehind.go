@@ -30,13 +30,15 @@ var ErrBufferClosed = errors.New("store: write-behind buffer closed")
 // it a copy, PutOwned takes the caller's) and passes to the store as it
 // is. The buffer's own bookkeeping — the pending map, the insertion
 // order and the flush's entry list — is recycled: a Flush that drains
-// cleanly keeps what it emptied as the spares of the next one.
+// cleanly keeps what it emptied as the spares of the next one. Like the
+// store, the buffer keys an entry by its (Signature, Device) pair and
+// builds no key string.
 type WriteBehind struct {
 	st *Store
 
 	mu      sync.Mutex
-	pending map[string]Entry
-	order   []string // insertion order, for deterministic flushes
+	pending map[pair]Entry
+	order   []pair // insertion order, for deterministic flushes
 	closed  bool
 
 	// flushing holds the entries the running Flush took out of pending,
@@ -45,7 +47,7 @@ type WriteBehind struct {
 	// it in none of them. It is written under mu.
 	// flushMu admits one Flush at a time; flushing belongs to it.
 	flushMu  sync.Mutex
-	flushing map[string]Entry
+	flushing map[pair]Entry
 	// failed is the error of a background flush that no Flush has
 	// returned yet; while it is kept the flusher writes nothing. It
 	// belongs to flushMu.
@@ -54,8 +56,8 @@ type WriteBehind struct {
 	// Flush emptied — its flushing map, its order slice and its entry
 	// list — for the next Flush to fill instead of allocating; nil after
 	// a failed one. They belong to flushMu.
-	spareMap     map[string]Entry
-	spareOrder   []string
+	spareMap     map[pair]Entry
+	spareOrder   []pair
 	spareEntries []Entry
 
 	wake chan struct{}
@@ -81,7 +83,7 @@ func NewWriteBehind(st *Store) *WriteBehind {
 func newWriteBehind(st *Store) *WriteBehind {
 	w := &WriteBehind{
 		st:      st,
-		pending: make(map[string]Entry),
+		pending: make(map[pair]Entry),
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -129,7 +131,7 @@ func (w *WriteBehind) PutOwned(e Entry) error {
 		w.mu.Unlock()
 		return ErrBufferClosed
 	}
-	key := e.key()
+	key := keyOf(&e)
 	if _, dup := w.pending[key]; !dup {
 		w.order = append(w.order, key)
 	}
@@ -152,7 +154,7 @@ func (w *WriteBehind) PutOwned(e Entry) error {
 // store keeps, which the caller must treat as read-only, and a miss is
 // the bare ErrNotFound.
 func (w *WriteBehind) Get(signature, dev string) (Entry, error) {
-	key := signature + "@" + dev
+	key := pair{signature, dev}
 	w.mu.Lock()
 	e, ok := w.pending[key]
 	if !ok {
@@ -197,7 +199,7 @@ func (w *WriteBehind) Flush() error {
 func (w *WriteBehind) flushLocked() error {
 	pending := w.spareMap
 	if pending == nil {
-		pending = make(map[string]Entry)
+		pending = make(map[pair]Entry)
 	}
 	w.mu.Lock()
 	keys := w.order
@@ -211,8 +213,8 @@ func (w *WriteBehind) flushLocked() error {
 	w.mu.Unlock()
 	w.spareMap, w.spareOrder, w.spareEntries = nil, nil, nil
 	if len(entries) > 0 {
-		if n, err := w.st.putBatch(entries, keys); err != nil {
-			w.requeue(entries[n:], keys[n:]) // hands on no spares
+		if n, err := w.st.putBatch(entries); err != nil {
+			w.requeue(entries[n:]) // hands on no spares
 			return err
 		}
 	}
@@ -231,20 +233,19 @@ func (w *WriteBehind) flushLocked() error {
 	return nil
 }
 
-// requeue puts entries a failed flush could not persist, keyed by
-// keys, back at the front of the buffer, preserving their relative
-// order. Entries the caller overwrote while the flush ran keep the
-// newer value.
-func (w *WriteBehind) requeue(entries []Entry, keys []string) {
+// requeue puts entries a failed flush could not persist back at the
+// front of the buffer, preserving their relative order. Entries the
+// caller overwrote while the flush ran keep the newer value.
+func (w *WriteBehind) requeue(entries []Entry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.mFlushErrs.Inc()
 	if w.pending == nil {
-		w.pending = make(map[string]Entry)
+		w.pending = make(map[pair]Entry)
 	}
-	order := make([]string, 0, len(entries)+len(w.order))
-	for i, e := range entries {
-		k := keys[i]
+	order := make([]pair, 0, len(entries)+len(w.order))
+	for _, e := range entries {
+		k := keyOf(&e)
 		if _, newer := w.pending[k]; newer {
 			continue
 		}

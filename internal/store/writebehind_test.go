@@ -289,7 +289,7 @@ func TestWriteBehindRequeuePreservesOrderAndNewerWrites(t *testing.T) {
 	if err := wb.Put(fresh); err != nil {
 		t.Fatal(err)
 	}
-	wb.requeue([]Entry{old}, []string{"sig-a@i7"})
+	wb.requeue([]Entry{old})
 	if wb.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", wb.Pending())
 	}
@@ -351,7 +351,7 @@ func TestWriteBehindFlushKeepsEntriesReadable(t *testing.T) {
 	<-park.parked // both frames are fsynced and shipping; neither entry is applied
 
 	wb.mu.Lock()
-	for _, key := range []string{"sig-a@i7", "sig-b@i7"} {
+	for _, key := range []pair{{"sig-a", "i7"}, {"sig-b", "i7"}} {
 		if _, held := wb.flushing[key]; !held {
 			t.Errorf("%s is in neither buffer nor store while its flush runs", key)
 		}
@@ -471,7 +471,7 @@ func (p *parkAtShipper) Ship(seq int64, _ []byte) {
 
 // mapID identifies a map by its header, to tell a recycled map from a
 // new one.
-func mapID(m map[string]Entry) uintptr { return reflect.ValueOf(m).Pointer() }
+func mapID(m map[pair]Entry) uintptr { return reflect.ValueOf(m).Pointer() }
 
 // TestWriteBehindRecycledFlushKeepsEntriesReadable: a clean Flush leaves
 // its emptied map to the next one, which takes Puts in it while a later
@@ -581,7 +581,7 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 	if wb.spareMap != nil || wb.spareOrder != nil || wb.spareEntries != nil {
 		t.Error("a failed Flush handed on spares")
 	}
-	if got := wb.order; !reflect.DeepEqual(got, []string{"sig-b@i7", "sig-c@i7"}) {
+	if got := wb.order; !reflect.DeepEqual(got, []pair{{"sig-b", "i7"}, {"sig-c", "i7"}}) {
 		t.Errorf("requeued order %v, want sig-b then sig-c", got)
 	}
 
@@ -595,11 +595,12 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 	if wb.Pending() != 0 || wb.spareMap == nil {
 		t.Errorf("after a clean Flush: %d pending, spare map %v", wb.Pending(), wb.spareMap != nil)
 	}
-	var keys []string
+	var keys []pair
 	for _, e := range st.Entries() {
-		keys = append(keys, e.key())
+		keys = append(keys, keyOf(&e))
 	}
-	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7", "sig-d@i7"}; !reflect.DeepEqual(keys, want) {
+	want := []pair{{"sig-a", "i7"}, {"sig-b", "i7"}, {"sig-c", "i7"}, {"sig-d", "i7"}}
+	if !reflect.DeepEqual(keys, want) {
 		t.Errorf("store holds %v, want %v", keys, want)
 	}
 	data, err := os.ReadFile(d.walPath)
@@ -607,11 +608,11 @@ func TestWriteBehindFailedFlushHandsOnNoSpare(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := scanWAL(data)
-	var logged []string
+	var logged []pair
 	for _, r := range scan.Records {
-		logged = append(logged, r.Entry.key())
+		logged = append(logged, keyOf(r.Entry))
 	}
-	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7", "sig-d@i7"}; !reflect.DeepEqual(logged, want) {
+	if !reflect.DeepEqual(logged, want) {
 		t.Errorf("WAL logs %v, want %v: the requeued entries first, in order", logged, want)
 	}
 }
@@ -639,7 +640,8 @@ func TestWriteBehindFailedPromotionKeepsItsPlace(t *testing.T) {
 	if e, err := wb.Get("sig-b", "i7"); err != nil || e.Signature != "sig-b" {
 		t.Fatalf("Get of a pending entry beside a closed store = %+v, %v; want a hit", e, err)
 	}
-	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7"}; !reflect.DeepEqual(wb.order, want) || wb.Pending() != 3 {
+	want := []pair{{"sig-a", "i7"}, {"sig-b", "i7"}, {"sig-c", "i7"}}
+	if !reflect.DeepEqual(wb.order, want) || wb.Pending() != 3 {
 		t.Errorf("after the Get: order %v, %d pending; want %v, 3", wb.order, wb.Pending(), want)
 	}
 	st.walMu.Lock()
@@ -652,11 +654,11 @@ func TestWriteBehindFailedPromotionKeepsItsPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logged []string
+	var logged []pair
 	for _, r := range scanWAL(data).Records {
-		logged = append(logged, r.Entry.key())
+		logged = append(logged, keyOf(r.Entry))
 	}
-	if want := []string{"sig-a@i7", "sig-b@i7", "sig-c@i7"}; !reflect.DeepEqual(logged, want) {
+	if !reflect.DeepEqual(logged, want) {
 		t.Errorf("WAL logs %v, want %v", logged, want)
 	}
 }
